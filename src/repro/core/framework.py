@@ -33,8 +33,8 @@ import numpy as np
 
 from repro.core.attributes import AttributeTable
 from repro.core.multivector import MultiVector, MultiVectorSet
-from repro.core.query import Query, SearchOptions, as_query, compile_filter
-from repro.core.results import SearchResult, SearchStats
+from repro.core.query import Query, SearchOptions, as_query
+from repro.core.results import SearchResult
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex, reseat_on_store
@@ -45,7 +45,6 @@ from repro.index.search import joint_search
 from repro.index.segments import MANIFEST_NAME, SegmentedIndex, SegmentPolicy
 from repro.store import STORE_KINDS, spill_cold
 from repro.utils.io import load_arrays
-from repro.utils.rng import spawn_seed_sequences
 from repro.utils.validation import require
 from repro.weightlearn.trainer import VectorWeightLearner, WeightLearningResult
 
@@ -366,6 +365,16 @@ class MUST:
         unfiltered search over the post-filtered corpus, while graph
         paths treat masked-out vertices as routable but not reportable.
 
+        A hybrid query (``Query.sparse``) on a graph plan is a row of
+        the same search as its plain batch-mates: its dense traversal
+        fills an ``l``-wide candidate pool, which is fused with the
+        sparse engine's top admissible rows and rescored under the
+        combined metric
+        (:func:`~repro.sparse.hybrid.hybrid_union_rescore`).  The
+        rescore reads the serving store's hot tier — decoded PQ/int8
+        rows under ``compression=``, never the cold exact plane — and
+        takes the place of ``options.refine`` for that query.
+
         Determinism matches the historical entry points: a single query
         draws init vertices straight from ``options.rng``, a batch
         spawns one SeedSequence child per query (bit-identical for any
@@ -407,8 +416,6 @@ class MUST:
                 sparse_engine=opts.sparse_engine,
             )
         opts = opts.resolve(self.objects.n)
-        if any(t.sparse is not None for t in typed):
-            return self._batch_graph_hybrid(typed, opts, engine)
         if engine == "wave":
             return executor.run_graph_wave(
                 self.index,
@@ -418,6 +425,7 @@ class MUST:
                 early_termination=opts.early_termination,
                 refine=opts.refine,
                 check_monotone=opts.check_monotone,
+                sparse_engine=opts.sparse_engine,
             )
         return executor.run_graph(
             self.index,
@@ -428,6 +436,7 @@ class MUST:
             engine=engine,
             refine=opts.refine,
             check_monotone=opts.check_monotone,
+            sparse_engine=opts.sparse_engine,
         )
 
     @staticmethod
@@ -489,8 +498,6 @@ class MUST:
                 sparse_engine=opts.sparse_engine,
             )
         opts = opts.resolve(self.objects.n)
-        if q.sparse is not None:
-            return self._hybrid_graph_one(q, opts, engine)
         if engine == "wave":
             from repro.index.graph_wave import graph_wave_search
 
@@ -503,6 +510,7 @@ class MUST:
                 rngs=[opts.rng],
                 refine=opts.refine,
                 check_monotone=opts.check_monotone,
+                sparse_engine=opts.sparse_engine,
             )
             results[0].stats.merge(wave_stats)
             return results[0]
@@ -516,120 +524,8 @@ class MUST:
             rng=opts.rng,
             refine=opts.refine,
             check_monotone=opts.check_monotone,
+            sparse_engine=opts.sparse_engine,
         )
-
-    def _hybrid_graph_one(
-        self, q: Query, opts: SearchOptions, engine: str, rng=None
-    ) -> SearchResult:
-        """One hybrid query on a single-graph instance.
-
-        The dense graph traversal proposes a candidate pool of up to
-        ``l`` ids, the sparse engine proposes its own lexical
-        candidates, and the union is exact-rescored under the combined
-        metric — the same union-rescore contract as the segmented
-        hybrid branch, so flat and segmented deployments agree on what
-        a hybrid answer means.  ``rng`` (a batch's per-query SeedSequence
-        child) overrides ``opts.rng`` so results are independent of
-        batch composition.
-        """
-        from repro.sparse.hybrid import hybrid_union_rescore
-
-        index = self.index
-        k = q.resolve_k(opts.k)
-        pool = min(opts.l, index.num_active)
-        dense = joint_search(
-            index,
-            q if q.k is None else _dc_replace(q, k=None),
-            k=pool,
-            l=opts.l,
-            early_termination=opts.early_termination,
-            # The wave engine is a batch layout of the heap traversal;
-            # a routed single query runs the heap engine directly.
-            engine="heap" if engine == "wave" else engine,
-            rng=opts.rng if rng is None else np.random.default_rng(rng),
-        )
-        mask = None
-        if index.deleted is not None:
-            mask = ~index.deleted
-        if q.filter is not None:
-            fmask = compile_filter(
-                q.filter, index.space.vectors.attributes
-            )
-            mask = fmask if mask is None else mask & fmask
-        ids, sims = hybrid_union_rescore(
-            index.space,
-            q,
-            dense.ids,
-            min(k, index.num_active),
-            admissible=mask,
-            weights=q.resolve_weights(None),
-            engine=opts.sparse_engine,
-            stats=dense.stats,
-        )
-        return SearchResult(ids=ids, similarities=sims, stats=dense.stats)
-
-    def _batch_graph_hybrid(
-        self, typed: list[Query], opts: SearchOptions, engine: str
-    ) -> BatchResult:
-        """Batch over a single-graph instance when some queries carry a
-        lexical component.
-
-        Hybrid queries run the per-query union-rescore path under the
-        same per-query SeedSequence child the batch engines would spawn
-        — so every query's answer is bit-identical regardless of its
-        batch-mates — while plain queries keep the batched engine.
-        """
-        from repro.index.graph_wave import graph_wave_search
-
-        seeds = spawn_seed_sequences(opts.rng, len(typed))
-        routed: dict[int, SearchResult] = {}
-        for i, t in enumerate(typed):
-            if t.sparse is not None:
-                routed[i] = self._hybrid_graph_one(
-                    t, opts, engine, rng=seeds[i]
-                )
-        plain = [i for i in range(len(typed)) if i not in routed]
-        plain_results: list[SearchResult] = []
-        wave_stats = None
-        if plain and engine == "wave":
-            plain_results, wave_stats = graph_wave_search(
-                self.index,
-                [typed[i] for i in plain],
-                k=opts.k,
-                l=opts.l,
-                early_termination=opts.early_termination,
-                rngs=[seeds[i] for i in plain],
-                refine=opts.refine,
-                check_monotone=opts.check_monotone,
-            )
-        elif plain:
-            memo: dict = {}
-            plain_results = [
-                joint_search(
-                    self.index,
-                    typed[i],
-                    k=opts.k,
-                    l=opts.l,
-                    early_termination=opts.early_termination,
-                    engine=engine,
-                    rng=np.random.default_rng(seeds[i]),
-                    refine=opts.refine,
-                    check_monotone=opts.check_monotone,
-                    filter_memo=memo,
-                )
-                for i in plain
-            ]
-        results: list[SearchResult] = []
-        it = iter(plain_results)
-        for i in range(len(typed)):
-            results.append(routed[i] if i in routed else next(it))
-        stats = SearchStats.aggregate(r.stats for r in results)
-        if wave_stats is not None:
-            stats.merge(wave_stats)
-        plan = (
-            "graph/wave+hybrid" if engine == "wave" else "graph/hybrid"
-        )
-        return BatchResult(results, stats, plan=plan)
 
     @staticmethod
     def _embed_weights(q: Query, weights: Weights | None) -> Query:

@@ -354,6 +354,14 @@ class SearchOptions:
     funnels through, so a typo'd ``early_terminatoin=`` fails loudly
     instead of being silently dropped.
 
+    ``refine=r`` is the two-stage rerank for compressed stores: the top
+    ``r·k`` hot-tier survivors are re-scored against the exact cold
+    tier before the cut to ``k``.  It applies to plain queries only — a
+    hybrid query (``Query.sparse``) on a graph path is finalised by the
+    dense ∪ lexical union rescore
+    (:func:`~repro.sparse.hybrid.hybrid_union_rescore`, which scores the
+    hot tier), and that rescore takes the place of ``refine``.
+
     ``collection`` names the target workspace when the request is
     served by a multi-tenant :class:`~repro.service.MustService`
     (``None`` means the service's default collection).  A standalone

@@ -10,7 +10,7 @@ import numpy as np
 __all__ = ["SearchStats", "SearchResult"]
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
     """Work counters for one search (or an aggregate over a batch).
 
@@ -69,7 +69,7 @@ class SearchStats:
         return total
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchResult:
     """Ranked answer to one query: best-first ids with joint similarities."""
 

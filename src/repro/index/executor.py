@@ -163,6 +163,7 @@ class BatchExecutor:
         early_termination: bool = False,
         refine: int | None = None,
         check_monotone: bool = False,
+        sparse_engine: str = "auto",
     ) -> BatchResult:
         """Lockstep batched graph search — one stacked scoring call per
         wave (:func:`~repro.index.graph_wave.graph_wave_search`).
@@ -187,6 +188,7 @@ class BatchExecutor:
             refine=refine,
             check_monotone=check_monotone,
             filter_memo={},
+            sparse_engine=sparse_engine,
         )
         stats = SearchStats.aggregate(r.stats for r in results)
         stats.merge(wave_stats)

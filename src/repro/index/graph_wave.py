@@ -19,9 +19,11 @@ Each wave
 3. scores the whole stack at once — fast-path queries share a single
    batched row-wise reduction against the ω-scaled concatenation, with
    each query's weights baked into its own concat column exactly as the
-   exact wave does; compressed/early-termination queries fall back to
-   their per-query :class:`~repro.index.scoring.Scorer`, whose PQ/int8
-   kernels are built once per query and reused across every wave,
+   exact wave does; a compressed store scores it with one stacked
+   kernel call per modality
+   (:class:`~repro.index.scoring.StackedScorer`, bit-identical to the
+   per-query PQ/int8/float16 kernels); early-termination queries fall
+   back to their per-query :class:`~repro.index.scoring.Scorer`,
 4. scatters the scores back into per-query result pools, visited
    bitsets, and routing pools.
 
@@ -52,8 +54,9 @@ from repro.core.query import FilterMemo, Query, unpack_query
 from repro.core.results import SearchResult, SearchStats
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex
-from repro.index.scoring import Scorer, rerank_exact
+from repro.index.scoring import Scorer, StackedScorer, rerank_exact
 from repro.index.search import _init_result_set
+from repro.sparse.hybrid import hybrid_union_rescore, sparse_plane
 from repro.utils.rng import spawn_seed_sequences
 from repro.utils.validation import require
 
@@ -141,6 +144,7 @@ def graph_wave_search(
     ks: Sequence[int] | None = None,
     ls: Sequence[int] | None = None,
     expansions_per_wave: int = 8,
+    sparse_engine: str = "auto",
 ) -> tuple[list[SearchResult], SearchStats]:
     """Lockstep batched Algorithm 2 over one fused graph.
 
@@ -159,6 +163,16 @@ def graph_wave_search(
     :class:`~repro.index.executor.BatchExecutor`.  ``ks``/``ls`` are
     per-query overrides used by the segmented layer, which sizes each
     segment probe individually.
+
+    A hybrid query (``Query.sparse``) is a row of the wave like any
+    other: its dense traversal fills a result pool of ``min(l,
+    reportable)`` candidates, and *finalise* fuses them with the sparse
+    engine's own top admissible rows through
+    :func:`~repro.sparse.hybrid.hybrid_union_rescore` (cut to the
+    query's ``k``) under the same deleted/filter admissibility the
+    traversal enforced.  The union rescore takes the place of
+    ``refine=`` for such a row; plain rows in the same batch keep their
+    arithmetic bit for bit.
 
     ``expansions_per_wave`` widens each wave: every active query
     expands up to that many of its best unexpanded candidates per wave
@@ -198,6 +212,7 @@ def graph_wave_search(
     memo: FilterMemo = {} if filter_memo is None else filter_memo
 
     vectors: list[MultiVector] = []
+    hybrid: list[Query | None] = []
     per_weights: list[Weights | None] = []
     excluded_by: list[np.ndarray | None] = []
     excl_cache: dict[int | None, np.ndarray | None] = {}
@@ -217,6 +232,9 @@ def graph_wave_search(
         require(k_q >= 1, "k must be positive")
         require(l_q >= k_q, f"result set size l={l_q} must be at least k={k_q}")
         vectors.append(vec)
+        hybrid.append(
+            q if isinstance(q, Query) and q.sparse is not None else None
+        )
         per_weights.append(w_q)
         key = None if mask is None else id(mask)
         if key in excl_cache:
@@ -232,8 +250,14 @@ def graph_wave_search(
             reportable = index.num_active
         else:
             reportable = int(n - excluded.sum()) if excluded is not None else n
-        k_inner = k_q * refine if refine is not None else k_q
-        l_inner = max(l_q, k_inner)
+        if hybrid[i] is not None:
+            sparse_plane(space)  # no lexical plane: fail before traversing
+            # The fusion's dense candidate pool is the whole result set;
+            # the union rescore takes the place of refine.
+            k_inner = l_inner = l_q
+        else:
+            k_inner = k_q * refine if refine is not None else k_q
+            l_inner = max(l_q, k_inner)
         k_arr[i] = k_q
         k_inner_arr[i] = k_inner
         l_inner_arr[i] = l_inner
@@ -248,18 +272,32 @@ def graph_wave_search(
         seeds = list(rngs)
 
     stats_list = [SearchStats() for _ in range(b)]
-    scorers = [
-        Scorer(
-            space,
-            vectors[i],
-            weights=per_weights[i],
-            early_termination=early_termination,
-            stats=stats_list[i],
-        )
-        for i in range(b)
-    ]
+    # A compressed store scores the whole batch through one stacked
+    # kernel per modality; Lemma-4 pruning is a per-query scan, so
+    # early_termination keeps the per-query scorers.
+    stack = (
+        StackedScorer(space, vectors, per_weights)
+        if space.is_compressed and not early_termination
+        else None
+    )
+    scorers: list[Scorer] = []
+    if stack is None:
+        scorers = [
+            Scorer(
+                space,
+                vectors[i],
+                weights=per_weights[i],
+                early_termination=early_termination,
+                stats=stats_list[i],
+            )
+            for i in range(b)
+        ]
     fast = np.asarray([s.has_fast_path for s in scorers], dtype=bool)
-    active_mods = np.asarray([s.num_active_modalities for s in scorers], dtype=np.int64)
+    active_mods = (
+        np.asarray([s.num_active_modalities for s in scorers], dtype=np.int64)
+        if stack is None
+        else stack.num_kernels
+    )
     joint_acc = np.zeros(b, dtype=np.int64)
     concat_mat: np.ndarray | None = None
     qmat: np.ndarray | None = None
@@ -278,10 +316,15 @@ def graph_wave_search(
 
         One batched row-wise reduction covers every fast-path query's
         candidates (per-query weights already baked into its concat
-        column); the rest go through their bound scorer on contiguous
-        owner slices, so compressed kernels and Lemma-4 pruning apply
-        per query with their one-time setup amortised across waves.
+        column), and on a compressed store one stacked kernel call per
+        modality covers the whole frontier; the rest go through their
+        bound scorer on contiguous owner slices, so Lemma-4 pruning
+        applies per query.
         """
+        if stack is not None:
+            sims = stack.score(owner, cand)
+            np.add(joint_acc, np.bincount(owner, minlength=b), out=joint_acc)
+            return np.where(sims > thr[owner], sims, -np.inf)
         sims = np.empty(cand.size, dtype=np.float64)
         fmask = fast[owner]
         if fmask.any():
@@ -467,7 +510,8 @@ def graph_wave_search(
         merge(rows, idm, routem, resm)
 
     # ------------------------------------------------------------------
-    # Finalise per query: top-k by (-sim, id), optional exact rerank.
+    # Finalise per query: top-k by (-sim, id), then lexical fusion for a
+    # hybrid row or the optional exact rerank for a plain one.
     # ------------------------------------------------------------------
     for i in range(b):
         stats = stats_list[i]
@@ -482,7 +526,21 @@ def graph_wave_search(
         sims_f = res_sims[i][finite]
         order = np.lexsort((ids_f, -sims_f))[: int(k_inner_arr[i])]
         ids_o, sims_o = ids_f[order], sims_f[order]
-        if refine is not None:
+        typed = hybrid[i]
+        if typed is not None:
+            if alive[i]:
+                excluded = excluded_by[i]
+                ids_o, sims_o = hybrid_union_rescore(
+                    space,
+                    typed,
+                    ids_o,
+                    min(int(k_arr[i]), index.num_active),
+                    admissible=None if excluded is None else ~excluded,
+                    weights=per_weights[i],
+                    engine=sparse_engine,
+                    stats=stats_list[i],
+                )
+        elif refine is not None:
             ids_o, sims_o = rerank_exact(
                 space,
                 vectors[i],

@@ -16,9 +16,12 @@ scoring branches.  This module is now their single home:
   design (materialising it would undo the compression); the scorer holds
   one per-modality kernel per query, so PQ lookup tables and
   scalar-quant rescales are built once and reused across every frontier
-  wave.  :func:`rerank_exact` is the second stage of the ``refine=``
-  pipeline: full-precision re-scoring of the compressed search's top
-  survivors against the store's cold exact tier.
+  wave.  :class:`StackedScorer` is the same route for a whole batch:
+  one stacked kernel per modality scores every query's frontier in one
+  call, bit-identical to the per-query kernels.  :func:`rerank_exact`
+  is the second stage of the ``refine=`` pipeline: full-precision
+  re-scoring of the compressed search's top survivors against the
+  store's cold exact tier.
 * **Lemma-4 pruned evaluation** — with ``early_termination`` the
   incremental multi-vector computation drops an object the moment its
   partial-IP upper bound falls to the pruning threshold
@@ -48,6 +51,8 @@ from repro.core.multivector import MultiVector
 from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
+from repro.store import StackedKernel
+from repro.utils.validation import require
 
 
 def _per_query_weights(
@@ -71,7 +76,13 @@ def _per_query_weights(
         )
     return per_query
 
-__all__ = ["MatrixScorer", "Scorer", "batch_score_all", "rerank_exact"]
+__all__ = [
+    "MatrixScorer",
+    "Scorer",
+    "StackedScorer",
+    "batch_score_all",
+    "rerank_exact",
+]
 
 
 class MatrixScorer:
@@ -233,6 +244,71 @@ class Scorer:
         self.stats.joint_evals += n
         self.stats.modality_evals += n * self._active
         self.stats.visited_vertices += n
+        return sims
+
+
+class StackedScorer:
+    """Frontier scorer for a whole batch on a compressed store.
+
+    The stacked form of :meth:`Scorer.score_ids`' kernel route: per
+    modality, one :class:`~repro.store.StackedKernel` holds the query
+    vectors of every batch member that carries the modality (with a
+    positive effective weight), so the lockstep wave engine scores all
+    frontiers with one store call per modality instead of one per
+    query.  ``score(owner, ids)[j]`` is bit-identical to
+    ``Scorer(space, queries[owner[j]]).score_ids(ids[j:j+1])[0]`` — the
+    same float32 kernel value, weighted and accumulated in float64 in
+    the same modality order.
+    """
+
+    def __init__(
+        self,
+        space: JointSpace,
+        queries: Sequence[MultiVector],
+        weights: Sequence[Weights | None],
+    ) -> None:
+        require(
+            space.vectors.is_ip_only,
+            "compressed frontier scoring requires metric 'ip' on every "
+            "dense modality — use exact search for cosine/l2 modalities",
+        )
+        b = len(queries)
+        w2 = np.stack(
+            [
+                space.effective_squared_weights(q, w)
+                for q, w in zip(queries, weights)
+            ]
+        )
+        #: (ω² column, query → kernel row or -1, kernel) per modality
+        self._parts: list[tuple[np.ndarray, np.ndarray, StackedKernel]] = []
+        #: modalities scored per query (the stats multiplier).
+        self.num_kernels = np.zeros(b, dtype=np.int64)
+        for i in range(space.num_modalities):
+            rows = [
+                r
+                for r, q in enumerate(queries)
+                if q.vectors[i] is not None and w2[r, i] > 0.0
+            ]
+            if not rows:
+                continue
+            slot = np.full(b, -1, dtype=np.int64)
+            slot[rows] = np.arange(len(rows))
+            stack = np.stack([queries[r].vectors[i] for r in rows])
+            kernel = space.store.stacked_kernel(i, stack.astype(np.float32))
+            self._parts.append((w2[:, i], slot, kernel))
+            self.num_kernels[rows] += 1
+
+    def score(self, owner: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Joint similarity of ``ids[j]`` to query ``owner[j]`` (float64)."""
+        sims = np.zeros(ids.shape[0], dtype=np.float64)
+        for w2_i, slot, kernel in self._parts:
+            which = slot[owner]
+            carried = which >= 0
+            if carried.all():
+                sims += w2_i[owner] * kernel.ids(ids, which).astype(np.float64)
+            elif carried.any():
+                part = kernel.ids(ids[carried], which[carried])
+                sims[carried] += w2_i[owner[carried]] * part.astype(np.float64)
         return sims
 
 

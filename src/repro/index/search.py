@@ -41,6 +41,7 @@ from repro.core.results import SearchResult, SearchStats
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex
 from repro.index.scoring import MatrixScorer, Scorer, rerank_exact
+from repro.sparse.hybrid import hybrid_union_rescore, sparse_plane
 from repro.utils.rng import make_rng
 from repro.utils.validation import require
 
@@ -59,6 +60,7 @@ def joint_search(
     check_monotone: bool = False,
     refine: int | None = None,
     filter_memo: dict | None = None,
+    sparse_engine: str = "auto",
 ) -> SearchResult:
     """Approximate top-*k* joint search (Algorithm 2).
 
@@ -85,11 +87,21 @@ def joint_search(
     store's exact tier and returns the best *k*.  ``l`` is raised to at
     least ``r·k`` so the result set can hold the candidates.
 
+    A hybrid query (``Query.sparse``) traverses for a dense candidate
+    pool of ``min(l, reportable)`` ids, which
+    :func:`~repro.sparse.hybrid.hybrid_union_rescore` fuses with the
+    sparse engine's own top admissible rows and cuts to *k* — the
+    per-query oracle of the wave engine's hybrid finalise.  The union
+    rescore takes the place of ``refine`` for such a query.
+
     ``filter_memo`` is the batch executor's per-wave filter-compilation
     cache (:func:`~repro.core.query.compile_filter`): queries sharing
     one ``Filter`` instance compile it once per corpus slice instead of
     once per call.
     """
+    hybrid = (
+        query if isinstance(query, Query) and query.sparse is not None else None
+    )
     query, k_eff, weights, mask = unpack_query(
         query, k, weights, index.space.vectors.attributes, memo=filter_memo
     )
@@ -111,14 +123,17 @@ def joint_search(
             ~mask if index.deleted is None else (~mask | index.deleted)
         )
         reportable = int(index.n - excluded.sum())
-        if reportable == 0:
-            return SearchResult(
-                ids=np.zeros(0, dtype=np.int64),
-                similarities=np.zeros(0, dtype=np.float64),
-                stats=SearchStats(),
-            )
+    if reportable == 0:
+        return SearchResult(
+            ids=np.zeros(0, dtype=np.int64),
+            similarities=np.zeros(0, dtype=np.float64),
+            stats=SearchStats(),
+        )
     k_inner, l_inner = k, l
-    if refine is not None:
+    if hybrid is not None:
+        sparse_plane(index.space)  # no lexical plane: fail before traversing
+        k_inner = l
+    elif refine is not None:
         k_inner = k * refine
         l_inner = max(l, k_inner)
     search_fn = _heap_search if engine == "heap" else _paper_search
@@ -126,6 +141,13 @@ def joint_search(
         index, query, k_inner, l_inner, weights, early_termination, rng,
         check_monotone, excluded, reportable,
     )
+    if hybrid is not None:
+        ids, sims = hybrid_union_rescore(
+            index.space, hybrid, result.ids, min(k, index.num_active),
+            admissible=None if excluded is None else ~excluded,
+            weights=weights, engine=sparse_engine, stats=result.stats,
+        )
+        return SearchResult(ids=ids, similarities=sims, stats=result.stats)
     if refine is None:
         return result
     ids, sims = rerank_exact(

@@ -74,7 +74,6 @@ from repro.index.graphs.hnsw import HNSWBuilder, HNSWGraph
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.scoring import batch_score_all, rerank_exact
 from repro.index.search import joint_search
-from repro.sparse.hybrid import hybrid_union_rescore
 from repro.sparse.store import SparseStats, SparseStore, sum_stats
 from repro.store import (
     STORE_KINDS,
@@ -305,27 +304,6 @@ def _merge_candidates(
     return ids[order], sims[order]
 
 
-def _admissible_mask(
-    seg: Segment, typed: Query, memo: dict | None = None
-) -> np.ndarray | None:
-    """Boolean ``filter ∧ ¬deleted`` mask over a segment's rows.
-
-    The admissibility the sparse candidate generator must honour — the
-    dense graph searcher enforces the same two conditions internally, so
-    the hybrid union draws both candidate sets from one corpus view.
-    ``None`` means every row is admissible."""
-    mask = None
-    if seg.index.deleted is not None:
-        mask = ~seg.index.deleted
-    if typed.filter is not None:
-        fmask = compile_filter(
-            typed.filter, seg.space.vectors.attributes,
-            context=f"{seg.kind} segment", memo=memo,
-        )
-        mask = fmask if mask is None else (mask & fmask)
-    return mask
-
-
 def _segment_rngs(rng, count: int) -> list:
     """One init-draw source per segment, deterministic per query.
 
@@ -449,17 +427,19 @@ class SegmentView:
         re-scored at full precision before the cross-segment merge, so
         the merged ranking is by exact similarity.
 
-        A hybrid query (``Query.sparse=``) fuses per segment: the dense
-        traversal's candidates union with the sparse engine's top
-        admissible rows and the union is exact-rescored under the
-        combined metric (:func:`hybrid_union_rescore`) — which subsumes
-        ``refine``, since the rescore already reads the exact tier.
+        A hybrid query (``Query.sparse=``) fuses per segment inside
+        :func:`joint_search`: the dense traversal's candidates union
+        with the sparse engine's top admissible rows and the union is
+        rescored under the combined metric
+        (:func:`~repro.sparse.hybrid.hybrid_union_rescore`).  That
+        rescore takes the place of ``refine`` — it scores the hot tier
+        (decoded PQ/int8 rows on a compressed store), not the cold
+        exact plane, so ``refine`` is not applied on top of it.
         """
         require(refine is None or refine >= 1, "refine must be >= 1")
         typed = as_query(query)
         k = typed.resolve_k(k)
         weights = typed.resolve_weights(weights)
-        memo: dict = {}  # hybrid admissibility: compile filters once
         # The per-query k override must not shrink the *per-segment*
         # candidate pool (k=min(l, active) below), so strip it before
         # the inner searches; weights/filter still ride along.  It may
@@ -485,18 +465,11 @@ class SegmentView:
                 early_termination=early_termination,
                 engine=engine,
                 rng=seg_rng,
+                sparse_engine=sparse_engine,
                 **search_kwargs,
             )
             res.stats.segments_probed = 1
-            if typed.sparse is not None:
-                local, exact = hybrid_union_rescore(
-                    seg.space, typed, res.ids, min(l, seg.num_active),
-                    admissible=_admissible_mask(seg, typed, memo),
-                    weights=weights, engine=sparse_engine,
-                    stats=res.stats, context=f"{seg.kind} segment",
-                )
-                parts.append((seg.ext_ids[local], exact))
-            elif refine is not None:
+            if refine is not None and typed.sparse is None:
                 keep = min(refine * k, res.ids.size)
                 local, exact = rerank_exact(
                     seg.space, typed.vector, res.ids[:keep], keep,
@@ -548,12 +521,11 @@ class SegmentView:
         :class:`~repro.core.results.SearchStats` holding the summed
         ``waves``/``frontier_sizes`` trace across segments.
 
-        Hybrid queries (``Query.sparse=``) leave the lockstep wave and
-        route through the per-query graph path (:meth:`search` with
-        ``engine="heap"``) under the *same* per-query seed the wave
-        would have spawned — so a query's result is identical whether
-        its batch-mates are hybrid or not, and plain queries keep the
-        wave untouched.
+        Hybrid queries (``Query.sparse=``) are rows of the same waves:
+        the engine fuses each one's per-segment candidate pool with the
+        segment's lexical candidates at finalise, so the view only
+        merges — the union rescore takes the place of ``refine`` for
+        them, as in :meth:`search`.
         """
         from repro.index.graph_wave import graph_wave_search
 
@@ -582,41 +554,31 @@ class SegmentView:
         segs = self.segments
         per_query_rngs = [_segment_rngs(seed, len(segs)) for seed in seeds]
         memo: dict = {} if filter_memo is None else filter_memo
-        plain = [i for i, t in enumerate(typed) if t.sparse is None]
-        routed: dict[int, SearchResult] = {}
-        for i in range(b):
-            if typed[i].sparse is None:
-                continue
-            routed[i] = self.search(
-                typed[i], k=k, l=l, weights=weights,
-                early_termination=early_termination, engine="heap",
-                rng=seeds[i], refine=refine,
-                sparse_engine=sparse_engine,
-            )
         parts: list[list[tuple[np.ndarray, np.ndarray]]] = [
             [] for _ in typed
         ]
         stats_parts: list[list[SearchStats]] = [[] for _ in typed]
         for si, seg in enumerate(segs):
-            if seg.num_active == 0 or not plain:
+            if seg.num_active == 0:
                 continue
             seg_results, wstats = graph_wave_search(
                 seg.index,
-                [inner[i] for i in plain],
+                inner,
                 k=k,
                 l=l,
                 weights=weights,
                 early_termination=early_termination,
-                rngs=[per_query_rngs[i][si] for i in plain],
+                rngs=[rngs_i[si] for rngs_i in per_query_rngs],
                 check_monotone=check_monotone,
                 filter_memo=memo,
-                ks=[min(ls[i], seg.num_active) for i in plain],
-                ls=[min(ls[i], seg.n) for i in plain],
+                ks=[min(l_i, seg.num_active) for l_i in ls],
+                ls=[min(l_i, seg.n) for l_i in ls],
+                sparse_engine=sparse_engine,
             )
             wave_total.merge(wstats)
-            for i, res in zip(plain, seg_results):
+            for i, res in enumerate(seg_results):
                 res.stats.segments_probed = 1
-                if refine is not None:
+                if refine is not None and typed[i].sparse is None:
                     keep = min(refine * ks[i], res.ids.size)
                     local, exact = rerank_exact(
                         seg.space, typed[i].vector, res.ids[:keep], keep,
@@ -627,10 +589,7 @@ class SegmentView:
                     parts[i].append((seg.ext_ids[res.ids], res.similarities))
                 stats_parts[i].append(res.stats)
         results = []
-        for i, (k_i, p_i, s_i) in enumerate(zip(ks, parts, stats_parts)):
-            if i in routed:
-                results.append(routed[i])
-                continue
+        for k_i, p_i, s_i in zip(ks, parts, stats_parts):
             ids, sims = _merge_candidates(p_i, k_i)
             results.append(
                 SearchResult(ids, sims, SearchStats.aggregate(s_i))

@@ -39,7 +39,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Any
 
 from repro.core.multivector import MultiVector
-from repro.core.query import Query, SearchOptions, as_query, compile_filter
+from repro.core.query import Query, SearchOptions
 from repro.core.results import SearchResult, SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
@@ -171,19 +171,6 @@ class IndexSnapshot:
         inside any coalesced wave, by the engine's composition
         independence.
         """
-        if (
-            self.view is None
-            and not exact
-            and as_query(query).sparse is not None
-        ):
-            # Single-graph hybrid: the wave engine has no sparse term,
-            # so the query routes through the per-query union-rescore
-            # path under its own rng (the same routing MUST.query does).
-            search_kwargs.pop("check_monotone", None)
-            return self._hybrid_one(
-                as_query(query), k, l, weights, early_termination,
-                sparse_engine, **search_kwargs,
-            )
         if engine == "wave" and not exact:
             rngs = [search_kwargs.pop("rng", 0)]
             check_monotone = bool(search_kwargs.pop("check_monotone", False))
@@ -232,65 +219,9 @@ class IndexSnapshot:
             early_termination=early_termination,
             refine=refine,
             engine=engine,
+            sparse_engine=sparse_engine,
             **search_kwargs,
         )
-
-    def _hybrid_one(
-        self,
-        typed: Query,
-        k: int,
-        l: int,
-        weights: Weights | None,
-        early_termination: bool,
-        sparse_engine: str,
-        rng: Any = 0,
-        **search_kwargs: Any,
-    ) -> SearchResult:
-        """One hybrid query on a single-graph snapshot: dense graph
-        candidates unioned with the sparse engine's own, exact-rescored
-        under the combined metric — the same arithmetic as
-        :meth:`MUST._hybrid_graph_one`, so snapshot reads match the
-        live instance bit for bit."""
-        import dataclasses as _dc
-
-        from repro.sparse.hybrid import hybrid_union_rescore
-
-        index = self._graph()
-        k_eff = typed.resolve_k(k)
-        # Same l clamp as SearchOptions.resolve (floor at the wave-level
-        # k), so the dense candidate pool matches MUST.query exactly.
-        lc = max(min(l, index.n), k)
-        pool = min(lc, index.num_active)
-        dense = joint_search(
-            index,
-            typed if typed.k is None else _dc.replace(typed, k=None),
-            k=pool,
-            l=lc,
-            weights=weights,
-            early_termination=early_termination,
-            engine="heap",
-            rng=rng,
-            **search_kwargs,
-        )
-        mask = None
-        if index.deleted is not None:
-            mask = ~index.deleted
-        if typed.filter is not None:
-            fmask = compile_filter(
-                typed.filter, index.space.vectors.attributes
-            )
-            mask = fmask if mask is None else mask & fmask
-        ids, sims = hybrid_union_rescore(
-            index.space,
-            typed,
-            dense.ids,
-            min(k_eff, index.num_active),
-            admissible=mask,
-            weights=typed.resolve_weights(weights),
-            engine=sparse_engine,
-            stats=dense.stats,
-        )
-        return SearchResult(ids=ids, similarities=sims, stats=dense.stats)
 
     def query(
         self,
@@ -352,43 +283,6 @@ class IndexSnapshot:
             )
         from repro.index.graph_wave import graph_wave_search
 
-        typed = [as_query(q) for q in queries]
-        if any(t.sparse is not None for t in typed):
-            # Hybrid requests leave the wave under their own per-query
-            # seed (bit-identical however the wave is composed); plain
-            # requests stay batched.
-            if rngs is None:
-                from repro.utils.rng import spawn_seed_sequences
-
-                rngs = list(spawn_seed_sequences(rng, len(typed)))
-            routed: dict[int, SearchResult] = {}
-            for i, t in enumerate(typed):
-                if t.sparse is not None:
-                    routed[i] = self._hybrid_one(
-                        t, k, l, weights, early_termination,
-                        sparse_engine, rng=rngs[i],
-                    )
-            plain = [i for i in range(len(typed)) if i not in routed]
-            plain_results: list[SearchResult] = []
-            wave_stats = SearchStats()
-            if plain:
-                plain_results, wave_stats = graph_wave_search(
-                    self._graph(),
-                    [typed[i] for i in plain],
-                    k=k,
-                    l=min(l, self._graph().n),
-                    weights=weights,
-                    early_termination=early_termination,
-                    rngs=[rngs[i] for i in plain],
-                    refine=refine,
-                    check_monotone=check_monotone,
-                    filter_memo={},
-                )
-            results: list[SearchResult] = []
-            it = iter(plain_results)
-            for i in range(len(typed)):
-                results.append(routed[i] if i in routed else next(it))
-            return results, wave_stats
         return graph_wave_search(
             self._graph(),
             queries,
@@ -401,6 +295,7 @@ class IndexSnapshot:
             refine=refine,
             check_monotone=check_monotone,
             filter_memo={},
+            sparse_engine=sparse_engine,
         )
 
     def exact_wave(

@@ -99,7 +99,7 @@ def sparse_candidates(
 
     The candidate generator of the graph-path hybrid: the sparse engine
     proposes its best admissible rows, which then join the dense graph
-    candidates for an exact union rescore.  Both engines return the
+    candidates for the union rescore.  Both engines return the
     same ids (the inverted engine's touched-rows shortcut is proven
     equal to the full lexsort) and the same score bits.
     """
@@ -125,14 +125,20 @@ def hybrid_union_rescore(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Graph-path fusion: sparse top-*k* ∪ dense candidates, rescored.
 
-    The dense graph traversal proposes *dense_ids* (local rows, already
+    The finalise stage of both graph engines
+    (:func:`~repro.index.graph_wave.graph_wave_search` per wave row,
+    :func:`~repro.index.search.joint_search` as its per-query oracle).
+    The dense traversal proposes *dense_ids* (local rows, already
     admissibility-checked by the searcher); the sparse engine proposes
-    its own top-*k* admissible rows.  The union is exact-rescored under
-    the combined metric (row-stable dense kernel + the engine-invariant
+    its own top-*k* admissible rows.  The union is rescored under the
+    combined metric (row-stable dense kernel + the engine-invariant
     sparse array) and cut to *k* by the canonical
-    ``(-similarity, id)`` order.  Candidate recall is what the graph
-    path trades for speed; the *scores* of whatever is returned are
-    exact.
+    ``(-similarity, id)`` order.  The dense term reads the store's
+    *hot* tier through
+    :meth:`~repro.core.space.JointSpace.query_ids_stable`: exact on a
+    dense store, the decoded PQ/int8/float16 reconstruction on a
+    compressed one — the cold exact plane is never touched.  The
+    rescore takes the place of ``refine=`` for a hybrid query.
     """
     plane = sparse_plane(space, context)
     lex_ids, lex_scores = sparse_candidates(

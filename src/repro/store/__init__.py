@@ -17,6 +17,7 @@ by compaction; :meth:`VectorStore.hot_bytes` is the resident figure.
 from repro.store.base import (
     STORE_KINDS,
     ModalityKernel,
+    StackedKernel,
     VectorStore,
     make_store,
     register_store,
@@ -38,6 +39,7 @@ from repro.store.quant import ScalarQuantStore
 __all__ = [
     "STORE_KINDS",
     "ModalityKernel",
+    "StackedKernel",
     "VectorStore",
     "make_store",
     "register_store",

@@ -27,14 +27,18 @@ instead of failing deep inside ``.npz`` parsing.
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from repro.utils.validation import require
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.store.mmap import ColdPlane
+
 __all__ = [
     "ModalityKernel",
+    "StackedKernel",
     "VectorStore",
     "STORE_KINDS",
     "register_store",
@@ -59,6 +63,38 @@ class ModalityKernel(abc.ABC):
     @abc.abstractmethod
     def ids(self, ids: np.ndarray) -> np.ndarray:
         """Inner products against the rows in *ids* only."""
+
+
+class StackedKernel(ModalityKernel):
+    """Frontier kernel for a *stack* of float32 queries vs one hot modality.
+
+    Built once per (batch, modality) by :meth:`VectorStore.stacked_kernel`
+    for the lockstep wave engine: ``ids(ids, owner)`` scores row
+    ``ids[j]`` against query ``owner[j]``, so one call covers every
+    query's frontier instead of one call per query.  Every value is
+    bit-identical to what that query's own
+    :meth:`VectorStore.query_kernel` kernel returns for the row — each
+    row is reduced on its own, in the per-query kernel's float32 order —
+    so stacking never changes an answer.
+    """
+
+    def ids(self, ids: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
+        """Inner product of row ``ids[j]`` with query ``owner[j]``
+        (``owner=None``: every row against query 0)."""
+        ids = np.asarray(ids)
+        if owner is None:
+            owner = np.zeros(ids.shape[0], dtype=np.int64)
+        return self._score(ids, owner)
+
+    @abc.abstractmethod
+    def _score(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """The backend's row-wise kernel behind :meth:`ids`."""
+
+    def all(self) -> np.ndarray:
+        raise TypeError(
+            "a stacked kernel scores frontiers only — full scans of a "
+            "query stack go through VectorStore.batch_scores"
+        )
 
 
 class VectorStore(abc.ABC):
@@ -135,6 +171,15 @@ class VectorStore(abc.ABC):
     def query_kernel(self, i: int, query: np.ndarray) -> ModalityKernel:
         """Kernel scoring float32 *query* against hot modality *i*."""
 
+    def stacked_kernel(self, i: int, queries: np.ndarray) -> StackedKernel:
+        """Frontier kernel scoring a ``(b, d_i)`` float32 query stack
+        against hot modality *i* (compressed backends only)."""
+        raise ValueError(
+            f"store kind {self.kind!r} has no stacked frontier kernel — "
+            f"dense corpora score whole waves through the ω-scaled "
+            f"concatenation instead"
+        )
+
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:
         """Inner products of a ``(b, d_i)`` query stack, shape ``(n, b)``.
 
@@ -179,11 +224,11 @@ class VectorStore(abc.ABC):
     # Cold-plane seam (mmap-backed cold tier)
     # ------------------------------------------------------------------
     @property
-    def cold_plane(self):
+    def cold_plane(self) -> "ColdPlane | None":
         """The attached :class:`~repro.store.mmap.ColdPlane`, or None."""
         return None
 
-    def with_cold_plane(self, plane) -> "VectorStore":
+    def with_cold_plane(self, plane: "ColdPlane | None") -> "VectorStore":
         """Same hot tier, different cold plane (shares codes/codebooks)."""
         raise ValueError(
             f"store kind {self.kind!r} has no detachable cold tier — only "
@@ -195,7 +240,7 @@ class VectorStore(abc.ABC):
     # Persistence
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def store_meta(self) -> dict:
+    def store_meta(self) -> dict[str, Any]:
         """JSON-safe descriptor: at least ``kind`` and ``dtype``."""
 
     @abc.abstractmethod
@@ -220,13 +265,15 @@ class VectorStore(abc.ABC):
 
     @classmethod
     @abc.abstractmethod
-    def from_arrays(cls, meta: dict, arrays: dict) -> "VectorStore":
+    def from_arrays(
+        cls, meta: dict[str, Any], arrays: dict[str, np.ndarray]
+    ) -> "VectorStore":
         """Inverse of :meth:`to_arrays` + :meth:`store_meta`."""
 
     @classmethod
     @abc.abstractmethod
     def from_matrices(
-        cls, matrices: Sequence[np.ndarray], **options
+        cls, matrices: Sequence[np.ndarray], **options: Any
     ) -> "VectorStore":
         """Encode full-precision per-modality matrices (trains codebooks
         where the backend has any)."""
@@ -243,7 +290,7 @@ def register_store(cls: type[VectorStore]) -> type[VectorStore]:
 
 
 def make_store(
-    kind: str, matrices: Sequence[np.ndarray], **options
+    kind: str, matrices: Sequence[np.ndarray], **options: Any
 ) -> VectorStore:
     """Encode *matrices* with the backend registered under *kind*."""
     require(
@@ -254,7 +301,9 @@ def make_store(
     return STORE_KINDS[kind].from_matrices(matrices, **options)
 
 
-def store_from_arrays(meta: dict, arrays: dict) -> VectorStore:
+def store_from_arrays(
+    meta: dict[str, Any], arrays: dict[str, np.ndarray]
+) -> VectorStore:
     """Rebuild a persisted store, validating kind and dtype first.
 
     Raises a clear, actionable error for stores written by a newer (or

@@ -16,7 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.store.base import ModalityKernel, VectorStore, register_store
+from repro.store.base import (
+    ModalityKernel,
+    StackedKernel,
+    VectorStore,
+    register_store,
+)
 from repro.store.mmap import ColdPlane, as_cold_plane
 from repro.utils.validation import require
 
@@ -37,6 +42,34 @@ class _MatKernel(ModalityKernel):
 
     def ids(self, ids: np.ndarray) -> np.ndarray:
         return self.mat[np.asarray(ids)] @ self.q
+
+
+class _HalfKernel(_MatKernel):
+    """Float16 rows: full scans stay a GEMV, frontier rows are reduced
+    one by one (a GEMV's bits depend on how many rows share the call),
+    so a row's score is the same alone, in any frontier, and in a
+    wave's stacked kernel."""
+
+    __slots__ = ()
+
+    def ids(self, ids: np.ndarray) -> np.ndarray:
+        rows = self.mat[np.asarray(ids)].astype(np.float32)
+        return np.einsum("ij,j->i", rows, self.q)
+
+
+class _StackedHalfKernel(StackedKernel):
+    """Float16 rows against a query stack: row ``j`` is reduced against
+    query ``owner[j]``."""
+
+    __slots__ = ("mat", "queries")
+
+    def __init__(self, mat: np.ndarray, queries: np.ndarray):
+        self.mat = mat
+        self.queries = np.ascontiguousarray(queries, dtype=np.float32)
+
+    def _score(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        rows = self.mat[ids].astype(np.float32)
+        return np.einsum("ij,ij->i", rows, self.queries[owner])
 
 
 def _check_matrices(matrices: Sequence[np.ndarray], dtype) -> tuple[np.ndarray, ...]:
@@ -170,7 +203,10 @@ class HalfStore(VectorStore):
     def query_kernel(self, i: int, query: np.ndarray) -> ModalityKernel:
         # float16 @ float32 promotes to a float32 product (the up-cast
         # happens inside NumPy; storage stays half precision).
-        return _MatKernel(self._half[i], query)
+        return _HalfKernel(self._half[i], query)
+
+    def stacked_kernel(self, i: int, queries: np.ndarray) -> StackedKernel:
+        return _StackedHalfKernel(self._half[i], queries)
 
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:
         q = np.ascontiguousarray(queries, dtype=np.float32)

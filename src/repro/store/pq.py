@@ -15,11 +15,16 @@ with the row's reconstruction.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.store.base import ModalityKernel, VectorStore, register_store
+from repro.store.base import (
+    ModalityKernel,
+    StackedKernel,
+    VectorStore,
+    register_store,
+)
 from repro.store.mmap import ColdPlane, as_cold_plane
 from repro.utils.validation import require
 
@@ -57,8 +62,21 @@ def _pad(mat: np.ndarray, m_sub: int, ds: int) -> np.ndarray:
     return out
 
 
+def _adc_sum(gathered: np.ndarray) -> np.ndarray:
+    """Sum ``(M, rows)`` looked-up table entries over the sub-spaces.
+
+    Accumulates sub-space by sub-space from a float32 zero, so the sum
+    carries the same bits whether the rows belong to one query's kernel
+    or to a whole wave's stacked one.
+    """
+    out = np.zeros(gathered.shape[1], dtype=np.float32)
+    for part in gathered:
+        out += part
+    return out
+
+
 class _ADCKernel(ModalityKernel):
-    __slots__ = ("codes", "lut")
+    __slots__ = ("codes", "lut", "_sub")
 
     def __init__(self, codes: np.ndarray, codebook: np.ndarray, q: np.ndarray):
         self.codes = codes  # (n, M) uint8
@@ -69,18 +87,44 @@ class _ADCKernel(ModalityKernel):
         self.lut = np.einsum(
             "mcd,md->mc", codebook, q_pad.reshape(m_sub, ds)
         ).astype(np.float32)
+        self._sub = np.arange(m_sub)[:, None]
 
     def _gather(self, codes: np.ndarray) -> np.ndarray:
-        out = np.zeros(codes.shape[0], dtype=np.float32)
-        for m in range(self.lut.shape[0]):
-            out += self.lut[m, codes[:, m]]
-        return out
+        # One (M, rows) gather: entry [m, r] = lut[m, codes[r, m]].
+        return _adc_sum(self.lut[self._sub, codes.T])
 
     def all(self) -> np.ndarray:
         return self._gather(self.codes)
 
     def ids(self, ids: np.ndarray) -> np.ndarray:
         return self._gather(self.codes[np.asarray(ids)])
+
+
+class _StackedADCKernel(StackedKernel):
+    """ADC over a query stack: one ``(b, M, C)`` table block, one gather
+    per frontier — row ``j`` reads query ``owner[j]``'s tables."""
+
+    __slots__ = ("codes", "luts", "_sub")
+
+    def __init__(self, codes: np.ndarray, codebook: np.ndarray, queries: np.ndarray):
+        self.codes = codes  # (n, M) uint8
+        self.luts = _adc_tables(codebook, queries)  # (b, M, C)
+        self._sub = np.arange(codebook.shape[0])[:, None]
+
+    def _score(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return _adc_sum(self.luts[owner, self._sub, self.codes[ids].T])
+
+
+def _adc_tables(codebook: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``luts[b, m, c] = codebook[m, c] · q_sub[b, m]`` for a query stack."""
+    q = np.ascontiguousarray(queries, dtype=np.float32)  # (b, d)
+    m_sub, _, ds = codebook.shape
+    q_pad = np.zeros((q.shape[0], m_sub * ds), dtype=np.float32)
+    q_pad[:, : q.shape[1]] = q
+    tables: np.ndarray = np.einsum(
+        "mcd,bmd->bmc", codebook, q_pad.reshape(q.shape[0], m_sub, ds)
+    ).astype(np.float32, copy=False)
+    return tables
 
 
 @register_store
@@ -127,9 +171,8 @@ class PQStore(VectorStore):
     def _decode(self, i: int, codes: np.ndarray) -> np.ndarray:
         book = self._books[i]
         m_sub, _, ds = book.shape
-        out = np.empty((codes.shape[0], m_sub * ds), dtype=np.float32)
-        for m in range(m_sub):
-            out[:, m * ds:(m + 1) * ds] = book[m][codes[:, m]]
+        # One (rows, M, ds) gather: block [r, m] = book[m, codes[r, m]].
+        out = book[np.arange(m_sub), codes].reshape(codes.shape[0], m_sub * ds)
         return out[:, : self._dims[i]]
 
     def modality(self, i: int) -> np.ndarray:
@@ -156,18 +199,14 @@ class PQStore(VectorStore):
     def query_kernel(self, i: int, query: np.ndarray) -> ModalityKernel:
         return _ADCKernel(self._codes[i], self._books[i], query)
 
+    def stacked_kernel(self, i: int, queries: np.ndarray) -> StackedKernel:
+        return _StackedADCKernel(self._codes[i], self._books[i], queries)
+
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:
-        q = np.ascontiguousarray(queries, dtype=np.float32)  # (b, d)
-        book = self._books[i]
-        m_sub, _, ds = book.shape
-        q_pad = np.zeros((q.shape[0], m_sub * ds), dtype=np.float32)
-        q_pad[:, : q.shape[1]] = q
-        q_sub = q_pad.reshape(q.shape[0], m_sub, ds)
-        # luts[b, m, c] = codebook[m, c] · q_sub[b, m]
-        luts = np.einsum("mcd,bmd->bmc", book, q_sub).astype(np.float32)
+        luts = _adc_tables(self._books[i], queries)
         codes = self._codes[i]
-        out = np.zeros((self.n, q.shape[0]), dtype=np.float32)
-        for m in range(m_sub):
+        out = np.zeros((self.n, luts.shape[0]), dtype=np.float32)
+        for m in range(luts.shape[1]):
             out += luts[:, m, :].T[codes[:, m]]  # (n, b) gather
         return out
 
@@ -200,7 +239,7 @@ class PQStore(VectorStore):
         return PQStore(self._codes, self._books, self._dims, plane)
 
     # -- persistence ----------------------------------------------------
-    def store_meta(self) -> dict:
+    def store_meta(self) -> dict[str, Any]:
         return {"kind": self.kind, "dtype": self.dtype,
                 "num_modalities": self.num_modalities,
                 "dims": list(self._dims),
@@ -216,7 +255,9 @@ class PQStore(VectorStore):
         return out
 
     @classmethod
-    def from_arrays(cls, meta: dict, arrays: dict) -> "PQStore":
+    def from_arrays(
+        cls, meta: dict[str, Any], arrays: dict[str, np.ndarray]
+    ) -> "PQStore":
         m = int(meta["num_modalities"])
         exact = None
         if meta.get("keep_exact") and "exact_0" in arrays:
@@ -237,7 +278,7 @@ class PQStore(VectorStore):
         pq_iters: int = 8,
         seed: int = 0,
         keep_exact: bool = True,
-        **options,
+        **options: Any,
     ) -> "PQStore":
         require(not options,
                 f"PQStore options: pq_dims, pq_centroids, pq_iters, seed, "
@@ -246,7 +287,8 @@ class PQStore(VectorStore):
         require(pq_dims >= 1, "pq_dims must be positive")
         mats = [np.ascontiguousarray(m, dtype=np.float32) for m in matrices]
         rng = np.random.default_rng(seed)
-        codes, books = [], []
+        codes: list[np.ndarray] = []
+        books: list[np.ndarray] = []
         for mat in mats:
             n, d = mat.shape
             m_sub = (d + pq_dims - 1) // pq_dims

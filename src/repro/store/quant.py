@@ -20,7 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.store.base import ModalityKernel, VectorStore, register_store
+from repro.store.base import (
+    ModalityKernel,
+    StackedKernel,
+    VectorStore,
+    register_store,
+)
 from repro.store.mmap import ColdPlane, as_cold_plane
 from repro.utils.validation import require
 
@@ -41,7 +46,30 @@ class _SQKernel(ModalityKernel):
         return self.codes @ self.q_scaled + self.offset
 
     def ids(self, ids: np.ndarray) -> np.ndarray:
-        return self.codes[np.asarray(ids)] @ self.q_scaled + self.offset
+        # Row-wise reduction (not a GEMV, whose bits depend on how many
+        # rows share the call): a row's score is the same alone, in any
+        # frontier, and in a wave's stacked kernel.
+        rows = self.codes[np.asarray(ids)].astype(np.float32)
+        return np.einsum("ij,j->i", rows, self.q_scaled) + self.offset
+
+
+class _StackedSQKernel(StackedKernel):
+    """The affine kernel over a query stack: row ``j`` is reduced
+    against query ``owner[j]``'s pre-scaled vector and offset."""
+
+    __slots__ = ("codes", "q_scaled", "offset")
+
+    def __init__(self, codes: np.ndarray, lo: np.ndarray, step: np.ndarray,
+                 queries: np.ndarray):
+        kernels = [_SQKernel(codes, lo, step, q) for q in queries]
+        self.codes = codes
+        self.q_scaled = np.stack([k.q_scaled for k in kernels])
+        self.offset = np.asarray([k.offset for k in kernels], dtype=np.float32)
+
+    def _score(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        rows = self.codes[ids].astype(np.float32)
+        scores = np.einsum("ij,ij->i", rows, self.q_scaled[owner])
+        return scores + self.offset[owner]
 
 
 @register_store
@@ -111,6 +139,11 @@ class ScalarQuantStore(VectorStore):
     # -- scoring --------------------------------------------------------
     def query_kernel(self, i: int, query: np.ndarray) -> ModalityKernel:
         return _SQKernel(self._codes[i], self._lows[i], self._steps[i], query)
+
+    def stacked_kernel(self, i: int, queries: np.ndarray) -> StackedKernel:
+        return _StackedSQKernel(
+            self._codes[i], self._lows[i], self._steps[i], queries
+        )
 
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:
         q = np.ascontiguousarray(queries, dtype=np.float32)  # (b, d)

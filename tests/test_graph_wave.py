@@ -150,6 +150,93 @@ class TestCompressedParity:
         assert _recall(wave, truth) >= _recall(oracle, truth) - EPS
 
 
+@pytest.mark.parametrize("kind", ["pq", "int8", "float16"])
+class TestStackedKernels:
+    """A compressed store scores a whole wave with one stacked kernel
+    call per modality; every value must carry the bits of the owner's
+    own per-query kernel."""
+
+    @pytest.fixture
+    def space(self, objects, kind):
+        return MUST(
+            objects, weights=Weights([0.6, 0.4]), compression=kind
+        ).build().index.space
+
+    @pytest.fixture
+    def stack_queries(self, queries):
+        # Query 2 lacks modality 0, query 4 lacks modality 1.
+        holed = list(queries)
+        holed[2] = MultiVector([None, queries[2].vectors[1]])
+        holed[4] = MultiVector([queries[4].vectors[0], None])
+        return holed
+
+    @staticmethod
+    def _frontier(b, skip, seed=5):
+        """Owner-sorted (owner, ids) where owner *skip* has no row."""
+        rng = np.random.default_rng(seed)
+        owner = np.sort(rng.choice([o for o in range(b) if o != skip], 90))
+        return owner, rng.integers(0, N, owner.size)
+
+    def test_store_kernel_matches_per_query_kernels(self, space, queries):
+        stack = np.stack([q.vectors[1] for q in queries]).astype(np.float32)
+        owner, ids = self._frontier(len(queries), skip=3)
+        got = space.store.stacked_kernel(1, stack).ids(ids, owner)
+        assert got.dtype == np.float32
+        for o in np.unique(owner):
+            rows = owner == o
+            ref = space.store.query_kernel(1, stack[o]).ids(ids[rows])
+            np.testing.assert_array_equal(got[rows], ref)
+        solo = space.store.stacked_kernel(1, stack[:1]).ids(ids)
+        np.testing.assert_array_equal(
+            solo, space.store.query_kernel(1, stack[0]).ids(ids)
+        )
+
+    def test_kernel_rows_are_scored_independently(self, space, queries):
+        """One row's score never depends on which rows share the call —
+        what lets a frontier be stacked (a GEMV's bits do depend on it)."""
+        kernel = space.store.query_kernel(0, queries[0].vectors[0])
+        ids = np.arange(0, N, 7)
+        together = kernel.ids(ids)
+        for j, i in enumerate(ids):
+            assert kernel.ids(np.array([i]))[0] == together[j]
+
+    def test_stacked_scorer_matches_per_query_scorers(
+        self, space, stack_queries
+    ):
+        from repro.index.scoring import Scorer, StackedScorer
+
+        per_weights = [None, Weights([0.9, 0.1])] * (len(stack_queries) // 2)
+        owner, ids = self._frontier(len(stack_queries), skip=1)
+        stack = StackedScorer(space, stack_queries, per_weights)
+        got = stack.score(owner, ids)
+        for o in np.unique(owner):
+            rows = owner == o
+            scorer = Scorer(space, stack_queries[o], weights=per_weights[o])
+            np.testing.assert_array_equal(got[rows], scorer.score_ids(ids[rows]))
+            assert stack.num_kernels[o] == scorer.num_active_modalities
+
+    def test_compressed_wave_is_composition_independent(
+        self, objects, stack_queries, kind
+    ):
+        must = MUST(
+            objects, weights=Weights([0.6, 0.4]), compression=kind
+        ).build()
+        rngs = list(range(40, 40 + len(stack_queries)))
+        batched, _ = graph_wave_search(
+            must.index, stack_queries, k=K, l=L, rngs=rngs, refine=2
+        )
+        for q, rng, got in zip(stack_queries, rngs, batched):
+            solo, _ = graph_wave_search(
+                must.index, [q], k=K, l=L, rngs=[rng], refine=2
+            )
+            assert np.array_equal(solo[0].ids, got.ids)
+            np.testing.assert_array_equal(
+                solo[0].similarities, got.similarities
+            )
+            assert solo[0].stats.joint_evals == got.stats.joint_evals
+            assert solo[0].stats.modality_evals == got.stats.modality_evals
+
+
 class TestSegmentedParity:
     @pytest.fixture(scope="class")
     def seg_must(self, objects):

@@ -25,6 +25,7 @@ What must hold, per the subsystem's acceptance gates:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -36,10 +37,12 @@ from repro.core.multivector import (
     MultiVectorSet,
     normalize_rows,
 )
-from repro.core.query import Query, SearchOptions
+from repro.core.query import Eq, Query, SearchOptions
 from repro.core.registry import dense_score_rows
 from repro.core.weights import Weights
+from repro.index.graph_wave import graph_wave_search
 from repro.index.pipeline import FusedIndexBuilder
+from repro.index.search import joint_search
 from repro.index.segments import MANIFEST_NAME, SegmentPolicy
 from repro.service import MustService, ServiceConfig, ShardedService
 from repro.sparse.synthetic import synthetic_hybrid
@@ -362,3 +365,198 @@ def test_non_ip_exact_matches_numpy_reference(metrics):
     np.testing.assert_allclose(
         res.similarities, expect[order], rtol=1e-12
     )
+
+
+# ----------------------------------------------------------------------
+# Hybrid queries are rows of the lockstep wave
+# ----------------------------------------------------------------------
+def wave_must(dataset, layout: str, compression: str) -> MUST:
+    n = dataset.dense.shape[0]
+    objects = MultiVectorSet(
+        [dataset.dense.copy()],
+        sparse=dataset.sparse,
+        attributes={"parity": np.arange(n) % 2},
+    )
+    must = MUST(
+        objects,
+        weights=Weights([1.0]),
+        builder=CHEAP_BUILDER,
+        compression=compression,
+        segment_policy=SegmentPolicy(
+            seal_size=32, max_segments=8, max_deleted_fraction=0.9
+        ),
+    ).build()
+    if layout == "segmented":
+        extra = synthetic_hybrid(
+            num_queries=1, seed=94, **{**SHAPE, "group_size": 2}
+        )
+        must.insert(
+            MultiVectorSet(
+                [extra.dense.copy()],
+                sparse=extra.sparse,
+                attributes={"parity": np.arange(extra.dense.shape[0]) % 2},
+            )
+        )
+        must.mark_deleted(np.arange(0, 24, 5))
+    return must
+
+
+@pytest.mark.parametrize("layout", ["flat", "segmented"])
+@pytest.mark.parametrize("compression", ["none", "pq"])
+def test_wave_composition_independence(
+    dataset, hybrid_queries, layout, compression
+):
+    """A hybrid query answers with the same bits alone, in a hybrid-only
+    wave, in a mixed wave and coalesced by the service; its plain
+    wave-mates answer as they do in a plain-only wave, with and without
+    ``refine`` (which only they honour)."""
+    must = wave_must(dataset, layout, compression)
+    snap = must.snapshot()
+    plain = [Query(q.vector) for q in hybrid_queries]
+    seeds = list(range(100, 100 + len(hybrid_queries)))
+
+    def wave(queries, rngs, **plan):
+        results, _ = snap.graph_wave(
+            list(queries), k=K, l=L, rngs=list(rngs), **plan
+        )
+        return results
+
+    for refine in (None, 3):
+        alone = [
+            wave([q], [s], refine=refine)[0]
+            for q, s in zip(hybrid_queries, seeds)
+        ]
+        plain_only = wave(plain, seeds, refine=refine)
+        for got, ref in zip(wave(hybrid_queries, seeds, refine=refine), alone):
+            assert_same(got, ref)
+        # Even positions hybrid, odd positions plain — each under the
+        # seed it had in its own wave.
+        mixed = [
+            hybrid_queries[i] if i % 2 == 0 else plain[i]
+            for i in range(len(seeds))
+        ]
+        for i, got in enumerate(wave(mixed, seeds, refine=refine)):
+            assert_same(got, alone[i] if i % 2 == 0 else plain_only[i])
+
+    with MustService(must, ServiceConfig(max_batch=16, max_wait_ms=5.0)) as svc:
+        futures = [
+            svc.submit(q, SearchOptions(k=K, l=L, engine="wave", rng=s))
+            for q, s in zip(mixed, seeds)
+        ]
+        served = [f.result() for f in futures]
+    unrefined = [wave([q], [s])[0] for q, s in zip(mixed, seeds)]
+    for got, ref in zip(served, unrefined):
+        assert_same(got, ref)
+
+    opts = dict(k=K, l=L, rng=5)
+    for a, b in zip(
+        must.query(mixed, SearchOptions(n_jobs=1, **opts)),
+        must.query(mixed, SearchOptions(n_jobs=4, **opts)),
+    ):
+        assert_same(a, b)
+
+
+@pytest.mark.parametrize("layout", ["flat", "segmented"])
+def test_wave_hybrid_recall_matches_heap_oracle(
+    dataset, hybrid_queries, layout
+):
+    must = wave_must(dataset, layout, "none")
+    truth = must.query(hybrid_queries, SearchOptions(k=K, exact=True))
+
+    def recall(run):
+        hits = sum(
+            len(set(r.ids[:K]) & set(t.ids[:K])) for r, t in zip(run, truth)
+        )
+        return hits / (K * len(truth))
+
+    wave = must.query(hybrid_queries, SearchOptions(k=K, l=L, rng=3))
+    oracle = must.query(
+        hybrid_queries, SearchOptions(k=K, l=L, rng=3, engine="heap")
+    )
+    assert wave.plan == "graph/wave"
+    assert wave.stats.waves > 0
+    assert recall(wave) >= recall(oracle) - 0.05
+
+
+@pytest.mark.parametrize("layout", ["flat", "segmented"])
+def test_wave_hybrid_nothing_admissible_is_empty(
+    dataset, hybrid_queries, layout
+):
+    """A filter no object passes gives an empty answer, not an error."""
+    must = wave_must(dataset, layout, "none")
+    opts = SearchOptions(k=K, l=L, engine="wave")
+    nothing = [
+        dataclasses.replace(q, filter=Eq("parity", 7)) for q in hybrid_queries
+    ]
+    assert all(len(res) == 0 for res in must.query(nothing, opts))
+    assert len(must.query(nothing[0], opts)) == 0
+
+
+def test_wave_hybrid_without_lexical_candidates(dataset, hybrid_queries):
+    """When the filter rejects every row holding a query term the
+    lexical generator has nothing to propose; the dense candidates
+    still answer."""
+    must = wave_must(dataset, "flat", "none")
+    q = hybrid_queries[0]
+    plane = must.objects.sparse
+    touched = np.unique(plane.csr[:, q.sparse.indices].nonzero()[0])
+    must.set_attributes({"lexical": np.isin(np.arange(plane.n), touched)})
+    got = must.query(
+        [dataclasses.replace(q, filter=Eq("lexical", False))],
+        SearchOptions(k=K, l=L),
+    )[0]
+    assert len(got) == K
+    assert not np.isin(got.ids, touched).any()
+
+
+def test_wave_hybrid_all_deleted_is_empty(dataset, hybrid_queries):
+    index = flat_must(dataset).index
+    dead = dataclasses.replace(index, deleted=np.ones(index.n, dtype=bool))
+    results, _ = graph_wave_search(dead, hybrid_queries, k=K, l=L)
+    assert all(len(r) == 0 for r in results)
+    assert len(joint_search(dead, hybrid_queries[0], k=K, l=L)) == 0
+
+
+def test_wave_hybrid_early_termination_still_answers(dataset, hybrid_queries):
+    """Lemma-4 pruning is per query, so an early-termination batch keeps
+    the per-query scorers — and still fuses."""
+    must = wave_must(dataset, "flat", "pq")
+    truth = must.query(hybrid_queries, SearchOptions(k=K, exact=True))
+    run = must.query(
+        hybrid_queries,
+        SearchOptions(k=K, l=L, rng=3, early_termination=True),
+    )
+    assert run.plan == "graph/wave"
+    hits = sum(
+        len(set(r.ids) & set(t.ids)) for r, t in zip(run, truth)
+    )
+    assert all(len(r) == K for r in run)
+    assert hits / (K * len(truth)) >= 0.9
+
+
+@pytest.mark.parametrize("surface", ["live", "snapshot"])
+def test_heap_hybrid_forwards_check_monotone(
+    monkeypatch, dataset, hybrid_queries, surface
+):
+    """The per-query oracle used to drop ``check_monotone`` for hybrid
+    queries (and the wave never saw them)."""
+    import repro.index.search as search_mod
+
+    must = flat_must(dataset)
+    target = must if surface == "live" else must.snapshot()
+    seen: list[bool] = []
+    real = search_mod._heap_search
+
+    def spy(*args):
+        seen.append(args[7])
+        return real(*args)
+
+    monkeypatch.setattr(search_mod, "_heap_search", spy)
+    res = target.query(
+        hybrid_queries[0], SearchOptions(k=K, l=L, check_monotone=True)
+    )
+    assert seen == [True] and len(res) == K
+    wave = must.query(
+        hybrid_queries, SearchOptions(k=K, l=L, check_monotone=True)
+    )
+    assert wave.plan == "graph/wave"

@@ -202,6 +202,39 @@ class TestQuantisationQuality:
             rtol=1e-4, atol=1e-5,
         )
 
+    @pytest.mark.parametrize("pq_dims", [4, 3])
+    def test_pq_single_gather_matches_subspace_loop(self, mats, pq_dims):
+        """ADC scoring and decoding gather all sub-spaces at once; the
+        bits must be those of the historical per-sub-space loops (kept
+        here as the reference)."""
+        store = make_store("pq", mats, pq_dims=pq_dims)
+        codes, book = store._codes[0], store._books[0]
+        m_sub, _, ds = book.shape
+        kernel = store.query_kernel(0, _query())
+
+        def loop_gather(rows):
+            out = np.zeros(rows.shape[0], dtype=np.float32)
+            for m in range(m_sub):
+                out += kernel.lut[m, rows[:, m]]
+            return out
+
+        def loop_decode(rows):
+            out = np.empty((rows.shape[0], m_sub * ds), dtype=np.float32)
+            for m in range(m_sub):
+                out[:, m * ds:(m + 1) * ds] = book[m][rows[:, m]]
+            return out[:, : DIMS[0]]
+
+        for ids in (np.arange(N), np.asarray([5]), np.asarray([7, 7, 250, 0])):
+            np.testing.assert_array_equal(
+                kernel.ids(ids), loop_gather(codes[ids])
+            )
+            np.testing.assert_array_equal(
+                store.rows(0, ids), loop_decode(codes[ids])
+            )
+        np.testing.assert_array_equal(kernel.all(), loop_gather(codes))
+        np.testing.assert_array_equal(store.modality(0), loop_decode(codes))
+        assert kernel.ids(np.zeros(0, dtype=np.int64)).shape == (0,)
+
     def test_pq_small_corpus_caps_centroids(self):
         rng = make_rng(9)
         mat = normalize_rows(rng.standard_normal((20, 8)).astype(np.float32))
