@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.space import JointSpace
-from repro.index.nndescent import nndescent, random_knn
+from repro.index.nndescent import block_candidate_sims, nndescent, random_knn
 from repro.utils.rng import make_rng
 from repro.utils.validation import require
 
@@ -49,20 +49,21 @@ def two_hop_candidates(
     with ``-1`` when a vertex has fewer distinct candidates.  Capping at
     ``max_candidates`` keeps neighbour selection tractable while keeping
     the closest (= the only ones selection can pick) candidates.
+    :func:`~repro.index.nndescent.block_candidate_sims` hands each
+    block over unsorted, with duplicates and self masked to ``-inf``;
+    the partial top-``max_candidates`` and the ranking happen here.
     """
-    from repro.index.nndescent import block_candidate_sims
-
     n, k = knn.shape
     concat = space.concatenated
     cand_out = np.full((n, max_candidates), -1, dtype=np.int32)
     sim_out = np.full((n, max_candidates), -np.inf, dtype=np.float32)
     for start in range(0, n, block_size):
         block = np.arange(start, min(start + block_size, n))
-        cand_s, sims_s = block_candidate_sims(concat, knn, block)
-        width = min(max_candidates, cand_s.shape[1])
-        top = np.argpartition(-sims_s, width - 1, axis=1)[:, :width]
-        top_sims = np.take_along_axis(sims_s, top, axis=1)
-        top_cand = np.take_along_axis(cand_s, top, axis=1)
+        cand, sims = block_candidate_sims(concat, knn, block)
+        width = min(max_candidates, cand.shape[1])
+        top = np.argpartition(-sims, width - 1, axis=1)[:, :width]
+        top_sims = np.take_along_axis(sims, top, axis=1)
+        top_cand = np.take_along_axis(cand, top, axis=1)
         rank = np.argsort(-top_sims, axis=1, kind="stable")
         sim_out[block, :width] = np.take_along_axis(top_sims, rank, axis=1)
         cand_out[block, :width] = np.take_along_axis(top_cand, rank, axis=1)

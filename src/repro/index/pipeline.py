@@ -9,8 +9,10 @@ ablation (Fig. 10) can swap strategies without new code.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -30,6 +32,8 @@ from repro.index.nndescent import nndescent
 from repro.utils.validation import require
 
 __all__ = ["FusedIndexBuilder"]
+
+logger = logging.getLogger(__name__)
 
 _SELECTIONS = ("mrng", "angle", "alpha", "top")
 _CANDIDATES = ("two-hop", "search")
@@ -55,7 +59,7 @@ class FusedIndexBuilder:
     seed: int = 0
     connect: bool = True
     name: str = "ours"
-    extra_meta: dict = field(default_factory=dict)
+    extra_meta: dict[str, Any] = field(default_factory=dict)
     #: Thread-pool width for the NNDescent stage (see
     #: :func:`repro.index.nndescent.nndescent`); 1 keeps the sequential
     #: Gauss–Seidel sweep and its exact historical output.
@@ -82,6 +86,7 @@ class FusedIndexBuilder:
             space, k=init_k, iterations=self.epsilon, seed=self.seed,
             n_jobs=self.n_jobs,
         )
+        t_init = time.perf_counter()
 
         # ④ Seed preprocessing (needed early by search-based candidates).
         seed_vertex = centroid_seed(space)
@@ -96,6 +101,7 @@ class FusedIndexBuilder:
                 space, knn, entry=seed_vertex,
                 max_candidates=self.max_candidates,
             )
+        t_cand = time.perf_counter()
 
         # ③ Neighbour selection.
         if self.selection == "mrng":
@@ -110,12 +116,20 @@ class FusedIndexBuilder:
             )
         else:
             neighbors = top_gamma_select(cand, sims, self.gamma)
+        t_select = time.perf_counter()
 
         # ⑤ Connectivity.
         if self.connect:
             neighbors = ensure_connectivity(space, neighbors, seed_vertex)
 
-        elapsed = time.perf_counter() - start
+        end = time.perf_counter()
+        elapsed = end - start
+        logger.debug(
+            "event=build n=%d k=%d init_s=%.4f candidates_s=%.4f "
+            "select_s=%.4f connect_s=%.4f seconds=%.4f",
+            space.n, init_k, t_init - start, t_cand - t_init,
+            t_select - t_cand, end - t_select, elapsed,
+        )
         meta = self._meta()
         return GraphIndex(
             space=space,
@@ -126,7 +140,7 @@ class FusedIndexBuilder:
             meta=meta,
         )
 
-    def _meta(self) -> dict:
+    def _meta(self) -> dict[str, Any]:
         return {
             "gamma": self.gamma,
             "epsilon": self.epsilon,

@@ -55,7 +55,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import shutil
+import time
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,6 +96,8 @@ __all__ = [
     "MANIFEST_NAME",
     "FORMAT_VERSION",
 ]
+
+logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
 #: current manifest format; v1 archives (pre-store, implicitly dense
@@ -1289,6 +1293,7 @@ class SegmentedIndex:
         if self.delta.num_active == 0:
             self.delta.reset()
             return None
+        start = time.perf_counter()
         space = JointSpace(
             MultiVectorSet(
                 self.delta.mats, attributes=self.delta.attrs,
@@ -1306,6 +1311,7 @@ class SegmentedIndex:
         self.delta.reset()
         self.num_seals += 1
         self._restamp_sparse()
+        self._log_lifecycle("seal", seg.n, seg.n, start)
         return seg
 
     def compact(self) -> np.ndarray:
@@ -1321,6 +1327,8 @@ class SegmentedIndex:
         segs = self.searchable_segments()
         if not segs:
             return np.zeros(0, dtype=np.int64)
+        start = time.perf_counter()
+        n_in = sum(seg.n for seg in segs)
         num_modalities = segs[0].space.num_modalities
         streaming = self.cold_storage == "mmap"
         old_planes = [seg.space.vectors.store.cold_plane for seg in segs]
@@ -1365,6 +1373,7 @@ class SegmentedIndex:
             self.num_compactions += 1
             if streaming:
                 self._retire_cold_files(old_planes, keep=set())
+            self._log_lifecycle("compact", n_in, 0, start)
             return np.zeros(0, dtype=np.int64)
         ext = np.concatenate(ext_parts)
         order = np.argsort(ext)
@@ -1424,7 +1433,19 @@ class SegmentedIndex:
         if streaming:
             self._retire_cold_files(old_planes, keep=set(out_paths))
         self._restamp_sparse()
+        self._log_lifecycle("compact", n_in, ext.size, start)
         return ext[order]
+
+    def _log_lifecycle(
+        self, event: str, n_in: int, n_out: int, start: float
+    ) -> None:
+        """One line per seal/compaction: rows in (tombstones included),
+        rows out, sealed segments afterwards, wall seconds."""
+        logger.info(
+            "event=%s n_in=%d n_out=%d segments=%d seconds=%.4f",
+            event, n_in, n_out, len(self.sealed),
+            time.perf_counter() - start,
+        )
 
     def _stream_merged_cold(
         self,

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import logging
+
 import numpy as np
 import pytest
 
+from repro.core.multivector import MultiVectorSet
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex
@@ -19,8 +23,18 @@ from repro.index.components import (
     top_gamma_select,
     two_hop_candidates,
 )
-from repro.index.nndescent import graph_quality, nndescent, random_knn
+from repro.index.graphs.kgraph import KGraphBuilder
+from repro.index.graphs.nsg import NSGBuilder
+from repro.index.graphs.nssg import NSSGBuilder
+from repro.index.nndescent import (
+    block_candidate_sims,
+    graph_quality,
+    nndescent,
+    random_knn,
+    reverse_neighbors,
+)
 from repro.index.pipeline import FusedIndexBuilder
+from repro.index.segments import SegmentedIndex, SegmentPolicy
 
 from tests.conftest import random_multivector_set
 
@@ -75,6 +89,186 @@ class TestNNDescent:
     def test_zero_iterations_is_init(self, space):
         knn = nndescent(space, 8, iterations=0, seed=2)
         assert np.array_equal(knn, random_knn(space.n, 8, 2))
+
+
+def _reference_block_candidate_sims(concat, neighbors, block, reverse=None):
+    """The sort-based kernel :func:`block_candidate_sims` replaced, kept
+    verbatim as the parity oracle: id-sorted columns, first occurrence of
+    a duplicate keeps its similarity."""
+    nb = neighbors[block]  # (b, k)
+    parts = [nb, neighbors[nb].reshape(len(block), -1)]
+    if reverse is not None:
+        rnb = reverse[block]
+        parts.extend([rnb, neighbors[rnb].reshape(len(block), -1)])
+    cand = np.concatenate(parts, axis=1)
+    uniq, inverse = np.unique(cand, return_inverse=True)
+    sub = concat[block] @ concat[uniq].T  # (b, |uniq|) — single BLAS call
+    sims = sub[np.arange(len(block))[:, None], inverse.reshape(cand.shape)]
+    # Knock out self-references and duplicates (keep the first occurrence).
+    sims[cand == block[:, None]] = -np.inf
+    order = np.argsort(cand, axis=1, kind="stable")
+    cand_sorted = np.take_along_axis(cand, order, axis=1)
+    sims_sorted = np.take_along_axis(sims, order, axis=1)
+    dup = cand_sorted[:, 1:] == cand_sorted[:, :-1]
+    sims_sorted[:, 1:][dup] = -np.inf
+    return cand_sorted, sims_sorted
+
+
+@pytest.fixture
+def reference_kernel(monkeypatch):
+    """Swap the oracle in at both binding sites of the kernel."""
+    # ``repro.index`` re-exports the *function* nndescent under the
+    # submodule's name, so the module has to be asked for by path.
+    for module in ("repro.index.nndescent", "repro.index.components"):
+        monkeypatch.setattr(
+            importlib.import_module(module),
+            "block_candidate_sims",
+            _reference_block_candidate_sims,
+        )
+
+
+def _two_modality_space(n: int) -> JointSpace:
+    return JointSpace(random_multivector_set(n, (12, 6), seed=n),
+                      Weights([0.6, 0.4]))
+
+
+def _one_modality_space(n: int = 400) -> JointSpace:
+    return JointSpace(random_multivector_set(n, (32,), seed=5), Weights([1.0]))
+
+
+def _tied_rows(space: JointSpace, k: int, max_candidates: int = 64) -> np.ndarray:
+    """Rows whose ranked two-hop candidates hold two *exactly* equal
+    similarities: there the ranking, hence the selected list, follows
+    column order and parity with the oracle is not promised.  About
+    3 rows in 10 000 on random float32 corpora; which ones depends on
+    the BLAS build."""
+    knn = nndescent(space, min(k, space.n - 1))
+    _, sims = two_hop_candidates(space, knn, max_candidates=max_candidates)
+    return ((sims[:, 1:] == sims[:, :-1]) & np.isfinite(sims[:, 1:])).any(axis=1)
+
+
+def _assert_same_build(builder, space, request, tied=None):
+    """*builder*'s graph equals the one it builds on the oracle kernel,
+    row by row (rows flagged in *tied* excepted)."""
+    got = builder.build(space)
+    request.getfixturevalue("reference_kernel")
+    want = builder.build(space)
+    assert got.seed_vertex == want.seed_vertex
+    rows = range(space.n) if tied is None else np.flatnonzero(~tied)
+    assert len(rows) >= 0.99 * space.n
+    for v in rows:
+        assert np.array_equal(got.neighbors[v], want.neighbors[v]), v
+
+
+class TestSortFreeKernelParity:
+    """The scatter-based dedupe against the sort-based oracle."""
+
+    @pytest.mark.parametrize("with_reverse", [False, True])
+    def test_same_finite_pairs_per_row(self, space, with_reverse):
+        knn = nndescent(space, 8, iterations=1, seed=4)
+        reverse = reverse_neighbors(knn, 8) if with_reverse else None
+        concat = space.concatenated
+        for start in (0, 128, 256):
+            block = np.arange(start, min(start + 128, space.n))
+            cand, sims = block_candidate_sims(concat, knn, block, reverse)
+            ref_cand, ref_sims = _reference_block_candidate_sims(
+                concat, knn, block, reverse
+            )
+            assert cand.shape == ref_cand.shape and cand.dtype == ref_cand.dtype
+            assert sims.dtype == ref_sims.dtype
+            for row in range(len(block)):
+                keep, ref_keep = np.isfinite(sims[row]), np.isfinite(ref_sims[row])
+                got = sorted(zip(cand[row][keep].tolist(), sims[row][keep].tolist()))
+                want = sorted(
+                    zip(ref_cand[row][ref_keep].tolist(),
+                        ref_sims[row][ref_keep].tolist())
+                )
+                assert got == want  # same ids, once each, same float bits
+                assert block[row] not in cand[row][keep]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"use_reverse": False}, {"n_jobs": 2}, {"resume": True}],
+        ids=["default", "no-reverse", "jacobi", "init-resume"],
+    )
+    def test_nndescent_same_neighbour_sets(self, space, kwargs, request):
+        kwargs = dict(kwargs)
+        if kwargs.pop("resume", False):
+            kwargs["init"] = nndescent(space, 8, iterations=1, seed=2)
+        got = nndescent(space, 8, iterations=2, seed=2, **kwargs)
+        request.getfixturevalue("reference_kernel")
+        want = nndescent(space, 8, iterations=2, seed=2, **kwargs)
+        # Order inside a row is argpartition's; the sets must agree.
+        assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+
+    @pytest.mark.parametrize("n", [3, 31, 50, 192, 600])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_fused_build_identical(self, n, n_jobs, request):
+        space = _two_modality_space(n)
+        _assert_same_build(
+            FusedIndexBuilder(n_jobs=n_jobs), space, request,
+            tied=_tied_rows(space, 30),
+        )
+
+    def test_fused_build_identical_one_modality(self, request):
+        space = _one_modality_space()
+        _assert_same_build(
+            FusedIndexBuilder(), space, request, tied=_tied_rows(space, 30)
+        )
+
+    def test_nssg_identical(self, request):
+        space = _two_modality_space(192)
+        _assert_same_build(
+            NSSGBuilder(gamma=10), space, request,
+            tied=_tied_rows(space, 20, max_candidates=96),
+        )
+
+    def test_nsg_identical(self, request):
+        # NSG's candidates come from greedy search over the KNN graph;
+        # the kernel reaches it only through nndescent's neighbour sets.
+        _assert_same_build(
+            NSGBuilder(gamma=10, beam=16), _two_modality_space(192), request
+        )
+
+    def test_kgraph_same_neighbour_sets(self, request):
+        space = _two_modality_space(192)
+        got = KGraphBuilder(k=10).build(space)
+        request.getfixturevalue("reference_kernel")
+        want = KGraphBuilder(k=10).build(space)
+        for a, b in zip(got.neighbors, want.neighbors):
+            assert np.array_equal(np.sort(a), np.sort(b))
+
+
+class TestTieContract:
+    """Exactly tied similarities (every object stored three times): the
+    lists are one valid answer among several, not the oracle's."""
+
+    @pytest.fixture(scope="class")
+    def tied_space(self):
+        base = random_multivector_set(120, (12, 6), seed=9)
+        return JointSpace(
+            MultiVectorSet([np.tile(m, (3, 1)) for m in base.matrices]),
+            Weights([0.5, 0.5]),
+        )
+
+    def test_deterministic_and_valid(self, tied_space):
+        a = FusedIndexBuilder(gamma=8).build(tied_space)
+        b = FusedIndexBuilder(gamma=8).build(tied_space)
+        for v, (x, y) in enumerate(zip(a.neighbors, b.neighbors)):
+            assert np.array_equal(x, y)
+            assert v not in x
+            assert np.unique(x).size == x.size
+        a.validate()
+        assert _bfs(a.neighbors, a.seed_vertex).all()
+
+    def test_quality_matches_reference(self, tied_space, request):
+        got = nndescent(tied_space, 8, seed=1)
+        for v in range(tied_space.n):
+            assert v not in got[v] and np.unique(got[v]).size == 8
+        request.getfixturevalue("reference_kernel")
+        want = nndescent(tied_space, 8, seed=1)
+        quality = graph_quality(tied_space, got, sample=360)
+        assert abs(quality - graph_quality(tied_space, want, sample=360)) <= 0.01
 
 
 class TestCandidates:
@@ -276,6 +470,39 @@ class TestFusedIndexBuilder:
         small = FusedIndexBuilder(gamma=4, seed=1).build(space)
         large = FusedIndexBuilder(gamma=16, seed=1).build(space)
         assert large.num_edges > small.num_edges
+
+
+class TestLifecycleLog:
+    def test_build_seal_compact_lines(self, caplog):
+        """One DEBUG line per build, one INFO line per seal/compaction."""
+        seg = SegmentedIndex(
+            Weights([0.5, 0.5]),
+            builder=FusedIndexBuilder(gamma=6, seed=1),
+            policy=SegmentPolicy(seal_size=10, max_segments=2,
+                                 min_compact_size=10_000),
+        )
+        with caplog.at_level(logging.DEBUG, logger="repro.index"):
+            for part in range(3):  # three seals, the third trips a compaction
+                seg.insert(random_multivector_set(10, (12, 6), seed=part))
+        assert seg.num_seals == 3 and seg.num_compactions == 1
+        lines = [
+            (r.name, r.levelno, r.getMessage().split()) for r in caplog.records
+        ]
+        builds = [m for name, level, m in lines
+                  if name == "repro.index.pipeline" and level == logging.DEBUG]
+        events = [m for name, level, m in lines
+                  if name == "repro.index.segments" and level == logging.INFO]
+        assert len(builds) == 4 and builds[0][:3] == ["event=build", "n=10", "k=6"]
+        assert [f.split("=")[0] for f in builds[0][3:]] == [
+            "init_s", "candidates_s", "select_s", "connect_s", "seconds"
+        ]
+        assert [m[:4] for m in events] == [
+            ["event=seal", "n_in=10", "n_out=10", "segments=1"],
+            ["event=seal", "n_in=10", "n_out=10", "segments=2"],
+            ["event=seal", "n_in=10", "n_out=10", "segments=3"],
+            ["event=compact", "n_in=30", "n_out=30", "segments=1"],
+        ]
+        assert all(float(m[4].removeprefix("seconds=")) > 0 for m in events)
 
 
 class TestGraphIndexContainer:
