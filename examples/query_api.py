@@ -4,8 +4,8 @@ A product-search corpus with structured attributes (category, price,
 rating) attached to the multi-vector objects.  Shows the typed request
 surface:
 
-* ``Query`` + ``SearchOptions`` through ``MUST.query`` (the single
-  entry point every legacy keyword method now delegates to);
+* ``Query`` + ``SearchOptions`` through ``MUST.query`` (the only
+  search entry point);
 * per-query **attribute filters** (the ``Eq``/``In``/``Range`` DSL,
   composed with ``&``/``|``/``~``) pushed down into exact and graph
   search;
@@ -78,7 +78,7 @@ def main() -> None:
             Query(make_query(3), weights=Weights([0.9, 0.1]), k=3),
             make_query(4),  # raw MultiVector coerces to Query
         ],
-        SearchOptions(k=5, exact=True, n_jobs=2),
+        SearchOptions(k=5, exact=True),
     )
     print(f"\nbatch answer sizes: {[len(r.ids) for r in batch]} "
           f"(middle query overrode k=3)")
@@ -128,12 +128,16 @@ def main() -> None:
         print(f"wave-served {len(served)} graph requests; "
               f"waves-per-group histogram: {waves_hist}")
 
-    # 6. The legacy kwarg surface still answers identically (with a
-    #    DeprecationWarning) — and typos now fail loudly.
+    # 6. Typos fail loudly: an unknown option name is a TypeError, an
+    #    unknown engine name comes back with a did-you-mean.
     try:
-        must.search(q, k=5, early_terminatoin=True)
+        SearchOptions(k=5, early_terminatoin=True)
     except TypeError as exc:
-        print(f"\ntypo'd kwarg rejected: {exc}")
+        print(f"\ntypo'd option rejected: {exc}")
+    try:
+        SearchOptions(k=5, engine="wavee")
+    except ValueError as exc:
+        print(f"typo'd engine rejected: {exc}")
 
 
 if __name__ == "__main__":

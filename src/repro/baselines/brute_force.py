@@ -51,9 +51,8 @@ class BruteForceMUST:
         queries: list[MultiVector | Query],
         k: int,
         weights: Weights | None = None,
-        n_jobs: int = 1,
     ) -> BatchResult:
         """Exact batch: all fast-path queries scored with one GEMM."""
-        return BatchExecutor(n_jobs=n_jobs).run_flat(
+        return BatchExecutor.run_flat(
             self._flat, queries, k, weights=weights
         )

@@ -12,10 +12,11 @@ from __future__ import annotations
 import time
 
 from repro.core.multivector import MultiVector, MultiVectorSet
+from repro.core.query import Query, SearchOptions
 from repro.core.results import SearchResult
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
-from repro.index.executor import BatchExecutor, BatchResult
+from repro.index.executor import BatchResult, GraphTarget, execute
 from repro.index.flat import FlatIndex
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.search import joint_search
@@ -83,17 +84,16 @@ class JointEmbeddingSearch:
         queries: list[MultiVector],
         k: int,
         l: int = 100,
-        n_jobs: int = 1,
         rng: int | None = 0,
     ) -> BatchResult:
-        """Batch JE search via the shared executor (GEMM when exact,
-        thread pool + per-query child seeds over the graph otherwise)."""
+        """Batch JE search through the shared dispatcher (one GEMM when
+        exact, the per-query loop over child seeds on the graph
+        otherwise)."""
         require(self._index is not None, "call build() first")
-        sub_queries = [self._sub_query(q) for q in queries]
-        executor = BatchExecutor(n_jobs=n_jobs, rng=rng)
-        if self.exact:
-            return executor.run_flat(self._index, sub_queries, k)
-        return executor.run_graph(
-            self._index, sub_queries, k=k,
-            l=min(max(l, k), self.objects.n),
+        return execute(
+            GraphTarget(None if self.exact else self._index, self.space),
+            [Query(self._sub_query(q)) for q in queries],
+            SearchOptions(
+                k=k, l=max(l, k), exact=self.exact, engine="heap", rng=rng
+            ),
         )

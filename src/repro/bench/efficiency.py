@@ -52,8 +52,7 @@ _MR_BUDGET_SWEEP = (20, 50, 100, 250, 500, 1000)
 
 
 def _typed_batch(must: MUST, queries, **options):
-    """Typed batch through ``MUST.query`` — the bench-wide shim-free
-    path (bit-identical to the deprecated ``batch_search`` kwargs)."""
+    """Typed batch through ``MUST.query``."""
     return must.query([Query(q) for q in queries], SearchOptions(**options))
 
 
@@ -406,17 +405,15 @@ def batch_throughput(
     kind: str = "image",
     k: int = 10,
     l: int = 80,
-    n_jobs: int = 4,
 ) -> tuple[Table, dict]:
-    """Single-query vs batched vs parallel QPS at a fixed operating point.
+    """Single-query vs batched QPS at a fixed operating point.
 
     Compares the execution strategies the
     :class:`~repro.index.executor.BatchExecutor` offers over the *same*
-    index and query set: the legacy single-query loop, the sequential
-    executor (per-query child seeds, one thread), the thread-pool
-    executor, and — for the exact path — the per-query scan vs the
-    single-GEMM batch.  Returns the table plus a JSON-ready payload for
-    the ``BENCH_batch_qps.json`` perf-trajectory artifact.
+    index and query set: the single-query loop against the lockstep
+    wave batch, and — for the exact path — the per-query scan against
+    the single-GEMM batch.  Returns the table plus a JSON-ready payload
+    for the ``BENCH_batch_qps.json`` perf-trajectory artifact.
     """
     enc, must = cache.largescale_must(kind)
     gt = exact_ground_truth(enc, must.weights, k=k)
@@ -429,7 +426,6 @@ def batch_throughput(
         "num_queries": len(queries),
         "k": k,
         "l": l,
-        "n_jobs": n_jobs,
         "modes": {},
     }
 
@@ -446,21 +442,6 @@ def batch_throughput(
 
     single = measure_qps(lambda q: _typed_one(must, q, k=k, l=l), queries)
     base = record("graph", "single-query loop", single, None)
-    # The pool modes pin engine="heap": they benchmark the per-query
-    # oracle, and the batch default now routes to the wave engine.
-    seq = measure_batch_qps(
-        lambda qs: _typed_batch(must, qs, k=k, l=l, engine="heap",
-                                n_jobs=1),
-        queries,
-    )
-    record("graph", "executor n_jobs=1", seq, base)
-    par = measure_batch_qps(
-        lambda qs: _typed_batch(must, qs, k=k, l=l, engine="heap",
-                                n_jobs=n_jobs),
-        queries,
-    )
-    record("graph", f"executor n_jobs={n_jobs}", par, base)
-
     # The lockstep wave engine — the default batch plan.  The executed
     # plan and wave count ride into the payload so the regression gate
     # asserts *which path ran*, not just how fast something went.
@@ -492,13 +473,12 @@ def batch_throughput(
     table = Table(
         "Batch QPS", f"Execution strategies on {enc.name}", headers, rows,
         notes="Same index, same queries: the executor's GEMM wave batches "
-              "the exact scan, the thread pool overlaps per-query graph "
-              "searches (BLAS releases the GIL), and the lockstep wave "
-              "engine advances every beam in one stacked scoring call "
-              "per hop — the default batch plan. Recall shifts slightly "
-              "between loop and executor because the executor gives "
-              "every query its own SeedSequence child instead of a "
-              "shared rng=0 init draw.",
+              "the exact scan and the lockstep wave engine advances "
+              "every beam in one stacked scoring call per hop — the "
+              "default batch plan. Recall shifts slightly between loop "
+              "and executor because the executor gives every query its "
+              "own SeedSequence child instead of a shared rng=0 init "
+              "draw.",
     )
     return table, payload
 

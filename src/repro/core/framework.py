@@ -11,8 +11,8 @@ Ties the pieces together behind one object:
 * **Searching** — :meth:`MUST.query` runs the joint search
   (Algorithm 2) through the typed request surface: per-query weight
   overrides (Fig. 4(g) Option 2), attribute filters, exact brute
-  force.  The legacy keyword entry points (:meth:`MUST.search` /
-  :meth:`MUST.batch_search`) remain as bit-identical deprecation shims.
+  force.  It is the only search entry point; the plan is executed by
+  :func:`repro.index.executor.execute`.
 
 Typical usage::
 
@@ -24,8 +24,6 @@ Typical usage::
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import replace as _dc_replace
 from pathlib import Path
 from typing import Sequence
 
@@ -38,10 +36,9 @@ from repro.core.results import SearchResult
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex, reseat_on_store
-from repro.index.executor import BatchExecutor, BatchResult
-from repro.index.flat import FlatIndex
+from repro.index.executor import BatchResult, GraphTarget, execute
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.search import joint_search
+from repro.index.search import joint_search  # noqa: F401 - perfbench patches it
 from repro.index.segments import MANIFEST_NAME, SegmentedIndex, SegmentPolicy
 from repro.store import STORE_KINDS, spill_cold
 from repro.utils.io import load_arrays
@@ -60,7 +57,7 @@ class MUST:
     full-precision vectors; with a compressed backend it then *serves*
     from the compressed codes (asymmetric kernels), the original
     float32 corpus staying available as the cold exact tier for
-    ``search(..., refine=r)`` rerank, ``exact=True`` scans, and
+    ``SearchOptions(refine=r)`` rerank, ``exact=True`` scans, and
     compaction.  ``store_options`` is forwarded to the backend
     (``keep_exact``, PQ's ``pq_dims``/``pq_centroids``/``seed``, …).
     """
@@ -350,9 +347,9 @@ class MUST:
     ) -> SearchResult | BatchResult:
         """Joint top-*k* search through the typed request surface.
 
-        The single entry point every other search surface now routes
-        through.  *queries* is one :class:`~repro.core.query.Query` (or
-        a raw :class:`MultiVector`) for a single
+        The only search entry point.  *queries* is one
+        :class:`~repro.core.query.Query` (or a raw
+        :class:`MultiVector`) for a single
         :class:`~repro.core.results.SearchResult`, or a sequence of them
         for a :class:`~repro.index.executor.BatchResult`; *options* is a
         validated :class:`~repro.core.query.SearchOptions` plan (default
@@ -375,278 +372,27 @@ class MUST:
         rows under ``compression=``, never the cold exact plane — and
         takes the place of ``options.refine`` for that query.
 
-        Determinism matches the historical entry points: a single query
-        draws init vertices straight from ``options.rng``, a batch
-        spawns one SeedSequence child per query (bit-identical for any
-        ``options.n_jobs``).
+        Determinism: a single query draws init vertices straight from
+        ``options.rng``, a batch spawns one SeedSequence child per
+        query.
         """
         opts = options if options is not None else SearchOptions()
-        require(
-            isinstance(opts, SearchOptions),
-            f"options must be a SearchOptions instance, got "
-            f"{type(opts).__name__} — build one with SearchOptions(...)",
+        # Not require(): it would format the message on every query.
+        if not isinstance(opts, SearchOptions):
+            raise ValueError(
+                f"options must be a SearchOptions instance, got "
+                f"{type(opts).__name__} — build one with SearchOptions(...)"
+            )
+        target = (
+            self._segments.view()
+            if self._segments is not None
+            else GraphTarget(self._index, self.space)
         )
-        self._check_plan(opts)
         if isinstance(queries, (Query, MultiVector)):
-            return self._query_one(as_query(queries), opts)
-        typed = [as_query(q) for q in queries]
-        executor = BatchExecutor.from_options(opts)
-        # Batch graph execution defaults to the lockstep wave engine
-        # (engine="auto"): the thread-pooled per-query loop is the
-        # measured negative-speedup trap.  An explicit engine keeps the
-        # per-query oracle available.
-        engine = opts.resolve_engine(batch=True)
-        if self._segments is not None:
-            opts = opts.resolve(self._segments.num_total)
-            return executor.run_segmented(
-                self._segments,
-                typed,
-                k=opts.k,
-                l=opts.l,
-                early_termination=opts.early_termination,
-                engine=engine,
-                exact=opts.exact,
-                refine=opts.refine,
-                sparse_engine=opts.sparse_engine,
-                check_monotone=opts.check_monotone,
-            )
-        if opts.exact:
-            return executor.run_flat(
-                self._flat(), typed, opts.k, refine=opts.refine,
-                sparse_engine=opts.sparse_engine,
-            )
-        opts = opts.resolve(self.objects.n)
-        if engine == "wave":
-            return executor.run_graph_wave(
-                self.index,
-                typed,
-                k=opts.k,
-                l=opts.l,
-                early_termination=opts.early_termination,
-                refine=opts.refine,
-                check_monotone=opts.check_monotone,
-                sparse_engine=opts.sparse_engine,
-            )
-        return executor.run_graph(
-            self.index,
-            typed,
-            k=opts.k,
-            l=opts.l,
-            early_termination=opts.early_termination,
-            engine=engine,
-            refine=opts.refine,
-            check_monotone=opts.check_monotone,
-            sparse_engine=opts.sparse_engine,
-        )
-
-    @staticmethod
-    def _check_plan(opts: SearchOptions) -> None:
-        """Graph-path contract: an explicit ``l`` must hold ``k`` results.
-
-        Checked here (not in ``SearchOptions``) because exact scans
-        ignore ``l`` entirely — and checked *before* ``resolve``, whose
-        ``l`` floor exists only for the corpus-smaller-than-``k``
-        corner, not to silently repair a user's ``l < k``.
-        """
-        require(
-            opts.exact or opts.l >= opts.k,
-            f"result set size l={opts.l} must be at least k={opts.k}",
-        )
-
-    def _query_one(self, q: Query, opts: SearchOptions) -> SearchResult:
-        """One typed query, same arithmetic as the historical ``search``."""
-        self._check_plan(opts)  # legacy shims enter here, not via query()
-        # engine="auto" resolves to the heap engine here: single-query
-        # results stay bit-identical to the historical entry points.
-        # An explicit engine="wave" runs a batch of one.
-        engine = opts.resolve_engine(batch=False)
-        if self._segments is not None:
-            if opts.exact:
-                return self._segments.exact_search(
-                    q, opts.k, refine=opts.refine,
-                    sparse_engine=opts.sparse_engine,
-                )
-            opts = opts.resolve(self._segments.num_total)
-            if engine == "wave":
-                self._segments.prepare_search()
-                results, wave_stats = self._segments.graph_wave(
-                    [q],
-                    k=opts.k,
-                    l=opts.l,
-                    early_termination=opts.early_termination,
-                    rngs=[opts.rng],
-                    refine=opts.refine,
-                    sparse_engine=opts.sparse_engine,
-                    check_monotone=opts.check_monotone,
-                )
-                results[0].stats.merge(wave_stats)
-                return results[0]
-            return self._segments.search(
-                q,
-                k=opts.k,
-                l=opts.l,
-                early_termination=opts.early_termination,
-                engine=engine,
-                rng=opts.rng,
-                refine=opts.refine,
-                sparse_engine=opts.sparse_engine,
-                check_monotone=opts.check_monotone,
-            )
-        if opts.exact:
-            return self._flat().search(
-                q, opts.k, refine=opts.refine,
-                sparse_engine=opts.sparse_engine,
-            )
-        opts = opts.resolve(self.objects.n)
-        if engine == "wave":
-            from repro.index.graph_wave import graph_wave_search
-
-            results, wave_stats = graph_wave_search(
-                self.index,
-                [q],
-                k=opts.k,
-                l=opts.l,
-                early_termination=opts.early_termination,
-                rngs=[opts.rng],
-                refine=opts.refine,
-                check_monotone=opts.check_monotone,
-                sparse_engine=opts.sparse_engine,
-            )
-            results[0].stats.merge(wave_stats)
-            return results[0]
-        return joint_search(
-            self.index,
-            q,
-            k=opts.k,
-            l=opts.l,
-            early_termination=opts.early_termination,
-            engine=engine,
-            rng=opts.rng,
-            refine=opts.refine,
-            check_monotone=opts.check_monotone,
-            sparse_engine=opts.sparse_engine,
-        )
-
-    @staticmethod
-    def _embed_weights(q: Query, weights: Weights | None) -> Query:
-        """Fold a legacy batch-level ``weights=`` into the typed query."""
-        if weights is None or q.weights is not None:
-            return q
-        return _dc_replace(q, weights=weights)
-
-    @staticmethod
-    def _warn_legacy(name: str) -> None:
-        warnings.warn(
-            f"MUST.{name}(**kwargs) is a deprecated shim; build a typed "
-            f"request instead: must.query(Query(vector, ...), "
-            f"SearchOptions(...)) — see the README 'Query API' section",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    # ------------------------------------------------------------------
-    # Legacy keyword entry points (deprecation shims over MUST.query)
-    # ------------------------------------------------------------------
-    def search(
-        self,
-        query: MultiVector | Query,
-        k: int = 10,
-        l: int = 100,
-        weights: Weights | None = None,
-        early_termination: bool = False,
-        exact: bool = False,
-        refine: int | None = None,
-        **search_kwargs,
-    ) -> SearchResult:
-        """Joint top-*k* search for one multimodal query (legacy shim).
-
-        Deprecated in favour of :meth:`query`; results are bit-identical
-        to the typed path (this method merely builds the
-        :class:`Query`/:class:`SearchOptions` pair and delegates).
-        Unknown keyword arguments raise immediately with a did-you-mean
-        hint — a misspelled option used to be silently swallowed.
-
-        ``weights`` overrides the index weights at query time; ``exact``
-        bypasses the graph (brute force over the full-precision corpus,
-        the MUST-- behaviour — compression never touches this path on a
-        non-segmented instance).  ``refine=r`` runs the two-stage rerank
-        pipeline: the top ``r·k`` hot-tier survivors are re-scored at
-        full precision before cutting to *k* (the recall knob for
-        compressed stores).  On a segmented instance results carry
-        stable external ids, and the exact path is layout-independent
-        (bit-identical no matter how the corpus is split into segments).
-        """
-        self._warn_legacy("search")
-        opts = SearchOptions.from_kwargs(
-            k=k,
-            l=l,
-            exact=exact,
-            refine=refine,
-            early_termination=early_termination,
-            **search_kwargs,
-        )
-        return self._query_one(
-            self._embed_weights(as_query(query), weights), opts
-        )
-
-    def _flat(self) -> FlatIndex:
-        """Exact searcher sharing the live §IX deletion bitset (if any)."""
-        deleted = self._index.deleted if self._index is not None else None
-        return FlatIndex(self.space, deleted=deleted)
-
-    def batch_search(
-        self,
-        queries: "Sequence[MultiVector | Query]",
-        k: int = 10,
-        l: int = 100,
-        weights: Weights | None = None,
-        early_termination: bool = False,
-        exact: bool = False,
-        engine: str = "auto",
-        n_jobs: int = 1,
-        rng: int | None = 0,
-        refine: int | None = None,
-        **search_kwargs,
-    ) -> BatchResult:
-        """Joint top-*k* search for a batch of queries (legacy shim).
-
-        Deprecated in favour of :meth:`query` with a sequence of typed
-        queries — this method builds the equivalent request and
-        delegates, so results are bit-identical to the typed path.
-        Unknown keyword arguments raise with a did-you-mean hint.
-
-        The exact path scores all queries with a single GEMM per wave;
-        the graph path defaults to the lockstep wave engine
-        (``engine="auto"``), with ``engine="heap"``/``"paper"`` running
-        the per-query searchers, on a thread pool when ``n_jobs != 1``.
-        Each query draws its random init
-        vertices from its own child seed derived from ``rng``
-        (``SeedSequence.spawn``), so batches are deterministic without
-        every query sharing one init draw — and bit-identical for any
-        ``n_jobs``.  ``refine`` applies the two-stage full-precision
-        rerank per query (see :meth:`search`).  The returned
-        :class:`BatchResult` iterates like the old list of per-query
-        results and carries the aggregated per-batch
-        :class:`~repro.core.results.SearchStats` as ``.stats``.
-        """
-        self._warn_legacy("batch_search")
-        opts = SearchOptions.from_kwargs(
-            k=k,
-            l=l,
-            exact=exact,
-            refine=refine,
-            early_termination=early_termination,
-            engine=engine,
-            n_jobs=n_jobs,
-            rng=rng,
-            **search_kwargs,
-        )
-        typed = [
-            self._embed_weights(as_query(q), weights) for q in queries
-        ]
-        out = self.query(typed, opts)
-        assert isinstance(out, BatchResult)
-        return out
+            return execute(
+                target, [as_query(queries)], opts, [opts.rng]
+            ).results[0]
+        return execute(target, [as_query(q) for q in queries], opts)
 
     # ------------------------------------------------------------------
     # Serving (snapshot reads + micro-batch coalescing)
@@ -656,8 +402,8 @@ class MUST:
 
         Returns an :class:`~repro.service.IndexSnapshot`: later
         :meth:`insert` / :meth:`mark_deleted` / :meth:`compact` calls
-        never change what it answers, and its ``search`` mirrors
-        :meth:`search` bit for bit at capture time.  Capturing is cheap
+        never change what it answers, and its ``query`` mirrors
+        :meth:`query` bit for bit at capture time.  Capturing is cheap
         (no vector data is copied).  When other threads may be mutating
         this instance, serialise the capture with them — or use
         :meth:`serve`, which does.
@@ -697,7 +443,7 @@ class MUST:
         processes (vector planes shared at spawn, never pickled on the
         hot path), each coalesced wave scatters to every shard, and the
         gathered exact answers merge bit-identically to this instance's
-        own :meth:`search`.  ``config`` / extra keyword arguments are
+        own :meth:`query`.  ``config`` / extra keyword arguments are
         the same :class:`~repro.service.ServiceConfig` fields as
         :meth:`serve`; ``worker_timeout_s`` / ``mp_start`` pass through
         to the sharded constructor.

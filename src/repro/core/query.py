@@ -1,23 +1,19 @@
 """Typed request surface: queries, search options, and attribute filters.
 
-Every search entry point in the library — ``MUST.search`` /
-``batch_search``, :class:`~repro.index.flat.FlatIndex`,
-:class:`~repro.index.segments.SegmentedIndex`, the
-:class:`~repro.index.executor.BatchExecutor`, and
-:class:`~repro.service.MustService` — used to re-declare the same
-growing keyword sprawl, where a misspelled ``early_terminatoin=`` was
-silently swallowed.  This module replaces that surface with three frozen
-dataclasses:
+Every search surface in the library — :meth:`MUST.query`,
+:meth:`IndexSnapshot.query`, :class:`~repro.service.MustService` and the
+shard workers — takes the same three frozen dataclasses, and
+:func:`repro.index.executor.execute` is the one place a plan is
+interpreted:
 
 * :class:`Query` — one request: the multi-vector, plus optional
   per-query ``weights`` (Fig. 4(g) Option 2), a structured ``filter``,
   and a per-query ``k`` override.
 * :class:`SearchOptions` — the execution plan shared by a wave of
   queries (``k``, ``l``, ``exact``, ``refine``, ``early_termination``,
-  ``engine``, ``n_jobs``, ``rng``, ``check_monotone``), validated once
-  at construction with errors that name the offending field.
-  :meth:`SearchOptions.from_kwargs` is the legacy-shim gate: unknown
-  keyword names raise immediately with a did-you-mean suggestion.
+  ``engine``, ``rng``, ``check_monotone``), validated once at
+  construction with errors that name the offending field; a misspelled
+  field name is a ``TypeError`` from the dataclass constructor.
 * a :class:`Filter` mini-DSL (:class:`Eq` / :class:`In` /
   :class:`Range` / :class:`And` / :class:`Or` / :class:`Not`) over the
   per-corpus :class:`~repro.core.attributes.AttributeTable`, compiling
@@ -37,8 +33,7 @@ Filters compose with ``&``, ``|`` and ``~``::
 from __future__ import annotations
 
 import abc
-import difflib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Union
 
 import numpy as np
@@ -216,9 +211,7 @@ def compile_filter(
 
     *memo* lets a batch entry point compile each shared filter once per
     corpus slice instead of once per query — batches typically reuse
-    one ``Filter`` instance across every request in the wave.  Sharing
-    a memo across pool threads is safe: dict reads/writes are atomic
-    and a race merely recomputes the same mask.
+    one ``Filter`` instance across every request in the wave.
     """
     key = (id(flt), id(attributes))
     if memo is not None:
@@ -348,11 +341,9 @@ def unpack_query(
 class SearchOptions:
     """The validated execution plan for one search or one wave of them.
 
-    Construct directly (field errors name the field) or through
-    :meth:`from_kwargs`, which additionally rejects unknown keyword
-    names — the gate every legacy ``**search_kwargs`` entry point now
-    funnels through, so a typo'd ``early_terminatoin=`` fails loudly
-    instead of being silently dropped.
+    Field errors name the field; an unknown field name is a
+    ``TypeError`` from the constructor, so a typo'd
+    ``early_terminatoin=`` fails loudly instead of being dropped.
 
     ``refine=r`` is the two-stage rerank for compressed stores: the top
     ``r·k`` hot-tier survivors are re-scored against the exact cold
@@ -376,7 +367,6 @@ class SearchOptions:
     refine: "int | None" = None
     early_termination: bool = False
     engine: str = "auto"
-    n_jobs: int = 1
     rng: RngLike = 0
     check_monotone: bool = False
     collection: "str | None" = None
@@ -391,9 +381,8 @@ class SearchOptions:
             isinstance(self.l, int) and self.l >= 1,
             f"SearchOptions.l must be a positive int, got {self.l!r}",
         )
-        # l >= k is a *graph-path* contract (exact scans ignore l); the
-        # searcher enforces it, keeping legacy exact calls with k > l
-        # valid.
+        # l >= k is a *graph-path* contract (exact scans ignore l), so
+        # it is checked where the plan runs, not here.
         require(
             isinstance(self.exact, bool),
             f"SearchOptions.exact must be a bool, got {self.exact!r}",
@@ -421,11 +410,6 @@ class SearchOptions:
         except ValueError as exc:
             raise ValueError(f"SearchOptions.sparse_engine: {exc}") from None
         require(
-            isinstance(self.n_jobs, int),
-            f"SearchOptions.n_jobs must be an int (scikit-learn "
-            f"convention: 1 sequential, -1 all cores), got {self.n_jobs!r}",
-        )
-        require(
             isinstance(self.check_monotone, bool),
             f"SearchOptions.check_monotone must be a bool, got "
             f"{self.check_monotone!r}",
@@ -437,54 +421,16 @@ class SearchOptions:
             f"got {self.collection!r}",
         )
 
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
-
-    @classmethod
-    def validate_names(cls, names: Iterable[str], extra: tuple[str, ...] = ()) -> None:
-        """Reject unknown option names with a did-you-mean hint.
-
-        *extra* lists additional names a particular entry point accepts
-        (e.g. the legacy ``weights=``, which lives on :class:`Query` in
-        the typed surface).  This is the gate every legacy
-        ``**search_kwargs`` entry point funnels through, so a typo'd
-        ``early_terminatoin=`` fails loudly instead of being swallowed.
-        """
-        known = cls.field_names() + tuple(extra)
-        unknown = [name for name in names if name not in known]
-        if not unknown:
-            return
-        hints = []
-        for name in unknown:
-            close = difflib.get_close_matches(name, known, n=1)
-            if close:
-                hints.append(f"{name!r} (did you mean {close[0]!r}?)")
-            else:
-                hints.append(f"{name!r}")
-        raise TypeError(
-            f"unknown search option{'s' if len(unknown) > 1 else ''} "
-            f"{', '.join(hints)}; valid options: {', '.join(known)}"
-        )
-
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "SearchOptions":
-        """Build options from loose keywords, rejecting unknown names
-        (see :meth:`validate_names`) and out-of-range values alike."""
-        cls.validate_names(kwargs)
-        return cls(**kwargs)
-
     def resolve_engine(self, batch: bool) -> str:
         """Concrete graph engine for this plan.
 
-        ``"auto"`` (the default) picks the per-query heap engine for a
-        single query — preserving the historical single-query results
-        bit for bit — and the lockstep wave engine for a batch, where
-        per-query beam loops are the measured throughput trap (the
-        thread pool gives *negative* speedup on GIL-bound hops).  An
-        explicit engine name always wins, including ``"wave"`` on a
-        single query (a batch of one) and ``"heap"``/``"paper"`` on
-        batches (the per-query oracle the parity tests pin against).
+        ``"auto"`` (the default) picks the per-query heap engine for
+        an independent request and the lockstep wave engine for a
+        batch, where per-query beam loops are the measured throughput
+        trap.  An explicit engine name always wins, including
+        ``"wave"`` on a single query (a batch of one) and
+        ``"heap"``/``"paper"`` on batches (the per-query oracle the
+        parity tests pin against).
         """
         if self.engine != "auto":
             return self.engine
@@ -493,12 +439,9 @@ class SearchOptions:
     def resolve(self, n: int) -> "SearchOptions":
         """Clamp the result-set size to the corpus: ``l = min(l, n)``.
 
-        The one place the ``l`` clamp now lives — applied to the
-        single-graph *and* the segmented path, which historically
-        disagreed (only the former clamped).  ``l`` never drops below
-        ``k``, so a corpus smaller than ``k`` searches with ``l = k``
-        and simply returns every admissible object (the historical
-        unclamped-``l`` error for that corner is gone).
+        ``l`` never drops below ``k``, so a corpus smaller than ``k``
+        searches with ``l = k`` and simply returns every admissible
+        object.
         """
         clamped = max(min(self.l, int(n)), self.k)
         if clamped == self.l:
@@ -508,16 +451,3 @@ class SearchOptions:
     def updated(self, **changes: Any) -> "SearchOptions":
         """A copy with *changes* applied (re-validated)."""
         return replace(self, **changes)
-
-    def to_kwargs(self, exclude: tuple[str, ...] = ()) -> dict[str, Any]:
-        """Field → value mapping for legacy ``**kwargs`` call sites.
-
-        The one derivation the service plan and the snapshot read path
-        share, so a new field can never be silently dropped by a
-        hand-written copy of the schema.
-        """
-        return {
-            name: getattr(self, name)
-            for name in self.field_names()
-            if name not in exclude
-        }

@@ -15,8 +15,7 @@ spirit of openTSNE's ``KNNIndex``/``VALID_METRICS`` pattern:
   ``inverted`` posting-list engine or its brute-force ``exact`` oracle.
 
 Both tables are validated *once, up front* — at ``MUST(...)`` /
-``SearchOptions`` construction — with did-you-mean errors mirroring
-:meth:`~repro.core.query.SearchOptions.validate_names`, so a typo'd
+``SearchOptions`` construction — with did-you-mean errors, so a typo'd
 ``metric="cosin"`` fails at the constructor instead of deep inside a
 scorer.
 

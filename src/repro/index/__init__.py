@@ -10,15 +10,23 @@
   deletion-aware and GEMM-batched.
 * :class:`Scorer` / :func:`batch_score_all` — the unified scoring engine
   every search path (graph engines, flat scan, baselines) routes through.
-* :class:`BatchExecutor` — batched / thread-parallel query execution with
-  per-query child seeds and aggregated per-batch stats.
+* :func:`execute` — the one dispatcher that interprets a
+  :class:`~repro.core.query.SearchOptions` plan, over the
+  :class:`BatchExecutor` strategy runners (GEMM waves, lockstep graph
+  waves, the per-query oracle loop) with per-query child seeds and
+  aggregated per-batch stats.
 * :class:`SegmentedIndex` — the §IX dynamic-update subsystem: streaming
   inserts into a mutable delta segment, sealed immutable segments, and
   automatic compaction under a :class:`SegmentPolicy`.
 """
 
 from repro.index.base import GraphIndex
-from repro.index.executor import BatchExecutor, BatchResult
+from repro.index.executor import (
+    BatchExecutor,
+    BatchResult,
+    GraphTarget,
+    execute,
+)
 from repro.index.flat import FlatIndex
 from repro.index.graphs import (
     HCNNGBuilder,
@@ -52,6 +60,8 @@ __all__ = [
     "Segment",
     "BatchExecutor",
     "BatchResult",
+    "GraphTarget",
+    "execute",
     "Scorer",
     "MatrixScorer",
     "batch_score_all",

@@ -1,56 +1,66 @@
-"""Batched and parallel query execution over one index.
+"""Plan execution: the one dispatcher and the batch strategies behind it.
 
-:class:`BatchExecutor` is the throughput layer every batch entry point
-(:meth:`MUST.batch_search`, the baselines' batch paths, the QPS
-harness) shares.  Two execution strategies, both returning per-query
-:class:`~repro.core.results.SearchResult` objects in input order plus a
-batch-aggregated :class:`~repro.core.results.SearchStats`:
+:func:`execute` is the only place a
+:class:`~repro.core.query.SearchOptions` plan is interpreted.  Every
+search surface — :meth:`MUST.query`, :meth:`IndexSnapshot.query`, the
+serving dispatcher's per-request, coalesced-wave and containment-retry
+paths, and the shard workers — hands it a *target* (a
+:class:`~repro.index.segments.SegmentView`, or a :class:`GraphTarget`
+for a single fused graph), typed queries and the plan, and it makes the
+five decisions once: the ``l >= k`` plan check, the
+:meth:`~repro.core.query.SearchOptions.resolve` clamp, exact vs graph,
+engine resolution, and the per-result wave-stats merge.
 
-* **Flat wave** (:meth:`run_flat`) — all fast-path queries in the batch
-  are stacked and scored against the whole corpus with a single GEMM
-  (:func:`~repro.index.scoring.batch_score_all`) instead of one GEMV
-  scan per query.
-* **Graph pool** (:meth:`run_graph`) — graph search is control-flow
-  heavy, so queries run concurrently on a thread pool.  Each task is a
-  stateless per-query searcher (its own scorer, heaps, and stats), the
-  index and corpus are shared read-only, and the heavy scoring kernels
-  release the GIL inside BLAS — the preconditions that make the pool
-  both safe and useful.  In practice the beam loop is too Python-heavy
-  for the pool to win (measured 0.88–0.95× on graph batches), which is
-  why the default plan now routes graph batches to the wave engine.
-* **Graph wave** (:meth:`run_graph_wave`) — the lockstep batched beam
-  search of :func:`~repro.index.graph_wave.graph_wave_search`: every
-  wave scores all queries' frontiers in one stacked call, the batch
-  default selected by ``SearchOptions(engine="auto")``.
+What it picks from, each returning per-query
+:class:`~repro.core.results.SearchResult` objects in input order inside
+a :class:`BatchResult`:
 
-Every strategy records the plan it actually executed in
-:attr:`BatchResult.plan`, so benchmarks can assert which path ran
-instead of trusting the configuration.
+* **Flat wave** (:meth:`BatchExecutor.run_flat`) — the whole batch is
+  stacked and scored against the corpus with a single GEMM
+  (:func:`~repro.index.scoring.batch_score_all`).
+* **Graph wave** (:meth:`BatchExecutor.run_graph_wave`) — the lockstep
+  batched beam search of
+  :func:`~repro.index.graph_wave.graph_wave_search`: every wave scores
+  all queries' frontiers in one stacked call.
+* **Segmented** (:meth:`BatchExecutor.run_segmented`) — the same two
+  over a :class:`~repro.index.segments.SegmentView`.
+* **Graph loop** — one :func:`~repro.index.search.joint_search` (or
+  cross-segment :meth:`SegmentView.search`) per query, sequentially:
+  the Algorithm-2 oracle the parity suites compare the wave engine
+  against, and what a lone ``engine="auto"`` request runs.
 
-Determinism: each query draws its init vertices from its own
-:class:`numpy.random.SeedSequence` child
-(:func:`~repro.utils.rng.spawn_seed_sequences`), so a batch is exactly
-reproducible from ``rng`` **and** bit-identical whether it runs on one
-thread or many — scheduling only changes completion order, never a
-query's arithmetic.
+The plan that actually executed is recorded in :attr:`BatchResult.plan`,
+so benchmarks can assert which path ran instead of trusting the
+configuration.
+
+Determinism: each query draws its init vertices from its own seed — a
+:class:`numpy.random.SeedSequence` child of the plan's ``rng``
+(:func:`~repro.utils.rng.spawn_seed_sequences`) for a batch, the
+request's own ``rng`` for an independent request — so a query's
+arithmetic never depends on its batch-mates.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass, field
+from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.multivector import MultiVector
-from repro.core.query import Query, SearchOptions
+from repro.core.query import FilterMemo, Query, RngLike, SearchOptions
 from repro.core.results import SearchResult, SearchStats
+from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex
-from repro.utils.parallel import resolve_n_jobs, thread_map
+from repro.index.flat import FlatIndex
+from repro.index.graph_wave import graph_wave_search
+from repro.index.search import joint_search
+from repro.index.segments import SegmentView
 from repro.utils.rng import spawn_seed_sequences
 
-__all__ = ["BatchResult", "BatchExecutor"]
+__all__ = ["BatchResult", "BatchExecutor", "GraphTarget", "execute"]
 
 logger = logging.getLogger(__name__)
 
@@ -59,241 +69,162 @@ logger = logging.getLogger(__name__)
 QueryLike = MultiVector | Query
 
 
-@dataclass
 class BatchResult:
     """One batch's answers: a sequence of per-query results + total work.
 
-    Behaves like the plain ``list[SearchResult]`` the sequential loop
-    used to return (len / iteration / indexing), with the aggregated
-    batch counters on :attr:`stats`.  :attr:`plan` names the execution
-    strategy that actually ran (e.g. ``"graph/wave"``,
-    ``"graph/pool(n_jobs=4)"``, ``"exact/gemm"``) so callers and
-    benchmarks can assert the chosen path instead of inferring it.
+    Behaves like a plain ``list[SearchResult]`` (len / iteration /
+    indexing), with the aggregated batch counters on :attr:`stats`
+    (summed from the per-query stats on first read unless the producer
+    supplied them).  :attr:`plan` names the execution strategy that
+    actually ran (e.g. ``"graph/wave"``, ``"graph/loop"``,
+    ``"exact/gemm"``) so callers and benchmarks can assert the chosen
+    path instead of inferring it.
     """
 
-    results: list[SearchResult]
-    stats: SearchStats = field(default_factory=SearchStats)
-    plan: str = ""
+    def __init__(
+        self,
+        results: list[SearchResult],
+        stats: SearchStats | None = None,
+        plan: str = "",
+    ) -> None:
+        self.results = results
+        self._stats = stats
+        self.plan = plan
+
+    @property
+    def stats(self) -> SearchStats:
+        if self._stats is None:
+            self._stats = SearchStats.aggregate(r.stats for r in self.results)
+        return self._stats
 
     def __len__(self) -> int:
         return len(self.results)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[SearchResult]:
         return iter(self.results)
 
-    def __getitem__(self, i):
+    def __getitem__(self, i: int) -> SearchResult:
         return self.results[i]
 
 
-class BatchExecutor:
-    """Runs many queries over one index, batched and optionally parallel.
+class GraphTarget(NamedTuple):
+    """A single fused graph plus the space its exact plans scan.
 
-    ``n_jobs`` follows the scikit-learn convention (``1`` sequential,
-    ``-1`` all cores); ``rng`` seeds the whole batch — per-query child
-    seeds are derived from it.
+    The two differ under ``compression=``: the graph serves from the
+    compressed store while exact plans keep scanning the full-precision
+    corpus.  ``index`` is ``None`` on a not-yet-built framework, which
+    can still answer exact plans.
     """
 
-    def __init__(self, n_jobs: int = 1, rng: int | None = 0):
-        self.n_jobs = resolve_n_jobs(n_jobs)
-        self.rng = rng
+    index: GraphIndex | None
+    exact_space: JointSpace
 
-    @classmethod
-    def from_options(cls, options: SearchOptions) -> "BatchExecutor":
-        """Executor configured by a typed plan (``n_jobs`` + ``rng``)."""
-        return cls(n_jobs=options.n_jobs, rng=options.rng)
+    def flat(self) -> FlatIndex:
+        """Exact scanner sharing the graph's §IX deletion bitset.
 
-    # ------------------------------------------------------------------
-    # Graph path
-    # ------------------------------------------------------------------
-    def run_graph(
-        self,
-        index: GraphIndex,
-        queries: list[QueryLike],
-        k: int,
-        l: int,
-        weights: Weights | None = None,
-        early_termination: bool = False,
-        engine: str = "heap",
-        **search_kwargs,
-    ) -> BatchResult:
-        """Thread-pooled :func:`~repro.index.search.joint_search` batch."""
-        from repro.index.search import joint_search
+        Built per request: the graph allocates its bitset lazily on the
+        first ``mark_deleted``, so a scanner held across one would keep
+        reading ``None``.
+        """
+        deleted = None if self.index is None else self.index.deleted
+        return FlatIndex(self.exact_space, deleted=deleted)
 
-        queries = list(queries)
-        seeds = spawn_seed_sequences(self.rng, len(queries))
-        # Touch the lazy concatenated matrix once so pool workers never
-        # race to materialise it (compressed stores have none — their
-        # per-query kernels are thread-local by construction).
-        if not index.space.is_compressed:
-            index.space.concatenated
-        # Shared per-wave cache: queries reusing one Filter instance
-        # compile it once, not once per query (safe across pool threads).
-        memo: dict = {}
 
-        def one(task: tuple[QueryLike, np.random.SeedSequence]) -> SearchResult:
-            query, seed = task
-            return joint_search(
-                index,
-                query,
-                k=k,
-                l=l,
-                weights=weights,
-                early_termination=early_termination,
-                engine=engine,
-                rng=np.random.default_rng(seed),
-                filter_memo=memo,
-                **search_kwargs,
-            )
+class BatchExecutor:
+    """The batch strategies :func:`execute` picks from: each answers
+    many queries with stacked calls instead of one call per query."""
 
-        results = thread_map(one, zip(queries, seeds), n_jobs=self.n_jobs)
-        plan = f"graph/pool(n_jobs={self.n_jobs})"
-        logger.debug("batch plan: %s (%d queries)", plan, len(queries))
-        return BatchResult(
-            results, SearchStats.aggregate(r.stats for r in results),
-            plan=plan,
-        )
-
+    @staticmethod
     def run_graph_wave(
-        self,
         index: GraphIndex,
-        queries: list[QueryLike],
+        queries: Sequence[QueryLike],
+        rngs: Sequence[RngLike],
         k: int,
         l: int,
-        weights: Weights | None = None,
         early_termination: bool = False,
         refine: int | None = None,
         check_monotone: bool = False,
         sparse_engine: str = "auto",
     ) -> BatchResult:
         """Lockstep batched graph search — one stacked scoring call per
-        wave (:func:`~repro.index.graph_wave.graph_wave_search`).
+        wave (:func:`~repro.index.graph_wave.graph_wave_search`), one
+        seed per query.
 
-        Per-query child seeds are spawned from ``rng`` exactly as in
-        :meth:`run_graph`, and the engine is single-threaded vectorised
-        code, so results are independent of ``n_jobs`` by construction.
         The batch stats aggregate the per-query counters and fold in
         the wave-level ``waves``/``frontier_sizes`` trace.
         """
-        from repro.index.graph_wave import graph_wave_search
-
-        queries = list(queries)
         results, wave_stats = graph_wave_search(
             index,
             queries,
             k=k,
             l=l,
-            weights=weights,
             early_termination=early_termination,
-            rng=self.rng,
+            rngs=rngs,
             refine=refine,
             check_monotone=check_monotone,
             filter_memo={},
             sparse_engine=sparse_engine,
         )
-        stats = SearchStats.aggregate(r.stats for r in results)
-        stats.merge(wave_stats)
-        plan = "graph/wave"
+        out = BatchResult(results, plan="graph/wave")
+        out.stats.merge(wave_stats)
         logger.debug(
             "batch plan: %s (%d queries, %d waves)",
-            plan, len(queries), wave_stats.waves,
+            out.plan, len(results), wave_stats.waves,
         )
-        return BatchResult(results, stats, plan=plan)
+        return out
 
-    # ------------------------------------------------------------------
-    # Segmented path
-    # ------------------------------------------------------------------
+    @staticmethod
     def run_segmented(
-        self,
-        segmented,
-        queries: list[QueryLike],
+        view: SegmentView,
+        queries: Sequence[QueryLike],
+        rngs: Sequence[RngLike],
         k: int,
         l: int = 100,
-        weights: Weights | None = None,
         early_termination: bool = False,
-        engine: str = "heap",
         exact: bool = False,
         refine: int | None = None,
+        check_monotone: bool = False,
         sparse_engine: str = "auto",
-        **search_kwargs,
     ) -> BatchResult:
-        """Batch over a :class:`~repro.index.segments.SegmentedIndex`
-        (or any :class:`~repro.index.segments.SegmentView`, e.g. a
-        frozen serving snapshot — both expose the same search surface).
+        """Batch over a :class:`~repro.index.segments.SegmentView` (live
+        or frozen).
 
-        The graph path pools cross-segment searches exactly like
-        :meth:`run_graph` — each query gets its own SeedSequence child,
-        from which the segmented index spawns per-segment grandchildren,
-        so results stay bit-identical for any ``n_jobs``.  The exact path
-        runs one GEMM wave per segment and merges per query.  ``refine``
-        enables the two-stage full-precision rerank on either path.
+        ``exact=True`` runs one GEMM wave per segment and merges per
+        query (``rngs`` is not read); otherwise one lockstep traversal
+        per segment carries the whole batch, each query's seed spawning
+        per-segment grandchildren inside the view.  ``refine`` enables
+        the two-stage full-precision rerank on either path.
         """
-        queries = list(queries)
         if exact:
-            results = segmented.exact_batch(
-                queries, k, weights=weights, refine=refine,
-                sparse_engine=sparse_engine,
-            )
             return BatchResult(
-                results, SearchStats.aggregate(r.stats for r in results),
+                view.exact_batch(
+                    list(queries), k, refine=refine,
+                    sparse_engine=sparse_engine,
+                ),
                 plan="exact/segment-gemm",
             )
-        if engine == "wave":
-            segmented.prepare_search()
-            results, wave_stats = segmented.graph_wave(
-                queries,
-                k=k,
-                l=l,
-                weights=weights,
-                early_termination=early_termination,
-                rng=self.rng,
-                refine=refine,
-                sparse_engine=sparse_engine,
-                **search_kwargs,
-            )
-            stats = SearchStats.aggregate(r.stats for r in results)
-            stats.merge(wave_stats)
-            plan = "graph/wave"
-            logger.debug(
-                "batch plan: %s (%d queries, %d segment waves)",
-                plan, len(queries), wave_stats.waves,
-            )
-            return BatchResult(results, stats, plan=plan)
-        seeds = spawn_seed_sequences(self.rng, len(queries))
-        # Materialise the delta graph + per-segment concat matrices before
-        # the pool starts, so workers never race to build them.
-        segmented.prepare_search()
-        # Per-wave filter cache, keyed by (filter, segment table) so one
-        # dict serves every segment (rides to joint_search via kwargs).
-        memo: dict = {}
-
-        def one(task: tuple[QueryLike, np.random.SeedSequence]) -> SearchResult:
-            query, seed = task
-            return segmented.search(
-                query,
-                k=k,
-                l=l,
-                weights=weights,
-                early_termination=early_termination,
-                engine=engine,
-                rng=seed,
-                refine=refine,
-                sparse_engine=sparse_engine,
-                filter_memo=memo,
-                **search_kwargs,
-            )
-
-        results = thread_map(one, zip(queries, seeds), n_jobs=self.n_jobs)
-        plan = f"graph/pool(n_jobs={self.n_jobs})"
-        logger.debug("batch plan: %s (%d queries)", plan, len(queries))
-        return BatchResult(
-            results, SearchStats.aggregate(r.stats for r in results),
-            plan=plan,
+        results, wave_stats = view.graph_wave(
+            list(queries),
+            k=k,
+            l=l,
+            early_termination=early_termination,
+            rngs=list(rngs),
+            refine=refine,
+            check_monotone=check_monotone,
+            sparse_engine=sparse_engine,
         )
+        out = BatchResult(results, plan="graph/wave")
+        out.stats.merge(wave_stats)
+        logger.debug(
+            "batch plan: %s (%d queries, %d segment waves)",
+            out.plan, len(results), wave_stats.waves,
+        )
+        return out
 
+    @staticmethod
     def run_exact_wave(
-        self,
-        view,
-        queries: list[QueryLike],
+        view: SegmentView,
+        queries: Sequence[QueryLike],
         k: int,
         weights: Weights | None = None,
         refine: int | None = None,
@@ -311,33 +242,151 @@ class BatchExecutor:
         :meth:`run_segmented` with ``exact=True`` whose stacked GEMM
         carries the ~1e-7 similarity caveat.
         """
-        results = view.exact_wave(
-            list(queries), k, weights=weights, refine=refine, margin=margin,
-            sparse_engine=sparse_engine,
-        )
         return BatchResult(
-            results, SearchStats.aggregate(r.stats for r in results),
+            view.exact_wave(
+                list(queries), k, weights=weights, refine=refine,
+                margin=margin, sparse_engine=sparse_engine,
+            ),
             plan="exact/wave",
         )
 
-    # ------------------------------------------------------------------
-    # Flat (exact) path
-    # ------------------------------------------------------------------
+    @staticmethod
     def run_flat(
-        self,
-        flat,
-        queries: list[QueryLike],
+        flat: FlatIndex,
+        queries: Sequence[QueryLike],
         k: int,
         weights: Weights | None = None,
         refine: int | None = None,
         sparse_engine: str = "auto",
     ) -> BatchResult:
         """Single-GEMM exact batch over a :class:`FlatIndex`."""
-        results = flat.batch_search(
-            list(queries), k, weights=weights, refine=refine,
-            sparse_engine=sparse_engine,
-        )
         return BatchResult(
-            results, SearchStats.aggregate(r.stats for r in results),
+            flat.batch_search(
+                list(queries), k, weights=weights, refine=refine,
+                sparse_engine=sparse_engine,
+            ),
             plan="exact/gemm",
         )
+
+
+def execute(
+    target: SegmentView | GraphTarget,
+    queries: Sequence[Query],
+    options: SearchOptions,
+    rngs: Sequence[RngLike] | None = None,
+) -> BatchResult:
+    """Run typed *queries* against *target* under one validated plan.
+
+    ``rngs=None`` is **a batch**: per-query child seeds are spawned from
+    ``options.rng``, ``engine="auto"`` means the lockstep wave engine,
+    and an exact plan shares stacked GEMM waves (ranks, not bits, match
+    the per-query scan — see :meth:`FlatIndex.batch_search`).
+
+    ``rngs=[...]`` (one seed per query) is **independent requests** that
+    merely share a plan — a lone query (``rngs=[options.rng]``), a
+    coalesced serving group, a shard's slice of one: ``engine="auto"``
+    means the per-query heap engine, an exact plan scans per request
+    (bit-exact), and on the wave engine every result also carries the
+    traversal's ``waves``/``frontier_sizes`` trace, so an answer reads
+    the same alone or coalesced.
+
+    An explicit ``engine="heap"``/``"paper"`` on a batch runs the
+    per-query searcher once per query, in order, under the spawned
+    child seeds.
+
+    ``l`` is clamped to the target's size here and nowhere else; an
+    explicit ``l < k`` on a graph plan is an error, raised before any
+    scoring (exact scans ignore ``l``).
+    """
+    if not options.exact and options.l < options.k:
+        raise ValueError(
+            f"result set size l={options.l} must be at least k={options.k}"
+        )
+    batch = rngs is None
+    if options.exact:
+        shared: dict[str, Any] = dict(
+            refine=options.refine, sparse_engine=options.sparse_engine
+        )
+        if isinstance(target, SegmentView):
+            if batch:
+                return BatchExecutor.run_segmented(
+                    target, queries, (), options.k, exact=True, **shared
+                )
+            scan = target.exact_search
+        else:
+            flat = target.flat()
+            if batch:
+                return BatchExecutor.run_flat(
+                    flat, queries, options.k, **shared
+                )
+            scan = flat.search
+        return BatchResult(
+            [scan(q, options.k, **shared) for q in queries], plan="exact/scan"
+        )
+    if isinstance(target, SegmentView):
+        opts = options.resolve(target.num_total)
+    elif target.index is None:
+        raise ValueError("call build() first")
+    else:
+        opts = options.resolve(target.index.n)
+    engine = opts.resolve_engine(batch)
+    seeds: Sequence[RngLike]
+    if rngs is not None:
+        seeds = rngs
+    elif isinstance(options.rng, np.random.Generator):
+        raise ValueError(
+            "a batch spawns one child seed per query from rng — pass an "
+            "int or SeedSequence, not a live Generator"
+        )
+    else:
+        seeds = spawn_seed_sequences(options.rng, len(queries))
+    if engine == "wave":
+        plan: dict[str, Any] = dict(
+            k=opts.k,
+            l=opts.l,
+            early_termination=opts.early_termination,
+            refine=opts.refine,
+            check_monotone=opts.check_monotone,
+            sparse_engine=opts.sparse_engine,
+        )
+        if isinstance(target, SegmentView):
+            out = BatchExecutor.run_segmented(target, queries, seeds, **plan)
+        else:
+            out = BatchExecutor.run_graph_wave(
+                target.index, queries, seeds, **plan
+            )
+        if not batch:
+            wave = SearchStats(
+                waves=out.stats.waves, frontier_sizes=out.stats.frontier_sizes
+            )
+            for res in out.results:
+                res.stats.merge(wave)
+        return out
+    # Shared per-batch cache: queries reusing one Filter instance
+    # compile it once per corpus slice, not once per query.
+    memo: FilterMemo = {}
+    search = (
+        target.search
+        if isinstance(target, SegmentView)
+        else functools.partial(joint_search, target.index)
+    )
+    # Spelled out rather than a **plan dict: this is the lone-query path,
+    # where the dict and its merge are a measurable share of dispatch.
+    return BatchResult(
+        [
+            search(
+                query,
+                k=opts.k,
+                l=opts.l,
+                early_termination=opts.early_termination,
+                engine=engine,
+                rng=seed,
+                refine=opts.refine,
+                check_monotone=opts.check_monotone,
+                sparse_engine=opts.sparse_engine,
+                filter_memo=memo,
+            )
+            for query, seed in zip(queries, seeds)
+        ],
+        plan="graph/loop",
+    )

@@ -46,7 +46,8 @@ class FlatIndex:
     the graph allocates its bitset lazily on the first ``mark_deleted``,
     so a ``None`` captured here stays ``None``; construct the
     :class:`FlatIndex` after the bitset exists (or per search, as
-    :meth:`MUST._flat` does) to track later deletions.
+    :meth:`~repro.index.executor.GraphTarget.flat` does) to track later
+    deletions.
 
     ``ids`` optionally remaps results into an external id space: result
     entry ``j`` reports ``ids[local_j]`` instead of the local row number.

@@ -3,9 +3,9 @@
 The per-query engines in :mod:`repro.index.search` route one query at a
 time: every hop is a Python loop iteration that gathers one adjacency
 list and scores it with one GEMV.  A batch of ``b`` queries therefore
-pays ``b × hops`` interpreter round-trips, which is why the thread-pool
-executor shows *negative* speedup on graph batches (the beam loop is
-GIL-bound and BLAS calls are too small to overlap).
+pays ``b × hops`` interpreter round-trips, and threads cannot hide
+them (the beam loop is GIL-bound and BLAS calls are too small to
+overlap).
 
 This module restructures Algorithm 2 the way ``exact_wave`` restructured
 the exact scan: all queries advance their beam frontiers **in lockstep**.
@@ -37,7 +37,7 @@ vertices still route.
 Determinism contract: every per-row reduction is independent of the
 other rows, each query draws its init from its own seed, and each
 query's pools are truncated to the width its *own* ``l`` implies — so a
-query's answer never depends on its wave-mates or on ``n_jobs``.
+query's answer never depends on its wave-mates.
 Results are not bit-identical to the per-query heap engine (expansion
 *order* differs across queries), which is why the per-query path is
 kept as the recall oracle in the parity tests.
@@ -160,7 +160,7 @@ def graph_wave_search(
     ``rngs`` supplies one rng per query (the serving path, where each
     request carries its own seed); otherwise per-query children are
     spawned from ``rng`` exactly like
-    :class:`~repro.index.executor.BatchExecutor`.  ``ks``/``ls`` are
+    :func:`~repro.index.executor.execute`.  ``ks``/``ls`` are
     per-query overrides used by the segmented layer, which sizes each
     segment probe individually.
 

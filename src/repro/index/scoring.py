@@ -33,8 +33,7 @@ scoring branches.  This module is now their single home:
 :class:`Scorer` binds one (space, query, weights, early-termination)
 configuration; it is cheap to construct and **stateless between calls**
 apart from the stats counters, which is what makes one-scorer-per-query
-execution safe under the thread-pool of
-:class:`~repro.index.executor.BatchExecutor`.
+execution safe when several threads read one index.
 
 :func:`batch_score_all` is the batched (many queries × whole corpus)
 variant: all fast-path queries are stacked into one matrix and scored

@@ -25,8 +25,7 @@ All similarity arithmetic (concat fast path, per-modality fallback,
 Lemma-4 pruning, stats accounting) lives in the shared
 :class:`~repro.index.scoring.Scorer`; the engines here only own the
 routing.  Batches of queries should go through
-:class:`~repro.index.executor.BatchExecutor` rather than a caller-side
-loop.
+:func:`~repro.index.executor.execute` rather than a caller-side loop.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import heapq
 import numpy as np
 
 from repro.core.multivector import MultiVector
-from repro.core.query import Query, unpack_query
+from repro.core.query import Query, RngLike, unpack_query
 from repro.core.results import SearchResult, SearchStats
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex
@@ -56,7 +55,7 @@ def joint_search(
     weights: Weights | None = None,
     early_termination: bool = False,
     engine: str = "heap",
-    rng: np.random.Generator | int | None = 0,
+    rng: RngLike = 0,
     check_monotone: bool = False,
     refine: int | None = None,
     filter_memo: dict | None = None,

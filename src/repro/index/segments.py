@@ -27,8 +27,8 @@ segmented index, the architecture streaming vector stores use:
   from the exact cold tier so quantisation error never accumulates.
 
 All cross-segment searching lives in :class:`SegmentView`, a fixed
-list of segments: :class:`SegmentedIndex` delegates its search entry
-points to a live view, and :meth:`SegmentedIndex.snapshot` returns a
+list of segments: :meth:`SegmentedIndex.view` is a live view, and
+:meth:`SegmentedIndex.snapshot` returns a
 **frozen** view (copied bitsets, detached containers) whose answers
 later inserts/deletes/compactions can never change — the snapshot
 primitive the serving layer (:mod:`repro.service`) batches against.
@@ -47,8 +47,7 @@ are **bit-identical regardless of how the corpus is split into
 segments**; the exact batch path keeps the per-segment GEMM waves (same
 ~1e-7 numerics caveat as :meth:`FlatIndex.batch_search`).  Graph-path
 determinism mirrors the executor: per-segment init draws come from
-:class:`numpy.random.SeedSequence` children, so batches are
-bit-identical for any thread count.
+:class:`numpy.random.SeedSequence` children of each query's own seed.
 """
 
 from __future__ import annotations
@@ -312,9 +311,8 @@ def _segment_rngs(rng, count: int) -> list:
     """One init-draw source per segment, deterministic per query.
 
     A :class:`~numpy.random.SeedSequence` (or an int/None seed)
-    spawns independent children — the property that makes batch
-    results identical for any thread count; a live Generator is
-    shared sequentially (legacy single-query behaviour)."""
+    spawns independent children; a live Generator is shared
+    sequentially."""
     if isinstance(rng, np.random.Generator):
         return [rng] * count
     if not isinstance(rng, np.random.SeedSequence):
@@ -325,8 +323,8 @@ def _segment_rngs(rng, count: int) -> list:
 class SegmentView:
     """A fixed list of searchable segments — the cross-segment read path.
 
-    :class:`SegmentedIndex` delegates every search entry point to a view
-    over its current segments, and :meth:`SegmentedIndex.snapshot`
+    :meth:`SegmentedIndex.view` is a live view over the current
+    segments, and :meth:`SegmentedIndex.snapshot`
     returns a **frozen** view (copied deletion bitsets, detached index
     containers) that later inserts/deletes/compactions can never touch —
     the snapshot-isolation primitive the serving layer
@@ -373,10 +371,10 @@ class SegmentView:
 
     def prepare_search(self) -> None:
         """Materialise every lazy artifact (per-segment concatenated
-        matrices) so thread-pool workers never race to build them.
-        Compressed segments have no concat matrix to build — materialising
-        one would undo the compression — and their per-query kernels are
-        thread-local by construction."""
+        matrices) so threads reading one frozen view never race to
+        build them.  Compressed segments have no concat matrix to build
+        — materialising one would undo the compression — and their
+        per-query kernels are thread-local by construction."""
         for seg in self.segments:
             if not seg.space.is_compressed:
                 seg.space.concatenated
@@ -510,7 +508,7 @@ class SegmentView:
         Determinism mirrors the per-query path: each query's
         SeedSequence child spawns per-segment grandchildren
         (:func:`_segment_rngs`), so results are independent of batch
-        composition and thread count.  ``rngs`` supplies one seed per
+        composition.  ``rngs`` supplies one seed per
         query (the serving path); otherwise children are spawned from
         ``rng``.  A shared ``filter_memo`` compiles each distinct
         :class:`~repro.core.query.Filter` once per segment table, not
@@ -1604,76 +1602,6 @@ class SegmentedIndex:
         c = index.space.concatenated
         centroid = c[alive].mean(axis=0)
         index.seed_vertex = int(alive[np.argmax(c[alive] @ centroid)])
-
-    # ------------------------------------------------------------------
-    # Searching (delegated to a live SegmentView over the segments)
-    # ------------------------------------------------------------------
-    def search(
-        self,
-        query: MultiVector | Query,
-        k: int = 10,
-        l: int = 100,
-        weights: Weights | None = None,
-        early_termination: bool = False,
-        engine: str = "heap",
-        rng: np.random.Generator | np.random.SeedSequence | int | None = 0,
-        refine: int | None = None,
-        **search_kwargs,
-    ) -> SearchResult:
-        """Cross-segment graph search — see :meth:`SegmentView.search`."""
-        return self.view().search(
-            query,
-            k=k,
-            l=l,
-            weights=weights,
-            early_termination=early_termination,
-            engine=engine,
-            rng=rng,
-            refine=refine,
-            **search_kwargs,
-        )
-
-    def graph_wave(
-        self,
-        queries: list[MultiVector | Query],
-        k: int = 10,
-        l: int = 100,
-        **kwargs,
-    ) -> tuple[list[SearchResult], SearchStats]:
-        """Cross-segment lockstep batch — see :meth:`SegmentView.graph_wave`."""
-        return self.view().graph_wave(queries, k=k, l=l, **kwargs)
-
-    def exact_search(
-        self,
-        query: MultiVector | Query,
-        k: int = 10,
-        weights: Weights | None = None,
-        refine: int | None = None,
-        sparse_engine: str = "auto",
-    ) -> SearchResult:
-        """Exact cross-segment top-*k* — see :meth:`SegmentView.exact_search`."""
-        return self.view().exact_search(query, k, weights=weights,
-                                        refine=refine,
-                                        sparse_engine=sparse_engine)
-
-    def exact_batch(
-        self,
-        queries: list[MultiVector | Query],
-        k: int,
-        weights: Weights | None = None,
-        refine: int | None = None,
-        sparse_engine: str = "auto",
-    ) -> list[SearchResult]:
-        """Exact GEMM-wave batch — see :meth:`SegmentView.exact_batch`."""
-        return self.view().exact_batch(queries, k, weights=weights,
-                                       refine=refine,
-                                       sparse_engine=sparse_engine)
-
-    def prepare_search(self) -> None:
-        """Materialise every lazy artifact (delta graph, per-segment
-        concatenated matrices) so thread-pool workers never race to
-        build them — see :meth:`SegmentView.prepare_search`."""
-        self.view().prepare_search()
 
     # ------------------------------------------------------------------
     # Persistence

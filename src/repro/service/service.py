@@ -10,14 +10,15 @@ code.  Three mechanisms, each visible in :class:`ServiceStats`:
   stragglers) and executes them as one wave.  Exact requests with the
   same plan share per-segment GEMM prefilters
   (:meth:`IndexSnapshot.exact_wave`), so 32 concurrent exact callers
-  cost a few GEMMs instead of 32 full scans; graph requests run their
-  usual per-query searchers (thread-pooled when ``n_jobs > 1`` —
-  useful on multicore, a no-op on one core).
+  cost a few GEMMs instead of 32 full scans; ``engine="wave"`` graph
+  requests with the same plan share one lockstep traversal
+  (:meth:`IndexSnapshot.graph_wave`); other graph requests run their
+  usual per-query searcher one after another.
 * **Snapshot-isolated reads** — each wave runs against an immutable
   :class:`~repro.service.snapshot.IndexSnapshot` captured under the
   write lock, so :meth:`insert` / :meth:`mark_deleted` /
   :meth:`compact` proceed concurrently without any lock on the read
-  path.  Every response equals what ``MUST.search`` would have
+  path.  Every response equals what ``MUST.query`` would have
   answered at its wave's capture time — a search overlapping a
   compaction returns the pre- or post-compaction answer, never a
   torn hybrid.
@@ -37,7 +38,7 @@ code.  Three mechanisms, each visible in :class:`ServiceStats`:
   snapshot capture error) fails only that tenant's share of the wave.
 
 Determinism: a request's graph-path init draws come from its own
-``rng`` argument (default 0, like :meth:`MUST.search`), never from
+``SearchOptions.rng`` (default 0, like :meth:`MUST.query`), never from
 batch composition — so the answer to a request does not depend on
 which other requests happened to share its wave.
 """
@@ -47,7 +48,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-import warnings
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, cast
@@ -55,13 +55,11 @@ from typing import TYPE_CHECKING, Any, cast
 import numpy as np
 
 from repro.core.multivector import MultiVector, MultiVectorSet
-from repro.core.query import Query, SearchOptions
+from repro.core.query import Query, SearchOptions, as_query
 from repro.core.results import SearchResult
-from repro.core.weights import Weights
 from repro.service.collections import Collection, CollectionManager
 from repro.service.snapshot import IndexSnapshot
 from repro.service.stats import ServiceStats
-from repro.utils.parallel import thread_map
 from repro.utils.validation import require
 
 if TYPE_CHECKING:
@@ -105,9 +103,9 @@ class ServiceConfig:
     or the oldest one has waited ``max_wait_ms``.  ``max_queue`` bounds
     accepted-but-undispatched requests; ``backpressure`` picks what a
     full queue does to ``submit`` (``"block"`` waits up to
-    ``submit_timeout_s``, ``"reject"`` raises immediately).  ``n_jobs``
-    sizes the graph-path thread pool per wave.  ``exact_margin`` is the
-    prefilter safety band of the coalesced exact wave (see
+    ``submit_timeout_s``, ``"reject"`` raises immediately).
+    ``exact_margin`` is the prefilter safety band of the coalesced
+    exact wave (see
     :meth:`~repro.index.segments.SegmentView.exact_wave`).
     """
 
@@ -116,7 +114,6 @@ class ServiceConfig:
     max_queue: int = 256
     backpressure: str = "block"
     submit_timeout_s: float | None = 30.0
-    n_jobs: int = 1
     exact_margin: float = 1e-4
     latency_window: int = 10_000
 
@@ -138,52 +135,17 @@ class ServiceConfig:
 
 @dataclass
 class _Request:
-    """One queued search: the query, its plan, and the client's future.
+    """One queued search: the typed query, its validated plan, the
+    collection it routes to, and the client's future."""
 
-    ``query`` may be a typed :class:`Query` (per-request weights, filter,
-    and k override ride inside); ``kwargs`` is the legacy-shaped plan the
-    dispatcher executes with.  Plan values are validated *at execution*,
-    so a malformed request fails through its own future instead of
-    poisoning ``submit`` — the historical containment contract.
-    """
-
-    query: MultiVector | Query
-    kwargs: dict[str, Any]
+    query: Query
+    options: SearchOptions
     collection: Collection
     future: "Future[SearchResult]" = field(default_factory=Future)
     submitted: float = field(default_factory=time.perf_counter)
 
 
 _STOP = object()  # queue sentinel: drain everything before it, then exit
-
-
-def _weights_key(weights: object) -> tuple[Any, ...] | None:
-    """Hashable plan-grouping key for a request's ``weights`` slot.
-
-    Normalisation at submit means this is a :class:`Weights` or ``None``
-    on every ordinary path; anything else (a malformed legacy value that
-    could not be normalised) gets an identity key so it groups *alone*
-    and fails through its own future instead of poisoning a shared wave.
-    """
-    if weights is None:
-        return None
-    if isinstance(weights, Weights):
-        return tuple(float(x) for x in weights.squared)
-    return ("unnormalised", id(weights))
-
-
-def _plan(options: SearchOptions) -> dict[str, Any]:
-    """The dispatcher's execution plan for one request.
-
-    Derived from the dataclass fields (plus the legacy batch-level
-    ``weights`` slot, which lives on :class:`Query` in the typed
-    surface) so the service can never drift out of sync when
-    :class:`SearchOptions` grows a field.
-    """
-    # n_jobs excluded: pool sizing is ServiceConfig's, per wave.
-    plan = options.to_kwargs(exclude=("n_jobs",))
-    plan["weights"] = None
-    return plan
 
 
 class MustService:
@@ -202,10 +164,10 @@ class MustService:
     route writes through the service so they serialise with snapshot
     capture.
 
-    Parity: a response is bit-identical to ``MUST.search`` with the
+    Parity: a response is bit-identical to ``MUST.query`` with the
     same arguments against the request's snapshot — on every path of a
     segmented instance, and on the graph path of a single-graph
-    instance; single-graph *exact* requests coalesce through the legacy
+    instance; single-graph *exact* requests coalesce through the
     GEMM batch (same ranks, similarities within ~1e-7 — see
     :meth:`IndexSnapshot.exact_wave`).
 
@@ -330,89 +292,35 @@ class MustService:
         self,
         query: MultiVector | Query,
         options: SearchOptions | None = None,
-        **legacy_kwargs: Any,
     ) -> "Future[SearchResult]":
         """Enqueue one search; returns a future resolving to its
         :class:`~repro.core.results.SearchResult`.
 
-        The typed form — ``submit(Query(vector, filter=...),
-        SearchOptions(k=5, exact=True))`` — is preferred; per-query
-        weights/filter/k ride inside the :class:`Query` and
+        Per-query weights/filter/k ride inside the :class:`Query` and
         ``options.rng`` seeds this request's graph-path init draws
         (exact requests ignore it).  ``options.collection`` routes the
         request to a named collection (``None`` → ``"default"``); an
         unknown name raises :class:`~repro.service.UnknownCollection`
-        here, before the queue.  Legacy keyword arguments mirroring
-        :meth:`MUST.search` (``k=, l=, weights=, exact=, ...``) still
-        work as a deprecation shim, answering bit-identically; unknown
-        names raise with a did-you-mean hint.  Raises
-        :class:`ServiceOverloaded` when admission control drops the
-        request (its :class:`CollectionOverloaded` subclass when the
-        request's own tenant budget is the one exhausted) and
-        :class:`ServiceClosed` after :meth:`close`.
+        here, before the queue.  Raises :class:`ServiceOverloaded` when
+        admission control drops the request (its
+        :class:`CollectionOverloaded` subclass when the request's own
+        tenant budget is the one exhausted) and :class:`ServiceClosed`
+        after :meth:`close`.
         """
-        if legacy_kwargs:
-            require(
-                options is None,
-                "pass either a SearchOptions or legacy keyword "
-                "arguments, not both",
-            )
-            warnings.warn(
-                "MustService.submit(**kwargs) is a deprecated shim; pass "
-                "a typed Query/SearchOptions pair instead — see the "
-                "README 'Query API' section",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # Unknown names fail fast with a did-you-mean hint; value
-            # errors surface at execution through the request's future
-            # (the containment contract above).
-            SearchOptions.validate_names(legacy_kwargs, extra=("weights",))
-            require(
-                "n_jobs" not in legacy_kwargs,
-                "n_jobs is a service-level knob — set "
-                "ServiceConfig(n_jobs=...) instead of passing it per "
-                "request",
-            )
-            kwargs = _plan(SearchOptions())
-            kwargs.update(legacy_kwargs)
-            raw = kwargs.get("weights")
-            if raw is not None and not isinstance(raw, Weights):
-                # Legacy callers pass raw squared-weight sequences; the
-                # plan groupers key on ``.squared``, so a raw list used
-                # to raise AttributeError at wave level and fail every
-                # wave-mate's future.  Normalise here; a malformed value
-                # stays as-is and fails through its own future at
-                # execution (the containment contract).
-                try:
-                    kwargs["weights"] = Weights(raw)
-                except Exception:
-                    pass
-        else:
-            opts = options if options is not None else SearchOptions()
-            require(
-                isinstance(opts, SearchOptions),
-                f"options must be a SearchOptions instance, got "
-                f"{type(opts).__name__} — build one with SearchOptions(...)",
-            )
-            require(
-                opts.n_jobs == 1,
-                "n_jobs is a service-level knob — set "
-                "ServiceConfig(n_jobs=...) instead of passing it per "
-                "request",
-            )
-            kwargs = _plan(opts)
-        # Resolve the collection eagerly: addressing errors (unknown
-        # name) fail fast at the call site like unknown kwargs do, and
-        # the admission path needs the Collection for its quota census.
-        name = kwargs.get("collection")
+        opts = options if options is not None else SearchOptions()
         require(
-            name is None or isinstance(name, str),
-            f"collection must be a str or None, got {name!r}",
+            isinstance(opts, SearchOptions),
+            f"options must be a SearchOptions instance, got "
+            f"{type(opts).__name__} — build one with SearchOptions(...)",
         )
-        collection = self.collections.get(name)
-        kwargs["collection"] = collection.name
-        req = _Request(query=query, kwargs=kwargs, collection=collection)
+        # Resolve the collection eagerly: an unknown name fails fast at
+        # the call site, and the admission path needs the Collection
+        # for its quota census.
+        req = _Request(
+            query=as_query(query),
+            options=opts,
+            collection=self.collections.get(opts.collection),
+        )
         self._admit(req)  # counts the submit inside its critical section
         return req.future
 
@@ -523,16 +431,13 @@ class MustService:
         self,
         query: MultiVector | Query,
         options: SearchOptions | None = None,
-        **params: Any,
     ) -> SearchResult:
         """Blocking single search — :meth:`submit` + ``result()``.
 
         This is the call each concurrent client thread makes; the
-        dispatcher coalesces whatever is waiting into one wave.  Takes
-        a typed ``(query, options)`` pair or the legacy keyword form,
-        exactly like :meth:`submit`.
+        dispatcher coalesces whatever is waiting into one wave.
         """
-        return self.submit(query, options, **params).result()
+        return self.submit(query, options).result()
 
     def snapshot(self, collection: str | None = None) -> IndexSnapshot | None:
         """The snapshot serving a collection's next wave (lazy per epoch)."""
@@ -692,49 +597,38 @@ class MustService:
         collection.stats.record_batch(len(reqs), collection.pending)
 
         # Only an *explicit* engine="wave" request coalesces into a
-        # lockstep wave; "auto" resolves per-query on the snapshot
-        # read path, preserving the historical bit-parity pins.
-        graph_reqs = [
-            r for r in reqs
-            if not r.kwargs["exact"] and r.kwargs.get("engine") != "wave"
-        ]
-        wave_reqs = [
-            r for r in reqs
-            if not r.kwargs["exact"] and r.kwargs.get("engine") == "wave"
-        ]
-        exact_reqs = [r for r in reqs if r.kwargs["exact"]]
+        # lockstep wave; "auto" means the per-query heap engine for an
+        # independent request.
+        graph_reqs: list[_Request] = []
+        wave_reqs: list[_Request] = []
+        exact_reqs: list[_Request] = []
+        for req in reqs:
+            if req.options.exact:
+                exact_reqs.append(req)
+            elif req.options.engine == "wave":
+                wave_reqs.append(req)
+            else:
+                graph_reqs.append(req)
         if graph_reqs:
-            self._run_graph(snap, graph_reqs)
+            self._run_requests(snap, graph_reqs)
         for group in self._wave_groups(wave_reqs):
             self._run_graph_wave(snap, group)
         for group in self._exact_groups(exact_reqs):
             self._run_exact(snap, group)
 
-    def _run_graph(
+    def _run_requests(
         self, snap: IndexSnapshot | None, reqs: list[_Request]
     ) -> None:
-        """Per-query searchers over the shared snapshot, thread-pooled.
-
-        Each request keeps its own kwargs (including ``rng``), so the
-        wave is arithmetic-identical to dispatching the requests one by
-        one — pooling only overlaps them.
-        """
+        """Per-query searchers over the shared snapshot, one request at
+        a time — also the containment retry of a failed group: a
+        request answers (or fails through its own future) exactly as
+        if dispatched alone."""
         view = self._require_snap(snap)
-
-        def one(req: _Request) -> SearchResult | Exception:
+        for req in reqs:
             try:
-                kwargs = {
-                    key: value
-                    for key, value in req.kwargs.items()
-                    if key not in ("exact", "collection")
-                }
-                return view.search(req.query, **kwargs)
+                self._resolve(req, view.query(req.query, req.options))
             except Exception as exc:  # propagate per request, not per wave
-                return exc
-
-        outcomes = thread_map(one, reqs, n_jobs=self.config.n_jobs)
-        for req, outcome in zip(reqs, outcomes):
-            self._resolve(req, outcome)
+                self._resolve(req, exc)
 
     @staticmethod
     def _require_snap(snap: IndexSnapshot | None) -> IndexSnapshot:
@@ -751,20 +645,20 @@ class MustService:
         """Group ``engine="wave"`` requests sharing one lockstep plan.
 
         Per-request ``rng`` seeds never fragment a group — the engine
-        takes one rng per query — and typed per-query weights/filters/k
-        ride inside each :class:`Query`; only the plan-level parameters
-        that parameterise the traversal itself must match.
+        takes one rng per query — and per-query weights/filters/k ride
+        inside each :class:`Query`; only the plan fields that
+        parameterise the traversal itself must match.
         """
         groups: dict[tuple[Any, ...], list[_Request]] = {}
         for req in reqs:
+            opts = req.options
             key = (
-                req.kwargs["k"],
-                req.kwargs["l"],
-                req.kwargs["refine"],
-                req.kwargs["early_termination"],
-                req.kwargs["check_monotone"],
-                req.kwargs["sparse_engine"],
-                _weights_key(req.kwargs["weights"]),
+                opts.k,
+                opts.l,
+                opts.refine,
+                opts.early_termination,
+                opts.check_monotone,
+                opts.sparse_engine,
             )
             groups.setdefault(key, []).append(req)
         return list(groups.values())
@@ -780,60 +674,38 @@ class MustService:
         callers only amortises the traversal, never changes a result.
         """
         view = self._require_snap(snap)
-        kwargs = reqs[0].kwargs
         try:
-            results, wave_stats = view.graph_wave(
+            batch = view.graph_wave(
                 [r.query for r in reqs],
-                k=kwargs["k"],
-                l=kwargs["l"],
-                weights=kwargs["weights"],
-                early_termination=kwargs["early_termination"],
-                refine=kwargs["refine"],
-                check_monotone=kwargs["check_monotone"],
-                rngs=[r.kwargs["rng"] for r in reqs],
-                sparse_engine=kwargs["sparse_engine"],
+                reqs[0].options,
+                [r.options.rng for r in reqs],
             )
         except Exception:
-            # One request's doing (an unknown filter attribute, a bad
-            # plan value) must not fail its wave-mates — retry
-            # individually so only the offender's future errors.
-            for req in reqs:
-                try:
-                    retry = {
-                        key: value
-                        for key, value in req.kwargs.items()
-                        if key not in ("exact", "collection")
-                    }
-                    self._resolve(req, view.search(req.query, **retry))
-                except Exception as exc:
-                    self._resolve(req, exc)
+            # One request's doing (an unknown filter attribute, say)
+            # must not fail its wave-mates — retry individually so only
+            # the offender's future errors.
+            self._run_requests(snap, reqs)
             return
         self.stats.record_graph_wave(
-            wave_stats.waves, wave_stats.frontier_sizes
+            batch.stats.waves, batch.stats.frontier_sizes
         )
         reqs[0].collection.stats.record_graph_wave(
-            wave_stats.waves, wave_stats.frontier_sizes
+            batch.stats.waves, batch.stats.frontier_sizes
         )
-        for req, res in zip(reqs, results):
-            res.stats.merge(wave_stats)
+        for req, res in zip(reqs, batch.results):
             self._resolve(req, res)
 
     def _exact_groups(self, reqs: list[_Request]) -> list[list[_Request]]:
-        """Group exact requests sharing one wave plan (k, weights, refine).
+        """Group exact requests sharing one wave plan.
 
-        Typed per-query weights/filters/k overrides ride inside each
+        Per-query weights/filters/k overrides ride inside each
         request's :class:`Query` and are handled natively by the exact
-        wave, so they never fragment a group; only the plan-level
-        (legacy batch) parameters must match.
+        wave, so they never fragment a group.
         """
         groups: dict[tuple[Any, ...], list[_Request]] = {}
         for req in reqs:
-            key = (
-                req.kwargs["k"],
-                req.kwargs["refine"],
-                req.kwargs["sparse_engine"],
-                _weights_key(req.kwargs["weights"]),
-            )
+            opts = req.options
+            key = (opts.k, opts.refine, opts.sparse_engine)
             groups.setdefault(key, []).append(req)
         return list(groups.values())
 
@@ -841,32 +713,21 @@ class MustService:
         self, snap: IndexSnapshot | None, reqs: list[_Request]
     ) -> None:
         view = self._require_snap(snap)
-        kwargs = reqs[0].kwargs
+        opts = reqs[0].options
         try:
             results = view.exact_wave(
                 [r.query for r in reqs],
-                kwargs["k"],
-                weights=kwargs["weights"],
-                refine=kwargs["refine"],
+                opts.k,
+                refine=opts.refine,
                 margin=self.config.exact_margin,
-                sparse_engine=kwargs["sparse_engine"],
+                sparse_engine=opts.sparse_engine,
             )
         except Exception:
-            # A wave failure may be one request's doing (a typed filter
-            # naming an unknown attribute, a malformed plan value) —
-            # retry individually so only the offender's future errors
-            # and its wave-mates still get answers (the per-request
-            # containment contract).
-            for req in reqs:
-                try:
-                    retry = {
-                        key: value
-                        for key, value in req.kwargs.items()
-                        if key != "collection"
-                    }
-                    self._resolve(req, view.search(req.query, **retry))
-                except Exception as exc:
-                    self._resolve(req, exc)
+            # A wave failure may be one request's doing (a filter naming
+            # an unknown attribute, say) — retry individually so only
+            # the offender's future errors and its wave-mates still get
+            # answers (the per-request containment contract).
+            self._run_requests(snap, reqs)
             return
         for req, res in zip(reqs, results):
             self._resolve(req, res)

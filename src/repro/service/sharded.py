@@ -1,9 +1,8 @@
 """Process-sharded serving tier: N worker processes, one coalescing front-end.
 
-Every hot path in the library is GIL-bound on its Python half, so the
-thread-pooled executors show flat-to-negative speedup (see
-``BENCH_batch_qps``).  :class:`ShardedService` breaks that ceiling the
-only way CPython allows: the corpus is partitioned by external id
+Every hot path in the library is GIL-bound on its Python half, so
+threads cannot scale it.  :class:`ShardedService` breaks that ceiling
+the only way CPython allows: the corpus is partitioned by external id
 (``ext_id % n_shards``) across **worker processes**, each holding its
 own :class:`~repro.index.segments.SegmentedIndex` over its slice.
 
@@ -35,7 +34,9 @@ bounded queue, admission control, micro-batch coalescing dispatcher,
 and plan grouping.  Only the group executors differ — each coalesced
 group scatters to every live shard (exact groups via the shard's
 ``exact_wave``, lockstep graph groups via ``graph_wave``, per-query
-graph requests via a per-item command), gathers the per-shard pools,
+graph requests via a per-item command — each message carries the
+group's :class:`~repro.core.query.SearchOptions`, which the worker hands
+to :func:`repro.index.executor.execute`), gathers the per-shard pools,
 and merges a global top-k with
 :func:`~repro.index.segments._merge_candidates`.
 
@@ -84,11 +85,12 @@ import numpy as np
 
 from repro.core.attributes import AttributeTable
 from repro.core.multivector import MultiVector, MultiVectorSet
-from repro.core.query import Query
+from repro.core.query import Query, RngLike, SearchOptions
 from repro.core.results import SearchResult, SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.base import reseat_on_store
+from repro.index.executor import BatchResult, execute
 from repro.index.segments import SegmentedIndex, SegmentView, _merge_candidates
 from repro.service.collections import Collection, CollectionManager
 from repro.service.service import MustService, ServiceConfig, _Request
@@ -112,65 +114,6 @@ class ShardFailed(RuntimeError):
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _resolved_k(query: MultiVector | Query, k: int) -> int:
-    """Per-request k: a typed Query's override wins over the plan k."""
-    if isinstance(query, Query) and query.k is not None:
-        return int(query.k)
-    return int(k)
-
-
-def _view_search(
-    view: SegmentView, query: MultiVector | Query, plan: dict[str, Any]
-) -> SearchResult:
-    """One request against a shard view, mirroring ``IndexSnapshot.search``.
-
-    Used for per-query graph requests and for containment retries of a
-    failed group, so a request answers (or fails) exactly as it would
-    against a single-process snapshot of this shard's slice.
-    """
-    kwargs = dict(plan)
-    kwargs.pop("collection", None)  # routing already happened
-    exact = bool(kwargs.pop("exact", False))
-    engine = kwargs.pop("engine", "auto")
-    weights = kwargs.pop("weights", None)
-    k = kwargs.pop("k", 10)
-    l = kwargs.pop("l", 100)
-    refine = kwargs.pop("refine", None)
-    early = kwargs.pop("early_termination", False)
-    sparse_engine = kwargs.pop("sparse_engine", "auto")
-    if exact:
-        return view.exact_search(
-            query, k, weights=weights, refine=refine,
-            sparse_engine=sparse_engine,
-        )
-    if engine == "wave":
-        results, wave_stats = view.graph_wave(
-            [query],
-            k=k,
-            l=l,
-            weights=weights,
-            early_termination=early,
-            refine=refine,
-            check_monotone=bool(kwargs.pop("check_monotone", False)),
-            rngs=[kwargs.pop("rng", 0)],
-            sparse_engine=sparse_engine,
-        )
-        results[0].stats.merge(wave_stats)
-        return results[0]
-    engine = "heap" if engine == "auto" else engine
-    return view.search(
-        query,
-        k=k,
-        l=l,
-        weights=weights,
-        early_termination=early,
-        engine=engine,
-        refine=refine,
-        sparse_engine=sparse_engine,
-        **kwargs,
-    )
-
-
 def _empty_result() -> SearchResult:
     return SearchResult(
         ids=np.zeros(0, dtype=np.int64),
@@ -273,59 +216,48 @@ class _ShardCollection:
 
     # Commands ---------------------------------------------------------
     def exact_wave(
-        self,
-        queries: list[MultiVector | Query],
-        k: int,
-        weights: Weights | None,
-        refine: int | None,
-        margin: float,
-        sparse_engine: str = "auto",
+        self, queries: list[Query], options: SearchOptions, margin: float
     ) -> list[SearchResult]:
         view = self.view()
         if view.num_segments == 0:
             return [_empty_result() for _ in queries]
         return view.exact_wave(
-            queries, k, weights=weights, refine=refine, margin=margin,
-            sparse_engine=sparse_engine,
+            queries,
+            options.k,
+            refine=options.refine,
+            margin=margin,
+            sparse_engine=options.sparse_engine,
         )
 
     def graph_wave(
         self,
-        queries: list[MultiVector | Query],
-        plan: dict[str, Any],
-        seeds: list[Any],
-    ) -> tuple[list[SearchResult], SearchStats]:
+        queries: list[Query],
+        options: SearchOptions,
+        seeds: list[RngLike],
+    ) -> BatchResult:
         view = self.view()
         if view.num_segments == 0:
-            return [_empty_result() for _ in queries], SearchStats()
-        return view.graph_wave(
-            queries,
-            k=plan["k"],
-            l=plan["l"],
-            weights=plan["weights"],
-            early_termination=plan["early_termination"],
-            refine=plan["refine"],
-            check_monotone=plan["check_monotone"],
-            sparse_engine=plan.get("sparse_engine", "auto"),
-            rngs=seeds,
-        )
+            return BatchResult([_empty_result() for _ in queries])
+        return execute(view, queries, options, seeds)
 
     def search_many(
-        self, items: list[tuple[MultiVector | Query, dict[str, Any]]]
+        self, items: list[tuple[Query, SearchOptions]]
     ) -> list[tuple[str, Any]]:
         """Per-item outcomes: ``("ok", result)`` or ``("err", exc)``.
 
         The containment unit — one malformed request errors alone while
-        its batch-mates still answer from this shard.
+        its batch-mates still answer from this shard, each exactly as
+        it would against a single-process snapshot of this slice.
         """
         out: list[tuple[str, Any]] = []
-        for query, plan in items:
+        for query, options in items:
             try:
                 view = self.view()
                 if view.num_segments == 0:
                     out.append(("ok", _empty_result()))
                 else:
-                    out.append(("ok", _view_search(view, query, plan)))
+                    batch = execute(view, [query], options, [options.rng])
+                    out.append(("ok", batch.results[0]))
             except Exception as exc:
                 out.append(("err", exc))
         return out
@@ -1125,38 +1057,25 @@ class ShardedService(MustService):
     def _run_exact(
         self, snap: IndexSnapshot | None, reqs: list[_Request]
     ) -> None:
-        plan = reqs[0].kwargs
-        name = reqs[0].collection.name
         queries = [r.query for r in reqs]
         command = (
             "exact_wave",
-            name,
+            reqs[0].collection.name,
             queries,
-            plan["k"],
-            plan["weights"],
-            plan["refine"],
+            reqs[0].options,
             self.config.exact_margin,
-            plan.get("sparse_engine", "auto"),
         )
         replies = self._gather(
             {s: (command, len(queries)) for s in self.live_shards}
         )
-        self._finish_group(reqs, replies, plan, wave_stats_slot=None)
+        self._finish_group(reqs, replies)
 
     def _run_graph_wave(
         self, snap: IndexSnapshot | None, reqs: list[_Request]
     ) -> None:
-        plan = reqs[0].kwargs
         name = reqs[0].collection.name
         queries = [r.query for r in reqs]
-        seeds = [self._shard_seeds(r.kwargs["rng"]) for r in reqs]
-        group_plan = {
-            key: plan[key]
-            for key in (
-                "k", "l", "weights", "early_termination", "refine",
-                "check_monotone", "sparse_engine",
-            )
-        }
+        seeds = [self._shard_seeds(r.options.rng) for r in reqs]
         replies = self._gather(
             {
                 s: (
@@ -1164,7 +1083,7 @@ class ShardedService(MustService):
                         "graph_wave",
                         name,
                         queries,
-                        group_plan,
+                        reqs[0].options,
                         [per_req[s] for per_req in seeds],
                     ),
                     len(queries),
@@ -1172,9 +1091,9 @@ class ShardedService(MustService):
                 for s in self.live_shards
             }
         )
-        self._finish_group(reqs, replies, plan, wave_stats_slot=1)
+        self._finish_group(reqs, replies)
 
-    def _run_graph(
+    def _run_requests(
         self, snap: IndexSnapshot | None, reqs: list[_Request]
     ) -> None:
         """Per-query graph requests: one ``search_many`` per shard.
@@ -1184,15 +1103,14 @@ class ShardedService(MustService):
         through its own future while batch-mates still merge — the same
         containment the in-process dispatcher guarantees.
         """
-        seeds = [self._shard_seeds(r.kwargs["rng"]) for r in reqs]
+        seeds = [self._shard_seeds(r.options.rng) for r in reqs]
         name = reqs[0].collection.name
         messages: dict[int, tuple[tuple[Any, ...], int]] = {}
         for shard in self.live_shards:
-            items = []
-            for req, per_req in zip(reqs, seeds):
-                plan = dict(req.kwargs)
-                plan["rng"] = per_req[shard]
-                items.append((req.query, plan))
+            items = [
+                (req.query, req.options.updated(rng=per_req[shard]))
+                for req, per_req in zip(reqs, seeds)
+            ]
             messages[shard] = (("search_many", name, items), len(items))
         replies = self._gather(messages)
         dead = [r for r in replies.values() if isinstance(r, Exception)]
@@ -1218,7 +1136,7 @@ class ShardedService(MustService):
                 self._resolve(req, error)
                 continue
             ids, sims = _merge_candidates(
-                parts, _resolved_k(req.query, req.kwargs["k"])
+                parts, req.query.resolve_k(req.options.k)
             )
             self._resolve(
                 req,
@@ -1230,11 +1148,7 @@ class ShardedService(MustService):
             )
 
     def _finish_group(
-        self,
-        reqs: list[_Request],
-        replies: dict[int, Any],
-        plan: dict[str, Any],
-        wave_stats_slot: int | None,
+        self, reqs: list[_Request], replies: dict[int, Any]
     ) -> None:
         """Merge per-shard pools into per-request answers.
 
@@ -1246,7 +1160,9 @@ class ShardedService(MustService):
           offending future errors;
         * otherwise each request's per-shard pools merge by
           ``(-similarity, external id)`` — the exact path's bit-parity
-          merge.
+          merge.  A graph group's per-shard results already carry their
+          shard's traversal trace, so the summed stats match the
+          in-process wave path.
         """
         dead = [r for r in replies.values() if isinstance(r, Exception)]
         errors = [
@@ -1259,20 +1175,19 @@ class ShardedService(MustService):
                 self._resolve(req, dead[0])
             return
         if errors:
-            self._retry_individually(reqs)
+            # Containment: rerun the group one request at a time.
+            self._run_requests(None, reqs)
             return
-        batch_stats: list[SearchStats] = []
-        per_shard_results: list[Any] = []
+        per_shard_results: list[list[SearchResult]] = []
+        wave_stats: list[SearchStats] = []
         for shard in sorted(replies):
             payload = replies[shard][1]
-            if wave_stats_slot is None:
-                per_shard_results.append(payload)
-            else:
-                per_shard_results.append(payload[0])
-                batch_stats.append(payload[wave_stats_slot])
-        total = None
-        if batch_stats:
-            total = SearchStats.aggregate(batch_stats)
+            if isinstance(payload, BatchResult):
+                wave_stats.append(payload.stats)
+                payload = payload.results
+            per_shard_results.append(payload)
+        if wave_stats:
+            total = SearchStats.aggregate(wave_stats)
             self.stats.record_graph_wave(total.waves, total.frontier_sizes)
         for j, req in enumerate(reqs):
             parts = [
@@ -1280,22 +1195,14 @@ class ShardedService(MustService):
                 for results in per_shard_results
             ]
             ids, sims = _merge_candidates(
-                parts, _resolved_k(req.query, plan["k"])
+                parts, req.query.resolve_k(req.options.k)
             )
             stats = SearchStats.aggregate(
                 [results[j].stats for results in per_shard_results]
             )
-            if total is not None:
-                # Mirror the in-process wave path: each result also
-                # carries the batch-level traversal trace.
-                stats.merge(total)
             self._resolve(
                 req, SearchResult(ids=ids, similarities=sims, stats=stats)
             )
-
-    def _retry_individually(self, reqs: list[_Request]) -> None:
-        """Containment: rerun a failed group one request at a time."""
-        self._run_graph(None, reqs)
 
     # ------------------------------------------------------------------
     # Write path — routed by external id to the owning shard

@@ -12,6 +12,7 @@ from repro.baselines import (
     merge_candidates,
 )
 from repro.core.multivector import MultiVector
+from repro.core.query import SearchOptions
 from repro.core.weights import Weights
 from repro.datasets import EncoderCombo, encode_dataset
 
@@ -177,7 +178,7 @@ class TestFrameworkOrdering:
         must.build()
         test_q = enc.queries[20:]
         test_gt = gt[20:]
-        must_res = [must.search(q, k=10, l=80) for q in test_q]
+        must_res = [must.query(q, SearchOptions(k=10, l=80)) for q in test_q]
         must_r = mean_hit_rate([r.ids for r in must_res], test_gt, 10)
 
         je = JointEmbeddingSearch(enc.objects).build()

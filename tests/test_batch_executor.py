@@ -1,10 +1,11 @@
 """Parity suite for the unified scoring engine + batch executor.
 
-The contract under test: ``MUST.batch_search`` through the
-:class:`~repro.index.executor.BatchExecutor` returns **bit-identical**
-ids and similarities to a hand-written sequential loop with the same
-per-query child seeds — for every ``n_jobs``, both engines, with and
-without Lemma-4 early termination and query-time weight overrides.
+The contract under test: a batch ``MUST.query`` through the
+:class:`~repro.index.executor.BatchExecutor` runners returns
+**bit-identical** ids and similarities to a hand-written sequential
+loop with the same per-query child seeds — for every batch size, both
+engines, with and without Lemma-4 early termination and query-time
+weight overrides.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.framework import MUST
+from repro.core.query import Query, SearchOptions
 from repro.core.results import SearchStats
 from repro.core.weights import Weights
 from repro.index.executor import BatchExecutor, BatchResult
@@ -58,48 +60,58 @@ def sequential_reference(must, queries, rng=0, **kwargs):
 
 
 class TestGraphParity:
-    @pytest.mark.parametrize("n_jobs", [1, 2, 4, -1])
+    # queries[:stop] — batches of one, two, four and eleven queries: the
+    # number of child seeds spawned must not change any one of them.
+    @pytest.mark.parametrize("stop", [1, 2, 4, -1])
     @pytest.mark.parametrize("engine", ["heap", "paper"])
     @pytest.mark.parametrize("early_termination", [False, True])
     def test_bit_identical_to_sequential_loop(
-        self, must, queries, n_jobs, engine, early_termination
+        self, must, queries, stop, engine, early_termination
     ):
+        queries = queries[:stop]
         expected = sequential_reference(
             must, queries, engine=engine, early_termination=early_termination
         )
-        got = must.batch_search(
-            queries, k=K, l=L, engine=engine,
-            early_termination=early_termination, n_jobs=n_jobs,
+        got = must.query(
+            queries,
+            SearchOptions(
+                k=K, l=L, engine=engine, early_termination=early_termination
+            ),
         )
+        assert got.plan == "graph/loop"
         assert len(got) == len(expected)
         for res, ref in zip(got, expected):
             assert np.array_equal(res.ids, ref.ids)
             assert np.array_equal(res.similarities, ref.similarities)
 
-    @pytest.mark.parametrize("n_jobs", [1, 3])
-    def test_weight_override_parity(self, must, queries, n_jobs):
+    @pytest.mark.parametrize("stop", [1, 3])
+    def test_weight_override_parity(self, must, queries, stop):
+        queries = queries[:stop]
         override = Weights([0.9, 0.1])
         expected = sequential_reference(must, queries, weights=override)
         # Pin the heap engine: the sequential reference is heap-engine
-        # output, and the batch default now routes to the wave engine.
-        got = must.batch_search(queries, k=K, l=L, weights=override,
-                                engine="heap", n_jobs=n_jobs)
+        # output, and the batch default routes to the wave engine.
+        got = must.query(
+            [Query(q, weights=override) for q in queries],
+            SearchOptions(k=K, l=L, engine="heap"),
+        )
         for res, ref in zip(got, expected):
             assert np.array_equal(res.ids, ref.ids)
             assert np.array_equal(res.similarities, ref.similarities)
 
-    def test_parallel_identical_to_executor_sequential(self, must, queries):
-        seq = must.batch_search(queries, k=K, l=L, n_jobs=1)
-        par = must.batch_search(queries, k=K, l=L, n_jobs=4)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.ids, b.ids)
-            assert np.array_equal(a.similarities, b.similarities)
-
     def test_batch_reproducible_from_rng(self, must, queries):
-        a = must.batch_search(queries, k=K, l=L, rng=42)
-        b = must.batch_search(queries, k=K, l=L, rng=42, n_jobs=2)
+        a = must.query(queries, SearchOptions(k=K, l=L, rng=42))
+        b = must.query(queries, SearchOptions(k=K, l=L, rng=42))
         for x, y in zip(a, b):
             assert np.array_equal(x.ids, y.ids)
+
+    def test_live_generator_cannot_seed_a_batch(self, must, queries):
+        """A batch spawns per-query children, which a Generator cannot
+        do — say so instead of failing inside numpy."""
+        opts = SearchOptions(k=K, l=L, rng=np.random.default_rng(0))
+        assert len(must.query(queries[0], opts)) == K  # one query: fine
+        with pytest.raises(ValueError, match="not a live Generator"):
+            must.query(queries, opts)
 
 
 class TestSeedDerivation:
@@ -116,7 +128,6 @@ class TestSeedDerivation:
     def test_duplicate_queries_get_independent_inits(self, must, queries):
         """Two copies of one query in a batch must not share init draws:
         their searches may differ (stats), unlike the old rng=0 default."""
-        res = must.batch_search([queries[0], queries[0]], k=K, l=20)
         ref = [
             joint_search(must.index, queries[0], k=K, l=20, rng=0)
             for _ in range(2)
@@ -126,7 +137,7 @@ class TestSeedDerivation:
         # Executor children are decorrelated — accept either outcome for
         # hops but require the seeds to actually differ via the visited
         # trace of a tiny-l search on a 350-vertex graph.
-        a = must.batch_search([queries[0]] * 8, k=2, l=2)
+        a = must.query([queries[0]] * 8, SearchOptions(k=2, l=2))
         hop_counts = {r.stats.visited_vertices for r in a}
         joint_counts = {r.stats.joint_evals for r in a}
         assert len(hop_counts | joint_counts) > 1
@@ -134,13 +145,13 @@ class TestSeedDerivation:
 
 class TestBatchResult:
     def test_sequence_protocol(self, must, queries):
-        batch = must.batch_search(queries, k=K, l=L)
+        batch = must.query(queries, SearchOptions(k=K, l=L))
         assert isinstance(batch, BatchResult)
         assert len(batch) == len(queries)
         assert batch[0] is list(iter(batch))[0]
 
     def test_stats_aggregate_per_batch(self, must, queries):
-        batch = must.batch_search(queries, k=K, l=L)
+        batch = must.query(queries, SearchOptions(k=K, l=L))
         total = SearchStats.aggregate(r.stats for r in batch)
         assert batch.stats.joint_evals == total.joint_evals > 0
         assert batch.stats.hops == total.hops > 0
@@ -149,9 +160,9 @@ class TestBatchResult:
 
 class TestExactBatch:
     def test_ids_match_sequential_exact(self, must, queries):
-        batch = must.batch_search(queries, k=K, exact=True)
+        batch = must.query(queries, SearchOptions(k=K, exact=True))
         for q, res in zip(queries, batch):
-            ref = must.search(q, k=K, exact=True)
+            ref = must.query(q, SearchOptions(k=K, exact=True))
             assert np.array_equal(res.ids, ref.ids)
             np.testing.assert_allclose(
                 res.similarities, ref.similarities, rtol=1e-5, atol=1e-6

@@ -178,13 +178,15 @@ class TestRouting:
                         oracle.query(q, SearchOptions(k=6, l=40)),
                     )
 
-    def test_default_and_legacy_kwargs_routes(self, queries):
+    def test_missing_default_and_named_routes(self, queries):
         manager = _manager()
         with manager.serve() as svc:
             with pytest.raises(UnknownCollection):
                 # No "default" collection exists in this manager.
                 svc.search(queries[0], EXACT)
-            res = svc.search(queries[0], k=8, exact=True, collection="int8")
+            res = svc.search(
+                queries[0], SearchOptions(k=8, exact=True, collection="int8")
+            )
             ref = manager.get("int8").must.query(queries[0], EXACT)
             assert_same_result(res, ref)
 

@@ -12,7 +12,7 @@ The contracts under test, per ISSUE 3's acceptance criteria:
   final ranking is by true similarity, so this is deterministic, not
   statistical.
 * The per-modality fallback (zero index weight + query-time override)
-  stays bit-identical under the executor for any ``n_jobs``.
+  stays bit-identical between the executor's batch and a lone query.
 * The lazy ``JointSpace`` caches respect the cap/guard satellite:
   ``drop_caches()`` releases them and ``REPRO_F64_CACHE_MB`` bounds the
   float64 scan cache.
@@ -25,11 +25,13 @@ import pytest
 
 from repro.core.framework import MUST
 from repro.core.multivector import MultiVectorSet
+from repro.core.query import Query, SearchOptions
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.flat import FlatIndex
 from repro.index.segments import SegmentedIndex, SegmentPolicy
 from repro.store import STORE_KINDS
+from repro.utils.rng import spawn_seed_sequences
 
 from tests.conftest import random_multivector_set, random_query
 
@@ -57,7 +59,7 @@ def dense_must(objects):
 
 @pytest.fixture(scope="module")
 def ground_truth(dense_must, queries):
-    return [dense_must.search(q, k=K, exact=True).ids for q in queries]
+    return [dense_must.query(q, SearchOptions(k=K, exact=True)).ids for q in queries]
 
 
 def _recall(ids, gt):
@@ -71,8 +73,8 @@ class TestDenseBitIdentity:
         explicit = MUST(objects, weights=Weights([0.6, 0.4]),
                         compression="none").build()
         for q in queries:
-            a = dense_must.search(q, k=K, l=L, rng=0)
-            b = explicit.search(q, k=K, l=L, rng=0)
+            a = dense_must.query(q, SearchOptions(k=K, l=L, rng=0))
+            b = explicit.query(q, SearchOptions(k=K, l=L, rng=0))
             assert np.array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.similarities, b.similarities)
 
@@ -80,12 +82,12 @@ class TestDenseBitIdentity:
         explicit = MUST(objects, weights=Weights([0.6, 0.4]),
                         compression="none").build()
         for q in queries[:4]:
-            a = dense_must.search(q, k=K, exact=True)
-            b = explicit.search(q, k=K, exact=True)
+            a = dense_must.query(q, SearchOptions(k=K, exact=True))
+            b = explicit.query(q, SearchOptions(k=K, exact=True))
             assert np.array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.similarities, b.similarities)
-        ba = dense_must.batch_search(queries, k=K, l=L, n_jobs=2)
-        bb = explicit.batch_search(queries, k=K, l=L, n_jobs=2)
+        ba = dense_must.query(queries, SearchOptions(k=K, l=L))
+        bb = explicit.query(queries, SearchOptions(k=K, l=L))
         for ra, rb in zip(ba, bb):
             assert np.array_equal(ra.ids, rb.ids)
             np.testing.assert_array_equal(ra.similarities, rb.similarities)
@@ -112,8 +114,8 @@ class TestCompressedSearch:
         must = MUST(objects, weights=Weights([0.6, 0.4]),
                     compression=kind).build()
         for q in queries[:4]:
-            a = dense_must.search(q, k=K, exact=True)
-            b = must.search(q, k=K, exact=True)
+            a = dense_must.query(q, SearchOptions(k=K, exact=True))
+            b = must.query(q, SearchOptions(k=K, exact=True))
             assert np.array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.similarities, b.similarities)
 
@@ -127,8 +129,8 @@ class TestCompressedSearch:
         refine = 4
         assert L >= refine * K  # same routing for both calls
         for q, gt in zip(queries, ground_truth):
-            plain = must.search(q, k=K, l=L, rng=0)
-            refined = must.search(q, k=K, l=L, rng=0, refine=refine)
+            plain = must.query(q, SearchOptions(k=K, l=L, rng=0))
+            refined = must.query(q, SearchOptions(k=K, l=L, rng=0, refine=refine))
             assert _recall(refined.ids, gt) >= _recall(plain.ids, gt)
             assert refined.stats.reranked == refine * K
 
@@ -140,18 +142,23 @@ class TestCompressedSearch:
         must = MUST(objects, weights=Weights([0.6, 0.4]),
                     compression=kind).build()
         q = queries[0]
-        refined = must.search(q, k=K, l=L, rng=0, refine=4)
-        exact = dense_must.search(q, k=N, exact=True)
+        refined = must.query(q, SearchOptions(k=K, l=L, rng=0, refine=4))
+        exact = dense_must.query(q, SearchOptions(k=N, exact=True))
         lookup = dict(zip(exact.ids.tolist(), exact.similarities))
         for i, s in zip(refined.ids, refined.similarities):
             assert abs(s - lookup[int(i)]) < 1e-5
 
-    def test_batch_parity_any_n_jobs(self, objects, queries, kind):
+    def test_batch_matches_per_query_requests(self, objects, queries, kind):
+        """The heap-engine batch over a compressed store (refine on) is
+        the lone request under the same child seed, bit for bit."""
         must = MUST(objects, weights=Weights([0.6, 0.4]),
                     compression=kind).build()
-        seq = must.batch_search(queries, k=K, l=L, refine=3, n_jobs=1)
-        par = must.batch_search(queries, k=K, l=L, refine=3, n_jobs=4)
-        for a, b in zip(seq, par):
+        batch = must.query(
+            queries, SearchOptions(k=K, l=L, refine=3, engine="heap")
+        )
+        seeds = spawn_seed_sequences(0, len(queries))
+        for q, seed, a in zip(queries, seeds, batch):
+            b = must.query(q, SearchOptions(k=K, l=L, refine=3, rng=seed))
             assert np.array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.similarities, b.similarities)
 
@@ -167,7 +174,7 @@ class TestCompressedSearch:
             JointSpace(MultiVectorSet.from_store(store), Weights([0.6, 0.4]))
         )
         for q in queries[:4]:
-            ref = dense_must.search(q, k=K, exact=True)
+            ref = dense_must.query(q, SearchOptions(k=K, exact=True))
             res = flat.search(q, k=K, refine=N // K)  # rerank everything
             assert np.array_equal(res.ids, ref.ids)
 
@@ -191,7 +198,7 @@ class TestCompressedLifecycle:
 
     def test_insert_delete_compact(self, objects, queries, kind):
         must = self._streaming_must(objects, kind)
-        before = must.search(queries[0], k=K, l=L, refine=3, rng=0)
+        before = must.query(queries[0], SearchOptions(k=K, l=L, refine=3, rng=0))
         assert before.ids.size == K
         must.compact()
         seg = must.segments.sealed[0]
@@ -203,7 +210,7 @@ class TestCompressedLifecycle:
             seg.space.vectors.exact_modality(0)[: alive.size],
             objects.matrices[0][alive],
         )
-        after = must.search(queries[0], k=K, l=L, refine=3, rng=0)
+        after = must.query(queries[0], SearchOptions(k=K, l=L, refine=3, rng=0))
         assert after.ids.size == K
 
     def test_save_load_roundtrip(self, objects, queries, kind, tmp_path):
@@ -216,8 +223,8 @@ class TestCompressedLifecycle:
             expected = kind if seg.kind == "sealed" else "none"
             assert seg.space.store.kind == expected
         for q in queries[:5]:
-            a = must.search(q, k=K, l=L, refine=3, rng=0)
-            b = fresh.search(q, k=K, l=L, refine=3, rng=0)
+            a = must.query(q, SearchOptions(k=K, l=L, refine=3, rng=0))
+            b = fresh.query(q, SearchOptions(k=K, l=L, refine=3, rng=0))
             assert np.array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.similarities, b.similarities)
 
@@ -230,15 +237,15 @@ class TestCompressedLifecycle:
         assert fresh.compression == kind
         assert fresh.index.space.store.kind == kind
         for q in queries[:5]:
-            a = must.search(q, k=K, l=L, refine=3, rng=0)
-            b = fresh.search(q, k=K, l=L, refine=3, rng=0)
+            a = must.query(q, SearchOptions(k=K, l=L, refine=3, rng=0))
+            b = fresh.query(q, SearchOptions(k=K, l=L, refine=3, rng=0))
             assert np.array_equal(a.ids, b.ids)
 
 
 class TestZeroWeightFallbackUnderExecutor:
     """Scorer per-modality fallback (zero index weight + override that
-    needs the zeroed modality) must be bit-identical across n_jobs and
-    match the single-query route — graph and exact paths."""
+    needs the zeroed modality): the batch must match the single-query
+    route — graph and exact paths."""
 
     @pytest.fixture(scope="class")
     def zero_must(self, objects):
@@ -249,27 +256,27 @@ class TestZeroWeightFallbackUnderExecutor:
         return Weights([0.5, 0.5])
 
     def test_graph_parity(self, zero_must, queries, override):
-        seq = zero_must.batch_search(
-            queries, k=K, l=L, weights=override, n_jobs=1, rng=5
+        typed = [Query(q, weights=override) for q in queries]
+        batch = zero_must.query(
+            typed, SearchOptions(k=K, l=L, engine="heap", rng=5)
         )
-        par = zero_must.batch_search(
-            queries, k=K, l=L, weights=override, n_jobs=4, rng=5
+        seeds = spawn_seed_sequences(5, len(typed))
+        singles = [
+            zero_must.query(q, SearchOptions(k=K, l=L, rng=seed))
+            for q, seed in zip(typed, seeds)
+        ]
+        assert batch.stats.joint_evals == sum(
+            r.stats.joint_evals for r in singles
         )
-        assert seq.stats.joint_evals == par.stats.joint_evals
-        for a, b in zip(seq, par):
+        for a, b in zip(batch, singles):
             assert np.array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.similarities, b.similarities)
 
     def test_exact_parity(self, zero_must, queries, override):
-        seq = zero_must.batch_search(
-            queries, k=K, weights=override, exact=True, n_jobs=1
-        )
-        par = zero_must.batch_search(
-            queries, k=K, weights=override, exact=True, n_jobs=4
-        )
-        for a, b, q in zip(seq, par, queries):
-            assert np.array_equal(a.ids, b.ids)
-            single = zero_must.search(q, k=K, weights=override, exact=True)
+        typed = [Query(q, weights=override) for q in queries]
+        exact = SearchOptions(k=K, exact=True)
+        for a, q in zip(zero_must.query(typed, exact), typed):
+            single = zero_must.query(q, exact)
             assert np.array_equal(a.ids, single.ids)
             np.testing.assert_allclose(
                 a.similarities, single.similarities, rtol=1e-5, atol=1e-6

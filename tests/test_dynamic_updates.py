@@ -8,6 +8,7 @@ import pytest
 from repro.core.framework import MUST
 from repro.core.multivector import MultiVectorSet
 from repro.core.space import JointSpace
+from repro.core.query import SearchOptions
 from repro.core.weights import Weights
 from repro.index.flat import FlatIndex
 from repro.index.pipeline import FusedIndexBuilder
@@ -99,8 +100,8 @@ class TestCompaction:
         # Searching the compacted index returns remapped ids that point
         # at the same objects the soft-deleted index would return.
         q = mitstates_encoded.queries[0]
-        soft = must.search(q, k=5, l=100)
-        hard = compacted.search(q, k=5, l=100)
+        soft = must.query(q, SearchOptions(k=5, l=100))
+        hard = compacted.query(q, SearchOptions(k=5, l=100))
         remapped = active[hard.ids]
         assert len(set(remapped.tolist()) & set(soft.ids.tolist())) >= 3
 
@@ -125,9 +126,9 @@ class TestExactSearchSoftDeletes:
     def test_exact_search_filters_deleted(self):
         must = self._fresh_must()
         q = random_query((8, 6), seed=4)
-        doomed = must.search(q, k=5, exact=True).ids
+        doomed = must.query(q, SearchOptions(k=5, exact=True)).ids
         must.mark_deleted(doomed)
-        res = must.search(q, k=5, exact=True)
+        res = must.query(q, SearchOptions(k=5, exact=True))
         assert not (set(res.ids.tolist()) & set(doomed.tolist()))
         # The survivors are exactly the best *active* objects.
         sims = must.space.query_all(q)
@@ -139,8 +140,8 @@ class TestExactSearchSoftDeletes:
         must = self._fresh_must()
         q = random_query((8, 6), seed=9)
         must.mark_deleted(np.arange(0, 250, 4))
-        exact = must.search(q, k=10, exact=True)
-        graph = must.search(q, k=10, l=250)
+        exact = must.query(q, SearchOptions(k=10, exact=True))
+        graph = must.query(q, SearchOptions(k=10, l=250))
         deleted = set(np.arange(0, 250, 4).tolist())
         assert not (set(exact.ids.tolist()) & deleted)
         assert not (set(graph.ids.tolist()) & deleted)
@@ -151,7 +152,7 @@ class TestExactSearchSoftDeletes:
         queries = [random_query((8, 6), seed=s) for s in range(6)]
         must.mark_deleted(np.arange(0, 250, 3))
         deleted = set(np.arange(0, 250, 3).tolist())
-        batch = must.batch_search(queries, k=7, exact=True)
+        batch = must.query(queries, SearchOptions(k=7, exact=True))
         for res in batch:
             assert len(res) == 7
             assert not (set(res.ids.tolist()) & deleted)
@@ -160,7 +161,7 @@ class TestExactSearchSoftDeletes:
         must = MUST(random_multivector_set(40, (8, 6), seed=21),
                     weights=Weights([0.5, 0.5])).build()
         must.mark_deleted(np.arange(35))
-        res = must.search(random_query((8, 6), seed=2), k=10, exact=True)
+        res = must.query(random_query((8, 6), seed=2), SearchOptions(k=10, exact=True))
         assert len(res) == 5
         assert set(res.ids.tolist()) == set(range(35, 40))
 
@@ -168,5 +169,5 @@ class TestExactSearchSoftDeletes:
         """Exact search works pre-build (no graph, hence no bitset yet)."""
         must = MUST(random_multivector_set(60, (8, 6), seed=5),
                     weights=Weights([0.5, 0.5]))
-        res = must.search(random_query((8, 6), seed=0), k=3, exact=True)
+        res = must.query(random_query((8, 6), seed=0), SearchOptions(k=3, exact=True))
         assert len(res) == 3

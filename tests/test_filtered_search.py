@@ -6,8 +6,8 @@ The contract under test, per path:
   post-filter oracle (score everything unfiltered, drop inadmissible
   rows, cut to k): ids *and* similarities, across every vector-store
   backend (dense / float16 / int8 / PQ), flat and segmented layouts,
-  ``n_jobs`` ∈ {1, 4}, and through :class:`MustService` while writer
-  threads churn the index;
+  and through :class:`MustService` while writer threads churn the
+  index;
 * **segmented exact** additionally equals an unfiltered deterministic
   scan over the *physically* post-filtered corpus (the
   layout-independence property extended to filters);
@@ -18,7 +18,6 @@ The contract under test, per path:
 from __future__ import annotations
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from repro.index.flat import FlatIndex
 from repro.index.segments import SegmentPolicy
 from repro.service import MustService, ServiceConfig
 from repro.store import STORE_KINDS
+from repro.utils.rng import spawn_seed_sequences
 
 from tests.conftest import random_multivector_set, random_query
 
@@ -226,12 +226,14 @@ class TestExactOracleParity:
 
 
 # ----------------------------------------------------------------------
-# Batched execution: n_jobs parity, per-query filters in one wave
+# Batched execution: per-query filters and k overrides in one batch
 # ----------------------------------------------------------------------
 class TestBatchedFiltering:
     @pytest.mark.parametrize("layout", ["flat", "segmented"])
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_n_jobs_parity_bitwise(self, queries, layout, exact):
+    def test_mixed_batch_matches_lone_requests(self, queries, layout):
+        """A heap-engine batch mixing filtered, unfiltered and
+        k-overriding queries answers each one exactly as a lone request
+        under the same child seed would."""
         must = (
             _flat_must("none") if layout == "flat"
             else _segmented_must("none")
@@ -240,12 +242,12 @@ class TestBatchedFiltering:
             Query(q, filter=FILTER if i % 2 == 0 else None, k=K - i % 3)
             for i, q in enumerate(queries)
         ]
-        opts = {"k": K, "l": 64, "exact": exact}
-        seq = must.query(typed, SearchOptions(**opts, n_jobs=1))
-        par = must.query(typed, SearchOptions(**opts, n_jobs=4))
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.ids, b.ids)
-            assert np.array_equal(a.similarities, b.similarities)
+        batch = must.query(typed, SearchOptions(k=K, l=64, engine="heap"))
+        seeds = spawn_seed_sequences(0, len(typed))
+        for query, seed, res in zip(typed, seeds, batch):
+            ref = must.query(query, SearchOptions(k=K, l=64, rng=seed))
+            assert np.array_equal(res.ids, ref.ids)
+            assert np.array_equal(res.similarities, ref.similarities)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_exact_batch_matches_oracle_ranks(self, queries, kind):
@@ -394,7 +396,7 @@ class TestServiceFiltering:
         stop = threading.Event()
 
         with MustService(
-            must, ServiceConfig(max_batch=8, max_wait_ms=1.0, n_jobs=2)
+            must, ServiceConfig(max_batch=8, max_wait_ms=1.0)
         ) as svc:
 
             def writer():
@@ -442,15 +444,3 @@ class TestServiceFiltering:
                     Query(q, filter=FILTER), SearchOptions(k=K, exact=True)
                 )
                 assert_bitwise(res, ids, sims)
-
-    def test_legacy_submit_with_typed_query_filter(self, queries):
-        """A typed Query rides through the legacy kwarg shim too."""
-        must = _flat_must("none")
-        admissible = _admissible_by_ext_id(must)
-        with MustService(must, ServiceConfig(max_batch=4)) as svc:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                res = svc.search(
-                    Query(queries[0], filter=FILTER), k=K, exact=True
-                )
-            assert all(admissible[int(i)] for i in res.ids)

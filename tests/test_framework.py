@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.framework import MUST
 from repro.core.multivector import MultiVector
+from repro.core.query import Query, SearchOptions
 from repro.core.weights import Weights
 from repro.metrics import mean_hit_rate
 
@@ -30,7 +31,7 @@ class TestLifecycle:
     def test_search_before_build_rejected(self, mitstates_encoded):
         must = MUST.from_dataset(mitstates_encoded)
         with pytest.raises(ValueError):
-            must.search(mitstates_encoded.queries[0])
+            must.query(mitstates_encoded.queries[0], SearchOptions())
 
     def test_fit_installs_weights(self, trained):
         assert trained.weight_result is not None
@@ -64,41 +65,44 @@ class TestLifecycle:
 
 class TestSearch:
     def test_search_returns_k(self, trained, mitstates_encoded):
-        res = trained.search(mitstates_encoded.queries[0], k=7, l=60)
+        res = trained.query(mitstates_encoded.queries[0], SearchOptions(k=7, l=60))
         assert len(res) == 7
 
     def test_exact_flag_matches_brute_force(self, trained, mitstates_encoded):
         q = mitstates_encoded.queries[0]
-        exact = trained.search(q, k=10, exact=True)
+        exact = trained.query(q, SearchOptions(k=10, exact=True))
         sims = trained.space.query_all(q)
         assert exact.similarities[0] == pytest.approx(sims.max(), abs=1e-6)
 
     def test_graph_close_to_exact(self, trained, mitstates_encoded):
         overlap = 0
         for q in mitstates_encoded.queries[:15]:
-            approx = trained.search(q, k=10, l=100)
-            exact = trained.search(q, k=10, exact=True)
+            approx = trained.query(q, SearchOptions(k=10, l=100))
+            exact = trained.query(q, SearchOptions(k=10, exact=True))
             overlap += np.intersect1d(approx.ids, exact.ids).size
         assert overlap / 150 > 0.85
 
     def test_user_defined_weights(self, trained, mitstates_encoded):
         q = mitstates_encoded.queries[1]
-        default = trained.search(q, k=10, l=60)
-        user = trained.search(q, k=10, l=60, weights=Weights([0.95, 0.05]))
+        default = trained.query(q, SearchOptions(k=10, l=60))
+        user = trained.query(
+            Query(q, weights=Weights([0.95, 0.05])),
+            SearchOptions(k=10, l=60),
+        )
         assert not np.array_equal(default.ids, user.ids)
 
     def test_missing_modality_query(self, trained, mitstates_encoded):
         q = mitstates_encoded.queries[0].replace(1, None)
-        res = trained.search(q, k=5, l=60)
+        res = trained.query(q, SearchOptions(k=5, l=60))
         assert len(res) == 5
 
     def test_batch_search(self, trained, mitstates_encoded):
-        out = trained.batch_search(mitstates_encoded.queries[:4], k=3, l=40)
+        out = trained.query(mitstates_encoded.queries[:4], SearchOptions(k=3, l=40))
         assert len(out) == 4
         assert all(len(r) == 3 for r in out)
 
     def test_accuracy_reasonable(self, trained, mitstates_encoded):
-        res = trained.batch_search(mitstates_encoded.queries, k=10, l=100)
+        res = trained.query(mitstates_encoded.queries, SearchOptions(k=10, l=100))
         r10 = mean_hit_rate(
             [r.ids for r in res], mitstates_encoded.ground_truth, 10
         )
@@ -113,8 +117,8 @@ class TestPersistence:
         fresh.load_index(path)
         assert fresh.weights == trained.weights
         q = mitstates_encoded.queries[0]
-        a = trained.search(q, k=10, l=60)
-        b = fresh.search(q, k=10, l=60)
+        a = trained.query(q, SearchOptions(k=10, l=60))
+        b = fresh.query(q, SearchOptions(k=10, l=60))
         assert np.array_equal(a.ids, b.ids)
 
     def test_save_before_build_rejected(self, mitstates_encoded, tmp_path):

@@ -73,26 +73,16 @@ def _recall(got, truth):
 
 
 class TestFlatParity:
-    @pytest.mark.parametrize("n_jobs", [1, 4])
-    def test_recall_matches_per_query_oracle(self, must, queries, n_jobs):
-        truth = [must.search(q, k=K, exact=True) for q in queries]
-        wave = must.query(
-            queries, SearchOptions(k=K, l=L, rng=3, n_jobs=n_jobs)
-        )
+    @pytest.mark.parametrize("rng", [1, 4])
+    def test_recall_matches_per_query_oracle(self, must, queries, rng):
+        truth = [must.query(q, SearchOptions(k=K, exact=True)) for q in queries]
+        wave = must.query(queries, SearchOptions(k=K, l=L, rng=rng))
         oracle = must.query(
-            queries, SearchOptions(k=K, l=L, rng=3, engine="heap",
-                                   n_jobs=n_jobs)
+            queries, SearchOptions(k=K, l=L, rng=rng, engine="heap")
         )
         assert wave.plan == "graph/wave"
-        assert oracle.plan == f"graph/pool(n_jobs={n_jobs})"
+        assert oracle.plan == "graph/loop"
         assert _recall(wave, truth) >= _recall(oracle, truth) - EPS
-
-    def test_results_independent_of_n_jobs(self, must, queries):
-        a = must.query(queries, SearchOptions(k=K, l=L, rng=3, n_jobs=1))
-        b = must.query(queries, SearchOptions(k=K, l=L, rng=3, n_jobs=4))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.ids, y.ids)
-            np.testing.assert_array_equal(x.similarities, y.similarities)
 
     def test_single_query_wave_engine(self, must, queries):
         res = must.query(
@@ -105,7 +95,7 @@ class TestFlatParity:
         run = must.query(queries, SearchOptions(k=K, l=L, rng=3, refine=3))
         assert run.plan == "graph/wave"
         assert run.stats.reranked > 0
-        truth = [must.search(q, k=K, exact=True) for q in queries]
+        truth = [must.query(q, SearchOptions(k=K, exact=True)) for q in queries]
         assert _recall(run, truth) >= 1.0 - EPS
 
 
@@ -141,7 +131,7 @@ class TestCompressedParity:
         must = MUST(
             objects, weights=Weights([0.6, 0.4]), compression=kind
         ).build()
-        truth = [must.search(q, k=K, exact=True) for q in queries]
+        truth = [must.query(q, SearchOptions(k=K, exact=True)) for q in queries]
         wave = must.query(queries, SearchOptions(k=K, l=L, rng=3))
         oracle = must.query(
             queries, SearchOptions(k=K, l=L, rng=3, engine="heap")
@@ -247,18 +237,17 @@ class TestSegmentedParity:
         assert must.is_segmented
         return must
 
-    @pytest.mark.parametrize("n_jobs", [1, 4])
-    def test_recall_matches_per_query_oracle(self, seg_must, queries,
-                                             n_jobs):
-        truth = [seg_must.search(q, k=K, exact=True) for q in queries]
-        wave = seg_must.query(
-            queries, SearchOptions(k=K, l=L, rng=3, n_jobs=n_jobs)
-        )
+    @pytest.mark.parametrize("rng", [1, 4])
+    def test_recall_matches_per_query_oracle(self, seg_must, queries, rng):
+        truth = [
+            seg_must.query(q, SearchOptions(k=K, exact=True)) for q in queries
+        ]
+        wave = seg_must.query(queries, SearchOptions(k=K, l=L, rng=rng))
         oracle = seg_must.query(
-            queries, SearchOptions(k=K, l=L, rng=3, engine="heap",
-                                   n_jobs=n_jobs)
+            queries, SearchOptions(k=K, l=L, rng=rng, engine="heap")
         )
         assert wave.plan == "graph/wave"
+        assert oracle.plan == "graph/loop"
         assert _recall(wave, truth) >= _recall(oracle, truth) - EPS
 
     def test_deleted_never_surface(self, seg_must, queries):
@@ -336,7 +325,7 @@ class TestServingWaves:
             got = [f.result() for f in futs]
             snap = svc.snapshot()
             for i, (q, res) in enumerate(zip(queries, got)):
-                ref = snap.search(q, k=K, l=L, engine="wave", rng=i)
+                ref = snap.query(q, SearchOptions(k=K, l=L, engine="wave", rng=i))
                 assert np.array_equal(res.ids, ref.ids)
                 np.testing.assert_array_equal(
                     res.similarities, ref.similarities
@@ -348,7 +337,7 @@ class TestServingWaves:
     def test_auto_requests_stay_on_per_query_path(self, must, queries):
         with must.serve() as svc:
             res = svc.search(queries[0], SearchOptions(k=K, l=L, rng=5))
-            ref = must.search(queries[0], k=K, l=L, rng=5)
+            ref = must.query(queries[0], SearchOptions(k=K, l=L, rng=5))
             assert np.array_equal(res.ids, ref.ids)
             np.testing.assert_array_equal(res.similarities, ref.similarities)
             summary = svc.stats.summary()

@@ -5,7 +5,7 @@ What must hold, per the subsystem's acceptance gates:
 * **engine parity** — the inverted posting-list engine answers
   bit-identically (ids *and* similarities) to the brute-force CSR
   oracle on every deployment surface: flat and segmented layouts,
-  batch ``n_jobs`` ∈ {1, 4}, graph and exact plans, through
+  batches of one and four queries, graph and exact plans, through
   :class:`MustService` and :class:`ShardedService`, and while
   insert/delete/compact churn the corpus;
 * **layout independence** — the exact hybrid answer is bitwise equal
@@ -141,23 +141,23 @@ def test_hybrid_recall_beats_dense_only(dataset, hybrid_queries):
 
 
 # ----------------------------------------------------------------------
-# Engine parity across layouts, plans, and parallelism
+# Engine parity across layouts, plans, and batch sizes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("layout", ["flat", "segmented"])
-@pytest.mark.parametrize("n_jobs", [1, 4])
+@pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("plan", ["graph", "exact"])
 def test_engine_parity_in_process(
-    dataset, hybrid_queries, layout, n_jobs, plan
+    dataset, hybrid_queries, layout, batch, plan
 ):
     must = (
         flat_must(dataset) if layout == "flat" else segmented_must(dataset)
     )
-    kwargs: dict = {"k": K, "n_jobs": n_jobs}
+    kwargs: dict = {"k": K}
     if plan == "exact":
         kwargs["exact"] = True
     else:
         kwargs["l"] = L
-    assert_engine_parity(must.query, hybrid_queries, **kwargs)
+    assert_engine_parity(must.query, hybrid_queries[:batch], **kwargs)
 
 
 def test_engine_parity_survives_churn(dataset, hybrid_queries):
@@ -415,11 +415,12 @@ def test_wave_composition_independence(
     plain = [Query(q.vector) for q in hybrid_queries]
     seeds = list(range(100, 100 + len(hybrid_queries)))
 
-    def wave(queries, rngs, **plan):
-        results, _ = snap.graph_wave(
-            list(queries), k=K, l=L, rngs=list(rngs), **plan
-        )
-        return results
+    def wave(queries, rngs, refine=None):
+        return snap.graph_wave(
+            list(queries),
+            SearchOptions(k=K, l=L, engine="wave", refine=refine),
+            list(rngs),
+        ).results
 
     for refine in (None, 3):
         alone = [
@@ -447,13 +448,6 @@ def test_wave_composition_independence(
     unrefined = [wave([q], [s])[0] for q, s in zip(mixed, seeds)]
     for got, ref in zip(served, unrefined):
         assert_same(got, ref)
-
-    opts = dict(k=K, l=L, rng=5)
-    for a, b in zip(
-        must.query(mixed, SearchOptions(n_jobs=1, **opts)),
-        must.query(mixed, SearchOptions(n_jobs=4, **opts)),
-    ):
-        assert_same(a, b)
 
 
 @pytest.mark.parametrize("layout", ["flat", "segmented"])

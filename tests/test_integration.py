@@ -16,6 +16,7 @@ from repro.baselines import (
     MultiStreamedRetrieval,
 )
 from repro.core.framework import MUST
+from repro.core.query import SearchOptions
 from repro.datasets import (
     EncoderCombo,
     encode_dataset,
@@ -53,7 +54,7 @@ class TestHeadlineOrdering:
     def test_must_beats_je(self, celeba_run):
         enc, must, queries, gt = celeba_run
         must_r = mean_hit_rate(
-            [must.search(q, k=10, l=100).ids for q in queries], gt, 10
+            [must.query(q, SearchOptions(k=10, l=100)).ids for q in queries], gt, 10
         )
         je = JointEmbeddingSearch(enc.objects).build()
         je_r = mean_hit_rate(
@@ -64,7 +65,7 @@ class TestHeadlineOrdering:
     def test_must_beats_mr_at_top1(self, celeba_run):
         enc, must, queries, gt = celeba_run
         must_r = mean_hit_rate(
-            [must.search(q, k=10, l=100).ids for q in queries], gt, 1
+            [must.query(q, SearchOptions(k=10, l=100)).ids for q in queries], gt, 1
         )
         mr = MultiStreamedRetrieval(enc.objects).build()
         mr_r = max(
@@ -80,7 +81,7 @@ class TestHeadlineOrdering:
         enc, must, queries, gt = celeba_run
         brute = BruteForceMUST(enc.objects, must.weights).build()
         approx = mean_hit_rate(
-            [must.search(q, k=10, l=120).ids for q in queries], gt, 10
+            [must.query(q, SearchOptions(k=10, l=120)).ids for q in queries], gt, 10
         )
         exact = mean_hit_rate(
             [brute.search(q, k=10).ids for q in queries], gt, 10
@@ -98,12 +99,12 @@ class TestLearnedWeightsGeneralise:
             sem, EncoderCombo("tirg", ("encoding",))
         )
         learned = mean_hit_rate(
-            [must.search(q, k=10, l=100).ids for q in queries], gt, 10
+            [must.query(q, SearchOptions(k=10, l=100)).ids for q in queries], gt, 10
         )
         # Uniform weights as the no-learning control.
         control = MUST.from_dataset(enc).build()
         uniform = mean_hit_rate(
-            [control.search(q, k=10, l=100).ids for q in queries], gt, 10
+            [control.query(q, SearchOptions(k=10, l=100)).ids for q in queries], gt, 10
         )
         assert learned >= uniform - 0.02
 
@@ -116,7 +117,12 @@ class TestLearnedWeightsGeneralise:
         cross = MUST(enc_b.objects, weights=must_t.weights).build()
         gt = enc_b.ground_truth
         r = mean_hit_rate(
-            [cross.search(q, k=10, l=100).ids for q in enc_b.queries], gt, 10
+            [
+                cross.query(q, SearchOptions(k=10, l=100)).ids
+                for q in enc_b.queries
+            ],
+            gt,
+            10,
         )
         assert r > 0.5
 
@@ -133,7 +139,7 @@ class TestModalityCount:
             aux = ("encoding",) + ("resnet17", "resnet50")[: m - 2]
             _, must, queries, gt = _pipeline(sem, EncoderCombo("clip", aux))
             recalls[m] = mean_hit_rate(
-                [must.search(q, k=10, l=100).ids for q in queries], gt, 1
+                [must.query(q, SearchOptions(k=10, l=100)).ids for q in queries], gt, 1
             )
         assert recalls[4] >= recalls[2] - 0.05
 
@@ -155,14 +161,16 @@ class TestLargeScaleProtocol:
     def test_high_l_reaches_high_recall(self, run):
         enc, must = run
         gt = exact_ground_truth(enc, must.weights, k=10)
-        results = [must.search(q, k=10, l=200).ids for q in enc.queries]
+        results = [must.query(q, SearchOptions(k=10, l=200)).ids for q in enc.queries]
         assert mean_recall(results, list(gt), 10) > 0.9
 
     def test_mr_saturates_below_must(self, run):
         enc, must = run
         gt = exact_ground_truth(enc, must.weights, k=10)
         must_r = mean_recall(
-            [must.search(q, k=10, l=200).ids for q in enc.queries], list(gt), 10
+            [must.query(q, SearchOptions(k=10, l=200)).ids for q in enc.queries],
+            list(gt),
+            10,
         )
         mr = MultiStreamedRetrieval(enc.objects).build()
         mr_r = max(
@@ -176,5 +184,5 @@ class TestLargeScaleProtocol:
 
     def test_fewer_evals_than_brute_force(self, run):
         enc, must = run
-        res = must.search(enc.queries[0], k=10, l=100)
+        res = must.query(enc.queries[0], SearchOptions(k=10, l=100))
         assert res.stats.joint_evals < enc.objects.n

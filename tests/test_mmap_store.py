@@ -138,37 +138,40 @@ class TestParity:
                     mapped.query(query, plan), resident.query(query, plan)
                 )
 
-    @pytest.mark.parametrize("n_jobs", [1, 4])
-    def test_service_parity(self, pair_of, queries, n_jobs):
-        """MustService answers match between mmap and resident."""
+    @pytest.mark.parametrize("max_batch", [1, 4])
+    def test_service_parity(self, pair_of, queries, max_batch):
+        """MustService answers match between mmap and resident, served
+        one request per wave or coalesced four at a time."""
         resident, mapped = pair_of("pq", True)
         plan = SearchOptions(k=10, exact=True, refine=24)
-        svc_res = resident.serve(n_jobs=n_jobs, max_wait_ms=0.5)
-        svc_map = mapped.serve(n_jobs=n_jobs, max_wait_ms=0.5)
+        svc_res = resident.serve(max_batch=max_batch, max_wait_ms=5.0)
+        svc_map = mapped.serve(max_batch=max_batch, max_wait_ms=5.0)
         try:
-            for query in queries:
-                assert_same_result(
-                    svc_map.search(query, plan), svc_res.search(query, plan)
-                )
+            got = [svc_map.submit(query, plan) for query in queries]
+            ref = [svc_res.submit(query, plan) for query in queries]
+            for a, b in zip(got, ref):
+                assert_same_result(a.result(60), b.result(60))
         finally:
             svc_res.close()
             svc_map.close()
 
-    @pytest.mark.parametrize("n_jobs", [1, 4])
+    @pytest.mark.parametrize("max_batch", [1, 4])
     @pytest.mark.parametrize("compression", COMPRESSIONS)
-    def test_sharded_parity(self, pair_of, queries, compression, n_jobs):
-        """ShardedService answers match, and the mmap spawn ships O(hot)
-        shared memory — the cold planes never cross the boundary."""
+    def test_sharded_parity(self, pair_of, queries, compression, max_batch):
+        """ShardedService answers match — one request per scatter or
+        four coalesced — and the mmap spawn ships O(hot) shared memory:
+        the cold planes never cross the boundary."""
         resident, mapped = pair_of(compression, True)
         plan = SearchOptions(k=10, exact=True, refine=24)
-        svc_res = resident.serve_sharded(n_shards=2, n_jobs=n_jobs)
-        svc_map = mapped.serve_sharded(n_shards=2, n_jobs=n_jobs)
+        config = dict(n_shards=2, max_batch=max_batch, max_wait_ms=5.0)
+        svc_res = resident.serve_sharded(**config)
+        svc_map = mapped.serve_sharded(**config)
         try:
             assert svc_map.spawn_shm_bytes < svc_res.spawn_shm_bytes
-            for query in queries:
-                assert_same_result(
-                    svc_map.search(query, plan), svc_res.search(query, plan)
-                )
+            got = [svc_map.submit(query, plan) for query in queries]
+            ref = [svc_res.submit(query, plan) for query in queries]
+            for a, b in zip(got, ref):
+                assert_same_result(a.result(60), b.result(60))
         finally:
             svc_res.close()
             svc_map.close()

@@ -8,6 +8,7 @@ import pytest
 
 import repro.core.framework as framework_mod
 from repro.core.framework import MUST
+from repro.core.query import SearchOptions
 from repro.core.weights import Weights
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.segments import SegmentPolicy
@@ -50,8 +51,8 @@ class TestLegacyRoundtrip:
         assert fresh.weights == must.weights  # stored weights win
         assert fresh.index.num_active == must.index.num_active
         q = random_query(DIMS, seed=9)
-        a = must.search(q, k=10, l=60, rng=0)
-        b = fresh.search(q, k=10, l=60, rng=0)
+        a = must.query(q, SearchOptions(k=10, l=60, rng=0))
+        b = fresh.query(q, SearchOptions(k=10, l=60, rng=0))
         np.testing.assert_array_equal(a.ids, b.ids)
         np.testing.assert_array_equal(a.similarities, b.similarities)
 
@@ -78,8 +79,8 @@ class TestLegacyRoundtrip:
         assert fresh.weights == Weights([0.3, 0.7])
         # The rebind is real: the loaded graph scores under stored weights.
         q = random_query(DIMS, seed=4)
-        a = must.search(q, k=5, l=50, rng=0)
-        b = fresh.search(q, k=5, l=50, rng=0)
+        a = must.query(q, SearchOptions(k=5, l=50, rng=0))
+        b = fresh.query(q, SearchOptions(k=5, l=50, rng=0))
         np.testing.assert_array_equal(a.ids, b.ids)
 
 
@@ -107,13 +108,12 @@ class TestSegmentedRoundtrip:
         )
         for seed in range(5):
             q = random_query(DIMS, seed=seed)
-            a, b = must.search(q, k=10, exact=True), fresh.search(
-                q, k=10, exact=True
-            )
+            exact = SearchOptions(k=10, exact=True)
+            a, b = must.query(q, exact), fresh.query(q, exact)
             np.testing.assert_array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.similarities, b.similarities)
-            g1 = must.search(q, k=10, l=60, rng=3)
-            g2 = fresh.search(q, k=10, l=60, rng=3)
+            g1 = must.query(q, SearchOptions(k=10, l=60, rng=3))
+            g2 = fresh.query(q, SearchOptions(k=10, l=60, rng=3))
             np.testing.assert_array_equal(g1.ids, g2.ids)
             np.testing.assert_array_equal(g1.similarities, g2.similarities)
 
@@ -124,7 +124,7 @@ class TestSegmentedRoundtrip:
         fresh = MUST(must.objects).load_index(path)
         doomed = {2, 61, 82}
         for seed in range(4):
-            res = fresh.search(random_query(DIMS, seed=seed), k=20, l=87)
+            res = fresh.query(random_query(DIMS, seed=seed), SearchOptions(k=20, l=87))
             assert not (set(res.ids.tolist()) & doomed)
 
     def test_streaming_resumes_after_load(self, tmp_path):
@@ -136,7 +136,7 @@ class TestSegmentedRoundtrip:
         ext = fresh.insert(_extra(3, seed=7))
         np.testing.assert_array_equal(ext, np.arange(87, 90))
         # And the reloaded delta HNSW accepts the inserts (searchable).
-        res = fresh.search(random_query(DIMS, seed=1), k=10, l=60)
+        res = fresh.query(random_query(DIMS, seed=1), SearchOptions(k=10, l=60))
         assert len(res) == 10
 
     def test_missing_segment_file_fails_clearly(self, tmp_path):

@@ -1,21 +1,18 @@
 """Typed Query API tests: SearchOptions validation, the Filter DSL,
-attribute tables, legacy-shim parity, and the unified ``l`` clamp.
+attribute tables, plan plumbing, and the unified ``l`` clamp.
 
 The headline contracts pinned here:
 
-* legacy kwarg entry points (``MUST.search`` / ``batch_search`` /
-  ``MustService.submit``) emit a ``DeprecationWarning`` and answer
-  **bit-identically** to the typed ``MUST.query`` path;
-* unknown keyword names raise immediately with a did-you-mean hint (a
-  misspelled ``early_terminatoin=`` used to be silently swallowed);
+* an unknown ``SearchOptions`` field name raises immediately (a
+  misspelled ``early_terminatoin=`` can never be silently swallowed);
 * ``SearchOptions`` range errors name the offending field;
 * ``l`` is clamped to the corpus size once, in
-  ``SearchOptions.resolve``, on the single-graph *and* segmented paths.
+  ``SearchOptions.resolve``, on every surface (direct, snapshot,
+  served) of the single-graph *and* segmented layouts, and an explicit
+  ``l < k`` is the same error everywhere.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -87,7 +84,7 @@ class TestSearchOptions:
             ("engine", {"engine": "warp"}),
             ("exact", {"exact": 1}),
             ("early_termination", {"early_termination": "yes"}),
-            ("n_jobs", {"n_jobs": 1.5}),
+            ("sparse_engine", {"sparse_engine": "invertd"}),
             ("check_monotone", {"check_monotone": 2}),
         ],
     )
@@ -95,11 +92,11 @@ class TestSearchOptions:
         with pytest.raises(ValueError, match=f"SearchOptions.{field}"):
             SearchOptions(**kwargs)
 
-    def test_unknown_kwarg_suggests_fix(self):
-        with pytest.raises(TypeError, match="early_termination"):
-            SearchOptions.from_kwargs(early_terminatoin=True)
-        with pytest.raises(TypeError, match="unknown search option"):
-            SearchOptions.from_kwargs(bogus=1)
+    def test_unknown_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match="early_terminatoin"):
+            SearchOptions(early_terminatoin=True)
+        with pytest.raises(TypeError, match="n_jobs"):
+            SearchOptions(n_jobs=4)
 
     def test_resolve_clamps_l_to_corpus(self):
         opts = SearchOptions(k=5, l=100)
@@ -156,30 +153,16 @@ class TestQueryObject:
 
     def test_explicit_l_below_k_still_raises(self, built_must, queries):
         """resolve()'s l floor covers only the tiny-corpus corner — an
-        explicit l < k stays a loud error on typed and legacy paths."""
+        explicit l < k stays a loud error."""
         with pytest.raises(ValueError, match="at least k"):
             built_must.query(
                 Query(queries[0]), SearchOptions(k=50, l=10)
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="at least k"):
-                built_must.search(queries[0], k=50, l=10)
         # exact plans ignore l entirely
         res = built_must.query(
             Query(queries[0]), SearchOptions(k=50, l=10, exact=True)
         )
         assert len(res.ids) == 50
-
-    def test_per_query_weights_match_legacy_override(self, built_must, queries):
-        override = Weights([0.9, 0.1])
-        typed = built_must.query(
-            Query(queries[0], weights=override), SearchOptions(k=5)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = built_must.search(queries[0], k=5, weights=override)
-        assert_same_result(typed, legacy)
 
 
 # ----------------------------------------------------------------------
@@ -290,35 +273,9 @@ class TestFilterDSL:
 
 
 # ----------------------------------------------------------------------
-# Legacy shims: rejection, deprecation, bit-parity
+# Plan plumbing: containment, shared filter compilation, option forwarding
 # ----------------------------------------------------------------------
-class TestLegacyShims:
-    def test_search_rejects_unknown_kwargs(self, built_must, queries):
-        with pytest.raises(TypeError, match="early_termination"):
-            built_must.search(queries[0], k=5, early_terminatoin=True)
-
-    def test_batch_search_rejects_unknown_kwargs(self, built_must, queries):
-        with pytest.raises(TypeError, match="did you mean 'engine'"):
-            built_must.batch_search(queries[:2], k=5, enginee="heap")
-
-    def test_service_submit_rejects_unknown_kwargs(self, built_must, queries):
-        with MustService(built_must, ServiceConfig(max_batch=2)) as svc:
-            with pytest.raises(TypeError, match="refine"):
-                svc.submit(queries[0], k=5, refinee=2)
-
-    def test_service_submit_rejects_per_request_n_jobs(
-        self, built_must, queries
-    ):
-        with MustService(built_must, ServiceConfig(max_batch=2)) as svc:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                with pytest.raises(ValueError, match="ServiceConfig"):
-                    svc.submit(queries[0], k=5, n_jobs=4)
-            # ... and just as loudly on the typed path (silently running
-            # sequentially would be the silent-swallow this PR removes).
-            with pytest.raises(ValueError, match="ServiceConfig"):
-                svc.submit(Query(queries[0]), SearchOptions(k=5, n_jobs=4))
-
+class TestPlanPlumbing:
     def test_bad_filter_does_not_poison_wave_mates(self, built_must, queries):
         """One request's malformed filter fails through its own future;
         the other requests coalesced into the same exact wave still get
@@ -347,9 +304,13 @@ class TestLegacyShims:
         finally:
             svc.close()
 
-    def test_batch_filter_compiles_once_per_wave(self, built_must, queries):
+    @pytest.mark.parametrize("engine", ["auto", "heap"])
+    def test_batch_filter_compiles_once_per_wave(
+        self, built_must, queries, engine
+    ):
         """A shared Filter instance is compiled once per corpus slice on
-        the graph batch path, not once per query."""
+        the graph batch paths (lockstep wave and per-query loop), not
+        once per query."""
         calls = 0
         flt = Eq("category", "alpha")
         original = flt.mask
@@ -363,7 +324,7 @@ class TestLegacyShims:
         try:
             built_must.query(
                 [Query(q, filter=flt) for q in queries],
-                SearchOptions(k=5, l=32, n_jobs=2),
+                SearchOptions(k=5, l=32, engine=engine),
             )
         finally:
             object.__delattr__(flt, "mask")
@@ -377,85 +338,6 @@ class TestLegacyShims:
         res = snap.query(Query(queries[0]), opts)
         assert np.array_equal(res.ids, ref.ids)
         assert np.array_equal(res.similarities, ref.similarities)
-
-    def test_legacy_calls_warn(self, built_must, queries):
-        with pytest.warns(DeprecationWarning, match="MUST.search"):
-            built_must.search(queries[0], k=5)
-        with pytest.warns(DeprecationWarning, match="MUST.batch_search"):
-            built_must.batch_search(queries[:2], k=5)
-        with MustService(built_must, ServiceConfig(max_batch=2)) as svc:
-            with pytest.warns(DeprecationWarning, match="MustService.submit"):
-                svc.search(queries[0], k=5)
-
-    def test_typed_calls_do_not_warn(self, built_must, queries):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            built_must.query(Query(queries[0]), SearchOptions(k=5))
-            with MustService(built_must, ServiceConfig(max_batch=2)) as svc:
-                svc.search(Query(queries[0]), SearchOptions(k=5, exact=True))
-
-    @pytest.mark.parametrize("exact", [False, True])
-    @pytest.mark.parametrize("refine", [None, 2])
-    def test_single_query_bit_parity(self, built_must, queries, exact, refine):
-        for q in queries[:4]:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = built_must.search(
-                    q, k=5, l=64, exact=exact, refine=refine
-                )
-            typed = built_must.query(
-                Query(q), SearchOptions(k=5, l=64, exact=exact, refine=refine)
-            )
-            assert_same_result(legacy, typed)
-
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_batch_bit_parity(self, built_must, queries, exact):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = built_must.batch_search(
-                queries, k=5, l=64, exact=exact, n_jobs=2
-            )
-        typed = built_must.query(
-            [Query(q) for q in queries],
-            SearchOptions(k=5, l=64, exact=exact, n_jobs=2),
-        )
-        for a, b in zip(legacy, typed):
-            assert_same_result(a, b)
-
-    def test_segmented_bit_parity(self, queries):
-        must = MUST(
-            _attributed_set(150, seed=7),
-            weights=WEIGHTS,
-            segment_policy=SegmentPolicy(seal_size=48, max_segments=8),
-        ).build()
-        must.insert(_attributed_set(70, seed=8))
-        must.mark_deleted(np.arange(0, 40, 5))
-        for exact in (False, True):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = must.search(queries[0], k=5, l=64, exact=exact)
-            typed = must.query(
-                Query(queries[0]), SearchOptions(k=5, l=64, exact=exact)
-            )
-            assert_same_result(legacy, typed)
-
-    def test_service_legacy_vs_typed_parity(self, built_must, queries):
-        with MustService(built_must, ServiceConfig(max_batch=4)) as svc:
-            for exact in (False, True):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    legacy = svc.search(queries[0], k=5, l=64, exact=exact)
-                typed = svc.search(
-                    Query(queries[0]), SearchOptions(k=5, l=64, exact=exact)
-                )
-                assert_same_result(legacy, typed)
-
-    def test_options_and_legacy_kwargs_exclusive(self, built_must, queries):
-        with MustService(built_must, ServiceConfig(max_batch=2)) as svc:
-            with pytest.raises(ValueError, match="not both"):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    svc.submit(queries[0], SearchOptions(k=5), k=5)
 
 
 # ----------------------------------------------------------------------
@@ -484,11 +366,6 @@ class TestLClamp:
             SearchOptions(k=5, l=must.segments.num_total),
         )
         assert_same_result(huge, full)
-        # The legacy shim goes through the same clamp.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = must.search(queries[0], k=5, l=10**7)
-        assert_same_result(legacy, huge)
 
     def test_tiny_corpus_returns_everything(self, queries):
         must = MUST(
@@ -496,3 +373,45 @@ class TestLClamp:
         ).build()
         res = must.query(Query(queries[0]), SearchOptions(k=10, l=100))
         assert len(res.ids) == 6
+
+    @pytest.mark.parametrize("engine", ["auto", "wave"])
+    def test_tiny_corpus_returns_everything_on_every_surface(
+        self, queries, engine
+    ):
+        """Fewer objects than k: the snapshot and the service clamp ``l``
+        through the same ``resolve`` as ``MUST.query`` (they used to
+        clamp by hand and raise ``l=6 must be at least k=10``)."""
+        must = MUST(
+            random_multivector_set(6, DIMS, seed=11), weights=WEIGHTS
+        ).build()
+        must.mark_deleted(np.array([2]))
+        opts = SearchOptions(k=10, engine=engine)
+        ref = must.query(Query(queries[0]), opts)
+        assert sorted(ref.ids) == [0, 1, 3, 4, 5]
+        assert_same_result(must.snapshot().query(Query(queries[0]), opts), ref)
+        with must.serve() as svc:
+            assert_same_result(svc.submit(queries[0], opts).result(30), ref)
+
+    @pytest.mark.parametrize("engine", ["auto", "wave"])
+    def test_explicit_l_below_k_same_error_on_every_surface(
+        self, built_must, queries, engine, monkeypatch
+    ):
+        """An explicit l < k is one error text from every surface, and it
+        is raised before anything is scored."""
+        from repro.index import scoring
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored before the plan check")
+
+        monkeypatch.setattr(scoring.Scorer, "__init__", no_scoring)
+        opts = SearchOptions(k=50, l=10, engine=engine)
+        message = "result set size l=10 must be at least k=50"
+        with pytest.raises(ValueError, match=message):
+            built_must.query(queries[0], opts)
+        with pytest.raises(ValueError, match=message):
+            built_must.query(queries[:2], opts)
+        with pytest.raises(ValueError, match=message):
+            built_must.snapshot().query(queries[0], opts)
+        with built_must.serve() as svc:
+            with pytest.raises(ValueError, match=message):
+                svc.submit(queries[0], opts).result(30)

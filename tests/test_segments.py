@@ -22,11 +22,13 @@ import pytest
 
 from repro.core.framework import MUST
 from repro.core.multivector import MultiVectorSet, normalize_rows
+from repro.core.query import SearchOptions
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.flat import FlatIndex
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.segments import SegmentedIndex, SegmentPolicy
+from repro.utils.rng import spawn_seed_sequences
 
 from tests.conftest import random_multivector_set, random_query
 
@@ -106,13 +108,13 @@ class TestRandomizedTraceParity:
         hits = total = 0
         for q in queries:
             exact_oracle = flat.search(q, k)
-            exact_seg = must.search(q, k=k, exact=True)
+            exact_seg = must.query(q, SearchOptions(k=k, exact=True))
             # Exact path: bit-identical, regardless of segment layout.
             np.testing.assert_array_equal(exact_seg.ids, exact_oracle.ids)
             np.testing.assert_array_equal(
                 exact_seg.similarities, exact_oracle.similarities
             )
-            approx = must.search(q, k=k, l=self.L)
+            approx = must.query(q, SearchOptions(k=k, l=self.L))
             assert approx.stats.segments_probed >= 1
             hits += np.intersect1d(approx.ids, exact_oracle.ids).size
             total += len(exact_oracle)
@@ -166,8 +168,8 @@ class TestRandomizedTraceParity:
         must, oracle = _fresh(seed=7)
         must.insert(_objects(15, np.random.default_rng(3)))
         q = random_query(DIMS, seed=5)
-        a = must.search(q, k=10, l=60, rng=0)
-        b = must.search(q, k=10, l=60, rng=0)
+        a = must.query(q, SearchOptions(k=10, l=60, rng=0))
+        b = must.query(q, SearchOptions(k=10, l=60, rng=0))
         np.testing.assert_array_equal(a.ids, b.ids)
         np.testing.assert_array_equal(a.similarities, b.similarities)
 
@@ -198,8 +200,8 @@ class TestLayoutInvariance:
         many.insert(corpus.subset(np.arange(84, 90)))  # stays in the delta
 
         for k in (1, 10, 25):
-            a = one.exact_search(q, k)
-            b = many.exact_search(q, k)
+            a = one.view().exact_search(q, k)
+            b = many.view().exact_search(q, k)
             np.testing.assert_array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.similarities, b.similarities)
 
@@ -213,7 +215,8 @@ class TestLayoutInvariance:
         doomed = np.array([1, 5, 21, 33])
         seg.mark_deleted(doomed)
         q = random_query(DIMS, seed=3)
-        for res in (seg.exact_search(q, 15), seg.search(q, k=15, l=40)):
+        view = seg.view()
+        for res in (view.exact_search(q, 15), view.search(q, k=15, l=40)):
             assert not (set(res.ids.tolist()) & set(doomed.tolist()))
 
 
@@ -358,10 +361,10 @@ class TestIdMapAndGuards:
             must.insert(bad)
 
     def test_empty_segmented_search(self):
-        seg = SegmentedIndex(WEIGHTS)
-        res = seg.search(random_query(DIMS, seed=0), k=5, l=10)
+        view = SegmentedIndex(WEIGHTS).view()
+        res = view.search(random_query(DIMS, seed=0), k=5, l=10)
         assert len(res) == 0
-        assert len(seg.exact_search(random_query(DIMS, seed=0), 5)) == 0
+        assert len(view.exact_search(random_query(DIMS, seed=0), 5)) == 0
 
     def test_weights_frozen_after_streaming(self):
         must, _ = _fresh(n0=20, seed=4)
@@ -377,23 +380,29 @@ class TestExecutorParityOnSegments:
         must.mark_deleted(np.arange(0, 20, 4))
         return must
 
-    def test_graph_batch_bit_identical_across_n_jobs(self):
+    def test_graph_batch_bit_identical_to_per_query_loop(self):
+        """The heap-engine batch is the hand-written loop over per-query
+        child seeds, bit for bit."""
         must = self._streamed()
         queries = [random_query(DIMS, seed=s) for s in range(8)]
-        base = must.batch_search(queries, k=10, l=60, n_jobs=1, rng=7)
-        for n_jobs in (2, 4):
-            run = must.batch_search(queries, k=10, l=60, n_jobs=n_jobs, rng=7)
-            for a, b in zip(base, run):
-                np.testing.assert_array_equal(a.ids, b.ids)
-                np.testing.assert_array_equal(a.similarities, b.similarities)
-        assert base.stats.segments_probed > 0
+        run = must.query(
+            queries, SearchOptions(k=10, l=60, engine="heap", rng=7)
+        )
+        view = must.segments.view()
+        for res, q, seed in zip(
+            run, queries, spawn_seed_sequences(7, len(queries))
+        ):
+            ref = view.search(q, k=10, l=60, rng=seed)
+            np.testing.assert_array_equal(res.ids, ref.ids)
+            np.testing.assert_array_equal(res.similarities, ref.similarities)
+        assert run.stats.segments_probed > 0
 
     def test_exact_batch_matches_single_query_ranks(self):
         must = self._streamed()
         queries = [random_query(DIMS, seed=s) for s in range(6)]
-        batch = must.batch_search(queries, k=8, exact=True)
+        batch = must.query(queries, SearchOptions(k=8, exact=True))
         for q, res in zip(queries, batch):
-            single = must.search(q, k=8, exact=True)
+            single = must.query(q, SearchOptions(k=8, exact=True))
             np.testing.assert_array_equal(res.ids, single.ids)
             np.testing.assert_allclose(
                 res.similarities, single.similarities, atol=1e-6
@@ -402,7 +411,7 @@ class TestExecutorParityOnSegments:
     def test_stats_aggregate_counts_probes(self):
         must = self._streamed()
         queries = [random_query(DIMS, seed=s) for s in range(4)]
-        run = must.batch_search(queries, k=5, l=40)
+        run = must.query(queries, SearchOptions(k=5, l=40))
         per_query = sum(r.stats.segments_probed for r in run)
         assert run.stats.segments_probed == per_query
         assert per_query >= len(queries)  # ≥ 1 probe per query

@@ -2,11 +2,11 @@
 control, lifecycle, stats, and a concurrent read/write stress test.
 
 The parity bar is **bitwise**: a response served through the coalescing
-dispatcher must equal ``MUST.search`` with the same arguments against
+dispatcher must equal ``MUST.query`` with the same arguments against
 the request's snapshot — ids *and* similarities.  On segmented
 instances that holds on both the graph and exact paths (the exact wave
 reranks through the same layout-independent float64 kernel the
-single-query scan uses); single-graph exact waves keep the legacy GEMM
+single-query scan uses); single-graph exact waves keep the GEMM
 batch, pinned here to rank parity.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.framework import MUST
-from repro.core.query import SearchOptions
+from repro.core.query import Eq, Query, SearchOptions
 from repro.core.weights import Weights
 from repro.index.executor import BatchExecutor
 from repro.index.segments import SegmentPolicy
@@ -75,13 +75,12 @@ class TestSnapshot:
     def test_segmented_snapshot_matches_live(self, segmented_must, queries):
         snap = segmented_must.snapshot()
         for q in queries[:6]:
-            assert_same_result(
-                snap.search(q, k=10, l=60), segmented_must.search(q, k=10, l=60)
-            )
-            assert_same_result(
-                snap.search(q, k=10, exact=True),
-                segmented_must.search(q, k=10, exact=True),
-            )
+            for opts in (
+                SearchOptions(k=10, l=60), SearchOptions(k=10, exact=True)
+            ):
+                assert_same_result(
+                    snap.query(q, opts), segmented_must.query(q, opts)
+                )
 
     def test_single_graph_snapshot_matches_live(self, queries):
         must = _fresh_must(n=150, seed=3)
@@ -89,26 +88,27 @@ class TestSnapshot:
         snap = must.snapshot()
         assert not snap.is_segmented
         for q in queries[:6]:
-            assert_same_result(snap.search(q, k=5, l=40),
-                               must.search(q, k=5, l=40))
-            assert_same_result(snap.search(q, k=5, exact=True),
-                               must.search(q, k=5, exact=True))
+            for opts in (
+                SearchOptions(k=5, l=40), SearchOptions(k=5, exact=True)
+            ):
+                assert_same_result(snap.query(q, opts), must.query(q, opts))
 
     def test_snapshot_isolated_from_all_mutations(self, queries):
         must = _fresh_must(n=200, seed=4)
         must.insert(random_multivector_set(40, DIMS, seed=5))
         q = queries[0]
-        before_graph = must.search(q, k=10, l=60)
-        before_exact = must.search(q, k=10, exact=True)
+        graph, exact = SearchOptions(k=10, l=60), SearchOptions(k=10, exact=True)
+        before_graph = must.query(q, graph)
+        before_exact = must.query(q, exact)
         snap = must.snapshot()
         # Mutate through every write path, including a full compaction.
         must.insert(random_multivector_set(50, DIMS, seed=6))
         must.mark_deleted(before_exact.ids[:3])
         must.compact()
-        assert_same_result(snap.search(q, k=10, l=60), before_graph)
-        assert_same_result(snap.search(q, k=10, exact=True), before_exact)
+        assert_same_result(snap.query(q, graph), before_graph)
+        assert_same_result(snap.query(q, exact), before_exact)
         # The live index moved on: the deleted ids are gone from it.
-        live = must.search(q, k=10, exact=True)
+        live = must.query(q, exact)
         assert not np.isin(before_exact.ids[:3], live.ids).any()
 
     def test_snapshot_num_active_frozen(self):
@@ -130,7 +130,10 @@ class TestExactWave:
         wave = snap.exact_wave(queries, k=10, refine=refine)
         for q, res in zip(queries, wave):
             assert_same_result(
-                res, segmented_must.search(q, k=10, exact=True, refine=refine)
+                res,
+                segmented_must.query(
+                    q, SearchOptions(k=10, exact=True, refine=refine)
+                ),
             )
 
     def test_wave_with_weight_override(self, segmented_must, queries):
@@ -140,7 +143,9 @@ class TestExactWave:
         for q, res in zip(queries, wave):
             assert_same_result(
                 res,
-                segmented_must.search(q, k=5, exact=True, weights=override),
+                segmented_must.query(
+                    Query(q, weights=override), SearchOptions(k=5, exact=True)
+                ),
             )
 
     def test_wave_k_exceeds_active(self):
@@ -151,7 +156,9 @@ class TestExactWave:
         qs = [random_query(DIMS, seed=s) for s in range(4)]
         wave = snap.exact_wave(qs, k=50)
         for q, res in zip(qs, wave):
-            assert_same_result(res, must.search(q, k=50, exact=True))
+            assert_same_result(
+                res, must.query(q, SearchOptions(k=50, exact=True))
+            )
             assert len(res) == must.segments.num_active
 
     def test_executor_entry_point(self, segmented_must, queries):
@@ -159,7 +166,9 @@ class TestExactWave:
         batch = BatchExecutor().run_exact_wave(snap, queries, k=10)
         assert len(batch) == len(queries)
         for q, res in zip(queries, batch):
-            assert_same_result(res, segmented_must.search(q, k=10, exact=True))
+            assert_same_result(
+                res, segmented_must.query(q, SearchOptions(k=10, exact=True))
+            )
         assert batch.stats.joint_evals > 0
 
     def test_single_graph_wave_rank_parity(self, queries):
@@ -167,7 +176,7 @@ class TestExactWave:
         snap = must.snapshot()
         wave = snap.exact_wave(queries[:8], k=10)
         for q, res in zip(queries, wave):
-            ref = must.search(q, k=10, exact=True)
+            ref = must.query(q, SearchOptions(k=10, exact=True))
             assert np.array_equal(res.ids, ref.ids)
             np.testing.assert_allclose(res.similarities, ref.similarities,
                                        atol=1e-6)
@@ -178,29 +187,25 @@ class TestExactWave:
         snap = segmented_must.snapshot()
         wave = snap.exact_wave(queries[:4], k=10, margin=0.0)
         for q, res in zip(queries, wave):
-            ref = segmented_must.search(q, k=10, exact=True)
+            ref = segmented_must.query(q, SearchOptions(k=10, exact=True))
             assert set(res.ids) <= set(ref.ids) | set(res.ids)
             assert len(res) == 10
 
 
 class TestServiceParity:
     def test_concurrent_mixed_clients_bitwise(self, segmented_must, queries):
-        refs = {}
-        for i, q in enumerate(queries):
-            if i % 2 == 0:
-                refs[i] = segmented_must.search(q, k=10, exact=True)
-            else:
-                refs[i] = segmented_must.search(q, k=10, l=60)
+        plans = [SearchOptions(k=10, exact=True), SearchOptions(k=10, l=60)]
+        refs = {
+            i: segmented_must.query(q, plans[i % 2])
+            for i, q in enumerate(queries)
+        }
         with MustService(
             segmented_must, ServiceConfig(max_batch=16, max_wait_ms=5.0)
         ) as svc:
             results: list = [None] * len(queries)
 
             def client(i):
-                if i % 2 == 0:
-                    results[i] = svc.search(queries[i], k=10, exact=True)
-                else:
-                    results[i] = svc.search(queries[i], k=10, l=60)
+                results[i] = svc.search(queries[i], plans[i % 2])
 
             threads = [
                 threading.Thread(target=client, args=(i,))
@@ -222,9 +227,11 @@ class TestServiceParity:
         with MustService(
             segmented_must, ServiceConfig(max_batch=8, max_wait_ms=5.0)
         ) as svc:
-            solo = svc.search(queries[0], k=10, l=60, rng=123)
+            solo = svc.search(queries[0], SearchOptions(k=10, l=60, rng=123))
             futures = [
-                svc.submit(q, k=10, l=60, rng=123 if i == 0 else i)
+                svc.submit(
+                    q, SearchOptions(k=10, l=60, rng=123 if i == 0 else i)
+                )
                 for i, q in enumerate(queries[:8])
             ]
             batched = futures[0].result()
@@ -235,22 +242,25 @@ class TestServiceParity:
         with MustService(
             segmented_must, ServiceConfig(max_batch=16, max_wait_ms=5.0)
         ) as svc:
-            futs = []
+            requests = []
             for i, q in enumerate(queries[:12]):
                 if i % 3 == 0:
-                    futs.append((svc.submit(q, k=5, exact=True),
-                                 dict(k=5, exact=True)))
+                    requests.append((Query(q), SearchOptions(k=5, exact=True)))
                 elif i % 3 == 1:
-                    futs.append((
-                        svc.submit(q, k=7, exact=True, weights=override),
-                        dict(k=7, exact=True, weights=override),
-                    ))
+                    requests.append(
+                        (
+                            Query(q, weights=override),
+                            SearchOptions(k=7, exact=True),
+                        )
+                    )
                 else:
-                    futs.append((svc.submit(q, k=5, exact=True, refine=2),
-                                 dict(k=5, exact=True, refine=2)))
-            for (fut, params), q in zip(futs, queries[:12]):
+                    requests.append(
+                        (Query(q), SearchOptions(k=5, exact=True, refine=2))
+                    )
+            futs = [svc.submit(query, opts) for query, opts in requests]
+            for fut, (query, opts) in zip(futs, requests):
                 assert_same_result(
-                    fut.result(), segmented_must.search(q, **params)
+                    fut.result(), segmented_must.query(query, opts)
                 )
 
 
@@ -265,7 +275,7 @@ class TestSearchDuringCompaction:
             must, ServiceConfig(max_batch=8, max_wait_ms=1.0)
         ) as svc:
             before = {
-                i: must.search(q, k=10, exact=True)
+                i: must.query(q, SearchOptions(k=10, exact=True))
                 for i, q in enumerate(queries)
             }
             answers: dict[int, list] = {i: [] for i in range(len(queries))}
@@ -274,7 +284,7 @@ class TestSearchDuringCompaction:
             def reader(i):
                 while not stop.is_set():
                     answers[i].append(
-                        svc.search(queries[i], k=10, exact=True)
+                        svc.search(queries[i], SearchOptions(k=10, exact=True))
                     )
 
             readers = [
@@ -287,7 +297,7 @@ class TestSearchDuringCompaction:
             for t in readers:
                 t.join()
             after = {
-                i: must.search(q, k=10, exact=True)
+                i: must.query(q, SearchOptions(k=10, exact=True))
                 for i, q in enumerate(queries)
             }
             checked = 0
@@ -315,15 +325,17 @@ class TestAdmissionControl:
             ServiceConfig(max_queue=4, backpressure="reject"),
             start=False,
         )
-        futs = [svc.submit(queries[i], k=5) for i in range(4)]
+        futs = [svc.submit(queries[i], SearchOptions(k=5)) for i in range(4)]
         with pytest.raises(ServiceOverloaded):
-            svc.submit(queries[4], k=5)
+            svc.submit(queries[4], SearchOptions(k=5))
         assert svc.stats.rejected == 1
         # Once the dispatcher starts, the accepted requests all complete.
         svc.start()
         for fut, q in zip(futs, queries):
-            assert_same_result(fut.result(timeout=30),
-                               segmented_must.search(q, k=5))
+            assert_same_result(
+                fut.result(timeout=30),
+                segmented_must.query(q, SearchOptions(k=5)),
+            )
         svc.close()
 
     def test_block_backpressure_times_out(self, segmented_must, queries):
@@ -335,10 +347,10 @@ class TestAdmissionControl:
             start=False,
         )
         for i in range(2):
-            svc.submit(queries[i], k=5)
+            svc.submit(queries[i], SearchOptions(k=5))
         t0 = time.perf_counter()
         with pytest.raises(ServiceOverloaded):
-            svc.submit(queries[2], k=5)
+            svc.submit(queries[2], SearchOptions(k=5))
         assert time.perf_counter() - t0 >= 0.05
         svc.start()
         svc.close()
@@ -357,17 +369,17 @@ class TestLifecycle:
         svc = MustService(
             segmented_must, ServiceConfig(max_batch=4, max_wait_ms=1.0)
         )
-        futs = [svc.submit(q, k=5) for q in queries[:8]]
+        futs = [svc.submit(q, SearchOptions(k=5)) for q in queries[:8]]
         svc.close()
         for fut in futs:
             assert len(fut.result(timeout=1)) == 5
         with pytest.raises(ServiceClosed):
-            svc.submit(queries[0], k=5)
+            svc.submit(queries[0], SearchOptions(k=5))
         svc.close()  # idempotent
 
     def test_close_without_start_fails_pending(self, segmented_must, queries):
         svc = MustService(segmented_must, start=False)
-        fut = svc.submit(queries[0], k=5)
+        fut = svc.submit(queries[0], SearchOptions(k=5))
         svc.close()
         with pytest.raises(ServiceClosed):
             fut.result(timeout=1)
@@ -389,11 +401,17 @@ class TestLifecycle:
         with MustService(
             segmented_must, ServiceConfig(max_batch=4, max_wait_ms=5.0)
         ) as svc:
-            # refine=0 is invalid on both paths; each failure stays
-            # contained (its own graph task / its own exact group).
-            bad_graph = svc.submit(queries[0], k=5, refine=0)
-            bad_exact = svc.submit(queries[1], k=5, exact=True, refine=0)
-            good = svc.submit(queries[2], k=5, exact=True)
+            # A filter on a corpus without attributes fails at execution
+            # on both paths; each failure stays contained (its own graph
+            # request / its own exact group's retry).
+            flt = Eq("category", "shoes")
+            bad_graph = svc.submit(
+                Query(queries[0], filter=flt), SearchOptions(k=5)
+            )
+            bad_exact = svc.submit(
+                Query(queries[1], filter=flt), SearchOptions(k=5, exact=True)
+            )
+            good = svc.submit(queries[2], SearchOptions(k=5, exact=True))
             with pytest.raises(ValueError):
                 bad_graph.result(timeout=30)
             with pytest.raises(ValueError):
@@ -404,50 +422,29 @@ class TestLifecycle:
 
 
 class TestDispatcherResilience:
-    def test_legacy_list_weights_answers_in_mixed_wave(self, segmented_must,
-                                                       queries):
-        """A raw squared-weight list from a legacy caller used to reach
-        the plan groupers without a ``.squared`` attribute and fail every
-        wave-mate's future; ``submit`` now normalises it to
-        :class:`Weights`, so the request groups correctly and answers
-        bit-identically alongside typed wave-mates."""
-        svc = MustService(
-            segmented_must, ServiceConfig(max_batch=4, max_wait_ms=5.0),
-            start=False,
-        )
-        try:
-            legacy = svc.submit(queries[0], k=5, exact=True,
-                                weights=[0.5, 0.5])
-            mate = svc.submit(queries[1], SearchOptions(k=5, exact=True))
-            svc.start()
-            assert_same_result(
-                legacy.result(timeout=30),
-                segmented_must.search(queries[0], k=5, exact=True,
-                                      weights=Weights([0.5, 0.5])),
-            )
-            assert_same_result(
-                mate.result(timeout=30),
-                segmented_must.search(queries[1], k=5, exact=True),
-            )
-        finally:
-            svc.close()
-
-    def test_wave_level_error_fails_batch_not_dispatcher(self, segmented_must,
-                                                         queries):
-        """An error outside the per-request paths (here: plan grouping on
-        a weights value that cannot be normalised) must fail the batch's
-        futures, not kill the dispatcher and strand every later caller."""
+    def test_wave_level_error_fails_batch_not_dispatcher(
+        self, segmented_must, queries, monkeypatch
+    ):
+        """An error outside the per-request paths (here: plan grouping)
+        must fail the batch's futures, not kill the dispatcher and
+        strand every later caller."""
+        exact = SearchOptions(k=5, exact=True)
         with MustService(
             segmented_must, ServiceConfig(max_batch=4, max_wait_ms=1.0)
         ) as svc:
-            bad = svc.submit(queries[0], k=5, exact=True,
-                             weights="bogus")  # Weights() rejects it
-            with pytest.raises(AttributeError):
-                bad.result(timeout=30)
+            with monkeypatch.context() as patched:
+
+                def boom(reqs):
+                    raise AttributeError("grouping failed")
+
+                patched.setattr(svc, "_exact_groups", boom)
+                bad = svc.submit(queries[0], exact)
+                with pytest.raises(AttributeError):
+                    bad.result(timeout=30)
             # The dispatcher survived: the service still answers.
             assert_same_result(
-                svc.search(queries[1], k=5, exact=True),
-                segmented_must.search(queries[1], k=5, exact=True),
+                svc.search(queries[1], exact),
+                segmented_must.query(queries[1], exact),
             )
 
     def test_cancelled_future_does_not_kill_dispatcher(self, segmented_must,
@@ -468,13 +465,13 @@ class TestDispatcherResilience:
             svc.start()
             assert_same_result(
                 mate.result(timeout=30),
-                segmented_must.search(queries[1], k=5, exact=True),
+                segmented_must.query(queries[1], SearchOptions(k=5, exact=True)),
             )
             assert doomed.cancelled()
             # The cancelled request is counted as failed, and the
             # dispatcher is still draining new requests.
             assert svc.stats.failed >= 1
-            assert len(svc.search(queries[2], k=5)) == 5
+            assert len(svc.search(queries[2], SearchOptions(k=5))) == 5
         finally:
             svc.close()
 
@@ -486,7 +483,9 @@ class TestServiceStats:
         ) as svc:
             threads = [
                 threading.Thread(
-                    target=lambda q=q: svc.search(q, k=5, exact=True)
+                    target=lambda q=q: svc.search(
+                        q, SearchOptions(k=5, exact=True)
+                    )
                 )
                 for q in queries[:16]
             ]
@@ -529,7 +528,7 @@ class TestStress:
                         exact = (slot + r) % 2 == 0
                         res = svc.search(
                             queries[(slot * 5 + r) % len(queries)],
-                            k=k, l=50, exact=exact,
+                            SearchOptions(k=k, l=50, exact=exact),
                         )
                         responses[slot].append(res)
                 except Exception as exc:  # pragma: no cover - failure path
@@ -577,12 +576,11 @@ class TestStress:
                     assert (np.diff(res.similarities) <= 1e-12).all()
 
             # Quiesced parity: with writers stopped, served answers equal
-            # the oracle (direct MUST.search) bit for bit.
+            # the oracle (direct MUST.query) bit for bit.
             for q in queries[:8]:
-                assert_same_result(
-                    svc.search(q, k=k, exact=True),
-                    svc.must.search(q, k=k, exact=True),
-                )
-                assert_same_result(
-                    svc.search(q, k=k, l=50), svc.must.search(q, k=k, l=50)
-                )
+                for opts in (
+                    SearchOptions(k=k, exact=True), SearchOptions(k=k, l=50)
+                ):
+                    assert_same_result(
+                        svc.search(q, opts), svc.must.query(q, opts)
+                    )

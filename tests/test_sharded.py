@@ -93,28 +93,31 @@ def assert_same_result(res, ref):
 
 
 class TestExactParity:
-    @pytest.mark.parametrize("n_jobs", [1, 4])
+    @pytest.mark.parametrize("max_batch", [1, 4])
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_bitwise_parity_across_layouts(
-        self, sharded_must, queries, shards, n_jobs
+        self, sharded_must, queries, shards, max_batch
     ):
-        """Exact answers are bit-identical for every shard × n_jobs
-        layout, including per-query filters and k overrides."""
+        """Exact answers are bit-identical for every shard count ×
+        coalescing width (one request per scatter, or four), including
+        per-query filters and k overrides."""
         service = sharded_must.serve_sharded(
-            n_shards=shards, n_jobs=n_jobs, max_batch=8, max_wait_ms=1.0
+            n_shards=shards, max_batch=max_batch, max_wait_ms=5.0
         )
         try:
             plan = SearchOptions(k=10, exact=True)
+            typed = []
             for i, q in enumerate(queries):
                 if i % 3 == 0:
-                    query = Query(q, filter=Eq("category", "alpha"))
+                    typed.append(Query(q, filter=Eq("category", "alpha")))
                 elif i % 3 == 1:
-                    query = Query(q, k=4)  # per-query k override
+                    typed.append(Query(q, k=4))  # per-query k override
                 else:
-                    query = q
+                    typed.append(Query(q))
+            futures = [service.submit(query, plan) for query in typed]
+            for query, future in zip(typed, futures):
                 assert_same_result(
-                    service.search(query, plan),
-                    sharded_must.query(query, plan),
+                    future.result(60), sharded_must.query(query, plan)
                 )
         finally:
             service.close()

@@ -1,0 +1,204 @@
+"""One table for surface parity: every way of asking answers the same.
+
+Rows are plans, columns are layouts; each cell sends one filtered and
+one ``Query(k=...)``-override request through every search surface —
+``MUST.query``, ``IndexSnapshot.query``, ``MustService.submit`` and, for
+the exact and wave plans, a 2-shard ``ShardedService`` — and compares
+ids *and* similarities bit for bit.  All of them run the one dispatcher
+(:func:`repro.index.executor.execute`), so a cell failing here means a
+surface grew its own interpretation of a plan.
+
+Two documented exceptions, both properties of the arithmetic and not of
+the dispatch:
+
+* a served (or sharded) **exact** request on the *single-graph* layout
+  coalesces through the stacked float32 GEMM, whose similarities can
+  differ from the per-query scan by ~1e-7 (see
+  :meth:`IndexSnapshot.exact_wave`) — ranks are compared exactly,
+  similarities to 1e-6;
+* a sharded **wave** answer comes from per-shard graphs, a different
+  (recall-equivalent) sample than the in-process graph, so the sharded
+  column is compared against itself: coalesced in one group vs
+  dispatched alone.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.framework import MUST
+from repro.core.multivector import MultiVector, MultiVectorSet
+from repro.core.query import Eq, Query, SearchOptions
+from repro.core.weights import Weights
+from repro.index.pipeline import FusedIndexBuilder
+from repro.index.segments import SegmentPolicy
+from repro.sparse.synthetic import synthetic_hybrid
+
+from tests.conftest import random_multivector_set, random_query
+
+pytest.importorskip("scipy.sparse")
+
+DIMS = (16, 8)
+K = 5
+CHEAP_BUILDER = FusedIndexBuilder(gamma=8, epsilon=1, max_candidates=16)
+POLICY = SegmentPolicy(seal_size=32, max_segments=8, max_deleted_fraction=0.9)
+HYBRID_SHAPE = dict(n_topics=4, groups_per_topic=4, dim=24)
+FILTER = Eq("parity", 0)
+
+#: plan name -> (corpus kind, options)
+PLANS = {
+    "heap": ("dense", SearchOptions(k=K, l=40, rng=3)),
+    "wave": ("dense", SearchOptions(k=K, l=40, engine="wave", rng=3)),
+    "exact": ("dense", SearchOptions(k=K, exact=True)),
+    "exact+refine": ("int8", SearchOptions(k=K, exact=True, refine=3)),
+    "hybrid-wave": (
+        "hybrid", SearchOptions(k=K, l=40, engine="wave", rng=3),
+    ),
+}
+SHARDED_PLANS = ("exact", "wave")
+LAYOUTS = ("single-graph", "3-segment+delta")
+
+
+def _with_parity(objects: MultiVectorSet) -> MultiVectorSet:
+    return objects.set_attributes({"parity": np.arange(objects.n) % 2})
+
+
+def _dense_chunk(n: int, seed: int) -> MultiVectorSet:
+    return _with_parity(random_multivector_set(n, DIMS, seed=seed))
+
+
+def _hybrid_chunk(group_size: int, seed: int) -> MultiVectorSet:
+    data = synthetic_hybrid(
+        num_queries=1, seed=seed, group_size=group_size, **HYBRID_SHAPE
+    )
+    return _with_parity(
+        MultiVectorSet([data.dense.copy()], sparse=data.sparse)
+    )
+
+
+def _build(kind: str, layout: str) -> MUST:
+    """The corpus *kind* in *layout*; 128 objects before any insert."""
+    if kind == "hybrid":
+        chunk = lambda size, seed: _hybrid_chunk(size // 16, seed)
+        weights = Weights([1.0])
+    else:
+        chunk = _dense_chunk
+        weights = Weights([0.6, 0.4])
+    must = MUST(
+        chunk(128, 1),
+        weights=weights,
+        builder=CHEAP_BUILDER,
+        segment_policy=POLICY,
+        compression="int8" if kind == "int8" else "none",
+    ).build()
+    if layout == "3-segment+delta":
+        for size, seed in ((32, 2), (32, 3), (16, 4)):
+            must.insert(chunk(size, seed))
+        assert len(must.segments.sealed) == 3 and must.segments.delta.n == 16
+    must.mark_deleted(np.arange(0, 40, 7))
+    return must
+
+
+def _requests(kind: str) -> list[Query]:
+    """One filtered request and one that overrides the plan's k."""
+    if kind == "hybrid":
+        data = synthetic_hybrid(
+            num_queries=2, seed=1, group_size=8, **HYBRID_SHAPE
+        )
+        parts = [
+            dict(
+                vector=MultiVector.from_arrays([data.query_dense[i]]),
+                sparse=data.query_sparse[i],
+                sparse_weight=0.8,
+            )
+            for i in range(2)
+        ]
+    else:
+        parts = [dict(vector=random_query(DIMS, seed=s)) for s in (5, 6)]
+    return [Query(filter=FILTER, **parts[0]), Query(k=9, **parts[1])]
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    """(kind, layout) -> built MUST, each built once for the table."""
+    cache: dict[tuple[str, str], MUST] = {}
+
+    def get(kind: str, layout: str) -> MUST:
+        if (kind, layout) not in cache:
+            cache[kind, layout] = _build(kind, layout)
+        return cache[kind, layout]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def sharded(corpora):
+    """layout -> started 2-shard service over the dense corpus."""
+    services: dict[str, object] = {}
+
+    def get(layout: str):
+        if layout not in services:
+            services[layout] = corpora("dense", layout).serve_sharded(
+                n_shards=2, max_batch=8, max_wait_ms=5.0
+            )
+        return services[layout]
+
+    yield get
+    for service in services.values():
+        service.close()
+
+
+def assert_bitwise(got, ref) -> None:
+    np.testing.assert_array_equal(got.ids, ref.ids)
+    np.testing.assert_array_equal(got.similarities, ref.similarities)
+
+
+def assert_rank_parity(got, ref) -> None:
+    np.testing.assert_array_equal(got.ids, ref.ids)
+    np.testing.assert_allclose(got.similarities, ref.similarities, atol=1e-6)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("plan", list(PLANS))
+def test_every_surface_answers_alike(corpora, sharded, plan, layout):
+    kind, opts = PLANS[plan]
+    must = corpora(kind, layout)
+    requests = _requests(kind)
+    gemm_exact = opts.exact and layout == "single-graph"
+
+    direct = [must.query(q, opts) for q in requests]
+    assert [len(r) for r in direct] == [K, 9]
+    admissible = must.query(
+        Query(requests[0].vector, filter=FILTER),
+        SearchOptions(k=10**6, exact=True),
+    ).ids
+    assert np.isin(direct[0].ids, admissible).all()
+
+    snap = must.snapshot()
+    for q, ref in zip(requests, direct):
+        assert_bitwise(snap.query(q, opts), ref)
+
+    with must.serve(max_batch=8, max_wait_ms=5.0) as svc:
+        futures = [svc.submit(q, opts) for q in requests]
+        served = [f.result(60) for f in futures]
+    for got, ref in zip(served, direct):
+        (assert_rank_parity if gemm_exact else assert_bitwise)(got, ref)
+
+    if plan not in SHARDED_PLANS:
+        return
+    service = sharded(layout)
+    alone = [service.submit(q, opts).result(60) for q in requests]
+    if opts.exact:
+        for got, ref in zip(alone, direct):
+            (assert_rank_parity if gemm_exact else assert_bitwise)(got, ref)
+        return
+    # Submitted back to back the two share a plan and (almost always) a
+    # dispatch, i.e. one lockstep group; either way the answer is the
+    # lone one.
+    futures = [service.submit(q, opts) for q in requests]
+    together = [f.result(60) for f in futures]
+    for got, ref in zip(together, alone):
+        assert_bitwise(got, ref)
+    assert [len(r) for r in alone] == [K, 9]
+    assert np.isin(alone[0].ids, admissible).all()
