@@ -52,35 +52,6 @@ LARGESCALE_QUERIES = _int_knob("REPRO_LARGESCALE_QUERIES", 60)
 ACCURACY_QUERIES = _int_knob("REPRO_ACCURACY_QUERIES", 240)
 WEIGHT_EPOCHS = _int_knob("REPRO_WEIGHT_EPOCHS", 300)
 WEIGHT_LR = 0.2
-#: Corpus size for the dynamic-update (streaming insert/delete) benchmark.
-DYNAMIC_N = _int_knob("REPRO_DYNAMIC_N", 6_000)
-#: Corpus size for the vector-store compression benchmark.
-COMPRESSION_N = _int_knob("REPRO_COMPRESSION_N", 6_000)
-#: Corpus size and closed-loop client count for the serving benchmark.
-SERVING_N = _int_knob("REPRO_SERVING_N", 6_000)
-#: Corpus size for the filtered-search (attribute pushdown) benchmark.
-FILTERED_N = _int_knob("REPRO_FILTERED_N", 6_000)
-#: Corpus size for the memory-mapped cold-tier benchmark.
-MMAP_N = _int_knob("REPRO_MMAP_N", 6_000)
-SERVING_CLIENTS = _int_knob("REPRO_SERVING_CLIENTS", 32)
-#: Corpus size (split across tenants) and per-tenant client count for
-#: the multi-tenant collections benchmark.
-MULTITENANT_N = _int_knob("REPRO_MULTITENANT_N", 6_000)
-MULTITENANT_CLIENTS = _int_knob("REPRO_MULTITENANT_CLIENTS", 16)
-#: Corpus size for the process-sharded serving benchmark.  Larger than
-#: the other serving corpora on purpose: the scaling gate measures how
-#: the O(n) per-shard scan shrinks with the shard count, and at small n
-#: the per-wave fixed costs (IPC, per-query rerank bookkeeping) drown
-#: that signal, leaving no margin over the 1.6x/2.5x scaling floors.
-SHARDED_N = _int_knob("REPRO_SHARDED_N", 40_000)
-#: Corpus size and query count for the hybrid dense+lexical benchmark.
-#: Like ``SHARDED_N``, not shrunk in CI smoke runs: the ≥1.5x
-#: inverted-vs-bruteforce gate measures how skipping untouched rows
-#: beats the O(n · terms) scan, and below ~10k rows the per-query fixed
-#: costs (query parsing, the output array, the top-k select) drown that
-#: signal on both engines.
-HYBRID_N = _int_knob("REPRO_HYBRID_N", 20_000)
-HYBRID_QUERIES = _int_knob("REPRO_HYBRID_QUERIES", 40)
 
 
 @lru_cache(maxsize=None)

@@ -517,6 +517,7 @@ class MUST:
             self.objects.subset(active),
             weights=self.weights,
             builder=self.builder,
+            segment_policy=self.segment_policy,
             compression=self.compression,
             store_options=self.store_options,
             cold_storage=self.cold_storage,

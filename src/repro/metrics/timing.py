@@ -175,8 +175,8 @@ def measure_batch_qps(
     receives the whole query list and returns an iterable of per-query
     results (a plain list or a
     :class:`~repro.index.executor.BatchResult`).  QPS then reflects true
-    batch throughput — GEMM waves and thread-pool parallelism included —
-    rather than a sum of single-query latencies.
+    batch throughput — GEMM and lockstep graph waves included — rather
+    than a sum of single-query latencies.
     """
     queries = list(queries)
     if warmup > 0:

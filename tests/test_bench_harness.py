@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
 from repro.bench.harness import Table, format_table, save_table
 from repro.bench.report import _registry
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestTableFormatting:
@@ -56,3 +64,26 @@ class TestReportRegistry:
     def test_registry_stems_unique(self):
         stems = [stem for stem, _ in _registry()]
         assert len(stems) == len(set(stems))
+
+
+class TestBenchSuiteIntegrity:
+    @pytest.mark.parametrize(
+        "stem", sorted(p.stem for p in (ROOT / "benchmarks").glob("bench_*.py"))
+    )
+    def test_bench_module_imports(self, stem):
+        importlib.import_module(f"benchmarks.{stem}")
+
+    @pytest.mark.parametrize(
+        "doc",
+        ["README.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"],
+    )
+    def test_documented_paths_exist(self, doc):
+        named = set(
+            re.findall(
+                r"(?:benchmarks|perfbench)/[\w./-]*\w|BENCH\w*\.json",
+                (ROOT / doc).read_text(),
+            )
+        )
+        assert named, f"{doc} names no benchmark path"
+        missing = sorted(path for path in named if not (ROOT / path).exists())
+        assert not missing, f"{doc} names paths that do not exist: {missing}"

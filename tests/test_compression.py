@@ -123,16 +123,21 @@ class TestCompressedSearch:
                                         ground_truth, kind):
         """Deterministic monotonicity: with the same ``l`` the routing
         (hence the candidate set) is identical, and the exact rerank
-        keeps every ground-truth member the candidates contain."""
+        keeps every ground-truth member the candidates contain.  At
+        ``refine=4`` that holds mean recall@10 >= 0.95 against the exact
+        oracle on every backend."""
         must = MUST(objects, weights=Weights([0.6, 0.4]),
                     compression=kind).build()
         refine = 4
         assert L >= refine * K  # same routing for both calls
+        refined_recall = []
         for q, gt in zip(queries, ground_truth):
             plain = must.query(q, SearchOptions(k=K, l=L, rng=0))
             refined = must.query(q, SearchOptions(k=K, l=L, rng=0, refine=refine))
-            assert _recall(refined.ids, gt) >= _recall(plain.ids, gt)
+            refined_recall.append(_recall(refined.ids, gt))
+            assert refined_recall[-1] >= _recall(plain.ids, gt)
             assert refined.stats.reranked == refine * K
+        assert np.mean(refined_recall) >= 0.95
 
     def test_refine_similarities_are_exact(self, objects, dense_must,
                                            queries, kind):

@@ -13,6 +13,7 @@ from repro.core.weights import Weights
 from repro.index.flat import FlatIndex
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.search import joint_search
+from repro.index.segments import SegmentPolicy
 
 from tests.conftest import random_multivector_set, random_query
 
@@ -112,6 +113,19 @@ class TestCompaction:
         compacted, active = must.compact()
         assert compacted.objects.n == must.objects.n
         assert np.array_equal(active, np.arange(must.objects.n))
+
+    def test_compact_keeps_segment_policy(self):
+        """The rebuilt single-graph instance seals under the caller's
+        policy, not the default one."""
+        must = MUST(
+            random_multivector_set(60, (8, 6), seed=5),
+            segment_policy=SegmentPolicy(seal_size=7),
+        ).build()
+        must.mark_deleted(np.arange(5))
+        compacted, _ = must.compact()
+        compacted.insert(random_multivector_set(20, (8, 6), seed=6))
+        assert compacted.segments.num_seals == 1
+        assert compacted.segments.delta.n == 0
 
 
 class TestExactSearchSoftDeletes:

@@ -159,15 +159,16 @@ class TestParity:
     @pytest.mark.parametrize("compression", COMPRESSIONS)
     def test_sharded_parity(self, pair_of, queries, compression, max_batch):
         """ShardedService answers match — one request per scatter or
-        four coalesced — and the mmap spawn ships O(hot) shared memory:
-        the cold planes never cross the boundary."""
+        four coalesced — and the mmap spawn ships O(hot) shared memory
+        (at least 2x fewer bytes; the counts are deterministic): the
+        cold planes never cross the boundary."""
         resident, mapped = pair_of(compression, True)
         plan = SearchOptions(k=10, exact=True, refine=24)
         config = dict(n_shards=2, max_batch=max_batch, max_wait_ms=5.0)
         svc_res = resident.serve_sharded(**config)
         svc_map = mapped.serve_sharded(**config)
         try:
-            assert svc_map.spawn_shm_bytes < svc_res.spawn_shm_bytes
+            assert 2 * svc_map.spawn_shm_bytes <= svc_res.spawn_shm_bytes
             got = [svc_map.submit(query, plan) for query in queries]
             ref = [svc_res.submit(query, plan) for query in queries]
             for a, b in zip(got, ref):
@@ -224,8 +225,8 @@ class TestAccounting:
 
     def test_mmap_cold_tier_is_fully_nonresident(self, pair_of):
         """Every mapped cold byte leaves RAM: resident == hot exactly.
-        (The ≥4× corpus-scale reduction gate lives in
-        ``benchmarks/bench_mmap_qps.py``, where per-segment codebook
+        (The corpus-scale reduction is ``perfbench``'s
+        ``hybrid_compressed`` ``resident_bytes_per_obj``, where codebook
         overhead amortises; at test scale it dominates.)"""
         _, mapped = pair_of("pq", True)
         stats = mapped.memory_stats()
