@@ -22,7 +22,7 @@ from repro.baselines import BruteForceMUST, MultiStreamedRetrieval
 from repro.core.framework import MUST
 from repro.core.query import Query, SearchOptions
 from repro.datasets.largescale import exact_ground_truth
-from repro.metrics import mean_recall, measure_batch_qps
+from repro.metrics import mean_recall, measure_batch_qps, measure_qps
 
 __all__ = [
     "fig6_qps_recall",
@@ -47,7 +47,11 @@ def _recall_vs_exact(results, gt, k):
 
 
 def fig6_qps_recall(kind: str = "image") -> Table:
-    """Fig. 6: QPS vs Recall@10(10) for MUST / MUST-- / MR / MR--."""
+    """Fig. 6: QPS vs Recall@10(10) for MUST / MUST-- / MR / MR--.
+
+    ``MUST`` rows time one batch call (the lockstep wave); the two
+    ``MUST (lone, …)`` groups time one ``MUST.query`` per query.
+    """
     enc, must = cache.largescale_must(kind)
     gt = exact_ground_truth(enc, must.weights, k=10)
     queries = enc.queries
@@ -61,6 +65,23 @@ def fig6_qps_recall(kind: str = "image") -> Table:
         rec = _recall_vs_exact([r.ids for r in run.results], gt, 10)
         evals = np.mean([r.stats.joint_evals for r in run.results])
         rows.append(["MUST", f"l={l}", rec, run.qps, evals])
+
+    # One caller, one query at a time (what perfbench's ``single_query``
+    # times): the heap engine ``engine="auto"`` picks for a lone query,
+    # beside the same query forced through a lockstep wave of one — the
+    # comparison ROADMAP item 3 asked for.
+    for label, engine in (
+        ("MUST (lone, heap)", "auto"), ("MUST (lone, wave b=1)", "wave"),
+    ):
+        for l in _L_SWEEP:
+            opts = SearchOptions(k=10, l=l, engine=engine)
+            run = measure_qps(
+                lambda q, opts=opts: must.query(Query(q), opts), queries,
+                warmup=1,
+            )
+            rec = _recall_vs_exact([r.ids for r in run.results], gt, 10)
+            evals = np.mean([r.stats.joint_evals for r in run.results])
+            rows.append([label, f"l={l}", rec, run.qps, evals])
 
     brute = BruteForceMUST(enc.objects, must.weights).build()
     run = measure_batch_qps(lambda qs: brute.batch_search(qs, k=10), queries)

@@ -88,15 +88,19 @@ class Weights:
         """Zero out weights of modalities missing from *query*.
 
         Implements the paper's ``t ≠ m`` rule (§VII-B): absent modalities
-        contribute ``ω_i = 0`` to the joint similarity.
+        contribute ``ω_i = 0`` to the joint similarity.  A query that
+        carries every modality masks nothing and gets ``self`` back
+        (weights are immutable) — the common case on the per-query path.
         """
-        present = np.asarray(query.present, dtype=np.float64)
+        present = query.present
         require(
-            present.size == self._squared.size,
-            f"query has {present.size} modality slots, weights have "
+            len(present) == self._squared.size,
+            f"query has {len(present)} modality slots, weights have "
             f"{self._squared.size}",
         )
-        masked = self._squared * present
+        if all(present):
+            return self
+        masked = self._squared * np.asarray(present, dtype=np.float64)
         require(bool(masked.sum() > 0.0), "query has no usable modality")
         return Weights(masked)
 

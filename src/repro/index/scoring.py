@@ -85,12 +85,14 @@ __all__ = [
 
 
 class MatrixScorer:
-    """Raw-matrix scorer for construction-time search (no weights, no stats).
+    """Raw-matrix scorer: one gather + one GEMV, no weights, no stats.
 
     Index builders route over plain concatenated vectors where the query
     *is* a corpus row; there is nothing to rescale and no work counters
-    to keep.  This thin wrapper still centralises the actual arithmetic
-    so the gather + GEMV idiom lives in exactly one module.
+    to keep.  The heap engine's hot loop uses it the same way over an
+    already-rescaled query vector, counting its own work.  This thin
+    wrapper centralises the arithmetic so the gather + GEMV idiom lives
+    in exactly one module.
     """
 
     __slots__ = ("matrix", "query_vec")
@@ -103,7 +105,7 @@ class MatrixScorer:
         return float(self.matrix[i] @ self.query_vec)
 
     def score_ids(self, ids: np.ndarray) -> np.ndarray:
-        return self.matrix[ids] @ self.query_vec
+        return self.matrix.take(ids, 0).dot(self.query_vec)
 
 
 class Scorer:
@@ -159,6 +161,13 @@ class Scorer:
         self._kernels = (
             space.query_kernels(query, weights)
             if space.is_compressed and not self.deterministic
+            else None
+        )
+        # The same kernels keyed by modality, for the Lemma-4 scan's
+        # ``kernels=`` hook: one dict per search, not one per hop.
+        self._kernel_by_modality = (
+            {i: kern for i, _, kern in self._kernels}
+            if self._kernels is not None
             else None
         )
 
@@ -218,12 +227,7 @@ class Scorer:
         if self.early_termination:
             sims, exact = self.space.query_ids_early_stop(
                 self.query, ids, threshold, weights=self.weights,
-                stats=self.stats,
-                kernels=(
-                    {i: kern for i, _, kern in self._kernels}
-                    if self._kernels is not None
-                    else None
-                ),
+                stats=self.stats, kernels=self._kernel_by_modality,
             )
             return sims, exact & (sims > threshold)
         sims = self.score_ids(ids)

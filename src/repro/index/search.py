@@ -21,11 +21,19 @@ accumulate and a neighbour is dropped the moment its partial-IP upper
 bound cannot beat the current worst of ``R`` — identical results, fewer
 modality evaluations (Fig. 10(c)).
 
-All similarity arithmetic (concat fast path, per-modality fallback,
-Lemma-4 pruning, stats accounting) lives in the shared
-:class:`~repro.index.scoring.Scorer`; the engines here only own the
-routing.  Batches of queries should go through
-:func:`~repro.index.executor.execute` rather than a caller-side loop.
+Similarity arithmetic (concat fast path, per-modality fallback,
+compressed kernels, Lemma-4 pruning, stats accounting) lives in the
+shared :class:`~repro.index.scoring.Scorer`; the engines here own the
+routing.  One exception, because a lone query's cost is interpreter
+time per hop rather than similarity work: on the concat fast path the
+heap engine scores frontiers with a bare
+:class:`~repro.index.scoring.MatrixScorer` over the scorer's rescaled
+query vector — a hop is four NumPy calls and the work counters are
+written once per search (see :func:`_heap_search`).  The other
+routes, and the ``paper`` engine, still call
+:meth:`Scorer.score_frontier` once per hop.  Batches of queries should
+go through :func:`~repro.index.executor.execute` rather than a
+caller-side loop.
 """
 
 from __future__ import annotations
@@ -183,15 +191,27 @@ def _heap_search(
     excluded: np.ndarray | None,
     reportable: int,
 ) -> SearchResult:
+    """The two-heap engine; its hot loop is kept deliberately flat.
+
+    Per-query cost here is interpreter time, not similarity work, so on
+    the concat fast path a hop is four NumPy calls (unvisited filter,
+    mark, row gather, GEMV) and plain-Python heap work on ``tolist()``
+    values: the pruning threshold lives in a local that is refreshed
+    only where the result heap changes, and the work counters are summed
+    in locals and written to the stats once.  Every other scoring route
+    (per-modality fallback, compressed kernels, Lemma-4 pruning) still
+    goes through :meth:`Scorer.score_frontier`.  Answers and counters
+    are bit-identical to the straightforward loop kept as the oracle in
+    ``tests/test_index_search.py::TestHeapKernelParity``.
+    """
     space = index.space
-    n = space.n
     scorer = Scorer(space, query, weights=weights,
                     early_termination=early_termination)
     stats = scorer.stats
 
     r_ids = _init_result_set(index, l, rng)
-    seen = np.zeros(n, dtype=bool)
-    seen[r_ids] = True
+    unseen = np.ones(space.n, dtype=bool)
+    unseen[r_ids] = False
     init_sims = scorer.score_ids(r_ids)
 
     # Excluded vertices — soft-deleted (§IX bitset) or outside the
@@ -200,47 +220,67 @@ def _heap_search(
     cap = min(l, reportable)
 
     # results: min-heap of (sim, id) capped at |R|; candidates: max-heap.
-    results = [
-        (float(s), int(v))
-        for s, v in zip(init_sims, r_ids)
-        if deleted is None or not deleted[v]
-    ]
+    init_ids = r_ids.tolist()
+    results = list(zip(init_sims.tolist(), init_ids))
+    if deleted is not None:
+        results = [
+            pair
+            for pair, dead in zip(results, deleted[r_ids].tolist())
+            if not dead
+        ]
     heapq.heapify(results)
-    candidates = [(-float(s), int(v)) for s, v in zip(init_sims, r_ids)]
+    candidates = list(zip((-init_sims).tolist(), init_ids))
     heapq.heapify(candidates)
+    total = sum(s for s, _ in results) if check_monotone else 0.0
+
+    heappop, heappush, heappushpop = (
+        heapq.heappop, heapq.heappush, heapq.heappushpop
+    )
     neighbors = index.neighbors
-    total = float(sum(s for s, _ in results))
-
-    def threshold_now() -> float:
-        return results[0][0] if len(results) >= cap else -np.inf
-
+    qcat = scorer.concat_query_vector
+    score_fast = (
+        MatrixScorer(space.concatenated, qcat).score_ids
+        if qcat is not None
+        else None
+    )
+    # Worst similarity of a full R; -inf while R still has free slots.
+    full = len(results) >= cap
+    threshold = results[0][0] if full else -np.inf
+    hops = evals = 0
     while candidates:
-        neg_sim, v = heapq.heappop(candidates)
-        if -neg_sim < threshold_now():
+        neg_sim, v = heappop(candidates)
+        if -neg_sim < threshold:
             break  # best unexpanded candidate cannot improve R
-        stats.hops += 1
-        stats.visited_vertices += 1
+        hops += 1
         adj = neighbors[v]
-        fresh = adj[~seen[adj]]
-        if fresh.size == 0:
+        fresh = adj[unseen.take(adj)]
+        if not fresh.size:
             continue
-        seen[fresh] = True
-        threshold = threshold_now()
-        sims, keep = scorer.score_frontier(fresh, threshold)
-        win = np.flatnonzero(keep)
-        for j in win:
-            sim = float(sims[j])
-            u = int(fresh[j])
-            if sim <= threshold_now():
+        unseen.put(fresh, False)
+        if score_fast is not None:
+            # Same gather + float32 GEMV as Scorer.score_ids; tolist()
+            # widens each value exactly as its float64 copy did.
+            sims = score_fast(fresh)
+            evals += fresh.size
+        else:
+            # A Lemma-4-pruned row carries a bound <= threshold, so the
+            # comparison below drops it exactly as the keep mask would.
+            sims, _ = scorer.score_frontier(fresh, threshold)
+        for sim, u in zip(sims.tolist(), fresh.tolist()):
+            if not sim > threshold:
                 continue
-            heapq.heappush(candidates, (-sim, u))
+            heappush(candidates, (-sim, u))
             if deleted is not None and deleted[u]:
                 continue  # routes, but cannot be an answer
-            if len(results) < cap:
-                heapq.heappush(results, (sim, u))
+            if not full:
+                heappush(results, (sim, u))
                 total += sim
+                if len(results) >= cap:
+                    full = True
+                    threshold = results[0][0]
                 continue
-            dropped = heapq.heappushpop(results, (sim, u))
+            dropped = heappushpop(results, (sim, u))
+            threshold = results[0][0]
             if check_monotone:
                 new_total = total + sim - dropped[0]
                 # Lemma 3: f(η) is monotonically non-decreasing.
@@ -248,13 +288,15 @@ def _heap_search(
                     f"Lemma 3 violated: {new_total} < {total}"
                 )
                 total = new_total
+    stats.hops += hops
+    stats.visited_vertices += hops
+    stats.joint_evals += evals
+    stats.modality_evals += evals * scorer.num_active_modalities
 
-    ranked = sorted(results, key=lambda t: (-t[0], t[1]))[:k]
-    return SearchResult(
-        ids=np.asarray([v for _, v in ranked], dtype=np.int64),
-        similarities=np.asarray([s for s, _ in ranked]),
-        stats=stats,
-    )
+    ids = np.asarray([v for _, v in results], dtype=np.int64)
+    sims = np.asarray([s for s, _ in results], dtype=np.float64)
+    order = np.lexsort((ids, -sims))[:k]
+    return SearchResult(ids=ids[order], similarities=sims[order], stats=stats)
 
 
 def _paper_search(
@@ -339,36 +381,40 @@ def greedy_search_graph(
     similarity, best first.  Query-time search should use
     :func:`joint_search` instead, which adds weights/pruning/stats.
     """
-    n = concat.shape[0]
     scorer = MatrixScorer(concat, query_vec)
-    seen = np.zeros(n, dtype=bool)
-    seen[entry] = True
+    unseen = np.ones(concat.shape[0], dtype=bool)
+    unseen[entry] = False
     entry_sim = scorer.score_one(entry)
     results = [(entry_sim, entry)]
     candidates = [(-entry_sim, entry)]
     expanded_ids: list[int] = [entry]
     expanded_sims: list[float] = [entry_sim]
+    heappop, heappush, heappushpop = (
+        heapq.heappop, heapq.heappush, heapq.heappushpop
+    )
     while candidates:
-        neg_sim, v = heapq.heappop(candidates)
-        if len(results) >= beam and -neg_sim < results[0][0]:
+        neg_sim, v = heappop(candidates)
+        # Fixed for the whole hop: every neighbour that beats the beam as
+        # it stood on arrival is recorded as expanded.
+        threshold = results[0][0] if len(results) >= beam else -np.inf
+        if -neg_sim < threshold:
             break
         adj = np.asarray(neighbors[v])
-        fresh = adj[~seen[adj]]
-        if fresh.size == 0:
+        fresh = adj[unseen.take(adj)]
+        if not fresh.size:
             continue
-        seen[fresh] = True
+        unseen.put(fresh, False)
         sims = scorer.score_ids(fresh)
-        threshold = results[0][0] if len(results) >= beam else -np.inf
-        for j in np.flatnonzero(sims > threshold):
-            sim = float(sims[j])
-            u = int(fresh[j])
-            heapq.heappush(candidates, (-sim, u))
+        for sim, u in zip(sims.tolist(), fresh.tolist()):
+            if not sim > threshold:
+                continue
+            heappush(candidates, (-sim, u))
             expanded_ids.append(u)
             expanded_sims.append(sim)
             if len(results) < beam:
-                heapq.heappush(results, (sim, u))
+                heappush(results, (sim, u))
             else:
-                heapq.heappushpop(results, (sim, u))
+                heappushpop(results, (sim, u))
     order = np.argsort(-np.asarray(expanded_sims), kind="stable")
     ids = np.asarray(expanded_ids, dtype=np.int64)[order]
     sims = np.asarray(expanded_sims)[order]

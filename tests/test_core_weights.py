@@ -78,11 +78,27 @@ class TestMasking:
         masked = w.masked(q)
         assert masked.squared[1] == 0.0
         assert masked.squared[0] == pytest.approx(0.4)
+        # A partial query gets a fresh object; the original is untouched.
+        assert masked is not w
+        assert np.array_equal(w.squared, [0.4, 0.6])
+
+    def test_masked_full_query_is_the_same_object(self):
+        """Nothing to mask: ``w * 1.0`` is ``w`` and weights are
+        immutable, so the per-query path allocates nothing."""
+        w = Weights([0.4, 0.6])
+        q = MultiVector.from_arrays([np.ones(3), np.ones(2)])
+        assert w.masked(q) is w
 
     def test_masked_all_missing_rejected(self):
         w = Weights([0.4, 0.6])
         q = MultiVector((None, None))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no usable modality"):
+            w.masked(q)
+
+    def test_masked_only_zero_weight_modality_rejected(self):
+        w = Weights([1.0, 0.0])
+        q = MultiVector.from_arrays([None, np.ones(2)])
+        with pytest.raises(ValueError, match="no usable modality"):
             w.masked(q)
 
     def test_masked_modality_count_mismatch(self):

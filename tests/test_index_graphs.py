@@ -77,6 +77,26 @@ def _build(space, name):
     return _CACHE[name]
 
 
+@pytest.mark.parametrize("name", ["nsg", "hnsw", "vamana"])
+def test_greedy_kernel_builds_the_same_graph(space, monkeypatch, name):
+    """The three builders that route with ``greedy_search_graph`` produce
+    the same adjacency with the pre-PR-20 loop swapped back in."""
+    import repro.index.graphs.hnsw as hnsw_mod
+    import repro.index.graphs.vamana as vamana_mod
+    import repro.index.search as search_mod
+    from tests.test_index_search import _oracle_greedy_search_graph
+
+    built = _build(space, name)
+    for mod in (search_mod, hnsw_mod, vamana_mod):
+        monkeypatch.setattr(
+            mod, "greedy_search_graph", _oracle_greedy_search_graph
+        )
+    ref = BUILDERS[name](seed=2).build(space)
+    assert built.seed_vertex == ref.seed_vertex
+    for got, want in zip(built.neighbors, ref.neighbors):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestHNSWSpecifics:
     def test_incremental_insert_grows_graph(self, space):
         """§IX dynamic updates: HNSW inserts points one at a time."""

@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.index.search as search_mod
+from repro.core.framework import MUST
+from repro.core.query import Eq, Query
+from repro.core.results import SearchResult
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
+from repro.index.base import GraphIndex, reseat_on_store
 from repro.index.flat import FlatIndex
 from repro.index.pipeline import FusedIndexBuilder
+from repro.index.scoring import MatrixScorer, Scorer
 from repro.index.search import greedy_search_graph, joint_search
+from repro.index.segments import SegmentPolicy
 
 from tests.conftest import random_multivector_set, random_query
 
@@ -205,6 +215,360 @@ class TestGreedySearchGraph:
             )
             found += int(target in ids[:5])
         assert found >= 3
+
+
+def _oracle_heap_search(
+    index, query, k, l, weights, early_termination, rng, check_monotone,
+    excluded, reportable,
+):
+    """``_heap_search`` as it stood before PR 20 stripped its hot loop.
+
+    The straightforward form of the two-heap engine — one
+    ``score_frontier`` call per hop, the threshold re-read from the heap
+    wherever it is needed, counters written as they happen.  Kept here
+    verbatim as the oracle the flattened kernel must equal bit for bit.
+    """
+    space = index.space
+    n = space.n
+    scorer = Scorer(space, query, weights=weights,
+                    early_termination=early_termination)
+    stats = scorer.stats
+
+    r_ids = search_mod._init_result_set(index, l, rng)
+    seen = np.zeros(n, dtype=bool)
+    seen[r_ids] = True
+    init_sims = scorer.score_ids(r_ids)
+
+    deleted = excluded
+    cap = min(l, reportable)
+
+    results = [
+        (float(s), int(v))
+        for s, v in zip(init_sims, r_ids)
+        if deleted is None or not deleted[v]
+    ]
+    heapq.heapify(results)
+    candidates = [(-float(s), int(v)) for s, v in zip(init_sims, r_ids)]
+    heapq.heapify(candidates)
+    neighbors = index.neighbors
+    total = float(sum(s for s, _ in results))
+
+    def threshold_now() -> float:
+        return results[0][0] if len(results) >= cap else -np.inf
+
+    while candidates:
+        neg_sim, v = heapq.heappop(candidates)
+        if -neg_sim < threshold_now():
+            break
+        stats.hops += 1
+        stats.visited_vertices += 1
+        adj = neighbors[v]
+        fresh = adj[~seen[adj]]
+        if fresh.size == 0:
+            continue
+        seen[fresh] = True
+        threshold = threshold_now()
+        sims, keep = scorer.score_frontier(fresh, threshold)
+        win = np.flatnonzero(keep)
+        for j in win:
+            sim = float(sims[j])
+            u = int(fresh[j])
+            if sim <= threshold_now():
+                continue
+            heapq.heappush(candidates, (-sim, u))
+            if deleted is not None and deleted[u]:
+                continue
+            if len(results) < cap:
+                heapq.heappush(results, (sim, u))
+                total += sim
+                continue
+            dropped = heapq.heappushpop(results, (sim, u))
+            if check_monotone:
+                new_total = total + sim - dropped[0]
+                assert new_total >= total - 1e-9, (
+                    f"Lemma 3 violated: {new_total} < {total}"
+                )
+                total = new_total
+
+    ranked = sorted(results, key=lambda t: (-t[0], t[1]))[:k]
+    return SearchResult(
+        ids=np.asarray([v for _, v in ranked], dtype=np.int64),
+        similarities=np.asarray([s for s, _ in ranked]),
+        stats=stats,
+    )
+
+
+def _oracle_greedy_search_graph(concat, neighbors, entry, query_vec, beam):
+    """``greedy_search_graph`` before PR 20 (same role as the above)."""
+    n = concat.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    seen[entry] = True
+    entry_sim = float(concat[entry] @ query_vec)
+    results = [(entry_sim, entry)]
+    candidates = [(-entry_sim, entry)]
+    expanded_ids = [entry]
+    expanded_sims = [entry_sim]
+    while candidates:
+        neg_sim, v = heapq.heappop(candidates)
+        if len(results) >= beam and -neg_sim < results[0][0]:
+            break
+        adj = np.asarray(neighbors[v])
+        fresh = adj[~seen[adj]]
+        if fresh.size == 0:
+            continue
+        seen[fresh] = True
+        sims = concat[fresh] @ query_vec
+        threshold = results[0][0] if len(results) >= beam else -np.inf
+        for j in np.flatnonzero(sims > threshold):
+            sim = float(sims[j])
+            u = int(fresh[j])
+            heapq.heappush(candidates, (-sim, u))
+            expanded_ids.append(u)
+            expanded_sims.append(sim)
+            if len(results) < beam:
+                heapq.heappush(results, (sim, u))
+            else:
+                heapq.heappushpop(results, (sim, u))
+    order = np.argsort(-np.asarray(expanded_sims), kind="stable")
+    ids = np.asarray(expanded_ids, dtype=np.int64)[order]
+    return ids, np.asarray(expanded_sims)[order]
+
+
+def _assert_identical(got: SearchResult, ref: SearchResult) -> None:
+    assert got.ids.dtype == ref.ids.dtype
+    assert got.similarities.dtype == ref.similarities.dtype
+    np.testing.assert_array_equal(got.ids, ref.ids)
+    # Bitwise, not approx: compare the float64 payloads as integers.
+    np.testing.assert_array_equal(
+        got.similarities.view(np.int64), ref.similarities.view(np.int64)
+    )
+    assert dataclasses.asdict(got.stats) == dataclasses.asdict(ref.stats)
+
+
+class TestHeapKernelParity:
+    """The flattened ``_heap_search`` loop against the loop it replaced:
+    ids, similarities (bitwise) and every ``SearchStats`` field."""
+
+    DIMS = (10, 6)
+
+    @pytest.fixture(scope="class")
+    def world(self, setup):
+        """The module graph again over a space that carries attributes,
+        plus the same graph re-seated on each compressed store."""
+        space, index, _, queries = setup
+        objects = random_multivector_set(400, self.DIMS, seed=33)
+        objects.set_attributes({"bucket": np.arange(objects.n) % 4})
+        dense = GraphIndex(
+            space=JointSpace(objects, space.weights),
+            neighbors=index.neighbors,
+            seed_vertex=index.seed_vertex,
+        )
+        stores = {
+            kind: reseat_on_store(
+                GraphIndex(
+                    space=JointSpace(
+                        random_multivector_set(400, self.DIMS, seed=33),
+                        space.weights,
+                    ),
+                    neighbors=index.neighbors,
+                    seed_vertex=index.seed_vertex,
+                ),
+                kind,
+            )
+            for kind in ("pq", "int8", "float16")
+        }
+        return dense, stores, queries
+
+    @staticmethod
+    def _check(monkeypatch, run) -> SearchResult:
+        got = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(search_mod, "_heap_search", _oracle_heap_search)
+            ref = run()
+        _assert_identical(got, ref)
+        return got
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            dict(),
+            dict(early_termination=True),
+            dict(check_monotone=True),
+            dict(refine=3),
+            dict(weights=Weights([0.9, 0.1])),
+            dict(early_termination=True, weights=Weights([0.2, 0.8])),
+            dict(k=1, l=1),
+            dict(l=400),
+            dict(l=1000),
+        ],
+        ids=lambda plan: ",".join(plan) or "plain",
+    )
+    def test_plans(self, world, monkeypatch, plan):
+        dense, _, queries = world
+        plan = {"k": 10, "l": 40, **plan}
+        for seed, q in enumerate(queries):
+            self._check(
+                monkeypatch, lambda: joint_search(dense, q, rng=seed, **plan)
+            )
+
+    def test_typed_queries(self, world, monkeypatch):
+        """Per-query k override, per-query weights (one zeroing a
+        modality), a filter mask, and a missing modality."""
+        dense, _, queries = world
+        for seed, q in enumerate(queries[:10]):
+            for typed in (
+                Query(q, k=17),
+                Query(q, weights=Weights([0.7, 0.3])),
+                Query(q, filter=Eq("bucket", 1)),
+                Query(q, filter=Eq("bucket", 2), k=3),
+                Query(q.replace(0, None)),
+                Query(q, weights=Weights([1.0, 0.0])),
+            ):
+                for early in (False, True):
+                    self._check(
+                        monkeypatch,
+                        lambda: joint_search(
+                            dense, typed, k=5, l=30, rng=seed,
+                            early_termination=early, check_monotone=True,
+                        ),
+                    )
+
+    def test_zero_index_weight_falls_back_per_modality(
+        self, setup, monkeypatch
+    ):
+        """ω_i = 0 in the index but wanted by the query: no concat fast
+        path, so every hop goes through ``score_frontier``."""
+        space, index, _, queries = setup
+        zeroed = GraphIndex(
+            space=space.with_weights(Weights([1.0, 0.0])),
+            neighbors=index.neighbors,
+            seed_vertex=index.seed_vertex,
+        )
+        override = Weights([0.5, 0.5])
+        assert space.with_weights(Weights([1.0, 0.0])).concat_query(
+            queries[0], override
+        ) is None
+        for seed, q in enumerate(queries[:10]):
+            self._check(
+                monkeypatch,
+                lambda: joint_search(
+                    zeroed, q, k=10, l=40, rng=seed, weights=override
+                ),
+            )
+
+    def test_deleted_and_excluded_inits(self, setup, monkeypatch):
+        """>= 30 % soft-deleted; then a filter that rejects every init
+        vertex, so R starts empty and fills from routed neighbours."""
+        space, index, _, queries = setup
+        objects = random_multivector_set(400, self.DIMS, seed=33)
+        dead = np.random.default_rng(5).permutation(400)[:140]
+        l, seed = 12, 7
+        inits = search_mod._init_result_set(index, l, seed)
+        objects.set_attributes({"init": np.isin(np.arange(400), inits)})
+        holed = GraphIndex(
+            space=JointSpace(objects, space.weights),
+            neighbors=index.neighbors,
+            seed_vertex=index.seed_vertex,
+        )
+        holed.mark_deleted(dead)
+        for q in queries:
+            for early in (False, True):
+                got = self._check(
+                    monkeypatch,
+                    lambda: joint_search(
+                        holed, q, k=10, l=40, rng=seed,
+                        early_termination=early,
+                    ),
+                )
+                assert not np.isin(got.ids, dead).any()
+            got = self._check(
+                monkeypatch,
+                lambda: joint_search(
+                    holed, Query(q, filter=Eq("init", False)), k=5, l=l,
+                    rng=seed, check_monotone=True,
+                ),
+            )
+            assert len(got) == 5 and not np.isin(got.ids, inits).any()
+
+    @pytest.mark.parametrize("kind", ["pq", "int8", "float16"])
+    def test_compressed_stores(self, world, monkeypatch, kind):
+        _, stores, queries = world
+        for seed, q in enumerate(queries[:12]):
+            for plan in (
+                dict(),
+                dict(early_termination=True),
+                dict(refine=4),
+                dict(early_termination=True, refine=2, check_monotone=True),
+            ):
+                self._check(
+                    monkeypatch,
+                    lambda: joint_search(
+                        stores[kind], q, k=8, l=40, rng=seed, **plan
+                    ),
+                )
+
+    def test_through_segment_view(self, monkeypatch):
+        """Per-segment searches of a 3-segment + delta layout."""
+        must = MUST(
+            random_multivector_set(128, self.DIMS, seed=1),
+            weights=Weights([0.6, 0.4]),
+            builder=FusedIndexBuilder(gamma=8, epsilon=1, max_candidates=16),
+            segment_policy=SegmentPolicy(
+                seal_size=32, max_segments=8, max_deleted_fraction=0.9
+            ),
+        ).build()
+        for size, seed in ((32, 2), (32, 3), (16, 4)):
+            must.insert(random_multivector_set(size, self.DIMS, seed=seed))
+        must.mark_deleted(np.arange(0, 60, 3))
+        view = must.segments.view()
+        assert len(view.segments) == 4
+        for seed in range(10):
+            q = random_query(self.DIMS, seed=100 + seed)
+            for plan in (dict(), dict(early_termination=True), dict(refine=2)):
+                got = self._check(
+                    monkeypatch,
+                    lambda: view.search(
+                        q, k=6, l=24, rng=seed, check_monotone=True, **plan
+                    ),
+                )
+                assert got.stats.segments_probed == 4
+
+
+class TestGreedyKernelParity:
+    """``greedy_search_graph`` against the loop it replaced, on the
+    adjacency shapes its three callers pass (int32 lists, a 2-D KNN
+    matrix, beam = 1 descents)."""
+
+    def test_identical_ids_and_sims(self, setup):
+        space, index, _, _ = setup
+        concat = space.concatenated
+        knn = np.stack(
+            [np.resize(adj, 6).astype(np.int64) for adj in index.neighbors]
+        )
+        for neighbors in (index.neighbors, knn):
+            for target in range(0, 400, 9):
+                for beam in (1, 8, 40):
+                    got = greedy_search_graph(
+                        concat, neighbors, index.seed_vertex,
+                        concat[target], beam=beam,
+                    )
+                    ref = _oracle_greedy_search_graph(
+                        concat, neighbors, index.seed_vertex,
+                        concat[target], beam=beam,
+                    )
+                    for a, b in zip(got, ref):
+                        assert a.dtype == b.dtype
+                        np.testing.assert_array_equal(a, b)
+
+    def test_matrix_scorer_matches_indexing(self, setup):
+        space, _, _, _ = setup
+        concat = space.concatenated
+        scorer = MatrixScorer(concat, concat[3])
+        for rows in (1, 2, 7, 33):
+            ids = np.arange(rows, dtype=np.int32) * 5
+            np.testing.assert_array_equal(
+                scorer.score_ids(ids), concat[ids] @ concat[3]
+            )
 
 
 class TestSearchResultContainer:
