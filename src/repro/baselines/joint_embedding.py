@@ -84,16 +84,12 @@ class JointEmbeddingSearch:
         queries: list[MultiVector],
         k: int,
         l: int = 100,
-        rng: int | None = 0,
     ) -> BatchResult:
         """Batch JE search through the shared dispatcher (one GEMM when
-        exact, the per-query loop over child seeds on the graph
-        otherwise)."""
+        exact, the per-query loop on the graph otherwise)."""
         require(self._index is not None, "call build() first")
         return execute(
             GraphTarget(None if self.exact else self._index, self.space),
             [Query(self._sub_query(q)) for q in queries],
-            SearchOptions(
-                k=k, l=max(l, k), exact=self.exact, engine="heap", rng=rng
-            ),
+            SearchOptions(k=k, l=max(l, k), exact=self.exact, engine="heap"),
         )

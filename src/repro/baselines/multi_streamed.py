@@ -26,7 +26,6 @@ from repro.index.flat import FlatIndex
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.search import joint_search
 from repro.utils.parallel import thread_map
-from repro.utils.rng import spawn_seed_sequences
 from repro.utils.validation import require
 
 __all__ = ["MultiStreamedRetrieval"]
@@ -96,7 +95,6 @@ class MultiStreamedRetrieval:
         query: MultiVector,
         k: int,
         candidates_per_modality: int = 100,
-        rng: int | np.random.Generator | None = 0,
     ) -> SearchResult:
         """Split → per-modality search → merge (Fig. 2, possible solution I).
 
@@ -126,7 +124,6 @@ class MultiStreamedRetrieval:
                     sub_query,
                     k=min(candidates_per_modality, self.objects.n),
                     l=min(candidates_per_modality, self.objects.n),
-                    rng=rng,
                 )
             stats.merge(result.stats)
             lists.append(result.ids)
@@ -154,20 +151,14 @@ class MultiStreamedRetrieval:
         k: int,
         candidates_per_modality: int = 100,
         n_jobs: int = 1,
-        rng: int | None = 0,
     ) -> BatchResult:
         """Batch MR search: whole queries (split + merge included) run as
-        stateless tasks on a thread pool; each query's streams share one
-        child seed derived from ``rng`` (``SeedSequence.spawn``)."""
-        queries = list(queries)
-        seeds = spawn_seed_sequences(rng, len(queries))
+        stateless tasks on a thread pool."""
         results = thread_map(
-            lambda task: self.search(
-                task[0], k,
-                candidates_per_modality=candidates_per_modality,
-                rng=np.random.default_rng(task[1]),
+            lambda query: self.search(
+                query, k, candidates_per_modality=candidates_per_modality
             ),
-            zip(queries, seeds),
+            queries,
             n_jobs=n_jobs,
         )
         return BatchResult(

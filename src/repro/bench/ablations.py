@@ -8,7 +8,6 @@ import numpy as np
 from repro.bench import cache
 from repro.bench.harness import Table
 from repro.core.space import JointSpace
-from repro.core.weights import Weights
 from repro.datasets.largescale import exact_ground_truth
 from repro.index import BUILDERS, FusedIndexBuilder, graph_quality, nndescent
 from repro.index.search import joint_search

@@ -12,8 +12,6 @@ import numpy as np
 from repro.bench import cache
 from repro.bench.harness import Table
 from repro.core.query import Query, SearchOptions
-from repro.core.space import JointSpace
-from repro.core.weights import Weights
 
 __all__ = ["fig5_case_study", "fig11_neighbors"]
 

@@ -7,7 +7,7 @@ EXPERIMENTS.md record can be regenerated from the same artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = ["Table", "format_table", "save_table", "RESULTS_DIR"]

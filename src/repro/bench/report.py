@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 import time
-from pathlib import Path
 
 from repro.bench.harness import Table, format_table, save_table
 

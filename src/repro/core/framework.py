@@ -372,9 +372,11 @@ class MUST:
         rows under ``compression=``, never the cold exact plane — and
         takes the place of ``options.refine`` for that query.
 
-        Determinism: a single query draws init vertices straight from
-        ``options.rng``, a batch spawns one SeedSequence child per
-        query.
+        Determinism: an answer is a function of the index and the
+        query — every graph search starts from the graph's fixed entry
+        order (:meth:`GraphIndex.entry_points`), so the same query reads
+        the same alone, at any batch position, from a snapshot, served,
+        or after :meth:`save` / :meth:`from_saved`.
         """
         opts = options if options is not None else SearchOptions()
         # Not require(): it would format the message on every query.
@@ -390,7 +392,7 @@ class MUST:
         )
         if isinstance(queries, (Query, MultiVector)):
             return execute(
-                target, [as_query(queries)], opts, [opts.rng]
+                target, [as_query(queries)], opts, independent=True
             ).results[0]
         return execute(target, [as_query(q) for q in queries], opts)
 

@@ -11,9 +11,10 @@ interpreted:
   and a per-query ``k`` override.
 * :class:`SearchOptions` — the execution plan shared by a wave of
   queries (``k``, ``l``, ``exact``, ``refine``, ``early_termination``,
-  ``engine``, ``rng``, ``check_monotone``), validated once at
-  construction with errors that name the offending field; a misspelled
-  field name is a ``TypeError`` from the dataclass constructor.
+  ``engine``, ``check_monotone``), validated once at construction with
+  errors that name the offending field; a misspelled field name is a
+  ``TypeError`` from the dataclass constructor.  A plan carries no
+  seed: an answer is a function of the index and the query.
 * a :class:`Filter` mini-DSL (:class:`Eq` / :class:`In` /
   :class:`Range` / :class:`And` / :class:`Or` / :class:`Not`) over the
   per-corpus :class:`~repro.core.attributes.AttributeTable`, compiling
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Union
+from typing import Any, Iterable
 
 import numpy as np
 import numpy.typing as npt
@@ -55,15 +56,12 @@ __all__ = [
     "Not",
     "Query",
     "SearchOptions",
-    "RngLike",
     "as_query",
     "compile_filter",
     "unpack_query",
 ]
 
 BoolMask = npt.NDArray[np.bool_]
-#: everything the graph searchers accept as an init-draw seed.
-RngLike = Union[int, None, np.random.SeedSequence, np.random.Generator]
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +365,6 @@ class SearchOptions:
     refine: "int | None" = None
     early_termination: bool = False
     engine: str = "auto"
-    rng: RngLike = 0
     check_monotone: bool = False
     collection: "str | None" = None
     sparse_engine: str = "auto"

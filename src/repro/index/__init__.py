@@ -13,8 +13,9 @@
 * :func:`execute` — the one dispatcher that interprets a
   :class:`~repro.core.query.SearchOptions` plan, over the
   :class:`BatchExecutor` strategy runners (GEMM waves, lockstep graph
-  waves, the per-query oracle loop) with per-query child seeds and
-  aggregated per-batch stats.
+  waves, the per-query oracle loop) with aggregated per-batch stats;
+  every graph search starts from :meth:`GraphIndex.entry_points`, so
+  an answer is a function of the index and the query.
 * :class:`SegmentedIndex` — the §IX dynamic-update subsystem: streaming
   inserts into a mutable delta segment, sealed immutable segments, and
   automatic compaction under a :class:`SegmentPolicy`.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,6 +59,12 @@ class GraphIndex:
     (Algorithm 2) greedily routes from ``seed_vertex``.  The same container
     serves the fused MUST index and every single-modality index the MR
     baseline builds.
+
+    Algorithm 2's initial result set (l. 1-3: the seed vertex plus
+    ``l - 1`` random vertices) is a property of the graph, not of the
+    request: :meth:`entry_points` hands every search the same prefix of
+    one fixed entry order, so an answer is a function of the index and
+    the query alone.
     """
 
     space: JointSpace
@@ -70,6 +77,10 @@ class GraphIndex:
     #: Deleted vertices keep routing traffic (they may be essential for
     #: connectivity) but are excluded from results until reconstruction.
     deleted: np.ndarray | None = None
+    #: lazily built entry order (:meth:`entry_points`); never persisted.
+    _entry_order: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         require(
@@ -113,6 +124,43 @@ class GraphIndex:
         offsets array.
         """
         return self.num_edges * 4 + (self.n + 1) * 8
+
+    def entry_points(self, l: int) -> np.ndarray:
+        """The first ``min(l, n)`` vertices of the entry order (read-only).
+
+        The order is the seed vertex followed by a fixed pseudo-random
+        permutation of every other vertex — a pure function of
+        ``(n, seed_vertex)``, computed once per graph and shared by its
+        :meth:`frozen` copies, so a search pays an ``O(l)`` slice.  It is
+        not written to disk: a loaded graph recomputes the same order.
+        """
+        order = self._entry_order
+        if order is None or order[0] != self.seed_vertex:
+            n = self.n
+            order = np.empty(n, dtype=np.int64)
+            order[0] = self.seed_vertex
+            # Shifted around the seed so it never appears twice.
+            rest = np.random.default_rng(0).permutation(n - 1)
+            order[1:] = (rest + self.seed_vertex + 1) % n
+            order.setflags(write=False)
+            self._entry_order = order
+        return order[:l]
+
+    def frozen(self) -> "GraphIndex":
+        """A copy later :meth:`mark_deleted` calls cannot reach.
+
+        Only the §IX bitset is copied; adjacency, entry order, space and
+        metadata are shared as they are (nothing is re-validated), so a
+        capture costs ``O(n)`` bytes of bitset and no Python loop.  The
+        entry order is built here if it was not yet, under the caller's
+        write serialisation, so every copy shares one array and threads
+        reading a copy never race to build it.
+        """
+        self.entry_points(0)
+        clone = copy.copy(self)
+        if self.deleted is not None:
+            clone.deleted = self.deleted.copy()
+        return clone
 
     def validate(self) -> None:
         """Structural sanity: ids in range, no self-loops, seed alive.

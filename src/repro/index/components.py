@@ -11,13 +11,11 @@ and match them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.space import JointSpace
-from repro.index.nndescent import block_candidate_sims, nndescent, random_knn
-from repro.utils.rng import make_rng
+from repro.index.nndescent import block_candidate_sims
 from repro.utils.validation import require
 
 __all__ = [

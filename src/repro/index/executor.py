@@ -35,11 +35,14 @@ The plan that actually executed is recorded in :attr:`BatchResult.plan`,
 so benchmarks can assert which path ran instead of trusting the
 configuration.
 
-Determinism: each query draws its init vertices from its own seed — a
-:class:`numpy.random.SeedSequence` child of the plan's ``rng``
-(:func:`~repro.utils.rng.spawn_seed_sequences`) for a batch, the
-request's own ``rng`` for an independent request — so a query's
-arithmetic never depends on its batch-mates.
+Determinism: an answer is a function of the index and the query.  Every
+graph search starts from the graph's own fixed entry order
+(:meth:`GraphIndex.entry_points`) and no engine reads its batch-mates,
+so a query answers with the same bits alone, at any batch position,
+live, from a snapshot, served, or after a save / load round trip.
+Nothing here takes a seed; whether *queries* is one batch or several
+independent requests is the explicit ``independent`` flag of
+:func:`execute`.
 """
 
 from __future__ import annotations
@@ -48,10 +51,8 @@ import functools
 import logging
 from typing import Any, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from repro.core.multivector import MultiVector
-from repro.core.query import FilterMemo, Query, RngLike, SearchOptions
+from repro.core.query import FilterMemo, Query, SearchOptions
 from repro.core.results import SearchResult, SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
@@ -60,7 +61,6 @@ from repro.index.flat import FlatIndex
 from repro.index.graph_wave import graph_wave_search
 from repro.index.search import joint_search
 from repro.index.segments import SegmentView
-from repro.utils.rng import spawn_seed_sequences
 
 __all__ = ["BatchResult", "BatchExecutor", "GraphTarget", "execute"]
 
@@ -140,7 +140,6 @@ class BatchExecutor:
     def run_graph_wave(
         index: GraphIndex,
         queries: Sequence[QueryLike],
-        rngs: Sequence[RngLike],
         k: int,
         l: int,
         early_termination: bool = False,
@@ -149,8 +148,7 @@ class BatchExecutor:
         sparse_engine: str = "auto",
     ) -> BatchResult:
         """Lockstep batched graph search — one stacked scoring call per
-        wave (:func:`~repro.index.graph_wave.graph_wave_search`), one
-        seed per query.
+        wave (:func:`~repro.index.graph_wave.graph_wave_search`).
 
         The batch stats aggregate the per-query counters and fold in
         the wave-level ``waves``/``frontier_sizes`` trace.
@@ -161,7 +159,6 @@ class BatchExecutor:
             k=k,
             l=l,
             early_termination=early_termination,
-            rngs=rngs,
             refine=refine,
             check_monotone=check_monotone,
             filter_memo={},
@@ -179,7 +176,6 @@ class BatchExecutor:
     def run_segmented(
         view: SegmentView,
         queries: Sequence[QueryLike],
-        rngs: Sequence[RngLike],
         k: int,
         l: int = 100,
         early_termination: bool = False,
@@ -192,10 +188,9 @@ class BatchExecutor:
         or frozen).
 
         ``exact=True`` runs one GEMM wave per segment and merges per
-        query (``rngs`` is not read); otherwise one lockstep traversal
-        per segment carries the whole batch, each query's seed spawning
-        per-segment grandchildren inside the view.  ``refine`` enables
-        the two-stage full-precision rerank on either path.
+        query; otherwise one lockstep traversal per segment carries the
+        whole batch.  ``refine`` enables the two-stage full-precision
+        rerank on either path.
         """
         if exact:
             return BatchResult(
@@ -210,7 +205,6 @@ class BatchExecutor:
             k=k,
             l=l,
             early_termination=early_termination,
-            rngs=list(rngs),
             refine=refine,
             check_monotone=check_monotone,
             sparse_engine=sparse_engine,
@@ -275,26 +269,28 @@ def execute(
     target: SegmentView | GraphTarget,
     queries: Sequence[Query],
     options: SearchOptions,
-    rngs: Sequence[RngLike] | None = None,
+    *,
+    independent: bool = False,
 ) -> BatchResult:
     """Run typed *queries* against *target* under one validated plan.
 
-    ``rngs=None`` is **a batch**: per-query child seeds are spawned from
-    ``options.rng``, ``engine="auto"`` means the lockstep wave engine,
-    and an exact plan shares stacked GEMM waves (ranks, not bits, match
-    the per-query scan — see :meth:`FlatIndex.batch_search`).
+    By default *queries* is **a batch**: ``engine="auto"`` means the
+    lockstep wave engine, and an exact plan shares stacked GEMM waves
+    (ranks, not bits, match the per-query scan — see
+    :meth:`FlatIndex.batch_search`).
 
-    ``rngs=[...]`` (one seed per query) is **independent requests** that
-    merely share a plan — a lone query (``rngs=[options.rng]``), a
-    coalesced serving group, a shard's slice of one: ``engine="auto"``
-    means the per-query heap engine, an exact plan scans per request
-    (bit-exact), and on the wave engine every result also carries the
-    traversal's ``waves``/``frontier_sizes`` trace, so an answer reads
-    the same alone or coalesced.
+    ``independent=True`` is **independent requests** that merely share a
+    plan — a lone query, a coalesced serving group, a shard's slice of
+    one: ``engine="auto"`` means the per-query heap engine, an exact
+    plan scans per request (bit-exact), and on the wave engine every
+    result also carries the traversal's ``waves``/``frontier_sizes``
+    trace, so an answer reads the same alone or coalesced.
 
-    An explicit ``engine="heap"``/``"paper"`` on a batch runs the
-    per-query searcher once per query, in order, under the spawned
-    child seeds.
+    On a graph plan the flag picks an engine and a stats layout, never
+    an answer: under one explicit engine a query's ids, similarities
+    and work counters are the same bits either way.  An explicit
+    ``engine="heap"``/``"paper"`` on a batch runs the per-query searcher
+    once per query, in order.
 
     ``l`` is clamped to the target's size here and nowhere else; an
     explicit ``l < k`` on a graph plan is an error, raised before any
@@ -304,20 +300,19 @@ def execute(
         raise ValueError(
             f"result set size l={options.l} must be at least k={options.k}"
         )
-    batch = rngs is None
     if options.exact:
         shared: dict[str, Any] = dict(
             refine=options.refine, sparse_engine=options.sparse_engine
         )
         if isinstance(target, SegmentView):
-            if batch:
+            if not independent:
                 return BatchExecutor.run_segmented(
-                    target, queries, (), options.k, exact=True, **shared
+                    target, queries, options.k, exact=True, **shared
                 )
             scan = target.exact_search
         else:
             flat = target.flat()
-            if batch:
+            if not independent:
                 return BatchExecutor.run_flat(
                     flat, queries, options.k, **shared
                 )
@@ -331,17 +326,7 @@ def execute(
         raise ValueError("call build() first")
     else:
         opts = options.resolve(target.index.n)
-    engine = opts.resolve_engine(batch)
-    seeds: Sequence[RngLike]
-    if rngs is not None:
-        seeds = rngs
-    elif isinstance(options.rng, np.random.Generator):
-        raise ValueError(
-            "a batch spawns one child seed per query from rng — pass an "
-            "int or SeedSequence, not a live Generator"
-        )
-    else:
-        seeds = spawn_seed_sequences(options.rng, len(queries))
+    engine = opts.resolve_engine(batch=not independent)
     if engine == "wave":
         plan: dict[str, Any] = dict(
             k=opts.k,
@@ -352,12 +337,10 @@ def execute(
             sparse_engine=opts.sparse_engine,
         )
         if isinstance(target, SegmentView):
-            out = BatchExecutor.run_segmented(target, queries, seeds, **plan)
+            out = BatchExecutor.run_segmented(target, queries, **plan)
         else:
-            out = BatchExecutor.run_graph_wave(
-                target.index, queries, seeds, **plan
-            )
-        if not batch:
+            out = BatchExecutor.run_graph_wave(target.index, queries, **plan)
+        if independent:
             wave = SearchStats(
                 waves=out.stats.waves, frontier_sizes=out.stats.frontier_sizes
             )
@@ -382,13 +365,12 @@ def execute(
                 l=opts.l,
                 early_termination=opts.early_termination,
                 engine=engine,
-                rng=seed,
                 refine=opts.refine,
                 check_monotone=opts.check_monotone,
                 sparse_engine=opts.sparse_engine,
                 filter_memo=memo,
             )
-            for query, seed in zip(queries, seeds)
+            for query in queries
         ],
         plan="graph/loop",
     )

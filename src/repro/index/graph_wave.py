@@ -35,9 +35,10 @@ exactly as in :func:`~repro.index.search.joint_search` — inadmissible
 vertices still route.
 
 Determinism contract: every per-row reduction is independent of the
-other rows, each query draws its init from its own seed, and each
-query's pools are truncated to the width its *own* ``l`` implies — so a
-query's answer never depends on its wave-mates.
+other rows, every query starts from the graph's own entry order
+(:meth:`GraphIndex.entry_points`), and each query's pools are truncated
+to the width its *own* ``l`` implies — so a query's answer never
+depends on its wave-mates or on its position in the batch.
 Results are not bit-identical to the per-query heap engine (expansion
 *order* differs across queries), which is why the per-query path is
 kept as the recall oracle in the parity tests.
@@ -45,7 +46,7 @@ kept as the recall oracle in the parity tests.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,17 +56,15 @@ from repro.core.results import SearchResult, SearchStats
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex
 from repro.index.scoring import Scorer, StackedScorer, rerank_exact
-from repro.index.search import _init_result_set
 from repro.sparse.hybrid import hybrid_union_rescore, sparse_plane
-from repro.utils.rng import spawn_seed_sequences
 from repro.utils.validation import require
 
 __all__ = ["graph_wave_search"]
 
 #: CSR adjacency cache keyed by ``id(index.neighbors)``.  Graphs are
 #: immutable after build (deletes go through the bitset, compaction
-#: builds a fresh index) and snapshots share the neighbour list via
-#: ``dataclasses.replace``, so identity of the list is a sound key; the
+#: builds a fresh index) and snapshots share the neighbour list
+#: (:meth:`GraphIndex.frozen`), so identity of the list is a sound key; the
 #: stored strong reference keeps the id from being recycled.  Bounded so
 #: long-lived processes cycling many indexes cannot leak.
 _ADJ_CACHE: dict[int, tuple[np.ndarray, np.ndarray, object]] = {}
@@ -136,8 +135,6 @@ def graph_wave_search(
     l: int,
     weights: Weights | None = None,
     early_termination: bool = False,
-    rng: Any = 0,
-    rngs: Sequence[Any] | None = None,
     refine: int | None = None,
     check_monotone: bool = False,
     filter_memo: FilterMemo | None = None,
@@ -149,20 +146,17 @@ def graph_wave_search(
     """Lockstep batched Algorithm 2 over one fused graph.
 
     Semantics match :func:`~repro.index.search.joint_search` per query —
-    same init draw (seed vertex + ``l−1`` random vertices from the
-    query's own rng), same result-set cap ``min(l, reportable)``, same
+    same init (the first ``l`` of the graph's entry order), same
+    result-set cap ``min(l, reportable)``, same
     can-the-best-candidate-still-enter termination rule, same
     route-but-never-report treatment of filtered/deleted vertices, same
-    ``refine=`` exact rerank — but expansion order interleaves across
-    the batch, so ids/sims agree with the per-query engine only up to
-    tie-breaks and init randomness (recall parity is pinned in tests).
+    ``refine=`` exact rerank — but each wave expands several candidates
+    per query against one wave-entry threshold, so ids/sims agree with
+    the per-query engine only up to that expansion order (recall parity
+    is pinned in tests).
 
-    ``rngs`` supplies one rng per query (the serving path, where each
-    request carries its own seed); otherwise per-query children are
-    spawned from ``rng`` exactly like
-    :func:`~repro.index.executor.execute`.  ``ks``/``ls`` are
-    per-query overrides used by the segmented layer, which sizes each
-    segment probe individually.
+    ``ks``/``ls`` are per-query overrides used by the segmented layer,
+    which sizes each segment probe individually.
 
     A hybrid query (``Query.sparse``) is a row of the wave like any
     other: its dense traversal fills a result pool of ``min(l,
@@ -198,8 +192,6 @@ def graph_wave_search(
     require(l >= k, f"result set size l={l} must be at least k={k}")
     require(refine is None or refine >= 1, "refine must be >= 1")
     require(expansions_per_wave >= 1, "expansions_per_wave must be >= 1")
-    if rngs is not None:
-        require(len(rngs) == b, "rngs must supply one rng per query")
     if ks is not None or ls is not None:
         require(
             ks is not None and ls is not None and len(ks) == b and len(ls) == b,
@@ -264,12 +256,6 @@ def graph_wave_search(
         width_arr[i] = min(l_inner, n)
         cap_arr[i] = min(l_inner, reportable)
         alive[i] = reportable > 0
-
-    seeds: Sequence[Any]
-    if rngs is None:
-        seeds = spawn_seed_sequences(rng, b)
-    else:
-        seeds = list(rngs)
 
     stats_list = [SearchStats() for _ in range(b)]
     # A compressed store scores the whole batch through one stacked
@@ -430,14 +416,14 @@ def graph_wave_search(
             last_total[rows] = total
 
     # ------------------------------------------------------------------
-    # Init: per-query seed + random draws, scored as one stacked wave.
+    # Init: each query's prefix of the entry order, one stacked wave.
     # ------------------------------------------------------------------
     init_owner_parts: list[np.ndarray] = []
     init_id_parts: list[np.ndarray] = []
     for i in range(b):
         if not alive[i]:
             continue
-        r_init = _init_result_set(index, int(l_inner_arr[i]), seeds[i])
+        r_init = index.entry_points(int(l_inner_arr[i]))
         seen[i, r_init] = True
         init_id_parts.append(r_init)
         init_owner_parts.append(np.full(r_init.size, i, dtype=np.int64))

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.space import JointSpace
 from repro.index.base import GraphIndex
-from repro.index.components import centroid_seed, prune_one
+from repro.index.components import prune_one
 from repro.index.search import greedy_search_graph
 from repro.utils.rng import make_rng
 

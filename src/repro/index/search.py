@@ -6,6 +6,13 @@ unvisited vertex of ``R`` closest to the query, score its neighbours, and
 keep the best ``l``.  Lemma 3 guarantees the total similarity of ``R`` is
 non-decreasing; the optional ``check_monotone`` flag asserts it.
 
+The random vertices are drawn once per graph, not once per query: every
+search starts from :meth:`GraphIndex.entry_points`, the first ``l`` of
+the graph's fixed entry order, so the same query on the same index
+returns the same bits however it is asked (the fixed entry points of
+HNSW / NSG / Vamana, widened to ``l``).  The literal per-query draw
+survives as a test oracle in ``tests/test_index_search.py``.
+
 Two engines implement the same routing:
 
 * ``engine="paper"`` — a literal transcription of Algorithm 2 (expands
@@ -43,13 +50,12 @@ import heapq
 import numpy as np
 
 from repro.core.multivector import MultiVector
-from repro.core.query import Query, RngLike, unpack_query
+from repro.core.query import Query, unpack_query
 from repro.core.results import SearchResult, SearchStats
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex
 from repro.index.scoring import MatrixScorer, Scorer, rerank_exact
 from repro.sparse.hybrid import hybrid_union_rescore, sparse_plane
-from repro.utils.rng import make_rng
 from repro.utils.validation import require
 
 __all__ = ["joint_search", "greedy_search_graph"]
@@ -63,7 +69,6 @@ def joint_search(
     weights: Weights | None = None,
     early_termination: bool = False,
     engine: str = "heap",
-    rng: RngLike = 0,
     check_monotone: bool = False,
     refine: int | None = None,
     filter_memo: dict | None = None,
@@ -145,7 +150,7 @@ def joint_search(
         l_inner = max(l, k_inner)
     search_fn = _heap_search if engine == "heap" else _paper_search
     result = search_fn(
-        index, query, k_inner, l_inner, weights, early_termination, rng,
+        index, query, k_inner, l_inner, weights, early_termination,
         check_monotone, excluded, reportable,
     )
     if hybrid is not None:
@@ -164,21 +169,6 @@ def joint_search(
     return SearchResult(ids=ids, similarities=sims, stats=result.stats)
 
 
-def _init_result_set(
-    index: GraphIndex, l: int, rng: np.random.Generator | int | None
-) -> np.ndarray:
-    """Seed vertex plus ``l−1`` distinct random vertices (Alg. 2, l.1-3)."""
-    n = index.space.n
-    init_size = min(l, n)
-    if init_size == n:
-        return np.arange(n, dtype=np.int64)
-    rng = make_rng(rng)
-    extra = rng.choice(n - 1, size=init_size - 1, replace=False)
-    # Shift around the seed so it is never drawn twice.
-    extra = (extra + index.seed_vertex + 1) % n
-    return np.concatenate([[index.seed_vertex], extra]).astype(np.int64)
-
-
 def _heap_search(
     index: GraphIndex,
     query: MultiVector,
@@ -186,7 +176,6 @@ def _heap_search(
     l: int,
     weights: Weights | None,
     early_termination: bool,
-    rng,
     check_monotone: bool,
     excluded: np.ndarray | None,
     reportable: int,
@@ -209,7 +198,7 @@ def _heap_search(
                     early_termination=early_termination)
     stats = scorer.stats
 
-    r_ids = _init_result_set(index, l, rng)
+    r_ids = index.entry_points(l)
     unseen = np.ones(space.n, dtype=bool)
     unseen[r_ids] = False
     init_sims = scorer.score_ids(r_ids)
@@ -306,7 +295,6 @@ def _paper_search(
     l: int,
     weights: Weights | None,
     early_termination: bool,
-    rng,
     check_monotone: bool,
     excluded: np.ndarray | None,
     reportable: int,
@@ -317,7 +305,7 @@ def _paper_search(
                     early_termination=early_termination)
     stats = scorer.stats
 
-    r_ids = _init_result_set(index, l, rng)
+    r_ids = index.entry_points(l)
     init_size = r_ids.size
     seen = np.zeros(n, dtype=bool)
     expanded = np.zeros(n, dtype=bool)

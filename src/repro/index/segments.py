@@ -46,8 +46,8 @@ single-query path scores through the layout-independent kernel
 are **bit-identical regardless of how the corpus is split into
 segments**; the exact batch path keeps the per-segment GEMM waves (same
 ~1e-7 numerics caveat as :meth:`FlatIndex.batch_search`).  Graph-path
-determinism mirrors the executor: per-segment init draws come from
-:class:`numpy.random.SeedSequence` children of each query's own seed.
+determinism mirrors the executor: every segment search starts from that
+segment graph's own entry order (:meth:`GraphIndex.entry_points`).
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from repro.store import (
     store_from_arrays,
 )
 from repro.utils.io import load_arrays, pack_adjacency, save_arrays
-from repro.utils.rng import spawn, spawn_seed_sequences
+from repro.utils.rng import spawn
 from repro.utils.validation import require
 
 __all__ = [
@@ -307,19 +307,6 @@ def _merge_candidates(
     return ids[order], sims[order]
 
 
-def _segment_rngs(rng, count: int) -> list:
-    """One init-draw source per segment, deterministic per query.
-
-    A :class:`~numpy.random.SeedSequence` (or an int/None seed)
-    spawns independent children; a live Generator is shared
-    sequentially."""
-    if isinstance(rng, np.random.Generator):
-        return [rng] * count
-    if not isinstance(rng, np.random.SeedSequence):
-        rng = np.random.SeedSequence(rng)
-    return [np.random.default_rng(s) for s in spawn_seed_sequences(rng, count)]
-
-
 class SegmentView:
     """A fixed list of searchable segments — the cross-segment read path.
 
@@ -374,7 +361,9 @@ class SegmentView:
         matrices) so threads reading one frozen view never race to
         build them.  Compressed segments have no concat matrix to build
         — materialising one would undo the compression — and their
-        per-query kernels are thread-local by construction."""
+        per-query kernels are thread-local by construction.  Entry
+        orders need nothing here: :meth:`GraphIndex.frozen` built them
+        at capture."""
         for seg in self.segments:
             if not seg.space.is_compressed:
                 seg.space.concatenated
@@ -410,7 +399,6 @@ class SegmentView:
         weights: Weights | None = None,
         early_termination: bool = False,
         engine: str = "heap",
-        rng: np.random.Generator | np.random.SeedSequence | int | None = 0,
         refine: int | None = None,
         sparse_engine: str = "auto",
         **search_kwargs,
@@ -451,11 +439,9 @@ class SegmentView:
         if typed.k is not None:
             inner = dataclasses.replace(typed, k=None)
             l = max(l, k)
-        segs = self.segments
-        rngs = _segment_rngs(rng, len(segs))
         parts: list[tuple[np.ndarray, np.ndarray]] = []
         stats_parts: list[SearchStats] = []
-        for seg, seg_rng in zip(segs, rngs):
+        for seg in self.segments:
             if seg.num_active == 0:
                 continue
             res = joint_search(
@@ -466,7 +452,6 @@ class SegmentView:
                 weights=weights,
                 early_termination=early_termination,
                 engine=engine,
-                rng=seg_rng,
                 sparse_engine=sparse_engine,
                 **search_kwargs,
             )
@@ -491,8 +476,6 @@ class SegmentView:
         l: int = 100,
         weights: Weights | None = None,
         early_termination: bool = False,
-        rng: np.random.Generator | np.random.SeedSequence | int | None = 0,
-        rngs: list | None = None,
         refine: int | None = None,
         check_monotone: bool = False,
         filter_memo: dict | None = None,
@@ -505,12 +488,8 @@ class SegmentView:
         per-query beam loops.  Per-segment candidates merge per query by
         ``(similarity, external id)`` exactly like :meth:`search`.
 
-        Determinism mirrors the per-query path: each query's
-        SeedSequence child spawns per-segment grandchildren
-        (:func:`_segment_rngs`), so results are independent of batch
-        composition.  ``rngs`` supplies one seed per
-        query (the serving path); otherwise children are spawned from
-        ``rng``.  A shared ``filter_memo`` compiles each distinct
+        Results are independent of batch composition and position, as
+        in the engine.  A shared ``filter_memo`` compiles each distinct
         :class:`~repro.core.query.Filter` once per segment table, not
         once per query.
 
@@ -547,20 +526,12 @@ class SegmentView:
             for t in typed
         ]
         ls = [max(l, k_i) for k_i in ks]
-        b = len(queries)
-        if rngs is not None:
-            require(len(rngs) == b, "rngs must supply one rng per query")
-            seeds = list(rngs)
-        else:
-            seeds = list(spawn_seed_sequences(rng, b))
-        segs = self.segments
-        per_query_rngs = [_segment_rngs(seed, len(segs)) for seed in seeds]
         memo: dict = {} if filter_memo is None else filter_memo
         parts: list[list[tuple[np.ndarray, np.ndarray]]] = [
             [] for _ in typed
         ]
         stats_parts: list[list[SearchStats]] = [[] for _ in typed]
-        for si, seg in enumerate(segs):
+        for seg in self.segments:
             if seg.num_active == 0:
                 continue
             seg_results, wstats = graph_wave_search(
@@ -570,7 +541,6 @@ class SegmentView:
                 l=l,
                 weights=weights,
                 early_termination=early_termination,
-                rngs=[rngs_i[si] for rngs_i in per_query_rngs],
                 check_monotone=check_monotone,
                 filter_memo=memo,
                 ks=[min(l_i, seg.num_active) for l_i in ls],
@@ -1101,22 +1071,17 @@ class SegmentedIndex:
           swap segments under the live index without touching the view.
 
         Taking a snapshot is cheap: no vector data is copied, only the
-        bitsets and the container dataclasses.  Callers interleaving
+        bitsets and the container dataclasses
+        (:meth:`GraphIndex.frozen`).  Callers interleaving
         snapshots with mutations from other threads must serialise the
         two (the serving layer holds its write lock across both).
         """
-        frozen: list[Segment] = []
-        for seg in self.searchable_segments():
-            index = dataclasses.replace(
-                seg.index,
-                deleted=(
-                    None
-                    if seg.index.deleted is None
-                    else seg.index.deleted.copy()
-                ),
-            )
-            frozen.append(Segment(index, seg.ext_ids, kind=seg.kind))
-        return SegmentView(frozen)
+        return SegmentView(
+            [
+                Segment(seg.index.frozen(), seg.ext_ids, kind=seg.kind)
+                for seg in self.searchable_segments()
+            ]
+        )
 
     def active_ext_ids(self) -> np.ndarray:
         """External ids of all live objects, ascending."""

@@ -37,10 +37,11 @@ code.  Three mechanisms, each visible in :class:`ServiceStats`:
   kept per collection, and a tenant-level execution failure (say a
   snapshot capture error) fails only that tenant's share of the wave.
 
-Determinism: a request's graph-path init draws come from its own
-``SearchOptions.rng`` (default 0, like :meth:`MUST.query`), never from
-batch composition — so the answer to a request does not depend on
-which other requests happened to share its wave.
+Determinism: a graph search starts from the graph's own entry order
+(:meth:`~repro.index.base.GraphIndex.entry_points`) and reads nothing of
+its wave-mates — so the answer to a request is what
+:meth:`MUST.query` gives for it on the captured state, whichever other
+requests happened to share its wave.
 """
 
 from __future__ import annotations
@@ -296,9 +297,8 @@ class MustService:
         """Enqueue one search; returns a future resolving to its
         :class:`~repro.core.results.SearchResult`.
 
-        Per-query weights/filter/k ride inside the :class:`Query` and
-        ``options.rng`` seeds this request's graph-path init draws
-        (exact requests ignore it).  ``options.collection`` routes the
+        Per-query weights/filter/k ride inside the :class:`Query`.
+        ``options.collection`` routes the
         request to a named collection (``None`` → ``"default"``); an
         unknown name raises :class:`~repro.service.UnknownCollection`
         here, before the queue.  Raises :class:`ServiceOverloaded` when
@@ -644,10 +644,9 @@ class MustService:
     def _wave_groups(self, reqs: list[_Request]) -> list[list[_Request]]:
         """Group ``engine="wave"`` requests sharing one lockstep plan.
 
-        Per-request ``rng`` seeds never fragment a group — the engine
-        takes one rng per query — and per-query weights/filters/k ride
-        inside each :class:`Query`; only the plan fields that
-        parameterise the traversal itself must match.
+        Per-query weights/filters/k ride inside each :class:`Query`, so
+        only the plan fields that parameterise the traversal itself
+        must match.
         """
         groups: dict[tuple[Any, ...], list[_Request]] = {}
         for req in reqs:
@@ -668,17 +667,15 @@ class MustService:
     ) -> None:
         """One lockstep traversal answers every request in the group.
 
-        Each request keeps its own ``rng``, and the wave engine is
-        composition-independent per query, so a coalesced answer is
-        bit-identical to dispatching the request alone — pooling many
-        callers only amortises the traversal, never changes a result.
+        The wave engine is composition-independent per query, so a
+        coalesced answer is bit-identical to dispatching the request
+        alone — pooling many callers only amortises the traversal,
+        never changes a result.
         """
         view = self._require_snap(snap)
         try:
             batch = view.graph_wave(
-                [r.query for r in reqs],
-                reqs[0].options,
-                [r.options.rng for r in reqs],
+                [r.query for r in reqs], reqs[0].options
             )
         except Exception:
             # One request's doing (an unknown filter attribute, say)

@@ -49,10 +49,11 @@ lists contains the global top-k, and the merge orders by
 ``(-similarity, external id)`` exactly like the single-process merge —
 so the sharded exact answer is **bit-identical to the unsharded
 ``SegmentView`` answer for every shard count and layout**, filters and
-deletes included.  Graph-path answers are deterministic for a fixed
-shard count (per-request seeds spawn one child per shard) but are a
-different — recall-equivalent — sample than the single-process graph,
-exactly as two differently-built graphs answer differently.
+deletes included.  Graph-path answers are a function of the sharded
+index and the query (every shard's segment graphs search from their own
+entry order), but a different — recall-equivalent — sample than the
+single-process graph, exactly as two differently-built graphs answer
+differently.
 
 **Failure containment.**  A worker that dies mid-wave fails only the
 requests of the group in flight (each future gets a
@@ -85,7 +86,7 @@ import numpy as np
 
 from repro.core.attributes import AttributeTable
 from repro.core.multivector import MultiVector, MultiVectorSet
-from repro.core.query import Query, RngLike, SearchOptions
+from repro.core.query import Query, SearchOptions
 from repro.core.results import SearchResult, SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
@@ -97,7 +98,6 @@ from repro.service.service import MustService, ServiceConfig, _Request
 from repro.service.snapshot import IndexSnapshot
 from repro.sparse.store import SparseStats, SparseStore, sum_stats
 from repro.store import GatherPlane, MmapPlane, ResidentPlane
-from repro.utils.rng import spawn_seed_sequences
 from repro.utils.shm import SharedArrays
 from repro.utils.validation import require
 
@@ -230,15 +230,12 @@ class _ShardCollection:
         )
 
     def graph_wave(
-        self,
-        queries: list[Query],
-        options: SearchOptions,
-        seeds: list[RngLike],
+        self, queries: list[Query], options: SearchOptions
     ) -> BatchResult:
         view = self.view()
         if view.num_segments == 0:
             return BatchResult([_empty_result() for _ in queries])
-        return execute(view, queries, options, seeds)
+        return execute(view, queries, options, independent=True)
 
     def search_many(
         self, items: list[tuple[Query, SearchOptions]]
@@ -256,7 +253,7 @@ class _ShardCollection:
                 if view.num_segments == 0:
                     out.append(("ok", _empty_result()))
                 else:
-                    batch = execute(view, [query], options, [options.rng])
+                    batch = execute(view, [query], options, independent=True)
                     out.append(("ok", batch.results[0]))
             except Exception as exc:
                 out.append(("err", exc))
@@ -1037,20 +1034,6 @@ class ShardedService(MustService):
                 out[handle.shard] = reply
         return out
 
-    def _shard_seeds(self, rng: Any) -> list[Any]:
-        """One independent seed per shard for one request's init draws.
-
-        Mirrors the per-segment spawning of the single-process view one
-        level up: the request's seed spawns a child per shard, each
-        worker spawns per-segment grandchildren from its child — so a
-        request's answer is deterministic for a fixed shard count and
-        never depends on its wave-mates.  A live Generator (legacy) is
-        copied to every shard via pickling.
-        """
-        if isinstance(rng, np.random.Generator):
-            return [rng] * self.n_shards
-        return spawn_seed_sequences(rng, self.n_shards)
-
     # ------------------------------------------------------------------
     # Group executors (called by the inherited dispatcher)
     # ------------------------------------------------------------------
@@ -1073,23 +1056,12 @@ class ShardedService(MustService):
     def _run_graph_wave(
         self, snap: IndexSnapshot | None, reqs: list[_Request]
     ) -> None:
-        name = reqs[0].collection.name
         queries = [r.query for r in reqs]
-        seeds = [self._shard_seeds(r.options.rng) for r in reqs]
+        command = (
+            "graph_wave", reqs[0].collection.name, queries, reqs[0].options
+        )
         replies = self._gather(
-            {
-                s: (
-                    (
-                        "graph_wave",
-                        name,
-                        queries,
-                        reqs[0].options,
-                        [per_req[s] for per_req in seeds],
-                    ),
-                    len(queries),
-                )
-                for s in self.live_shards
-            }
+            {s: (command, len(queries)) for s in self.live_shards}
         )
         self._finish_group(reqs, replies)
 
@@ -1098,21 +1070,19 @@ class ShardedService(MustService):
     ) -> None:
         """Per-query graph requests: one ``search_many`` per shard.
 
-        Each request gets its own per-shard seed child (like the wave
-        path) and its own per-item outcome, so a malformed request fails
-        through its own future while batch-mates still merge — the same
-        containment the in-process dispatcher guarantees.
+        Each request gets its own per-item outcome, so a malformed
+        request fails through its own future while batch-mates still
+        merge — the same containment the in-process dispatcher
+        guarantees.
         """
-        seeds = [self._shard_seeds(r.options.rng) for r in reqs]
-        name = reqs[0].collection.name
-        messages: dict[int, tuple[tuple[Any, ...], int]] = {}
-        for shard in self.live_shards:
-            items = [
-                (req.query, req.options.updated(rng=per_req[shard]))
-                for req, per_req in zip(reqs, seeds)
-            ]
-            messages[shard] = (("search_many", name, items), len(items))
-        replies = self._gather(messages)
+        command = (
+            "search_many",
+            reqs[0].collection.name,
+            [(req.query, req.options) for req in reqs],
+        )
+        replies = self._gather(
+            {s: (command, len(reqs)) for s in self.live_shards}
+        )
         dead = [r for r in replies.values() if isinstance(r, Exception)]
         for j, req in enumerate(reqs):
             if dead:

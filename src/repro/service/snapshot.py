@@ -12,10 +12,10 @@ the two states a framework instance can be in:
   bit-identical to what ``MUST.query`` answered at capture time, on
   both the graph and the exact path.
 * **single-graph** — a not-yet-segmented instance.  The built graph is
-  immutable apart from its deletion bitset, so the snapshot re-wraps it
-  around a copy; the exact path keeps the full-precision scan over
-  ``MUST.space`` (compression never touches it), again matching
-  ``MUST.query`` bit for bit.
+  immutable apart from its deletion bitset, so the snapshot is its
+  :meth:`~repro.index.base.GraphIndex.frozen` copy; the exact path
+  keeps the full-precision scan over ``MUST.space`` (compression never
+  touches it), again matching ``MUST.query`` bit for bit.
 
 Either way the snapshot is a *target* of
 :func:`repro.index.executor.execute` — the same dispatcher
@@ -29,7 +29,7 @@ lock); once captured, a snapshot is safe to read from any number of
 threads.
 
 Memory-mapped cold tiers need no special casing here: the share-not-copy
-capture (``dataclasses.replace`` / ``SegmentedIndex.snapshot``) keeps the
+capture (``GraphIndex.frozen`` / ``SegmentedIndex.snapshot``) keeps the
 *same* :class:`~repro.store.MmapPlane` objects across epochs, so every
 snapshot reads the cold files through one pinned mapping — page-cache
 pages are shared copy-on-write between all live epochs, and a compaction
@@ -40,11 +40,10 @@ answering bit-identically until they are garbage collected.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.multivector import MultiVector
-from repro.core.query import Query, RngLike, SearchOptions, as_query
+from repro.core.query import Query, SearchOptions, as_query
 from repro.core.results import SearchResult
 from repro.core.weights import Weights
 from repro.index.executor import BatchResult, GraphTarget, execute
@@ -78,12 +77,7 @@ class IndexSnapshot:
         )
         if must.is_segmented:
             return cls(must.segments.snapshot())
-        index = must.index
-        frozen = dataclasses.replace(
-            index,
-            deleted=None if index.deleted is None else index.deleted.copy(),
-        )
-        return cls(GraphTarget(frozen, must.space))
+        return cls(GraphTarget(must.index.frozen(), must.space))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -107,7 +101,8 @@ class IndexSnapshot:
 
     def prepare(self) -> None:
         """Materialise lazy per-space artifacts (concat matrices) so
-        threads reading this snapshot never race to build them."""
+        threads reading this snapshot never race to build them (the
+        entry order was built at capture, by ``GraphIndex.frozen``)."""
         if isinstance(self.target, SegmentView):
             self.target.prepare_search()
             return
@@ -130,25 +125,27 @@ class IndexSnapshot:
         concern, a snapshot *is* one collection's state)."""
         opts = options if options is not None else SearchOptions()
         return execute(
-            self.target, [as_query(query)], opts, [opts.rng]
+            self.target, [as_query(query)], opts, independent=True
         ).results[0]
 
     def graph_wave(
         self,
         queries: "Sequence[MultiVector | Query]",
         options: SearchOptions,
-        rngs: Sequence[RngLike],
     ) -> BatchResult:
         """Coalesced graph group — the serving layer's lockstep wave.
 
         One traversal per segment (or one for a single-graph snapshot)
-        carries every request that shares *options*; ``rngs`` keeps
-        each request's own init seed, so an answer is bit-identical to
-        the same request dispatched alone with ``engine="wave"``
-        (composition independence).
+        carries every request that shares *options*, as independent
+        requests: an answer is bit-identical to the same request
+        dispatched alone with ``engine="wave"`` (composition
+        independence).
         """
         return execute(
-            self.target, [as_query(q) for q in queries], options, rngs
+            self.target,
+            [as_query(q) for q in queries],
+            options,
+            independent=True,
         )
 
     def exact_wave(

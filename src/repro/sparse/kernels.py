@@ -71,7 +71,7 @@ class SparseQuery:
 SparseQueryLike = Union[
     SparseQuery,
     Mapping[int, float],
-    "tuple[Sequence[int], Sequence[float]]",
+    tuple[Sequence[int], Sequence[float]],
 ]
 
 

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["make_rng", "derive_seed", "spawn", "spawn_seed_sequences"]
+__all__ = ["make_rng", "derive_seed", "spawn"]
 
 _MAX_SEED = 2**63 - 1
 
@@ -47,20 +47,3 @@ def spawn(base_seed: int, *labels: object) -> np.random.Generator:
     """Shorthand for ``make_rng(derive_seed(base_seed, *labels))``."""
     return make_rng(derive_seed(base_seed, *labels))
 
-
-def spawn_seed_sequences(
-    base_seed: int | np.random.SeedSequence | None, n: int
-) -> list[np.random.SeedSequence]:
-    """*n* statistically independent child seeds for one query batch.
-
-    Built on :meth:`numpy.random.SeedSequence.spawn`, so children are
-    decorrelated yet fully determined by ``base_seed`` — a batch re-run
-    with the same seed reproduces every per-query stream exactly, while
-    two queries in the same batch never share an init draw (the
-    degenerate-correlation bug of a shared ``rng=0`` default).
-    """
-    if isinstance(base_seed, np.random.SeedSequence):
-        root = base_seed
-    else:
-        root = np.random.SeedSequence(base_seed)
-    return root.spawn(n)

@@ -31,7 +31,6 @@ from repro.core.weights import Weights
 from repro.index.flat import FlatIndex
 from repro.index.segments import SegmentedIndex, SegmentPolicy
 from repro.store import STORE_KINDS
-from repro.utils.rng import spawn_seed_sequences
 
 from tests.conftest import random_multivector_set, random_query
 
@@ -73,8 +72,8 @@ class TestDenseBitIdentity:
         explicit = MUST(objects, weights=Weights([0.6, 0.4]),
                         compression="none").build()
         for q in queries:
-            a = dense_must.query(q, SearchOptions(k=K, l=L, rng=0))
-            b = explicit.query(q, SearchOptions(k=K, l=L, rng=0))
+            a = dense_must.query(q, SearchOptions(k=K, l=L))
+            b = explicit.query(q, SearchOptions(k=K, l=L))
             assert np.array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.similarities, b.similarities)
 
@@ -132,8 +131,8 @@ class TestCompressedSearch:
         assert L >= refine * K  # same routing for both calls
         refined_recall = []
         for q, gt in zip(queries, ground_truth):
-            plain = must.query(q, SearchOptions(k=K, l=L, rng=0))
-            refined = must.query(q, SearchOptions(k=K, l=L, rng=0, refine=refine))
+            plain = must.query(q, SearchOptions(k=K, l=L))
+            refined = must.query(q, SearchOptions(k=K, l=L, refine=refine))
             refined_recall.append(_recall(refined.ids, gt))
             assert refined_recall[-1] >= _recall(plain.ids, gt)
             assert refined.stats.reranked == refine * K
@@ -147,7 +146,7 @@ class TestCompressedSearch:
         must = MUST(objects, weights=Weights([0.6, 0.4]),
                     compression=kind).build()
         q = queries[0]
-        refined = must.query(q, SearchOptions(k=K, l=L, rng=0, refine=4))
+        refined = must.query(q, SearchOptions(k=K, l=L, refine=4))
         exact = dense_must.query(q, SearchOptions(k=N, exact=True))
         lookup = dict(zip(exact.ids.tolist(), exact.similarities))
         for i, s in zip(refined.ids, refined.similarities):
@@ -155,15 +154,14 @@ class TestCompressedSearch:
 
     def test_batch_matches_per_query_requests(self, objects, queries, kind):
         """The heap-engine batch over a compressed store (refine on) is
-        the lone request under the same child seed, bit for bit."""
+        the lone request, bit for bit."""
         must = MUST(objects, weights=Weights([0.6, 0.4]),
                     compression=kind).build()
         batch = must.query(
             queries, SearchOptions(k=K, l=L, refine=3, engine="heap")
         )
-        seeds = spawn_seed_sequences(0, len(queries))
-        for q, seed, a in zip(queries, seeds, batch):
-            b = must.query(q, SearchOptions(k=K, l=L, refine=3, rng=seed))
+        for q, a in zip(queries, batch):
+            b = must.query(q, SearchOptions(k=K, l=L, refine=3))
             assert np.array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.similarities, b.similarities)
 
@@ -203,7 +201,7 @@ class TestCompressedLifecycle:
 
     def test_insert_delete_compact(self, objects, queries, kind):
         must = self._streaming_must(objects, kind)
-        before = must.query(queries[0], SearchOptions(k=K, l=L, refine=3, rng=0))
+        before = must.query(queries[0], SearchOptions(k=K, l=L, refine=3))
         assert before.ids.size == K
         must.compact()
         seg = must.segments.sealed[0]
@@ -215,7 +213,7 @@ class TestCompressedLifecycle:
             seg.space.vectors.exact_modality(0)[: alive.size],
             objects.matrices[0][alive],
         )
-        after = must.query(queries[0], SearchOptions(k=K, l=L, refine=3, rng=0))
+        after = must.query(queries[0], SearchOptions(k=K, l=L, refine=3))
         assert after.ids.size == K
 
     def test_save_load_roundtrip(self, objects, queries, kind, tmp_path):
@@ -228,8 +226,8 @@ class TestCompressedLifecycle:
             expected = kind if seg.kind == "sealed" else "none"
             assert seg.space.store.kind == expected
         for q in queries[:5]:
-            a = must.query(q, SearchOptions(k=K, l=L, refine=3, rng=0))
-            b = fresh.query(q, SearchOptions(k=K, l=L, refine=3, rng=0))
+            a = must.query(q, SearchOptions(k=K, l=L, refine=3))
+            b = fresh.query(q, SearchOptions(k=K, l=L, refine=3))
             assert np.array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.similarities, b.similarities)
 
@@ -242,8 +240,8 @@ class TestCompressedLifecycle:
         assert fresh.compression == kind
         assert fresh.index.space.store.kind == kind
         for q in queries[:5]:
-            a = must.query(q, SearchOptions(k=K, l=L, refine=3, rng=0))
-            b = fresh.query(q, SearchOptions(k=K, l=L, refine=3, rng=0))
+            a = must.query(q, SearchOptions(k=K, l=L, refine=3))
+            b = fresh.query(q, SearchOptions(k=K, l=L, refine=3))
             assert np.array_equal(a.ids, b.ids)
 
 
@@ -262,14 +260,8 @@ class TestZeroWeightFallbackUnderExecutor:
 
     def test_graph_parity(self, zero_must, queries, override):
         typed = [Query(q, weights=override) for q in queries]
-        batch = zero_must.query(
-            typed, SearchOptions(k=K, l=L, engine="heap", rng=5)
-        )
-        seeds = spawn_seed_sequences(5, len(typed))
-        singles = [
-            zero_must.query(q, SearchOptions(k=K, l=L, rng=seed))
-            for q, seed in zip(typed, seeds)
-        ]
+        batch = zero_must.query(typed, SearchOptions(k=K, l=L, engine="heap"))
+        singles = [zero_must.query(q, SearchOptions(k=K, l=L)) for q in typed]
         assert batch.stats.joint_evals == sum(
             r.stats.joint_evals for r in singles
         )

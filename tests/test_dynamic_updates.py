@@ -90,6 +90,49 @@ class TestSoftDeletion:
         assert 0 not in active and 10 not in active
 
 
+class TestFrozenCopy:
+    """:meth:`GraphIndex.frozen` — what a snapshot captures."""
+
+    @pytest.mark.parametrize("already_deleted", [False, True])
+    def test_shares_the_graph_and_isolates_the_bitset(
+        self, built, already_deleted
+    ):
+        _, index, queries = built
+        if already_deleted:
+            index.mark_deleted(np.array([4]))
+        copy = index.frozen()
+        # Shared, not re-wrapped: the same list of the same row objects.
+        assert copy.neighbors is index.neighbors
+        assert all(a is b for a, b in zip(copy.neighbors, index.neighbors))
+        assert copy.space is index.space
+        assert np.shares_memory(copy.entry_points(300), index.entry_points(300))
+        before = joint_search(copy, queries[0], k=10, l=60)
+        index.mark_deleted(before.ids[:5])
+        assert copy.num_active == index.num_active + 5
+        after = joint_search(copy, queries[0], k=10, l=60)
+        np.testing.assert_array_equal(after.ids, before.ids)
+        live = joint_search(index, queries[0], k=10, l=60)
+        assert not set(live.ids.tolist()) & set(before.ids[:5].tolist())
+
+    def test_segmented_snapshot_is_made_of_frozen_copies(self):
+        must = MUST(
+            random_multivector_set(120, (8, 6), seed=3),
+            weights=Weights([0.5, 0.5]),
+            segment_policy=SegmentPolicy(seal_size=16),
+        ).build()
+        must.insert(random_multivector_set(20, (8, 6), seed=4))
+        must.mark_deleted(np.array([1]))
+        live = must.segments.searchable_segments()
+        frozen = must.segments.snapshot().segments
+        assert len(frozen) == len(live) >= 2
+        for a, b in zip(frozen, live):
+            assert a.index is not b.index
+            assert a.index.neighbors is b.index.neighbors
+            assert a.index._entry_order is b.index._entry_order is not None
+        must.mark_deleted(np.array([2]))
+        assert sum(seg.num_active for seg in frozen) == must.segments.num_active + 1
+
+
 class TestCompaction:
     def test_compact_matches_fresh_build(self, mitstates_encoded):
         must = MUST.from_dataset(mitstates_encoded).build()

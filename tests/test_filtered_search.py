@@ -31,7 +31,6 @@ from repro.index.flat import FlatIndex
 from repro.index.segments import SegmentPolicy
 from repro.service import MustService, ServiceConfig
 from repro.store import STORE_KINDS
-from repro.utils.rng import spawn_seed_sequences
 
 from tests.conftest import random_multivector_set, random_query
 
@@ -233,7 +232,7 @@ class TestBatchedFiltering:
     def test_mixed_batch_matches_lone_requests(self, queries, layout):
         """A heap-engine batch mixing filtered, unfiltered and
         k-overriding queries answers each one exactly as a lone request
-        under the same child seed would."""
+        would."""
         must = (
             _flat_must("none") if layout == "flat"
             else _segmented_must("none")
@@ -243,9 +242,8 @@ class TestBatchedFiltering:
             for i, q in enumerate(queries)
         ]
         batch = must.query(typed, SearchOptions(k=K, l=64, engine="heap"))
-        seeds = spawn_seed_sequences(0, len(typed))
-        for query, seed, res in zip(typed, seeds, batch):
-            ref = must.query(query, SearchOptions(k=K, l=64, rng=seed))
+        for query, res in zip(typed, batch):
+            ref = must.query(query, SearchOptions(k=K, l=64))
             assert np.array_equal(res.ids, ref.ids)
             assert np.array_equal(res.similarities, ref.similarities)
 

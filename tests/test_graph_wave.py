@@ -7,7 +7,7 @@ The wave engine is *not* bit-identical to the per-query heap engine
   match the per-query oracle within a small ε, across thread counts,
   store backends, layouts, filters, k overrides, and deletions;
 * **composition independence** — a query's answer is bit-identical
-  whether it runs alone or inside any batch (given its own rng);
+  whether it runs alone or inside any batch, at any position;
 * **plan recording** — the executor reports which strategy actually
   ran, so the negative-speedup trap can never silently return;
 * **wave stats** — the batch-level ``waves``/``frontier_sizes`` trace
@@ -73,12 +73,11 @@ def _recall(got, truth):
 
 
 class TestFlatParity:
-    @pytest.mark.parametrize("rng", [1, 4])
-    def test_recall_matches_per_query_oracle(self, must, queries, rng):
+    def test_recall_matches_per_query_oracle(self, must, queries):
         truth = [must.query(q, SearchOptions(k=K, exact=True)) for q in queries]
-        wave = must.query(queries, SearchOptions(k=K, l=L, rng=rng))
+        wave = must.query(queries, SearchOptions(k=K, l=L))
         oracle = must.query(
-            queries, SearchOptions(k=K, l=L, rng=rng, engine="heap")
+            queries, SearchOptions(k=K, l=L, engine="heap")
         )
         assert wave.plan == "graph/wave"
         assert oracle.plan == "graph/loop"
@@ -86,13 +85,13 @@ class TestFlatParity:
 
     def test_single_query_wave_engine(self, must, queries):
         res = must.query(
-            queries[0], SearchOptions(k=K, l=L, rng=3, engine="wave")
+            queries[0], SearchOptions(k=K, l=L, engine="wave")
         )
         assert len(res) == K
         assert res.stats.waves > 0
 
     def test_refine_reranks_exact(self, must, queries):
-        run = must.query(queries, SearchOptions(k=K, l=L, rng=3, refine=3))
+        run = must.query(queries, SearchOptions(k=K, l=L, refine=3))
         assert run.plan == "graph/wave"
         assert run.stats.reranked > 0
         truth = [must.query(q, SearchOptions(k=K, exact=True)) for q in queries]
@@ -102,22 +101,19 @@ class TestFlatParity:
 class TestCompositionIndependence:
     def test_alone_equals_batched(self, must, queries):
         index = must.index
-        solo, _ = graph_wave_search(index, queries[:1], k=K, l=L, rngs=[7])
-        rngs = [7] + list(range(100, 99 + len(queries)))
-        batched, _ = graph_wave_search(index, queries, k=K, l=L, rngs=rngs)
-        assert np.array_equal(solo[0].ids, batched[0].ids)
+        solo, _ = graph_wave_search(index, queries[:1], k=K, l=L)
+        batched, _ = graph_wave_search(index, queries[::-1], k=K, l=L)
+        assert np.array_equal(solo[0].ids, batched[-1].ids)
         np.testing.assert_array_equal(
-            solo[0].similarities, batched[0].similarities
+            solo[0].similarities, batched[-1].similarities
         )
 
     def test_mixed_widths_stay_independent(self, must, queries):
         # A wave-mate with a much wider l must not change this query.
         index = must.index
-        solo, _ = graph_wave_search(index, queries[:1], k=K, l=L, rngs=[7])
+        solo, _ = graph_wave_search(index, queries[:1], k=K, l=L)
         wide = Query(queries[1], k=120)
-        mixed, _ = graph_wave_search(
-            index, [queries[0], wide], k=K, l=L, rngs=[7, 8]
-        )
+        mixed, _ = graph_wave_search(index, [queries[0], wide], k=K, l=L)
         assert np.array_equal(solo[0].ids, mixed[0].ids)
         np.testing.assert_array_equal(
             solo[0].similarities, mixed[0].similarities
@@ -132,9 +128,9 @@ class TestCompressedParity:
             objects, weights=Weights([0.6, 0.4]), compression=kind
         ).build()
         truth = [must.query(q, SearchOptions(k=K, exact=True)) for q in queries]
-        wave = must.query(queries, SearchOptions(k=K, l=L, rng=3))
+        wave = must.query(queries, SearchOptions(k=K, l=L))
         oracle = must.query(
-            queries, SearchOptions(k=K, l=L, rng=3, engine="heap")
+            queries, SearchOptions(k=K, l=L, engine="heap")
         )
         assert wave.plan == "graph/wave"
         assert _recall(wave, truth) >= _recall(oracle, truth) - EPS
@@ -211,14 +207,11 @@ class TestStackedKernels:
         must = MUST(
             objects, weights=Weights([0.6, 0.4]), compression=kind
         ).build()
-        rngs = list(range(40, 40 + len(stack_queries)))
         batched, _ = graph_wave_search(
-            must.index, stack_queries, k=K, l=L, rngs=rngs, refine=2
+            must.index, stack_queries, k=K, l=L, refine=2
         )
-        for q, rng, got in zip(stack_queries, rngs, batched):
-            solo, _ = graph_wave_search(
-                must.index, [q], k=K, l=L, rngs=[rng], refine=2
-            )
+        for q, got in zip(stack_queries, batched):
+            solo, _ = graph_wave_search(must.index, [q], k=K, l=L, refine=2)
             assert np.array_equal(solo[0].ids, got.ids)
             np.testing.assert_array_equal(
                 solo[0].similarities, got.similarities
@@ -237,27 +230,26 @@ class TestSegmentedParity:
         assert must.is_segmented
         return must
 
-    @pytest.mark.parametrize("rng", [1, 4])
-    def test_recall_matches_per_query_oracle(self, seg_must, queries, rng):
+    def test_recall_matches_per_query_oracle(self, seg_must, queries):
         truth = [
             seg_must.query(q, SearchOptions(k=K, exact=True)) for q in queries
         ]
-        wave = seg_must.query(queries, SearchOptions(k=K, l=L, rng=rng))
+        wave = seg_must.query(queries, SearchOptions(k=K, l=L))
         oracle = seg_must.query(
-            queries, SearchOptions(k=K, l=L, rng=rng, engine="heap")
+            queries, SearchOptions(k=K, l=L, engine="heap")
         )
         assert wave.plan == "graph/wave"
         assert oracle.plan == "graph/loop"
         assert _recall(wave, truth) >= _recall(oracle, truth) - EPS
 
     def test_deleted_never_surface(self, seg_must, queries):
-        run = seg_must.query(queries, SearchOptions(k=K, l=L, rng=3))
+        run = seg_must.query(queries, SearchOptions(k=K, l=L))
         for res in run:
             assert not set(res.ids) & {3, 5, 7, 11}
 
     def test_filtered_queries_respect_predicate(self, seg_must, queries):
         typed = [Query(q, filter=Eq("color", "red")) for q in queries]
-        run = seg_must.query(typed, SearchOptions(k=K, l=L, rng=3))
+        run = seg_must.query(typed, SearchOptions(k=K, l=L))
         reds = set(
             np.flatnonzero(
                 seg_must.segments.view().segments[0].space.vectors
@@ -273,21 +265,21 @@ class TestSegmentedParity:
         assert reds  # sanity: the predicate selects something
 
     def test_segments_probed_aggregate(self, seg_must, queries):
-        run = seg_must.query(queries, SearchOptions(k=K, l=L, rng=3))
+        run = seg_must.query(queries, SearchOptions(k=K, l=L))
         per_query = [r.stats.segments_probed for r in run]
         assert all(p >= 1 for p in per_query)
         assert run.stats.segments_probed == sum(per_query)
 
     def test_per_query_k_override(self, seg_must, queries):
         typed = [Query(queries[0], k=40), queries[1]]
-        run = seg_must.query(typed, SearchOptions(k=K, l=20, rng=3))
+        run = seg_must.query(typed, SearchOptions(k=K, l=20))
         assert len(run[0]) == 40
         assert len(run[1]) == K
 
 
 class TestWaveStats:
     def test_batch_carries_wave_trace(self, must, queries):
-        run = must.query(queries, SearchOptions(k=K, l=L, rng=3))
+        run = must.query(queries, SearchOptions(k=K, l=L))
         assert run.stats.waves > 0
         assert len(run.stats.frontier_sizes) == run.stats.waves
         assert sum(run.stats.frontier_sizes) > 0
@@ -298,8 +290,7 @@ class TestWaveStats:
             assert res.stats.hops > 0
 
     def test_heap_plan_has_no_wave_trace(self, must, queries):
-        run = must.query(queries, SearchOptions(k=K, l=L, rng=3,
-                                                engine="heap"))
+        run = must.query(queries, SearchOptions(k=K, l=L, engine="heap"))
         assert run.stats.waves == 0
         assert run.stats.frontier_sizes == []
 
@@ -319,13 +310,13 @@ class TestServingWaves:
     def test_coalesced_wave_bit_identical_to_solo(self, must, queries):
         with must.serve() as svc:
             futs = [
-                svc.submit(q, SearchOptions(k=K, l=L, engine="wave", rng=i))
-                for i, q in enumerate(queries)
+                svc.submit(q, SearchOptions(k=K, l=L, engine="wave"))
+                for q in queries
             ]
             got = [f.result() for f in futs]
             snap = svc.snapshot()
-            for i, (q, res) in enumerate(zip(queries, got)):
-                ref = snap.query(q, SearchOptions(k=K, l=L, engine="wave", rng=i))
+            for q, res in zip(queries, got):
+                ref = snap.query(q, SearchOptions(k=K, l=L, engine="wave"))
                 assert np.array_equal(res.ids, ref.ids)
                 np.testing.assert_array_equal(
                     res.similarities, ref.similarities
@@ -336,8 +327,8 @@ class TestServingWaves:
 
     def test_auto_requests_stay_on_per_query_path(self, must, queries):
         with must.serve() as svc:
-            res = svc.search(queries[0], SearchOptions(k=K, l=L, rng=5))
-            ref = must.query(queries[0], SearchOptions(k=K, l=L, rng=5))
+            res = svc.search(queries[0], SearchOptions(k=K, l=L))
+            ref = must.query(queries[0], SearchOptions(k=K, l=L))
             assert np.array_equal(res.ids, ref.ids)
             np.testing.assert_array_equal(res.similarities, ref.similarities)
             summary = svc.stats.summary()

@@ -413,39 +413,33 @@ def test_wave_composition_independence(
     must = wave_must(dataset, layout, compression)
     snap = must.snapshot()
     plain = [Query(q.vector) for q in hybrid_queries]
-    seeds = list(range(100, 100 + len(hybrid_queries)))
 
-    def wave(queries, rngs, refine=None):
+    def wave(queries, refine=None):
         return snap.graph_wave(
             list(queries),
             SearchOptions(k=K, l=L, engine="wave", refine=refine),
-            list(rngs),
         ).results
 
     for refine in (None, 3):
-        alone = [
-            wave([q], [s], refine=refine)[0]
-            for q, s in zip(hybrid_queries, seeds)
-        ]
-        plain_only = wave(plain, seeds, refine=refine)
-        for got, ref in zip(wave(hybrid_queries, seeds, refine=refine), alone):
+        alone = [wave([q], refine=refine)[0] for q in hybrid_queries]
+        plain_only = wave(plain, refine=refine)
+        for got, ref in zip(wave(hybrid_queries, refine=refine), alone):
             assert_same(got, ref)
-        # Even positions hybrid, odd positions plain — each under the
-        # seed it had in its own wave.
+        # Even positions hybrid, odd positions plain.
         mixed = [
             hybrid_queries[i] if i % 2 == 0 else plain[i]
-            for i in range(len(seeds))
+            for i in range(len(plain))
         ]
-        for i, got in enumerate(wave(mixed, seeds, refine=refine)):
+        for i, got in enumerate(wave(mixed, refine=refine)):
             assert_same(got, alone[i] if i % 2 == 0 else plain_only[i])
 
     with MustService(must, ServiceConfig(max_batch=16, max_wait_ms=5.0)) as svc:
         futures = [
-            svc.submit(q, SearchOptions(k=K, l=L, engine="wave", rng=s))
-            for q, s in zip(mixed, seeds)
+            svc.submit(q, SearchOptions(k=K, l=L, engine="wave"))
+            for q in mixed
         ]
         served = [f.result() for f in futures]
-    unrefined = [wave([q], [s])[0] for q, s in zip(mixed, seeds)]
+    unrefined = [wave([q])[0] for q in mixed]
     for got, ref in zip(served, unrefined):
         assert_same(got, ref)
 
@@ -463,9 +457,9 @@ def test_wave_hybrid_recall_matches_heap_oracle(
         )
         return hits / (K * len(truth))
 
-    wave = must.query(hybrid_queries, SearchOptions(k=K, l=L, rng=3))
+    wave = must.query(hybrid_queries, SearchOptions(k=K, l=L))
     oracle = must.query(
-        hybrid_queries, SearchOptions(k=K, l=L, rng=3, engine="heap")
+        hybrid_queries, SearchOptions(k=K, l=L, engine="heap")
     )
     assert wave.plan == "graph/wave"
     assert wave.stats.waves > 0
@@ -518,7 +512,7 @@ def test_wave_hybrid_early_termination_still_answers(dataset, hybrid_queries):
     truth = must.query(hybrid_queries, SearchOptions(k=K, exact=True))
     run = must.query(
         hybrid_queries,
-        SearchOptions(k=K, l=L, rng=3, early_termination=True),
+        SearchOptions(k=K, l=L, early_termination=True),
     )
     assert run.plan == "graph/wave"
     hits = sum(
@@ -542,7 +536,7 @@ def test_heap_hybrid_forwards_check_monotone(
     real = search_mod._heap_search
 
     def spy(*args):
-        seen.append(args[7])
+        seen.append(args[6])
         return real(*args)
 
     monkeypatch.setattr(search_mod, "_heap_search", spy)

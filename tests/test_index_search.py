@@ -23,6 +23,8 @@ from repro.index.scoring import MatrixScorer, Scorer
 from repro.index.search import greedy_search_graph, joint_search
 from repro.index.segments import SegmentPolicy
 
+from repro.utils.io import load_arrays
+
 from tests.conftest import random_multivector_set, random_query
 
 
@@ -87,11 +89,73 @@ class TestJointSearchBasics:
         assert res.stats.joint_evals >= 30
         assert res.stats.visited_vertices == res.stats.hops
 
-    def test_deterministic_given_rng(self, setup):
-        _, index, _, queries = setup
-        a = joint_search(index, queries[0], k=5, l=30, rng=7)
-        b = joint_search(index, queries[0], k=5, l=30, rng=7)
-        assert np.array_equal(a.ids, b.ids)
+    @pytest.mark.parametrize("engine", ["heap", "paper"])
+    def test_answer_is_a_function_of_index_and_query(self, setup, engine):
+        """No seed to pass: asking again — of the index or of a rebuilt
+        container around the same graph — returns the same bits."""
+        space, index, _, queries = setup
+        twin = GraphIndex(space, index.neighbors, index.seed_vertex)
+        for q in queries[:5]:
+            a = joint_search(index, q, k=5, l=30, engine=engine)
+            _assert_identical(a, joint_search(index, q, k=5, l=30, engine=engine))
+            _assert_identical(a, joint_search(twin, q, k=5, l=30, engine=engine))
+        with pytest.raises(TypeError):
+            joint_search(index, queries[0], k=5, l=30, rng=7)
+
+
+class TestEntryOrder:
+    """Algorithm 2's init set as a property of the graph."""
+
+    def test_seed_first_then_a_permutation_of_the_rest(self, setup):
+        _, index, _, _ = setup
+        order = index.entry_points(index.n)
+        assert order.dtype == np.int64 and order[0] == index.seed_vertex
+        assert np.array_equal(np.sort(order), np.arange(index.n))
+        # Not the identity: the tail is shuffled.
+        assert not np.array_equal(order[1:], np.sort(order[1:]))
+
+    def test_a_search_takes_a_prefix(self, setup):
+        _, index, _, _ = setup
+        order = index.entry_points(index.n)
+        for l in (1, 7, 100, index.n, index.n + 50):
+            assert np.array_equal(index.entry_points(l), order[:l])
+        assert np.shares_memory(index.entry_points(10), order)
+        with pytest.raises(ValueError):
+            index.entry_points(5)[0] = 0  # shared, hence read-only
+
+    def test_pure_function_of_n_and_seed_vertex(self, setup):
+        space, index, _, _ = setup
+        twin = GraphIndex(space, index.neighbors[::-1], index.seed_vertex)
+        assert np.array_equal(twin.entry_points(50), index.entry_points(50))
+        moved = GraphIndex(space, index.neighbors, (index.seed_vertex + 1) % 400)
+        assert moved.entry_points(1)[0] == moved.seed_vertex
+        assert not np.array_equal(moved.entry_points(50), index.entry_points(50))
+
+    def test_reseating_the_seed_recomputes(self, setup):
+        space, index, _, _ = setup
+        graph = GraphIndex(space, index.neighbors, 3)
+        assert graph.entry_points(1)[0] == 3
+        graph.seed_vertex = 9
+        order = graph.entry_points(400)
+        assert order[0] == 9 and np.array_equal(np.sort(order), np.arange(400))
+
+    def test_single_vertex_graph(self):
+        space = JointSpace(random_multivector_set(1, (4,), seed=0), Weights([1.0]))
+        lone = GraphIndex(space, [np.zeros(0, dtype=np.int32)], 0)
+        assert lone.entry_points(10).tolist() == [0]
+
+    def test_not_persisted_and_recomputed_on_load(self, setup, tmp_path):
+        space, index, _, queries = setup
+        index.save(tmp_path / "g.npz")
+        metadata, arrays = load_arrays(tmp_path / "g.npz")
+        assert set(arrays) == {"flat", "offsets"}
+        assert set(metadata) == {"name", "seed_vertex", "build_seconds", "meta"}
+        loaded = GraphIndex.load(tmp_path / "g.npz", space)
+        assert np.array_equal(loaded.entry_points(400), index.entry_points(400))
+        _assert_identical(
+            joint_search(loaded, queries[0], k=5, l=30),
+            joint_search(index, queries[0], k=5, l=30),
+        )
 
 
 class TestEngines:
@@ -218,7 +282,7 @@ class TestGreedySearchGraph:
 
 
 def _oracle_heap_search(
-    index, query, k, l, weights, early_termination, rng, check_monotone,
+    index, query, k, l, weights, early_termination, check_monotone,
     excluded, reportable,
 ):
     """``_heap_search`` as it stood before PR 20 stripped its hot loop.
@@ -234,7 +298,7 @@ def _oracle_heap_search(
                     early_termination=early_termination)
     stats = scorer.stats
 
-    r_ids = search_mod._init_result_set(index, l, rng)
+    r_ids = index.entry_points(l)
     seen = np.zeros(n, dtype=bool)
     seen[r_ids] = True
     init_sims = scorer.score_ids(r_ids)
@@ -406,16 +470,14 @@ class TestHeapKernelParity:
     def test_plans(self, world, monkeypatch, plan):
         dense, _, queries = world
         plan = {"k": 10, "l": 40, **plan}
-        for seed, q in enumerate(queries):
-            self._check(
-                monkeypatch, lambda: joint_search(dense, q, rng=seed, **plan)
-            )
+        for q in queries:
+            self._check(monkeypatch, lambda: joint_search(dense, q, **plan))
 
     def test_typed_queries(self, world, monkeypatch):
         """Per-query k override, per-query weights (one zeroing a
         modality), a filter mask, and a missing modality."""
         dense, _, queries = world
-        for seed, q in enumerate(queries[:10]):
+        for q in queries[:10]:
             for typed in (
                 Query(q, k=17),
                 Query(q, weights=Weights([0.7, 0.3])),
@@ -428,7 +490,7 @@ class TestHeapKernelParity:
                     self._check(
                         monkeypatch,
                         lambda: joint_search(
-                            dense, typed, k=5, l=30, rng=seed,
+                            dense, typed, k=5, l=30,
                             early_termination=early, check_monotone=True,
                         ),
                     )
@@ -448,12 +510,10 @@ class TestHeapKernelParity:
         assert space.with_weights(Weights([1.0, 0.0])).concat_query(
             queries[0], override
         ) is None
-        for seed, q in enumerate(queries[:10]):
+        for q in queries[:10]:
             self._check(
                 monkeypatch,
-                lambda: joint_search(
-                    zeroed, q, k=10, l=40, rng=seed, weights=override
-                ),
+                lambda: joint_search(zeroed, q, k=10, l=40, weights=override),
             )
 
     def test_deleted_and_excluded_inits(self, setup, monkeypatch):
@@ -462,8 +522,8 @@ class TestHeapKernelParity:
         space, index, _, queries = setup
         objects = random_multivector_set(400, self.DIMS, seed=33)
         dead = np.random.default_rng(5).permutation(400)[:140]
-        l, seed = 12, 7
-        inits = search_mod._init_result_set(index, l, seed)
+        l = 12
+        inits = index.entry_points(l)
         objects.set_attributes({"init": np.isin(np.arange(400), inits)})
         holed = GraphIndex(
             space=JointSpace(objects, space.weights),
@@ -476,8 +536,7 @@ class TestHeapKernelParity:
                 got = self._check(
                     monkeypatch,
                     lambda: joint_search(
-                        holed, q, k=10, l=40, rng=seed,
-                        early_termination=early,
+                        holed, q, k=10, l=40, early_termination=early
                     ),
                 )
                 assert not np.isin(got.ids, dead).any()
@@ -485,7 +544,7 @@ class TestHeapKernelParity:
                 monkeypatch,
                 lambda: joint_search(
                     holed, Query(q, filter=Eq("init", False)), k=5, l=l,
-                    rng=seed, check_monotone=True,
+                    check_monotone=True,
                 ),
             )
             assert len(got) == 5 and not np.isin(got.ids, inits).any()
@@ -493,7 +552,7 @@ class TestHeapKernelParity:
     @pytest.mark.parametrize("kind", ["pq", "int8", "float16"])
     def test_compressed_stores(self, world, monkeypatch, kind):
         _, stores, queries = world
-        for seed, q in enumerate(queries[:12]):
+        for q in queries[:12]:
             for plan in (
                 dict(),
                 dict(early_termination=True),
@@ -502,9 +561,7 @@ class TestHeapKernelParity:
             ):
                 self._check(
                     monkeypatch,
-                    lambda: joint_search(
-                        stores[kind], q, k=8, l=40, rng=seed, **plan
-                    ),
+                    lambda: joint_search(stores[kind], q, k=8, l=40, **plan),
                 )
 
     def test_through_segment_view(self, monkeypatch):
@@ -528,7 +585,7 @@ class TestHeapKernelParity:
                 got = self._check(
                     monkeypatch,
                     lambda: view.search(
-                        q, k=6, l=24, rng=seed, check_monotone=True, **plan
+                        q, k=6, l=24, check_monotone=True, **plan
                     ),
                 )
                 assert got.stats.segments_probed == 4
@@ -585,3 +642,64 @@ class TestSearchResultContainer:
         total = a.stats.hops + b.stats.hops
         a.stats.merge(b.stats)
         assert a.stats.hops == total
+
+
+def _drawn_init(index: GraphIndex, l: int, rng: np.random.Generator) -> np.ndarray:
+    """Algorithm 2, l. 1-3, read literally: the seed vertex plus ``l−1``
+    distinct vertices drawn afresh for this one query — what every
+    search did before the init became the graph's entry order."""
+    n = index.n
+    init_size = min(l, n)
+    if init_size == n:
+        return np.arange(n, dtype=np.int64)
+    extra = rng.choice(n - 1, size=init_size - 1, replace=False)
+    # Shift around the seed so it is never drawn twice.
+    extra = (extra + index.seed_vertex + 1) % n
+    return np.concatenate([[index.seed_vertex], extra]).astype(np.int64)
+
+
+class TestEntryOrderAgainstPerQueryDraw:
+    """Routing, not the init, finds the answer: a fixed entry order
+    recalls what a fresh per-query draw does, at the same work."""
+
+    N, DIMS, QUERIES = 2000, (12, 8), 100
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        space = JointSpace(
+            random_multivector_set(self.N, self.DIMS, seed=11),
+            Weights([0.5, 0.5]),
+        )
+        index = FusedIndexBuilder(gamma=12, seed=2).build(space)
+        queries = [
+            random_query(self.DIMS, seed=500 + s) for s in range(self.QUERIES)
+        ]
+        flat = FlatIndex(space)
+        truth = [flat.search(q, 10).ids for q in queries]
+        return index, queries, truth
+
+    @staticmethod
+    def _measure(index, queries, truth, l):
+        hits = evals = 0
+        for q, exact in zip(queries, truth):
+            res = joint_search(index, q, k=10, l=l)
+            hits += np.intersect1d(res.ids, exact).size
+            evals += res.stats.joint_evals
+        return hits / (10 * len(queries)), evals / len(queries)
+
+    @pytest.mark.parametrize("l", [50, 100])
+    def test_recall_and_work_match_the_draw(self, world, monkeypatch, l):
+        index, queries, truth = world
+        stored = self._measure(index, queries, truth, l)
+        drawn = []
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    GraphIndex, "entry_points",
+                    lambda self, l: _drawn_init(self, l, rng),
+                )
+                drawn.append(self._measure(index, queries, truth, l))
+        recall, evals = np.mean(drawn, axis=0)
+        assert abs(stored[0] - recall) <= 0.01
+        assert abs(stored[1] / evals - 1.0) <= 0.02

@@ -51,8 +51,8 @@ class TestLegacyRoundtrip:
         assert fresh.weights == must.weights  # stored weights win
         assert fresh.index.num_active == must.index.num_active
         q = random_query(DIMS, seed=9)
-        a = must.query(q, SearchOptions(k=10, l=60, rng=0))
-        b = fresh.query(q, SearchOptions(k=10, l=60, rng=0))
+        a = must.query(q, SearchOptions(k=10, l=60))
+        b = fresh.query(q, SearchOptions(k=10, l=60))
         np.testing.assert_array_equal(a.ids, b.ids)
         np.testing.assert_array_equal(a.similarities, b.similarities)
 
@@ -79,8 +79,8 @@ class TestLegacyRoundtrip:
         assert fresh.weights == Weights([0.3, 0.7])
         # The rebind is real: the loaded graph scores under stored weights.
         q = random_query(DIMS, seed=4)
-        a = must.query(q, SearchOptions(k=5, l=50, rng=0))
-        b = fresh.query(q, SearchOptions(k=5, l=50, rng=0))
+        a = must.query(q, SearchOptions(k=5, l=50))
+        b = fresh.query(q, SearchOptions(k=5, l=50))
         np.testing.assert_array_equal(a.ids, b.ids)
 
 
@@ -112,8 +112,8 @@ class TestSegmentedRoundtrip:
             a, b = must.query(q, exact), fresh.query(q, exact)
             np.testing.assert_array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.similarities, b.similarities)
-            g1 = must.query(q, SearchOptions(k=10, l=60, rng=3))
-            g2 = fresh.query(q, SearchOptions(k=10, l=60, rng=3))
+            g1 = must.query(q, SearchOptions(k=10, l=60))
+            g2 = fresh.query(q, SearchOptions(k=10, l=60))
             np.testing.assert_array_equal(g1.ids, g2.ids)
             np.testing.assert_array_equal(g1.similarities, g2.similarities)
 

@@ -332,8 +332,7 @@ class TestPlanPlumbing:
 
     def test_snapshot_query_forwards_every_option(self, built_must, queries):
         snap = built_must.snapshot()
-        opts = SearchOptions(k=5, l=64, engine="paper", rng=11,
-                             check_monotone=True)
+        opts = SearchOptions(k=5, l=64, engine="paper", check_monotone=True)
         ref = built_must.query(Query(queries[0]), opts)
         res = snap.query(Query(queries[0]), opts)
         assert np.array_equal(res.ids, ref.ids)

@@ -28,7 +28,6 @@ from repro.core.weights import Weights
 from repro.index.flat import FlatIndex
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.segments import SegmentedIndex, SegmentPolicy
-from repro.utils.rng import spawn_seed_sequences
 
 from tests.conftest import random_multivector_set, random_query
 
@@ -168,8 +167,8 @@ class TestRandomizedTraceParity:
         must, oracle = _fresh(seed=7)
         must.insert(_objects(15, np.random.default_rng(3)))
         q = random_query(DIMS, seed=5)
-        a = must.query(q, SearchOptions(k=10, l=60, rng=0))
-        b = must.query(q, SearchOptions(k=10, l=60, rng=0))
+        a = must.query(q, SearchOptions(k=10, l=60))
+        b = must.query(q, SearchOptions(k=10, l=60))
         np.testing.assert_array_equal(a.ids, b.ids)
         np.testing.assert_array_equal(a.similarities, b.similarities)
 
@@ -381,18 +380,14 @@ class TestExecutorParityOnSegments:
         return must
 
     def test_graph_batch_bit_identical_to_per_query_loop(self):
-        """The heap-engine batch is the hand-written loop over per-query
-        child seeds, bit for bit."""
+        """The heap-engine batch is the hand-written per-query loop, bit
+        for bit."""
         must = self._streamed()
         queries = [random_query(DIMS, seed=s) for s in range(8)]
-        run = must.query(
-            queries, SearchOptions(k=10, l=60, engine="heap", rng=7)
-        )
+        run = must.query(queries, SearchOptions(k=10, l=60, engine="heap"))
         view = must.segments.view()
-        for res, q, seed in zip(
-            run, queries, spawn_seed_sequences(7, len(queries))
-        ):
-            ref = view.search(q, k=10, l=60, rng=seed)
+        for res, q in zip(run, queries):
+            ref = view.search(q, k=10, l=60)
             np.testing.assert_array_equal(res.ids, ref.ids)
             np.testing.assert_array_equal(res.similarities, ref.similarities)
         assert run.stats.segments_probed > 0

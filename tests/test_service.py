@@ -221,18 +221,15 @@ class TestServiceParity:
             assert svc.stats.batches < len(queries)
             assert svc.stats.coalesced_requests > 0
 
-    def test_per_request_rng_independent_of_batch(self, segmented_must,
-                                                  queries):
+    def test_request_answer_independent_of_batch(self, segmented_must,
+                                                 queries):
         """A request's answer cannot depend on its wave-mates."""
         with MustService(
             segmented_must, ServiceConfig(max_batch=8, max_wait_ms=5.0)
         ) as svc:
-            solo = svc.search(queries[0], SearchOptions(k=10, l=60, rng=123))
+            solo = svc.search(queries[0], SearchOptions(k=10, l=60))
             futures = [
-                svc.submit(
-                    q, SearchOptions(k=10, l=60, rng=123 if i == 0 else i)
-                )
-                for i, q in enumerate(queries[:8])
+                svc.submit(q, SearchOptions(k=10, l=60)) for q in queries[:8]
             ]
             batched = futures[0].result()
         assert_same_result(solo, batched)

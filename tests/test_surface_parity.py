@@ -8,6 +8,12 @@ ids *and* similarities bit for bit.  All of them run the one dispatcher
 (:func:`repro.index.executor.execute`), so a cell failing here means a
 surface grew its own interpretation of a plan.
 
+A second table pins what makes that possible on the graph plans: an
+answer is a function of the index and the query.  No plan carries a
+seed, so the same request reads the same bits (ids, similarities, work
+counters) alone, at either end of a batch, from a snapshot, served, and
+from a reloaded save.
+
 Two documented exceptions, both properties of the arithmetic and not of
 the dispatch:
 
@@ -24,12 +30,15 @@ the dispatch:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.framework import MUST
 from repro.core.multivector import MultiVector, MultiVectorSet
 from repro.core.query import Eq, Query, SearchOptions
+from repro.core.results import SearchResult
 from repro.core.weights import Weights
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.segments import SegmentPolicy
@@ -48,14 +57,15 @@ FILTER = Eq("parity", 0)
 
 #: plan name -> (corpus kind, options)
 PLANS = {
-    "heap": ("dense", SearchOptions(k=K, l=40, rng=3)),
-    "wave": ("dense", SearchOptions(k=K, l=40, engine="wave", rng=3)),
+    "heap": ("dense", SearchOptions(k=K, l=40)),
+    "wave": ("dense", SearchOptions(k=K, l=40, engine="wave")),
     "exact": ("dense", SearchOptions(k=K, exact=True)),
     "exact+refine": ("int8", SearchOptions(k=K, exact=True, refine=3)),
-    "hybrid-wave": (
-        "hybrid", SearchOptions(k=K, l=40, engine="wave", rng=3),
-    ),
+    "hybrid-wave": ("hybrid", SearchOptions(k=K, l=40, engine="wave")),
 }
+#: the graph plans, each under the one engine both a batch and a lone
+#: request are asked to run ("auto" would pick wave for the batch).
+GRAPH_PLANS = {"heap": "heap", "wave": "wave", "hybrid-wave": "wave"}
 SHARDED_PLANS = ("exact", "wave")
 LAYOUTS = ("single-graph", "3-segment+delta")
 
@@ -202,3 +212,58 @@ def test_every_surface_answers_alike(corpora, sharded, plan, layout):
         assert_bitwise(got, ref)
     assert [len(r) for r in alone] == [K, 9]
     assert np.isin(alone[0].ids, admissible).all()
+
+
+def assert_same_bits(got: SearchResult, ref: SearchResult) -> None:
+    """Ids, similarities and every per-query work counter; the
+    ``waves`` / ``frontier_sizes`` trace describes the traversal a
+    request shared, not the request, and is left out."""
+    assert_bitwise(got, ref)
+    counters = [dataclasses.asdict(r.stats) for r in (got, ref)]
+    for stats in counters:
+        del stats["waves"], stats["frontier_sizes"]
+    assert counters[0] == counters[1]
+
+
+def _reloaded(must: MUST, folder) -> MUST:
+    if must.is_segmented:
+        must.save_index(folder / "save")
+        return MUST.from_saved(folder / "save", builder=CHEAP_BUILDER)
+    must.save_index(folder / "save.npz")
+    return MUST(must.objects, builder=CHEAP_BUILDER).load_index(
+        folder / "save.npz"
+    )
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("plan", list(GRAPH_PLANS))
+def test_answer_is_a_function_of_index_and_query(
+    corpora, plan, layout, tmp_path
+):
+    kind, opts = PLANS[plan]
+    opts = opts.updated(engine=GRAPH_PLANS[plan])
+    must = corpora(kind, layout)
+    requests = _requests(kind)
+    requests += [Query(q.vector, sparse=q.sparse) for q in requests]
+
+    alone = [must.query(q, opts) for q in requests]
+    forward = must.query(requests, opts).results
+    backward = must.query(requests[::-1], opts).results[::-1]
+    snap = must.snapshot()
+    with must.serve(max_batch=8, max_wait_ms=5.0) as svc:
+        futures = [svc.submit(q, opts) for q in requests]
+        served = [f.result(60) for f in futures]
+    fresh = _reloaded(must, tmp_path)
+    for i, (q, ref) in enumerate(zip(requests, alone)):
+        assert ref.stats.joint_evals > 0
+        assert_same_bits(forward[i], ref)
+        assert_same_bits(backward[i], ref)
+        assert_same_bits(snap.query(q, opts), ref)
+        assert_same_bits(served[i], ref)
+        assert_same_bits(fresh.query(q, opts), ref)
+
+
+def test_a_plan_has_no_seed_field():
+    with pytest.raises(TypeError, match="rng"):
+        SearchOptions(rng=0)
+    assert len(dataclasses.fields(SearchOptions)) == 9
