@@ -24,6 +24,11 @@ class SearchStats:
     through a :class:`~repro.index.segments.SegmentedIndex` (one per
     sealed/delta segment probed; merging per-segment stats sums it, so a
     batch aggregate reports total probes across the batch).
+    ``segments_scanned`` counts the probes among them that scored the
+    whole segment instead of traversing its graph, because the query's
+    beam already covered the segment
+    (:func:`~repro.index.segments.beam_covers`): those probes add
+    ``joint_evals`` but no ``hops`` or ``waves``.
 
     ``reranked`` counts candidates re-scored at full precision by the
     two-stage ``refine=`` pipeline (0 when rerank is off).
@@ -43,6 +48,7 @@ class SearchStats:
     modality_evals: int = 0
     pruned_early: int = 0
     segments_probed: int = 0
+    segments_scanned: int = 0
     reranked: int = 0
     waves: int = 0
     frontier_sizes: list[int] = field(default_factory=list)
@@ -55,6 +61,7 @@ class SearchStats:
         self.modality_evals += other.modality_evals
         self.pruned_early += other.pruned_early
         self.segments_probed += other.segments_probed
+        self.segments_scanned += other.segments_scanned
         self.reranked += other.reranked
         self.waves += other.waves
         if other.frontier_sizes:

@@ -81,6 +81,12 @@ class GraphIndex:
     _entry_order: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: one-slot box for the lazily built CSR form (:meth:`csr_adjacency`).
+    #: :meth:`frozen` copies share the box itself, so whichever copy is
+    #: traversed first builds it for all of them; never persisted.
+    _csr: list[tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         require(
@@ -105,7 +111,22 @@ class GraphIndex:
 
     @property
     def num_edges(self) -> int:
-        return int(sum(len(adj) for adj in self.neighbors))
+        return int(self.csr_adjacency()[1][-1])
+
+    def csr_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(flat, offsets)`` CSR form of :attr:`neighbors`, built once.
+
+        The adjacency is immutable after build (deletes go through the
+        bitset, compaction builds a fresh index), so the arrays live as
+        long as the graph and every :meth:`frozen` copy reads the same
+        pair.  Only a traversal that gathers whole frontiers needs it
+        (:func:`~repro.index.graph_wave.graph_wave_search`); a graph
+        that is never traversed never pays for one.
+        """
+        if not self._csr:
+            flat, offsets = pack_adjacency(self.neighbors)
+            self._csr.append((flat.astype(np.int64), offsets))
+        return self._csr[0]
 
     def degree_stats(self) -> dict[str, float]:
         """Min / mean / max out-degree — the paper's γ bounds the max."""
@@ -149,9 +170,10 @@ class GraphIndex:
     def frozen(self) -> "GraphIndex":
         """A copy later :meth:`mark_deleted` calls cannot reach.
 
-        Only the §IX bitset is copied; adjacency, entry order, space and
-        metadata are shared as they are (nothing is re-validated), so a
-        capture costs ``O(n)`` bytes of bitset and no Python loop.  The
+        Only the §IX bitset is copied; adjacency (with the box that
+        holds its CSR form), entry order, space and metadata are shared
+        as they are (nothing is re-validated), so a capture costs
+        ``O(n)`` bytes of bitset and no Python loop.  The
         entry order is built here if it was not yet, under the caller's
         write serialisation, so every copy shares one array and threads
         reading a copy never race to build it.

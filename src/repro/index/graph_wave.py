@@ -27,6 +27,12 @@ Each wave
 4. scatters the scores back into per-query result pools, visited
    bitsets, and routing pools.
 
+The engine is cut as *prepare → traverse → finalise* (:class:`_Wave`),
+and a row whose init set is the whole graph skips the middle step: it
+is scored end to end by the same stacked call and selected directly
+(*prepare → scan → finalise*), which is what the segmented layer asks
+for on segments its beam already covers.
+
 Queries finish independently: a query whose best unexpanded candidate
 can no longer enter its result set leaves the wave, while stragglers
 keep iterating.  Per-query :class:`~repro.core.query.Query` filters,
@@ -57,47 +63,10 @@ from repro.core.weights import Weights
 from repro.index.base import GraphIndex
 from repro.index.scoring import Scorer, StackedScorer, rerank_exact
 from repro.sparse.hybrid import hybrid_union_rescore, sparse_plane
+from repro.utils.topk import top_k_sorted
 from repro.utils.validation import require
 
 __all__ = ["graph_wave_search"]
-
-#: CSR adjacency cache keyed by ``id(index.neighbors)``.  Graphs are
-#: immutable after build (deletes go through the bitset, compaction
-#: builds a fresh index) and snapshots share the neighbour list
-#: (:meth:`GraphIndex.frozen`), so identity of the list is a sound key; the
-#: stored strong reference keeps the id from being recycled.  Bounded so
-#: long-lived processes cycling many indexes cannot leak.
-_ADJ_CACHE: dict[int, tuple[np.ndarray, np.ndarray, object]] = {}
-_ADJ_CACHE_LIMIT = 16
-
-
-def _csr_adjacency(index: GraphIndex) -> tuple[np.ndarray, np.ndarray]:
-    """``(flat, offsets)`` CSR view of ``index.neighbors``, cached."""
-    neighbors = index.neighbors
-    entry = _ADJ_CACHE.get(id(neighbors))
-    if entry is not None and entry[2] is neighbors:
-        return entry[0], entry[1]
-    counts = np.fromiter(
-        (len(adj) for adj in neighbors), dtype=np.int64, count=len(neighbors)
-    )
-    offsets = np.zeros(len(neighbors) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    if offsets[-1]:
-        flat = np.concatenate(neighbors).astype(np.int64, copy=False)
-    else:
-        flat = np.zeros(0, dtype=np.int64)
-    if len(_ADJ_CACHE) >= _ADJ_CACHE_LIMIT:
-        # Evict exactly one entry, oldest first (dict preserves insertion
-        # order).  A full clear() here would wipe the entry about to be
-        # returned, so a long-lived service cycling >16 snapshots would
-        # rebuild the *hot* CSR on every wave; single FIFO eviction keeps
-        # the bound without ever touching the entry being installed.
-        for stale in _ADJ_CACHE:
-            if stale != id(neighbors):
-                del _ADJ_CACHE[stale]
-                break
-    _ADJ_CACHE[id(neighbors)] = (flat, offsets, neighbors)
-    return flat, offsets
 
 
 def _pad_by_owner(
@@ -128,6 +97,430 @@ def _pad_by_owner(
     return rows, id_mat, sim_mats
 
 
+class _Wave:
+    """One batch prepared against one graph: *prepare* → fill → *finalise*.
+
+    The constructor is *prepare*: it unpacks every query, sizes its
+    pools from its own ``k``/``l``, compiles its admission bitset and
+    binds the scorer its rows are scored with.  :meth:`traverse`
+    (Algorithm 2 in lockstep) and :meth:`scan` (its init taken over
+    every vertex, and no waves) then fill the same per-row result
+    pools through the same :meth:`score_stack`, and :meth:`finalise`
+    turns the pools into answers — so a row's similarities carry the
+    same bits whichever of the two filled its pool.
+    """
+
+    def __init__(
+        self,
+        index: GraphIndex,
+        queries: Sequence[MultiVector | Query],
+        k: int,
+        l: int,
+        weights: Weights | None,
+        early_termination: bool,
+        refine: int | None,
+        filter_memo: FilterMemo | None,
+        ks: Sequence[int] | None,
+        ls: Sequence[int] | None,
+    ) -> None:
+        b = len(queries)
+        space = index.space
+        n = index.n
+        attributes = space.vectors.attributes
+        memo: FilterMemo = {} if filter_memo is None else filter_memo
+        num_active = index.num_active
+        self.index = index
+        self.b = b
+        self.refine = refine
+
+        self.vectors: list[MultiVector] = []
+        self.hybrid: list[Query | None] = []
+        self.per_weights: list[Weights | None] = []
+        self.excluded_by: list[np.ndarray | None] = []
+        excl_cache: dict[int | None, np.ndarray | None] = {}
+        self.k_arr = np.zeros(b, dtype=np.int64)
+        self.k_inner_arr = np.zeros(b, dtype=np.int64)
+        self.cap_arr = np.zeros(b, dtype=np.int64)
+        self.width_arr = np.zeros(b, dtype=np.int64)
+        self.l_inner_arr = np.zeros(b, dtype=np.int64)
+        #: rows with at least one reportable vertex; the rest answer empty.
+        self.alive = np.zeros(b, dtype=bool)
+
+        for i, q in enumerate(queries):
+            vec, k_q, w_q, mask = unpack_query(q, k, weights, attributes, memo=memo)
+            if ks is not None and ls is not None:
+                k_q, l_q = int(ks[i]), int(ls[i])
+            else:
+                l_q = max(l, k_q)
+            require(k_q >= 1, "k must be positive")
+            require(l_q >= k_q, f"result set size l={l_q} must be at least k={k_q}")
+            self.vectors.append(vec)
+            self.hybrid.append(
+                q if isinstance(q, Query) and q.sparse is not None else None
+            )
+            self.per_weights.append(w_q)
+            key = None if mask is None else id(mask)
+            if key in excl_cache:
+                excluded: np.ndarray | None = excl_cache[key]
+            elif mask is None:
+                excluded = index.deleted
+                excl_cache[key] = excluded
+            else:
+                excluded = ~mask if index.deleted is None else (~mask | index.deleted)
+                excl_cache[key] = excluded
+            self.excluded_by.append(excluded)
+            if mask is None:
+                reportable = num_active
+            else:
+                reportable = int(n - excluded.sum()) if excluded is not None else n
+            if self.hybrid[i] is not None:
+                sparse_plane(space)  # no lexical plane: fail before traversing
+                # The fusion's dense candidate pool is the whole result set;
+                # the union rescore takes the place of refine.
+                k_inner = l_inner = l_q
+            else:
+                k_inner = k_q * refine if refine is not None else k_q
+                l_inner = max(l_q, k_inner)
+            self.k_arr[i] = k_q
+            self.k_inner_arr[i] = k_inner
+            self.l_inner_arr[i] = l_inner
+            self.width_arr[i] = min(l_inner, n)
+            self.cap_arr[i] = min(l_inner, reportable)
+            self.alive[i] = reportable > 0
+
+        self.stats_list = [SearchStats() for _ in range(b)]
+        # A compressed store scores the whole batch through one stacked
+        # kernel per modality; Lemma-4 pruning is a per-query scan, so
+        # early_termination keeps the per-query scorers.
+        self.stack = (
+            StackedScorer(space, self.vectors, self.per_weights)
+            if space.is_compressed and not early_termination
+            else None
+        )
+        self.scorers: list[Scorer] = []
+        self.fast = np.zeros(b, dtype=bool)
+        if self.stack is None:
+            self.scorers = [
+                Scorer(
+                    space,
+                    self.vectors[i],
+                    weights=self.per_weights[i],
+                    early_termination=early_termination,
+                    stats=self.stats_list[i],
+                )
+                for i in range(b)
+            ]
+            self.fast[:] = [s.has_fast_path for s in self.scorers]
+        self.active_mods = (
+            np.asarray(
+                [s.num_active_modalities for s in self.scorers], dtype=np.int64
+            )
+            if self.stack is None
+            else self.stack.num_kernels
+        )
+        self.joint_acc = np.zeros(b, dtype=np.int64)
+        self.hops = np.zeros(b, dtype=np.int64)
+        self.concat_mat: np.ndarray | None = None
+        self.qmat: np.ndarray | None = None
+        if self.fast.any():
+            self.concat_mat = space.concatenated
+            self.qmat = np.zeros((b, self.concat_mat.shape[1]), dtype=np.float32)
+            for i in range(b):
+                qvec = self.scorers[i].concat_query_vector
+                if qvec is not None:
+                    self.qmat[i] = qvec
+
+        # Result pools: per-row descending, padded with -inf, each row
+        # cut to its own cap — what a batch of one would hold.
+        self.width = int(self.width_arr.max()) if self.alive.any() else 1
+        self.res_ids = np.zeros((b, self.width), dtype=np.int64)
+        self.res_sims = np.full((b, self.width), -np.inf, dtype=np.float64)
+
+    def score_stack(
+        self, owner: np.ndarray, cand: np.ndarray, thr: np.ndarray
+    ) -> np.ndarray:
+        """Score one stacked frontier; below-threshold rows come back -inf.
+
+        One batched row-wise reduction covers every fast-path query's
+        candidates (per-query weights already baked into its concat
+        column), and on a compressed store one stacked kernel call per
+        modality covers the whole frontier; the rest go through their
+        bound scorer on contiguous owner slices, so Lemma-4 pruning
+        applies per query.
+        """
+        b = self.b
+        if self.stack is not None:
+            sims = self.stack.score(owner, cand)
+            self.joint_acc += np.bincount(owner, minlength=b)
+            return np.where(sims > thr[owner], sims, -np.inf)
+        sims = np.empty(cand.size, dtype=np.float64)
+        fmask = self.fast[owner]
+        if fmask.any():
+            assert self.concat_mat is not None and self.qmat is not None
+            own = owner[fmask]
+            sims[fmask] = np.einsum(
+                "ij,ij->i", self.concat_mat[cand[fmask]], self.qmat[own]
+            ).astype(np.float64)
+            self.joint_acc += np.bincount(own, minlength=b)
+        if not fmask.all():
+            nf = np.flatnonzero(~fmask)
+            nf_owner = owner[nf]
+            grp, grp_start, grp_counts = np.unique(
+                nf_owner, return_index=True, return_counts=True
+            )
+            for gi, gs, gc in zip(grp, grp_start, grp_counts):
+                sl = nf[gs : gs + gc]
+                svals, keep = self.scorers[int(gi)].score_frontier(
+                    cand[sl], float(thr[int(gi)])
+                )
+                sims[sl] = np.where(keep, svals, -np.inf)
+        return np.where(sims > thr[owner], sims, -np.inf)
+
+    def scan(self, rows: np.ndarray) -> None:
+        """Fill *rows*' pools from Algorithm 2's init over every vertex.
+
+        What :meth:`traverse` computes for a row once it has reached
+        every vertex, without the hops: all ``n`` similarities, scored
+        as the init scores its entry set, inadmissible vertices dropped
+        and the row's top ``cap`` selected directly — no routing pool,
+        visited bitset or CSR adjacency is touched.
+
+        Fast-path rows are scored without stacking: the reduction
+        :meth:`score_stack` runs over gathered ``(candidate, query)``
+        row pairs is run over the concat matrix and the query rows as
+        they lie, which yields the same float32 bits and copies neither.
+        That reduction and the PQ tables are row-wise, so their values
+        are the traversal's at any ``n``; a Lemma-4 scorer goes through
+        BLAS, so its values are the traversal's while ``n <= l`` (the
+        init is the whole scan) and agree to rounding past that.
+        """
+        if rows.size == 0:
+            return
+        n = self.index.n
+        sims = np.empty((rows.size, n), dtype=np.float64)
+        fast = self.fast[rows]
+        if fast.any():
+            assert self.concat_mat is not None and self.qmat is not None
+            sims[fast] = np.einsum(
+                "nd,bd->bn", self.concat_mat, self.qmat[rows[fast]]
+            )
+            self.joint_acc[rows[fast]] += n
+        if not fast.all():
+            # In entry order, as the init stacks them: a scorer backed
+            # by BLAS rounds a row by where it sits in the call.
+            rest, order = rows[~fast], self.index.entry_points(n)
+            scored = self.score_stack(
+                np.repeat(rest, n),
+                np.tile(order, rest.size),
+                np.full(self.b, -np.inf),
+            ).reshape(rest.size, n)
+            by_id = np.empty_like(scored)
+            by_id[:, order] = scored
+            sims[~fast] = by_id
+        for row_sims, i in zip(sims, rows.tolist()):
+            excluded = self.excluded_by[i]
+            if excluded is not None:
+                row_sims[excluded] = -np.inf
+            # cap <= the admissible count, so no -inf is ever selected.
+            top = top_k_sorted(row_sims, int(self.cap_arr[i]))
+            self.res_ids[i, : top.size] = top
+            self.res_sims[i, : top.size] = row_sims[top]
+
+    def traverse(
+        self,
+        active: np.ndarray,
+        expansions_per_wave: int,
+        check_monotone: bool,
+        wave_stats: SearchStats,
+    ) -> None:
+        """Fill the pools of the rows flagged in *active* by lockstep
+        beam search, logging waves and frontier sizes to *wave_stats*."""
+        if not active.any():
+            return
+        index, b, width = self.index, self.b, self.width
+        n = index.n
+        cap_arr, width_arr = self.cap_arr, self.width_arr
+        res_ids, res_sims = self.res_ids, self.res_sims
+        # Routing pools: like the result pools, every row is truncated
+        # to its own width after each merge, so a query's state is
+        # exactly what a batch-of-one would hold — composition
+        # independence.
+        route_ids = np.zeros((b, width), dtype=np.int64)
+        route_sims = np.full((b, width), -np.inf, dtype=np.float64)
+        route_dead = np.ones((b, width), dtype=bool)
+        seen = np.zeros((b, n), dtype=bool)
+        last_total = np.full(b, -np.inf, dtype=np.float64)
+        rows_all = np.arange(b, dtype=np.int64)
+        cols = np.arange(width, dtype=np.int64)
+
+        # Group queries by the identity of their excluded-vertex bitset
+        # (shared filters compile to one mask, unfiltered queries share the
+        # deletion bitset) so admission is one vectorised lookup per group.
+        uniq_excluded: list[np.ndarray] = []
+        excl_group = np.full(b, -1, dtype=np.int64)
+        _group_of: dict[int, int] = {}
+        for i, excl in enumerate(self.excluded_by):
+            if excl is None:
+                continue
+            gid = _group_of.setdefault(id(excl), len(uniq_excluded))
+            if gid == len(uniq_excluded):
+                uniq_excluded.append(excl)
+            excl_group[i] = gid
+
+        def admissible(owner: np.ndarray, cand: np.ndarray) -> np.ndarray:
+            out = np.ones(cand.size, dtype=bool)
+            groups = excl_group[owner]
+            for gid, excl in enumerate(uniq_excluded):
+                sel = groups == gid
+                if sel.any():
+                    out[sel] = ~excl[cand[sel]]
+            return out
+
+        def merge(owner: np.ndarray, cand: np.ndarray, sims: np.ndarray) -> None:
+            """Fold owner-sorted scored candidates into both pools."""
+            rows, f_ids, (f_route_sims, f_res_sims) = _pad_by_owner(
+                owner, cand, sims, np.where(admissible(owner, cand), sims, -np.inf)
+            )
+            cat_ids = np.concatenate([route_ids[rows], f_ids], axis=1)
+            cat_sims = np.concatenate([route_sims[rows], f_route_sims], axis=1)
+            cat_dead = np.concatenate(
+                [route_dead[rows], ~np.isfinite(f_route_sims)], axis=1
+            )
+            order = np.argsort(-cat_sims, axis=1, kind="stable")[:, :width]
+            new_sims = np.take_along_axis(cat_sims, order, axis=1)
+            over = cols[None, :] >= width_arr[rows][:, None]
+            route_ids[rows] = np.take_along_axis(cat_ids, order, axis=1)
+            route_sims[rows] = np.where(over, -np.inf, new_sims)
+            route_dead[rows] = np.take_along_axis(cat_dead, order, axis=1) | over
+
+            cat_ids = np.concatenate([res_ids[rows], f_ids], axis=1)
+            cat_sims = np.concatenate([res_sims[rows], f_res_sims], axis=1)
+            order = np.argsort(-cat_sims, axis=1, kind="stable")[:, :width]
+            new_sims = np.take_along_axis(cat_sims, order, axis=1)
+            over = cols[None, :] >= cap_arr[rows][:, None]
+            res_ids[rows] = np.take_along_axis(cat_ids, order, axis=1)
+            res_sims[rows] = np.where(over, -np.inf, new_sims)
+
+            if check_monotone:
+                block = res_sims[rows]
+                finite = np.isfinite(block)
+                csum = np.cumsum(np.where(finite, block, 0.0), axis=1)
+                take = np.minimum(finite.sum(axis=1), cap_arr[rows])
+                idx = np.maximum(take - 1, 0)
+                total = np.where(take > 0, csum[np.arange(rows.size), idx], 0.0)
+                prev = last_total[rows]
+                started = np.isfinite(prev)
+                # Lemma 3: f(η) is monotonically non-decreasing.
+                ok = bool(np.all(total[started] >= prev[started] - 1e-9))
+                assert ok, "Lemma 3 violated in wave merge"
+                last_total[rows] = total
+
+        # Init: each query's prefix of the entry order, one stacked wave.
+        init_owner_parts: list[np.ndarray] = []
+        init_id_parts: list[np.ndarray] = []
+        for i in np.flatnonzero(active).tolist():
+            r_init = index.entry_points(int(self.l_inner_arr[i]))
+            seen[i, r_init] = True
+            init_id_parts.append(r_init)
+            init_owner_parts.append(np.full(r_init.size, i, dtype=np.int64))
+        owner0 = np.concatenate(init_owner_parts)
+        cand0 = np.concatenate(init_id_parts)
+        merge(owner0, cand0, self.score_stack(owner0, cand0, np.full(b, -np.inf)))
+
+        # Waves: up to m expansions per active query per wave.
+        flat_adj, offsets = index.csr_adjacency()
+        m_exp = int(expansions_per_wave)
+        while True:
+            thr = res_sims[rows_all, np.maximum(cap_arr - 1, 0)]
+            # Heap-engine termination rule, vectorised: a routed candidate
+            # strictly below the current result floor can never enter R.
+            route_dead |= route_sims < thr[:, None]
+            masked = np.where(route_dead, -np.inf, route_sims)
+            # Up to m best unexpanded candidates per row — each row reads
+            # only its own pool, so wave-mates stay invisible to it.
+            top_cols = np.argsort(-masked, axis=1, kind="stable")[:, :m_exp]
+            top_sims = np.take_along_axis(masked, top_cols, axis=1)
+            valid = np.isfinite(top_sims)
+            valid &= active[:, None]
+            if not valid.any():
+                break
+            rsel, csel = np.nonzero(valid)
+            cols_sel = top_cols[rsel, csel]
+            expand = route_ids[rsel, cols_sel]
+            route_dead[rsel, cols_sel] = True
+            self.hops += valid.sum(axis=1)
+            wave_stats.waves += 1
+
+            counts = offsets[expand + 1] - offsets[expand]
+            total_adj = int(counts.sum())
+            if total_adj == 0:
+                wave_stats.frontier_sizes.append(0)
+                continue
+            shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            gather = np.arange(total_adj, dtype=np.int64) + np.repeat(
+                offsets[expand] - shift, counts
+            )
+            cand = flat_adj[gather]
+            owner = np.repeat(rsel, counts)
+            fresh = ~seen[owner, cand]
+            cand, owner = cand[fresh], owner[fresh]
+            if cand.size and m_exp > 1:
+                # Two expanded vertices of one row may share a neighbour;
+                # keep each (row, candidate) pair once.  np.unique sorts the
+                # keys row-major, preserving the contiguous-owner layout
+                # score_stack's slow path slices on.
+                key = owner * n + cand
+                _, first = np.unique(key, return_index=True)
+                owner, cand = owner[first], cand[first]
+            wave_stats.frontier_sizes.append(int(cand.size))
+            if cand.size == 0:
+                continue
+            seen[owner, cand] = True
+            merge(owner, cand, self.score_stack(owner, cand, thr))
+
+    def finalise(self, sparse_engine: str) -> list[SearchResult]:
+        """Per query: top-k by (-sim, id), then lexical fusion for a
+        hybrid row or the optional exact rerank for a plain one."""
+        index, space = self.index, self.index.space
+        results: list[SearchResult] = []
+        for i in range(self.b):
+            stats = self.stats_list[i]
+            stats.hops += int(self.hops[i])
+            stats.visited_vertices += int(self.hops[i])
+            stats.joint_evals += int(self.joint_acc[i])
+            stats.modality_evals += int(self.joint_acc[i] * self.active_mods[i])
+            finite = np.isfinite(self.res_sims[i])
+            ids_f = self.res_ids[i][finite]
+            sims_f = self.res_sims[i][finite]
+            order = np.lexsort((ids_f, -sims_f))[: int(self.k_inner_arr[i])]
+            ids_o, sims_o = ids_f[order], sims_f[order]
+            typed = self.hybrid[i]
+            if typed is not None:
+                if self.alive[i]:
+                    excluded = self.excluded_by[i]
+                    ids_o, sims_o = hybrid_union_rescore(
+                        space,
+                        typed,
+                        ids_o,
+                        min(int(self.k_arr[i]), index.num_active),
+                        admissible=None if excluded is None else ~excluded,
+                        weights=self.per_weights[i],
+                        engine=sparse_engine,
+                        stats=stats,
+                    )
+            elif self.refine is not None:
+                ids_o, sims_o = rerank_exact(
+                    space,
+                    self.vectors[i],
+                    ids_o,
+                    int(self.k_arr[i]),
+                    weights=self.per_weights[i],
+                    stats=stats,
+                )
+            results.append(SearchResult(ids=ids_o, similarities=sims_o, stats=stats))
+        return results
+
+
 def graph_wave_search(
     index: GraphIndex,
     queries: Sequence[MultiVector | Query],
@@ -142,6 +535,7 @@ def graph_wave_search(
     ls: Sequence[int] | None = None,
     expansions_per_wave: int = 8,
     sparse_engine: str = "auto",
+    scan: Sequence[bool] | None = None,
 ) -> tuple[list[SearchResult], SearchStats]:
     """Lockstep batched Algorithm 2 over one fused graph.
 
@@ -156,7 +550,13 @@ def graph_wave_search(
     is pinned in tests).
 
     ``ks``/``ls`` are per-query overrides used by the segmented layer,
-    which sizes each segment probe individually.
+    which sizes each segment probe individually.  ``scan`` is its other
+    per-query input: a flagged row takes Algorithm 2's init over *every*
+    vertex and runs no waves (:meth:`_Wave.scan`) — the segmented layer
+    flags the rows whose beam already covers the graph
+    (:func:`~repro.index.segments.beam_covers`).  Everything else about
+    the row — scorer, admission, pool cap, finalise — is unchanged, and
+    by default every row traverses.
 
     A hybrid query (``Query.sparse``) is a row of the wave like any
     other: its dense traversal fills a result pool of ``min(l,
@@ -197,345 +597,14 @@ def graph_wave_search(
             ks is not None and ls is not None and len(ks) == b and len(ls) == b,
             "ks and ls overrides must both cover every query",
         )
+    scanned = np.zeros(b, dtype=bool) if scan is None else np.asarray(scan, dtype=bool)
+    require(scanned.shape == (b,), "scan must flag every query")
 
-    space = index.space
-    n = index.n
-    attributes = space.vectors.attributes
-    memo: FilterMemo = {} if filter_memo is None else filter_memo
-
-    vectors: list[MultiVector] = []
-    hybrid: list[Query | None] = []
-    per_weights: list[Weights | None] = []
-    excluded_by: list[np.ndarray | None] = []
-    excl_cache: dict[int | None, np.ndarray | None] = {}
-    k_arr = np.zeros(b, dtype=np.int64)
-    k_inner_arr = np.zeros(b, dtype=np.int64)
-    cap_arr = np.zeros(b, dtype=np.int64)
-    width_arr = np.zeros(b, dtype=np.int64)
-    l_inner_arr = np.zeros(b, dtype=np.int64)
-    alive = np.zeros(b, dtype=bool)
-
-    for i, q in enumerate(queries):
-        vec, k_q, w_q, mask = unpack_query(q, k, weights, attributes, memo=memo)
-        if ks is not None and ls is not None:
-            k_q, l_q = int(ks[i]), int(ls[i])
-        else:
-            l_q = max(l, k_q)
-        require(k_q >= 1, "k must be positive")
-        require(l_q >= k_q, f"result set size l={l_q} must be at least k={k_q}")
-        vectors.append(vec)
-        hybrid.append(
-            q if isinstance(q, Query) and q.sparse is not None else None
-        )
-        per_weights.append(w_q)
-        key = None if mask is None else id(mask)
-        if key in excl_cache:
-            excluded: np.ndarray | None = excl_cache[key]
-        elif mask is None:
-            excluded = index.deleted
-            excl_cache[key] = excluded
-        else:
-            excluded = ~mask if index.deleted is None else (~mask | index.deleted)
-            excl_cache[key] = excluded
-        excluded_by.append(excluded)
-        if mask is None:
-            reportable = index.num_active
-        else:
-            reportable = int(n - excluded.sum()) if excluded is not None else n
-        if hybrid[i] is not None:
-            sparse_plane(space)  # no lexical plane: fail before traversing
-            # The fusion's dense candidate pool is the whole result set;
-            # the union rescore takes the place of refine.
-            k_inner = l_inner = l_q
-        else:
-            k_inner = k_q * refine if refine is not None else k_q
-            l_inner = max(l_q, k_inner)
-        k_arr[i] = k_q
-        k_inner_arr[i] = k_inner
-        l_inner_arr[i] = l_inner
-        width_arr[i] = min(l_inner, n)
-        cap_arr[i] = min(l_inner, reportable)
-        alive[i] = reportable > 0
-
-    stats_list = [SearchStats() for _ in range(b)]
-    # A compressed store scores the whole batch through one stacked
-    # kernel per modality; Lemma-4 pruning is a per-query scan, so
-    # early_termination keeps the per-query scorers.
-    stack = (
-        StackedScorer(space, vectors, per_weights)
-        if space.is_compressed and not early_termination
-        else None
+    wave = _Wave(
+        index, queries, k, l, weights, early_termination, refine, filter_memo, ks, ls
     )
-    scorers: list[Scorer] = []
-    if stack is None:
-        scorers = [
-            Scorer(
-                space,
-                vectors[i],
-                weights=per_weights[i],
-                early_termination=early_termination,
-                stats=stats_list[i],
-            )
-            for i in range(b)
-        ]
-    fast = np.asarray([s.has_fast_path for s in scorers], dtype=bool)
-    active_mods = (
-        np.asarray([s.num_active_modalities for s in scorers], dtype=np.int64)
-        if stack is None
-        else stack.num_kernels
+    wave.scan(np.flatnonzero(wave.alive & scanned))
+    wave.traverse(
+        wave.alive & ~scanned, expansions_per_wave, check_monotone, wave_stats
     )
-    joint_acc = np.zeros(b, dtype=np.int64)
-    concat_mat: np.ndarray | None = None
-    qmat: np.ndarray | None = None
-    if fast.any():
-        concat_mat = space.concatenated
-        qmat = np.zeros((b, concat_mat.shape[1]), dtype=np.float32)
-        for i in range(b):
-            qvec = scorers[i].concat_query_vector
-            if qvec is not None:
-                qmat[i] = qvec
-
-    def score_stack(
-        owner: np.ndarray, cand: np.ndarray, thr: np.ndarray
-    ) -> np.ndarray:
-        """Score one stacked frontier; below-threshold rows come back -inf.
-
-        One batched row-wise reduction covers every fast-path query's
-        candidates (per-query weights already baked into its concat
-        column), and on a compressed store one stacked kernel call per
-        modality covers the whole frontier; the rest go through their
-        bound scorer on contiguous owner slices, so Lemma-4 pruning
-        applies per query.
-        """
-        if stack is not None:
-            sims = stack.score(owner, cand)
-            np.add(joint_acc, np.bincount(owner, minlength=b), out=joint_acc)
-            return np.where(sims > thr[owner], sims, -np.inf)
-        sims = np.empty(cand.size, dtype=np.float64)
-        fmask = fast[owner]
-        if fmask.any():
-            assert concat_mat is not None and qmat is not None
-            own = owner[fmask]
-            sims[fmask] = np.einsum(
-                "ij,ij->i", concat_mat[cand[fmask]], qmat[own]
-            ).astype(np.float64)
-            counts = np.bincount(own, minlength=b)
-            np.add(joint_acc, counts, out=joint_acc)
-        if not fmask.all():
-            nf = np.flatnonzero(~fmask)
-            nf_owner = owner[nf]
-            grp, grp_start, grp_counts = np.unique(
-                nf_owner, return_index=True, return_counts=True
-            )
-            for gi, gs, gc in zip(grp, grp_start, grp_counts):
-                sl = nf[gs : gs + gc]
-                svals, keep = scorers[int(gi)].score_frontier(
-                    cand[sl], float(thr[int(gi)])
-                )
-                sims[sl] = np.where(keep, svals, -np.inf)
-        return np.where(sims > thr[owner], sims, -np.inf)
-
-    # Pools: per-row descending candidate/result sets, padded with -inf.
-    # Every row is truncated to its own width/cap after each merge, so a
-    # query's state is exactly what a batch-of-one would hold —
-    # composition independence.
-    width = int(width_arr.max()) if alive.any() else 1
-    route_ids = np.zeros((b, width), dtype=np.int64)
-    route_sims = np.full((b, width), -np.inf, dtype=np.float64)
-    route_dead = np.ones((b, width), dtype=bool)
-    res_ids = np.zeros((b, width), dtype=np.int64)
-    res_sims = np.full((b, width), -np.inf, dtype=np.float64)
-    seen = np.zeros((b, n), dtype=bool)
-    hops = np.zeros(b, dtype=np.int64)
-    last_total = np.full(b, -np.inf, dtype=np.float64)
-    rows_all = np.arange(b, dtype=np.int64)
-    cols = np.arange(width, dtype=np.int64)
-
-    # Group queries by the identity of their excluded-vertex bitset
-    # (shared filters compile to one mask, unfiltered queries share the
-    # deletion bitset) so admission is one vectorised lookup per group.
-    uniq_excluded: list[np.ndarray] = []
-    excl_group = np.full(b, -1, dtype=np.int64)
-    _group_of: dict[int, int] = {}
-    for i, excl in enumerate(excluded_by):
-        if excl is None:
-            continue
-        gid = _group_of.setdefault(id(excl), len(uniq_excluded))
-        if gid == len(uniq_excluded):
-            uniq_excluded.append(excl)
-        excl_group[i] = gid
-
-    def admissible(owner: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        out = np.ones(cand.size, dtype=bool)
-        groups = excl_group[owner]
-        for gid, excl in enumerate(uniq_excluded):
-            sel = groups == gid
-            if sel.any():
-                out[sel] = ~excl[cand[sel]]
-        return out
-
-    def merge(
-        rows: np.ndarray,
-        f_ids: np.ndarray,
-        f_route_sims: np.ndarray,
-        f_res_sims: np.ndarray,
-    ) -> None:
-        """Fold padded fresh candidates into both pools for *rows*."""
-        cat_ids = np.concatenate([route_ids[rows], f_ids], axis=1)
-        cat_sims = np.concatenate([route_sims[rows], f_route_sims], axis=1)
-        cat_dead = np.concatenate(
-            [route_dead[rows], ~np.isfinite(f_route_sims)], axis=1
-        )
-        order = np.argsort(-cat_sims, axis=1, kind="stable")[:, :width]
-        new_sims = np.take_along_axis(cat_sims, order, axis=1)
-        over = cols[None, :] >= width_arr[rows][:, None]
-        route_ids[rows] = np.take_along_axis(cat_ids, order, axis=1)
-        route_sims[rows] = np.where(over, -np.inf, new_sims)
-        route_dead[rows] = np.take_along_axis(cat_dead, order, axis=1) | over
-
-        cat_ids = np.concatenate([res_ids[rows], f_ids], axis=1)
-        cat_sims = np.concatenate([res_sims[rows], f_res_sims], axis=1)
-        order = np.argsort(-cat_sims, axis=1, kind="stable")[:, :width]
-        new_sims = np.take_along_axis(cat_sims, order, axis=1)
-        over = cols[None, :] >= cap_arr[rows][:, None]
-        res_ids[rows] = np.take_along_axis(cat_ids, order, axis=1)
-        res_sims[rows] = np.where(over, -np.inf, new_sims)
-
-        if check_monotone:
-            block = res_sims[rows]
-            finite = np.isfinite(block)
-            csum = np.cumsum(np.where(finite, block, 0.0), axis=1)
-            take = np.minimum(finite.sum(axis=1), cap_arr[rows])
-            idx = np.maximum(take - 1, 0)
-            total = np.where(take > 0, csum[np.arange(rows.size), idx], 0.0)
-            prev = last_total[rows]
-            started = np.isfinite(prev)
-            # Lemma 3: f(η) is monotonically non-decreasing.
-            ok = bool(np.all(total[started] >= prev[started] - 1e-9))
-            assert ok, "Lemma 3 violated in wave merge"
-            last_total[rows] = total
-
-    # ------------------------------------------------------------------
-    # Init: each query's prefix of the entry order, one stacked wave.
-    # ------------------------------------------------------------------
-    init_owner_parts: list[np.ndarray] = []
-    init_id_parts: list[np.ndarray] = []
-    for i in range(b):
-        if not alive[i]:
-            continue
-        r_init = index.entry_points(int(l_inner_arr[i]))
-        seen[i, r_init] = True
-        init_id_parts.append(r_init)
-        init_owner_parts.append(np.full(r_init.size, i, dtype=np.int64))
-    if init_id_parts:
-        owner0 = np.concatenate(init_owner_parts)
-        cand0 = np.concatenate(init_id_parts)
-        sims0 = score_stack(owner0, cand0, np.full(b, -np.inf))
-        adm0 = admissible(owner0, cand0)
-        rows0, idm, (routem, resm) = _pad_by_owner(
-            owner0, cand0, sims0, np.where(adm0, sims0, -np.inf)
-        )
-        merge(rows0, idm, routem, resm)
-
-    # ------------------------------------------------------------------
-    # Waves: one expansion per active query per wave.
-    # ------------------------------------------------------------------
-    flat_adj, offsets = _csr_adjacency(index)
-    m_exp = int(expansions_per_wave)
-    while True:
-        thr = res_sims[rows_all, np.maximum(cap_arr - 1, 0)]
-        # Heap-engine termination rule, vectorised: a routed candidate
-        # strictly below the current result floor can never enter R.
-        route_dead |= route_sims < thr[:, None]
-        masked = np.where(route_dead, -np.inf, route_sims)
-        # Up to m best unexpanded candidates per row — each row reads
-        # only its own pool, so wave-mates stay invisible to it.
-        top_cols = np.argsort(-masked, axis=1, kind="stable")[:, :m_exp]
-        top_sims = np.take_along_axis(masked, top_cols, axis=1)
-        valid = np.isfinite(top_sims)
-        valid &= alive[:, None]
-        if not valid.any():
-            break
-        rsel, csel = np.nonzero(valid)
-        cols_sel = top_cols[rsel, csel]
-        expand = route_ids[rsel, cols_sel]
-        route_dead[rsel, cols_sel] = True
-        hops += valid.sum(axis=1)
-        wave_stats.waves += 1
-
-        counts = offsets[expand + 1] - offsets[expand]
-        total_adj = int(counts.sum())
-        if total_adj == 0:
-            wave_stats.frontier_sizes.append(0)
-            continue
-        shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        gather = np.arange(total_adj, dtype=np.int64) + np.repeat(
-            offsets[expand] - shift, counts
-        )
-        cand = flat_adj[gather]
-        owner = np.repeat(rsel, counts)
-        fresh = ~seen[owner, cand]
-        cand, owner = cand[fresh], owner[fresh]
-        if cand.size and m_exp > 1:
-            # Two expanded vertices of one row may share a neighbour;
-            # keep each (row, candidate) pair once.  np.unique sorts the
-            # keys row-major, preserving the contiguous-owner layout
-            # score_stack's slow path slices on.
-            key = owner * n + cand
-            _, first = np.unique(key, return_index=True)
-            owner, cand = owner[first], cand[first]
-        wave_stats.frontier_sizes.append(int(cand.size))
-        if cand.size == 0:
-            continue
-        seen[owner, cand] = True
-        sims = score_stack(owner, cand, thr)
-        adm = admissible(owner, cand)
-        rows, idm, (routem, resm) = _pad_by_owner(
-            owner, cand, sims, np.where(adm, sims, -np.inf)
-        )
-        merge(rows, idm, routem, resm)
-
-    # ------------------------------------------------------------------
-    # Finalise per query: top-k by (-sim, id), then lexical fusion for a
-    # hybrid row or the optional exact rerank for a plain one.
-    # ------------------------------------------------------------------
-    for i in range(b):
-        stats = stats_list[i]
-        stats.hops += int(hops[i])
-        stats.visited_vertices += int(hops[i])
-        stats.joint_evals += int(joint_acc[i])
-        stats.modality_evals += int(joint_acc[i] * active_mods[i])
-    results: list[SearchResult] = []
-    for i in range(b):
-        finite = np.isfinite(res_sims[i])
-        ids_f = res_ids[i][finite]
-        sims_f = res_sims[i][finite]
-        order = np.lexsort((ids_f, -sims_f))[: int(k_inner_arr[i])]
-        ids_o, sims_o = ids_f[order], sims_f[order]
-        typed = hybrid[i]
-        if typed is not None:
-            if alive[i]:
-                excluded = excluded_by[i]
-                ids_o, sims_o = hybrid_union_rescore(
-                    space,
-                    typed,
-                    ids_o,
-                    min(int(k_arr[i]), index.num_active),
-                    admissible=None if excluded is None else ~excluded,
-                    weights=per_weights[i],
-                    engine=sparse_engine,
-                    stats=stats_list[i],
-                )
-        elif refine is not None:
-            ids_o, sims_o = rerank_exact(
-                space,
-                vectors[i],
-                ids_o,
-                int(k_arr[i]),
-                weights=per_weights[i],
-                stats=stats_list[i],
-            )
-        results.append(
-            SearchResult(ids=ids_o, similarities=sims_o, stats=stats_list[i])
-        )
-    return results, wave_stats
+    return wave.finalise(sparse_engine), wave_stats

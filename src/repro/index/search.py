@@ -56,6 +56,7 @@ from repro.core.weights import Weights
 from repro.index.base import GraphIndex
 from repro.index.scoring import MatrixScorer, Scorer, rerank_exact
 from repro.sparse.hybrid import hybrid_union_rescore, sparse_plane
+from repro.utils.topk import top_k_sorted
 from repro.utils.validation import require
 
 __all__ = ["joint_search", "greedy_search_graph"]
@@ -73,6 +74,7 @@ def joint_search(
     refine: int | None = None,
     filter_memo: dict | None = None,
     sparse_engine: str = "auto",
+    scan: bool = False,
 ) -> SearchResult:
     """Approximate top-*k* joint search (Algorithm 2).
 
@@ -110,6 +112,13 @@ def joint_search(
     cache (:func:`~repro.core.query.compile_filter`): queries sharing
     one ``Filter`` instance compile it once per corpus slice instead of
     once per call.
+
+    The search is cut as *prepare → traverse → finalise*; ``scan=True``
+    swaps the middle step for Algorithm 2's init taken over every vertex
+    (:func:`_scan_search`) and leaves the other two alone.  The
+    segmented layer sets it on segments the beam already covers
+    (:func:`~repro.index.segments.beam_covers`); by default the graph is
+    traversed.
     """
     hybrid = (
         query if isinstance(query, Query) and query.sparse is not None else None
@@ -148,11 +157,17 @@ def joint_search(
     elif refine is not None:
         k_inner = k * refine
         l_inner = max(l, k_inner)
-    search_fn = _heap_search if engine == "heap" else _paper_search
-    result = search_fn(
-        index, query, k_inner, l_inner, weights, early_termination,
-        check_monotone, excluded, reportable,
-    )
+    if scan:
+        result = _scan_search(
+            index, query, k_inner, l_inner, weights, early_termination,
+            excluded, reportable,
+        )
+    else:
+        search_fn = _heap_search if engine == "heap" else _paper_search
+        result = search_fn(
+            index, query, k_inner, l_inner, weights, early_termination,
+            check_monotone, excluded, reportable,
+        )
     if hybrid is not None:
         ids, sims = hybrid_union_rescore(
             index.space, hybrid, result.ids, min(k, index.num_active),
@@ -167,6 +182,39 @@ def joint_search(
         stats=result.stats,
     )
     return SearchResult(ids=ids, similarities=sims, stats=result.stats)
+
+
+def _scan_search(
+    index: GraphIndex,
+    query: MultiVector,
+    k: int,
+    l: int,
+    weights: Weights | None,
+    early_termination: bool,
+    excluded: np.ndarray | None,
+    reportable: int,
+) -> SearchResult:
+    """The engines' init over every vertex, and no hops.
+
+    What a traversal holds once it has reached every vertex: the whole
+    entry order scored by the call the init makes, excluded vertices
+    dropped, the best ``min(l, reportable)`` kept and the first *k* of
+    them returned by ``(-similarity, id)``.  When ``l >= n`` that call
+    *is* the traversal's init, bit for bit; past that the float32 GEMV
+    blocks rows differently than the traversal's hop-sized calls would,
+    so similarities agree with it to rounding (~1e-7) — the answer is a
+    function of the index and the query either way.
+    """
+    scorer = Scorer(index.space, query, weights=weights,
+                    early_termination=early_termination)
+    order = index.entry_points(index.n)
+    sims = np.empty(index.n, dtype=np.float64)
+    sims[order] = scorer.score_ids(order)
+    if excluded is not None:
+        sims[excluded] = -np.inf
+    # cap <= the admissible count, so no -inf is ever selected.
+    top = top_k_sorted(sims, min(l, reportable))[:k]
+    return SearchResult(ids=top, similarities=sims[top], stats=scorer.stats)
 
 
 def _heap_search(

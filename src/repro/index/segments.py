@@ -92,6 +92,7 @@ __all__ = [
     "Segment",
     "SegmentView",
     "SegmentedIndex",
+    "beam_covers",
     "MANIFEST_NAME",
     "FORMAT_VERSION",
 ]
@@ -307,6 +308,26 @@ def _merge_candidates(
     return ids[order], sims[order]
 
 
+def beam_covers(l: int, n: int) -> bool:
+    """The per-(query, segment) plan decision: scan or traverse.
+
+    Algorithm 2 starts by scoring ``l`` entry vertices.  When that init
+    set is at least the rest of the segment (``l >= n - l``), the
+    traversal goes on to score what is left one hop at a time — at
+    ``l = 100`` it evaluates 1.00 n vertices at n = 100 and 200, 0.97 n
+    at 300, 0.83 n at 600 and 0.25 n at 4 000 — so the probe takes the
+    init over every vertex instead and runs no hops at all: the same
+    evaluations, the same similarities, none of the routing.  *l* is the
+    query's own beam before it is clamped to the segment, never a batch
+    aggregate, so a query's plan does not depend on its wave-mates; and
+    both read paths (:meth:`SegmentView.search`,
+    :meth:`SegmentView.graph_wave`) ask here, so ``engine=`` never
+    changes which segments are scanned.  A single-graph index is never
+    asked: it stays pure Algorithm 2.
+    """
+    return l >= n - l
+
+
 class SegmentView:
     """A fixed list of searchable segments — the cross-segment read path.
 
@@ -405,7 +426,9 @@ class SegmentView:
     ) -> SearchResult:
         """Cross-segment graph search: per-segment top-``l`` candidates
         through :func:`joint_search`, merged by ``(similarity, id)``.
-        Result ids are external ids.
+        Result ids are external ids.  A segment the beam already covers
+        (:func:`beam_covers`) is scored end to end instead of traversed
+        — ``joint_search(scan=True)``, whatever the *engine*.
 
         A typed :class:`Query` carries per-query weights/filter/k; its
         filter compiles against each segment's own attribute slice
@@ -444,6 +467,7 @@ class SegmentView:
         for seg in self.segments:
             if seg.num_active == 0:
                 continue
+            scan = beam_covers(l, seg.n)
             res = joint_search(
                 seg.index,
                 inner,
@@ -453,9 +477,11 @@ class SegmentView:
                 early_termination=early_termination,
                 engine=engine,
                 sparse_engine=sparse_engine,
+                scan=scan,
                 **search_kwargs,
             )
             res.stats.segments_probed = 1
+            res.stats.segments_scanned = int(scan)
             if refine is not None and typed.sparse is None:
                 keep = min(refine * k, res.ids.size)
                 local, exact = rerank_exact(
@@ -486,7 +512,9 @@ class SegmentView:
         segment carries the *whole* batch, so a view with ``s`` active
         segments pays ``s`` lockstep traversals instead of ``b × s``
         per-query beam loops.  Per-segment candidates merge per query by
-        ``(similarity, external id)`` exactly like :meth:`search`.
+        ``(similarity, external id)`` exactly like :meth:`search`, and
+        the same rows scan the same segments (:func:`beam_covers`): on a
+        segment every row's beam covers, the call runs no wave at all.
 
         Results are independent of batch composition and position, as
         in the engine.  A shared ``filter_memo`` compiles each distinct
@@ -532,8 +560,10 @@ class SegmentView:
         ]
         stats_parts: list[list[SearchStats]] = [[] for _ in typed]
         for seg in self.segments:
-            if seg.num_active == 0:
+            active = seg.num_active
+            if active == 0:
                 continue
+            scan = [beam_covers(l_i, seg.n) for l_i in ls]
             seg_results, wstats = graph_wave_search(
                 seg.index,
                 inner,
@@ -543,13 +573,15 @@ class SegmentView:
                 early_termination=early_termination,
                 check_monotone=check_monotone,
                 filter_memo=memo,
-                ks=[min(l_i, seg.num_active) for l_i in ls],
+                ks=[min(l_i, active) for l_i in ls],
                 ls=[min(l_i, seg.n) for l_i in ls],
                 sparse_engine=sparse_engine,
+                scan=scan,
             )
             wave_total.merge(wstats)
             for i, res in enumerate(seg_results):
                 res.stats.segments_probed = 1
+                res.stats.segments_scanned = int(scan[i])
                 if refine is not None and typed[i].sparse is None:
                     keep = min(refine * ks[i], res.ids.size)
                     local, exact = rerank_exact(

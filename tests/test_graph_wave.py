@@ -23,8 +23,11 @@ from repro.core.framework import MUST
 from repro.core.multivector import MultiVector, MultiVectorSet
 from repro.core.query import Eq, Query, SearchOptions
 from repro.core.results import SearchStats
+from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.graph_wave import graph_wave_search
+from repro.index.pipeline import FusedIndexBuilder
+from repro.index.segments import Segment, SegmentView
 
 N, M, D = 400, 2, 16
 K, L = 10, 64
@@ -335,42 +338,73 @@ class TestServingWaves:
         assert summary["graph_waves"] == {}
 
 
-class TestAdjacencyCache:
-    def test_fifo_eviction_is_bounded_and_keeps_the_new_entry(self):
-        """Cycling more graphs than the cache bound must evict exactly
-        one (the oldest) per install — a full ``clear()`` here would
-        also wipe the entry being returned, so a service cycling >limit
-        snapshots would rebuild its *hot* CSR on every wave."""
-        from types import SimpleNamespace
+class TestCsrAdjacency:
+    """The CSR form lives on the graph: built by the first traversal,
+    shared by every frozen copy, never built for a scanned segment."""
 
-        from repro.index import graph_wave as gw
+    N_SEGMENTS, SEG_N = 20, 30
 
-        saved = dict(gw._ADJ_CACHE)
-        gw._ADJ_CACHE.clear()
+    @pytest.fixture()
+    def packs(self, monkeypatch):
+        """Ids of the adjacency lists packed into CSR form, in order."""
+        from repro.index import base
 
-        def fake_index(n=3):
-            return SimpleNamespace(
-                neighbors=[
-                    np.array([(i + 1) % n], dtype=np.int64) for i in range(n)
-                ]
+        packed: list[int] = []
+
+        def counting(neighbors):
+            packed.append(id(neighbors))
+            return pack_adjacency(neighbors)
+
+        pack_adjacency = base.pack_adjacency
+        monkeypatch.setattr(base, "pack_adjacency", counting)
+        return packed
+
+    @pytest.fixture(scope="class")
+    def live(self):
+        builder = FusedIndexBuilder(gamma=6, epsilon=1, max_candidates=12)
+        return [
+            Segment(
+                builder.build(
+                    JointSpace(_corpus(self.SEG_N, seed=s), Weights([0.6, 0.4]))
+                ),
+                np.arange(s * self.SEG_N, (s + 1) * self.SEG_N),
             )
+            for s in range(self.N_SEGMENTS)
+        ]
 
-        try:
-            cycled = [fake_index() for _ in range(gw._ADJ_CACHE_LIMIT + 5)]
-            for index in cycled:
-                flat, offsets = gw._csr_adjacency(index)
-                assert len(gw._ADJ_CACHE) <= gw._ADJ_CACHE_LIMIT
-                np.testing.assert_array_equal(flat, [1, 2, 0])
-                np.testing.assert_array_equal(offsets, [0, 1, 2, 3])
-            # Survivors are exactly the most recent `limit` graphs …
-            assert set(gw._ADJ_CACHE) == {
-                id(index.neighbors)
-                for index in cycled[-gw._ADJ_CACHE_LIMIT:]
-            }
-            # … and the hottest entry still hits (same objects back).
-            flat1, off1 = gw._csr_adjacency(cycled[-1])
-            flat2, off2 = gw._csr_adjacency(cycled[-1])
-            assert flat1 is flat2 and off1 is off2
-        finally:
-            gw._ADJ_CACHE.clear()
-            gw._ADJ_CACHE.update(saved)
+    @staticmethod
+    def _snapshot(live):
+        return SegmentView(
+            [Segment(seg.index.frozen(), seg.ext_ids) for seg in live]
+        )
+
+    def test_twenty_segments_probed_cyclically_build_each_csr_once(
+        self, live, packs, queries
+    ):
+        # Snapshots taken before anything was traversed, as a service
+        # publishes them: the live graphs themselves are never searched.
+        views = [self._snapshot(live) for _ in range(3)]
+        for view in views * 2:
+            results, wave = view.graph_wave(queries, k=5, l=10)
+            assert wave.waves > 0
+            assert all(r.stats.segments_scanned == 0 for r in results)
+        assert sorted(packs) == sorted(id(seg.index.neighbors) for seg in live)
+        flat, offsets = live[0].index.csr_adjacency()
+        assert flat is views[-1].segments[0].index.csr_adjacency()[0]
+        np.testing.assert_array_equal(
+            flat, np.concatenate(live[0].index.neighbors)
+        )
+        assert live[0].index.num_edges == flat.size == offsets[-1]
+        assert packs.count(id(live[0].index.neighbors)) == 1
+
+    def test_a_scanned_segment_never_builds_one(self, packs, queries):
+        objects = _corpus(self.SEG_N, seed=99)
+        index = FusedIndexBuilder(gamma=6).build(
+            JointSpace(objects, Weights([0.6, 0.4]))
+        )
+        view = SegmentView([Segment(index, np.arange(self.SEG_N))])
+        results, wave = view.graph_wave(queries, k=5, l=self.SEG_N // 2)
+        assert wave.waves == 0
+        assert all(r.stats.segments_scanned == 1 for r in results)
+        view.search(queries[0], k=5, l=self.SEG_N // 2)
+        assert packs == []

@@ -11,23 +11,38 @@ step of every trace**:
 * segmented graph search must reach recall@10 ≥ 0.9 against the oracle.
 
 Plus unit coverage of the policy triggers (seal threshold, segment-count
-compaction, tombstone-ratio compaction), id-map stability, and the
-executor parity guarantees on segmented instances.
+compaction, tombstone-ratio compaction), id-map stability, the
+executor parity guarantees on segmented instances, and the scanned
+probe (a segment the beam already covers is scored end to end instead
+of traversed), whose oracle is the traversal itself.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.core.framework import MUST
-from repro.core.multivector import MultiVectorSet, normalize_rows
-from repro.core.query import SearchOptions
+from repro.core.multivector import MultiVector, MultiVectorSet, normalize_rows
+from repro.core.query import Eq, Query, SearchOptions, compile_filter
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
+from repro.index import segments as segments_module
+from repro.index.base import reseat_on_store
 from repro.index.flat import FlatIndex
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.segments import SegmentedIndex, SegmentPolicy
+from repro.index.scoring import Scorer, rerank_exact
+from repro.index.segments import (
+    Segment,
+    SegmentedIndex,
+    SegmentPolicy,
+    SegmentView,
+    beam_covers,
+)
+from repro.sparse.hybrid import hybrid_union_rescore
+from repro.sparse.synthetic import synthetic_hybrid
 
 from tests.conftest import random_multivector_set, random_query
 
@@ -410,3 +425,235 @@ class TestExecutorParityOnSegments:
         per_query = sum(r.stats.segments_probed for r in run)
         assert run.stats.segments_probed == per_query
         assert per_query >= len(queries)  # ≥ 1 probe per query
+
+
+# ----------------------------------------------------------------------
+# The scanned probe: a segment the beam already covers is scored end to
+# end.  The traversal is the oracle.
+# ----------------------------------------------------------------------
+SCAN_K, SCAN_L = 5, 40
+SCAN_BUILDER = FusedIndexBuilder(gamma=8, seed=3)
+HYBRID_SHAPE = dict(n_topics=2, groups_per_topic=5, dim=16)
+
+
+def _scan_segment(kind: str, n: int, seed: int) -> Segment:
+    """One sealed segment of *n* objects over ``range(1000, 1000 + n)``."""
+    if kind == "hybrid":
+        data = synthetic_hybrid(
+            num_queries=1, seed=seed, group_size=n // 10, **HYBRID_SHAPE
+        )
+        objects = MultiVectorSet([data.dense.copy()], sparse=data.sparse)
+        weights = Weights([1.0])
+    else:
+        objects = random_multivector_set(n, DIMS, seed=seed)
+        weights = WEIGHTS
+    objects = objects.set_attributes({"parity": np.arange(n) % 2})
+    index = SCAN_BUILDER.build(JointSpace(objects, weights))
+    if kind == "pq":
+        index = reseat_on_store(index, "pq", {"pq_dims": 2, "seed": 3})
+    return Segment(index, np.arange(1000, 1000 + n))
+
+
+def _scan_queries(kind: str) -> list[Query]:
+    if kind != "hybrid":
+        return [Query(random_query(DIMS, seed=s)) for s in range(6)]
+    data = synthetic_hybrid(
+        num_queries=6, seed=1, group_size=3, **HYBRID_SHAPE
+    )
+    return [
+        Query(
+            MultiVector.from_arrays([data.query_dense[i]]),
+            sparse=data.query_sparse[i],
+            sparse_weight=0.8,
+        )
+        for i in range(6)
+    ]
+
+
+#: case -> (corpus kind, tombstones, query filter, plan)
+SCAN_CASES = {
+    "dense": ("dense", False, None, {}),
+    "pq": ("pq", False, None, {}),
+    "hybrid": ("hybrid", False, None, {}),
+    "filtered": ("dense", False, Eq("parity", 0), {}),
+    "tombstoned": ("dense", True, None, {}),
+    "early_termination": ("dense", False, None, {"early_termination": True}),
+    "refine": ("pq", True, None, {"refine": 4}),
+}
+
+
+def _brute_force(seg: Segment, query: Query, refine: int | None):
+    """The probe's contract, spelled out: the engines' scorer over every
+    vertex, the best ``min(l, admissible)`` admissible ones, then the
+    probe's own finalise (fusion, or the view's rerank) and the cut."""
+    space, n = seg.space, seg.n
+    admissible = np.ones(n, dtype=bool)
+    if seg.index.deleted is not None:
+        admissible &= ~seg.index.deleted
+    if query.filter is not None:
+        admissible &= compile_filter(query.filter, space.vectors.attributes)
+    cand = np.flatnonzero(admissible)
+    sims = Scorer(space, query.vector).score_ids(np.arange(n))
+    pool = cand[np.lexsort((cand, -sims[cand]))][:SCAN_L]
+    if query.sparse is not None:
+        ids, out = hybrid_union_rescore(
+            space, query, pool, min(SCAN_L, seg.num_active),
+            admissible=admissible,
+        )
+    elif refine is not None:
+        keep = min(refine * SCAN_K, pool.size)
+        ids, out = rerank_exact(space, query.vector, pool[:keep], keep)
+    else:
+        ids, out = pool, sims[pool]
+    return seg.ext_ids[ids[:SCAN_K]], out[:SCAN_K]
+
+
+def _reached_every_vertex(res, n: int) -> bool:
+    """The traversal scored the whole segment (rerank evaluations
+    aside), so its answer is the one the scan must reproduce."""
+    return n <= SCAN_L or res.stats.joint_evals - res.stats.reranked == n
+
+
+def _probe(view: SegmentView, engine: str, queries, plan):
+    if engine == "wave":
+        return view.graph_wave(queries, k=SCAN_K, l=SCAN_L, **plan)[0]
+    return [view.search(q, k=SCAN_K, l=SCAN_L, **plan) for q in queries]
+
+
+class TestScannedProbe:
+    @pytest.mark.parametrize("n", [30, 60])
+    @pytest.mark.parametrize("engine", ["wave", "heap"])
+    @pytest.mark.parametrize("case", list(SCAN_CASES))
+    def test_scan_equals_brute_force_and_the_traversal(
+        self, case, engine, n, monkeypatch
+    ):
+        kind, tombstones, flt, plan = SCAN_CASES[case]
+        seg = _scan_segment(kind, n, seed=n)
+        if tombstones:
+            seg.index.mark_deleted(np.arange(0, n, 3))
+        queries = [
+            dataclasses.replace(q, filter=flt) for q in _scan_queries(kind)
+        ]
+        view = SegmentView([seg])
+        assert beam_covers(SCAN_L, n)
+
+        scanned = _probe(view, engine, queries, plan)
+        monkeypatch.setattr(segments_module, "beam_covers", lambda l, n: False)
+        traversed = _probe(view, engine, queries, plan)
+
+        reached = 0
+        for query, got, oracle in zip(queries, scanned, traversed):
+            assert got.stats.segments_scanned == 1 and got.stats.hops == 0
+            assert oracle.stats.segments_scanned == 0 and oracle.stats.hops > 0
+            ids, sims = _brute_force(seg, query, plan.get("refine"))
+            np.testing.assert_array_equal(got.ids, ids)
+            np.testing.assert_allclose(got.similarities, sims, atol=1e-6)
+            if kind == "hybrid" and n > SCAN_L:
+                continue  # the fusion's own evaluations hide the count
+            if not _reached_every_vertex(oracle, n):
+                continue
+            reached += 1
+            np.testing.assert_array_equal(got.ids, oracle.ids)
+            row_wise = engine == "wave" and "early_termination" not in plan
+            if row_wise or n <= SCAN_L or "refine" in plan:
+                np.testing.assert_array_equal(
+                    got.similarities, oracle.similarities
+                )
+            else:
+                # The lone-query engines and the Lemma-4 scorer go
+                # through BLAS GEMV, whose float32 rounding depends on
+                # how many rows one call carries; past the init the
+                # traversal's calls are hop-sized and the scan's is not.
+                np.testing.assert_allclose(
+                    got.similarities, oracle.similarities, atol=1e-6
+                )
+        if kind != "hybrid" or n <= SCAN_L:
+            assert reached >= len(queries) // 2, "oracle never reached all"
+
+    @pytest.mark.parametrize("engine", ["wave", "heap"])
+    def test_boundary_is_the_rest_of_the_segment(self, engine):
+        query = [Query(random_query(DIMS, seed=0))]
+        at = SegmentView([_scan_segment("dense", 2 * SCAN_L, seed=1)])
+        past = SegmentView([_scan_segment("dense", 2 * SCAN_L + 1, seed=1)])
+        (got,) = _probe(at, engine, query, {})
+        assert (got.stats.hops, got.stats.segments_scanned) == (0, 1)
+        assert got.stats.joint_evals == 2 * SCAN_L
+        (got,) = _probe(past, engine, query, {})
+        assert got.stats.hops > 0 and got.stats.segments_scanned == 0
+        assert got.stats.segments_probed == 1
+
+    def test_paper_engine_scans_the_same_segments(self):
+        view = SegmentView([_scan_segment("dense", 70, seed=70)])
+        query = Query(random_query(DIMS, seed=0))
+        heap = view.search(query, k=SCAN_K, l=SCAN_L)
+        paper = view.search(query, k=SCAN_K, l=SCAN_L, engine="paper")
+        assert paper.stats.segments_scanned == 1 and paper.stats.hops == 0
+        np.testing.assert_array_equal(paper.ids, heap.ids)
+        np.testing.assert_array_equal(paper.similarities, heap.similarities)
+
+    @pytest.mark.parametrize("engine", ["wave", "heap"])
+    def test_nothing_admissible_answers_empty(self, engine):
+        dead = _scan_segment("dense", 30, seed=5)
+        segments_module._mark_local(dead.index, np.arange(30))
+        live = _scan_segment("dense", 30, seed=6)
+        live.ext_ids = live.ext_ids + 100
+        view = SegmentView([dead, live])
+        plain = Query(random_query(DIMS, seed=0))
+        nothing = dataclasses.replace(plain, filter=Eq("parity", 7))
+        got, empty = _probe(view, engine, [plain, nothing], {})
+        assert len(got) == SCAN_K and (got.ids >= 1100).all()
+        assert got.stats.segments_probed == 1  # the dead one is skipped
+        assert len(empty) == 0 and empty.stats.joint_evals == 0
+
+    def test_a_mixed_plan_is_composition_independent(self):
+        """n = 250, l = 100: ``Query(k=130)`` carries its own beam of
+        130, which covers the segment, while its wave-mates' beam of 100
+        does not — one lockstep call holds both kinds of row."""
+        builder = FusedIndexBuilder(gamma=8, epsilon=1, max_candidates=16)
+        policy = SegmentPolicy(seal_size=64, max_segments=8)
+        opts = SearchOptions(k=10, l=100, engine="wave")
+
+        def build(n: int) -> MUST:
+            return MUST(
+                random_multivector_set(n, DIMS, seed=n),
+                weights=WEIGHTS, builder=builder, segment_policy=policy,
+            ).build()
+
+        must = build(250)
+        must.insert(_objects(10, np.random.default_rng(0)))
+        assert [s.n for s in must.segments.view().segments] == [250, 10]
+        requests = [Query(random_query(DIMS, seed=s)) for s in range(5)]
+        requests[2] = dataclasses.replace(requests[2], k=130)
+
+        alone = [must.query(q, opts) for q in requests]
+        assert [r.stats.segments_scanned for r in alone] == [1, 1, 2, 1, 1]
+        assert [len(r) for r in alone] == [10, 10, 130, 10, 10]
+        assert alone[2].stats.hops == 0 and alone[1].stats.hops > 0
+        batched = must.query(requests, opts)
+        assert batched.stats.segments_scanned == 6
+        backward = must.query(requests[::-1], opts).results[::-1]
+        with must.serve(max_batch=8, max_wait_ms=20.0) as svc:
+            futures = [svc.submit(q, opts) for q in requests]
+            served = [f.result(60) for f in futures]
+        for ref, *others in zip(alone, batched, backward, served):
+            for got in others:
+                np.testing.assert_array_equal(got.ids, ref.ids)
+                np.testing.assert_array_equal(
+                    got.similarities, ref.similarities
+                )
+                assert got.stats.hops == ref.stats.hops
+                assert got.stats.joint_evals == ref.stats.joint_evals
+
+        # Shard workers: 500 objects over 2 shards is 250 a shard, so
+        # each worker faces the same mixed plan on its own graph.
+        with build(500).serve_sharded(
+            n_shards=2, max_batch=8, max_wait_ms=20.0
+        ) as sharded:
+            lone = [sharded.submit(q, opts).result(60) for q in requests]
+            futures = [sharded.submit(q, opts) for q in requests]
+            together = [f.result(60) for f in futures]
+        assert [r.stats.segments_scanned for r in lone] == [0, 0, 2, 0, 0]
+        assert lone[2].stats.hops == 0 and lone[1].stats.hops > 0
+        for got, ref in zip(together, lone):
+            np.testing.assert_array_equal(got.ids, ref.ids)
+            np.testing.assert_array_equal(got.similarities, ref.similarities)

@@ -67,7 +67,16 @@ PLANS = {
 #: request are asked to run ("auto" would pick wave for the batch).
 GRAPH_PLANS = {"heap": "heap", "wave": "wave", "hybrid-wave": "wave"}
 SHARDED_PLANS = ("exact", "wave")
-LAYOUTS = ("single-graph", "3-segment+delta")
+#: layout -> (objects built, inserts as (size, seed), segments a graph
+#: plan scans).  Under the graph plans' l=40 a segment of up to 80
+#: objects is scanned, not traversed
+#: (:func:`repro.index.segments.beam_covers`): the second layout mixes
+#: a traversed base with scanned segments, the third is scanned whole.
+LAYOUTS = {
+    "single-graph": (128, (), 0),
+    "3-segment+delta": (128, ((32, 2), (32, 3), (16, 4)), 3),
+    "scanned-segments": (64, ((32, 2), (32, 3), (16, 4)), 4),
+}
 
 
 def _with_parity(objects: MultiVectorSet) -> MultiVectorSet:
@@ -88,7 +97,8 @@ def _hybrid_chunk(group_size: int, seed: int) -> MultiVectorSet:
 
 
 def _build(kind: str, layout: str) -> MUST:
-    """The corpus *kind* in *layout*; 128 objects before any insert."""
+    """The corpus *kind* in *layout*."""
+    base, inserts, _ = LAYOUTS[layout]
     if kind == "hybrid":
         chunk = lambda size, seed: _hybrid_chunk(size // 16, seed)
         weights = Weights([1.0])
@@ -96,15 +106,15 @@ def _build(kind: str, layout: str) -> MUST:
         chunk = _dense_chunk
         weights = Weights([0.6, 0.4])
     must = MUST(
-        chunk(128, 1),
+        chunk(base, 1),
         weights=weights,
         builder=CHEAP_BUILDER,
         segment_policy=POLICY,
         compression="int8" if kind == "int8" else "none",
     ).build()
-    if layout == "3-segment+delta":
-        for size, seed in ((32, 2), (32, 3), (16, 4)):
-            must.insert(chunk(size, seed))
+    for size, seed in inserts:
+        must.insert(chunk(size, seed))
+    if inserts:
         assert len(must.segments.sealed) == 3 and must.segments.delta.n == 16
     must.mark_deleted(np.arange(0, 40, 7))
     return must
@@ -256,6 +266,8 @@ def test_answer_is_a_function_of_index_and_query(
     fresh = _reloaded(must, tmp_path)
     for i, (q, ref) in enumerate(zip(requests, alone)):
         assert ref.stats.joint_evals > 0
+        assert ref.stats.segments_scanned == LAYOUTS[layout][2]
+        assert (ref.stats.hops == 0) == (layout == "scanned-segments")
         assert_same_bits(forward[i], ref)
         assert_same_bits(backward[i], ref)
         assert_same_bits(snap.query(q, opts), ref)
