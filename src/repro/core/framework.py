@@ -477,9 +477,10 @@ class MUST:
 
         The first insert switches the instance to the segmented
         subsystem: the existing fused graph becomes sealed segment 0
-        (its rows keep ids ``0..n-1``) and new objects flow into a
-        mutable delta segment via incremental HNSW insertion.  Sealing
-        and compaction run automatically per
+        (its rows keep ids ``0..n-1``) and new objects are appended to
+        a mutable delta segment, scanned by every search until it seals
+        into a fused graph of its own.  Sealing and compaction run
+        automatically per
         :class:`~repro.index.segments.SegmentPolicy` (override via the
         ``segment_policy`` constructor argument).  An unbuilt instance is
         built first.

@@ -25,8 +25,8 @@ class SearchStats:
     sealed/delta segment probed; merging per-segment stats sums it, so a
     batch aggregate reports total probes across the batch).
     ``segments_scanned`` counts the probes among them that scored the
-    whole segment instead of traversing its graph, because the query's
-    beam already covered the segment
+    whole segment instead of traversing a graph — the delta, which has
+    none, and a sealed segment the query's beam already covers
     (:func:`~repro.index.segments.beam_covers`): those probes add
     ``joint_evals`` but no ``hops`` or ``waves``.
 

@@ -74,10 +74,8 @@ class HNSWBuilder:
         """Export *graph*'s base layer as a searchable :class:`GraphIndex`.
 
         Valid at any point during incremental insertion as long as the
-        first ``space.n`` vertices have been inserted — the segmented
-        delta uses this to serve queries between inserts, and the
-        structural property tests validate the export after every
-        insert step.
+        first ``space.n`` vertices have been inserted — the structural
+        property tests validate the export after every insert step.
         """
         neighbors = [
             np.asarray(graph.layers[0].get(v, []), dtype=np.int32)

@@ -6,9 +6,8 @@ segmented index, the architecture streaming vector stores use:
 
 * a list of **sealed** immutable :class:`~repro.index.base.GraphIndex`
   segments, each a self-contained graph over its own vector slice;
-* one **mutable delta segment** fed by incremental HNSW insertion
-  (:meth:`~repro.index.graphs.hnsw.HNSWBuilder.insert` — §IX names HNSW
-  and Vamana as the index families that admit it);
+* one **mutable delta segment**: an append buffer with no graph, which
+  every search scores end to end (the engines' own scan) until it seals;
 * a global id map: every object carries a **stable external id**,
   allocated monotonically and never reused, so ids survive sealing,
   compaction, and persistence round-trips;
@@ -22,9 +21,10 @@ segmented index, the architecture streaming vector stores use:
 * a **compressed serving tier**: with ``compression=`` every sealed
   segment's vectors live in a :mod:`repro.store` backend (float16 /
   int8-SQ / PQ) encoded at seal/compact time, while the delta stays
-  dense float32 for incremental insertion; manifests persist store kind
-  + codebooks per segment (``format_version`` 2) and compaction rebuilds
-  from the exact cold tier so quantisation error never accumulates.
+  dense float32 — it is scanned at full precision and encoded once, at
+  seal; manifests persist store kind + codebooks per segment and
+  compaction rebuilds from the exact cold tier so quantisation error
+  never accumulates.
 
 All cross-segment searching lives in :class:`SegmentView`, a fixed
 list of segments: :meth:`SegmentedIndex.view` is a live view, and
@@ -39,9 +39,10 @@ through the layout-independent kernel, bit-identical to per-query
 
 Cross-segment search asks every segment for its top-``l`` candidates
 through the unified scorer stack (:func:`~repro.index.search.joint_search`
-per sealed/delta graph, :class:`~repro.index.flat.FlatIndex` for exact
-scans) and merges by ``(similarity, external id)``.  The exact
-single-query path scores through the layout-independent kernel
+per segment — traversing a sealed graph, scanning the delta —
+:class:`~repro.index.flat.FlatIndex` for exact scans) and merges by
+``(similarity, external id)``.  The exact single-query path scores
+through the layout-independent kernel
 (:meth:`~repro.core.space.JointSpace.query_ids_stable`), so its results
 are **bit-identical regardless of how the corpus is split into
 segments**; the exact batch path keeps the per-segment GEMM waves (same
@@ -71,7 +72,6 @@ from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex, reseat_on_store
 from repro.index.flat import FlatIndex
-from repro.index.graphs.hnsw import HNSWBuilder, HNSWGraph
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.scoring import batch_score_all, rerank_exact
 from repro.index.search import joint_search
@@ -84,7 +84,6 @@ from repro.store import (
     store_from_arrays,
 )
 from repro.utils.io import load_arrays, pack_adjacency, save_arrays
-from repro.utils.rng import spawn
 from repro.utils.validation import require
 
 __all__ = [
@@ -100,21 +99,18 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
-#: current manifest format; v1 archives (pre-store, implicitly dense
-#: float32) and v2 archives (store-aware, all-resident) are still
-#: readable.  v3 adds per-segment storage mode: segments whose cold
-#: tier lives in sidecar ``.npy`` files carry ``"storage": "mmap"`` and
-#: a ``"cold_files"`` list; everything else loads exactly as v2.
-#: v4 adds sparse lexical plane descriptors: segments with a sparse
-#: plane carry its CSR arrays under the ``sparse__`` prefix in their
-#: archives.  Indexes without a sparse plane keep *writing* v2 (or v3
-#: when memory-mapped), so their archives stay bit-identical to
-#: previous releases and remain loadable by older library versions.
-_FORMAT_V1 = "must-segments-v1"
-_FORMAT = "must-segments-v2"
-_FORMAT_V3 = "must-segments-v3"
-_FORMAT_V4 = "must-segments-v4"
-FORMAT_VERSION = 4
+#: the one manifest format :meth:`SegmentedIndex.save` writes.  Every
+#: earlier one still loads — v1 (pre-store, implicitly dense float32),
+#: v2 (store-aware), v3 (per-segment ``"storage": "mmap"`` with its
+#: ``"cold_files"`` sidecars) and v4 (``sparse__``-prefixed CSR planes)
+#: each lay out a subset of what v5 does, beside a graph over the delta
+#: (builder options in the manifest, layers in the delta archive) that
+#: :meth:`SegmentedIndex.load` does not read.
+FORMAT_VERSION = 5
+_FORMAT = f"must-segments-v{FORMAT_VERSION}"
+_READABLE_FORMATS = tuple(
+    f"must-segments-v{v}" for v in range(1, FORMAT_VERSION + 1)
+)
 
 
 @dataclass
@@ -178,14 +174,13 @@ class Segment:
 
 
 class _DeltaSegment:
-    """The mutable head of the LSM hierarchy.
+    """The mutable head of the LSM hierarchy: an append buffer.
 
-    Vectors accumulate in per-modality matrices; every appended object is
-    inserted into a persistent :class:`HNSWGraph` whose base layer is
-    materialised on demand for searching.  Each vertex draws its HNSW
-    level from a child seed derived from its *external id*, so the delta
-    graph is a deterministic function of the inserted set and order —
-    independent of unrelated earlier traffic.
+    Vectors accumulate in per-modality matrices beside their external
+    ids, deletion bitset, attribute table and sparse plane.  There is no
+    graph to grow: a delta holds fewer than ``seal_size`` rows, every
+    search scores all of them (:meth:`SegmentView.search`), and sealing
+    builds the fused graph over them once.
     """
 
     def __init__(self, weights: Weights):
@@ -195,7 +190,6 @@ class _DeltaSegment:
         self.sparse: SparseStore | None = None
         self.ext_ids = np.zeros(0, dtype=np.int64)
         self.deleted = np.zeros(0, dtype=bool)
-        self.graph = HNSWGraph()
         self._space: JointSpace | None = None
         self._materialized: GraphIndex | None = None
 
@@ -212,14 +206,7 @@ class _DeltaSegment:
         require(self._space is not None, "delta segment is empty")
         return self._space
 
-    def append(
-        self,
-        objects: MultiVectorSet,
-        ext_ids: np.ndarray,
-        hnsw: HNSWBuilder,
-        seed: int,
-    ) -> None:
-        start = self.n
+    def append(self, objects: MultiVectorSet, ext_ids: np.ndarray) -> None:
         if self.mats is None:
             self.mats = [m.copy() for m in objects.matrices]
             self.attrs = objects.attributes
@@ -254,6 +241,11 @@ class _DeltaSegment:
         self.deleted = np.concatenate(
             [self.deleted, np.zeros(ext_ids.size, dtype=bool)]
         )
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Rows or sparse statistics changed: a new space over them, and
+        the cached segment goes (snapshots keep the ones they hold)."""
         self._space = JointSpace(
             MultiVectorSet(
                 self.mats, attributes=self.attrs, sparse=self.sparse
@@ -261,28 +253,19 @@ class _DeltaSegment:
             self.weights,
         )
         self._materialized = None
-        for local in range(start, self.n):
-            rng = spawn(seed, "hnsw-level", int(self.ext_ids[local]))
-            hnsw.insert(self._space, self.graph, local, rng)
 
-    def as_segment(self, hnsw: HNSWBuilder) -> Segment:
-        """Materialise the base layer as a searchable transient segment."""
+    def as_segment(self) -> Segment:
+        """The rows as a searchable transient segment: an edge-free
+        :class:`GraphIndex`, cached until the next append."""
         if self._materialized is None:
-            self._materialized = hnsw.materialize(self.space, self.graph)
+            no_edges = np.zeros(0, dtype=np.int32)
+            self._materialized = GraphIndex(
+                self.space, [no_edges] * self.n, seed_vertex=0, name="delta"
+            )
         self._materialized.deleted = (
             self.deleted if bool(self.deleted.any()) else None
         )
         return Segment(self._materialized, self.ext_ids, kind="delta")
-
-    def reset(self) -> None:
-        self.mats = None
-        self.attrs = None
-        self.sparse = None
-        self.ext_ids = np.zeros(0, dtype=np.int64)
-        self.deleted = np.zeros(0, dtype=bool)
-        self.graph = HNSWGraph()
-        self._space = None
-        self._materialized = None
 
 
 def _mark_local(index: GraphIndex, local_ids: np.ndarray) -> None:
@@ -309,7 +292,7 @@ def _merge_candidates(
 
 
 def beam_covers(l: int, n: int) -> bool:
-    """The per-(query, segment) plan decision: scan or traverse.
+    """The per-(query, sealed segment) plan decision: scan or traverse.
 
     Algorithm 2 starts by scoring ``l`` entry vertices.  When that init
     set is at least the rest of the segment (``l >= n - l``), the
@@ -322,8 +305,9 @@ def beam_covers(l: int, n: int) -> bool:
     aggregate, so a query's plan does not depend on its wave-mates; and
     both read paths (:meth:`SegmentView.search`,
     :meth:`SegmentView.graph_wave`) ask here, so ``engine=`` never
-    changes which segments are scanned.  A single-graph index is never
-    asked: it stays pure Algorithm 2.
+    changes which segments are scanned.  Two things are never asked: a
+    single-graph index, which stays pure Algorithm 2, and the delta
+    (``kind == "delta"``), which has no graph and is always scanned.
     """
     return l >= n - l
 
@@ -426,9 +410,10 @@ class SegmentView:
     ) -> SearchResult:
         """Cross-segment graph search: per-segment top-``l`` candidates
         through :func:`joint_search`, merged by ``(similarity, id)``.
-        Result ids are external ids.  A segment the beam already covers
-        (:func:`beam_covers`) is scored end to end instead of traversed
-        — ``joint_search(scan=True)``, whatever the *engine*.
+        Result ids are external ids.  The delta, and a sealed segment
+        the beam already covers (:func:`beam_covers`), is scored end to
+        end instead of traversed — ``joint_search(scan=True)``, whatever
+        the *engine*.
 
         A typed :class:`Query` carries per-query weights/filter/k; its
         filter compiles against each segment's own attribute slice
@@ -467,7 +452,7 @@ class SegmentView:
         for seg in self.segments:
             if seg.num_active == 0:
                 continue
-            scan = beam_covers(l, seg.n)
+            scan = seg.kind == "delta" or beam_covers(l, seg.n)
             res = joint_search(
                 seg.index,
                 inner,
@@ -513,8 +498,9 @@ class SegmentView:
         segments pays ``s`` lockstep traversals instead of ``b × s``
         per-query beam loops.  Per-segment candidates merge per query by
         ``(similarity, external id)`` exactly like :meth:`search`, and
-        the same rows scan the same segments (:func:`beam_covers`): on a
-        segment every row's beam covers, the call runs no wave at all.
+        the same rows scan the same segments (the delta always, a sealed
+        segment by :func:`beam_covers`): on a segment every row scans,
+        the call runs no wave at all.
 
         Results are independent of batch composition and position, as
         in the engine.  A shared ``filter_memo`` compiles each distinct
@@ -563,7 +549,9 @@ class SegmentView:
             active = seg.num_active
             if active == 0:
                 continue
-            scan = [beam_covers(l_i, seg.n) for l_i in ls]
+            scan = [
+                seg.kind == "delta" or beam_covers(l_i, seg.n) for l_i in ls
+            ]
             seg_results, wstats = graph_wave_search(
                 seg.index,
                 inner,
@@ -839,8 +827,6 @@ class SegmentedIndex:
         weights: Weights,
         builder: FusedIndexBuilder | None = None,
         policy: SegmentPolicy | None = None,
-        hnsw: HNSWBuilder | None = None,
-        seed: int = 0,
         compression: str = "none",
         store_options: dict | None = None,
         cold_storage: str = "resident",
@@ -877,14 +863,11 @@ class SegmentedIndex:
         self.weights = weights
         self.builder = builder if builder is not None else FusedIndexBuilder()
         self.policy = policy if policy is not None else SegmentPolicy()
-        self.hnsw = hnsw if hnsw is not None else HNSWBuilder(
-            m=8, ef_construction=48, name="delta"
-        )
-        self.seed = int(seed)
         #: vector-store backend for sealed segments; the mutable delta
-        #: always stays dense float32 (incremental insertion needs the
-        #: exact vectors), compression is applied at seal/compact time —
-        #: the LSM moment the slice becomes immutable.
+        #: always stays dense float32 (it is scanned at full precision
+        #: and its rows are encoded once, when it seals), compression is
+        #: applied at seal/compact time — the LSM moment the slice
+        #: becomes immutable.
         self.compression = compression
         self.store_options = dict(store_options or {})
         #: where sealed segments' exact cold tier lives: ``"resident"``
@@ -921,8 +904,6 @@ class SegmentedIndex:
         index: GraphIndex,
         builder: FusedIndexBuilder | None = None,
         policy: SegmentPolicy | None = None,
-        hnsw: HNSWBuilder | None = None,
-        seed: int = 0,
         compression: str = "none",
         store_options: dict | None = None,
         ext_ids: np.ndarray | None = None,
@@ -941,9 +922,8 @@ class SegmentedIndex:
         ``data_dir`` immediately.
         """
         seg = cls(index.space.weights, builder=builder, policy=policy,
-                  hnsw=hnsw, seed=seed, compression=compression,
-                  store_options=store_options, cold_storage=cold_storage,
-                  data_dir=data_dir)
+                  compression=compression, store_options=store_options,
+                  cold_storage=cold_storage, data_dir=data_dir)
         if ext_ids is None:
             ids = np.arange(index.n, dtype=np.int64)
         else:
@@ -1073,7 +1053,7 @@ class SegmentedIndex:
     def searchable_segments(self) -> list[Segment]:
         segs = list(self.sealed)
         if self.delta.n:
-            segs.append(self.delta.as_segment(self.hnsw))
+            segs.append(self.delta.as_segment())
         return segs
 
     def view(self) -> SegmentView:
@@ -1095,10 +1075,10 @@ class SegmentedIndex:
         * sealed segment graphs and vectors are immutable already — only
           their §IX deletion bitsets mutate in place, so each segment is
           re-wrapped around a **copy** of its bitset;
-        * the delta's matrices, id map, and HNSW base layer are
-          materialised copy-on-write (``append`` replaces the arrays it
-          grows and invalidates the materialised graph rather than
-          mutating them), so the snapshot pins the pre-append arrays;
+        * the delta's matrices and id map are copy-on-write (``append``
+          replaces the arrays it grows and drops the cached segment
+          rather than mutating them), so the snapshot pins the
+          pre-append arrays;
         * the segment *list* itself is copied, so seals and compactions
           swap segments under the live index without touching the view.
 
@@ -1228,7 +1208,7 @@ class SegmentedIndex:
                     "explicit ext_ids collide with ids already in the index",
                 )
             self._next_ext = max(self._next_ext, int(ext.max()) + 1)
-        self.delta.append(objects, ext, self.hnsw, self.seed)
+        self.delta.append(objects, ext)
         self._maybe_seal()
         self._maybe_compact()
         self._restamp_sparse()
@@ -1278,32 +1258,25 @@ class SegmentedIndex:
     def seal_delta(self) -> Segment | None:
         """Freeze the delta into an immutable sealed segment.
 
-        The sealed graph is rebuilt with the main :attr:`builder` (a
-        proper fused graph, not the delta's insertion-order HNSW);
-        tombstones ride along — compaction is what drops them — unless
-        the whole delta is dead, in which case it is simply discarded.
+        The main :attr:`builder` builds the fused graph over the
+        buffered rows — the first graph they get.  Tombstones ride
+        along — compaction is what drops them — unless the whole delta
+        is dead, in which case it is simply discarded.
         """
         if self.delta.n == 0:
             return None
         if self.delta.num_active == 0:
-            self.delta.reset()
+            self.delta = _DeltaSegment(self.weights)
             return None
         start = time.perf_counter()
-        space = JointSpace(
-            MultiVectorSet(
-                self.delta.mats, attributes=self.delta.attrs,
-                sparse=self.delta.sparse,
-            ),
-            self.weights,
-        )
-        index = self.builder.build(space)
+        index = self.builder.build(self.delta.space)
         if bool(self.delta.deleted.any()):
             index.deleted = self.delta.deleted.copy()
             self._reseat_seed(index)
         index = self._compress_sealed(index)
         seg = Segment(index, self.delta.ext_ids.copy())
         self.sealed.append(seg)
-        self.delta.reset()
+        self.delta = _DeltaSegment(self.weights)
         self.num_seals += 1
         self._restamp_sparse()
         self._log_lifecycle("seal", seg.n, seg.n, start)
@@ -1364,7 +1337,7 @@ class SegmentedIndex:
             # an empty concatenate.  The index stays usable — searches
             # over zero segments answer empty, inserts restart it.
             self.sealed = []
-            self.delta.reset()
+            self.delta = _DeltaSegment(self.weights)
             self.num_compactions += 1
             if streaming:
                 self._retire_cold_files(old_planes, keep=set())
@@ -1423,7 +1396,7 @@ class SegmentedIndex:
         else:
             index = self._compress_sealed(index)
         self.sealed = [Segment(index, ext[order])]
-        self.delta.reset()
+        self.delta = _DeltaSegment(self.weights)
         self.num_compactions += 1
         if streaming:
             self._retire_cold_files(old_planes, keep=set(out_paths))
@@ -1566,14 +1539,7 @@ class SegmentedIndex:
             seg.index.space = new_space
         if self.delta.n and self.delta.sparse is not None:
             self.delta.sparse = self.delta.sparse.with_stats(stats)
-            self.delta._space = JointSpace(
-                MultiVectorSet(
-                    self.delta.mats, attributes=self.delta.attrs,
-                    sparse=self.delta.sparse,
-                ),
-                self.weights,
-            )
-            self.delta._materialized = None
+            self.delta.refresh()
 
     def _maybe_seal(self) -> None:
         if self.delta.n >= self.policy.seal_size:
@@ -1606,19 +1572,17 @@ class SegmentedIndex:
     def save(self, path: str | Path) -> None:
         """Persist the full segmented state into directory *path*:
         ``manifest.json`` plus one ``.npz`` per segment (vectors,
-        adjacency, external ids, deletion bitset; the delta additionally
-        stores its multi-layer HNSW state so reloads resume insertion
-        exactly where they left off).
+        adjacency, external ids, deletion bitset).  The delta is one
+        more such archive with an empty adjacency — its rows, ids and
+        bitset are all there is to resume from.
 
         Memory-mapped cold tiers ride as sidecar
         ``segment_{i:03d}.cold_{m}.npy`` files next to the archives
         (``.npz`` is a zip and cannot be mapped); their segments are
-        recorded with ``"storage": "mmap"`` and the manifest format
-        becomes ``must-segments-v3``.  A corpus with a sparse lexical
-        plane stores its per-segment CSR arrays (stamped stats
-        included) inside the archives and bumps the manifest to
-        ``must-segments-v4``.  All-resident, dense-only indexes keep
-        writing v2 archives, byte-identical to previous releases."""
+        recorded with ``"storage": "mmap"``.  A corpus with a sparse
+        lexical plane stores its per-segment CSR arrays (stamped stats
+        included) inside the archives.  Whatever the index holds, the
+        manifest format is ``must-segments-v5``."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         entries = []
@@ -1639,21 +1603,16 @@ class SegmentedIndex:
             entries.append(entry)
         if self.delta.n:
             fname = f"segment_{len(self.sealed):03d}.npz"
-            self._save_delta(path / fname)
+            self._save_segment(
+                path / fname, self.delta.as_segment().index,
+                self.delta.ext_ids,
+            )
             entries.append(
                 {"file": fname, "kind": "delta", "n": int(self.delta.n)}
             )
-        mapped = any(e.get("storage") == "mmap" for e in entries)
-        needs_mmap = self.cold_storage == "mmap" or mapped
-        if self._sparse_signature() is not None:
-            fmt, version = _FORMAT_V4, 4
-        elif needs_mmap:
-            fmt, version = _FORMAT_V3, 3
-        else:
-            fmt, version = _FORMAT, 2
         manifest = {
-            "format": fmt,
-            "format_version": version,
+            "format": _FORMAT,
+            "format_version": FORMAT_VERSION,
             "compression": self.compression,
             "store_options": {
                 k: v
@@ -1662,21 +1621,16 @@ class SegmentedIndex:
             },
             "squared_weights": [float(x) for x in self.weights.squared],
             "next_ext_id": int(self._next_ext),
-            "seed": self.seed,
             "policy": self.policy.to_dict(),
-            "hnsw": {
-                "m": self.hnsw.m,
-                "ef_construction": self.hnsw.ef_construction,
-                "seed": self.hnsw.seed,
-                "name": self.hnsw.name,
-            },
             "counters": {
                 "seals": self.num_seals,
                 "compactions": self.num_compactions,
             },
             "segments": entries,
         }
-        if needs_mmap:
+        if self.cold_storage == "mmap" or any(
+            e.get("storage") == "mmap" for e in entries
+        ):
             manifest["cold_storage"] = self.cold_storage
         if self.shard is not None:
             manifest["shard"] = {
@@ -1687,9 +1641,9 @@ class SegmentedIndex:
             json.dumps(manifest, indent=2) + "\n"
         )
 
-    def _segment_arrays(
-        self, index: GraphIndex, ext_ids: np.ndarray
-    ) -> tuple[dict, dict]:
+    def _save_segment(
+        self, file: Path, index: GraphIndex, ext_ids: np.ndarray
+    ) -> None:
         flat, offsets = pack_adjacency(index.neighbors)
         arrays = {"flat": flat, "offsets": offsets, "ext_ids": ext_ids}
         if index.deleted is not None:
@@ -1717,26 +1671,6 @@ class SegmentedIndex:
             # unknown store fails fast with an actionable error.
             "store": store.store_meta(),
         }
-        return metadata, arrays
-
-    def _save_segment(
-        self, file: Path, index: GraphIndex, ext_ids: np.ndarray
-    ) -> None:
-        metadata, arrays = self._segment_arrays(index, ext_ids)
-        save_arrays(file, metadata=metadata, **arrays)
-
-    def _save_delta(self, file: Path) -> None:
-        index = self.delta.as_segment(self.hnsw).index
-        metadata, arrays = self._segment_arrays(index, self.delta.ext_ids)
-        graph = self.delta.graph
-        metadata["hnsw_state"] = {
-            "entry_point": int(graph.entry_point),
-            "levels": {str(v): int(lv) for v, lv in graph.levels.items()},
-            "layers": [
-                {str(v): [int(u) for u in adj] for v, adj in layer.items()}
-                for layer in graph.layers
-            ],
-        }
         save_arrays(file, metadata=metadata, **arrays)
 
     @classmethod
@@ -1760,30 +1694,22 @@ class SegmentedIndex:
             )
         manifest = json.loads(manifest_file.read_text())
         fmt = manifest.get("format")
-        if fmt not in (_FORMAT_V1, _FORMAT, _FORMAT_V3, _FORMAT_V4):
+        if fmt not in _READABLE_FORMATS:
             raise ValueError(
                 f"unsupported segment manifest format {fmt!r} "
                 f"(format_version {manifest.get('format_version')!r}) at "
                 f"{manifest_file} — this build reads "
-                f"{_FORMAT_V1!r}/{_FORMAT!r}/{_FORMAT_V3!r}/{_FORMAT_V4!r} "
+                f"{'/'.join(map(repr, _READABLE_FORMATS))} "
                 f"(format_version ≤ {FORMAT_VERSION}); the index was "
                 f"written by a newer library version, upgrade it or "
                 f"re-save the index"
             )
         weights = Weights(manifest["squared_weights"])
-        hnsw_cfg = manifest["hnsw"]
         cold_storage = manifest.get("cold_storage", "resident")
         seg_index = cls(
             weights,
             builder=builder,
             policy=SegmentPolicy(**manifest["policy"]),
-            hnsw=HNSWBuilder(
-                m=hnsw_cfg["m"],
-                ef_construction=hnsw_cfg["ef_construction"],
-                seed=hnsw_cfg["seed"],
-                name=hnsw_cfg.get("name", "delta"),
-            ),
-            seed=int(manifest["seed"]),
             compression=manifest.get("compression", "none"),
             store_options=manifest.get("store_options"),
             cold_storage=cold_storage,
@@ -1839,7 +1765,14 @@ class SegmentedIndex:
                     "delta segment must be stored dense — the archive is "
                     "corrupt or from an incompatible writer",
                 )
-                seg_index._load_delta(metadata, arrays, list(vectors.matrices))
+                # Rows, ids and bitset are the whole delta; an archive
+                # written before v5 also holds a graph, which is not read.
+                seg_index.delta.append(
+                    vectors, arrays["ext_ids"].astype(np.int64)
+                )
+                deleted = arrays.get("deleted")
+                if deleted is not None:
+                    seg_index.delta.deleted = deleted.astype(bool)
         return seg_index
 
     @staticmethod
@@ -1863,35 +1796,3 @@ class SegmentedIndex:
             for i in range(int(metadata["num_modalities"]))
         ]
         return MultiVectorSet(mats, attributes=attributes, sparse=sparse)
-
-    def _load_delta(
-        self, metadata: dict, arrays: dict, mats: list[np.ndarray]
-    ) -> None:
-        state = metadata["hnsw_state"]
-        graph = HNSWGraph(
-            layers=[
-                {int(v): [int(u) for u in adj] for v, adj in layer.items()}
-                for layer in state["layers"]
-            ],
-            levels={int(v): int(lv) for v, lv in state["levels"].items()},
-            entry_point=int(state["entry_point"]),
-        )
-        delta = _DeltaSegment(self.weights)
-        delta.mats = [m.copy() for m in mats]
-        delta.attrs = AttributeTable.from_arrays(arrays)
-        delta.sparse = SparseStore.from_arrays(arrays)
-        delta.ext_ids = arrays["ext_ids"].astype(np.int64)
-        deleted = arrays.get("deleted")
-        delta.deleted = (
-            deleted.astype(bool)
-            if deleted is not None
-            else np.zeros(delta.ext_ids.size, dtype=bool)
-        )
-        delta.graph = graph
-        delta._space = JointSpace(
-            MultiVectorSet(
-                delta.mats, attributes=delta.attrs, sparse=delta.sparse
-            ),
-            self.weights,
-        )
-        self.delta = delta

@@ -30,7 +30,7 @@ Isolation is structural, not advisory:
 
 Persistence is a **manifest of manifests** (``must-collections-v1``): a
 directory with one ``collections.json`` naming per-collection
-subdirectories, each a plain ``must-segments-v3`` save.  A
+subdirectories, each a plain ``must-segments-v5`` save.  A
 single-collection save (a segment directory produced by
 ``MUST.save_index``) loads as the implicit ``"default"`` collection
 bit-identically, so single-tenant deployments migrate without a rebuild.
@@ -338,7 +338,7 @@ class CollectionManager:
         Layout: ``path/collections.json`` (format ``must-collections-v1``,
         carrying each collection's name, subdirectory, and quota) plus
         one ``path/<name>/`` segmented save per collection — each a
-        plain ``must-segments-v3`` directory that ``MUST.from_saved``
+        plain ``must-segments-v5`` directory that ``MUST.from_saved``
         could also load on its own.  Every collection must be in
         segmented form (the state any built instance reaches on its
         first :meth:`MUST.insert`); single-graph instances save alone

@@ -132,8 +132,6 @@ class _ShardCollection:
         kwargs = dict(
             builder=builder,
             policy=meta["policy"],
-            hnsw=meta["hnsw"],
-            seed=meta["seed"],
             compression=meta["compression"],
             store_options=meta["store_options"],
         )
@@ -772,8 +770,6 @@ class ShardedService(MustService):
             meta = dict(
                 builder=src.builder,
                 policy=src.policy,
-                hnsw=src.hnsw,
-                seed=src.seed,
                 compression=src.compression,
                 store_options=src.store_options,
             )
@@ -781,8 +777,6 @@ class ShardedService(MustService):
             meta = dict(
                 builder=must.builder,
                 policy=must.segment_policy,
-                hnsw=None,
-                seed=0,
                 compression=must.compression,
                 store_options=must.store_options,
             )

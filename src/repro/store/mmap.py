@@ -30,7 +30,7 @@ split is reported per tier: ``hot_bytes`` (codes, always resident),
 
 ``.npz`` archives are zip files and cannot be memory-mapped, which is
 why mmap cold tiers live in *sidecar* ``.npy`` files next to the
-segment archive (see ``must-segments-v3`` in
+segment archive (see ``"storage": "mmap"`` in
 :mod:`repro.index.segments`).
 """
 

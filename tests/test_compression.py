@@ -348,8 +348,8 @@ class TestManifestFormat:
 
         path = self._saved(objects, tmp_path, compression="int8")
         manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["format"] == "must-segments-v2"
-        assert manifest["format_version"] == 2
+        assert manifest["format"] == "must-segments-v5"
+        assert manifest["format_version"] == 5
         assert manifest["compression"] == "int8"
 
     def test_unknown_format_raises_actionable_error(self, objects, tmp_path):

@@ -230,7 +230,7 @@ def test_sharded_engine_parity_under_churn(
 
 
 # ----------------------------------------------------------------------
-# Persistence: manifest v4 round-trip, v2 back-compat for dense-only
+# Persistence: manifest round-trip with and without a sparse plane
 # ----------------------------------------------------------------------
 def test_manifest_v4_roundtrip_bitwise(tmp_path, dataset, hybrid_queries):
     must = segmented_must(dataset)
@@ -238,8 +238,8 @@ def test_manifest_v4_roundtrip_bitwise(tmp_path, dataset, hybrid_queries):
     must.save_index(path)
 
     manifest = json.loads((path / MANIFEST_NAME).read_text())
-    assert manifest["format"] == "must-segments-v4"
-    assert manifest["format_version"] == 4
+    assert manifest["format"] == "must-segments-v5"
+    assert manifest["format_version"] == 5
 
     fresh = MUST(
         MultiVectorSet([dataset.dense.copy()], sparse=dataset.sparse),
@@ -258,8 +258,8 @@ def test_manifest_v4_roundtrip_bitwise(tmp_path, dataset, hybrid_queries):
 
 
 def test_dense_only_archives_stay_v2(tmp_path, dataset):
-    """No sparse plane → the manifest keeps the pre-sparse format, so
-    archives remain byte-compatible with older library versions."""
+    """One writer: with or without a sparse plane the manifest names
+    the same format."""
     must = MUST(
         MultiVectorSet([dataset.dense.copy()]),
         weights=Weights([1.0]),
@@ -276,8 +276,8 @@ def test_dense_only_archives_stay_v2(tmp_path, dataset):
     path = tmp_path / "dense_index"
     must.save_index(path)
     manifest = json.loads((path / MANIFEST_NAME).read_text())
-    assert manifest["format"] == "must-segments-v2"
-    assert manifest["format_version"] == 2
+    assert manifest["format"] == "must-segments-v5"
+    assert manifest["format_version"] == 5
 
 
 def test_insert_requires_matching_sparse_plane(dataset):

@@ -8,8 +8,7 @@ to the same index with the cold tier resident.  Moving the cold tier
 out of RAM may change resident bytes and wall clock, never a result.
 
 Also covered here: ``memory_stats`` hot/cold/resident accounting, the
-``must-segments-v3`` manifest round-trip (and v2 archives continuing to
-load bit-identically), corpus-free serving via :meth:`MUST.from_saved`,
+manifest round-trip of mapped and resident saves, corpus-free serving via :meth:`MUST.from_saved`,
 actionable errors for truncated/missing cold files and corrupt segment
 archives, load atomicity, and the O(hot) sharded spawn protocol.
 """
@@ -245,8 +244,8 @@ class TestPersistence:
         out = tmp_path / "saved_v3"
         mapped.save_index(out)
         manifest = json.loads((out / MANIFEST_NAME).read_text())
-        assert manifest["format"] == "must-segments-v3"
-        assert manifest["format_version"] == 3
+        assert manifest["format"] == "must-segments-v5"
+        assert manifest["format_version"] == 5
         assert manifest["cold_storage"] == "mmap"
         mapped_entries = [
             e for e in manifest["segments"] if e.get("storage") == "mmap"
@@ -268,14 +267,14 @@ class TestPersistence:
     def test_resident_save_stays_v2_and_migrates(
         self, pair_of, queries, tmp_path
     ):
-        """Resident archives keep the v2 format byte-for-byte, and the
-        v3-aware reader loads them bit-identically (the migration)."""
+        """A resident save records no cold-storage mode and loads
+        back resident, bit-identically."""
         resident, _ = pair_of("pq", True)
         out = tmp_path / "saved_v2"
         resident.save_index(out)
         manifest = json.loads((out / MANIFEST_NAME).read_text())
-        assert manifest["format"] == "must-segments-v2"
-        assert manifest["format_version"] == 2
+        assert manifest["format"] == "must-segments-v5"
+        assert manifest["format_version"] == 5
         assert "cold_storage" not in manifest
         loaded = MUST.from_saved(out)
         assert loaded.cold_storage == "resident"

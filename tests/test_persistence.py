@@ -3,6 +3,8 @@ segmented manifest, plus the single-read regression for stored weights."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from repro.core.framework import MUST
 from repro.core.query import SearchOptions
 from repro.core.weights import Weights
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.segments import SegmentPolicy
-from repro.utils.io import load_arrays
+from repro.index.segments import MANIFEST_NAME, SegmentPolicy
+from repro.utils.io import load_arrays, save_arrays
 
 from tests.conftest import random_multivector_set, random_query
 
@@ -135,9 +137,61 @@ class TestSegmentedRoundtrip:
         # The id allocator survives: new ids continue after the old ones.
         ext = fresh.insert(_extra(3, seed=7))
         np.testing.assert_array_equal(ext, np.arange(87, 90))
-        # And the reloaded delta HNSW accepts the inserts (searchable).
+        # And the reloaded delta accepts the inserts (searchable).
         res = fresh.query(random_query(DIMS, seed=1), SearchOptions(k=10, l=60))
         assert len(res) == 10
+
+    @pytest.mark.parametrize("fmt", ["must-segments-v2", "must-segments-v4"])
+    def test_saves_that_hold_a_delta_graph_still_open(self, fmt, tmp_path):
+        """Formats v1-v4 kept an HNSW graph over the delta: its builder
+        options and level seed in the manifest, its layers in the delta
+        archive's metadata, its base layer as that archive's adjacency.
+        A reader that takes only rows, ids and bitset resumes the same
+        index."""
+        must, never_saved = self._streamed(), self._streamed()
+        path = tmp_path / "segidx"
+        must.save_index(path)
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest.update(
+            format=fmt,
+            format_version=int(fmt[-1]),
+            seed=0,
+            hnsw={"m": 8, "ef_construction": 48, "seed": 0, "name": "delta"},
+        )
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        entry = manifest["segments"][-1]
+        assert entry["kind"] == "delta" and entry["n"] == 7
+        ring = [(v + 1) % 7 for v in range(7)]
+        metadata, arrays = load_arrays(path / entry["file"])
+        metadata["hnsw_state"] = {
+            "entry_point": 3,
+            "levels": {str(v): 0 for v in range(7)},
+            "layers": [{str(v): [u] for v, u in enumerate(ring)}],
+        }
+        arrays["flat"] = np.asarray(ring, dtype=np.int32)
+        arrays["offsets"] = np.arange(8, dtype=np.int64)
+        save_arrays(path / entry["file"], metadata=metadata, **arrays)
+
+        fresh = MUST(must.objects, builder=must.builder).load_index(path)
+        for side in (fresh, never_saved):
+            side.insert(_extra(4, seed=7))    # 11 rows: still the delta
+        self._assert_same_answers(fresh, never_saved)
+        for side in (fresh, never_saved):
+            side.insert(_extra(8, seed=8))    # 19 rows: seals
+        assert fresh.segments.describe() == never_saved.segments.describe()
+        self._assert_same_answers(fresh, never_saved)
+
+    @staticmethod
+    def _assert_same_answers(got: MUST, ref: MUST) -> None:
+        queries = [random_query(DIMS, seed=s) for s in range(5)]
+        for opts in (
+            SearchOptions(k=10, l=60, engine="heap"),
+            SearchOptions(k=10, l=60, engine="wave"),
+            SearchOptions(k=10, exact=True),
+        ):
+            for a, b in zip(got.query(queries, opts), ref.query(queries, opts)):
+                np.testing.assert_array_equal(a.ids, b.ids)
+                np.testing.assert_array_equal(a.similarities, b.similarities)
 
     def test_missing_segment_file_fails_clearly(self, tmp_path):
         must = self._streamed()

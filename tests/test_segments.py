@@ -12,9 +12,10 @@ step of every trace**:
 
 Plus unit coverage of the policy triggers (seal threshold, segment-count
 compaction, tombstone-ratio compaction), id-map stability, the
-executor parity guarantees on segmented instances, and the scanned
+executor parity guarantees on segmented instances, the scanned
 probe (a segment the beam already covers is scored end to end instead
-of traversed), whose oracle is the traversal itself.
+of traversed), whose oracle is the traversal itself, and the delta as
+an append buffer: no graph, scanned under every beam.
 """
 
 from __future__ import annotations
@@ -23,15 +24,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.framework import MUST
 from repro.core.multivector import MultiVector, MultiVectorSet, normalize_rows
-from repro.core.query import Eq, Query, SearchOptions, compile_filter
+from repro.core.query import Eq, Query, Range, SearchOptions, compile_filter
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index import segments as segments_module
 from repro.index.base import reseat_on_store
 from repro.index.flat import FlatIndex
+from repro.index.graphs.hnsw import HNSWBuilder
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.scoring import Scorer, rerank_exact
 from repro.index.segments import (
@@ -436,19 +440,26 @@ SCAN_BUILDER = FusedIndexBuilder(gamma=8, seed=3)
 HYBRID_SHAPE = dict(n_topics=2, groups_per_topic=5, dim=16)
 
 
-def _scan_segment(kind: str, n: int, seed: int) -> Segment:
-    """One sealed segment of *n* objects over ``range(1000, 1000 + n)``."""
+def _scan_corpus(kind: str, n: int, seed: int) -> JointSpace:
+    """*n* objects of *kind* with ``parity`` / ``rank`` attributes."""
     if kind == "hybrid":
         data = synthetic_hybrid(
-            num_queries=1, seed=seed, group_size=n // 10, **HYBRID_SHAPE
+            num_queries=1, seed=seed, group_size=-(-n // 10), **HYBRID_SHAPE
         )
         objects = MultiVectorSet([data.dense.copy()], sparse=data.sparse)
         weights = Weights([1.0])
     else:
         objects = random_multivector_set(n, DIMS, seed=seed)
         weights = WEIGHTS
-    objects = objects.set_attributes({"parity": np.arange(n) % 2})
-    index = SCAN_BUILDER.build(JointSpace(objects, weights))
+    objects = objects.subset(np.arange(n)).set_attributes(
+        {"parity": np.arange(n) % 2, "rank": np.arange(n)}
+    )
+    return JointSpace(objects, weights)
+
+
+def _scan_segment(kind: str, n: int, seed: int) -> Segment:
+    """One sealed segment of *n* objects over ``range(1000, 1000 + n)``."""
+    index = SCAN_BUILDER.build(_scan_corpus(kind, n, seed))
     if kind == "pq":
         index = reseat_on_store(index, "pq", {"pq_dims": 2, "seed": 3})
     return Segment(index, np.arange(1000, 1000 + n))
@@ -482,11 +493,19 @@ SCAN_CASES = {
 }
 
 
-def _brute_force(seg: Segment, query: Query, refine: int | None):
+def _brute_force(
+    seg: Segment,
+    query: Query,
+    refine: int | None,
+    k: int = SCAN_K,
+    l: int = SCAN_L,
+):
     """The probe's contract, spelled out: the engines' scorer over every
     vertex, the best ``min(l, admissible)`` admissible ones, then the
     probe's own finalise (fusion, or the view's rerank) and the cut."""
     space, n = seg.space, seg.n
+    if query.k is not None:
+        k, l = query.k, max(l, query.k)
     admissible = np.ones(n, dtype=bool)
     if seg.index.deleted is not None:
         admissible &= ~seg.index.deleted
@@ -494,18 +513,18 @@ def _brute_force(seg: Segment, query: Query, refine: int | None):
         admissible &= compile_filter(query.filter, space.vectors.attributes)
     cand = np.flatnonzero(admissible)
     sims = Scorer(space, query.vector).score_ids(np.arange(n))
-    pool = cand[np.lexsort((cand, -sims[cand]))][:SCAN_L]
-    if query.sparse is not None:
+    pool = cand[np.lexsort((cand, -sims[cand]))][:l]
+    if query.sparse is not None and pool.size:
         ids, out = hybrid_union_rescore(
-            space, query, pool, min(SCAN_L, seg.num_active),
+            space, query, pool, min(l, seg.num_active),
             admissible=admissible,
         )
     elif refine is not None:
-        keep = min(refine * SCAN_K, pool.size)
+        keep = min(refine * k, pool.size)
         ids, out = rerank_exact(space, query.vector, pool[:keep], keep)
     else:
         ids, out = pool, sims[pool]
-    return seg.ext_ids[ids[:SCAN_K]], out[:SCAN_K]
+    return seg.ext_ids[ids[:k]], out[:k]
 
 
 def _reached_every_vertex(res, n: int) -> bool:
@@ -514,10 +533,13 @@ def _reached_every_vertex(res, n: int) -> bool:
     return n <= SCAN_L or res.stats.joint_evals - res.stats.reranked == n
 
 
-def _probe(view: SegmentView, engine: str, queries, plan):
+def _probe(
+    view: SegmentView, engine: str, queries, plan,
+    k: int = SCAN_K, l: int = SCAN_L,
+):
     if engine == "wave":
-        return view.graph_wave(queries, k=SCAN_K, l=SCAN_L, **plan)[0]
-    return [view.search(q, k=SCAN_K, l=SCAN_L, **plan) for q in queries]
+        return view.graph_wave(queries, k=k, l=l, **plan)[0]
+    return [view.search(q, k=k, l=l, engine=engine, **plan) for q in queries]
 
 
 class TestScannedProbe:
@@ -657,3 +679,171 @@ class TestScannedProbe:
         for got, ref in zip(together, lone):
             np.testing.assert_array_equal(got.ids, ref.ids)
             np.testing.assert_array_equal(got.similarities, ref.similarities)
+
+
+#: never seals and never compacts: whatever is inserted stays delta rows.
+BUFFER_ONLY = SegmentPolicy(seal_size=10_000, max_deleted_fraction=1.0)
+
+#: case -> (corpus kind, tombstoned share, per-query overrides, plan)
+DELTA_CASES = {
+    "dense": ("dense", 0.0, {}, {}),
+    "hybrid": ("hybrid", 0.0, {}, {}),
+    "filtered": ("dense", 0.0, {"filter": Eq("parity", 0)}, {}),
+    "tombstoned": ("dense", 0.35, {}, {}),
+    "early_termination": ("dense", 0.0, {}, {"early_termination": True}),
+    "k_override": ("dense", 0.0, {"k": 17}, {}),
+}
+
+
+def _delta_only(kind: str, n: int) -> SegmentedIndex:
+    """*n* objects in the delta (external ids ``0..n-1``), nothing sealed."""
+    corpus = _scan_corpus(kind, n, seed=n)
+    index = SegmentedIndex(corpus.weights, policy=BUFFER_ONLY)
+    index.insert(corpus.vectors)
+    return index
+
+
+def _assert_exact_probe(index: SegmentedIndex, queries, plan, k: int, l: int):
+    """Every engine's probe of a delta-only *index* is the brute-force
+    top of its admissible rows, reached without a hop."""
+    view = index.view()
+    for engine in ("heap", "paper", "wave"):
+        for query, got in zip(queries, _probe(view, engine, queries, plan, k, l)):
+            assert got.stats.hops == 0 and got.stats.waves == 0
+            if index.num_active == 0:
+                assert len(got) == 0
+                continue
+            (seg,) = view.segments
+            ids, sims = _brute_force(seg, query, None, k=k, l=l)
+            np.testing.assert_array_equal(got.ids, ids)
+            np.testing.assert_allclose(got.similarities, sims, atol=1e-6)
+            if ids.size == 0:
+                assert got.stats.joint_evals == 0
+                continue
+            assert got.stats.segments_scanned == 1
+            evals = got.stats.joint_evals - got.stats.reranked
+            # A hybrid probe also rescores its fused candidate union.
+            assert evals >= seg.n if query.sparse is not None else evals == seg.n
+
+
+class TestDeltaBuffer:
+    @pytest.mark.parametrize("n", [1, 30, 90, 260])
+    @pytest.mark.parametrize("case", list(DELTA_CASES))
+    def test_probe_is_exact_for_any_beam(self, case, n):
+        kind, dead_share, overrides, plan = DELTA_CASES[case]
+        index = _delta_only(kind, n)
+        dead = np.random.default_rng(n).permutation(n)[:int(dead_share * n)]
+        if dead.size:
+            index.mark_deleted(dead)
+        (seg,) = index.view().segments
+        assert seg.kind == "delta" and seg.index.num_edges == 0
+        queries = [
+            dataclasses.replace(q, **overrides) for q in _scan_queries(kind)
+        ]
+        for l in (SCAN_K, 12, 40, 300):
+            _assert_exact_probe(index, queries, plan, SCAN_K, l)
+
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 120),
+        l=st.integers(SCAN_K, 150),
+        dead=st.sets(st.integers(0, 119)),
+        threshold=st.integers(-1, 120),
+    )
+    def test_probe_is_exact_generated(self, n, l, dead, threshold):
+        index = _delta_only("dense", n)
+        dead = np.array([i for i in dead if i < n], dtype=np.int64)
+        if dead.size:
+            index.mark_deleted(dead, allow_empty=True)
+        queries = [
+            dataclasses.replace(q, filter=Range("rank", high=threshold))
+            for q in _scan_queries("dense")[:2]
+        ]
+        _assert_exact_probe(index, queries, {}, SCAN_K, l)
+
+    def test_nothing_on_the_write_path_grows_a_graph(
+        self, tmp_path, monkeypatch
+    ):
+        def grown(*args, **kwargs):
+            raise AssertionError("HNSWBuilder.insert reached")
+
+        monkeypatch.setattr(HNSWBuilder, "insert", grown)
+        must = MUST(
+            random_multivector_set(64, DIMS, seed=1), weights=WEIGHTS,
+            builder=SCAN_BUILDER,
+            segment_policy=SegmentPolicy(seal_size=32, max_segments=8),
+        ).build()
+        rng = np.random.default_rng(2)
+        for size in (32, 32, 16):
+            must.insert(_objects(size, rng))
+        segs = must.segments
+        assert len(segs.sealed) == 3 and segs.delta.n == 16
+        queries = [random_query(DIMS, seed=s) for s in range(3)]
+        for engine in ("heap", "wave"):
+            must.query(queries, SearchOptions(k=5, l=40, engine=engine))
+        must.save_index(tmp_path / "saved")
+        loaded = MUST.from_saved(tmp_path / "saved", builder=SCAN_BUILDER)
+        assert loaded.segments.delta.n == 16
+        loaded.insert(_objects(4, rng))
+        loaded.query(queries, SearchOptions(k=5, l=8))
+        assert loaded.segments.seal_delta().n == 20
+        loaded.compact()
+        assert len(loaded.segments.sealed) == 1
+        assert len(loaded.query(queries[0], SearchOptions(k=5, l=40))) == 5
+
+    @pytest.mark.parametrize("kind", ["dense", "hybrid"])
+    def test_resume_from_a_save_mid_delta(self, kind, tmp_path):
+        """Rows, ids and bitset are all a delta is: saved part-way,
+        reloaded and fed the rest, it answers as if never saved."""
+        corpus = _scan_corpus(kind, 90, seed=90)
+        rows = corpus.vectors
+        policy = SegmentPolicy(seal_size=64, max_segments=8)
+        chunks = np.split(np.arange(90), [40, 55, 70])
+
+        def stream(index: SegmentedIndex, upto: slice) -> SegmentedIndex:
+            for chunk in chunks[upto]:
+                index.insert(rows.subset(chunk))
+                index.mark_deleted(chunk[::9])
+            return index
+
+        def empty() -> SegmentedIndex:
+            return SegmentedIndex(
+                corpus.weights, builder=SCAN_BUILDER, policy=policy
+            )
+
+        straight = stream(empty(), slice(None))
+        stream(empty(), slice(0, 2)).save(tmp_path / "mid")
+        resumed = SegmentedIndex.load(tmp_path / "mid", builder=SCAN_BUILDER)
+        assert resumed.delta.n == 55 and not resumed.sealed
+        stream(resumed, slice(2, None))
+        assert [s.n for s in resumed.view().segments] == [70, 20]
+        assert resumed.describe() == straight.describe()
+
+        queries = _scan_queries(kind)
+        for l in (12, 40):
+            for engine in ("heap", "wave"):
+                for got, ref in zip(
+                    _probe(resumed.view(), engine, queries, {}, l=l),
+                    _probe(straight.view(), engine, queries, {}, l=l),
+                ):
+                    np.testing.assert_array_equal(got.ids, ref.ids)
+                    np.testing.assert_array_equal(
+                        got.similarities, ref.similarities
+                    )
+                    assert got.stats.joint_evals == ref.stats.joint_evals
+        for query in queries:
+            got = resumed.view().exact_search(query, k=SCAN_K)
+            ref = straight.view().exact_search(query, k=SCAN_K)
+            np.testing.assert_array_equal(got.ids, ref.ids)
+            np.testing.assert_array_equal(got.similarities, ref.similarities)
+
+    @pytest.mark.parametrize("engine", ["heap", "wave"])
+    def test_nothing_admissible_in_the_delta_answers_empty(self, engine):
+        index = _delta_only("dense", 30)
+        plain = Query(random_query(DIMS, seed=0))
+        nothing = dataclasses.replace(plain, filter=Eq("parity", 7))
+        (empty,) = _probe(index.view(), engine, [nothing], {}, l=12)
+        assert len(empty) == 0 and empty.stats.joint_evals == 0
+        index.mark_deleted(np.arange(30), allow_empty=True)
+        (empty,) = _probe(index.view(), engine, [plain], {}, l=12)
+        assert len(empty) == 0 and empty.stats.segments_probed == 0

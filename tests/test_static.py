@@ -1,16 +1,19 @@
 """Static checks the linters would make, without the linters.
 
 ``ruff`` / ``mypy`` are not installable in every environment this repo
-is grown in, so the two checks a refactor most often trips are done
-here over :mod:`ast` and :mod:`inspect`: no imported-but-unused name
-anywhere in ``src/repro``, and no seed parameter on a search entry
-point (an answer is a function of the index and the query).
+is grown in, so the checks a refactor most often trips are done here
+over :mod:`ast` and :mod:`inspect`: no imported-but-unused name anywhere
+in ``src/repro``, no seed parameter on a search entry point (an answer
+is a function of the index and the query), no graph-building option on
+the segmented index (its delta is a buffer), and complete annotations
+on the modules ``pyproject.toml`` holds to ``disallow_untyped_defs``.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,7 @@ import repro
 from repro.index.executor import execute
 from repro.index.graph_wave import graph_wave_search
 from repro.index.search import joint_search
-from repro.index.segments import SegmentView
+from repro.index.segments import SegmentedIndex, SegmentView
 from repro.service import IndexSnapshot, MustService
 
 PACKAGE = Path(repro.__file__).parent
@@ -137,3 +140,108 @@ SEARCH_ENTRY_POINTS = [
 )
 def test_no_search_entry_point_takes_a_seed(entry):
     assert not {"rng", "rngs"} & set(inspect.signature(entry).parameters)
+
+
+@pytest.mark.parametrize(
+    "constructor", [SegmentedIndex.__init__, SegmentedIndex.from_graph]
+)
+def test_the_segmented_index_takes_no_delta_graph_options(constructor):
+    assert not {"hnsw", "seed"} & set(inspect.signature(constructor).parameters)
+
+
+def test_segments_import_no_incremental_graph():
+    tree = ast.parse((PACKAGE / "index" / "segments.py").read_text())
+    imported = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    } | {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    assert "repro.index.pipeline" in imported
+    assert not {m for m in imported if m.startswith("repro.index.graphs")}
+
+
+def strict_modules() -> list[Path]:
+    """Files of the modules ``pyproject.toml`` checks with
+    ``disallow_untyped_defs`` (``pkg.*`` is the package and everything
+    under it, as in mypy)."""
+    config = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    files: set[Path] = set()
+    for override in config["tool"]["mypy"]["overrides"]:
+        if not override.get("disallow_untyped_defs"):
+            continue
+        for pattern in override["module"]:
+            stem = PACKAGE.parent.joinpath(*pattern.removesuffix(".*").split("."))
+            if pattern.endswith(".*"):
+                files |= set(stem.rglob("*.py"))
+            elif stem.is_dir():
+                files.add(stem / "__init__.py")
+            else:
+                files.add(stem.with_suffix(".py"))
+    return sorted(files)
+
+
+def untyped_defs(path: Path) -> list[str]:
+    """``name (line N)`` for every ``def`` in *path* that leaves a
+    parameter or its return unannotated — ``self`` / ``cls`` and the
+    return of ``__init__`` exempt, as under mypy."""
+    tree = ast.parse(path.read_text())
+    methods = {
+        item
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+    }
+    found = []
+    for node in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        spec = node.args
+        params = spec.posonlyargs + spec.args + spec.kwonlyargs
+        params += [a for a in (spec.vararg, spec.kwarg) if a is not None]
+        static = any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list
+        )
+        if node in methods and not static:
+            params = params[1:]
+        complete = all(p.annotation is not None for p in params) and (
+            node.returns is not None or node.name == "__init__"
+        )
+        if not complete:
+            found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_strict_modules_are_fully_annotated():
+    files = strict_modules()
+    found = {
+        str(path.relative_to(PACKAGE)): untyped
+        for path in files
+        if (untyped := untyped_defs(path))
+    }
+    assert len(files) >= 22 and found == {}
+
+
+def test_the_annotation_scan_sees_what_it_should(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "class C:\n"
+        "    def __init__(self, x: int): ...\n"
+        "    def method(self, x: int) -> int: ...\n"
+        "    def bare(self, x) -> int: ...\n"
+        "    @staticmethod\n"
+        "    def static(x) -> int: ...\n"
+        "def no_return(x: int): ...\n"
+        "def starred(*args, **kwargs: int) -> None: ...\n"
+        "def fine(x: int, *, y: str = '') -> None:\n"
+        "    def nested(z): ...\n"
+    )
+    assert untyped_defs(module) == [
+        "bare (line 4)", "static (line 6)", "no_return (line 7)",
+        "starred (line 8)", "nested (line 10)",
+    ]

@@ -41,7 +41,7 @@ from repro.core.query import Eq, Query, SearchOptions
 from repro.core.results import SearchResult
 from repro.core.weights import Weights
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.segments import SegmentPolicy
+from repro.index.segments import SegmentPolicy, SegmentView
 from repro.sparse.synthetic import synthetic_hybrid
 
 from tests.conftest import random_multivector_set, random_query
@@ -264,6 +264,12 @@ def test_answer_is_a_function_of_index_and_query(
         futures = [svc.submit(q, opts) for q in requests]
         served = [f.result(60) for f in futures]
     fresh = _reloaded(must, tmp_path)
+    if layout == "3-segment+delta":
+        # The delta is one of the three scanned: probed alone, it scans.
+        delta = SegmentView(must.segments.view().segments[-1:])
+        assert [seg.kind for seg in delta.segments] == ["delta"]
+        lone = delta.search(requests[0], k=opts.k, l=opts.l)
+        assert (lone.stats.segments_scanned, lone.stats.hops) == (1, 0)
     for i, (q, ref) in enumerate(zip(requests, alone)):
         assert ref.stats.joint_evals > 0
         assert ref.stats.segments_scanned == LAYOUTS[layout][2]
