@@ -546,10 +546,9 @@ class MUST:
         }
 
     def _drop_caches(self) -> None:
-        """Release lazily materialised per-space caches (the ω-scaled
-        concatenation and the float64 deterministic-scan copies) after a
-        compaction — the rebuilt index no longer needs the old corpus's
-        derived state pinned in memory."""
+        """Release the lazily materialised per-space cache (the ω-scaled
+        concatenation) after a compaction — the rebuilt index no longer
+        needs the old corpus's derived state pinned in memory."""
         if self._space is not None:
             self._space.drop_caches()
         if self._index is not None:

@@ -22,44 +22,16 @@ Scanning modalities in descending-weight order maximises early pruning and
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.core.multivector import MultiVector, MultiVectorSet
 from repro.core.registry import dense_score_rows
 from repro.core.results import SearchStats
 from repro.core.weights import Weights
-from repro.store import ModalityKernel, VectorStore
+from repro.store import ModalityKernel, VectorStore, max_row_norm
 from repro.utils.validation import require
 
 __all__ = ["JointSpace"]
-
-
-def _f64_cache_limit_bytes() -> int:
-    """Cap on the lazy float64 deterministic-scan cache.
-
-    The cache doubles corpus memory, so it is only kept when the float64
-    copies fit under ``REPRO_F64_CACHE_MB`` (default 256 MiB); beyond
-    that the stable kernel recomputes per call instead of caching.
-    """
-    return int(os.environ.get("REPRO_F64_CACHE_MB", "256")) * (1 << 20)
-
-
-def _mmap_backed(arr: np.ndarray) -> bool:
-    """True when *arr* is (a view over) a ``np.memmap``.
-
-    Such matrices are deliberately never promoted into the float64
-    cache: the conversion would silently page the whole mapping in and
-    pin ``2×`` its bytes as process-resident copies, defeating the
-    beyond-RAM layout.
-    """
-    base: object = arr
-    while base is not None:
-        if isinstance(base, np.memmap):
-            return True
-        base = getattr(base, "base", None)
-    return False
 
 
 class JointSpace:
@@ -74,12 +46,7 @@ class JointSpace:
         self._vectors = vectors
         self._weights = weights
         self._concat: np.ndarray | None = None  # lazy ω-scaled concatenation
-        #: lazy float64 copies of the modality matrices, built on the
-        #: first deterministic scan (:meth:`query_ids_stable`) — trades
-        #: memory for not re-converting the corpus on every exact query.
-        #: Capped by ``REPRO_F64_CACHE_MB`` and released by
-        #: :meth:`drop_caches`.
-        self._f64: list[np.ndarray] | None = None
+        self._concat_norm: float | None = None  # its largest row norm
 
     # ------------------------------------------------------------------
     # Introspection / derivation
@@ -105,13 +72,13 @@ class JointSpace:
     def drop_caches(self) -> None:
         """Release lazily materialised derived state.
 
-        Drops the ω-scaled concatenation and the float64 scan cache —
-        together they can double (or worse) the resident corpus bytes.
-        Called by :meth:`MUST.compact` and safe at any time: both caches
-        rebuild on demand.
+        Drops the ω-scaled concatenation (and the row-norm scalar taken
+        from it), which doubles the resident corpus bytes.  Called by
+        :meth:`MUST.compact` and safe at any time: it rebuilds on
+        demand.
         """
         self._concat = None
-        self._f64 = None
+        self._concat_norm = None
 
     @property
     def n(self) -> int:
@@ -141,6 +108,18 @@ class JointSpace:
         if cached is None:
             cached = self._vectors.concatenated(self._weights.omegas)
             self._concat = cached
+        return cached
+
+    @property
+    def max_concat_norm(self) -> float:
+        """Largest row 2-norm of :attr:`concatenated` — the corpus side
+        of the float32 prefilter's error bound
+        (:func:`~repro.index.scoring.prefilter_bounds`).  One scalar,
+        taken on first use and dropped with the matrix."""
+        cached = self._concat_norm
+        if cached is None:
+            cached = max_row_norm(self.concatenated)
+            self._concat_norm = cached
         return cached
 
     def pair(self, i: int, j: int) -> float:
@@ -365,13 +344,17 @@ class JointSpace:
         each row independently in float64, so a row's similarity depends
         only on its own vectors, the query, and the per-modality
         dimensionality — never on which other rows share the matrix.
-        The segmented exact path uses it so results are bit-identical
-        regardless of how the corpus is split into segments.
-        ``ids=None`` scores the whole corpus.  On compressed stores rows
-        are decoded (per call) before the float64 reduction, which keeps
-        the row-independence property over the reconstructed values.
+        Every exact plan takes its similarities from here
+        (:meth:`~repro.index.flat.FlatIndex.batch_search` re-scores a
+        shortlist), so they are bit-identical however the corpus is
+        split into segments and whatever else shares the batch.
+        ``ids=None`` scores the whole corpus — the test oracle.  On
+        compressed stores rows are decoded (per call) before the float64
+        reduction, which keeps the row-independence property over the
+        reconstructed values.
         """
         w2 = self._effective_weights(query, weights)
+        store = self._vectors.store
         ids_arr = None if ids is None else np.asarray(ids)
         count = self.n if ids_arr is None else int(ids_arr.shape[0])
         out = np.zeros(count, dtype=np.float64)
@@ -379,7 +362,13 @@ class JointSpace:
         for i, q in enumerate(query.vectors):
             if q is None or w2[i] == 0.0:
                 continue
-            rows = self._f64_rows(i, ids_arr)
+            # Subset before converting: every backend's row decode is
+            # elementwise, so the order changes no bit, and a 40-row
+            # rerank converts (or decodes) 40 rows.
+            rows = (
+                store.modality(i) if ids_arr is None
+                else store.rows(i, ids_arr)
+            ).astype(np.float64)
             metric = self._vectors.metrics[i]
             if metric == "ip":
                 prod = rows * q.astype(np.float64)
@@ -393,51 +382,6 @@ class JointSpace:
             stats.joint_evals += count
             stats.modality_evals += count * active
         return out
-
-    def _f64_cacheable(self) -> bool:
-        """Whether the float64 scan cache may be built for this corpus.
-
-        The decision is made from the *projected* size (``8·n·Σd``)
-        before anything is materialised — the historical implementation
-        converted the whole corpus first and only then checked the cap,
-        transiently tripling resident bytes right at the limit.  The
-        cache is per-tier by construction: it only ever covers the
-        resident dense hot tier — compressed stores (whose decode would
-        pin a full reconstruction) and mmap-backed matrices (whose
-        conversion would page the whole mapping into pinned RAM copies)
-        always recompute per call, row-subset first.
-        """
-        if self.is_compressed:
-            return False
-        projected = 8 * self.n * int(sum(self._vectors.dims))
-        if projected > _f64_cache_limit_bytes():
-            return False
-        store = self._vectors.store
-        return not any(
-            _mmap_backed(store.modality(i))
-            for i in range(self.num_modalities)
-        )
-
-    def _f64_rows(self, i: int, ids: np.ndarray | None) -> np.ndarray:
-        """Float64 rows of modality *i* for the deterministic scan.
-
-        Bit-identical either way — ``mat.astype(f64)[ids]`` equals
-        ``mat[ids].astype(f64)`` elementwise, and every backend's row
-        decode is an elementwise/gather transform — so subsetting
-        *before* the conversion changes no result while keeping a
-        40-row rerank from converting (or decoding) the whole corpus.
-        """
-        cached = self._f64  # single read: safe vs concurrent drop_caches
-        if cached is None and self._f64_cacheable():
-            cached = [m.astype(np.float64) for m in self._vectors.matrices]
-            self._f64 = cached
-        if cached is not None:
-            mat = cached[i]
-            return mat if ids is None else mat[ids]
-        store = self._vectors.store
-        if ids is None:
-            return store.modality(i).astype(np.float64)
-        return store.rows(i, ids).astype(np.float64)
 
     def query_ids_early_stop(
         self,

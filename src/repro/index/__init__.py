@@ -6,16 +6,19 @@
   the Lemma-4 multi-vector computation optimisation.
 * :mod:`repro.index.graphs` — KGraph / NSG / NSSG / HNSW / Vamana / HCNNG
   for the Fig. 10 ablation.
-* :class:`FlatIndex` — exact brute force (the MUST-- reference),
-  deletion-aware and GEMM-batched.
+* :class:`FlatIndex` — exact brute force (the MUST-- reference): the
+  one exact kernel, a float32 GEMM prefilter for the batch and a float64
+  rerank inside a derived band; deletion- and filter-aware.
 * :class:`Scorer` / :func:`batch_score_all` — the unified scoring engine
   every search path (graph engines, flat scan, baselines) routes through.
 * :func:`execute` — the one dispatcher that interprets a
   :class:`~repro.core.query.SearchOptions` plan, over the
-  :class:`BatchExecutor` strategy runners (GEMM waves, lockstep graph
-  waves, the per-query oracle loop) with aggregated per-batch stats;
-  every graph search starts from :meth:`GraphIndex.entry_points`, so
-  an answer is a function of the index and the query.
+  :class:`BatchExecutor` strategy runners (the exact kernel, lockstep
+  graph waves, the per-query oracle loop) with aggregated per-batch
+  stats; every graph search starts from
+  :meth:`GraphIndex.entry_points` and every exact similarity comes from
+  a row-independent kernel, so an answer is a function of the index and
+  the query.
 * :class:`SegmentedIndex` — the §IX dynamic-update subsystem: streaming
   inserts into a mutable delta segment, sealed immutable segments, and
   automatic compaction under a :class:`SegmentPolicy`.

@@ -15,15 +15,17 @@ What it picks from, each returning per-query
 :class:`~repro.core.results.SearchResult` objects in input order inside
 a :class:`BatchResult`:
 
-* **Flat wave** (:meth:`BatchExecutor.run_flat`) — the whole batch is
-  stacked and scored against the corpus with a single GEMM
-  (:func:`~repro.index.scoring.batch_score_all`).
-* **Graph wave** (:meth:`BatchExecutor.run_graph_wave`) — the lockstep
-  batched beam search of
-  :func:`~repro.index.graph_wave.graph_wave_search`: every wave scores
-  all queries' frontiers in one stacked call.
-* **Segmented** (:meth:`BatchExecutor.run_segmented`) — the same two
-  over a :class:`~repro.index.segments.SegmentView`.
+* **Exact wave** (:meth:`BatchExecutor.run_flat` on a single graph,
+  :meth:`BatchExecutor.run_exact_wave` per segment of a view) — the one
+  exact kernel, :meth:`FlatIndex.batch_search`: one float32 prefilter
+  GEMM for the batch, then per query a float64 rerank of the rows
+  inside a band derived from the prefilter's rounding bound.  Every
+  exact plan is this, a lone query as a batch of one.
+* **Graph wave** (:meth:`BatchExecutor.run_graph_wave`, or
+  :meth:`BatchExecutor.run_segmented` over a
+  :class:`~repro.index.segments.SegmentView`) — the lockstep batched
+  beam search of :func:`~repro.index.graph_wave.graph_wave_search`:
+  every wave scores all queries' frontiers in one stacked call.
 * **Graph loop** — one :func:`~repro.index.search.joint_search` (or
   cross-segment :meth:`SegmentView.search`) per query, sequentially:
   the Algorithm-2 oracle the parity suites compare the wave engine
@@ -37,12 +39,13 @@ configuration.
 
 Determinism: an answer is a function of the index and the query.  Every
 graph search starts from the graph's own fixed entry order
-(:meth:`GraphIndex.entry_points`) and no engine reads its batch-mates,
-so a query answers with the same bits alone, at any batch position,
-live, from a snapshot, served, or after a save / load round trip.
-Nothing here takes a seed; whether *queries* is one batch or several
-independent requests is the explicit ``independent`` flag of
-:func:`execute`.
+(:meth:`GraphIndex.entry_points`), every exact similarity comes from a
+kernel that reads one row and the query, and no engine reads its
+batch-mates — so a query answers with the same bits alone, at any batch
+position, live, from a snapshot, served, or after a save / load round
+trip.  Nothing here takes a seed; whether *queries* is one batch or
+several independent requests is the explicit ``independent`` flag of
+:func:`execute`, which only graph plans read.
 """
 
 from __future__ import annotations
@@ -78,8 +81,8 @@ class BatchResult:
     indexing), with the aggregated batch counters on :attr:`stats`
     (summed from the per-query stats on first read unless the producer
     supplied them).  :attr:`plan` names the execution strategy that
-    actually ran (e.g. ``"graph/wave"``, ``"graph/loop"``,
-    ``"exact/gemm"``) so callers and benchmarks can assert the chosen
+    actually ran (``"graph/wave"``, ``"graph/loop"``, ``"exact/wave"``)
+    so callers and benchmarks can assert the chosen
     path instead of inferring it.
     """
 
@@ -179,27 +182,14 @@ class BatchExecutor:
         k: int,
         l: int = 100,
         early_termination: bool = False,
-        exact: bool = False,
         refine: int | None = None,
         check_monotone: bool = False,
         sparse_engine: str = "auto",
     ) -> BatchResult:
-        """Batch over a :class:`~repro.index.segments.SegmentView` (live
-        or frozen).
-
-        ``exact=True`` runs one GEMM wave per segment and merges per
-        query; otherwise one lockstep traversal per segment carries the
-        whole batch.  ``refine`` enables the two-stage full-precision
-        rerank on either path.
-        """
-        if exact:
-            return BatchResult(
-                view.exact_batch(
-                    list(queries), k, refine=refine,
-                    sparse_engine=sparse_engine,
-                ),
-                plan="exact/segment-gemm",
-            )
+        """Graph batch over a :class:`~repro.index.segments.SegmentView`
+        (live or frozen): one lockstep traversal per segment carries
+        the whole batch.  ``refine`` enables the two-stage
+        full-precision rerank."""
         results, wave_stats = view.graph_wave(
             list(queries),
             k=k,
@@ -224,24 +214,15 @@ class BatchExecutor:
         k: int,
         weights: Weights | None = None,
         refine: int | None = None,
-        margin: float = 1e-4,
         sparse_engine: str = "auto",
     ) -> BatchResult:
-        """Coalesced exact batch over a segment view, bit-identical to
-        the per-query exact path.
-
-        The serving layer's exact wave
-        (:meth:`~repro.index.segments.SegmentView.exact_wave`): a
-        float32 GEMM prefilter per segment plus a float64
-        layout-independent rerank within ``margin`` of each cut-off —
-        batched-GEMM throughput with single-query bit parity, unlike
-        :meth:`run_segmented` with ``exact=True`` whose stacked GEMM
-        carries the ~1e-7 similarity caveat.
-        """
+        """Exact batch over a segment view
+        (:meth:`~repro.index.segments.SegmentView.exact_wave`): the
+        exact kernel per segment, merged per query."""
         return BatchResult(
             view.exact_wave(
                 list(queries), k, weights=weights, refine=refine,
-                margin=margin, sparse_engine=sparse_engine,
+                sparse_engine=sparse_engine,
             ),
             plan="exact/wave",
         )
@@ -255,13 +236,14 @@ class BatchExecutor:
         refine: int | None = None,
         sparse_engine: str = "auto",
     ) -> BatchResult:
-        """Single-GEMM exact batch over a :class:`FlatIndex`."""
+        """Exact batch over one :class:`FlatIndex` — the exact kernel
+        itself (:meth:`FlatIndex.batch_search`)."""
         return BatchResult(
             flat.batch_search(
                 list(queries), k, weights=weights, refine=refine,
                 sparse_engine=sparse_engine,
             ),
-            plan="exact/gemm",
+            plan="exact/wave",
         )
 
 
@@ -274,23 +256,23 @@ def execute(
 ) -> BatchResult:
     """Run typed *queries* against *target* under one validated plan.
 
-    By default *queries* is **a batch**: ``engine="auto"`` means the
-    lockstep wave engine, and an exact plan shares stacked GEMM waves
-    (ranks, not bits, match the per-query scan — see
-    :meth:`FlatIndex.batch_search`).
+    An exact plan is one call of the exact kernel whatever the batch
+    looks like (:meth:`FlatIndex.batch_search`, per segment on a view):
+    a query's ids, similarities and work counters are the same bits
+    alone or in company.
 
+    On a graph plan *queries* is by default **a batch**:
+    ``engine="auto"`` means the lockstep wave engine.
     ``independent=True`` is **independent requests** that merely share a
     plan — a lone query, a coalesced serving group, a shard's slice of
-    one: ``engine="auto"`` means the per-query heap engine, an exact
-    plan scans per request (bit-exact), and on the wave engine every
-    result also carries the traversal's ``waves``/``frontier_sizes``
-    trace, so an answer reads the same alone or coalesced.
-
-    On a graph plan the flag picks an engine and a stats layout, never
-    an answer: under one explicit engine a query's ids, similarities
-    and work counters are the same bits either way.  An explicit
-    ``engine="heap"``/``"paper"`` on a batch runs the per-query searcher
-    once per query, in order.
+    one: ``engine="auto"`` means the per-query heap engine, and on the
+    wave engine every result also carries the traversal's
+    ``waves``/``frontier_sizes`` trace, so an answer reads the same
+    alone or coalesced.  The flag picks an engine and a stats layout,
+    never an answer: under one explicit engine a query's ids,
+    similarities and work counters are the same bits either way.  An
+    explicit ``engine="heap"``/``"paper"`` on a batch runs the per-query
+    searcher once per query, in order.
 
     ``l`` is clamped to the target's size here and nowhere else; an
     explicit ``l < k`` on a graph plan is an error, raised before any
@@ -301,24 +283,13 @@ def execute(
             f"result set size l={options.l} must be at least k={options.k}"
         )
     if options.exact:
-        shared: dict[str, Any] = dict(
-            refine=options.refine, sparse_engine=options.sparse_engine
-        )
         if isinstance(target, SegmentView):
-            if not independent:
-                return BatchExecutor.run_segmented(
-                    target, queries, options.k, exact=True, **shared
-                )
-            scan = target.exact_search
+            run, scanned = BatchExecutor.run_exact_wave, target
         else:
-            flat = target.flat()
-            if not independent:
-                return BatchExecutor.run_flat(
-                    flat, queries, options.k, **shared
-                )
-            scan = flat.search
-        return BatchResult(
-            [scan(q, options.k, **shared) for q in queries], plan="exact/scan"
+            run, scanned = BatchExecutor.run_flat, target.flat()
+        return run(
+            scanned, queries, options.k, refine=options.refine,
+            sparse_engine=options.sparse_engine,
         )
     if isinstance(target, SegmentView):
         opts = options.resolve(target.num_total)

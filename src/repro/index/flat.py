@@ -4,20 +4,42 @@ Scans every object's joint similarity; exact but linear in ``n``
 (Tab. VII shows its response time growing linearly while the fused index
 stays near-flat).
 
-The scan itself lives in the shared scoring engine
-(:class:`~repro.index.scoring.Scorer` for one query,
-:func:`~repro.index.scoring.batch_score_all` for a batch — one GEMM for
-the whole wave).  The index is deletion-aware: pass the §IX data-status
-bitset as ``deleted`` and soft-deleted objects are excluded from exact
-results, matching the graph searcher's behaviour.
+There is one exact kernel, :meth:`FlatIndex.batch_search`, and every
+exact plan on every layout is a call to it: a lone query is a batch of
+one, a segmented index runs it once per segment and merges
+(:meth:`~repro.index.segments.SegmentView.exact_wave`).  It answers in
+two steps so that an answer is a function of the index and the query:
 
-Queries may be raw :class:`~repro.core.multivector.MultiVector`\\ s or
-typed :class:`~repro.core.query.Query` objects; a query's ``filter``
-compiles to a candidate mask over this space's attribute table, which is
-intersected with the deletion bitset before ranking — so a filtered
-exact search is bit-identical to an unfiltered search over the
-post-filtered corpus (the scan scores every row; masked rows simply
-cannot be answers).
+1. **Prefilter.**  :func:`~repro.index.scoring.batch_score_all` scores
+   the whole batch against every row in float32 — the Lemma-1 concat
+   GEMM, or the store's stacked kernel on a compressed corpus.  Fast,
+   but a BLAS product rounds a row by the shape of the call, so these
+   values only *order* candidates.
+2. **Rerank.**  Per query, the rows that could still be among its best
+   ``p`` (``k``, or ``refine·k``) are re-scored by the row-independent
+   float64 kernel (:meth:`JointSpace.query_ids_stable`), whose value for
+   a row depends on that row and the query alone, and ordered by
+   ``(-similarity, external id)``.
+
+Which rows "could still be": if the prefilter is within ``ε`` of the
+float64 score on every row, the ``p`` rows it ranks best all have a
+float64 score of at least ``cut − ε`` (``cut`` their lowest prefilter
+score), so the true ``p``-th best is at least that, and any row reaching
+it has a prefilter score of at least ``cut − 2ε``.  The shortlist ``{i :
+prefilter_i ≥ cut − 2ε}`` therefore holds every row of the exact top
+``p``, ties at the cut-off included.  ``ε`` is not a setting: it is the
+rounding bound of the prefilter's own arithmetic, which
+:func:`~repro.index.scoring.batch_score_all` reports beside its scores,
+and where none is proven it is infinite — the shortlist is every
+admissible row.
+
+The index is deletion-aware: pass the §IX data-status bitset as
+``deleted`` and soft-deleted objects never enter a shortlist.  Queries
+may be raw :class:`~repro.core.multivector.MultiVector`\\ s or typed
+:class:`~repro.core.query.Query` objects; a query's ``filter`` compiles
+to a mask over this space's attribute table and intersects the bitset,
+so a filtered exact search is bit-identical to an unfiltered one over
+the post-filtered corpus.
 """
 
 from __future__ import annotations
@@ -26,11 +48,11 @@ import numpy as np
 
 from repro.core.multivector import MultiVector
 from repro.core.query import Query, as_query, unpack_query
-from repro.core.results import SearchResult
+from repro.core.results import SearchResult, SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
-from repro.index.scoring import Scorer, batch_score_all, rerank_exact
-from repro.sparse.hybrid import add_sparse, hybrid_rerank
+from repro.index.scoring import batch_score_all, rerank_exact
+from repro.sparse.hybrid import hybrid_rerank, sparse_term
 from repro.utils.topk import top_k_sorted
 from repro.utils.validation import require
 
@@ -50,93 +72,34 @@ class FlatIndex:
     deletions.
 
     ``ids`` optionally remaps results into an external id space: result
-    entry ``j`` reports ``ids[local_j]`` instead of the local row number.
-    The segmented index uses this to report stable external ids from
-    per-segment scans.
+    entry ``j`` reports ``ids[local_j]`` instead of the local row number,
+    and equal similarities order by it.  The segmented index uses this
+    to report stable external ids from per-segment scans.
 
-    ``deterministic`` routes the single-query scan through the
-    layout-independent kernel (:meth:`JointSpace.query_ids_stable`), so
-    a row's similarity does not depend on the corpus row count — the
-    property that makes per-segment exact scans bit-identical to one
-    whole-corpus scan.  Off by default: the BLAS scan is faster and is
-    the historical MUST-- behaviour.
+    ``context`` names the corpus slice in a filter's error message.
     """
-
-    name = "flat"
 
     def __init__(
         self,
         space: JointSpace,
         deleted: np.ndarray | None = None,
         ids: np.ndarray | None = None,
-        deterministic: bool = False,
+        context: str = "corpus",
     ):
         self.space = space
         self.deleted = deleted
         self.ids = None if ids is None else np.asarray(ids, dtype=np.int64)
-        self.deterministic = bool(deterministic)
+        self.context = context
 
     @property
     def n(self) -> int:
         return self.space.n
 
-    def _rank(
-        self, sims: np.ndarray, k: int, mask: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Top-*k* local ids of one scan, inadmissible rows masked out.
-
-        With a filter mask the selection runs over the *compacted*
-        admissible rows rather than a ``-inf``-masked full array:
-        identical results (the compaction is order-preserving, so tie
-        order maps straight back), but argpartition keeps its O(n)
-        behaviour instead of degrading on duplicate-heavy ``-inf`` runs.
-        """
+    def _admissible(self, mask: np.ndarray | None) -> np.ndarray:
+        """Local rows a query may report: live, and passing its filter."""
         if self.deleted is not None:
-            sims = np.where(self.deleted, -np.inf, sims)
-        if mask is not None:
-            admissible = np.flatnonzero(mask)
-            local = top_k_sorted(sims[admissible], k)
-            ids = admissible[local]
-        else:
-            ids = top_k_sorted(sims, k)
-        # Fewer than k admissible objects leave -inf (deleted) entries
-        # in the selection; drop them rather than return inadmissible
-        # rows.
-        return ids[np.isfinite(sims[ids])]
-
-    def _result(self, local: np.ndarray, sims: np.ndarray, stats) -> SearchResult:
-        out_ids = local if self.ids is None else self.ids[local]
-        return SearchResult(ids=out_ids, similarities=sims[local], stats=stats)
-
-    def _refined(
-        self,
-        typed: Query,
-        sims: np.ndarray,
-        k: int,
-        refine: int,
-        weights: Weights | None,
-        stats,
-        mask: np.ndarray | None = None,
-        sparse_engine: str = "auto",
-    ) -> SearchResult:
-        """Two-stage rerank: top ``refine·k`` of the scan, re-scored at
-        full precision against the store's exact tier, cut to *k*.  On a
-        hybrid query the rerank adds the sparse term at the shortlist
-        rows (the first-stage ``sims`` already contain it, so the
-        shortlist is picked under the combined metric)."""
-        shortlist = self._rank(sims, refine * k, mask)
-        if typed.sparse is not None:
-            local, exact = hybrid_rerank(
-                self.space, typed, shortlist, k, weights=weights,
-                stats=stats, engine=sparse_engine,
-            )
-        else:
-            local, exact = rerank_exact(
-                self.space, typed.vector, shortlist, k, weights=weights,
-                stats=stats,
-            )
-        out_ids = local if self.ids is None else self.ids[local]
-        return SearchResult(ids=out_ids, similarities=exact, stats=stats)
+            mask = ~self.deleted if mask is None else mask & ~self.deleted
+        return np.arange(self.n) if mask is None else np.flatnonzero(mask)
 
     def search(
         self,
@@ -146,33 +109,11 @@ class FlatIndex:
         refine: int | None = None,
         sparse_engine: str = "auto",
     ) -> SearchResult:
-        """Exact top-*k* by full scan.
-
-        On a compressed space the scan scores the hot codes; pass
-        ``refine=r`` to re-score the top ``r·k`` survivors at full
-        precision (two-stage rerank) before cutting to *k*.  A typed
-        :class:`Query` supplies per-query ``weights``/``filter``/``k``
-        and an optional ``sparse=`` lexical component, whose scores are
-        mixed into the scan as ``ω_s²·lex`` (``sparse_engine`` picks the
-        lexical scorer; both engines produce the same bits).
-        """
-        require(refine is None or refine >= 1, "refine must be >= 1")
-        typed = as_query(query)
-        query, k, weights, mask = unpack_query(
-            typed, k, weights, self.space.vectors.attributes
-        )
-        scorer = Scorer(self.space, query, weights=weights,
-                        deterministic=self.deterministic)
-        sims = scorer.score_all()
-        if typed.sparse is not None:
-            sims = add_sparse(sims, self.space, typed, engine=sparse_engine)
-        if refine is not None:
-            return self._refined(
-                typed, sims, k, refine, weights, scorer.stats, mask,
-                sparse_engine=sparse_engine,
-            )
-        local = self._rank(sims, k, mask)
-        return self._result(local, sims, scorer.stats)
+        """Exact top-*k* of one query: a batch of one."""
+        return self.batch_search(
+            [query], k, weights=weights, refine=refine,
+            sparse_engine=sparse_engine,
+        )[0]
 
     def batch_search(
         self,
@@ -182,47 +123,101 @@ class FlatIndex:
         refine: int | None = None,
         sparse_engine: str = "auto",
     ) -> list[SearchResult]:
-        """Exact top-*k* for a whole batch — one GEMM for the wave.
+        """Exact top-*k* for a whole batch — the one exact kernel.
 
-        Ranks agree with ``[search(q, k) for q in queries]`` on
-        non-degenerate data, but the similarities travel a different
-        numerical route (rescaled float32 concat GEMM vs the sequential
-        scan's per-modality float64 accumulation) and can diverge by
-        ~1e-7; objects whose joint similarities are closer than that may
-        swap ranks between the two paths.  See :func:`batch_score_all`.
-        ``refine`` applies the same two-stage rerank per query.  Typed
-        queries keep their per-query weights/filters/k inside the shared
-        GEMM wave (each concat column bakes its weights in; masks apply
-        after scoring).
+        One float32 prefilter wave for the batch, then per query a
+        float64 rerank of the rows within the derived band of its
+        cut-off (module docstring).  A query's ids, similarities and
+        work counters do not depend on what else is in *queries*.
+
+        On a compressed space both steps score the hot codes (the
+        rerank, their decoded rows); ``refine=r`` widens the cut-off to
+        the top ``r·k`` and re-scores those against the store's exact
+        cold tier before cutting to *k*.  A typed :class:`Query`
+        supplies per-query ``weights`` / ``filter`` / ``k`` and an
+        optional ``sparse=`` lexical component, added as ``ω_s²·lex`` to
+        prefilter and rerank alike (``sparse_engine`` picks the lexical
+        scorer; both engines produce the same bits).
         """
         require(refine is None or refine >= 1, "refine must be >= 1")
-        attributes = self.space.vectors.attributes
+        space = self.space
         memo: dict = {}  # shared filters compile once per wave
         typed_queries = [as_query(q) for q in queries]
         unpacked = [
-            unpack_query(q, k, weights, attributes, memo=memo)
+            unpack_query(
+                q, k, weights, space.vectors.attributes, self.context,
+                memo=memo,
+            )
             for q in typed_queries
         ]
-        vectors = [u[0] for u in unpacked]
-        all_sims, all_stats = batch_score_all(
-            self.space, vectors, weights=[u[2] for u in unpacked]
+        eps = np.full(len(unpacked), np.inf)
+        if space.vectors.is_ip_only:
+            all_sims, all_stats = batch_score_all(
+                space,
+                [u[0] for u in unpacked],
+                weights=[u[2] for u in unpacked],
+                bounds=eps,
+            )
+        else:  # nothing bounds a cosine / l2 kernel: no prefilter to run
+            all_sims = [None] * len(unpacked)
+            all_stats = [SearchStats() for _ in unpacked]
+        return [
+            self._answer(*args, refine, sparse_engine)
+            for args in zip(typed_queries, unpacked, eps, all_sims, all_stats)
+        ]
+
+    def _answer(
+        self,
+        typed: Query,
+        unpacked: tuple[MultiVector, int, Weights | None, np.ndarray | None],
+        eps: float,
+        sims: np.ndarray | None,
+        stats: SearchStats,
+        refine: int | None,
+        sparse_engine: str,
+    ) -> SearchResult:
+        """One query's shortlist, float64 rerank and cut.  *sims* is its
+        prefilter row and *eps* the bound on it; where that is infinite
+        every admissible row is the shortlist."""
+        space = self.space
+        vector, k, weights, mask = unpacked
+        p = k if refine is None else refine * k
+        rows = self._admissible(mask)
+        lexical = None
+        if typed.sparse is not None:
+            lexical = sparse_term(space, typed, sparse_engine, self.context)
+        if sims is None:
+            stats.visited_vertices += rows.size
+        elif np.isfinite(eps) and p < rows.size:
+            near = sims[rows]
+            band = 2.0 * eps
+            if lexical is not None:
+                near = near + lexical[rows]
+                # The same term joins prefilter and rerank in float64;
+                # each add can round by half an ulp of the largest sum.
+                band += 2.0**-50 * float(np.abs(near).max())
+            cut = near[top_k_sorted(near, p)[-1]]
+            rows = rows[near >= cut - band]
+        stable = space.query_ids_stable(
+            vector, rows, weights=weights, stats=stats
         )
-        out = []
-        for typed, (query, k_i, w_i, mask), sims, stats in zip(
-            typed_queries, unpacked, all_sims, all_stats
-        ):
-            if typed.sparse is not None:
-                sims = add_sparse(
-                    sims, self.space, typed, engine=sparse_engine
-                )
-            if refine is not None:
-                out.append(
-                    self._refined(
-                        typed, sims, k_i, refine, w_i, stats, mask,
-                        sparse_engine=sparse_engine,
-                    )
-                )
-                continue
-            local = self._rank(sims, k_i, mask)
-            out.append(self._result(local, sims, stats))
-        return out
+        if lexical is not None:
+            stable = stable + lexical[rows]
+        reported = rows if self.ids is None else self.ids[rows]
+        order = np.lexsort((reported, -stable))
+        if refine is None:
+            top = order[:k]
+            return SearchResult(reported[top], stable[top], stats)
+        shortlist = rows[order[:p]]
+        if lexical is None:
+            local, exact = rerank_exact(
+                space, vector, shortlist, k, weights=weights, stats=stats
+            )
+        else:
+            local, exact = hybrid_rerank(
+                space, typed, shortlist, k, weights=weights, stats=stats,
+                engine=sparse_engine, context=self.context,
+            )
+        return SearchResult(
+            local if self.ids is None else self.ids[local], exact, stats
+        )

@@ -37,7 +37,10 @@ execution safe when several threads read one index.
 
 :func:`batch_score_all` is the batched (many queries × whole corpus)
 variant: all fast-path queries are stacked into one matrix and scored
-with a single GEMM, the throughput core of the executor's exact path.
+with a single GEMM.  Exact plans use it as a **prefilter** only — it
+also says how far each of its scores can sit from the float64 kernel's,
+and :class:`~repro.index.flat.FlatIndex` re-scores whatever that
+distance cannot rule out.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from repro.core.multivector import MultiVector
 from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
-from repro.store import StackedKernel
+from repro.store import StackedKernel, dot_error
 from repro.utils.validation import require
 
 
@@ -133,17 +136,11 @@ class Scorer:
         weights: Weights | None = None,
         early_termination: bool = False,
         stats: SearchStats | None = None,
-        deterministic: bool = False,
     ):
         self.space = space
         self.query = query
         self.weights = weights
         self.early_termination = bool(early_termination)
-        #: Route full scans through :meth:`JointSpace.query_ids_stable`
-        #: so a row's similarity never depends on the corpus row count —
-        #: the property the segmented exact path needs for bit-identical
-        #: results across segment layouts (BLAS GEMV is not row-stable).
-        self.deterministic = bool(deterministic)
         self.stats = stats if stats is not None else SearchStats()
         # The pruned path scores modality-by-modality on purpose, so the
         # concatenated fast path is only prepared when it is off.
@@ -156,11 +153,10 @@ class Scorer:
         # asymmetric kernels for the whole search, so per-query
         # preprocessing (PQ ADC tables, scalar-quant rescale) is paid
         # once, not per frontier wave.  The Lemma-4 path reuses them via
-        # the ``kernels=`` hook; the deterministic scan never touches
-        # them (it scores through the float64 row-stable route).
+        # the ``kernels=`` hook.
         self._kernels = (
             space.query_kernels(query, weights)
-            if space.is_compressed and not self.deterministic
+            if space.is_compressed
             else None
         )
         # The same kernels keyed by modality, for the Lemma-4 scan's
@@ -234,16 +230,9 @@ class Scorer:
         return sims, sims > threshold
 
     def score_all(self) -> np.ndarray:
-        """Full-corpus joint similarities (the exact-search scan)."""
+        """Full-corpus joint similarities through the hot kernels."""
         n = self.space.n
-        if self.deterministic:
-            sims = self.space.query_ids_stable(self.query, weights=self.weights)
-        elif self._kernels is not None:
-            sims = np.zeros(n, dtype=np.float64)
-            for _, w2_i, kernel in self._kernels:
-                sims += w2_i * kernel.all().astype(np.float64)
-        else:
-            sims = self.space.query_all(self.query, weights=self.weights)
+        sims = self.space.query_all(self.query, weights=self.weights)
         self.stats.joint_evals += n
         self.stats.modality_evals += n * self._active
         self.stats.visited_vertices += n
@@ -319,83 +308,111 @@ def batch_score_all(
     space: JointSpace,
     queries: list[MultiVector],
     weights: Weights | Sequence[Weights | None] | None = None,
+    bounds: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], list[SearchStats]]:
-    """Score many queries against the whole corpus in one GEMM.
+    """Score many queries against the whole corpus in float32 waves.
 
-    The batched exact path of :class:`~repro.index.executor.BatchExecutor`:
-    every query with a concat fast path contributes one column to a
+    Every query with a concat fast path contributes one column to a
     stacked query matrix, and a single ``(n, D) @ (D, b)`` GEMM replaces
-    ``b`` separate scans.  Queries without a fast path (zeroed index
-    weight) fall back to the per-query :meth:`Scorer.score_all`.
+    ``b`` separate scans (Lemma 1).  A query without one — a compressed
+    store, or an override that needs a modality the index weights
+    zeroed — is scored modality by modality through the store's own
+    stacked kernel (:meth:`~repro.store.VectorStore.batch_scores`: one
+    GEMM, or one ADC table block), weighted in float64.  A ``cosine`` /
+    ``l2`` modality has neither and takes the per-query
+    :meth:`Scorer.score_all`.
 
     ``weights`` is either one override for the whole batch or a sequence
     of per-query overrides (the typed-``Query`` path) — each query's
     rescaled concat column already bakes its own weights in, so mixed
     batches still share the one GEMM.
 
-    Returns per-query ``(sims, stats)`` aligned with *queries*.  Note the
-    numerics: the stacked path scores through the rescaled float32
-    concatenation (Lemma 1), while the sequential :meth:`Scorer.score_all`
-    accumulates per modality in float64 — similarities can diverge by
-    ~1e-7 on unit-norm data, which only matters for objects whose joint
-    similarities are closer than that (ranks are unaffected on
-    non-degenerate data).
+    Returns per-query ``(sims, stats)`` aligned with *queries*.  The
+    values are float32 products whose last bits depend on how many
+    queries share the call, so they order candidates and nothing more.
+    How far they can sit from the float64 kernel an exact answer is
+    read from (:meth:`JointSpace.query_ids_stable`) is written into
+    *bounds* when the caller passes one (a float array, one slot per
+    query): an ``ε`` with ``|sims − stable| ≤ ε`` on every row, or
+    ``inf`` where none is proven.  On the concat GEMM a score is one
+    float32 dot product of ``D`` terms between the ω-scaled row and the
+    rescaled query, so the textbook bound applies to their norms, ``ε =
+    γ_D·‖q̃‖₂·max_i‖x̃_i‖₂`` (:func:`~repro.store.dot_error`; the row
+    norm is one scalar per space, :attr:`JointSpace.max_concat_norm`).
+    On the store-kernel route each modality's backend bounds its own
+    wave (:meth:`~repro.store.VectorStore.batch_scores_bound`) and the
+    bounds add under the same ``ω²`` the scores do.  A ``cosine`` /
+    ``l2`` modality, or a backend that declines, leaves ``inf``.
     """
     n = len(queries)
     sims_out: list[np.ndarray | None] = [None] * n
     stats_out: list[SearchStats] = [SearchStats() for _ in range(n)]
     per_query = _per_query_weights(weights, n)
-
-    if space.is_compressed:
-        return _batch_score_compressed(space, queries, per_query, stats_out)
+    if bounds is not None:
+        bounds[:] = np.inf
 
     stacked: list[np.ndarray] = []
     fast_rows: list[int] = []
+    store_rows: list[int] = []
     for row, query in enumerate(queries):
         qcat = space.concat_query(query, per_query[row])
-        if qcat is None:
+        if qcat is not None:
+            stacked.append(qcat)
+            fast_rows.append(row)
+        elif space.vectors.is_ip_only:
+            store_rows.append(row)
+        else:
             scorer = Scorer(space, query, weights=per_query[row],
                             stats=stats_out[row])
             sims_out[row] = scorer.score_all()
-        else:
-            stacked.append(qcat)
-            fast_rows.append(row)
 
     if fast_rows:
-        block = space.concatenated @ np.stack(stacked, axis=1)  # (n_obj, b)
-        block = block.astype(np.float64)
+        columns = np.stack(stacked, axis=1)  # (D, b)
+        block = (space.concatenated @ columns).astype(np.float64)
         for col, row in enumerate(fast_rows):
             sims_out[row] = block[:, col]
-            active = sum(
-                1 for q in queries[row].vectors if q is not None
+        if bounds is not None:
+            bounds[fast_rows] = (
+                dot_error(columns.shape[0])
+                * space.max_concat_norm
+                * np.linalg.norm(columns.astype(np.float64), axis=0)
             )
-            stats = stats_out[row]
-            stats.joint_evals += space.n
-            stats.modality_evals += space.n * active
-            stats.visited_vertices += space.n
+    if store_rows:
+        scored, eps = _batch_score_stores(
+            space,
+            [queries[row] for row in store_rows],
+            [per_query[row] for row in store_rows],
+        )
+        for row, sims in zip(store_rows, scored):
+            sims_out[row] = sims
+        if bounds is not None:
+            bounds[store_rows] = eps
+    for row in fast_rows + store_rows:
+        stats = stats_out[row]
+        active = sum(1 for q in queries[row].vectors if q is not None)
+        stats.joint_evals += space.n
+        stats.modality_evals += space.n * active
+        stats.visited_vertices += space.n
     return sims_out, stats_out
 
 
-def _batch_score_compressed(
+def _batch_score_stores(
     space: JointSpace,
     queries: list[MultiVector],
     weights: list[Weights | None],
-    stats_out: list[SearchStats],
-) -> tuple[list[np.ndarray], list[SearchStats]]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Batched asymmetric scan: one store GEMM/ADC wave per modality.
 
-    The compressed counterpart of the stacked-concat GEMM: for each
-    modality, every query carrying it contributes one column to a stacked
-    query matrix scored by :meth:`~repro.store.VectorStore.batch_scores`
-    (dense-ish backends run one GEMM; PQ gathers one LUT block).  The
-    per-query float64 weighting happens outside the float32 wave — same
-    ~1e-7 numerics caveat as the dense batch path.
+    For each modality, every query carrying it contributes one column to
+    a stacked query matrix scored by
+    :meth:`~repro.store.VectorStore.batch_scores` (dense-ish backends
+    run one GEMM; PQ gathers one LUT block).  The per-query float64
+    weighting happens outside the float32 wave, and weights the store's
+    own error bounds the same way: returns ``(sims, eps)``.
     """
-    n_obj = space.n
     store = space.store
-    sims_out: list[np.ndarray] = [
-        np.zeros(n_obj, dtype=np.float64) for _ in queries
-    ]
+    sims_out = [np.zeros(space.n, dtype=np.float64) for _ in queries]
+    eps = np.zeros(len(queries))
     w2_rows = [
         space.effective_squared_weights(q, w)
         for q, w in zip(queries, weights)
@@ -412,15 +429,11 @@ def _batch_score_compressed(
             [queries[row].vectors[i].astype(np.float32) for row in cols]
         )
         block = store.batch_scores(i, stacked)  # (n_obj, b_i)
+        w2 = np.array([w2_rows[row][i] for row in cols])
+        eps[cols] += w2 * store.batch_scores_bound(i, stacked)
         for col, row in enumerate(cols):
-            sims_out[row] += w2_rows[row][i] * block[:, col].astype(np.float64)
-    for row, query in enumerate(queries):
-        stats = stats_out[row]
-        active = sum(1 for q in query.vectors if q is not None)
-        stats.joint_evals += n_obj
-        stats.modality_evals += n_obj * active
-        stats.visited_vertices += n_obj
-    return sims_out, stats_out
+            sims_out[row] += w2[col] * block[:, col].astype(np.float64)
+    return sims_out, eps
 
 
 def rerank_exact(

@@ -32,23 +32,20 @@ list of segments: :meth:`SegmentedIndex.view` is a live view, and
 **frozen** view (copied bitsets, detached containers) whose answers
 later inserts/deletes/compactions can never change — the snapshot
 primitive the serving layer (:mod:`repro.service`) batches against.
-:meth:`SegmentView.exact_wave` is the serving layer's coalesced exact
-batch: a float32 GEMM prefilter per segment plus a float64 rerank
-through the layout-independent kernel, bit-identical to per-query
-:meth:`SegmentView.exact_search`.
 
-Cross-segment search asks every segment for its top-``l`` candidates
-through the unified scorer stack (:func:`~repro.index.search.joint_search`
-per segment — traversing a sealed graph, scanning the delta —
-:class:`~repro.index.flat.FlatIndex` for exact scans) and merges by
-``(similarity, external id)``.  The exact single-query path scores
-through the layout-independent kernel
-(:meth:`~repro.core.space.JointSpace.query_ids_stable`), so its results
-are **bit-identical regardless of how the corpus is split into
-segments**; the exact batch path keeps the per-segment GEMM waves (same
-~1e-7 numerics caveat as :meth:`FlatIndex.batch_search`).  Graph-path
-determinism mirrors the executor: every segment search starts from that
-segment graph's own entry order (:meth:`GraphIndex.entry_points`).
+Cross-segment search asks every segment for its candidates through the
+unified scorer stack and merges by ``(similarity, external id)``: a
+graph plan takes each segment's top ``l``
+(:func:`~repro.index.search.joint_search` — traversing a sealed graph,
+scanning the delta), an exact plan (:meth:`SegmentView.exact_wave`)
+runs the one exact kernel, :meth:`FlatIndex.batch_search`, per segment.
+That kernel reads its similarities from the layout-independent float64
+route (:meth:`~repro.core.space.JointSpace.query_ids_stable`), where a
+row's score depends on the row and the query alone — which is what makes
+a merge of per-segment answers **bit-identical to one scan of the whole
+corpus**, for a lone query and a wave alike.  Graph-path determinism
+mirrors the executor: every segment search starts from that segment
+graph's own entry order (:meth:`GraphIndex.entry_points`).
 """
 
 from __future__ import annotations
@@ -66,14 +63,14 @@ import numpy as np
 
 from repro.core.attributes import AttributeTable
 from repro.core.multivector import MultiVector, MultiVectorSet
-from repro.core.query import Query, as_query, compile_filter
+from repro.core.query import Query, as_query
 from repro.core.results import SearchResult, SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex, reseat_on_store
 from repro.index.flat import FlatIndex
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.scoring import batch_score_all, rerank_exact
+from repro.index.scoring import rerank_exact
 from repro.index.search import joint_search
 from repro.sparse.store import SparseStats, SparseStore, sum_stats
 from repro.store import (
@@ -363,15 +360,15 @@ class SegmentView:
 
     def prepare_search(self) -> None:
         """Materialise every lazy artifact (per-segment concatenated
-        matrices) so threads reading one frozen view never race to
-        build them.  Compressed segments have no concat matrix to build
-        — materialising one would undo the compression — and their
-        per-query kernels are thread-local by construction.  Entry
-        orders need nothing here: :meth:`GraphIndex.frozen` built them
-        at capture."""
+        matrices and their row-norm scalars) so threads reading one
+        frozen view never race to build them.  Compressed segments have
+        no concat matrix to build — materialising one would undo the
+        compression — and their per-query kernels are thread-local by
+        construction.  Entry orders need nothing here:
+        :meth:`GraphIndex.frozen` built them at capture."""
         for seg in self.segments:
             if not seg.space.is_compressed:
-                seg.space.concatenated
+                seg.space.max_concat_norm
 
     def memory_stats(self) -> dict:
         """Byte accounting split by tier, summed over the segments.
@@ -588,31 +585,35 @@ class SegmentView:
             )
         return results, wave_total
 
-    def exact_search(
+    def exact_wave(
         self,
-        query: MultiVector | Query,
-        k: int = 10,
+        queries: list[MultiVector | Query],
+        k: int,
         weights: Weights | None = None,
         refine: int | None = None,
         sparse_engine: str = "auto",
-    ) -> SearchResult:
-        """Exact cross-segment top-*k* (the MUST-- path over segments).
+    ) -> list[SearchResult]:
+        """Exact cross-segment top-*k* for a batch (the MUST-- plan over
+        segments): the one exact kernel
+        (:meth:`FlatIndex.batch_search`) once per segment, merged per
+        query by ``(-similarity, external id)``.
 
-        Scores through the layout-independent kernel, so the returned ids
-        and similarities are bit-identical to one brute-force scan over
-        the concatenation of all live objects — regardless of the segment
-        layout.  (With exactly tied similarities straddling the cut-off
-        the tie is broken by external id.)  A typed :class:`Query`'s
-        filter mask intersects each segment's deletion bitset, so the
-        same bit-identity holds against a scan over the post-filtered
-        corpus.  On compressed segments the scan covers the *decoded*
-        hot tier; ``refine=r`` re-scores each segment's top ``r·k``
-        against the exact cold tier.
+        The kernel reads every similarity from the row-independent
+        float64 route, so ids and similarities are bit-identical to one
+        brute-force scan over the concatenation of all live objects —
+        however the corpus is split into segments, and whether the query
+        came alone or in a wave (a lone query is ``exact_wave([q],
+        k)[0]``).  A typed :class:`Query`'s filter compiles against each
+        segment's own attribute slice and intersects its deletion
+        bitset; a hybrid one (``Query.sparse=``) is a row of the same
+        wave.  On compressed segments the scan covers the *decoded* hot
+        tier; ``refine=r`` re-scores each segment's top ``r·k`` against
+        the exact cold tier before the merge.
         """
-        typed = as_query(query)
-        k = typed.resolve_k(k)
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        stats_parts: list[SearchStats] = []
+        require(k >= 1, "k must be positive")
+        typed = [as_query(q) for q in queries]
+        parts: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in typed]
+        stats_parts: list[list[SearchStats]] = [[] for _ in typed]
         for seg in self.segments:
             if seg.num_active == 0:
                 continue
@@ -620,194 +621,24 @@ class SegmentView:
                 seg.space,
                 deleted=seg.index.deleted,
                 ids=seg.ext_ids,
-                deterministic=True,
-            )
-            res = flat.search(typed, k, weights=weights, refine=refine,
-                              sparse_engine=sparse_engine)
-            res.stats.segments_probed = 1
-            parts.append((res.ids, res.similarities))
-            stats_parts.append(res.stats)
-        ids, sims = _merge_candidates(parts, k)
-        return SearchResult(ids, sims, SearchStats.aggregate(stats_parts))
-
-    def exact_batch(
-        self,
-        queries: list[MultiVector | Query],
-        k: int,
-        weights: Weights | None = None,
-        refine: int | None = None,
-        sparse_engine: str = "auto",
-    ) -> list[SearchResult]:
-        """Exact batch: one GEMM wave per segment, merged per query.
-
-        Throughput path — same numerics caveat as
-        :meth:`FlatIndex.batch_search`: the stacked GEMM can diverge from
-        the single-query kernel by ~1e-7, so ranks (not bits) are the
-        contract here.  Typed queries keep their per-query
-        weights/filters/k inside the shared per-segment waves.
-        ``refine`` reranks per segment as in :meth:`exact_search`.  For
-        a coalesced wave that reproduces :meth:`exact_search` bit for
-        bit, use :meth:`exact_wave`.
-        """
-        queries = list(queries)
-        ks = [as_query(q).resolve_k(k) for q in queries]
-        per_query: list[list[tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in queries
-        ]
-        per_stats: list[list[SearchStats]] = [[] for _ in queries]
-        for seg in self.segments:
-            if seg.num_active == 0:
-                continue
-            flat = FlatIndex(
-                seg.space, deleted=seg.index.deleted, ids=seg.ext_ids
+                context=f"{seg.kind} segment",
             )
             for j, res in enumerate(
-                flat.batch_search(queries, k, weights, refine=refine,
-                                  sparse_engine=sparse_engine)
-            ):
-                res.stats.segments_probed = 1
-                per_query[j].append((res.ids, res.similarities))
-                per_stats[j].append(res.stats)
-        out = []
-        for k_j, parts, stats_parts in zip(ks, per_query, per_stats):
-            ids, sims = _merge_candidates(parts, k_j)
-            out.append(
-                SearchResult(ids, sims, SearchStats.aggregate(stats_parts))
-            )
-        return out
-
-    def exact_wave(
-        self,
-        queries: list[MultiVector | Query],
-        k: int,
-        weights: Weights | None = None,
-        refine: int | None = None,
-        margin: float = 1e-4,
-        sparse_engine: str = "auto",
-    ) -> list[SearchResult]:
-        """Coalesced exact batch, bit-identical to :meth:`exact_search`.
-
-        The serving layer's exact path: one **float32 GEMM prefilter**
-        per segment scores the whole wave at BLAS-batch throughput, then
-        each query re-scores only the rows within ``margin`` of its
-        per-segment cut-off through the layout-independent float64
-        kernel (:meth:`~repro.core.space.JointSpace.query_ids_stable`) —
-        the same kernel :meth:`exact_search` scans with.  Because that
-        kernel is row-independent, the reranked shortlist carries the
-        *identical* similarities a full single-query scan would produce,
-        so the merged result equals ``[exact_search(q, k) for q in
-        queries]`` bit for bit whenever the shortlist contains the true
-        top candidates — guaranteed when ``margin`` exceeds twice the
-        prefilter's absolute error (float32 GEMM vs the float64 scan,
-        observed ≤ ~1e-5 on unit-norm data; the default leaves a 10×
-        cushion).  Exactly tied similarities straddling a cut-off remain
-        the one caveat, as in :meth:`exact_search` itself.
-
-        ``refine=r`` feeds the same top ``r·k`` per-segment shortlist to
-        :func:`rerank_exact` that the single-query path would, preserving
-        bit-identity through the two-stage pipeline.
-
-        Hybrid queries (``Query.sparse=``) route straight through
-        :meth:`exact_search` — the GEMM prefilter's margin bound covers
-        only the dense term, so a hybrid query cannot share the wave;
-        per-query routing keeps the bit-identity contract trivially.
-        """
-        require(k >= 1, "k must be positive")
-        require(refine is None or refine >= 1, "refine must be >= 1")
-        require(margin >= 0.0, "margin must be non-negative")
-        typed = [as_query(q) for q in queries]
-        vectors = [q.vector for q in typed]
-        ks = [q.resolve_k(k) for q in typed]
-        ws = [q.resolve_weights(weights) for q in typed]
-        ps = [k_j if refine is None else refine * k_j for k_j in ks]
-        routed: dict[int, SearchResult] = {}
-        plain = []
-        for j, t in enumerate(typed):
-            if t.sparse is not None:
-                routed[j] = self.exact_search(
-                    t, k, weights=weights, refine=refine,
+                flat.batch_search(
+                    typed, k, weights, refine=refine,
                     sparse_engine=sparse_engine,
                 )
-            else:
-                plain.append(j)
-        per_query: list[list[tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in typed
+            ):
+                res.stats.segments_probed = 1
+                parts[j].append((res.ids, res.similarities))
+                stats_parts[j].append(res.stats)
+        return [
+            SearchResult(
+                *_merge_candidates(p_j, q.resolve_k(k)),
+                SearchStats.aggregate(s_j),
+            )
+            for q, p_j, s_j in zip(typed, parts, stats_parts)
         ]
-        per_stats: list[list[SearchStats]] = [[] for _ in typed]
-        for seg in self.segments:
-            if seg.num_active == 0 or not plain:
-                continue
-            sims_list, stats_list = batch_score_all(
-                seg.space, [vectors[j] for j in plain],
-                weights=[ws[j] for j in plain],
-            )
-            deleted = seg.index.deleted
-            attributes = seg.space.vectors.attributes
-            memo: dict = {}  # shared filters compile once per segment
-            for idx, j in enumerate(plain):
-                query = vectors[j]
-                sims, stats = sims_list[idx], stats_list[idx]
-                k_j, p = ks[j], ps[j]
-                if deleted is not None:
-                    sims = np.where(deleted, -np.inf, sims)
-                candidates = None
-                admissible = seg.num_active
-                if typed[j].filter is not None:
-                    # Same masking the per-query exact path applies: the
-                    # filter mask intersects the deletion bitset, so the
-                    # wave stays bit-identical to exact_search.  The
-                    # cut-off search runs over the compacted admissible
-                    # rows (argpartition degrades on -inf runs).
-                    mask = compile_filter(
-                        typed[j].filter, attributes,
-                        context=f"{seg.kind} segment", memo=memo,
-                    )
-                    sims = np.where(mask, sims, -np.inf)
-                    candidates = np.flatnonzero(np.isfinite(sims))
-                    admissible = int(candidates.size)
-                    if admissible == 0:
-                        stats.segments_probed = 1
-                        per_stats[j].append(stats)
-                        continue
-                if p >= admissible:
-                    shortlist = np.flatnonzero(np.isfinite(sims))
-                elif candidates is None:
-                    kth = np.partition(sims, seg.n - p)[seg.n - p]
-                    shortlist = np.flatnonzero(sims >= kth - margin)
-                else:
-                    sub = sims[candidates]
-                    kth = np.partition(sub, admissible - p)[admissible - p]
-                    shortlist = candidates[sub >= kth - margin]
-                stable = seg.space.query_ids_stable(
-                    query, shortlist, weights=ws[j], stats=stats
-                )
-                order = np.lexsort((shortlist, -stable))
-                if refine is None:
-                    top = order[:k_j]
-                    ids = seg.ext_ids[shortlist[top]]
-                    exact = stable[top]
-                else:
-                    cand = shortlist[order[:p]]
-                    local, exact = rerank_exact(
-                        seg.space, query, cand, k_j,
-                        weights=ws[j], stats=stats,
-                    )
-                    ids = seg.ext_ids[local]
-                stats.segments_probed = 1
-                per_query[j].append((ids, exact))
-                per_stats[j].append(stats)
-        out = []
-        for j, (k_j, parts, stats_parts) in enumerate(
-            zip(ks, per_query, per_stats)
-        ):
-            if j in routed:
-                out.append(routed[j])
-                continue
-            ids, sims = _merge_candidates(parts, k_j)
-            out.append(
-                SearchResult(ids, sims, SearchStats.aggregate(stats_parts))
-            )
-        return out
 
 
 class SegmentedIndex:
@@ -1535,7 +1366,7 @@ class SegmentedIndex:
                 old.weights,
             )
             new_space._concat = old._concat
-            new_space._f64 = old._f64
+            new_space._concat_norm = old._concat_norm
             seg.index.space = new_space
         if self.delta.n and self.delta.sparse is not None:
             self.delta.sparse = self.delta.sparse.with_stats(stats)

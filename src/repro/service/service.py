@@ -46,6 +46,7 @@ requests happened to share its wave.
 
 from __future__ import annotations
 
+import logging
 import queue
 import threading
 import time
@@ -105,9 +106,6 @@ class ServiceConfig:
     accepted-but-undispatched requests; ``backpressure`` picks what a
     full queue does to ``submit`` (``"block"`` waits up to
     ``submit_timeout_s``, ``"reject"`` raises immediately).
-    ``exact_margin`` is the prefilter safety band of the coalesced
-    exact wave (see
-    :meth:`~repro.index.segments.SegmentView.exact_wave`).
     """
 
     max_batch: int = 32
@@ -115,7 +113,6 @@ class ServiceConfig:
     max_queue: int = 256
     backpressure: str = "block"
     submit_timeout_s: float | None = 30.0
-    exact_margin: float = 1e-4
     latency_window: int = 10_000
 
     def __post_init__(self) -> None:
@@ -130,7 +127,6 @@ class ServiceConfig:
             self.submit_timeout_s is None or self.submit_timeout_s >= 0.0,
             "submit_timeout_s must be non-negative or None",
         )
-        require(self.exact_margin >= 0.0, "exact_margin must be non-negative")
         require(self.latency_window >= 1, "latency_window must be positive")
 
 
@@ -145,6 +141,8 @@ class _Request:
     future: "Future[SearchResult]" = field(default_factory=Future)
     submitted: float = field(default_factory=time.perf_counter)
 
+
+logger = logging.getLogger(__name__)
 
 _STOP = object()  # queue sentinel: drain everything before it, then exit
 
@@ -166,11 +164,8 @@ class MustService:
     capture.
 
     Parity: a response is bit-identical to ``MUST.query`` with the
-    same arguments against the request's snapshot — on every path of a
-    segmented instance, and on the graph path of a single-graph
-    instance; single-graph *exact* requests coalesce through the
-    GEMM batch (same ranks, similarities within ~1e-7 — see
-    :meth:`IndexSnapshot.exact_wave`).
+    same arguments against the request's snapshot — on the graph and
+    the exact path of both layouts, coalesced or not.
 
     Use as a context manager or call :meth:`close` to stop the
     dispatcher; ``start=False`` defers the dispatcher thread (requests
@@ -677,11 +672,8 @@ class MustService:
             batch = view.graph_wave(
                 [r.query for r in reqs], reqs[0].options
             )
-        except Exception:
-            # One request's doing (an unknown filter attribute, say)
-            # must not fail its wave-mates — retry individually so only
-            # the offender's future errors.
-            self._run_requests(snap, reqs)
+        except Exception as exc:
+            self._retry_alone("graph", snap, reqs, exc)
             return
         self.stats.record_graph_wave(
             batch.stats.waves, batch.stats.frontier_sizes
@@ -716,18 +708,34 @@ class MustService:
                 [r.query for r in reqs],
                 opts.k,
                 refine=opts.refine,
-                margin=self.config.exact_margin,
                 sparse_engine=opts.sparse_engine,
             )
-        except Exception:
-            # A wave failure may be one request's doing (a filter naming
-            # an unknown attribute, say) — retry individually so only
-            # the offender's future errors and its wave-mates still get
-            # answers (the per-request containment contract).
-            self._run_requests(snap, reqs)
+        except Exception as exc:
+            self._retry_alone("exact", snap, reqs, exc)
             return
         for req, res in zip(reqs, results):
             self._resolve(req, res)
+
+    def _retry_alone(
+        self,
+        kind: str,
+        snap: IndexSnapshot | None,
+        reqs: list[_Request],
+        error: Exception,
+    ) -> None:
+        """A coalesced group failed as a whole.  That may be one
+        request's doing (a filter naming an unknown attribute, say), so
+        each is re-run on its own: only the offender's future errors and
+        its wave-mates still get answers — the per-request containment
+        contract.  Counted and logged, because a group that keeps
+        failing pays for every request twice."""
+        self.stats.record_wave_retry()
+        reqs[0].collection.stats.record_wave_retry()
+        logger.warning(
+            "event=wave_retry kind=%s size=%d error=%r",
+            kind, len(reqs), error,
+        )
+        self._run_requests(snap, reqs)
 
     def _resolve(self, req: _Request, outcome: object) -> None:
         """Deliver *outcome* through the request's future.

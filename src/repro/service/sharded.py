@@ -214,18 +214,12 @@ class _ShardCollection:
 
     # Commands ---------------------------------------------------------
     def exact_wave(
-        self, queries: list[Query], options: SearchOptions, margin: float
+        self, queries: list[Query], options: SearchOptions
     ) -> list[SearchResult]:
         view = self.view()
         if view.num_segments == 0:
             return [_empty_result() for _ in queries]
-        return view.exact_wave(
-            queries,
-            options.k,
-            refine=options.refine,
-            margin=margin,
-            sparse_engine=options.sparse_engine,
-        )
+        return execute(view, queries, options).results
 
     def graph_wave(
         self, queries: list[Query], options: SearchOptions
@@ -1036,16 +1030,12 @@ class ShardedService(MustService):
     ) -> None:
         queries = [r.query for r in reqs]
         command = (
-            "exact_wave",
-            reqs[0].collection.name,
-            queries,
-            reqs[0].options,
-            self.config.exact_margin,
+            "exact_wave", reqs[0].collection.name, queries, reqs[0].options
         )
         replies = self._gather(
             {s: (command, len(queries)) for s in self.live_shards}
         )
-        self._finish_group(reqs, replies)
+        self._finish_group("exact", reqs, replies)
 
     def _run_graph_wave(
         self, snap: IndexSnapshot | None, reqs: list[_Request]
@@ -1057,7 +1047,7 @@ class ShardedService(MustService):
         replies = self._gather(
             {s: (command, len(queries)) for s in self.live_shards}
         )
-        self._finish_group(reqs, replies)
+        self._finish_group("graph", reqs, replies)
 
     def _run_requests(
         self, snap: IndexSnapshot | None, reqs: list[_Request]
@@ -1112,7 +1102,7 @@ class ShardedService(MustService):
             )
 
     def _finish_group(
-        self, reqs: list[_Request], replies: dict[int, Any]
+        self, kind: str, reqs: list[_Request], replies: dict[int, Any]
     ) -> None:
         """Merge per-shard pools into per-request answers.
 
@@ -1139,8 +1129,7 @@ class ShardedService(MustService):
                 self._resolve(req, dead[0])
             return
         if errors:
-            # Containment: rerun the group one request at a time.
-            self._run_requests(None, reqs)
+            self._retry_alone(kind, None, reqs, errors[0])
             return
         per_shard_results: list[list[SearchResult]] = []
         wave_stats: list[SearchStats] = []

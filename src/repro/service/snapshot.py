@@ -8,14 +8,16 @@ the two states a framework instance can be in:
 
 * **segmented** — wraps :meth:`SegmentedIndex.snapshot`, a frozen
   :class:`~repro.index.segments.SegmentView` (copied §IX bitsets,
-  detached containers; vectors shared copy-on-write).  Searches are
-  bit-identical to what ``MUST.query`` answered at capture time, on
-  both the graph and the exact path.
+  detached containers; vectors shared copy-on-write).
 * **single-graph** — a not-yet-segmented instance.  The built graph is
   immutable apart from its deletion bitset, so the snapshot is its
   :meth:`~repro.index.base.GraphIndex.frozen` copy; the exact path
   keeps the full-precision scan over ``MUST.space`` (compression never
-  touches it), again matching ``MUST.query`` bit for bit.
+  touches it).
+
+On both, and on both the graph and the exact path, a search is
+bit-identical to what ``MUST.query`` answered at capture time — alone
+or coalesced into a wave, because no engine reads its wave-mates.
 
 Either way the snapshot is a *target* of
 :func:`repro.index.executor.execute` — the same dispatcher
@@ -100,16 +102,17 @@ class IndexSnapshot:
         return int(self.target.exact_space.n)
 
     def prepare(self) -> None:
-        """Materialise lazy per-space artifacts (concat matrices) so
-        threads reading this snapshot never race to build them (the
-        entry order was built at capture, by ``GraphIndex.frozen``)."""
+        """Materialise lazy per-space artifacts (concat matrices and
+        their row-norm scalars) so threads reading this snapshot never
+        race to build them (the entry order was built at capture, by
+        ``GraphIndex.frozen``)."""
         if isinstance(self.target, SegmentView):
             self.target.prepare_search()
             return
         assert self.target.index is not None  # of() captured a built graph
         for space in (self.target.index.space, self.target.exact_space):
             if not space.is_compressed:
-                space.concatenated
+                space.max_concat_norm
 
     # ------------------------------------------------------------------
     # Searching
@@ -154,34 +157,22 @@ class IndexSnapshot:
         k: int,
         weights: Weights | None = None,
         refine: int | None = None,
-        margin: float = 1e-4,
         sparse_engine: str = "auto",
     ) -> list[SearchResult]:
-        """Coalesced exact batch — the serving layer's GEMM fast path.
+        """Coalesced exact group — one prefilter GEMM per segment (or
+        one, on a single graph) carries every request.
 
-        On a segmented snapshot this is
-        :meth:`~repro.index.segments.SegmentView.exact_wave`:
-        bit-identical to a per-request exact :meth:`query` (float32
-        GEMM prefilter + layout-independent float64 rerank within
-        ``margin`` of each cut-off).  On a single-graph snapshot the
-        exact scan is a full-matrix float32 GEMV whose values cannot be
-        reproduced on row subsets, so the wave falls back to
-        :meth:`FlatIndex.batch_search` — same ranks on non-degenerate
-        data, similarities within ~1e-7 (see its docstring).
+        The one exact kernel (:meth:`FlatIndex.batch_search`) behind
+        :meth:`~repro.index.segments.SegmentView.exact_wave` or the
+        single graph's scanner, so each answer is bit-identical to the
+        same request sent alone through :meth:`query`.
         """
-        if isinstance(self.target, SegmentView):
-            return self.target.exact_wave(
-                list(queries),
-                k,
-                weights=weights,
-                refine=refine,
-                margin=margin,
-                sparse_engine=sparse_engine,
-            )
-        return self.target.flat().batch_search(
-            list(queries),
-            k,
-            weights=weights,
-            refine=refine,
+        scan = (
+            self.target.exact_wave
+            if isinstance(self.target, SegmentView)
+            else self.target.flat().batch_search
+        )
+        return scan(
+            list(queries), k, weights=weights, refine=refine,
             sparse_engine=sparse_engine,
         )

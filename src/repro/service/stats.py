@@ -39,6 +39,9 @@ class ServiceStats:
       frontier size → count), recorded once per ``engine="wave"``
       group the dispatcher executes; both empty unless clients opt
       into the wave engine.
+    * ``wave_retries`` — coalesced groups (exact or graph) that raised
+      as a whole and were re-run request by request; each also leaves
+      an ``event=wave_retry`` log record.
     """
 
     def __init__(self, latency_window: int = 10_000) -> None:
@@ -57,6 +60,7 @@ class ServiceStats:
         self.queue_depths: Counter[int] = Counter()
         self.graph_waves: Counter[int] = Counter()
         self.wave_frontier_sizes: Counter[int] = Counter()
+        self.wave_retries = 0
         # Per-shard instruments (populated only by ShardedService): for
         # each shard, round-trip latency percentiles of its scatter
         # waves and a histogram of how many queries each wave carried —
@@ -96,6 +100,10 @@ class ServiceStats:
             self.graph_waves[int(waves)] += 1
             for size in frontier_sizes:
                 self.wave_frontier_sizes[int(size)] += 1
+
+    def record_wave_retry(self) -> None:
+        with self._lock:
+            self.wave_retries += 1
 
     def record_shard_wave(
         self, shard: int, seconds: float, size: int
@@ -193,6 +201,7 @@ class ServiceStats:
                 "queue_depths": queue_depths,
                 "graph_waves": graph_waves,
                 "wave_frontier_sizes": wave_frontier_sizes,
+                "wave_retries": self.wave_retries,
                 "shards": shards,
                 "shards_lost": self.shards_lost,
             }

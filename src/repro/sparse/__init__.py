@@ -11,12 +11,12 @@ by :mod:`repro.sparse.hybrid`.
 """
 
 from repro.sparse.hybrid import (
-    add_sparse,
     hybrid_rerank,
     hybrid_union_rescore,
     is_hybrid,
     sparse_candidates,
     sparse_plane,
+    sparse_term,
 )
 from repro.sparse.inverted import (
     sparse_scores,
@@ -41,7 +41,6 @@ __all__ = [
     "SparseQuery",
     "SparseStats",
     "SparseStore",
-    "add_sparse",
     "as_sparse_query",
     "hybrid_rerank",
     "hybrid_union_rescore",
@@ -52,6 +51,7 @@ __all__ = [
     "sparse_scores_bruteforce",
     "sparse_scores_inverted",
     "sparse_scores_reference",
+    "sparse_term",
     "sparse_topk",
     "sum_stats",
 ]

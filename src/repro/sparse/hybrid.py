@@ -38,12 +38,12 @@ if TYPE_CHECKING:
     from repro.core.weights import Weights
 
 __all__ = [
-    "add_sparse",
     "hybrid_rerank",
     "hybrid_union_rescore",
     "is_hybrid",
     "sparse_candidates",
     "sparse_plane",
+    "sparse_term",
 ]
 
 
@@ -71,21 +71,23 @@ def sparse_plane(space: "JointSpace", context: str = "corpus") -> SparseStore:
     return plane
 
 
-def add_sparse(
-    sims: np.ndarray,
+def sparse_term(
     space: "JointSpace",
     typed: Any,
     engine: str = "auto",
     context: str = "corpus",
 ) -> np.ndarray:
-    """Full-corpus hybrid scores: ``dense + ω_s²·sparse`` (float64).
+    """The lexical half of a hybrid score on every row: ``ω_s²·sparse``
+    (float64, shape ``(n,)``).
 
-    *sims* is a full ``(n,)`` dense score array; the sparse term is
-    bit-identical across engines, so the combined array is too.
+    Exact float64 per row and bit-identical across engines, so adding
+    it to a dense prefilter and to the dense rerank alike moves both by
+    the same amount — an exact scan's safety band only has to cover the
+    dense term.
     """
     plane = sparse_plane(space, context)
     w2 = float(typed.sparse_weight) ** 2
-    return sims + w2 * sparse_scores(plane, typed.sparse, engine)
+    return w2 * sparse_scores(plane, typed.sparse, engine)
 
 
 def sparse_candidates(
@@ -172,14 +174,13 @@ def hybrid_rerank(
     come from the store's cold exact tier — with the sparse term added
     at the shortlist rows before the canonical cut.
     """
-    plane = sparse_plane(space, context)
+    lexical = sparse_term(space, typed, engine, context)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         return ids, np.zeros(0, dtype=np.float64)
     dense = space.query_ids_exact(
         typed.vector, ids, weights=weights, stats=stats
     )
-    w2 = float(typed.sparse_weight) ** 2
-    sims = dense + w2 * sparse_scores(plane, typed.sparse, engine)[ids]
+    sims = dense + lexical[ids]
     order = np.lexsort((ids, -sims))[:k]
     return ids[order], sims[order]

@@ -19,7 +19,9 @@ from repro.store.base import (
     ModalityKernel,
     StackedKernel,
     VectorStore,
+    dot_error,
     make_store,
+    max_row_norm,
     register_store,
     store_from_arrays,
 )
@@ -41,7 +43,9 @@ __all__ = [
     "ModalityKernel",
     "StackedKernel",
     "VectorStore",
+    "dot_error",
     "make_store",
+    "max_row_norm",
     "register_store",
     "store_from_arrays",
     "DenseStore",

@@ -41,10 +41,38 @@ __all__ = [
     "StackedKernel",
     "VectorStore",
     "STORE_KINDS",
+    "dot_error",
+    "max_row_norm",
     "register_store",
     "make_store",
     "store_from_arrays",
 ]
+
+
+def dot_error(length: int) -> float:
+    """``γ`` with ``|fl32(x·y) − x·y| ≤ γ·‖x‖₂·‖y‖₂`` for a float32 dot
+    product of *length* terms.
+
+    The standard bound ``γ_n = n·u / (1 − n·u)`` (``u = 2⁻²⁴``) holds
+    for any summation order, so it covers whatever blocking the BLAS
+    picks, and ``Σ|x_d·y_d| ≤ ‖x‖·‖y‖`` turns it into norms.  The eight
+    extra terms pay for what surrounds the product in the hot kernels:
+    the roundings that made the operands (an ω-scale, an int8 step, a
+    decode), the final add of an offset, and the float64 reference's
+    own ``2⁻⁵³`` noise.
+    """
+    g = (length + 8) * 2.0**-24
+    return g / (1.0 - g)
+
+
+def max_row_norm(mat: np.ndarray) -> float:
+    """Largest row 2-norm of *mat*, accumulated in float64 (the einsum
+    casts buffer by buffer — no float64 copy of the matrix)."""
+    if mat.shape[0] == 0:
+        return 0.0
+    return float(
+        np.sqrt(np.einsum("ij,ij->i", mat, mat, dtype=np.float64).max())
+    )
 
 
 class ModalityKernel(abc.ABC):
@@ -191,6 +219,18 @@ class VectorStore(abc.ABC):
         for col in range(queries.shape[0]):
             out[:, col] = self.query_kernel(i, queries[col]).all()
         return out
+
+    def batch_scores_bound(self, i: int, queries: np.ndarray) -> np.ndarray:
+        """Per query ``j``, an ``ε_j`` with ``|batch_scores(i, queries)[r,
+        j] − decoded_row_r · q_j| ≤ ε_j`` on every row ``r``, shape
+        ``(b,)`` — what lets an exact scan trust the float32 wave as a
+        prefilter (:meth:`~repro.index.flat.FlatIndex.batch_search`).
+
+        A backend answers from its own arithmetic; this default proves
+        nothing and says so with ``inf``, which makes the caller score
+        every row through the float64 kernel instead of guessing.
+        """
+        return np.full(np.asarray(queries).shape[0], np.inf)
 
     # ------------------------------------------------------------------
     # Lifecycle

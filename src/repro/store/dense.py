@@ -20,6 +20,8 @@ from repro.store.base import (
     ModalityKernel,
     StackedKernel,
     VectorStore,
+    dot_error,
+    max_row_norm,
     register_store,
 )
 from repro.store.mmap import ColdPlane, as_cold_plane
@@ -72,6 +74,20 @@ class _StackedHalfKernel(StackedKernel):
         return np.einsum("ij,ij->i", rows, self.queries[owner])
 
 
+def _gemm_bound(
+    norms: list[float | None], mats: Sequence[np.ndarray], i: int,
+    queries: np.ndarray,
+) -> np.ndarray:
+    """Bound of ``mats[i] @ queries.T`` against the same rows' float64
+    products: one float32 dot of ``d`` terms per entry, so
+    ``γ_d·max‖row‖·‖q‖``.  The row norm is taken once per modality
+    into *norms* (the store never changes)."""
+    if norms[i] is None:
+        norms[i] = max_row_norm(mats[i])
+    q_norms = np.linalg.norm(np.asarray(queries, dtype=np.float64), axis=1)
+    return dot_error(mats[i].shape[1]) * norms[i] * q_norms
+
+
 def _check_matrices(matrices: Sequence[np.ndarray], dtype) -> tuple[np.ndarray, ...]:
     mats = tuple(np.ascontiguousarray(m, dtype=dtype) for m in matrices)
     require(len(mats) >= 1, "at least one modality matrix required")
@@ -91,6 +107,7 @@ class DenseStore(VectorStore):
 
     def __init__(self, matrices: Sequence[np.ndarray]):
         self._mats = _check_matrices(matrices, np.float32)
+        self._norms: list[float | None] = [None] * len(self._mats)
 
     # -- shape ----------------------------------------------------------
     @property
@@ -116,6 +133,9 @@ class DenseStore(VectorStore):
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:
         q = np.ascontiguousarray(queries, dtype=np.float32)
         return self._mats[i] @ q.T
+
+    def batch_scores_bound(self, i: int, queries: np.ndarray) -> np.ndarray:
+        return _gemm_bound(self._norms, self._mats, i, queries)
 
     # -- lifecycle ------------------------------------------------------
     def subset(self, ids: np.ndarray) -> "DenseStore":
@@ -168,6 +188,7 @@ class HalfStore(VectorStore):
             n=self._half[0].shape[0],
             dims=tuple(m.shape[1] for m in self._half),
         )
+        self._norms: list[float | None] = [None] * len(self._half)
 
     # -- shape ----------------------------------------------------------
     @property
@@ -211,6 +232,11 @@ class HalfStore(VectorStore):
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:
         q = np.ascontiguousarray(queries, dtype=np.float32)
         return self._half[i] @ q.T
+
+    def batch_scores_bound(self, i: int, queries: np.ndarray) -> np.ndarray:
+        # The product up-casts the float16 rows exactly, then runs in
+        # float32: the dense bound over the half-precision rows.
+        return _gemm_bound(self._norms, self._half, i, queries)
 
     # -- lifecycle ------------------------------------------------------
     def subset(self, ids: np.ndarray) -> "HalfStore":

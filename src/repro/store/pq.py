@@ -23,6 +23,7 @@ from repro.store.base import (
     ModalityKernel,
     StackedKernel,
     VectorStore,
+    dot_error,
     register_store,
 )
 from repro.store.mmap import ColdPlane, as_cold_plane
@@ -209,6 +210,18 @@ class PQStore(VectorStore):
         for m in range(luts.shape[1]):
             out += luts[:, m, :].T[codes[:, m]]  # (n, b) gather
         return out
+
+    def batch_scores_bound(self, i: int, queries: np.ndarray) -> np.ndarray:
+        # A score is a float32 sum of M table entries, each a float32
+        # dot of ds terms: both errors scale with the tables' mass,
+        # Σ_m max_c‖book[m, c]‖·‖q_m‖ (padded dims carry a zero query).
+        book = self._books[i].astype(np.float64)
+        m_sub, _, ds = book.shape
+        reach = np.sqrt((book * book).sum(axis=2).max(axis=1))  # (M,)
+        q = np.zeros((np.asarray(queries).shape[0], m_sub * ds))
+        q[:, : self._dims[i]] = queries
+        q_norms = np.linalg.norm(q.reshape(-1, m_sub, ds), axis=2)  # (b, M)
+        return dot_error(m_sub + ds) * (q_norms @ reach)
 
     # -- lifecycle ------------------------------------------------------
     def subset(self, ids: np.ndarray) -> "PQStore":

@@ -24,6 +24,7 @@ from repro.store.base import (
     ModalityKernel,
     StackedKernel,
     VectorStore,
+    dot_error,
     register_store,
 )
 from repro.store.mmap import ColdPlane, as_cold_plane
@@ -150,6 +151,18 @@ class ScalarQuantStore(VectorStore):
         scaled = q * self._steps[i]
         offsets = q @ self._lows[i]  # (b,)
         return self._codes[i] @ scaled.T + offsets[None, :]
+
+    def batch_scores_bound(self, i: int, queries: np.ndarray) -> np.ndarray:
+        # Both sides are sums of q_d·(code_d·step_d + low_d) up to a few
+        # float32 roundings per term (the pre-scaled query and the
+        # offset here, the two-op decode in the float64 reference), so
+        # the dot bound applies to ‖code ⊙ step‖ + ‖low‖ — at most
+        # 255·‖step‖ + ‖low‖, which needs no pass over the rows.
+        steps = self._steps[i].astype(np.float64)
+        lows = self._lows[i].astype(np.float64)
+        reach = 255.0 * np.linalg.norm(steps) + np.linalg.norm(lows)
+        q_norms = np.linalg.norm(np.asarray(queries, dtype=np.float64), axis=1)
+        return dot_error(steps.shape[0]) * reach * q_norms
 
     # -- lifecycle ------------------------------------------------------
     def subset(self, ids: np.ndarray) -> "ScalarQuantStore":

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.multivector import MultiVector, MultiVectorSet, normalize_rows
+from repro.core.results import SearchResult
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.datasets import EncoderCombo, encode_dataset, make_mitstates
@@ -39,6 +40,25 @@ def random_query(dims: tuple[int, ...], seed: int = 0) -> MultiVector:
             for d in dims
         )
     )
+
+
+def stable_oracle(
+    space: JointSpace,
+    query: MultiVector,
+    k: int,
+    *,
+    ids: np.ndarray | None = None,
+    deleted: np.ndarray | None = None,
+) -> SearchResult:
+    """The exact plans' reference: every row through the row-independent
+    float64 kernel, live rows ordered by ``(-similarity, reported
+    id)``."""
+    sims = space.query_ids_stable(query)
+    reported = np.arange(space.n) if ids is None else np.asarray(ids)
+    if deleted is not None:
+        sims, reported = sims[~deleted], reported[~deleted]
+    order = np.lexsort((reported, -sims))[:k]
+    return SearchResult(reported[order], sims[order])
 
 
 @pytest.fixture(scope="session")

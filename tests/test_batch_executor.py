@@ -190,7 +190,10 @@ class TestBaselineBatchPaths:
         for q, res in zip(queries, batch):
             ref = brute.search(q, k=K)
             assert np.array_equal(res.ids, ref.ids)
-        assert batch.stats.joint_evals == N * len(queries)
+            assert res.stats == ref.stats
+        # Per query: the prefilter over every row plus the reranked
+        # shortlist (exactly k rows on this well-separated corpus).
+        assert batch.stats.joint_evals == (N + K) * len(queries)
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_multi_streamed_batch(self, must, queries, n_jobs):

@@ -13,9 +13,8 @@ The contracts under test, per ISSUE 3's acceptance criteria:
   statistical.
 * The per-modality fallback (zero index weight + query-time override)
   stays bit-identical between the executor's batch and a lone query.
-* The lazy ``JointSpace`` caches respect the cap/guard satellite:
-  ``drop_caches()`` releases them and ``REPRO_F64_CACHE_MB`` bounds the
-  float64 scan cache.
+* The lazy ``JointSpace`` cache (the ω-scaled concatenation and its
+  row-norm scalar) is released by ``drop_caches()`` and by a compaction.
 """
 
 from __future__ import annotations
@@ -281,51 +280,27 @@ class TestZeroWeightFallbackUnderExecutor:
 
 
 class TestCacheGuards:
-    """Satellite: the lazy float64 scan cache is capped and releasable."""
+    """Satellite: the lazy concat cache is releasable."""
 
     def _space(self, n=64):
         objects = random_multivector_set(n, DIMS, seed=3)
         return JointSpace(objects, Weights([0.5, 0.5]))
 
-    def test_f64_cache_kept_under_cap(self):
-        space = self._space()
-        q = random_query(DIMS, seed=9)
-        space.query_ids_stable(q)
-        assert space._f64 is not None
-
-    def test_f64_cache_skipped_over_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_F64_CACHE_MB", "0")
-        space = self._space()
-        q = random_query(DIMS, seed=9)
-        sims = space.query_ids_stable(q)
-        assert space._f64 is None  # computed, not pinned
-        monkeypatch.delenv("REPRO_F64_CACHE_MB")
-        np.testing.assert_array_equal(sims, space.query_ids_stable(q))
-
     def test_drop_caches_releases_both(self):
         space = self._space()
-        q = random_query(DIMS, seed=9)
-        space.query_ids_stable(q)
-        space.concatenated
-        assert space._f64 is not None and space._concat is not None
+        space.max_concat_norm
+        assert space._concat is not None and space._concat_norm is not None
         space.drop_caches()
-        assert space._f64 is None and space._concat is None
+        assert space._concat is None and space._concat_norm is None
 
     def test_compact_drops_framework_caches(self):
         objects = random_multivector_set(120, DIMS, seed=31)
         must = MUST(objects, weights=Weights([0.5, 0.5])).build()
         must.index.mark_deleted(np.arange(10))
-        must.space.query_ids_stable(random_query(DIMS, seed=2))
-        assert must.space._f64 is not None
+        must.space.concatenated
+        assert must.space._concat is not None
         must.compact()
-        assert must.space._f64 is None
-
-    def test_compressed_space_never_pins_f64(self):
-        objects = random_multivector_set(64, DIMS, seed=3)
-        must = MUST(objects, compression="int8").build()
-        space = must.index.space
-        space.query_ids_stable(random_query(DIMS, seed=9))
-        assert space._f64 is None
+        assert must.space._concat is None
 
 
 class TestManifestFormat:

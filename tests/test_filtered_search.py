@@ -27,12 +27,11 @@ from repro.core.multivector import MultiVectorSet
 from repro.core.query import Eq, Query, Range, SearchOptions
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
-from repro.index.flat import FlatIndex
 from repro.index.segments import SegmentPolicy
 from repro.service import MustService, ServiceConfig
 from repro.store import STORE_KINDS
 
-from tests.conftest import random_multivector_set, random_query
+from tests.conftest import random_multivector_set, random_query, stable_oracle
 
 N = 300
 DIMS = (16, 8)
@@ -213,14 +212,12 @@ class TestExactOracleParity:
         sub = MultiVectorSet(
             [np.concatenate(parts)[order] for parts in mats]
         )
-        flat = FlatIndex(
-            JointSpace(sub, WEIGHTS), ids=keep_ext, deterministic=True
-        )
+        space = JointSpace(sub, WEIGHTS)
         for q in queries[:5]:
             filtered = must.query(
                 Query(q, filter=FILTER), SearchOptions(k=K, exact=True)
             )
-            physical = flat.search(q, K)
+            physical = stable_oracle(space, q, K, ids=keep_ext)
             assert_bitwise(filtered, physical.ids, physical.similarities)
 
 

@@ -354,9 +354,10 @@ def test_non_ip_exact_matches_numpy_reference(metrics):
         weights.squared, metrics, q_arrays, mats
     ):
         if metric == "ip":
-            # mixed-metric exact scoring routes ip through the store's
-            # float32 BLAS kernel — mirror that, not a float64 matmul
-            scores = (mat @ q.astype(np.float32)).astype(np.float64)
+            # every exact similarity is the row-wise float64 product
+            scores = np.add.reduce(
+                mat.astype(np.float64) * q.astype(np.float64), axis=1
+            )
         else:
             scores = dense_score_rows(metric, q, mat)
         expect += float(w2) * scores

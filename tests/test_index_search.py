@@ -255,8 +255,11 @@ class TestFlatIndex:
     def test_stats_count_full_scan(self, setup):
         space, _, flat, queries = setup
         res = flat.search(queries[0], 5)
-        assert res.stats.joint_evals == space.n
-        assert res.stats.modality_evals == space.n * 2
+        # One float32 prefilter over every row, then the float64 rerank
+        # of the shortlist: five rows on this well-separated corpus.
+        assert res.stats.visited_vertices == space.n
+        assert res.stats.joint_evals == space.n + 5
+        assert res.stats.modality_evals == (space.n + 5) * 2
 
 
 class TestGreedySearchGraph:

@@ -34,10 +34,10 @@ from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index import segments as segments_module
 from repro.index.base import reseat_on_store
-from repro.index.flat import FlatIndex
 from repro.index.graphs.hnsw import HNSWBuilder
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.scoring import Scorer, rerank_exact
+from repro.index.flat import FlatIndex
+from repro.index.scoring import Scorer, batch_score_all, rerank_exact
 from repro.index.segments import (
     Segment,
     SegmentedIndex,
@@ -47,8 +47,9 @@ from repro.index.segments import (
 )
 from repro.sparse.hybrid import hybrid_union_rescore
 from repro.sparse.synthetic import synthetic_hybrid
+from repro.store import HalfStore, VectorStore, make_store
 
-from tests.conftest import random_multivector_set, random_query
+from tests.conftest import random_multivector_set, random_query, stable_oracle
 
 DIMS = (8, 6)
 WEIGHTS = Weights([0.5, 0.5])
@@ -84,11 +85,10 @@ class Oracle:
     def num_active(self) -> int:
         return int(self.alive.sum())
 
-    def flat(self) -> FlatIndex:
-        return FlatIndex(
-            JointSpace(MultiVectorSet(self.mats), WEIGHTS),
+    def search(self, query, k: int):
+        return stable_oracle(
+            JointSpace(MultiVectorSet(self.mats), WEIGHTS), query, k,
             deleted=~self.alive,
-            deterministic=True,
         )
 
 
@@ -121,11 +121,10 @@ class TestRandomizedTraceParity:
     L = 80
 
     def _check_step(self, must: MUST, oracle: Oracle, queries) -> None:
-        flat = oracle.flat()
         k = min(self.K, oracle.num_active)
         hits = total = 0
         for q in queries:
-            exact_oracle = flat.search(q, k)
+            exact_oracle = oracle.search(q, k)
             exact_seg = must.query(q, SearchOptions(k=k, exact=True))
             # Exact path: bit-identical, regardless of segment layout.
             np.testing.assert_array_equal(exact_seg.ids, exact_oracle.ids)
@@ -218,8 +217,8 @@ class TestLayoutInvariance:
         many.insert(corpus.subset(np.arange(84, 90)))  # stays in the delta
 
         for k in (1, 10, 25):
-            a = one.view().exact_search(q, k)
-            b = many.view().exact_search(q, k)
+            (a,) = one.view().exact_wave([q], k)
+            (b,) = many.view().exact_wave([q], k)
             np.testing.assert_array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.similarities, b.similarities)
 
@@ -234,7 +233,7 @@ class TestLayoutInvariance:
         seg.mark_deleted(doomed)
         q = random_query(DIMS, seed=3)
         view = seg.view()
-        for res in (view.exact_search(q, 15), view.search(q, k=15, l=40)):
+        for res in (view.exact_wave([q], 15)[0], view.search(q, k=15, l=40)):
             assert not (set(res.ids.tolist()) & set(doomed.tolist()))
 
 
@@ -382,7 +381,7 @@ class TestIdMapAndGuards:
         view = SegmentedIndex(WEIGHTS).view()
         res = view.search(random_query(DIMS, seed=0), k=5, l=10)
         assert len(res) == 0
-        assert len(view.exact_search(random_query(DIMS, seed=0), 5)) == 0
+        assert len(view.exact_wave([random_query(DIMS, seed=0)], 5)[0]) == 0
 
     def test_weights_frozen_after_streaming(self):
         must, _ = _fresh(n0=20, seed=4)
@@ -831,9 +830,10 @@ class TestDeltaBuffer:
                         got.similarities, ref.similarities
                     )
                     assert got.stats.joint_evals == ref.stats.joint_evals
-        for query in queries:
-            got = resumed.view().exact_search(query, k=SCAN_K)
-            ref = straight.view().exact_search(query, k=SCAN_K)
+        for got, ref in zip(
+            resumed.view().exact_wave(queries, k=SCAN_K),
+            straight.view().exact_wave(queries, k=SCAN_K),
+        ):
             np.testing.assert_array_equal(got.ids, ref.ids)
             np.testing.assert_array_equal(got.similarities, ref.similarities)
 
@@ -847,3 +847,177 @@ class TestDeltaBuffer:
         index.mark_deleted(np.arange(30), allow_empty=True)
         (empty,) = _probe(index.view(), engine, [plain], {}, l=12)
         assert len(empty) == 0 and empty.stats.segments_probed == 0
+
+
+# ----------------------------------------------------------------------
+# The one exact kernel: every exact surface is the full-row float64 scan
+# ----------------------------------------------------------------------
+KERNEL_DIMS = (96, 64)
+KERNEL_WEIGHTS = Weights([1.0, 1.0])
+KERNEL_BUILDER = FusedIndexBuilder(gamma=8, epsilon=1, max_candidates=16)
+
+
+def _near_duplicates(norm: float, bases: int = 24, copies: int = 30):
+    """*bases* unit directions, each repeated *copies* times a few
+    float32 ulps apart and scaled to *norm*: the rows around any top-k
+    cut-off differ by less than a float32 product of this length can
+    resolve, and by more the larger the rows are."""
+    rng = np.random.default_rng(0)
+    mats = []
+    for d in KERNEL_DIMS:
+        base = normalize_rows(rng.standard_normal((bases, d)))
+        rows = np.repeat(base, copies, axis=0)
+        rows = rows + 3e-7 * rng.standard_normal(rows.shape) / np.sqrt(d)
+        mats.append((norm * rows).astype(np.float32))
+    shuffle = rng.permutation(bases * copies)
+    queries = [
+        MultiVector.from_arrays(
+            [
+                (norm * normalize_rows(rng.standard_normal((1, d)))[0])
+                .astype(np.float32)
+                for d in KERNEL_DIMS
+            ]
+        )
+        for _ in range(100)
+    ]
+    return MultiVectorSet([m[shuffle] for m in mats]), queries
+
+
+class TestExactKernel:
+    """Row norm 1 sits inside any safety band; at 30 the float32
+    prefilter is off by ~3e-4 and at 1 000 by ~0.3, which an absolute
+    band does not cover — the derived one scales with the rows."""
+
+    @pytest.mark.parametrize("layout", ["single-graph", "sealed+delta"])
+    @pytest.mark.parametrize("norm", [1.0, 30.0, 1000.0])
+    def test_every_exact_surface_is_the_stable_scan(self, norm, layout):
+        objects, queries = _near_duplicates(norm)
+        built = objects if layout == "single-graph" else objects.subset(
+            np.arange(600)
+        )
+        must = MUST(
+            built, weights=KERNEL_WEIGHTS, builder=KERNEL_BUILDER,
+            segment_policy=SegmentPolicy(seal_size=600, max_segments=8),
+        ).build()
+        if layout == "sealed+delta":
+            must.insert(objects.subset(np.arange(600, objects.n)))
+            kinds = [s.kind for s in must.segments.view().segments]
+            assert kinds == ["sealed", "delta"]
+        space = JointSpace(objects, KERNEL_WEIGHTS)
+        opts = SearchOptions(k=10, exact=True)
+        snap = must.snapshot()
+        surfaces = {
+            "batch": must.query(queries, opts).results,
+            "backward": must.query(queries[::-1], opts).results[::-1],
+            "lone": [must.query(q, opts) for q in queries],
+            "snapshot": [snap.query(q, opts) for q in queries],
+            "snapshot wave": snap.exact_wave(queries, 10),
+        }
+        for j, query in enumerate(queries):
+            ref = stable_oracle(space, query, 10)
+            for name, answers in surfaces.items():
+                np.testing.assert_array_equal(
+                    answers[j].ids, ref.ids, err_msg=f"{name}, query {j}"
+                )
+                np.testing.assert_array_equal(
+                    answers[j].similarities, ref.similarities,
+                    err_msg=f"{name}, query {j}",
+                )
+
+
+class _DecliningStore(HalfStore):
+    """A backend that proves nothing about its float32 wave."""
+
+    batch_scores_bound = VectorStore.batch_scores_bound
+
+
+def _kernel_store(kind: str, mats: list[np.ndarray]) -> VectorStore:
+    if kind == "declines":
+        half = HalfStore.from_matrices(mats)
+        return _DecliningStore(
+            [half.modality(i) for i in range(len(mats))], mats
+        )
+    options = {"pq_iters": 2} if kind == "pq" else {}
+    return make_store(kind, mats, **options)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(["none", "float16", "int8", "pq", "declines"]),
+    dims=st.lists(st.integers(1, 256), min_size=1, max_size=3),
+    exponent=st.floats(-3.0, 3.0),
+    copies=st.integers(1, 6),
+    skew=st.floats(0.01, 1.0),
+    override=st.booleans(),
+    k=st.integers(1, 12),
+    refine=st.sampled_from([None, 1, 3]),
+    filtered=st.booleans(),
+    dead=st.sets(st.integers(0, 47), max_size=30),
+    seed=st.integers(0, 2**16),
+)
+def test_the_shortlist_covers_the_exact_top(
+    kind, dims, exponent, copies, skew, override, k, refine, filtered,
+    dead, seed,
+):
+    """Whatever the corpus looks like, the rows the kernel re-scores in
+    float64 include every row of the oracle's top ``p`` — and are every
+    admissible row where the store proves no bound."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    n = 8 * copies
+    mats = [
+        (
+            scale
+            * np.repeat(rng.standard_normal((8, d)), copies, axis=0)
+            * (1.0 + 1e-7 * rng.standard_normal((n, 1)))
+        ).astype(np.float32)
+        for d in dims
+    ]
+    squared = np.array([skew**i for i in range(len(dims))])
+    weights = Weights(squared / squared.sum())
+    store = _kernel_store(kind, mats)
+    vectors = MultiVectorSet.from_store(
+        store, attributes={"parity": np.arange(n) % 2}
+    )
+    space = JointSpace(vectors, weights)
+    deleted = np.zeros(n, dtype=bool)
+    deleted[[i for i in dead if i < n]] = True
+    ext_ids = rng.permutation(n) + 100
+    query = Query(
+        MultiVector.from_arrays(
+            [(scale * rng.standard_normal(d)).astype(np.float32) for d in dims]
+        ),
+        filter=Eq("parity", 0) if filtered else None,
+        weights=Weights(squared[::-1] / squared.sum()) if override else None,
+    )
+
+    rescored: list[np.ndarray] = []
+    stable = space.query_ids_stable
+
+    def spy(vector, ids=None, **kwargs):
+        rescored.append(np.arange(n) if ids is None else np.asarray(ids))
+        return stable(vector, ids, **kwargs)
+
+    space.query_ids_stable = spy
+    flat = FlatIndex(space, deleted=deleted, ids=ext_ids)
+    got = flat.search(query, k, refine=refine)
+    del space.query_ids_stable
+    (shortlist,) = rescored
+
+    admissible = ~deleted
+    if filtered:
+        admissible &= np.arange(n) % 2 == 0
+    admissible = np.flatnonzero(admissible)
+    sims = stable(query.vector, weights=query.weights)[admissible]
+    p = k if refine is None else refine * k
+    order = np.lexsort((ext_ids[admissible], -sims))[:p]
+    assert np.isin(admissible[order], shortlist).all()
+    assert np.isin(shortlist, admissible).all()
+    eps = np.zeros(1)
+    batch_score_all(space, [query.vector], [query.weights], bounds=eps)
+    assert np.isfinite(eps[0]) == (kind != "declines")
+    if kind == "declines":
+        np.testing.assert_array_equal(shortlist, admissible)
+    if refine is None:
+        np.testing.assert_array_equal(got.ids, ext_ids[admissible[order]])
+        np.testing.assert_array_equal(got.similarities, sims[order])

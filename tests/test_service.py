@@ -3,15 +3,15 @@ control, lifecycle, stats, and a concurrent read/write stress test.
 
 The parity bar is **bitwise**: a response served through the coalescing
 dispatcher must equal ``MUST.query`` with the same arguments against
-the request's snapshot — ids *and* similarities.  On segmented
-instances that holds on both the graph and exact paths (the exact wave
-reranks through the same layout-independent float64 kernel the
-single-query scan uses); single-graph exact waves keep the GEMM
-batch, pinned here to rank parity.
+the request's snapshot — ids *and* similarities, on the graph and the
+exact paths of both layouts (an exact wave is the one exact kernel: its
+similarities come from the layout-independent float64 route whether the
+query came alone or coalesced).
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 
@@ -181,16 +181,6 @@ class TestExactWave:
             np.testing.assert_allclose(res.similarities, ref.similarities,
                                        atol=1e-6)
 
-    def test_zero_margin_still_ranks(self, segmented_must, queries):
-        # margin=0 degrades gracefully: same ids (the float32 prefilter
-        # is still a correct ranking on this corpus), exact similarities.
-        snap = segmented_must.snapshot()
-        wave = snap.exact_wave(queries[:4], k=10, margin=0.0)
-        for q, res in zip(queries, wave):
-            ref = segmented_must.query(q, SearchOptions(k=10, exact=True))
-            assert set(res.ids) <= set(ref.ids) | set(res.ids)
-            assert len(res) == 10
-
 
 class TestServiceParity:
     def test_concurrent_mixed_clients_bitwise(self, segmented_must, queries):
@@ -357,8 +347,6 @@ class TestAdmissionControl:
             ServiceConfig(max_batch=0)
         with pytest.raises(ValueError):
             ServiceConfig(backpressure="drop")
-        with pytest.raises(ValueError):
-            ServiceConfig(exact_margin=-1.0)
 
 
 class TestLifecycle:
@@ -443,6 +431,47 @@ class TestDispatcherResilience:
                 svc.search(queries[1], exact),
                 segmented_must.query(queries[1], exact),
             )
+
+    @pytest.mark.parametrize(
+        "kind, opts",
+        [
+            ("exact", SearchOptions(k=5, exact=True)),
+            ("graph", SearchOptions(k=5, l=40, engine="wave")),
+        ],
+    )
+    def test_a_failed_wave_is_retried_counted_and_logged(
+        self, segmented_must, queries, caplog, kind, opts
+    ):
+        """One request naming an unknown attribute fails its coalesced
+        group; the group re-runs request by request, so the wave-mates
+        answer and the offender errors — and the retry leaves a counter
+        and an ``event=wave_retry`` record behind."""
+        svc = MustService(
+            segmented_must, ServiceConfig(max_batch=4, max_wait_ms=5.0),
+            start=False,
+        )
+        try:
+            mates = [svc.submit(q, opts) for q in queries[:2]]
+            offender = svc.submit(
+                Query(queries[2], filter=Eq("category", "shoes")), opts
+            )
+            with caplog.at_level(logging.WARNING, logger="repro.service"):
+                svc.start()
+                for mate, q in zip(mates, queries):
+                    assert_same_result(
+                        mate.result(timeout=30), segmented_must.query(q, opts)
+                    )
+                with pytest.raises(ValueError):
+                    offender.result(timeout=30)
+            assert svc.stats.wave_retries == 1
+            assert svc.stats.summary()["wave_retries"] == 1
+            (record,) = [
+                r.getMessage() for r in caplog.records
+                if "event=wave_retry" in r.getMessage()
+            ]
+            assert f"kind={kind} size=3 error=ValueError" in record
+        finally:
+            svc.close()
 
     def test_cancelled_future_does_not_kill_dispatcher(self, segmented_must,
                                                        queries):

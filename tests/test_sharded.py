@@ -341,7 +341,7 @@ class TestShardingHooks:
         ids = np.arange(40, dtype=np.int64) * 2 + 1  # odd global ids
         seg = SegmentedIndex.from_graph(index, ext_ids=ids)
         view = seg.snapshot()
-        res = view.exact_search(random_query(DIMS, seed=1), k=5)
+        (res,) = view.exact_wave([random_query(DIMS, seed=1)], k=5)
         assert set(res.ids.tolist()) <= set(ids.tolist())
         # Allocator continues past the largest explicit id.
         new = seg.insert(random_multivector_set(3, DIMS, seed=2))

@@ -5,13 +5,19 @@ is grown in, so the checks a refactor most often trips are done here
 over :mod:`ast` and :mod:`inspect`: no imported-but-unused name anywhere
 in ``src/repro``, no seed parameter on a search entry point (an answer
 is a function of the index and the query), no graph-building option on
-the segmented index (its delta is a buffer), and complete annotations
-on the modules ``pyproject.toml`` holds to ``disallow_untyped_defs``.
+the segmented index (its delta is a buffer), complete annotations on
+the modules ``pyproject.toml`` holds to ``disallow_untyped_defs`` — and
+nothing an exact answer could be tuned with: no safety-band or
+second-kernel parameter, no environment read in ``repro.core.space``,
+one ``exact*`` method on a view, and every name the benchmark's tracer
+binds still where it looks.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 import inspect
 import tomllib
 from pathlib import Path
@@ -19,11 +25,13 @@ from pathlib import Path
 import pytest
 
 import repro
+from perfbench.trace import TARGETS
+from repro.core.query import SearchOptions
 from repro.index.executor import execute
 from repro.index.graph_wave import graph_wave_search
 from repro.index.search import joint_search
 from repro.index.segments import SegmentedIndex, SegmentView
-from repro.service import IndexSnapshot, MustService
+from repro.service import IndexSnapshot, MustService, ServiceConfig
 
 PACKAGE = Path(repro.__file__).parent
 MODULES = sorted(PACKAGE.rglob("*.py"))
@@ -149,9 +157,9 @@ def test_the_segmented_index_takes_no_delta_graph_options(constructor):
     assert not {"hnsw", "seed"} & set(inspect.signature(constructor).parameters)
 
 
-def test_segments_import_no_incremental_graph():
-    tree = ast.parse((PACKAGE / "index" / "segments.py").read_text())
-    imported = {
+def _imports(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text())
+    return {
         node.module
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
@@ -161,8 +169,50 @@ def test_segments_import_no_incremental_graph():
         if isinstance(node, ast.Import)
         for alias in node.names
     }
+
+
+def test_segments_import_no_incremental_graph():
+    imported = _imports(PACKAGE / "index" / "segments.py")
     assert "repro.index.pipeline" in imported
     assert not {m for m in imported if m.startswith("repro.index.graphs")}
+
+
+def test_exact_answers_have_no_knob():
+    """The band is derived and there is one kernel: nothing to pass."""
+    banned = {"margin", "exact_margin", "deterministic"}
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                spec = node.args
+                names = spec.posonlyargs + spec.args + spec.kwonlyargs
+                found += [
+                    f"{path.relative_to(PACKAGE)}:{node.lineno} {arg.arg}"
+                    for arg in names
+                    if arg.arg in banned
+                ]
+    assert found == []
+    assert len(dataclasses.fields(ServiceConfig)) == 6
+    assert len(dataclasses.fields(SearchOptions)) == 9
+    assert "os" not in _imports(PACKAGE / "core" / "space.py")
+    exact = [name for name in vars(SegmentView) if name.startswith("exact")]
+    assert exact == ["exact_wave"]
+
+
+def test_every_traced_name_resolves():
+    """``perfbench.trace`` wraps public callables by ``vars()`` lookup
+    and raises on the first one missing — in the benchmark driver; a
+    rename should fail here first."""
+    assert len(TARGETS) > 30
+    for target in TARGETS:
+        owner = importlib.import_module(target.module)
+        *path, attr = target.qualname.split(".")
+        for part in path:
+            owner = vars(owner)[part]
+        assert callable(getattr(owner, attr)), target
+        assert attr in vars(owner), target
 
 
 def strict_modules() -> list[Path]:

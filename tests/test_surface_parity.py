@@ -8,24 +8,21 @@ ids *and* similarities bit for bit.  All of them run the one dispatcher
 (:func:`repro.index.executor.execute`), so a cell failing here means a
 surface grew its own interpretation of a plan.
 
-A second table pins what makes that possible on the graph plans: an
-answer is a function of the index and the query.  No plan carries a
-seed, so the same request reads the same bits (ids, similarities, work
-counters) alone, at either end of a batch, from a snapshot, served, and
-from a reloaded save.
+A second table pins what makes that possible: an answer is a function
+of the index and the query.  No plan carries a seed and no engine reads
+its batch-mates — a graph search starts from the graph's own entry
+order, an exact similarity comes from a kernel that reads one row and
+the query — so the same request reads the same bits (ids, similarities,
+work counters) alone, at either end of a batch, from a snapshot, served,
+and from a reloaded save.  The exact plans' batches mix a hybrid request
+with plain ones and ask for the top 1 of a row the corpus holds twice:
+the tie at the cut-off goes to the lower external id on every surface.
 
-Two documented exceptions, both properties of the arithmetic and not of
-the dispatch:
-
-* a served (or sharded) **exact** request on the *single-graph* layout
-  coalesces through the stacked float32 GEMM, whose similarities can
-  differ from the per-query scan by ~1e-7 (see
-  :meth:`IndexSnapshot.exact_wave`) — ranks are compared exactly,
-  similarities to 1e-6;
-* a sharded **wave** answer comes from per-shard graphs, a different
-  (recall-equivalent) sample than the in-process graph, so the sharded
-  column is compared against itself: coalesced in one group vs
-  dispatched alone.
+One documented exception, a property of the sample and not of the
+dispatch: a sharded **wave** answer comes from per-shard graphs, a
+different (recall-equivalent) sample than the in-process graph, so the
+sharded column is compared against itself: coalesced in one group vs
+dispatched alone.
 """
 
 from __future__ import annotations
@@ -66,6 +63,11 @@ PLANS = {
 #: the graph plans, each under the one engine both a batch and a lone
 #: request are asked to run ("auto" would pick wave for the batch).
 GRAPH_PLANS = {"heap": "heap", "wave": "wave", "hybrid-wave": "wave"}
+#: the second table's exact plans run where a request can be hybrid.
+HYBRID_KINDS = {"exact": "hybrid", "exact+refine": "hybrid-int8"}
+#: rows TWIN and TWIN + 1 of every base chunk hold the same vectors
+#: (both outlive the deletions below).
+TWIN = 10
 SHARDED_PLANS = ("exact", "wave")
 #: layout -> (objects built, inserts as (size, seed), segments a graph
 #: plan scans).  Under the graph plans' l=40 a segment of up to 80
@@ -79,27 +81,30 @@ LAYOUTS = {
 }
 
 
-def _with_parity(objects: MultiVectorSet) -> MultiVectorSet:
-    return objects.set_attributes({"parity": np.arange(objects.n) % 2})
+def _chunk(mats, **planes) -> MultiVectorSet:
+    mats = [m.copy() for m in mats]
+    for m in mats:
+        m[TWIN + 1] = m[TWIN]
+    return MultiVectorSet(mats, **planes).set_attributes(
+        {"parity": np.arange(mats[0].shape[0]) % 2}
+    )
 
 
 def _dense_chunk(n: int, seed: int) -> MultiVectorSet:
-    return _with_parity(random_multivector_set(n, DIMS, seed=seed))
+    return _chunk(random_multivector_set(n, DIMS, seed=seed).matrices)
 
 
 def _hybrid_chunk(group_size: int, seed: int) -> MultiVectorSet:
     data = synthetic_hybrid(
         num_queries=1, seed=seed, group_size=group_size, **HYBRID_SHAPE
     )
-    return _with_parity(
-        MultiVectorSet([data.dense.copy()], sparse=data.sparse)
-    )
+    return _chunk([data.dense], sparse=data.sparse)
 
 
 def _build(kind: str, layout: str) -> MUST:
     """The corpus *kind* in *layout*."""
     base, inserts, _ = LAYOUTS[layout]
-    if kind == "hybrid":
+    if kind.startswith("hybrid"):
         chunk = lambda size, seed: _hybrid_chunk(size // 16, seed)
         weights = Weights([1.0])
     else:
@@ -110,7 +115,7 @@ def _build(kind: str, layout: str) -> MUST:
         weights=weights,
         builder=CHEAP_BUILDER,
         segment_policy=POLICY,
-        compression="int8" if kind == "int8" else "none",
+        compression="int8" if kind.endswith("int8") else "none",
     ).build()
     for size, seed in inserts:
         must.insert(chunk(size, seed))
@@ -122,7 +127,7 @@ def _build(kind: str, layout: str) -> MUST:
 
 def _requests(kind: str) -> list[Query]:
     """One filtered request and one that overrides the plan's k."""
-    if kind == "hybrid":
+    if kind.startswith("hybrid"):
         data = synthetic_hybrid(
             num_queries=2, seed=1, group_size=8, **HYBRID_SHAPE
         )
@@ -174,18 +179,12 @@ def assert_bitwise(got, ref) -> None:
     np.testing.assert_array_equal(got.similarities, ref.similarities)
 
 
-def assert_rank_parity(got, ref) -> None:
-    np.testing.assert_array_equal(got.ids, ref.ids)
-    np.testing.assert_allclose(got.similarities, ref.similarities, atol=1e-6)
-
-
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("plan", list(PLANS))
 def test_every_surface_answers_alike(corpora, sharded, plan, layout):
     kind, opts = PLANS[plan]
     must = corpora(kind, layout)
     requests = _requests(kind)
-    gemm_exact = opts.exact and layout == "single-graph"
 
     direct = [must.query(q, opts) for q in requests]
     assert [len(r) for r in direct] == [K, 9]
@@ -203,7 +202,7 @@ def test_every_surface_answers_alike(corpora, sharded, plan, layout):
         futures = [svc.submit(q, opts) for q in requests]
         served = [f.result(60) for f in futures]
     for got, ref in zip(served, direct):
-        (assert_rank_parity if gemm_exact else assert_bitwise)(got, ref)
+        assert_bitwise(got, ref)
 
     if plan not in SHARDED_PLANS:
         return
@@ -211,7 +210,7 @@ def test_every_surface_answers_alike(corpora, sharded, plan, layout):
     alone = [service.submit(q, opts).result(60) for q in requests]
     if opts.exact:
         for got, ref in zip(alone, direct):
-            (assert_rank_parity if gemm_exact else assert_bitwise)(got, ref)
+            assert_bitwise(got, ref)
         return
     # Submitted back to back the two share a plan and (almost always) a
     # dispatch, i.e. one lockstep group; either way the answer is the
@@ -246,15 +245,25 @@ def _reloaded(must: MUST, folder) -> MUST:
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("plan", list(GRAPH_PLANS))
+@pytest.mark.parametrize("plan", list(PLANS))
 def test_answer_is_a_function_of_index_and_query(
     corpora, plan, layout, tmp_path
 ):
     kind, opts = PLANS[plan]
-    opts = opts.updated(engine=GRAPH_PLANS[plan])
-    must = corpora(kind, layout)
-    requests = _requests(kind)
-    requests += [Query(q.vector, sparse=q.sparse) for q in requests]
+    if opts.exact:
+        kind = HYBRID_KINDS[plan]
+        must = corpora(kind, layout)
+        hybrid, plain = _requests(kind)
+        requests = [
+            hybrid,
+            dataclasses.replace(plain, sparse=None),
+            Query(must.objects.row(TWIN), k=1),
+        ]
+    else:
+        opts = opts.updated(engine=GRAPH_PLANS[plan])
+        must = corpora(kind, layout)
+        requests = _requests(kind)
+        requests += [Query(q.vector, sparse=q.sparse) for q in requests]
 
     alone = [must.query(q, opts) for q in requests]
     forward = must.query(requests, opts).results
@@ -270,10 +279,13 @@ def test_answer_is_a_function_of_index_and_query(
         assert [seg.kind for seg in delta.segments] == ["delta"]
         lone = delta.search(requests[0], k=opts.k, l=opts.l)
         assert (lone.stats.segments_scanned, lone.stats.hops) == (1, 0)
+    if opts.exact:
+        assert alone[-1].ids.tolist() == [TWIN]
     for i, (q, ref) in enumerate(zip(requests, alone)):
         assert ref.stats.joint_evals > 0
-        assert ref.stats.segments_scanned == LAYOUTS[layout][2]
-        assert (ref.stats.hops == 0) == (layout == "scanned-segments")
+        if not opts.exact:
+            assert ref.stats.segments_scanned == LAYOUTS[layout][2]
+            assert (ref.stats.hops == 0) == (layout == "scanned-segments")
         assert_same_bits(forward[i], ref)
         assert_same_bits(backward[i], ref)
         assert_same_bits(snap.query(q, opts), ref)
