@@ -17,6 +17,45 @@ from repro.utils.validation import require
 __all__ = ["GraphIndex", "reseat_on_store"]
 
 
+#: edges :func:`_check_csr` looks at per step, so its temporaries stay
+#: small beside the graph it checks.
+_CSR_BLOCK = 1 << 14
+
+
+def _check_csr(flat: np.ndarray, offsets: np.ndarray, n: int) -> None:
+    """Raise ``ValueError`` naming the first vertex whose CSR row is
+    malformed: offsets out of order, a neighbour id outside ``[0, n)``
+    or one id listed twice."""
+    counts = np.diff(offsets)
+    bad = np.flatnonzero(counts < 0)
+    require(
+        bad.size == 0 and offsets[0] == 0 and offsets[-1] == flat.size,
+        f"vertex {int(bad[0]) if bad.size else 0} has malformed CSR offsets",
+    )
+    # Whole rows at a time, about _CSR_BLOCK edges each.
+    firsts = np.searchsorted(
+        offsets, np.arange(0, flat.size, _CSR_BLOCK), side="right"
+    ) - 1
+    bounds = np.append(np.unique(firsts), n).tolist()
+    for v0, v1 in zip(bounds[:-1], bounds[1:]):
+        lo = int(offsets[v0])
+        ids = flat[lo : offsets[v1]]
+        out = np.flatnonzero((ids < 0) | (ids >= n))
+        if out.size:
+            vertex = int(np.searchsorted(offsets, lo + out[0], side="right")) - 1
+            raise ValueError(
+                f"vertex {vertex} has out-of-range neighbour id "
+                f"{int(ids[out[0]])} (n={n})"
+            )
+        # Sorting (row, id) keys puts a repeated id next to itself.
+        rows = np.repeat(np.arange(v0, v1, dtype=np.int64), counts[v0:v1])
+        keys = np.sort(rows * n + ids)
+        twice = np.flatnonzero(keys[1:] == keys[:-1])
+        if twice.size:
+            vertex, dup = divmod(int(keys[twice[0]]), n)
+            raise ValueError(f"vertex {vertex} lists neighbour {dup} twice")
+
+
 def reseat_on_store(
     index: "GraphIndex", compression: str, store_options: dict | None = None
 ) -> "GraphIndex":
@@ -122,10 +161,19 @@ class GraphIndex:
         pair.  Only a traversal that gathers whole frontiers needs it
         (:func:`~repro.index.graph_wave.graph_wave_search`); a graph
         that is never traversed never pays for one.
+
+        Building it checks what a traversal relies on — offsets that
+        never decrease, every neighbour id in ``[0, n)``, no id twice in
+        one row — and raises ``ValueError`` naming the first bad vertex,
+        so a corrupt archive fails here instead of indexing out of
+        bounds mid-wave.  Both arrays are read-only.
         """
         if not self._csr:
-            flat, offsets = pack_adjacency(self.neighbors)
-            self._csr.append((flat.astype(np.int64), offsets))
+            flat, offsets = pack_adjacency(self.neighbors)  # int32, int64
+            _check_csr(flat, offsets, self.n)
+            flat.setflags(write=False)
+            offsets.setflags(write=False)
+            self._csr.append((flat, offsets))
         return self._csr[0]
 
     def degree_stats(self) -> dict[str, float]:

@@ -61,7 +61,7 @@ from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex
 from repro.index.flat import FlatIndex
-from repro.index.graph_wave import graph_wave_search
+from repro.index.graph_wave import bookkeeping, graph_wave_search
 from repro.index.search import joint_search
 from repro.index.segments import SegmentView
 
@@ -81,8 +81,10 @@ class BatchResult:
     indexing), with the aggregated batch counters on :attr:`stats`
     (summed from the per-query stats on first read unless the producer
     supplied them).  :attr:`plan` names the execution strategy that
-    actually ran (``"graph/wave"``, ``"graph/loop"``, ``"exact/wave"``)
-    so callers and benchmarks can assert the chosen
+    actually ran (``"graph/wave/native"`` or ``"graph/wave/numpy"`` —
+    the wave plus the bookkeeping it ran with,
+    :func:`~repro.index.graph_wave.bookkeeping` — ``"graph/loop"``,
+    ``"exact/wave"``) so callers and benchmarks can assert the chosen
     path instead of inferring it.
     """
 
@@ -167,7 +169,7 @@ class BatchExecutor:
             filter_memo={},
             sparse_engine=sparse_engine,
         )
-        out = BatchResult(results, plan="graph/wave")
+        out = BatchResult(results, plan=f"graph/wave/{bookkeeping()}")
         out.stats.merge(wave_stats)
         logger.debug(
             "batch plan: %s (%d queries, %d waves)",
@@ -199,7 +201,7 @@ class BatchExecutor:
             check_monotone=check_monotone,
             sparse_engine=sparse_engine,
         )
-        out = BatchResult(results, plan="graph/wave")
+        out = BatchResult(results, plan=f"graph/wave/{bookkeeping()}")
         out.stats.merge(wave_stats)
         logger.debug(
             "batch plan: %s (%d queries, %d segment waves)",

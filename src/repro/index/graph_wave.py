@@ -27,6 +27,14 @@ Each wave
 4. scatters the scores back into per-query result pools, visited
    bitsets, and routing pools.
 
+Steps 1, 2 and 4 are bookkeeping — choosing columns, gathering ids,
+stable merges — and step 3 is all the arithmetic there is.  The
+bookkeeping runs in a small C kernel (:mod:`repro.index.wave_kernel`,
+two ctypes calls a wave) when it compiled and loaded, and in NumPy
+otherwise (:class:`_NumpyBookkeeping`, also the kernel's test oracle);
+step 3, thresholds, scans, rerank and fusion are NumPy either way, so
+both paths return the same bits.  :func:`bookkeeping` says which runs.
+
 The engine is cut as *prepare → traverse → finalise* (:class:`_Wave`),
 and a row whose init set is the whole graph skips the middle step: it
 is scored end to end by the same stacked call and selected directly
@@ -52,6 +60,7 @@ kept as the recall oracle in the parity tests.
 
 from __future__ import annotations
 
+import ctypes
 from typing import Sequence
 
 import numpy as np
@@ -60,13 +69,14 @@ from repro.core.multivector import MultiVector
 from repro.core.query import FilterMemo, Query, unpack_query
 from repro.core.results import SearchResult, SearchStats
 from repro.core.weights import Weights
+from repro.index import wave_kernel
 from repro.index.base import GraphIndex
 from repro.index.scoring import Scorer, StackedScorer, rerank_exact
 from repro.sparse.hybrid import hybrid_union_rescore, sparse_plane
 from repro.utils.topk import top_k_sorted
 from repro.utils.validation import require
 
-__all__ = ["graph_wave_search"]
+__all__ = ["bookkeeping", "graph_wave_search"]
 
 
 def _pad_by_owner(
@@ -211,6 +221,7 @@ class _Wave:
                 for i in range(b)
             ]
             self.fast[:] = [s.has_fast_path for s in self.scorers]
+        self.all_fast = bool(self.fast.all())
         self.active_mods = (
             np.asarray(
                 [s.num_active_modalities for s in self.scorers], dtype=np.int64
@@ -251,6 +262,14 @@ class _Wave:
         b = self.b
         if self.stack is not None:
             sims = self.stack.score(owner, cand)
+            self.joint_acc += np.bincount(owner, minlength=b)
+            return np.where(sims > thr[owner], sims, -np.inf)
+        if self.all_fast:
+            # The reduction below with every row selected, minus the masks.
+            assert self.concat_mat is not None and self.qmat is not None
+            sims = np.einsum(
+                "ij,ij->i", self.concat_mat[cand], self.qmat[owner]
+            ).astype(np.float64)
             self.joint_acc += np.bincount(owner, minlength=b)
             return np.where(sims > thr[owner], sims, -np.inf)
         sims = np.empty(cand.size, dtype=np.float64)
@@ -334,166 +353,94 @@ class _Wave:
         wave_stats: SearchStats,
     ) -> None:
         """Fill the pools of the rows flagged in *active* by lockstep
-        beam search, logging waves and frontier sizes to *wave_stats*."""
+        beam search, logging waves and frontier sizes to *wave_stats*.
+
+        Each wave is bookkeeping (:meth:`~_Bookkeeping.expand`, then
+        :meth:`~_Bookkeeping.merge`) around one :meth:`score_stack`;
+        the bookkeeping runs in the C kernel when it loaded and in NumPy
+        otherwise, with the same bits either way.
+        """
         if not active.any():
             return
-        index, b, width = self.index, self.b, self.width
-        n = index.n
-        cap_arr, width_arr = self.cap_arr, self.width_arr
-        res_ids, res_sims = self.res_ids, self.res_sims
-        # Routing pools: like the result pools, every row is truncated
-        # to its own width after each merge, so a query's state is
-        # exactly what a batch-of-one would hold — composition
-        # independence.
-        route_ids = np.zeros((b, width), dtype=np.int64)
-        route_sims = np.full((b, width), -np.inf, dtype=np.float64)
-        route_dead = np.ones((b, width), dtype=bool)
-        seen = np.zeros((b, n), dtype=bool)
+        index, b = self.index, self.b
+        kernel = wave_kernel.lib
+        book: _Bookkeeping = (
+            _NumpyBookkeeping(self, active, expansions_per_wave)
+            if kernel is None
+            else _NativeBookkeeping(self, active, expansions_per_wave, kernel)
+        )
         last_total = np.full(b, -np.inf, dtype=np.float64)
-        rows_all = np.arange(b, dtype=np.int64)
-        cols = np.arange(width, dtype=np.int64)
-
-        # Group queries by the identity of their excluded-vertex bitset
-        # (shared filters compile to one mask, unfiltered queries share the
-        # deletion bitset) so admission is one vectorised lookup per group.
-        uniq_excluded: list[np.ndarray] = []
-        excl_group = np.full(b, -1, dtype=np.int64)
-        _group_of: dict[int, int] = {}
-        for i, excl in enumerate(self.excluded_by):
-            if excl is None:
-                continue
-            gid = _group_of.setdefault(id(excl), len(uniq_excluded))
-            if gid == len(uniq_excluded):
-                uniq_excluded.append(excl)
-            excl_group[i] = gid
-
-        def admissible(owner: np.ndarray, cand: np.ndarray) -> np.ndarray:
-            out = np.ones(cand.size, dtype=bool)
-            groups = excl_group[owner]
-            for gid, excl in enumerate(uniq_excluded):
-                sel = groups == gid
-                if sel.any():
-                    out[sel] = ~excl[cand[sel]]
-            return out
-
-        def merge(owner: np.ndarray, cand: np.ndarray, sims: np.ndarray) -> None:
-            """Fold owner-sorted scored candidates into both pools."""
-            rows, f_ids, (f_route_sims, f_res_sims) = _pad_by_owner(
-                owner, cand, sims, np.where(admissible(owner, cand), sims, -np.inf)
-            )
-            cat_ids = np.concatenate([route_ids[rows], f_ids], axis=1)
-            cat_sims = np.concatenate([route_sims[rows], f_route_sims], axis=1)
-            cat_dead = np.concatenate(
-                [route_dead[rows], ~np.isfinite(f_route_sims)], axis=1
-            )
-            order = np.argsort(-cat_sims, axis=1, kind="stable")[:, :width]
-            new_sims = np.take_along_axis(cat_sims, order, axis=1)
-            over = cols[None, :] >= width_arr[rows][:, None]
-            route_ids[rows] = np.take_along_axis(cat_ids, order, axis=1)
-            route_sims[rows] = np.where(over, -np.inf, new_sims)
-            route_dead[rows] = np.take_along_axis(cat_dead, order, axis=1) | over
-
-            cat_ids = np.concatenate([res_ids[rows], f_ids], axis=1)
-            cat_sims = np.concatenate([res_sims[rows], f_res_sims], axis=1)
-            order = np.argsort(-cat_sims, axis=1, kind="stable")[:, :width]
-            new_sims = np.take_along_axis(cat_sims, order, axis=1)
-            over = cols[None, :] >= cap_arr[rows][:, None]
-            res_ids[rows] = np.take_along_axis(cat_ids, order, axis=1)
-            res_sims[rows] = np.where(over, -np.inf, new_sims)
-
-            if check_monotone:
-                block = res_sims[rows]
-                finite = np.isfinite(block)
-                csum = np.cumsum(np.where(finite, block, 0.0), axis=1)
-                take = np.minimum(finite.sum(axis=1), cap_arr[rows])
-                idx = np.maximum(take - 1, 0)
-                total = np.where(take > 0, csum[np.arange(rows.size), idx], 0.0)
-                prev = last_total[rows]
-                started = np.isfinite(prev)
-                # Lemma 3: f(η) is monotonically non-decreasing.
-                ok = bool(np.all(total[started] >= prev[started] - 1e-9))
-                assert ok, "Lemma 3 violated in wave merge"
-                last_total[rows] = total
+        frontier_sizes: list[int] = []
 
         # Init: each query's prefix of the entry order, one stacked wave.
         init_owner_parts: list[np.ndarray] = []
         init_id_parts: list[np.ndarray] = []
         for i in np.flatnonzero(active).tolist():
             r_init = index.entry_points(int(self.l_inner_arr[i]))
-            seen[i, r_init] = True
+            book.seen[i, r_init] = True
             init_id_parts.append(r_init)
             init_owner_parts.append(np.full(r_init.size, i, dtype=np.int64))
-        owner0 = np.concatenate(init_owner_parts)
-        cand0 = np.concatenate(init_id_parts)
-        merge(owner0, cand0, self.score_stack(owner0, cand0, np.full(b, -np.inf)))
+        owner = np.concatenate(init_owner_parts)
+        cand = np.concatenate(init_id_parts)
+        sims = self.score_stack(owner, cand, np.full(b, -np.inf))
+        rows = book.merge(owner, cand, sims)
+        if check_monotone:
+            self._check_lemma3(rows, last_total)
 
         # Waves: up to m expansions per active query per wave.
-        flat_adj, offsets = index.csr_adjacency()
-        m_exp = int(expansions_per_wave)
-        while True:
-            thr = res_sims[rows_all, np.maximum(cap_arr - 1, 0)]
-            # Heap-engine termination rule, vectorised: a routed candidate
-            # strictly below the current result floor can never enter R.
-            route_dead |= route_sims < thr[:, None]
-            masked = np.where(route_dead, -np.inf, route_sims)
-            # Up to m best unexpanded candidates per row — each row reads
-            # only its own pool, so wave-mates stay invisible to it.
-            top_cols = np.argsort(-masked, axis=1, kind="stable")[:, :m_exp]
-            top_sims = np.take_along_axis(masked, top_cols, axis=1)
-            valid = np.isfinite(top_sims)
-            valid &= active[:, None]
-            if not valid.any():
-                break
-            rsel, csel = np.nonzero(valid)
-            cols_sel = top_cols[rsel, csel]
-            expand = route_ids[rsel, cols_sel]
-            route_dead[rsel, cols_sel] = True
-            self.hops += valid.sum(axis=1)
-            wave_stats.waves += 1
-
-            counts = offsets[expand + 1] - offsets[expand]
-            total_adj = int(counts.sum())
-            if total_adj == 0:
-                wave_stats.frontier_sizes.append(0)
-                continue
-            shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            gather = np.arange(total_adj, dtype=np.int64) + np.repeat(
-                offsets[expand] - shift, counts
-            )
-            cand = flat_adj[gather]
-            owner = np.repeat(rsel, counts)
-            fresh = ~seen[owner, cand]
-            cand, owner = cand[fresh], owner[fresh]
-            if cand.size and m_exp > 1:
-                # Two expanded vertices of one row may share a neighbour;
-                # keep each (row, candidate) pair once.  np.unique sorts the
-                # keys row-major, preserving the contiguous-owner layout
-                # score_stack's slow path slices on.
-                key = owner * n + cand
-                _, first = np.unique(key, return_index=True)
-                owner, cand = owner[first], cand[first]
-            wave_stats.frontier_sizes.append(int(cand.size))
+        while (step := book.expand()) is not None:
+            thr, owner, cand = step
+            frontier_sizes.append(int(cand.size))
             if cand.size == 0:
                 continue
-            seen[owner, cand] = True
-            merge(owner, cand, self.score_stack(owner, cand, thr))
+            rows = book.merge(owner, cand, self.score_stack(owner, cand, thr))
+            if check_monotone:
+                self._check_lemma3(rows, last_total)
+        wave_stats.waves += len(frontier_sizes)
+        wave_stats.frontier_sizes += tuple(frontier_sizes)
+
+    def _check_lemma3(self, rows: np.ndarray, last_total: np.ndarray) -> None:
+        """Lemma 3: f(η), the sum of a full result pool, never falls.
+
+        As in the heap engine, a pool still filling up is not checked —
+        an admitted vertex of negative similarity lowers its sum — so
+        *last_total* holds a row's sum once its pool is full, -inf
+        before.
+        """
+        cap = self.cap_arr[rows]
+        block = self.res_sims[rows]
+        finite = np.isfinite(block)
+        csum = np.cumsum(np.where(finite, block, 0.0), axis=1)
+        take = np.minimum(finite.sum(axis=1), cap)
+        idx = np.maximum(take - 1, 0)
+        total = np.where(take > 0, csum[np.arange(rows.size), idx], 0.0)
+        prev = last_total[rows]
+        started = np.isfinite(prev)
+        ok = bool(np.all(total[started] >= prev[started] - 1e-9))
+        assert ok, "Lemma 3 violated in wave merge"
+        last_total[rows] = np.where(take == cap, total, -np.inf)
 
     def finalise(self, sparse_engine: str) -> list[SearchResult]:
-        """Per query: top-k by (-sim, id), then lexical fusion for a
-        hybrid row or the optional exact rerank for a plain one."""
+        """Per query: top-k by (-sim, id) — one row-wise lexsort for the
+        batch — then lexical fusion for a hybrid row or the optional
+        exact rerank for a plain one."""
         index, space = self.index, self.index.space
+        res_ids, res_sims = self.res_ids, self.res_sims
+        # One row-wise lexsort for the batch: a row's -inf padding sorts
+        # after its finite entries, which keep their per-row order.
+        order = np.lexsort((res_ids, -res_sims), axis=1)
+        taken = np.minimum(np.isfinite(res_sims).sum(axis=1), self.k_inner_arr)
+        hops, evals = self.hops.tolist(), self.joint_acc.tolist()
+        modality_evals = (self.joint_acc * self.active_mods).tolist()
         results: list[SearchResult] = []
-        for i in range(self.b):
+        for i, take in enumerate(taken.tolist()):
             stats = self.stats_list[i]
-            stats.hops += int(self.hops[i])
-            stats.visited_vertices += int(self.hops[i])
-            stats.joint_evals += int(self.joint_acc[i])
-            stats.modality_evals += int(self.joint_acc[i] * self.active_mods[i])
-            finite = np.isfinite(self.res_sims[i])
-            ids_f = self.res_ids[i][finite]
-            sims_f = self.res_sims[i][finite]
-            order = np.lexsort((ids_f, -sims_f))[: int(self.k_inner_arr[i])]
-            ids_o, sims_o = ids_f[order], sims_f[order]
+            stats.hops += hops[i]
+            stats.visited_vertices += hops[i]
+            stats.joint_evals += evals[i]
+            stats.modality_evals += modality_evals[i]
+            top = order[i, :take]
+            ids_o, sims_o = res_ids[i, top], res_sims[i, top]
             typed = self.hybrid[i]
             if typed is not None:
                 if self.alive[i]:
@@ -519,6 +466,252 @@ class _Wave:
                 )
             results.append(SearchResult(ids=ids_o, similarities=sims_o, stats=stats))
         return results
+
+
+class _Bookkeeping:
+    """One traversal's routing state and the two steps of a wave.
+
+    :meth:`expand` picks each active row's next expansions, gathers
+    their unvisited neighbours into an owner-sorted frontier and marks
+    them visited; :meth:`merge` folds a scored frontier into the route
+    and result pools.  Neither does float arithmetic — the scores come
+    from :meth:`_Wave.score_stack` — so the two implementations leave
+    the same bits behind.
+    """
+
+    def __init__(self, wave: _Wave, active: np.ndarray, expansions_per_wave: int):
+        b, width = wave.b, wave.width
+        self.wave = wave
+        self.active = active
+        self.m_exp = int(expansions_per_wave)
+        self.flat_adj, self.offsets = wave.index.csr_adjacency()
+        # Routing pools: like the result pools, every row is truncated
+        # to its own width after each merge, so a query's state is
+        # exactly what a batch-of-one would hold — composition
+        # independence.
+        self.route_ids = np.zeros((b, width), dtype=np.int64)
+        self.route_sims = np.full((b, width), -np.inf, dtype=np.float64)
+        self.route_dead = np.ones((b, width), dtype=bool)
+        self.seen = np.zeros((b, wave.index.n), dtype=bool)
+
+    def expand(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(thr, owner, cand)`` of the next wave, or ``None`` when no
+        row has a candidate left; counts the expansions as hops."""
+        raise NotImplementedError
+
+    def merge(
+        self, owner: np.ndarray, cand: np.ndarray, sims: np.ndarray
+    ) -> np.ndarray:
+        """Fold owner-sorted scored candidates into both pools; returns
+        the rows touched."""
+        raise NotImplementedError
+
+
+class _NumpyBookkeeping(_Bookkeeping):
+    """The bookkeeping in NumPy: what runs without the C kernel, and the
+    oracle the kernel is pinned against."""
+
+    def __init__(self, wave: _Wave, active: np.ndarray, expansions_per_wave: int):
+        super().__init__(wave, active, expansions_per_wave)
+        b = wave.b
+        self.rows_all = np.arange(b, dtype=np.int64)
+        self.cols = np.arange(wave.width, dtype=np.int64)
+        # Group queries by the identity of their excluded-vertex bitset
+        # (shared filters compile to one mask, unfiltered queries share the
+        # deletion bitset) so admission is one vectorised lookup per group.
+        self.uniq_excluded: list[np.ndarray] = []
+        self.excl_group = np.full(b, -1, dtype=np.int64)
+        group_of: dict[int, int] = {}
+        for i, excl in enumerate(wave.excluded_by):
+            if excl is None:
+                continue
+            gid = group_of.setdefault(id(excl), len(self.uniq_excluded))
+            if gid == len(self.uniq_excluded):
+                self.uniq_excluded.append(excl)
+            self.excl_group[i] = gid
+
+    def admissible(self, owner: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        out = np.ones(cand.size, dtype=bool)
+        groups = self.excl_group[owner]
+        for gid, excl in enumerate(self.uniq_excluded):
+            sel = groups == gid
+            if sel.any():
+                out[sel] = ~excl[cand[sel]]
+        return out
+
+    def merge(
+        self, owner: np.ndarray, cand: np.ndarray, sims: np.ndarray
+    ) -> np.ndarray:
+        wave, width, cols = self.wave, self.wave.width, self.cols
+        route_ids, route_sims, route_dead = (
+            self.route_ids, self.route_sims, self.route_dead
+        )
+        res_ids, res_sims = wave.res_ids, wave.res_sims
+        rows, f_ids, (f_route_sims, f_res_sims) = _pad_by_owner(
+            owner, cand, sims, np.where(self.admissible(owner, cand), sims, -np.inf)
+        )
+        cat_ids = np.concatenate([route_ids[rows], f_ids], axis=1)
+        cat_sims = np.concatenate([route_sims[rows], f_route_sims], axis=1)
+        cat_dead = np.concatenate(
+            [route_dead[rows], ~np.isfinite(f_route_sims)], axis=1
+        )
+        order = np.argsort(-cat_sims, axis=1, kind="stable")[:, :width]
+        new_sims = np.take_along_axis(cat_sims, order, axis=1)
+        over = cols[None, :] >= wave.width_arr[rows][:, None]
+        route_ids[rows] = np.take_along_axis(cat_ids, order, axis=1)
+        route_sims[rows] = np.where(over, -np.inf, new_sims)
+        route_dead[rows] = np.take_along_axis(cat_dead, order, axis=1) | over
+
+        cat_ids = np.concatenate([res_ids[rows], f_ids], axis=1)
+        cat_sims = np.concatenate([res_sims[rows], f_res_sims], axis=1)
+        order = np.argsort(-cat_sims, axis=1, kind="stable")[:, :width]
+        new_sims = np.take_along_axis(cat_sims, order, axis=1)
+        over = cols[None, :] >= wave.cap_arr[rows][:, None]
+        res_ids[rows] = np.take_along_axis(cat_ids, order, axis=1)
+        res_sims[rows] = np.where(over, -np.inf, new_sims)
+        return rows
+
+    def expand(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        wave, m_exp = self.wave, self.m_exp
+        route_dead, route_sims, seen = self.route_dead, self.route_sims, self.seen
+        flat_adj, offsets = self.flat_adj, self.offsets
+        thr = wave.res_sims[self.rows_all, np.maximum(wave.cap_arr - 1, 0)]
+        # Heap-engine termination rule, vectorised: a routed candidate
+        # strictly below the current result floor can never enter R.
+        route_dead |= route_sims < thr[:, None]
+        masked = np.where(route_dead, -np.inf, route_sims)
+        # Up to m best unexpanded candidates per row — each row reads
+        # only its own pool, so wave-mates stay invisible to it.
+        top_cols = np.argsort(-masked, axis=1, kind="stable")[:, :m_exp]
+        top_sims = np.take_along_axis(masked, top_cols, axis=1)
+        valid = np.isfinite(top_sims)
+        valid &= self.active[:, None]
+        if not valid.any():
+            return None
+        rsel, csel = np.nonzero(valid)
+        cols_sel = top_cols[rsel, csel]
+        expand = self.route_ids[rsel, cols_sel]
+        route_dead[rsel, cols_sel] = True
+        wave.hops += valid.sum(axis=1)
+
+        counts = offsets[expand + 1] - offsets[expand]
+        total_adj = int(counts.sum())
+        if total_adj == 0:
+            return thr, rsel[:0], expand[:0]
+        shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        gather = np.arange(total_adj, dtype=np.int64) + np.repeat(
+            offsets[expand] - shift, counts
+        )
+        cand = flat_adj[gather].astype(np.int64)
+        owner = np.repeat(rsel, counts)
+        fresh = ~seen[owner, cand]
+        cand, owner = cand[fresh], owner[fresh]
+        if cand.size and m_exp > 1:
+            # Two expanded vertices of one row may share a neighbour;
+            # keep each (row, candidate) pair once.  np.unique sorts the
+            # keys row-major, preserving the contiguous-owner layout
+            # score_stack's slow path slices on.
+            key = owner * wave.index.n + cand
+            _, first = np.unique(key, return_index=True)
+            owner, cand = owner[first], cand[first]
+        seen[owner, cand] = True
+        return thr, owner, cand
+
+
+class _NativeBookkeeping(_Bookkeeping):
+    """The same two steps in ``wave_kernel.c``: one ctypes call each
+    over arrays this traversal owns (the CSR pair is only read)."""
+
+    def __init__(
+        self,
+        wave: _Wave,
+        active: np.ndarray,
+        expansions_per_wave: int,
+        kernel: ctypes.CDLL,
+    ):
+        super().__init__(wave, active, expansions_per_wave)
+        b, width, n = wave.b, wave.width, wave.index.n
+        self.kernel = kernel
+        max_degree = int(np.diff(self.offsets).max()) if n else 0
+        # A row gathers at most min(m, width) adjacency lists a wave,
+        # and never a vertex twice.
+        row_cap = min(n, min(self.m_exp, width) * max_degree)
+        self.active = np.ascontiguousarray(active, dtype=bool)
+        self.thr = np.empty(b, dtype=np.float64)
+        self.owner = np.empty(b * row_cap, dtype=np.int64)
+        self.cand = np.empty(b * row_cap, dtype=np.int64)
+        self.rows = np.empty(b, dtype=np.int64)
+        bitsets = [
+            None if e is None else np.ascontiguousarray(e, dtype=bool)
+            for e in wave.excluded_by
+        ]
+        excluded = (ctypes.c_void_p * b)(
+            *[None if e is None else e.ctypes.data for e in bitsets]
+        )
+        # Everything the state points into stays referenced by self.
+        self._keep = (excluded, bitsets)
+        arrays = dict(
+            flat=self.flat_adj, offsets=self.offsets,
+            width_arr=wave.width_arr, cap_arr=wave.cap_arr,
+            active=self.active, route_ids=self.route_ids,
+            route_sims=self.route_sims, route_dead=self.route_dead,
+            res_ids=wave.res_ids, res_sims=wave.res_sims, seen=self.seen,
+            hops=wave.hops, thr=self.thr, owner=self.owner, cand=self.cand,
+            rows=self.rows,
+        )
+        # The kernel trusts these: shapes and layout are checked here,
+        # once a traversal, and ids arriving per call are checked in C.
+        require(
+            all(arr.flags.c_contiguous for arr in arrays.values())
+            and all(e is None or e.shape == (n,) for e in bitsets)
+            and self.flat_adj.dtype == np.int32
+            and self.seen.shape == (b, n),
+            "wave kernel: malformed traversal state",
+        )
+        self.state = ctypes.pointer(
+            wave_kernel.WaveState(
+                b=b, width=width, n=n, m=self.m_exp, row_cap=row_cap,
+                excluded=ctypes.addressof(excluded),
+                **{name: arr.ctypes.data for name, arr in arrays.items()},
+            )
+        )
+
+    def expand(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        f = int(self.kernel.wave_expand(self.state))
+        if f == -1:
+            return None
+        _raise_on(f)
+        return self.thr, self.owner[:f], self.cand[:f]
+
+    def merge(
+        self, owner: np.ndarray, cand: np.ndarray, sims: np.ndarray
+    ) -> np.ndarray:
+        owner = np.ascontiguousarray(owner, dtype=np.int64)
+        cand = np.ascontiguousarray(cand, dtype=np.int64)
+        sims = np.ascontiguousarray(sims, dtype=np.float64)
+        touched = int(
+            self.kernel.wave_merge(
+                self.state, owner.ctypes.data, cand.ctypes.data,
+                sims.ctypes.data, owner.size,
+            )
+        )
+        _raise_on(touched)
+        return self.rows[:touched]
+
+
+def _raise_on(status: int) -> None:
+    """Turn the kernel's negative status codes (``wave_kernel.c``'s
+    ``enum``) into exceptions."""
+    if status == -2:
+        raise MemoryError("wave kernel: out of memory")
+    if status < 0:
+        raise RuntimeError(f"wave kernel refused its input (status {status})")
+
+
+def bookkeeping() -> str:
+    """Which bookkeeping :func:`graph_wave_search` runs: ``"native"``
+    (the C kernel loaded) or ``"numpy"``."""
+    return "numpy" if wave_kernel.lib is None else "native"
 
 
 def graph_wave_search(

@@ -25,7 +25,7 @@ from repro.core.query import Eq, Query, SearchOptions
 from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
-from repro.index.graph_wave import graph_wave_search
+from repro.index.graph_wave import bookkeeping, graph_wave_search
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.segments import Segment, SegmentView
 
@@ -82,7 +82,7 @@ class TestFlatParity:
         oracle = must.query(
             queries, SearchOptions(k=K, l=L, engine="heap")
         )
-        assert wave.plan == "graph/wave"
+        assert wave.plan == f"graph/wave/{bookkeeping()}"
         assert oracle.plan == "graph/loop"
         assert _recall(wave, truth) >= _recall(oracle, truth) - EPS
 
@@ -95,7 +95,7 @@ class TestFlatParity:
 
     def test_refine_reranks_exact(self, must, queries):
         run = must.query(queries, SearchOptions(k=K, l=L, refine=3))
-        assert run.plan == "graph/wave"
+        assert run.plan == f"graph/wave/{bookkeeping()}"
         assert run.stats.reranked > 0
         truth = [must.query(q, SearchOptions(k=K, exact=True)) for q in queries]
         assert _recall(run, truth) >= 1.0 - EPS
@@ -135,7 +135,7 @@ class TestCompressedParity:
         oracle = must.query(
             queries, SearchOptions(k=K, l=L, engine="heap")
         )
-        assert wave.plan == "graph/wave"
+        assert wave.plan == f"graph/wave/{bookkeeping()}"
         assert _recall(wave, truth) >= _recall(oracle, truth) - EPS
 
 
@@ -241,7 +241,7 @@ class TestSegmentedParity:
         oracle = seg_must.query(
             queries, SearchOptions(k=K, l=L, engine="heap")
         )
-        assert wave.plan == "graph/wave"
+        assert wave.plan == f"graph/wave/{bookkeeping()}"
         assert oracle.plan == "graph/loop"
         assert _recall(wave, truth) >= _recall(oracle, truth) - EPS
 
@@ -295,18 +295,18 @@ class TestWaveStats:
     def test_heap_plan_has_no_wave_trace(self, must, queries):
         run = must.query(queries, SearchOptions(k=K, l=L, engine="heap"))
         assert run.stats.waves == 0
-        assert run.stats.frontier_sizes == []
+        assert run.stats.frontier_sizes == ()
 
     def test_merge_concatenates_frontiers(self):
-        a = SearchStats(waves=2, frontier_sizes=[4, 5])
-        b = SearchStats(waves=1, frontier_sizes=[6])
+        a = SearchStats(waves=2, frontier_sizes=(4, 5))
+        b = SearchStats(waves=1, frontier_sizes=(6,))
         a.merge(b)
         assert a.waves == 3
-        assert a.frontier_sizes == [4, 5, 6]
-        # merge must never alias the default list across instances
+        assert a.frontier_sizes == (4, 5, 6)
+        # merge must never change the shared (immutable) default
         fresh = SearchStats()
-        fresh.merge(SearchStats(frontier_sizes=[1]))
-        assert SearchStats().frontier_sizes == []
+        fresh.merge(SearchStats(frontier_sizes=(1,)))
+        assert SearchStats().frontier_sizes == ()
 
 
 class TestServingWaves:

@@ -40,7 +40,7 @@ from repro.core.multivector import (
 from repro.core.query import Eq, Query, SearchOptions
 from repro.core.registry import dense_score_rows
 from repro.core.weights import Weights
-from repro.index.graph_wave import graph_wave_search
+from repro.index.graph_wave import bookkeeping, graph_wave_search
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.search import joint_search
 from repro.index.segments import MANIFEST_NAME, SegmentPolicy
@@ -462,7 +462,7 @@ def test_wave_hybrid_recall_matches_heap_oracle(
     oracle = must.query(
         hybrid_queries, SearchOptions(k=K, l=L, engine="heap")
     )
-    assert wave.plan == "graph/wave"
+    assert wave.plan == f"graph/wave/{bookkeeping()}"
     assert wave.stats.waves > 0
     assert recall(wave) >= recall(oracle) - 0.05
 
@@ -515,7 +515,7 @@ def test_wave_hybrid_early_termination_still_answers(dataset, hybrid_queries):
         hybrid_queries,
         SearchOptions(k=K, l=L, early_termination=True),
     )
-    assert run.plan == "graph/wave"
+    assert run.plan == f"graph/wave/{bookkeeping()}"
     hits = sum(
         len(set(r.ids) & set(t.ids)) for r, t in zip(run, truth)
     )
@@ -548,4 +548,4 @@ def test_heap_hybrid_forwards_check_monotone(
     wave = must.query(
         hybrid_queries, SearchOptions(k=K, l=L, check_monotone=True)
     )
-    assert wave.plan == "graph/wave"
+    assert wave.plan == f"graph/wave/{bookkeeping()}"
