@@ -424,16 +424,9 @@ class MUST:
         Pass a :class:`~repro.service.ServiceConfig` or its fields as
         keyword arguments (``max_batch=64, max_wait_ms=1.0, ...``).
         """
-        from repro.service.service import MustService, ServiceConfig
+        from repro.service.collections import CollectionManager
 
-        if config is None:
-            config = ServiceConfig(**config_kwargs)
-        else:
-            require(
-                not config_kwargs,
-                "pass either a ServiceConfig or its fields, not both",
-            )
-        return MustService(self, config)
+        return CollectionManager.of(self).serve(config, **config_kwargs)
 
     def serve_sharded(
         self, n_shards: int = 2, config=None, **kwargs
@@ -450,23 +443,10 @@ class MUST:
         :meth:`serve`; ``worker_timeout_s`` / ``mp_start`` pass through
         to the sharded constructor.
         """
-        from repro.service.service import ServiceConfig
-        from repro.service.sharded import ShardedService
+        from repro.service.collections import CollectionManager
 
-        passthrough = {
-            key: kwargs.pop(key)
-            for key in ("worker_timeout_s", "spawn_timeout_s", "mp_start")
-            if key in kwargs
-        }
-        if config is None:
-            config = ServiceConfig(**kwargs)
-        else:
-            require(
-                not kwargs,
-                "pass either a ServiceConfig or its fields, not both",
-            )
-        return ShardedService(
-            self, n_shards=n_shards, config=config, **passthrough
+        return CollectionManager.of(self).serve_sharded(
+            n_shards, config, **kwargs
         )
 
     # ------------------------------------------------------------------

@@ -283,7 +283,8 @@ class CollectionManager:
         """Serve every collection behind one coalescing dispatcher.
 
         Pass a :class:`~repro.service.ServiceConfig` or its fields as
-        keyword arguments, exactly like :meth:`MUST.serve`.
+        keyword arguments; :meth:`MUST.serve` is this call on the
+        one-collection manager :meth:`of` lifts it into.
         """
         from repro.service.service import MustService, ServiceConfig
 
@@ -307,8 +308,9 @@ class CollectionManager:
         ``config`` / extra keyword arguments are
         :class:`~repro.service.ServiceConfig` fields;
         ``worker_timeout_s`` / ``spawn_timeout_s`` / ``mp_start`` pass
-        through to the sharded constructor — exactly like
-        :meth:`MUST.serve_sharded`.
+        through to the sharded constructor.  :meth:`MUST.serve_sharded`
+        is this call on the one-collection manager :meth:`of` lifts it
+        into.
         """
         from repro.service.service import ServiceConfig
         from repro.service.sharded import ShardedService

@@ -7,12 +7,12 @@ code.  Three mechanisms, each visible in :class:`ServiceStats`:
 * **Micro-batch coalescing** — client threads submit single queries
   into a bounded queue; a dispatcher thread drains up to
   ``max_batch`` requests (waiting at most ``max_wait_ms`` for
-  stragglers) and executes them as one wave.  Exact requests with the
-  same plan share per-segment GEMM prefilters
-  (:meth:`IndexSnapshot.exact_wave`), so 32 concurrent exact callers
-  cost a few GEMMs instead of 32 full scans, and graph requests with
-  the same plan share one lockstep traversal
-  (:meth:`IndexSnapshot.graph_wave`).
+  stragglers) and executes them as one wave.  Requests whose
+  :class:`SearchOptions` are equal form one group, and each group is
+  one :func:`~repro.index.executor.execute` call
+  (:meth:`IndexSnapshot.graph_wave`): 32 concurrent exact callers cost
+  a few prefilter GEMMs instead of 32 full scans, and 32 graph callers
+  share one lockstep traversal.
 * **Snapshot-isolated reads** — each wave runs against an immutable
   :class:`~repro.service.snapshot.IndexSnapshot` captured under the
   write lock, so :meth:`insert` / :meth:`mark_deleted` /
@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.core.multivector import MultiVector, MultiVectorSet
 from repro.core.query import Query, SearchOptions, as_query
-from repro.core.results import SearchResult
+from repro.core.results import SearchResult, SearchStats
 from repro.service.collections import Collection, CollectionManager
 from repro.service.snapshot import IndexSnapshot
 from repro.service.stats import ServiceStats
@@ -585,19 +585,49 @@ class MustService:
                         self._resolve(req, exc)
 
     def _execute_collection(self, reqs: list[_Request]) -> None:
-        """One collection's share of a dispatched batch."""
+        """One collection's share of a dispatched batch: one group per
+        distinct plan.
+
+        :class:`SearchOptions` is a frozen dataclass, so equal plans key
+        one group; per-query weights/filters/k ride inside each
+        :class:`Query` and never split one.
+        """
         collection = reqs[0].collection
         snap = self._snapshot_of(collection)
         collection.stats.record_batch(len(reqs), collection.pending)
-
-        wave_reqs: list[_Request] = []
-        exact_reqs: list[_Request] = []
+        groups: dict[SearchOptions, list[_Request]] = {}
         for req in reqs:
-            (exact_reqs if req.options.exact else wave_reqs).append(req)
-        for group in self._wave_groups(wave_reqs):
-            self._run_graph_wave(snap, group)
-        for group in self._exact_groups(exact_reqs):
-            self._run_exact(snap, group)
+            groups.setdefault(req.options, []).append(req)
+        for group in groups.values():
+            self._run_group(snap, group)
+
+    def _run_group(
+        self, snap: IndexSnapshot | None, reqs: list[_Request]
+    ) -> None:
+        """One :func:`~repro.index.executor.execute` call answers every
+        request of the group, exact or graph.
+
+        No engine reads its batch-mates, so a coalesced answer is
+        bit-identical to the request dispatched alone — pooling callers
+        only amortises the prefilter GEMM or the lockstep traversal,
+        never changes a result.
+        """
+        view = self._require_snap(snap)
+        try:
+            batch = view.graph_wave([r.query for r in reqs], reqs[0].options)
+        except Exception as exc:
+            self._retry_alone(snap, reqs, exc)
+            return
+        self._record_group(reqs, batch.stats)
+        for req, res in zip(reqs, batch.results):
+            self._resolve(req, res)
+
+    def _record_group(self, reqs: list[_Request], stats: SearchStats) -> None:
+        """Count a graph group's waves; an exact group has none."""
+        if reqs[0].options.exact:
+            return
+        for sink in (self.stats, reqs[0].collection.stats):
+            sink.record_graph_wave(stats.waves, stats.frontier_sizes)
 
     def _run_requests(
         self, snap: IndexSnapshot | None, reqs: list[_Request]
@@ -618,95 +648,14 @@ class MustService:
         """Narrow the optional snapshot the executor signatures carry.
 
         ``None`` only ever flows through :class:`ShardedService`, whose
-        executor overrides never call back into these.
+        group-runner overrides never call back into these.
         """
         if snap is None:  # pragma: no cover - in-process always captures
             raise RuntimeError("in-process executors need a snapshot")
         return snap
 
-    def _wave_groups(self, reqs: list[_Request]) -> list[list[_Request]]:
-        """Group graph requests sharing one lockstep plan.
-
-        Per-query weights/filters/k ride inside each :class:`Query`, so
-        only the plan fields that parameterise the traversal itself
-        must match.
-        """
-        groups: dict[tuple[Any, ...], list[_Request]] = {}
-        for req in reqs:
-            opts = req.options
-            key = (
-                opts.k,
-                opts.l,
-                opts.refine,
-                opts.early_termination,
-                opts.check_monotone,
-                opts.sparse_engine,
-            )
-            groups.setdefault(key, []).append(req)
-        return list(groups.values())
-
-    def _run_graph_wave(
-        self, snap: IndexSnapshot | None, reqs: list[_Request]
-    ) -> None:
-        """One lockstep traversal answers every request in the group.
-
-        The wave engine is composition-independent per query, so a
-        coalesced answer is bit-identical to dispatching the request
-        alone — pooling many callers only amortises the traversal,
-        never changes a result.
-        """
-        view = self._require_snap(snap)
-        try:
-            batch = view.graph_wave(
-                [r.query for r in reqs], reqs[0].options
-            )
-        except Exception as exc:
-            self._retry_alone("graph", snap, reqs, exc)
-            return
-        self.stats.record_graph_wave(
-            batch.stats.waves, batch.stats.frontier_sizes
-        )
-        reqs[0].collection.stats.record_graph_wave(
-            batch.stats.waves, batch.stats.frontier_sizes
-        )
-        for req, res in zip(reqs, batch.results):
-            self._resolve(req, res)
-
-    def _exact_groups(self, reqs: list[_Request]) -> list[list[_Request]]:
-        """Group exact requests sharing one wave plan.
-
-        Per-query weights/filters/k overrides ride inside each
-        request's :class:`Query` and are handled natively by the exact
-        wave, so they never fragment a group.
-        """
-        groups: dict[tuple[Any, ...], list[_Request]] = {}
-        for req in reqs:
-            opts = req.options
-            key = (opts.k, opts.refine, opts.sparse_engine)
-            groups.setdefault(key, []).append(req)
-        return list(groups.values())
-
-    def _run_exact(
-        self, snap: IndexSnapshot | None, reqs: list[_Request]
-    ) -> None:
-        view = self._require_snap(snap)
-        opts = reqs[0].options
-        try:
-            results = view.exact_wave(
-                [r.query for r in reqs],
-                opts.k,
-                refine=opts.refine,
-                sparse_engine=opts.sparse_engine,
-            )
-        except Exception as exc:
-            self._retry_alone("exact", snap, reqs, exc)
-            return
-        for req, res in zip(reqs, results):
-            self._resolve(req, res)
-
     def _retry_alone(
         self,
-        kind: str,
         snap: IndexSnapshot | None,
         reqs: list[_Request],
         error: Exception,
@@ -721,7 +670,7 @@ class MustService:
         reqs[0].collection.stats.record_wave_retry()
         logger.warning(
             "event=wave_retry kind=%s size=%d error=%r",
-            kind, len(reqs), error,
+            "exact" if reqs[0].options.exact else "graph", len(reqs), error,
         )
         self._run_requests(snap, reqs)
 

@@ -31,20 +31,20 @@ once, at spawn:
 
 The control plane **reuses** :class:`MustService` unchanged: the same
 bounded queue, admission control, micro-batch coalescing dispatcher,
-and plan grouping.  Only the group executors differ — each coalesced
-group scatters to every live shard (exact groups via the shard's
-``exact_wave``, lockstep graph groups via ``graph_wave``, the
-containment retry of a failed group via a per-item command — each
-message carries the
-group's :class:`~repro.core.query.SearchOptions`, which the worker hands
-to :func:`repro.index.executor.execute`), gathers the per-shard pools,
-and merges a global top-k with
+and grouping by equal :class:`~repro.core.query.SearchOptions`.  Only
+the group runner differs — each coalesced group, exact or graph, is one
+``search`` command scattered to every live shard, carrying the group's
+options, which the worker hands to
+:func:`repro.index.executor.execute` unchanged (the containment retry
+of a failed group is the per-item ``search_many``).  The parent gathers
+the per-shard pools and merges a global top-k per request with
 :func:`~repro.index.segments._merge_candidates`.
 
-**Bit-parity.**  The exact path scores through the layout-independent
-``query_ids_stable`` kernel inside each shard, per segment — the same
-kernel a single-process :class:`~repro.index.segments.SegmentView` scans
-with.  A shard's local top-k is therefore a subset of the global
+**Bit-parity.**  The exact path scores through the one exact kernel
+(:meth:`~repro.index.flat.FlatIndex.batch_search`) inside each shard,
+per segment — the same kernel a single-process
+:class:`~repro.index.segments.SegmentView` scans with.  A shard's local
+top-k is therefore a subset of the global
 candidate list with *identical* similarities, the union of local top-k
 lists contains the global top-k, and the merge orders by
 ``(-similarity, external id)`` exactly like the single-process merge —
@@ -214,17 +214,11 @@ class _ShardCollection:
         return view
 
     # Commands ---------------------------------------------------------
-    def exact_wave(
-        self, queries: list[Query], options: SearchOptions
-    ) -> list[SearchResult]:
-        view = self.view()
-        if view.num_segments == 0:
-            return [_empty_result() for _ in queries]
-        return execute(view, queries, options).results
-
-    def graph_wave(
+    def search(
         self, queries: list[Query], options: SearchOptions
     ) -> BatchResult:
+        """One coalesced group on this slice: the plan goes to
+        :func:`~repro.index.executor.execute` unchanged."""
         view = self.view()
         if view.num_segments == 0:
             return BatchResult([_empty_result() for _ in queries])
@@ -242,12 +236,7 @@ class _ShardCollection:
         out: list[tuple[str, Any]] = []
         for query, options in items:
             try:
-                view = self.view()
-                if view.num_segments == 0:
-                    out.append(("ok", _empty_result()))
-                else:
-                    batch = execute(view, [query], options, independent=True)
-                    out.append(("ok", batch.results[0]))
+                out.append(("ok", self.search([query], options).results[0]))
             except Exception as exc:
                 out.append(("err", exc))
         return out
@@ -387,8 +376,8 @@ def _worker_main(
     one shard for another's compute.
 
     Hot-path commands carry their collection name right after the
-    command word (``("exact_wave", name, ...)``); ``stats`` and ``stop``
-    are worker-wide.
+    command word (``("search", name, queries, options)``); ``stats`` and
+    ``stop`` are worker-wide.
     """
     try:
         worker = _ShardWorker(specs, meta)
@@ -412,10 +401,8 @@ def _worker_main(
                 break
             started = time.process_time()
             try:
-                if cmd == "exact_wave":
-                    payload: Any = worker.col(msg[1]).exact_wave(*msg[2:])
-                elif cmd == "graph_wave":
-                    payload = worker.col(msg[1]).graph_wave(*msg[2:])
+                if cmd == "search":
+                    payload: Any = worker.col(msg[1]).search(*msg[2:])
                 elif cmd == "search_many":
                     payload = worker.col(msg[1]).search_many(msg[2])
                 elif cmd == "insert":
@@ -462,94 +449,6 @@ def _corpus_slices(
     must: "MUST",
 ) -> tuple[
     np.ndarray,
-    list[np.ndarray],
-    AttributeTable | None,
-    SparseStore | None,
-    int,
-]:
-    """The live corpus as flat arrays: (ext_ids, mats, attrs, sparse, next_ext).
-
-    Rows come out sorted by external id, exact-tier (full-precision)
-    vectors only — each shard re-applies its own compression at build,
-    so sharding never compounds quantisation error.  The sparse lexical
-    plane (when present) comes out stamped with corpus-global statistics
-    so every shard slice keeps scoring against the whole-collection
-    frequencies.
-    """
-    if must.is_segmented:
-        segs = must.segments.searchable_segments()
-        require(segs, "cannot shard an empty index")
-        num_modalities = segs[0].space.num_modalities
-        ext_parts: list[np.ndarray] = []
-        mat_parts: list[list[np.ndarray]] = [
-            [] for _ in range(num_modalities)
-        ]
-        attr_parts: list[AttributeTable] = []
-        sparse_parts: list[SparseStore] = []
-        contributing = 0
-        for seg in segs:
-            alive = (
-                np.arange(seg.n)
-                if seg.index.deleted is None
-                else np.flatnonzero(~seg.index.deleted)
-            )
-            if alive.size == 0:
-                continue
-            contributing += 1
-            ext_parts.append(seg.ext_ids[alive])
-            attrs = seg.space.vectors.attributes
-            if attrs is not None:
-                attr_parts.append(attrs.subset(alive))
-            seg_sparse = seg.space.vectors.sparse
-            if seg_sparse is not None:
-                sparse_parts.append(seg_sparse.subset(alive))
-            for i in range(num_modalities):
-                mat_parts[i].append(seg.space.vectors.exact_modality(i)[alive])
-        require(ext_parts, "cannot shard an index with no live objects")
-        ext = np.concatenate(ext_parts)
-        order = np.argsort(ext)
-        attributes = None
-        if attr_parts:
-            require(
-                len(attr_parts) == contributing,
-                "cannot shard: inconsistent attribute state across segments",
-            )
-            attributes = AttributeTable.concat(attr_parts).subset(order)
-        sparse = None
-        if sparse_parts:
-            require(
-                len(sparse_parts) == contributing,
-                "cannot shard: inconsistent sparse state across segments",
-            )
-            sparse = SparseStore.concat(sparse_parts).subset(order)
-            # Make the global stamp explicit: subset slices taken per
-            # shard must never fall back to shard-local statistics.
-            sparse = sparse.with_stats(sparse.stats)
-        mats = [np.concatenate(parts)[order] for parts in mat_parts]
-        return ext[order], mats, attributes, sparse, int(must.segments._next_ext)
-    index = must.index
-    alive = index.active_ids()
-    require(alive.size, "cannot shard an index with no live objects")
-    vectors = index.space.vectors
-    mats = [
-        vectors.exact_modality(i)[alive]
-        for i in range(vectors.num_modalities)
-    ]
-    attributes = vectors.attributes
-    if attributes is not None:
-        attributes = attributes.subset(alive)
-    sparse = vectors.sparse
-    if sparse is not None:
-        # Stamp before slicing: the shard slices keep scoring against
-        # the whole corpus' statistics, exactly like the flat index.
-        sparse = sparse.with_stats(sparse.stats).subset(alive)
-    return alive.astype(np.int64), mats, attributes, sparse, int(index.n)
-
-
-def _corpus_slices_mmap(
-    must: "MUST",
-) -> tuple[
-    np.ndarray,
     np.ndarray,
     np.ndarray,
     list[list[str]],
@@ -558,22 +457,23 @@ def _corpus_slices_mmap(
     SparseStore | None,
     int,
 ]:
-    """Cold-tier *provenance* for an mmap-backed corpus.
-
-    Instead of gathering the full-precision rows (O(corpus) bytes
-    through shared memory), returns, sorted by external id::
+    """The live corpus, sorted by external id, as vector *provenance*::
 
         (ext_ids, src_of, row_of, sources, tail_mats, attrs, sparse,
         next_ext)
 
-    where ``sources[s]`` is the path list of the ``s``-th memory-mapped
-    cold plane and ``(src_of[j], row_of[j])`` addresses row ``j``'s
-    exact vectors inside it.  Rows whose segment is still resident in
-    the parent (the delta, or a dense segment) are gathered into
-    ``tail_mats`` and addressed as source ``len(sources)`` — the only
-    vector bytes that ever cross the process boundary.  The sparse
-    plane (postings, not vectors — already O(nnz)) always rides shared
-    memory, stamped with corpus-global statistics.
+    ``sources[s]`` is the path list of the ``s``-th memory-mapped cold
+    plane and ``(src_of[j], row_of[j])`` addresses row ``j``'s exact
+    vectors inside it.  Rows whose vectors are resident in the parent
+    (every row of a resident corpus; the delta or a dense segment of an
+    mmap one) are gathered into ``tail_mats`` and addressed as source
+    ``len(sources)`` — the only vector bytes that ever cross the process
+    boundary.  Vectors are exact-tier (full-precision) only: each shard
+    re-applies its own compression at build, so sharding never compounds
+    quantisation error.  Every sparse plane (postings, not vectors —
+    already O(nnz), so it always rides shared memory) is stamped with
+    its own statistics *before* its tombstones drop out, so the shards
+    keep scoring against the whole collection's document frequencies.
     """
     if must.is_segmented:
         segs = must.segments.searchable_segments()
@@ -615,14 +515,14 @@ def _corpus_slices_mmap(
         attrs = vectors.attributes
         if attrs is not None:
             attr_parts.append(attrs.subset(alive))
-        entry_sparse = vectors.sparse
-        if entry_sparse is not None:
-            sparse_parts.append(entry_sparse.subset(alive))
-        plane = vectors.store.cold_plane
-        if isinstance(plane, MmapPlane):
+        plane = vectors.sparse
+        if plane is not None:
+            sparse_parts.append(plane.with_stats(plane.stats).subset(alive))
+        cold = vectors.store.cold_plane
+        if isinstance(cold, MmapPlane):
             src_parts.append(np.full(alive.size, len(sources), dtype=np.int64))
             row_parts.append(alive.astype(np.int64))
-            sources.append([str(p) for p in plane.paths])
+            sources.append([str(p) for p in cold.paths])
         else:
             # Tail sentinel; renumbered to len(sources) once the source
             # count is final.
@@ -637,11 +537,7 @@ def _corpus_slices_mmap(
     src_of = np.concatenate(src_parts)[order]
     src_of[src_of < 0] = len(sources)
     row_of = np.concatenate(row_parts)[order]
-    tail_mats = (
-        [np.ascontiguousarray(np.concatenate(p)) for p in tail_parts]
-        if tail_n
-        else None
-    )
+    tail_mats = [np.concatenate(p) for p in tail_parts] if tail_n else None
     attributes = None
     if attr_parts:
         require(
@@ -656,7 +552,6 @@ def _corpus_slices_mmap(
             "cannot shard: inconsistent sparse state across segments",
         )
         sparse = SparseStore.concat(sparse_parts).subset(order)
-        sparse = sparse.with_stats(sparse.stats)
     return (
         ext[order], src_of, row_of, sources, tail_mats, attributes, sparse,
         next_ext,
@@ -668,7 +563,7 @@ class ShardedService(MustService):
 
     Reuses the :class:`MustService` control plane — queue, admission,
     per-tenant quotas, coalescing dispatcher, plan grouping, stats —
-    and replaces the group executors with scatter/gather over worker
+    and replaces the group runner with scatter/gather over worker
     processes.  See the module docstring for the data plane and parity
     argument.  Construct with one built instance (the ``"default"``
     collection) or a :class:`~repro.service.CollectionManager`; each
@@ -742,22 +637,10 @@ class ShardedService(MustService):
         the array dict shard ``s``'s pack carries for this collection
         (``None`` when the shard owns no rows of it).
         """
-        cold_storage = (
-            must.segments.cold_storage
-            if must.is_segmented
-            else getattr(must, "cold_storage", "resident")
-        )
-        mmap_mode = cold_storage == "mmap"
-        if mmap_mode:
-            (
-                ext, src_of, row_of, cold_sources, tail_mats, attributes,
-                sparse_all, next_ext,
-            ) = _corpus_slices_mmap(must)
-            mats = None
-        else:
-            ext, mats, attributes, sparse_all, next_ext = _corpus_slices(must)
-            src_of = row_of = None
-            cold_sources, tail_mats = [], None
+        (
+            ext, src_of, row_of, cold_sources, tail_mats, attributes,
+            sparse_all, next_ext,
+        ) = _corpus_slices(must)
         self._next_ext[name] = next_ext
         self._has_sparse[name] = sparse_all is not None
         if must.is_segmented:
@@ -779,6 +662,11 @@ class ShardedService(MustService):
             squared_weights=[float(x) for x in must.weights.squared],
             num_modalities=len(must.weights.squared),
         )
+        # Mapped cold planes stay on disk: the pack carries a (source,
+        # row) map into them plus the tail rows resident in the parent,
+        # O(hot) instead of O(corpus).  With nothing mapped, every row
+        # is a tail row and the pack carries the planes themselves.
+        mmap_mode = bool(cold_sources)
         if mmap_mode:
             meta.update(cold_storage="mmap", cold_sources=cold_sources)
         owners = ext % self.n_shards
@@ -788,32 +676,20 @@ class ShardedService(MustService):
             if rows.size == 0:
                 shard_arrays.append(None)
                 continue
+            arrays: dict[str, Any] = {"ext_ids": ext[rows]}
+            shard_src = src_of[rows]
+            shard_row = row_of[rows]
+            tmask = shard_src == len(cold_sources)
+            if tmask.any():
+                assert tail_mats is not None
+                key = "tail_mod" if mmap_mode else "mod"
+                for i, tmat in enumerate(tail_mats):
+                    arrays[f"{key}_{i}"] = tmat[shard_row[tmask]]
+                # renumbered to the shard-local tail source
+                shard_row[tmask] = np.arange(int(tmask.sum()), dtype=np.int64)
             if mmap_mode:
-                # O(hot): ids, attributes and the (source, row)
-                # cold map — never a full vector plane.  Tail
-                # rows (resident in the parent) ride along
-                # renumbered to the shard-local tail source.
-                assert src_of is not None and row_of is not None
-                arrays: dict[str, Any] = {"ext_ids": ext[rows]}
-                shard_src = src_of[rows].copy()
-                shard_row = row_of[rows].copy()
-                tmask = shard_src == len(cold_sources)
-                if tmask.any():
-                    sel = shard_row[tmask]
-                    assert tail_mats is not None
-                    for i, tmat in enumerate(tail_mats):
-                        arrays[f"tail_mod_{i}"] = tmat[sel]
-                    shard_row[tmask] = np.arange(
-                        int(tmask.sum()), dtype=np.int64
-                    )
                 arrays["cold_src"] = shard_src
                 arrays["cold_row"] = shard_row
-            else:
-                assert mats is not None
-                arrays = {
-                    f"mod_{i}": mat[rows] for i, mat in enumerate(mats)
-                }
-                arrays["ext_ids"] = ext[rows]
             if attributes is not None:
                 arrays.update(attributes.subset(rows).to_arrays())
             if sparse_all is not None:
@@ -1024,31 +900,23 @@ class ShardedService(MustService):
         return out
 
     # ------------------------------------------------------------------
-    # Group executors (called by the inherited dispatcher)
+    # Group runners (called by the inherited dispatcher)
     # ------------------------------------------------------------------
-    def _run_exact(
+    def _run_group(
         self, snap: IndexSnapshot | None, reqs: list[_Request]
     ) -> None:
-        queries = [r.query for r in reqs]
+        """Scatter one coalesced group to every live shard as one
+        ``search`` command, then merge the gathered pools."""
         command = (
-            "exact_wave", reqs[0].collection.name, queries, reqs[0].options
+            "search",
+            reqs[0].collection.name,
+            [r.query for r in reqs],
+            reqs[0].options,
         )
         replies = self._gather(
-            {s: (command, len(queries)) for s in self.live_shards}
+            {s: (command, len(reqs)) for s in self.live_shards}
         )
-        self._finish_group("exact", reqs, replies)
-
-    def _run_graph_wave(
-        self, snap: IndexSnapshot | None, reqs: list[_Request]
-    ) -> None:
-        queries = [r.query for r in reqs]
-        command = (
-            "graph_wave", reqs[0].collection.name, queries, reqs[0].options
-        )
-        replies = self._gather(
-            {s: (command, len(queries)) for s in self.live_shards}
-        )
-        self._finish_group("graph", reqs, replies)
+        self._finish_group(reqs, replies)
 
     def _run_requests(
         self, snap: IndexSnapshot | None, reqs: list[_Request]
@@ -1069,42 +937,25 @@ class ShardedService(MustService):
         replies = self._gather(
             {s: (command, len(reqs)) for s in self.live_shards}
         )
-        dead = [r for r in replies.values() if isinstance(r, Exception)]
+        if self._failed_shard(reqs, replies):
+            return
         for j, req in enumerate(reqs):
-            if dead:
-                self._resolve(req, dead[0])
-                continue
-            parts: list[tuple[np.ndarray, np.ndarray]] = []
-            stats: list[SearchStats] = []
+            parts: list[SearchResult] = []
             error: Exception | None = None
             for shard in sorted(replies):
                 status, payload = replies[shard]
+                if status == "ok":
+                    status, payload = payload[j]
                 if status != "ok":
                     error = payload
                     break
-                item_status, item_payload = payload[j]
-                if item_status != "ok":
-                    error = item_payload
-                    break
-                parts.append((item_payload.ids, item_payload.similarities))
-                stats.append(item_payload.stats)
-            if error is not None:
-                self._resolve(req, error)
-                continue
-            ids, sims = _merge_candidates(
-                parts, req.query.resolve_k(req.options.k)
-            )
+                parts.append(payload)
             self._resolve(
-                req,
-                SearchResult(
-                    ids=ids,
-                    similarities=sims,
-                    stats=SearchStats.aggregate(stats),
-                ),
+                req, self._merge(req, parts) if error is None else error
             )
 
     def _finish_group(
-        self, kind: str, reqs: list[_Request], replies: dict[int, Any]
+        self, reqs: list[_Request], replies: dict[int, Any]
     ) -> None:
         """Merge per-shard pools into per-request answers.
 
@@ -1120,44 +971,43 @@ class ShardedService(MustService):
           shard's traversal trace, so the summed stats match the
           in-process wave path.
         """
+        if self._failed_shard(reqs, replies):
+            return
+        errors = [r[1] for r in replies.values() if r[0] == "err"]
+        if errors:
+            self._retry_alone(None, reqs, errors[0])
+            return
+        batches: list[BatchResult] = [replies[s][1] for s in sorted(replies)]
+        self._record_group(
+            reqs, SearchStats.aggregate(batch.stats for batch in batches)
+        )
+        for j, req in enumerate(reqs):
+            parts = [batch.results[j] for batch in batches]
+            self._resolve(req, self._merge(req, parts))
+
+    def _failed_shard(
+        self, reqs: list[_Request], replies: dict[int, Any]
+    ) -> bool:
+        """Fail every request of *reqs* when a shard is down."""
         dead = [r for r in replies.values() if isinstance(r, Exception)]
-        errors = [
-            r[1]
-            for r in replies.values()
-            if isinstance(r, tuple) and r[0] == "err"
-        ]
         if dead:
             for req in reqs:
                 self._resolve(req, dead[0])
-            return
-        if errors:
-            self._retry_alone(kind, None, reqs, errors[0])
-            return
-        per_shard_results: list[list[SearchResult]] = []
-        wave_stats: list[SearchStats] = []
-        for shard in sorted(replies):
-            payload = replies[shard][1]
-            if isinstance(payload, BatchResult):
-                wave_stats.append(payload.stats)
-                payload = payload.results
-            per_shard_results.append(payload)
-        if wave_stats:
-            total = SearchStats.aggregate(wave_stats)
-            self.stats.record_graph_wave(total.waves, total.frontier_sizes)
-        for j, req in enumerate(reqs):
-            parts = [
-                (results[j].ids, results[j].similarities)
-                for results in per_shard_results
-            ]
-            ids, sims = _merge_candidates(
-                parts, req.query.resolve_k(req.options.k)
-            )
-            stats = SearchStats.aggregate(
-                [results[j].stats for results in per_shard_results]
-            )
-            self._resolve(
-                req, SearchResult(ids=ids, similarities=sims, stats=stats)
-            )
+        return bool(dead)
+
+    @staticmethod
+    def _merge(req: _Request, parts: list[SearchResult]) -> SearchResult:
+        """One request's answer from its per-shard pools, merged by
+        ``(-similarity, external id)``, work counters summed."""
+        ids, sims = _merge_candidates(
+            [(part.ids, part.similarities) for part in parts],
+            req.query.resolve_k(req.options.k),
+        )
+        return SearchResult(
+            ids=ids,
+            similarities=sims,
+            stats=SearchStats.aggregate([part.stats for part in parts]),
+        )
 
     # ------------------------------------------------------------------
     # Write path — routed by external id to the owning shard

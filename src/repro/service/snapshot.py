@@ -136,12 +136,14 @@ class IndexSnapshot:
         queries: "Sequence[MultiVector | Query]",
         options: SearchOptions,
     ) -> BatchResult:
-        """Coalesced graph group — the serving layer's lockstep wave.
+        """One coalesced serving group, whatever its plan.
 
-        One traversal per segment (or one for a single-graph snapshot)
-        carries every request that shares *options*, as independent
-        requests: an answer is bit-identical to the same request
-        dispatched alone through :meth:`query` (composition
+        Every request that shares *options* rides one
+        :func:`~repro.index.executor.execute` call as an independent
+        request: a graph plan is one lockstep traversal per segment (or
+        one for a single-graph snapshot), an exact plan one prefilter
+        GEMM per segment.  An answer is bit-identical to the same
+        request dispatched alone through :meth:`query` (composition
         independence).
         """
         return execute(
@@ -159,8 +161,10 @@ class IndexSnapshot:
         refine: int | None = None,
         sparse_engine: str = "auto",
     ) -> list[SearchResult]:
-        """Coalesced exact group — one prefilter GEMM per segment (or
-        one, on a single graph) carries every request.
+        """Exact scan of a batch under one batch-wide ``weights``
+        override — one prefilter GEMM per segment (or one, on a single
+        graph) carries every query.  The service reaches the same
+        kernel through :meth:`graph_wave` with an exact plan.
 
         The one exact kernel (:meth:`FlatIndex.batch_search`) behind
         :meth:`~repro.index.segments.SegmentView.exact_wave` or the

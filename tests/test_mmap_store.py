@@ -21,15 +21,19 @@ import numpy as np
 import pytest
 
 from repro.core.framework import MUST
-from repro.core.multivector import MultiVectorSet
+from repro.core.multivector import MultiVector, MultiVectorSet
 from repro.core.query import Eq, Query, SearchOptions
 from repro.core.weights import Weights
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.segments import MANIFEST_NAME, SegmentPolicy
+from repro.service import ShardedService
+from repro.service.sharded import _corpus_slices
+from repro.sparse.synthetic import synthetic_hybrid
 from repro.store import GatherPlane, MmapPlane, ResidentPlane, spill_cold
 from repro.store.base import make_store
 
 from tests.conftest import random_multivector_set, random_query
+from tests.test_hybrid import SHAPE as HYBRID_SHAPE
 
 DIMS = (16, 8)
 WEIGHTS = Weights([0.4, 0.6])
@@ -190,6 +194,52 @@ class TestParity:
         finally:
             svc_res.close()
             svc_map.close()
+
+    def test_sharded_spawn_keeps_tombstones_in_bm25_stats(self, tmp_path):
+        """Tombstoned rows still count in the document frequencies a
+        shard scores BM25 against: the spawn walk stamps the sparse
+        plane's statistics before it drops them, for an mmap template
+        as for a resident one, so the two answer hybrid queries bit for
+        bit."""
+        dataset = synthetic_hybrid(num_queries=10, seed=3, **HYBRID_SHAPE)
+        corpus = dataset.sparse.local_stats()
+        services = []
+        try:
+            for cold_storage, data_dir in (
+                ("resident", None), ("mmap", tmp_path)
+            ):
+                must = MUST(
+                    MultiVectorSet(
+                        [dataset.dense.copy()], sparse=dataset.sparse
+                    ),
+                    weights=Weights([1.0]),
+                    builder=CHEAP_BUILDER,
+                    compression="int8",
+                    cold_storage=cold_storage,
+                    data_dir=data_dir,
+                ).build()
+                must.mark_deleted(np.arange(0, 60, 3))
+                stamped = _corpus_slices(must)[6].stats
+                assert stamped.n_docs == corpus.n_docs == dataset.sparse.n
+                assert stamped.total_len == corpus.total_len
+                assert np.array_equal(stamped.doc_freq, corpus.doc_freq)
+                services.append(ShardedService(must, n_shards=2))
+            resident, mapped = services
+            for i in range(dataset.num_queries):
+                query = Query(
+                    MultiVector.from_arrays([dataset.query_dense[i]]),
+                    sparse=dataset.query_sparse[i],
+                    sparse_weight=0.8,
+                )
+                for plan in (
+                    SearchOptions(k=10, exact=True), SearchOptions(k=10, l=60)
+                ):
+                    assert_same_result(
+                        mapped.search(query, plan), resident.search(query, plan)
+                    )
+        finally:
+            for svc in services:
+                svc.close()
 
     def test_compaction_preserves_parity(self, tmp_path, queries):
         """Streaming (segment-at-a-time) compaction equals the resident

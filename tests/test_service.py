@@ -29,6 +29,7 @@ from repro.service import (
     ServiceClosed,
     ServiceConfig,
     ServiceOverloaded,
+    ShardedService,
 )
 
 from tests.conftest import random_multivector_set, random_query
@@ -251,6 +252,99 @@ class TestServiceParity:
                 )
 
 
+GRAPH_PLANS = (SearchOptions(k=5, l=40), SearchOptions(k=5, l=60))
+EXACT_PLANS = (SearchOptions(k=5, exact=True), SearchOptions(k=7, exact=True))
+
+
+def _one_batch(kind, must, requests):
+    """Serve *requests* as one dispatched batch; returns the service
+    (closed) and its answers in request order."""
+    config = ServiceConfig(max_batch=64, max_wait_ms=50.0)
+    if kind == "sharded":
+        svc = ShardedService(must, n_shards=2, config=config, start=False)
+    else:
+        svc = MustService(must, config, start=False)
+    try:
+        futures = [svc.submit(query, opts) for query, opts in requests]
+        svc.start()
+        answers = [future.result(timeout=60) for future in futures]
+    finally:
+        svc.close()
+    assert svc.stats.batches == 1
+    return svc, answers
+
+
+class TestGrouping:
+    """A dispatched batch splits into one group per distinct
+    :class:`SearchOptions` value, and each group is one ``execute``
+    call; only graph groups leave a ``graph_waves`` entry."""
+
+    @pytest.mark.parametrize("kind", ["in-process", "sharded"])
+    def test_graph_waves_count_graph_groups_only(
+        self, segmented_must, queries, kind
+    ):
+        plans = GRAPH_PLANS + EXACT_PLANS
+        requests = [(q, plans[i % len(plans)]) for i, q in enumerate(queries)]
+        svc, answers = _one_batch(kind, segmented_must, requests)
+        for stats in (svc.stats, svc.collections.get(None).stats):
+            assert sum(stats.graph_waves.values()) == len(GRAPH_PLANS)
+        for (query, opts), res in zip(requests, answers):
+            if opts.exact:
+                assert_same_result(res, segmented_must.query(query, opts))
+
+    @pytest.mark.parametrize("kind", ["in-process", "sharded"])
+    def test_exact_only_traffic_records_no_wave(
+        self, segmented_must, queries, kind
+    ):
+        requests = [
+            (q, EXACT_PLANS[i % len(EXACT_PLANS)])
+            for i, q in enumerate(queries)
+        ]
+        svc, _ = _one_batch(kind, segmented_must, requests)
+        summary = svc.stats.summary()
+        assert summary["graph_waves"] == {}
+        assert summary["wave_frontier_sizes"] == {}
+
+    def test_equal_options_share_one_execute_call(
+        self, segmented_must, queries, monkeypatch
+    ):
+        """Equal plans share a call even as distinct objects; exact plans
+        differing only in ``l`` are different values, so two calls."""
+        calls = []
+        graph_wave = IndexSnapshot.graph_wave
+
+        def spy(snap, group, options):
+            calls.append((options, len(group)))
+            return graph_wave(snap, group, options)
+
+        monkeypatch.setattr(IndexSnapshot, "graph_wave", spy)
+        plans = [
+            SearchOptions(k=5, l=40),
+            SearchOptions(k=5, l=40),
+            SearchOptions(k=5, exact=True, l=100),
+            SearchOptions(k=5, exact=True, l=50),
+        ]
+        requests = [(q, plans[i % len(plans)]) for i, q in enumerate(queries)]
+        _one_batch("in-process", segmented_must, requests)
+        per_plan = len(queries) // len(plans)
+        assert calls == [
+            (plans[0], 2 * per_plan),
+            (plans[2], per_plan),
+            (plans[3], per_plan),
+        ]
+
+    def test_sharded_group_is_one_scatter(self, segmented_must, queries):
+        requests = [
+            (q, (GRAPH_PLANS[0], EXACT_PLANS[0])[i % 2])
+            for i, q in enumerate(queries)
+        ]
+        svc, _ = _one_batch("sharded", segmented_must, requests)
+        shards = svc.stats.summary()["shards"]
+        assert sorted(shards) == [0, 1]
+        for shard in shards.values():
+            assert shard["wave_sizes"] == {len(queries) // 2: 2}
+
+
 class TestSearchDuringCompaction:
     def test_search_equals_before_or_after(self, queries):
         """ISSUE parity clause: a search overlapping a compaction equals
@@ -410,19 +504,19 @@ class TestDispatcherResilience:
     def test_wave_level_error_fails_batch_not_dispatcher(
         self, segmented_must, queries, monkeypatch
     ):
-        """An error outside the per-request paths (here: plan grouping)
-        must fail the batch's futures, not kill the dispatcher and
-        strand every later caller."""
+        """An error outside the per-request paths (here: the group
+        runner itself) must fail the batch's futures, not kill the
+        dispatcher and strand every later caller."""
         exact = SearchOptions(k=5, exact=True)
         with MustService(
             segmented_must, ServiceConfig(max_batch=4, max_wait_ms=1.0)
         ) as svc:
             with monkeypatch.context() as patched:
 
-                def boom(reqs):
-                    raise AttributeError("grouping failed")
+                def boom(snap, reqs):
+                    raise AttributeError("group runner failed")
 
-                patched.setattr(svc, "_exact_groups", boom)
+                patched.setattr(svc, "_run_group", boom)
                 bad = svc.submit(queries[0], exact)
                 with pytest.raises(AttributeError):
                     bad.result(timeout=30)

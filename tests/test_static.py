@@ -217,6 +217,51 @@ def test_one_graph_engine():
     assert not hasattr(SegmentView, "search")
 
 
+def _options_fields_read(path: Path) -> set[str]:
+    """Every field read off a ``SearchOptions`` held as ``options`` /
+    ``opts`` (a bare name or an attribute of that name)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Attribute):
+            continue
+        holder = node.value
+        name = (
+            holder.id if isinstance(holder, ast.Name)
+            else holder.attr if isinstance(holder, ast.Attribute)
+            else None
+        )
+        if name in ("options", "opts"):
+            found.add(node.attr)
+    return found
+
+
+def test_serving_tiers_coalesce_and_execute_plans():
+    """The serving tiers group requests by their plan and hand it to
+    ``execute`` unchanged: they read no plan field beyond routing,
+    exactness (for the wave counters) and ``k`` (for the shard merge);
+    a shard worker has one batch search command; shard spawn walks the
+    corpus once."""
+    from repro.service import sharded
+
+    for module in ("service", "sharded"):
+        read = _options_fields_read(PACKAGE / "service" / f"{module}.py")
+        assert read <= {"collection", "exact", "k"}, (module, read)
+    worker = ast.parse(inspect.getsource(sharded._worker_main))
+    commands = sorted(
+        node.comparators[0].value
+        for node in ast.walk(worker)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Name) and node.left.id == "cmd"
+    )
+    assert len(commands) == 11
+    assert [c for c in commands if c.startswith("search")] == [
+        "search", "search_many"
+    ]
+    assert not {"exact_wave", "graph_wave"} & set(vars(sharded._ShardCollection))
+    assert not hasattr(sharded, "_corpus_slices_mmap")
+    assert not {"_wave_groups", "_exact_groups"} & set(vars(MustService))
+
+
 def test_every_traced_name_resolves():
     """``perfbench.trace`` wraps public callables by ``vars()`` lookup
     and raises on the first one missing — in the benchmark driver; a
