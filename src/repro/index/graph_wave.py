@@ -25,12 +25,23 @@ Each wave
    bitsets, and routing pools.
 
 Steps 1, 2 and 4 are bookkeeping — choosing columns, gathering ids,
-stable merges — and step 3 is all the arithmetic there is.  The
-bookkeeping runs in a small C kernel (:mod:`repro.index.wave_kernel`,
-two ctypes calls a wave) when it compiled and loaded, and in NumPy
-otherwise (:class:`_NumpyBookkeeping`, also the kernel's test oracle);
-step 3, thresholds, scans, rerank and fusion are NumPy either way, so
-both paths return the same bits.  :func:`bookkeeping` says which runs.
+stable merges — and step 3 is all the arithmetic there is.  Both run in
+a small C kernel (:mod:`repro.index.wave_kernel`, three ctypes calls a
+wave) when it compiled and loaded, and in NumPy otherwise
+(:class:`_NumpyBookkeeping`, also the kernel's bookkeeping oracle, and
+``einsum``); :func:`bookkeeping` says which runs.  The two
+bookkeepings leave the same bits behind.  The dense arithmetic does
+not, so the kernel's comes with a float contract: a fast-path row's
+similarity is the float32 dot product of its ω-scaled concatenation
+with the query's, summed in eight lane accumulators that start at
+``+0.0f``, ``a[d mod 8] += fl(x[d]·q[d])`` for ``d = 0 … D−1`` in
+order, combined as ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))`` and widened
+to float64 — no FMA, no reassociation (``wave_kernel.c``'s header).
+The same call scores traversed and scanned rows, so a row carries the
+same bits either way; ``einsum`` on the fallback agrees with it within
+the float32 dot-product bound (:func:`~repro.store.dot_error`).
+Compressed-store and Lemma-4 scoring, thresholds, rerank and fusion are
+NumPy on both paths, and bit-identical between them.
 
 The engine is cut as *prepare → traverse → finalise* (:class:`_Wave`),
 and a scanned row skips the middle step: it is scored end to end by the
@@ -249,6 +260,8 @@ class _Wave:
         self.hops = np.zeros(b, dtype=np.int64)
         self.concat_mat: np.ndarray | None = None
         self.qmat: np.ndarray | None = None
+        #: the C gather-dot the fast rows are scored with, or None (einsum).
+        self.kernel = wave_kernel.lib
         if self.fast.any():
             self.concat_mat = space.concatenated
             self.qmat = np.zeros((b, self.concat_mat.shape[1]), dtype=np.float32)
@@ -256,6 +269,15 @@ class _Wave:
                 qvec = self.scorers[i].concat_query_vector
                 if qvec is not None:
                     self.qmat[i] = qvec
+            # The kernel reads the matrix in place, so it trusts its layout.
+            require(
+                self.kernel is None
+                or (
+                    self.concat_mat.dtype == np.float32
+                    and self.concat_mat.flags.c_contiguous
+                ),
+                "wave kernel: the concatenated matrix is not C-ordered float32",
+            )
 
         # Result pools: per-row descending, padded with -inf, each row
         # cut to its own cap — what a batch of one would hold.
@@ -268,35 +290,23 @@ class _Wave:
     ) -> np.ndarray:
         """Score one stacked frontier; below-threshold rows come back -inf.
 
-        One batched row-wise reduction covers every fast-path query's
-        candidates (per-query weights already baked into its concat
-        column), and on a compressed store one stacked kernel call per
-        modality covers the whole frontier; the rest go through their
-        bound scorer on contiguous owner slices, so Lemma-4 pruning
-        applies per query.
+        One row-wise reduction covers every fast-path query's candidates
+        (per-query weights already baked into its concat column,
+        :meth:`dense`), and on a compressed store one stacked kernel
+        call per modality covers the whole frontier; the rest go through
+        their bound scorer on contiguous owner slices, so Lemma-4
+        pruning applies per query.
         """
-        b = self.b
         if self.stack is not None:
             sims = self.stack.score(owner, cand)
-            self.joint_acc += np.bincount(owner, minlength=b)
+            self.joint_acc += np.bincount(owner, minlength=self.b)
             return np.where(sims > thr[owner], sims, -np.inf)
         if self.all_fast:
-            # The reduction below with every row selected, minus the masks.
-            assert self.concat_mat is not None and self.qmat is not None
-            sims = np.einsum(
-                "ij,ij->i", self.concat_mat[cand], self.qmat[owner]
-            ).astype(np.float64)
-            self.joint_acc += np.bincount(owner, minlength=b)
-            return np.where(sims > thr[owner], sims, -np.inf)
+            return self.dense(owner, cand, thr)
         sims = np.empty(cand.size, dtype=np.float64)
         fmask = self.fast[owner]
         if fmask.any():
-            assert self.concat_mat is not None and self.qmat is not None
-            own = owner[fmask]
-            sims[fmask] = np.einsum(
-                "ij,ij->i", self.concat_mat[cand[fmask]], self.qmat[own]
-            ).astype(np.float64)
-            self.joint_acc += np.bincount(own, minlength=b)
+            sims[fmask] = self.dense(owner[fmask], cand[fmask], thr)
         if not fmask.all():
             nf = np.flatnonzero(~fmask)
             nf_owner = owner[nf]
@@ -311,6 +321,38 @@ class _Wave:
                 sims[sl] = np.where(keep, svals, -np.inf)
         return np.where(sims > thr[owner], sims, -np.inf)
 
+    def dense(
+        self, owner: np.ndarray, cand: np.ndarray, thr: np.ndarray
+    ) -> np.ndarray:
+        """Fast-path similarities of ``(owner, cand)`` pairs, -inf where
+        not above ``thr[owner]``; counted in :attr:`joint_acc`.
+
+        The C gather-dot reads the concat rows and query rows in place
+        under the module's float contract; without the kernel, ``einsum``
+        reduces gathered copies of them.
+        """
+        assert self.concat_mat is not None and self.qmat is not None
+        if self.kernel is None:
+            sims = np.einsum(
+                "ij,ij->i", self.concat_mat[cand], self.qmat[owner]
+            ).astype(np.float64)
+            self.joint_acc += np.bincount(owner, minlength=self.b)
+            return np.where(sims > thr[owner], sims, -np.inf)
+        concat, qmat = self.concat_mat, self.qmat
+        owner = np.ascontiguousarray(owner, dtype=np.int64)
+        cand = np.ascontiguousarray(cand, dtype=np.int64)
+        thr = np.ascontiguousarray(thr, dtype=np.float64)
+        sims = np.empty(cand.size, dtype=np.float64)
+        _raise_on(
+            self.kernel.gather_dot(
+                concat.ctypes.data, concat.shape[0], concat.shape[1],
+                qmat.ctypes.data, self.b, owner.ctypes.data, cand.ctypes.data,
+                cand.size, thr.ctypes.data, self.joint_acc.ctypes.data,
+                sims.ctypes.data,
+            )
+        )
+        return sims
+
     def scan(self, rows: np.ndarray) -> None:
         """Fill *rows*' pools from Algorithm 2's init over every vertex.
 
@@ -320,14 +362,16 @@ class _Wave:
         and the row's top ``cap`` selected directly — no routing pool,
         visited bitset or CSR adjacency is touched.
 
-        Fast-path rows are scored without stacking: the reduction
-        :meth:`score_stack` runs over gathered ``(candidate, query)``
-        row pairs is run over the concat matrix and the query rows as
-        they lie, which yields the same float32 bits and copies neither.
-        That reduction and the PQ tables are row-wise, so their values
-        are the traversal's at any ``n``; a Lemma-4 scorer goes through
-        BLAS, so its values are the traversal's while ``n <= l`` (the
-        init is the whole scan) and agree to rounding past that.
+        Fast-path rows go through the traversal's own :meth:`dense` with
+        the init's -inf threshold when the kernel loaded, so they carry
+        its bits by construction.  Without it, the ``einsum`` runs over
+        the concat matrix and the query rows as they lie (a gathered
+        copy of every row would cost ``n × D`` floats per query); its
+        row-wise sums equal the traversal's ``einsum`` bits.  The PQ
+        tables are row-wise too, so their values are the traversal's at
+        any ``n``; a Lemma-4 scorer goes through BLAS, so its values are
+        the traversal's while ``n <= l`` (the init is the whole scan)
+        and agree to rounding past that.
         """
         if rows.size == 0:
             return
@@ -336,10 +380,16 @@ class _Wave:
         fast = self.fast[rows]
         if fast.any():
             assert self.concat_mat is not None and self.qmat is not None
-            sims[fast] = np.einsum(
-                "nd,bd->bn", self.concat_mat, self.qmat[rows[fast]]
-            )
-            self.joint_acc[rows[fast]] += n
+            on = rows[fast]
+            if self.kernel is not None:
+                sims[fast] = self.dense(
+                    np.repeat(on, n),
+                    np.tile(np.arange(n, dtype=np.int64), on.size),
+                    np.full(self.b, -np.inf),
+                ).reshape(on.size, n)
+            else:
+                sims[fast] = np.einsum("nd,bd->bn", self.concat_mat, self.qmat[on])
+                self.joint_acc[on] += n
         if not fast.all():
             # In entry order, as the init stacks them: a scorer backed
             # by BLAS rounds a row by where it sits in the call.

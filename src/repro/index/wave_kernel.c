@@ -1,20 +1,38 @@
 /*
- * Bookkeeping of the lockstep graph wave (repro.index.graph_wave).
+ * The lockstep graph wave (repro.index.graph_wave): its bookkeeping and
+ * its dense arithmetic.
  *
  * Per wave, wave_expand picks each active row's next route-pool columns,
  * gathers their CSR neighbours that the row has not seen yet (marking
- * them seen) and lays the frontier out row by row; wave_merge folds a
- * scored frontier back into the route and result pools.  No
- * floating-point arithmetic happens here: the kernel compares, copies
- * and moves similarities NumPy computed, so it leaves the pools, the
- * seen bitsets and the counters exactly as the NumPy bookkeeping in
+ * them seen) and lays the frontier out row by row; gather_dot scores the
+ * frontier's dense rows; wave_merge folds the scored frontier back into
+ * the route and result pools.  The two bookkeeping calls do no
+ * floating-point arithmetic: they compare, copy and move the
+ * similarities they are given, so they leave the pools, the seen
+ * bitsets and the counters exactly as the NumPy bookkeeping in
  * graph_wave.py does.
  *
+ * gather_dot is all the arithmetic there is, under this float contract.
+ * A dense row's similarity against a query row, both D float32 values
+ * long, is
+ *
+ *     float a[8] = {+0.0f, ..., +0.0f};
+ *     for d = 0 .. D-1 in order:  a[d % 8] += fl(x[d] * q[d]);
+ *     sim = (double)(((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)));
+ *
+ * every operation a rounded float32 one: no FMA (FLAGS carries
+ * -ffp-contract=off, since clang contracts by default) and no
+ * reassociation (no -ffast-math or kin).  Eight lanes rather than one
+ * sequential sum so that the loop vectorises; the order is fixed, so the
+ * bits do not depend on the SIMD width the compiler picks, and a NumPy
+ * lane loop (the tests' oracle) reproduces them.
+ *
  * Every array belongs to the calling traversal except the CSR
- * adjacency, which frozen snapshots share and the kernel only reads.
- * Pool and frontier similarities are finite or -inf (score_stack maps
- * whatever does not beat its threshold, NaN included, to -inf), so `>`
- * is the order NumPy's stable argsort of the negated values sorts by.
+ * adjacency and the dense matrix, which frozen snapshots share and the
+ * kernel only reads.  Pool and frontier similarities are finite or -inf
+ * (gather_dot and score_stack map whatever does not beat its threshold,
+ * NaN included, to -inf), so `>` is the order NumPy's stable argsort of
+ * the negated values sorts by.
  *
  * Built by repro/index/wave_kernel.py and called through ctypes.
  */
@@ -341,4 +359,42 @@ int64_t wave_merge(const wave_state *s, const int64_t *owner, const int64_t *can
     free(o_sims);
     free(o_dead);
     return rows;
+}
+
+/* The contract's dot product of two rows of dim float32 values. */
+static double lane_dot(const float *x, const float *q, int64_t dim)
+{
+    float a[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
+    int64_t d = 0;
+    for (; d + 8 <= dim; d += 8)
+        for (int k = 0; k < 8; k++)
+            a[k] += x[d + k] * q[d + k];
+    for (int k = 0; d < dim; d++, k++)  /* d is a multiple of 8 here */
+        a[k] += x[d] * q[d];
+    return (double)(((a[0] + a[1]) + (a[2] + a[3])) +
+                    ((a[4] + a[5]) + (a[6] + a[7])));
+}
+
+/*
+ * Score f frontier entries: out[j] is the contract's dot product of
+ * dense row cand[j] (of n rows, dim wide) with query row owner[j] (of
+ * b), or -inf when that is not above thr[owner[j]] (NaN included).
+ * Adds one to evals[owner[j]] per entry.  Both matrices are read in
+ * place.  Returns f, or INVALID (writing nothing) when an owner or an
+ * id is out of range.
+ */
+int64_t gather_dot(const float *x, int64_t n, int64_t dim, const float *q,
+                   int64_t b, const int64_t *owner, const int64_t *cand,
+                   int64_t f, const double *thr, int64_t *evals, double *out)
+{
+    for (int64_t j = 0; j < f; j++)
+        if (owner[j] < 0 || owner[j] >= b || cand[j] < 0 || cand[j] >= n)
+            return INVALID;
+    for (int64_t j = 0; j < f; j++) {
+        int64_t r = owner[j];
+        double sim = lane_dot(x + cand[j] * dim, q + r * dim, dim);
+        out[j] = sim > thr[r] ? sim : -INFINITY;
+        evals[r]++;
+    }
+    return f;
 }

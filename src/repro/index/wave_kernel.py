@@ -1,27 +1,33 @@
-"""Build and load the C half of the lockstep wave's bookkeeping.
+"""Build and load the C half of the lockstep wave.
 
 :mod:`repro.index.graph_wave` splits a wave into arithmetic and
-bookkeeping.  The arithmetic — scoring, thresholds, scans, rerank and
-fusion — is NumPy everywhere.  The bookkeeping — which route columns a
-wave expands, which neighbours are fresh, the order of a row's frontier
-and the two stable pool merges — runs in ``wave_kernel.c`` when this
-module could build and load it, and in NumPy otherwise.  Both leave the
-same bits behind: the kernel only compares and moves the similarities
-NumPy computed, so no float contract changes with it.
+bookkeeping.  The bookkeeping — which route columns a wave expands,
+which neighbours are fresh, the order of a row's frontier and the two
+stable pool merges — runs in ``wave_kernel.c`` when this module could
+build and load it, and in NumPy otherwise; both leave the same bits
+behind, since it only compares and moves similarities.  Of the
+arithmetic, the dense rows' inner products (traversed and scanned) run
+in the same file's ``gather_dot`` under the eight-lane float32 contract
+its header states, and in NumPy's ``einsum`` otherwise, which agrees
+with it within the float32 dot-product bound
+(:func:`~repro.store.dot_error`).  Compressed-store and Lemma-4 scoring,
+thresholds, rerank and fusion are NumPy on both paths.
 
 The source is compiled once, at import, with the first C compiler on
 ``PATH`` (``cc``, ``gcc``, ``clang``), into the user cache directory
 (``$XDG_CACHE_HOME/must-repro``, else ``~/.cache/must-repro``) under a
-name keyed by a SHA-256 of source, compiler and platform.  The build is
-written to a temporary name and moved into place with :func:`os.replace`,
-so processes importing side by side never load a half-written library.
-Loading goes through :mod:`ctypes`; NumPy stays the only dependency.
+name keyed by a SHA-256 of source, compiler, flags and platform.  The
+build is written to a temporary name and moved into place with
+:func:`os.replace`, so processes importing side by side never load a
+half-written library.  Loading goes through :mod:`ctypes`
+(:func:`declare` types every exported function); NumPy stays the only
+dependency.
 
 Whichever path runs is logged once, as ``event=wave_kernel
 status=native|numpy path=… reason=…``, and :data:`lib` is the handle
-:mod:`~repro.index.graph_wave` reads on every traversal (``None`` means
-the NumPy bookkeeping).  No option, setting or environment variable
-picks between the two.
+:mod:`~repro.index.graph_wave` reads on every wave (``None`` means the
+NumPy bookkeeping and ``einsum``).  No option, setting or environment
+variable picks between the two.
 """
 
 from __future__ import annotations
@@ -37,14 +43,16 @@ import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
+from typing import Any
 
-__all__ = ["WaveState", "compiler", "lib", "load", "path", "reason"]
+__all__ = ["WaveState", "compiler", "declare", "lib", "load", "path", "reason"]
 
 logger = logging.getLogger(__name__)
 
 PACKAGE, SOURCE = "repro.index", "wave_kernel.c"
 #: build flags; tier-1 also compiles the source with -Wall -Wextra -Werror.
-FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
+#: ``-ffp-contract=off`` is part of the float contract: no FMA.
+FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC", "-ffp-contract=off")
 COMPILERS = ("cc", "gcc", "clang")
 
 _i64 = ctypes.c_int64
@@ -78,6 +86,29 @@ class WaveState(ctypes.Structure):
         ("cand", _ptr),
         ("rows", _ptr),
     ]
+
+
+_state = ctypes.POINTER(WaveState)
+#: ``(argtypes, restype)`` of every function ``wave_kernel.c`` exports;
+#: ctypes would otherwise read each ``int64_t`` status as a C ``int``.
+SIGNATURES: dict[str, tuple[list[Any], Any]] = {
+    "wave_expand": ([_state], _i64),
+    "wave_merge": ([_state, _ptr, _ptr, _ptr, _i64], _i64),
+    "gather_dot": (
+        [_ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr],
+        _i64,
+    ),
+}
+
+
+def declare(kernel: ctypes.CDLL) -> ctypes.CDLL:
+    """Declare :data:`SIGNATURES` on a loaded build of the source — this
+    module's or any other (a sanitised one, in the tests)."""
+    for name, (argtypes, restype) in SIGNATURES.items():
+        function = getattr(kernel, name)
+        function.argtypes = argtypes
+        function.restype = restype
+    return kernel
 
 
 def compiler() -> str | None:
@@ -125,17 +156,11 @@ def _open(cc: str) -> tuple[ctypes.CDLL, Path, str]:
         if not target.exists():
             _build(cc, source, target)
             how = "built"
-    kernel = ctypes.CDLL(str(target))
-    state = ctypes.POINTER(WaveState)
-    kernel.wave_expand.argtypes = [state]
-    kernel.wave_expand.restype = _i64
-    kernel.wave_merge.argtypes = [state, _ptr, _ptr, _ptr, _i64]
-    kernel.wave_merge.restype = _i64
-    return kernel, target, how
+    return declare(ctypes.CDLL(str(target))), target, how
 
 
 def load() -> tuple[ctypes.CDLL | None, str, str]:
-    """Build (or find) and load the kernel; log which bookkeeping runs.
+    """Build (or find) and load the kernel; log which path runs.
 
     Returns ``(lib, path, reason)``: the loaded library or ``None``, the
     library file (``""`` when there is none) and why — ``built`` /
@@ -167,5 +192,5 @@ def load() -> tuple[ctypes.CDLL | None, str, str]:
     return kernel, where, why
 
 
-#: the loaded kernel, or ``None`` when the NumPy bookkeeping runs.
+#: the loaded kernel, or ``None`` when the NumPy bookkeeping and einsum run.
 lib, path, reason = load()

@@ -10,15 +10,20 @@ the modules ``pyproject.toml`` holds to ``disallow_untyped_defs`` — and
 nothing an exact answer could be tuned with: no safety-band or
 second-kernel parameter, no environment read in ``repro.core.space``,
 one ``exact*`` method on a view, one graph engine, and every name the
-benchmark's tracer binds still where it looks.
+benchmark's tracer binds still where it looks.  The C kernel gets the
+checks a compiler would not make: every exported function declared to
+ctypes as the source defines it, and build flags that keep its float
+contract.
 """
 
 from __future__ import annotations
 
 import ast
+import ctypes
 import dataclasses
 import importlib
 import inspect
+import re
 import tomllib
 from pathlib import Path
 
@@ -27,6 +32,7 @@ import pytest
 import repro
 from perfbench.trace import TARGETS
 from repro.core.query import SearchOptions
+from repro.index import wave_kernel
 from repro.index.executor import execute
 from repro.index.graph_wave import graph_wave_search
 from repro.index.search import joint_search
@@ -260,6 +266,65 @@ def test_serving_tiers_coalesce_and_execute_plans():
     assert not {"exact_wave", "graph_wave"} & set(vars(sharded._ShardCollection))
     assert not hasattr(sharded, "_corpus_slices_mmap")
     assert not {"_wave_groups", "_exact_groups"} & set(vars(MustService))
+
+
+def exported_c_functions(source: str) -> dict[str, tuple[str, int]]:
+    """``{name: (return type, parameter count)}`` of every function
+    *source* defines at file scope without ``static`` — what a ctypes
+    loader can call."""
+    found = {}
+    pattern = r"^(?!static\b)([A-Za-z_][\w \t*]*?)\b(\w+)\s*\(([^;{)]*)\)\s*\{"
+    for match in re.finditer(pattern, source, flags=re.M):
+        returns, name, params = (part.strip() for part in match.groups())
+        found[name] = (
+            returns, 0 if params in ("", "void") else params.count(",") + 1
+        )
+    return found
+
+
+def test_the_c_scan_sees_what_it_should():
+    source = (
+        "typedef struct {\n    int64_t b;\n} state;\n"
+        "static int helper(int a)\n{\n    return a;\n}\n"
+        "int64_t one(const state *s)\n{\n    if (s) {\n    }\n    return 0;\n}\n"
+        "double two(const float *x, int64_t n,\n           double *out)\n{\n}\n"
+        "void none(void)\n{\n}\n"
+        "int64_t declared_only(int a);\n"
+    )
+    assert exported_c_functions(source) == {
+        "one": ("int64_t", 1), "two": ("double", 3), "none": ("void", 0)
+    }
+
+
+#: the ctypes result type of each C return type the kernel may use.
+C_RESULTS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "void": None}
+
+
+def test_every_kernel_function_is_declared_to_ctypes():
+    """ctypes reads an undeclared result as a 32-bit ``int``, so an
+    ``int64_t`` status or count would truncate without a word; each
+    exported function needs its ``argtypes`` and ``restype`` set by
+    the loader to what the source says, and a loaded kernel carries
+    them."""
+    source = (PACKAGE / "index" / wave_kernel.SOURCE).read_text()
+    exported = exported_c_functions(source)
+    assert exported.keys() == wave_kernel.SIGNATURES.keys()
+    for name, (argtypes, restype) in wave_kernel.SIGNATURES.items():
+        returns, arity = exported[name]
+        assert len(argtypes) == arity, name
+        assert restype is C_RESULTS[returns], name
+        if wave_kernel.lib is not None:
+            function = getattr(wave_kernel.lib, name)
+            assert function.argtypes == argtypes and function.restype is restype
+
+
+def test_the_kernel_flags_keep_the_float_contract():
+    """No FMA, no reassociation, nothing tuned to the build host."""
+    assert "-ffp-contract=off" in wave_kernel.FLAGS
+    banned = {
+        "-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-march=native"
+    }
+    assert not banned & set(wave_kernel.FLAGS)
 
 
 def test_every_traced_name_resolves():

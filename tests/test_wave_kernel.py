@@ -1,19 +1,29 @@
-"""The lockstep wave's bookkeeping in C against the same bookkeeping in NumPy.
+"""The lockstep wave in C against the same wave in NumPy.
 
 :mod:`repro.index.wave_kernel` builds ``wave_kernel.c`` at import and
-:func:`~repro.index.graph_wave.graph_wave_search` runs its two calls
-per wave when it loaded.  The pins:
+:func:`~repro.index.graph_wave.graph_wave_search` runs its three calls
+per wave when it loaded: two of bookkeeping, one gather-dot scoring the
+frontier's dense rows.  The pins:
 
-* **bit parity** — the native and the NumPy bookkeeping return the same
-  ids, similarities, per-query counters, ``waves`` and
-  ``frontier_sizes`` over every store, every kind of row (deletions,
-  shared and per-request filters, mixed ``ks`` / ``ls``, hybrid,
-  Lemma-4 scorers), one or eight expansions a wave, with the Lemma 3
-  check on, and over generated tiny graphs;
+* **bit parity** where the two paths do the same arithmetic — the
+  native and the NumPy wave return the same ids, similarities,
+  per-query counters, ``waves`` and ``frontier_sizes`` on compressed
+  stores and Lemma-4 rows, over every kind of row (deletions, shared
+  and per-request filters, mixed ``ks`` / ``ls``, hybrid), one or eight
+  expansions a wave, with the Lemma 3 check on; the two bookkeepings
+  leave the same state after every step, and whole answers agree on
+  generated tiny graphs whose dot products are exact in any order;
+* **the float contract** — ``gather_dot`` equals a NumPy loop over the
+  eight lanes bit for bit (signed zeros, subnormals, overflow, NaN,
+  ``-inf`` thresholds, any width), refuses out-of-range rows, and
+  scores a scanned row with its traversal's bits; on dense rows the
+  ``einsum`` fallback lies within ``2·dot_error(D)·‖q̃‖·max‖x̃‖`` of it,
+  ids equal but for swaps inside that band, which are counted;
 * **the loader** — the source ships as package data and compiles
   warning-free; a compiler on ``PATH`` means the native path ran; one
   ``event=wave_kernel`` line says which path runs and why; a failed
-  build falls back and leaves nothing behind;
+  build falls back and leaves nothing behind; a build under
+  AddressSanitizer and UBSan runs the two properties clean;
 * **CSR safety** — a corrupt adjacency fails the first wave with the
   bad vertex named, on both paths, instead of indexing out of bounds.
 
@@ -26,8 +36,10 @@ from __future__ import annotations
 import contextlib
 import copy
 import logging
+import os
 import re
 import subprocess
+import sys
 import threading
 import tomllib
 from importlib import resources
@@ -41,6 +53,7 @@ from hypothesis import strategies as st
 from repro.core.framework import MUST
 from repro.core.multivector import MultiVector, MultiVectorSet
 from repro.core.query import Eq, In, Query, Range, SearchOptions
+from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index import graph_wave as gw
@@ -48,6 +61,7 @@ from repro.index import wave_kernel
 from repro.index.base import GraphIndex
 from repro.index.graph_wave import bookkeeping, graph_wave_search
 from repro.sparse.synthetic import synthetic_hybrid
+from repro.store import dot_error
 from repro.utils.io import load_arrays, save_arrays
 
 N, D = 400, 16
@@ -79,7 +93,7 @@ def _queries(b=B, seed=1):
 
 
 def both_paths(run, monkeypatch):
-    """``run()`` on the native bookkeeping, then on the NumPy one."""
+    """``run()`` on the native wave, then on the NumPy one."""
     got = run()
     with monkeypatch.context() as patch:
         patch.setattr(wave_kernel, "lib", None)
@@ -97,6 +111,41 @@ def assert_same(got, want):
         assert g.similarities.dtype == w.similarities.dtype
         assert g.similarities.tobytes() == w.similarities.tobytes()
         assert g.stats == w.stats
+
+
+def dense_bands(space, batch):
+    """Per query, ``2·dot_error(D)·‖q̃‖·max‖x̃‖``: how far apart two
+    float32 dot products of the query with one row may lie, whatever
+    order each sums in (each is within half of it of the exact value)."""
+    gamma = dot_error(space.concatenated.shape[1])
+    vectors = [q.vector if isinstance(q, Query) else q for q in batch]
+    return [
+        2 * gamma * float(np.linalg.norm(space.concat_query(v)))
+        * space.max_concat_norm
+        for v in vectors
+    ]
+
+
+def assert_within_band(got, want, bands):
+    """Dense answers on the two paths: same lengths; every similarity
+    within its row's band, rank by rank and id by id; ids equal except
+    swaps inside the band.  Returns ``(swaps, ranks)``."""
+    swaps = ranks = 0
+    for g, w, band in zip(got, want, bands, strict=True):
+        assert g.ids.size == w.ids.size
+        assert np.all(np.abs(g.similarities - w.similarities) <= band)
+        _, gi, wi = np.intersect1d(g.ids, w.ids, return_indices=True)
+        assert np.all(np.abs(g.similarities[gi] - w.similarities[wi]) <= band)
+        swaps += int((g.ids != w.ids).sum())
+        ranks += g.ids.size
+    return swaps, ranks
+
+
+def report_swaps(swaps, ranks):
+    """Swapped ranks are allowed, not expected: print them, and fail
+    when they stop being rare."""
+    print(f"native vs einsum: {swaps} of {ranks} ranks swapped inside the band")
+    assert swaps <= max(2, ranks // 50)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +191,10 @@ def _rows(kind, queries, index):
 
 @native
 class TestBitParity:
+    """Bit for bit where both paths do the same arithmetic (compressed
+    stores, Lemma-4 rows); within the float32 band on dense rows, whose
+    dot products the kernel sums in its own order."""
+
     @pytest.mark.parametrize("m", [1, 8])
     @pytest.mark.parametrize(
         "kind",
@@ -156,7 +209,11 @@ class TestBitParity:
             ),
             monkeypatch,
         )
-        assert_same(got, want)
+        if graph.space.is_compressed:
+            assert_same(got, want)
+        else:
+            bands = dense_bands(graph.space, batch)
+            report_swaps(*assert_within_band(got[0], want[0], bands))
         assert got[1].waves > 0
 
     @pytest.mark.parametrize("m", [1, 8])
@@ -204,21 +261,27 @@ class TestBitParity:
             ),
             monkeypatch,
         )
-        assert_same(got, want)
+        if compression == "pq":
+            assert_same(got, want)
+        else:
+            bands = dense_bands(graph.space, batch)
+            report_swaps(*assert_within_band(got[0], want[0], bands))
 
     def test_segmented_batch_and_plan(self, objects, queries, monkeypatch):
         must = MUST(objects, weights=Weights([0.6, 0.4])).build()
-        must.insert(_corpus(n=40, seed=9))
+        inserted = _corpus(n=40, seed=9)
+        must.insert(inserted)
         must.mark_deleted(np.array([3, 5, 7, 11]))
         options = SearchOptions(k=K, l=L, check_monotone=True)
         got, want = both_paths(lambda: must.query(queries, options), monkeypatch)
         assert got.plan == "graph/wave/native"
         assert want.plan == "graph/wave/numpy"
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.ids, w.ids)
-            assert g.similarities.tobytes() == w.similarities.tobytes()
-            assert g.stats == w.stats
-        assert got.stats == want.stats
+        # One band over every segment: the widest row of either corpus.
+        every = MultiVectorSet(
+            [np.vstack(m) for m in zip(objects.matrices, inserted.matrices)]
+        )
+        bands = dense_bands(JointSpace(every, Weights([0.6, 0.4])), queries)
+        report_swaps(*assert_within_band(got, want, bands))
 
 
 class _Both:
@@ -316,14 +379,187 @@ def test_the_kernel_refuses_malformed_merges(index, queries, owner, cand):
         book.merge(owner, cand, np.zeros(owner.size))
 
 
+# ----------------------------------------------------------------------
+# The float contract of gather_dot (wave_kernel.c's header).
+# ----------------------------------------------------------------------
+INVALID = -4  # wave_kernel.c's status for an input out of range
+
+
+def lane_oracle(x, q, owner, cand, thr):
+    """The contract in NumPy, one column at a time: eight float32 lanes
+    from +0.0, ``a[d % 8] += x[d]·q[d]``, combined pairwise, widened and
+    cut at the row's threshold.  Slow, so it lives here only."""
+    xs, qs = x[cand], q[owner]
+    lanes = np.zeros((cand.size, 8), dtype=np.float32)
+    with np.errstate(all="ignore"):
+        for d in range(x.shape[1]):
+            lanes[:, d % 8] += xs[:, d] * qs[:, d]
+        a = lanes.T
+        sims = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+        sims = sims.astype(np.float64)
+        return np.where(sims > thr[owner], sims, -np.inf)
+
+
+def gather_dot(lib, x, q, owner, cand, thr, evals, out):
+    """One ``gather_dot`` call over contiguous arrays; its status."""
+    return lib.gather_dot(
+        x.ctypes.data, x.shape[0], x.shape[1], q.ctypes.data, q.shape[0],
+        owner.ctypes.data, cand.ctypes.data, cand.size, thr.ctypes.data,
+        evals.ctypes.data, out.ctypes.data,
+    )
+
+
+ROW_KINDS = ("normal", "signed zeros", "subnormal", "large", "nan", "mixed")
+
+
+def _rows_of(rng, kinds, dim):
+    """One float32 row per kind: ordinary values, ±0.0 only, subnormals,
+    values whose products overflow, a NaN among ordinary values, or an
+    element-wise mix of all of these."""
+    rows = []
+    for kind in kinds:
+        nan = rng.standard_normal(dim)
+        nan[rng.integers(dim)] = np.nan
+        parts = {
+            "normal": rng.standard_normal(dim),
+            "signed zeros": rng.choice([0.0, -0.0], dim),
+            "subnormal": rng.standard_normal(dim) * 1e-41,
+            "large": rng.standard_normal(dim) * 3e37,
+            "nan": nan,
+        }
+        if kind == "mixed":
+            stack = np.stack(list(parts.values()))
+            rows.append(stack[rng.integers(0, len(parts), dim), np.arange(dim)])
+        else:
+            rows.append(parts[kind])
+    return np.asarray(rows, dtype=np.float32)
+
+
+@native
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.one_of(st.integers(1, 17), st.integers(1, 300)),
+    x_kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=10),
+    q_kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=4),
+    thr_kinds=st.lists(
+        st.sampled_from(["-inf", "finite", "nan"]), min_size=4, max_size=4
+    ),
+    f=st.integers(0, 40),
+)
+def test_gather_dot_is_the_lane_contract(seed, dim, x_kinds, q_kinds, thr_kinds, f):
+    """Native equals the lane oracle bit for bit — signed zeros (a lane
+    starts at +0.0), subnormals (nothing flushed), overflow and NaN (cut
+    to -inf), widths below and off a multiple of eight — and counts each
+    entry against its row."""
+    rng = np.random.default_rng(seed)
+    x, q = _rows_of(rng, x_kinds, dim), _rows_of(rng, q_kinds, dim)
+    b = q.shape[0]
+    thr = np.array(
+        [
+            {"-inf": -np.inf, "nan": np.nan}.get(kind, rng.standard_normal())
+            for kind in thr_kinds[:b]
+        ]
+    )
+    owner = rng.integers(0, b, f).astype(np.int64)
+    cand = rng.integers(0, x.shape[0], f).astype(np.int64)
+    evals = np.zeros(b, dtype=np.int64)
+    out = np.empty(f)
+    assert gather_dot(wave_kernel.lib, x, q, owner, cand, thr, evals, out) == f
+    want = lane_oracle(x, q, owner, cand, thr)
+    assert out.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(evals, np.bincount(owner, minlength=b))
+
+
+@native
+@pytest.mark.parametrize(
+    "owner, cand",
+    [([0, 3], [1, 2]), ([-1], [1]), ([0, 1], [1, 9]), ([0], [-1])],
+    ids=["row past the end", "negative row", "id past the end", "negative id"],
+)
+def test_gather_dot_refuses_out_of_range_pairs(owner, cand):
+    """Refused with INVALID before anything is read or written."""
+    x, q = np.ones((9, 5), np.float32), np.ones((3, 5), np.float32)
+    owner, cand = np.array(owner, np.int64), np.array(cand, np.int64)
+    evals, out = np.zeros(3, np.int64), np.full(owner.size, 7.0)
+    thr = np.full(3, -np.inf)
+    assert gather_dot(wave_kernel.lib, x, q, owner, cand, thr, evals, out) == INVALID
+    assert not evals.any() and np.all(out == 7.0)
+
+
+@native
+def test_the_wave_raises_on_a_refused_gather(objects, queries):
+    graph = MUST(objects, weights=Weights([0.6, 0.4])).build().index
+    wave = gw._Wave(
+        graph, queries, K, L, None, False, None, None, None, None,
+        np.zeros(len(queries), dtype=bool),
+    )
+    refused = re.escape(f"refused its input (status {INVALID})")
+    with pytest.raises(RuntimeError, match=refused):
+        wave.dense(np.array([0, B]), np.array([5, 6]), np.full(B, -np.inf))
+    assert not wave.joint_acc.any()
+
+
+def _pool_bits(wave, row):
+    """``{id: similarity bits}`` of one row's result pool."""
+    sims, ids = wave.res_sims[row], wave.res_ids[row]
+    keep = np.isfinite(sims)
+    return dict(zip(ids[keep].tolist(), sims[keep].view(np.int64).tolist()))
+
+
+def _filled(graph, batch, scan, traverse):
+    """A prepared wave whose alive rows are all *traverse*d or all
+    scanned, whatever the engine would pick."""
+    wave = gw._Wave(
+        graph, batch, K, L, None, False, None, {}, None, None,
+        np.full(len(batch), scan),
+    )
+    if traverse:
+        wave.traverse(wave.alive.copy(), 8, False, SearchStats())
+    else:
+        wave.scan(np.flatnonzero(wave.alive))
+    return wave
+
+
+@native
+@pytest.mark.parametrize("case", ["covered segment", "l >= reportable"])
+def test_a_scanned_row_carries_its_traversals_bits(objects, queries, case):
+    """"A scanned row equals its traversal" under the kernel: every
+    vertex both fills hold the same similarity bits, since one
+    gather-dot scores both."""
+    graph = MUST(objects, weights=Weights([0.6, 0.4])).build().index
+    batch, scan = queries, True
+    if case == "l >= reportable":
+        # A few dozen of 400 admissible: l = 48 reaches them all, so the
+        # engine scans the rows whatever it is asked.
+        few = Range("price", low=0, high=2)
+        batch, scan = [Query(q, filter=few) for q in queries], False
+    scanned = _filled(graph, batch, scan, traverse=False)
+    assert scanned.scanned.all()
+    traversed = _filled(graph, batch, scan, traverse=True)
+    assert traversed.hops.all()
+    shared = 0
+    for row in range(len(batch)):
+        a, b = _pool_bits(scanned, row), _pool_bits(traversed, row)
+        common = a.keys() & b.keys()
+        assert [a[i] for i in common] == [b[i] for i in common]
+        shared += len(common)
+    assert shared >= K * len(batch)
+
+
+def _small_ints(rng, shape):
+    """Integer-valued float32s: every dot product of two is exact, so
+    the kernel's lanes and ``einsum`` sum it to the same bits."""
+    return rng.integers(-4, 5, shape).astype(np.float32)
+
+
 def _tiny_graph(seed, n, distinct, max_degree, deletion):
     """A random graph over n vertices with isolated vertices and
-    self-loops allowed, whose vectors repeat *distinct* rows — equal
-    vectors score equal bits, so ties are everywhere."""
+    self-loops allowed, whose vectors repeat *distinct* rows of small
+    integers — equal vectors score equal bits, and so do distinct ones
+    with equal products, so ties are everywhere."""
     rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((distinct, 4))
-    vecs = rows[rng.integers(0, distinct, n)]
-    vecs = (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).astype(np.float32)
+    vecs = _small_ints(rng, (distinct, 4))[rng.integers(0, distinct, n)]
     neighbors = [
         rng.choice(n, size=int(rng.integers(0, min(n, max_degree) + 1)), replace=False)
         for _ in range(n)
@@ -360,9 +596,7 @@ def test_tiny_graphs_agree(
     """k may exceed the admissible count and l the graph: both paths
     answer short, identically, through identical states."""
     graph, rng = _tiny_graph(seed, n, min(distinct, n), max_degree, deletion)
-    batch = [
-        MultiVector([rng.standard_normal(4).astype(np.float32)]) for _ in range(b)
-    ]
+    batch = [MultiVector([_small_ints(rng, 4)]) for _ in range(b)]
     runs = []
     for lib in (wave_kernel.lib, None):
         saved, wave_kernel.lib = wave_kernel.lib, lib
@@ -401,6 +635,57 @@ class TestLoader:
                 capture_output=True, text=True, check=False,
             )
         assert done.returncode == 0, done.stderr
+
+    def test_the_properties_run_clean_under_sanitizers(self, tmp_path):
+        """A build with AddressSanitizer and UBSan runs the tiny-graph
+        and lane-contract properties in a child with the runtimes
+        preloaded; any out-of-bounds access or undefined behaviour
+        kills it with a report instead of passing silently."""
+        cc = wave_kernel.compiler()
+        if cc is None:
+            pytest.skip("no C compiler on PATH")
+        runtimes = [
+            subprocess.run(
+                [cc, f"-print-file-name={name}"], capture_output=True, text=True
+            ).stdout.strip()
+            for name in ("libasan.so", "libubsan.so")
+        ]
+        if not all(os.path.isabs(p) and os.path.exists(p) for p in runtimes):
+            pytest.skip(f"no sanitizer runtimes next to {cc}")
+        build = tmp_path / "wave_kernel-sanitized.so"
+        with resources.as_file(
+            resources.files(wave_kernel.PACKAGE) / wave_kernel.SOURCE
+        ) as source:
+            subprocess.run(
+                [cc, *wave_kernel.FLAGS, "-O1", "-g", "-fno-omit-frame-pointer",
+                 "-fsanitize=address,undefined", "-o", str(build), str(source)],
+                check=True, capture_output=True, text=True,
+            )
+        script = (
+            "import ctypes, sys\n"
+            "from hypothesis import settings\n"
+            "from repro.index import wave_kernel\n"
+            "wave_kernel.lib = wave_kernel.declare(ctypes.CDLL(sys.argv[1]))\n"
+            "settings.register_profile('child', database=None)\n"
+            "settings.load_profile('child')\n"
+            "import test_wave_kernel as t\n"
+            "t.test_tiny_graphs_agree()\n"
+            "t.test_gather_dot_is_the_lane_contract()\n"
+        )
+        env = dict(
+            os.environ,
+            LD_PRELOAD=" ".join(runtimes),
+            ASAN_OPTIONS="detect_leaks=0",
+            UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1",
+            PYTHONPATH=os.pathsep.join(
+                [str(Path(wave_kernel.__file__).parents[2]), str(Path(__file__).parent)]
+            ),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(build)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr[-4000:]
 
     def test_a_compiler_on_path_means_the_native_path(self):
         """So a run cannot silently measure the NumPy bookkeeping."""
