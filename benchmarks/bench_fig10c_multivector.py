@@ -11,7 +11,7 @@ from benchmarks.conftest import emit
 def test_fig10c_multivector(benchmark, capsys):
     table = fig10c_multivector()
     emit(table, "fig10c_multivector", capsys)
-    enc, must = cache.largescale_must("image")
+    enc, must, _ = cache.trained_must(*cache.celeba_plus_combo(4))
     query = enc.queries[0]
     benchmark(
         lambda: must.query(

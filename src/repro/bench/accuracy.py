@@ -169,8 +169,7 @@ def tab8_modalities() -> Table:
     headers = ["# Modality (m)", "MR Recall@1(1)", "MUST Recall@1(1)"]
     rows = []
     for m in (2, 3, 4):
-        name = f"celeba_plus_m{m}"
-        target, aux = "clip", ("encoding",) + ("resnet17", "resnet50")[: m - 2]
+        name, target, aux = cache.celeba_plus_combo(m)
         enc = cache.encoded(name, target, aux)
         _, test = cache.train_test_split(name)
         queries = [enc.queries[i] for i in test]

@@ -30,6 +30,7 @@ __all__ = [
     "semantic_dataset",
     "encoded",
     "trained_must",
+    "celeba_plus_combo",
     "mr_baseline",
     "je_baseline",
     "largescale_encoded",
@@ -99,6 +100,13 @@ def trained_must(name: str, target: str, auxiliaries: tuple[str, ...]):
     )
     must.build()
     return enc, must, test
+
+
+def celeba_plus_combo(m: int) -> tuple[str, str, tuple[str, ...]]:
+    """``(dataset, target encoder, auxiliary encoders)`` of CelebA+ with
+    *m* modalities — the corpora of paper Tab. VIII."""
+    aux = ("encoding",) + ("resnet17", "resnet50")[: m - 2]
+    return f"celeba_plus_m{m}", "clip", aux
 
 
 @lru_cache(maxsize=None)

@@ -230,24 +230,51 @@ def tab12_beam_width() -> Table:
 
 
 def fig10c_multivector() -> Table:
-    """Fig. 10(c): the Lemma-4 multi-vector computation optimisation."""
-    enc, must = cache.largescale_must("image")
-    gt = exact_ground_truth(enc, must.weights, k=10)
-    headers = ["l", "Variant", "Recall@10(10)", "ModalityEvals/query", "QPS"]
-    rows = []
-    for l in (20, 80, 320):
-        for label, flag in (("w/o optimization", False), ("w. optimization", True)):
-            run = measure_batch_qps(
-                lambda qs, l=l, f=flag: _typed_batch(
-                    must, qs, k=10, l=l, early_termination=f
-                ),
-                enc.queries,
-            )
-            rec = _recall_vs_exact([r.ids for r in run.results], gt, 10)
-            evals = np.mean([r.stats.modality_evals for r in run.results])
-            rows.append([l, label, rec, evals, run.qps])
+    """Fig. 10(c): the Lemma-4 multi-vector computation optimisation.
+
+    On CelebA+ at m = 2, 3 and 4 modalities (the weight-trained corpora
+    of Tab. VIII), one typed batch of every query through the wave, with
+    and without ``early_termination``: recall against the exact plan,
+    modality evaluations per query, the pruned share (candidates Lemma 4
+    dropped before their last modality, over all candidates scored) and
+    the batch's wall-clock QPS, the median of seven timed calls after
+    one untimed one.
+    """
+    headers = [
+        "m", "l", "Variant", "Recall@10(10)", "ModalityEvals/query",
+        "Pruned share", "QPS",
+    ]
+    rows: list[list] = []
+    for m in (2, 3, 4):
+        enc, must, _ = cache.trained_must(*cache.celeba_plus_combo(m))
+        queries = enc.queries
+        gt = [r.ids for r in _typed_batch(must, queries, k=10, exact=True)]
+        for l in (20, 80, 320):
+            for label, flag in (
+                ("w/o optimization", False), ("w. optimization", True)
+            ):
+                def batch(qs, l=l, flag=flag):
+                    return _typed_batch(
+                        must, qs, k=10, l=l, early_termination=flag
+                    )
+
+                batch(queries)
+                runs = [measure_batch_qps(batch, queries) for _ in range(7)]
+                results = runs[-1].results
+                rec = _recall_vs_exact([r.ids for r in results], gt, 10)
+                evals = np.mean([r.stats.modality_evals for r in results])
+                pruned = sum(r.stats.pruned_early for r in results) / sum(
+                    r.stats.joint_evals for r in results
+                )
+                qps = float(np.median([run.qps for run in runs]))
+                rows.append([m, l, label, rec, evals, f"{pruned:.2%}", qps])
     return Table(
-        "Fig. 10(c)", "Multi-vector computation optimisation", headers, rows,
+        "Fig. 10(c)", "Multi-vector computation optimisation (CelebA+)",
+        headers, rows,
         notes="Identical recall with fewer modality evaluations (Lemma 4). "
-              "Wall-clock gains are muted in pure Python (see module doc).",
+              "Without the optimisation a row is one inner product against "
+              "the ω-scaled concatenation; with it, every row is scored "
+              "modality step by step through the stacked kernels, and the "
+              "wall clock shows the saving only where it outweighs that "
+              "route (README, Fig. 10(c)).",
     )

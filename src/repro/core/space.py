@@ -199,9 +199,7 @@ class JointSpace:
         One ``(modality, w2_i, kernel)`` triple per modality the query
         carries with a positive effective weight.  Kernel construction
         pays any per-query preprocessing (PQ ADC lookup tables,
-        scalar-quant rescale) once; a
-        :class:`~repro.index.scoring.Scorer` holds them for its whole
-        search.
+        scalar-quant rescale) once per call.
         """
         require(
             self._vectors.is_ip_only,
@@ -254,7 +252,9 @@ class JointSpace:
         weights: Weights | None = None,
         stats: SearchStats | None = None,
     ) -> np.ndarray:
-        """Joint similarity against the objects in *ids* (no pruning)."""
+        """Joint similarity against the objects in *ids* (no pruning) —
+        on an ``ip`` space the per-query reference of the wave's stacked
+        pass (:class:`~repro.index.scoring.StackedScorer`)."""
         ids = np.asarray(ids)
         out = np.zeros(ids.shape[0], dtype=np.float64)
         if not self._vectors.is_ip_only:
@@ -390,7 +390,6 @@ class JointSpace:
         threshold: float,
         weights: Weights | None = None,
         stats: SearchStats | None = None,
-        kernels: dict[int, ModalityKernel] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Lemma-4 pruned similarity evaluation.
 
@@ -400,10 +399,9 @@ class JointSpace:
         or below (so its exact similarity is also ≤ the threshold, and
         ``sims[j]`` holds the bound at pruning time).
 
-        ``kernels`` optionally supplies prebuilt per-modality scoring
-        kernels (keyed by modality) so a caller evaluating many frontier
-        waves for one query — the graph searcher — pays per-query kernel
-        preprocessing (PQ ADC tables) once instead of per wave.
+        The per-query reference of the wave's stacked Lemma-4 pass
+        (:class:`~repro.index.scoring.StackedScorer`), which returns the
+        same bits and counts the same work.
         """
         require(
             self._vectors.is_ip_only,
@@ -428,11 +426,7 @@ class JointSpace:
         if stats is not None:
             stats.joint_evals += int(ids.shape[0])
         for step, i in enumerate(active):
-            kernel = kernels.get(i) if kernels is not None else None
-            if kernel is None:
-                kernel = store.query_kernel(
-                    i, query.vectors[i].astype(np.float32)
-                )
+            kernel = store.query_kernel(i, query.vectors[i].astype(np.float32))
             # ‖q−u‖² = 2 − 2·(q·u) for unit vectors.  On compressed rows
             # the identity Σ wᵢ²·(1 − ½d²ᵢ) = Σ wᵢ²·IPᵢ still holds
             # exactly; only the *bound* direction inherits the (tiny)

@@ -9,8 +9,9 @@
 * :class:`FlatIndex` — exact brute force (the MUST-- reference): the
   one exact kernel, a float32 GEMM prefilter for the batch and a float64
   rerank inside a derived band; deletion- and filter-aware.
-* :class:`Scorer` / :func:`batch_score_all` — the unified scoring engine
-  every search path (graph wave, flat scan, baselines) routes through.
+* :func:`batch_score_all` — the float32 prefilter of every exact scan
+  (the wave scores its frontiers through
+  :class:`~repro.index.scoring.StackedScorer` and the concat path).
 * :func:`execute` — the one dispatcher that interprets a
   :class:`~repro.core.query.SearchOptions` plan, over the
   :class:`BatchExecutor` strategy runners (the exact kernel, lockstep
@@ -42,7 +43,7 @@ from repro.index.graphs import (
 )
 from repro.index.nndescent import graph_quality, nndescent, random_knn
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.scoring import MatrixScorer, Scorer, batch_score_all
+from repro.index.scoring import batch_score_all
 from repro.index.search import greedy_search_graph, joint_search
 from repro.index.segments import Segment, SegmentedIndex, SegmentPolicy
 
@@ -66,8 +67,6 @@ __all__ = [
     "BatchResult",
     "GraphTarget",
     "execute",
-    "Scorer",
-    "MatrixScorer",
     "batch_score_all",
     "FusedIndexBuilder",
     "KGraphBuilder",

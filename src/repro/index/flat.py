@@ -53,7 +53,7 @@ from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.scoring import batch_score_all, rerank_exact
 from repro.sparse.hybrid import hybrid_rerank, sparse_term
-from repro.utils.topk import top_k_sorted
+from repro.utils.topk import rank_order, top_k_sorted
 from repro.utils.validation import require
 
 __all__ = ["FlatIndex"]
@@ -204,7 +204,7 @@ class FlatIndex:
         if lexical is not None:
             stable = stable + lexical[rows]
         reported = rows if self.ids is None else self.ids[rows]
-        order = np.lexsort((reported, -stable))
+        order = rank_order(reported, stable)
         if refine is None:
             top = order[:k]
             return SearchResult(reported[top], stable[top], stats)

@@ -13,14 +13,15 @@ Each wave
    expansions amortises the per-wave interpreter overhead),
 2. gathers every query's unvisited neighbours into one stacked candidate
    matrix (CSR adjacency + one fancy-index),
-3. scores the whole stack at once — fast-path queries share a single
-   batched row-wise reduction against the ω-scaled concatenation, with
-   each query's weights baked into its own concat column exactly as the
-   exact wave does; a compressed store scores it with one stacked
-   kernel call per modality
-   (:class:`~repro.index.scoring.StackedScorer`, bit-identical to the
-   per-query PQ/int8/float16 kernels); early-termination queries fall
-   back to their per-query :class:`~repro.index.scoring.Scorer`,
+3. scores the whole stack at once, through one of two routes —
+   fast-path queries share a single batched row-wise reduction against
+   the ω-scaled concatenation, with each query's weights baked into its
+   own concat column exactly as the exact wave does; every other row (a
+   compressed store, a query that needs a modality the index weights
+   zeroed, a Lemma-4 plan) goes through one stacked kernel call per
+   modality (:class:`~repro.index.scoring.StackedScorer`, bit-identical
+   to the per-query reference kernels of
+   :class:`~repro.core.space.JointSpace`, Lemma-4 pruning included),
 4. scatters the scores back into per-query result pools, visited
    bitsets, and routing pools.
 
@@ -40,8 +41,9 @@ to float64 — no FMA, no reassociation (``wave_kernel.c``'s header).
 The same call scores traversed and scanned rows, so a row carries the
 same bits either way; ``einsum`` on the fallback agrees with it within
 the float32 dot-product bound (:func:`~repro.store.dot_error`).
-Compressed-store and Lemma-4 scoring, thresholds, rerank and fusion are
-NumPy on both paths, and bit-identical between them.
+Stacked-kernel scoring (compressed stores, zero-weight fallback and
+Lemma-4 rows), thresholds, rerank and fusion are NumPy on both paths,
+and bit-identical between them.
 
 The engine is cut as *prepare → traverse → finalise* (:class:`_Wave`),
 and a scanned row skips the middle step: it is scored end to end by the
@@ -85,9 +87,9 @@ from repro.core.results import SearchResult, SearchStats
 from repro.core.weights import Weights
 from repro.index import wave_kernel
 from repro.index.base import GraphIndex
-from repro.index.scoring import Scorer, StackedScorer, rerank_exact
+from repro.index.scoring import StackedScorer, rerank_exact
 from repro.sparse.hybrid import hybrid_union_rescore, sparse_plane
-from repro.utils.topk import top_k_sorted
+from repro.utils.topk import rank_order, top_k_sorted
 from repro.utils.validation import require
 
 __all__ = ["bookkeeping", "graph_wave_search"]
@@ -226,36 +228,28 @@ class _Wave:
             )
 
         self.stats_list = [SearchStats() for _ in range(b)]
-        # A compressed store scores the whole batch through one stacked
-        # kernel per modality; Lemma-4 pruning is a per-query scan, so
-        # early_termination keeps the per-query scorers.
-        self.stack = (
-            StackedScorer(space, self.vectors, self.per_weights)
-            if space.is_compressed and not early_termination
-            else None
-        )
-        self.scorers: list[Scorer] = []
-        self.fast = np.zeros(b, dtype=bool)
-        if self.stack is None:
-            self.scorers = [
-                Scorer(
-                    space,
-                    self.vectors[i],
-                    weights=self.per_weights[i],
-                    early_termination=early_termination,
-                    stats=self.stats_list[i],
-                )
-                for i in range(b)
-            ]
-            self.fast[:] = [s.has_fast_path for s in self.scorers]
+        # A row is fast when its query has a concat vector (Lemma 1) and
+        # no Lemma-4 scan is asked for; every other row is scored by one
+        # stacked kernel per modality.
+        qcats = [
+            None if early_termination else space.concat_query(vec, w)
+            for vec, w in zip(self.vectors, self.per_weights)
+        ]
+        self.fast = np.array([q is not None for q in qcats], dtype=bool)
         self.all_fast = bool(self.fast.all())
-        self.active_mods = (
-            np.asarray(
-                [s.num_active_modalities for s in self.scorers], dtype=np.int64
+        self.stack = (
+            None
+            if self.all_fast
+            else StackedScorer(
+                space, self.vectors, self.per_weights, early_termination
             )
-            if self.stack is None
-            else self.stack.num_kernels
         )
+        #: modalities a fast row's evaluation counts (the query's own).
+        self.active_mods = np.array(
+            [sum(v is not None for v in vec.vectors) for vec in self.vectors],
+            dtype=np.int64,
+        )
+        #: the fast rows' joint evaluations (the stack counts its own).
         self.joint_acc = np.zeros(b, dtype=np.int64)
         self.hops = np.zeros(b, dtype=np.int64)
         self.concat_mat: np.ndarray | None = None
@@ -265,10 +259,9 @@ class _Wave:
         if self.fast.any():
             self.concat_mat = space.concatenated
             self.qmat = np.zeros((b, self.concat_mat.shape[1]), dtype=np.float32)
-            for i in range(b):
-                qvec = self.scorers[i].concat_query_vector
-                if qvec is not None:
-                    self.qmat[i] = qvec
+            for i, qcat in enumerate(qcats):
+                if qcat is not None:
+                    self.qmat[i] = qcat
             # The kernel reads the matrix in place, so it trusts its layout.
             require(
                 self.kernel is None
@@ -290,36 +283,23 @@ class _Wave:
     ) -> np.ndarray:
         """Score one stacked frontier; below-threshold rows come back -inf.
 
-        One row-wise reduction covers every fast-path query's candidates
-        (per-query weights already baked into its concat column,
-        :meth:`dense`), and on a compressed store one stacked kernel
-        call per modality covers the whole frontier; the rest go through
-        their bound scorer on contiguous owner slices, so Lemma-4
-        pruning applies per query.
+        Two routes: one row-wise reduction covers every fast-path
+        query's candidates (per-query weights already baked into its
+        concat column, :meth:`dense`), and :class:`StackedScorer` covers
+        the rest with one stacked kernel call per modality (per modality
+        step under Lemma 4).
         """
-        if self.stack is not None:
-            sims = self.stack.score(owner, cand)
-            self.joint_acc += np.bincount(owner, minlength=self.b)
-            return np.where(sims > thr[owner], sims, -np.inf)
         if self.all_fast:
             return self.dense(owner, cand, thr)
+        assert self.stack is not None
+        fast = self.fast[owner]
+        if not fast.any():
+            return self.stack.score(owner, cand, thr)
+        rest = ~fast
         sims = np.empty(cand.size, dtype=np.float64)
-        fmask = self.fast[owner]
-        if fmask.any():
-            sims[fmask] = self.dense(owner[fmask], cand[fmask], thr)
-        if not fmask.all():
-            nf = np.flatnonzero(~fmask)
-            nf_owner = owner[nf]
-            grp, grp_start, grp_counts = np.unique(
-                nf_owner, return_index=True, return_counts=True
-            )
-            for gi, gs, gc in zip(grp, grp_start, grp_counts):
-                sl = nf[gs : gs + gc]
-                svals, keep = self.scorers[int(gi)].score_frontier(
-                    cand[sl], float(thr[int(gi)])
-                )
-                sims[sl] = np.where(keep, svals, -np.inf)
-        return np.where(sims > thr[owner], sims, -np.inf)
+        sims[fast] = self.dense(owner[fast], cand[fast], thr)
+        sims[rest] = self.stack.score(owner[rest], cand[rest], thr)
+        return sims
 
     def dense(
         self, owner: np.ndarray, cand: np.ndarray, thr: np.ndarray
@@ -362,46 +342,32 @@ class _Wave:
         and the row's top ``cap`` selected directly — no routing pool,
         visited bitset or CSR adjacency is touched.
 
-        Fast-path rows go through the traversal's own :meth:`dense` with
-        the init's -inf threshold when the kernel loaded, so they carry
-        its bits by construction.  Without it, the ``einsum`` runs over
-        the concat matrix and the query rows as they lie (a gathered
-        copy of every row would cost ``n × D`` floats per query); its
-        row-wise sums equal the traversal's ``einsum`` bits.  The PQ
-        tables are row-wise too, so their values are the traversal's at
-        any ``n``; a Lemma-4 scorer goes through BLAS, so its values are
-        the traversal's while ``n <= l`` (the init is the whole scan)
-        and agree to rounding past that.
+        Every row goes through the traversal's own :meth:`score_stack`
+        with the init's -inf threshold, so it carries the traversal's
+        bits by construction — both routes reduce each row on its own.
+        The one exception is a fast-path row without the kernel: its
+        ``einsum`` runs over the concat matrix and the query rows as they
+        lie (a gathered copy of every row would cost ``n × D`` floats per
+        query), and its row-wise sums equal the traversal's ``einsum``
+        bits.
         """
         if rows.size == 0:
             return
         n = self.index.n
         sims = np.empty((rows.size, n), dtype=np.float64)
-        fast = self.fast[rows]
-        if fast.any():
+        in_place = self.fast[rows] & (self.kernel is None)
+        if in_place.any():
             assert self.concat_mat is not None and self.qmat is not None
-            on = rows[fast]
-            if self.kernel is not None:
-                sims[fast] = self.dense(
-                    np.repeat(on, n),
-                    np.tile(np.arange(n, dtype=np.int64), on.size),
-                    np.full(self.b, -np.inf),
-                ).reshape(on.size, n)
-            else:
-                sims[fast] = np.einsum("nd,bd->bn", self.concat_mat, self.qmat[on])
-                self.joint_acc[on] += n
-        if not fast.all():
-            # In entry order, as the init stacks them: a scorer backed
-            # by BLAS rounds a row by where it sits in the call.
-            rest, order = rows[~fast], self.index.entry_points(n)
-            scored = self.score_stack(
+            on = rows[in_place]
+            sims[in_place] = np.einsum("nd,bd->bn", self.concat_mat, self.qmat[on])
+            self.joint_acc[on] += n
+        if not in_place.all():
+            rest = rows[~in_place]
+            sims[~in_place] = self.score_stack(
                 np.repeat(rest, n),
-                np.tile(order, rest.size),
+                np.tile(np.arange(n, dtype=np.int64), rest.size),
                 np.full(self.b, -np.inf),
             ).reshape(rest.size, n)
-            by_id = np.empty_like(scored)
-            by_id[:, order] = scored
-            sims[~fast] = by_id
         for row_sims, i in zip(sims, rows.tolist()):
             excluded = self.excluded_by[i]
             if excluded is not None:
@@ -486,17 +452,24 @@ class _Wave:
         last_total[rows] = np.where(take == cap, total, -np.inf)
 
     def finalise(self, sparse_engine: str) -> list[SearchResult]:
-        """Per query: top-k by (-sim, id) — one row-wise lexsort for the
+        """Per query: top-k by (-sim, id) — one row-wise rank for the
         batch — then lexical fusion for a hybrid row or the optional
         exact rerank for a plain one."""
         index, space = self.index, self.index.space
         res_ids, res_sims = self.res_ids, self.res_sims
-        # One row-wise lexsort for the batch: a row's -inf padding sorts
+        # One row-wise rank for the batch: a row's -inf padding sorts
         # after its finite entries, which keep their per-row order.
-        order = np.lexsort((res_ids, -res_sims), axis=1)
+        order = rank_order(res_ids, res_sims)
         taken = np.minimum(np.isfinite(res_sims).sum(axis=1), self.k_inner_arr)
-        hops, evals = self.hops.tolist(), self.joint_acc.tolist()
-        modality_evals = (self.joint_acc * self.active_mods).tolist()
+        # A row is counted by the route that scored it, and only there.
+        joint, modality = self.joint_acc, self.joint_acc * self.active_mods
+        pruned = np.zeros(self.b, dtype=np.int64)
+        if self.stack is not None:
+            joint = joint + self.stack.joint_evals
+            modality = modality + self.stack.modality_evals
+            pruned = self.stack.pruned_early
+        hops, evals = self.hops.tolist(), joint.tolist()
+        modality_evals, pruned_early = modality.tolist(), pruned.tolist()
         results: list[SearchResult] = []
         for i, take in enumerate(taken.tolist()):
             stats = self.stats_list[i]
@@ -504,6 +477,7 @@ class _Wave:
             stats.visited_vertices += hops[i]
             stats.joint_evals += evals[i]
             stats.modality_evals += modality_evals[i]
+            stats.pruned_early += pruned_early[i]
             top = order[i, :take]
             ids_o, sims_o = res_ids[i, top], res_sims[i, top]
             typed = self.hybrid[i]
@@ -674,8 +648,8 @@ class _NumpyBookkeeping(_Bookkeeping):
         if cand.size and m_exp > 1:
             # Two expanded vertices of one row may share a neighbour;
             # keep each (row, candidate) pair once.  np.unique sorts the
-            # keys row-major, preserving the contiguous-owner layout
-            # score_stack's slow path slices on.
+            # keys row-major, preserving the owner-sorted layout
+            # merge pads by.
             key = owner * wave.index.n + cand
             _, first = np.unique(key, return_index=True)
             owner, cand = owner[first], cand[first]

@@ -1,46 +1,36 @@
-"""Unified similarity-scoring engine for the whole search stack.
-
-Every search path in the library — the two graph-search engines, the
-exact :class:`~repro.index.flat.FlatIndex` scan, the construction-time
-beam search, and the baselines — used to re-implement the same three
-scoring branches.  This module is now their single home:
+"""Similarity scoring for the search stack: the wave's frontier scorer,
+the exact scan's prefilter, and the refine rerank.
 
 * **Concat fast path** — when :meth:`JointSpace.concat_query` can build a
-  rescaled query vector, scoring a frontier is one gather + one GEMV
-  against the ω-scaled concatenated matrix (Lemma 1).
-* **Per-modality fallback** — when the fast path is impossible (the query
-  needs a modality whose index weight is zero), similarities accumulate
-  modality by modality via :meth:`JointSpace.query_ids`.
-* **Asymmetric store kernels** — on a compressed
-  :class:`~repro.store.VectorStore` the concat path is unavailable by
-  design (materialising it would undo the compression); the scorer holds
-  one per-modality kernel per query, so PQ lookup tables and
-  scalar-quant rescales are built once and reused across every frontier
-  wave.  :class:`StackedScorer` is the same route for a whole batch:
-  one stacked kernel per modality scores every query's frontier in one
-  call, bit-identical to the per-query kernels.  :func:`rerank_exact`
-  is the second stage of the ``refine=`` pipeline: full-precision
-  re-scoring of the compressed search's top survivors against the
-  store's cold exact tier.
-* **Lemma-4 pruned evaluation** — with ``early_termination`` the
-  incremental multi-vector computation drops an object the moment its
-  partial-IP upper bound falls to the pruning threshold
-  (:meth:`JointSpace.query_ids_early_stop`); lossless by Lemma 4.
-* **Stats accounting** — every branch feeds the same
-  :class:`~repro.core.results.SearchStats` counters, so work comparisons
-  stay consistent across engines and indexes.
+  rescaled query vector, a row's joint similarity is one inner product
+  against the ω-scaled concatenated matrix (Lemma 1).  The lockstep wave
+  runs it itself (:meth:`~repro.index.graph_wave._Wave.dense`, the C
+  gather-dot or ``einsum``); :func:`batch_score_all` runs it as one GEMM
+  for an exact scan.
+* :class:`StackedScorer` — **every other wave row**: a compressed store
+  (materialising the concatenation would undo the compression), a query
+  that needs a modality the index weights zeroed, and every row of a
+  Lemma-4 plan.  One :class:`~repro.store.StackedKernel` per modality
+  scores all of the batch's frontiers in one store call, each row
+  reduced on its own, so a row's score is the same alone, in any
+  frontier and in any batch.  With ``early_termination`` the same
+  kernels run the incremental multi-vector computation of §VII-B: each
+  query scans its modalities heaviest first and a row drops out once its
+  partial-IP upper bound cannot beat its query's pool threshold —
+  lossless by Lemma 4.
+* :func:`batch_score_all` — many queries × the whole corpus in float32,
+  the exact plans' **prefilter**: it also says how far each of its
+  scores can sit from the float64 kernel's, and
+  :class:`~repro.index.flat.FlatIndex` re-scores whatever that distance
+  cannot rule out.
+* :func:`rerank_exact` — the second stage of the ``refine=`` pipeline:
+  full-precision re-scoring of a compressed search's top survivors
+  against the store's cold exact tier.
 
-:class:`Scorer` binds one (space, query, weights, early-termination)
-configuration; it is cheap to construct and **stateless between calls**
-apart from the stats counters, which is what makes one-scorer-per-query
-execution safe when several threads read one index.
-
-:func:`batch_score_all` is the batched (many queries × whole corpus)
-variant: all fast-path queries are stacked into one matrix and scored
-with a single GEMM.  Exact plans use it as a **prefilter** only — it
-also says how far each of its scores can sit from the float64 kernel's,
-and :class:`~repro.index.flat.FlatIndex` re-scores whatever that
-distance cannot rule out.
+The per-query reference kernels these are held to stay in
+:class:`~repro.core.space.JointSpace`: :meth:`~JointSpace.query_ids`
+(full evaluation) and :meth:`~JointSpace.query_ids_early_stop` (Lemma 4)
+— a :class:`StackedScorer` row carries their bits and work counters.
 """
 
 from __future__ import annotations
@@ -54,7 +44,14 @@ from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.store import StackedKernel, dot_error
+from repro.utils.topk import rank_order
 from repro.utils.validation import require
+
+__all__ = [
+    "StackedScorer",
+    "batch_score_all",
+    "rerank_exact",
+]
 
 
 def _per_query_weights(
@@ -78,178 +75,28 @@ def _per_query_weights(
         )
     return per_query
 
-__all__ = [
-    "MatrixScorer",
-    "Scorer",
-    "StackedScorer",
-    "batch_score_all",
-    "rerank_exact",
-]
-
-
-class MatrixScorer:
-    """Raw-matrix scorer: one gather + one GEMV, no weights, no stats.
-
-    Index builders route over plain concatenated vectors where the query
-    *is* a corpus row; there is nothing to rescale and no work counters
-    to keep.  This thin
-    wrapper centralises the arithmetic so the gather + GEMV idiom lives
-    in exactly one module.
-    """
-
-    __slots__ = ("matrix", "query_vec")
-
-    def __init__(self, matrix: np.ndarray, query_vec: np.ndarray):
-        self.matrix = matrix
-        self.query_vec = query_vec
-
-    def score_one(self, i: int) -> float:
-        return float(self.matrix[i] @ self.query_vec)
-
-    def score_ids(self, ids: np.ndarray) -> np.ndarray:
-        return self.matrix.take(ids, 0).dot(self.query_vec)
-
-
-class Scorer:
-    """Joint-similarity scorer for one query under one weight override.
-
-    Owns the branch selection the searchers used to duplicate:
-
-    ========================  ============================================
-    configuration             scoring route
-    ========================  ============================================
-    default                   concat fast path (gather + GEMV, Lemma 1)
-    zeroed index weight       per-modality fallback (``query_ids``)
-    ``early_termination``     Lemma-4 pruned scan (``query_ids_early_stop``)
-    ========================  ============================================
-
-    All routes update :attr:`stats` with identical accounting, so results
-    produced through the scorer are bit-identical to the historical
-    per-call-site implementations.
-    """
-
-    def __init__(
-        self,
-        space: JointSpace,
-        query: MultiVector,
-        weights: Weights | None = None,
-        early_termination: bool = False,
-        stats: SearchStats | None = None,
-    ):
-        self.space = space
-        self.query = query
-        self.weights = weights
-        self.early_termination = bool(early_termination)
-        self.stats = stats if stats is not None else SearchStats()
-        # The pruned path scores modality-by-modality on purpose, so the
-        # concatenated fast path is only prepared when it is off.
-        self._qcat = (
-            None if early_termination else space.concat_query(query, weights)
-        )
-        self._concat = space.concatenated if self._qcat is not None else None
-        self._active = sum(1 for q in query.vectors if q is not None)
-        # Compressed store, no concat path: hold the per-modality
-        # asymmetric kernels for the whole search, so per-query
-        # preprocessing (PQ ADC tables, scalar-quant rescale) is paid
-        # once, not per frontier wave.  The Lemma-4 path reuses them via
-        # the ``kernels=`` hook.
-        self._kernels = (
-            space.query_kernels(query, weights)
-            if space.is_compressed
-            else None
-        )
-        # The same kernels keyed by modality, for the Lemma-4 scan's
-        # ``kernels=`` hook: one dict per search, not one per hop.
-        self._kernel_by_modality = (
-            {i: kern for i, _, kern in self._kernels}
-            if self._kernels is not None
-            else None
-        )
-
-    @property
-    def has_fast_path(self) -> bool:
-        """True when frontier scoring is a single GEMV."""
-        return self._qcat is not None
-
-    @property
-    def num_active_modalities(self) -> int:
-        """Modalities the query actually carries (``t`` in the paper)."""
-        return self._active
-
-    @property
-    def concat_query_vector(self) -> np.ndarray | None:
-        """Rescaled concat-space query (Lemma 1), or None off the fast
-        path — lets the wave engine stack many queries' fast paths into
-        one batched reduction without reaching into scorer internals."""
-        return self._qcat
-
-    # ------------------------------------------------------------------
-    # Scoring routes
-    # ------------------------------------------------------------------
-    def score_ids(self, ids: np.ndarray) -> np.ndarray:
-        """Joint similarities of the objects in *ids* (no pruning).
-
-        Exact on dense stores; the store's asymmetric approximation on
-        compressed ones (identical values to :meth:`JointSpace.query_ids`
-        on the same store).
-        """
-        if self._qcat is not None:
-            sims = (self._concat[ids] @ self._qcat).astype(np.float64)
-            self.stats.joint_evals += int(ids.size)
-            self.stats.modality_evals += int(ids.size) * self._active
-            return sims
-        if self._kernels is not None:
-            out = np.zeros(ids.shape[0], dtype=np.float64)
-            for _, w2_i, kernel in self._kernels:
-                out += w2_i * kernel.ids(ids).astype(np.float64)
-            self.stats.joint_evals += int(ids.size)
-            self.stats.modality_evals += int(ids.size) * len(self._kernels)
-            return out
-        return self.space.query_ids(
-            self.query, ids, weights=self.weights, stats=self.stats
-        )
-
-    def score_frontier(
-        self, ids: np.ndarray, threshold: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Score one frontier wave against a pruning *threshold*.
-
-        Returns ``(sims, keep)`` where ``keep[j]`` is True when ``ids[j]``
-        beats the threshold with an **exact** similarity — under Lemma-4
-        pruning a dropped object carries only its upper bound, which is
-        already ≤ the threshold, so the mask is identical in all routes.
-        """
-        if self.early_termination:
-            sims, exact = self.space.query_ids_early_stop(
-                self.query, ids, threshold, weights=self.weights,
-                stats=self.stats, kernels=self._kernel_by_modality,
-            )
-            return sims, exact & (sims > threshold)
-        sims = self.score_ids(ids)
-        return sims, sims > threshold
-
-    def score_all(self) -> np.ndarray:
-        """Full-corpus joint similarities through the hot kernels."""
-        n = self.space.n
-        sims = self.space.query_all(self.query, weights=self.weights)
-        self.stats.joint_evals += n
-        self.stats.modality_evals += n * self._active
-        self.stats.visited_vertices += n
-        return sims
-
 
 class StackedScorer:
-    """Frontier scorer for a whole batch on a compressed store.
+    """Frontier scorer for every wave row off the concat fast path.
 
-    The stacked form of :meth:`Scorer.score_ids`' kernel route: per
-    modality, one :class:`~repro.store.StackedKernel` holds the query
-    vectors of every batch member that carries the modality (with a
-    positive effective weight), so the lockstep wave engine scores all
-    frontiers with one store call per modality instead of one per
-    query.  ``score(owner, ids)[j]`` is bit-identical to
-    ``Scorer(space, queries[owner[j]]).score_ids(ids[j:j+1])[0]`` — the
-    same float32 kernel value, weighted and accumulated in float64 in
-    the same modality order.
+    Per modality, one :class:`~repro.store.StackedKernel` holds the query
+    vectors of every batch member that carries the modality with a
+    positive effective weight; ``score(owner, ids, thr)`` scores row
+    ``ids[j]`` against query ``owner[j]`` with one store call per
+    modality (per modality *step* under Lemma 4).
+
+    Full evaluation accumulates ``ω²·IP`` in float64 in modality order,
+    bit for bit :meth:`JointSpace.query_ids`.  With
+    ``early_termination`` each query scans its own modalities heaviest
+    ``ω²`` first (ties in modality order) from the bound ``Σ ω²``,
+    subtracting ``½·ω²·(2 − 2·IP)`` per step, and a row whose bound is
+    not above ``thr[owner]`` drops out between steps — bit for bit
+    :meth:`JointSpace.query_ids_early_stop`.  Either way a row's value
+    depends on its own query and vertex alone.
+
+    :attr:`joint_evals`, :attr:`modality_evals` and :attr:`pruned_early`
+    count per owner, as the reference kernels count into a query's
+    :class:`~repro.core.results.SearchStats`.
     """
 
     def __init__(
@@ -257,42 +104,72 @@ class StackedScorer:
         space: JointSpace,
         queries: Sequence[MultiVector],
         weights: Sequence[Weights | None],
+        early_termination: bool = False,
     ) -> None:
         require(
             space.vectors.is_ip_only,
-            "compressed frontier scoring requires metric 'ip' on every "
-            "dense modality — use exact search for cosine/l2 modalities",
+            "graph traversal and compressed scoring require metric 'ip' "
+            "on every dense modality — use exact search for cosine/l2 "
+            "modalities",
         )
         b = len(queries)
+        self.b = b
         w2 = np.stack(
             [
                 space.effective_squared_weights(q, w)
                 for q, w in zip(queries, weights)
             ]
         )
-        #: (ω² column, query → kernel row or -1, kernel) per modality
-        self._parts: list[tuple[np.ndarray, np.ndarray, StackedKernel]] = []
-        #: modalities scored per query (the stats multiplier).
-        self.num_kernels = np.zeros(b, dtype=np.int64)
-        for i in range(space.num_modalities):
-            rows = [
-                r
-                for r, q in enumerate(queries)
-                if q.vectors[i] is not None and w2[r, i] > 0.0
-            ]
-            if not rows:
-                continue
+        carried = w2 > 0.0
+        self._w2 = w2
+        #: modality → (query → kernel row or -1, kernel), in modality order
+        self._kernels: dict[int, tuple[np.ndarray, StackedKernel]] = {}
+        for i in np.flatnonzero(carried.any(axis=0)).tolist():
+            rows = np.flatnonzero(carried[:, i])
             slot = np.full(b, -1, dtype=np.int64)
-            slot[rows] = np.arange(len(rows))
+            slot[rows] = np.arange(rows.size)
             stack = np.stack([queries[r].vectors[i] for r in rows])
-            kernel = space.store.stacked_kernel(i, stack.astype(np.float32))
-            self._parts.append((w2[:, i], slot, kernel))
-            self.num_kernels[rows] += 1
+            self._kernels[i] = (
+                slot, space.store.stacked_kernel(i, stack.astype(np.float32))
+            )
+        #: modalities each query scores (Lemma 4: at most).
+        self.num_kernels = carried.sum(axis=1).astype(np.int64)
+        self.joint_evals = np.zeros(b, dtype=np.int64)
+        self.modality_evals = np.zeros(b, dtype=np.int64)
+        self.pruned_early = np.zeros(b, dtype=np.int64)
+        #: Lemma 4's plan: per query its modalities heaviest first
+        #: (``-1`` past its last) and its starting bound ``Σ ω²``.
+        self._steps: np.ndarray | None = None
+        self._total = np.zeros(b, dtype=np.float64)
+        if early_termination:
+            self._steps = np.full(
+                (b, int(self.num_kernels.max())), -1, dtype=np.int64
+            )
+            for r in range(b):
+                order = sorted(
+                    np.flatnonzero(carried[r]).tolist(), key=lambda i: -w2[r, i]
+                )
+                self._steps[r, : len(order)] = order
+                self._total[r] = float(sum(w2[r, i] for i in order))
 
-    def score(self, owner: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Joint similarity of ``ids[j]`` to query ``owner[j]`` (float64)."""
+    def score(
+        self, owner: np.ndarray, ids: np.ndarray, thr: np.ndarray
+    ) -> np.ndarray:
+        """Joint similarity of ``ids[j]`` to query ``owner[j]`` (float64),
+        ``-inf`` where it is not above ``thr[owner[j]]``."""
+        joint = np.bincount(owner, minlength=self.b)
+        self.joint_evals += joint
+        if self._steps is None:
+            sims = self._full(owner, ids)
+            self.modality_evals += joint * self.num_kernels
+        else:
+            sims = self._pruned(owner, ids, thr, self._steps)
+        return np.where(sims > thr[owner], sims, -np.inf)
+
+    def _full(self, owner: np.ndarray, ids: np.ndarray) -> np.ndarray:
         sims = np.zeros(ids.shape[0], dtype=np.float64)
-        for w2_i, slot, kernel in self._parts:
+        for i, (slot, kernel) in self._kernels.items():
+            w2_i = self._w2[:, i]
             which = slot[owner]
             carried = which >= 0
             if carried.all():
@@ -301,6 +178,40 @@ class StackedScorer:
                 part = kernel.ids(ids[carried], which[carried])
                 sims[carried] += w2_i[owner[carried]] * part.astype(np.float64)
         return sims
+
+    def _pruned(
+        self,
+        owner: np.ndarray,
+        ids: np.ndarray,
+        thr: np.ndarray,
+        steps: np.ndarray,
+    ) -> np.ndarray:
+        """Lemma 4 over a stacked frontier: the rows still alive after a
+        step are scored by the next step's kernels only.  A pruned row
+        keeps the bound it was dropped with, which is not above its
+        threshold."""
+        bound = self._total[owner]
+        last = self.num_kernels[owner] - 1
+        alive = np.flatnonzero(last >= 0)
+        for step in range(steps.shape[1]):
+            if alive.size == 0:
+                break
+            held = owner[alive]
+            modality = steps[held, step]
+            for i, (slot, kernel) in self._kernels.items():
+                sel = modality == i
+                if not sel.any():
+                    continue
+                rows, row_owner = alive[sel], held[sel]
+                ip = kernel.ids(ids[rows], slot[row_owner]).astype(np.float64)
+                # ‖q−u‖² = 2 − 2·(q·u) for unit vectors.
+                bound[rows] -= 0.5 * self._w2[row_owner, i] * (2.0 - 2.0 * ip)
+            self.modality_evals += np.bincount(held, minlength=self.b)
+            more = last[alive] > step
+            keep = more & (bound[alive] > thr[held])
+            self.pruned_early += np.bincount(held[more & ~keep], minlength=self.b)
+            alive = alive[keep]
+        return bound
 
 
 def batch_score_all(
@@ -317,9 +228,10 @@ def batch_score_all(
     store, or an override that needs a modality the index weights
     zeroed — is scored modality by modality through the store's own
     stacked kernel (:meth:`~repro.store.VectorStore.batch_scores`: one
-    GEMM, or one ADC table block), weighted in float64.  A ``cosine`` /
-    ``l2`` modality has neither and takes the per-query
-    :meth:`Scorer.score_all`.
+    GEMM, or one ADC table block), weighted in float64.  Both are
+    inner-product identities, so the space must be ``ip`` on every
+    modality; an exact scan over ``cosine`` / ``l2`` modalities runs no
+    prefilter (:meth:`~repro.index.flat.FlatIndex.batch_search`).
 
     ``weights`` is either one override for the whole batch or a sequence
     of per-query overrides (the typed-``Query`` path) — each query's
@@ -340,11 +252,16 @@ def batch_score_all(
     norm is one scalar per space, :attr:`JointSpace.max_concat_norm`).
     On the store-kernel route each modality's backend bounds its own
     wave (:meth:`~repro.store.VectorStore.batch_scores_bound`) and the
-    bounds add under the same ``ω²`` the scores do.  A ``cosine`` /
-    ``l2`` modality, or a backend that declines, leaves ``inf``.
+    bounds add under the same ``ω²`` the scores do.  A backend that
+    declines leaves ``inf``.
     """
+    require(
+        space.vectors.is_ip_only,
+        "the float32 prefilter is an inner-product identity — it "
+        "requires metric 'ip' on every dense modality",
+    )
     n = len(queries)
-    sims_out: list[np.ndarray | None] = [None] * n
+    sims_out: list[np.ndarray] = [np.zeros(0)] * n
     stats_out: list[SearchStats] = [SearchStats() for _ in range(n)]
     per_query = _per_query_weights(weights, n)
     if bounds is not None:
@@ -358,12 +275,8 @@ def batch_score_all(
         if qcat is not None:
             stacked.append(qcat)
             fast_rows.append(row)
-        elif space.vectors.is_ip_only:
-            store_rows.append(row)
         else:
-            scorer = Scorer(space, query, weights=per_query[row],
-                            stats=stats_out[row])
-            sims_out[row] = scorer.score_all()
+            store_rows.append(row)
 
     if fast_rows:
         columns = np.stack(stacked, axis=1)  # (D, b)
@@ -457,5 +370,5 @@ def rerank_exact(
     if ids.size == 0:
         return ids, np.zeros(0, dtype=np.float64)
     sims = space.query_ids_exact(query, ids, weights=weights, stats=stats)
-    order = np.lexsort((ids, -sims))[:k]
+    order = rank_order(ids, sims, k)
     return ids[order], sims[order]

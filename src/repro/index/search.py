@@ -29,7 +29,6 @@ from repro.core.results import SearchResult
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex
 from repro.index.graph_wave import lockstep
-from repro.index.scoring import MatrixScorer
 
 __all__ = ["joint_search", "greedy_search_graph"]
 
@@ -99,10 +98,9 @@ def greedy_search_graph(
     similarity, best first.  Query-time search should use
     :func:`joint_search` instead, which adds weights/pruning/stats.
     """
-    scorer = MatrixScorer(concat, query_vec)
     unseen = np.ones(concat.shape[0], dtype=bool)
     unseen[entry] = False
-    entry_sim = scorer.score_one(entry)
+    entry_sim = float(concat[entry] @ query_vec)
     results = [(entry_sim, entry)]
     candidates = [(-entry_sim, entry)]
     expanded_ids: list[int] = [entry]
@@ -122,7 +120,7 @@ def greedy_search_graph(
         if not fresh.size:
             continue
         unseen.put(fresh, False)
-        sims = scorer.score_ids(fresh)
+        sims = concat.take(fresh, 0).dot(query_vec)
         for sim, u in zip(sims.tolist(), fresh.tolist()):
             if not sim > threshold:
                 continue

@@ -80,6 +80,7 @@ from repro.store import (
     store_from_arrays,
 )
 from repro.utils.io import load_arrays, pack_adjacency, save_arrays
+from repro.utils.topk import merge_candidates
 from repro.utils.validation import require
 
 __all__ = [
@@ -271,20 +272,6 @@ def _mark_local(index: GraphIndex, local_ids: np.ndarray) -> None:
     if index.deleted is None:
         index.deleted = np.zeros(index.n, dtype=bool)
     index.deleted[local_ids] = True
-
-
-def _merge_candidates(
-    parts: list[tuple[np.ndarray, np.ndarray]], k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Global top-*k* of per-segment candidate lists, ordered by
-    ``(-similarity, external id)`` — external ids are unique across
-    segments, so no dedup is needed."""
-    if not parts:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-    ids = np.concatenate([p[0] for p in parts])
-    sims = np.concatenate([p[1] for p in parts])
-    order = np.lexsort((ids, -sims))[:k]
-    return ids[order], sims[order]
 
 
 def beam_covers(l: int, n: int) -> bool:
@@ -502,7 +489,7 @@ class SegmentView:
                 stats_parts[i].append(res.stats)
         results = []
         for k_i, p_i, s_i in zip(ks, parts, stats_parts):
-            ids, sims = _merge_candidates(p_i, k_i)
+            ids, sims = merge_candidates(p_i, k_i)
             results.append(
                 SearchResult(ids, sims, SearchStats.aggregate(s_i))
             )
@@ -557,7 +544,7 @@ class SegmentView:
                 stats_parts[j].append(res.stats)
         return [
             SearchResult(
-                *_merge_candidates(p_j, q.resolve_k(k)),
+                *merge_candidates(p_j, q.resolve_k(k)),
                 SearchStats.aggregate(s_j),
             )
             for q, p_j, s_j in zip(typed, parts, stats_parts)

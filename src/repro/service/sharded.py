@@ -38,7 +38,8 @@ options, which the worker hands to
 :func:`repro.index.executor.execute` unchanged (the containment retry
 of a failed group is the per-item ``search_many``).  The parent gathers
 the per-shard pools and merges a global top-k per request with
-:func:`~repro.index.segments._merge_candidates`.
+:func:`~repro.utils.topk.merge_candidates`, as a segmented view merges
+its segments.
 
 **Bit-parity.**  The exact path scores through the one exact kernel
 (:meth:`~repro.index.flat.FlatIndex.batch_search`) inside each shard,
@@ -93,13 +94,14 @@ from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.base import reseat_on_store
 from repro.index.executor import BatchResult, execute
-from repro.index.segments import SegmentedIndex, SegmentView, _merge_candidates
+from repro.index.segments import SegmentedIndex, SegmentView
 from repro.service.collections import Collection, CollectionManager
 from repro.service.service import MustService, ServiceConfig, _Request
 from repro.service.snapshot import IndexSnapshot
 from repro.sparse.store import SparseStats, SparseStore, sum_stats
 from repro.store import GatherPlane, MmapPlane, ResidentPlane
 from repro.utils.shm import SharedArrays
+from repro.utils.topk import merge_candidates
 from repro.utils.validation import require
 
 if TYPE_CHECKING:
@@ -999,7 +1001,7 @@ class ShardedService(MustService):
     def _merge(req: _Request, parts: list[SearchResult]) -> SearchResult:
         """One request's answer from its per-shard pools, merged by
         ``(-similarity, external id)``, work counters summed."""
-        ids, sims = _merge_candidates(
+        ids, sims = merge_candidates(
             [(part.ids, part.similarities) for part in parts],
             req.query.resolve_k(req.options.k),
         )

@@ -31,6 +31,7 @@ from repro.sparse.inverted import (
 )
 from repro.sparse.kernels import sparse_scores_bruteforce
 from repro.sparse.store import SparseStore
+from repro.utils.topk import rank_order
 
 if TYPE_CHECKING:
     from repro.core.results import SearchStats
@@ -153,7 +154,7 @@ def hybrid_union_rescore(
     )
     w2 = float(typed.sparse_weight) ** 2
     sims = dense + w2 * lex_scores[cand]
-    order = np.lexsort((cand, -sims))[:k]
+    order = rank_order(cand, sims, k)
     return cand[order], sims[order]
 
 
@@ -181,5 +182,5 @@ def hybrid_rerank(
         typed.vector, ids, weights=weights, stats=stats
     )
     sims = dense + lexical[ids]
-    order = np.lexsort((ids, -sims))[:k]
+    order = rank_order(ids, sims, k)
     return ids[order], sims[order]

@@ -9,7 +9,7 @@ therefore bit-identical while the work drops from
 ``O(n · query terms)`` to ``O(postings of the query terms)``.
 
 :func:`sparse_topk` turns a score array into the canonical top-k: the
-same ``np.lexsort((ids, −scores))`` order the dense exact paths use
+same :func:`~repro.utils.topk.rank_order` the dense exact paths use
 (descending score, ascending id on ties).  When the engine knows which
 rows it touched, the selection ranks only those and back-fills the
 remaining slots with untouched admissible ids ascending — provably the
@@ -31,6 +31,7 @@ from repro.sparse.kernels import (
     term_weights,
 )
 from repro.sparse.store import SparseStore
+from repro.utils.topk import rank_order
 from repro.utils.validation import require
 
 __all__ = ["sparse_scores", "sparse_scores_inverted", "sparse_topk"]
@@ -115,7 +116,7 @@ def sparse_topk(
     outside it never appear.  *touched* — when the inverted engine
     supplies it — restricts the sort to rows that can score above zero;
     the remaining slots fill with untouched admissible ids ascending,
-    which equals the full ``lexsort((ids, −scores))`` answer because
+    which equals the full :func:`~repro.utils.topk.rank_order` answer because
     untouched rows all hold exactly ``+0.0``.
     """
     n = int(scores.shape[0])
@@ -125,16 +126,14 @@ def sparse_topk(
             if admissible is None
             else np.flatnonzero(admissible).astype(np.int64)
         )
-        order = np.lexsort((cand, -scores[cand]))
-        top = cand[order[:k]]
+        top = cand[rank_order(cand, scores[cand], k)]
         return top, scores[top]
     cand = (
         touched
         if admissible is None
         else touched[admissible[touched]]
     )
-    order = np.lexsort((cand, -scores[cand]))
-    top = cand[order[:k]].astype(np.int64)
+    top = cand[rank_order(cand, scores[cand], k)].astype(np.int64)
     if top.shape[0] < k:
         untouched = (
             np.ones(n, dtype=bool) if admissible is None else admissible.copy()

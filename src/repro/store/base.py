@@ -78,10 +78,13 @@ def max_row_norm(mat: np.ndarray) -> float:
 class ModalityKernel(abc.ABC):
     """Asymmetric scoring kernel: one float32 query vs one hot modality.
 
-    Built once per (query, modality) — :class:`~repro.index.scoring.Scorer`
-    holds its kernels for the whole search, so per-query preprocessing
-    (the PQ ADC lookup table, the scalar-quant affine rescale) is paid
-    once, not per frontier wave.
+    Built once per (query, modality) by :meth:`VectorStore.query_kernel`,
+    so per-query preprocessing (the PQ ADC lookup table, the
+    scalar-quant affine rescale) is paid once per call site: full scans
+    (:meth:`~repro.core.space.JointSpace.query_all`) and the per-query
+    reference kernels of :class:`~repro.core.space.JointSpace`.
+    :meth:`ids` reduces each row on its own, so its values are the ones
+    the wave's :class:`StackedKernel` returns for the same rows.
     """
 
     @abc.abstractmethod
@@ -199,14 +202,13 @@ class VectorStore(abc.ABC):
     def query_kernel(self, i: int, query: np.ndarray) -> ModalityKernel:
         """Kernel scoring float32 *query* against hot modality *i*."""
 
+    @abc.abstractmethod
     def stacked_kernel(self, i: int, queries: np.ndarray) -> StackedKernel:
         """Frontier kernel scoring a ``(b, d_i)`` float32 query stack
-        against hot modality *i* (compressed backends only)."""
-        raise ValueError(
-            f"store kind {self.kind!r} has no stacked frontier kernel — "
-            f"dense corpora score whole waves through the ω-scaled "
-            f"concatenation instead"
-        )
+        against hot modality *i* — how the wave scores every row off
+        the concat fast path (:class:`~repro.index.scoring.StackedScorer`):
+        all rows of a compressed store, and on a dense one the rows of a
+        zero-weight fallback or a Lemma-4 plan."""
 
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:
         """Inner products of a ``(b, d_i)`` query stack, shape ``(n, b)``.

@@ -1,8 +1,8 @@
 """Uncompressed and half-precision vector stores.
 
 :class:`DenseStore` is today's behaviour made explicit: the hot tier *is*
-the float32 corpus, kernels are plain BLAS products, and every result is
-bit-identical to the historical in-matrix layout.
+the float32 corpus, full scans are plain BLAS products, and frontier rows
+are reduced one by one, so a row's score never depends on its company.
 
 :class:`HalfStore` halves resident bytes by keeping the hot tier in
 float16; kernels up-cast to float32 inside the product (float16 storage,
@@ -12,7 +12,7 @@ inner products.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -31,11 +31,15 @@ __all__ = ["DenseStore", "HalfStore"]
 
 
 class _MatKernel(ModalityKernel):
-    """Gather + GEMV over one stored matrix (float32 or float16)."""
+    """One query against one stored matrix (float32, or float16 read as
+    float32): full scans are a GEMV, frontier rows are reduced one by
+    one (a GEMV's bits depend on how many rows share the call), so a
+    row's score is the same alone, in any frontier, and in a wave's
+    stacked kernel."""
 
     __slots__ = ("mat", "q")
 
-    def __init__(self, mat: np.ndarray, q: np.ndarray):
+    def __init__(self, mat: np.ndarray, q: np.ndarray) -> None:
         self.mat = mat
         self.q = np.ascontiguousarray(q, dtype=np.float32)
 
@@ -43,35 +47,25 @@ class _MatKernel(ModalityKernel):
         return self.mat @ self.q
 
     def ids(self, ids: np.ndarray) -> np.ndarray:
-        return self.mat[np.asarray(ids)] @ self.q
+        rows = self.mat[np.asarray(ids)].astype(np.float32, copy=False)
+        sims: np.ndarray = np.einsum("ij,j->i", rows, self.q)
+        return sims
 
 
-class _HalfKernel(_MatKernel):
-    """Float16 rows: full scans stay a GEMV, frontier rows are reduced
-    one by one (a GEMV's bits depend on how many rows share the call),
-    so a row's score is the same alone, in any frontier, and in a
-    wave's stacked kernel."""
-
-    __slots__ = ()
-
-    def ids(self, ids: np.ndarray) -> np.ndarray:
-        rows = self.mat[np.asarray(ids)].astype(np.float32)
-        return np.einsum("ij,j->i", rows, self.q)
-
-
-class _StackedHalfKernel(StackedKernel):
-    """Float16 rows against a query stack: row ``j`` is reduced against
-    query ``owner[j]``."""
+class _StackedMatKernel(StackedKernel):
+    """The same rows against a query stack: row ``j`` is reduced
+    against query ``owner[j]``."""
 
     __slots__ = ("mat", "queries")
 
-    def __init__(self, mat: np.ndarray, queries: np.ndarray):
+    def __init__(self, mat: np.ndarray, queries: np.ndarray) -> None:
         self.mat = mat
         self.queries = np.ascontiguousarray(queries, dtype=np.float32)
 
     def _score(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        rows = self.mat[ids].astype(np.float32)
-        return np.einsum("ij,ij->i", rows, self.queries[owner])
+        rows = self.mat[ids].astype(np.float32, copy=False)
+        sims: np.ndarray = np.einsum("ij,ij->i", rows, self.queries[owner])
+        return sims
 
 
 def _gemm_bound(
@@ -82,13 +76,17 @@ def _gemm_bound(
     products: one float32 dot of ``d`` terms per entry, so
     ``γ_d·max‖row‖·‖q‖``.  The row norm is taken once per modality
     into *norms* (the store never changes)."""
-    if norms[i] is None:
-        norms[i] = max_row_norm(mats[i])
+    norm = norms[i]
+    if norm is None:
+        norm = norms[i] = max_row_norm(mats[i])
     q_norms = np.linalg.norm(np.asarray(queries, dtype=np.float64), axis=1)
-    return dot_error(mats[i].shape[1]) * norms[i] * q_norms
+    bound: np.ndarray = dot_error(mats[i].shape[1]) * norm * q_norms
+    return bound
 
 
-def _check_matrices(matrices: Sequence[np.ndarray], dtype) -> tuple[np.ndarray, ...]:
+def _check_matrices(
+    matrices: Sequence[np.ndarray], dtype: type[np.generic]
+) -> tuple[np.ndarray, ...]:
     mats = tuple(np.ascontiguousarray(m, dtype=dtype) for m in matrices)
     require(len(mats) >= 1, "at least one modality matrix required")
     n = mats[0].shape[0]
@@ -105,14 +103,14 @@ class DenseStore(VectorStore):
     kind = "none"
     dtype = "float32"
 
-    def __init__(self, matrices: Sequence[np.ndarray]):
+    def __init__(self, matrices: Sequence[np.ndarray]) -> None:
         self._mats = _check_matrices(matrices, np.float32)
         self._norms: list[float | None] = [None] * len(self._mats)
 
     # -- shape ----------------------------------------------------------
     @property
     def n(self) -> int:
-        return self._mats[0].shape[0]
+        return int(self._mats[0].shape[0])
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -130,9 +128,13 @@ class DenseStore(VectorStore):
     def query_kernel(self, i: int, query: np.ndarray) -> ModalityKernel:
         return _MatKernel(self._mats[i], query)
 
+    def stacked_kernel(self, i: int, queries: np.ndarray) -> StackedKernel:
+        return _StackedMatKernel(self._mats[i], queries)
+
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:
         q = np.ascontiguousarray(queries, dtype=np.float32)
-        return self._mats[i] @ q.T
+        scores: np.ndarray = self._mats[i] @ q.T
+        return scores
 
     def batch_scores_bound(self, i: int, queries: np.ndarray) -> np.ndarray:
         return _gemm_bound(self._norms, self._mats, i, queries)
@@ -146,7 +148,7 @@ class DenseStore(VectorStore):
         return int(sum(m.nbytes for m in self._mats))
 
     # -- persistence ----------------------------------------------------
-    def store_meta(self) -> dict:
+    def store_meta(self) -> dict[str, Any]:
         return {"kind": self.kind, "dtype": self.dtype,
                 "num_modalities": self.num_modalities}
 
@@ -156,12 +158,16 @@ class DenseStore(VectorStore):
         return {f"mod_{i}": m for i, m in enumerate(self._mats)}
 
     @classmethod
-    def from_arrays(cls, meta: dict, arrays: dict) -> "DenseStore":
+    def from_arrays(
+        cls, meta: dict[str, Any], arrays: dict[str, np.ndarray]
+    ) -> "DenseStore":
         m = int(meta["num_modalities"])
         return cls([arrays[f"mod_{i}"] for i in range(m)])
 
     @classmethod
-    def from_matrices(cls, matrices: Sequence[np.ndarray], **options) -> "DenseStore":
+    def from_matrices(
+        cls, matrices: Sequence[np.ndarray], **options: Any
+    ) -> "DenseStore":
         require(not options, f"DenseStore takes no options, got {sorted(options)}")
         return cls(matrices)
 
@@ -181,7 +187,7 @@ class HalfStore(VectorStore):
         self,
         half: Sequence[np.ndarray],
         exact: Sequence[np.ndarray] | ColdPlane | None = None,
-    ):
+    ) -> None:
         self._half = _check_matrices(half, np.float16)
         self._exact = as_cold_plane(
             exact,
@@ -193,7 +199,7 @@ class HalfStore(VectorStore):
     # -- shape ----------------------------------------------------------
     @property
     def n(self) -> int:
-        return self._half[0].shape[0]
+        return int(self._half[0].shape[0])
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -224,14 +230,15 @@ class HalfStore(VectorStore):
     def query_kernel(self, i: int, query: np.ndarray) -> ModalityKernel:
         # float16 @ float32 promotes to a float32 product (the up-cast
         # happens inside NumPy; storage stays half precision).
-        return _HalfKernel(self._half[i], query)
+        return _MatKernel(self._half[i], query)
 
     def stacked_kernel(self, i: int, queries: np.ndarray) -> StackedKernel:
-        return _StackedHalfKernel(self._half[i], queries)
+        return _StackedMatKernel(self._half[i], queries)
 
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:
         q = np.ascontiguousarray(queries, dtype=np.float32)
-        return self._half[i] @ q.T
+        scores: np.ndarray = self._half[i] @ q.T
+        return scores
 
     def batch_scores_bound(self, i: int, queries: np.ndarray) -> np.ndarray:
         # The product up-casts the float16 rows exactly, then runs in
@@ -262,7 +269,7 @@ class HalfStore(VectorStore):
         return HalfStore(self._half, plane)
 
     # -- persistence ----------------------------------------------------
-    def store_meta(self) -> dict:
+    def store_meta(self) -> dict[str, Any]:
         return {"kind": self.kind, "dtype": self.dtype,
                 "num_modalities": self.num_modalities,
                 "keep_exact": self.has_exact}
@@ -279,17 +286,20 @@ class HalfStore(VectorStore):
         return out
 
     @classmethod
-    def from_arrays(cls, meta: dict, arrays: dict) -> "HalfStore":
+    def from_arrays(
+        cls, meta: dict[str, Any], arrays: dict[str, np.ndarray]
+    ) -> "HalfStore":
         m = int(meta["num_modalities"])
         half = [arrays[f"half_{i}"] for i in range(m)]
         exact = None
-        if meta.get("keep_exact") and f"exact_0" in arrays:
+        if meta.get("keep_exact") and "exact_0" in arrays:
             exact = [arrays[f"exact_{i}"] for i in range(m)]
         return cls(half, exact)
 
     @classmethod
     def from_matrices(
-        cls, matrices: Sequence[np.ndarray], keep_exact: bool = True, **options
+        cls, matrices: Sequence[np.ndarray], keep_exact: bool = True,
+        **options: Any,
     ) -> "HalfStore":
         require(not options, f"HalfStore options: keep_exact; got {sorted(options)}")
         mats = _check_matrices(matrices, np.float32)

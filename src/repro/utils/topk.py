@@ -2,13 +2,46 @@
 
 Similarities in this library follow the paper's convention: **larger inner
 product = more similar**.  All helpers therefore select maxima.
+
+Every ranked answer is ordered by ``(-similarity, id)`` — equal scores
+break toward the smaller id — and that rule lives here, in
+:func:`rank_order`, which every final cut calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["top_k_indices", "top_k_sorted", "merge_top_k"]
+__all__ = [
+    "merge_candidates",
+    "merge_top_k",
+    "rank_order",
+    "top_k_indices",
+    "top_k_sorted",
+]
+
+
+def rank_order(
+    ids: np.ndarray, sims: np.ndarray, k: int | None = None
+) -> np.ndarray:
+    """Positions of the best *k* entries (all of them for ``k=None``),
+    ordered by ``(-similarity, id)`` — along the last axis, so a 2-D
+    pair ranks each row on its own."""
+    order: np.ndarray = np.lexsort((ids, -sims), axis=-1)[..., :k]
+    return order
+
+
+def merge_candidates(
+    parts: list[tuple[np.ndarray, np.ndarray]], k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Global top-*k* ``(ids, sims)`` of several candidate lists whose
+    ids are disjoint (segments, shards), by :func:`rank_order`."""
+    if not parts:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+    ids = np.concatenate([p[0] for p in parts])
+    sims = np.concatenate([p[1] for p in parts])
+    order = rank_order(ids, sims, k)
+    return ids[order], sims[order]
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -35,8 +68,7 @@ def top_k_sorted(scores: np.ndarray, k: int) -> np.ndarray:
     """
     idx = top_k_indices(scores, k)
     # Secondary key on the index makes the ordering fully deterministic.
-    order = np.lexsort((idx, -scores[idx]))
-    return idx[order]
+    return idx[rank_order(idx, scores[idx])]
 
 
 def merge_top_k(

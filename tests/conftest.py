@@ -20,7 +20,7 @@ from repro.core.weights import Weights
 from repro.datasets import EncoderCombo, encode_dataset, make_mitstates
 from repro.index.base import GraphIndex
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.scoring import Scorer, rerank_exact
+from repro.index.scoring import rerank_exact
 from repro.sparse.hybrid import hybrid_union_rescore
 from repro.utils.rng import make_rng
 
@@ -68,6 +68,49 @@ def stable_oracle(
     return SearchResult(reported[order], sims[order])
 
 
+def oracle_scores(
+    space: JointSpace,
+    query: MultiVector,
+    ids: np.ndarray,
+    weights: Weights | None,
+    stats: SearchStats,
+) -> np.ndarray:
+    """Joint similarities as the oracle scores them: one GEMV against
+    the ω-scaled concatenation where the query has a concat vector
+    (Lemma 1), :meth:`JointSpace.query_ids` where it has none (a
+    compressed store, a modality the index weights zeroed)."""
+    qcat = space.concat_query(query, weights)
+    if qcat is None:
+        return space.query_ids(query, ids, weights=weights, stats=stats)
+    stats.joint_evals += int(ids.size)
+    stats.modality_evals += int(ids.size) * sum(
+        v is not None for v in query.vectors
+    )
+    return (space.concatenated[ids] @ qcat).astype(np.float64)
+
+
+def oracle_frontier(
+    space: JointSpace,
+    query: MultiVector,
+    ids: np.ndarray,
+    threshold: float,
+    weights: Weights | None,
+    early_termination: bool,
+    stats: SearchStats,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(sims, keep)`` of one frontier against a pruning *threshold*:
+    :func:`oracle_scores`, or under ``early_termination`` the Lemma-4
+    scan :meth:`JointSpace.query_ids_early_stop` (a pruned row carries
+    its bound, which is not above the threshold)."""
+    if early_termination:
+        sims, exact = space.query_ids_early_stop(
+            query, ids, threshold, weights=weights, stats=stats
+        )
+        return sims, exact & (sims > threshold)
+    sims = oracle_scores(space, query, ids, weights, stats)
+    return sims, sims > threshold
+
+
 def heap_traverse(
     index: GraphIndex,
     query: MultiVector,
@@ -82,20 +125,25 @@ def heap_traverse(
     """Algorithm 2 as the classic per-query two-heap loop: the oracle
     the lockstep wave is held to.
 
-    One ``score_frontier`` call per hop, the threshold re-read from the
-    result heap wherever it is needed, an unbounded candidate heap —
-    excluded vertices route but never enter the results.  At
-    ``expansions_per_wave=1`` a lone wave query that excludes nothing
-    expands what this expands, in the same order.
+    One :func:`oracle_frontier` call per hop (the init's with a -inf
+    threshold), the threshold re-read from the result heap wherever it
+    is needed, an unbounded candidate heap — excluded vertices route but
+    never enter the results.  At ``expansions_per_wave=1`` a lone wave
+    query that excludes nothing expands what this expands, in the same
+    order.
     """
     space = index.space
-    scorer = Scorer(space, query, weights=weights,
-                    early_termination=early_termination)
-    stats = scorer.stats
+    stats = SearchStats()
+
+    def frontier(ids: np.ndarray, threshold: float):
+        return oracle_frontier(
+            space, query, ids, threshold, weights, early_termination, stats
+        )
+
     r_ids = index.entry_points(l)
     seen = np.zeros(space.n, dtype=bool)
     seen[r_ids] = True
-    init_sims = scorer.score_ids(r_ids)
+    init_sims, _ = frontier(r_ids, -np.inf)
     cap = min(l, reportable)
     results = [
         (float(s), int(v))
@@ -122,7 +170,7 @@ def heap_traverse(
             continue
         seen[fresh] = True
         threshold = threshold_now()
-        sims, keep = scorer.score_frontier(fresh, threshold)
+        sims, keep = frontier(fresh, threshold)
         for j in np.flatnonzero(keep):
             sim, u = float(sims[j]), int(fresh[j])
             if sim <= threshold_now():
@@ -181,15 +229,16 @@ def heap_search(
         k_inner = k_q * refine
         l_inner = max(l, k_inner)
     if scan:
-        scorer = Scorer(index.space, vec, weights=w,
-                        early_termination=early_termination)
+        stats = SearchStats()
         order = index.entry_points(index.n)
         sims = np.empty(index.n)
-        sims[order] = scorer.score_ids(order)
+        sims[order], _ = oracle_frontier(
+            index.space, vec, order, -np.inf, w, early_termination, stats
+        )
         if excluded is not None:
             sims[excluded] = -np.inf
         top = np.lexsort((np.arange(index.n), -sims))[: min(l_inner, reportable)]
-        res = SearchResult(top[:k_inner], sims[top[:k_inner]], scorer.stats)
+        res = SearchResult(top[:k_inner], sims[top[:k_inner]], stats)
     else:
         res = heap_traverse(
             index, vec, k_inner, l_inner, w, early_termination,

@@ -19,10 +19,10 @@ from repro.core.weights import Weights
 from repro.index.executor import BatchExecutor, BatchResult
 from repro.index.flat import FlatIndex
 from repro.index.graph_wave import bookkeeping, graph_wave_search
-from repro.index.scoring import Scorer, batch_score_all
+from repro.index.scoring import StackedScorer, batch_score_all
 from repro.index.search import joint_search
 
-from tests.conftest import random_multivector_set, random_query
+from tests.conftest import oracle_scores, random_multivector_set, random_query
 
 N = 350
 DIMS = (10, 6)
@@ -166,35 +166,73 @@ class TestExactBatch:
 
 
 class TestScorerUnification:
-    """The scorer is the single home of the scoring branches."""
+    """The wave's two frontier routes — the concat fast path and the
+    stacked kernels — agree with each other and with the per-query
+    reference kernels of :class:`~repro.core.space.JointSpace`."""
+
+    @staticmethod
+    def _frontier(b):
+        """Owner-sorted ``(owner, ids)``: every query scores every 5th
+        row."""
+        ids = np.arange(0, N, 5)
+        return np.repeat(np.arange(b), ids.size), np.tile(ids, b)
 
     def test_fast_path_matches_fallback(self, must, queries):
-        fast = Scorer(must.space, queries[0])
-        assert fast.has_fast_path
-        ids = np.arange(0, N, 7)
-        via_fast = fast.score_ids(ids)
-        via_space = must.space.query_ids(queries[0], ids)
-        np.testing.assert_allclose(via_fast, via_space, rtol=1e-5, atol=1e-6)
+        space = must.space
+        owner, ids = self._frontier(len(queries))
+        stack = StackedScorer(space, queries, [None] * len(queries))
+        got = stack.score(owner, ids, np.full(len(queries), -np.inf))
+        for o, q in enumerate(queries):
+            rows = owner == o
+            assert space.concat_query(q) is not None
+            np.testing.assert_array_equal(
+                got[rows], space.query_ids(q, ids[rows])
+            )
+            via_fast = oracle_scores(space, q, ids[rows], None, SearchStats())
+            np.testing.assert_allclose(
+                via_fast, got[rows], rtol=1e-5, atol=1e-6
+            )
 
     def test_pruned_frontier_mask_is_lossless(self, must, queries):
-        plain = Scorer(must.space, queries[0])
-        pruned = Scorer(must.space, queries[0], early_termination=True)
-        assert not pruned.has_fast_path
-        ids = np.arange(0, N, 5)
-        threshold = 0.4
-        sims, keep = plain.score_frontier(ids, threshold)
-        psims, pkeep = pruned.score_frontier(ids, threshold)
-        assert np.array_equal(keep, pkeep)  # Lemma 4: same winners
-        np.testing.assert_allclose(
-            sims[keep], psims[pkeep], rtol=1e-5, atol=1e-6
+        space, b = must.space, len(queries)
+        owner, ids = self._frontier(b)
+        thr = np.full(b, 0.4)
+        plain = StackedScorer(space, queries, [None] * b)
+        pruned = StackedScorer(
+            space, queries, [None] * b, early_termination=True
         )
+        sims = plain.score(owner, ids, thr)
+        psims = pruned.score(owner, ids, thr)
+        keep = np.isfinite(sims)
+        assert keep.any() and not keep.all()
+        assert np.array_equal(keep, np.isfinite(psims))  # Lemma 4
+        np.testing.assert_allclose(
+            sims[keep], psims[keep], rtol=1e-5, atol=1e-6
+        )
+        for o, q in enumerate(queries):
+            rows = owner == o
+            ref, exact = space.query_ids_early_stop(q, ids[rows], 0.4)
+            ref = np.where(exact & (ref > 0.4), ref, -np.inf)
+            np.testing.assert_array_equal(psims[rows], ref)
 
     def test_stats_accounting_matches_scan(self, must, queries):
-        scorer = Scorer(must.space, queries[0])
-        scorer.score_all()
-        assert scorer.stats.joint_evals == N
-        assert scorer.stats.modality_evals == N * len(DIMS)
-        assert scorer.stats.visited_vertices == N
+        space, b = must.space, len(queries)
+        owner, ids = self._frontier(b)
+        thr = np.full(b, 0.4)
+        plain = StackedScorer(space, queries, [None] * b)
+        pruned = StackedScorer(
+            space, queries, [None] * b, early_termination=True
+        )
+        plain.score(owner, ids, thr)
+        pruned.score(owner, ids, thr)
+        assert (plain.modality_evals == (N // 5) * len(DIMS)).all()
+        assert not plain.pruned_early.any()
+        assert pruned.pruned_early.sum() > 0
+        for o, q in enumerate(queries):
+            stats = SearchStats()
+            space.query_ids_early_stop(q, ids[owner == o], 0.4, stats=stats)
+            assert pruned.modality_evals[o] == stats.modality_evals
+            assert pruned.pruned_early[o] == stats.pruned_early
 
 
 class TestBaselineBatchPaths:

@@ -243,9 +243,9 @@ class TestCompressedLifecycle:
 
 
 class TestZeroWeightFallbackUnderExecutor:
-    """Scorer per-modality fallback (zero index weight + override that
-    needs the zeroed modality): the batch must match the single-query
-    route — graph and exact paths."""
+    """Per-modality fallback (zero index weight + override that needs
+    the zeroed modality, scored by the stacked kernels): the batch must
+    match the single-query route — graph and exact paths."""
 
     @pytest.fixture(scope="class")
     def zero_must(self, objects):

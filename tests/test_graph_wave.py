@@ -21,14 +21,16 @@ import numpy as np
 import pytest
 
 from repro.core.framework import MUST
-from repro.core.multivector import MultiVector, MultiVectorSet
+from repro.core.multivector import MultiVector, MultiVectorSet, normalize_rows
 from repro.core.query import Eq, Query, SearchOptions
 from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.graph_wave import bookkeeping, graph_wave_search
 from repro.index.pipeline import FusedIndexBuilder
+from repro.index.scoring import StackedScorer
 from repro.index.segments import Segment, SegmentView
+from repro.store import dot_error
 
 from tests.conftest import heap_search, heap_view_search
 
@@ -137,11 +139,12 @@ class TestCompressedParity:
         assert _recall(wave, truth) >= _recall(oracle, truth) - EPS
 
 
-@pytest.mark.parametrize("kind", ["pq", "int8", "float16"])
+@pytest.mark.parametrize("kind", ["pq", "int8", "float16", "none"])
 class TestStackedKernels:
-    """A compressed store scores a whole wave with one stacked kernel
-    call per modality; every value must carry the bits of the owner's
-    own per-query kernel."""
+    """Every row off the concat fast path — all of a compressed store's,
+    a dense store's zero-weight-fallback and Lemma-4 rows — is scored by
+    one stacked kernel call per modality; every value must carry the
+    bits of the owner's own per-query kernel."""
 
     @pytest.fixture
     def space(self, objects, kind):
@@ -190,17 +193,23 @@ class TestStackedKernels:
     def test_stacked_scorer_matches_per_query_scorers(
         self, space, stack_queries
     ):
-        from repro.index.scoring import Scorer, StackedScorer
-
-        per_weights = [None, Weights([0.9, 0.1])] * (len(stack_queries) // 2)
-        owner, ids = self._frontier(len(stack_queries), skip=1)
+        """Each row of the stacked pass carries the bits and the work
+        count of its query's reference, :meth:`JointSpace.query_ids`."""
+        b = len(stack_queries)
+        per_weights = [None, Weights([0.9, 0.1])] * (b // 2)
+        owner, ids = self._frontier(b, skip=1)
         stack = StackedScorer(space, stack_queries, per_weights)
-        got = stack.score(owner, ids)
-        for o in np.unique(owner):
+        got = stack.score(owner, ids, np.full(b, -np.inf))
+        for o in range(b):
             rows = owner == o
-            scorer = Scorer(space, stack_queries[o], weights=per_weights[o])
-            np.testing.assert_array_equal(got[rows], scorer.score_ids(ids[rows]))
-            assert stack.num_kernels[o] == scorer.num_active_modalities
+            stats = SearchStats()
+            want = space.query_ids(
+                stack_queries[o], ids[rows], weights=per_weights[o],
+                stats=stats,
+            )
+            np.testing.assert_array_equal(got[rows], want)
+            assert stack.modality_evals[o] == stats.modality_evals
+        assert stack.modality_evals[1] == 0 and not stack.pruned_early.any()
 
     def test_compressed_wave_is_composition_independent(
         self, objects, stack_queries, kind
@@ -219,6 +228,100 @@ class TestStackedKernels:
             )
             assert solo[0].stats.joint_evals == got.stats.joint_evals
             assert solo[0].stats.modality_evals == got.stats.modality_evals
+
+
+def _same(got, want):
+    """Bit for bit: ids, similarity payloads and the work counters."""
+    np.testing.assert_array_equal(got.ids, want.ids)
+    assert got.similarities.tobytes() == want.similarities.tobytes()
+    for field in ("hops", "joint_evals", "modality_evals", "pruned_early"):
+        assert getattr(got.stats, field) == getattr(want.stats, field), field
+
+
+class TestStackedRows:
+    """The rows :class:`StackedScorer` owns beyond a compressed store's:
+    Lemma-4 rows, each scanning its own modalities heaviest first, and a
+    dense store's zero-weight-fallback rows beside fast rows in one
+    wave.  Every row answers as it does alone, and as the heap oracle
+    does at ``expansions_per_wave=1``."""
+
+    DIMS = (16, 12, 8)
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = np.random.default_rng(4)
+        return MultiVectorSet(
+            [
+                normalize_rows(rng.standard_normal((N, d)).astype(np.float32))
+                for d in self.DIMS
+            ]
+        )
+
+    @pytest.fixture(scope="class")
+    def lemma4_batch(self):
+        rng = np.random.default_rng(8)
+        vecs = [
+            MultiVector(
+                [
+                    normalize_rows(rng.standard_normal((1, d)).astype(np.float32))[0]
+                    for d in self.DIMS
+                ]
+            )
+            for _ in range(6)
+        ]
+        return [
+            Query(vecs[0]),  # the index weights: modality 0, 1, 2
+            Query(vecs[1], weights=Weights([0.1, 0.3, 0.6])),  # 2, 1, 0
+            Query(vecs[2], weights=Weights([0.3, 0.6, 0.1])),  # 1, 0, 2
+            Query(vecs[3], weights=Weights([0.4, 0.2, 0.4])),  # a tie: 0, 2, 1
+            Query(vecs[4].replace(0, None)),  # lacks modality 0: 1, 2
+            Query(vecs[5], weights=Weights([0.2, 0.0, 0.8])),  # 2, 0
+        ]
+
+    @pytest.mark.parametrize("kind", ["none", "float16", "int8", "pq"])
+    def test_lemma4_rows_scan_their_own_order(self, corpus, lemma4_batch, kind):
+        must = MUST(
+            corpus, weights=Weights([0.5, 0.3, 0.2]), compression=kind
+        ).build()
+        plan = dict(k=K, l=L, expansions_per_wave=1, early_termination=True)
+        results, _ = graph_wave_search(must.index, lemma4_batch, **plan)
+        for q, got in zip(lemma4_batch, results):
+            (alone,), _ = graph_wave_search(must.index, [q], **plan)
+            _same(got, alone)
+            _same(got, heap_search(must.index, q, K, L, early_termination=True))
+        assert sum(r.stats.pruned_early for r in results) > 0
+        assert results[4].stats.modality_evals < 2 * results[4].stats.joint_evals
+
+    def test_dense_batch_mixes_fast_and_fallback_rows(self, objects, queries):
+        """``Weights([1, 0])`` on the index and an override needing
+        modality 1 on every other query: those rows have no concat
+        vector.  A fast row's dot products round differently from the
+        oracle's GEMV, so against the oracle it is held to the float32
+        band, as ``TestHeapKernelParity`` holds it."""
+        index = MUST(objects, weights=Weights([1.0, 0.0])).build().index
+        space = index.space
+        override = Weights([0.5, 0.5])
+        batch = [
+            Query(q, weights=override) if i % 2 else Query(q)
+            for i, q in enumerate(queries)
+        ]
+        fallback = [space.concat_query(q.vector, q.weights) is None for q in batch]
+        assert fallback == [bool(i % 2) for i in range(len(batch))]
+        plan = dict(k=K, l=L, expansions_per_wave=1)
+        results, _ = graph_wave_search(index, batch, **plan)
+        for q, got, slow in zip(batch, results, fallback):
+            (alone,), _ = graph_wave_search(index, [q], **plan)
+            _same(got, alone)
+            ref = heap_search(index, q, K, L)
+            if slow:
+                _same(got, ref)
+                continue
+            np.testing.assert_array_equal(got.ids, ref.ids)
+            assert got.stats == ref.stats
+            band = 2 * dot_error(space.concatenated.shape[1]) * float(
+                np.linalg.norm(space.concat_query(q.vector, q.weights))
+            ) * space.max_concat_norm
+            assert np.all(np.abs(got.similarities - ref.similarities) <= band)
 
 
 class TestSegmentedParity:

@@ -512,8 +512,9 @@ def test_wave_hybrid_all_deleted_is_empty(dataset, hybrid_queries):
 
 
 def test_wave_hybrid_early_termination_still_answers(dataset, hybrid_queries):
-    """Lemma-4 pruning is per query, so an early-termination batch keeps
-    the per-query scorers — and still fuses."""
+    """An early-termination batch runs every row through
+    ``StackedScorer``'s pruned pass (Lemma 4, per query) — and still
+    fuses."""
     must = wave_must(dataset, "flat", "pq")
     truth = must.query(hybrid_queries, SearchOptions(k=K, exact=True))
     run = must.query(

@@ -21,7 +21,7 @@ from repro.index.base import GraphIndex, reseat_on_store
 from repro.index.flat import FlatIndex
 from repro.index.graph_wave import graph_wave_search
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.scoring import MatrixScorer, batch_score_all
+from repro.index.scoring import batch_score_all
 from repro.index.search import greedy_search_graph, joint_search
 from repro.index.segments import SegmentPolicy
 
@@ -458,7 +458,8 @@ class TestHeapKernelParity:
 
     def test_zero_index_weight_falls_back_per_modality(self, setup):
         """ω_i = 0 in the index but wanted by the query: no concat fast
-        path, so every frontier goes through ``score_frontier``."""
+        path, so every frontier is scored by ``StackedScorer``'s
+        per-modality stacked kernels."""
         space, index, _, queries = setup
         zeroed = GraphIndex(
             space=space.with_weights(Weights([1.0, 0.0])),
@@ -571,14 +572,21 @@ class TestGreedyKernelParity:
                         np.testing.assert_array_equal(a, b)
 
     def test_matrix_scorer_matches_indexing(self, setup):
+        """A hop's gather-and-dot carries the bits of indexing the same
+        rows and one GEMV: a star graph makes the entry's one hop score
+        exactly *ids*, in one call."""
         space, _, _, _ = setup
         concat = space.concatenated
-        scorer = MatrixScorer(concat, concat[3])
         for rows in (1, 2, 7, 33):
             ids = np.arange(rows, dtype=np.int32) * 5
-            np.testing.assert_array_equal(
-                scorer.score_ids(ids), concat[ids] @ concat[3]
+            star = [np.zeros(0, dtype=np.int32)] * concat.shape[0]
+            star[3] = ids
+            got_ids, got_sims = greedy_search_graph(
+                concat, star, 3, concat[3], beam=rows + 1
             )
+            scored = dict(zip(got_ids.tolist(), got_sims.tolist()))
+            want = concat[ids] @ concat[3]
+            assert [scored[i] for i in ids.tolist()] == want.tolist()
 
 
 class TestSearchResultContainer:

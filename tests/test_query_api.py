@@ -399,12 +399,12 @@ class TestLClamp:
     ):
         """An explicit l < k is one error text from every surface, and it
         is raised before anything is scored."""
-        from repro.index import scoring
+        from repro.index import graph_wave
 
         def no_scoring(*args, **kwargs):
             raise AssertionError("scored before the plan check")
 
-        monkeypatch.setattr(scoring.Scorer, "__init__", no_scoring)
+        monkeypatch.setattr(graph_wave._Wave, "__init__", no_scoring)
         opts = SearchOptions(k=50, l=10, engine=engine)
         message = "result set size l=10 must be at least k=50"
         with pytest.raises(ValueError, match=message):

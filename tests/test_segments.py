@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from repro.core.framework import MUST
 from repro.core.multivector import MultiVector, MultiVectorSet, normalize_rows
 from repro.core.query import Eq, Query, Range, SearchOptions, compile_filter
+from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index import segments as segments_module
@@ -37,7 +38,7 @@ from repro.index.base import reseat_on_store
 from repro.index.graphs.hnsw import HNSWBuilder
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.flat import FlatIndex
-from repro.index.scoring import Scorer, batch_score_all, rerank_exact
+from repro.index.scoring import batch_score_all, rerank_exact
 from repro.index.segments import (
     Segment,
     SegmentedIndex,
@@ -51,6 +52,7 @@ from repro.store import HalfStore, VectorStore, make_store
 
 from tests.conftest import (
     heap_view_search,
+    oracle_scores,
     random_multivector_set,
     random_query,
     stable_oracle,
@@ -525,7 +527,7 @@ def _brute_force(
         k, l = query.k, max(l, query.k)
     admissible = _admissible(seg, query)
     cand = np.flatnonzero(admissible)
-    sims = Scorer(space, query.vector).score_ids(np.arange(n))
+    sims = oracle_scores(space, query.vector, np.arange(n), None, SearchStats())
     pool = cand[np.lexsort((cand, -sims[cand]))][:l]
     if query.sparse is not None and pool.size:
         ids, out = hybrid_union_rescore(
@@ -601,16 +603,16 @@ class TestScannedProbe:
                 continue
             reached += 1
             np.testing.assert_array_equal(got.ids, oracle.ids)
-            row_wise = engine == "wave" and "early_termination" not in plan
+            row_wise = engine == "wave" or "early_termination" in plan
             if row_wise or n <= SCAN_L or "refine" in plan:
                 np.testing.assert_array_equal(
                     got.similarities, oracle.similarities
                 )
             else:
-                # The heap oracle and the Lemma-4 scorer go
-                # through BLAS GEMV, whose float32 rounding depends on
-                # how many rows one call carries; past the init the
-                # traversal's calls are hop-sized and the scan's is not.
+                # The heap oracle's concat path is a BLAS GEMV, whose
+                # float32 rounding depends on how many rows one call
+                # carries; past the init the traversal's calls are
+                # hop-sized and the scan's is not.
                 np.testing.assert_allclose(
                     got.similarities, oracle.similarities, atol=1e-6
                 )

@@ -9,7 +9,8 @@ the segmented index (its delta is a buffer), complete annotations on
 the modules ``pyproject.toml`` holds to ``disallow_untyped_defs`` — and
 nothing an exact answer could be tuned with: no safety-band or
 second-kernel parameter, no environment read in ``repro.core.space``,
-one ``exact*`` method on a view, one graph engine, and every name the
+one ``exact*`` method on a view, one graph engine, one frontier scorer
+for the rows off its concat fast path, and every name the
 benchmark's tracer binds still where it looks.  The C kernel gets the
 checks a compiler would not make: every exported function declared to
 ctypes as the source defines it, and build flags that keep its float
@@ -24,6 +25,7 @@ import dataclasses
 import importlib
 import inspect
 import re
+import textwrap
 import tomllib
 from pathlib import Path
 
@@ -221,6 +223,31 @@ def test_one_graph_engine():
         with pytest.raises(ValueError, match="did you mean|graph engine"):
             SearchOptions(engine=name)
     assert not hasattr(SegmentView, "search")
+
+
+def test_one_frontier_scorer():
+    """Every wave row off the concat fast path scores through
+    ``StackedScorer``: the per-query scorers are gone from the source,
+    every registered store hands out a stacked kernel, and
+    ``score_stack`` is two routes with no per-query loop."""
+    from repro.index.graph_wave import _Wave
+    from repro.store import STORE_KINDS, VectorStore
+
+    retired = re.compile(r"\b(Scorer|MatrixScorer|_HalfKernel)\b")
+    found = [
+        f"{path.relative_to(PACKAGE)}:{number}"
+        for path in MODULES
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if retired.search(line)
+    ]
+    assert found == []
+    assert "stacked_kernel" in VectorStore.__abstractmethods__
+    for cls in STORE_KINDS.values():
+        assert "stacked_kernel" not in cls.__abstractmethods__, cls
+        assert cls.stacked_kernel is not VectorStore.stacked_kernel, cls
+    tree = ast.parse(textwrap.dedent(inspect.getsource(_Wave.score_stack)))
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+    assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
 
 
 def _options_fields_read(path: Path) -> set[str]:
