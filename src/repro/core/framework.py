@@ -7,7 +7,11 @@ Ties the pieces together behind one object:
 * **Vector weight learning** — :meth:`MUST.fit_weights` trains the §VI
   model on (anchor, positive) pairs and installs the learned weights.
 * **Indexing** — :meth:`MUST.build` constructs the fused proximity graph
-  (Algorithm 1) under the current weights.
+  (Algorithm 1) under the current weights and serves it through
+  :func:`~repro.index.segments.seal_index`, the one seal path a segment
+  seal, a compaction and a shard worker take too; the store options
+  are validated by the segmented index's own
+  :func:`~repro.index.segments.check_storage`.
 * **Searching** — :meth:`MUST.query` runs the joint search
   (Algorithm 2) through the typed request surface: per-query weight
   overrides (Fig. 4(g) Option 2), attribute filters, exact brute
@@ -35,12 +39,19 @@ from repro.core.query import Query, SearchOptions, as_query
 from repro.core.results import SearchResult
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
-from repro.index.base import GraphIndex, reseat_on_store
+from repro.index.base import GraphIndex
 from repro.index.executor import BatchResult, GraphTarget, execute
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.search import joint_search  # noqa: F401 - perfbench patches it
-from repro.index.segments import MANIFEST_NAME, SegmentedIndex, SegmentPolicy
-from repro.store import STORE_KINDS, spill_cold
+from repro.index.segments import (
+    MANIFEST_NAME,
+    SegmentedIndex,
+    SegmentPolicy,
+    check_storage,
+    retire_cold_files,
+    seal_index,
+)
+from repro.store import STORE_KINDS
 from repro.utils.io import load_arrays
 from repro.utils.validation import require
 from repro.weightlearn.trainer import VectorWeightLearner, WeightLearningResult
@@ -76,34 +87,7 @@ class MUST:
         data_dir: str | Path | None = None,
         metrics: Sequence[str] | None = None,
     ):
-        require(
-            compression in STORE_KINDS,
-            f"unknown compression {compression!r}; supported: "
-            f"{sorted(STORE_KINDS)}",
-        )
-        require(
-            cold_storage in ("resident", "mmap"),
-            f"unknown cold_storage {cold_storage!r}; supported: "
-            f"'resident', 'mmap'",
-        )
-        if cold_storage == "mmap":
-            require(
-                compression != "none",
-                "cold_storage='mmap' requires a compressed hot tier "
-                "(float16/int8/pq) — a dense store serves graph "
-                "traversal from the float32 corpus itself, which must "
-                "stay resident",
-            )
-            require(
-                data_dir is not None,
-                "cold_storage='mmap' requires data_dir= (the directory "
-                "that receives the per-segment cold-tier .npy files)",
-            )
-            require(
-                bool((store_options or {}).get("keep_exact", True)),
-                "cold_storage='mmap' spills the exact cold tier to disk "
-                "— keep_exact=False leaves nothing to spill",
-            )
+        check_storage(compression, store_options, cold_storage, data_dir)
         #: where compressed segments' exact cold tier lives — see the
         #: class docstring; ``"mmap"`` makes resident bytes O(hot).
         self.cold_storage = cold_storage
@@ -306,36 +290,16 @@ class MUST:
             f"modalities are served by the exact paths "
             f"(SearchOptions(exact=True))",
         )
-        index = reseat_on_store(
+        self._index = seal_index(
             self.builder.build(self.space), self.compression,
-            self.store_options,
+            self.store_options, cold_dir=self._cold_dir,
         )
-        if self.cold_storage == "mmap":
-            index = self._spill_index(index)
-        self._index = index
         return self
 
-    def _spill_index(self, index: GraphIndex) -> GraphIndex:
-        """Move a built index's resident cold tier into ``data_dir``
-        sidecar files (no-op when absent or already mapped)."""
-        vectors = index.space.vectors
-        store = vectors.store
-        plane = store.cold_plane
-        if plane is None or not plane.is_resident:
-            return index
-        self.data_dir.mkdir(parents=True, exist_ok=True)
-        seq = SegmentedIndex._scan_cold_seq(self.data_dir)
-        spilled = spill_cold(store, self.data_dir, f"seg_{seq:06d}")
-        index.space = JointSpace(
-            MultiVectorSet.from_store(
-                spilled,
-                attributes=vectors.attributes,
-                sparse=vectors.sparse,
-                metrics=vectors.declared_metrics,
-            ),
-            index.space.weights,
-        )
-        return index
+    @property
+    def _cold_dir(self) -> Path | None:
+        """Where a seal spills the cold tier: ``data_dir`` under mmap."""
+        return self.data_dir if self.cold_storage == "mmap" else None
 
     # ------------------------------------------------------------------
     # Stage 4: searching (§VII-B) — the unified typed entry point
@@ -490,6 +454,9 @@ class MUST:
         ``must is self``; otherwise the legacy behaviour returns a
         freshly built framework over the surviving objects, where row
         ``j`` of the new corpus is object ``active_ids[j]`` of the old.
+        Either way a replaced mmap cold tier's sidecar files leave
+        ``data_dir``; this instance and its snapshots keep answering
+        from their mappings.
         """
         if self._segments is not None:
             active = self._segments.compact()
@@ -507,6 +474,7 @@ class MUST:
             data_dir=self.data_dir,
         )
         fresh.build()
+        retire_cold_files([self.index.space.store.cold_plane])
         self._drop_caches()
         return fresh, active
 
@@ -625,13 +593,12 @@ class MUST:
             compression = self.compression
             store_options = self.store_options
         space = JointSpace(self.objects, weights)
-        index = reseat_on_store(
+        index = seal_index(
             GraphIndex.from_arrays(metadata, arrays, space),
             compression,
             store_options,
+            cold_dir=self._cold_dir,
         )
-        if self.cold_storage == "mmap":
-            index = self._spill_index(index)
         # All fallible work is done — commit.
         self.weights = weights
         self.compression = compression
@@ -662,7 +629,7 @@ class MUST:
             f"the corpus and call load_index",
         )
         segments = SegmentedIndex.load(path, builder=builder)
-        dims = segments._modality_dims()
+        dims = segments._corpus_vectors().dims
         placeholder = MultiVectorSet(
             [np.zeros((1, d), dtype=np.float32) for d in dims]
         )

@@ -22,6 +22,8 @@ Scanning modalities in descending-weight order maximises early pruning and
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.core.multivector import MultiVector, MultiVectorSet
@@ -30,6 +32,9 @@ from repro.core.results import SearchStats
 from repro.core.weights import Weights
 from repro.store import ModalityKernel, VectorStore, max_row_norm
 from repro.utils.validation import require
+
+if TYPE_CHECKING:
+    from repro.sparse.store import SparseStore
 
 __all__ = ["JointSpace"]
 
@@ -91,6 +96,35 @@ class JointSpace:
     def with_weights(self, weights: Weights) -> "JointSpace":
         """Same object set under different weights (user override path)."""
         return JointSpace(self._vectors, weights)
+
+    def rebind(
+        self,
+        store: VectorStore | None = None,
+        sparse: "SparseStore | None" = None,
+    ) -> "JointSpace":
+        """The same objects over a new *store* or *sparse* plane.
+
+        The one seam that swaps a space's representation (compress,
+        spill, attach a cold plane, restamp lexical statistics): the
+        attribute table, the sparse plane unless *sparse* replaces it,
+        and the declared metrics carry over, under the same weights.
+        With the store unchanged the dense caches carry over too — only
+        lexical statistics moved.
+        """
+        vectors = self._vectors
+        space = JointSpace(
+            MultiVectorSet.from_store(
+                vectors.store if store is None else store,
+                attributes=vectors.attributes,
+                sparse=vectors.sparse if sparse is None else sparse,
+                metrics=vectors.declared_metrics,
+            ),
+            self._weights,
+        )
+        if store is None:
+            space._concat = self._concat
+            space._concat_norm = self._concat_norm
+        return space
 
     # ------------------------------------------------------------------
     # Object ↔ object kernels (index construction)

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.multivector import MultiVectorSet
 from repro.core.space import JointSpace
 from repro.store import make_store
 from repro.utils.io import load_arrays, pack_adjacency, save_arrays, unpack_adjacency
@@ -64,8 +63,8 @@ def reseat_on_store(
     The routing graph is untouched; the space is rebound to a
     :func:`~repro.store.make_store` encoding of the current vectors'
     exact tier, under the same weights.  ``compression="none"`` is a
-    no-op.  The single seam every layer (framework build, segment
-    seal/compact, benchmarks) uses to compress a finished index.
+    no-op.  Its caller in the library is the one seal path,
+    :func:`repro.index.segments.seal_index`.
     """
     if compression == "none":
         return index
@@ -78,15 +77,7 @@ def reseat_on_store(
     # The attribute table, sparse plane, and metric declaration ride
     # along: compression changes the dense vector representation, never
     # which objects a filter admits or how lexical rows score.
-    index.space = JointSpace(
-        MultiVectorSet.from_store(
-            store,
-            attributes=vectors.attributes,
-            sparse=vectors.sparse,
-            metrics=vectors.declared_metrics,
-        ),
-        index.space.weights,
-    )
+    index.space = index.space.rebind(store)
     return index
 
 

@@ -26,6 +26,15 @@ segmented index, the architecture streaming vector stores use:
   compaction rebuilds from the exact cold tier so quantisation error
   never accumulates.
 
+How live rows become a served segment is decided here once, for every
+caller.  :func:`live_rows` is the one walk — the surviving external ids
+in ascending order, each segment's alive rows, the merged attribute
+table and sparse plane — that compaction rebuilds over and shard spawn
+partitions.  :func:`seal_index` is the one seal path — re-seat on the
+configured store, then attach a given cold plane, spill under mmap, or
+stay resident — behind seal, compaction, ``MUST.build`` /
+``MUST.load_index`` and a shard worker's boot.
+
 All cross-segment searching lives in :class:`SegmentView`, a fixed
 list of segments: :meth:`SegmentedIndex.view` is a live view, and
 :meth:`SegmentedIndex.snapshot` returns a
@@ -88,7 +97,12 @@ __all__ = [
     "Segment",
     "SegmentView",
     "SegmentedIndex",
+    "LiveRows",
     "beam_covers",
+    "check_storage",
+    "live_rows",
+    "retire_cold_files",
+    "seal_index",
     "MANIFEST_NAME",
     "FORMAT_VERSION",
 ]
@@ -293,6 +307,188 @@ def beam_covers(l: int, n: int) -> bool:
     reaches its admissible count is scanned too.)
     """
     return l >= n - l
+
+
+def check_storage(
+    compression: str,
+    store_options: dict | None,
+    cold_storage: str,
+    data_dir: str | Path | None,
+) -> None:
+    """Validate where sealed rows are served from — the compression
+    backend and the home of the exact cold tier — for the segmented
+    index and the framework alike."""
+    require(
+        compression in STORE_KINDS,
+        f"unknown compression {compression!r}; supported: "
+        f"{sorted(STORE_KINDS)}",
+    )
+    require(
+        cold_storage in ("resident", "mmap"),
+        f"unknown cold_storage {cold_storage!r}; supported: "
+        f"'resident', 'mmap'",
+    )
+    if cold_storage == "mmap":
+        require(
+            compression != "none",
+            "cold_storage='mmap' requires a compressed hot tier "
+            "(float16/int8/pq) — a dense store serves graph "
+            "traversal from the float32 corpus itself, which must "
+            "stay resident",
+        )
+        require(
+            data_dir is not None,
+            "cold_storage='mmap' requires data_dir= (the directory "
+            "that receives the per-segment cold-tier .npy files)",
+        )
+        require(
+            bool((store_options or {}).get("keep_exact", True)),
+            "cold_storage='mmap' spills the exact cold tier to disk "
+            "— keep_exact=False leaves nothing to spill",
+        )
+
+
+def _explicit_ids(ext_ids: np.ndarray, n: int, rows: str) -> np.ndarray:
+    """Caller-assigned external ids, one per row: unique, non-negative."""
+    ids = np.asarray(ext_ids, dtype=np.int64)
+    require(
+        ids.ndim == 1 and ids.size == n,
+        f"ext_ids must map every {rows} (got {ids.shape} for n={n})",
+    )
+    require(ids.size == 0 or int(ids.min()) >= 0,
+            "external ids must be non-negative")
+    require(np.unique(ids).size == ids.size,
+            "explicit ext_ids contain duplicates")
+    return ids
+
+
+def _cold_stem(data_dir: Path) -> str:
+    """First unused sidecar stem ``seg_NNNNNN`` in *data_dir* — never
+    the name of a file on disk: an older live index (or a frozen
+    snapshot) may still be serving from it."""
+    seq = 0
+    for f in data_dir.glob("seg_*.cold_0.npy"):
+        try:
+            seq = max(seq, int(f.name.split(".")[0][4:]) + 1)
+        except ValueError:
+            continue
+    return f"seg_{seq:06d}"
+
+
+def seal_index(
+    index: GraphIndex,
+    compression: str,
+    store_options: dict | None = None,
+    plane: ColdPlane | None = None,
+    cold_dir: Path | None = None,
+) -> GraphIndex:
+    """The one seal path: a freshly built graph becomes a served one.
+
+    The graph was built over full-precision vectors; only the serving
+    representation changes.  :func:`reseat_on_store` encodes it on the
+    configured store (``"none"`` keeps the store it has), whose cold
+    exact tier is then settled: *plane* replaces it when given (the
+    sidecar files compaction just streamed, a shard's gather over the
+    parent's files); otherwise, with a *cold_dir* (``cold_storage=
+    "mmap"``), a resident tier spills to fresh sidecar files there,
+    leaving only the hot codes in RAM; otherwise it stays resident.
+    """
+    index = reseat_on_store(index, compression, store_options)
+    store = index.space.store
+    cold = store.cold_plane
+    if plane is not None:
+        index.space = index.space.rebind(store.with_cold_plane(plane))
+    elif cold_dir is not None and cold is not None and cold.is_resident:
+        spilled = spill_cold(store, cold_dir, _cold_stem(cold_dir))
+        index.space = index.space.rebind(spilled)
+    return index
+
+
+def retire_cold_files(
+    planes: list[ColdPlane | None], keep: frozenset[Path] = frozenset()
+) -> None:
+    """Unlink the sidecar files of replaced indexes (all but *keep*).
+
+    Frozen snapshots and the replaced instance itself may still hold
+    these planes; mapping every modality first pins the inodes, so their
+    reads keep working after the unlink (POSIX semantics).
+    """
+    for plane in planes:
+        if not isinstance(plane, MmapPlane):
+            continue
+        for i, path in enumerate(plane.paths):
+            if path in keep:
+                continue
+            plane.modality(i)
+            path.unlink(missing_ok=True)
+
+
+@dataclass
+class LiveRows:
+    """Every live row of a list of segments, ordered by external id.
+
+    ``ext_ids`` ascend.  Each of ``parts`` is one segment with live
+    rows: the segment, its alive local rows, and each one's position in
+    ``ext_ids``.  ``attributes`` / ``sparse`` are merged in that order.
+    """
+
+    ext_ids: np.ndarray
+    parts: list[tuple[Segment, np.ndarray, np.ndarray]]
+    attributes: AttributeTable | None
+    sparse: SparseStore | None
+
+
+def live_rows(segments: list[Segment]) -> LiveRows:
+    """The one live-row walk: which rows survive, and in what order.
+
+    Compaction rebuilds over its answer and shard spawn partitions it (a
+    single graph is one segment with ids ``0..n-1``).  Each sparse plane
+    is stamped with its own statistics before its tombstones drop, so
+    the merged plane scores against the document frequencies its rows
+    were served with — a shard keeps the collection's; compaction then
+    restamps over the survivors.
+    """
+    parts: list[tuple[Segment, np.ndarray]] = []
+    ext_parts: list[np.ndarray] = []
+    attr_parts: list[AttributeTable] = []
+    sparse_parts: list[SparseStore] = []
+    for seg in segments:
+        deleted = seg.index.deleted
+        alive = np.arange(seg.n) if deleted is None else np.flatnonzero(~deleted)
+        if alive.size == 0:
+            continue
+        parts.append((seg, alive))
+        ext_parts.append(seg.ext_ids[alive])
+        vectors = seg.space.vectors
+        if vectors.attributes is not None:
+            attr_parts.append(vectors.attributes.subset(alive))
+        if vectors.sparse is not None:
+            plane = vectors.sparse
+            sparse_parts.append(plane.with_stats(plane.stats).subset(alive))
+    for what, found in (
+        ("an attribute table", attr_parts), ("a sparse plane", sparse_parts)
+    ):
+        require(
+            not found or len(found) == len(parts),
+            f"some segments carry {what} and some do not — the corpus "
+            f"state is inconsistent",
+        )
+    if not parts:
+        return LiveRows(np.zeros(0, dtype=np.int64), [], None, None)
+    ext = np.concatenate(ext_parts)
+    order = np.argsort(ext)
+    where = np.empty_like(order)
+    where[order] = np.arange(order.size)
+    ends = np.cumsum([alive.size for _, alive in parts])
+    return LiveRows(
+        ext[order],
+        [
+            (seg, alive, where[end - alive.size:end])
+            for (seg, alive), end in zip(parts, ends)
+        ],
+        AttributeTable.concat(attr_parts).subset(order) if attr_parts else None,
+        SparseStore.concat(sparse_parts).subset(order) if sparse_parts else None,
+    )
 
 
 class SegmentView:
@@ -573,34 +769,7 @@ class SegmentedIndex:
         cold_storage: str = "resident",
         data_dir: str | Path | None = None,
     ):
-        require(
-            compression in STORE_KINDS,
-            f"unknown compression {compression!r}; supported: "
-            f"{sorted(STORE_KINDS)}",
-        )
-        require(
-            cold_storage in ("resident", "mmap"),
-            f"unknown cold_storage {cold_storage!r}; supported: "
-            f"'resident', 'mmap'",
-        )
-        if cold_storage == "mmap":
-            require(
-                compression != "none",
-                "cold_storage='mmap' requires a compressed hot tier "
-                "(float16/int8/pq) — a dense store serves graph "
-                "traversal from the float32 corpus itself, which must "
-                "stay resident",
-            )
-            require(
-                data_dir is not None,
-                "cold_storage='mmap' requires data_dir= (the directory "
-                "that receives the per-segment cold-tier .npy files)",
-            )
-            require(
-                bool((store_options or {}).get("keep_exact", True)),
-                "cold_storage='mmap' spills the exact cold tier to disk "
-                "— keep_exact=False leaves nothing to spill",
-            )
+        check_storage(compression, store_options, cold_storage, data_dir)
         self.weights = weights
         self.builder = builder if builder is not None else FusedIndexBuilder()
         self.policy = policy if policy is not None else SegmentPolicy()
@@ -619,11 +788,10 @@ class SegmentedIndex:
         #: resident bytes.
         self.cold_storage = cold_storage
         self.data_dir = None if data_dir is None else Path(data_dir)
-        if cold_storage == "mmap":
-            self.data_dir.mkdir(parents=True, exist_ok=True)
-            self._cold_seq = self._scan_cold_seq(self.data_dir)
-        else:
-            self._cold_seq = 0
+        #: where seals spill their cold tier: ``data_dir`` under mmap.
+        self._cold_dir = self.data_dir if cold_storage == "mmap" else None
+        if self._cold_dir is not None:
+            self._cold_dir.mkdir(parents=True, exist_ok=True)
         self.sealed: list[Segment] = []
         self.delta = _DeltaSegment(weights)
         self._next_ext = 0
@@ -665,107 +833,38 @@ class SegmentedIndex:
         seg = cls(index.space.weights, builder=builder, policy=policy,
                   compression=compression, store_options=store_options,
                   cold_storage=cold_storage, data_dir=data_dir)
-        if ext_ids is None:
-            ids = np.arange(index.n, dtype=np.int64)
-        else:
-            ids = np.asarray(ext_ids, dtype=np.int64)
-            require(
-                ids.ndim == 1 and ids.size == index.n,
-                f"ext_ids must map every graph row "
-                f"(got {ids.shape} for n={index.n})",
-            )
-            require(
-                ids.size == 0 or int(ids.min()) >= 0,
-                "external ids must be non-negative",
-            )
-            require(
-                np.unique(ids).size == ids.size,
-                "explicit ext_ids contain duplicates",
-            )
-        if cold_storage == "mmap" and index.space.vectors.store.kind != "none":
-            seg._spill_segment(index)
+        ids = (
+            np.arange(index.n, dtype=np.int64)
+            if ext_ids is None
+            else _explicit_ids(ext_ids, index.n, "graph row")
+        )
+        # Already on its store: the seal path only spills a resident
+        # cold tier under mmap.
+        index = seal_index(index, "none", cold_dir=seg._cold_dir)
         seg.sealed.append(Segment(index, ids))
         seg._next_ext = int(ids.max()) + 1 if ids.size else 0
         return seg
 
-    def _compress_sealed(self, index: GraphIndex) -> GraphIndex:
-        """Re-seat a freshly built (dense) segment graph on the
-        configured store — called at seal/compact, after seed fixing.
-
-        The graph was built over full-precision vectors; only the
-        serving representation changes.  The original float32 matrices
-        become the store's cold exact tier (rerank + future compaction),
-        unless ``store_options['keep_exact']`` says otherwise.  Under
-        ``cold_storage="mmap"`` that cold tier is then spilled to
-        sidecar files, leaving only the compressed codes resident.
-        """
-        index = reseat_on_store(index, self.compression, self.store_options)
-        if self.cold_storage == "mmap":
-            index = self._spill_segment(index)
-        return index
-
-    @staticmethod
-    def _scan_cold_seq(data_dir: Path) -> int:
-        """First unused cold-file sequence number in *data_dir* — never
-        reuse a name: an older live index (or a frozen snapshot) may
-        still be serving from a file with a lower sequence."""
-        seq = 0
-        for f in data_dir.glob("seg_*.cold_0.npy"):
-            try:
-                seq = max(seq, int(f.name.split(".")[0][4:]) + 1)
-            except ValueError:
-                continue
-        return seq
-
-    def _next_cold_paths(self, dims: tuple[int, ...]) -> list[Path]:
-        """Reserve sidecar file names for one segment's cold tier."""
-        stem = f"seg_{self._cold_seq:06d}"
-        self._cold_seq += 1
-        return [
-            self.data_dir / f"{stem}.cold_{i}.npy" for i in range(len(dims))
-        ]
-
-    def _spill_segment(self, index: GraphIndex) -> GraphIndex:
-        """Spill a segment's resident cold tier to ``data_dir`` and
-        re-seat the store on the resulting memory mapping (no-op when
-        the cold tier is absent or already mapped)."""
-        vectors = index.space.vectors
-        store = vectors.store
-        plane = store.cold_plane
-        if plane is None or not plane.is_resident:
-            return index
-        stem = f"seg_{self._cold_seq:06d}"
-        self._cold_seq += 1
-        spilled = spill_cold(store, self.data_dir, stem)
-        index.space = JointSpace(
-            MultiVectorSet.from_store(
-                spilled, attributes=vectors.attributes,
-                sparse=vectors.sparse, metrics=vectors.declared_metrics,
-            ),
-            index.space.weights,
+    def _seal_rows(
+        self,
+        space: JointSpace,
+        ext_ids: np.ndarray,
+        deleted: np.ndarray | None = None,
+        plane: ColdPlane | None = None,
+    ) -> Segment:
+        """How rows become a served segment — at seal, at compaction and
+        at a shard's boot: the fused graph over *space*, its seed on a
+        live vertex, then :func:`seal_index` on the configured store
+        (with *plane* as its cold tier when given)."""
+        index = self.builder.build(space)
+        if deleted is not None:
+            index.deleted = deleted
+            self._reseat_seed(index)
+        index = seal_index(
+            index, self.compression, self.store_options, plane=plane,
+            cold_dir=self._cold_dir,
         )
-        return index
-
-    def _retire_cold_files(
-        self, planes: list[ColdPlane | None], keep: set[Path]
-    ) -> None:
-        """Unlink sidecar files of replaced segments.
-
-        Frozen snapshots may still hold these planes; mapping every
-        modality first pins the inodes, so their lazily-deferred first
-        probe keeps working after the unlink (POSIX semantics).
-        """
-        for plane in planes:
-            if not isinstance(plane, MmapPlane):
-                continue
-            for i, path in enumerate(plane.paths):
-                if path in keep:
-                    continue
-                plane.modality(i)
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    pass
+        return Segment(index, ext_ids)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -893,15 +992,13 @@ class SegmentedIndex:
             objects = MultiVectorSet([v[None, :] for v in objects.vectors])
         require(objects.n >= 1, "nothing to insert")
         if self.num_total:
-            dims = self._modality_dims()
-            require(objects.dims == dims,
+            corpus = self._corpus_vectors()
+            require(objects.dims == corpus.dims,
                     f"inserted objects have dims {objects.dims}, "
-                    f"index holds {dims}")
-            existing = self._attribute_fields()
-            incoming = (
-                None
-                if objects.attributes is None
-                else objects.attributes.fields
+                    f"index holds {corpus.dims}")
+            existing, incoming = (
+                None if v.attributes is None else v.attributes.fields
+                for v in (corpus, objects)
             )
             require(
                 existing == incoming,
@@ -910,11 +1007,9 @@ class SegmentedIndex:
                 f"attach them via MultiVectorSet.set_attributes before "
                 f"insert",
             )
-            existing_sp = self._sparse_signature()
-            incoming_sp = (
-                None
-                if objects.sparse is None
-                else (objects.sparse.vocab, objects.sparse.metric)
+            existing_sp, incoming_sp = (
+                None if v.sparse is None else (v.sparse.vocab, v.sparse.metric)
+                for v in (corpus, objects)
             )
             require(
                 existing_sp == incoming_sp,
@@ -929,25 +1024,11 @@ class SegmentedIndex:
             )
             self._next_ext += objects.n
         else:
-            ext = np.asarray(ext_ids, dtype=np.int64)
+            ext = _explicit_ids(ext_ids, objects.n, "inserted object")
             require(
-                ext.ndim == 1 and ext.size == objects.n,
-                f"ext_ids must supply one id per inserted object "
-                f"(got {ext.shape} for {objects.n} objects)",
+                self.locate(ext)[0] == 0,
+                "explicit ext_ids collide with ids already in the index",
             )
-            require(
-                ext.size == 0 or int(ext.min()) >= 0,
-                "external ids must be non-negative",
-            )
-            require(
-                np.unique(ext).size == ext.size,
-                "explicit ext_ids contain duplicates",
-            )
-            for seg in self.searchable_segments():
-                require(
-                    not np.isin(ext, seg.ext_ids).any(),
-                    "explicit ext_ids collide with ids already in the index",
-                )
             self._next_ext = max(self._next_ext, int(ext.max()) + 1)
         self.delta.append(objects, ext)
         self._maybe_seal()
@@ -969,32 +1050,39 @@ class SegmentedIndex:
         touched, so a rejected call leaves the index unchanged.
         """
         ext_ids = np.unique(np.asarray(ext_ids, dtype=np.int64))
-        # Pass 1: locate everything and count the *newly* dead, so both
-        # guards fire before any mutation.
-        sealed_hits: list[tuple[Segment, np.ndarray]] = []
-        found = fresh_kills = 0
-        for seg in self.sealed:
-            local = np.flatnonzero(np.isin(seg.ext_ids, ext_ids))
-            found += int(local.size)
-            if local.size:
-                sealed_hits.append((seg, local))
-                if seg.index.deleted is None:
-                    fresh_kills += int(local.size)
-                else:
-                    fresh_kills += int((~seg.index.deleted[local]).sum())
-        dmask = np.isin(self.delta.ext_ids, ext_ids)
-        found += int(dmask.sum())
-        fresh_kills += int((dmask & ~self.delta.deleted).sum())
+        # Count first, so both guards fire before any mutation.
+        found, fresh_kills, hits = self.locate(ext_ids)
         require(found == ext_ids.size,
                 "unknown external ids in mark_deleted")
         require(allow_empty or self.num_active - fresh_kills > 0,
                 "cannot delete every object")
-        # Pass 2: apply.
-        for seg, local in sealed_hits:
-            _mark_local(seg.index, local)
-        if dmask.any():
-            self.delta.deleted[dmask] = True
+        for seg, local in hits:
+            if seg.kind == "delta":
+                self.delta.deleted[local] = True
+            else:
+                _mark_local(seg.index, local)
         self._maybe_compact()
+
+    def locate(
+        self, ext_ids: np.ndarray
+    ) -> tuple[int, int, list[tuple[Segment, np.ndarray]]]:
+        """The delete census of unique *ext_ids*: ``(found, fresh,
+        hits)`` — how many this index holds, how many of those are still
+        live, and each holding segment (the delta included) with its
+        local rows.  A shard answers the front-end's global guards from
+        the same count."""
+        found = fresh = 0
+        hits = []
+        for seg in self.searchable_segments():
+            local = np.flatnonzero(np.isin(seg.ext_ids, ext_ids))
+            if local.size:
+                hits.append((seg, local))
+                found += int(local.size)
+                deleted = seg.index.deleted
+                fresh += int(
+                    local.size if deleted is None else (~deleted[local]).sum()
+                )
+        return found, fresh, hits
 
     def seal_delta(self) -> Segment | None:
         """Freeze the delta into an immutable sealed segment.
@@ -1010,12 +1098,11 @@ class SegmentedIndex:
             self.delta = _DeltaSegment(self.weights)
             return None
         start = time.perf_counter()
-        index = self.builder.build(self.delta.space)
-        if bool(self.delta.deleted.any()):
-            index.deleted = self.delta.deleted.copy()
-            self._reseat_seed(index)
-        index = self._compress_sealed(index)
-        seg = Segment(index, self.delta.ext_ids.copy())
+        deleted = self.delta.deleted
+        seg = self._seal_rows(
+            self.delta.space, self.delta.ext_ids.copy(),
+            deleted.copy() if bool(deleted.any()) else None,
+        )
         self.sealed.append(seg)
         self.delta = _DeltaSegment(self.weights)
         self.num_seals += 1
@@ -1032,118 +1119,44 @@ class SegmentedIndex:
         Under ``cold_storage="mmap"`` the merged cold tier is streamed
         segment-at-a-time into freshly pre-sized ``.npy`` files —
         peak extra RAM is one segment's live rows, not the corpus —
-        and the replaced segments' sidecar files are unlinked."""
+        and the replaced segments' sidecar files are unlinked.
+
+        Every object may be dead (possible only via ``allow_empty``
+        shard deletes): then no segment is left.  The index stays
+        usable — searches over zero segments answer empty, inserts
+        restart it."""
         segs = self.searchable_segments()
         if not segs:
             return np.zeros(0, dtype=np.int64)
         start = time.perf_counter()
-        n_in = sum(seg.n for seg in segs)
-        num_modalities = segs[0].space.num_modalities
-        streaming = self.cold_storage == "mmap"
         old_planes = [seg.space.vectors.store.cold_plane for seg in segs]
-        ext_parts: list[np.ndarray] = []
-        alive_parts: list[tuple[Segment, np.ndarray]] = []
-        mat_parts: list[list[np.ndarray]] = [[] for _ in range(num_modalities)]
-        attr_parts: list[AttributeTable] = []
-        sparse_parts: list[SparseStore] = []
-        contributing = 0
-        for seg in segs:
-            alive = (
-                np.arange(seg.n)
-                if seg.index.deleted is None
-                else np.flatnonzero(~seg.index.deleted)
+        live = live_rows(segs)
+        merged: list[Segment] = []
+        paths: list[Path] = []
+        if live.parts:
+            mats, paths = self._merge_cold(live)
+            objects = MultiVectorSet(
+                mats, attributes=live.attributes, sparse=live.sparse
             )
-            if alive.size == 0:
-                continue
-            contributing += 1
-            ext_parts.append(seg.ext_ids[alive])
-            alive_parts.append((seg, alive))
-            seg_attrs = seg.space.vectors.attributes
-            if seg_attrs is not None:
-                attr_parts.append(seg_attrs.subset(alive))
-            seg_sparse = seg.space.vectors.sparse
-            if seg_sparse is not None:
-                sparse_parts.append(seg_sparse.subset(alive))
-            if not streaming:
-                for i in range(num_modalities):
-                    # Rebuild from the exact cold tier, not the hot
-                    # codes — compaction must never accumulate
-                    # quantisation error.
-                    mat_parts[i].append(
-                        seg.space.vectors.exact_modality(i)[alive]
-                    )
-        if not ext_parts:
-            # Every object is dead (possible only via allow_empty
-            # shard deletes): drop all segments instead of crashing on
-            # an empty concatenate.  The index stays usable — searches
-            # over zero segments answer empty, inserts restart it.
-            self.sealed = []
-            self.delta = _DeltaSegment(self.weights)
-            self.num_compactions += 1
-            if streaming:
-                self._retire_cold_files(old_planes, keep=set())
-            self._log_lifecycle("compact", n_in, 0, start)
-            return np.zeros(0, dtype=np.int64)
-        ext = np.concatenate(ext_parts)
-        order = np.argsort(ext)
-        attributes: AttributeTable | None = None
-        if attr_parts:
-            require(
-                len(attr_parts) == contributing,
-                "cannot compact: some segments carry an attribute table "
-                "and some do not — the corpus attribute state is "
-                "inconsistent",
-            )
-            attributes = AttributeTable.concat(attr_parts).subset(order)
-        sparse_plane: SparseStore | None = None
-        if sparse_parts:
-            require(
-                len(sparse_parts) == contributing,
-                "cannot compact: some segments carry a sparse plane and "
-                "some do not — the corpus sparse state is inconsistent",
-            )
-            # Tombstoned rows just fell out of the corpus, so the stats
-            # stamped on the parts are stale; _restamp_sparse below
-            # recomputes them over the survivors.
-            sparse_plane = SparseStore.concat(sparse_parts).subset(order)
-        if streaming:
-            mats, out_paths = self._stream_merged_cold(
-                alive_parts, order, num_modalities
-            )
-        else:
-            mats = [np.concatenate(parts)[order] for parts in mat_parts]
-            out_paths = []
-        objects = MultiVectorSet(
-            mats, attributes=attributes, sparse=sparse_plane
-        )
-        space = JointSpace(objects, self.weights)
-        index = self.builder.build(space)
-        if streaming:
-            # Train the compressed hot tier from the merged (mapped)
-            # matrices, then attach the freshly written files directly
-            # as the cold plane — same bytes, no second spill.
-            index = reseat_on_store(
-                index, self.compression, self.store_options
-            )
-            store = index.space.vectors.store.with_cold_plane(
-                MmapPlane(out_paths)
-            )
-            index.space = JointSpace(
-                MultiVectorSet.from_store(
-                    store, attributes=attributes, sparse=sparse_plane
-                ),
-                self.weights,
-            )
-        else:
-            index = self._compress_sealed(index)
-        self.sealed = [Segment(index, ext[order])]
+            # The hot tier trains on the merged matrices; under mmap
+            # the files just written are the cold plane — no second
+            # spill.
+            merged = [
+                self._seal_rows(
+                    JointSpace(objects, self.weights), live.ext_ids,
+                    plane=MmapPlane(paths) if paths else None,
+                )
+            ]
+        self.sealed = merged
         self.delta = _DeltaSegment(self.weights)
         self.num_compactions += 1
-        if streaming:
-            self._retire_cold_files(old_planes, keep=set(out_paths))
+        if self._cold_dir is not None:
+            retire_cold_files(old_planes, keep=frozenset(paths))
         self._restamp_sparse()
-        self._log_lifecycle("compact", n_in, ext.size, start)
-        return ext[order]
+        self._log_lifecycle(
+            "compact", sum(seg.n for seg in segs), live.ext_ids.size, start
+        )
+        return live.ext_ids
 
     def _log_lifecycle(
         self, event: str, n_in: int, n_out: int, start: float
@@ -1156,68 +1169,49 @@ class SegmentedIndex:
             time.perf_counter() - start,
         )
 
-    def _stream_merged_cold(
-        self,
-        alive_parts: list[tuple[Segment, np.ndarray]],
-        order: np.ndarray,
-        num_modalities: int,
+    def _merge_cold(
+        self, live: LiveRows
     ) -> tuple[list[np.ndarray], list[Path]]:
-        """Merge the live cold rows of *alive_parts* into pre-sized
-        sidecar ``.npy`` files, one source segment at a time.
+        """The live rows' exact vectors in ``live.ext_ids`` order,
+        gathered one source segment at a time — from the exact cold
+        tier, never the hot codes, so compaction never accumulates
+        quantisation error.
 
-        Row ``j`` of the output is row ``order[j]`` of the source
-        concatenation — byte-identical to the in-RAM
-        ``concatenate(parts)[order]`` merge, without ever holding more
-        than one segment's rows in memory.  Returns the read-only
-        mappings plus their paths.
+        Under ``cold_storage="mmap"`` they stream into freshly pre-sized
+        sidecar ``.npy`` files (never more than one segment's rows in
+        RAM) and come back as read-only mappings with their paths;
+        otherwise as in-RAM matrices and no path.
         """
-        total = int(order.size)
-        inv = np.empty(total, dtype=np.int64)
-        inv[order] = np.arange(total, dtype=np.int64)
-        dims = alive_parts[0][0].space.vectors.dims
-        out_paths = self._next_cold_paths(dims)
-        outs = [
-            np.lib.format.open_memmap(
-                path, mode="w+", dtype=np.float32, shape=(total, d)
-            )
-            for path, d in zip(out_paths, dims)
-        ]
-        offset = 0
-        for seg, alive in alive_parts:
-            target = inv[offset:offset + alive.size]
-            for i in range(num_modalities):
-                outs[i][target] = seg.space.vectors.exact_modality(i)[alive]
-            offset += alive.size
+        total = live.ext_ids.size
+        dims = live.parts[0][0].space.vectors.dims
+        paths: list[Path] = []
+        if self._cold_dir is None:
+            outs = [np.empty((total, d), dtype=np.float32) for d in dims]
+        else:
+            stem = _cold_stem(self._cold_dir)
+            paths = [
+                self._cold_dir / f"{stem}.cold_{i}.npy" for i in range(len(dims))
+            ]
+            outs = [
+                np.lib.format.open_memmap(
+                    path, mode="w+", dtype=np.float32, shape=(total, d)
+                )
+                for path, d in zip(paths, dims)
+            ]
+        for seg, alive, target in live.parts:
+            for i, out in enumerate(outs):
+                out[target] = seg.space.vectors.exact_modality(i)[alive]
+        if not paths:
+            return outs, paths
         for out in outs:
             out.flush()
         del outs
-        mats = [np.load(path, mmap_mode="r") for path in out_paths]
-        return mats, out_paths
+        return [np.load(path, mmap_mode="r") for path in paths], paths
 
-    def _modality_dims(self) -> tuple[int, ...]:
-        if self.delta.n:
-            return self.delta.space.vectors.dims
-        return self.sealed[0].space.vectors.dims
-
-    def _attribute_fields(self) -> tuple[str, ...] | None:
-        """Attribute fields the corpus carries (None when unattributed)."""
-        if self.delta.n:
-            attrs = self.delta.attrs
-        elif self.sealed:
-            attrs = self.sealed[0].space.vectors.attributes
-        else:
-            return None
-        return None if attrs is None else attrs.fields
-
-    def _sparse_signature(self) -> tuple[int, str] | None:
-        """``(vocab, metric)`` of the corpus sparse plane, or ``None``."""
-        if self.delta.n:
-            plane = self.delta.sparse
-        elif self.sealed:
-            plane = self.sealed[0].space.vectors.sparse
-        else:
-            return None
-        return None if plane is None else (plane.vocab, plane.metric)
+    def _corpus_vectors(self) -> MultiVectorSet:
+        """The rows that speak for a non-empty corpus: the modality
+        dims, attribute fields and sparse plane every insert must match."""
+        return (self.delta if self.delta.n else self.sealed[0]).space.vectors
 
     def sparse_local_stats(self) -> SparseStats | None:
         """Sum of per-segment local sparse statistics — the corpus truth.
@@ -1229,16 +1223,11 @@ class SegmentedIndex:
         front-end sums these across shards to build the global stats it
         broadcasts back.
         """
-        parts = []
-        for seg in self.sealed:
-            plane = seg.space.vectors.sparse
-            if plane is not None:
-                parts.append(plane.local_stats())
-        if self.delta.n and self.delta.sparse is not None:
-            parts.append(self.delta.sparse.local_stats())
-        if not parts:
-            return None
-        return sum_stats(parts)
+        planes = [seg.space.vectors.sparse for seg in self.sealed]
+        if self.delta.n:
+            planes.append(self.delta.sparse)
+        parts = [plane.local_stats() for plane in planes if plane is not None]
+        return sum_stats(parts) if parts else None
 
     def _restamp_sparse(self, stats: SparseStats | None = None) -> None:
         """Re-stamp every segment's sparse plane with corpus-global
@@ -1261,23 +1250,9 @@ class SegmentedIndex:
         if stats is None:
             return
         for seg in self.sealed:
-            old = seg.index.space
-            vectors = old.vectors
-            plane = vectors.sparse
-            if plane is None:
-                continue
-            new_space = JointSpace(
-                MultiVectorSet.from_store(
-                    vectors.store,
-                    attributes=vectors.attributes,
-                    sparse=plane.with_stats(stats),
-                    metrics=vectors.declared_metrics,
-                ),
-                old.weights,
-            )
-            new_space._concat = old._concat
-            new_space._concat_norm = old._concat_norm
-            seg.index.space = new_space
+            plane = seg.space.vectors.sparse
+            if plane is not None:
+                seg.index.space = seg.space.rebind(sparse=plane.with_stats(stats))
         if self.delta.n and self.delta.sparse is not None:
             self.delta.sparse = self.delta.sparse.with_stats(stats)
             self.delta.refresh()
@@ -1481,6 +1456,7 @@ class SegmentedIndex:
                     f"the index"
                 ) from exc
             vectors = cls._load_vectors(metadata, arrays)
+            space = JointSpace(vectors, weights)
             if entry.get("storage") == "mmap":
                 # Sidecar cold tier: headers are validated eagerly
                 # (missing/truncated files fail here, with the file
@@ -1489,12 +1465,7 @@ class SegmentedIndex:
                 plane = MmapPlane(
                     [path / f for f in entry["cold_files"]]
                 )
-                store = vectors.store.with_cold_plane(plane)
-                vectors = MultiVectorSet.from_store(
-                    store, attributes=vectors.attributes,
-                    sparse=vectors.sparse,
-                )
-            space = JointSpace(vectors, weights)
+                space = space.rebind(vectors.store.with_cold_plane(plane))
             if entry["kind"] == "sealed":
                 index = GraphIndex.from_arrays(metadata, arrays, space)
                 seg_index.sealed.append(

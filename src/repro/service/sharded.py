@@ -29,6 +29,15 @@ once, at spawn:
   pairs travel up — a few hundred bytes per request, never a vector
   plane.
 
+Which rows a shard gets, and how they become its served segment, is
+not decided here: spawn partitions
+:func:`~repro.index.segments.live_rows` — the one live-row walk
+compaction rebuilds over — adding only the split between mmap sources
+and tail rows, and a worker boots through the same seal path
+(:func:`~repro.index.segments.seal_index`) a segment seal takes.
+Spawn and worker loss are ``event=shard_spawn`` / ``event=shard_lost``
+log lines, and a failed cleanup step is an ``event=teardown_error``.
+
 The control plane **reuses** :class:`MustService` unchanged: the same
 bounded queue, admission control, micro-batch coalescing dispatcher,
 and grouping by equal :class:`~repro.core.query.SearchOptions`.  Only
@@ -78,6 +87,7 @@ orthogonal to tenancy.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing as mp
 import os
 import threading
@@ -92,15 +102,20 @@ from repro.core.query import Query, SearchOptions
 from repro.core.results import SearchResult, SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
-from repro.index.base import reseat_on_store
 from repro.index.executor import BatchResult, execute
-from repro.index.segments import SegmentedIndex, SegmentView
+from repro.index.segments import (
+    LiveRows,
+    Segment,
+    SegmentedIndex,
+    SegmentView,
+    live_rows,
+)
 from repro.service.collections import Collection, CollectionManager
 from repro.service.service import MustService, ServiceConfig, _Request
 from repro.service.snapshot import IndexSnapshot
 from repro.sparse.store import SparseStats, SparseStore, sum_stats
 from repro.store import GatherPlane, MmapPlane, ResidentPlane
-from repro.utils.shm import SharedArrays
+from repro.utils.shm import SharedArrays, teardown
 from repro.utils.topk import merge_candidates
 from repro.utils.validation import require
 
@@ -108,6 +123,8 @@ if TYPE_CHECKING:
     from repro.core.framework import MUST
 
 __all__ = ["ShardedService", "ShardFailed"]
+
+logger = logging.getLogger(__name__)
 
 
 class ShardFailed(RuntimeError):
@@ -131,9 +148,9 @@ class _ShardCollection:
         self.meta = meta
         self.pack = SharedArrays.attach(spec) if spec is not None else None
         weights = Weights(meta["squared_weights"])
-        builder = meta["builder"]
-        kwargs = dict(
-            builder=builder,
+        self.seg = SegmentedIndex(
+            weights,
+            builder=meta["builder"],
             policy=meta["policy"],
             compression=meta["compression"],
             store_options=meta["store_options"],
@@ -171,34 +188,20 @@ class _ShardCollection:
                 mats = [
                     np.asarray(arrays[f"mod_{i}"]) for i in range(num_modalities)
                 ]
-            attributes = AttributeTable.from_arrays(arrays)
             # The sparse lexical plane rides in the pack stamped with
             # the collection-global statistics, so this shard's BM25/
             # TF-IDF scores match every other shard's from the start.
-            sparse = SparseStore.from_arrays(arrays)
-            space = JointSpace(
-                MultiVectorSet(mats, attributes=attributes, sparse=sparse),
-                weights,
+            objects = MultiVectorSet(
+                mats,
+                attributes=AttributeTable.from_arrays(arrays),
+                sparse=SparseStore.from_arrays(arrays),
             )
-            index = reseat_on_store(
-                builder.build(space), meta["compression"], meta["store_options"]
+            self.seg.sealed.append(
+                self.seg._seal_rows(
+                    JointSpace(objects, weights), ext_ids, plane=plane
+                )
             )
-            if plane is not None:
-                store = index.space.vectors.store
-                if store.cold_plane is not None:
-                    index.space = JointSpace(
-                        MultiVectorSet.from_store(
-                            store.with_cold_plane(plane),
-                            attributes=attributes,
-                            sparse=sparse,
-                        ),
-                        weights,
-                    )
-            self.seg = SegmentedIndex.from_graph(
-                index, ext_ids=ext_ids, **kwargs
-            )
-        else:
-            self.seg = SegmentedIndex(weights, **kwargs)
+            self.seg._next_ext = int(ext_ids.max()) + 1
         self.seg.shard = (meta["shard"], meta["n_shards"])
         self.epoch = 0
         self._view: SegmentView | None = None
@@ -273,17 +276,9 @@ class _ShardCollection:
         self.epoch += 1
 
     def delete_check(self, ids: np.ndarray) -> tuple[int, int, int]:
-        """Pre-delete census: (ids found here, fresh kills, active now)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        parts = [s.ext_ids for s in self.seg.sealed]
-        if self.seg.delta.n:
-            parts.append(self.seg.delta.ext_ids)
-        known = (
-            np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        )
-        active = self.seg.active_ext_ids() if parts else np.zeros(0, np.int64)
-        found = int(np.isin(ids, known).sum())
-        fresh = int(np.isin(ids, active).sum())
+        """Pre-delete census of unique *ids*: (found here, fresh kills,
+        active now) — :meth:`SegmentedIndex.locate`'s count."""
+        found, fresh, _ = self.seg.locate(np.asarray(ids, dtype=np.int64))
         return found, fresh, int(self.seg.num_active)
 
     def delete(self, ids: np.ndarray) -> int:
@@ -299,8 +294,6 @@ class _ShardCollection:
         return np.asarray(survivors, dtype=np.int64)
 
     def active_ids(self) -> np.ndarray:
-        if self.seg.num_segments == 0:
-            return np.zeros(0, dtype=np.int64)
         return self.seg.active_ext_ids()
 
     def census(self) -> dict[str, int]:
@@ -450,19 +443,13 @@ class _ShardHandle:
 def _corpus_slices(
     must: "MUST",
 ) -> tuple[
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    list[list[str]],
-    list[np.ndarray] | None,
-    AttributeTable | None,
-    SparseStore | None,
+    LiveRows, np.ndarray, np.ndarray, list[list[str]], list[np.ndarray] | None,
     int,
 ]:
-    """The live corpus, sorted by external id, as vector *provenance*::
+    """The live corpus (:func:`~repro.index.segments.live_rows`, sorted
+    by external id) plus its vector *provenance*::
 
-        (ext_ids, src_of, row_of, sources, tail_mats, attrs, sparse,
-        next_ext)
+        (live, src_of, row_of, sources, tail_mats, next_ext)
 
     ``sources[s]`` is the path list of the ``s``-th memory-mapped cold
     plane and ``(src_of[j], row_of[j])`` addresses row ``j``'s exact
@@ -472,92 +459,41 @@ def _corpus_slices(
     ``len(sources)`` — the only vector bytes that ever cross the process
     boundary.  Vectors are exact-tier (full-precision) only: each shard
     re-applies its own compression at build, so sharding never compounds
-    quantisation error.  Every sparse plane (postings, not vectors —
-    already O(nnz), so it always rides shared memory) is stamped with
-    its own statistics *before* its tombstones drop out, so the shards
-    keep scoring against the whole collection's document frequencies.
+    quantisation error.
     """
     if must.is_segmented:
         segs = must.segments.searchable_segments()
-        require(segs, "cannot shard an empty index")
-        entries = [
-            (seg.space.vectors, seg.ext_ids, seg.index.deleted) for seg in segs
-        ]
         next_ext = int(must.segments._next_ext)
     else:
-        index = must.index
-        entries = [
-            (
-                index.space.vectors,
-                np.arange(index.n, dtype=np.int64),
-                index.deleted,
-            )
-        ]
-        next_ext = int(index.n)
-    num_modalities = entries[0][0].num_modalities
+        segs = [Segment(must.index, np.arange(must.index.n))]
+        next_ext = int(must.index.n)
+    require(segs, "cannot shard an empty index")
+    live = live_rows(segs)
+    require(live.parts, "cannot shard an index with no live objects")
+    src_of = np.empty(live.ext_ids.size, dtype=np.int64)
+    row_of = np.empty(live.ext_ids.size, dtype=np.int64)
     sources: list[list[str]] = []
-    ext_parts: list[np.ndarray] = []
-    src_parts: list[np.ndarray] = []
-    row_parts: list[np.ndarray] = []
+    num_modalities = live.parts[0][0].space.num_modalities
     tail_parts: list[list[np.ndarray]] = [[] for _ in range(num_modalities)]
     tail_n = 0
-    attr_parts: list[AttributeTable] = []
-    sparse_parts: list[SparseStore] = []
-    contributing = 0
-    for vectors, ext_ids, deleted in entries:
-        alive = (
-            np.arange(ext_ids.size)
-            if deleted is None
-            else np.flatnonzero(~deleted)
-        )
-        if alive.size == 0:
-            continue
-        contributing += 1
-        ext_parts.append(np.asarray(ext_ids, dtype=np.int64)[alive])
-        attrs = vectors.attributes
-        if attrs is not None:
-            attr_parts.append(attrs.subset(alive))
-        plane = vectors.sparse
-        if plane is not None:
-            sparse_parts.append(plane.with_stats(plane.stats).subset(alive))
+    for seg, alive, target in live.parts:
+        vectors = seg.space.vectors
         cold = vectors.store.cold_plane
         if isinstance(cold, MmapPlane):
-            src_parts.append(np.full(alive.size, len(sources), dtype=np.int64))
-            row_parts.append(alive.astype(np.int64))
+            src_of[target] = len(sources)
+            row_of[target] = alive
             sources.append([str(p) for p in cold.paths])
-        else:
-            # Tail sentinel; renumbered to len(sources) once the source
-            # count is final.
-            src_parts.append(np.full(alive.size, -1, dtype=np.int64))
-            row_parts.append(np.arange(tail_n, tail_n + alive.size, dtype=np.int64))
-            tail_n += alive.size
-            for i in range(num_modalities):
-                tail_parts[i].append(vectors.exact_modality(i)[alive])
-    require(ext_parts, "cannot shard an index with no live objects")
-    ext = np.concatenate(ext_parts)
-    order = np.argsort(ext)
-    src_of = np.concatenate(src_parts)[order]
+            continue
+        # Tail sentinel; renumbered to len(sources) once the source
+        # count is final.
+        src_of[target] = -1
+        row_of[target] = np.arange(tail_n, tail_n + alive.size)
+        tail_n += alive.size
+        for i, part in enumerate(tail_parts):
+            part.append(vectors.exact_modality(i)[alive])
     src_of[src_of < 0] = len(sources)
-    row_of = np.concatenate(row_parts)[order]
     tail_mats = [np.concatenate(p) for p in tail_parts] if tail_n else None
-    attributes = None
-    if attr_parts:
-        require(
-            len(attr_parts) == contributing,
-            "cannot shard: inconsistent attribute state across segments",
-        )
-        attributes = AttributeTable.concat(attr_parts).subset(order)
-    sparse = None
-    if sparse_parts:
-        require(
-            len(sparse_parts) == contributing,
-            "cannot shard: inconsistent sparse state across segments",
-        )
-        sparse = SparseStore.concat(sparse_parts).subset(order)
-    return (
-        ext[order], src_of, row_of, sources, tail_mats, attributes, sparse,
-        next_ext,
-    )
+    return live, src_of, row_of, sources, tail_mats, next_ext
 
 
 class ShardedService(MustService):
@@ -639,12 +575,12 @@ class ShardedService(MustService):
         the array dict shard ``s``'s pack carries for this collection
         (``None`` when the shard owns no rows of it).
         """
-        (
-            ext, src_of, row_of, cold_sources, tail_mats, attributes,
-            sparse_all, next_ext,
-        ) = _corpus_slices(must)
+        live, src_of, row_of, cold_sources, tail_mats, next_ext = (
+            _corpus_slices(must)
+        )
+        ext = live.ext_ids
         self._next_ext[name] = next_ext
-        self._has_sparse[name] = sparse_all is not None
+        self._has_sparse[name] = live.sparse is not None
         if must.is_segmented:
             src = must.segments
             meta = dict(
@@ -692,18 +628,19 @@ class ShardedService(MustService):
             if mmap_mode:
                 arrays["cold_src"] = shard_src
                 arrays["cold_row"] = shard_row
-            if attributes is not None:
-                arrays.update(attributes.subset(rows).to_arrays())
-            if sparse_all is not None:
+            if live.attributes is not None:
+                arrays.update(live.attributes.subset(rows).to_arrays())
+            if live.sparse is not None:
                 # subset keeps the collection-global stamp; to_arrays
                 # persists it, so the shard scores corpus-wide stats.
-                arrays.update(sparse_all.subset(rows).to_arrays())
+                arrays.update(live.sparse.subset(rows).to_arrays())
             shard_arrays.append(arrays)
         return meta, shard_arrays
 
     def _spawn_workers(
         self, manager: CollectionManager, spawn_timeout_s: float
     ) -> None:
+        start = time.perf_counter()
         self._next_ext: dict[str, int] = {}
         self._has_sparse: dict[str, bool] = {}
         meta_cols: dict[str, dict[str, Any]] = {}
@@ -714,7 +651,7 @@ class ShardedService(MustService):
             )
             meta_cols[collection.name] = meta
             arrays_by_col[collection.name] = shard_arrays
-        packs: list[SharedArrays | None] = []
+        packs: list[SharedArrays] = []
         try:
             for shard in range(self.n_shards):
                 specs: dict[str, dict[str, Any] | None] = {}
@@ -761,20 +698,16 @@ class ShardedService(MustService):
             # if close() raises, and finish the loop even if one pack
             # fails: a worker that died before its ready-ack must not
             # leave /dev/shm segments behind.
-            self.spawn_shm_bytes = sum(
-                pack.nbytes for pack in packs if pack is not None
-            )
+            self.spawn_shm_bytes = sum(pack.nbytes for pack in packs)
             for pack in packs:
-                if pack is None:
-                    continue
-                try:
+                with teardown("shm_close"):
                     pack.close()
-                except Exception:
-                    pass
-                try:
+                with teardown("shm_unlink"):
                     pack.unlink()
-                except Exception:
-                    pass
+        logger.info(
+            "event=shard_spawn shards=%d shm_bytes=%d seconds=%.4f",
+            self.n_shards, self.spawn_shm_bytes, time.perf_counter() - start,
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -824,34 +757,30 @@ class ShardedService(MustService):
         replies = self._gather(
             {s: (("active_ids", name), 0) for s in self.live_shards}
         )
-        parts = []
-        for shard, reply in sorted(replies.items()):
-            if isinstance(reply, Exception):
-                raise reply
-            status, payload = reply
-            if status != "ok":
-                raise payload
-            parts.append(np.asarray(payload, dtype=np.int64))
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.sort(np.concatenate(parts))
+        self._raise_write_failures("active_ids", replies)
+        return self._merged_ids(replies)
+
+    @staticmethod
+    def _merged_ids(replies: dict[int, Any]) -> np.ndarray:
+        """The shards' live-id replies as one ascending array."""
+        parts = [np.asarray(reply[1], dtype=np.int64) for reply in replies.values()]
+        return np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *parts]))
 
     # ------------------------------------------------------------------
     # Scatter / gather
     # ------------------------------------------------------------------
-    def _mark_dead(self, handle: _ShardHandle) -> None:
+    def _mark_dead(self, handle: _ShardHandle, reason: BaseException) -> None:
         if not handle.alive:
             return
         handle.alive = False
         self.stats.record_shard_lost(handle.shard)
-        try:
+        logger.warning(
+            "event=shard_lost shard=%d reason=%r", handle.shard, reason
+        )
+        with teardown("terminate"):
             handle.process.terminate()
-        except Exception:
-            pass
-        try:
+        with teardown("pipe_close"):
             handle.conn.close()
-        except Exception:
-            pass
 
     def _gather(
         self, messages: dict[int, tuple[tuple[Any, ...], int]]
@@ -875,8 +804,8 @@ class ShardedService(MustService):
                     continue
                 try:
                     handle.conn.send(command)
-                except Exception:
-                    self._mark_dead(handle)
+                except Exception as exc:
+                    self._mark_dead(handle, exc)
                     out[shard] = ShardFailed(
                         f"shard {shard} died (send failed)"
                     )
@@ -890,7 +819,7 @@ class ShardedService(MustService):
                         )
                     reply = handle.conn.recv()
                 except Exception as exc:
-                    self._mark_dead(handle)
+                    self._mark_dead(handle, exc)
                     out[handle.shard] = ShardFailed(
                         f"shard {handle.shard} died mid-wave ({exc!r})"
                     )
@@ -1118,21 +1047,12 @@ class ShardedService(MustService):
                 {s: (("compact", col.name), 0) for s in self.live_shards}
             )
             self._raise_write_failures("compact", replies)
-            parts = [
-                np.asarray(replies[s][1], dtype=np.int64)
-                for s in sorted(replies)
-            ]
             if self._has_sparse.get(col.name):
                 # Compaction dropped the soft-deleted rows, so the
                 # collection-global frequencies changed on every shard.
                 self._sync_sparse_stats(col.name)
             col.epoch += 1
-            active = (
-                np.sort(np.concatenate(parts))
-                if parts
-                else np.zeros(0, dtype=np.int64)
-            )
-            return col.must, active
+            return col.must, self._merged_ids(replies)
 
     def _sync_sparse_stats(self, name: str) -> None:
         """Re-establish collection-global sparse statistics on every shard.
@@ -1193,25 +1113,16 @@ class ShardedService(MustService):
             if not handle.alive:
                 continue
             if not force:
-                try:
-                    with self._pipes_lock:
-                        handle.conn.send(("stop",))
-                        handle.conn.poll(5.0)
-                except Exception:
-                    pass
-            try:
+                with teardown("stop"), self._pipes_lock:
+                    handle.conn.send(("stop",))
+                    handle.conn.poll(5.0)
+            with teardown("terminate"):
                 handle.process.terminate()
-            except Exception:
-                pass
         for handle in self._handles:
-            try:
+            with teardown("join"):
                 handle.process.join(5.0)
-            except Exception:
-                pass
-            try:
+            with teardown("pipe_close"):
                 handle.conn.close()
-            except Exception:
-                pass
             handle.alive = False
 
     def close(self, timeout: float | None = 30.0) -> None:

@@ -267,6 +267,11 @@ class MmapPlane(ColdPlane):
         mapped = self._maps[i]
         if mapped is None:
             mapped = np.load(self._paths[i], mmap_mode="r")
+            if hasattr(os, "posix_fadvise"):
+                # Opened with the mapping, so a file unlinked after its
+                # first probe (a retired segment a snapshot still
+                # holds) keeps taking advice through the same inode.
+                self._fds[i] = os.open(str(self._paths[i]), os.O_RDONLY)
             self._maps[i] = mapped
         return mapped
 
@@ -281,8 +286,9 @@ class MmapPlane(ColdPlane):
         # them in one row at a time (a large win on a cold page cache;
         # harmless when the pages are already resident).
         ids = np.asarray(ids)
+        mapped = self._map(i)
         self._advise_willneed(i, ids)
-        return self._map(i)[ids]
+        return mapped[ids]
 
     def _advise_willneed(self, i: int, ids: np.ndarray) -> None:
         """Issue ``posix_fadvise(WILLNEED)`` for the rows about to be read.
@@ -292,12 +298,9 @@ class MmapPlane(ColdPlane):
         gather issues a handful of syscalls, not one per row.  No-op on
         platforms without ``posix_fadvise`` and for empty gathers.
         """
-        if not hasattr(os, "posix_fadvise") or ids.size == 0:
-            return
         fd = self._fds[i]
-        if fd is None:
-            fd = os.open(str(self._paths[i]), os.O_RDONLY)
-            self._fds[i] = fd
+        if fd is None or ids.size == 0:
+            return
         row_bytes = 4 * self._shapes[i][1]
         base = self._offsets[i]
         sorted_ids = np.unique(ids.astype(np.int64, copy=False))

@@ -23,18 +23,34 @@ On CPython ≥ 3.8 the resource tracker registers a segment only in the
 
 from __future__ import annotations
 
+import logging
+from contextlib import contextmanager
 from multiprocessing import shared_memory
+from typing import Iterator
 
 import numpy as np
 
 from repro.utils.validation import require
 
-__all__ = ["SharedArrays"]
+__all__ = ["SharedArrays", "teardown"]
+
+logger = logging.getLogger(__name__)
 
 #: entry offsets are rounded up to cache-line multiples so every view is
 #: at least 64-byte aligned — BLAS kernels prefer it and it costs bytes,
 #: not correctness.
 _ALIGNMENT = 64
+
+
+@contextmanager
+def teardown(op: str) -> Iterator[None]:
+    """One best-effort cleanup step (closing a block, a pipe, a worker):
+    an error is logged as ``event=teardown_error`` and never raised, so
+    the steps after it still run."""
+    try:
+        yield
+    except Exception as exc:
+        logger.warning("event=teardown_error op=%s error=%r", op, exc)
 
 
 class SharedArrays:
@@ -99,10 +115,8 @@ class SharedArrays:
             # segment leaks until process exit.
             views.clear()
             view = None  # noqa: F841 — drop the exported buffer view
-            try:
+            with teardown("shm_close"):
                 shm.close()
-            except Exception:
-                pass
             shm.unlink()
             raise
         spec = {"name": shm.name, "entries": entries}

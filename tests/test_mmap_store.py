@@ -25,9 +25,13 @@ from repro.core.multivector import MultiVector, MultiVectorSet
 from repro.core.query import Eq, Query, SearchOptions
 from repro.core.weights import Weights
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.segments import MANIFEST_NAME, SegmentPolicy
+from repro.index.segments import (
+    MANIFEST_NAME,
+    Segment,
+    SegmentPolicy,
+    live_rows,
+)
 from repro.service import ShardedService
-from repro.service.sharded import _corpus_slices
 from repro.sparse.synthetic import synthetic_hybrid
 from repro.store import GatherPlane, MmapPlane, ResidentPlane, spill_cold
 from repro.store.base import make_store
@@ -198,9 +202,10 @@ class TestParity:
     def test_sharded_spawn_keeps_tombstones_in_bm25_stats(self, tmp_path):
         """Tombstoned rows still count in the document frequencies a
         shard scores BM25 against: the spawn walk stamps the sparse
-        plane's statistics before it drops them, for an mmap template
-        as for a resident one, so the two answer hybrid queries bit for
-        bit."""
+        plane's statistics before it drops them — the one live-row walk
+        (``live_rows``) spawn shares with compaction — for an mmap
+        template as for a resident one, so the two answer hybrid queries
+        bit for bit."""
         dataset = synthetic_hybrid(num_queries=10, seed=3, **HYBRID_SHAPE)
         corpus = dataset.sparse.local_stats()
         services = []
@@ -219,7 +224,8 @@ class TestParity:
                     data_dir=data_dir,
                 ).build()
                 must.mark_deleted(np.arange(0, 60, 3))
-                stamped = _corpus_slices(must)[6].stats
+                whole = Segment(must.index, np.arange(must.index.n))
+                stamped = live_rows([whole]).sparse.stats
                 assert stamped.n_docs == corpus.n_docs == dataset.sparse.n
                 assert stamped.total_len == corpus.total_len
                 assert np.array_equal(stamped.doc_freq, corpus.doc_freq)
@@ -253,6 +259,34 @@ class TestParity:
             assert_same_result(
                 mapped.query(query, plan), resident.query(query, plan)
             )
+
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_compaction_retires_replaced_sidecars(
+        self, tmp_path, queries, segmented
+    ):
+        """After ``compact()`` the data directory holds exactly the live
+        index's sidecar files — a single graph's too, whose compaction
+        builds a fresh instance — while the replaced state (the old
+        instance, or a snapshot taken before) still answers bit for bit
+        from its mappings, even on its first cold read after the unlink."""
+        twin, must = (
+            _build_must("mmap", tmp_path / name, "pq", segmented)
+            for name in ("twin", "live")
+        )
+        plan = SearchOptions(k=10, l=64, refine=24)
+        if segmented:
+            old = must.snapshot()
+            must.compact()
+            indexes = [seg.index for seg in must.segments.sealed]
+        else:
+            for m in (twin, must):
+                m.mark_deleted(np.arange(0, 40, 7))
+            old = must
+            indexes = [must.compact()[0].index]
+        live = {p for i in indexes for p in i.space.store.cold_plane.paths}
+        assert set((tmp_path / "live").glob("*.npy")) == live
+        for query in queries:
+            assert_same_result(old.query(query, plan), twin.query(query, plan))
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,9 @@ the service keeps serving from the survivors).
 
 from __future__ import annotations
 
+import logging
 import os
+import re
 
 import numpy as np
 import pytest
@@ -62,8 +64,11 @@ def _attributed_set(n: int, seed: int) -> MultiVectorSet:
     )
 
 
-def _segmented_must(n: int = 300, tail: int = 90, seed: int = 1) -> MUST:
-    """Built + streamed + partially deleted: the layout the tier shards."""
+def _segmented_must(
+    n: int = 300, tail: int = 90, seed: int = 1, **storage
+) -> MUST:
+    """Built + streamed + partially deleted: the layout the tier shards
+    (*storage*: ``compression`` / ``cold_storage`` / ``data_dir``)."""
     must = MUST(
         _attributed_set(n, seed),
         weights=WEIGHTS,
@@ -71,6 +76,7 @@ def _segmented_must(n: int = 300, tail: int = 90, seed: int = 1) -> MUST:
         segment_policy=SegmentPolicy(
             seal_size=64, max_segments=8, max_deleted_fraction=0.9
         ),
+        **storage,
     ).build()
     must.insert(_attributed_set(tail, seed + 7))
     must.mark_deleted(np.arange(0, 50, 7))
@@ -158,6 +164,47 @@ class TestExactParity:
                 service.close()
 
 
+class TestSpawnStart:
+    @pytest.mark.parametrize("template", ["resident", "mmap_int8"])
+    def test_spawned_workers_answer_like_forked_ones(
+        self, queries, template, tmp_path
+    ):
+        """``mp_start="spawn"`` — the default wherever ``fork`` is
+        missing — boots each worker in a fresh interpreter from what it
+        was sent alone.  Exact answers equal the fork-started service's
+        and the segmented oracle's bit for bit; graph answers equal the
+        fork-started service's.  (An int8 shard encodes its own rows, so
+        its unrefined exact scan reads its own codes: there the oracle
+        is compared on the refined plan, which reranks in float64.)"""
+        storage = {} if template == "resident" else dict(
+            compression="int8", cold_storage="mmap", data_dir=tmp_path
+        )
+        must = _segmented_must(seed=5, **storage)
+        typed = [
+            Query(q, filter=Eq("category", "alpha")) if i % 3 == 0
+            else Query(q, k=4) if i % 3 == 1 else Query(q)
+            for i, q in enumerate(queries)
+        ]
+        exact = [SearchOptions(k=10, exact=True),
+                 SearchOptions(k=10, exact=True, refine=3)]
+        graph = SearchOptions(k=8, l=40)
+        forked = must.serve_sharded(n_shards=2, mp_start="fork")
+        spawned = must.serve_sharded(n_shards=2, mp_start="spawn")
+        try:
+            for query in typed:
+                for plan in exact:
+                    got = spawned.search(query, plan)
+                    assert_same_result(got, forked.search(query, plan))
+                    if template == "resident" or plan.refine:
+                        assert_same_result(got, must.query(query, plan))
+                assert_same_result(
+                    spawned.search(query, graph), forked.search(query, graph)
+                )
+        finally:
+            forked.close()
+            spawned.close()
+
+
 class TestWriterChurn:
     def test_writes_route_by_id_and_stay_bitwise(self, queries):
         """Identical mutations applied to the sharded tier and to an
@@ -205,9 +252,18 @@ class TestWriterChurn:
 
 
 class TestCrashContainment:
-    def test_dead_shard_fails_requests_then_degrades(self, sharded_must, queries):
+    def test_dead_shard_fails_requests_then_degrades(
+        self, sharded_must, queries, caplog
+    ):
+        """A killed worker fails its group, then the survivor serves; the
+        spawn and the loss (with its cause) are structured log lines."""
+        caplog.set_level(logging.INFO, logger="repro.service.sharded")
         service = sharded_must.serve_sharded(
             n_shards=2, max_batch=4, max_wait_ms=1.0, worker_timeout_s=20.0
+        )
+        assert re.search(
+            r"event=shard_spawn shards=2 shm_bytes=[1-9]\d* seconds=",
+            caplog.text,
         )
         plan = SearchOptions(k=8, exact=True)
         try:
@@ -226,6 +282,13 @@ class TestCrashContainment:
             graph = service.search(queries[3], SearchOptions(k=8, l=40))
             assert np.all(graph.ids % 2 == 0)
             assert service.stats.summary()["shards_lost"] == 1
+            lost = [
+                r.getMessage() for r in caplog.records
+                if "event=shard_lost" in r.getMessage()
+            ]
+            assert len(lost) == 1 and lost[0].startswith(
+                "event=shard_lost shard=1 reason="
+            )
         finally:
             service.close()
 

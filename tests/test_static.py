@@ -295,6 +295,102 @@ def test_serving_tiers_coalesce_and_execute_plans():
     assert not {"_wave_groups", "_exact_groups"} & set(vars(MustService))
 
 
+def swallowed_exceptions(path: Path) -> list[str]:
+    """``line N`` for every ``except Exception`` / ``except BaseException``
+    handler in *path* that neither re-raises, nor binds the exception
+    and reads it, nor calls ``logger.*``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if not any(
+            isinstance(k, ast.Name) and k.id in ("Exception", "BaseException")
+            for k in kinds
+        ):
+            continue
+        body = [n for stmt in node.body for n in ast.walk(stmt)]
+        handled = any(
+            isinstance(n, ast.Raise)
+            or (isinstance(n, ast.Name) and n.id == node.name
+                and isinstance(n.ctx, ast.Load))
+            or (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and isinstance(n.func.value, ast.Name)
+                and n.func.value.id == "logger")
+            for n in body
+        )
+        if not handled:
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_no_exception_is_swallowed():
+    found = {
+        str(path.relative_to(PACKAGE)): swallowed
+        for path in MODULES
+        if (swallowed := swallowed_exceptions(path))
+    }
+    assert found == {}
+
+
+def test_the_except_scan_sees_what_it_should(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "try:\n    f()\nexcept Exception:\n    pass\n"
+        "try:\n    f()\nexcept (ValueError, BaseException) as exc:\n    x = 1\n"
+        "try:\n    f()\nexcept Exception:\n    raise\n"
+        "try:\n    f()\nexcept Exception as exc:\n    g(exc)\n"
+        "try:\n    f()\nexcept Exception:\n    logger.warning('x')\n"
+        "try:\n    f()\nexcept OSError:\n    pass\n"
+    )
+    assert swallowed_exceptions(module) == ["line 3", "line 7"]
+
+
+def call_sites(name: str) -> list[str]:
+    """``module:qualname`` of every function in ``src/repro`` that calls
+    *name* (as ``name(...)`` or ``obj.name(...)``), once per call."""
+    found = []
+
+    def visit(node: ast.AST, module: str, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, module, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else (
+                    func.id if isinstance(func, ast.Name) else None
+                )
+                if called == name:
+                    found.append(f"{module}:{'.'.join(scope)}")
+            visit(child, module, scope)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text()), str(path.relative_to(PACKAGE)), [])
+    return sorted(found)
+
+
+def test_one_place_decides_how_rows_become_a_segment():
+    """One seal path, one store rebind, one live-row walk: the store
+    re-seat and the cold spill each have one caller, only the rebind
+    helper (beside the set's own subset, the metric declaration and
+    the archive decode) wraps a store, and shard spawn merges no table
+    and sorts no ids of its own."""
+    assert call_sites("reseat_on_store") == ["index/segments.py:seal_index"]
+    assert call_sites("spill_cold") == ["index/segments.py:seal_index"]
+    assert call_sites("from_store") == [
+        "core/framework.py:MUST.__init__",
+        "core/multivector.py:MultiVectorSet.subset",
+        "core/space.py:JointSpace.rebind",
+        "index/segments.py:SegmentedIndex._load_vectors",
+    ]
+    sharded = (PACKAGE / "service" / "sharded.py").read_text()
+    for banned in ("AttributeTable.concat", "SparseStore.concat", "argsort"):
+        assert banned not in sharded, banned
+
+
 def exported_c_functions(source: str) -> dict[str, tuple[str, int]]:
     """``{name: (return type, parameter count)}`` of every function
     *source* defines at file scope without ``static`` — what a ctypes
