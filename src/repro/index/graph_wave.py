@@ -27,8 +27,8 @@ Each wave
 
 Steps 1, 2 and 4 are bookkeeping — choosing columns, gathering ids,
 stable merges — and step 3 is all the arithmetic there is.  Both run in
-a small C kernel (:mod:`repro.index.wave_kernel`, three ctypes calls a
-wave) when it compiled and loaded, and in NumPy otherwise
+a small C library (:mod:`repro.native`, three ctypes calls a wave on a
+dense store) when it compiled and loaded, and in NumPy otherwise
 (:class:`_NumpyBookkeeping`, also the kernel's bookkeeping oracle, and
 ``einsum``); :func:`bookkeeping` says which runs.  The two
 bookkeepings leave the same bits behind.  The dense arithmetic does
@@ -37,13 +37,16 @@ similarity is the float32 dot product of its ω-scaled concatenation
 with the query's, summed in eight lane accumulators that start at
 ``+0.0f``, ``a[d mod 8] += fl(x[d]·q[d])`` for ``d = 0 … D−1`` in
 order, combined as ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))`` and widened
-to float64 — no FMA, no reassociation (``wave_kernel.c``'s header).
+to float64 — no FMA, no reassociation (``native.c``'s header).
 The same call scores traversed and scanned rows, so a row carries the
 same bits either way; ``einsum`` on the fallback agrees with it within
 the float32 dot-product bound (:func:`~repro.store.dot_error`).
-Stacked-kernel scoring (compressed stores, zero-weight fallback and
-Lemma-4 rows), thresholds, rerank and fusion are NumPy on both paths,
-and bit-identical between them.
+A PQ store's rows are summed by the same library's ``adc_gather``, one
+call per modality, in the NumPy fallback's own order (sub-space by
+sub-space from a float32 zero), so they carry the same bits on both
+paths.  The other stacked-kernel rows (int8 and float16 stores, the
+zero-weight fallback, dense Lemma-4 steps), thresholds, rerank and
+fusion are NumPy on both paths, and bit-identical between them.
 
 The engine is cut as *prepare → traverse → finalise* (:class:`_Wave`),
 and a scanned row skips the middle step: it is scored end to end by the
@@ -81,11 +84,11 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import native
 from repro.core.multivector import MultiVector
 from repro.core.query import FilterMemo, Query, unpack_query
 from repro.core.results import SearchResult, SearchStats
 from repro.core.weights import Weights
-from repro.index import wave_kernel
 from repro.index.base import GraphIndex
 from repro.index.scoring import StackedScorer, rerank_exact
 from repro.sparse.hybrid import hybrid_union_rescore, sparse_plane
@@ -255,7 +258,7 @@ class _Wave:
         self.concat_mat: np.ndarray | None = None
         self.qmat: np.ndarray | None = None
         #: the C gather-dot the fast rows are scored with, or None (einsum).
-        self.kernel = wave_kernel.lib
+        self.kernel = native.lib
         if self.fast.any():
             self.concat_mat = space.concatenated
             self.qmat = np.zeros((b, self.concat_mat.shape[1]), dtype=np.float32)
@@ -323,7 +326,7 @@ class _Wave:
         cand = np.ascontiguousarray(cand, dtype=np.int64)
         thr = np.ascontiguousarray(thr, dtype=np.float64)
         sims = np.empty(cand.size, dtype=np.float64)
-        _raise_on(
+        native.check(
             self.kernel.gather_dot(
                 concat.ctypes.data, concat.shape[0], concat.shape[1],
                 qmat.ctypes.data, self.b, owner.ctypes.data, cand.ctypes.data,
@@ -395,7 +398,7 @@ class _Wave:
         if not active.any():
             return
         index, b = self.index, self.b
-        kernel = wave_kernel.lib
+        kernel = native.lib
         book: _Bookkeeping = (
             _NumpyBookkeeping(self, active, expansions_per_wave)
             if kernel is None
@@ -658,7 +661,7 @@ class _NumpyBookkeeping(_Bookkeeping):
 
 
 class _NativeBookkeeping(_Bookkeeping):
-    """The same two steps in ``wave_kernel.c``: one ctypes call each
+    """The same two steps in ``native.c``: one ctypes call each
     over arrays this traversal owns (the CSR pair is only read)."""
 
     def __init__(
@@ -708,7 +711,7 @@ class _NativeBookkeeping(_Bookkeeping):
             "wave kernel: malformed traversal state",
         )
         self.state = ctypes.pointer(
-            wave_kernel.WaveState(
+            native.WaveState(
                 b=b, width=width, n=n, m=self.m_exp, row_cap=row_cap,
                 excluded=ctypes.addressof(excluded),
                 **{name: arr.ctypes.data for name, arr in arrays.items()},
@@ -719,7 +722,7 @@ class _NativeBookkeeping(_Bookkeeping):
         f = int(self.kernel.wave_expand(self.state))
         if f == -1:
             return None
-        _raise_on(f)
+        native.check(f)
         return self.thr, self.owner[:f], self.cand[:f]
 
     def merge(
@@ -734,23 +737,14 @@ class _NativeBookkeeping(_Bookkeeping):
                 sims.ctypes.data, owner.size,
             )
         )
-        _raise_on(touched)
+        native.check(touched)
         return self.rows[:touched]
-
-
-def _raise_on(status: int) -> None:
-    """Turn the kernel's negative status codes (``wave_kernel.c``'s
-    ``enum``) into exceptions."""
-    if status == -2:
-        raise MemoryError("wave kernel: out of memory")
-    if status < 0:
-        raise RuntimeError(f"wave kernel refused its input (status {status})")
 
 
 def bookkeeping() -> str:
     """Which bookkeeping :func:`graph_wave_search` runs: ``"native"``
     (the C kernel loaded) or ``"numpy"``."""
-    return "numpy" if wave_kernel.lib is None else "native"
+    return "numpy" if native.lib is None else "native"
 
 
 def graph_wave_search(

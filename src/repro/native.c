@@ -1,20 +1,22 @@
 /*
- * The lockstep graph wave (repro.index.graph_wave): its bookkeeping and
- * its dense arithmetic.
+ * The native kernels: the lockstep graph wave's bookkeeping and dense
+ * arithmetic (repro.index.graph_wave), and the table sums that score
+ * product-quantised rows (repro.store.pq).
  *
  * Per wave, wave_expand picks each active row's next route-pool columns,
  * gathers their CSR neighbours that the row has not seen yet (marking
  * them seen) and lays the frontier out row by row; gather_dot scores the
- * frontier's dense rows; wave_merge folds the scored frontier back into
- * the route and result pools.  The two bookkeeping calls do no
- * floating-point arithmetic: they compare, copy and move the
- * similarities they are given, so they leave the pools, the seen
- * bitsets and the counters exactly as the NumPy bookkeeping in
+ * frontier's dense rows and adc_gather its PQ rows; wave_merge folds the
+ * scored frontier back into the route and result pools.  The two
+ * bookkeeping calls do no floating-point arithmetic: they compare, copy
+ * and move the similarities they are given, so they leave the pools, the
+ * seen bitsets and the counters exactly as the NumPy bookkeeping in
  * graph_wave.py does.
  *
- * gather_dot is all the arithmetic there is, under this float contract.
- * A dense row's similarity against a query row, both D float32 values
- * long, is
+ * gather_dot and adc_gather are all the arithmetic there is.
+ *
+ * gather_dot runs under this float contract.  A dense row's similarity
+ * against a query row, both D float32 values long, is
  *
  *     float a[8] = {+0.0f, ..., +0.0f};
  *     for d = 0 .. D-1 in order:  a[d % 8] += fl(x[d] * q[d]);
@@ -27,21 +29,38 @@
  * bits do not depend on the SIMD width the compiler picks, and a NumPy
  * lane loop (the tests' oracle) reproduces them.
  *
- * Every array belongs to the calling traversal except the CSR
- * adjacency and the dense matrix, which frozen snapshots share and the
- * kernel only reads.  Pool and frontier similarities are finite or -inf
+ * adc_gather needs no contract of its own.  A PQ row's score against a
+ * query's M lookup tables is
+ *
+ *     float s = +0.0f;
+ *     for m = 0 .. M-1 in order:  s = fl(s + lut[m][code[m]]);
+ *
+ * which is the order and the rounding of the NumPy sum it replaces
+ * (pq._adc_sum adds one float32 vector per sub-space into zeros), so
+ * the two paths agree bit for bit, signed zeros, subnormals and
+ * infinities included.  A NaN stays a NaN, but where two NaNs meet the
+ * payload that survives is the hardware's pick of operand, which
+ * NumPy's own loops do not fix either (its vector and scalar adds pick
+ * differently).  Finite tables, the only kind a finite query and
+ * codebook make, never get there.  M is a handful to a few dozen
+ * sub-spaces, so the sequential sum costs little; the time it saves is
+ * NumPy's gathered copies of the codes and the table entries.
+ *
+ * Every array belongs to the caller except the CSR adjacency, the dense
+ * matrix and the PQ codes, which frozen snapshots share and the kernels
+ * only read.  Pool and frontier similarities are finite or -inf
  * (gather_dot and score_stack map whatever does not beat its threshold,
  * NaN included, to -inf), so `>` is the order NumPy's stable argsort of
  * the negated values sorts by.
  *
- * Built by repro/index/wave_kernel.py and called through ctypes.
+ * Built by repro/native.py and called through ctypes.
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Mirrors wave_kernel.WaveState field for field. */
+/* Mirrors native.WaveState field for field. */
 typedef struct {
     int64_t b;         /* rows in the wave */
     int64_t width;     /* pool columns per row */
@@ -395,6 +414,34 @@ int64_t gather_dot(const float *x, int64_t n, int64_t dim, const float *q,
         double sim = lane_dot(x + cand[j] * dim, q + r * dim, dim);
         out[j] = sim > thr[r] ? sim : -INFINITY;
         evals[r]++;
+    }
+    return f;
+}
+
+/*
+ * Score f PQ rows: out[j] is the sequential float32 sum, from +0.0f and
+ * in sub-space order, of luts[owner[j], m, codes[cand[j], m]] for m = 0
+ * .. m_sub-1.  codes (n rows of m_sub uint8) and luts (b blocks of m_sub
+ * tables of ncent float32) are read in place, and every code is trusted
+ * to lie below ncent (PQStore checks its codes once, when it is built).
+ * Returns f, or INVALID (writing nothing) when an owner or an id is out
+ * of range.
+ */
+int64_t adc_gather(const uint8_t *codes, int64_t n, int64_t m_sub,
+                   const float *luts, int64_t b, int64_t ncent,
+                   const int64_t *owner, const int64_t *cand, int64_t f,
+                   float *out)
+{
+    for (int64_t j = 0; j < f; j++)
+        if (owner[j] < 0 || owner[j] >= b || cand[j] < 0 || cand[j] >= n)
+            return INVALID;
+    for (int64_t j = 0; j < f; j++) {
+        const uint8_t *code = codes + cand[j] * m_sub;
+        const float *lut = luts + owner[j] * m_sub * ncent;
+        float s = 0.0f;
+        for (int64_t m = 0; m < m_sub; m++, lut += ncent)
+            s += lut[code[m]];
+        out[j] = s;
     }
     return f;
 }

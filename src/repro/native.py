@@ -1,17 +1,24 @@
-"""Build and load the C half of the lockstep wave.
+"""Build and load the native kernels, ``native.c``.
 
-:mod:`repro.index.graph_wave` splits a wave into arithmetic and
-bookkeeping.  The bookkeeping — which route columns a wave expands,
-which neighbours are fresh, the order of a row's frontier and the two
-stable pool merges — runs in ``wave_kernel.c`` when this module could
-build and load it, and in NumPy otherwise; both leave the same bits
-behind, since it only compares and moves similarities.  Of the
-arithmetic, the dense rows' inner products (traversed and scanned) run
-in the same file's ``gather_dot`` under the eight-lane float32 contract
-its header states, and in NumPy's ``einsum`` otherwise, which agrees
-with it within the float32 dot-product bound
-(:func:`~repro.store.dot_error`).  Compressed-store and Lemma-4 scoring,
+One C library serves two layers.  :mod:`repro.index.graph_wave` splits
+a wave into arithmetic and bookkeeping.  The bookkeeping — which route
+columns a wave expands, which neighbours are fresh, the order of a
+row's frontier and the two stable pool merges — runs in ``wave_expand``
+and ``wave_merge`` when this module could build and load the library,
+and in NumPy otherwise; both leave the same bits behind, since it only
+compares and moves similarities.  Of the arithmetic, the dense rows'
+inner products (traversed and scanned) run in ``gather_dot`` under the
+eight-lane float32 contract the source's header states, and in NumPy's
+``einsum`` otherwise, which agrees with it within the float32
+dot-product bound (:func:`~repro.store.dot_error`).  A PQ store's rows
+(:mod:`repro.store.pq`: a whole wave's stacked frontier, or one query's
+rows) are summed by ``adc_gather`` in the NumPy fallback's own order —
+sub-space by sub-space from a float32 zero — so they carry the same
+bits on both paths.  int8 and float16 rows, dense Lemma-4 steps,
 thresholds, rerank and fusion are NumPy on both paths.
+
+This module imports nothing from :mod:`repro`, so the store layer and
+the index layer, which imports the store layer, can both call it.
 
 The source is compiled once, at import, with the first C compiler on
 ``PATH`` (``cc``, ``gcc``, ``clang``), into the user cache directory
@@ -23,11 +30,11 @@ half-written library.  Loading goes through :mod:`ctypes`
 (:func:`declare` types every exported function); NumPy stays the only
 dependency.
 
-Whichever path runs is logged once, as ``event=wave_kernel
+Whichever path runs is logged once, as ``event=native_kernel
 status=native|numpy path=… reason=…``, and :data:`lib` is the handle
-:mod:`~repro.index.graph_wave` reads on every wave (``None`` means the
-NumPy bookkeeping and ``einsum``).  No option, setting or environment
-variable picks between the two.
+both layers read on every call (``None`` means NumPy everywhere: the
+bookkeeping, ``einsum`` and the PQ table sums).  No option, setting or
+environment variable picks between the two.
 """
 
 from __future__ import annotations
@@ -45,11 +52,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-__all__ = ["WaveState", "compiler", "declare", "lib", "load", "path", "reason"]
+__all__ = [
+    "WaveState", "check", "compiler", "declare", "lib", "load", "path", "reason"
+]
 
 logger = logging.getLogger(__name__)
 
-PACKAGE, SOURCE = "repro.index", "wave_kernel.c"
+PACKAGE, SOURCE = "repro", "native.c"
 #: build flags; tier-1 also compiles the source with -Wall -Wextra -Werror.
 #: ``-ffp-contract=off`` is part of the float contract: no FMA.
 FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC", "-ffp-contract=off")
@@ -60,7 +69,7 @@ _ptr = ctypes.c_void_p
 
 
 class WaveState(ctypes.Structure):
-    """One traversal's arrays, as ``wave_state`` in ``wave_kernel.c``."""
+    """One traversal's arrays, as ``wave_state`` in ``native.c``."""
 
     _fields_ = [
         ("b", _i64),
@@ -89,7 +98,7 @@ class WaveState(ctypes.Structure):
 
 
 _state = ctypes.POINTER(WaveState)
-#: ``(argtypes, restype)`` of every function ``wave_kernel.c`` exports;
+#: ``(argtypes, restype)`` of every function ``native.c`` exports;
 #: ctypes would otherwise read each ``int64_t`` status as a C ``int``.
 SIGNATURES: dict[str, tuple[list[Any], Any]] = {
     "wave_expand": ([_state], _i64),
@@ -98,7 +107,23 @@ SIGNATURES: dict[str, tuple[list[Any], Any]] = {
         [_ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr],
         _i64,
     ),
+    "adc_gather": (
+        [_ptr, _i64, _i64, _ptr, _i64, _i64, _ptr, _ptr, _i64, _ptr],
+        _i64,
+    ),
 }
+
+#: ``native.c``'s status for a failed allocation.
+NO_MEMORY = -2
+
+
+def check(status: int) -> None:
+    """Raise for a kernel call's negative status (``native.c``'s
+    ``enum``): ``MemoryError`` for ``NO_MEMORY``, else a refusal."""
+    if status == NO_MEMORY:
+        raise MemoryError("native kernel: out of memory")
+    if status < 0:
+        raise RuntimeError(f"native kernel refused its input (status {status})")
 
 
 def declare(kernel: ctypes.CDLL) -> ctypes.CDLL:
@@ -151,7 +176,7 @@ def _open(cc: str) -> tuple[ctypes.CDLL, Path, str]:
         compiled_by = (os.path.realpath(cc), *FLAGS)
         for part in (*compiled_by, sys.platform, platform.machine()):
             key.update(b"\0" + part.encode())
-        target = _cache_dir() / f"wave_kernel-{key.hexdigest()[:16]}.so"
+        target = _cache_dir() / f"native-{key.hexdigest()[:16]}.so"
         how = "cached"
         if not target.exists():
             _build(cc, source, target)
@@ -183,14 +208,14 @@ def load() -> tuple[ctypes.CDLL | None, str, str]:
             why = f"{type(exc).__name__}: {exc}"
     if kernel is None:
         logger.warning(
-            "event=wave_kernel status=numpy path=%s reason=%s", where or "-", why
+            "event=native_kernel status=numpy path=%s reason=%s", where or "-", why
         )
     else:
         logger.info(
-            "event=wave_kernel status=native path=%s reason=%s", where, why
+            "event=native_kernel status=native path=%s reason=%s", where, why
         )
     return kernel, where, why
 
 
-#: the loaded kernel, or ``None`` when the NumPy bookkeeping and einsum run.
+#: the loaded library, or ``None`` when NumPy runs in its place.
 lib, path, reason = load()

@@ -303,14 +303,20 @@ class MmapPlane(ColdPlane):
             return
         row_bytes = 4 * self._shapes[i][1]
         base = self._offsets[i]
-        sorted_ids = np.unique(ids.astype(np.int64, copy=False))
-        # Runs split where consecutive touched rows are far apart.
-        splits = np.flatnonzero(np.diff(sorted_ids) > _ADVISE_GAP) + 1
-        for run in np.split(sorted_ids, splits):
-            start = base + int(run[0]) * row_bytes
-            length = (int(run[-1]) - int(run[0]) + 1) * row_bytes
+        sorted_ids = np.sort(ids.astype(np.int64, copy=False))
+        # Runs split where consecutive touched rows are far apart (a
+        # repeated id is a gap of 0, so it never splits one).
+        cut = np.flatnonzero(np.diff(sorted_ids) > _ADVISE_GAP)
+        firsts = np.concatenate((sorted_ids[:1], sorted_ids[cut + 1])).tolist()
+        lasts = np.concatenate((sorted_ids[cut], sorted_ids[-1:])).tolist()
+        for first, last in zip(firsts, lasts):
             try:
-                os.posix_fadvise(fd, start, length, os.POSIX_FADV_WILLNEED)
+                os.posix_fadvise(
+                    fd,
+                    base + first * row_bytes,
+                    (last - first + 1) * row_bytes,
+                    os.POSIX_FADV_WILLNEED,
+                )
             except OSError:  # pragma: no cover - advice is best-effort
                 return
 

@@ -10,7 +10,10 @@ Scoring is **asymmetric distance computation** (ADC): the kernel
 precomputes one lookup table ``lut[m, c] = codebook[m][c] · q[m]`` per
 query, after which scoring any row is ``Σ_m lut[m, codes[row, m]]`` —
 pure table gathers, no decoding, exactly the inner product of the query
-with the row's reconstruction.
+with the row's reconstruction.  The sum runs in :mod:`repro.native`'s
+``adc_gather`` when the library loaded, reading codes and tables in
+place, and in NumPy otherwise; both add sub-space by sub-space from a
+float32 zero, so the two paths give the same bits.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.store.base import (
     ModalityKernel,
     StackedKernel,
@@ -76,44 +80,73 @@ def _adc_sum(gathered: np.ndarray) -> np.ndarray:
     return out
 
 
+def _adc_gather(
+    codes: np.ndarray, luts: np.ndarray, owner: np.ndarray, ids: np.ndarray
+) -> np.ndarray:
+    """``Σ_m luts[owner[j], m, codes[ids[j], m]]`` for every row ``j``.
+
+    *codes* is a store's C-ordered ``(n, M)`` uint8 matrix and *luts* a
+    C-ordered ``(b, M, C)`` float32 table block.  The native
+    ``adc_gather`` reads both in place (and refuses an ``owner`` or an
+    id out of range); without it one ``(M, rows)`` NumPy gather feeds
+    :func:`_adc_sum`.
+    """
+    kernel = native.lib
+    if kernel is None:
+        sub = np.arange(luts.shape[1])[:, None]
+        return _adc_sum(luts[owner, sub, codes[ids].T])
+    owner = np.ascontiguousarray(owner, dtype=np.int64)
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    out = np.empty(ids.shape[0], dtype=np.float32)
+    native.check(
+        kernel.adc_gather(
+            codes.ctypes.data, codes.shape[0], codes.shape[1],
+            luts.ctypes.data, luts.shape[0], luts.shape[2],
+            owner.ctypes.data, ids.ctypes.data, ids.shape[0], out.ctypes.data,
+        )
+    )
+    return out
+
+
 class _ADCKernel(ModalityKernel):
-    __slots__ = ("codes", "lut", "_sub")
+    """ADC for one query: its ``(M, C)`` tables, every row owned by it."""
+
+    __slots__ = ("codes", "lut")
 
     def __init__(self, codes: np.ndarray, codebook: np.ndarray, q: np.ndarray):
-        self.codes = codes  # (n, M) uint8
+        self.codes = codes  # (n, M) uint8, C-ordered (PQStore's own)
         m_sub, ncent, ds = codebook.shape
         q_pad = np.zeros(m_sub * ds, dtype=np.float32)
         q_pad[: q.shape[0]] = np.ascontiguousarray(q, dtype=np.float32)
         # lut[m, c] = codebook[m, c] · q_sub[m]
-        self.lut = np.einsum(
-            "mcd,md->mc", codebook, q_pad.reshape(m_sub, ds)
-        ).astype(np.float32)
-        self._sub = np.arange(m_sub)[:, None]
+        self.lut = np.ascontiguousarray(
+            np.einsum("mcd,md->mc", codebook, q_pad.reshape(m_sub, ds)),
+            dtype=np.float32,
+        )
 
-    def _gather(self, codes: np.ndarray) -> np.ndarray:
-        # One (M, rows) gather: entry [m, r] = lut[m, codes[r, m]].
-        return _adc_sum(self.lut[self._sub, codes.T])
+    def _gather(self, ids: np.ndarray) -> np.ndarray:
+        owner = np.zeros(ids.shape[0], dtype=np.int64)
+        return _adc_gather(self.codes, self.lut[None], owner, ids)
 
     def all(self) -> np.ndarray:
-        return self._gather(self.codes)
+        return self._gather(np.arange(self.codes.shape[0]))
 
     def ids(self, ids: np.ndarray) -> np.ndarray:
-        return self._gather(self.codes[np.asarray(ids)])
+        return self._gather(np.asarray(ids))
 
 
 class _StackedADCKernel(StackedKernel):
     """ADC over a query stack: one ``(b, M, C)`` table block, one gather
     per frontier — row ``j`` reads query ``owner[j]``'s tables."""
 
-    __slots__ = ("codes", "luts", "_sub")
+    __slots__ = ("codes", "luts")
 
     def __init__(self, codes: np.ndarray, codebook: np.ndarray, queries: np.ndarray):
-        self.codes = codes  # (n, M) uint8
-        self.luts = _adc_tables(codebook, queries)  # (b, M, C)
-        self._sub = np.arange(codebook.shape[0])[:, None]
+        self.codes = codes  # (n, M) uint8, C-ordered (PQStore's own)
+        self.luts = np.ascontiguousarray(_adc_tables(codebook, queries))
 
     def _score(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return _adc_sum(self.luts[owner, self._sub, self.codes[ids].T])
+        return _adc_gather(self.codes, self.luts, owner, ids)
 
 
 def _adc_tables(codebook: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -157,6 +190,11 @@ class PQStore(VectorStore):
                     f"modality {i} codebook must be (M, ncent, ds)")
             require(b.shape[0] * b.shape[2] >= d,
                     f"modality {i} codebook covers fewer than d={d} dims")
+            # Checked once here, so no scoring path indexes past a table.
+            top = int(c.max()) if c.size else -1
+            require(top < b.shape[1],
+                    f"modality {i} codes name centroid {top} but its "
+                    f"codebook holds {b.shape[1]}: the codes are corrupt")
         self._exact = as_cold_plane(exact, n=n, dims=self._dims)
 
     # -- shape ----------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import native
 from repro.core.framework import MUST
 from repro.core.multivector import MultiVector, MultiVectorSet, normalize_rows
 from repro.core.query import Eq, Query, SearchOptions
@@ -167,19 +168,28 @@ class TestStackedKernels:
         owner = np.sort(rng.choice([o for o in range(b) if o != skip], 90))
         return owner, rng.integers(0, N, owner.size)
 
-    def test_store_kernel_matches_per_query_kernels(self, space, queries):
+    def test_store_kernel_matches_per_query_kernels(
+        self, space, queries, monkeypatch
+    ):
+        """With the native library and without it (PQ sums its tables in
+        C on one path, in NumPy on the other): the same bits."""
         stack = np.stack([q.vectors[1] for q in queries]).astype(np.float32)
         owner, ids = self._frontier(len(queries), skip=3)
-        got = space.store.stacked_kernel(1, stack).ids(ids, owner)
-        assert got.dtype == np.float32
-        for o in np.unique(owner):
-            rows = owner == o
-            ref = space.store.query_kernel(1, stack[o]).ids(ids[rows])
-            np.testing.assert_array_equal(got[rows], ref)
-        solo = space.store.stacked_kernel(1, stack[:1]).ids(ids)
-        np.testing.assert_array_equal(
-            solo, space.store.query_kernel(1, stack[0]).ids(ids)
-        )
+        runs = []
+        for lib in (native.lib, None):
+            monkeypatch.setattr(native, "lib", lib)
+            got = space.store.stacked_kernel(1, stack).ids(ids, owner)
+            assert got.dtype == np.float32
+            for o in np.unique(owner):
+                rows = owner == o
+                ref = space.store.query_kernel(1, stack[o]).ids(ids[rows])
+                np.testing.assert_array_equal(got[rows], ref)
+            solo = space.store.stacked_kernel(1, stack[:1]).ids(ids)
+            np.testing.assert_array_equal(
+                solo, space.store.query_kernel(1, stack[0]).ids(ids)
+            )
+            runs.append(got)
+        assert runs[0].tobytes() == runs[1].tobytes()
 
     def test_kernel_rows_are_scored_independently(self, space, queries):
         """One row's score never depends on which rows share the call —

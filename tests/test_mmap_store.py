@@ -16,6 +16,7 @@ archives, load atomicity, and the O(hot) sharded spawn protocol.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -472,6 +473,30 @@ class TestPlanes:
                 source = mats[i] if src[j] == 0 else tail[i]
                 assert np.array_equal(got[j], source[row[j]])
         assert plane.nbytes() == 5 * 4 * sum(DIMS)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "posix_fadvise"), reason="no posix_fadvise here"
+    )
+    def test_willneed_advice_coalesces_runs(self, tmp_path, monkeypatch):
+        """A scattered gather advises one range per run of rows at most
+        ``_ADVISE_GAP`` apart — duplicates, a gap of exactly the limit
+        and lone rows included — pinned as (offset, length) pairs."""
+        store, _ = self._store(n=400)
+        plane = spill_cold(store, tmp_path, "seg_000000").cold_plane
+        calls = []
+        monkeypatch.setattr(
+            os, "posix_fadvise",
+            lambda fd, offset, length, advice: calls.append(
+                (offset, length, advice)
+            ),
+        )
+        plane.rows(0, np.array([300, 5, 0, 70, 5, 140, 71, 399, 204]))
+        base, row = plane._offsets[0], 4 * DIMS[0]
+        runs = [(0, 5), (70, 71), (140, 204), (300, 300), (399, 399)]
+        assert calls == [
+            (base + a * row, (b - a + 1) * row, os.POSIX_FADV_WILLNEED)
+            for a, b in runs
+        ]
 
     def test_mmap_plane_validates_eagerly(self, tmp_path):
         store, _ = self._store()

@@ -32,9 +32,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import native
 from perfbench.trace import TARGETS
 from repro.core.query import SearchOptions
-from repro.index import wave_kernel
 from repro.index.executor import execute
 from repro.index.graph_wave import graph_wave_search
 from repro.index.search import joint_search
@@ -429,25 +429,25 @@ def test_every_kernel_function_is_declared_to_ctypes():
     exported function needs its ``argtypes`` and ``restype`` set by
     the loader to what the source says, and a loaded kernel carries
     them."""
-    source = (PACKAGE / "index" / wave_kernel.SOURCE).read_text()
+    source = (PACKAGE / native.SOURCE).read_text()
     exported = exported_c_functions(source)
-    assert exported.keys() == wave_kernel.SIGNATURES.keys()
-    for name, (argtypes, restype) in wave_kernel.SIGNATURES.items():
+    assert exported.keys() == native.SIGNATURES.keys()
+    for name, (argtypes, restype) in native.SIGNATURES.items():
         returns, arity = exported[name]
         assert len(argtypes) == arity, name
         assert restype is C_RESULTS[returns], name
-        if wave_kernel.lib is not None:
-            function = getattr(wave_kernel.lib, name)
+        if native.lib is not None:
+            function = getattr(native.lib, name)
             assert function.argtypes == argtypes and function.restype is restype
 
 
 def test_the_kernel_flags_keep_the_float_contract():
     """No FMA, no reassociation, nothing tuned to the build host."""
-    assert "-ffp-contract=off" in wave_kernel.FLAGS
+    assert "-ffp-contract=off" in native.FLAGS
     banned = {
         "-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-march=native"
     }
-    assert not banned & set(wave_kernel.FLAGS)
+    assert not banned & set(native.FLAGS)
 
 
 def test_every_traced_name_resolves():

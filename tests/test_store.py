@@ -257,6 +257,18 @@ class TestFormatValidation:
         with pytest.raises(ValueError, match="incompatible format"):
             store_from_arrays(meta, store.to_arrays())
 
+    def test_pq_codes_past_the_codebook_are_refused(self, mats):
+        """A code at or past ``ncent`` would index past its table, mid
+        wave (or, natively, read out of bounds): it is refused when the
+        store is built, with the modality named."""
+        store = make_store("pq", mats, pq_centroids=16)
+        arrays = store.to_arrays()
+        codes = arrays["codes_1"].copy()
+        codes[7, 0] = 16
+        arrays["codes_1"] = codes
+        with pytest.raises(ValueError, match="modality 1 codes name centroid 16"):
+            store_from_arrays(store.store_meta(), arrays)
+
     def test_unexpected_options_rejected(self, mats):
         for kind in STORE_KINDS:
             with pytest.raises(ValueError):

@@ -1,15 +1,17 @@
 """The lockstep wave in C against the same wave in NumPy.
 
-:mod:`repro.index.wave_kernel` builds ``wave_kernel.c`` at import and
-:func:`~repro.index.graph_wave.graph_wave_search` runs its three calls
-per wave when it loaded: two of bookkeeping, one gather-dot scoring the
-frontier's dense rows.  The pins:
+:mod:`repro.native` builds ``native.c`` at import and
+:func:`~repro.index.graph_wave.graph_wave_search` runs its calls per
+wave when it loaded: two of bookkeeping, a gather-dot scoring the
+frontier's dense rows, and on a PQ store one ``adc_gather`` per
+modality summing its rows' lookup tables.  The pins:
 
 * **bit parity** where the two paths do the same arithmetic — the
   native and the NumPy wave return the same ids, similarities,
   per-query counters, ``waves`` and ``frontier_sizes`` on compressed
-  stores and Lemma-4 rows, over every kind of row (deletions, shared
-  and per-request filters, mixed ``ks`` / ``ls``, hybrid), one or eight
+  stores (PQ rows summed natively on one path, in NumPy on the other)
+  and Lemma-4 rows, over every kind of row (deletions, shared and
+  per-request filters, mixed ``ks`` / ``ls``, hybrid), one or eight
   expansions a wave, with the Lemma 3 check on; the two bookkeepings
   leave the same state after every step, and whole answers agree on
   generated tiny graphs whose dot products are exact in any order;
@@ -19,11 +21,14 @@ frontier's dense rows.  The pins:
   scores a scanned row with its traversal's bits; on dense rows the
   ``einsum`` fallback lies within ``2·dot_error(D)·‖q̃‖·max‖x̃‖`` of it,
   ids equal but for swaps inside that band, which are counted;
+* **the PQ sum** — ``adc_gather`` equals ``pq._adc_sum`` bit for bit
+  (signed zeros, subnormals, infinities, NaN, overflow, any sub-space
+  and centroid count) and refuses out-of-range rows;
 * **the loader** — the source ships as package data and compiles
   warning-free; a compiler on ``PATH`` means the native path ran; one
-  ``event=wave_kernel`` line says which path runs and why; a failed
+  ``event=native_kernel`` line says which path runs and why; a failed
   build falls back and leaves nothing behind; a build under
-  AddressSanitizer and UBSan runs the two properties clean;
+  AddressSanitizer and UBSan runs the three properties clean;
 * **CSR safety** — a corrupt adjacency fails the first wave with the
   bad vertex named, on both paths, instead of indexing out of bounds.
 
@@ -50,6 +55,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.core.framework import MUST
 from repro.core.multivector import MultiVector, MultiVectorSet
 from repro.core.query import Eq, In, Query, Range, SearchOptions
@@ -57,19 +63,19 @@ from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index import graph_wave as gw
-from repro.index import wave_kernel
 from repro.index.base import GraphIndex
 from repro.index.graph_wave import bookkeeping, graph_wave_search
 from repro.sparse.synthetic import synthetic_hybrid
 from repro.store import dot_error
+from repro.store.pq import _adc_sum
 from repro.utils.io import load_arrays, save_arrays
 
 N, D = 400, 16
 K, L = 10, 48
 B = 12
 
-native = pytest.mark.skipif(
-    wave_kernel.lib is None, reason=f"no native kernel: {wave_kernel.reason}"
+needs_native = pytest.mark.skipif(
+    native.lib is None, reason=f"no native kernel: {native.reason}"
 )
 
 
@@ -96,7 +102,7 @@ def both_paths(run, monkeypatch):
     """``run()`` on the native wave, then on the NumPy one."""
     got = run()
     with monkeypatch.context() as patch:
-        patch.setattr(wave_kernel, "lib", None)
+        patch.setattr(native, "lib", None)
         want = run()
     return got, want
 
@@ -189,7 +195,7 @@ def _rows(kind, queries, index):
     return graph, queries, {}
 
 
-@native
+@needs_native
 class TestBitParity:
     """Bit for bit where both paths do the same arithmetic (compressed
     stores, Lemma-4 rows); within the float32 band on dense rows, whose
@@ -348,7 +354,7 @@ def lockstep():
         gw._NativeBookkeeping = NATIVE
 
 
-@native
+@needs_native
 @pytest.mark.parametrize("m", [1, 8])
 @pytest.mark.parametrize(
     "kind", ["plain", "deleted", "per_request_filters", "ks_ls"]
@@ -361,7 +367,7 @@ def test_every_step_leaves_the_same_state(index, queries, kind, m):
         )
 
 
-@native
+@needs_native
 @pytest.mark.parametrize(
     "owner, cand",
     [([1, 0], [5, 6]), ([0, 1, 0], [5, 6, 7]), ([0, B], [5, 6]), ([0, 0], [5, N])],
@@ -373,16 +379,16 @@ def test_the_kernel_refuses_malformed_merges(index, queries, owner, cand):
         index, queries, K, L, None, False, None, None, None, None,
         np.zeros(len(queries), dtype=bool),
     )
-    book = NATIVE(wave, wave.alive.copy(), 8, wave_kernel.lib)
+    book = NATIVE(wave, wave.alive.copy(), 8, native.lib)
     owner, cand = np.array(owner), np.array(cand)
     with pytest.raises(RuntimeError, match="refused"):
         book.merge(owner, cand, np.zeros(owner.size))
 
 
 # ----------------------------------------------------------------------
-# The float contract of gather_dot (wave_kernel.c's header).
+# The float contract of gather_dot (native.c's header).
 # ----------------------------------------------------------------------
-INVALID = -4  # wave_kernel.c's status for an input out of range
+INVALID = -4  # native.c's status for an input out of range
 
 
 def lane_oracle(x, q, owner, cand, thr):
@@ -435,7 +441,7 @@ def _rows_of(rng, kinds, dim):
     return np.asarray(rows, dtype=np.float32)
 
 
-@native
+@needs_native
 @settings(deadline=None, max_examples=150)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -465,13 +471,13 @@ def test_gather_dot_is_the_lane_contract(seed, dim, x_kinds, q_kinds, thr_kinds,
     cand = rng.integers(0, x.shape[0], f).astype(np.int64)
     evals = np.zeros(b, dtype=np.int64)
     out = np.empty(f)
-    assert gather_dot(wave_kernel.lib, x, q, owner, cand, thr, evals, out) == f
+    assert gather_dot(native.lib, x, q, owner, cand, thr, evals, out) == f
     want = lane_oracle(x, q, owner, cand, thr)
     assert out.tobytes() == want.tobytes()
     np.testing.assert_array_equal(evals, np.bincount(owner, minlength=b))
 
 
-@native
+@needs_native
 @pytest.mark.parametrize(
     "owner, cand",
     [([0, 3], [1, 2]), ([-1], [1]), ([0, 1], [1, 9]), ([0], [-1])],
@@ -483,11 +489,93 @@ def test_gather_dot_refuses_out_of_range_pairs(owner, cand):
     owner, cand = np.array(owner, np.int64), np.array(cand, np.int64)
     evals, out = np.zeros(3, np.int64), np.full(owner.size, 7.0)
     thr = np.full(3, -np.inf)
-    assert gather_dot(wave_kernel.lib, x, q, owner, cand, thr, evals, out) == INVALID
+    assert gather_dot(native.lib, x, q, owner, cand, thr, evals, out) == INVALID
     assert not evals.any() and np.all(out == 7.0)
 
 
-@native
+# ----------------------------------------------------------------------
+# adc_gather: PQ rows, the sub-space sum of the NumPy path (native.c's
+# header), so no oracle beyond pq._adc_sum itself.
+# ----------------------------------------------------------------------
+LUT_KINDS = ("normal", "signed zeros", "subnormal", "inf", "nan", "large")
+
+
+def _lut_values(rng, kinds, shape):
+    """float32 tables whose entries mix the named kinds element-wise:
+    ordinary values, ±0.0, subnormals, ±inf, NaN, and values whose sums
+    overflow."""
+    parts = {
+        "normal": rng.standard_normal(shape),
+        "signed zeros": rng.choice([0.0, -0.0], shape),
+        "subnormal": rng.standard_normal(shape) * 1e-41,
+        "inf": rng.choice([np.inf, -np.inf], shape),
+        "nan": np.full(shape, np.nan),
+        "large": rng.standard_normal(shape) * 3e37,
+    }
+    stack = np.stack([parts[kind] for kind in kinds])
+    pick = rng.integers(0, len(kinds), shape)
+    return np.take_along_axis(stack, pick[None], axis=0)[0].astype(np.float32)
+
+
+def adc_gather(lib, codes, luts, owner, cand, out):
+    """One ``adc_gather`` call over contiguous arrays; its status."""
+    return lib.adc_gather(
+        codes.ctypes.data, codes.shape[0], codes.shape[1], luts.ctypes.data,
+        luts.shape[0], luts.shape[2], owner.ctypes.data, cand.ctypes.data,
+        cand.size, out.ctypes.data,
+    )
+
+
+@needs_native
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m_sub=st.one_of(st.integers(1, 4), st.integers(1, 40)),
+    ncent=st.one_of(st.integers(1, 4), st.integers(1, 256)),
+    n=st.integers(1, 30),
+    b=st.integers(1, 4),
+    f=st.integers(0, 40),
+    kinds=st.lists(st.sampled_from(LUT_KINDS), min_size=1, max_size=6, unique=True),
+)
+def test_adc_gather_is_the_subspace_sum(seed, m_sub, ncent, n, b, f, kinds):
+    """Native equals ``pq._adc_sum`` over the NumPy gather bit for bit —
+    signed zeros (the sum starts at +0.0), subnormals (nothing flushed),
+    infinities and overflow — for any sub-space and centroid count.  A
+    NaN is a NaN on both paths, but not the same NaN: where two meet
+    (``inf - inf`` is the negative default NaN), which payload survives
+    is the hardware's pick of operand, and NumPy's own loops differ in
+    it (a one-row array keeps the other payload than a sixteen-row
+    one), so NaN payloads are compared as NaN only."""
+    rng = np.random.default_rng(seed)
+    luts = _lut_values(rng, kinds, (b, m_sub, ncent))
+    codes = rng.integers(0, ncent, (n, m_sub)).astype(np.uint8)
+    owner = rng.integers(0, b, f).astype(np.int64)
+    cand = rng.integers(0, n, f).astype(np.int64)
+    out = np.empty(f, dtype=np.float32)
+    assert adc_gather(native.lib, codes, luts, owner, cand, out) == f
+    with np.errstate(all="ignore"):
+        want = _adc_sum(luts[owner, np.arange(m_sub)[:, None], codes[cand].T])
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(out), nan)
+    assert out[~nan].tobytes() == want[~nan].tobytes()
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "owner, cand",
+    [([0, 3], [1, 2]), ([-1], [1]), ([0, 1], [1, 9]), ([0], [-1])],
+    ids=["row past the end", "negative row", "id past the end", "negative id"],
+)
+def test_adc_gather_refuses_out_of_range_pairs(owner, cand):
+    """Refused with INVALID before anything is read or written."""
+    codes, luts = np.zeros((9, 5), np.uint8), np.ones((3, 5, 4), np.float32)
+    owner, cand = np.array(owner, np.int64), np.array(cand, np.int64)
+    out = np.full(owner.size, 7.0, np.float32)
+    assert adc_gather(native.lib, codes, luts, owner, cand, out) == INVALID
+    assert np.all(out == 7.0)
+
+
+@needs_native
 def test_the_wave_raises_on_a_refused_gather(objects, queries):
     graph = MUST(objects, weights=Weights([0.6, 0.4])).build().index
     wave = gw._Wave(
@@ -521,7 +609,7 @@ def _filled(graph, batch, scan, traverse):
     return wave
 
 
-@native
+@needs_native
 @pytest.mark.parametrize("case", ["covered segment", "l >= reportable"])
 def test_a_scanned_row_carries_its_traversals_bits(objects, queries, case):
     """"A scanned row equals its traversal" under the kernel: every
@@ -577,7 +665,7 @@ def _tiny_graph(seed, n, distinct, max_degree, deletion):
     return graph, rng
 
 
-@native
+@needs_native
 @settings(deadline=None, max_examples=80)
 @given(
     seed=st.integers(0, 2**31),
@@ -598,8 +686,8 @@ def test_tiny_graphs_agree(
     graph, rng = _tiny_graph(seed, n, min(distinct, n), max_degree, deletion)
     batch = [MultiVector([_small_ints(rng, 4)]) for _ in range(b)]
     runs = []
-    for lib in (wave_kernel.lib, None):
-        saved, wave_kernel.lib = wave_kernel.lib, lib
+    for lib in (native.lib, None):
+        saved, native.lib = native.lib, lib
         try:
             with lockstep():
                 runs.append(
@@ -609,28 +697,28 @@ def test_tiny_graphs_agree(
                     )
                 )
         finally:
-            wave_kernel.lib = saved
+            native.lib = saved
     assert_same(*runs)
 
 
 class TestLoader:
     def test_source_ships_as_package_data(self):
-        source = resources.files(wave_kernel.PACKAGE).joinpath(wave_kernel.SOURCE)
+        source = resources.files(native.PACKAGE).joinpath(native.SOURCE)
         assert source.is_file()
         root = Path(__file__).resolve().parents[1]
         config = tomllib.loads((root / "pyproject.toml").read_text())
-        shipped = config["tool"]["setuptools"]["package-data"]["repro.index"]
-        assert wave_kernel.SOURCE in shipped
+        shipped = config["tool"]["setuptools"]["package-data"]["repro"]
+        assert native.SOURCE in shipped
 
     def test_source_compiles_warning_free(self, tmp_path):
-        cc = wave_kernel.compiler()
+        cc = native.compiler()
         if cc is None:
             pytest.skip("no C compiler on PATH")
         with resources.as_file(
-            resources.files(wave_kernel.PACKAGE) / wave_kernel.SOURCE
+            resources.files(native.PACKAGE) / native.SOURCE
         ) as source:
             done = subprocess.run(
-                [cc, "-Wall", "-Wextra", "-Werror", *wave_kernel.FLAGS,
+                [cc, "-Wall", "-Wextra", "-Werror", *native.FLAGS,
                  "-o", str(tmp_path / "kernel.so"), str(source)],
                 capture_output=True, text=True, check=False,
             )
@@ -641,7 +729,7 @@ class TestLoader:
         and lane-contract properties in a child with the runtimes
         preloaded; any out-of-bounds access or undefined behaviour
         kills it with a report instead of passing silently."""
-        cc = wave_kernel.compiler()
+        cc = native.compiler()
         if cc is None:
             pytest.skip("no C compiler on PATH")
         runtimes = [
@@ -652,25 +740,26 @@ class TestLoader:
         ]
         if not all(os.path.isabs(p) and os.path.exists(p) for p in runtimes):
             pytest.skip(f"no sanitizer runtimes next to {cc}")
-        build = tmp_path / "wave_kernel-sanitized.so"
+        build = tmp_path / "native-sanitized.so"
         with resources.as_file(
-            resources.files(wave_kernel.PACKAGE) / wave_kernel.SOURCE
+            resources.files(native.PACKAGE) / native.SOURCE
         ) as source:
             subprocess.run(
-                [cc, *wave_kernel.FLAGS, "-O1", "-g", "-fno-omit-frame-pointer",
+                [cc, *native.FLAGS, "-O1", "-g", "-fno-omit-frame-pointer",
                  "-fsanitize=address,undefined", "-o", str(build), str(source)],
                 check=True, capture_output=True, text=True,
             )
         script = (
             "import ctypes, sys\n"
             "from hypothesis import settings\n"
-            "from repro.index import wave_kernel\n"
-            "wave_kernel.lib = wave_kernel.declare(ctypes.CDLL(sys.argv[1]))\n"
+            "from repro import native\n"
+            "native.lib = native.declare(ctypes.CDLL(sys.argv[1]))\n"
             "settings.register_profile('child', database=None)\n"
             "settings.load_profile('child')\n"
             "import test_wave_kernel as t\n"
             "t.test_tiny_graphs_agree()\n"
             "t.test_gather_dot_is_the_lane_contract()\n"
+            "t.test_adc_gather_is_the_subspace_sum()\n"
         )
         env = dict(
             os.environ,
@@ -678,7 +767,7 @@ class TestLoader:
             ASAN_OPTIONS="detect_leaks=0",
             UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1",
             PYTHONPATH=os.pathsep.join(
-                [str(Path(wave_kernel.__file__).parents[2]), str(Path(__file__).parent)]
+                [str(Path(native.__file__).parents[1]), str(Path(__file__).parent)]
             ),
         )
         done = subprocess.run(
@@ -689,44 +778,44 @@ class TestLoader:
 
     def test_a_compiler_on_path_means_the_native_path(self):
         """So a run cannot silently measure the NumPy bookkeeping."""
-        if wave_kernel.compiler() is None:
+        if native.compiler() is None:
             pytest.skip("no C compiler on PATH")
-        assert wave_kernel.lib is not None, wave_kernel.reason
+        assert native.lib is not None, native.reason
         assert bookkeeping() == "native"
-        assert Path(wave_kernel.path).is_file()
+        assert Path(native.path).is_file()
 
     def test_logs_the_native_path(self, caplog):
-        if wave_kernel.compiler() is None:
+        if native.compiler() is None:
             pytest.skip("no C compiler on PATH")
-        with caplog.at_level(logging.INFO, logger=wave_kernel.__name__):
-            lib, path, reason = wave_kernel.load()
+        with caplog.at_level(logging.INFO, logger=native.__name__):
+            lib, path, reason = native.load()
         assert lib is not None
         assert caplog.messages == [
-            f"event=wave_kernel status=native path={path} reason={reason}"
+            f"event=native_kernel status=native path={path} reason={reason}"
         ]
         assert reason in ("built", "cached")
 
     def test_logs_the_numpy_path(self, caplog, monkeypatch):
-        monkeypatch.setattr(wave_kernel, "compiler", lambda: None)
-        with caplog.at_level(logging.INFO, logger=wave_kernel.__name__):
-            lib, path, reason = wave_kernel.load()
+        monkeypatch.setattr(native, "compiler", lambda: None)
+        with caplog.at_level(logging.INFO, logger=native.__name__):
+            lib, path, reason = native.load()
         assert (lib, path, reason) == (None, "", "no C compiler on PATH")
         assert caplog.messages == [
-            "event=wave_kernel status=numpy path=- reason=no C compiler on PATH"
+            "event=native_kernel status=numpy path=- reason=no C compiler on PATH"
         ]
         assert caplog.records[0].levelno == logging.WARNING
 
     def test_a_failed_build_falls_back_and_leaves_nothing(
         self, caplog, monkeypatch, tmp_path
     ):
-        if wave_kernel.compiler() is None:
+        if native.compiler() is None:
             pytest.skip("no C compiler on PATH")
-        monkeypatch.setattr(wave_kernel, "_cache_dir", lambda: tmp_path)
+        monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path)
         monkeypatch.setattr(
-            wave_kernel, "FLAGS", (*wave_kernel.FLAGS, "-fno-such-option")
+            native, "FLAGS", (*native.FLAGS, "-fno-such-option")
         )
-        with caplog.at_level(logging.INFO, logger=wave_kernel.__name__):
-            lib, _, reason = wave_kernel.load()
+        with caplog.at_level(logging.INFO, logger=native.__name__):
+            lib, _, reason = native.load()
         assert lib is None and reason.startswith("compile failed")
         assert "status=numpy" in caplog.text
         assert list(tmp_path.iterdir()) == []
@@ -734,12 +823,12 @@ class TestLoader:
     def test_side_by_side_first_builds_both_load(self, monkeypatch, tmp_path):
         """Each build goes to its own temporary name and is moved into
         place whole, so concurrent first imports never load a torn file."""
-        if wave_kernel.compiler() is None:
+        if native.compiler() is None:
             pytest.skip("no C compiler on PATH")
-        monkeypatch.setattr(wave_kernel, "_cache_dir", lambda: tmp_path)
+        monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path)
         loaded: list[object] = []
         threads = [
-            threading.Thread(target=lambda: loaded.append(wave_kernel.load()[0]))
+            threading.Thread(target=lambda: loaded.append(native.load()[0]))
             for _ in range(2)
         ]
         for t in threads:
@@ -756,7 +845,7 @@ class TestCsrSafety:
         self, objects, queries, tmp_path, monkeypatch, lib
     ):
         if lib == "numpy":
-            monkeypatch.setattr(wave_kernel, "lib", None)
+            monkeypatch.setattr(native, "lib", None)
         path = tmp_path / "index.npz"
         MUST(objects, weights=Weights([0.6, 0.4])).build().save_index(path)
         metadata, arrays = load_arrays(path)
