@@ -88,16 +88,6 @@ def main() -> None:
     print(f"dense-only top-10 in the acme group: {frac(dense_only):.0%}")
     print(f"hybrid     top-10 in the acme group: {frac(hybrid):.0%}")
 
-    # Both sparse engines answer bit-identically — `inverted` (the
-    # posting-list scatter, the default) is simply faster.
-    oracle = must.query(
-        Query(dense_q, sparse=lexical, sparse_weight=0.8),
-        SearchOptions(k=10, exact=True, sparse_engine="exact"),
-    )
-    assert np.array_equal(hybrid.ids, oracle.ids)
-    assert np.array_equal(hybrid.similarities, oracle.similarities)
-    print("inverted engine == brute-force oracle (ids and bits)")
-
     # Streamed objects carry their sparse rows with them; the corpus
     # statistics (document frequencies, avgdl) re-sync on every write.
     ext = must.insert(make_corpus(rng))

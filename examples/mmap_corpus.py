@@ -1,6 +1,6 @@
 """Beyond-RAM corpora: the memory-mapped cold tier.
 
-Compressed stores keep two tiers: hot codes (PQ / int8 / float16) that
+Compressed stores keep two tiers: hot codes (PQ / int8) that
 every scan touches, and the cold float32 exact tier consulted only by
 ``refine=`` reranks and compaction.  With ``cold_storage="mmap"`` the
 cold tier is spilled to per-segment ``.npy`` files and served through

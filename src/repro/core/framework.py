@@ -52,6 +52,7 @@ from repro.index.segments import (
     seal_index,
 )
 from repro.store import STORE_KINDS
+from repro.store.base import refuse_retired_kind
 from repro.utils.io import load_arrays
 from repro.utils.validation import require
 from repro.weightlearn.trainer import VectorWeightLearner, WeightLearningResult
@@ -63,8 +64,8 @@ class MUST:
     """Multimodal Search of Target Modality — the full framework.
 
     ``compression`` selects the vector-store backend serving the index
-    (:data:`~repro.store.STORE_KINDS`: ``"none"``, ``"float16"``,
-    ``"int8"``, ``"pq"``).  The graph is always *built* over the
+    (:data:`~repro.store.STORE_KINDS`: ``"none"``, ``"int8"``,
+    ``"pq"``).  The graph is always *built* over the
     full-precision vectors; with a compressed backend it then *serves*
     from the compressed codes (asymmetric kernels), the original
     float32 corpus staying available as the cold exact tier for
@@ -578,6 +579,7 @@ class MUST:
         weights = self.weights if stored is None else Weights(stored)
         stored_kind = meta.get("compression", "none")
         if stored_kind != "none":
+            refuse_retired_kind(stored_kind)
             require(
                 stored_kind in STORE_KINDS,
                 f"index was saved with compression {stored_kind!r}; this "

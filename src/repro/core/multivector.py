@@ -7,8 +7,8 @@ modality — which keeps every similarity kernel a dense matrix product.
 
 The column store itself is pluggable: a :class:`MultiVectorSet` is backed
 by a :class:`~repro.store.VectorStore` (float32 by default — bit-identical
-to the historical in-matrix layout — or a compressed backend: float16,
-int8 scalar quantisation, product quantisation).  Hot search paths score
+to the historical in-matrix layout — or a compressed backend: int8
+scalar quantisation, product quantisation).  Hot search paths score
 through the store's asymmetric kernels; :attr:`matrices` decodes, so code
 that touches raw matrices keeps working on any backend at reconstruction
 precision.

@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, replace
-from typing import Any, Iterable
+from typing import Any, ClassVar, Iterable
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.core.attributes import AttributeTable
 from repro.core.multivector import MultiVector
-from repro.core.registry import resolve_engine
+from repro.core.registry import did_you_mean
 from repro.core.weights import Weights
 from repro.utils.validation import require
 
@@ -353,7 +353,9 @@ class SearchOptions:
 
     ``engine`` accepts ``"auto"`` and ``"wave"``, and both mean the
     lockstep wave, the one graph engine
-    (:mod:`repro.index.graph_wave`).
+    (:mod:`repro.index.graph_wave`).  ``sparse_engine`` accepts
+    ``"auto"`` and ``"inverted"``, and both mean the posting-list
+    scorer (:mod:`repro.sparse.inverted`), the one lexical scorer.
 
     ``collection`` names the target workspace when the request is
     served by a multi-tenant :class:`~repro.service.MustService`
@@ -372,6 +374,9 @@ class SearchOptions:
     check_monotone: bool = False
     collection: "str | None" = None
     sparse_engine: str = "auto"
+
+    VALID_ENGINES: ClassVar[tuple[str, ...]] = ("auto", "wave")
+    VALID_SPARSE_ENGINES: ClassVar[tuple[str, ...]] = ("auto", "inverted")
 
     def __post_init__(self) -> None:
         require(
@@ -399,17 +404,18 @@ class SearchOptions:
             f"SearchOptions.early_termination must be a bool, got "
             f"{self.early_termination!r}",
         )
-        # Engine names resolve through the metric/engine registry, so a
-        # typo'd engine= fails here with a did-you-mean instead of deep
-        # inside a searcher.
-        try:
-            resolve_engine(self.engine, kind="graph")
-        except ValueError as exc:
-            raise ValueError(f"SearchOptions.engine: {exc}") from None
-        try:
-            resolve_engine(self.sparse_engine, kind="sparse")
-        except ValueError as exc:
-            raise ValueError(f"SearchOptions.sparse_engine: {exc}") from None
+        # A wrong engine name fails here with a did-you-mean instead of
+        # deep inside a searcher.  Each field has two names, so the
+        # nearer one is always worth suggesting (cutoff 0).
+        if self.engine not in self.VALID_ENGINES:
+            raise ValueError("SearchOptions.engine: " + did_you_mean(
+                str(self.engine), self.VALID_ENGINES, "graph engine", 0.0
+            ))
+        if self.sparse_engine not in self.VALID_SPARSE_ENGINES:
+            raise ValueError("SearchOptions.sparse_engine: " + did_you_mean(
+                str(self.sparse_engine), self.VALID_SPARSE_ENGINES,
+                "sparse engine", 0.0,
+            ))
         require(
             isinstance(self.check_monotone, bool),
             f"SearchOptions.check_monotone must be a bool, got "

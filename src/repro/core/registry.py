@@ -1,21 +1,16 @@
-"""Declarative metric/engine registry — the pluggability seam.
+"""Declarative metric registry — the pluggability seam.
 
 Historically the scoring engine assumed inner-product over dense float
 planes: every kernel, every searcher, every bench hardwired ``q @ M.T``.
-This module makes the two axes of that assumption *declarative*, in the
-spirit of openTSNE's ``KNNIndex``/``VALID_METRICS`` pattern:
+This module makes the metric *declarative*, in the spirit of openTSNE's
+``KNNIndex``/``VALID_METRICS`` pattern: dense modalities register
+``ip`` (the paper's kernel; the default and the bit-identical legacy
+path), ``cosine`` and ``l2``; the sparse lexical modality registers
+``bm25`` and ``tfidf``.
 
-* **metrics** — how a query is scored against stored rows.  Dense
-  modalities register ``ip`` (the paper's kernel; the default and the
-  bit-identical legacy path), ``cosine`` and ``l2``; the sparse lexical
-  modality registers ``bm25`` and ``tfidf``.
-* **engines** — which search procedure produces candidates.  Dense
-  modalities are served by the graph engine (``auto``/``wave``, the
-  lockstep wave) or the ``exact`` scan; the sparse modality by the
-  ``inverted`` posting-list engine or its brute-force ``exact`` oracle.
-
-Both tables are validated *once, up front* — at ``MUST(...)`` /
-``SearchOptions`` construction — with did-you-mean errors, so a typo'd
+The table is validated *once, up front* — at ``MUST(...)``
+construction — with did-you-mean errors (:func:`did_you_mean`, which
+``SearchOptions`` uses for its engine names too), so a typo'd
 ``metric="cosin"`` fails at the constructor instead of deep inside a
 scorer.
 
@@ -37,15 +32,11 @@ from repro.utils.validation import require
 
 __all__ = [
     "MetricSpec",
-    "EngineSpec",
     "METRICS",
-    "ENGINES",
     "DENSE_METRICS",
     "SPARSE_METRICS",
-    "DENSE_ENGINES",
-    "SPARSE_ENGINES",
+    "did_you_mean",
     "resolve_metric",
-    "resolve_engine",
     "validate_metrics",
     "dense_score_rows",
 ]
@@ -58,15 +49,6 @@ class MetricSpec:
     ``kind`` names the modality family the metric applies to (``dense``
     or ``sparse``); ``description`` feeds error messages and docs.
     """
-
-    name: str
-    kind: str
-    description: str
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """One registered search engine (candidate-generation procedure)."""
 
     name: str
     kind: str
@@ -92,40 +74,21 @@ METRICS: dict[str, MetricSpec] = {
     ),
 }
 
-#: engine name → spec.  The dense graph names are the
-#: ``SearchOptions.engine`` values, both the lockstep wave; the sparse
-#: names drive the lexical candidate generator
-#: (``SearchOptions.sparse_engine``).
-ENGINES: dict[str, EngineSpec] = {
-    "auto": EngineSpec("auto", "dense", "the wave"),
-    "wave": EngineSpec("wave", "dense", "lockstep batched traversal"),
-    "exact": EngineSpec("exact", "dense", "full scan (MUST--)"),
-    "inverted": EngineSpec(
-        "inverted", "sparse", "posting-list scatter-add over query terms"
-    ),
-    "sparse-auto": EngineSpec(
-        "sparse-auto", "sparse", "inverted unless overridden"
-    ),
-    "sparse-exact": EngineSpec(
-        "sparse-exact", "sparse", "brute-force per-term scan (the oracle)"
-    ),
-}
-
 DENSE_METRICS: tuple[str, ...] = tuple(
     name for name, spec in METRICS.items() if spec.kind == "dense"
 )
 SPARSE_METRICS: tuple[str, ...] = tuple(
     name for name, spec in METRICS.items() if spec.kind == "sparse"
 )
-DENSE_ENGINES: tuple[str, ...] = tuple(
-    name for name, spec in ENGINES.items() if spec.kind == "dense"
-)
-#: the public ``SearchOptions.sparse_engine`` values.
-SPARSE_ENGINES: tuple[str, ...] = ("auto", "inverted", "exact")
 
 
-def _did_you_mean(name: str, known: tuple[str, ...], what: str) -> str:
-    close = difflib.get_close_matches(name, known, n=1)
+def did_you_mean(
+    name: str, known: tuple[str, ...], what: str, cutoff: float = 0.6
+) -> str:
+    """``unknown <what> <name>``, the closest of *known* when one is
+    within *cutoff* (:func:`difflib.get_close_matches`), and the full
+    list."""
+    close = difflib.get_close_matches(name, known, n=1, cutoff=cutoff)
     hint = f" (did you mean {close[0]!r}?)" if close else ""
     return (
         f"unknown {what} {name!r}{hint}; registered {what}s: "
@@ -146,39 +109,8 @@ def resolve_metric(name: str, kind: str | None = None) -> MetricSpec:
     )
     if name not in known:
         what = f"{kind} metric" if kind else "metric"
-        raise ValueError(_did_you_mean(str(name), known, what))
+        raise ValueError(did_you_mean(str(name), known, what))
     return METRICS[name]
-
-
-def resolve_engine(name: str, kind: str | None = None) -> EngineSpec:
-    """Look up an engine by name, with a did-you-mean error on a typo.
-
-    ``kind="sparse"`` validates against the public
-    :data:`SPARSE_ENGINES` names (``auto`` resolves to ``inverted``);
-    ``kind="graph"`` restricts to the graph traversal engines — the
-    legal :attr:`~repro.core.query.SearchOptions.engine` values, where
-    ``exact`` is a separate flag rather than an engine name.
-    """
-    if kind == "sparse":
-        if name not in SPARSE_ENGINES:
-            raise ValueError(
-                _did_you_mean(str(name), SPARSE_ENGINES, "sparse engine")
-            )
-        resolved = "inverted" if name == "auto" else name
-        return ENGINES["inverted" if resolved == "inverted" else "sparse-exact"]
-    if kind == "graph":
-        known = tuple(n for n in DENSE_ENGINES if n != "exact")
-        if name not in known:
-            raise ValueError(_did_you_mean(str(name), known, "graph engine"))
-        return ENGINES[name]
-    known = tuple(
-        n for n, spec in ENGINES.items()
-        if (kind is None or spec.kind == kind) and not n.startswith("sparse-")
-    )
-    if name not in known:
-        what = f"{kind} engine" if kind else "engine"
-        raise ValueError(_did_you_mean(str(name), known, what))
-    return ENGINES[name]
 
 
 def validate_metrics(

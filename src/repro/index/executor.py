@@ -145,7 +145,6 @@ class BatchExecutor:
         early_termination: bool = False,
         refine: int | None = None,
         check_monotone: bool = False,
-        sparse_engine: str = "auto",
     ) -> BatchResult:
         """Lockstep batched graph search — one stacked scoring call per
         wave (:func:`~repro.index.graph_wave.graph_wave_search`).
@@ -162,7 +161,6 @@ class BatchExecutor:
             refine=refine,
             check_monotone=check_monotone,
             filter_memo={},
-            sparse_engine=sparse_engine,
         )
         out = BatchResult(results, plan=f"graph/wave/{bookkeeping()}")
         out.stats.merge(wave_stats)
@@ -181,7 +179,6 @@ class BatchExecutor:
         early_termination: bool = False,
         refine: int | None = None,
         check_monotone: bool = False,
-        sparse_engine: str = "auto",
     ) -> BatchResult:
         """Graph batch over a :class:`~repro.index.segments.SegmentView`
         (live or frozen): one lockstep traversal per segment carries
@@ -194,7 +191,6 @@ class BatchExecutor:
             early_termination=early_termination,
             refine=refine,
             check_monotone=check_monotone,
-            sparse_engine=sparse_engine,
         )
         out = BatchResult(results, plan=f"graph/wave/{bookkeeping()}")
         out.stats.merge(wave_stats)
@@ -211,16 +207,12 @@ class BatchExecutor:
         k: int,
         weights: Weights | None = None,
         refine: int | None = None,
-        sparse_engine: str = "auto",
     ) -> BatchResult:
         """Exact batch over a segment view
         (:meth:`~repro.index.segments.SegmentView.exact_wave`): the
         exact kernel per segment, merged per query."""
         return BatchResult(
-            view.exact_wave(
-                list(queries), k, weights=weights, refine=refine,
-                sparse_engine=sparse_engine,
-            ),
+            view.exact_wave(list(queries), k, weights=weights, refine=refine),
             plan="exact/wave",
         )
 
@@ -231,15 +223,11 @@ class BatchExecutor:
         k: int,
         weights: Weights | None = None,
         refine: int | None = None,
-        sparse_engine: str = "auto",
     ) -> BatchResult:
         """Exact batch over one :class:`FlatIndex` — the exact kernel
         itself (:meth:`FlatIndex.batch_search`)."""
         return BatchResult(
-            flat.batch_search(
-                list(queries), k, weights=weights, refine=refine,
-                sparse_engine=sparse_engine,
-            ),
+            flat.batch_search(list(queries), k, weights=weights, refine=refine),
             plan="exact/wave",
         )
 
@@ -281,10 +269,7 @@ def execute(
             run, scanned = BatchExecutor.run_exact_wave, target
         else:
             run, scanned = BatchExecutor.run_flat, target.flat()
-        return run(
-            scanned, queries, options.k, refine=options.refine,
-            sparse_engine=options.sparse_engine,
-        )
+        return run(scanned, queries, options.k, refine=options.refine)
     if isinstance(target, SegmentView):
         opts = options.resolve(target.num_total)
     elif target.index is None:
@@ -302,7 +287,6 @@ def execute(
                 early_termination=opts.early_termination,
                 check_monotone=opts.check_monotone,
                 refine=opts.refine,
-                sparse_engine=opts.sparse_engine,
             )
             return BatchResult([result], plan=f"graph/wave/{bookkeeping()}")
     plan: dict[str, Any] = dict(
@@ -311,7 +295,6 @@ def execute(
         early_termination=opts.early_termination,
         refine=opts.refine,
         check_monotone=opts.check_monotone,
-        sparse_engine=opts.sparse_engine,
     )
     if isinstance(target, SegmentView):
         out = BatchExecutor.run_segmented(target, queries, **plan)

@@ -107,13 +107,9 @@ class FlatIndex:
         k: int = 10,
         weights: Weights | None = None,
         refine: int | None = None,
-        sparse_engine: str = "auto",
     ) -> SearchResult:
         """Exact top-*k* of one query: a batch of one."""
-        return self.batch_search(
-            [query], k, weights=weights, refine=refine,
-            sparse_engine=sparse_engine,
-        )[0]
+        return self.batch_search([query], k, weights=weights, refine=refine)[0]
 
     def batch_search(
         self,
@@ -121,7 +117,6 @@ class FlatIndex:
         k: int = 10,
         weights: Weights | None = None,
         refine: int | None = None,
-        sparse_engine: str = "auto",
     ) -> list[SearchResult]:
         """Exact top-*k* for a whole batch — the one exact kernel.
 
@@ -136,8 +131,7 @@ class FlatIndex:
         cold tier before cutting to *k*.  A typed :class:`Query`
         supplies per-query ``weights`` / ``filter`` / ``k`` and an
         optional ``sparse=`` lexical component, added as ``ω_s²·lex`` to
-        prefilter and rerank alike (``sparse_engine`` picks the lexical
-        scorer; both engines produce the same bits).
+        prefilter and rerank alike.
         """
         require(refine is None or refine >= 1, "refine must be >= 1")
         space = self.space
@@ -162,7 +156,7 @@ class FlatIndex:
             all_sims = [None] * len(unpacked)
             all_stats = [SearchStats() for _ in unpacked]
         return [
-            self._answer(*args, refine, sparse_engine)
+            self._answer(*args, refine)
             for args in zip(typed_queries, unpacked, eps, all_sims, all_stats)
         ]
 
@@ -174,7 +168,6 @@ class FlatIndex:
         sims: np.ndarray | None,
         stats: SearchStats,
         refine: int | None,
-        sparse_engine: str,
     ) -> SearchResult:
         """One query's shortlist, float64 rerank and cut.  *sims* is its
         prefilter row and *eps* the bound on it; where that is infinite
@@ -185,7 +178,7 @@ class FlatIndex:
         rows = self._admissible(mask)
         lexical = None
         if typed.sparse is not None:
-            lexical = sparse_term(space, typed, sparse_engine, self.context)
+            lexical = sparse_term(space, typed, self.context)
         if sims is None:
             stats.visited_vertices += rows.size
         elif np.isfinite(eps) and p < rows.size:
@@ -216,7 +209,7 @@ class FlatIndex:
         else:
             local, exact = hybrid_rerank(
                 space, typed, shortlist, k, weights=weights, stats=stats,
-                engine=sparse_engine, context=self.context,
+                context=self.context,
             )
         return SearchResult(
             local if self.ids is None else self.ids[local], exact, stats

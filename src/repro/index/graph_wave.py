@@ -44,9 +44,9 @@ the float32 dot-product bound (:func:`~repro.store.dot_error`).
 A PQ store's rows are summed by the same library's ``adc_gather``, one
 call per modality, in the NumPy fallback's own order (sub-space by
 sub-space from a float32 zero), so they carry the same bits on both
-paths.  The other stacked-kernel rows (int8 and float16 stores, the
-zero-weight fallback, dense Lemma-4 steps), thresholds, rerank and
-fusion are NumPy on both paths, and bit-identical between them.
+paths.  The other stacked-kernel rows (int8 stores, the zero-weight
+fallback, dense Lemma-4 steps), thresholds, rerank and fusion are NumPy
+on both paths, and bit-identical between them.
 
 The engine is cut as *prepare → traverse → finalise* (:class:`_Wave`),
 and a scanned row skips the middle step: it is scored end to end by the
@@ -454,7 +454,7 @@ class _Wave:
         assert ok, "Lemma 3 violated in wave merge"
         last_total[rows] = np.where(take == cap, total, -np.inf)
 
-    def finalise(self, sparse_engine: str) -> list[SearchResult]:
+    def finalise(self) -> list[SearchResult]:
         """Per query: top-k by (-sim, id) — one row-wise rank for the
         batch — then lexical fusion for a hybrid row or the optional
         exact rerank for a plain one."""
@@ -494,7 +494,6 @@ class _Wave:
                         min(int(self.k_arr[i]), index.num_active),
                         admissible=None if excluded is None else ~excluded,
                         weights=self.per_weights[i],
-                        engine=sparse_engine,
                         stats=stats,
                     )
             elif self.refine is not None:
@@ -760,7 +759,6 @@ def graph_wave_search(
     ks: Sequence[int] | None = None,
     ls: Sequence[int] | None = None,
     expansions_per_wave: int = 8,
-    sparse_engine: str = "auto",
     scan: Sequence[bool] | None = None,
 ) -> tuple[list[SearchResult], SearchStats]:
     """Lockstep batched Algorithm 2 over one fused graph.
@@ -790,7 +788,7 @@ def graph_wave_search(
     A hybrid query (``Query.sparse``) is a row of the wave like any
     other: its dense traversal fills a result pool of ``min(l,
     reportable)`` candidates, and *finalise* fuses them with the sparse
-    engine's own top admissible rows through
+    scorer's own top admissible rows through
     :func:`~repro.sparse.hybrid.hybrid_union_rescore` (cut to the
     query's ``k``) under the same deleted/filter admissibility the
     traversal enforced.  The union rescore takes the place of
@@ -814,8 +812,7 @@ def graph_wave_search(
     """
     return lockstep(
         index, queries, k, l, weights, early_termination, refine,
-        check_monotone, filter_memo, ks, ls, expansions_per_wave,
-        sparse_engine, scan,
+        check_monotone, filter_memo, ks, ls, expansions_per_wave, scan,
     )
 
 
@@ -832,7 +829,6 @@ def lockstep(
     ks: Sequence[int] | None = None,
     ls: Sequence[int] | None = None,
     expansions_per_wave: int = 8,
-    sparse_engine: str = "auto",
     scan: Sequence[bool] | None = None,
 ) -> tuple[list[SearchResult], SearchStats]:
     """:func:`graph_wave_search` itself, under a name ``perfbench``
@@ -863,4 +859,4 @@ def lockstep(
         wave.alive & ~wave.scanned, expansions_per_wave, check_monotone,
         wave_stats,
     )
-    return wave.finalise(sparse_engine), wave_stats
+    return wave.finalise(), wave_stats

@@ -20,8 +20,7 @@ the exact scan's prefilter, and the refine rerank.
   lossless by Lemma 4.  The kernels are the store's own: a PQ store's
   sum their lookup-table entries in :mod:`repro.native`'s
   ``adc_gather`` when the library loaded and in NumPy otherwise, to the
-  same bits; the int8, float16 and dense kernels are NumPy on both
-  paths.
+  same bits; the int8 and dense kernels are NumPy on both paths.
 * :func:`batch_score_all` — many queries × the whole corpus in float32,
   the exact plans' **prefilter**: it also says how far each of its
   scores can sit from the float64 kernel's, and

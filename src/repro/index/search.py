@@ -43,7 +43,6 @@ def joint_search(
     check_monotone: bool = False,
     refine: int | None = None,
     filter_memo: FilterMemo | None = None,
-    sparse_engine: str = "auto",
 ) -> SearchResult:
     """Approximate top-*k* joint search (Algorithm 2) for one query.
 
@@ -66,7 +65,7 @@ def joint_search(
     candidates by hot-tier (possibly quantised) similarity, then
     re-scores exactly those survivors at full precision and returns the
     best *k*.  A hybrid query fuses its dense candidates with the sparse
-    engine's top admissible rows instead
+    scorer's top admissible rows instead
     (:func:`~repro.sparse.hybrid.hybrid_union_rescore`).
 
     The query is a lockstep wave of one
@@ -78,7 +77,7 @@ def joint_search(
     """
     (result,), wave_stats = lockstep(
         index, [query], k, l, weights, early_termination, refine,
-        check_monotone, filter_memo, sparse_engine=sparse_engine,
+        check_monotone, filter_memo,
     )
     result.stats.merge(wave_stats)
     return result

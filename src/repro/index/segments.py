@@ -19,8 +19,8 @@ segmented index, the architecture streaming vector stores use:
   made automatic — when the tombstone fraction or the segment count
   crosses configurable ratios;
 * a **compressed serving tier**: with ``compression=`` every sealed
-  segment's vectors live in a :mod:`repro.store` backend (float16 /
-  int8-SQ / PQ) encoded at seal/compact time, while the delta stays
+  segment's vectors live in a :mod:`repro.store` backend (int8-SQ /
+  PQ) encoded at seal/compact time, while the delta stays
   dense float32 — it is scanned at full precision and encoded once, at
   seal; manifests persist store kind + codebooks per segment and
   compaction rebuilds from the exact cold tier so quantisation error
@@ -88,6 +88,7 @@ from repro.store import (
     spill_cold,
     store_from_arrays,
 )
+from repro.store.base import refuse_retired_kind
 from repro.utils.io import load_arrays, pack_adjacency, save_arrays
 from repro.utils.topk import merge_candidates
 from repro.utils.validation import require
@@ -318,6 +319,7 @@ def check_storage(
     """Validate where sealed rows are served from — the compression
     backend and the home of the exact cold tier — for the segmented
     index and the framework alike."""
+    refuse_retired_kind(compression)
     require(
         compression in STORE_KINDS,
         f"unknown compression {compression!r}; supported: "
@@ -332,7 +334,7 @@ def check_storage(
         require(
             compression != "none",
             "cold_storage='mmap' requires a compressed hot tier "
-            "(float16/int8/pq) — a dense store serves graph "
+            "(int8/pq) — a dense store serves graph "
             "traversal from the float32 corpus itself, which must "
             "stay resident",
         )
@@ -585,7 +587,6 @@ class SegmentView:
         refine: int | None = None,
         check_monotone: bool = False,
         filter_memo: dict | None = None,
-        sparse_engine: str = "auto",
     ) -> tuple[list[SearchResult], SearchStats]:
         """Cross-segment lockstep batch: one
         :func:`~repro.index.graph_wave.graph_wave_search` wave per
@@ -666,7 +667,6 @@ class SegmentView:
                 filter_memo=memo,
                 ks=[min(l_i, active) for l_i in ls],
                 ls=[min(l_i, seg.n) for l_i in ls],
-                sparse_engine=sparse_engine,
                 scan=scan,
             )
             wave_total.merge(wstats)
@@ -697,7 +697,6 @@ class SegmentView:
         k: int,
         weights: Weights | None = None,
         refine: int | None = None,
-        sparse_engine: str = "auto",
     ) -> list[SearchResult]:
         """Exact cross-segment top-*k* for a batch (the MUST-- plan over
         segments): the one exact kernel
@@ -730,10 +729,7 @@ class SegmentView:
                 context=f"{seg.kind} segment",
             )
             for j, res in enumerate(
-                flat.batch_search(
-                    typed, k, weights, refine=refine,
-                    sparse_engine=sparse_engine,
-                )
+                flat.batch_search(typed, k, weights, refine=refine)
             ):
                 res.stats.segments_probed = 1
                 parts[j].append((res.ids, res.similarities))

@@ -14,8 +14,8 @@ dot-product bound (:func:`~repro.store.dot_error`).  A PQ store's rows
 (:mod:`repro.store.pq`: a whole wave's stacked frontier, or one query's
 rows) are summed by ``adc_gather`` in the NumPy fallback's own order —
 sub-space by sub-space from a float32 zero — so they carry the same
-bits on both paths.  int8 and float16 rows, dense Lemma-4 steps,
-thresholds, rerank and fusion are NumPy on both paths.
+bits on both paths.  int8 rows, dense Lemma-4 steps, thresholds,
+rerank and fusion are NumPy on both paths.
 
 This module imports nothing from :mod:`repro`, so the store layer and
 the index layer, which imports the store layer, can both call it.

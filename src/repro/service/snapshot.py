@@ -159,7 +159,6 @@ class IndexSnapshot:
         k: int,
         weights: Weights | None = None,
         refine: int | None = None,
-        sparse_engine: str = "auto",
     ) -> list[SearchResult]:
         """Exact scan of a batch under one batch-wide ``weights``
         override — one prefilter GEMM per segment (or one, on a single
@@ -176,7 +175,4 @@ class IndexSnapshot:
             if isinstance(self.target, SegmentView)
             else self.target.flat().batch_search
         )
-        return scan(
-            list(queries), k, weights=weights, refine=refine,
-            sparse_engine=sparse_engine,
-        )
+        return scan(list(queries), k, weights=weights, refine=refine)

@@ -11,7 +11,7 @@ the dense ω² convention, so a sparse plane behaves exactly like one more
 modality in the weighted aggregation.
 
 Everything here is a composition of already-bit-pinned pieces: the
-sparse score array is bit-identical across engines
+sparse score array follows a fixed addition order
 (:mod:`repro.sparse.inverted`), the dense exact kernels are
 layout-independent (:meth:`~repro.core.space.JointSpace.query_ids_stable`),
 and the combination is per-row independent float64 arithmetic — so the
@@ -24,12 +24,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.sparse.inverted import (
-    sparse_scores,
-    sparse_scores_inverted,
-    sparse_topk,
-)
-from repro.sparse.kernels import sparse_scores_bruteforce
+from repro.sparse.inverted import sparse_scores_inverted, sparse_topk
 from repro.sparse.store import SparseStore
 from repro.utils.topk import rank_order
 
@@ -73,22 +68,19 @@ def sparse_plane(space: "JointSpace", context: str = "corpus") -> SparseStore:
 
 
 def sparse_term(
-    space: "JointSpace",
-    typed: Any,
-    engine: str = "auto",
-    context: str = "corpus",
+    space: "JointSpace", typed: Any, context: str = "corpus"
 ) -> np.ndarray:
     """The lexical half of a hybrid score on every row: ``ω_s²·sparse``
     (float64, shape ``(n,)``).
 
-    Exact float64 per row and bit-identical across engines, so adding
-    it to a dense prefilter and to the dense rerank alike moves both by
-    the same amount — an exact scan's safety band only has to cover the
-    dense term.
+    Exact float64 per row, so adding it to a dense prefilter and to the
+    dense rerank alike moves both by the same amount — an exact scan's
+    safety band only has to cover the dense term.
     """
     plane = sparse_plane(space, context)
     w2 = float(typed.sparse_weight) ** 2
-    return w2 * sparse_scores(plane, typed.sparse, engine)
+    scores, _ = sparse_scores_inverted(plane, typed.sparse)
+    return w2 * scores
 
 
 def sparse_candidates(
@@ -96,22 +88,15 @@ def sparse_candidates(
     typed: Any,
     k: int,
     admissible: np.ndarray | None = None,
-    engine: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lexical top-*k* candidates: ``(local ids, full score array)``.
 
-    The candidate generator of the graph-path hybrid: the sparse engine
+    The candidate generator of the graph-path hybrid: the sparse scorer
     proposes its best admissible rows, which then join the dense graph
-    candidates for the union rescore.  Both engines return the
-    same ids (the inverted engine's touched-rows shortcut is proven
-    equal to the full lexsort) and the same score bits.
+    candidates for the union rescore.
     """
-    if engine == "exact":
-        scores = sparse_scores_bruteforce(plane, typed.sparse)
-        ids, _ = sparse_topk(scores, k, admissible)
-    else:
-        scores, touched = sparse_scores_inverted(plane, typed.sparse)
-        ids, _ = sparse_topk(scores, k, admissible, touched)
+    scores, touched = sparse_scores_inverted(plane, typed.sparse)
+    ids, _ = sparse_topk(scores, k, admissible, touched)
     return ids, scores
 
 
@@ -122,7 +107,6 @@ def hybrid_union_rescore(
     k: int,
     admissible: np.ndarray | None = None,
     weights: "Weights | None" = None,
-    engine: str = "auto",
     stats: "SearchStats | None" = None,
     context: str = "corpus",
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -131,21 +115,18 @@ def hybrid_union_rescore(
     The finalise stage of the graph engine's hybrid rows
     (:func:`~repro.index.graph_wave.graph_wave_search`).
     The dense traversal proposes *dense_ids* (local rows, already
-    admissibility-checked by the searcher); the sparse engine proposes
+    admissibility-checked by the searcher); the sparse scorer proposes
     its own top-*k* admissible rows.  The union is rescored under the
-    combined metric (row-stable dense kernel + the engine-invariant
-    sparse array) and cut to *k* by the canonical
-    ``(-similarity, id)`` order.  The dense term reads the store's
+    combined metric (row-stable dense kernel + the sparse array) and
+    cut to *k* by the canonical ``(-similarity, id)`` order.  The dense term reads the store's
     *hot* tier through
     :meth:`~repro.core.space.JointSpace.query_ids_stable`: exact on a
-    dense store, the decoded PQ/int8/float16 reconstruction on a
+    dense store, the decoded PQ/int8 reconstruction on a
     compressed one — the cold exact plane is never touched.  The
     rescore takes the place of ``refine=`` for a hybrid query.
     """
     plane = sparse_plane(space, context)
-    lex_ids, lex_scores = sparse_candidates(
-        plane, typed, k, admissible=admissible, engine=engine
-    )
+    lex_ids, lex_scores = sparse_candidates(plane, typed, k, admissible)
     cand = np.union1d(np.asarray(dense_ids, dtype=np.int64), lex_ids)
     if cand.size == 0:
         return cand, np.zeros(0, dtype=np.float64)
@@ -165,7 +146,6 @@ def hybrid_rerank(
     k: int,
     weights: "Weights | None" = None,
     stats: "SearchStats | None" = None,
-    engine: str = "auto",
     context: str = "corpus",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hybrid stage two of ``refine=``: full-precision combined top-*k*.
@@ -174,7 +154,7 @@ def hybrid_rerank(
     come from the store's cold exact tier — with the sparse term added
     at the shortlist rows before the canonical cut.
     """
-    lexical = sparse_term(space, typed, engine, context)
+    lexical = sparse_term(space, typed, context)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         return ids, np.zeros(0, dtype=np.float64)

@@ -1,21 +1,21 @@
-"""Posting-list engine: sparse top-k that only touches query-term rows.
+"""The lexical scorer: sparse top-k that only touches query-term rows.
 
 :func:`sparse_scores_inverted` scatter-adds each query term's
-contribution at its posting rows (the CSC column), performing exactly
-the additions :func:`~repro.sparse.kernels.sparse_scores_bruteforce`
-performs — minus the explicit ``+0.0`` at untouched rows, which cannot
-change a non-negative float64 accumulator.  The two score arrays are
-therefore bit-identical while the work drops from
-``O(n · query terms)`` to ``O(postings of the query terms)``.
+contribution at its posting rows (the CSC column), in ascending term
+order — the additions of :mod:`repro.sparse.kernels`' contract.  A
+brute-force scan that adds every term's full ``(n,)`` contribution
+array differs only by explicit ``+0.0`` terms at untouched rows, which
+cannot change a non-negative float64 accumulator, so the two score
+arrays are bit-identical while the work is ``O(postings of the query
+terms)`` instead of ``O(n · query terms)``.
 
 :func:`sparse_topk` turns a score array into the canonical top-k: the
 same :func:`~repro.utils.topk.rank_order` the dense exact paths use
-(descending score, ascending id on ties).  When the engine knows which
-rows it touched, the selection ranks only those and back-fills the
-remaining slots with untouched admissible ids ascending — provably the
-same answer, because every untouched row scores exactly ``+0.0``,
-strictly below every touched row's positive score, and ties at zero
-break by ascending id.
+(descending score, ascending id on ties).  It ranks only the touched
+rows and back-fills the remaining slots with untouched admissible ids
+ascending — provably the full ranking's answer, because every untouched
+row scores exactly ``+0.0``, strictly below every touched row's
+positive score, and ties at zero break by ascending id.
 """
 
 from __future__ import annotations
@@ -27,14 +27,12 @@ from repro.sparse.kernels import (
     BM25_K1,
     SparseQueryLike,
     as_sparse_query,
-    sparse_scores_bruteforce,
     term_weights,
 )
 from repro.sparse.store import SparseStore
 from repro.utils.topk import rank_order
-from repro.utils.validation import require
 
-__all__ = ["sparse_scores", "sparse_scores_inverted", "sparse_topk"]
+__all__ = ["sparse_scores_inverted", "sparse_topk"]
 
 
 def sparse_scores_inverted(
@@ -55,11 +53,9 @@ def sparse_scores_inverted(
     csc = store.postings()
     dl = store.row_lengths()
     bm25 = store.metric == "bm25"
-    # Hoisted out of the per-term loop (this is the engine's hot path —
+    # Hoisted out of the per-term loop (this is the scorer's hot path —
     # per-query cost must stay O(postings), not O(n), with minimal
-    # Python overhead).  The inlined expressions below perform exactly
-    # the operations of kernels._doc_norm / kernels.term_contrib in the
-    # same order, preserving the bit-parity contract.
+    # Python overhead).
     avgdl = store.stats.avgdl if bm25 else 1.0
     indptr, indices, data = csc.indptr, csc.indices, csc.data
     touched: list[np.ndarray] = []
@@ -70,9 +66,8 @@ def sparse_scores_inverted(
             continue
         tf = data[start:end].astype(np.float64)
         # Row indices within a CSC column are unique, so a plain fancy
-        # add applies each contribution exactly once — and the per-row
-        # addition order across terms matches the brute-force scan's
-        # ascending-term accumulation.
+        # add applies each contribution exactly once, and each row
+        # accumulates its terms in ascending order.
         if bm25:
             norm = BM25_K1 * (1.0 - BM25_B + BM25_B * (dl[rows] / avgdl))
             contrib = w_t * ((tf * (BM25_K1 + 1.0)) / (tf + norm))
@@ -85,49 +80,23 @@ def sparse_scores_inverted(
     return out, np.unique(np.concatenate(touched)).astype(np.int64)
 
 
-def sparse_scores(
-    store: SparseStore, query: SparseQueryLike, engine: str = "auto"
-) -> np.ndarray:
-    """Full float64 score array under the chosen sparse engine.
-
-    ``auto``/``inverted`` route through the posting-list scatter;
-    ``exact`` through the brute-force per-term scan.  Both return the
-    same bits — the engine choice is purely a cost model.
-    """
-    require(
-        engine in ("auto", "inverted", "exact"),
-        f"unknown sparse engine {engine!r}; valid: auto, inverted, exact",
-    )
-    if engine == "exact":
-        return sparse_scores_bruteforce(store, query)
-    scores, _ = sparse_scores_inverted(store, query)
-    return scores
-
-
 def sparse_topk(
     scores: np.ndarray,
     k: int,
-    admissible: np.ndarray | None = None,
-    touched: np.ndarray | None = None,
+    admissible: np.ndarray | None,
+    touched: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical top-*k* ``(ids, scores)`` of a sparse score array.
 
     *admissible* is an optional boolean mask (filter ∧ ¬deleted); rows
-    outside it never appear.  *touched* — when the inverted engine
-    supplies it — restricts the sort to rows that can score above zero;
-    the remaining slots fill with untouched admissible ids ascending,
-    which equals the full :func:`~repro.utils.topk.rank_order` answer because
-    untouched rows all hold exactly ``+0.0``.
+    outside it never appear.  *touched* — the rows
+    :func:`sparse_scores_inverted` reports — restricts the sort to rows
+    that can score above zero; the remaining slots fill with untouched
+    admissible ids ascending, which equals the full
+    :func:`~repro.utils.topk.rank_order` answer because untouched rows
+    all hold exactly ``+0.0``.
     """
     n = int(scores.shape[0])
-    if touched is None:
-        cand = (
-            np.arange(n, dtype=np.int64)
-            if admissible is None
-            else np.flatnonzero(admissible).astype(np.int64)
-        )
-        top = cand[rank_order(cand, scores[cand], k)]
-        return top, scores[top]
     cand = (
         touched
         if admissible is None

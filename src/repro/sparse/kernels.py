@@ -1,17 +1,16 @@
 """BM25 / TF-IDF scoring kernels for the sparse lexical plane.
 
-The arithmetic contract that makes the whole sparse engine testable bit
-for bit: a query's score against a document is the **sum, in ascending
+The arithmetic contract that makes the sparse scorer testable bit for
+bit: a query's score against a document is the **sum, in ascending
 query-term order, of per-term contributions**, each contribution an
 elementwise float64 expression of ``(query weight, idf, tf, length
-norm)``.  Every implementation in this package — the per-document
-reference loop here, the per-term brute-force scan here, and the
-posting-list scatter engine in :mod:`repro.sparse.inverted` — performs
-*the same additions in the same order*, so their score arrays are
-bit-identical, not merely close.  Documents containing none of the
-query's terms score exactly ``+0.0`` (contributions are non-negative
-and absent terms add nothing), which is what lets the inverted engine
-rank only the touched rows.
+norm)``.  The posting-list scatter in :mod:`repro.sparse.inverted`
+performs exactly those additions in that order, so any other
+implementation of the contract — the test suite's brute-force scan and
+per-document loop — yields the same bits, not merely close ones.
+Documents containing none of the query's terms score exactly ``+0.0``
+(contributions are non-negative and absent terms add nothing), which
+is what lets the scorer rank only the touched rows.
 
 Metric formulas (``N``/``df``/``avgdl`` from the plane's
 :class:`~repro.sparse.store.SparseStats`):
@@ -42,8 +41,6 @@ __all__ = [
     "SparseQuery",
     "SparseQueryLike",
     "as_sparse_query",
-    "sparse_scores_bruteforce",
-    "sparse_scores_reference",
     "term_weights",
 ]
 
@@ -81,8 +78,8 @@ def as_sparse_query(sparse: SparseQueryLike) -> SparseQuery:
     Accepts a ready :class:`SparseQuery`, a ``{term: weight}`` mapping,
     or an ``(indices, values)`` pair.  Duplicate terms are summed, zero
     weights dropped, terms sorted ascending; weights must be finite and
-    non-negative (negative query weights would break the inverted
-    engine's untouched-rows-score-zero invariant).
+    non-negative (negative query weights would break the scorer's
+    untouched-rows-score-zero invariant).
     """
     if isinstance(sparse, SparseQuery):
         return sparse
@@ -128,7 +125,7 @@ def as_sparse_query(sparse: SparseQueryLike) -> SparseQuery:
 
 
 # ----------------------------------------------------------------------
-# Per-term weights and contributions
+# Per-term weights
 # ----------------------------------------------------------------------
 def _idf(metric: str, stats: "SparseStats", terms: np.ndarray) -> np.ndarray:
     df = stats.doc_freq[terms].astype(np.float64)
@@ -146,7 +143,7 @@ def term_weights(
     """``(terms, w)`` — in-vocabulary query terms and their ``qv·idf``.
 
     Out-of-vocabulary term ids are dropped: they have no postings, so
-    they contribute exactly nothing on every engine.
+    they contribute exactly nothing.
     """
     keep = query.indices < store.vocab
     terms = query.indices[keep]
@@ -155,104 +152,3 @@ def term_weights(
         return terms, values
     idf = _idf(store.metric, store.stats, terms)
     return terms, values * idf
-
-
-def _doc_norm(store: "SparseStore", dl: np.ndarray) -> np.ndarray:
-    """BM25 length normalisation ``k1·(1 − b + b·dl/avgdl)``.
-
-    A pure elementwise expression of the per-row document length, so
-    evaluating it on a gather of rows equals gathering its full-array
-    evaluation — the identity the inverted engine's bit-parity rests on.
-    """
-    avgdl = store.stats.avgdl
-    return BM25_K1 * (1.0 - BM25_B + BM25_B * (dl / avgdl))
-
-
-def term_contrib(
-    metric: str, w_t: float, tf: np.ndarray, norm: np.ndarray | None
-) -> np.ndarray:
-    """One term's contribution at its posting rows (elementwise f64)."""
-    tf = tf.astype(np.float64)
-    if metric == "bm25":
-        assert norm is not None
-        return w_t * ((tf * (BM25_K1 + 1.0)) / (tf + norm))
-    return w_t * tf
-
-
-# ----------------------------------------------------------------------
-# Scorers
-# ----------------------------------------------------------------------
-def sparse_scores_bruteforce(
-    store: "SparseStore", query: SparseQueryLike
-) -> np.ndarray:
-    """Brute-force per-term scan: the exact engine and the QPS yardstick.
-
-    For each query term (ascending), materialises a full ``(n,)``
-    contribution array — zero except at the term's posting rows — and
-    accumulates.  O(n · query terms) work: the "scan every row for
-    every term" baseline the inverted engine is gated ≥1.5× faster
-    than, while producing the *same bits* (adding an explicit ``+0.0``
-    at untouched rows cannot change a non-negative float64 accumulator).
-    """
-    query = as_sparse_query(query)
-    out = np.zeros(store.n, dtype=np.float64)
-    terms, weights = term_weights(store, query)
-    if terms.size == 0 or store.n == 0:
-        return out
-    csc = store.postings()
-    dl = store.row_lengths()
-    norm_full = _doc_norm(store, dl) if store.metric == "bm25" else None
-    for t, w_t in zip(terms, weights):
-        start, end = csc.indptr[t], csc.indptr[t + 1]
-        rows = csc.indices[start:end]
-        contrib = np.zeros(store.n, dtype=np.float64)
-        if rows.size:
-            tf = csc.data[start:end]
-            norm = None if norm_full is None else norm_full[rows]
-            contrib[rows] = term_contrib(store.metric, float(w_t), tf, norm)
-        out += contrib
-    return out
-
-
-def sparse_scores_reference(
-    store: "SparseStore", query: SparseQueryLike
-) -> np.ndarray:
-    """Independent per-document reference scorer (tests only).
-
-    Walks each document's own CSR row with plain Python floats — no
-    postings, no vectorisation — performing the same additions in the
-    same order as the engines.  Deliberately slow and deliberately
-    structured differently from both production paths, so a bug shared
-    by the scatter and brute-force implementations cannot hide.
-    """
-    query = as_sparse_query(query)
-    out = np.zeros(store.n, dtype=np.float64)
-    terms, weights = term_weights(store, query)
-    if terms.size == 0:
-        return out
-    csr = store.csr
-    dl = store.row_lengths()
-    avgdl = store.stats.avgdl
-    weight_of = {int(t): float(w) for t, w in zip(terms, weights)}
-    for j in range(store.n):
-        start, end = csr.indptr[j], csr.indptr[j + 1]
-        row_terms = csr.indices[start:end]
-        row_tfs = csr.data[start:end]
-        tf_of = {int(t): float(v) for t, v in zip(row_terms, row_tfs)}
-        score = 0.0
-        for t in terms:  # ascending — the pinned summation order
-            t = int(t)
-            if t not in tf_of:
-                continue
-            tf = tf_of[t]
-            if store.metric == "bm25":
-                norm = BM25_K1 * (
-                    1.0 - BM25_B + BM25_B * (dl[j] / avgdl)
-                )
-                score += weight_of[t] * (
-                    (tf * (BM25_K1 + 1.0)) / (tf + norm)
-                )
-            else:
-                score += weight_of[t] * tf
-        out[j] = score
-    return out

@@ -218,7 +218,7 @@ class SparseStore:
         sum here is exact in float64, so the global statistics — and
         therefore every BM25 score — are bit-identical no matter how
         the corpus is split into planes.  Fractional frequencies keep
-        engine-vs-oracle parity on any fixed layout but may differ in
+        scorer-vs-oracle parity on any fixed layout but may differ in
         the last ulp across layouts.
 
         Cached after the first call: the CSR triplet never mutates

@@ -4,7 +4,6 @@
 kind            hot representation      bytes/dim   scoring kernel
 ==============  ======================  ==========  =====================
 ``"none"``      float32 matrices        4           BLAS (bit-identical)
-``"float16"``   float16 matrices        2           up-cast GEMV/GEMM
 ``"int8"``      uint8 min/max codes     1           affine-rescaled GEMV
 ``"pq"``        PQ codes + codebooks    1/pq_dims   ADC lookup tables
 ==============  ======================  ==========  =====================
@@ -12,6 +11,9 @@ kind            hot representation      bytes/dim   scoring kernel
 Compressed backends keep an optional full-precision cold tier
 (``keep_exact=True``) consulted only by the ``refine=`` rerank stage and
 by compaction; :meth:`VectorStore.hot_bytes` is the resident figure.
+There is no float16 kind: ``"int8"`` with ``refine=4`` matches its
+recall at half its hot bytes and is faster, so saved float16 segments
+are refused with a message on how to re-save them.
 """
 
 from repro.store.base import (
@@ -25,7 +27,7 @@ from repro.store.base import (
     register_store,
     store_from_arrays,
 )
-from repro.store.dense import DenseStore, HalfStore
+from repro.store.dense import DenseStore
 from repro.store.mmap import (
     ColdPlane,
     GatherPlane,
@@ -49,7 +51,6 @@ __all__ = [
     "register_store",
     "store_from_arrays",
     "DenseStore",
-    "HalfStore",
     "ScalarQuantStore",
     "PQStore",
     "ColdPlane",

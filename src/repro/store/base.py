@@ -4,7 +4,7 @@
 At production scale the corpus no longer fits hot in RAM as float32 and
 memory bandwidth — not FLOPs — bounds QPS.  A :class:`VectorStore` owns
 the **hot** per-modality representation every scan and frontier wave
-reads (float32, float16, int8 scalar-quantised codes, or PQ codes) and
+reads (float32, int8 scalar-quantised codes, or PQ codes) and
 exposes **asymmetric distance kernels**: the query stays full-precision
 float32 while the corpus side is decoded implicitly inside the kernel
 (affine rescale for scalar quantisation, ADC lookup tables for PQ).
@@ -43,6 +43,7 @@ __all__ = [
     "STORE_KINDS",
     "dot_error",
     "max_row_norm",
+    "refuse_retired_kind",
     "register_store",
     "make_store",
     "store_from_arrays",
@@ -274,7 +275,7 @@ class VectorStore(abc.ABC):
         """Same hot tier, different cold plane (shares codes/codebooks)."""
         raise ValueError(
             f"store kind {self.kind!r} has no detachable cold tier — only "
-            f"compressed backends (float16/int8/pq) separate hot codes "
+            f"compressed backends (int8/pq) separate hot codes "
             f"from the exact float32 plane"
         )
 
@@ -331,6 +332,19 @@ def register_store(cls: type[VectorStore]) -> type[VectorStore]:
     return cls
 
 
+def refuse_retired_kind(kind: Any) -> None:
+    """Raise an actionable error for a kind an earlier version wrote
+    and this one no longer reads — today only ``"float16"``."""
+    if kind == "float16":
+        raise ValueError(
+            "vector-store kind 'float16' was removed in this version "
+            "(int8 with refine=4 matches its recall at half its hot "
+            "bytes): use compression=\"int8\" or \"none\"; an index "
+            "saved as float16 must be opened with the previous version "
+            "and re-saved with one of them"
+        )
+
+
 def make_store(
     kind: str, matrices: Sequence[np.ndarray], **options: Any
 ) -> VectorStore:
@@ -348,10 +362,12 @@ def store_from_arrays(
 ) -> VectorStore:
     """Rebuild a persisted store, validating kind and dtype first.
 
-    Raises a clear, actionable error for stores written by a newer (or
-    corrupted) format instead of failing deep inside array parsing.
+    Raises a clear, actionable error for stores written by a retired,
+    newer (or corrupted) format instead of failing deep inside array
+    parsing.
     """
     kind = meta.get("kind")
+    refuse_retired_kind(kind)
     if kind not in STORE_KINDS:
         raise ValueError(
             f"segment declares vector-store kind {kind!r} but this build "

@@ -449,7 +449,7 @@ def spill_cold(
         store.kind != "none",
         "dense stores keep the float32 corpus as the hot tier; an mmap "
         "cold tier requires a compressed backend "
-        "(float16/int8/pq) so graph traversal never touches the mapping",
+        "(int8/pq) so graph traversal never touches the mapping",
     )
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)

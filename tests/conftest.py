@@ -22,6 +22,14 @@ from repro.index.base import GraphIndex
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.scoring import rerank_exact
 from repro.sparse.hybrid import hybrid_union_rescore
+from repro.sparse.kernels import (
+    BM25_B,
+    BM25_K1,
+    SparseQueryLike,
+    as_sparse_query,
+    term_weights,
+)
+from repro.sparse.store import SparseStore
 from repro.utils.rng import make_rng
 
 
@@ -300,6 +308,104 @@ def heap_view_search(
     ids, sims = np.concatenate(ids), np.concatenate(sims)
     order = np.lexsort((ids, -sims))[:k_q]
     return SearchResult(ids[order], sims[order], SearchStats.aggregate(stats))
+
+
+# ----------------------------------------------------------------------
+# Lexical oracles: the same additions as the posting-list scatter
+# (repro.sparse.inverted), in the same order, structured differently
+# ----------------------------------------------------------------------
+def sparse_scores_bruteforce(
+    store: SparseStore, query: SparseQueryLike
+) -> np.ndarray:
+    """Per-term scan: for each query term (ascending) a full ``(n,)``
+    contribution array — zero except at the term's posting rows — is
+    added to the accumulator.  O(n · query terms); the explicit ``+0.0``
+    at untouched rows cannot change a non-negative float64 sum, so the
+    answer is the scatter's bits."""
+    query = as_sparse_query(query)
+    out = np.zeros(store.n, dtype=np.float64)
+    terms, weights = term_weights(store, query)
+    if terms.size == 0 or store.n == 0:
+        return out
+    csc = store.postings()
+    dl = store.row_lengths()
+    bm25 = store.metric == "bm25"
+    if bm25:
+        norm_full = BM25_K1 * (1.0 - BM25_B + BM25_B * (dl / store.stats.avgdl))
+    for t, w_t in zip(terms, weights):
+        start, end = csc.indptr[t], csc.indptr[t + 1]
+        rows = csc.indices[start:end]
+        contrib = np.zeros(store.n, dtype=np.float64)
+        if rows.size:
+            tf = csc.data[start:end].astype(np.float64)
+            if bm25:
+                norm = norm_full[rows]
+                contrib[rows] = w_t * ((tf * (BM25_K1 + 1.0)) / (tf + norm))
+            else:
+                contrib[rows] = w_t * tf
+        out += contrib
+    return out
+
+
+def sparse_scores_reference(
+    store: SparseStore, query: SparseQueryLike
+) -> np.ndarray:
+    """Per-document loop over each document's own CSR row with plain
+    Python floats — no postings, no vectorisation — so a bug shared by
+    the scatter and the per-term scan cannot hide."""
+    query = as_sparse_query(query)
+    out = np.zeros(store.n, dtype=np.float64)
+    terms, weights = term_weights(store, query)
+    if terms.size == 0:
+        return out
+    csr = store.csr
+    dl = store.row_lengths()
+    avgdl = store.stats.avgdl
+    weight_of = {int(t): float(w) for t, w in zip(terms, weights)}
+    for j in range(store.n):
+        start, end = csr.indptr[j], csr.indptr[j + 1]
+        tf_of = {
+            int(t): float(v)
+            for t, v in zip(csr.indices[start:end], csr.data[start:end])
+        }
+        score = 0.0
+        for t in terms:  # ascending — the pinned summation order
+            tf = tf_of.get(int(t))
+            if tf is None:
+                continue
+            if store.metric == "bm25":
+                norm = BM25_K1 * (1.0 - BM25_B + BM25_B * (dl[j] / avgdl))
+                score += weight_of[int(t)] * (
+                    (tf * (BM25_K1 + 1.0)) / (tf + norm)
+                )
+            else:
+                score += weight_of[int(t)] * tf
+        out[j] = score
+    return out
+
+
+def oracle_scores_inverted(
+    store: SparseStore, query: SparseQueryLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop-in for ``sparse_scores_inverted``: the per-term scan's
+    scores, with every row reported touched, so ``sparse_topk`` ranks
+    all admissible rows instead of taking its untouched-rows shortcut."""
+    return (
+        sparse_scores_bruteforce(store, query),
+        np.arange(store.n, dtype=np.int64),
+    )
+
+
+def on_sparse_oracle(run, monkeypatch):
+    """``run()`` with the lexical oracle in place of the posting-list
+    scatter wherever a hybrid answer reads it (``repro.sparse.hybrid``).
+    A shard worker forked inside *run* inherits the patch; a spawned
+    one does not."""
+    import repro.sparse.hybrid as hybrid
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hybrid, "sparse_scores_inverted", oracle_scores_inverted)
+        return run()
 
 
 @pytest.fixture(scope="session")

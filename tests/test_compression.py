@@ -337,6 +337,19 @@ class TestManifestFormat:
         with pytest.raises(ValueError, match="newer library version"):
             SegmentedIndex.load(path)
 
+    def test_float16_manifest_is_refused(self, objects, tmp_path):
+        """An index saved with the removed float16 store fails on load
+        with the re-save instructions, before any segment is read."""
+        import json
+
+        path = self._saved(objects, tmp_path, compression="int8")
+        mf = path / "manifest.json"
+        manifest = json.loads(mf.read_text())
+        manifest["compression"] = "float16"
+        mf.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="'float16' was removed"):
+            SegmentedIndex.load(path)
+
     def test_v1_manifest_still_loads(self, objects, tmp_path):
         """Archives written before the store layer carry the v1 format
         string and no store metadata — they load as dense float32."""

@@ -5,7 +5,7 @@ The contract under test, per path:
 * **exact** — filtered results are **bit-identical** to the brute-force
   post-filter oracle (score everything unfiltered, drop inadmissible
   rows, cut to k): ids *and* similarities, across every vector-store
-  backend (dense / float16 / int8 / PQ), flat and segmented layouts,
+  backend (dense / int8 / PQ), flat and segmented layouts,
   and through :class:`MustService` while writer threads churn the
   index;
 * **segmented exact** additionally equals an unfiltered deterministic
@@ -299,7 +299,7 @@ class TestGraphFiltering:
             total += ids.size
         assert hits / total >= 0.9, f"filtered graph recall {hits / total}"
 
-    @pytest.mark.parametrize("kind", ["float16", "int8", "pq"])
+    @pytest.mark.parametrize("kind", ["int8", "pq"])
     def test_compressed_graph_stays_admissible(self, queries, kind):
         must = _flat_must(kind)
         admissible = _admissible_by_ext_id(must)

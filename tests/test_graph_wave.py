@@ -140,7 +140,7 @@ class TestCompressedParity:
         assert _recall(wave, truth) >= _recall(oracle, truth) - EPS
 
 
-@pytest.mark.parametrize("kind", ["pq", "int8", "float16", "none"])
+@pytest.mark.parametrize("kind", ["pq", "int8", "none"])
 class TestStackedKernels:
     """Every row off the concat fast path — all of a compressed store's,
     a dense store's zero-weight-fallback and Lemma-4 rows — is scored by
@@ -288,7 +288,7 @@ class TestStackedRows:
             Query(vecs[5], weights=Weights([0.2, 0.0, 0.8])),  # 2, 0
         ]
 
-    @pytest.mark.parametrize("kind", ["none", "float16", "int8", "pq"])
+    @pytest.mark.parametrize("kind", ["none", "int8", "pq"])
     def test_lemma4_rows_scan_their_own_order(self, corpus, lemma4_batch, kind):
         must = MUST(
             corpus, weights=Weights([0.5, 0.3, 0.2]), compression=kind

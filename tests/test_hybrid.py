@@ -2,12 +2,13 @@
 
 What must hold, per the subsystem's acceptance gates:
 
-* **engine parity** — the inverted posting-list engine answers
-  bit-identically (ids *and* similarities) to the brute-force CSR
-  oracle on every deployment surface: flat and segmented layouts,
-  batches of one and four queries, graph and exact plans, through
-  :class:`MustService` and :class:`ShardedService`, and while
-  insert/delete/compact churn the corpus;
+* **oracle parity** — the posting-list scorer answers bit-identically
+  (ids *and* similarities) to a run with the brute-force per-term scan
+  patched in (``tests/conftest.py::on_sparse_oracle``) on every
+  deployment surface: flat and segmented layouts, batches of one and
+  four queries, graph and exact plans, through :class:`MustService`
+  and :class:`ShardedService`, and while insert/delete/compact churn
+  the corpus;
 * **layout independence** — the exact hybrid answer is bitwise equal
   between a flat build and a segmented build of the same corpus
   (integer term frequencies make the summed statistics exact in
@@ -47,7 +48,7 @@ from repro.index.segments import MANIFEST_NAME, SegmentPolicy
 from repro.service import MustService, ServiceConfig, ShardedService
 from repro.sparse.synthetic import synthetic_hybrid
 
-from tests.conftest import heap_search, heap_view_search
+from tests.conftest import heap_search, heap_view_search, on_sparse_oracle
 
 pytest.importorskip("scipy.sparse")
 
@@ -113,12 +114,21 @@ def assert_same(got, oracle) -> None:
     np.testing.assert_array_equal(got.similarities, oracle.similarities)
 
 
-def assert_engine_parity(search, queries, **plan) -> None:
-    """``search(queries, options)`` answers identically on both engines."""
-    inv = search(queries, SearchOptions(sparse_engine="inverted", **plan))
-    ora = search(queries, SearchOptions(sparse_engine="exact", **plan))
-    for got, oracle in zip(inv, ora):
-        assert_same(got, oracle)
+def assert_oracle_parity(
+    search, queries, monkeypatch, reference=None, **plan
+) -> None:
+    """``search(queries, options)`` answers as the same plan does
+    through *reference* (default: *search* itself) with the lexical
+    oracle patched in.  The served surface passes the in-process
+    ``MUST.query`` of the same corpus as *reference*."""
+    options = SearchOptions(**plan)
+    got = search(queries, options)
+    oracle = on_sparse_oracle(
+        lambda: (reference or search)(queries, options), monkeypatch
+    )
+    assert len(got) == len(oracle)
+    for g, o in zip(got, oracle):
+        assert_same(g, o)
 
 
 # ----------------------------------------------------------------------
@@ -143,13 +153,13 @@ def test_hybrid_recall_beats_dense_only(dataset, hybrid_queries):
 
 
 # ----------------------------------------------------------------------
-# Engine parity across layouts, plans, and batch sizes
+# Oracle parity across layouts, plans, and batch sizes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("layout", ["flat", "segmented"])
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("plan", ["graph", "exact"])
 def test_engine_parity_in_process(
-    dataset, hybrid_queries, layout, batch, plan
+    dataset, hybrid_queries, layout, batch, plan, monkeypatch
 ):
     must = (
         flat_must(dataset) if layout == "flat" else segmented_must(dataset)
@@ -159,23 +169,23 @@ def test_engine_parity_in_process(
         kwargs["exact"] = True
     else:
         kwargs["l"] = L
-    assert_engine_parity(must.query, hybrid_queries[:batch], **kwargs)
+    assert_oracle_parity(
+        must.query, hybrid_queries[:batch], monkeypatch, **kwargs
+    )
 
 
-def test_engine_parity_survives_churn(dataset, hybrid_queries):
+def test_engine_parity_survives_churn(dataset, hybrid_queries, monkeypatch):
     must = segmented_must(dataset, churn=False)
-    for stage, mutate in (
-        ("insert", lambda: must.insert(churn_chunk(seed=91))),
-        ("delete", lambda: must.mark_deleted(np.arange(0, 40, 3))),
-        ("compact", lambda: must.segments.compact()),
+    for mutate in (
+        lambda: must.insert(churn_chunk(seed=91)),
+        lambda: must.mark_deleted(np.arange(0, 40, 3)),
+        lambda: must.segments.compact(),
     ):
         mutate()
-        assert_engine_parity(
-            must.query, hybrid_queries, k=K, l=L
-        ), stage
-        assert_engine_parity(
-            must.query, hybrid_queries, k=K, exact=True
-        ), stage
+        for plan in (dict(l=L), dict(exact=True)):
+            assert_oracle_parity(
+                must.query, hybrid_queries, monkeypatch, k=K, **plan
+            )
 
 
 def test_flat_vs_segmented_exact_bitwise(dataset, hybrid_queries):
@@ -193,7 +203,9 @@ def test_flat_vs_segmented_exact_bitwise(dataset, hybrid_queries):
 # ----------------------------------------------------------------------
 # Serving surfaces
 # ----------------------------------------------------------------------
-def test_service_engine_parity_under_churn(dataset, hybrid_queries):
+def test_service_engine_parity_under_churn(
+    dataset, hybrid_queries, monkeypatch
+):
     with MustService(
         segmented_must(dataset, churn=False),
         ServiceConfig(max_batch=8, max_wait_ms=1.0),
@@ -201,34 +213,63 @@ def test_service_engine_parity_under_churn(dataset, hybrid_queries):
         def search(queries, options):
             return [svc.search(q, options) for q in queries]
 
-        assert_engine_parity(search, hybrid_queries, k=K, l=L)
+        def check(**plan):
+            assert_oracle_parity(
+                search, hybrid_queries, monkeypatch,
+                reference=svc.must.query, k=K, **plan,
+            )
+
+        check(l=L)
         ext = svc.insert(churn_chunk(seed=92))
         svc.mark_deleted(ext[:6])
-        assert_engine_parity(search, hybrid_queries, k=K, l=L)
+        check(l=L)
         svc.compact()
-        assert_engine_parity(search, hybrid_queries, k=K, l=L)
-        assert_engine_parity(search, hybrid_queries, k=K, exact=True)
+        check(l=L)
+        check(exact=True)
 
 
 @pytest.mark.parametrize("n_shards", [1, 2])
 def test_sharded_engine_parity_under_churn(
-    dataset, hybrid_queries, n_shards
+    dataset, hybrid_queries, n_shards, monkeypatch
 ):
-    svc = ShardedService(segmented_must(dataset), n_shards=n_shards)
-    try:
-        def search(queries, options):
-            return [svc.search(q, options=options) for q in queries]
+    """The workers score with the posting-list scatter; the reference
+    is a second tier that takes the same writes, its workers forked
+    while the lexical oracle is patched in, so they inherit it.  (An
+    in-process twin is no reference here: spawning drops the template's
+    tombstones, which then stop counting in the shards' document
+    frequencies at the next write, while an unsharded index counts
+    them until it compacts.)"""
+    def tier():
+        return ShardedService(
+            segmented_must(dataset), n_shards=n_shards, mp_start="fork"
+        )
 
-        assert_engine_parity(search, hybrid_queries, k=K, l=L)
-        assert_engine_parity(search, hybrid_queries, k=K, exact=True)
-        ext = svc.insert(churn_chunk(seed=93))
+    svc = tier()
+    oracle = on_sparse_oracle(tier, monkeypatch)
+    try:
+        def check(**plan):
+            options = SearchOptions(k=K, **plan)
+            for q in hybrid_queries:
+                assert_same(
+                    svc.search(q, options=options),
+                    oracle.search(q, options=options),
+                )
+
+        check(l=L)
+        check(exact=True)
+        chunk = churn_chunk(seed=93)
+        ext = svc.insert(chunk)
+        np.testing.assert_array_equal(oracle.insert(chunk), ext)
         svc.mark_deleted(ext[:6])
-        assert_engine_parity(search, hybrid_queries, k=K, l=L)
+        oracle.mark_deleted(ext[:6])
+        check(l=L)
         svc.compact()
-        assert_engine_parity(search, hybrid_queries, k=K, l=L)
-        assert_engine_parity(search, hybrid_queries, k=K, exact=True)
+        oracle.compact()
+        check(l=L)
+        check(exact=True)
     finally:
         svc.close()
+        oracle.close()
 
 
 # ----------------------------------------------------------------------
@@ -312,6 +353,9 @@ class TestRegistryValidation:
             SearchOptions(sparse_engine="invrted")
         with pytest.raises(ValueError, match="sparse engine"):
             SearchOptions(sparse_engine="wave")  # dense engine name
+        # the brute-force scan is a test oracle now, not an engine
+        with pytest.raises(ValueError, match="did you mean"):
+            SearchOptions(sparse_engine="exact")
 
     def test_sparse_metric_did_you_mean(self, dataset):
         from repro.sparse.store import SparseStore

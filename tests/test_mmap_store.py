@@ -48,7 +48,7 @@ CATEGORIES = np.array(["alpha", "beta", "gamma"])
 #: graph beyond candidate generation, and mmap pairs build twice.
 CHEAP_BUILDER = FusedIndexBuilder(gamma=8, epsilon=1, max_candidates=16)
 
-COMPRESSIONS = ["float16", "int8", "pq"]
+COMPRESSIONS = ["int8", "pq"]
 
 
 def _attributed_set(n: int, seed: int) -> MultiVectorSet:

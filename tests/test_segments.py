@@ -48,7 +48,7 @@ from repro.index.segments import (
 )
 from repro.sparse.hybrid import hybrid_union_rescore
 from repro.sparse.synthetic import synthetic_hybrid
-from repro.store import HalfStore, VectorStore, make_store
+from repro.store import ScalarQuantStore, VectorStore, make_store
 
 from tests.conftest import (
     heap_view_search,
@@ -943,7 +943,7 @@ class TestExactKernel:
                 )
 
 
-class _DecliningStore(HalfStore):
+class _DecliningStore(ScalarQuantStore):
     """A backend that proves nothing about its float32 wave."""
 
     batch_scores_bound = VectorStore.batch_scores_bound
@@ -951,17 +951,15 @@ class _DecliningStore(HalfStore):
 
 def _kernel_store(kind: str, mats: list[np.ndarray]) -> VectorStore:
     if kind == "declines":
-        half = HalfStore.from_matrices(mats)
-        return _DecliningStore(
-            [half.modality(i) for i in range(len(mats))], mats
-        )
+        quant = ScalarQuantStore.from_matrices(mats)
+        return _DecliningStore.from_arrays(quant.store_meta(), quant.to_arrays())
     options = {"pq_iters": 2} if kind == "pq" else {}
     return make_store(kind, mats, **options)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(
-    kind=st.sampled_from(["none", "float16", "int8", "pq", "declines"]),
+    kind=st.sampled_from(["none", "int8", "pq", "declines"]),
     dims=st.lists(st.integers(1, 256), min_size=1, max_size=3),
     exponent=st.floats(-3.0, 3.0),
     copies=st.integers(1, 6),

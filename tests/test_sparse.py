@@ -1,12 +1,12 @@
-"""Sparse lexical plane unit suite: kernels, store lifecycle, engines.
+"""Sparse lexical plane unit suite: kernels, store lifecycle, scorer.
 
-The load-bearing contract is **three-way bit parity**: the per-document
-reference loop (:func:`sparse_scores_reference`), the brute-force
-per-term scan (:func:`sparse_scores_bruteforce`) and the posting-list
-scatter engine (:func:`sparse_scores_inverted`) are deliberately
-structured differently, yet must produce bit-identical float64 score
-arrays — a bug shared by the two production paths cannot hide from the
-reference.  On top of that:
+The load-bearing contract is **three-way bit parity**: the posting-list
+scatter (:func:`sparse_scores_inverted`, the one scorer) and two
+oracles in ``tests/conftest.py`` — the per-document reference loop
+(:func:`sparse_scores_reference`) and the brute-force per-term scan
+(:func:`sparse_scores_bruteforce`) — are deliberately structured
+differently, yet must produce bit-identical float64 score arrays.  On
+top of that:
 
 * the store keeps rows in canonical CSR form, so scores are
   layout-independent — splitting the corpus into planes (with the
@@ -17,7 +17,7 @@ reference.  On top of that:
   and stamped statistics exactly;
 * degenerate inputs — empty vocabularies, all-zero rows, empty
   corpora, filters that eliminate every candidate — return empty (or
-  all-zero) results instead of crashing, on **both** engines.
+  all-zero) results instead of crashing, on the scorer and the oracle.
 """
 
 from __future__ import annotations
@@ -34,23 +34,20 @@ from repro.core.multivector import (
 from repro.core.query import Eq, Query, SearchOptions
 from repro.core.registry import (
     dense_score_rows,
-    resolve_engine,
     resolve_metric,
     validate_metrics,
 )
 from repro.core.weights import Weights
-from repro.sparse.inverted import (
-    sparse_scores,
-    sparse_scores_inverted,
-    sparse_topk,
-)
-from repro.sparse.kernels import (
-    SparseQuery,
-    as_sparse_query,
+from repro.sparse.inverted import sparse_scores_inverted, sparse_topk
+from repro.sparse.kernels import SparseQuery, as_sparse_query
+from repro.sparse.store import SparseStats, SparseStore, sum_stats
+
+from tests.conftest import (
+    on_sparse_oracle,
+    oracle_scores_inverted,
     sparse_scores_bruteforce,
     sparse_scores_reference,
 )
-from repro.sparse.store import SparseStats, SparseStore, sum_stats
 
 sp = pytest.importorskip("scipy.sparse")
 
@@ -131,16 +128,39 @@ class TestKernelParity:
         assert np.all(np.diff(touched) > 0)  # sorted unique
 
     @pytest.mark.parametrize("metric", METRICS)
-    def test_engine_selector_same_bits(self, metric):
-        store = random_store(metric=metric, seed=4)
-        query = random_sparse_query(store.vocab, seed=5)
-        auto = sparse_scores(store, query, "auto")
-        inv = sparse_scores(store, query, "inverted")
-        exact = sparse_scores(store, query, "exact")
-        np.testing.assert_array_equal(auto, inv)
-        np.testing.assert_array_equal(inv, exact)
-        with pytest.raises(ValueError, match="unknown sparse engine"):
-            sparse_scores(store, query, "bogus")
+    def test_engine_selector_same_bits(self, metric, monkeypatch):
+        """Both ``sparse_engine`` names select the one scorer, and a
+        hybrid answer through it — exact and graph plans — is the one
+        the brute-force oracle gives."""
+        rng = np.random.default_rng(4)
+        n = 60
+        dense = normalize_rows(rng.standard_normal((n, 8)).astype(np.float32))
+        store = random_store(n=n, vocab=30, metric=metric, seed=4)
+        must = MUST(MultiVectorSet([dense], sparse=store)).build()
+        queries = [
+            Query(
+                MultiVector.from_arrays([dense[i]]),
+                sparse=random_sparse_query(30, seed=5 + i),
+            )
+            for i in range(4)
+        ]
+        for exact in (True, False):
+            runs = [
+                must.query(queries, SearchOptions(
+                    k=5, l=20, exact=exact, sparse_engine=name
+                ))
+                for name in SearchOptions.VALID_SPARSE_ENGINES
+            ]
+            runs.append(on_sparse_oracle(
+                lambda: must.query(queries, SearchOptions(
+                    k=5, l=20, exact=exact
+                )),
+                monkeypatch,
+            ))
+            for got in runs[1:]:
+                for g, want in zip(got, runs[0]):
+                    np.testing.assert_array_equal(g.ids, want.ids)
+                    assert g.similarities.tobytes() == want.similarities.tobytes()
 
     def test_out_of_vocabulary_terms_drop(self):
         store = random_store(seed=6)
@@ -161,10 +181,10 @@ class TestKernelParity:
         store = random_store(n=60, seed=8)
         query = random_sparse_query(store.vocab, seed=9, terms=3)
         scores, touched = sparse_scores_inverted(store, query)
-        full_ids, full_scores = sparse_topk(scores, k)
-        fast_ids, fast_scores = sparse_topk(scores, k, touched=touched)
+        full_ids = np.lexsort((np.arange(store.n), -scores))[:k]
+        fast_ids, fast_scores = sparse_topk(scores, k, None, touched)
         np.testing.assert_array_equal(full_ids, fast_ids)
-        np.testing.assert_array_equal(full_scores, fast_scores)
+        np.testing.assert_array_equal(scores[full_ids], fast_scores)
 
     def test_topk_admissible_mask(self):
         store = random_store(n=50, seed=10)
@@ -172,7 +192,8 @@ class TestKernelParity:
         scores, touched = sparse_scores_inverted(store, query)
         admissible = np.zeros(store.n, dtype=bool)
         admissible[::2] = True
-        full_ids, _ = sparse_topk(scores, 8, admissible)
+        rows = np.flatnonzero(admissible)
+        full_ids = rows[np.lexsort((rows, -scores[rows]))[:8]]
         fast_ids, _ = sparse_topk(scores, 8, admissible, touched)
         np.testing.assert_array_equal(full_ids, fast_ids)
         assert np.all(full_ids % 2 == 0)
@@ -311,43 +332,48 @@ class TestStoreLifecycle:
 # ----------------------------------------------------------------------
 # Degenerate corpora (satellite: must return empty, never crash)
 # ----------------------------------------------------------------------
+#: the lexical scorer each edge case runs on: the posting-list scatter,
+#: or the brute-force oracle reporting every row touched.
+SCORERS = {"inverted": sparse_scores_inverted, "exact": oracle_scores_inverted}
+
+
 class TestEdgeCases:
-    @pytest.mark.parametrize("engine", ["inverted", "exact"])
-    def test_empty_vocabulary_corpus(self, engine):
+    @pytest.mark.parametrize("scorer", sorted(SCORERS))
+    def test_empty_vocabulary_corpus(self, scorer):
         store = SparseStore(sp.csr_matrix((5, 0), dtype=np.float32))
         query = as_sparse_query(([3], [1.0]))  # out-of-vocab by definition
-        scores = sparse_scores(store, query, engine)
+        scores, touched = SCORERS[scorer](store, query)
         assert np.all(scores == 0.0)
-        ids, top = sparse_topk(scores, 3)
+        ids, top = sparse_topk(scores, 3, None, touched)
         np.testing.assert_array_equal(ids, [0, 1, 2])  # zero-tie → asc id
         assert np.all(top == 0.0)
 
-    @pytest.mark.parametrize("engine", ["inverted", "exact"])
-    def test_all_zero_rows(self, engine):
+    @pytest.mark.parametrize("scorer", sorted(SCORERS))
+    def test_all_zero_rows(self, scorer):
         store = SparseStore.from_rows([{}, {}, {2: 1.0}, {}], vocab=4)
         assert store.nnz == 1
         query = as_sparse_query({2: 1.0})
-        scores = sparse_scores(store, query, engine)
+        scores, touched = SCORERS[scorer](store, query)
         assert scores[2] > 0.0
         assert np.all(scores[[0, 1, 3]] == 0.0)
-        _, touched = sparse_scores_inverted(store, query)
-        np.testing.assert_array_equal(touched, [2])
-        ids, _ = sparse_topk(scores, 3, touched=touched)
+        if scorer == "inverted":
+            np.testing.assert_array_equal(touched, [2])
+        ids, _ = sparse_topk(scores, 3, None, touched)
         np.testing.assert_array_equal(ids, [2, 0, 1])  # zero back-fill asc
 
-    @pytest.mark.parametrize("engine", ["inverted", "exact"])
-    def test_empty_corpus(self, engine):
+    @pytest.mark.parametrize("scorer", sorted(SCORERS))
+    def test_empty_corpus(self, scorer):
         store = SparseStore.empty(vocab=8)
         query = random_sparse_query(8, seed=26)
-        scores = sparse_scores(store, query, engine)
+        scores, touched = SCORERS[scorer](store, query)
         assert scores.shape == (0,)
-        ids, top = sparse_topk(scores, 5)
+        ids, top = sparse_topk(scores, 5, None, touched)
         assert ids.size == 0 and top.size == 0
 
-    @pytest.mark.parametrize("engine", ["inverted", "exact"])
-    def test_empty_query(self, engine):
+    @pytest.mark.parametrize("scorer", sorted(SCORERS))
+    def test_empty_query(self, scorer):
         store = random_store(seed=27)
-        scores = sparse_scores(store, as_sparse_query({}), engine)
+        scores, _ = SCORERS[scorer](store, as_sparse_query({}))
         assert np.all(scores == 0.0)
 
     def test_topk_admissible_eliminates_everything(self):
@@ -355,16 +381,18 @@ class TestEdgeCases:
         query = random_sparse_query(store.vocab, seed=29)
         scores, touched = sparse_scores_inverted(store, query)
         nothing = np.zeros(store.n, dtype=bool)
-        for t in (None, touched):
+        for t in (np.arange(store.n), touched):
             ids, top = sparse_topk(scores, 5, nothing, t)
             assert ids.size == 0 and top.size == 0
 
-    @pytest.mark.parametrize("engine", ["inverted", "exact"])
+    @pytest.mark.parametrize("scorer", sorted(SCORERS))
     @pytest.mark.parametrize("exact_plan", [False, True])
-    def test_filter_eliminates_every_candidate(self, engine, exact_plan):
+    def test_filter_eliminates_every_candidate(
+        self, scorer, exact_plan, monkeypatch
+    ):
         """End-to-end: a hybrid query whose filter admits nothing must
-        return an empty result — not crash — on both sparse engines and
-        both search plans."""
+        return an empty result — not crash — on the scorer and the
+        oracle, and on both search plans."""
         rng = np.random.default_rng(30)
         n = 40
         dense = normalize_rows(
@@ -380,18 +408,17 @@ class TestEdgeCases:
             sparse=random_sparse_query(16, seed=32),
             filter=Eq("category", "nope"),
         )
-        res = must.query(
-            query,
-            SearchOptions(
-                k=5, l=20, exact=exact_plan, sparse_engine=engine
-            ),
-        )
+        opts = SearchOptions(k=5, l=20, exact=exact_plan)
+        if scorer == "inverted":
+            res = must.query(query, opts)
+        else:
+            res = on_sparse_oracle(lambda: must.query(query, opts), monkeypatch)
         assert res.ids.size == 0
         assert res.similarities.size == 0
 
 
 # ----------------------------------------------------------------------
-# Registry (metric/engine tables + dense fallback kernels)
+# Registry (metric table + dense fallback kernels) and engine names
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_metric_did_you_mean(self):
@@ -407,9 +434,11 @@ class TestRegistry:
             resolve_metric("l2", kind="sparse")
 
     def test_engine_did_you_mean(self):
-        with pytest.raises(ValueError, match="inverted"):
-            resolve_engine("invrted", kind="sparse")
-        assert resolve_engine("inverted", kind="sparse").kind == "sparse"
+        with pytest.raises(ValueError, match="did you mean 'inverted'"):
+            SearchOptions(sparse_engine="invrted")
+        with pytest.raises(ValueError, match="did you mean 'wave'"):
+            SearchOptions(engine="wav")
+        assert SearchOptions(sparse_engine="inverted").sparse_engine == "inverted"
 
     def test_validate_metrics_count(self):
         assert validate_metrics(["ip", "cosine"], 2) == ("ip", "cosine")

@@ -9,8 +9,9 @@ the segmented index (its delta is a buffer), complete annotations on
 the modules ``pyproject.toml`` holds to ``disallow_untyped_defs`` — and
 nothing an exact answer could be tuned with: no safety-band or
 second-kernel parameter, no environment read in ``repro.core.space``,
-one ``exact*`` method on a view, one graph engine, one frontier scorer
-for the rows off its concat fast path, and every name the
+one ``exact*`` method on a view, one graph engine, one lexical scorer,
+no float16 store, one frontier scorer for the rows off its concat fast
+path, and every name the
 benchmark's tracer binds still where it looks.  The C kernel gets the
 checks a compiler would not make: every exported function declared to
 ctypes as the source defines it, and build flags that keep its float
@@ -223,6 +224,38 @@ def test_one_graph_engine():
         with pytest.raises(ValueError, match="did you mean|graph engine"):
             SearchOptions(engine=name)
     assert not hasattr(SegmentView, "search")
+
+
+def test_one_lexical_scorer_and_no_float16_store():
+    """The posting-list scatter is the one lexical scorer and float16
+    is no store kind: no signature under ``src/repro`` takes an engine
+    choice, the brute-force scan and the float16 store live nowhere in
+    the source, and ``SearchOptions`` keeps its nine fields, with
+    ``sparse_engine="exact"`` refused."""
+    from repro.store import STORE_KINDS
+
+    found = []
+    for path in MODULES:
+        source = path.read_text()
+        for name in ("sparse_scores_bruteforce", "sparse_scores_reference",
+                     "HalfStore"):
+            if name in source:
+                found.append(f"{path.relative_to(PACKAGE)} names {name}")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                spec = node.args
+                found += [
+                    f"{path.relative_to(PACKAGE)}:{node.lineno} {arg.arg}"
+                    for arg in spec.posonlyargs + spec.args + spec.kwonlyargs
+                    if arg.arg in ("engine", "sparse_engine")
+                ]
+    assert found == []
+    assert set(STORE_KINDS) == {"none", "int8", "pq"}
+    assert len(dataclasses.fields(SearchOptions)) == 9
+    with pytest.raises(ValueError, match="did you mean"):
+        SearchOptions(sparse_engine="exact")
 
 
 def test_one_frontier_scorer():

@@ -14,7 +14,6 @@ from repro.core.multivector import normalize_rows
 from repro.store import (
     STORE_KINDS,
     DenseStore,
-    HalfStore,
     PQStore,
     ScalarQuantStore,
     make_store,
@@ -27,7 +26,7 @@ N = 300
 
 #: worst-case |kernel − exact float32| inner-product error per backend on
 #: unit-norm data; dense is bit-exact, the rest bound their quantisation.
-SCORE_ATOL = {"none": 0.0, "float16": 2e-3, "int8": 0.05, "pq": 0.9}
+SCORE_ATOL = {"none": 0.0, "int8": 0.05, "pq": 0.9}
 
 
 def _matrices(seed: int = 3) -> list[np.ndarray]:
@@ -58,7 +57,6 @@ class TestStoreContract:
     def test_registry_covers_all_backends(self):
         assert STORE_KINDS == {
             "none": DenseStore,
-            "float16": HalfStore,
             "int8": ScalarQuantStore,
             "pq": PQStore,
         }
@@ -143,7 +141,6 @@ class TestCompressionRatios:
     def test_hot_bytes_shrink(self, mats):
         dense = sum(m.nbytes for m in mats)
         assert make_store("none", mats).hot_bytes() == dense
-        assert make_store("float16", mats).hot_bytes() * 2 == dense
         assert make_store("int8", mats).hot_bytes() * 3 < dense
 
     def test_pq_codebooks_amortise_with_scale(self):
@@ -249,6 +246,23 @@ class TestFormatValidation:
             store_from_arrays({"kind": "opq", "dtype": "uint8"}, {})
         with pytest.raises(ValueError, match="unknown vector-store kind"):
             make_store("opq", mats)
+
+    def test_removed_float16_kind_is_refused(self, mats):
+        """A float16 segment (the store is gone) is refused, naming the
+        removal and how to re-save — never read as a newer format."""
+        meta = {"kind": "float16", "dtype": "float16",
+                "num_modalities": 2, "keep_exact": True}
+        arrays = {}
+        for i, m in enumerate(mats):
+            arrays[f"half_{i}"] = m.astype(np.float16)
+            arrays[f"exact_{i}"] = m
+        with pytest.raises(ValueError) as info:
+            store_from_arrays(meta, arrays)
+        message = str(info.value)
+        assert "'float16' was removed in this version" in message
+        assert "previous version" in message
+        assert 'compression="int8" or "none"' in message
+        assert "newer" not in message
 
     def test_dtype_mismatch_is_actionable(self, mats):
         store = make_store("int8", mats)

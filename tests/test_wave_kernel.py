@@ -164,7 +164,7 @@ def queries():
     return _queries()
 
 
-@pytest.fixture(scope="module", params=["none", "float16", "int8", "pq"])
+@pytest.fixture(scope="module", params=["none", "int8", "pq"])
 def index(request, objects):
     must = MUST(objects, weights=Weights([0.6, 0.4]), compression=request.param)
     return must.build().index
