@@ -99,19 +99,6 @@ def main() -> None:
         c = served.query(query, opts)
         assert np.array_equal(live.ids, c.ids)
         print("reloaded index answers bit-identically ✓")
-
-        # Sharded serving opens the cold tier read-only via mmap in
-        # every worker: the spawn ships only hot + attribute bytes
-        # through shared memory — O(hot), not O(corpus).
-        svc = served.serve_sharded(n_shards=2)
-        try:
-            d = svc.search(query, opts)
-            assert np.array_equal(live.ids, d.ids)
-            print(f"sharded spawn shipped {svc.spawn_shm_bytes} bytes of shm "
-                  f"(vs {served.memory_stats()['cold_bytes']} cold bytes "
-                  f"left on disk) ✓")
-        finally:
-            svc.close()
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
 

@@ -9,7 +9,7 @@ Ties the pieces together behind one object:
 * **Indexing** — :meth:`MUST.build` constructs the fused proximity graph
   (Algorithm 1) under the current weights and serves it through
   :func:`~repro.index.segments.seal_index`, the one seal path a segment
-  seal, a compaction and a shard worker take too; the store options
+  seal and a compaction take too; the store options
   are validated by the segmented index's own
   :func:`~repro.index.segments.check_storage`.
 * **Searching** — :meth:`MUST.query` runs the joint search
@@ -392,27 +392,6 @@ class MUST:
         from repro.service.collections import CollectionManager
 
         return CollectionManager.of(self).serve(config, **config_kwargs)
-
-    def serve_sharded(
-        self, n_shards: int = 2, config=None, **kwargs
-    ):
-        """Wrap this built instance in the process-sharded serving tier.
-
-        Returns a started :class:`~repro.service.ShardedService`: the
-        corpus is partitioned by external id across ``n_shards`` worker
-        processes (vector planes shared at spawn, never pickled on the
-        hot path), each coalesced wave scatters to every shard, and the
-        gathered exact answers merge bit-identically to this instance's
-        own :meth:`query`.  ``config`` / extra keyword arguments are
-        the same :class:`~repro.service.ServiceConfig` fields as
-        :meth:`serve`; ``worker_timeout_s`` / ``mp_start`` pass through
-        to the sharded constructor.
-        """
-        from repro.service.collections import CollectionManager
-
-        return CollectionManager.of(self).serve_sharded(
-            n_shards, config, **kwargs
-        )
 
     # ------------------------------------------------------------------
     # Dynamic updates (paper §IX, segmented subsystem)

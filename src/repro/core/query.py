@@ -1,8 +1,8 @@
 """Typed request surface: queries, search options, and attribute filters.
 
 Every search surface in the library — :meth:`MUST.query`,
-:meth:`IndexSnapshot.query`, :class:`~repro.service.MustService` and the
-shard workers — takes the same three frozen dataclasses, and
+:meth:`IndexSnapshot.query` and :class:`~repro.service.MustService` —
+takes the same three frozen dataclasses, and
 :func:`repro.index.executor.execute` is the one place a plan is
 interpreted:
 
@@ -439,7 +439,3 @@ class SearchOptions:
         if clamped == self.l:
             return self
         return replace(self, l=clamped)
-
-    def updated(self, **changes: Any) -> "SearchOptions":
-        """A copy with *changes* applied (re-validated)."""
-        return replace(self, **changes)

@@ -2,9 +2,9 @@
 
 :func:`execute` is the only place a
 :class:`~repro.core.query.SearchOptions` plan is interpreted.  Every
-search surface — :meth:`MUST.query`, :meth:`IndexSnapshot.query`, the
-serving dispatcher's coalesced-wave and containment-retry paths, and
-the shard workers — hands it a *target* (a
+search surface — :meth:`MUST.query`, :meth:`IndexSnapshot.query` and
+the serving dispatcher's coalesced-wave and containment-retry paths —
+hands it a *target* (a
 :class:`~repro.index.segments.SegmentView`, or a :class:`GraphTarget`
 for a single fused graph), typed queries and the plan, and it makes the
 four decisions once: the ``l >= k`` plan check, the
@@ -250,9 +250,9 @@ def execute(
     (``"auto"`` and ``"wave"`` both mean it).  *queries* is by default
     **a batch**, whose wave-level ``waves``/``frontier_sizes`` trace
     lands on the batch stats only.  ``independent=True`` is
-    **independent requests** that merely share a plan — a lone query, a
-    coalesced serving group, a shard's slice of one: every result also
-    carries the trace, so an answer reads the same alone or coalesced.
+    **independent requests** that merely share a plan — a lone query or
+    a coalesced serving group: every result also carries the trace, so
+    an answer reads the same alone or coalesced.
     The flag picks a stats layout, never an answer: a query's ids,
     similarities and work counters are the same bits either way.
 

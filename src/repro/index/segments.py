@@ -29,11 +29,11 @@ segmented index, the architecture streaming vector stores use:
 How live rows become a served segment is decided here once, for every
 caller.  :func:`live_rows` is the one walk — the surviving external ids
 in ascending order, each segment's alive rows, the merged attribute
-table and sparse plane — that compaction rebuilds over and shard spawn
-partitions.  :func:`seal_index` is the one seal path — re-seat on the
-configured store, then attach a given cold plane, spill under mmap, or
-stay resident — behind seal, compaction, ``MUST.build`` /
-``MUST.load_index`` and a shard worker's boot.
+table and sparse plane — that compaction rebuilds over.
+:func:`seal_index` is the one seal path — re-seat on the configured
+store, then attach a given cold plane, spill under mmap, or stay
+resident — behind seal, compaction, ``MUST.build`` and
+``MUST.load_index``.
 
 All cross-segment searching lives in :class:`SegmentView`, a fixed
 list of segments: :meth:`SegmentedIndex.view` is a live view, and
@@ -350,20 +350,6 @@ def check_storage(
         )
 
 
-def _explicit_ids(ext_ids: np.ndarray, n: int, rows: str) -> np.ndarray:
-    """Caller-assigned external ids, one per row: unique, non-negative."""
-    ids = np.asarray(ext_ids, dtype=np.int64)
-    require(
-        ids.ndim == 1 and ids.size == n,
-        f"ext_ids must map every {rows} (got {ids.shape} for n={n})",
-    )
-    require(ids.size == 0 or int(ids.min()) >= 0,
-            "external ids must be non-negative")
-    require(np.unique(ids).size == ids.size,
-            "explicit ext_ids contain duplicates")
-    return ids
-
-
 def _cold_stem(data_dir: Path) -> str:
     """First unused sidecar stem ``seg_NNNNNN`` in *data_dir* — never
     the name of a file on disk: an older live index (or a frozen
@@ -390,10 +376,10 @@ def seal_index(
     representation changes.  :func:`reseat_on_store` encodes it on the
     configured store (``"none"`` keeps the store it has), whose cold
     exact tier is then settled: *plane* replaces it when given (the
-    sidecar files compaction just streamed, a shard's gather over the
-    parent's files); otherwise, with a *cold_dir* (``cold_storage=
-    "mmap"``), a resident tier spills to fresh sidecar files there,
-    leaving only the hot codes in RAM; otherwise it stays resident.
+    sidecar files compaction just streamed); otherwise, with a
+    *cold_dir* (``cold_storage="mmap"``), a resident tier spills to
+    fresh sidecar files there, leaving only the hot codes in RAM;
+    otherwise it stays resident.
     """
     index = reseat_on_store(index, compression, store_options)
     store = index.space.store
@@ -443,12 +429,11 @@ class LiveRows:
 def live_rows(segments: list[Segment]) -> LiveRows:
     """The one live-row walk: which rows survive, and in what order.
 
-    Compaction rebuilds over its answer and shard spawn partitions it (a
-    single graph is one segment with ids ``0..n-1``).  Each sparse plane
-    is stamped with its own statistics before its tombstones drop, so
-    the merged plane scores against the document frequencies its rows
-    were served with — a shard keeps the collection's; compaction then
-    restamps over the survivors.
+    Compaction rebuilds over its answer (a single graph is one segment
+    with ids ``0..n-1``).  Each sparse plane is stamped with its own
+    statistics before its tombstones drop, so the merged plane scores
+    against the document frequencies its rows were served with until
+    compaction restamps it over the survivors.
     """
     parts: list[tuple[Segment, np.ndarray]] = []
     ext_parts: list[np.ndarray] = []
@@ -793,12 +778,6 @@ class SegmentedIndex:
         self._next_ext = 0
         self.num_seals = 0
         self.num_compactions = 0
-        #: shard assignment ``(shard_index, shard_count)`` when this
-        #: index is one shard of a partitioned corpus (ids routed by
-        #: ``ext_id % shard_count``); ``None`` for a whole corpus.
-        #: Persisted in the manifest so a reloaded shard knows which
-        #: slice of the id space it owns.
-        self.shard: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -811,7 +790,6 @@ class SegmentedIndex:
         policy: SegmentPolicy | None = None,
         compression: str = "none",
         store_options: dict | None = None,
-        ext_ids: np.ndarray | None = None,
         cold_storage: str = "resident",
         data_dir: str | Path | None = None,
     ) -> "SegmentedIndex":
@@ -819,26 +797,18 @@ class SegmentedIndex:
 
         The index's space is taken as-is — if its vectors already sit in
         a compressed store (``MUST.build`` with ``compression=``), the
-        segment serves from those codes.  ``ext_ids`` maps graph rows to
-        explicit external ids (default ``0..n-1``) — a shard's rows keep
-        their *global* ids this way, so cross-shard merges and
-        id-routed writes stay coherent.  With ``cold_storage="mmap"``
-        the wrapped index's resident cold tier (if any) is spilled to
-        ``data_dir`` immediately.
+        segment serves from those codes, under external ids ``0..n-1``.
+        With ``cold_storage="mmap"`` the wrapped index's resident cold
+        tier (if any) is spilled to ``data_dir`` immediately.
         """
         seg = cls(index.space.weights, builder=builder, policy=policy,
                   compression=compression, store_options=store_options,
                   cold_storage=cold_storage, data_dir=data_dir)
-        ids = (
-            np.arange(index.n, dtype=np.int64)
-            if ext_ids is None
-            else _explicit_ids(ext_ids, index.n, "graph row")
-        )
         # Already on its store: the seal path only spills a resident
         # cold tier under mmap.
         index = seal_index(index, "none", cold_dir=seg._cold_dir)
-        seg.sealed.append(Segment(index, ids))
-        seg._next_ext = int(ids.max()) + 1 if ids.size else 0
+        seg.sealed.append(Segment(index, np.arange(index.n, dtype=np.int64)))
+        seg._next_ext = index.n
         return seg
 
     def _seal_rows(
@@ -848,10 +818,10 @@ class SegmentedIndex:
         deleted: np.ndarray | None = None,
         plane: ColdPlane | None = None,
     ) -> Segment:
-        """How rows become a served segment — at seal, at compaction and
-        at a shard's boot: the fused graph over *space*, its seed on a
-        live vertex, then :func:`seal_index` on the configured store
-        (with *plane* as its cold tier when given)."""
+        """How rows become a served segment — at seal and at compaction:
+        the fused graph over *space*, its seed on a live vertex, then
+        :func:`seal_index` on the configured store (with *plane* as its
+        cold tier when given)."""
         index = self.builder.build(space)
         if deleted is not None:
             index.deleted = deleted
@@ -962,23 +932,12 @@ class SegmentedIndex:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def insert(
-        self,
-        objects: MultiVectorSet | MultiVector,
-        ext_ids: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def insert(self, objects: MultiVectorSet | MultiVector) -> np.ndarray:
         """Stream objects into the delta segment; returns their external ids.
 
         May seal the delta and/or trigger a compaction on the way out,
-        per :attr:`policy`.
-
-        ``ext_ids`` assigns explicit external ids instead of drawing from
-        the monotone allocator — the sharding hook: a shard holds only
-        the objects whose *global* id it owns, so the front-end allocates
-        ids and each shard inserts under them.  Explicit ids must be
-        unique, non-negative, and absent from this index; the allocator
-        advances past the maximum so later allocator-assigned ids never
-        collide.
+        per :attr:`policy`.  Ids come from the monotone allocator, so
+        they never repeat.
         """
         if isinstance(objects, MultiVector):
             require(
@@ -1014,43 +973,30 @@ class SegmentedIndex:
                 f"{incoming_sp}) — attach rows via "
                 f"MultiVectorSet.set_sparse before insert",
             )
-        if ext_ids is None:
-            ext = np.arange(
-                self._next_ext, self._next_ext + objects.n, dtype=np.int64
-            )
-            self._next_ext += objects.n
-        else:
-            ext = _explicit_ids(ext_ids, objects.n, "inserted object")
-            require(
-                self.locate(ext)[0] == 0,
-                "explicit ext_ids collide with ids already in the index",
-            )
-            self._next_ext = max(self._next_ext, int(ext.max()) + 1)
+        ext = np.arange(
+            self._next_ext, self._next_ext + objects.n, dtype=np.int64
+        )
+        self._next_ext += objects.n
         self.delta.append(objects, ext)
         self._maybe_seal()
         self._maybe_compact()
         self._restamp_sparse()
         return ext
 
-    def mark_deleted(
-        self, ext_ids: np.ndarray, allow_empty: bool = False
-    ) -> None:
+    def mark_deleted(self, ext_ids: np.ndarray) -> None:
         """Soft-delete by external id (per-segment §IX bitsets).
 
         Unknown ids raise; re-deleting is idempotent.  Deleting the last
-        active object is rejected, mirroring the single-graph guard —
-        unless ``allow_empty=True``, which a *shard* of a partitioned
-        corpus needs: one shard may legitimately lose its last object
-        while the global corpus stays non-empty (the front-end enforces
-        the global guard).  Validation happens before any bitset is
-        touched, so a rejected call leaves the index unchanged.
+        active object is rejected, mirroring the single-graph guard.
+        Validation happens before any bitset is touched, so a rejected
+        call leaves the index unchanged.
         """
         ext_ids = np.unique(np.asarray(ext_ids, dtype=np.int64))
         # Count first, so both guards fire before any mutation.
         found, fresh_kills, hits = self.locate(ext_ids)
         require(found == ext_ids.size,
                 "unknown external ids in mark_deleted")
-        require(allow_empty or self.num_active - fresh_kills > 0,
+        require(self.num_active - fresh_kills > 0,
                 "cannot delete every object")
         for seg, local in hits:
             if seg.kind == "delta":
@@ -1065,8 +1011,7 @@ class SegmentedIndex:
         """The delete census of unique *ext_ids*: ``(found, fresh,
         hits)`` — how many this index holds, how many of those are still
         live, and each holding segment (the delta included) with its
-        local rows.  A shard answers the front-end's global guards from
-        the same count."""
+        local rows."""
         found = fresh = 0
         hits = []
         for seg in self.searchable_segments():
@@ -1115,35 +1060,25 @@ class SegmentedIndex:
         Under ``cold_storage="mmap"`` the merged cold tier is streamed
         segment-at-a-time into freshly pre-sized ``.npy`` files —
         peak extra RAM is one segment's live rows, not the corpus —
-        and the replaced segments' sidecar files are unlinked.
-
-        Every object may be dead (possible only via ``allow_empty``
-        shard deletes): then no segment is left.  The index stays
-        usable — searches over zero segments answer empty, inserts
-        restart it."""
-        segs = self.searchable_segments()
-        if not segs:
+        and the replaced segments' sidecar files are unlinked."""
+        if self.num_active == 0:
             return np.zeros(0, dtype=np.int64)
+        segs = self.searchable_segments()
         start = time.perf_counter()
         old_planes = [seg.space.vectors.store.cold_plane for seg in segs]
         live = live_rows(segs)
-        merged: list[Segment] = []
-        paths: list[Path] = []
-        if live.parts:
-            mats, paths = self._merge_cold(live)
-            objects = MultiVectorSet(
-                mats, attributes=live.attributes, sparse=live.sparse
+        mats, paths = self._merge_cold(live)
+        objects = MultiVectorSet(
+            mats, attributes=live.attributes, sparse=live.sparse
+        )
+        # The hot tier trains on the merged matrices; under mmap the
+        # files just written are the cold plane — no second spill.
+        self.sealed = [
+            self._seal_rows(
+                JointSpace(objects, self.weights), live.ext_ids,
+                plane=MmapPlane(paths) if paths else None,
             )
-            # The hot tier trains on the merged matrices; under mmap
-            # the files just written are the cold plane — no second
-            # spill.
-            merged = [
-                self._seal_rows(
-                    JointSpace(objects, self.weights), live.ext_ids,
-                    plane=MmapPlane(paths) if paths else None,
-                )
-            ]
-        self.sealed = merged
+        ]
         self.delta = _DeltaSegment(self.weights)
         self.num_compactions += 1
         if self._cold_dir is not None:
@@ -1215,9 +1150,7 @@ class SegmentedIndex:
         Covers every *stored* row, tombstones included: soft-deleted
         rows keep shaping the document frequencies until a compaction
         physically drops them, matching the single-plane convention.
-        ``None`` when the corpus carries no sparse plane.  The sharded
-        front-end sums these across shards to build the global stats it
-        broadcasts back.
+        ``None`` when the corpus carries no sparse plane.
         """
         planes = [seg.space.vectors.sparse for seg in self.sealed]
         if self.delta.n:
@@ -1225,7 +1158,7 @@ class SegmentedIndex:
         parts = [plane.local_stats() for plane in planes if plane is not None]
         return sum_stats(parts) if parts else None
 
-    def _restamp_sparse(self, stats: SparseStats | None = None) -> None:
+    def _restamp_sparse(self) -> None:
         """Re-stamp every segment's sparse plane with corpus-global
         statistics — run after insert/seal/compact so BM25/TF-IDF scores
         are independent of how the corpus is split into segments.
@@ -1236,13 +1169,8 @@ class SegmentedIndex:
         space objects, so their answers cannot shift underneath them.
         The dense concat/float64 caches transplant onto the new space —
         restamping is metadata-only, no vector work is redone.
-
-        *stats* overrides the locally computed sum: a shard of a
-        partitioned corpus receives the cross-shard global sum from the
-        front-end this way.
         """
-        if stats is None:
-            stats = self.sparse_local_stats()
+        stats = self.sparse_local_stats()
         if stats is None:
             return
         for seg in self.sealed:
@@ -1344,11 +1272,6 @@ class SegmentedIndex:
             e.get("storage") == "mmap" for e in entries
         ):
             manifest["cold_storage"] = self.cold_storage
-        if self.shard is not None:
-            manifest["shard"] = {
-                "index": int(self.shard[0]),
-                "count": int(self.shard[1]),
-            }
         (path / MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=2) + "\n"
         )
@@ -1428,9 +1351,6 @@ class SegmentedIndex:
             data_dir=path if cold_storage == "mmap" else None,
         )
         seg_index._next_ext = int(manifest["next_ext_id"])
-        shard = manifest.get("shard")
-        if shard is not None:
-            seg_index.shard = (int(shard["index"]), int(shard["count"]))
         counters = manifest.get("counters", {})
         seg_index.num_seals = int(counters.get("seals", 0))
         seg_index.num_compactions = int(counters.get("compactions", 0))

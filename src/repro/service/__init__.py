@@ -5,10 +5,7 @@ many independent callers submit single queries, a dispatcher thread
 coalesces them into batched GEMM waves against immutable index
 snapshots, and writers stream inserts/deletes/compactions concurrently
 without ever locking the read path.  See
-:class:`~repro.service.service.MustService` for the full model,
-:class:`~repro.service.sharded.ShardedService` for the process-sharded
-tier that partitions the corpus across worker processes (shared-memory
-vector planes, scatter/gather waves, bit-identical exact merges), and
+:class:`~repro.service.service.MustService` for the full model and
 :class:`~repro.service.collections.CollectionManager` for hosting many
 named collections (workspaces) behind one service with per-tenant
 admission quotas.
@@ -28,7 +25,6 @@ from repro.service.service import (
     ServiceConfig,
     ServiceOverloaded,
 )
-from repro.service.sharded import ShardedService, ShardFailed
 from repro.service.snapshot import IndexSnapshot
 from repro.service.stats import ServiceStats
 
@@ -38,8 +34,6 @@ __all__ = [
     "ServiceClosed",
     "ServiceOverloaded",
     "CollectionOverloaded",
-    "ShardedService",
-    "ShardFailed",
     "IndexSnapshot",
     "ServiceStats",
     "Collection",

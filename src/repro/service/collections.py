@@ -7,8 +7,7 @@ layer: a registry of named :class:`Collection` workspaces, each wrapping
 its own built :class:`~repro.core.framework.MUST` (own segments, own
 :class:`~repro.core.attributes.AttributeTable`, own learned weights,
 own compression / cold-storage config), handed as one unit to
-:class:`~repro.service.MustService` or
-:class:`~repro.service.sharded.ShardedService`.
+:class:`~repro.service.MustService`.
 
 Isolation is structural, not advisory:
 
@@ -53,7 +52,6 @@ from repro.utils.validation import require
 if TYPE_CHECKING:
     from repro.core.framework import MUST
     from repro.service.service import MustService, ServiceConfig
-    from repro.service.sharded import ShardedService
     from repro.service.snapshot import IndexSnapshot
 
 __all__ = [
@@ -182,15 +180,12 @@ class CollectionManager:
     Construct empty and :meth:`create` collections, or lift a bare
     ``MUST`` with :meth:`of` (it becomes the ``"default"`` collection —
     which is why every pre-existing single-tenant call keeps working).
-    Hand the manager to :class:`~repro.service.MustService` /
-    :class:`~repro.service.sharded.ShardedService` (or call
-    :meth:`serve` / :meth:`serve_sharded`) to serve every collection
-    behind one dispatcher.
+    Hand the manager to :class:`~repro.service.MustService` (or call
+    :meth:`serve`) to serve every collection behind one dispatcher.
 
     Management calls (:meth:`create` / :meth:`drop` / quota changes) are
     configuration-time operations: do them before handing the manager to
-    a service, not while it is running.  Iteration is sorted by name,
-    which is also the order shard workers build their slices in.
+    a service, not while it is running.  Iteration is sorted by name.
     """
 
     def __init__(self) -> None:
@@ -296,40 +291,6 @@ class CollectionManager:
                 "pass either a ServiceConfig or its fields, not both",
             )
         return MustService(self, config, start=start)
-
-    def serve_sharded(
-        self,
-        n_shards: int = 2,
-        config: "ServiceConfig | None" = None,
-        **kwargs: Any,
-    ) -> "ShardedService":
-        """Serve every collection across one set of shard processes.
-
-        ``config`` / extra keyword arguments are
-        :class:`~repro.service.ServiceConfig` fields;
-        ``worker_timeout_s`` / ``spawn_timeout_s`` / ``mp_start`` pass
-        through to the sharded constructor.  :meth:`MUST.serve_sharded`
-        is this call on the one-collection manager :meth:`of` lifts it
-        into.
-        """
-        from repro.service.service import ServiceConfig
-        from repro.service.sharded import ShardedService
-
-        passthrough = {
-            key: kwargs.pop(key)
-            for key in ("worker_timeout_s", "spawn_timeout_s", "mp_start")
-            if key in kwargs
-        }
-        if config is None:
-            config = ServiceConfig(**kwargs)
-        else:
-            require(
-                not kwargs,
-                "pass either a ServiceConfig or its fields, not both",
-            )
-        return ShardedService(
-            self, n_shards=n_shards, config=config, **passthrough
-        )
 
     # ------------------------------------------------------------------
     # Persistence — manifest of manifests (must-collections-v1)

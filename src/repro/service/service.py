@@ -433,11 +433,11 @@ class MustService:
         """
         return self.submit(query, options).result()
 
-    def snapshot(self, collection: str | None = None) -> IndexSnapshot | None:
+    def snapshot(self, collection: str | None = None) -> IndexSnapshot:
         """The snapshot serving a collection's next wave (lazy per epoch)."""
         return self._snapshot_of(self.collections.get(collection))
 
-    def _snapshot_of(self, collection: Collection) -> IndexSnapshot | None:
+    def _snapshot_of(self, collection: Collection) -> IndexSnapshot:
         with self._write_lock:
             if (
                 collection.snap is None
@@ -601,9 +601,7 @@ class MustService:
         for group in groups.values():
             self._run_group(snap, group)
 
-    def _run_group(
-        self, snap: IndexSnapshot | None, reqs: list[_Request]
-    ) -> None:
+    def _run_group(self, snap: IndexSnapshot, reqs: list[_Request]) -> None:
         """One :func:`~repro.index.executor.execute` call answers every
         request of the group, exact or graph.
 
@@ -612,9 +610,8 @@ class MustService:
         only amortises the prefilter GEMM or the lockstep traversal,
         never changes a result.
         """
-        view = self._require_snap(snap)
         try:
-            batch = view.graph_wave([r.query for r in reqs], reqs[0].options)
+            batch = snap.graph_wave([r.query for r in reqs], reqs[0].options)
         except Exception as exc:
             self._retry_alone(snap, reqs, exc)
             return
@@ -629,40 +626,13 @@ class MustService:
         for sink in (self.stats, reqs[0].collection.stats):
             sink.record_graph_wave(stats.waves, stats.frontier_sizes)
 
-    def _run_requests(
-        self, snap: IndexSnapshot | None, reqs: list[_Request]
-    ) -> None:
-        """The containment retry of a failed group: each request runs
-        alone over the shared snapshot (a graph request as a wave of
-        one), so it answers — or fails through its own future — exactly
-        as if dispatched alone."""
-        view = self._require_snap(snap)
-        for req in reqs:
-            try:
-                self._resolve(req, view.query(req.query, req.options))
-            except Exception as exc:  # propagate per request, not per wave
-                self._resolve(req, exc)
-
-    @staticmethod
-    def _require_snap(snap: IndexSnapshot | None) -> IndexSnapshot:
-        """Narrow the optional snapshot the executor signatures carry.
-
-        ``None`` only ever flows through :class:`ShardedService`, whose
-        group-runner overrides never call back into these.
-        """
-        if snap is None:  # pragma: no cover - in-process always captures
-            raise RuntimeError("in-process executors need a snapshot")
-        return snap
-
     def _retry_alone(
-        self,
-        snap: IndexSnapshot | None,
-        reqs: list[_Request],
-        error: Exception,
+        self, snap: IndexSnapshot, reqs: list[_Request], error: Exception
     ) -> None:
         """A coalesced group failed as a whole.  That may be one
         request's doing (a filter naming an unknown attribute, say), so
-        each is re-run on its own: only the offender's future errors and
+        each is re-run on its own over the shared snapshot (a graph
+        request as a wave of one): only the offender's future errors and
         its wave-mates still get answers — the per-request containment
         contract.  Counted and logged, because a group that keeps
         failing pays for every request twice."""
@@ -672,7 +642,11 @@ class MustService:
             "event=wave_retry kind=%s size=%d error=%r",
             "exact" if reqs[0].options.exact else "graph", len(reqs), error,
         )
-        self._run_requests(snap, reqs)
+        for req in reqs:
+            try:
+                self._resolve(req, snap.query(req.query, req.options))
+            except Exception as exc:  # propagate per request, not per wave
+                self._resolve(req, exc)
 
     def _resolve(self, req: _Request, outcome: object) -> None:
         """Deliver *outcome* through the request's future.

@@ -46,7 +46,6 @@ class ServiceStats:
 
     def __init__(self, latency_window: int = 10_000) -> None:
         self._lock = threading.Lock()
-        self._latency_window = latency_window
         self.submitted = 0
         self.completed = 0
         self.failed = 0
@@ -61,15 +60,6 @@ class ServiceStats:
         self.graph_waves: Counter[int] = Counter()
         self.wave_frontier_sizes: Counter[int] = Counter()
         self.wave_retries = 0
-        # Per-shard instruments (populated only by ShardedService): for
-        # each shard, round-trip latency percentiles of its scatter
-        # waves and a histogram of how many queries each wave carried —
-        # the numbers that expose a skewed partition or a straggler
-        # worker.  ``shards_lost`` counts workers declared dead.
-        self.shard_latency: dict[int, PercentileTracker] = {}
-        self.shard_wave_sizes: dict[int, Counter[int]] = {}
-        self.shard_waves: Counter[int] = Counter()
-        self.shards_lost = 0
 
     # ------------------------------------------------------------------
     # Recording (called by the service)
@@ -104,28 +94,6 @@ class ServiceStats:
     def record_wave_retry(self) -> None:
         with self._lock:
             self.wave_retries += 1
-
-    def record_shard_wave(
-        self, shard: int, seconds: float, size: int
-    ) -> None:
-        """One scatter round-trip to *shard*: latency and queries carried."""
-        with self._lock:
-            shard = int(shard)
-            self.shard_waves[shard] += 1
-            tracker = self.shard_latency.get(shard)
-            if tracker is None:
-                tracker = PercentileTracker(self._latency_window)
-                self.shard_latency[shard] = tracker
-            tracker.record(seconds)
-            sizes: Counter[int] | None = self.shard_wave_sizes.get(shard)
-            if sizes is None:
-                sizes = Counter()
-                self.shard_wave_sizes[shard] = sizes
-            sizes[int(size)] += 1
-
-    def record_shard_lost(self, shard: int) -> None:
-        with self._lock:
-            self.shards_lost += 1
 
     def record_wait(self, seconds: float) -> None:
         with self._lock:
@@ -174,19 +142,6 @@ class ServiceStats:
                 int(size): int(count)
                 for size, count in sorted(self.wave_frontier_sizes.items())
             }
-            shards = {
-                int(shard): {
-                    "waves": int(self.shard_waves[shard]),
-                    "latency_ms": self.shard_latency[shard].summary(scale=1e3),
-                    "wave_sizes": {
-                        int(size): int(count)
-                        for size, count in sorted(
-                            self.shard_wave_sizes.get(shard, Counter()).items()
-                        )
-                    },
-                }
-                for shard in sorted(self.shard_latency)
-            }
             return {
                 "submitted": self.submitted,
                 "completed": self.completed,
@@ -202,8 +157,6 @@ class ServiceStats:
                 "graph_waves": graph_waves,
                 "wave_frontier_sizes": wave_frontier_sizes,
                 "wave_retries": self.wave_retries,
-                "shards": shards,
-                "shards_lost": self.shards_lost,
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -7,7 +7,7 @@ metrics need.  It mirrors the :class:`~repro.store.VectorStore` seam
 everywhere persistence and lifecycle touch it:
 
 * ``subset`` / :meth:`SparseStore.concat` so the plane survives
-  segmented seal/compact and sharded row partitioning,
+  segmented seal/compact,
 * ``to_arrays`` / ``from_arrays`` codecs under the ``sparse__`` key
   prefix (the lexical analogue of the attribute table's ``attr__``),
   so it round-trips through ``.npz`` segment archives,
@@ -59,7 +59,7 @@ __all__ = [
     "sum_stats",
 ]
 
-#: npz / shared-memory key prefix for sparse-plane arrays (the lexical
+#: npz key prefix for sparse-plane arrays (the lexical
 #: sibling of :data:`repro.core.attributes.ATTRIBUTE_PREFIX`).
 SPARSE_PREFIX = "sparse__"
 
@@ -356,12 +356,12 @@ class SparseStore:
     # Persistence (npz codecs, ``sparse__`` prefix)
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Array payload for an ``.npz`` archive / shared-memory pack.
+        """Array payload for an ``.npz`` archive.
 
         The stamped statistics are serialised alongside the CSR triplet:
         a loaded plane must answer with the stats it was saved with, not
-        locally recomputed ones (a shard or a single reloaded segment
-        only sees part of the corpus).
+        locally recomputed ones (a single reloaded segment only sees
+        part of the corpus).
         """
         csr = self._csr
         stats = self.stats  # stamped, or local for a standalone plane

@@ -295,17 +295,6 @@ class VectorStore(abc.ABC):
         resident cold tiers emit ``exact_{i}`` entries.
         """
 
-    def hot_arrays(self) -> dict[str, np.ndarray]:
-        """The hot-tier subset of :meth:`to_arrays` (no ``exact_{i}``).
-
-        What a v3 (mmap) segment archive stores, and what a sharded
-        spawn ships through shared memory.
-        """
-        return {
-            k: v for k, v in self.to_arrays().items()
-            if not k.startswith("exact_")
-        }
-
     @classmethod
     @abc.abstractmethod
     def from_arrays(

@@ -16,10 +16,9 @@ pluggable:
     construction beyond the 128-byte header (validated eagerly so a
     truncated file fails loudly at load, not mid-query).
 ``GatherPlane``
-    a row-addressed view over several underlying planes — how a
-    :class:`~repro.service.sharded.ShardedService` worker serves its
-    shard's cold rows straight out of the parent's segment files
-    without ever receiving them through shared memory.
+    a row-addressed view over several underlying planes — what
+    ``MmapPlane.subset`` returns, so a row subset of a mapped tier is
+    read straight out of its files without copying them.
 
 Bit-identity contract: every plane returns the *same float32 bytes* the
 resident path would, so ``rerank_exact``/``query_ids_exact`` results
@@ -345,10 +344,8 @@ class GatherPlane(ColdPlane):
     """Row-addressed composite over several source planes.
 
     Row ``j`` of this plane is row ``row_of[j]`` of source plane
-    ``src_of[j]``.  A sharded worker uses one of these to read its
-    shard's cold rows straight out of the parent's per-segment mmap
-    files (plus an optional small resident source for rows that only
-    exist in the parent's in-RAM delta).
+    ``src_of[j]``.  :meth:`MmapPlane.subset` returns one over its own
+    files, so a subset reads the mapped rows in place.
     """
 
     __slots__ = ("_sources", "_src_of", "_row_of")

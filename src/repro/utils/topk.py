@@ -35,7 +35,7 @@ def merge_candidates(
     parts: list[tuple[np.ndarray, np.ndarray]], k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Global top-*k* ``(ids, sims)`` of several candidate lists whose
-    ids are disjoint (segments, shards), by :func:`rank_order`."""
+    ids are disjoint (segments), by :func:`rank_order`."""
     if not parts:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
     ids = np.concatenate([p[0] for p in parts])

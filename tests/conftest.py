@@ -398,9 +398,7 @@ def oracle_scores_inverted(
 
 def on_sparse_oracle(run, monkeypatch):
     """``run()`` with the lexical oracle in place of the posting-list
-    scatter wherever a hybrid answer reads it (``repro.sparse.hybrid``).
-    A shard worker forked inside *run* inherits the patch; a spawned
-    one does not."""
+    scatter wherever a hybrid answer reads it (``repro.sparse.hybrid``)."""
     import repro.sparse.hybrid as hybrid
 
     with monkeypatch.context() as patch:

@@ -39,7 +39,6 @@ from repro.service import (
     MustService,
     ServiceConfig,
     ServiceOverloaded,
-    ShardedService,
     UnknownCollection,
 )
 
@@ -47,8 +46,7 @@ from tests.conftest import random_multivector_set, random_query
 
 DIMS = (16, 8)
 WEIGHTS = Weights([0.4, 0.6])
-#: cheap graph build — the exact path never touches the graph, and the
-#: sharded tests rebuild per-shard graphs at every spawn.
+#: cheap graph build — the exact path never touches the graph.
 CHEAP_BUILDER = FusedIndexBuilder(gamma=8, epsilon=1, max_candidates=16)
 POLICY = SegmentPolicy(seal_size=64, max_segments=8, max_deleted_fraction=0.9)
 
@@ -312,82 +310,44 @@ class TestPerTenantAdmission:
 # Bit-parity under cross-tenant churn
 # ----------------------------------------------------------------------
 class TestParityUnderChurn:
-    @pytest.mark.parametrize("kind", ["must", "sharded"])
+    @pytest.mark.parametrize("kind", ["must"])
     def test_heterogeneous_collections_stay_bitwise(
         self, kind, tmp_path, queries
     ):
         """Dense, int8, and PQ+mmap collections served side by side:
-        every exact answer is bit-identical to the same-kind
-        *single-tenant* service over the same corpus — tenancy adds
-        zero perturbation — before and after interleaved cross-tenant
-        inserts, deletes, and compactions.  (For the in-process tier the
-        oracle is the standalone ``MUST`` itself, the stricter check;
-        for the sharded tier a resharded compressed store legitimately
-        retrains shard-local quantizers, so the oracle is a
-        single-collection ``ShardedService`` with the same layout.)"""
+        every exact answer is bit-identical to the standalone ``MUST``
+        over the same corpus — tenancy adds zero perturbation — before
+        and after interleaved cross-tenant inserts, deletes, and
+        compactions."""
         manager = _manager(tmp_path)
-        oracles: dict[str, object] = {}
-        if kind == "must":
-            svc = manager.serve(ServiceConfig(max_batch=8, max_wait_ms=1.0))
-            ask = lambda name, q: manager.get(name).must.query(q, EXACT)
-            ids_of = lambda name: (
-                manager.get(name).must.segments.active_ext_ids()
-            )
-        else:
-            svc = manager.serve_sharded(
-                n_shards=2, max_batch=8, max_wait_ms=1.0
-            )
-            oracles = {
-                name: manager.get(name).must.serve_sharded(n_shards=2)
-                for name in manager.names()
-            }
-            ask = lambda name, q: oracles[name].search(q, EXACT)
-            ids_of = lambda name: oracles[name].active_ids()
+        svc = manager.serve(ServiceConfig(max_batch=8, max_wait_ms=1.0))
         try:
-            def mutate(op, name, *args):
-                """Apply one write to the tenant and to its oracle."""
-                results = [getattr(svc, op)(*args, collection=name)]
-                if kind == "must":
-                    # svc writes through the shared MUST — the oracle
-                    # is already in sync.
-                    return results[0]
-                results.append(getattr(oracles[name], op)(*args))
-                return results
-
             def check():
                 for name in manager.names():
+                    must = manager.get(name).must
                     plan = SearchOptions(k=8, exact=True, collection=name)
                     for q in queries[:4]:
-                        assert_same_result(svc.search(q, plan), ask(name, q))
-                    assert np.array_equal(svc.active_ids(name), ids_of(name))
+                        assert_same_result(
+                            svc.search(q, plan), must.query(q, EXACT)
+                        )
+                    assert np.array_equal(
+                        svc.active_ids(name), must.segments.active_ext_ids()
+                    )
 
             check()
             # Insert into one tenant, delete in another, compact a third
-            # — each answer stays bitwise against its own oracle.
-            batch = random_multivector_set(20, DIMS, seed=777)
-            got = mutate("insert", "int8", batch)
-            ext = got if kind == "must" else got[0]
-            if kind == "sharded":
-                assert np.array_equal(got[0], got[1])
-            doomed = svc.active_ids("dense")[::9]
-            mutate("mark_deleted", "dense", doomed)
+            # — svc writes through the shared MUST, so each answer stays
+            # bitwise against its own collection's instance.
+            ext = svc.insert(
+                random_multivector_set(20, DIMS, seed=777), collection="int8"
+            )
+            svc.mark_deleted(svc.active_ids("dense")[::9], collection="dense")
             check()
-            mutate("compact", "pqmmap")
-            mutate("mark_deleted", "int8", ext[:5])
+            svc.compact(collection="pqmmap")
+            svc.mark_deleted(ext[:5], collection="int8")
             check()
-            if kind == "sharded":
-                # The dense store has no quantizer, so the stronger
-                # contract holds too: sharded answers equal the
-                # standalone segmented oracle bit for bit.
-                oracle = manager.get("dense").must
-                oracle.mark_deleted(doomed)
-                plan = SearchOptions(k=8, exact=True, collection="dense")
-                for q in queries[:4]:
-                    assert_same_result(svc.search(q, plan), oracle.query(q, EXACT))
         finally:
             svc.close()
-            for oracle_svc in oracles.values():
-                oracle_svc.close()
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,8 @@ What must hold, per the subsystem's acceptance gates:
   (ids *and* similarities) to a run with the brute-force per-term scan
   patched in (``tests/conftest.py::on_sparse_oracle``) on every
   deployment surface: flat and segmented layouts, batches of one and
-  four queries, graph and exact plans, through :class:`MustService`
-  and :class:`ShardedService`, and while insert/delete/compact churn
-  the corpus;
+  four queries, graph and exact plans, through :class:`MustService`,
+  and while insert/delete/compact churn the corpus;
 * **layout independence** — the exact hybrid answer is bitwise equal
   between a flat build and a segmented build of the same corpus
   (integer term frequencies make the summed statistics exact in
@@ -45,7 +44,7 @@ from repro.index.graph_wave import bookkeeping, graph_wave_search
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.search import joint_search
 from repro.index.segments import MANIFEST_NAME, SegmentPolicy
-from repro.service import MustService, ServiceConfig, ShardedService
+from repro.service import MustService, ServiceConfig
 from repro.sparse.synthetic import synthetic_hybrid
 
 from tests.conftest import heap_search, heap_view_search, on_sparse_oracle
@@ -228,48 +227,32 @@ def test_service_engine_parity_under_churn(
         check(exact=True)
 
 
-@pytest.mark.parametrize("n_shards", [1, 2])
-def test_sharded_engine_parity_under_churn(
-    dataset, hybrid_queries, n_shards, monkeypatch
+def test_service_parity_from_a_tombstoned_template(
+    dataset, hybrid_queries, monkeypatch
 ):
-    """The workers score with the posting-list scatter; the reference
-    is a second tier that takes the same writes, its workers forked
-    while the lexical oracle is patched in, so they inherit it.  (An
-    in-process twin is no reference here: spawning drops the template's
-    tombstones, which then stop counting in the shards' document
-    frequencies at the next write, while an unsharded index counts
-    them until it compacts.)"""
-    def tier():
-        return ShardedService(
-            segmented_must(dataset), n_shards=n_shards, mp_start="fork"
-        )
+    """Served from a template that already holds tombstones, both plans
+    answer as the in-process index with the lexical oracle patched in,
+    through insert → delete → compact: the deleted rows keep counting
+    in the document frequencies until the compaction drops them."""
+    with MustService(
+        segmented_must(dataset), ServiceConfig(max_batch=8, max_wait_ms=1.0)
+    ) as svc:
+        def search(queries, options):
+            return [svc.search(q, options) for q in queries]
 
-    svc = tier()
-    oracle = on_sparse_oracle(tier, monkeypatch)
-    try:
-        def check(**plan):
-            options = SearchOptions(k=K, **plan)
-            for q in hybrid_queries:
-                assert_same(
-                    svc.search(q, options=options),
-                    oracle.search(q, options=options),
+        def check():
+            for plan in (dict(l=L), dict(exact=True)):
+                assert_oracle_parity(
+                    search, hybrid_queries, monkeypatch,
+                    reference=svc.must.query, k=K, **plan,
                 )
 
-        check(l=L)
-        check(exact=True)
-        chunk = churn_chunk(seed=93)
-        ext = svc.insert(chunk)
-        np.testing.assert_array_equal(oracle.insert(chunk), ext)
+        check()
+        ext = svc.insert(churn_chunk(seed=93))
         svc.mark_deleted(ext[:6])
-        oracle.mark_deleted(ext[:6])
-        check(l=L)
+        check()
         svc.compact()
-        oracle.compact()
-        check(l=L)
-        check(exact=True)
-    finally:
-        svc.close()
-        oracle.close()
+        check()
 
 
 # ----------------------------------------------------------------------

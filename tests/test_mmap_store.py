@@ -10,7 +10,7 @@ out of RAM may change resident bytes and wall clock, never a result.
 Also covered here: ``memory_stats`` hot/cold/resident accounting, the
 manifest round-trip of mapped and resident saves, corpus-free serving via :meth:`MUST.from_saved`,
 actionable errors for truncated/missing cold files and corrupt segment
-archives, load atomicity, and the O(hot) sharded spawn protocol.
+archives and load atomicity.
 """
 
 from __future__ import annotations
@@ -26,19 +26,14 @@ from repro.core.multivector import MultiVector, MultiVectorSet
 from repro.core.query import Eq, Query, SearchOptions
 from repro.core.weights import Weights
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.segments import (
-    MANIFEST_NAME,
-    Segment,
-    SegmentPolicy,
-    live_rows,
-)
-from repro.service import ShardedService
+from repro.index.segments import MANIFEST_NAME, SegmentPolicy, live_rows
+from repro.sparse.store import sum_stats
 from repro.sparse.synthetic import synthetic_hybrid
 from repro.store import GatherPlane, MmapPlane, ResidentPlane, spill_cold
 from repro.store.base import make_store
 
 from tests.conftest import random_multivector_set, random_query
-from tests.test_hybrid import SHAPE as HYBRID_SHAPE
+from tests.test_hybrid import SHAPE as HYBRID_SHAPE, churn_chunk
 
 DIMS = (16, 8)
 WEIGHTS = Weights([0.4, 0.6])
@@ -163,90 +158,75 @@ class TestParity:
             svc_res.close()
             svc_map.close()
 
-    @pytest.mark.parametrize("max_batch", [1, 4])
-    @pytest.mark.parametrize("compression", COMPRESSIONS)
-    def test_sharded_parity(self, pair_of, queries, compression, max_batch):
-        """ShardedService answers match — one request per scatter or
-        four coalesced — and the mmap spawn ships O(hot) shared memory
-        (at least 2x fewer bytes; the counts are deterministic): the
-        cold planes never cross the boundary."""
-        resident, mapped = pair_of(compression, True)
-        plan = SearchOptions(k=10, exact=True, refine=24)
-        config = dict(n_shards=2, max_batch=max_batch, max_wait_ms=5.0)
-        svc_res = resident.serve_sharded(**config)
-        svc_map = mapped.serve_sharded(**config)
-        try:
-            assert 2 * svc_map.spawn_shm_bytes <= svc_res.spawn_shm_bytes
-            got = [svc_map.submit(query, plan) for query in queries]
-            ref = [svc_res.submit(query, plan) for query in queries]
-            for a, b in zip(got, ref):
-                assert_same_result(a.result(60), b.result(60))
-        finally:
-            svc_res.close()
-            svc_map.close()
-
-    def test_flat_sharded_parity(self, pair_of, queries):
-        """A non-segmented mmap template shards bit-identically too."""
+    def test_flat_service_parity(self, pair_of, queries):
+        """A non-segmented mmap template serves bit-identically too."""
         resident, mapped = pair_of("pq", False)
         plan = SearchOptions(k=10, exact=True, refine=24)
-        svc_res = resident.serve_sharded(n_shards=3)
-        svc_map = mapped.serve_sharded(n_shards=3)
-        try:
+        with resident.serve() as svc_res, mapped.serve() as svc_map:
             for query in queries:
                 assert_same_result(
                     svc_map.search(query, plan), svc_res.search(query, plan)
                 )
-        finally:
-            svc_res.close()
-            svc_map.close()
 
-    def test_sharded_spawn_keeps_tombstones_in_bm25_stats(self, tmp_path):
-        """Tombstoned rows still count in the document frequencies a
-        shard scores BM25 against: the spawn walk stamps the sparse
-        plane's statistics before it drops them — the one live-row walk
-        (``live_rows``) spawn shares with compaction — for an mmap
-        template as for a resident one, so the two answer hybrid queries
-        bit for bit."""
+    def test_live_rows_keeps_tombstones_in_bm25_stats(self, tmp_path):
+        """Tombstoned rows still count in the document frequencies of
+        the merged sparse plane: the one live-row walk (``live_rows``)
+        stamps each plane's statistics before it drops them, for an
+        mmap index as for a resident one.  The two answer hybrid
+        queries bit for bit before and after the compaction that walk
+        feeds, which then restamps over the survivors."""
         dataset = synthetic_hybrid(num_queries=10, seed=3, **HYBRID_SHAPE)
-        corpus = dataset.sparse.local_stats()
-        services = []
-        try:
-            for cold_storage, data_dir in (
-                ("resident", None), ("mmap", tmp_path)
+        chunk = churn_chunk(seed=90)
+        stored = sum_stats(
+            [dataset.sparse.local_stats(), chunk.sparse.local_stats()]
+        )
+        pair = []
+        for cold_storage, data_dir in (("resident", None), ("mmap", tmp_path)):
+            must = MUST(
+                MultiVectorSet([dataset.dense.copy()], sparse=dataset.sparse),
+                weights=Weights([1.0]),
+                builder=CHEAP_BUILDER,
+                segment_policy=SegmentPolicy(
+                    seal_size=32, max_segments=8, max_deleted_fraction=0.9
+                ),
+                compression="int8",
+                cold_storage=cold_storage,
+                data_dir=data_dir,
+            ).build()
+            must.insert(chunk)
+            must.mark_deleted(np.arange(0, 60, 3))
+            live = live_rows(must.segments.searchable_segments())
+            assert live.ext_ids.size == must.segments.num_active
+            stamped = live.sparse.stats
+            assert stamped.n_docs == stored.n_docs == must.segments.num_total
+            assert stamped.total_len == stored.total_len
+            assert np.array_equal(stamped.doc_freq, stored.doc_freq)
+            pair.append(must)
+        resident, mapped = pair
+        queries = [
+            Query(
+                MultiVector.from_arrays([dataset.query_dense[i]]),
+                sparse=dataset.query_sparse[i],
+                sparse_weight=0.8,
+            )
+            for i in range(dataset.num_queries)
+        ]
+
+        def check():
+            for plan in (
+                SearchOptions(k=10, exact=True), SearchOptions(k=10, l=60)
             ):
-                must = MUST(
-                    MultiVectorSet(
-                        [dataset.dense.copy()], sparse=dataset.sparse
-                    ),
-                    weights=Weights([1.0]),
-                    builder=CHEAP_BUILDER,
-                    compression="int8",
-                    cold_storage=cold_storage,
-                    data_dir=data_dir,
-                ).build()
-                must.mark_deleted(np.arange(0, 60, 3))
-                whole = Segment(must.index, np.arange(must.index.n))
-                stamped = live_rows([whole]).sparse.stats
-                assert stamped.n_docs == corpus.n_docs == dataset.sparse.n
-                assert stamped.total_len == corpus.total_len
-                assert np.array_equal(stamped.doc_freq, corpus.doc_freq)
-                services.append(ShardedService(must, n_shards=2))
-            resident, mapped = services
-            for i in range(dataset.num_queries):
-                query = Query(
-                    MultiVector.from_arrays([dataset.query_dense[i]]),
-                    sparse=dataset.query_sparse[i],
-                    sparse_weight=0.8,
-                )
-                for plan in (
-                    SearchOptions(k=10, exact=True), SearchOptions(k=10, l=60)
-                ):
+                for query in queries:
                     assert_same_result(
-                        mapped.search(query, plan), resident.search(query, plan)
+                        mapped.query(query, plan), resident.query(query, plan)
                     )
-        finally:
-            for svc in services:
-                svc.close()
+
+        check()
+        for must in pair:
+            must.compact()
+            (seg,) = must.segments.sealed
+            assert seg.space.vectors.sparse.stats.n_docs == seg.n
+        check()
 
     def test_compaction_preserves_parity(self, tmp_path, queries):
         """Streaming (segment-at-a-time) compaction equals the resident

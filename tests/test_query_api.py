@@ -14,6 +14,8 @@ The headline contracts pinned here:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,10 +107,11 @@ class TestSearchOptions:
         assert opts.resolve(1000) is opts  # no-op returns self
 
     def test_updated_revalidates(self):
+        """A copy made with ``dataclasses.replace`` is validated again."""
         opts = SearchOptions(k=5)
-        assert opts.updated(k=7).k == 7
+        assert dataclasses.replace(opts, k=7).k == 7
         with pytest.raises(ValueError, match="SearchOptions.k"):
-            opts.updated(k=0)
+            dataclasses.replace(opts, k=0)
 
     def test_exact_with_large_k_needs_no_l(self):
         # l is a graph-path knob; exact plans with k > l stay valid.

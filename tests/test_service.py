@@ -29,7 +29,6 @@ from repro.service import (
     ServiceClosed,
     ServiceConfig,
     ServiceOverloaded,
-    ShardedService,
 )
 
 from tests.conftest import random_multivector_set, random_query
@@ -256,14 +255,12 @@ GRAPH_PLANS = (SearchOptions(k=5, l=40), SearchOptions(k=5, l=60))
 EXACT_PLANS = (SearchOptions(k=5, exact=True), SearchOptions(k=7, exact=True))
 
 
-def _one_batch(kind, must, requests):
+def _one_batch(must, requests):
     """Serve *requests* as one dispatched batch; returns the service
     (closed) and its answers in request order."""
-    config = ServiceConfig(max_batch=64, max_wait_ms=50.0)
-    if kind == "sharded":
-        svc = ShardedService(must, n_shards=2, config=config, start=False)
-    else:
-        svc = MustService(must, config, start=False)
+    svc = MustService(
+        must, ServiceConfig(max_batch=64, max_wait_ms=50.0), start=False
+    )
     try:
         futures = [svc.submit(query, opts) for query, opts in requests]
         svc.start()
@@ -279,20 +276,20 @@ class TestGrouping:
     :class:`SearchOptions` value, and each group is one ``execute``
     call; only graph groups leave a ``graph_waves`` entry."""
 
-    @pytest.mark.parametrize("kind", ["in-process", "sharded"])
+    @pytest.mark.parametrize("kind", ["in-process"])
     def test_graph_waves_count_graph_groups_only(
         self, segmented_must, queries, kind
     ):
         plans = GRAPH_PLANS + EXACT_PLANS
         requests = [(q, plans[i % len(plans)]) for i, q in enumerate(queries)]
-        svc, answers = _one_batch(kind, segmented_must, requests)
+        svc, answers = _one_batch(segmented_must, requests)
         for stats in (svc.stats, svc.collections.get(None).stats):
             assert sum(stats.graph_waves.values()) == len(GRAPH_PLANS)
         for (query, opts), res in zip(requests, answers):
             if opts.exact:
                 assert_same_result(res, segmented_must.query(query, opts))
 
-    @pytest.mark.parametrize("kind", ["in-process", "sharded"])
+    @pytest.mark.parametrize("kind", ["in-process"])
     def test_exact_only_traffic_records_no_wave(
         self, segmented_must, queries, kind
     ):
@@ -300,7 +297,7 @@ class TestGrouping:
             (q, EXACT_PLANS[i % len(EXACT_PLANS)])
             for i, q in enumerate(queries)
         ]
-        svc, _ = _one_batch(kind, segmented_must, requests)
+        svc, _ = _one_batch(segmented_must, requests)
         summary = svc.stats.summary()
         assert summary["graph_waves"] == {}
         assert summary["wave_frontier_sizes"] == {}
@@ -325,24 +322,13 @@ class TestGrouping:
             SearchOptions(k=5, exact=True, l=50),
         ]
         requests = [(q, plans[i % len(plans)]) for i, q in enumerate(queries)]
-        _one_batch("in-process", segmented_must, requests)
+        _one_batch(segmented_must, requests)
         per_plan = len(queries) // len(plans)
         assert calls == [
             (plans[0], 2 * per_plan),
             (plans[2], per_plan),
             (plans[3], per_plan),
         ]
-
-    def test_sharded_group_is_one_scatter(self, segmented_must, queries):
-        requests = [
-            (q, (GRAPH_PLANS[0], EXACT_PLANS[0])[i % 2])
-            for i, q in enumerate(queries)
-        ]
-        svc, _ = _one_batch("sharded", segmented_must, requests)
-        shards = svc.stats.summary()["shards"]
-        assert sorted(shards) == [0, 1]
-        for shard in shards.values():
-            assert shard["wave_sizes"] == {len(queries) // 2: 2}
 
 
 class TestSearchDuringCompaction:

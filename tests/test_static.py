@@ -30,6 +30,7 @@ import textwrap
 import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -258,6 +259,34 @@ def test_one_lexical_scorer_and_no_float16_store():
         SearchOptions(sparse_engine="exact")
 
 
+def test_no_sharded_serving_tier():
+    """The in-process service is the one serving tier: the sharded
+    tier's modules are gone, no entry point or index keeps a
+    ``serve_sharded`` / ``shard`` hook, ``SearchOptions`` has no
+    ``updated`` copy helper, and no source file names a
+    multiprocessing start method."""
+    import repro.service
+    from repro.core.framework import MUST
+    from repro.core.multivector import MultiVectorSet
+    from repro.core.weights import Weights
+    from repro.service import CollectionManager
+
+    for name in ("repro.service.sharded", "repro.utils.shm"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(name)
+    assert not {"ShardedService", "ShardFailed"} & set(dir(repro.service))
+    must = MUST(MultiVectorSet([np.eye(4, dtype=np.float32)]))
+    for owner in (must, CollectionManager(), SegmentedIndex(Weights([1.0]))):
+        for attr in ("serve_sharded", "shard"):
+            assert not hasattr(owner, attr), (type(owner).__name__, attr)
+    assert not hasattr(SearchOptions, "updated")
+    sources = [*MODULES, *PACKAGE.rglob("*.c")]
+    assert [
+        str(path.relative_to(PACKAGE))
+        for path in sources if "mp_start" in path.read_text()
+    ] == []
+
+
 def test_one_frontier_scorer():
     """Every wave row off the concat fast path scores through
     ``StackedScorer``: the per-query scorers are gone from the source,
@@ -302,29 +331,11 @@ def _options_fields_read(path: Path) -> set[str]:
 
 
 def test_serving_tiers_coalesce_and_execute_plans():
-    """The serving tiers group requests by their plan and hand it to
-    ``execute`` unchanged: they read no plan field beyond routing,
-    exactness (for the wave counters) and ``k`` (for the shard merge);
-    a shard worker has one batch search command; shard spawn walks the
-    corpus once."""
-    from repro.service import sharded
-
-    for module in ("service", "sharded"):
-        read = _options_fields_read(PACKAGE / "service" / f"{module}.py")
-        assert read <= {"collection", "exact", "k"}, (module, read)
-    worker = ast.parse(inspect.getsource(sharded._worker_main))
-    commands = sorted(
-        node.comparators[0].value
-        for node in ast.walk(worker)
-        if isinstance(node, ast.Compare)
-        and isinstance(node.left, ast.Name) and node.left.id == "cmd"
-    )
-    assert len(commands) == 11
-    assert [c for c in commands if c.startswith("search")] == [
-        "search", "search_many"
-    ]
-    assert not {"exact_wave", "graph_wave"} & set(vars(sharded._ShardCollection))
-    assert not hasattr(sharded, "_corpus_slices_mmap")
+    """The service groups requests by their plan and hands it to
+    ``execute`` unchanged: it reads no plan field beyond routing,
+    exactness (for the wave counters) and ``k``."""
+    read = _options_fields_read(PACKAGE / "service" / "service.py")
+    assert read <= {"collection", "exact", "k"}, read
     assert not {"_wave_groups", "_exact_groups"} & set(vars(MustService))
 
 
@@ -409,8 +420,7 @@ def test_one_place_decides_how_rows_become_a_segment():
     """One seal path, one store rebind, one live-row walk: the store
     re-seat and the cold spill each have one caller, only the rebind
     helper (beside the set's own subset, the metric declaration and
-    the archive decode) wraps a store, and shard spawn merges no table
-    and sorts no ids of its own."""
+    the archive decode) wraps a store."""
     assert call_sites("reseat_on_store") == ["index/segments.py:seal_index"]
     assert call_sites("spill_cold") == ["index/segments.py:seal_index"]
     assert call_sites("from_store") == [
@@ -419,9 +429,6 @@ def test_one_place_decides_how_rows_become_a_segment():
         "core/space.py:JointSpace.rebind",
         "index/segments.py:SegmentedIndex._load_vectors",
     ]
-    sharded = (PACKAGE / "service" / "sharded.py").read_text()
-    for banned in ("AttributeTable.concat", "SparseStore.concat", "argsort"):
-        assert banned not in sharded, banned
 
 
 def exported_c_functions(source: str) -> dict[str, tuple[str, int]]:

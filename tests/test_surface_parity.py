@@ -2,9 +2,8 @@
 
 Rows are plans, columns are layouts; each cell sends one filtered and
 one ``Query(k=...)``-override request through every search surface —
-``MUST.query``, ``IndexSnapshot.query``, ``MustService.submit`` and, for
-the exact and wave plans, a 2-shard ``ShardedService`` — and compares
-ids *and* similarities bit for bit.  All of them run the one dispatcher
+``MUST.query``, ``IndexSnapshot.query`` and ``MustService.submit`` —
+and compares ids *and* similarities bit for bit.  All of them run the one dispatcher
 (:func:`repro.index.executor.execute`), so a cell failing here means a
 surface grew its own interpretation of a plan.
 
@@ -17,12 +16,6 @@ work counters) alone, at either end of a batch, from a snapshot, served,
 and from a reloaded save.  The exact plans' batches mix a hybrid request
 with plain ones and ask for the top 1 of a row the corpus holds twice:
 the tie at the cut-off goes to the lower external id on every surface.
-
-One documented exception, a property of the sample and not of the
-dispatch: a sharded **wave** answer comes from per-shard graphs, a
-different (recall-equivalent) sample than the in-process graph, so the
-sharded column is compared against itself: coalesced in one group vs
-dispatched alone.
 """
 
 from __future__ import annotations
@@ -65,7 +58,6 @@ HYBRID_KINDS = {"exact": "hybrid", "exact+refine": "hybrid-int8"}
 #: rows TWIN and TWIN + 1 of every base chunk hold the same vectors
 #: (both outlive the deletions below).
 TWIN = 10
-SHARDED_PLANS = ("exact", "wave")
 #: layout -> (objects built, inserts as (size, seed), segments a graph
 #: plan scans).  Under the graph plans' l=40 a segment of up to 80
 #: objects is scanned, not traversed
@@ -154,23 +146,6 @@ def corpora():
     return get
 
 
-@pytest.fixture(scope="module")
-def sharded(corpora):
-    """layout -> started 2-shard service over the dense corpus."""
-    services: dict[str, object] = {}
-
-    def get(layout: str):
-        if layout not in services:
-            services[layout] = corpora("dense", layout).serve_sharded(
-                n_shards=2, max_batch=8, max_wait_ms=5.0
-            )
-        return services[layout]
-
-    yield get
-    for service in services.values():
-        service.close()
-
-
 def assert_bitwise(got, ref) -> None:
     np.testing.assert_array_equal(got.ids, ref.ids)
     np.testing.assert_array_equal(got.similarities, ref.similarities)
@@ -178,7 +153,7 @@ def assert_bitwise(got, ref) -> None:
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("plan", list(PLANS))
-def test_every_surface_answers_alike(corpora, sharded, plan, layout):
+def test_every_surface_answers_alike(corpora, plan, layout):
     kind, opts = PLANS[plan]
     must = corpora(kind, layout)
     requests = _requests(kind)
@@ -200,24 +175,6 @@ def test_every_surface_answers_alike(corpora, sharded, plan, layout):
         served = [f.result(60) for f in futures]
     for got, ref in zip(served, direct):
         assert_bitwise(got, ref)
-
-    if plan not in SHARDED_PLANS:
-        return
-    service = sharded(layout)
-    alone = [service.submit(q, opts).result(60) for q in requests]
-    if opts.exact:
-        for got, ref in zip(alone, direct):
-            assert_bitwise(got, ref)
-        return
-    # Submitted back to back the two share a plan and (almost always) a
-    # dispatch, i.e. one lockstep group; either way the answer is the
-    # lone one.
-    futures = [service.submit(q, opts) for q in requests]
-    together = [f.result(60) for f in futures]
-    for got, ref in zip(together, alone):
-        assert_bitwise(got, ref)
-    assert [len(r) for r in alone] == [K, 9]
-    assert np.isin(alone[0].ids, admissible).all()
 
 
 def assert_same_bits(got: SearchResult, ref: SearchResult) -> None:
