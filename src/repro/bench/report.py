@@ -14,7 +14,9 @@ import time
 from repro.bench.harness import Table, format_table, save_table
 
 #: (stem, callable) in paper order; callables are imported lazily so a
-#: subset run does not pay for unused modules.
+#: subset run does not pay for unused modules.  The stem names the
+#: archive under ``benchmarks/results/`` and the test id in
+#: ``benchmarks/bench_paper.py``.
 def _registry():
     from repro.bench import ablations, accuracy, case_study, efficiency
 
@@ -24,9 +26,9 @@ def _registry():
         ("tab5_shopping_tshirt", accuracy.tab5_shopping_tshirt),
         ("tab6_mscoco", accuracy.tab6_mscoco),
         ("fig5_case_study", case_study.fig5_case_study),
-        ("fig6_qps_recall", efficiency.fig6_qps_recall),
-        ("fig6_audio", lambda: efficiency.fig6_qps_recall("audio")),
-        ("fig6_video", lambda: efficiency.fig6_qps_recall("video")),
+        ("fig6_imagetext", lambda: efficiency.fig6_qps_recall("image")),
+        ("fig6_audiotext", lambda: efficiency.fig6_qps_recall("audio")),
+        ("fig6_videotext", lambda: efficiency.fig6_qps_recall("video")),
         ("tab7_data_volume", efficiency.tab7_data_volume),
         ("fig7_build_cost", efficiency.fig7_build_cost),
         ("tab8_modalities", accuracy.tab8_modalities),

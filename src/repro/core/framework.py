@@ -86,23 +86,12 @@ class MUST:
         store_options: dict | None = None,
         cold_storage: str = "resident",
         data_dir: str | Path | None = None,
-        metrics: Sequence[str] | None = None,
     ):
         check_storage(compression, store_options, cold_storage, data_dir)
         #: where compressed segments' exact cold tier lives — see the
         #: class docstring; ``"mmap"`` makes resident bytes O(hot).
         self.cold_storage = cold_storage
         self.data_dir = None if data_dir is None else Path(data_dir)
-        if metrics is not None:
-            # Per-modality metric declarations are validated at
-            # construction, so a typo ("cosin") fails here with the
-            # registry's did-you-mean hint rather than at first query.
-            objects = MultiVectorSet.from_store(
-                objects.store,
-                attributes=objects.attributes,
-                sparse=objects.sparse,
-                metrics=tuple(metrics),
-            )
         self.objects = objects
         self.weights = weights or Weights.uniform(objects.num_modalities)
         self.builder = builder or FusedIndexBuilder()
@@ -282,14 +271,6 @@ class MUST:
             "rebuilding from the original corpus would discard streamed "
             "objects and tombstones (and recycle their external ids) — "
             "use compact() to reconstruct a segmented index",
-        )
-        require(
-            self.objects.is_ip_only,
-            f"build() fuses modalities via the Lemma-1 concatenation, "
-            f"which requires metric 'ip' on every dense modality "
-            f"(declared: {list(self.objects.metrics)}) — cosine/l2 "
-            f"modalities are served by the exact paths "
-            f"(SearchOptions(exact=True))",
         )
         self._index = seal_index(
             self.builder.build(self.space), self.compression,

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.core.attributes import AttributeTable
-from repro.core.registry import validate_metrics
 from repro.store import DenseStore, VectorStore
 from repro.utils.validation import as_float_matrix, as_float_vector, require
 
@@ -98,6 +97,12 @@ class MultiVectorSet:
     them in a :class:`~repro.store.DenseStore` (float32, bit-identical to
     the pre-store behaviour), while :meth:`from_store` attaches a
     compressed backend.
+
+    Every dense modality scores by inner product: rows are meant to be
+    L2-normalised, which makes IP the cosine and ranks exactly as
+    negative squared L2 (``−‖q−u‖² = 2·q·u − 2``), and is what Lemma 1's
+    ω-scaled concatenation and Eq. 8 rely on.  For cosine over raw
+    rows, pass ``normalize=True`` and unit-norm queries.
     """
 
     def __init__(
@@ -106,7 +111,6 @@ class MultiVectorSet:
         normalize: bool = False,
         attributes: AttributeTable | dict | None = None,
         sparse: "SparseStore | None" = None,
-        metrics: Sequence[str] | None = None,
     ):
         require(len(matrices) >= 1, "at least one modality matrix required")
         mats = [as_float_matrix(m, f"modality {i}") for i, m in enumerate(matrices)]
@@ -121,9 +125,6 @@ class MultiVectorSet:
         self._store: VectorStore = DenseStore(mats)
         self._attributes: AttributeTable | None = None
         self._sparse: "SparseStore | None" = None
-        self._metrics: tuple[str, ...] | None = (
-            None if metrics is None else validate_metrics(metrics, len(mats))
-        )
         if attributes is not None:
             self.set_attributes(attributes)
         if sparse is not None:
@@ -135,18 +136,12 @@ class MultiVectorSet:
         store: VectorStore,
         attributes: AttributeTable | None = None,
         sparse: "SparseStore | None" = None,
-        metrics: "tuple[str, ...] | None" = None,
     ) -> "MultiVectorSet":
         """Wrap an existing (possibly compressed) vector store."""
         out = cls.__new__(cls)
         out._store = store
         out._attributes = None
         out._sparse = None
-        out._metrics = (
-            None
-            if metrics is None
-            else validate_metrics(metrics, store.num_modalities)
-        )
         if attributes is not None:
             out.set_attributes(attributes)
         if sparse is not None:
@@ -218,32 +213,6 @@ class MultiVectorSet:
         )
         self._sparse = sparse
         return self
-
-    @property
-    def metrics(self) -> tuple[str, ...]:
-        """Registered scoring metric per dense modality (default ``ip``).
-
-        Declared at construction (``metrics=``) and validated against
-        the :mod:`~repro.core.registry`; ``ip`` everywhere reproduces
-        the historical behaviour bit for bit.
-        """
-        if self._metrics is None:
-            return ("ip",) * self.num_modalities
-        return self._metrics
-
-    @property
-    def declared_metrics(self) -> tuple[str, ...] | None:
-        """The explicit ``metrics=`` declaration (``None`` = default
-        ``ip`` everywhere) — what store-rebuild seams must thread
-        through to preserve the declaration."""
-        return self._metrics
-
-    @property
-    def is_ip_only(self) -> bool:
-        """True when every dense modality scores by inner product."""
-        return self._metrics is None or all(
-            m == "ip" for m in self._metrics
-        )
 
     @property
     def is_compressed(self) -> bool:
@@ -321,7 +290,6 @@ class MultiVectorSet:
             sparse=(
                 None if self._sparse is None else self._sparse.subset(ids)
             ),
-            metrics=self._metrics,
         )
 
     def concatenated(self, scales: Sequence[float] | None = None) -> np.ndarray:

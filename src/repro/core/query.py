@@ -42,9 +42,8 @@ import numpy.typing as npt
 
 from repro.core.attributes import AttributeTable
 from repro.core.multivector import MultiVector
-from repro.core.registry import did_you_mean
 from repro.core.weights import Weights
-from repro.utils.validation import require
+from repro.utils.validation import did_you_mean, require
 
 __all__ = [
     "Filter",

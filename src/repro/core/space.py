@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.multivector import MultiVector, MultiVectorSet
-from repro.core.registry import dense_score_rows
 from repro.core.results import SearchStats
 from repro.core.weights import Weights
 from repro.store import ModalityKernel, VectorStore, max_row_norm
@@ -106,8 +105,8 @@ class JointSpace:
 
         The one seam that swaps a space's representation (compress,
         spill, attach a cold plane, restamp lexical statistics): the
-        attribute table, the sparse plane unless *sparse* replaces it,
-        and the declared metrics carry over, under the same weights.
+        attribute table and the sparse plane unless *sparse* replaces it
+        carry over, under the same weights.
         With the store unchanged the dense caches carry over too — only
         lexical statistics moved.
         """
@@ -117,7 +116,6 @@ class JointSpace:
                 vectors.store if store is None else store,
                 attributes=vectors.attributes,
                 sparse=vectors.sparse if sparse is None else sparse,
-                metrics=vectors.declared_metrics,
             ),
             self._weights,
         )
@@ -180,17 +178,12 @@ class JointSpace:
     # ------------------------------------------------------------------
     # Query → corpus kernels
     # ------------------------------------------------------------------
-    def _effective_weights(
-        self, query: MultiVector, weights: Weights | None
-    ) -> np.ndarray:
-        w = weights if weights is not None else self._weights
-        return w.masked(query).squared
-
     def effective_squared_weights(
         self, query: MultiVector, weights: Weights | None = None
     ) -> np.ndarray:
         """``ω²`` per modality after masking modalities *query* lacks."""
-        return self._effective_weights(query, weights)
+        w = weights if weights is not None else self._weights
+        return w.masked(query).squared
 
     def concat_query(
         self, query: MultiVector, weights: Weights | None = None
@@ -207,12 +200,9 @@ class JointSpace:
         concatenation would silently undo the compression; scoring then
         runs through the store's asymmetric per-modality kernels.
         """
-        if self.is_compressed or not self._vectors.is_ip_only:
-            # Non-IP metrics have no concatenation identity (Lemma 1 is
-            # an inner-product fact); they score through the registry's
-            # row-wise fallback kernels instead.
+        if self.is_compressed:
             return None
-        w2 = self._effective_weights(query, weights)
+        w2 = self.effective_squared_weights(query, weights)
         omegas = self._weights.omegas
         blocks: list[np.ndarray] = []
         for i, q in enumerate(query.vectors):
@@ -235,14 +225,7 @@ class JointSpace:
         pays any per-query preprocessing (PQ ADC lookup tables,
         scalar-quant rescale) once per call.
         """
-        require(
-            self._vectors.is_ip_only,
-            f"graph traversal and compressed scoring require metric 'ip' "
-            f"on every dense modality (declared: "
-            f"{self._vectors.metrics}) — use exact search for "
-            f"cosine/l2 modalities",
-        )
-        w2 = self._effective_weights(query, weights)
+        w2 = self.effective_squared_weights(query, weights)
         store = self.store
         return [
             (i, float(w2[i]), store.query_kernel(i, q.astype(np.float32)))
@@ -260,21 +243,6 @@ class JointSpace:
         uncompressed-query-vs-codes elsewhere.
         """
         out = np.zeros(self.n, dtype=np.float64)
-        if not self._vectors.is_ip_only:
-            w2 = self._effective_weights(query, weights)
-            metrics = self._vectors.metrics
-            store = self.store
-            for i, q in enumerate(query.vectors):
-                if q is None or w2[i] == 0.0:
-                    continue
-                if metrics[i] == "ip":
-                    kernel = store.query_kernel(i, q.astype(np.float32))
-                    out += w2[i] * kernel.all().astype(np.float64)
-                else:
-                    out += w2[i] * dense_score_rows(
-                        metrics[i], q, store.modality(i)
-                    )
-            return out
         for _, w2_i, kernel in self.query_kernels(query, weights):
             out += w2_i * kernel.all().astype(np.float64)
         return out
@@ -287,30 +255,10 @@ class JointSpace:
         stats: SearchStats | None = None,
     ) -> np.ndarray:
         """Joint similarity against the objects in *ids* (no pruning) —
-        on an ``ip`` space the per-query reference of the wave's stacked
-        pass (:class:`~repro.index.scoring.StackedScorer`)."""
+        the per-query reference of the wave's stacked pass
+        (:class:`~repro.index.scoring.StackedScorer`)."""
         ids = np.asarray(ids)
         out = np.zeros(ids.shape[0], dtype=np.float64)
-        if not self._vectors.is_ip_only:
-            w2 = self._effective_weights(query, weights)
-            metrics = self._vectors.metrics
-            store = self.store
-            active = 0
-            for i, q in enumerate(query.vectors):
-                if q is None or w2[i] == 0.0:
-                    continue
-                active += 1
-                if metrics[i] == "ip":
-                    kernel = store.query_kernel(i, q.astype(np.float32))
-                    out += w2[i] * kernel.ids(ids).astype(np.float64)
-                else:
-                    out += w2[i] * dense_score_rows(
-                        metrics[i], q, store.rows(i, ids)
-                    )
-            if stats is not None:
-                stats.joint_evals += int(ids.shape[0])
-                stats.modality_evals += int(ids.shape[0]) * active
-            return out
         kernels = self.query_kernels(query, weights)
         for _, w2_i, kernel in kernels:
             out += w2_i * kernel.ids(ids).astype(np.float64)
@@ -335,7 +283,7 @@ class JointSpace:
         back to reconstructions (rerank becomes a no-op).
         ``ids=None`` scores the whole corpus.
         """
-        w2 = self._effective_weights(query, weights)
+        w2 = self.effective_squared_weights(query, weights)
         store = self.store
         count = self.n if ids is None else int(np.asarray(ids).shape[0])
         out = np.zeros(count, dtype=np.float64)
@@ -348,13 +296,7 @@ class JointSpace:
                 if ids is None
                 else store.exact_rows(i, np.asarray(ids))
             )
-            metric = self._vectors.metrics[i]
-            if metric == "ip":
-                out += w2[i] * (
-                    rows @ q.astype(np.float32)
-                ).astype(np.float64)
-            else:
-                out += w2[i] * dense_score_rows(metric, q, rows)
+            out += w2[i] * (rows @ q.astype(np.float32)).astype(np.float64)
             active += 1
         if stats is not None:
             stats.joint_evals += count
@@ -387,7 +329,7 @@ class JointSpace:
         reduction, which keeps the row-independence property over the
         reconstructed values.
         """
-        w2 = self._effective_weights(query, weights)
+        w2 = self.effective_squared_weights(query, weights)
         store = self._vectors.store
         ids_arr = None if ids is None else np.asarray(ids)
         count = self.n if ids_arr is None else int(ids_arr.shape[0])
@@ -403,14 +345,8 @@ class JointSpace:
                 store.modality(i) if ids_arr is None
                 else store.rows(i, ids_arr)
             ).astype(np.float64)
-            metric = self._vectors.metrics[i]
-            if metric == "ip":
-                prod = rows * q.astype(np.float64)
-                out += w2[i] * np.add.reduce(prod, axis=1)
-            else:
-                # The registry fallback reduces each row independently
-                # in float64, preserving this route's layout-independence.
-                out += w2[i] * dense_score_rows(metric, q, rows)
+            prod = rows * q.astype(np.float64)
+            out += w2[i] * np.add.reduce(prod, axis=1)
             active += 1
         if stats is not None:
             stats.joint_evals += count
@@ -437,13 +373,8 @@ class JointSpace:
         (:class:`~repro.index.scoring.StackedScorer`), which returns the
         same bits and counts the same work.
         """
-        require(
-            self._vectors.is_ip_only,
-            "Lemma-4 early termination is an inner-product bound — it "
-            "requires metric 'ip' on every dense modality",
-        )
         ids = np.asarray(ids)
-        w2 = self._effective_weights(query, weights)
+        w2 = self.effective_squared_weights(query, weights)
         store = self.store
         active = [
             i

@@ -74,9 +74,9 @@ def reseat_on_store(
         [vectors.exact_modality(i) for i in range(vectors.num_modalities)],
         **(store_options or {}),
     )
-    # The attribute table, sparse plane, and metric declaration ride
-    # along: compression changes the dense vector representation, never
-    # which objects a filter admits or how lexical rows score.
+    # The attribute table and sparse plane ride along: compression
+    # changes the dense vector representation, never which objects a
+    # filter admits or how lexical rows score.
     index.space = index.space.rebind(store)
     return index
 

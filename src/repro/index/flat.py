@@ -145,16 +145,12 @@ class FlatIndex:
             for q in typed_queries
         ]
         eps = np.full(len(unpacked), np.inf)
-        if space.vectors.is_ip_only:
-            all_sims, all_stats = batch_score_all(
-                space,
-                [u[0] for u in unpacked],
-                weights=[u[2] for u in unpacked],
-                bounds=eps,
-            )
-        else:  # nothing bounds a cosine / l2 kernel: no prefilter to run
-            all_sims = [None] * len(unpacked)
-            all_stats = [SearchStats() for _ in unpacked]
+        all_sims, all_stats = batch_score_all(
+            space,
+            [u[0] for u in unpacked],
+            weights=[u[2] for u in unpacked],
+            bounds=eps,
+        )
         return [
             self._answer(*args, refine)
             for args in zip(typed_queries, unpacked, eps, all_sims, all_stats)
@@ -165,7 +161,7 @@ class FlatIndex:
         typed: Query,
         unpacked: tuple[MultiVector, int, Weights | None, np.ndarray | None],
         eps: float,
-        sims: np.ndarray | None,
+        sims: np.ndarray,
         stats: SearchStats,
         refine: int | None,
     ) -> SearchResult:
@@ -179,9 +175,7 @@ class FlatIndex:
         lexical = None
         if typed.sparse is not None:
             lexical = sparse_term(space, typed, self.context)
-        if sims is None:
-            stats.visited_vertices += rows.size
-        elif np.isfinite(eps) and p < rows.size:
+        if np.isfinite(eps) and p < rows.size:
             near = sims[rows]
             band = 2.0 * eps
             if lexical is not None:

@@ -48,7 +48,6 @@ from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.store import StackedKernel, dot_error
 from repro.utils.topk import rank_order
-from repro.utils.validation import require
 
 __all__ = [
     "StackedScorer",
@@ -109,12 +108,6 @@ class StackedScorer:
         weights: Sequence[Weights | None],
         early_termination: bool = False,
     ) -> None:
-        require(
-            space.vectors.is_ip_only,
-            "graph traversal and compressed scoring require metric 'ip' "
-            "on every dense modality — use exact search for cosine/l2 "
-            "modalities",
-        )
         b = len(queries)
         self.b = b
         w2 = np.stack(
@@ -231,10 +224,7 @@ def batch_score_all(
     store, or an override that needs a modality the index weights
     zeroed — is scored modality by modality through the store's own
     stacked kernel (:meth:`~repro.store.VectorStore.batch_scores`: one
-    GEMM, or one ADC table block), weighted in float64.  Both are
-    inner-product identities, so the space must be ``ip`` on every
-    modality; an exact scan over ``cosine`` / ``l2`` modalities runs no
-    prefilter (:meth:`~repro.index.flat.FlatIndex.batch_search`).
+    GEMM, or one ADC table block), weighted in float64.
 
     ``weights`` is either one override for the whole batch or a sequence
     of per-query overrides (the typed-``Query`` path) — each query's
@@ -258,11 +248,6 @@ def batch_score_all(
     bounds add under the same ``ω²`` the scores do.  A backend that
     declines leaves ``inf``.
     """
-    require(
-        space.vectors.is_ip_only,
-        "the float32 prefilter is an inner-product identity — it "
-        "requires metric 'ip' on every dense modality",
-    )
     n = len(queries)
     sims_out: list[np.ndarray] = [np.zeros(0)] * n
     stats_out: list[SearchStats] = [SearchStats() for _ in range(n)]

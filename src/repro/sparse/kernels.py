@@ -38,6 +38,7 @@ if TYPE_CHECKING:
 __all__ = [
     "BM25_B",
     "BM25_K1",
+    "SPARSE_METRICS",
     "SparseQuery",
     "SparseQueryLike",
     "as_sparse_query",
@@ -46,6 +47,9 @@ __all__ = [
 
 BM25_K1 = 1.2
 BM25_B = 0.75
+
+#: the lexical metrics a plane may declare — the ones :func:`_idf` scores.
+SPARSE_METRICS: tuple[str, ...] = ("bm25", "tfidf")
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.registry import resolve_metric
-from repro.utils.validation import require
+from repro.sparse.kernels import SPARSE_METRICS
+from repro.utils.validation import did_you_mean, require
 
 try:  # scipy is an optional dependency of the sparse modality only
     import scipy.sparse as sp
@@ -111,8 +111,8 @@ class SparseStore:
 
     Construct from a ``scipy.sparse`` matrix (any format; converted to
     canonical CSR float32) or via :meth:`from_rows`.  ``metric`` names
-    the registered sparse metric (``bm25`` or ``tfidf``) the plane is
-    scored with — declared at ingest, like a dense modality's metric.
+    the lexical metric (``bm25`` or ``tfidf``) the plane is scored
+    with, declared at ingest.
     """
 
     def __init__(
@@ -122,7 +122,10 @@ class SparseStore:
         stats: SparseStats | None = None,
     ) -> None:
         require_scipy()
-        resolve_metric(metric, kind="sparse")
+        if metric not in SPARSE_METRICS:
+            raise ValueError(
+                did_you_mean(str(metric), SPARSE_METRICS, "sparse metric")
+            )
         require(
             sp.issparse(matrix),
             f"SparseStore needs a scipy.sparse matrix, got "

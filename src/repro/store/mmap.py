@@ -16,7 +16,7 @@ pluggable:
     construction beyond the 128-byte header (validated eagerly so a
     truncated file fails loudly at load, not mid-query).
 ``GatherPlane``
-    a row-addressed view over several underlying planes — what
+    a row-addressed view over one underlying plane — what
     ``MmapPlane.subset`` returns, so a row subset of a mapped tier is
     read straight out of its files without copying them.
 
@@ -321,7 +321,7 @@ class MmapPlane(ColdPlane):
 
     def subset(self, ids: np.ndarray) -> "GatherPlane":
         ids = np.asarray(ids, dtype=np.int64)
-        return GatherPlane([self], np.zeros(ids.shape[0], dtype=np.int64), ids)
+        return GatherPlane(self, ids)
 
     def __del__(self) -> None:  # pragma: no cover - interpreter teardown
         for fd in getattr(self, "_fds", ()):
@@ -341,67 +341,44 @@ class MmapPlane(ColdPlane):
 
 
 class GatherPlane(ColdPlane):
-    """Row-addressed composite over several source planes.
+    """Row-addressed view over one source plane.
 
-    Row ``j`` of this plane is row ``row_of[j]`` of source plane
-    ``src_of[j]``.  :meth:`MmapPlane.subset` returns one over its own
-    files, so a subset reads the mapped rows in place.
+    Row ``j`` of this plane is row ``row_of[j]`` of *source*.
+    :meth:`MmapPlane.subset` returns one over its own files, so a subset
+    reads the mapped rows in place; a subset of a subset composes the
+    row maps over the same source.
     """
 
-    __slots__ = ("_sources", "_src_of", "_row_of")
+    __slots__ = ("_source", "_row_of")
 
-    def __init__(
-        self,
-        sources: Sequence[ColdPlane],
-        src_of: np.ndarray,
-        row_of: np.ndarray,
-    ):
-        require(len(sources) >= 1, "gather plane needs at least one source")
-        dims = sources[0].dims
-        for s, source in enumerate(sources):
-            require(
-                source.dims == dims,
-                f"gather source {s} has dims {source.dims}, expected {dims}",
-            )
-        self._sources = tuple(sources)
-        self._src_of = np.ascontiguousarray(src_of, dtype=np.int64)
+    def __init__(self, source: ColdPlane, row_of: np.ndarray):
+        self._source = source
         self._row_of = np.ascontiguousarray(row_of, dtype=np.int64)
-        require(
-            self._src_of.shape == self._row_of.shape and self._src_of.ndim == 1,
-            "src_of and row_of must be equal-length 1-D arrays",
-        )
+        require(self._row_of.ndim == 1, "row_of must be a 1-D array")
 
     @property
     def n(self) -> int:
-        return int(self._src_of.shape[0])
+        return int(self._row_of.shape[0])
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return self._sources[0].dims
+        return self._source.dims
 
     @property
     def is_resident(self) -> bool:
         return False
 
     def rows(self, i: int, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids)
-        src = self._src_of[ids]
-        row = self._row_of[ids]
-        out = np.empty((src.shape[0], self.dims[i]), dtype=np.float32)
-        for s in np.unique(src):
-            mask = src == s
-            out[mask] = self._sources[s].rows(i, row[mask])
-        return out
+        return self._source.rows(i, self._row_of[np.asarray(ids)])
 
     def modality(self, i: int) -> np.ndarray:
         return self.rows(i, np.arange(self.n))
 
     def subset(self, ids: np.ndarray) -> "GatherPlane":
-        ids = np.asarray(ids)
-        return GatherPlane(self._sources, self._src_of[ids], self._row_of[ids])
+        return GatherPlane(self._source, self._row_of[np.asarray(ids)])
 
     def resident_bytes(self) -> int:
-        return int(sum(s.resident_bytes() for s in self._sources))
+        return self._source.resident_bytes()
 
 
 def as_cold_plane(

@@ -6,9 +6,13 @@ internal kernels assume validated inputs and stay branch-free.
 
 from __future__ import annotations
 
+import difflib
+
 import numpy as np
+import numpy.typing as npt
 
 __all__ = [
+    "did_you_mean",
     "require",
     "as_float_matrix",
     "as_float_vector",
@@ -22,14 +26,28 @@ def require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def as_float_matrix(array: np.ndarray | list, name: str = "array") -> np.ndarray:
+def did_you_mean(
+    name: str, known: tuple[str, ...], what: str, cutoff: float = 0.6
+) -> str:
+    """``unknown <what> <name>``, the closest of *known* when one is
+    within *cutoff* (:func:`difflib.get_close_matches`), and the full
+    list."""
+    close = difflib.get_close_matches(name, known, n=1, cutoff=cutoff)
+    hint = f" (did you mean {close[0]!r}?)" if close else ""
+    return (
+        f"unknown {what} {name!r}{hint}; registered {what}s: "
+        f"{', '.join(known)}"
+    )
+
+
+def as_float_matrix(array: npt.ArrayLike, name: str = "array") -> np.ndarray:
     """Coerce to a C-contiguous float32 2-D matrix."""
     out = np.ascontiguousarray(array, dtype=np.float32)
     require(out.ndim == 2, f"{name} must be 2-D, got shape {out.shape}")
     return out
 
 
-def as_float_vector(array: np.ndarray | list, name: str = "array") -> np.ndarray:
+def as_float_vector(array: npt.ArrayLike, name: str = "array") -> np.ndarray:
     """Coerce to a contiguous float32 1-D vector."""
     out = np.ascontiguousarray(array, dtype=np.float32)
     require(out.ndim == 1, f"{name} must be 1-D, got shape {out.shape}")

@@ -18,9 +18,11 @@ What must hold, per the subsystem's acceptance gates:
 * **manifest v4** — a segmented corpus with a sparse plane round-trips
   through save/load bitwise, while dense-only corpora keep writing v2
   archives loadable by older builds;
-* **registry validation** — typo'd metric/engine names fail at
-  construction with did-you-mean errors, and non-IP dense metrics are
-  served by the exact paths against a numpy reference.
+* **name validation** — typo'd lexical metric / engine names fail at
+  construction with did-you-mean errors;
+* **cosine by normalised IP** — normalising rows and queries is the
+  supported route to cosine similarity: exact answers match a numpy
+  cosine reference and the graph plan answers on the same corpus.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from repro.core.multivector import (
     normalize_rows,
 )
 from repro.core.query import Eq, Query, SearchOptions
-from repro.core.registry import dense_score_rows
 from repro.core.weights import Weights
 from repro.index.graph_wave import bookkeeping, graph_wave_search
 from repro.index.pipeline import FusedIndexBuilder
@@ -318,19 +319,9 @@ def test_insert_requires_matching_sparse_plane(dataset):
 
 
 # ----------------------------------------------------------------------
-# Registry validation at the public constructors
+# Name validation at the public constructors
 # ----------------------------------------------------------------------
 class TestRegistryValidation:
-    def test_metrics_did_you_mean_at_construction(self, dataset):
-        with pytest.raises(ValueError, match="cosine"):
-            MultiVectorSet([dataset.dense], metrics=["cosin"])
-        with pytest.raises(ValueError, match="cosine"):
-            MUST(
-                MultiVectorSet([dataset.dense]),
-                weights=Weights([1.0]),
-                metrics=["cosin"],
-            )
-
     def test_sparse_engine_did_you_mean(self):
         with pytest.raises(ValueError, match="inverted"):
             SearchOptions(sparse_engine="invrted")
@@ -346,55 +337,55 @@ class TestRegistryValidation:
         with pytest.raises(ValueError, match="bm25"):
             SparseStore(dataset.sparse.csr, metric="bm52")
 
-    def test_build_rejects_non_ip_metrics(self, dataset):
-        must = MUST(
-            MultiVectorSet([dataset.dense]),
-            weights=Weights([1.0]),
-            metrics=["cosine"],
-        )
-        with pytest.raises(ValueError, match="exact"):
-            must.build()
-
 
 # ----------------------------------------------------------------------
-# Non-IP dense metrics: exact path vs an independent numpy reference
+# Non-IP dense scores come from inner product over normalised rows and
+# queries: cosine is the inner product of unit vectors, and
+# -||q - u||^2 = 2 q.u - 2, so an l2 modality is an ip modality with its
+# squared weight doubled, up to a constant
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("metrics", [("cosine", "l2"), ("ip", "cosine")])
 def test_non_ip_exact_matches_numpy_reference(metrics):
     rng = np.random.default_rng(11)
-    n, dims = 60, (12, 8)
-    mats = [
-        rng.standard_normal((n, d)).astype(np.float32) for d in dims
-    ]
-    weights = Weights([0.6, 0.4])
+    n, k, dims = 400, 8, (12, 8)
+    mats = [rng.standard_normal((n, d)).astype(np.float32) for d in dims]
+    squared = [0.6, 0.4]
+    is_l2 = [metric == "l2" for metric in metrics]
     must = MUST(
-        MultiVectorSet([m.copy() for m in mats]),
-        weights=weights,
-        metrics=list(metrics),
-    )
-    q_arrays = [rng.standard_normal(d).astype(np.float32) for d in dims]
-    res = must.query(
-        Query(MultiVector.from_arrays(q_arrays)),
-        SearchOptions(k=8, exact=True),
-    )
-
-    expect = np.zeros(n, dtype=np.float64)
-    for w2, metric, q, mat in zip(
-        weights.squared, metrics, q_arrays, mats
-    ):
-        if metric == "ip":
-            # every exact similarity is the row-wise float64 product
-            scores = np.add.reduce(
-                mat.astype(np.float64) * q.astype(np.float64), axis=1
-            )
-        else:
-            scores = dense_score_rows(metric, q, mat)
-        expect += float(w2) * scores
-    order = np.lexsort((np.arange(n), -expect))[:8]
-    np.testing.assert_array_equal(res.ids, order)
-    np.testing.assert_allclose(
-        res.similarities, expect[order], rtol=1e-12
-    )
+        MultiVectorSet([m.copy() for m in mats], normalize=True),
+        weights=Weights([w2 * (2.0 if l2 else 1.0)
+                         for w2, l2 in zip(squared, is_l2)]),
+        builder=FusedIndexBuilder(gamma=16, epsilon=2, max_candidates=32),
+    ).build()
+    raw = [
+        [rng.standard_normal(d).astype(np.float32) for d in dims]
+        for _ in range(10)
+    ]
+    queries = [
+        Query(MultiVector.from_arrays(normalize_rows(q) for q in arrays))
+        for arrays in raw
+    ]
+    exact = must.query(queries, SearchOptions(k=k, exact=True))
+    graph = must.query(queries, SearchOptions(k=k, l=60))
+    offset = sum(2.0 * w2 for w2, l2 in zip(squared, is_l2) if l2)
+    for arrays, res, approx in zip(raw, exact, graph):
+        expect = np.zeros(n, dtype=np.float64)
+        for w2, l2, q, mat in zip(squared, is_l2, arrays, mats):
+            rows = mat.astype(np.float64)
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            q64 = q.astype(np.float64) / np.linalg.norm(q.astype(np.float64))
+            if l2:
+                scores = -np.sum((rows - q64) ** 2, axis=1)
+            else:
+                scores = rows @ q64
+            expect += w2 * scores
+        order = np.lexsort((np.arange(n), -expect))[:k]
+        np.testing.assert_array_equal(res.ids, order)
+        np.testing.assert_allclose(
+            res.similarities - offset, expect[order], rtol=0, atol=1e-6
+        )
+        assert approx.ids.size == k
+        assert set(approx.ids.tolist()) == set(order.tolist())
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.index.pipeline import FusedIndexBuilder
 from repro.index.segments import MANIFEST_NAME, SegmentPolicy, live_rows
 from repro.sparse.store import sum_stats
 from repro.sparse.synthetic import synthetic_hybrid
-from repro.store import GatherPlane, MmapPlane, ResidentPlane, spill_cold
+from repro.store import GatherPlane, MmapPlane, spill_cold
 from repro.store.base import make_store
 
 from tests.conftest import random_multivector_set, random_query
@@ -438,21 +438,23 @@ class TestPlanes:
             assert np.array_equal(plane.rows(i, idx), mat[idx])
 
     def test_gather_plane_routes_rows(self, tmp_path):
+        """A subset of a subset of a mapped tier reads the composed rows
+        of the one source file, and stays non-resident."""
         store, mats = self._store()
         mapped = spill_cold(store, tmp_path, "seg_000000").cold_plane
-        rng = np.random.default_rng(1)
-        tail = [
-            rng.standard_normal((7, d)).astype(np.float32) for d in DIMS
-        ]
-        src = np.array([0, 1, 0, 1, 0], dtype=np.int64)
-        row = np.array([10, 2, 0, 6, 49], dtype=np.int64)
-        plane = GatherPlane([mapped, ResidentPlane(tail)], src, row)
-        for i in range(len(DIMS)):
-            got = plane.modality(i)
-            for j in range(src.size):
-                source = mats[i] if src[j] == 0 else tail[i]
-                assert np.array_equal(got[j], source[row[j]])
+        outer = np.array([10, 2, 0, 6, 49, 31, 2], dtype=np.int64)
+        inner = np.array([4, 0, 6, 6, 2], dtype=np.int64)
+        first = mapped.subset(outer)
+        plane = first.subset(inner)
+        assert isinstance(first, GatherPlane) and isinstance(plane, GatherPlane)
+        assert plane.n == inner.size and plane.dims == mapped.dims
+        for i, mat in enumerate(mats):
+            assert np.array_equal(plane.modality(i), mat[outer[inner]])
+            assert np.array_equal(
+                plane.rows(i, np.array([3, 1])), mat[outer[inner[[3, 1]]]]
+            )
         assert plane.nbytes() == 5 * 4 * sum(DIMS)
+        assert plane.resident_bytes() == 0
 
     @pytest.mark.skipif(
         not hasattr(os, "posix_fadvise"), reason="no posix_fadvise here"

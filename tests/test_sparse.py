@@ -32,11 +32,6 @@ from repro.core.multivector import (
     normalize_rows,
 )
 from repro.core.query import Eq, Query, SearchOptions
-from repro.core.registry import (
-    dense_score_rows,
-    resolve_metric,
-    validate_metrics,
-)
 from repro.core.weights import Weights
 from repro.sparse.inverted import sparse_scores_inverted, sparse_topk
 from repro.sparse.kernels import SparseQuery, as_sparse_query
@@ -418,20 +413,20 @@ class TestEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# Registry (metric table + dense fallback kernels) and engine names
+# Lexical metric and engine names
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_metric_did_you_mean(self):
-        with pytest.raises(ValueError, match="cosine"):
-            resolve_metric("cosin")
-        with pytest.raises(ValueError, match="bm25"):
-            resolve_metric("bm52")
+        with pytest.raises(ValueError, match="did you mean 'bm25'"):
+            random_store(metric="bm52")
+        with pytest.raises(ValueError, match="did you mean 'tfidf'"):
+            random_store(metric="tfidff")
 
     def test_metric_kind_mismatch(self):
-        with pytest.raises(ValueError, match="dense metric"):
-            resolve_metric("bm25", kind="dense")
-        with pytest.raises(ValueError, match="sparse metric"):
-            resolve_metric("l2", kind="sparse")
+        # a dense metric name is no lexical metric
+        for name in ("ip", "cosine", "l2"):
+            with pytest.raises(ValueError, match="unknown sparse metric"):
+                random_store(metric=name)
 
     def test_engine_did_you_mean(self):
         with pytest.raises(ValueError, match="did you mean 'inverted'"):
@@ -440,30 +435,15 @@ class TestRegistry:
             SearchOptions(engine="wav")
         assert SearchOptions(sparse_engine="inverted").sparse_engine == "inverted"
 
-    def test_validate_metrics_count(self):
-        assert validate_metrics(["ip", "cosine"], 2) == ("ip", "cosine")
-        with pytest.raises(ValueError, match="2 dense modalities"):
-            validate_metrics(["ip"], 2)
-        with pytest.raises(ValueError, match="dense metric"):
-            validate_metrics(["bm25"], 1)  # sparse metric in dense slot
-
-    def test_dense_fallback_kernels(self):
-        rng = np.random.default_rng(33)
-        rows = rng.standard_normal((10, 6))
-        q = rng.standard_normal(6)
-        cos = dense_score_rows("cosine", q, rows)
-        l2 = dense_score_rows("l2", q, rows)
-        expect_cos = (rows @ q) / (
-            np.linalg.norm(rows, axis=1) * np.linalg.norm(q)
-        )
-        np.testing.assert_allclose(cos, expect_cos, rtol=1e-12)
-        np.testing.assert_allclose(
-            l2, -np.sum((rows - q) ** 2, axis=1), rtol=1e-12
-        )
-        with pytest.raises(ValueError, match="legacy path"):
-            dense_score_rows("ip", q, rows)
-
     def test_cosine_zero_row_safe(self):
-        rows = np.zeros((2, 4))
-        scores = dense_score_rows("cosine", np.ones(4), rows)
-        assert np.all(scores == 0.0)
+        """A zero row (a missing modality) stays zero under
+        ``normalize=True`` and scores exactly 0.0 against any query."""
+        rows = np.zeros((3, 4), dtype=np.float32)
+        rows[1] = [3.0, 0.0, 4.0, 0.0]
+        objects = MultiVectorSet([rows], normalize=True)
+        assert np.all(objects.modality(0)[[0, 2]] == 0.0)
+        query = MultiVector.from_arrays([np.full(4, 0.5, dtype=np.float32)])
+        must = MUST(objects, weights=Weights([1.0]))
+        res = must.query(query, SearchOptions(k=3, exact=True))
+        assert res.ids.tolist() == [1, 0, 2]
+        assert res.similarities[1:].tolist() == [0.0, 0.0]

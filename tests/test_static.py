@@ -10,8 +10,8 @@ the modules ``pyproject.toml`` holds to ``disallow_untyped_defs`` — and
 nothing an exact answer could be tuned with: no safety-band or
 second-kernel parameter, no environment read in ``repro.core.space``,
 one ``exact*`` method on a view, one graph engine, one lexical scorer,
-no float16 store, one frontier scorer for the rows off its concat fast
-path, and every name the
+no float16 store, one dense metric (inner product), one frontier
+scorer for the rows off its concat fast path, and every name the
 benchmark's tracer binds still where it looks.  The C kernel gets the
 checks a compiler would not make: every exported function declared to
 ctypes as the source defines it, and build flags that keep its float
@@ -287,6 +287,24 @@ def test_no_sharded_serving_tier():
     ] == []
 
 
+def test_one_dense_metric():
+    """Every dense modality scores by inner product: the metric
+    registry is gone, no constructor takes a ``metrics`` declaration,
+    and no source file keeps a per-metric fork."""
+    from repro.core.framework import MUST
+    from repro.core.multivector import MultiVectorSet
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.registry")
+    for entry in (MUST, MultiVectorSet, MultiVectorSet.from_store):
+        assert "metrics" not in inspect.signature(entry).parameters, entry
+    retired = re.compile(r"\b(is_ip_only|dense_score_rows|declared_metrics)\b")
+    assert [
+        str(path.relative_to(PACKAGE))
+        for path in MODULES if retired.search(path.read_text())
+    ] == []
+
+
 def test_one_frontier_scorer():
     """Every wave row off the concat fast path scores through
     ``StackedScorer``: the per-query scorers are gone from the source,
@@ -419,12 +437,11 @@ def call_sites(name: str) -> list[str]:
 def test_one_place_decides_how_rows_become_a_segment():
     """One seal path, one store rebind, one live-row walk: the store
     re-seat and the cold spill each have one caller, only the rebind
-    helper (beside the set's own subset, the metric declaration and
-    the archive decode) wraps a store."""
+    helper (beside the set's own subset and the archive decode) wraps a
+    store."""
     assert call_sites("reseat_on_store") == ["index/segments.py:seal_index"]
     assert call_sites("spill_cold") == ["index/segments.py:seal_index"]
     assert call_sites("from_store") == [
-        "core/framework.py:MUST.__init__",
         "core/multivector.py:MultiVectorSet.subset",
         "core/space.py:JointSpace.rebind",
         "index/segments.py:SegmentedIndex._load_vectors",
