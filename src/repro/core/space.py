@@ -5,11 +5,16 @@ to a :class:`~repro.core.weights.Weights` instance and exposes every
 similarity kernel the indexes and searchers need:
 
 * object↔object joint similarity (used during graph construction),
-* query→corpus joint similarity, dense or restricted to an id subset,
-* the **incremental multi-vector computation** of §VII-B: per-modality
-  distances are accumulated and an object is discarded as soon as its
-  partial-IP upper bound drops to the pruning threshold (Lemma 4 guarantees
-  this is lossless).
+* the rescaled query vector of the concat fast path (Lemma 1),
+* query→corpus joint similarity in float64, over the whole corpus or an
+  id subset: the exact plans' kernel and the ``refine=`` rerank.
+
+Frontier rows off the concat fast path — a compressed store, a
+zero-weight fallback, and the **incremental multi-vector computation**
+of §VII-B, where an object is discarded as soon as its partial-IP upper
+bound drops to the pruning threshold (lossless by Lemma 4) — are scored
+by :class:`~repro.index.scoring.StackedScorer` through each store's
+stacked kernel.
 
 All vectors are assumed L2-normalised, which gives the identity the paper
 uses in Eq. 8 (generalised to arbitrary weight totals ``S = Σ ω²``)::
@@ -29,7 +34,7 @@ import numpy as np
 from repro.core.multivector import MultiVector, MultiVectorSet
 from repro.core.results import SearchStats
 from repro.core.weights import Weights
-from repro.store import ModalityKernel, VectorStore, max_row_norm
+from repro.store import VectorStore, max_row_norm
 from repro.utils.validation import require
 
 if TYPE_CHECKING:
@@ -215,58 +220,6 @@ class JointSpace:
                 blocks.append((w2[i] / omegas[i]) * q.astype(np.float32))
         return np.concatenate(blocks).astype(np.float32)
 
-    def query_kernels(
-        self, query: MultiVector, weights: Weights | None = None
-    ) -> list[tuple[int, float, ModalityKernel]]:
-        """Per-modality asymmetric kernels for the active modalities.
-
-        One ``(modality, w2_i, kernel)`` triple per modality the query
-        carries with a positive effective weight.  Kernel construction
-        pays any per-query preprocessing (PQ ADC lookup tables,
-        scalar-quant rescale) once per call.
-        """
-        w2 = self.effective_squared_weights(query, weights)
-        store = self.store
-        return [
-            (i, float(w2[i]), store.query_kernel(i, q.astype(np.float32)))
-            for i, q in enumerate(query.vectors)
-            if q is not None and w2[i] > 0.0
-        ]
-
-    def query_all(
-        self, query: MultiVector, weights: Weights | None = None
-    ) -> np.ndarray:
-        """Joint similarity of *query* against every object (brute force).
-
-        Scores through the store's asymmetric kernels: exact BLAS on the
-        dense backend (bit-identical to the historical matrix path),
-        uncompressed-query-vs-codes elsewhere.
-        """
-        out = np.zeros(self.n, dtype=np.float64)
-        for _, w2_i, kernel in self.query_kernels(query, weights):
-            out += w2_i * kernel.all().astype(np.float64)
-        return out
-
-    def query_ids(
-        self,
-        query: MultiVector,
-        ids: np.ndarray,
-        weights: Weights | None = None,
-        stats: SearchStats | None = None,
-    ) -> np.ndarray:
-        """Joint similarity against the objects in *ids* (no pruning) —
-        the per-query reference of the wave's stacked pass
-        (:class:`~repro.index.scoring.StackedScorer`)."""
-        ids = np.asarray(ids)
-        out = np.zeros(ids.shape[0], dtype=np.float64)
-        kernels = self.query_kernels(query, weights)
-        for _, w2_i, kernel in kernels:
-            out += w2_i * kernel.ids(ids).astype(np.float64)
-        if stats is not None:
-            stats.joint_evals += int(ids.shape[0])
-            stats.modality_evals += int(ids.shape[0]) * len(kernels)
-        return out
-
     def query_ids_exact(
         self,
         query: MultiVector,
@@ -278,7 +231,7 @@ class JointSpace:
 
         Scores against the store's cold exact tier — the second stage of
         the ``refine=`` pipeline re-scores the compressed search's top
-        survivors here.  On a dense store this equals :meth:`query_ids`;
+        survivors here.  On a dense store the cold tier is the hot one;
         on a compressed store built with ``keep_exact=False`` it falls
         back to reconstructions (rerank becomes a no-op).
         ``ids=None`` scores the whole corpus.
@@ -314,7 +267,7 @@ class JointSpace:
         """Layout-independent exact joint similarities.
 
         BLAS GEMV kernels pick different accumulation orders for
-        different matrix row counts, so :meth:`query_all` over a 60-row
+        different matrix row counts, so a float32 scan over a 60-row
         corpus and over a 600-row corpus can disagree in the last bit for
         the *same* object.  This route multiplies elementwise and reduces
         each row independently in float64, so a row's similarity depends
@@ -352,68 +305,3 @@ class JointSpace:
             stats.joint_evals += count
             stats.modality_evals += count * active
         return out
-
-    def query_ids_early_stop(
-        self,
-        query: MultiVector,
-        ids: np.ndarray,
-        threshold: float,
-        weights: Weights | None = None,
-        stats: SearchStats | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lemma-4 pruned similarity evaluation.
-
-        Returns ``(sims, exact)`` where ``exact[j]`` is True when
-        ``sims[j]`` is the exact joint similarity of ``ids[j]``; when False
-        the object was pruned because its upper bound fell to ``threshold``
-        or below (so its exact similarity is also ≤ the threshold, and
-        ``sims[j]`` holds the bound at pruning time).
-
-        The per-query reference of the wave's stacked Lemma-4 pass
-        (:class:`~repro.index.scoring.StackedScorer`), which returns the
-        same bits and counts the same work.
-        """
-        ids = np.asarray(ids)
-        w2 = self.effective_squared_weights(query, weights)
-        store = self.store
-        active = [
-            i
-            for i, q in enumerate(query.vectors)
-            if q is not None and w2[i] > 0.0
-        ]
-        # Descending-weight scan order: heavier modalities shrink the upper
-        # bound fastest, maximising pruning without affecting correctness.
-        active.sort(key=lambda i: -w2[i])
-
-        total = float(sum(w2[i] for i in active))
-        bound = np.full(ids.shape[0], total, dtype=np.float64)
-        alive = np.arange(ids.shape[0])
-        if stats is not None:
-            stats.joint_evals += int(ids.shape[0])
-        for step, i in enumerate(active):
-            kernel = store.query_kernel(i, query.vectors[i].astype(np.float32))
-            # ‖q−u‖² = 2 − 2·(q·u) for unit vectors.  On compressed rows
-            # the identity Σ wᵢ²·(1 − ½d²ᵢ) = Σ wᵢ²·IPᵢ still holds
-            # exactly; only the *bound* direction inherits the (tiny)
-            # reconstruction error, so pruning is lossless w.r.t. the
-            # store's own scores up to that error.
-            d2 = 2.0 - 2.0 * kernel.ids(ids[alive]).astype(np.float64)
-            bound[alive] -= 0.5 * w2[i] * d2
-            if stats is not None:
-                stats.modality_evals += int(alive.shape[0])
-            if step < len(active) - 1:
-                survivors = bound[alive] > threshold
-                if stats is not None:
-                    stats.pruned_early += int(
-                        alive.shape[0] - int(survivors.sum())
-                    )
-                alive = alive[survivors]
-                if alive.size == 0:
-                    break
-        exact = bound > threshold
-        # Objects that survived the full scan hold exact similarities even
-        # if they ended at/below the threshold: mark them exact so callers
-        # can still use the value (Lemma 4, second clause).
-        if alive.size:
-            exact[alive] = True
-        return bound, exact

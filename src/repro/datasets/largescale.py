@@ -27,7 +27,7 @@ from repro.datasets.base import (
     encode_dataset,
 )
 from repro.embedding.concepts import LatentConceptSpace
-from repro.metrics.groundtruth import exact_top_k
+from repro.metrics.groundtruth import exact_top_k_batch
 from repro.utils.rng import derive_seed, spawn
 from repro.utils.validation import require
 
@@ -144,4 +144,4 @@ def exact_ground_truth(
     """Exact joint top-*k* ids per query — the Recall@k(k) reference set."""
     space = JointSpace(encoded.objects, weights)
     queries = queries if queries is not None else encoded.queries
-    return [exact_top_k(space, q, k)[0] for q in queries]
+    return exact_top_k_batch(space, queries, k)

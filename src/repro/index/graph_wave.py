@@ -19,9 +19,8 @@ Each wave
    own concat column exactly as the exact wave does; every other row (a
    compressed store, a query that needs a modality the index weights
    zeroed, a Lemma-4 plan) goes through one stacked kernel call per
-   modality (:class:`~repro.index.scoring.StackedScorer`, bit-identical
-   to the per-query reference kernels of
-   :class:`~repro.core.space.JointSpace`, Lemma-4 pruning included),
+   modality (:class:`~repro.index.scoring.StackedScorer`, whose rows
+   carry the same bits in a stack of one, Lemma-4 pruning included),
 4. scatters the scores back into per-query result pools, visited
    bitsets, and routing pools.
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.space import JointSpace
-from repro.utils.parallel import resolve_n_jobs, thread_map
 from repro.utils.rng import make_rng
 from repro.utils.validation import require
 
@@ -141,7 +140,6 @@ def nndescent(
     block_size: int = 128,
     init: np.ndarray | None = None,
     use_reverse: bool = True,
-    n_jobs: int = 1,
 ) -> np.ndarray:
     """Approximate joint-similarity KNN graph, shape ``(n, k)`` int32.
 
@@ -149,13 +147,8 @@ def nndescent(
     (used by the γ/ε ablations to share work across parameter points).
     ``use_reverse`` enables the full bidirectional local join.
 
-    ``n_jobs > 1`` refines the blocks of each iteration on a thread pool.
-    The sequential sweep is Gauss–Seidel (later blocks see earlier
-    blocks' fresh neighbours); the parallel sweep refines every block
-    against the iteration-start snapshot (Jacobi), so its output is
-    deterministic and independent of the worker count — but it is a
-    *different* (equally valid) approximate KNN graph than ``n_jobs=1``
-    produces, typically converging within one extra iteration.
+    The sweep is Gauss–Seidel: later blocks see earlier blocks' fresh
+    neighbours within the same iteration.
     """
     n = space.n
     require(k < n, f"k={k} must be smaller than n={n}")
@@ -166,29 +159,14 @@ def nndescent(
         else random_knn(n, k, make_rng(seed))
     )
     require(neighbors.shape == (n, k), "init graph has wrong shape")
-    workers = resolve_n_jobs(n_jobs)
     blocks = [
         np.arange(start, min(start + block_size, n))
         for start in range(0, n, block_size)
     ]
     for _ in range(max(0, iterations)):
         reverse = reverse_neighbors(neighbors, k) if use_reverse else None
-        if workers == 1:
-            for block in blocks:
-                neighbors[block] = _refine_block(
-                    concat, neighbors, block, k, reverse
-                )
-        else:
-            snapshot = neighbors.copy()
-            updates = thread_map(
-                lambda block: _refine_block(
-                    concat, snapshot, block, k, reverse
-                ),
-                blocks,
-                n_jobs=workers,
-            )
-            for block, update in zip(blocks, updates):
-                neighbors[block] = update
+        for block in blocks:
+            neighbors[block] = _refine_block(concat, neighbors, block, k, reverse)
     return neighbors.astype(np.int32)
 
 

@@ -60,10 +60,6 @@ class FusedIndexBuilder:
     connect: bool = True
     name: str = "ours"
     extra_meta: dict[str, Any] = field(default_factory=dict)
-    #: Thread-pool width for the NNDescent stage (see
-    #: :func:`repro.index.nndescent.nndescent`); 1 keeps the sequential
-    #: Gauss–Seidel sweep and its exact historical output.
-    n_jobs: int = 1
 
     def __post_init__(self) -> None:
         require(self.gamma >= 1, "gamma must be positive")
@@ -82,10 +78,7 @@ class FusedIndexBuilder:
         init_k = min(init_k, space.n - 1)
 
         # ① Initialisation — NNDescent KNN graph under joint similarity.
-        knn = nndescent(
-            space, k=init_k, iterations=self.epsilon, seed=self.seed,
-            n_jobs=self.n_jobs,
-        )
+        knn = nndescent(space, k=init_k, iterations=self.epsilon, seed=self.seed)
         t_init = time.perf_counter()
 
         # ④ Seed preprocessing (needed early by search-based candidates).

@@ -10,10 +10,11 @@ the exact scan's prefilter, and the refine rerank.
 * :class:`StackedScorer` — **every other wave row**: a compressed store
   (materialising the concatenation would undo the compression), a query
   that needs a modality the index weights zeroed, and every row of a
-  Lemma-4 plan.  One :class:`~repro.store.StackedKernel` per modality
-  scores all of the batch's frontiers in one store call, each row
-  reduced on its own, so a row's score is the same alone, in any
-  frontier and in any batch.  With ``early_termination`` the same
+  Lemma-4 plan.  One :class:`~repro.store.ModalityKernel` per modality
+  (the store's one kernel) scores all of the batch's frontiers in one
+  store call, each row reduced on its own, so a row's score is the same
+  alone, in any frontier and in any batch — a lone query is a stack of
+  one.  With ``early_termination`` the same
   kernels run the incremental multi-vector computation of §VII-B: each
   query scans its modalities heaviest first and a row drops out once its
   partial-IP upper bound cannot beat its query's pool threshold —
@@ -30,10 +31,10 @@ the exact scan's prefilter, and the refine rerank.
   full-precision re-scoring of a compressed search's top survivors
   against the store's cold exact tier.
 
-The per-query reference kernels these are held to stay in
-:class:`~repro.core.space.JointSpace`: :meth:`~JointSpace.query_ids`
-(full evaluation) and :meth:`~JointSpace.query_ids_early_stop` (Lemma 4)
-— a :class:`StackedScorer` row carries their bits and work counters.
+The tests hold a :class:`StackedScorer` row to
+:meth:`~repro.core.space.JointSpace.query_ids_stable` (float64 over
+decoded rows) within the float32 dot-product bound, and its Lemma-4
+pass to a per-query scan, bit for bit and counter for counter.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.core.multivector import MultiVector
 from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
-from repro.store import StackedKernel, dot_error
+from repro.store import ModalityKernel, dot_error
 from repro.utils.topk import rank_order
 
 __all__ = [
@@ -81,24 +82,24 @@ def _per_query_weights(
 class StackedScorer:
     """Frontier scorer for every wave row off the concat fast path.
 
-    Per modality, one :class:`~repro.store.StackedKernel` holds the query
+    Per modality, one :class:`~repro.store.ModalityKernel` holds the query
     vectors of every batch member that carries the modality with a
     positive effective weight; ``score(owner, ids, thr)`` scores row
     ``ids[j]`` against query ``owner[j]`` with one store call per
     modality (per modality *step* under Lemma 4).
 
-    Full evaluation accumulates ``ω²·IP`` in float64 in modality order,
-    bit for bit :meth:`JointSpace.query_ids`.  With
-    ``early_termination`` each query scans its own modalities heaviest
-    ``ω²`` first (ties in modality order) from the bound ``Σ ω²``,
-    subtracting ``½·ω²·(2 − 2·IP)`` per step, and a row whose bound is
-    not above ``thr[owner]`` drops out between steps — bit for bit
-    :meth:`JointSpace.query_ids_early_stop`.  Either way a row's value
-    depends on its own query and vertex alone.
+    Full evaluation accumulates ``ω²·IP`` in float64 in modality order.
+    With ``early_termination`` each query scans its own modalities
+    heaviest ``ω²`` first (ties in modality order) from the bound
+    ``Σ ω²``, subtracting ``½·ω²·(2 − 2·IP)`` per step, and a row whose
+    bound is not above ``thr[owner]`` drops out between steps (Lemma 4).
+    Either way a row's value depends on its own query and vertex alone,
+    so a scorer over a stack of one gives any row the bits it gets in a
+    batch.
 
     :attr:`joint_evals`, :attr:`modality_evals` and :attr:`pruned_early`
-    count per owner, as the reference kernels count into a query's
-    :class:`~repro.core.results.SearchStats`.
+    count per owner, as a query's
+    :class:`~repro.core.results.SearchStats` counts them.
     """
 
     def __init__(
@@ -119,7 +120,7 @@ class StackedScorer:
         carried = w2 > 0.0
         self._w2 = w2
         #: modality → (query → kernel row or -1, kernel), in modality order
-        self._kernels: dict[int, tuple[np.ndarray, StackedKernel]] = {}
+        self._kernels: dict[int, tuple[np.ndarray, ModalityKernel]] = {}
         for i in np.flatnonzero(carried.any(axis=0)).tolist():
             rows = np.flatnonzero(carried[:, i])
             slot = np.full(b, -1, dtype=np.int64)

@@ -1,10 +1,12 @@
-"""Exact (brute-force) answers under a joint space.
+"""Exact (brute-force) answers under a joint space — evaluation ground
+truth, e.g. :func:`~repro.datasets.largescale.exact_ground_truth` for the
+semi-synthetic corpora.
 
-Used for three things:
-
-* planting evaluation ground truth for the semi-synthetic corpora,
-* the MUST-- / MR-- brute-force baselines' reference behaviour,
-* hard-negative mining inside the weight-learning loop.
+Ground truth is the exact plan's own answer: one
+:meth:`~repro.index.flat.FlatIndex.batch_search` call (a float32
+prefilter GEMM, then a float64 rerank), ordered by ``(-similarity,
+id)``.  So a recall of the exact plan against it is 1.0 by construction,
+ties at the cut-off included.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from repro.core.multivector import MultiVector
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
-from repro.utils.topk import top_k_sorted
+from repro.index.flat import FlatIndex
 
 __all__ = ["exact_top_k", "exact_top_k_batch"]
 
@@ -25,10 +27,9 @@ def exact_top_k(
     k: int,
     weights: Weights | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-*k* ids and joint similarities for one query."""
-    sims = space.query_all(query, weights=weights)
-    ids = top_k_sorted(sims, k)
-    return ids, sims[ids]
+    """Exact top-*k* ids and float64 joint similarities for one query."""
+    result = FlatIndex(space).search(query, k, weights=weights)
+    return result.ids, result.similarities
 
 
 def exact_top_k_batch(
@@ -38,4 +39,5 @@ def exact_top_k_batch(
     weights: Weights | None = None,
 ) -> list[np.ndarray]:
     """Exact top-*k* ids for each query in a batch."""
-    return [exact_top_k(space, q, k, weights=weights)[0] for q in queries]
+    results = FlatIndex(space).batch_search(queries, k, weights=weights)
+    return [result.ids for result in results]

@@ -19,7 +19,6 @@ are refused with a message on how to re-save them.
 from repro.store.base import (
     STORE_KINDS,
     ModalityKernel,
-    StackedKernel,
     VectorStore,
     dot_error,
     make_store,
@@ -43,7 +42,6 @@ from repro.store.quant import ScalarQuantStore
 __all__ = [
     "STORE_KINDS",
     "ModalityKernel",
-    "StackedKernel",
     "VectorStore",
     "dot_error",
     "make_store",

@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = [
     "ModalityKernel",
-    "StackedKernel",
     "VectorStore",
     "STORE_KINDS",
     "dot_error",
@@ -77,56 +76,23 @@ def max_row_norm(mat: np.ndarray) -> float:
 
 
 class ModalityKernel(abc.ABC):
-    """Asymmetric scoring kernel: one float32 query vs one hot modality.
+    """Frontier kernel: a *stack* of float32 queries vs one hot modality.
 
-    Built once per (query, modality) by :meth:`VectorStore.query_kernel`,
-    so per-query preprocessing (the PQ ADC lookup table, the
-    scalar-quant affine rescale) is paid once per call site: full scans
-    (:meth:`~repro.core.space.JointSpace.query_all`) and the per-query
-    reference kernels of :class:`~repro.core.space.JointSpace`.
-    :meth:`ids` reduces each row on its own, so its values are the ones
-    the wave's :class:`StackedKernel` returns for the same rows.
+    Built once per (batch, modality) by :meth:`VectorStore.stacked_kernel`,
+    so per-query preprocessing (the PQ ADC lookup tables, the
+    scalar-quant affine rescale) is paid once per stack.
+    ``ids(ids, owner)`` scores row ``ids[j]`` against query ``owner[j]``,
+    so one call covers every query's frontier.  Each row is reduced on
+    its own, so its value is the same alone, in any frontier and in a
+    stack of any size — what lets the wave score a batch's frontiers
+    in one call without changing an answer.  A lone query is a stack
+    of one.  Full scans go through :meth:`VectorStore.batch_scores`.
     """
 
     @abc.abstractmethod
-    def all(self) -> np.ndarray:
-        """Inner products of the query against every row, shape ``(n,)``."""
-
-    @abc.abstractmethod
-    def ids(self, ids: np.ndarray) -> np.ndarray:
-        """Inner products against the rows in *ids* only."""
-
-
-class StackedKernel(ModalityKernel):
-    """Frontier kernel for a *stack* of float32 queries vs one hot modality.
-
-    Built once per (batch, modality) by :meth:`VectorStore.stacked_kernel`
-    for the lockstep wave engine: ``ids(ids, owner)`` scores row
-    ``ids[j]`` against query ``owner[j]``, so one call covers every
-    query's frontier instead of one call per query.  Every value is
-    bit-identical to what that query's own
-    :meth:`VectorStore.query_kernel` kernel returns for the row — each
-    row is reduced on its own, in the per-query kernel's float32 order —
-    so stacking never changes an answer.
-    """
-
-    def ids(self, ids: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
-        """Inner product of row ``ids[j]`` with query ``owner[j]``
-        (``owner=None``: every row against query 0)."""
-        ids = np.asarray(ids)
-        if owner is None:
-            owner = np.zeros(ids.shape[0], dtype=np.int64)
-        return self._score(ids, owner)
-
-    @abc.abstractmethod
-    def _score(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """The backend's row-wise kernel behind :meth:`ids`."""
-
-    def all(self) -> np.ndarray:
-        raise TypeError(
-            "a stacked kernel scores frontiers only — full scans of a "
-            "query stack go through VectorStore.batch_scores"
-        )
+    def ids(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Float32 inner product of row ``ids[j]`` with query
+        ``owner[j]``."""
 
 
 class VectorStore(abc.ABC):
@@ -168,7 +134,7 @@ class VectorStore(abc.ABC):
 
         Exact for :class:`DenseStore`; a reconstruction elsewhere.  This
         materialises the full matrix — scan/frontier paths must use
-        :meth:`query_kernel` instead.
+        :meth:`batch_scores` / :meth:`stacked_kernel` instead.
         """
 
     def rows(self, i: int, ids: np.ndarray) -> np.ndarray:
@@ -200,28 +166,18 @@ class VectorStore(abc.ABC):
     # Asymmetric scoring
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def query_kernel(self, i: int, query: np.ndarray) -> ModalityKernel:
-        """Kernel scoring float32 *query* against hot modality *i*."""
-
-    @abc.abstractmethod
-    def stacked_kernel(self, i: int, queries: np.ndarray) -> StackedKernel:
+    def stacked_kernel(self, i: int, queries: np.ndarray) -> ModalityKernel:
         """Frontier kernel scoring a ``(b, d_i)`` float32 query stack
         against hot modality *i* — how the wave scores every row off
         the concat fast path (:class:`~repro.index.scoring.StackedScorer`):
         all rows of a compressed store, and on a dense one the rows of a
         zero-weight fallback or a Lemma-4 plan."""
 
+    @abc.abstractmethod
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:
-        """Inner products of a ``(b, d_i)`` query stack, shape ``(n, b)``.
-
-        Default loops per-query kernels; dense-ish backends override
-        with one GEMM per modality (the executor's exact batch wave).
-        """
-        queries = np.ascontiguousarray(queries, dtype=np.float32)
-        out = np.empty((self.n, queries.shape[0]), dtype=np.float32)
-        for col in range(queries.shape[0]):
-            out[:, col] = self.query_kernel(i, queries[col]).all()
-        return out
+        """Inner products of a ``(b, d_i)`` query stack against every
+        row of hot modality *i*, shape ``(n, b)`` — the exact plans'
+        prefilter wave (one GEMM, or one ADC table block)."""
 
     def batch_scores_bound(self, i: int, queries: np.ndarray) -> np.ndarray:
         """Per query ``j``, an ``ε_j`` with ``|batch_scores(i, queries)[r,

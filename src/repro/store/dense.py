@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.store.base import (
     ModalityKernel,
-    StackedKernel,
     VectorStore,
     dot_error,
     max_row_norm,
@@ -24,30 +23,10 @@ from repro.utils.validation import require
 __all__ = ["DenseStore"]
 
 
-class _MatKernel(ModalityKernel):
-    """One query against one stored float32 matrix: full scans are a
-    GEMV, frontier rows are reduced one by one (a GEMV's bits depend on
-    how many rows share the call), so a row's score is the same alone,
-    in any frontier, and in a wave's stacked kernel."""
-
-    __slots__ = ("mat", "q")
-
-    def __init__(self, mat: np.ndarray, q: np.ndarray) -> None:
-        self.mat = mat
-        self.q = np.ascontiguousarray(q, dtype=np.float32)
-
-    def all(self) -> np.ndarray:
-        return self.mat @ self.q
-
-    def ids(self, ids: np.ndarray) -> np.ndarray:
-        rows = self.mat[np.asarray(ids)]
-        sims: np.ndarray = np.einsum("ij,j->i", rows, self.q)
-        return sims
-
-
-class _StackedMatKernel(StackedKernel):
-    """The same rows against a query stack: row ``j`` is reduced
-    against query ``owner[j]``."""
+class _StackedMatKernel(ModalityKernel):
+    """Stored float32 rows against a query stack: row ``j`` is reduced
+    on its own against query ``owner[j]`` (a GEMV's bits depend on how
+    many rows share the call; this reduction's do not)."""
 
     __slots__ = ("mat", "queries")
 
@@ -55,7 +34,7 @@ class _StackedMatKernel(StackedKernel):
         self.mat = mat
         self.queries = np.ascontiguousarray(queries, dtype=np.float32)
 
-    def _score(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    def ids(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
         rows = self.mat[ids]
         sims: np.ndarray = np.einsum("ij,ij->i", rows, self.queries[owner])
         return sims
@@ -100,10 +79,7 @@ class DenseStore(VectorStore):
         return True
 
     # -- scoring --------------------------------------------------------
-    def query_kernel(self, i: int, query: np.ndarray) -> ModalityKernel:
-        return _MatKernel(self._mats[i], query)
-
-    def stacked_kernel(self, i: int, queries: np.ndarray) -> StackedKernel:
+    def stacked_kernel(self, i: int, queries: np.ndarray) -> ModalityKernel:
         return _StackedMatKernel(self._mats[i], queries)
 
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:

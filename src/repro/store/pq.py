@@ -25,7 +25,6 @@ import numpy as np
 from repro import native
 from repro.store.base import (
     ModalityKernel,
-    StackedKernel,
     VectorStore,
     dot_error,
     register_store,
@@ -108,34 +107,7 @@ def _adc_gather(
     return out
 
 
-class _ADCKernel(ModalityKernel):
-    """ADC for one query: its ``(M, C)`` tables, every row owned by it."""
-
-    __slots__ = ("codes", "lut")
-
-    def __init__(self, codes: np.ndarray, codebook: np.ndarray, q: np.ndarray):
-        self.codes = codes  # (n, M) uint8, C-ordered (PQStore's own)
-        m_sub, ncent, ds = codebook.shape
-        q_pad = np.zeros(m_sub * ds, dtype=np.float32)
-        q_pad[: q.shape[0]] = np.ascontiguousarray(q, dtype=np.float32)
-        # lut[m, c] = codebook[m, c] · q_sub[m]
-        self.lut = np.ascontiguousarray(
-            np.einsum("mcd,md->mc", codebook, q_pad.reshape(m_sub, ds)),
-            dtype=np.float32,
-        )
-
-    def _gather(self, ids: np.ndarray) -> np.ndarray:
-        owner = np.zeros(ids.shape[0], dtype=np.int64)
-        return _adc_gather(self.codes, self.lut[None], owner, ids)
-
-    def all(self) -> np.ndarray:
-        return self._gather(np.arange(self.codes.shape[0]))
-
-    def ids(self, ids: np.ndarray) -> np.ndarray:
-        return self._gather(np.asarray(ids))
-
-
-class _StackedADCKernel(StackedKernel):
+class _StackedADCKernel(ModalityKernel):
     """ADC over a query stack: one ``(b, M, C)`` table block, one gather
     per frontier — row ``j`` reads query ``owner[j]``'s tables."""
 
@@ -145,7 +117,7 @@ class _StackedADCKernel(StackedKernel):
         self.codes = codes  # (n, M) uint8, C-ordered (PQStore's own)
         self.luts = np.ascontiguousarray(_adc_tables(codebook, queries))
 
-    def _score(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    def ids(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return _adc_gather(self.codes, self.luts, owner, ids)
 
 
@@ -235,10 +207,7 @@ class PQStore(VectorStore):
         return self.rows(i, np.asarray(ids))
 
     # -- scoring --------------------------------------------------------
-    def query_kernel(self, i: int, query: np.ndarray) -> ModalityKernel:
-        return _ADCKernel(self._codes[i], self._books[i], query)
-
-    def stacked_kernel(self, i: int, queries: np.ndarray) -> StackedKernel:
+    def stacked_kernel(self, i: int, queries: np.ndarray) -> ModalityKernel:
         return _StackedADCKernel(self._codes[i], self._books[i], queries)
 
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:

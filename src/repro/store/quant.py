@@ -16,13 +16,12 @@ offset, computed once per (query, modality) by the kernel constructor.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.store.base import (
     ModalityKernel,
-    StackedKernel,
     VectorStore,
     dot_error,
     register_store,
@@ -33,43 +32,26 @@ from repro.utils.validation import require
 __all__ = ["ScalarQuantStore"]
 
 
-class _SQKernel(ModalityKernel):
+class _StackedSQKernel(ModalityKernel):
+    """The affine kernel over a query stack: row ``j`` is reduced on its
+    own against query ``owner[j]``'s pre-scaled vector, plus its
+    offset."""
+
     __slots__ = ("codes", "q_scaled", "offset")
 
-    def __init__(self, codes: np.ndarray, lo: np.ndarray, step: np.ndarray,
-                 q: np.ndarray):
-        q = np.ascontiguousarray(q, dtype=np.float32)
+    def __init__(
+        self, codes: np.ndarray, lo: np.ndarray, step: np.ndarray, queries: np.ndarray
+    ) -> None:
+        q = np.ascontiguousarray(queries, dtype=np.float32)
         self.codes = codes
         self.q_scaled = (step * q).astype(np.float32)
-        self.offset = np.float32(lo @ q)
+        # One dot per query, not one (b, d) @ (d,) GEMV: a GEMV may
+        # round differently, and the offset's bits are the answer's.
+        self.offset = np.asarray([lo @ row for row in q], dtype=np.float32)
 
-    def all(self) -> np.ndarray:
-        return self.codes @ self.q_scaled + self.offset
-
-    def ids(self, ids: np.ndarray) -> np.ndarray:
-        # Row-wise reduction (not a GEMV, whose bits depend on how many
-        # rows share the call): a row's score is the same alone, in any
-        # frontier, and in a wave's stacked kernel.
-        rows = self.codes[np.asarray(ids)].astype(np.float32)
-        return np.einsum("ij,j->i", rows, self.q_scaled) + self.offset
-
-
-class _StackedSQKernel(StackedKernel):
-    """The affine kernel over a query stack: row ``j`` is reduced
-    against query ``owner[j]``'s pre-scaled vector and offset."""
-
-    __slots__ = ("codes", "q_scaled", "offset")
-
-    def __init__(self, codes: np.ndarray, lo: np.ndarray, step: np.ndarray,
-                 queries: np.ndarray):
-        kernels = [_SQKernel(codes, lo, step, q) for q in queries]
-        self.codes = codes
-        self.q_scaled = np.stack([k.q_scaled for k in kernels])
-        self.offset = np.asarray([k.offset for k in kernels], dtype=np.float32)
-
-    def _score(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    def ids(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
         rows = self.codes[ids].astype(np.float32)
-        scores = np.einsum("ij,ij->i", rows, self.q_scaled[owner])
+        scores: np.ndarray = np.einsum("ij,ij->i", rows, self.q_scaled[owner])
         return scores + self.offset[owner]
 
 
@@ -138,10 +120,7 @@ class ScalarQuantStore(VectorStore):
         return self.rows(i, np.asarray(ids))
 
     # -- scoring --------------------------------------------------------
-    def query_kernel(self, i: int, query: np.ndarray) -> ModalityKernel:
-        return _SQKernel(self._codes[i], self._lows[i], self._steps[i], query)
-
-    def stacked_kernel(self, i: int, queries: np.ndarray) -> StackedKernel:
+    def stacked_kernel(self, i: int, queries: np.ndarray) -> ModalityKernel:
         return _StackedSQKernel(
             self._codes[i], self._lows[i], self._steps[i], queries
         )
@@ -150,7 +129,8 @@ class ScalarQuantStore(VectorStore):
         q = np.ascontiguousarray(queries, dtype=np.float32)  # (b, d)
         scaled = q * self._steps[i]
         offsets = q @ self._lows[i]  # (b,)
-        return self._codes[i] @ scaled.T + offsets[None, :]
+        scores: np.ndarray = self._codes[i] @ scaled.T + offsets[None, :]
+        return scores
 
     def batch_scores_bound(self, i: int, queries: np.ndarray) -> np.ndarray:
         # Both sides are sums of q_d·(code_d·step_d + low_d) up to a few
@@ -162,7 +142,8 @@ class ScalarQuantStore(VectorStore):
         lows = self._lows[i].astype(np.float64)
         reach = 255.0 * np.linalg.norm(steps) + np.linalg.norm(lows)
         q_norms = np.linalg.norm(np.asarray(queries, dtype=np.float64), axis=1)
-        return dot_error(steps.shape[0]) * reach * q_norms
+        bound: np.ndarray = dot_error(steps.shape[0]) * reach * q_norms
+        return bound
 
     # -- lifecycle ------------------------------------------------------
     def subset(self, ids: np.ndarray) -> "ScalarQuantStore":
@@ -194,7 +175,7 @@ class ScalarQuantStore(VectorStore):
         return ScalarQuantStore(self._codes, self._lows, self._steps, plane)
 
     # -- persistence ----------------------------------------------------
-    def store_meta(self) -> dict:
+    def store_meta(self) -> dict[str, Any]:
         return {"kind": self.kind, "dtype": self.dtype,
                 "num_modalities": self.num_modalities,
                 "keep_exact": self.has_exact}
@@ -210,7 +191,9 @@ class ScalarQuantStore(VectorStore):
         return out
 
     @classmethod
-    def from_arrays(cls, meta: dict, arrays: dict) -> "ScalarQuantStore":
+    def from_arrays(
+        cls, meta: dict[str, Any], arrays: dict[str, np.ndarray]
+    ) -> "ScalarQuantStore":
         m = int(meta["num_modalities"])
         exact = None
         if meta.get("keep_exact") and "exact_0" in arrays:
@@ -224,12 +207,17 @@ class ScalarQuantStore(VectorStore):
 
     @classmethod
     def from_matrices(
-        cls, matrices: Sequence[np.ndarray], keep_exact: bool = True, **options
+        cls,
+        matrices: Sequence[np.ndarray],
+        keep_exact: bool = True,
+        **options: Any,
     ) -> "ScalarQuantStore":
         require(not options,
                 f"ScalarQuantStore options: keep_exact; got {sorted(options)}")
         mats = [np.ascontiguousarray(m, dtype=np.float32) for m in matrices]
-        codes, lows, steps = [], [], []
+        codes: list[np.ndarray] = []
+        lows: list[np.ndarray] = []
+        steps: list[np.ndarray] = []
         for mat in mats:
             lo = mat.min(axis=0)
             hi = mat.max(axis=0)

@@ -1,10 +1,12 @@
-"""Thread-pool helpers shared by the executor and the index builders.
+"""Thread-pool helper behind the multi-streamed retrieval baseline's
+``batch_search(n_jobs=)`` (:mod:`repro.baselines.multi_streamed`), its
+one caller.
 
-The library parallelises with **threads**, not processes: every heavy
-kernel bottoms out in BLAS calls that release the GIL, the index and
-corpus matrices are shared read-only, and each task is stateless (one
-scorer / one block per task), so threads give speed-up without any
-pickling or memory duplication.  ``n_jobs`` follows the scikit-learn
+It parallelises with **threads**, not processes: the per-modality
+searches bottom out in BLAS calls that release the GIL, the indexes and
+corpus matrices are shared read-only, and each task (one whole query)
+is stateless, so threads give speed-up without any pickling or memory
+duplication.  ``n_jobs`` follows the scikit-learn
 convention: ``1`` means sequential, ``-1`` means all cores.
 """
 

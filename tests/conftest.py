@@ -20,7 +20,7 @@ from repro.core.weights import Weights
 from repro.datasets import EncoderCombo, encode_dataset, make_mitstates
 from repro.index.base import GraphIndex
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.scoring import rerank_exact
+from repro.index.scoring import StackedScorer, rerank_exact
 from repro.sparse.hybrid import hybrid_union_rescore
 from repro.sparse.kernels import (
     BM25_B,
@@ -85,16 +85,75 @@ def oracle_scores(
 ) -> np.ndarray:
     """Joint similarities as the oracle scores them: one GEMV against
     the ω-scaled concatenation where the query has a concat vector
-    (Lemma 1), :meth:`JointSpace.query_ids` where it has none (a
-    compressed store, a modality the index weights zeroed)."""
+    (Lemma 1), a :class:`StackedScorer` over a stack of this one query
+    where it has none (a compressed store, a modality the index weights
+    zeroed), its work counters copied into *stats*."""
     qcat = space.concat_query(query, weights)
     if qcat is None:
-        return space.query_ids(query, ids, weights=weights, stats=stats)
+        scorer = StackedScorer(space, [query], [weights])
+        owner = np.zeros(ids.size, dtype=np.int64)
+        sims = scorer.score(owner, ids, np.full(1, -np.inf))
+        stats.joint_evals += int(scorer.joint_evals[0])
+        stats.modality_evals += int(scorer.modality_evals[0])
+        return sims
     stats.joint_evals += int(ids.size)
     stats.modality_evals += int(ids.size) * sum(
         v is not None for v in query.vectors
     )
     return (space.concatenated[ids] @ qcat).astype(np.float64)
+
+
+def lemma4_scores(
+    space: JointSpace,
+    query: MultiVector,
+    ids: np.ndarray,
+    threshold: float,
+    weights: Weights | None = None,
+    stats: SearchStats | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lemma-4 pruned similarity evaluation of one query, modality by
+    modality: the reference of :class:`StackedScorer`'s pruned pass.
+
+    Returns ``(sims, exact)``: ``exact[j]`` is True when ``sims[j]`` is
+    the joint similarity of ``ids[j]``; when False the row was pruned
+    because its upper bound fell to ``threshold`` or below (so its
+    similarity is too), and ``sims[j]`` holds the bound it was pruned
+    with.  Modalities are scanned heaviest ``ω²`` first (ties in
+    modality order), each through the store's kernel over a stack of
+    this one query.
+    """
+    ids = np.asarray(ids)
+    w2 = space.effective_squared_weights(query, weights)
+    active = [
+        i for i, q in enumerate(query.vectors) if q is not None and w2[i] > 0.0
+    ]
+    active.sort(key=lambda i: -w2[i])
+    bound = np.full(ids.shape[0], float(sum(w2[i] for i in active)))
+    alive = np.arange(ids.shape[0])
+    if stats is not None:
+        stats.joint_evals += int(ids.shape[0])
+    for step, i in enumerate(active):
+        kernel = space.store.stacked_kernel(
+            i, query.vectors[i].astype(np.float32)[None]
+        )
+        owner = np.zeros(alive.shape[0], dtype=np.int64)
+        ip = kernel.ids(ids[alive], owner).astype(np.float64)
+        # ‖q−u‖² = 2 − 2·(q·u) for unit vectors.
+        bound[alive] -= 0.5 * w2[i] * (2.0 - 2.0 * ip)
+        if stats is not None:
+            stats.modality_evals += int(alive.shape[0])
+        if step < len(active) - 1:
+            survivors = bound[alive] > threshold
+            if stats is not None:
+                stats.pruned_early += int(alive.shape[0] - survivors.sum())
+            alive = alive[survivors]
+            if alive.size == 0:
+                break
+    exact = bound > threshold
+    # A row that survived every step holds its exact similarity even if
+    # it ended at or below the threshold (Lemma 4, second clause).
+    exact[alive] = True
+    return bound, exact
 
 
 def oracle_frontier(
@@ -108,11 +167,11 @@ def oracle_frontier(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(sims, keep)`` of one frontier against a pruning *threshold*:
     :func:`oracle_scores`, or under ``early_termination`` the Lemma-4
-    scan :meth:`JointSpace.query_ids_early_stop` (a pruned row carries
-    its bound, which is not above the threshold)."""
+    scan :func:`lemma4_scores` (a pruned row carries its bound, which is
+    not above the threshold)."""
     if early_termination:
-        sims, exact = space.query_ids_early_stop(
-            query, ids, threshold, weights=weights, stats=stats
+        sims, exact = lemma4_scores(
+            space, query, ids, threshold, weights=weights, stats=stats
         )
         return sims, exact & (sims > threshold)
     sims = oracle_scores(space, query, ids, weights, stats)

@@ -387,7 +387,7 @@ class TestManifestFormat:
         assert a.cold_bytes() == b.cold_bytes() == 0
         q = random_query(DIMS, seed=4).vectors[0]
         np.testing.assert_array_equal(
-            a.query_kernel(0, q).all(), b.query_kernel(0, q).all()
+            a.batch_scores(0, q[None]), b.batch_scores(0, q[None])
         )
 
     def test_unknown_store_kind_raises_actionable_error(self, objects):

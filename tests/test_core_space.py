@@ -12,7 +12,7 @@ from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 
-from tests.conftest import random_multivector_set, random_query
+from tests.conftest import lemma4_scores, random_multivector_set, random_query
 
 
 @pytest.fixture(scope="module")
@@ -59,24 +59,39 @@ class TestLemma1:
             JointSpace(random_multivector_set(5, (3, 3)), Weights([1.0]))
 
 
+def full_scan(space, query):
+    """Joint similarity against every row through the store's full-scan
+    kernel, ``batch_scores``, one modality at a time."""
+    w2 = space.effective_squared_weights(query)
+    out = np.zeros(space.n)
+    for i, q in enumerate(query.vectors):
+        if q is not None and w2[i] > 0.0:
+            block = space.store.batch_scores(i, q.astype(np.float32)[None])
+            out += w2[i] * block[:, 0].astype(np.float64)
+    return out
+
+
 class TestQueryKernels:
     def test_query_all_matches_query_ids(self, space):
+        """The float32 full scan, the float64 full scan and the float64
+        scan of an id subset agree."""
         q = random_query((8, 5), seed=4)
-        full = space.query_all(q)
+        full = space.query_ids_stable(q)
         ids = np.array([3, 10, 42])
-        assert np.allclose(full[ids], space.query_ids(q, ids), atol=1e-6)
+        assert np.allclose(full[ids], space.query_ids_stable(q, ids), atol=1e-12)
+        assert np.allclose(full_scan(space, q), full, atol=1e-6)
 
     def test_missing_modality_drops_term(self, space):
         q = random_query((8, 5), seed=4)
         q_partial = q.replace(1, None)
-        got = space.query_all(q_partial)
+        got = space.query_ids_stable(q_partial)
         expected = 0.3 * (space.vectors.modality(0) @ q.vectors[0])
         assert np.allclose(got, expected, atol=1e-5)
 
     def test_weight_override(self, space):
         q = random_query((8, 5), seed=4)
         override = Weights([0.9, 0.1])
-        got = space.query_all(q, weights=override)
+        got = space.query_ids_stable(q, weights=override)
         expected = 0.9 * (space.vectors.modality(0) @ q.vectors[0]) + 0.1 * (
             space.vectors.modality(1) @ q.vectors[1]
         )
@@ -87,25 +102,27 @@ class TestQueryKernels:
         qcat = space.concat_query(q)
         assert qcat is not None
         fast = (space.concatenated @ qcat).astype(np.float64)
-        assert np.allclose(fast, space.query_all(q), atol=1e-4)
+        assert np.allclose(fast, space.query_ids_stable(q), atol=1e-4)
 
     def test_concat_query_with_override_matches(self, space):
         q = random_query((8, 5), seed=4)
         override = Weights([0.8, 0.2])
         qcat = space.concat_query(q, weights=override)
         fast = (space.concatenated @ qcat).astype(np.float64)
-        assert np.allclose(fast, space.query_all(q, weights=override), atol=1e-4)
+        assert np.allclose(
+            fast, space.query_ids_stable(q, weights=override), atol=1e-4
+        )
 
     def test_concat_query_missing_modality(self, space):
         q = random_query((8, 5), seed=4).replace(0, None)
         qcat = space.concat_query(q)
         fast = (space.concatenated @ qcat).astype(np.float64)
-        assert np.allclose(fast, space.query_all(q), atol=1e-4)
+        assert np.allclose(fast, space.query_ids_stable(q), atol=1e-4)
 
     def test_stats_counting(self, space):
         q = random_query((8, 5), seed=4)
         stats = SearchStats()
-        space.query_ids(q, np.arange(10), stats=stats)
+        space.query_ids_stable(q, np.arange(10), stats=stats)
         assert stats.joint_evals == 10
         assert stats.modality_evals == 20
 
@@ -121,11 +138,13 @@ class TestQueryKernels:
 
 class TestLemma4EarlyStop:
     """Pruned evaluation is lossless: every exact value matches, every
-    pruned object's true similarity is at or below the threshold."""
+    pruned object's true similarity is at or below the threshold.  The
+    scan is the test suite's per-query Lemma-4 oracle, the reference of
+    ``StackedScorer``'s pruned pass."""
 
     def _check(self, space, q, ids, threshold):
-        sims, exact = space.query_ids_early_stop(q, ids, threshold)
-        truth = space.query_ids(q, ids)
+        sims, exact = lemma4_scores(space, q, ids, threshold)
+        truth = space.query_ids_stable(q, ids)
         # Exact entries match the true similarity.
         assert np.allclose(sims[exact], truth[exact], atol=1e-5)
         # Pruned entries really are at/below the threshold (Lemma 4).
@@ -135,11 +154,11 @@ class TestLemma4EarlyStop:
 
     def test_low_threshold_everything_exact(self, space):
         q = random_query((8, 5), seed=4)
-        sims, exact = space.query_ids_early_stop(
-            q, np.arange(20), threshold=-10.0
-        )
+        sims, exact = lemma4_scores(space, q, np.arange(20), threshold=-10.0)
         assert exact.all()
-        assert np.allclose(sims, space.query_ids(q, np.arange(20)), atol=1e-5)
+        assert np.allclose(
+            sims, space.query_ids_stable(q, np.arange(20)), atol=1e-5
+        )
 
     def test_high_threshold_prunes_everything_safely(self, space):
         q = random_query((8, 5), seed=4)
@@ -156,7 +175,7 @@ class TestLemma4EarlyStop:
     def test_stats_record_pruning(self, space):
         q = random_query((8, 5), seed=4)
         stats = SearchStats()
-        space.query_ids_early_stop(q, np.arange(40), 0.95, stats=stats)
+        lemma4_scores(space, q, np.arange(40), 0.95, stats=stats)
         assert stats.joint_evals == 40
         # Heavier modality scanned for all, lighter only for survivors.
         assert stats.modality_evals <= 80
@@ -164,6 +183,6 @@ class TestLemma4EarlyStop:
 
     def test_missing_modality_early_stop(self, space):
         q = random_query((8, 5), seed=4).replace(1, None)
-        sims, exact = space.query_ids_early_stop(q, np.arange(20), -5.0)
-        truth = space.query_all(q)[:20]
+        sims, exact = lemma4_scores(space, q, np.arange(20), -5.0)
+        truth = space.query_ids_stable(q)[:20]
         assert np.allclose(sims[exact], truth[exact], atol=1e-5)

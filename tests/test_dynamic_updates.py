@@ -45,7 +45,7 @@ class TestSoftDeletion:
         exact_before = flat.search(queries[0], 5).ids
         index.mark_deleted(exact_before)
         res = joint_search(index, queries[0], k=10, l=120)
-        sims = space.query_all(queries[0])
+        sims = space.query_ids_stable(queries[0])
         sims[exact_before] = -np.inf
         expected = set(np.argsort(-sims)[:10].tolist())
         assert len(set(res.ids.tolist()) & expected) >= 8
@@ -187,7 +187,7 @@ class TestExactSearchSoftDeletes:
         res = must.query(q, SearchOptions(k=5, exact=True))
         assert not (set(res.ids.tolist()) & set(doomed.tolist()))
         # The survivors are exactly the best *active* objects.
-        sims = must.space.query_all(q)
+        sims = must.space.query_ids_stable(q)
         sims[doomed] = -np.inf
         expected = np.argsort(-sims)[:5]
         assert set(res.ids.tolist()) == set(expected.tolist())

@@ -71,7 +71,7 @@ class TestSearch:
     def test_exact_flag_matches_brute_force(self, trained, mitstates_encoded):
         q = mitstates_encoded.queries[0]
         exact = trained.query(q, SearchOptions(k=10, exact=True))
-        sims = trained.space.query_all(q)
+        sims = trained.space.query_ids_stable(q)
         assert exact.similarities[0] == pytest.approx(sims.max(), abs=1e-6)
 
     def test_graph_close_to_exact(self, trained, mitstates_encoded):

@@ -144,8 +144,9 @@ class TestCompressedParity:
 class TestStackedKernels:
     """Every row off the concat fast path — all of a compressed store's,
     a dense store's zero-weight-fallback and Lemma-4 rows — is scored by
-    one stacked kernel call per modality; every value must carry the
-    bits of the owner's own per-query kernel."""
+    one stacked kernel call per modality.  Every value must carry the
+    bits its query gets in a stack of one, and sit within the float32
+    dot-product bound of the float64 product with the decoded row."""
 
     @pytest.fixture
     def space(self, objects, kind):
@@ -172,53 +173,66 @@ class TestStackedKernels:
         self, space, queries, monkeypatch
     ):
         """With the native library and without it (PQ sums its tables in
-        C on one path, in NumPy on the other): the same bits."""
+        C on one path, in NumPy on the other): the same bits, in the
+        whole stack and in a stack of one."""
+        store = space.store
         stack = np.stack([q.vectors[1] for q in queries]).astype(np.float32)
         owner, ids = self._frontier(len(queries), skip=3)
+        decoded = store.rows(1, ids).astype(np.float64)
+        exact = np.einsum("ij,ij->i", decoded, stack[owner].astype(np.float64))
+        bound = store.batch_scores_bound(1, stack)[owner]
         runs = []
         for lib in (native.lib, None):
             monkeypatch.setattr(native, "lib", lib)
-            got = space.store.stacked_kernel(1, stack).ids(ids, owner)
+            got = store.stacked_kernel(1, stack).ids(ids, owner)
             assert got.dtype == np.float32
             for o in np.unique(owner):
                 rows = owner == o
-                ref = space.store.query_kernel(1, stack[o]).ids(ids[rows])
-                np.testing.assert_array_equal(got[rows], ref)
-            solo = space.store.stacked_kernel(1, stack[:1]).ids(ids)
-            np.testing.assert_array_equal(
-                solo, space.store.query_kernel(1, stack[0]).ids(ids)
-            )
+                solo = store.stacked_kernel(1, stack[o : o + 1])
+                np.testing.assert_array_equal(
+                    got[rows], solo.ids(ids[rows], np.zeros(rows.sum(), np.int64))
+                )
+            assert (np.abs(got - exact) <= bound).all()
             runs.append(got)
         assert runs[0].tobytes() == runs[1].tobytes()
 
     def test_kernel_rows_are_scored_independently(self, space, queries):
         """One row's score never depends on which rows share the call —
         what lets a frontier be stacked (a GEMV's bits do depend on it)."""
-        kernel = space.store.query_kernel(0, queries[0].vectors[0])
+        kernel = space.store.stacked_kernel(0, queries[0].vectors[0][None])
         ids = np.arange(0, N, 7)
-        together = kernel.ids(ids)
+        together = kernel.ids(ids, np.zeros_like(ids))
         for j, i in enumerate(ids):
-            assert kernel.ids(np.array([i]))[0] == together[j]
+            assert kernel.ids(np.array([i]), np.zeros(1, np.int64))[0] == together[j]
 
     def test_stacked_scorer_matches_per_query_scorers(
         self, space, stack_queries
     ):
         """Each row of the stacked pass carries the bits and the work
-        count of its query's reference, :meth:`JointSpace.query_ids`."""
+        count its query gets from a scorer over a stack of one, and sits
+        within the weighted store bounds of the float64 exact plans'
+        kernel, :meth:`JointSpace.query_ids_stable`."""
         b = len(stack_queries)
         per_weights = [None, Weights([0.9, 0.1])] * (b // 2)
         owner, ids = self._frontier(b, skip=1)
         stack = StackedScorer(space, stack_queries, per_weights)
         got = stack.score(owner, ids, np.full(b, -np.inf))
-        for o in range(b):
+        for o, (q, w) in enumerate(zip(stack_queries, per_weights)):
             rows = owner == o
-            stats = SearchStats()
-            want = space.query_ids(
-                stack_queries[o], ids[rows], weights=per_weights[o],
-                stats=stats,
+            solo = StackedScorer(space, [q], [w])
+            want = solo.score(
+                np.zeros(rows.sum(), np.int64), ids[rows], np.full(1, -np.inf)
             )
             np.testing.assert_array_equal(got[rows], want)
-            assert stack.modality_evals[o] == stats.modality_evals
+            assert stack.modality_evals[o] == solo.modality_evals[0]
+            w2 = space.effective_squared_weights(q, w)
+            eps = sum(
+                w2[i] * space.store.batch_scores_bound(i, v[None])[0]
+                for i, v in enumerate(q.vectors)
+                if v is not None and w2[i] > 0.0
+            )
+            stable = space.query_ids_stable(q, ids[rows], weights=w)
+            assert (np.abs(got[rows] - stable) <= eps).all()
         assert stack.modality_evals[1] == 0 and not stack.pruned_early.any()
 
     def test_compressed_wave_is_composition_independent(

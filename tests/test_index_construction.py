@@ -188,8 +188,8 @@ class TestSortFreeKernelParity:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"use_reverse": False}, {"n_jobs": 2}, {"resume": True}],
-        ids=["default", "no-reverse", "jacobi", "init-resume"],
+        [{}, {"use_reverse": False}, {"resume": True}],
+        ids=["default", "no-reverse", "init-resume"],
     )
     def test_nndescent_same_neighbour_sets(self, space, kwargs, request):
         kwargs = dict(kwargs)
@@ -202,12 +202,13 @@ class TestSortFreeKernelParity:
         assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
 
     @pytest.mark.parametrize("n", [3, 31, 50, 192, 600])
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_fused_build_identical(self, n, n_jobs, request):
+    # One value: NNDescent has one (sequential) sweep; the id keeps the
+    # cells' names.
+    @pytest.mark.parametrize("sweep", ["1"])
+    def test_fused_build_identical(self, n, sweep, request):
         space = _two_modality_space(n)
         _assert_same_build(
-            FusedIndexBuilder(n_jobs=n_jobs), space, request,
-            tied=_tied_rows(space, 30),
+            FusedIndexBuilder(), space, request, tied=_tied_rows(space, 30)
         )
 
     def test_fused_build_identical_one_modality(self, request):

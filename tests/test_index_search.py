@@ -243,7 +243,7 @@ class TestFlatIndex:
     def test_exact_results_sorted(self, setup):
         space, _, flat, queries = setup
         res = flat.search(queries[0], 8)
-        full = space.query_all(queries[0])
+        full = space.query_ids_stable(queries[0])
         assert res.similarities[0] == pytest.approx(full.max(), abs=1e-6)
         assert list(res.similarities) == sorted(res.similarities, reverse=True)
 

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.framework import MUST
+from repro.core.multivector import MultiVector, MultiVectorSet, normalize_rows
+from repro.core.query import SearchOptions
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.metrics import (
@@ -111,10 +114,11 @@ class TestGroundTruth:
                            Weights([0.5, 0.5]))
         q = random_query((4, 4), seed=1)
         ids, sims = exact_top_k(space, q, 5)
-        full = space.query_all(q)
-        assert sims[0] == pytest.approx(full.max(), abs=1e-6)
+        full = space.query_ids_stable(q)
+        assert sims[0] == full.max()
         assert list(sims) == sorted(sims, reverse=True)
-        assert np.array_equal(np.sort(ids), np.sort(np.argsort(-full)[:5]))
+        np.testing.assert_array_equal(ids, np.lexsort((np.arange(30), -full))[:5])
+        np.testing.assert_array_equal(sims, full[ids])
 
     def test_exact_top_k_batch(self):
         space = JointSpace(random_multivector_set(30, (4, 4), seed=3),
@@ -124,6 +128,35 @@ class TestGroundTruth:
         assert len(batch) == 3
         for q, ids in zip(qs, batch):
             assert np.array_equal(ids, exact_top_k(space, q, 4)[0])
+
+    def test_ground_truth_is_the_exact_plans_answer_on_ties(self):
+        """Every object three times over: a cut-off falls between equal
+        similarities for most queries.  Ground truth must pick the rows
+        the exact plan picks — the smaller ids — so the exact plan's
+        recall is 1.0, not the luck of a float32 ``argpartition``."""
+        rng = np.random.default_rng(0)
+        base = [
+            normalize_rows(rng.standard_normal((30, d)).astype(np.float32))
+            for d in (16, 8)
+        ]
+        objects = MultiVectorSet([np.tile(m, (3, 1)) for m in base])
+        weights = Weights([0.7, 0.3])
+        queries = [
+            MultiVector(
+                [
+                    normalize_rows(rng.standard_normal((1, d)).astype(np.float32))[0]
+                    for d in (16, 8)
+                ]
+            )
+            for _ in range(10)
+        ]
+        truth = exact_top_k_batch(JointSpace(objects, weights), queries, 10)
+        plan = MUST(objects, weights=weights).query(
+            queries, SearchOptions(k=10, exact=True)
+        )
+        for want, got in zip(truth, plan):
+            np.testing.assert_array_equal(want, got.ids)
+        assert mean_recall([r.ids for r in plan], truth, 10) == 1.0
 
 
 class TestTiming:

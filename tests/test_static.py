@@ -307,13 +307,21 @@ def test_one_dense_metric():
 
 def test_one_frontier_scorer():
     """Every wave row off the concat fast path scores through
-    ``StackedScorer``: the per-query scorers are gone from the source,
-    every registered store hands out a stacked kernel, and
-    ``score_stack`` is two routes with no per-query loop."""
+    ``StackedScorer``: the per-query scorers and kernels are gone from
+    the source, every registered store hands out one kernel — the
+    stacked one, whose class defines ``ids`` itself (what the tracer
+    wraps) — and full scans go through ``batch_scores``; ``score_stack``
+    is two routes with no per-query loop; NNDescent has one sweep."""
     from repro.index.graph_wave import _Wave
-    from repro.store import STORE_KINDS, VectorStore
+    from repro.index.nndescent import nndescent
+    from repro.index.pipeline import FusedIndexBuilder
+    from repro.store import STORE_KINDS, VectorStore, make_store
 
-    retired = re.compile(r"\b(Scorer|MatrixScorer|_HalfKernel)\b")
+    retired = re.compile(
+        r"\b(Scorer|MatrixScorer|_HalfKernel|_MatKernel|_SQKernel|_ADCKernel"
+        r"|StackedKernel|query_kernels?|query_all|query_ids"
+        r"|query_ids_early_stop)\b"
+    )
     found = [
         f"{path.relative_to(PACKAGE)}:{number}"
         for path in MODULES
@@ -321,10 +329,16 @@ def test_one_frontier_scorer():
         if retired.search(line)
     ]
     assert found == []
-    assert "stacked_kernel" in VectorStore.__abstractmethods__
-    for cls in STORE_KINDS.values():
-        assert "stacked_kernel" not in cls.__abstractmethods__, cls
-        assert cls.stacked_kernel is not VectorStore.stacked_kernel, cls
+    assert {"stacked_kernel", "batch_scores"} <= VectorStore.__abstractmethods__
+    assert not hasattr(VectorStore, "query_kernel")
+    mat = np.eye(20, 8, dtype=np.float32)
+    for kind, cls in STORE_KINDS.items():
+        assert not cls.__abstractmethods__, cls
+        assert not hasattr(cls, "query_kernel"), cls
+        kernel = make_store(kind, [mat]).stacked_kernel(0, mat[:2])
+        assert "ids" in vars(type(kernel)), type(kernel)
+    assert "n_jobs" not in inspect.signature(nndescent).parameters
+    assert "n_jobs" not in {f.name for f in dataclasses.fields(FusedIndexBuilder)}
     tree = ast.parse(textwrap.dedent(inspect.getsource(_Wave.score_stack)))
     loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
     assert not [node for node in ast.walk(tree) if isinstance(node, loops)]

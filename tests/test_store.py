@@ -43,6 +43,12 @@ def _query(seed: int = 11) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _kernel_ids(store, i: int, q: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows *ids* of modality *i* through the store's frontier kernel,
+    over a stack of the one query *q*."""
+    return store.stacked_kernel(i, q[None]).ids(ids, np.zeros_like(ids))
+
+
 @pytest.fixture(scope="module")
 def mats():
     return _matrices()
@@ -68,7 +74,7 @@ class TestStoreContract:
 
     def test_kernel_matches_exact_within_tolerance(self, store, mats):
         q = _query()
-        scores = store.query_kernel(0, q).all()
+        scores = store.batch_scores(0, q[None])[:, 0]
         exact = mats[0] @ q
         assert scores.shape == (N,)
         np.testing.assert_allclose(
@@ -76,11 +82,14 @@ class TestStoreContract:
         )
 
     def test_kernel_ids_is_a_gather_of_all(self, store):
+        """The frontier kernel's rows are the full scan's rows."""
         q = _query()
-        kernel = store.query_kernel(0, q)
         ids = np.asarray([0, 17, 5, N - 1, 17])
         np.testing.assert_allclose(
-            kernel.ids(ids), kernel.all()[ids], rtol=1e-6, atol=1e-6
+            _kernel_ids(store, 0, q, ids),
+            store.batch_scores(0, q[None])[ids, 0],
+            rtol=1e-6,
+            atol=1e-6,
         )
 
     def test_kernel_agrees_with_decoded_matrix(self, store):
@@ -88,12 +97,13 @@ class TestStoreContract:
         reconstruction — the ADC/affine identities, not an approximation
         of them."""
         q = _query()
-        np.testing.assert_allclose(
-            store.query_kernel(0, q).all(),
-            store.modality(0) @ q,
-            rtol=1e-4,
-            atol=2e-5,
-        )
+        for scores in (
+            store.batch_scores(0, q[None])[:, 0],
+            _kernel_ids(store, 0, q, np.arange(N)),
+        ):
+            np.testing.assert_allclose(
+                scores, store.modality(0) @ q, rtol=1e-4, atol=2e-5
+            )
 
     def test_batch_scores_matches_per_query_kernels(self, store):
         rng = make_rng(29)
@@ -103,7 +113,7 @@ class TestStoreContract:
         block = store.batch_scores(1, queries)
         assert block.shape == (N, 5)
         ref = np.stack(
-            [store.query_kernel(1, q).all() for q in queries], axis=1
+            [_kernel_ids(store, 1, q, np.arange(N)) for q in queries], axis=1
         )
         np.testing.assert_allclose(block, ref, rtol=1e-4, atol=1e-5)
 
@@ -113,8 +123,8 @@ class TestStoreContract:
         assert sub.n == 4 and sub.dims == DIMS
         q = _query()
         np.testing.assert_allclose(
-            sub.query_kernel(0, q).all(),
-            store.query_kernel(0, q).ids(ids),
+            sub.batch_scores(0, q[None])[:, 0],
+            _kernel_ids(store, 0, q, ids),
             rtol=1e-6,
             atol=1e-6,
         )
@@ -132,7 +142,7 @@ class TestStoreContract:
         assert rebuilt.n == store.n and rebuilt.dims == store.dims
         q = _query()
         np.testing.assert_array_equal(
-            rebuilt.query_kernel(0, q).all(), store.query_kernel(0, q).all()
+            rebuilt.batch_scores(0, q[None]), store.batch_scores(0, q[None])
         )
         assert rebuilt.has_exact == store.has_exact
 
@@ -185,7 +195,7 @@ class TestQuantisationQuality:
         b = make_store("pq", mats, seed=5)
         q = _query()
         np.testing.assert_array_equal(
-            a.query_kernel(0, q).all(), b.query_kernel(0, q).all()
+            a.batch_scores(0, q[None]), b.batch_scores(0, q[None])
         )
 
     def test_pq_ragged_dims_are_padded(self):
@@ -195,7 +205,7 @@ class TestQuantisationQuality:
         assert store.dims == (7,)
         q = rng.standard_normal(7).astype(np.float32)
         np.testing.assert_allclose(
-            store.query_kernel(0, q).all(), store.modality(0) @ q,
+            store.batch_scores(0, q[None])[:, 0], store.modality(0) @ q,
             rtol=1e-4, atol=1e-5,
         )
 
@@ -207,12 +217,12 @@ class TestQuantisationQuality:
         store = make_store("pq", mats, pq_dims=pq_dims)
         codes, book = store._codes[0], store._books[0]
         m_sub, _, ds = book.shape
-        kernel = store.query_kernel(0, _query())
+        kernel = store.stacked_kernel(0, _query()[None])
 
         def loop_gather(rows):
             out = np.zeros(rows.shape[0], dtype=np.float32)
             for m in range(m_sub):
-                out += kernel.lut[m, rows[:, m]]
+                out += kernel.luts[0, m, rows[:, m]]
             return out
 
         def loop_decode(rows):
@@ -223,14 +233,17 @@ class TestQuantisationQuality:
 
         for ids in (np.arange(N), np.asarray([5]), np.asarray([7, 7, 250, 0])):
             np.testing.assert_array_equal(
-                kernel.ids(ids), loop_gather(codes[ids])
+                kernel.ids(ids, np.zeros_like(ids)), loop_gather(codes[ids])
             )
             np.testing.assert_array_equal(
                 store.rows(0, ids), loop_decode(codes[ids])
             )
-        np.testing.assert_array_equal(kernel.all(), loop_gather(codes))
+        np.testing.assert_array_equal(
+            store.batch_scores(0, _query()[None])[:, 0], loop_gather(codes)
+        )
         np.testing.assert_array_equal(store.modality(0), loop_decode(codes))
-        assert kernel.ids(np.zeros(0, dtype=np.int64)).shape == (0,)
+        empty = np.zeros(0, dtype=np.int64)
+        assert kernel.ids(empty, empty).shape == (0,)
 
     def test_pq_small_corpus_caps_centroids(self):
         rng = make_rng(9)
