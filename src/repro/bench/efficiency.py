@@ -7,12 +7,15 @@ counts reproduce the paper's work ratios exactly, while QPS shapes match
 once the corpus is large enough that BLAS scans stop being free.
 
 All throughput numbers are measured through typed ``MUST.query``
-batches, i.e. what a serving deployment would run.  Wall-clock
-*regressions* are not this module's job: ``perfbench/`` is the one
-benchmark that judges them.
+calls: batches, i.e. what a serving deployment would run, and one query
+a call for the ``lone`` rows and columns, the paper's protocol.
+Wall-clock *regressions* are not this module's job: ``perfbench/`` is
+the one benchmark that judges them.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -44,6 +47,19 @@ def _typed_batch(must: MUST, queries, **options):
 
 def _recall_vs_exact(results, gt, k):
     return mean_recall([r[:k] for r in results], [g[:k] for g in gt], k)
+
+
+def _lone_p50_ms(must: MUST, queries, **options) -> float:
+    """p50 milliseconds of one ``MUST.query`` call per query (after one
+    untimed call): the paper's one-query-at-a-time protocol."""
+    opts = SearchOptions(**options)
+    must.query(Query(queries[0]), opts)
+    seconds = []
+    for q in queries:
+        start = time.perf_counter()
+        must.query(Query(q), opts)
+        seconds.append(time.perf_counter() - start)
+    return float(np.median(seconds)) * 1e3
 
 
 def fig6_qps_recall(kind: str = "image") -> Table:
@@ -113,11 +129,19 @@ def fig6_qps_recall(kind: str = "image") -> Table:
 def tab7_data_volume(
     volumes: tuple[int, ...] = (2_500, 5_000, 10_000, 20_000, 40_000),
 ) -> Table:
-    """Tab. VII: response time of MUST vs MUST-- across corpus volumes."""
+    """Tab. VII: response time of MUST vs MUST-- across corpus volumes.
+
+    The batch columns time one call over every query; the lone columns
+    are the p50 of one ``MUST.query`` per query, exact for MUST--.  The
+    note names the first volume at which the lone graph query is the
+    faster of the two.
+    """
     headers = ["Scale", "MUST-- ms/query", "MUST ms/query",
+               "MUST-- lone ms/query", "MUST lone ms/query",
                "MUST-- evals/query", "MUST evals/query", "WorkReduction",
                "MUST Recall@10(10)"]
     rows = []
+    lone: list[tuple[int, float, float]] = []
     for n in volumes:
         enc, must = cache.largescale_must("image", n)
         gt = exact_ground_truth(enc, must.weights, k=10)
@@ -136,22 +160,38 @@ def tab7_data_volume(
             [r.stats.joint_evals for r in must_run.results]
         ))
         reduction = 1.0 - evals / n
+        exact_lone = _lone_p50_ms(must, queries, k=10, exact=True)
+        must_lone = _lone_p50_ms(must, queries, k=10, l=200)
+        lone.append((n, exact_lone, must_lone))
         rows.append([
             f"{n/1000:g}K",
             brute_run.mean_latency * 1e3,
             must_run.mean_latency * 1e3,
+            exact_lone,
+            must_lone,
             float(n),
             evals,
             f"{reduction:.1%}",
             rec,
         ])
+    wins = [n for n, exact_ms, must_ms in lone if must_ms < exact_ms]
+    n_max, exact_ms, must_ms = lone[-1]
+    if wins:
+        crossover = (
+            f"A lone MUST query (l=200) first beats a lone exact one at "
+            f"{wins[0]/1000:g}K objects in this run"
+        )
+    else:
+        crossover = (
+            f"A lone MUST query (l=200) never beats a lone exact one up to "
+            f"{n_max/1000:g}K objects in this run"
+        )
     return Table(
         "Tab. VII", "Response time vs data volume (ImageText)", headers, rows,
         notes="Brute-force similarity work grows linearly with n while the "
               "fused index stays near-flat (WorkReduction column — the "
-              "paper's ↓98.4% at 16M). Wall-clock in pure Python still "
-              "favours BLAS scans at these corpus sizes; the evaluation "
-              "counts carry the scalability claim.",
+              f"paper's ↓98.4% at 16M). {crossover} ({must_ms:.2f} ms "
+              f"against {exact_ms:.2f} ms at {n_max/1000:g}K).",
     )
 
 

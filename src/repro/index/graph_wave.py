@@ -26,11 +26,16 @@ Each wave
 
 Steps 1, 2 and 4 are bookkeeping — choosing columns, gathering ids,
 stable merges — and step 3 is all the arithmetic there is.  Both run in
-a small C library (:mod:`repro.native`, three ctypes calls a wave on a
-dense store) when it compiled and loaded, and in NumPy otherwise
-(:class:`_NumpyBookkeeping`, also the kernel's bookkeeping oracle, and
-``einsum``); :func:`bookkeeping` says which runs.  The two
-bookkeepings leave the same bits behind.  The dense arithmetic does
+a small C library (:mod:`repro.native`) when it compiled and loaded,
+and in NumPy otherwise (:class:`_NumpyBookkeeping`, also the kernel's
+bookkeeping oracle, and ``einsum``); :func:`bookkeeping` says which
+runs.  On the kernel, a traversal whose rows are all fast-path ones
+makes one ctypes call, ``wave_run``, for every wave after the init: it
+runs the three steps a wave's calls run, in their order, until no row
+expands.  Any other traversal, and one asked to check Lemma 3 between
+waves, steps from Python, three calls a wave on a dense store; that
+loop is the one ``wave_run`` is pinned against.  The two bookkeepings
+leave the same bits behind.  The dense arithmetic does
 not, so the kernel's comes with a float contract: a fast-path row's
 similarity is the float32 dot product of its ω-scaled concatenation
 with the query's, summed in eight lane accumulators that start at
@@ -256,7 +261,8 @@ class _Wave:
         self.hops = np.zeros(b, dtype=np.int64)
         self.concat_mat: np.ndarray | None = None
         self.qmat: np.ndarray | None = None
-        #: the C gather-dot the fast rows are scored with, or None (einsum).
+        #: the C kernel the traversal runs on — its bookkeeping and the
+        #: fast rows' gather-dot — or None (NumPy and einsum).
         self.kernel = native.lib
         if self.fast.any():
             self.concat_mat = space.concatenated
@@ -392,19 +398,21 @@ class _Wave:
         Each wave is bookkeeping (:meth:`~_Bookkeeping.expand`, then
         :meth:`~_Bookkeeping.merge`) around one :meth:`score_stack`;
         the bookkeeping runs in the C kernel when it loaded and in NumPy
-        otherwise, with the same bits either way.
+        otherwise, with the same bits either way.  Without the Lemma 3
+        check, :meth:`~_Bookkeeping.run` may take every wave after the
+        init in one call (the kernel's, when every row is fast); the
+        step loop here is the path it must equal.
         """
         if not active.any():
             return
         index, b = self.index, self.b
-        kernel = native.lib
+        kernel = self.kernel
         book: _Bookkeeping = (
             _NumpyBookkeeping(self, active, expansions_per_wave)
             if kernel is None
             else _NativeBookkeeping(self, active, expansions_per_wave, kernel)
         )
         last_total = np.full(b, -np.inf, dtype=np.float64)
-        frontier_sizes: list[int] = []
 
         # Init: each query's prefix of the entry order, one stacked wave.
         init_owner_parts: list[np.ndarray] = []
@@ -421,15 +429,19 @@ class _Wave:
         if check_monotone:
             self._check_lemma3(rows, last_total)
 
-        # Waves: up to m expansions per active query per wave.
-        while (step := book.expand()) is not None:
-            thr, owner, cand = step
-            frontier_sizes.append(int(cand.size))
-            if cand.size == 0:
-                continue
-            rows = book.merge(owner, cand, self.score_stack(owner, cand, thr))
-            if check_monotone:
-                self._check_lemma3(rows, last_total)
+        # Waves: up to m expansions per active query per wave, all in one
+        # call when the bookkeeping can take them so.
+        frontier_sizes = None if check_monotone else book.run()
+        if frontier_sizes is None:
+            frontier_sizes = []
+            while (step := book.expand()) is not None:
+                thr, owner, cand = step
+                frontier_sizes.append(int(cand.size))
+                if cand.size == 0:
+                    continue
+                rows = book.merge(owner, cand, self.score_stack(owner, cand, thr))
+                if check_monotone:
+                    self._check_lemma3(rows, last_total)
         wave_stats.waves += len(frontier_sizes)
         wave_stats.frontier_sizes += tuple(frontier_sizes)
 
@@ -546,6 +558,12 @@ class _Bookkeeping:
         the rows touched."""
         raise NotImplementedError
 
+    def run(self) -> list[int] | None:
+        """Every wave left, scored and merged in one call, and their
+        frontier sizes; ``None`` (nothing done) when this bookkeeping
+        can only step."""
+        return None
+
 
 class _NumpyBookkeeping(_Bookkeeping):
     """The bookkeeping in NumPy: what runs without the C kernel, and the
@@ -660,7 +678,9 @@ class _NumpyBookkeeping(_Bookkeeping):
 
 class _NativeBookkeeping(_Bookkeeping):
     """The same two steps in ``native.c``: one ctypes call each
-    over arrays this traversal owns (the CSR pair is only read)."""
+    over arrays this traversal owns (the CSR pair is only read).  When
+    every row is fast, :meth:`run` takes all the waves in one call,
+    ``wave_run``, which makes the step loop's calls in its order."""
 
     def __init__(
         self,
@@ -737,6 +757,25 @@ class _NativeBookkeeping(_Bookkeeping):
         )
         native.check(touched)
         return self.rows[:touched]
+
+    def run(self) -> list[int] | None:
+        wave = self.wave
+        if not wave.all_fast:
+            return None
+        concat, qmat = wave.concat_mat, wave.qmat
+        assert concat is not None and qmat is not None
+        # No row expands a vertex twice, and a row that expands nothing
+        # never expands again: at most n waves.
+        sizes = np.empty(wave.index.n + 1, dtype=np.int64)
+        waves = int(
+            self.kernel.wave_run(
+                self.state, concat.ctypes.data, concat.shape[0],
+                concat.shape[1], qmat.ctypes.data, wave.joint_acc.ctypes.data,
+                sizes.ctypes.data, sizes.size,
+            )
+        )
+        native.check(waves)
+        return sizes[:waves].tolist()
 
 
 def bookkeeping() -> str:

@@ -13,6 +13,12 @@
  * seen bitsets and the counters exactly as the NumPy bookkeeping in
  * graph_wave.py does.
  *
+ * When gather_dot scores every row of a traversal, wave_run takes all
+ * of its waves in one call: expand, gather-dot, merge, the same three
+ * functions in the same order as the three calls a wave would make,
+ * until no row expands.  It leaves the same bits as those calls, wave
+ * by wave.
+ *
  * gather_dot and adc_gather are all the arithmetic there is.
  *
  * gather_dot runs under this float contract.  A dense row's similarity
@@ -416,6 +422,64 @@ int64_t gather_dot(const float *x, int64_t n, int64_t dim, const float *q,
         evals[r]++;
     }
     return f;
+}
+
+/*
+ * Every wave of a traversal whose rows gather_dot scores, after its init
+ * merge: expand_rows, then gather_dot against the query rows q (b of
+ * them, dim wide) and the dense matrix x (rows of them), then merge_rows,
+ * until no row expands.  evals is gather_dot's.  Each wave's frontier
+ * size goes to sizes, which holds cap of them; n + 1 always suffice,
+ * since a row that expands nothing never expands again and no row
+ * expands a vertex twice.  Returns the number of waves, or OVERFLOW when
+ * a wave finds sizes full, INVALID where gather_dot or merge_rows refuse
+ * and NO_MEMORY, each leaving the traversal part way through a wave.
+ */
+int64_t wave_run(const wave_state *s, const float *x, int64_t rows,
+                 int64_t dim, const float *q, int64_t *evals, int64_t *sizes,
+                 int64_t cap)
+{
+    /* Scratch for the largest wave, once: a frontier holds at most
+     * row_cap entries a row. */
+    const int64_t f_max = s->b * s->row_cap;
+    uint64_t *bits = calloc((size_t)(s->n >> 6) + 1, sizeof *bits);
+    int64_t *tmp = malloc((size_t)(s->row_cap + 1) * sizeof *tmp);
+    double *sims = malloc((size_t)(f_max + 1) * sizeof *sims);
+    int64_t *order =
+        malloc((size_t)(3 * f_max + s->width + 1) * sizeof *order);
+    double *o_sims = malloc((size_t)(s->width + 1) * sizeof *o_sims);
+    uint8_t *o_dead = malloc((size_t)s->width + 1);
+    int64_t waves = 0, status = NO_MEMORY;
+    if (bits && tmp && sims && order && o_sims && o_dead) {
+        for (;;) {
+            int64_t f = expand_rows(s, bits, tmp);
+            if (f == NO_EXPANSION) {
+                status = waves;
+                break;
+            }
+            if (f < 0 || waves == cap) {
+                status = f < 0 ? f : OVERFLOW;
+                break;
+            }
+            sizes[waves++] = f;
+            if (f == 0)
+                continue;
+            status = gather_dot(x, rows, dim, q, s->b, s->owner, s->cand, f,
+                                s->thr, evals, sims);
+            if (status >= 0)
+                status = merge_rows(s, s->owner, s->cand, sims, f, order,
+                                    o_sims, o_dead);
+            if (status < 0)
+                break;
+        }
+    }
+    free(bits);
+    free(tmp);
+    free(sims);
+    free(order);
+    free(o_sims);
+    free(o_dead);
+    return status;
 }
 
 /*

@@ -10,7 +10,9 @@ compares and moves similarities.  Of the arithmetic, the dense rows'
 inner products (traversed and scanned) run in ``gather_dot`` under the
 eight-lane float32 contract the source's header states, and in NumPy's
 ``einsum`` otherwise, which agrees with it within the float32
-dot-product bound (:func:`~repro.store.dot_error`).  A PQ store's rows
+dot-product bound (:func:`~repro.store.dot_error`).  ``wave_run``
+makes those three calls' steps for every wave of a traversal whose rows
+all score through ``gather_dot``, in one call.  A PQ store's rows
 (:mod:`repro.store.pq`: a whole wave's stacked frontier, or one query's
 rows) are summed by ``adc_gather`` in the NumPy fallback's own order —
 sub-space by sub-space from a float32 zero — so they carry the same
@@ -103,6 +105,7 @@ _state = ctypes.POINTER(WaveState)
 SIGNATURES: dict[str, tuple[list[Any], Any]] = {
     "wave_expand": ([_state], _i64),
     "wave_merge": ([_state, _ptr, _ptr, _ptr, _i64], _i64),
+    "wave_run": ([_state, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64], _i64),
     "gather_dot": (
         [_ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr],
         _i64,

@@ -4,7 +4,9 @@
 :func:`~repro.index.graph_wave.graph_wave_search` runs its calls per
 wave when it loaded: two of bookkeeping, a gather-dot scoring the
 frontier's dense rows, and on a PQ store one ``adc_gather`` per
-modality summing its rows' lookup tables.  The pins:
+modality summing its rows' lookup tables.  A traversal whose rows all
+score through the concatenated matrix, without the Lemma 3 check, makes
+those calls' steps in one ``wave_run`` call instead.  The pins:
 
 * **bit parity** where the two paths do the same arithmetic — the
   native and the NumPy wave return the same ids, similarities,
@@ -15,6 +17,10 @@ modality summing its rows' lookup tables.  The pins:
   expansions a wave, with the Lemma 3 check on; the two bookkeepings
   leave the same state after every step, and whole answers agree on
   generated tiny graphs whose dot products are exact in any order;
+* **one call per traversal** — ``wave_run`` leaves the native step
+  loop's pools, bitsets, counters, answers and frontier sizes bit for
+  bit, over every kind of row and on generated tiny graphs, and refuses
+  a frontier-size buffer it would overflow;
 * **the float contract** — ``gather_dot`` equals a NumPy loop over the
   eight lanes bit for bit (signed zeros, subnormals, overflow, NaN,
   ``-inf`` thresholds, any width), refuses out-of-range rows, and
@@ -28,7 +34,7 @@ modality summing its rows' lookup tables.  The pins:
   warning-free; a compiler on ``PATH`` means the native path ran; one
   ``event=native_kernel`` line says which path runs and why; a failed
   build falls back and leaves nothing behind; a build under
-  AddressSanitizer and UBSan runs the three properties clean;
+  AddressSanitizer and UBSan runs the four properties clean;
 * **CSR safety** — a corrupt adjacency fails the first wave with the
   bad vertex named, on both paths, instead of indexing out of bounds.
 
@@ -340,6 +346,10 @@ class _Lockstep:
         self.check()
         return want
 
+    def run(self):
+        """Never all the waves at once: every step is compared."""
+        return None
+
 
 NATIVE = gw._NativeBookkeeping
 
@@ -365,6 +375,99 @@ def test_every_step_leaves_the_same_state(index, queries, kind, m):
         graph_wave_search(
             graph, batch, k=K, l=L, expansions_per_wave=m, filter_memo={}, **extra
         )
+
+
+@contextlib.contextmanager
+def native_traversals(whole):
+    """Run every native traversal with its waves in one ``wave_run``
+    call (*whole*) or through the step loop, and yield the list its
+    bookkeepings are appended to."""
+    books = []
+
+    class Recorded(NATIVE):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.ran = None
+            books.append(self)
+
+        def run(self):
+            self.ran = super().run() if whole else None
+            return self.ran
+
+    gw._NativeBookkeeping = Recorded
+    try:
+        yield books
+    finally:
+        gw._NativeBookkeeping = NATIVE
+
+
+def assert_wave_run_is_the_step_loop(search):
+    """``search()`` once with ``wave_run`` and once stepping: the same
+    answers, wave counts and frontier sizes, and every traversal leaves
+    the same pools, bitsets and counters — ids under -inf columns and
+    dead flags included."""
+    with native_traversals(whole=True) as whole:
+        got = search()
+    with native_traversals(whole=False) as stepped:
+        want = search()
+    assert_same(got, want)
+    assert len(whole) == len(stepped)
+    for a, b in zip(whole, stepped):
+        assert a.ran is not None and b.ran is None
+        for name in ("route_ids", "route_sims", "route_dead", "seen"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        for name in ("res_ids", "res_sims", "hops", "joint_acc"):
+            assert getattr(a.wave, name).tobytes() == getattr(b.wave, name).tobytes()
+    return got
+
+
+@pytest.fixture(scope="module")
+def dense_index(objects):
+    return MUST(objects, weights=Weights([0.6, 0.4])).build().index
+
+
+@needs_native
+@pytest.mark.parametrize("m", [1, 8])
+@pytest.mark.parametrize(
+    "kind",
+    ["plain", "deleted", "shared_filter", "per_request_filters", "ks_ls"],
+)
+def test_wave_run_is_the_step_loop(dense_index, queries, kind, m):
+    graph, batch, extra = _rows(kind, queries, dense_index)
+    _, wave_stats = assert_wave_run_is_the_step_loop(
+        lambda: graph_wave_search(
+            graph, batch, k=K, l=L, expansions_per_wave=m, filter_memo={},
+            **extra,
+        )
+    )
+    assert wave_stats.waves > 0
+
+
+OVERFLOW = -3  # native.c's status for a full output buffer
+
+
+@needs_native
+def test_wave_run_refuses_a_full_size_buffer(dense_index, queries, monkeypatch):
+    """A traversal with waves left and no room to log them is refused,
+    not written past the buffer's end."""
+    statuses = []
+
+    class Full(NATIVE):
+        def run(self):
+            wave, sizes = self.wave, np.empty(0, dtype=np.int64)
+            concat = wave.concat_mat
+            status = self.kernel.wave_run(
+                self.state, concat.ctypes.data, *concat.shape,
+                wave.qmat.ctypes.data, wave.joint_acc.ctypes.data,
+                sizes.ctypes.data, 0,
+            )
+            statuses.append(status)
+            native.check(status)
+
+    monkeypatch.setattr(gw, "_NativeBookkeeping", Full)
+    with pytest.raises(RuntimeError, match="refused"):
+        graph_wave_search(dense_index, queries, k=K, l=L)
+    assert statuses == [OVERFLOW]
 
 
 @needs_native
@@ -701,6 +804,33 @@ def test_tiny_graphs_agree(
     assert_same(*runs)
 
 
+@needs_native
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 40),
+    distinct=st.integers(1, 40),
+    max_degree=st.integers(0, 8),
+    deletion=st.sampled_from(["none", "some", "all but one"]),
+    k=st.integers(1, 43),
+    l_over=st.integers(0, 40),
+    m=st.sampled_from([1, 2, 8]),
+    b=st.integers(1, 4),
+)
+def test_wave_run_is_the_step_loop_on_tiny_graphs(
+    seed, n, distinct, max_degree, deletion, k, l_over, m, b
+):
+    """Isolated vertices, self-loops, ties everywhere, rows that answer
+    short: ``wave_run`` still leaves the step loop's bits."""
+    graph, rng = _tiny_graph(seed, n, min(distinct, n), max_degree, deletion)
+    batch = [MultiVector([_small_ints(rng, 4)]) for _ in range(b)]
+    assert_wave_run_is_the_step_loop(
+        lambda: graph_wave_search(
+            graph, batch, k=k, l=k + l_over, expansions_per_wave=m
+        )
+    )
+
+
 class TestLoader:
     def test_source_ships_as_package_data(self):
         source = resources.files(native.PACKAGE).joinpath(native.SOURCE)
@@ -726,9 +856,10 @@ class TestLoader:
 
     def test_the_properties_run_clean_under_sanitizers(self, tmp_path):
         """A build with AddressSanitizer and UBSan runs the tiny-graph
-        and lane-contract properties in a child with the runtimes
-        preloaded; any out-of-bounds access or undefined behaviour
-        kills it with a report instead of passing silently."""
+        (stepped and ``wave_run``), lane-contract and PQ-sum properties
+        in a child with the runtimes preloaded; any out-of-bounds access
+        or undefined behaviour kills it with a report instead of passing
+        silently."""
         cc = native.compiler()
         if cc is None:
             pytest.skip("no C compiler on PATH")
@@ -758,6 +889,7 @@ class TestLoader:
             "settings.load_profile('child')\n"
             "import test_wave_kernel as t\n"
             "t.test_tiny_graphs_agree()\n"
+            "t.test_wave_run_is_the_step_loop_on_tiny_graphs()\n"
             "t.test_gather_dot_is_the_lane_contract()\n"
             "t.test_adc_gather_is_the_subspace_sum()\n"
         )
