@@ -13,7 +13,7 @@ The walkthrough builds a toy product corpus where two groups of items
 share a dense centroid (same kind of product) but differ in rare tokens
 (brand / model terms), shows dense-only search confusing the groups and
 hybrid search pinning the right one, then streams hybrid inserts and
-round-trips the whole corpus through the v4 segment manifest.
+round-trips the whole corpus through a saved segment directory.
 
 Run:  python examples/hybrid_search.py
 """
@@ -98,8 +98,8 @@ def main() -> None:
     )
     print(f"after insert+delete churn, graph-path top-1 id: {after.ids[0]}")
 
-    # A corpus with a sparse plane persists as manifest v4; dense-only
-    # corpora keep writing v3/v2 archives readable by older builds.
+    # Every save is one must-segments-v5 directory; the sparse plane
+    # rides in each segment's archive with its stamped statistics.
     tmp = Path(tempfile.mkdtemp(prefix="hybrid_example_"))
     try:
         must.save_index(tmp / "index")
@@ -111,7 +111,7 @@ def main() -> None:
             SearchOptions(k=10, l=60),
         )
         assert np.array_equal(after.ids, again.ids)
-        print("v4 manifest round-trip: answers bit-identical")
+        print("save/load round-trip: answers bit-identical")
     finally:
         shutil.rmtree(tmp)
 

@@ -44,16 +44,12 @@ from repro.index.executor import BatchResult, GraphTarget, execute
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.search import joint_search  # noqa: F401 - perfbench patches it
 from repro.index.segments import (
-    MANIFEST_NAME,
     SegmentedIndex,
     SegmentPolicy,
     check_storage,
     retire_cold_files,
     seal_index,
 )
-from repro.store import STORE_KINDS
-from repro.store.base import refuse_retired_kind
-from repro.utils.io import load_arrays
 from repro.utils.validation import require
 from repro.weightlearn.trainer import VectorWeightLearner, WeightLearningResult
 
@@ -322,7 +318,7 @@ class MUST:
         query — every graph search starts from the graph's fixed entry
         order (:meth:`GraphIndex.entry_points`), so the same query reads
         the same alone, at any batch position, from a snapshot, served,
-        or after :meth:`save` / :meth:`from_saved`.
+        or after :meth:`save_index` / :meth:`from_saved`.
         """
         opts = options if options is not None else SearchOptions()
         # Not require(): it would format the message on every query.
@@ -467,129 +463,103 @@ class MUST:
         if self._segments is None:
             if self._index is None:
                 self.build()
-            self._segments = SegmentedIndex.from_graph(
-                self._index,
-                builder=self.builder,
-                policy=self.segment_policy,
-                compression=self.compression,
-                store_options=self.store_options,
-                cold_storage=self.cold_storage,
-                data_dir=self.data_dir,
-            )
+            self._segments = self._as_segments()
             self._index = None
         return self._segments
+
+    def _as_segments(self) -> SegmentedIndex:
+        """The single graph as sealed segment 0 under ids ``0..n-1``."""
+        return SegmentedIndex.from_graph(
+            self._index,
+            builder=self.builder,
+            policy=self.segment_policy,
+            compression=self.compression,
+            store_options=self.store_options,
+            cold_storage=self.cold_storage,
+            data_dir=self.data_dir,
+        )
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def save_index(self, path: str | Path) -> None:
-        """Persist the index; weights go in the metadata.
-
-        A classic single-graph index saves as one ``.npz`` archive
-        (graph structure only — vectors stay with the corpus).  A
-        segmented instance saves *path* as a directory: a manifest plus
-        one ``.npz`` per segment, vectors included, so streamed objects
-        survive the round-trip.
+        """Persist the index as a ``must-segments-v5`` directory *path*:
+        a manifest (weights, store kind and options, cold storage) plus
+        one ``.npz`` per segment, vectors included, so
+        :meth:`from_saved` serves every save without the corpus.  A
+        single graph saves as one sealed segment under ids ``0..n-1``,
+        exactly the state its first :meth:`insert` would switch to.
         """
         if self._segments is not None:
             self._segments.save(path)
             return
         require(self._index is not None, "call build() first")
-        self._index.meta["squared_weights"] = [
-            float(x) for x in self.weights.squared
-        ]
-        # Store kind + options ride along so a reload re-derives the
-        # same compressed serving store (codebook training is
-        # deterministic given the corpus and these options).
-        self._index.meta["compression"] = self.compression
-        self._index.meta["store_options"] = {
-            k: v
-            for k, v in self.store_options.items()
-            if isinstance(v, (str, int, float, bool))
-        }
-        self._index.save(path)
+        self._as_segments().save(path)
 
     def load_index(self, path: str | Path) -> "MUST":
         """Restore an index saved by :meth:`save_index`.
 
-        Directories holding a segment manifest load the full segmented
-        state; plain archives load the legacy single-graph path for these
-        objects.  Either way the archive is read once — stored weights
-        are applied before the graph is bound to its space, not by
-        re-reading the file.
+        Weights, ``compression``, ``store_options``, ``cold_storage``
+        and ``data_dir`` come from the manifest.  A save of a single
+        graph — one sealed segment, no delta, ids ``0..n-1``, none
+        allocated beyond — loads back as a single graph over this
+        instance's corpus, which must have the saved shape: exact plans
+        scan the corpus, a dense graph serves from it, a compressed one
+        from its saved codes.  Any other save loads the full segmented
+        state.  A file path (a graph-only ``.npz`` from an earlier
+        version) or a manifest older than v5 is refused with rebuild
+        instructions.
 
         Loading is **atomic**: every fallible step (archive reads,
-        store reconstruction, graph rebinding) runs before any instance
+        store reconstruction, shape checks) runs before any instance
         state is touched, so a corrupt or incompatible save raises and
         leaves this instance exactly as it was.
         """
-        path = Path(path)
-        if path.is_dir() or (path / MANIFEST_NAME).exists():
-            segments = SegmentedIndex.load(path, builder=self.builder)
-            self._segments = segments
-            self.weights = segments.weights
-            self.cold_storage = segments.cold_storage
-            self.data_dir = segments.data_dir
-            self._space = None
-            self._index = None
-            return self
-        metadata, arrays = load_arrays(path)
-        meta = metadata.get("meta", {})
-        stored = meta.get("squared_weights")
-        weights = self.weights if stored is None else Weights(stored)
-        stored_kind = meta.get("compression", "none")
-        if stored_kind != "none":
-            refuse_retired_kind(stored_kind)
+        segments = SegmentedIndex.load(path, builder=self.builder)
+        index = space = None
+        sole = segments.sealed[0] if len(segments.sealed) == 1 else None
+        if (
+            sole is not None
+            and not segments.delta.n
+            and segments._next_ext == sole.n
+            and np.array_equal(sole.ext_ids, np.arange(sole.n))
+        ):
+            index = sole.index
+            saved = index.space.vectors
             require(
-                stored_kind in STORE_KINDS,
-                f"index was saved with compression {stored_kind!r}; this "
-                f"build supports {sorted(STORE_KINDS)} — upgrade the "
-                f"library or rebuild the index",
+                (self.objects.n, self.objects.dims) == (saved.n, saved.dims),
+                f"{path} holds {saved.n} objects of dims {saved.dims}, this "
+                f"instance's corpus {self.objects.n} of dims "
+                f"{self.objects.dims} — construct MUST with the corpus the "
+                f"index was built from, or serve the save with from_saved",
             )
-            # Restore the saved codec options too: retraining with
-            # different ones would silently serve different codes than
-            # the index was built and benchmarked with.
-            compression = stored_kind
-            store_options = dict(meta.get("store_options", {}))
-        else:
-            compression = self.compression
-            store_options = self.store_options
-        space = JointSpace(self.objects, weights)
-        index = seal_index(
-            GraphIndex.from_arrays(metadata, arrays, space),
-            compression,
-            store_options,
-            cold_dir=self._cold_dir,
-        )
+            space = JointSpace(self.objects, segments.weights)
+            if not index.space.is_compressed:
+                index.space = space  # the corpus is not held twice
         # All fallible work is done — commit.
-        self.weights = weights
-        self.compression = compression
-        self.store_options = store_options
+        self.weights = segments.weights
+        self.compression = segments.compression
+        self.store_options = segments.store_options
+        self.cold_storage = segments.cold_storage
+        self.data_dir = segments.data_dir
         self._space = space
         self._index = index
-        self._segments = None
+        self._segments = None if index is not None else segments
         return self
 
     @classmethod
     def from_saved(cls, path: str | Path, builder=None) -> "MUST":
-        """Serve a saved *segmented* index without the original corpus.
+        """Serve a saved index without the original corpus.
 
         Segment archives carry their vectors, so a serving process
         never needs the corpus the index was built from — the seam that
         lets a beyond-RAM index load on a machine that could not hold
-        the float32 corpus in the first place.  The returned instance
-        holds a placeholder one-row corpus: query/serve/insert/compact
-        all work (they read the segments), but corpus-bound stages
+        the float32 corpus in the first place.  A single-graph save
+        comes back as a one-segment index.  The returned instance holds
+        a placeholder one-row corpus: query/serve/insert/compact all
+        work (they read the segments), but corpus-bound stages
         (``fit_weights``, ``build``) need the real objects.
         """
-        path = Path(path)
-        require(
-            path.is_dir() or (path / MANIFEST_NAME).exists(),
-            f"{path} is not a segmented index directory — from_saved "
-            f"restores directory saves (MUST.save_index of a segmented "
-            f"instance); for single-graph archives construct MUST with "
-            f"the corpus and call load_index",
-        )
         segments = SegmentedIndex.load(path, builder=builder)
         dims = segments._corpus_vectors().dims
         placeholder = MultiVectorSet(

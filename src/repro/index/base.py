@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from repro.core.space import JointSpace
 from repro.store import make_store
-from repro.utils.io import load_arrays, pack_adjacency, save_arrays, unpack_adjacency
+from repro.utils.io import pack_adjacency, unpack_adjacency
 from repro.utils.validation import require
 
 __all__ = ["GraphIndex", "reseat_on_store"]
@@ -278,48 +277,13 @@ class GraphIndex:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Serialise the graph structure (not the vectors) to ``.npz``."""
-        flat, offsets = pack_adjacency(self.neighbors)
-        arrays = {"flat": flat, "offsets": offsets}
-        if self.deleted is not None:
-            arrays["deleted"] = self.deleted
-        save_arrays(
-            path,
-            metadata={
-                "name": self.name,
-                "seed_vertex": int(self.seed_vertex),
-                "build_seconds": float(self.build_seconds),
-                "meta": {
-                    k: v
-                    for k, v in self.meta.items()
-                    if isinstance(v, (str, int, float, bool))
-                    or (
-                        isinstance(v, (list, tuple))
-                        and all(isinstance(x, (str, int, float, bool)) for x in v)
-                    )
-                    or (
-                        isinstance(v, dict)
-                        and all(
-                            isinstance(x, (str, int, float, bool))
-                            for x in v.values()
-                        )
-                    )
-                },
-            },
-            **arrays,
-        )
-
     @classmethod
     def from_arrays(
         cls, metadata: dict, arrays: dict[str, np.ndarray], space: JointSpace
     ) -> "GraphIndex":
-        """Rebuild a graph from already-loaded archive contents.
-
-        Lets callers that need to inspect the metadata first (e.g. to
-        restore stored weights before constructing *space*) avoid a
-        second read of the archive — :meth:`load` is this plus the I/O.
-        """
+        """Rebuild a graph from a loaded segment archive, bound to
+        *space*.  The one writer of those archives is
+        :meth:`repro.index.segments.SegmentedIndex.save`."""
         neighbors = unpack_adjacency(arrays["flat"], arrays["offsets"])
         deleted = arrays.get("deleted")
         return cls(
@@ -328,12 +292,5 @@ class GraphIndex:
             seed_vertex=int(metadata["seed_vertex"]),
             name=str(metadata["name"]),
             build_seconds=float(metadata["build_seconds"]),
-            meta=dict(metadata.get("meta", {})),
             deleted=None if deleted is None else deleted.astype(bool),
         )
-
-    @classmethod
-    def load(cls, path: str | Path, space: JointSpace) -> "GraphIndex":
-        """Load a graph saved by :meth:`save`, rebinding it to *space*."""
-        metadata, arrays = load_arrays(path)
-        return cls.from_arrays(metadata, arrays, space)

@@ -32,8 +32,7 @@ in ascending order, each segment's alive rows, the merged attribute
 table and sparse plane — that compaction rebuilds over.
 :func:`seal_index` is the one seal path — re-seat on the configured
 store, then attach a given cold plane, spill under mmap, or stay
-resident — behind seal, compaction, ``MUST.build`` and
-``MUST.load_index``.
+resident — behind seal, compaction and ``MUST.build``.
 
 All cross-segment searching lives in :class:`SegmentView`, a fixed
 list of segments: :meth:`SegmentedIndex.view` is a live view, and
@@ -111,18 +110,22 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
-#: the one manifest format :meth:`SegmentedIndex.save` writes.  Every
-#: earlier one still loads — v1 (pre-store, implicitly dense float32),
-#: v2 (store-aware), v3 (per-segment ``"storage": "mmap"`` with its
-#: ``"cold_files"`` sidecars) and v4 (``sparse__``-prefixed CSR planes)
-#: each lay out a subset of what v5 does, beside a graph over the delta
-#: (builder options in the manifest, layers in the delta archive) that
-#: :meth:`SegmentedIndex.load` does not read.
+#: the one manifest format :meth:`SegmentedIndex.save` writes and
+#: :meth:`SegmentedIndex.load` reads.  What earlier versions wrote — a
+#: single graph's graph-only ``.npz`` archive, manifests v1–v4 — is
+#: refused with :func:`_refuse_earlier_save`'s instructions.
 FORMAT_VERSION = 5
 _FORMAT = f"must-segments-v{FORMAT_VERSION}"
-_READABLE_FORMATS = tuple(
-    f"must-segments-v{v}" for v in range(1, FORMAT_VERSION + 1)
-)
+
+
+def _refuse_earlier_save(path: Path, what: str) -> None:
+    """Raise the actionable error for a save an earlier version wrote."""
+    raise ValueError(
+        f"{path} is {what}, written by an earlier version of this "
+        f"library; this version reads only {_FORMAT} directories — "
+        f"rebuild the index from its corpus and call MUST.save_index "
+        f"again (or open it with the previous version and re-save it)"
+    )
 
 
 @dataclass
@@ -1222,7 +1225,9 @@ class SegmentedIndex:
         recorded with ``"storage": "mmap"``.  A corpus with a sparse
         lexical plane stores its per-segment CSR arrays (stamped stats
         included) inside the archives.  Whatever the index holds, the
-        manifest format is ``must-segments-v5``."""
+        manifest format is ``must-segments-v5``; ``segment_*.npz``
+        archives the manifest does not list are unlinked after it is
+        written."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         entries = []
@@ -1275,6 +1280,13 @@ class SegmentedIndex:
         (path / MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=2) + "\n"
         )
+        # Only once the manifest no longer lists them: archives a
+        # larger save left behind (sidecar .npy files stay — a snapshot
+        # may still map them).
+        listed = {entry["file"] for entry in entries}
+        for stale in path.glob("segment_*.npz"):
+            if stale.name not in listed:
+                stale.unlink()
 
     def _save_segment(
         self, file: Path, index: GraphIndex, ext_ids: np.ndarray
@@ -1321,6 +1333,8 @@ class SegmentedIndex:
         caller since build pipelines are not serialised.
         """
         path = Path(path)
+        if path.is_file():
+            _refuse_earlier_save(path, "a single-graph .npz archive")
         manifest_file = path / MANIFEST_NAME
         if not manifest_file.exists():
             raise FileNotFoundError(
@@ -1329,15 +1343,15 @@ class SegmentedIndex:
             )
         manifest = json.loads(manifest_file.read_text())
         fmt = manifest.get("format")
-        if fmt not in _READABLE_FORMATS:
+        if fmt in [f"must-segments-v{v}" for v in range(1, FORMAT_VERSION)]:
+            _refuse_earlier_save(path, f"a {fmt} directory")
+        if fmt != _FORMAT:
             raise ValueError(
                 f"unsupported segment manifest format {fmt!r} "
                 f"(format_version {manifest.get('format_version')!r}) at "
-                f"{manifest_file} — this build reads "
-                f"{'/'.join(map(repr, _READABLE_FORMATS))} "
-                f"(format_version ≤ {FORMAT_VERSION}); the index was "
-                f"written by a newer library version, upgrade it or "
-                f"re-save the index"
+                f"{manifest_file} — this build reads {_FORMAT!r}; the "
+                f"index was written by a newer library version, upgrade "
+                f"it or re-save the index"
             )
         weights = Weights(manifest["squared_weights"])
         cold_storage = manifest.get("cold_storage", "resident")
@@ -1345,15 +1359,14 @@ class SegmentedIndex:
             weights,
             builder=builder,
             policy=SegmentPolicy(**manifest["policy"]),
-            compression=manifest.get("compression", "none"),
-            store_options=manifest.get("store_options"),
+            compression=manifest["compression"],
+            store_options=manifest["store_options"],
             cold_storage=cold_storage,
             data_dir=path if cold_storage == "mmap" else None,
         )
         seg_index._next_ext = int(manifest["next_ext_id"])
-        counters = manifest.get("counters", {})
-        seg_index.num_seals = int(counters.get("seals", 0))
-        seg_index.num_compactions = int(counters.get("compactions", 0))
+        seg_index.num_seals = int(manifest["counters"]["seals"])
+        seg_index.num_compactions = int(manifest["counters"]["compactions"])
         for entry in manifest["segments"]:
             file = path / entry["file"]
             if not file.exists():
@@ -1393,8 +1406,7 @@ class SegmentedIndex:
                     "delta segment must be stored dense — the archive is "
                     "corrupt or from an incompatible writer",
                 )
-                # Rows, ids and bitset are the whole delta; an archive
-                # written before v5 also holds a graph, which is not read.
+                # Rows, ids and bitset are the whole delta.
                 seg_index.delta.append(
                     vectors, arrays["ext_ids"].astype(np.int64)
                 )
@@ -1405,22 +1417,12 @@ class SegmentedIndex:
 
     @staticmethod
     def _load_vectors(metadata: dict, arrays: dict) -> MultiVectorSet:
-        """Segment vectors from an archive: store-aware (v2) or the v1
-        dense ``mod_{i}`` layout.  Unknown store kinds/dtypes raise the
-        actionable error from :func:`~repro.store.store_from_arrays`.
-        A ``sparse__``-prefixed CSR plane (v4) reattaches with its
-        persisted stats; older archives simply have none."""
-        attributes = AttributeTable.from_arrays(arrays)
-        sparse = SparseStore.from_arrays(arrays)
-        store_meta = metadata.get("store")
-        if store_meta is not None:
-            return MultiVectorSet.from_store(
-                store_from_arrays(store_meta, arrays),
-                attributes=attributes,
-                sparse=sparse,
-            )
-        mats = [
-            arrays[f"mod_{i}"]
-            for i in range(int(metadata["num_modalities"]))
-        ]
-        return MultiVectorSet(mats, attributes=attributes, sparse=sparse)
+        """Segment vectors from an archive, with the attribute table and
+        the ``sparse__``-prefixed CSR plane (persisted stats included)
+        when the segment has them.  Unknown store kinds/dtypes raise the
+        actionable error from :func:`~repro.store.store_from_arrays`."""
+        return MultiVectorSet.from_store(
+            store_from_arrays(metadata["store"], arrays),
+            attributes=AttributeTable.from_arrays(arrays),
+            sparse=SparseStore.from_arrays(arrays),
+        )

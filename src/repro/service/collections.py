@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
+from repro.index.segments import MANIFEST_NAME
 from repro.service.stats import ServiceStats
 from repro.utils.validation import require
 
@@ -75,10 +76,6 @@ _FORMAT_VERSION = 1
 #: layout, so they must be path-safe: no separators, no leading dot
 #: (which also rules out ``.`` / ``..`` traversal).
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
-
-# Private-to-package: the segmented save's own manifest file name, used
-# to recognise a single-collection directory save.
-_SEGMENTS_MANIFEST = "manifest.json"
 
 
 class UnknownCollection(KeyError):
@@ -302,10 +299,8 @@ class CollectionManager:
         carrying each collection's name, subdirectory, and quota) plus
         one ``path/<name>/`` segmented save per collection — each a
         plain ``must-segments-v5`` directory that ``MUST.from_saved``
-        could also load on its own.  Every collection must be in
-        segmented form (the state any built instance reaches on its
-        first :meth:`MUST.insert`); single-graph instances save alone
-        via ``MUST.save_index``.
+        could also load on its own (``MUST.save_index``: a single-graph
+        collection saves as one sealed segment).
         """
         require(
             len(self._collections) >= 1,
@@ -316,14 +311,6 @@ class CollectionManager:
                 collection.must.is_built,
                 f"collection {collection.name!r} is unbuilt — call "
                 f"MUST.build() first",
-            )
-            require(
-                collection.must.is_segmented,
-                f"collection {collection.name!r} is a single-graph index; "
-                f"the collections layout stores per-collection segment "
-                f"manifests — insert() at least once (which seals the "
-                f"graph into segment 0) or save it alone with "
-                f"MUST.save_index",
             )
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
@@ -369,7 +356,7 @@ class CollectionManager:
         manifest_path = root / _MANIFEST_NAME
         if not manifest_path.exists():
             require(
-                root.is_dir() or (root / _SEGMENTS_MANIFEST).exists(),
+                (root / MANIFEST_NAME).exists(),
                 f"{root} is neither a {_FORMAT} directory (no "
                 f"{_MANIFEST_NAME}) nor a segmented index save — save "
                 f"with CollectionManager.save or MUST.save_index",

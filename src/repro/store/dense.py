@@ -113,8 +113,6 @@ class DenseStore(VectorStore):
                 "num_modalities": self.num_modalities}
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        # Keys match the v1 segment layout, so dense archives stay
-        # readable by (and from) the pre-store format.
         return {f"mod_{i}": m for i, m in enumerate(self._mats)}
 
     @classmethod

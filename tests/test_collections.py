@@ -472,7 +472,9 @@ class TestPersistence:
         for q in queries[:4]:
             assert_same_result(loaded.query(q, EXACT), must.query(q, EXACT))
 
-    def test_save_requires_segmented_collections(self, tmp_path):
+    def test_single_graph_collections_roundtrip(self, tmp_path, queries):
+        """A single-graph collection saves as a one-segment directory
+        and restores answering exact plans as the live instance does."""
         manager = CollectionManager()
         single_graph = MUST(
             random_multivector_set(60, DIMS, seed=3),
@@ -480,8 +482,18 @@ class TestPersistence:
             builder=CHEAP_BUILDER,
         ).build()
         manager.create("solo", single_graph)
-        with pytest.raises(ValueError, match="single-graph"):
-            manager.save(tmp_path / "out")
+        manager.create("streamed", _segmented_must(seed=53))
+        manager.save(tmp_path / "out")
+        restored = CollectionManager.from_saved(
+            tmp_path / "out", builder=CHEAP_BUILDER
+        )
+        assert restored.names() == ["solo", "streamed"]
+        assert len(restored.get("solo").must.segments.sealed) == 1
+        for name in ("solo", "streamed"):
+            oracle = manager.get(name).must
+            loaded = restored.get(name).must
+            for q in queries[:4]:
+                assert_same_result(loaded.query(q, EXACT), oracle.query(q, EXACT))
 
     def test_save_empty_manager_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no collections"):

@@ -231,7 +231,7 @@ class TestCompressedLifecycle:
     def test_single_graph_roundtrip(self, objects, queries, kind, tmp_path):
         must = MUST(objects, weights=Weights([0.6, 0.4]),
                     compression=kind).build()
-        path = tmp_path / "graph.npz"
+        path = tmp_path / "graph"
         must.save_index(path)
         fresh = MUST(objects).load_index(path)
         assert fresh.compression == kind
@@ -350,9 +350,10 @@ class TestManifestFormat:
         with pytest.raises(ValueError, match="'float16' was removed"):
             SegmentedIndex.load(path)
 
-    def test_v1_manifest_still_loads(self, objects, tmp_path):
+    def test_v1_manifest_is_refused(self, objects, tmp_path):
         """Archives written before the store layer carry the v1 format
-        string and no store metadata — they load as dense float32."""
+        string and no store metadata — this version refuses them with
+        rebuild instructions instead of guessing at dense float32."""
         import json
 
         path = self._saved(objects, tmp_path)
@@ -362,23 +363,22 @@ class TestManifestFormat:
         for key in ("format_version", "compression", "store_options"):
             manifest.pop(key)
         mf.write_text(json.dumps(manifest))
-        loaded = SegmentedIndex.load(path)
-        assert loaded.compression == "none"
-        assert all(
-            not seg.space.is_compressed
-            for seg in loaded.searchable_segments()
-        )
+        with pytest.raises(ValueError, match="a must-segments-v1 directory"):
+            SegmentedIndex.load(path)
+        with pytest.raises(ValueError, match="call MUST.save_index again"):
+            MUST(objects).load_index(path)
 
     def test_single_graph_roundtrip_preserves_store_options(
         self, objects, tmp_path
     ):
-        """Reload must re-derive the *same* serving store: kind AND codec
-        options (a retrain with defaults would silently serve different
-        codes than the index was benchmarked with)."""
+        """Reload must serve the *same* store: kind AND codec options,
+        and the saved codes themselves (a retrain with defaults would
+        silently serve different codes than the index was benchmarked
+        with)."""
         opts = {"pq_dims": 8, "seed": 3, "keep_exact": False}
         must = MUST(objects, weights=Weights([0.6, 0.4]),
                     compression="pq", store_options=opts).build()
-        path = tmp_path / "graph.npz"
+        path = tmp_path / "graph"
         must.save_index(path)
         fresh = MUST(objects).load_index(path)
         assert fresh.store_options == opts

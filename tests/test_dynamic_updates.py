@@ -13,7 +13,7 @@ from repro.core.weights import Weights
 from repro.index.flat import FlatIndex
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.search import joint_search
-from repro.index.segments import SegmentPolicy
+from repro.index.segments import SegmentedIndex, SegmentPolicy
 
 from tests.conftest import random_multivector_set, random_query
 
@@ -72,11 +72,9 @@ class TestSoftDeletion:
     def test_deleted_mask_survives_save_load(self, built, tmp_path):
         space, index, queries = built
         index.mark_deleted(np.array([5, 6, 7]))
-        path = tmp_path / "g.npz"
-        index.save(path)
-        from repro.index.base import GraphIndex
-
-        loaded = GraphIndex.load(path, space)
+        path = tmp_path / "g"
+        SegmentedIndex.from_graph(index).save(path)
+        loaded = SegmentedIndex.load(path).sealed[0].index
         assert loaded.num_active == 297
         res = joint_search(loaded, queries[0], k=10, l=60)
         assert not ({5, 6, 7} & set(res.ids.tolist()))

@@ -111,7 +111,7 @@ class TestSearch:
 
 class TestPersistence:
     def test_save_load_roundtrip(self, trained, mitstates_encoded, tmp_path):
-        path = tmp_path / "must.npz"
+        path = tmp_path / "must"
         trained.save_index(path)
         fresh = MUST.from_dataset(mitstates_encoded)
         fresh.load_index(path)
@@ -124,4 +124,4 @@ class TestPersistence:
     def test_save_before_build_rejected(self, mitstates_encoded, tmp_path):
         must = MUST.from_dataset(mitstates_encoded)
         with pytest.raises(ValueError):
-            must.save_index(tmp_path / "x.npz")
+            must.save_index(tmp_path / "x")

@@ -526,10 +526,10 @@ class TestGraphIndexContainer:
         with pytest.raises(ValueError, match="out-of-range"):
             idx.validate()
 
-    def test_save_load_roundtrip(self, tiny_index, tiny_space, tmp_path):
-        path = tmp_path / "index.npz"
-        tiny_index.save(path)
-        loaded = GraphIndex.load(path, tiny_space)
+    def test_save_load_roundtrip(self, tiny_index, tmp_path):
+        path = tmp_path / "index"
+        SegmentedIndex.from_graph(tiny_index).save(path)
+        loaded = SegmentedIndex.load(path).sealed[0].index
         assert loaded.seed_vertex == tiny_index.seed_vertex
         assert loaded.name == tiny_index.name
         for a, b in zip(loaded.neighbors, tiny_index.neighbors):

@@ -23,7 +23,7 @@ from repro.index.graph_wave import graph_wave_search
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.scoring import batch_score_all
 from repro.index.search import greedy_search_graph, joint_search
-from repro.index.segments import SegmentPolicy
+from repro.index.segments import SegmentedIndex, SegmentPolicy
 
 from repro.utils.io import load_arrays
 
@@ -171,11 +171,13 @@ class TestEntryOrder:
 
     def test_not_persisted_and_recomputed_on_load(self, setup, tmp_path):
         space, index, _, queries = setup
-        index.save(tmp_path / "g.npz")
-        metadata, arrays = load_arrays(tmp_path / "g.npz")
-        assert set(arrays) == {"flat", "offsets"}
-        assert set(metadata) == {"name", "seed_vertex", "build_seconds", "meta"}
-        loaded = GraphIndex.load(tmp_path / "g.npz", space)
+        SegmentedIndex.from_graph(index).save(tmp_path / "g")
+        metadata, arrays = load_arrays(tmp_path / "g" / "segment_000.npz")
+        assert set(arrays) == {"flat", "offsets", "ext_ids", "mod_0", "mod_1"}
+        assert set(metadata) == {
+            "name", "seed_vertex", "build_seconds", "num_modalities", "store"
+        }
+        loaded = SegmentedIndex.load(tmp_path / "g").sealed[0].index
         assert np.array_equal(loaded.entry_points(400), index.entry_points(400))
         _assert_identical(
             joint_search(loaded, queries[0], k=5, l=30),

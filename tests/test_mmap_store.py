@@ -354,8 +354,8 @@ class TestPersistence:
         out = tmp_path / "serving_copy"
         mapped.save_index(out)
         loaded = MUST.from_saved(out)
-        # Corpus-bound stages are refused with a pointed error …
-        with pytest.raises(ValueError, match="single-graph archives|corpus"):
+        # A path that holds no save is refused with a pointed error …
+        with pytest.raises(FileNotFoundError, match="no segment manifest"):
             MUST.from_saved(tmp_path / "definitely_missing")
         # … but writes and reads work on the placeholder-corpus instance.
         ids = loaded.insert(_attributed_set(5, 77))

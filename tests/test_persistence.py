@@ -1,5 +1,7 @@
-"""Save/load round-trip coverage: legacy single-graph archives and the
-segmented manifest, plus the single-read regression for stored weights."""
+"""Save/load round-trip coverage: single-graph and segmented saves (one
+``must-segments-v5`` directory shape for both), the single-read
+regression for stored weights, and the refusal of what earlier versions
+wrote."""
 
 from __future__ import annotations
 
@@ -8,17 +10,19 @@ import json
 import numpy as np
 import pytest
 
-import repro.core.framework as framework_mod
+import repro.index.segments as segments_mod
 from repro.core.framework import MUST
 from repro.core.query import SearchOptions
 from repro.core.weights import Weights
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.segments import MANIFEST_NAME, SegmentPolicy
-from repro.utils.io import load_arrays, save_arrays
+from repro.utils.io import load_arrays, pack_adjacency, save_arrays
 
 from tests.conftest import random_multivector_set, random_query
 
 DIMS = (8, 6)
+#: the instruction every save an earlier version wrote is refused with.
+REBUILD = "rebuild the index from its corpus and call MUST.save_index again"
 
 
 def _built_must(seed: int = 1, n: int = 120, weights=None) -> MUST:
@@ -45,11 +49,12 @@ class TestLegacyRoundtrip:
     def test_graph_and_weights_survive(self, tmp_path):
         must = _built_must()
         must.mark_deleted(np.array([3, 4, 5]))
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         must.save_index(path)
 
         fresh = MUST(must.objects, weights=Weights([0.5, 0.5]))
         fresh.load_index(path)
+        assert not fresh.is_segmented  # a single graph stays one
         assert fresh.weights == must.weights  # stored weights win
         assert fresh.index.num_active == must.index.num_active
         q = random_query(DIMS, seed=9)
@@ -59,11 +64,11 @@ class TestLegacyRoundtrip:
         np.testing.assert_array_equal(a.similarities, b.similarities)
 
     def test_load_reads_archive_exactly_once(self, tmp_path, monkeypatch):
-        """Regression: stored weights used to trigger a second
-        ``GraphIndex.load`` (and hence a second disk read) to rebind the
-        refreshed space; the archive must now be opened exactly once."""
+        """Regression: stored weights used to trigger a second graph
+        load (and hence a second disk read) to rebind the refreshed
+        space; each archive must now be opened exactly once."""
         must = _built_must(weights=Weights([0.3, 0.7]))
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         must.save_index(path)
 
         opens = {"count": 0}
@@ -72,18 +77,68 @@ class TestLegacyRoundtrip:
             opens["count"] += 1
             return load_arrays(p)
 
-        monkeypatch.setattr(framework_mod, "load_arrays", counting_load)
+        monkeypatch.setattr(segments_mod, "load_arrays", counting_load)
         # Different current weights → the stored ones must be installed,
         # historically the path that double-read the file.
         fresh = MUST(must.objects, weights=Weights([0.5, 0.5]))
         fresh.load_index(path)
-        assert opens["count"] == 1
+        assert opens["count"] == len(list(path.glob("segment_*.npz"))) == 1
         assert fresh.weights == Weights([0.3, 0.7])
         # The rebind is real: the loaded graph scores under stored weights.
         q = random_query(DIMS, seed=4)
         a = must.query(q, SearchOptions(k=5, l=50))
         b = fresh.query(q, SearchOptions(k=5, l=50))
         np.testing.assert_array_equal(a.ids, b.ids)
+
+
+    def test_from_saved_serves_a_single_graph_save(self, tmp_path):
+        """Without the corpus a single-graph save is a one-segment index
+        that answers as the live instance does, on graph and exact plans."""
+        must = _built_must()
+        must.mark_deleted(np.array([3, 4, 5]))
+        must.save_index(tmp_path / "index")
+        served = MUST.from_saved(tmp_path / "index")
+        assert len(served.segments.sealed) == 1 and not served.segments.delta.n
+        queries = [random_query(DIMS, seed=s) for s in range(6)]
+        # l < n / 2, so the one segment is traversed, not scanned.
+        for opts in (SearchOptions(k=10, l=40), SearchOptions(k=10, exact=True)):
+            for a, b in zip(must.query(queries, opts), served.query(queries, opts)):
+                np.testing.assert_array_equal(a.ids, b.ids)
+                np.testing.assert_array_equal(a.similarities, b.similarities)
+        assert served.query(queries, SearchOptions(k=10, l=40)).stats.hops > 0
+
+    def test_an_earlier_single_graph_archive_is_refused(self, tmp_path):
+        """The graph-only ``.npz`` earlier versions wrote for a single
+        graph holds no vectors; it is refused with rebuild instructions
+        and the instance keeps serving what it had."""
+        must = _built_must()
+        flat, offsets = pack_adjacency(must.index.neighbors)
+        path = tmp_path / "index.npz"
+        save_arrays(
+            path,
+            metadata={
+                "name": must.index.name,
+                "seed_vertex": must.index.seed_vertex,
+                "build_seconds": 0.0,
+                "meta": {"squared_weights": [0.4, 0.6], "compression": "none"},
+            },
+            flat=flat,
+            offsets=offsets,
+        )
+        before = must.index
+        for load in (must.load_index, MUST.from_saved):
+            with pytest.raises(ValueError, match=REBUILD) as info:
+                load(path)
+            assert "a single-graph .npz archive" in str(info.value)
+        assert must.index is before and not must.is_segmented
+
+    def test_a_corpus_of_another_shape_is_refused(self, tmp_path):
+        must = _built_must(n=120)
+        must.save_index(tmp_path / "index")
+        other = MUST(random_multivector_set(100, DIMS, seed=1))
+        with pytest.raises(ValueError, match="from_saved"):
+            other.load_index(tmp_path / "index")
+        assert not other.is_built
 
 
 class TestSegmentedRoundtrip:
@@ -142,13 +197,13 @@ class TestSegmentedRoundtrip:
         assert len(res) == 10
 
     @pytest.mark.parametrize("fmt", ["must-segments-v2", "must-segments-v4"])
-    def test_saves_that_hold_a_delta_graph_still_open(self, fmt, tmp_path):
+    def test_saves_that_hold_a_delta_graph_are_refused(self, fmt, tmp_path):
         """Formats v1-v4 kept an HNSW graph over the delta: its builder
         options and level seed in the manifest, its layers in the delta
         archive's metadata, its base layer as that archive's adjacency.
-        A reader that takes only rows, ids and bitset resumes the same
-        index."""
-        must, never_saved = self._streamed(), self._streamed()
+        This version reads only v5: such a save is refused with rebuild
+        instructions, and the instance that tried keeps its index."""
+        must = self._streamed()
         path = tmp_path / "segidx"
         must.save_index(path)
         manifest = json.loads((path / MANIFEST_NAME).read_text())
@@ -172,25 +227,53 @@ class TestSegmentedRoundtrip:
         arrays["offsets"] = np.arange(8, dtype=np.int64)
         save_arrays(path / entry["file"], metadata=metadata, **arrays)
 
-        fresh = MUST(must.objects, builder=must.builder).load_index(path)
-        for side in (fresh, never_saved):
-            side.insert(_extra(4, seed=7))    # 11 rows: still the delta
-        self._assert_same_answers(fresh, never_saved)
-        for side in (fresh, never_saved):
-            side.insert(_extra(8, seed=8))    # 19 rows: seals
-        assert fresh.segments.describe() == never_saved.segments.describe()
-        self._assert_same_answers(fresh, never_saved)
+        fresh = _built_must(n=60)
+        before = fresh.index
+        with pytest.raises(ValueError, match=REBUILD):
+            fresh.load_index(path)
+        with pytest.raises(ValueError, match=f"a {fmt} directory"):
+            MUST.from_saved(path)
+        assert fresh.index is before and not fresh.is_segmented
 
-    @staticmethod
-    def _assert_same_answers(got: MUST, ref: MUST) -> None:
-        queries = [random_query(DIMS, seed=s) for s in range(5)]
-        for opts in (
-            SearchOptions(k=10, l=60),
-            SearchOptions(k=10, exact=True),
-        ):
-            for a, b in zip(got.query(queries, opts), ref.query(queries, opts)):
-                np.testing.assert_array_equal(a.ids, b.ids)
-                np.testing.assert_array_equal(a.similarities, b.similarities)
+    def test_load_restores_store_kind_and_options(self, tmp_path):
+        """The manifest's compression and store options come back with
+        the index, whatever the loading instance was constructed with."""
+        opts = {"keep_exact": True}
+        must = MUST(
+            random_multivector_set(60, DIMS, seed=1),
+            weights=Weights([0.4, 0.6]),
+            builder=FusedIndexBuilder(gamma=8, seed=2),
+            segment_policy=SegmentPolicy(seal_size=16, max_segments=4),
+            compression="int8",
+            store_options=opts,
+        ).build()
+        must.insert(_extra(20, seed=5))
+        must.save_index(tmp_path / "segidx")
+        fresh = MUST(must.objects).load_index(tmp_path / "segidx")
+        assert fresh.is_segmented
+        assert fresh.compression == "int8"
+        assert fresh.store_options == opts
+
+    def test_a_smaller_save_unlinks_the_archives_it_does_not_list(
+        self, tmp_path
+    ):
+        """Re-saving after a compaction leaves exactly the listed
+        archives; the mapped cold-tier sidecars are not touched."""
+        must = self._streamed()
+        path = tmp_path / "segidx"
+        must.save_index(path)
+        assert len(list(path.glob("segment_*.npz"))) == 3
+        sidecar = path / "segment_007.cold_0.npy"
+        sidecar.write_bytes(b"left alone")
+        must.compact()
+        must.save_index(path)
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        assert sorted(p.name for p in path.glob("segment_*.npz")) == [
+            entry["file"] for entry in manifest["segments"]
+        ] == ["segment_000.npz"]
+        assert sidecar.read_bytes() == b"left alone"
+        fresh = MUST(must.objects).load_index(path)
+        assert fresh.segments.describe() == must.segments.describe()
 
     def test_missing_segment_file_fails_clearly(self, tmp_path):
         must = self._streamed()

@@ -10,12 +10,12 @@ the modules ``pyproject.toml`` holds to ``disallow_untyped_defs`` — and
 nothing an exact answer could be tuned with: no safety-band or
 second-kernel parameter, no environment read in ``repro.core.space``,
 one ``exact*`` method on a view, one graph engine, one lexical scorer,
-no float16 store, one dense metric (inner product), one frontier
-scorer for the rows off its concat fast path, and every name the
-benchmark's tracer binds still where it looks.  The C kernel gets the
-checks a compiler would not make: every exported function declared to
-ctypes as the source defines it, and build flags that keep its float
-contract.
+one writer of index archives, no float16 store, one dense metric (inner
+product), one frontier scorer for the rows off its concat fast path,
+and every name the benchmark's tracer binds still where it looks.  The
+C kernel gets the checks a compiler would not make: every exported
+function declared to ctypes as the source defines it, and build flags
+that keep its float contract.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import repro
 from repro import native
 from perfbench.trace import TARGETS
 from repro.core.query import SearchOptions
+from repro.index.base import GraphIndex
 from repro.index.executor import execute
 from repro.index.graph_wave import graph_wave_search
 from repro.index.search import joint_search
@@ -460,6 +461,16 @@ def test_one_place_decides_how_rows_become_a_segment():
         "core/space.py:JointSpace.rebind",
         "index/segments.py:SegmentedIndex._load_vectors",
     ]
+
+
+def test_one_writer_of_index_archives():
+    """Every ``.npz`` an index writes goes through the segmented save —
+    a single graph saves as a one-segment directory — so crash-safe
+    writing has one place to go; a graph has no save / load of its own."""
+    assert call_sites("save_arrays") == [
+        "index/segments.py:SegmentedIndex._save_segment"
+    ]
+    assert not hasattr(GraphIndex, "save") and not hasattr(GraphIndex, "load")
 
 
 def exported_c_functions(source: str) -> dict[str, tuple[str, int]]:

@@ -192,9 +192,9 @@ def _reloaded(must: MUST, folder) -> MUST:
     if must.is_segmented:
         must.save_index(folder / "save")
         return MUST.from_saved(folder / "save", builder=CHEAP_BUILDER)
-    must.save_index(folder / "save.npz")
+    must.save_index(folder / "save")
     return MUST(must.objects, builder=CHEAP_BUILDER).load_index(
-        folder / "save.npz"
+        folder / "save"
     )
 
 

@@ -978,12 +978,13 @@ class TestCsrSafety:
     ):
         if lib == "numpy":
             monkeypatch.setattr(native, "lib", None)
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         MUST(objects, weights=Weights([0.6, 0.4])).build().save_index(path)
-        metadata, arrays = load_arrays(path)
+        archive = path / "segment_000.npz"
+        metadata, arrays = load_arrays(archive)
         at = arrays["flat"].size // 2
         arrays["flat"][at] = N
-        save_arrays(path, metadata, **arrays)
+        save_arrays(archive, metadata, **arrays)
         vertex = int(np.searchsorted(arrays["offsets"], at, side="right")) - 1
 
         loaded = MUST(objects, weights=Weights([0.6, 0.4])).load_index(path)
