@@ -25,7 +25,6 @@ from repro.index.executor import BatchResult
 from repro.index.flat import FlatIndex
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.search import joint_search
-from repro.utils.parallel import thread_map
 from repro.utils.validation import require
 
 __all__ = ["MultiStreamedRetrieval"]
@@ -150,17 +149,13 @@ class MultiStreamedRetrieval:
         queries: list[MultiVector],
         k: int,
         candidates_per_modality: int = 100,
-        n_jobs: int = 1,
     ) -> BatchResult:
-        """Batch MR search: whole queries (split + merge included) run as
-        stateless tasks on a thread pool."""
-        results = thread_map(
-            lambda query: self.search(
-                query, k, candidates_per_modality=candidates_per_modality
-            ),
-            queries,
-            n_jobs=n_jobs,
-        )
+        """Batch MR search: one :meth:`search` per query, split and merge
+        included."""
+        results = [
+            self.search(query, k, candidates_per_modality=candidates_per_modality)
+            for query in queries
+        ]
         return BatchResult(
             results, SearchStats.aggregate(r.stats for r in results)
         )

@@ -11,10 +11,10 @@ interpreted:
   and a per-query ``k`` override.
 * :class:`SearchOptions` — the execution plan shared by a wave of
   queries (``k``, ``l``, ``exact``, ``refine``, ``early_termination``,
-  ``engine``, ``check_monotone``), validated once at construction with
-  errors that name the offending field; a misspelled field name is a
-  ``TypeError`` from the dataclass constructor.  A plan carries no
-  seed: an answer is a function of the index and the query.
+  ``engine``, ``collection``, ``sparse_engine``), validated once at
+  construction with errors that name the offending field; a misspelled
+  field name is a ``TypeError`` from the dataclass constructor.  A plan
+  carries no seed: an answer is a function of the index and the query.
 * a :class:`Filter` mini-DSL (:class:`Eq` / :class:`In` /
   :class:`Range` / :class:`And` / :class:`Or` / :class:`Not`) over the
   per-corpus :class:`~repro.core.attributes.AttributeTable`, compiling
@@ -272,7 +272,7 @@ class Query:
             "Query.filter must be a Filter clause or None",
         )
         require(
-            self.k is None or (isinstance(self.k, int) and self.k >= 1),
+            self.k is None or (type(self.k) is int and self.k >= 1),
             f"Query.k must be a positive int or None, got {self.k!r}",
         )
         if self.sparse is not None:
@@ -370,7 +370,6 @@ class SearchOptions:
     refine: "int | None" = None
     early_termination: bool = False
     engine: str = "auto"
-    check_monotone: bool = False
     collection: "str | None" = None
     sparse_engine: str = "auto"
 
@@ -379,11 +378,11 @@ class SearchOptions:
 
     def __post_init__(self) -> None:
         require(
-            isinstance(self.k, int) and self.k >= 1,
+            type(self.k) is int and self.k >= 1,
             f"SearchOptions.k must be a positive int, got {self.k!r}",
         )
         require(
-            isinstance(self.l, int) and self.l >= 1,
+            type(self.l) is int and self.l >= 1,
             f"SearchOptions.l must be a positive int, got {self.l!r}",
         )
         # l >= k is a *graph-path* contract (exact scans ignore l), so
@@ -394,7 +393,7 @@ class SearchOptions:
         )
         require(
             self.refine is None
-            or (isinstance(self.refine, int) and self.refine >= 1),
+            or (type(self.refine) is int and self.refine >= 1),
             f"SearchOptions.refine must be an int >= 1 or None, got "
             f"{self.refine!r}",
         )
@@ -415,11 +414,6 @@ class SearchOptions:
                 str(self.sparse_engine), self.VALID_SPARSE_ENGINES,
                 "sparse engine", 0.0,
             ))
-        require(
-            isinstance(self.check_monotone, bool),
-            f"SearchOptions.check_monotone must be a bool, got "
-            f"{self.check_monotone!r}",
-        )
         require(
             self.collection is None
             or (isinstance(self.collection, str) and self.collection),

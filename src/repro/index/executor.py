@@ -144,7 +144,6 @@ class BatchExecutor:
         l: int,
         early_termination: bool = False,
         refine: int | None = None,
-        check_monotone: bool = False,
     ) -> BatchResult:
         """Lockstep batched graph search — one stacked scoring call per
         wave (:func:`~repro.index.graph_wave.graph_wave_search`).
@@ -159,7 +158,6 @@ class BatchExecutor:
             l=l,
             early_termination=early_termination,
             refine=refine,
-            check_monotone=check_monotone,
             filter_memo={},
         )
         out = BatchResult(results, plan=f"graph/wave/{bookkeeping()}")
@@ -178,7 +176,6 @@ class BatchExecutor:
         l: int = 100,
         early_termination: bool = False,
         refine: int | None = None,
-        check_monotone: bool = False,
     ) -> BatchResult:
         """Graph batch over a :class:`~repro.index.segments.SegmentView`
         (live or frozen): one lockstep traversal per segment carries
@@ -190,7 +187,6 @@ class BatchExecutor:
             l=l,
             early_termination=early_termination,
             refine=refine,
-            check_monotone=check_monotone,
         )
         out = BatchResult(results, plan=f"graph/wave/{bookkeeping()}")
         out.stats.merge(wave_stats)
@@ -285,7 +281,6 @@ def execute(
                 k=opts.k,
                 l=opts.l,
                 early_termination=opts.early_termination,
-                check_monotone=opts.check_monotone,
                 refine=opts.refine,
             )
             return BatchResult([result], plan=f"graph/wave/{bookkeeping()}")
@@ -294,7 +289,6 @@ def execute(
         l=opts.l,
         early_termination=opts.early_termination,
         refine=opts.refine,
-        check_monotone=opts.check_monotone,
     )
     if isinstance(target, SegmentView):
         out = BatchExecutor.run_segmented(target, queries, **plan)

@@ -32,11 +32,10 @@ bookkeeping oracle, and ``einsum``); :func:`bookkeeping` says which
 runs.  On the kernel, a traversal whose rows are all fast-path ones
 makes one ctypes call, ``wave_run``, for every wave after the init: it
 runs the three steps a wave's calls run, in their order, until no row
-expands.  Any other traversal, and one asked to check Lemma 3 between
-waves, steps from Python, three calls a wave on a dense store; that
-loop is the one ``wave_run`` is pinned against.  The two bookkeepings
-leave the same bits behind.  The dense arithmetic does
-not, so the kernel's comes with a float contract: a fast-path row's
+expands.  Any other traversal steps from Python, three calls a wave on
+a dense store; that loop is the one ``wave_run`` is pinned against.
+The two bookkeepings leave the same bits behind.  The dense arithmetic
+does not, so the kernel's comes with a float contract: a fast-path row's
 similarity is the float32 dot product of its ω-scaled concatenation
 with the query's, summed in eight lane accumulators that start at
 ``+0.0f``, ``a[d mod 8] += fl(x[d]·q[d])`` for ``d = 0 … D−1`` in
@@ -389,7 +388,6 @@ class _Wave:
         self,
         active: np.ndarray,
         expansions_per_wave: int,
-        check_monotone: bool,
         wave_stats: SearchStats,
     ) -> None:
         """Fill the pools of the rows flagged in *active* by lockstep
@@ -398,10 +396,10 @@ class _Wave:
         Each wave is bookkeeping (:meth:`~_Bookkeeping.expand`, then
         :meth:`~_Bookkeeping.merge`) around one :meth:`score_stack`;
         the bookkeeping runs in the C kernel when it loaded and in NumPy
-        otherwise, with the same bits either way.  Without the Lemma 3
-        check, :meth:`~_Bookkeeping.run` may take every wave after the
-        init in one call (the kernel's, when every row is fast); the
-        step loop here is the path it must equal.
+        otherwise, with the same bits either way.
+        :meth:`~_Bookkeeping.run` may take every wave after the init in
+        one call (the kernel's, when every row is fast); the step loop
+        here is the path it must equal.
         """
         if not active.any():
             return
@@ -412,7 +410,6 @@ class _Wave:
             if kernel is None
             else _NativeBookkeeping(self, active, expansions_per_wave, kernel)
         )
-        last_total = np.full(b, -np.inf, dtype=np.float64)
 
         # Init: each query's prefix of the entry order, one stacked wave.
         init_owner_parts: list[np.ndarray] = []
@@ -425,13 +422,11 @@ class _Wave:
         owner = np.concatenate(init_owner_parts)
         cand = np.concatenate(init_id_parts)
         sims = self.score_stack(owner, cand, np.full(b, -np.inf))
-        rows = book.merge(owner, cand, sims)
-        if check_monotone:
-            self._check_lemma3(rows, last_total)
+        book.merge(owner, cand, sims)
 
         # Waves: up to m expansions per active query per wave, all in one
         # call when the bookkeeping can take them so.
-        frontier_sizes = None if check_monotone else book.run()
+        frontier_sizes = book.run()
         if frontier_sizes is None:
             frontier_sizes = []
             while (step := book.expand()) is not None:
@@ -439,31 +434,9 @@ class _Wave:
                 frontier_sizes.append(int(cand.size))
                 if cand.size == 0:
                     continue
-                rows = book.merge(owner, cand, self.score_stack(owner, cand, thr))
-                if check_monotone:
-                    self._check_lemma3(rows, last_total)
+                book.merge(owner, cand, self.score_stack(owner, cand, thr))
         wave_stats.waves += len(frontier_sizes)
         wave_stats.frontier_sizes += tuple(frontier_sizes)
-
-    def _check_lemma3(self, rows: np.ndarray, last_total: np.ndarray) -> None:
-        """Lemma 3: f(η), the sum of a full result pool, never falls.
-
-        A pool still filling up is not checked — an admitted vertex of
-        negative similarity lowers its sum — so *last_total* holds a
-        row's sum once its pool is full, -inf before.
-        """
-        cap = self.cap_arr[rows]
-        block = self.res_sims[rows]
-        finite = np.isfinite(block)
-        csum = np.cumsum(np.where(finite, block, 0.0), axis=1)
-        take = np.minimum(finite.sum(axis=1), cap)
-        idx = np.maximum(take - 1, 0)
-        total = np.where(take > 0, csum[np.arange(rows.size), idx], 0.0)
-        prev = last_total[rows]
-        started = np.isfinite(prev)
-        ok = bool(np.all(total[started] >= prev[started] - 1e-9))
-        assert ok, "Lemma 3 violated in wave merge"
-        last_total[rows] = np.where(take == cap, total, -np.inf)
 
     def finalise(self) -> list[SearchResult]:
         """Per query: top-k by (-sim, id) — one row-wise rank for the
@@ -555,7 +528,7 @@ class _Bookkeeping:
         self, owner: np.ndarray, cand: np.ndarray, sims: np.ndarray
     ) -> np.ndarray:
         """Fold owner-sorted scored candidates into both pools; returns
-        the rows touched."""
+        the rows touched (what the tests' Lemma 3 hook checks)."""
         raise NotImplementedError
 
     def run(self) -> list[int] | None:
@@ -792,7 +765,6 @@ def graph_wave_search(
     weights: Weights | None = None,
     early_termination: bool = False,
     refine: int | None = None,
-    check_monotone: bool = False,
     filter_memo: FilterMemo | None = None,
     ks: Sequence[int] | None = None,
     ls: Sequence[int] | None = None,
@@ -810,8 +782,7 @@ def graph_wave_search(
     per-query weights, a ``k`` override and an attribute ``filter``,
     whose excluded vertices route but never report.
     ``early_termination`` scores through the Lemma-4 incremental
-    computation — the same ids, fewer modality evaluations;
-    ``check_monotone`` asserts Lemma 3 on every merge.
+    computation — the same ids, fewer modality evaluations.
 
     ``ks``/``ls`` are per-query overrides used by the segmented layer,
     which sizes each segment probe individually.  ``scan`` is its other
@@ -850,7 +821,7 @@ def graph_wave_search(
     """
     return lockstep(
         index, queries, k, l, weights, early_termination, refine,
-        check_monotone, filter_memo, ks, ls, expansions_per_wave, scan,
+        filter_memo, ks, ls, expansions_per_wave, scan,
     )
 
 
@@ -862,7 +833,6 @@ def lockstep(
     weights: Weights | None = None,
     early_termination: bool = False,
     refine: int | None = None,
-    check_monotone: bool = False,
     filter_memo: FilterMemo | None = None,
     ks: Sequence[int] | None = None,
     ls: Sequence[int] | None = None,
@@ -893,8 +863,5 @@ def lockstep(
         ks, ls, scanned,
     )
     wave.scan(np.flatnonzero(wave.alive & wave.scanned))
-    wave.traverse(
-        wave.alive & ~wave.scanned, expansions_per_wave, check_monotone,
-        wave_stats,
-    )
+    wave.traverse(wave.alive & ~wave.scanned, expansions_per_wave, wave_stats)
     return wave.finalise(), wave_stats

@@ -4,7 +4,7 @@ Greedy best-first routing with a result set ``R`` of size ``l``: starting
 from ``l`` entry vertices, repeatedly expand the unvisited vertex of
 ``R`` closest to the query, score its neighbours, and keep the best
 ``l``.  Lemma 3 guarantees the total similarity of ``R`` is
-non-decreasing; the optional ``check_monotone`` flag asserts it.
+non-decreasing; the test suite asserts it on every merge.
 
 Every search starts from :meth:`GraphIndex.entry_points`, the first
 ``l`` of the graph's fixed entry order (the fixed entry points of HNSW /
@@ -40,7 +40,6 @@ def joint_search(
     l: int,
     weights: Weights | None = None,
     early_termination: bool = False,
-    check_monotone: bool = False,
     refine: int | None = None,
     filter_memo: FilterMemo | None = None,
 ) -> SearchResult:
@@ -50,7 +49,8 @@ def joint_search(
     weights, Fig. 4(g) Option 2); ``l`` trades accuracy for latency.
     ``early_termination`` enables the Lemma-4 multi-vector optimisation;
     it never changes the returned ids, only the modality evaluations
-    spent (see benchmarks/bench_fig10c).
+    spent (see the ``fig10c_multivector`` entry of
+    ``benchmarks/bench_paper.py``).
 
     A typed :class:`Query` supplies per-query weights, a per-query ``k``
     override (which widens ``l`` as needed), an attribute ``filter``
@@ -76,8 +76,9 @@ def joint_search(
     across calls (:func:`~repro.core.query.compile_filter`).
     """
     (result,), wave_stats = lockstep(
-        index, [query], k, l, weights, early_termination, refine,
-        check_monotone, filter_memo,
+        index, [query], k=k, l=l, weights=weights,
+        early_termination=early_termination, refine=refine,
+        filter_memo=filter_memo,
     )
     result.stats.merge(wave_stats)
     return result

@@ -573,7 +573,6 @@ class SegmentView:
         weights: Weights | None = None,
         early_termination: bool = False,
         refine: int | None = None,
-        check_monotone: bool = False,
         filter_memo: dict | None = None,
     ) -> tuple[list[SearchResult], SearchStats]:
         """Cross-segment lockstep batch: one
@@ -651,7 +650,6 @@ class SegmentView:
                 l=l,
                 weights=weights,
                 early_termination=early_termination,
-                check_monotone=check_monotone,
                 filter_memo=memo,
                 ks=[min(l_i, active) for l_i in ls],
                 ls=[min(l_i, seg.n) for l_i in ls],

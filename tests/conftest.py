@@ -185,7 +185,6 @@ def heap_traverse(
     l: int,
     weights: Weights | None,
     early_termination: bool,
-    check_monotone: bool,
     excluded: np.ndarray | None,
     reportable: int,
 ) -> SearchResult:
@@ -197,7 +196,7 @@ def heap_traverse(
     is needed, an unbounded candidate heap — excluded vertices route but
     never enter the results.  At ``expansions_per_wave=1`` a lone wave
     query that excludes nothing expands what this expands, in the same
-    order.
+    order.  Every replacement in a full result heap asserts Lemma 3.
     """
     space = index.space
     stats = SearchStats()
@@ -250,10 +249,9 @@ def heap_traverse(
                 total += sim
                 continue
             dropped = heapq.heappushpop(results, (sim, u))
-            if check_monotone:
-                new_total = total + sim - dropped[0]
-                assert new_total >= total - 1e-9, "Lemma 3 violated"
-                total = new_total
+            new_total = total + sim - dropped[0]
+            assert new_total >= total - 1e-9, "Lemma 3 violated"
+            total = new_total
     ranked = sorted(results, key=lambda t: (-t[0], t[1]))[:k]
     return SearchResult(
         ids=np.asarray([v for _, v in ranked], dtype=np.int64),
@@ -269,7 +267,6 @@ def heap_search(
     l: int,
     weights: Weights | None = None,
     early_termination: bool = False,
-    check_monotone: bool = False,
     refine: int | None = None,
     scan: bool = False,
 ) -> SearchResult:
@@ -308,8 +305,8 @@ def heap_search(
         res = SearchResult(top[:k_inner], sims[top[:k_inner]], stats)
     else:
         res = heap_traverse(
-            index, vec, k_inner, l_inner, w, early_termination,
-            check_monotone, excluded, reportable,
+            index, vec, k_inner, l_inner, w, early_termination, excluded,
+            reportable,
         )
     if typed.sparse is not None:
         ids, sims = hybrid_union_rescore(
@@ -462,6 +459,51 @@ def on_sparse_oracle(run, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(hybrid, "sparse_scores_inverted", oracle_scores_inverted)
+        return run()
+
+
+# ----------------------------------------------------------------------
+# Lemma 3 on the engine: f(η), the sum of a full result pool, never falls
+# ----------------------------------------------------------------------
+def assert_lemma3(book, rows: np.ndarray) -> None:
+    """Lemma 3 over the *rows* one merge of bookkeeping *book* touched.
+
+    A pool still filling up is not checked — an admitted vertex of
+    negative similarity lowers its sum — so the sum a row is held to is
+    kept on *book* once its pool is full, -inf before.
+    """
+    wave = book.wave
+    last = book.__dict__.setdefault("lemma3_sums", np.full(wave.b, -np.inf))
+    block = wave.res_sims[rows]
+    finite = np.isfinite(block)
+    total = np.where(finite, block, 0.0).sum(axis=1)
+    prev = last[rows]
+    started = np.isfinite(prev)
+    assert np.all(total[started] >= prev[started] - 1e-9), (
+        "Lemma 3 violated in wave merge"
+    )
+    last[rows] = np.where(finite.sum(axis=1) == wave.cap_arr[rows], total, -np.inf)
+
+
+def lemma3_checked(run, monkeypatch):
+    """``run()`` with Lemma 3 asserted on every merge of every graph
+    traversal (:func:`assert_lemma3`): ``merge`` on both bookkeepings
+    checks the rows it returns, and the native bookkeeping's one-call
+    ``run`` is switched off, so every traversal steps from Python."""
+    import repro.index.graph_wave as gw
+
+    def checked(merge):
+        def merge_and_check(book, owner, cand, sims):
+            rows = merge(book, owner, cand, sims)
+            assert_lemma3(book, rows)
+            return rows
+
+        return merge_and_check
+
+    with monkeypatch.context() as patch:
+        for book in (gw._NumpyBookkeeping, gw._NativeBookkeeping):
+            patch.setattr(book, "merge", checked(book.merge))
+        patch.setattr(gw._NativeBookkeeping, "run", lambda book: None)
         return run()
 
 

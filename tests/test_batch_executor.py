@@ -255,12 +255,11 @@ class TestBaselineBatchPaths:
         # shortlist (exactly k rows on this well-separated corpus).
         assert batch.stats.joint_evals == (N + K) * len(queries)
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_multi_streamed_batch(self, must, queries, n_jobs):
+    def test_multi_streamed_batch(self, must, queries):
         from repro.baselines import MultiStreamedRetrieval
 
         mr = MultiStreamedRetrieval(must.objects, exact=True).build()
-        batch = mr.batch_search(queries, k=5, n_jobs=n_jobs)
+        batch = mr.batch_search(queries, k=5)
         assert len(batch) == len(queries)
         for q, res in zip(queries, batch):
             ref = mr.search(q, k=5)

@@ -12,7 +12,10 @@ lives in ``tests/test_index_search.py``); the pins here are:
 * **plan recording** — the executor reports which strategy actually
   ran, so the negative-speedup trap can never silently return;
 * **wave stats** — the batch-level ``waves``/``frontier_sizes`` trace
-  surfaces through :class:`BatchResult` and the serving layer.
+  surfaces through :class:`BatchResult` and the serving layer;
+* **the Lemma 3 hook** — ``conftest.lemma3_checked`` checks every merge
+  of a traversal on both bookkeepings, changes no answer, and raises on
+  a merge that lowers a full pool's sum.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ from repro.core.query import Eq, Query, SearchOptions
 from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
+from repro.index import graph_wave as gw
 from repro.index.graph_wave import bookkeeping, graph_wave_search
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.scoring import StackedScorer
 from repro.index.segments import Segment, SegmentView
 from repro.store import dot_error
 
+import tests.conftest as harness
 from tests.conftest import heap_search, heap_view_search
 
 N, M, D = 400, 2, 16
@@ -528,3 +533,68 @@ class TestCsrAdjacency:
         assert all(r.stats.segments_scanned == 1 for r in results)
         view.graph_wave(queries[:1], k=5, l=self.SEG_N // 2)
         assert packs == []
+
+
+def _on_bookkeeping(path, monkeypatch):
+    """Run the rest of the test on the *path* bookkeeping."""
+    if path == "numpy":
+        monkeypatch.setattr(native, "lib", None)
+    elif native.lib is None:
+        pytest.skip("the C kernel did not load")
+
+
+@pytest.mark.parametrize("path", ["native", "numpy"])
+class TestLemma3Hook:
+    """The hook the suite checks Lemma 3 with is not vacuous."""
+
+    def test_it_checks_every_merge_and_changes_no_answer(
+        self, must, queries, path, monkeypatch
+    ):
+        _on_bookkeeping(path, monkeypatch)
+        checked: list[int] = []
+        check = harness.assert_lemma3
+
+        def counting(book, rows):
+            checked.append(rows.size)
+            check(book, rows)
+
+        def run():
+            return graph_wave_search(must.index, queries, k=K, l=L)
+
+        monkeypatch.setattr(harness, "assert_lemma3", counting)
+        hooked, wave = harness.lemma3_checked(run, monkeypatch)
+        # The init merge touches every row; every wave with a frontier
+        # merges once more.
+        assert checked[0] == len(queries)
+        assert len(checked) == 1 + sum(f > 0 for f in wave.frontier_sizes)
+        assert wave.waves > 0
+        plain, plain_wave = run()
+        assert (wave.waves, wave.frontier_sizes) == (
+            plain_wave.waves, plain_wave.frontier_sizes
+        )
+        for got, want in zip(hooked, plain):
+            np.testing.assert_array_equal(got.ids, want.ids)
+            assert got.similarities.tobytes() == want.similarities.tobytes()
+            assert got.stats == want.stats
+
+    def test_a_merge_that_lowers_a_full_pool_raises(
+        self, must, queries, path, monkeypatch
+    ):
+        _on_bookkeeping(path, monkeypatch)
+        book = gw._NumpyBookkeeping if path == "numpy" else gw._NativeBookkeeping
+        merge = book.merge
+
+        def lowering(self, owner, cand, sims):
+            rows = merge(self, owner, cand, sims)
+            # Past the init merge, which fills every pool (l < n), by
+            # far more than one merge can raise a pool's sum.
+            if self.wave.hops.any():
+                self.wave.res_sims[rows] -= 1e3
+            return rows
+
+        monkeypatch.setattr(book, "merge", lowering)
+        with pytest.raises(AssertionError, match="Lemma 3"):
+            harness.lemma3_checked(
+                lambda: graph_wave_search(must.index, queries, k=K, l=L),
+                monkeypatch,
+            )

@@ -545,31 +545,3 @@ def test_wave_hybrid_early_termination_still_answers(dataset, hybrid_queries):
     )
     assert all(len(r) == K for r in run)
     assert hits / (K * len(truth)) >= 0.9
-
-
-@pytest.mark.parametrize("surface", ["live", "snapshot"])
-def test_lone_hybrid_forwards_check_monotone(
-    monkeypatch, dataset, hybrid_queries, surface
-):
-    """A lone hybrid query hands ``check_monotone`` to its wave of one,
-    live and from a snapshot."""
-    import repro.index.search as search_mod
-
-    must = flat_must(dataset)
-    target = must if surface == "live" else must.snapshot()
-    seen: list[bool] = []
-    real = search_mod.lockstep
-
-    def spy(*args, **kwargs):
-        seen.append(args[7])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(search_mod, "lockstep", spy)
-    res = target.query(
-        hybrid_queries[0], SearchOptions(k=K, l=L, check_monotone=True)
-    )
-    assert seen == [True] and len(res) == K
-    wave = must.query(
-        hybrid_queries, SearchOptions(k=K, l=L, check_monotone=True)
-    )
-    assert wave.plan == f"graph/wave/{bookkeeping()}"

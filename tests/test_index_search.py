@@ -30,6 +30,7 @@ from repro.utils.io import load_arrays
 from tests.conftest import (
     heap_search,
     heap_view_search,
+    lemma3_checked,
     random_multivector_set,
     random_query,
 )
@@ -417,7 +418,6 @@ class TestHeapKernelParity:
         [
             dict(),
             dict(early_termination=True),
-            dict(check_monotone=True),
             dict(refine=3),
             dict(weights=Weights([0.9, 0.1])),
             dict(early_termination=True, weights=Weights([0.2, 0.8])),
@@ -433,10 +433,16 @@ class TestHeapKernelParity:
         for q in queries:
             self._check(dense, q, **plan)
 
-    def test_typed_queries(self, world):
+    def test_lemma3_on_every_merge(self, world, monkeypatch):
+        dense, _, queries = world
+        for q in queries:
+            lemma3_checked(lambda: self._check(dense, q, k=10, l=40), monkeypatch)
+
+    def test_typed_queries(self, world, monkeypatch):
         """Per-query k override, per-query weights (one zeroing a
         modality) and a missing modality follow the contract; a
-        filtered query is held to the recall gate."""
+        filtered query is held to the recall gate; Lemma 3 holds on
+        every merge."""
         dense, _, queries = world
         for early in (False, True):
             for q in queries[:10]:
@@ -446,15 +452,19 @@ class TestHeapKernelParity:
                     Query(q.replace(0, None)),
                     Query(q, weights=Weights([1.0, 0.0])),
                 ):
-                    self._check(
-                        dense, typed, k=5, l=30, early_termination=early,
-                        check_monotone=True,
+                    lemma3_checked(
+                        lambda: self._check(
+                            dense, typed, k=5, l=30, early_termination=early
+                        ),
+                        monkeypatch,
                     )
             for flt, k in ((Eq("bucket", 1), 5), (Eq("bucket", 2), 3)):
                 typed = [Query(q, filter=flt, k=k) for q in queries]
-                for got in self._check_recall(
-                    dense, typed, k=5, l=30, early_termination=early,
-                    check_monotone=True,
+                for got in lemma3_checked(
+                    lambda: self._check_recall(
+                        dense, typed, k=5, l=30, early_termination=early
+                    ),
+                    monkeypatch,
                 ):
                     assert (np.asarray(got.ids) % 4 == flt.value).all()
 
@@ -475,7 +485,7 @@ class TestHeapKernelParity:
         for q in queries[:10]:
             self._check(zeroed, q, k=10, l=40, weights=override)
 
-    def test_deleted_and_excluded_inits(self, setup):
+    def test_deleted_and_excluded_inits(self, setup, monkeypatch):
         """>= 30 % soft-deleted; then a filter that rejects every init
         vertex, so R starts empty and fills from routed neighbours."""
         space, index, _, queries = setup
@@ -495,25 +505,31 @@ class TestHeapKernelParity:
                 holed, queries, k=10, l=40, early_termination=early
             ):
                 assert not np.isin(got.ids, dead).any()
-        for got in self._check_recall(
-            holed, [Query(q, filter=Eq("init", False)) for q in queries],
-            k=5, l=l, check_monotone=True,
+        for got in lemma3_checked(
+            lambda: self._check_recall(
+                holed, [Query(q, filter=Eq("init", False)) for q in queries],
+                k=5, l=l,
+            ),
+            monkeypatch,
         ):
             assert len(got) == 5 and not np.isin(got.ids, inits).any()
 
     @pytest.mark.parametrize("kind", ["pq", "int8"])
-    def test_compressed_stores(self, world, kind):
+    def test_compressed_stores(self, world, kind, monkeypatch):
         _, stores, queries = world
         for q in queries[:12]:
             for plan in (
                 dict(),
                 dict(early_termination=True),
                 dict(refine=4),
-                dict(early_termination=True, refine=2, check_monotone=True),
+                dict(early_termination=True, refine=2),
             ):
-                self._check(stores[kind], q, k=8, l=40, **plan)
+                lemma3_checked(
+                    lambda: self._check(stores[kind], q, k=8, l=40, **plan),
+                    monkeypatch,
+                )
 
-    def test_through_segment_view(self):
+    def test_through_segment_view(self, monkeypatch):
         """A 3-segment + delta layout with tombstones in the traversed
         base: every query alone through the view, against the oracle
         run per segment and merged the same way."""
@@ -534,10 +550,12 @@ class TestHeapKernelParity:
         queries = [random_query(self.DIMS, seed=100 + s) for s in range(10)]
         truth = view.exact_wave(queries, 6)
         for plan in (dict(), dict(early_termination=True), dict(refine=2)):
-            found = [
-                view.graph_wave([q], k=6, l=24, check_monotone=True, **plan)[0][0]
-                for q in queries
-            ]
+            found = lemma3_checked(
+                lambda: [
+                    view.graph_wave([q], k=6, l=24, **plan)[0][0] for q in queries
+                ],
+                monkeypatch,
+            )
             oracle = [heap_view_search(view, q, 6, 24, **plan) for q in queries]
             assert _recall(found, truth) >= (
                 _recall(oracle, truth) - self.RECALL_SLACK

@@ -87,7 +87,11 @@ class TestSearchOptions:
             ("exact", {"exact": 1}),
             ("early_termination", {"early_termination": "yes"}),
             ("sparse_engine", {"sparse_engine": "invertd"}),
-            ("check_monotone", {"check_monotone": 2}),
+            # A bool is an int to isinstance, never a count here; nor is
+            # a NumPy integer.
+            ("k", {"k": True}),
+            ("refine", {"refine": True}),
+            ("l", {"l": np.int64(50)}),
         ],
     )
     def test_range_errors_name_the_field(self, field, kwargs):
@@ -126,6 +130,8 @@ class TestQueryObject:
     def test_validates_k_and_weights(self, queries):
         with pytest.raises(ValueError, match="Query.k"):
             Query(vector=queries[0], k=0)
+        with pytest.raises(ValueError, match="Query.k"):
+            Query(vector=queries[0], k=True)
         with pytest.raises(ValueError, match="Query.weights"):
             Query(vector=queries[0], weights=[0.5, 0.5])
         with pytest.raises(ValueError, match="Query.filter"):
@@ -335,9 +341,7 @@ class TestPlanPlumbing:
 
     def test_snapshot_query_forwards_every_option(self, built_must, queries):
         snap = built_must.snapshot()
-        opts = SearchOptions(
-            k=5, l=64, early_termination=True, refine=2, check_monotone=True
-        )
+        opts = SearchOptions(k=5, l=64, early_termination=True, refine=2)
         ref = built_must.query(Query(queries[0]), opts)
         res = snap.query(Query(queries[0]), opts)
         assert np.array_equal(res.ids, ref.ids)

@@ -160,6 +160,21 @@ def test_no_search_entry_point_takes_a_seed(entry):
     assert not {"rng", "rngs"} & set(inspect.signature(entry).parameters)
 
 
+def test_lemma3_is_the_tests_job():
+    """Lemma 3 is asserted by the test suite's hook
+    (``conftest.lemma3_checked``), not by the engine: no module names
+    the check or a plan field for it, and no thread pool is left."""
+    retired = re.compile(r"\b(check_monotone|_check_lemma3|thread_map)\b")
+    found = [
+        f"{path.relative_to(PACKAGE)}:{number}"
+        for path in MODULES
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if retired.search(line)
+    ]
+    assert found == []
+    assert not (PACKAGE / "utils" / "parallel.py").exists()
+
+
 @pytest.mark.parametrize(
     "constructor", [SegmentedIndex.__init__, SegmentedIndex.from_graph]
 )
@@ -205,7 +220,7 @@ def test_exact_answers_have_no_knob():
                 ]
     assert found == []
     assert len(dataclasses.fields(ServiceConfig)) == 6
-    assert len(dataclasses.fields(SearchOptions)) == 9
+    assert len(dataclasses.fields(SearchOptions)) == 8
     assert "os" not in _imports(PACKAGE / "core" / "space.py")
     exact = [name for name in vars(SegmentView) if name.startswith("exact")]
     assert exact == ["exact_wave"]
@@ -232,7 +247,7 @@ def test_one_lexical_scorer_and_no_float16_store():
     """The posting-list scatter is the one lexical scorer and float16
     is no store kind: no signature under ``src/repro`` takes an engine
     choice, the brute-force scan and the float16 store live nowhere in
-    the source, and ``SearchOptions`` keeps its nine fields, with
+    the source, and ``SearchOptions`` keeps its eight fields, with
     ``sparse_engine="exact"`` refused."""
     from repro.store import STORE_KINDS
 
@@ -255,7 +270,7 @@ def test_one_lexical_scorer_and_no_float16_store():
                 ]
     assert found == []
     assert set(STORE_KINDS) == {"none", "int8", "pq"}
-    assert len(dataclasses.fields(SearchOptions)) == 9
+    assert len(dataclasses.fields(SearchOptions)) == 8
     with pytest.raises(ValueError, match="did you mean"):
         SearchOptions(sparse_engine="exact")
 
@@ -312,7 +327,9 @@ def test_one_frontier_scorer():
     the source, every registered store hands out one kernel — the
     stacked one, whose class defines ``ids`` itself (what the tracer
     wraps) — and full scans go through ``batch_scores``; ``score_stack``
-    is two routes with no per-query loop; NNDescent has one sweep."""
+    is two routes with no per-query loop; NNDescent has one sweep, and
+    neither it nor the MR baseline's batch takes ``n_jobs``."""
+    from repro.baselines import MultiStreamedRetrieval
     from repro.index.graph_wave import _Wave
     from repro.index.nndescent import nndescent
     from repro.index.pipeline import FusedIndexBuilder
@@ -340,6 +357,9 @@ def test_one_frontier_scorer():
         assert "ids" in vars(type(kernel)), type(kernel)
     assert "n_jobs" not in inspect.signature(nndescent).parameters
     assert "n_jobs" not in {f.name for f in dataclasses.fields(FusedIndexBuilder)}
+    assert "n_jobs" not in inspect.signature(
+        MultiStreamedRetrieval.batch_search
+    ).parameters
     tree = ast.parse(textwrap.dedent(inspect.getsource(_Wave.score_stack)))
     loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
     assert not [node for node in ast.walk(tree) if isinstance(node, loops)]

@@ -5,8 +5,8 @@
 wave when it loaded: two of bookkeeping, a gather-dot scoring the
 frontier's dense rows, and on a PQ store one ``adc_gather`` per
 modality summing its rows' lookup tables.  A traversal whose rows all
-score through the concatenated matrix, without the Lemma 3 check, makes
-those calls' steps in one ``wave_run`` call instead.  The pins:
+score through the concatenated matrix makes those calls' steps in one
+``wave_run`` call instead.  The pins:
 
 * **bit parity** where the two paths do the same arithmetic — the
   native and the NumPy wave return the same ids, similarities,
@@ -14,9 +14,10 @@ those calls' steps in one ``wave_run`` call instead.  The pins:
   stores (PQ rows summed natively on one path, in NumPy on the other)
   and Lemma-4 rows, over every kind of row (deletions, shared and
   per-request filters, mixed ``ks`` / ``ls``, hybrid), one or eight
-  expansions a wave, with the Lemma 3 check on; the two bookkeepings
-  leave the same state after every step, and whole answers agree on
-  generated tiny graphs whose dot products are exact in any order;
+  expansions a wave, under the suite's Lemma 3 hook (which steps every
+  traversal from Python); the two bookkeepings leave the same state
+  after every step, and whole answers agree on generated tiny graphs
+  whose dot products are exact in any order, Lemma 3 checked on both;
 * **one call per traversal** — ``wave_run`` leaves the native step
   loop's pools, bitsets, counters, answers and frontier sizes bit for
   bit, over every kind of row and on generated tiny graphs, and refuses
@@ -111,6 +112,20 @@ def both_paths(run, monkeypatch):
         patch.setattr(native, "lib", None)
         want = run()
     return got, want
+
+
+def lemma3_checked(run, monkeypatch):
+    """``conftest.lemma3_checked``, imported when called: the sanitizer
+    child imports this module with ``tests/`` itself on its path, where
+    ``conftest`` is a top-level module and ``tests`` is no package."""
+    from conftest import lemma3_checked as hook
+
+    return hook(run, monkeypatch)
+
+
+def both_paths_checked(run, monkeypatch):
+    """:func:`both_paths` with Lemma 3 asserted on every merge."""
+    return lemma3_checked(lambda: both_paths(run, monkeypatch), monkeypatch)
 
 
 def assert_same(got, want):
@@ -214,10 +229,10 @@ class TestBitParity:
     )
     def test_rows_on_every_store(self, index, queries, kind, m, monkeypatch):
         graph, batch, extra = _rows(kind, queries, index)
-        got, want = both_paths(
+        got, want = both_paths_checked(
             lambda: graph_wave_search(
                 graph, batch, k=K, l=L, expansions_per_wave=m,
-                check_monotone=True, filter_memo={}, **extra,
+                filter_memo={}, **extra,
             ),
             monkeypatch,
         )
@@ -235,10 +250,10 @@ class TestBitParity:
         graph = MUST(objects, weights=Weights([0.6, 0.4])).build().index
         holed = list(queries)
         holed[1] = MultiVector([None, queries[1].vectors[1]])
-        got, want = both_paths(
+        got, want = both_paths_checked(
             lambda: graph_wave_search(
                 graph, holed, k=K, l=L, expansions_per_wave=m,
-                early_termination=True, refine=2, check_monotone=True,
+                early_termination=True, refine=2,
             ),
             monkeypatch,
         )
@@ -266,10 +281,9 @@ class TestBitParity:
             )
             for i in range(data.num_queries)
         ]
-        got, want = both_paths(
+        got, want = both_paths_checked(
             lambda: graph_wave_search(
-                graph, batch, k=K, l=30, expansions_per_wave=m,
-                check_monotone=True,
+                graph, batch, k=K, l=30, expansions_per_wave=m
             ),
             monkeypatch,
         )
@@ -284,8 +298,10 @@ class TestBitParity:
         inserted = _corpus(n=40, seed=9)
         must.insert(inserted)
         must.mark_deleted(np.array([3, 5, 7, 11]))
-        options = SearchOptions(k=K, l=L, check_monotone=True)
-        got, want = both_paths(lambda: must.query(queries, options), monkeypatch)
+        options = SearchOptions(k=K, l=L)
+        got, want = both_paths_checked(
+            lambda: must.query(queries, options), monkeypatch
+        )
         assert got.plan == "graph/wave/native"
         assert want.plan == "graph/wave/numpy"
         # One band over every segment: the widest row of either corpus.
@@ -706,7 +722,7 @@ def _filled(graph, batch, scan, traverse):
         np.full(len(batch), scan),
     )
     if traverse:
-        wave.traverse(wave.alive.copy(), 8, False, SearchStats())
+        wave.traverse(wave.alive.copy(), 8, SearchStats())
     else:
         wave.scan(np.flatnonzero(wave.alive))
     return wave
@@ -785,20 +801,26 @@ def test_tiny_graphs_agree(
     seed, n, distinct, max_degree, deletion, k, l_over, m, b
 ):
     """k may exceed the admissible count and l the graph: both paths
-    answer short, identically, through identical states."""
+    answer short, identically, through identical states, and Lemma 3
+    holds on every merge of both bookkeepings."""
     graph, rng = _tiny_graph(seed, n, min(distinct, n), max_degree, deletion)
     batch = [MultiVector([_small_ints(rng, 4)]) for _ in range(b)]
+
+    def run():
+        # Entered before lockstep(), so the hook wraps both bookkeepings
+        # that _Lockstep drives, not _Lockstep itself.
+        with lockstep():
+            return graph_wave_search(
+                graph, batch, k=k, l=k + l_over, expansions_per_wave=m
+            )
+
     runs = []
     for lib in (native.lib, None):
         saved, native.lib = native.lib, lib
         try:
-            with lockstep():
-                runs.append(
-                    graph_wave_search(
-                        graph, batch, k=k, l=k + l_over, expansions_per_wave=m,
-                        check_monotone=True,
-                    )
-                )
+            # A fresh MonkeyPatch: hypothesis reruns the body, which a
+            # function-scoped fixture would outlive.
+            runs.append(lemma3_checked(run, pytest.MonkeyPatch()))
         finally:
             native.lib = saved
     assert_same(*runs)
