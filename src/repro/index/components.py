@@ -14,6 +14,7 @@ from collections import deque
 
 import numpy as np
 
+from repro import native
 from repro.core.space import JointSpace
 from repro.index.nndescent import block_candidate_sims
 from repro.utils.validation import require
@@ -138,16 +139,26 @@ def rng_alpha_select(
     return _prune_select(space, cand, sims, gamma, alpha=alpha)
 
 
-def _greedy_by_domination(dominated: np.ndarray, gamma: int) -> list[int]:
+def _greedy_by_domination(dominated: np.ndarray, gamma: int) -> np.ndarray:
     """Greedy pick of candidate rows none of whose chosen peers dominate it.
 
     ``dominated[j, u]`` is True when candidate ``u``, if already selected,
     blocks candidate ``j``.  Rows are assumed similarity-sorted (closest
-    first); the first row is always taken.  Bitmask encoding turns the
-    inner "any selected dominates j?" check into one Python int AND,
-    which is what makes γ-selection tractable in pure Python.
+    first); the first row is always taken, and at most *gamma* are.
+    Returns the picked rows, ascending.
+
+    ``native.c``'s ``greedy_pick`` makes the pick in one call.  Without
+    it, the fallback here encodes each row as a bitmask, which turns the
+    inner "any selected dominates j?" check into one Python int AND.
     """
     c = dominated.shape[0]
+    kernel = native.lib
+    if kernel is not None:
+        dominated = np.ascontiguousarray(dominated, dtype=np.bool_)
+        picked = np.empty(c, dtype=np.int64)
+        count = kernel.greedy_pick(dominated.ctypes.data, c, gamma, picked.ctypes.data)
+        native.check(count)
+        return picked[:count]
     packed = np.packbits(dominated, axis=1)  # big-endian bits within bytes
     total_bits = packed.shape[1] * 8
     blockers = [int.from_bytes(row.tobytes(), "big") for row in packed]
@@ -160,7 +171,7 @@ def _greedy_by_domination(dominated: np.ndarray, gamma: int) -> list[int]:
         if not (blockers[j] & selected_mask):
             selected.append(j)
             selected_mask |= 1 << (total_bits - 1 - j)
-    return selected
+    return np.asarray(selected, dtype=np.int64)
 
 
 def prune_one(
@@ -189,8 +200,7 @@ def prune_one(
     # (α=1 is exactly MRNG / Algorithm 1 line 16).
     dominated = (alpha * alpha) * d_cc <= d_v[:, None]
     np.fill_diagonal(dominated, False)
-    selected = _greedy_by_domination(dominated, gamma)
-    return ids[np.asarray(selected)].astype(np.int32)
+    return ids[_greedy_by_domination(dominated, gamma)].astype(np.int32)
 
 
 def _prune_select(
@@ -237,8 +247,7 @@ def angle_select(
         edges = edges / norms[:, None]
         dominated = (edges @ edges.T) >= cos_threshold
         np.fill_diagonal(dominated, False)
-        selected = _greedy_by_domination(dominated, gamma)
-        out.append(ids[np.asarray(selected)].astype(np.int32))
+        out.append(ids[_greedy_by_domination(dominated, gamma)].astype(np.int32))
     return out
 
 

@@ -8,18 +8,23 @@ better candidates found among neighbours-of-neighbours (the classic
 
 Each iteration refines vertex blocks: a block's candidates are unioned,
 one BLAS matmul scores the block against the union, and a top-k keeps
-the best per vertex.  The matmul is the only similarity work and the
-smaller part of the time (≈ 0.3 s of a ≈ 1 s join at 4 000 vertices);
-the rest is assembling and deduplicating candidate ids, which
-:func:`block_candidate_sims` therefore does with scatters, never with a
-sort.  The paper's Tab. XI shows three iterations reach ≥0.99 graph
-quality; :func:`graph_quality` reproduces that metric.
+the best per vertex.  The matmul is the only similarity work.  Around it
+sits integer bookkeeping — numbering the union, laying out each row's
+similarities and masking repeats — which :func:`block_candidate_sims`
+hands to ``native.c`` (NumPy scatters without a compiler, never a
+sort).  At 4 000 vertices the matmul is then about a third of a
+sweep's join, the C bookkeeping about two fifths, and NumPy's id
+gathers the rest.  The paper's Tab. XI shows three iterations reach ≥0.99 graph quality;
+:func:`graph_quality` reproduces that metric.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
+from repro import native
 from repro.core.space import JointSpace
 from repro.utils.rng import make_rng
 from repro.utils.validation import require
@@ -75,7 +80,7 @@ def block_candidate_sims(
     Returns ``(cand, sims)``, both ``(len(block), c)``.  Columns are in
     gather order — own neighbours, their neighbours, then the same for
     in-neighbours — **not** sorted by id.  A row may name a candidate
-    several times: exactly one of those columns carries its similarity,
+    several times: the last of those columns carries its similarity,
     the others and every self-reference carry ``-inf``, so a top-k over
     ``sims`` sees each distinct candidate once.  When *reverse* is given,
     in-neighbours and their out-neighbours join the candidate set (the
@@ -85,12 +90,16 @@ def block_candidate_sims(
     Candidates are deduplicated across the whole block and one BLAS
     matmul against the deduplicated rows, taken in ascending id order,
     computes every similarity; a similarity's bits therefore do not
-    depend on where its candidate sits in the row.  Which of two
-    candidates with *exactly equal* similarity a caller's
-    ``argpartition`` prefers does depend on column order, so on corpora
-    with tied similarities (duplicated objects) the result is one valid
-    top-k among several — deterministic, but not a function of the
-    candidate sets alone.
+    depend on where its candidate sits in the row.  The bookkeeping
+    around the matmul — numbering the union, laying the similarities
+    out, masking repeats and self — runs in ``native.c``
+    (``join_number``, ``join_fill``) when :mod:`repro.native` loaded it,
+    and in the NumPy scatters below otherwise; both return the same
+    arrays, byte for byte.  Which of two candidates with *exactly equal*
+    similarity a caller's ``argpartition`` prefers does depend on column
+    order, so on corpora with tied similarities (duplicated objects) the
+    result is one valid top-k among several — deterministic, but not a
+    function of the candidate sets alone.
     """
     nb = neighbors[block]  # (b, k)
     parts = [nb, neighbors[nb].reshape(len(block), -1)]
@@ -98,6 +107,9 @@ def block_candidate_sims(
         rnb = reverse[block]
         parts.extend([rnb, neighbors[rnb].reshape(len(block), -1)])
     cand = np.concatenate(parts, axis=1)  # (b, c)
+    kernel = native.lib
+    if kernel is not None:
+        return cand, _native_sims(kernel, concat, cand, block)
     # Block-wide candidate union without sorting: mark, then number the
     # marked ids in ascending order.
     mark = np.zeros(concat.shape[0], dtype=bool)
@@ -110,13 +122,42 @@ def block_candidate_sims(
     flat = pos[cand] + (np.arange(len(block)) * uniq.size)[:, None]
     sims = sub.ravel()[flat]
     # Within-row duplicates: every column writes its index into its
-    # candidate's slot, one write per slot survives, the others lose.
+    # candidate's slot; the last write per slot survives, the others lose.
     cols = np.arange(cand.shape[1], dtype=np.int32)
     slot = np.empty(sub.size, dtype=np.int32)
     slot[flat] = cols
     sims[slot[flat] != cols] = -np.inf
     sims[cand == block[:, None]] = -np.inf
     return cand, sims
+
+
+def _native_sims(
+    kernel: Any, concat: np.ndarray, cand: np.ndarray, block: np.ndarray
+) -> np.ndarray:
+    """:func:`block_candidate_sims`'s similarities through ``native.c``:
+    ``join_number`` numbers the union, the same matmul scores it, and
+    ``join_fill`` lays it out — the NumPy path's bits, without its
+    ``(b, |union|)`` slot table."""
+    require(concat.dtype == np.float32, "local join: the matrix is not float32")
+    n = concat.shape[0]
+    ids = np.ascontiguousarray(cand, dtype=np.int32)
+    rows = np.ascontiguousarray(block, dtype=np.int64)
+    pos = np.empty(n, dtype=np.int32)
+    uniq = np.empty(min(n, ids.size), dtype=np.int64)
+    u = kernel.join_number(
+        ids.ctypes.data, ids.size, n, pos.ctypes.data, uniq.ctypes.data
+    )
+    native.check(u)
+    uniq = uniq[:u]
+    sub = concat[block] @ concat[uniq].T  # (b, |uniq|) — the same BLAS call
+    sims = np.empty(ids.shape, dtype=np.float32)
+    native.check(
+        kernel.join_fill(
+            ids.ctypes.data, ids.shape[0], ids.shape[1], rows.ctypes.data, n,
+            pos.ctypes.data, u, sub.ctypes.data, sims.ctypes.data,
+        )
+    )
+    return sims
 
 
 def _refine_block(
@@ -144,7 +185,8 @@ def nndescent(
     """Approximate joint-similarity KNN graph, shape ``(n, k)`` int32.
 
     ``init`` lets callers resume refinement from an existing graph
-    (used by the γ/ε ablations to share work across parameter points).
+    (used by the γ/ε ablations to share work across parameter points);
+    every id in it must name a vertex, ``0 <= id < n``.
     ``use_reverse`` enables the full bidirectional local join.
 
     The sweep is Gauss–Seidel: later blocks see earlier blocks' fresh
@@ -153,12 +195,17 @@ def nndescent(
     n = space.n
     require(k < n, f"k={k} must be smaller than n={n}")
     concat = space.concatenated
-    neighbors = (
-        init.astype(np.int32).copy()
-        if init is not None
-        else random_knn(n, k, make_rng(seed))
-    )
-    require(neighbors.shape == (n, k), "init graph has wrong shape")
+    if init is None:
+        neighbors = random_knn(n, k, make_rng(seed))
+    else:
+        require(np.shape(init) == (n, k), "init graph has wrong shape")
+        bad = np.flatnonzero(((init < 0) | (init >= n)).any(axis=1))
+        if bad.size:
+            raise ValueError(
+                f"init row {bad[0]} names a vertex outside [0, {n}): "
+                f"{init[bad[0]].tolist()}"
+            )
+        neighbors = init.astype(np.int32)
     blocks = [
         np.arange(start, min(start + block_size, n))
         for start in range(0, n, block_size)

@@ -1,7 +1,8 @@
 /*
  * The native kernels: the lockstep graph wave's bookkeeping and dense
- * arithmetic (repro.index.graph_wave), and the table sums that score
- * product-quantised rows (repro.store.pq).
+ * arithmetic (repro.index.graph_wave), the table sums that score
+ * product-quantised rows (repro.store.pq), and the index build's integer
+ * bookkeeping (repro.index.nndescent and repro.index.components).
  *
  * Per wave, wave_expand picks each active row's next route-pool columns,
  * gathers their CSR neighbours that the row has not seen yet (marking
@@ -19,7 +20,11 @@
  * until no row expands.  It leaves the same bits as those calls, wave
  * by wave.
  *
- * gather_dot and adc_gather are all the arithmetic there is.
+ * gather_dot and adc_gather are all the arithmetic there is.  The
+ * build's kernels, join_number, join_fill and greedy_pick, do none: they
+ * number ids, copy similarities a NumPy matmul computed and read a
+ * boolean matrix NumPy compared, so a graph built on either path is the
+ * same graph, bit for bit.
  *
  * gather_dot runs under this float contract.  A dense row's similarity
  * against a query row, both D float32 values long, is
@@ -508,4 +513,107 @@ int64_t adc_gather(const uint8_t *codes, int64_t n, int64_t m_sub,
         out[j] = s;
     }
     return f;
+}
+
+/*
+ * The build's local join (repro.index.nndescent.block_candidate_sims)
+ * is join_number, one BLAS matmul in NumPy, then join_fill.
+ *
+ * join_number marks the count candidate ids of a block (any order,
+ * repeats allowed) and numbers the distinct ones ascending: uniq[p] is
+ * the p-th smallest and pos[uniq[p]] = p; no other entry of pos (n of
+ * them) is written.  Returns the number of distinct ids, or INVALID
+ * (writing nothing) when an id lies outside [0, n).
+ */
+int64_t join_number(const int32_t *cand, int64_t count, int64_t n,
+                    int32_t *pos, int64_t *uniq)
+{
+    uint64_t *bits = calloc((size_t)(n >> 6) + 1, sizeof *bits);
+    if (!bits)
+        return NO_MEMORY;
+    for (int64_t j = 0; j < count; j++) {
+        int32_t v = cand[j];
+        if (v < 0 || v >= n) {
+            free(bits);
+            return INVALID;
+        }
+        bits[v >> 6] |= (uint64_t)1 << (v & 63);
+    }
+    int64_t u = 0;
+    for (int64_t w = 0; w <= n >> 6; w++) {
+        for (uint64_t word = bits[w]; word; word &= word - 1) {
+            int64_t v = (w << 6) + __builtin_ctzll(word);
+            pos[v] = (int32_t)u;
+            uniq[u++] = v;
+        }
+    }
+    free(bits);
+    return u;
+}
+
+/*
+ * Fill a block's b x c candidate similarities from sub, the b block
+ * rows against the u ids join_number numbered (b x u, row-major):
+ * sims[r, j] = sub[r, pos[cand[r, j]]].  A row's self-references
+ * (cand[r, j] == block[r]) and every repeat of a candidate but its last
+ * column get -inf, so each distinct candidate keeps its similarity
+ * once; the last column is the one NumPy's scatter, the fallback, lets
+ * win.  Returns b * c, or INVALID (with part of sims written) for an id
+ * outside [0, n) or one pos numbers outside [0, u).
+ */
+int64_t join_fill(const int32_t *cand, int64_t b, int64_t c,
+                  const int64_t *block, int64_t n, const int32_t *pos,
+                  int64_t u, const float *sub, float *sims)
+{
+    /* stamp[p] == r + 1: row r has met the candidate numbered p */
+    int64_t *stamp = calloc((size_t)u + 1, sizeof *stamp);
+    if (!stamp)
+        return NO_MEMORY;
+    for (int64_t r = 0; r < b; r++) {
+        const int32_t *ids = cand + r * c;
+        const float *row = sub + r * u;
+        float *out = sims + r * c;
+        const int64_t self = block[r], mark = r + 1;
+        for (int64_t j = c - 1; j >= 0; j--) {
+            int32_t v = ids[j];
+            int32_t p = v >= 0 && v < n ? pos[v] : -1;
+            if (p < 0 || p >= u) {
+                free(stamp);
+                return INVALID;
+            }
+            /* branch-free: whether a column repeats is a coin flip */
+            float pick[2] = {-INFINITY, row[p]};
+            int keep = (v != self) & (stamp[p] != mark);
+            stamp[p] = mark;
+            out[j] = pick[keep];
+        }
+    }
+    free(stamp);
+    return b * c;
+}
+
+/*
+ * The neighbour selections' greedy pick over a c x c domination matrix
+ * (dominated[j * c + s] != 0: candidate s, once picked, blocks j), its
+ * rows in candidate order, closest first.  Candidate 0 is always
+ * picked; then, in order, each candidate no picked one blocks, until
+ * gamma are picked.  Writes the picks, ascending, to selected (c
+ * entries suffice) and returns how many, or INVALID when c < 1.
+ */
+int64_t greedy_pick(const uint8_t *dominated, int64_t c, int64_t gamma,
+                    int64_t *selected)
+{
+    if (c < 1)
+        return INVALID;
+    int64_t count = 1;
+    selected[0] = 0;
+    for (int64_t j = 1; j < c && count < gamma; j++) {
+        const uint8_t *blocked = dominated + j * c;
+        int64_t s = 0;
+        while (s < count && !blocked[selected[s]])
+            s++;
+        if (s == count)
+            selected[count++] = j;
+    }
+    return count;
 }

@@ -1,16 +1,16 @@
 """Build and load the native kernels, ``native.c``.
 
-One C library serves two layers.  :mod:`repro.index.graph_wave` splits
-a wave into arithmetic and bookkeeping.  The bookkeeping — which route
-columns a wave expands, which neighbours are fresh, the order of a
-row's frontier and the two stable pool merges — runs in ``wave_expand``
-and ``wave_merge`` when this module could build and load the library,
-and in NumPy otherwise; both leave the same bits behind, since it only
-compares and moves similarities.  Of the arithmetic, the dense rows'
-inner products (traversed and scanned) run in ``gather_dot`` under the
-eight-lane float32 contract the source's header states, and in NumPy's
-``einsum`` otherwise, which agrees with it within the float32
-dot-product bound (:func:`~repro.store.dot_error`).  ``wave_run``
+One C library serves the search and the build.
+:mod:`repro.index.graph_wave` splits a wave into arithmetic and
+bookkeeping.  The bookkeeping — which route columns a wave expands,
+which neighbours are fresh, the order of a row's frontier and the two
+stable pool merges — runs in ``wave_expand`` and ``wave_merge`` when
+this module could build and load the library, and in NumPy otherwise;
+both leave the same bits behind, since it only compares and moves
+similarities.  Of the arithmetic, the dense rows' inner products
+(traversed and scanned) run in ``gather_dot`` under the eight-lane
+float32 contract the source's header states, and in NumPy's ``einsum``
+otherwise, which agrees with it within the float32 dot-product bound (:func:`~repro.store.dot_error`).  ``wave_run``
 makes those three calls' steps for every wave of a traversal whose rows
 all score through ``gather_dot``, in one call.  A PQ store's rows
 (:mod:`repro.store.pq`: a whole wave's stacked frontier, or one query's
@@ -18,6 +18,15 @@ rows) are summed by ``adc_gather`` in the NumPy fallback's own order —
 sub-space by sub-space from a float32 zero — so they carry the same
 bits on both paths.  int8 rows, dense Lemma-4 steps, thresholds,
 rerank and fusion are NumPy on both paths.
+
+The build (:mod:`repro.index.nndescent`, :mod:`repro.index.components`)
+keeps every float operation in NumPy and hands the library only its
+integer and boolean bookkeeping.  NNDescent's local join numbers a
+block's candidate union in ``join_number`` and, after the BLAS matmul
+against that union, lays the similarities out and masks repeats and
+self-references in ``join_fill``; the neighbour selections' greedy pick
+over a domination matrix is ``greedy_pick``.  A graph built on either
+path is the same graph, bit for bit.
 
 This module imports nothing from :mod:`repro`, so the store layer and
 the index layer, which imports the store layer, can both call it.
@@ -34,9 +43,10 @@ dependency.
 
 Whichever path runs is logged once, as ``event=native_kernel
 status=native|numpy path=… reason=…``, and :data:`lib` is the handle
-both layers read on every call (``None`` means NumPy everywhere: the
-bookkeeping, ``einsum`` and the PQ table sums).  No option, setting or
-environment variable picks between the two.
+every caller reads on every call (``None`` means NumPy everywhere: the
+wave's bookkeeping, ``einsum``, the PQ table sums and the build's
+bookkeeping).  No option, setting or environment variable picks between
+the two.
 """
 
 from __future__ import annotations
@@ -114,6 +124,9 @@ SIGNATURES: dict[str, tuple[list[Any], Any]] = {
         [_ptr, _i64, _i64, _ptr, _i64, _i64, _ptr, _ptr, _i64, _ptr],
         _i64,
     ),
+    "join_number": ([_ptr, _i64, _i64, _ptr, _ptr], _i64),
+    "join_fill": ([_ptr, _i64, _i64, _ptr, _i64, _ptr, _i64, _ptr, _ptr], _i64),
+    "greedy_pick": ([_ptr, _i64, _i64, _ptr], _i64),
 }
 
 #: ``native.c``'s status for a failed allocation.

@@ -1,18 +1,31 @@
-"""Tests for NNDescent, pipeline components, and the fused index builder."""
+"""Tests for NNDescent, pipeline components, and the fused index builder.
+
+The build's integer bookkeeping — NNDescent's local join and the
+selections' greedy pick — runs in ``native.c`` when :mod:`repro.native`
+loaded it and in NumPy otherwise.  The two are one program: the kernels
+equal their fallbacks byte for byte (hypothesis properties, also run
+under the sanitizers by ``test_wave_kernel``), and every graph, tied
+rows included, is the same on both paths.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro import native
 from repro.core.multivector import MultiVectorSet
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex
 from repro.index.components import (
+    _greedy_by_domination,
     angle_select,
     centroid_seed,
     ensure_connectivity,
@@ -23,9 +36,11 @@ from repro.index.components import (
     top_gamma_select,
     two_hop_candidates,
 )
+from repro.index.graphs.hnsw import HNSWBuilder
 from repro.index.graphs.kgraph import KGraphBuilder
 from repro.index.graphs.nsg import NSGBuilder
 from repro.index.graphs.nssg import NSSGBuilder
+from repro.index.graphs.vamana import VamanaBuilder
 from repro.index.nndescent import (
     block_candidate_sims,
     graph_quality,
@@ -37,6 +52,21 @@ from repro.index.pipeline import FusedIndexBuilder
 from repro.index.segments import SegmentedIndex, SegmentPolicy
 
 from tests.conftest import random_multivector_set
+
+needs_native = pytest.mark.skipif(
+    native.lib is None, reason=f"no native kernel: {native.reason}"
+)
+
+
+@contextlib.contextmanager
+def numpy_path():
+    """The NumPy fallback inside the block: the kernel handle set to
+    ``None``, the one switch there is."""
+    saved, native.lib = native.lib, None
+    try:
+        yield
+    finally:
+        native.lib = saved
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +119,22 @@ class TestNNDescent:
     def test_zero_iterations_is_init(self, space):
         knn = nndescent(space, 8, iterations=0, seed=2)
         assert np.array_equal(knn, random_knn(space.n, 8, 2))
+
+    @pytest.mark.parametrize("bad", [-1, 300, 2**32])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"iterations": 0}, {}, {"use_reverse": False}],
+        ids=["no-iterations", "default", "no-reverse"],
+    )
+    def test_init_ids_must_name_vertices(self, space, kwargs, bad):
+        """Refused, with the first bad row named, whatever the sweep:
+        not returned as given, aliased to another vertex or failed deep
+        inside the join."""
+        init = random_knn(space.n, 8, 2).astype(np.int64)
+        init[7, 3] = init[40, 0] = bad
+        message = rf"init row 7 names a vertex outside \[0, {space.n}\)"
+        with pytest.raises(ValueError, match=message):
+            nndescent(space, 8, **kwargs, init=init)
 
 
 def _reference_block_candidate_sims(concat, neighbors, block, reverse=None):
@@ -238,6 +284,123 @@ class TestSortFreeKernelParity:
         want = KGraphBuilder(k=10).build(space)
         for a, b in zip(got.neighbors, want.neighbors):
             assert np.array_equal(np.sort(a), np.sort(b))
+
+
+class TestSortFreeKernelParityOnNumpy(TestSortFreeKernelParity):
+    """The same pins on the NumPy fallback (the class above runs on
+    whichever path loaded: native with a compiler)."""
+
+    @pytest.fixture(autouse=True)
+    def on_numpy(self, monkeypatch):
+        monkeypatch.setattr(native, "lib", None)
+
+
+def _corpus(seed: int, n: int, triplicated: bool) -> np.ndarray:
+    """A float32 matrix of *n* rows: independent ones, or a third as
+    many rows each stored three times (every similarity tied)."""
+    rng = np.random.default_rng(seed)
+    rows = -(-n // 3) if triplicated else n
+    base = rng.standard_normal((rows, 6)).astype(np.float32)
+    return np.ascontiguousarray(np.tile(base, (3, 1))[:n] if triplicated else base)
+
+
+@needs_native
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    k=st.integers(1, 8),
+    triplicated=st.booleans(),
+    with_reverse=st.booleans(),
+    start=st.integers(0, 59),
+    size=st.integers(1, 24),
+)
+def test_native_join_is_the_numpy_join(
+    seed, n, k, triplicated, with_reverse, start, size
+):
+    """``join_number`` + ``join_fill`` around the matmul return NumPy's
+    ``(cand, sims)`` byte for byte: the same columns, each repeat's
+    similarity on its last column, ``-inf`` on the others and on every
+    self-reference.  Neighbour lists are drawn at random, so they name
+    their own vertex and repeat ids; a triplicated corpus ties
+    everything."""
+    rng = np.random.default_rng(seed)
+    concat = _corpus(seed, n, triplicated)
+    neighbors = rng.integers(0, n, (n, k)).astype(np.int32)
+    reverse = reverse_neighbors(neighbors, k) if with_reverse else None
+    block = np.arange(start % n, min(start % n + size, n))
+    cand, sims = block_candidate_sims(concat, neighbors, block, reverse)
+    with numpy_path():
+        want_cand, want_sims = block_candidate_sims(concat, neighbors, block, reverse)
+    assert cand.dtype == want_cand.dtype and sims.dtype == want_sims.dtype
+    assert cand.shape == want_cand.shape and sims.shape == want_sims.shape
+    assert cand.tobytes() == want_cand.tobytes()
+    assert sims.tobytes() == want_sims.tobytes()
+
+
+@needs_native
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.integers(1, 80),
+    gamma=st.integers(1, 90),
+    density=st.floats(0.0, 1.0),
+)
+@example(seed=0, c=1, gamma=1, density=0.5)
+@example(seed=1, c=1, gamma=30, density=1.0)
+@example(seed=2, c=20, gamma=40, density=0.0)
+@example(seed=3, c=64, gamma=64, density=0.1)
+def test_native_greedy_pick_is_the_numpy_pick(seed, c, gamma, density):
+    """``greedy_pick`` picks the rows the bitmask loop does, for any
+    domination matrix, one candidate, and γ at or past the candidate
+    count."""
+    rng = np.random.default_rng(seed)
+    dominated = rng.random((c, c)) < density
+    got = _greedy_by_domination(dominated, gamma)
+    with numpy_path():
+        want = _greedy_by_domination(dominated, gamma)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert got[0] == 0 and len(got) <= gamma
+
+
+def _tripled_space(n: int, seed: int) -> JointSpace:
+    base = random_multivector_set(n // 3, (12, 6), seed=seed)
+    return JointSpace(
+        MultiVectorSet([np.tile(m, (3, 1)) for m in base.matrices]),
+        Weights([0.5, 0.5]),
+    )
+
+
+@needs_native
+class TestNativeBuildIsTheNumpyBuild:
+    """One program on two paths: the same neighbour lists and seed,
+    every row, ties included."""
+
+    @pytest.fixture(scope="class", params=["random", "triplicated"])
+    def corpus(self, request):
+        if request.param == "random":
+            return _two_modality_space(240)
+        return _tripled_space(240, seed=9)
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            FusedIndexBuilder(gamma=12, selection="mrng"),
+            FusedIndexBuilder(gamma=12, selection="alpha"),
+            FusedIndexBuilder(gamma=12, selection="angle"),
+            HNSWBuilder(m=6, ef_construction=24),
+            VamanaBuilder(r=12, beam=24),
+        ],
+        ids=["mrng", "alpha", "angle", "hnsw", "vamana"],
+    )
+    def test_same_graph(self, corpus, builder, monkeypatch):
+        got = builder.build(corpus)
+        monkeypatch.setattr(native, "lib", None)
+        want = builder.build(corpus)
+        assert got.seed_vertex == want.seed_vertex
+        assert len(got.neighbors) == len(want.neighbors) == corpus.n
+        for v, (a, b) in enumerate(zip(got.neighbors, want.neighbors)):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), v
 
 
 class TestTieContract:

@@ -35,7 +35,8 @@ score through the concatenated matrix makes those calls' steps in one
   warning-free; a compiler on ``PATH`` means the native path ran; one
   ``event=native_kernel`` line says which path runs and why; a failed
   build falls back and leaves nothing behind; a build under
-  AddressSanitizer and UBSan runs the four properties clean;
+  AddressSanitizer and UBSan runs the four properties, and the build
+  kernels' two, clean;
 * **CSR safety** — a corrupt adjacency fails the first wave with the
   bad vertex named, on both paths, instead of indexing out of bounds.
 
@@ -878,10 +879,11 @@ class TestLoader:
 
     def test_the_properties_run_clean_under_sanitizers(self, tmp_path):
         """A build with AddressSanitizer and UBSan runs the tiny-graph
-        (stepped and ``wave_run``), lane-contract and PQ-sum properties
-        in a child with the runtimes preloaded; any out-of-bounds access
-        or undefined behaviour kills it with a report instead of passing
-        silently."""
+        (stepped and ``wave_run``), lane-contract and PQ-sum properties,
+        and the build's local-join and greedy-pick ones
+        (``test_index_construction``), in a child with the runtimes
+        preloaded; any out-of-bounds access or undefined behaviour kills
+        it with a report instead of passing silently."""
         cc = native.compiler()
         if cc is None:
             pytest.skip("no C compiler on PATH")
@@ -914,14 +916,24 @@ class TestLoader:
             "t.test_wave_run_is_the_step_loop_on_tiny_graphs()\n"
             "t.test_gather_dot_is_the_lane_contract()\n"
             "t.test_adc_gather_is_the_subspace_sum()\n"
+            "import test_index_construction as c\n"
+            "c.test_native_join_is_the_numpy_join()\n"
+            "c.test_native_greedy_pick_is_the_numpy_pick()\n"
         )
         env = dict(
             os.environ,
             LD_PRELOAD=" ".join(runtimes),
             ASAN_OPTIONS="detect_leaks=0",
             UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1",
+            # src/, tests/ (whose modules import each other's top-level
+            # names) and the root (test_index_construction reads
+            # tests.conftest).
             PYTHONPATH=os.pathsep.join(
-                [str(Path(native.__file__).parents[1]), str(Path(__file__).parent)]
+                [
+                    str(Path(native.__file__).parents[1]),
+                    str(Path(__file__).parent),
+                    str(Path(__file__).parents[1]),
+                ]
             ),
         )
         done = subprocess.run(
