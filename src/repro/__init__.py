@@ -12,8 +12,8 @@ Modality (Wang et al.).  The package provides:
 * :mod:`repro.embedding` — the pluggable (simulated) encoder zoo;
 * :mod:`repro.metrics` — Recall@k(k'), SME, and QPS measurement.
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See the README's "Module map" for the architecture and its "Tests and
+benchmarks" section for how every table and figure is regenerated.
 """
 
 from repro.core import (

@@ -1,6 +1,7 @@
 """Benchmark harness: one experiment function per paper table/figure.
 
-See DESIGN.md §4 for the experiment index.  ``python -m repro.bench.report``
+The experiment index is :func:`repro.bench.report._registry` (the
+README's "Tests and benchmarks").  ``python -m repro.bench.report``
 regenerates every artifact and the EXPERIMENTS.md record.
 """
 

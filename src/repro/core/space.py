@@ -54,6 +54,7 @@ class JointSpace:
         )
         self._vectors = vectors
         self._weights = weights
+        self._omegas = weights.omegas  # weights are immutable
         self._concat: np.ndarray | None = None  # lazy ω-scaled concatenation
         self._concat_norm: float | None = None  # its largest row norm
 
@@ -208,17 +209,21 @@ class JointSpace:
         if self.is_compressed:
             return None
         w2 = self.effective_squared_weights(query, weights)
-        omegas = self._weights.omegas
-        blocks: list[np.ndarray] = []
-        for i, q in enumerate(query.vectors):
-            dim = self._vectors.dims[i]
-            if q is None or w2[i] == 0.0:
-                blocks.append(np.zeros(dim, dtype=np.float32))
-            elif omegas[i] == 0.0:
-                return None
-            else:
-                blocks.append((w2[i] / omegas[i]) * q.astype(np.float32))
-        return np.concatenate(blocks).astype(np.float32)
+        dims = self._vectors.dims
+        out = np.zeros(sum(dims), dtype=np.float32)
+        lo = 0
+        for q, dim, w2_i, omega in zip(query.vectors, dims, w2, self._omegas):
+            if q is not None and w2_i != 0.0:
+                if omega == 0.0:
+                    return None
+                # The product in float64 (a float64 scalar), rounded once
+                # to float32 as it is stored.
+                np.multiply(
+                    q.astype(np.float32, copy=False), w2_i / omega,
+                    out=out[lo : lo + dim],
+                )
+            lo += dim
+        return out
 
     def query_ids_exact(
         self,

@@ -93,11 +93,11 @@ class Weights:
         (weights are immutable) — the common case on the per-query path.
         """
         present = query.present
-        require(
-            len(present) == self._squared.size,
-            f"query has {len(present)} modality slots, weights have "
-            f"{self._squared.size}",
-        )
+        if len(present) != self._squared.size:  # no message formatted per query
+            raise ValueError(
+                f"query has {len(present)} modality slots, weights have "
+                f"{self._squared.size}"
+            )
         if all(present):
             return self
         masked = self._squared * np.asarray(present, dtype=np.float64)

@@ -1,8 +1,9 @@
 """Embedding substrate: latent concept space + pluggable synthetic encoders.
 
-See DESIGN.md §2 for the substitution rationale: the paper's pretrained
-encoders are simulated by calibrated random-projection encoders whose
-error structure reproduces the accuracy orderings of Tables III–VI.
+The substitution: the paper's pretrained encoders are simulated by
+calibrated random-projection encoders whose error structure reproduces
+the accuracy orderings of Tables III–VI (the README's "Module map" lists
+the corpora and encoders built on it).
 """
 
 from repro.embedding.base import EncoderRegistry

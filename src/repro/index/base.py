@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,22 @@ def _check_csr(flat: np.ndarray, offsets: np.ndarray, n: int) -> None:
         if twice.size:
             vertex, dup = divmod(int(keys[twice[0]]), n)
             raise ValueError(f"vertex {vertex} lists neighbour {dup} twice")
+
+
+class TraversalConstants(NamedTuple):
+    """What every traversal of one graph reads, built once per graph
+    (:meth:`GraphIndex.traversal_constants`): the CSR form and its
+    largest row, the entry order, and the three arrays' addresses, which
+    the C kernel takes as they are.  Every array is read-only."""
+
+    flat: np.ndarray  # CSR neighbour ids, int32
+    offsets: np.ndarray  # CSR row starts, int64, n + 1
+    max_degree: int
+    seed: int  # the seed vertex the entry order starts from
+    entry: np.ndarray  # the entry order, int64, n
+    flat_ptr: int
+    offsets_ptr: int
+    entry_ptr: int
 
 
 def reseat_on_store(
@@ -106,14 +123,11 @@ class GraphIndex:
     #: Deleted vertices keep routing traffic (they may be essential for
     #: connectivity) but are excluded from results until reconstruction.
     deleted: np.ndarray | None = None
-    #: lazily built entry order (:meth:`entry_points`); never persisted.
-    _entry_order: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: one-slot box for the lazily built CSR form (:meth:`csr_adjacency`).
-    #: :meth:`frozen` copies share the box itself, so whichever copy is
-    #: traversed first builds it for all of them; never persisted.
-    _csr: list[tuple[np.ndarray, np.ndarray]] = field(
+    #: one-slot box for the lazily built traversal constants
+    #: (:meth:`traversal_constants`).  :meth:`frozen` copies share the box
+    #: itself, and :meth:`frozen` fills it, so every copy reads one set;
+    #: never persisted.
+    _csr: list[TraversalConstants] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
 
@@ -150,7 +164,7 @@ class GraphIndex:
         long as the graph and every :meth:`frozen` copy reads the same
         pair.  Only a traversal that gathers whole frontiers needs it
         (:func:`~repro.index.graph_wave.graph_wave_search`); a graph
-        that is never traversed never pays for one.
+        that is never traversed or frozen never pays for one.
 
         Building it checks what a traversal relies on — offsets that
         never decrease, every neighbour id in ``[0, n)``, no id twice in
@@ -158,13 +172,39 @@ class GraphIndex:
         so a corrupt archive fails here instead of indexing out of
         bounds mid-wave.  Both arrays are read-only.
         """
-        if not self._csr:
+        constants = self.traversal_constants()
+        return constants.flat, constants.offsets
+
+    def traversal_constants(self) -> TraversalConstants:
+        """The CSR pair (:meth:`csr_adjacency`), its largest row, the
+        entry order (:meth:`entry_points`) and their addresses, built on
+        first use and shared with every :meth:`frozen` copy.  Reseating
+        :attr:`seed_vertex` rebuilds the entry order and keeps the rest.
+        """
+        box = self._csr
+        if box and box[0].seed == self.seed_vertex:
+            return box[0]
+        if box:
+            flat, offsets, max_degree = box[0][:3]
+        else:
             flat, offsets = pack_adjacency(self.neighbors)  # int32, int64
             _check_csr(flat, offsets, self.n)
             flat.setflags(write=False)
             offsets.setflags(write=False)
-            self._csr.append((flat, offsets))
-        return self._csr[0]
+            max_degree = int(np.diff(offsets).max())
+        n = self.n
+        entry = np.empty(n, dtype=np.int64)
+        entry[0] = self.seed_vertex
+        # Shifted around the seed so it never appears twice.
+        rest = np.random.default_rng(0).permutation(n - 1)
+        entry[1:] = (rest + self.seed_vertex + 1) % n
+        entry.setflags(write=False)
+        constants = TraversalConstants(
+            flat, offsets, max_degree, self.seed_vertex, entry,
+            flat.ctypes.data, offsets.ctypes.data, entry.ctypes.data,
+        )
+        box[:] = [constants]
+        return constants
 
     def degree_stats(self) -> dict[str, float]:
         """Min / mean / max out-degree — the paper's γ bounds the max."""
@@ -189,34 +229,26 @@ class GraphIndex:
 
         The order is the seed vertex followed by a fixed pseudo-random
         permutation of every other vertex — a pure function of
-        ``(n, seed_vertex)``, computed once per graph and shared by its
-        :meth:`frozen` copies, so a search pays an ``O(l)`` slice.  It is
-        not written to disk: a loaded graph recomputes the same order.
+        ``(n, seed_vertex)``, computed once per graph with the other
+        :meth:`traversal_constants` and shared by its :meth:`frozen`
+        copies, so a search pays an ``O(l)`` slice.  It is not written
+        to disk: a loaded graph recomputes the same order.
         """
-        order = self._entry_order
-        if order is None or order[0] != self.seed_vertex:
-            n = self.n
-            order = np.empty(n, dtype=np.int64)
-            order[0] = self.seed_vertex
-            # Shifted around the seed so it never appears twice.
-            rest = np.random.default_rng(0).permutation(n - 1)
-            order[1:] = (rest + self.seed_vertex + 1) % n
-            order.setflags(write=False)
-            self._entry_order = order
-        return order[:l]
+        return self.traversal_constants().entry[:l]
 
     def frozen(self) -> "GraphIndex":
         """A copy later :meth:`mark_deleted` calls cannot reach.
 
         Only the §IX bitset is copied; adjacency (with the box that
-        holds its CSR form), entry order, space and metadata are shared
+        holds its traversal constants), space and metadata are shared
         as they are (nothing is re-validated), so a capture costs
-        ``O(n)`` bytes of bitset and no Python loop.  The
-        entry order is built here if it was not yet, under the caller's
-        write serialisation, so every copy shares one array and threads
-        reading a copy never race to build it.
+        ``O(n)`` bytes of bitset.  The traversal constants — CSR form,
+        largest row, entry order, their addresses — are built here if
+        they were not yet, once per graph, under the caller's write
+        serialisation, so every copy shares one set and threads reading
+        a copy never race to build it.
         """
-        self.entry_points(0)
+        self.traversal_constants()
         clone = copy.copy(self)
         if self.deleted is not None:
             clone.deleted = self.deleted.copy()

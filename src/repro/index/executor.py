@@ -7,7 +7,8 @@ the serving dispatcher's coalesced-wave and containment-retry paths —
 hands it a *target* (a
 :class:`~repro.index.segments.SegmentView`, or a :class:`GraphTarget`
 for a single fused graph), typed queries and the plan, and it makes the
-four decisions once: the ``l >= k`` plan check, the
+five decisions once: the ``l >= k`` plan check, the check that every
+query fits the target (modality count, widths, finite values), the
 :meth:`~repro.core.query.SearchOptions.resolve` clamp, exact vs graph,
 and the per-result wave-stats merge.
 
@@ -48,6 +49,8 @@ from __future__ import annotations
 
 import logging
 from typing import Any, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.multivector import MultiVector
 from repro.core.query import Query, SearchOptions
@@ -228,6 +231,29 @@ class BatchExecutor:
         )
 
 
+def _check_queries(queries: Sequence[Query], dims: Sequence[int]) -> None:
+    """Refuse, with one ``ValueError``, a query whose modalities do not
+    fit an index of per-modality widths *dims*: a modality count, a
+    width or a shape that differs, or a vector that is not finite.
+    Absent modalities (``None``) always fit."""
+    for query in queries:
+        vectors = query.vector.vectors
+        if len(vectors) != len(dims):
+            raise ValueError(
+                f"query has {len(vectors)} modalities, the index {len(dims)}"
+            )
+        for i, (v, dim) in enumerate(zip(vectors, dims)):
+            if v is None:
+                continue
+            if v.shape != (dim,):
+                width = v.shape[0] if v.ndim == 1 else v.shape
+                raise ValueError(
+                    f"query modality {i} is {width} wide, the index's is {dim}"
+                )
+            if not np.isfinite(v).all():
+                raise ValueError(f"query modality {i} is not finite")
+
+
 def execute(
     target: SegmentView | GraphTarget,
     queries: Sequence[Query],
@@ -254,12 +280,19 @@ def execute(
 
     ``l`` is clamped to the target's size here and nowhere else; an
     explicit ``l < k`` on a graph plan is an error, raised before any
-    scoring (exact scans ignore ``l``).
+    scoring (exact scans ignore ``l``).  So is a query that does not fit
+    the target — a modality count or width that differs, a vector that
+    is not finite — on every plan (:func:`_check_queries`).
     """
     if not options.exact and options.l < options.k:
         raise ValueError(
             f"result set size l={options.l} must be at least k={options.k}"
         )
+    if isinstance(target, SegmentView):
+        if target.segments:
+            _check_queries(queries, target.segments[0].space.vectors.dims)
+    else:
+        _check_queries(queries, target.exact_space.vectors.dims)
     if options.exact:
         if isinstance(target, SegmentView):
             run, scanned = BatchExecutor.run_exact_wave, target

@@ -30,10 +30,11 @@ a small C library (:mod:`repro.native`) when it compiled and loaded,
 and in NumPy otherwise (:class:`_NumpyBookkeeping`, also the kernel's
 bookkeeping oracle, and ``einsum``); :func:`bookkeeping` says which
 runs.  On the kernel, a traversal whose rows are all fast-path ones
-makes one ctypes call, ``wave_run``, for every wave after the init: it
-runs the three steps a wave's calls run, in their order, until no row
-expands.  Any other traversal steps from Python, three calls a wave on
-a dense store; that loop is the one ``wave_run`` is pinned against.
+makes one ctypes call, ``wave_run``, for its init and every wave: it
+runs the steps the init's and each wave's calls run, in their order,
+until no row expands.  Any other traversal steps from Python — the
+init, then three calls a wave on a dense store; that loop is the one
+``wave_run`` is pinned against.
 The two bookkeepings leave the same bits behind.  The dense arithmetic
 does not, so the kernel's comes with a float contract: a fast-path row's
 similarity is the float32 dot product of its ω-scaled concatenation
@@ -83,6 +84,7 @@ query that excludes nothing expands what it expands, in the same order
 from __future__ import annotations
 
 import ctypes
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -162,9 +164,10 @@ class _Wave:
         n = index.n
         attributes = space.vectors.attributes
         memo: FilterMemo = {} if filter_memo is None else filter_memo
-        num_active = index.num_active
+        num_active = n if index.deleted is None else index.num_active
         self.index = index
         self.b = b
+        self.n = n
         self.refine = refine
 
         self.vectors: list[MultiVector] = []
@@ -189,7 +192,8 @@ class _Wave:
             else:
                 l_q = max(l, k_q)
             require(k_q >= 1, "k must be positive")
-            require(l_q >= k_q, f"result set size l={l_q} must be at least k={k_q}")
+            if l_q < k_q:  # not require(): no message formatted per query
+                raise ValueError(f"result set size l={l_q} must be at least k={k_q}")
             self.vectors.append(vec)
             self.hybrid.append(
                 q if isinstance(q, Query) and q.sparse is not None else None
@@ -360,7 +364,7 @@ class _Wave:
         """
         if rows.size == 0:
             return
-        n = self.index.n
+        n = self.n
         sims = np.empty((rows.size, n), dtype=np.float64)
         in_place = self.fast[rows] & (self.kernel is None)
         if in_place.any():
@@ -397,37 +401,35 @@ class _Wave:
         :meth:`~_Bookkeeping.merge`) around one :meth:`score_stack`;
         the bookkeeping runs in the C kernel when it loaded and in NumPy
         otherwise, with the same bits either way.
-        :meth:`~_Bookkeeping.run` may take every wave after the init in
-        one call (the kernel's, when every row is fast); the step loop
-        here is the path it must equal.
+        :meth:`~_Bookkeeping.run` may take the init and every wave in
+        one call (the kernel's, when every row is fast); the init and
+        step loop here are the path it must equal.
         """
         if not active.any():
             return
-        index, b = self.index, self.b
-        kernel = self.kernel
+        b, kernel = self.b, self.kernel
         book: _Bookkeeping = (
             _NumpyBookkeeping(self, active, expansions_per_wave)
             if kernel is None
             else _NativeBookkeeping(self, active, expansions_per_wave, kernel)
         )
-
-        # Init: each query's prefix of the entry order, one stacked wave.
-        init_owner_parts: list[np.ndarray] = []
-        init_id_parts: list[np.ndarray] = []
-        for i in np.flatnonzero(active).tolist():
-            r_init = index.entry_points(int(self.l_inner_arr[i]))
-            book.seen[i, r_init] = True
-            init_id_parts.append(r_init)
-            init_owner_parts.append(np.full(r_init.size, i, dtype=np.int64))
-        owner = np.concatenate(init_owner_parts)
-        cand = np.concatenate(init_id_parts)
-        sims = self.score_stack(owner, cand, np.full(b, -np.inf))
-        book.merge(owner, cand, sims)
-
-        # Waves: up to m expansions per active query per wave, all in one
-        # call when the bookkeeping can take them so.
+        # The init and every wave in one call, when the bookkeeping can.
         frontier_sizes = book.run()
         if frontier_sizes is None:
+            # Init: each query's prefix of the entry order, one stacked
+            # wave.
+            init_owner_parts: list[np.ndarray] = []
+            init_id_parts: list[np.ndarray] = []
+            for i in np.flatnonzero(active).tolist():
+                r_init = self.index.entry_points(int(self.l_inner_arr[i]))
+                book.seen[i, r_init] = True
+                init_id_parts.append(r_init)
+                init_owner_parts.append(np.full(r_init.size, i, dtype=np.int64))
+            owner = np.concatenate(init_owner_parts)
+            cand = np.concatenate(init_id_parts)
+            sims = self.score_stack(owner, cand, np.full(b, -np.inf))
+            book.merge(owner, cand, sims)
+            # Waves: up to m expansions per active query per wave.
             frontier_sizes = []
             while (step := book.expand()) is not None:
                 thr, owner, cand = step
@@ -504,20 +506,21 @@ class _Bookkeeping:
     the same bits behind.
     """
 
+    #: routing pools, each row best first and truncated to its own
+    #: width after every merge, so a query's state is exactly what a
+    #: batch of one would hold — composition independence — and the
+    #: rows' visited bitsets; each implementation allocates its own.
+    route_ids: np.ndarray  # (b, width) int64
+    route_sims: np.ndarray  # (b, width) float64, -inf padded
+    route_dead: np.ndarray  # (b, width) bool
+    seen: np.ndarray  # (b, n) bool
+
     def __init__(self, wave: _Wave, active: np.ndarray, expansions_per_wave: int):
-        b, width = wave.b, wave.width
         self.wave = wave
         self.active = active
         self.m_exp = int(expansions_per_wave)
-        self.flat_adj, self.offsets = wave.index.csr_adjacency()
-        # Routing pools: like the result pools, every row is truncated
-        # to its own width after each merge, so a query's state is
-        # exactly what a batch-of-one would hold — composition
-        # independence.
-        self.route_ids = np.zeros((b, width), dtype=np.int64)
-        self.route_sims = np.full((b, width), -np.inf, dtype=np.float64)
-        self.route_dead = np.ones((b, width), dtype=bool)
-        self.seen = np.zeros((b, wave.index.n), dtype=bool)
+        #: the graph's traversal constants, built once per graph.
+        self.graph = wave.index.traversal_constants()
 
     def expand(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """``(thr, owner, cand)`` of the next wave, or ``None`` when no
@@ -532,9 +535,9 @@ class _Bookkeeping:
         raise NotImplementedError
 
     def run(self) -> list[int] | None:
-        """Every wave left, scored and merged in one call, and their
-        frontier sizes; ``None`` (nothing done) when this bookkeeping
-        can only step."""
+        """The init and every wave, scored and merged in one call, and
+        the waves' frontier sizes; ``None`` (nothing done) when this
+        bookkeeping can only step."""
         return None
 
 
@@ -544,9 +547,13 @@ class _NumpyBookkeeping(_Bookkeeping):
 
     def __init__(self, wave: _Wave, active: np.ndarray, expansions_per_wave: int):
         super().__init__(wave, active, expansions_per_wave)
-        b = wave.b
+        b, width = wave.b, wave.width
+        self.route_ids = np.zeros((b, width), dtype=np.int64)
+        self.route_sims = np.full((b, width), -np.inf, dtype=np.float64)
+        self.route_dead = np.ones((b, width), dtype=bool)
+        self.seen = np.zeros((b, wave.n), dtype=bool)
         self.rows_all = np.arange(b, dtype=np.int64)
-        self.cols = np.arange(wave.width, dtype=np.int64)
+        self.cols = np.arange(width, dtype=np.int64)
         # Group queries by the identity of their excluded-vertex bitset
         # (shared filters compile to one mask, unfiltered queries share the
         # deletion bitset) so admission is one vectorised lookup per group.
@@ -605,7 +612,7 @@ class _NumpyBookkeeping(_Bookkeeping):
     def expand(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         wave, m_exp = self.wave, self.m_exp
         route_dead, route_sims, seen = self.route_dead, self.route_sims, self.seen
-        flat_adj, offsets = self.flat_adj, self.offsets
+        flat_adj, offsets = self.graph.flat, self.graph.offsets
         thr = wave.res_sims[self.rows_all, np.maximum(wave.cap_arr - 1, 0)]
         # Algorithm 2's termination rule, vectorised: a routed candidate
         # strictly below the current result floor can never enter R.
@@ -642,7 +649,7 @@ class _NumpyBookkeeping(_Bookkeeping):
             # keep each (row, candidate) pair once.  np.unique sorts the
             # keys row-major, preserving the owner-sorted layout
             # merge pads by.
-            key = owner * wave.index.n + cand
+            key = owner * wave.n + cand
             _, first = np.unique(key, return_index=True)
             owner, cand = owner[first], cand[first]
         seen[owner, cand] = True
@@ -652,8 +659,13 @@ class _NumpyBookkeeping(_Bookkeeping):
 class _NativeBookkeeping(_Bookkeeping):
     """The same two steps in ``native.c``: one ctypes call each
     over arrays this traversal owns (the CSR pair is only read).  When
-    every row is fast, :meth:`run` takes all the waves in one call,
-    ``wave_run``, which makes the step loop's calls in its order."""
+    every row is fast, :meth:`run` takes the init and all the waves in
+    one call, ``wave_run``, which makes the step loop's calls in its
+    order.
+
+    Every array the kernel writes but the wave's own pools and counters
+    is carved from one allocation, 8-byte columns first, so a
+    traversal's scratch costs one allocation and one address read."""
 
     def __init__(
         self,
@@ -663,49 +675,80 @@ class _NativeBookkeeping(_Bookkeeping):
         kernel: ctypes.CDLL,
     ):
         super().__init__(wave, active, expansions_per_wave)
-        b, width, n = wave.b, wave.width, wave.index.n
+        b, width, n, graph = wave.b, wave.width, wave.n, self.graph
         self.kernel = kernel
-        max_degree = int(np.diff(self.offsets).max()) if n else 0
         # A row gathers at most min(m, width) adjacency lists a wave,
         # and never a vertex twice.
-        row_cap = min(n, min(self.m_exp, width) * max_degree)
-        self.active = np.ascontiguousarray(active, dtype=bool)
-        self.thr = np.empty(b, dtype=np.float64)
-        self.owner = np.empty(b * row_cap, dtype=np.int64)
-        self.cand = np.empty(b * row_cap, dtype=np.int64)
-        self.rows = np.empty(b, dtype=np.int64)
-        bitsets = [
-            None if e is None else np.ascontiguousarray(e, dtype=bool)
-            for e in wave.excluded_by
-        ]
-        excluded = (ctypes.c_void_p * b)(
-            *[None if e is None else e.ctypes.data for e in bitsets]
-        )
+        row_cap = min(n, min(self.m_exp, width) * graph.max_degree)
+        pool, fronts = b * width, b * row_cap
+        # One allocation: the 8-byte columns — route ids, excluded
+        # addresses, route sims, owner, cand, thr, rows, init lengths,
+        # wave sizes — then the byte ones: dead route columns, active
+        # flags, seen bitsets.  Only what the kernel reads before
+        # writing is initialised.
+        ends = list(accumulate((pool, b, pool, fronts, fronts, b, b, b, n + 1)))
+        starts = [0, *ends[:-1]]
+        flags = 8 * ends[-1]
+        block = np.empty(flags + pool + b + b * n, dtype=np.uint8)
+        ints = block[:flags].view(np.int64)
+        ints[: pool + b] = 0  # route ids, excluded (NULL)
+        (
+            route_ids, excluded, route_sims, self.owner, self.cand, thr,
+            self.rows, self.init_len, self.sizes,
+        ) = [ints[lo:hi] for lo, hi in zip(starts, ends)]
+        base = native.address(block)
+        (
+            route_ids_at, excluded_at, route_sims_at, owner_at, cand_at,
+            thr_at, rows_at, self.init_len_at, self.sizes_at,
+        ) = [base + 8 * lo for lo in starts]
+        dead_at = base + flags
+        active_at, seen_at = dead_at + pool, dead_at + pool + b
+        self.route_ids = route_ids.reshape(b, width)
+        self.route_sims = route_sims.view(np.float64).reshape(b, width)
+        self.route_sims.fill(-np.inf)
+        self.thr = thr.view(np.float64)
+        self.route_dead = block[flags : flags + pool].view(bool).reshape(b, width)
+        self.route_dead.fill(True)
+        self.active = block[flags + pool : flags + pool + b].view(bool)
+        self.active[:] = active
+        self.seen = block[flags + pool + b :].view(bool).reshape(b, n)
+        self.seen.fill(False)
+        # Rows sharing a bitset (a filter, the deletion bitset) share
+        # its address.
+        bitsets: dict[int, np.ndarray] = {}
+        for i, e in enumerate(wave.excluded_by):
+            if e is not None:
+                e = bitsets.setdefault(id(e), np.ascontiguousarray(e, dtype=bool))
+                excluded[i] = e.ctypes.data
         # Everything the state points into stays referenced by self.
-        self._keep = (excluded, bitsets)
-        arrays = dict(
-            flat=self.flat_adj, offsets=self.offsets,
-            width_arr=wave.width_arr, cap_arr=wave.cap_arr,
-            active=self.active, route_ids=self.route_ids,
-            route_sims=self.route_sims, route_dead=self.route_dead,
-            res_ids=wave.res_ids, res_sims=wave.res_sims, seen=self.seen,
-            hops=wave.hops, thr=self.thr, owner=self.owner, cand=self.cand,
-            rows=self.rows,
-        )
+        self._keep = (block, bitsets)
         # The kernel trusts these: shapes and layout are checked here,
         # once a traversal, and ids arriving per call are checked in C.
         require(
-            all(arr.flags.c_contiguous for arr in arrays.values())
-            and all(e is None or e.shape == (n,) for e in bitsets)
-            and self.flat_adj.dtype == np.int32
-            and self.seen.shape == (b, n),
+            all(
+                arr.flags.c_contiguous
+                for arr in (
+                    wave.width_arr, wave.cap_arr, wave.res_ids, wave.res_sims,
+                    wave.hops,
+                )
+            )
+            and wave.res_sims.shape == (b, width)
+            and all(e.shape == (n,) for e in bitsets.values())
+            and graph.flat.dtype == np.int32,
             "wave kernel: malformed traversal state",
         )
         self.state = ctypes.pointer(
             native.WaveState(
                 b=b, width=width, n=n, m=self.m_exp, row_cap=row_cap,
-                excluded=ctypes.addressof(excluded),
-                **{name: arr.ctypes.data for name, arr in arrays.items()},
+                flat=graph.flat_ptr, offsets=graph.offsets_ptr,
+                width_arr=native.address(wave.width_arr),
+                cap_arr=native.address(wave.cap_arr),
+                active=active_at, excluded=excluded_at, route_ids=route_ids_at,
+                route_sims=route_sims_at, route_dead=dead_at,
+                res_ids=native.address(wave.res_ids),
+                res_sims=native.address(wave.res_sims),
+                seen=seen_at, hops=native.address(wave.hops), thr=thr_at,
+                owner=owner_at, cand=cand_at, rows=rows_at,
             )
         )
 
@@ -737,18 +780,22 @@ class _NativeBookkeeping(_Bookkeeping):
             return None
         concat, qmat = wave.concat_mat, wave.qmat
         assert concat is not None and qmat is not None
+        # Each traversed row's init is the first min(l, n) vertices of
+        # the entry order; the rest take none.
+        np.minimum(wave.l_inner_arr, wave.n, out=self.init_len)
+        self.init_len *= self.active
         # No row expands a vertex twice, and a row that expands nothing
         # never expands again: at most n waves.
-        sizes = np.empty(wave.index.n + 1, dtype=np.int64)
         waves = int(
             self.kernel.wave_run(
-                self.state, concat.ctypes.data, concat.shape[0],
-                concat.shape[1], qmat.ctypes.data, wave.joint_acc.ctypes.data,
-                sizes.ctypes.data, sizes.size,
+                self.state, self.graph.entry_ptr, self.init_len_at,
+                concat.ctypes.data, concat.shape[0], concat.shape[1],
+                native.address(qmat), native.address(wave.joint_acc),
+                self.sizes_at, self.sizes.size,
             )
         )
         native.check(waves)
-        return sizes[:waves].tolist()
+        return self.sizes[:waves].tolist()
 
 
 def bookkeeping() -> str:
@@ -847,7 +894,8 @@ def lockstep(
     if b == 0:
         return [], wave_stats
     require(k >= 1, "k must be positive")
-    require(l >= k, f"result set size l={l} must be at least k={k}")
+    if l < k:  # not require(): no message formatted per call
+        raise ValueError(f"result set size l={l} must be at least k={k}")
     require(refine is None or refine >= 1, "refine must be >= 1")
     require(expansions_per_wave >= 1, "expansions_per_wave must be >= 1")
     if ks is not None or ls is not None:

@@ -14,11 +14,13 @@
  * seen bitsets and the counters exactly as the NumPy bookkeeping in
  * graph_wave.py does.
  *
- * When gather_dot scores every row of a traversal, wave_run takes all
- * of its waves in one call: expand, gather-dot, merge, the same three
- * functions in the same order as the three calls a wave would make,
- * until no row expands.  It leaves the same bits as those calls, wave
- * by wave.
+ * When gather_dot scores every row of a traversal, wave_run takes the
+ * whole traversal in one call: its init (each row's prefix of the
+ * graph's entry order, marked seen, scored by gather_dot and merged by
+ * merge_rows) and then every wave, expand, gather-dot, merge, the same
+ * functions in the same order as the calls the Python step loop would
+ * make, until no row expands.  It leaves the same bits as those calls,
+ * wave by wave.
  *
  * gather_dot and adc_gather are all the arithmetic there is.  The
  * build's kernels, join_number, join_fill and greedy_pick, do none: they
@@ -429,34 +431,89 @@ int64_t gather_dot(const float *x, int64_t n, int64_t dim, const float *q,
     return f;
 }
 
-/*
- * Every wave of a traversal whose rows gather_dot scores, after its init
- * merge: expand_rows, then gather_dot against the query rows q (b of
- * them, dim wide) and the dense matrix x (rows of them), then merge_rows,
- * until no row expands.  evals is gather_dot's.  Each wave's frontier
- * size goes to sizes, which holds cap of them; n + 1 always suffice,
- * since a row that expands nothing never expands again and no row
- * expands a vertex twice.  Returns the number of waves, or OVERFLOW when
- * a wave finds sizes full, INVALID where gather_dot or merge_rows refuse
- * and NO_MEMORY, each leaving the traversal part way through a wave.
- */
-int64_t wave_run(const wave_state *s, const float *x, int64_t rows,
-                 int64_t dim, const float *q, int64_t *evals, int64_t *sizes,
-                 int64_t cap)
+/* The init frontier's size, the sum of len[0..b), or INVALID for a
+ * length outside [0, n] or an entry id it covers outside [0, n). */
+static int64_t init_size(const wave_state *s, const int64_t *entry,
+                         const int64_t *len)
 {
-    /* Scratch for the largest wave, once: a frontier holds at most
+    int64_t f = 0, longest = 0;
+    for (int64_t r = 0; r < s->b; r++) {
+        if (len[r] < 0 || len[r] > s->n)
+            return INVALID;
+        longest = len[r] > longest ? len[r] : longest;
+        f += len[r];
+    }
+    for (int64_t j = 0; j < longest; j++)
+        if (entry[j] < 0 || entry[j] >= s->n)
+            return INVALID;
+    return f;
+}
+
+/* Algorithm 2's init frontier, laid out as the step loop's init lays
+ * it out: row by row, row r's first len[r] vertices of the entry order
+ * in that order, each marked seen.  Trusts what init_size checked. */
+static void init_frontier(const wave_state *s, const int64_t *entry,
+                          const int64_t *len, int64_t *owner, int64_t *cand)
+{
+    int64_t f = 0;
+    for (int64_t r = 0; r < s->b; r++) {
+        uint8_t *seen = s->seen + r * s->n;
+        for (int64_t j = 0; j < len[r]; j++) {
+            seen[entry[j]] = 1;
+            owner[f] = r;
+            cand[f++] = entry[j];
+        }
+    }
+}
+
+/*
+ * A whole traversal whose rows gather_dot scores.  First its init: each
+ * row r's first len[r] vertices of the entry order (n of them) are
+ * marked seen and laid out as one frontier, row by row, which
+ * gather_dot scores against a -inf threshold and merge_rows folds into
+ * the pools, the calls the step loop's init makes in the same order.
+ * Then every wave: expand_rows, then gather_dot against the query rows
+ * q (b of them, dim wide) and the dense matrix x (rows of them), then
+ * merge_rows, until no row expands.  evals is gather_dot's.  Each
+ * wave's frontier size goes to sizes, which holds cap of them; n + 1
+ * always suffice, since a row that expands nothing never expands again
+ * and no row expands a vertex twice.  Returns the number of waves, or
+ * INVALID (writing nothing) for an init length outside [0, n] or an
+ * entry id outside [0, n); after that OVERFLOW when a wave finds sizes
+ * full, INVALID where gather_dot or merge_rows refuse and NO_MEMORY,
+ * each leaving the traversal part way through a wave.
+ */
+int64_t wave_run(const wave_state *s, const int64_t *entry, const int64_t *len,
+                 const float *x, int64_t rows, int64_t dim, const float *q,
+                 int64_t *evals, int64_t *sizes, int64_t cap)
+{
+    const int64_t f_init = init_size(s, entry, len);
+    if (f_init < 0)
+        return f_init;
+    /* Scratch for the largest frontier, once: a wave's holds at most
      * row_cap entries a row. */
-    const int64_t f_max = s->b * s->row_cap;
+    const int64_t f_wave = s->b * s->row_cap;
+    const int64_t f_max = f_init > f_wave ? f_init : f_wave;
     uint64_t *bits = calloc((size_t)(s->n >> 6) + 1, sizeof *bits);
     int64_t *tmp = malloc((size_t)(s->row_cap + 1) * sizeof *tmp);
+    int64_t *init = malloc((size_t)(2 * f_init + 1) * sizeof *init);
     double *sims = malloc((size_t)(f_max + 1) * sizeof *sims);
     int64_t *order =
         malloc((size_t)(3 * f_max + s->width + 1) * sizeof *order);
     double *o_sims = malloc((size_t)(s->width + 1) * sizeof *o_sims);
     uint8_t *o_dead = malloc((size_t)s->width + 1);
     int64_t waves = 0, status = NO_MEMORY;
-    if (bits && tmp && sims && order && o_sims && o_dead) {
-        for (;;) {
+    if (bits && tmp && init && sims && order && o_sims && o_dead) {
+        int64_t *owner = init, *cand = init + f_init;
+        init_frontier(s, entry, len, owner, cand);
+        for (int64_t r = 0; r < s->b; r++)
+            s->thr[r] = -INFINITY;
+        status = gather_dot(x, rows, dim, q, s->b, owner, cand, f_init,
+                            s->thr, evals, sims);
+        if (status >= 0)
+            status = merge_rows(s, owner, cand, sims, f_init, order, o_sims,
+                                o_dead);
+        while (status >= 0) {
             int64_t f = expand_rows(s, bits, tmp);
             if (f == NO_EXPANSION) {
                 status = waves;
@@ -474,12 +531,11 @@ int64_t wave_run(const wave_state *s, const float *x, int64_t rows,
             if (status >= 0)
                 status = merge_rows(s, s->owner, s->cand, sims, f, order,
                                     o_sims, o_dead);
-            if (status < 0)
-                break;
         }
     }
     free(bits);
     free(tmp);
+    free(init);
     free(sims);
     free(order);
     free(o_sims);

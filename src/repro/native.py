@@ -11,8 +11,10 @@ similarities.  Of the arithmetic, the dense rows' inner products
 (traversed and scanned) run in ``gather_dot`` under the eight-lane
 float32 contract the source's header states, and in NumPy's ``einsum``
 otherwise, which agrees with it within the float32 dot-product bound (:func:`~repro.store.dot_error`).  ``wave_run``
-makes those three calls' steps for every wave of a traversal whose rows
-all score through ``gather_dot``, in one call.  A PQ store's rows
+takes a whole traversal whose rows all score through ``gather_dot`` in
+one call: its init wave (each row's prefix of the graph's entry order,
+scored and merged) and every wave after it, each the same steps as
+those calls make.  A PQ store's rows
 (:mod:`repro.store.pq`: a whole wave's stacked frontier, or one query's
 rows) are summed by ``adc_gather`` in the NumPy fallback's own order —
 sub-space by sub-space from a float32 zero — so they carry the same
@@ -65,7 +67,8 @@ from pathlib import Path
 from typing import Any
 
 __all__ = [
-    "WaveState", "check", "compiler", "declare", "lib", "load", "path", "reason"
+    "WaveState", "address", "check", "compiler", "declare", "lib", "load",
+    "path", "reason",
 ]
 
 logger = logging.getLogger(__name__)
@@ -115,7 +118,9 @@ _state = ctypes.POINTER(WaveState)
 SIGNATURES: dict[str, tuple[list[Any], Any]] = {
     "wave_expand": ([_state], _i64),
     "wave_merge": ([_state, _ptr, _ptr, _ptr, _i64], _i64),
-    "wave_run": ([_state, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64], _i64),
+    "wave_run": (
+        [_state, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64], _i64
+    ),
     "gather_dot": (
         [_ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr],
         _i64,
@@ -140,6 +145,13 @@ def check(status: int) -> None:
         raise MemoryError("native kernel: out of memory")
     if status < 0:
         raise RuntimeError(f"native kernel refused its input (status {status})")
+
+
+def address(buffer: Any) -> int:
+    """The address of a writable, C-contiguous, non-empty buffer's first
+    byte — what ``ndarray.ctypes.data`` reads, at under half its cost;
+    a read-only, strided or empty buffer raises instead."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(buffer))
 
 
 def declare(kernel: ctypes.CDLL) -> ctypes.CDLL:

@@ -24,8 +24,10 @@ __all__ = [
 def pack_adjacency(neighbors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Flatten a ragged adjacency list into (flat, offsets) CSR form."""
     offsets = np.zeros(len(neighbors) + 1, dtype=np.int64)
-    for i, adj in enumerate(neighbors):
-        offsets[i + 1] = offsets[i] + len(adj)
+    np.cumsum(
+        np.fromiter(map(len, neighbors), dtype=np.int64, count=len(neighbors)),
+        out=offsets[1:],
+    )
     if offsets[-1] == 0:
         flat = np.empty(0, dtype=np.int32)
     else:

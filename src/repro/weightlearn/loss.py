@@ -7,8 +7,8 @@ The paper's loss (Eq. 6) for a minibatch of anchors ``p``::
 Because ``IP(p̂,ô) = Σ_i ω_i² · IP_i(p,o)`` (Lemma 1), the loss depends on
 the weights only through a linear form of ``ω²`` over per-modality
 similarity *features*.  The gradient is therefore exact and closed-form —
-no autograd framework needed (this replaces the paper's PyTorch module,
-see DESIGN.md §2)::
+no autograd framework needed (this replaces the paper's PyTorch module;
+the README's "Module map" places it in :mod:`repro.weightlearn`)::
 
     ∂L/∂ω_i = 2·ω_i · 1/M · Σ_p Σ_c (softmax_c − 1[c = positive]) · F[p,c,i]
 """

@@ -489,7 +489,8 @@ def lemma3_checked(run, monkeypatch):
     """``run()`` with Lemma 3 asserted on every merge of every graph
     traversal (:func:`assert_lemma3`): ``merge`` on both bookkeepings
     checks the rows it returns, and the native bookkeeping's one-call
-    ``run`` is switched off, so every traversal steps from Python."""
+    ``run`` is switched off, so every traversal, its init included,
+    steps from Python."""
     import repro.index.graph_wave as gw
 
     def checked(merge):

@@ -51,7 +51,7 @@ class TestTableFormatting:
 class TestReportRegistry:
     def test_registry_covers_every_paper_artifact(self):
         stems = [stem for stem, _ in _registry()]
-        # The experiment index of DESIGN.md §4 — every table and figure.
+        # The experiment index (report._registry) — every table and figure.
         for artifact in (
             "tab3", "tab4", "tab5", "tab6", "tab7", "tab8", "tab9",
             "tab10", "tab11", "tab12", "tab21",

@@ -111,6 +111,48 @@ class TestFrozenCopy:
         live = joint_search(index, queries[0], k=10, l=60)
         assert not set(live.ids.tolist()) & set(before.ids[:5].tolist())
 
+    def test_copies_share_the_traversal_constants(self, built, monkeypatch):
+        """Built once, by ``frozen`` (under the writer's lock in a
+        service), and read as they are by every copy: the same max
+        degree and addresses, and no thread reading a copy builds them
+        again."""
+        import threading
+
+        from repro.index import base
+
+        _, index, queries = built
+        packed: list[int] = []
+        pack = base.pack_adjacency
+        monkeypatch.setattr(
+            base, "pack_adjacency", lambda adj: packed.append(1) or pack(adj)
+        )
+        assert index._csr == []
+        copies = [index.frozen() for _ in range(3)]
+        assert packed == [1]
+        source = index.traversal_constants()
+        flat, offsets = index.csr_adjacency()
+        assert source.max_degree == max(len(adj) for adj in index.neighbors)
+        assert source.flat_ptr == flat.ctypes.data
+        assert source.offsets_ptr == offsets.ctypes.data
+        assert source.entry_ptr == index.entry_points(1).ctypes.data
+        for copy in copies:
+            assert copy.traversal_constants() is source
+        answers: dict[int, np.ndarray] = {}
+
+        def read(i: int) -> None:
+            answers[i] = joint_search(copies[i % 3], queries[i], k=10, l=60).ids
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert packed == [1] and len(answers) == 6
+        for i, ids in answers.items():
+            np.testing.assert_array_equal(
+                ids, joint_search(index, queries[i], k=10, l=60).ids
+            )
+
     def test_segmented_snapshot_is_made_of_frozen_copies(self):
         must = MUST(
             random_multivector_set(120, (8, 6), seed=3),
@@ -125,7 +167,7 @@ class TestFrozenCopy:
         for a, b in zip(frozen, live):
             assert a.index is not b.index
             assert a.index.neighbors is b.index.neighbors
-            assert a.index._entry_order is b.index._entry_order is not None
+            assert a.index._csr is b.index._csr and a.index._csr
         must.mark_deleted(np.array([2]))
         assert sum(seg.num_active for seg in frozen) == must.segments.num_active + 1
 

@@ -9,19 +9,23 @@ The headline contracts pinned here:
 * ``l`` is clamped to the corpus size once, in
   ``SearchOptions.resolve``, on every surface (direct, snapshot,
   served) of the single-graph *and* segmented layouts, and an explicit
-  ``l < k`` is the same error everywhere.
+  ``l < k`` is the same error everywhere;
+* a query whose modality widths or count differ from the index's, or
+  with a modality that is not finite, is refused with one error on
+  every plan, before anything is scored.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from repro.core.attributes import AttributeTable
 from repro.core.framework import MUST
-from repro.core.multivector import MultiVectorSet
+from repro.core.multivector import MultiVector, MultiVectorSet
 from repro.core.query import (
     And,
     Eq,
@@ -423,3 +427,77 @@ class TestLClamp:
         with built_must.serve() as svc:
             with pytest.raises(ValueError, match=message):
                 svc.submit(queries[0], opts).result(30)
+
+
+class TestQueryFitsTheIndex:
+    """Widths, modality count and finiteness are checked once, in
+    ``execute``, which every plan passes through.  Before, widths 17 + 7
+    against a 16 + 8 index answered on every graph plan, 15 + 8 failed
+    with NumPy's broadcast error, and a NaN modality answered ``[]`` on
+    the graph plans and k ids on the exact one."""
+
+    PLANS = ["lone", "batch", "segmented", "exact", "segmented exact"]
+
+    @pytest.fixture(scope="class")
+    def segmented(self):
+        must = MUST(
+            random_multivector_set(120, DIMS, seed=9),
+            weights=WEIGHTS,
+            segment_policy=SegmentPolicy(seal_size=48, max_segments=8),
+        ).build()
+        must.insert(random_multivector_set(60, DIMS, seed=10))
+        return must
+
+    @staticmethod
+    def _ask(plan, built_must, segmented, query):
+        fine = random_query(DIMS, seed=4)
+        graph, exact = SearchOptions(k=5, l=30), SearchOptions(k=5, exact=True)
+        if plan == "lone":
+            return built_must.query(query, graph)
+        if plan == "batch":
+            return built_must.query([fine, query], graph)
+        if plan == "segmented":
+            return segmented.query([fine, query], graph)
+        if plan == "exact":
+            return built_must.query(query, exact)
+        return segmented.query(query, exact)
+
+    @staticmethod
+    def _query(widths, bad=None):
+        rng = np.random.default_rng(5)
+        vectors = [rng.standard_normal(w).astype(np.float32) for w in widths]
+        if bad is not None:
+            vectors[1][2] = bad
+        return MultiVector(tuple(vectors))
+
+    @pytest.mark.parametrize("plan", PLANS)
+    @pytest.mark.parametrize(
+        "widths, bad, message",
+        [
+            ((17, 7), None, "query modality 0 is 17 wide, the index's is 16"),
+            ((15, 8), None, "query modality 0 is 15 wide, the index's is 16"),
+            ((16, 9), None, "query modality 1 is 9 wide, the index's is 8"),
+            ((16, 8), np.nan, "query modality 1 is not finite"),
+            ((16, 8), -np.inf, "query modality 1 is not finite"),
+            ((16,), None, "query has 1 modalities, the index 2"),
+        ],
+        ids=["17+7", "15+8", "16+9", "nan", "-inf", "one modality"],
+    )
+    def test_refused_on_every_plan_before_scoring(
+        self, built_must, segmented, plan, widths, bad, message, monkeypatch
+    ):
+        from repro.index import flat, graph_wave
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored before the query check")
+
+        monkeypatch.setattr(graph_wave._Wave, "__init__", no_scoring)
+        monkeypatch.setattr(flat.FlatIndex, "batch_search", no_scoring)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self._ask(plan, built_must, segmented, self._query(widths, bad))
+
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_an_absent_modality_fits(self, built_must, segmented, plan):
+        query = MultiVector((None, random_query(DIMS, seed=6).vectors[1]))
+        answer = self._ask(plan, built_must, segmented, query)
+        assert len(answer if plan == "lone" or "exact" in plan else answer[1]) > 0

@@ -5,8 +5,8 @@
 wave when it loaded: two of bookkeeping, a gather-dot scoring the
 frontier's dense rows, and on a PQ store one ``adc_gather`` per
 modality summing its rows' lookup tables.  A traversal whose rows all
-score through the concatenated matrix makes those calls' steps in one
-``wave_run`` call instead.  The pins:
+score through the concatenated matrix makes those calls' steps, its
+init wave's included, in one ``wave_run`` call instead.  The pins:
 
 * **bit parity** where the two paths do the same arithmetic — the
   native and the NumPy wave return the same ids, similarities,
@@ -18,10 +18,12 @@ score through the concatenated matrix makes those calls' steps in one
   traversal from Python); the two bookkeepings leave the same state
   after every step, and whole answers agree on generated tiny graphs
   whose dot products are exact in any order, Lemma 3 checked on both;
-* **one call per traversal** — ``wave_run`` leaves the native step
-  loop's pools, bitsets, counters, answers and frontier sizes bit for
-  bit, over every kind of row and on generated tiny graphs, and refuses
-  a frontier-size buffer it would overflow;
+* **one call per traversal** — ``wave_run``, which runs the init wave
+  too, leaves the native step loop's pools, bitsets, counters, answers
+  and frontier sizes bit for bit, over every kind of row and on
+  generated tiny graphs (rows with init lengths of their own included),
+  refuses a frontier-size buffer it would overflow, and refuses an init
+  length or entry id out of range before writing anything;
 * **the float contract** — ``gather_dot`` equals a NumPy loop over the
   eight lanes bit for bit (signed zeros, subnormals, overflow, NaN,
   ``-inf`` thresholds, any width), refuses out-of-range rows, and
@@ -463,6 +465,14 @@ def test_wave_run_is_the_step_loop(dense_index, queries, kind, m):
 OVERFLOW = -3  # native.c's status for a full output buffer
 
 
+def init_lengths(book):
+    """Each row's init length, as ``_NativeBookkeeping.run`` passes
+    them: the first ``min(l, n)`` of the entry order for a traversed
+    row, none for the others."""
+    wave = book.wave
+    return np.where(book.active, np.minimum(wave.l_inner_arr, wave.index.n), 0)
+
+
 @needs_native
 def test_wave_run_refuses_a_full_size_buffer(dense_index, queries, monkeypatch):
     """A traversal with waves left and no room to log them is refused,
@@ -474,9 +484,9 @@ def test_wave_run_refuses_a_full_size_buffer(dense_index, queries, monkeypatch):
             wave, sizes = self.wave, np.empty(0, dtype=np.int64)
             concat = wave.concat_mat
             status = self.kernel.wave_run(
-                self.state, concat.ctypes.data, *concat.shape,
-                wave.qmat.ctypes.data, wave.joint_acc.ctypes.data,
-                sizes.ctypes.data, 0,
+                self.state, self.graph.entry_ptr, init_lengths(self).ctypes.data,
+                concat.ctypes.data, *concat.shape, wave.qmat.ctypes.data,
+                wave.joint_acc.ctypes.data, sizes.ctypes.data, 0,
             )
             statuses.append(status)
             native.check(status)
@@ -839,19 +849,82 @@ def test_tiny_graphs_agree(
     l_over=st.integers(0, 40),
     m=st.sampled_from([1, 2, 8]),
     b=st.integers(1, 4),
+    per_row=st.booleans(),
 )
 def test_wave_run_is_the_step_loop_on_tiny_graphs(
-    seed, n, distinct, max_degree, deletion, k, l_over, m, b
+    seed, n, distinct, max_degree, deletion, k, l_over, m, b, per_row
 ):
     """Isolated vertices, self-loops, ties everywhere, rows that answer
-    short: ``wave_run`` still leaves the step loop's bits."""
+    short, and with *per_row* each row its own ``k`` and ``l`` (``l``
+    often past ``n``), so init lengths differ row by row: ``wave_run``,
+    init included, still leaves the step loop's bits."""
     graph, rng = _tiny_graph(seed, n, min(distinct, n), max_degree, deletion)
     batch = [MultiVector([_small_ints(rng, 4)]) for _ in range(b)]
+    rows = {}
+    if per_row:
+        ks = rng.integers(1, 44, b)
+        rows = dict(ks=ks.tolist(), ls=(ks + rng.integers(0, 2 * n, b)).tolist())
     assert_wave_run_is_the_step_loop(
         lambda: graph_wave_search(
-            graph, batch, k=k, l=k + l_over, expansions_per_wave=m
+            graph, batch, k=k, l=k + l_over, expansions_per_wave=m, **rows
         )
     )
+
+
+@needs_native
+def test_wave_run_refuses_an_init_out_of_range():
+    """An init length outside ``[0, n]`` or an entry id outside ``[0,
+    n)`` is refused with INVALID before anything is written — pools,
+    bitsets, scratch and counters keep their bytes — and no read goes
+    past the entry order's n ids (the sanitizer child runs this too)."""
+    graph, rng = _tiny_graph(7, 12, 12, 4, "none")
+    n = graph.n
+    batch = [MultiVector([_small_ints(rng, 4)]) for _ in range(3)]
+    entry = graph.entry_points(n)
+    at = np.arange(n)
+    cases = [
+        (entry, [2, -1, 3]),
+        (entry, [2, n + 1, 3]),
+        (np.where(at == 4, n, entry), [2, 5, 3]),
+        (np.where(at == 4, -1, entry), [2, 5, 3]),
+    ]
+    for order, lengths in cases:
+        wave = gw._Wave(
+            graph, batch, 3, 5, None, False, None, None, None, None,
+            np.zeros(len(batch), dtype=bool),
+        )
+        book = NATIVE(wave, wave.alive.copy(), 8, native.lib)
+        written = [
+            book.route_ids, book.route_sims, book.route_dead, book.seen,
+            book.thr, book.owner, book.cand, book.rows, book.sizes,
+            wave.res_ids, wave.res_sims, wave.hops, wave.joint_acc,
+        ]
+        before = [a.tobytes() for a in written]
+        order = np.array(order, dtype=np.int64)  # exactly n ids
+        lengths = np.array(lengths, dtype=np.int64)
+        concat, qmat = wave.concat_mat, wave.qmat
+        status = native.lib.wave_run(
+            book.state, order.ctypes.data, lengths.ctypes.data,
+            concat.ctypes.data, *concat.shape, qmat.ctypes.data,
+            wave.joint_acc.ctypes.data, book.sizes.ctypes.data,
+            book.sizes.size,
+        )
+        assert status == INVALID
+        assert [a.tobytes() for a in written] == before
+
+
+def test_address_reads_what_ctypes_data_reads():
+    """``native.address`` is ``ndarray.ctypes.data`` for the writable
+    contiguous arrays the wave hands the kernel, and refuses the rest
+    instead of handing out an address the kernel could write through."""
+    block = np.zeros(64, dtype=np.uint8)
+    for array in (block, block[8:].view(np.int64), np.zeros((3, 5))):
+        assert native.address(array) == array.ctypes.data
+    read_only = np.zeros(4)
+    read_only.setflags(write=False)
+    for refused in (read_only, np.zeros((4, 4))[:, 1], np.zeros(0)):
+        with pytest.raises((TypeError, ValueError, BufferError)):
+            native.address(refused)
 
 
 class TestLoader:
@@ -879,7 +952,8 @@ class TestLoader:
 
     def test_the_properties_run_clean_under_sanitizers(self, tmp_path):
         """A build with AddressSanitizer and UBSan runs the tiny-graph
-        (stepped and ``wave_run``), lane-contract and PQ-sum properties,
+        (stepped and ``wave_run``), ``wave_run``'s init refusals,
+        lane-contract and PQ-sum properties,
         and the build's local-join and greedy-pick ones
         (``test_index_construction``), in a child with the runtimes
         preloaded; any out-of-bounds access or undefined behaviour kills
@@ -914,6 +988,7 @@ class TestLoader:
             "import test_wave_kernel as t\n"
             "t.test_tiny_graphs_agree()\n"
             "t.test_wave_run_is_the_step_loop_on_tiny_graphs()\n"
+            "t.test_wave_run_refuses_an_init_out_of_range()\n"
             "t.test_gather_dot_is_the_lane_contract()\n"
             "t.test_adc_gather_is_the_subspace_sum()\n"
             "import test_index_construction as c\n"

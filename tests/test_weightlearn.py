@@ -47,7 +47,7 @@ class TestLoss:
         st.floats(0.1, 2.0), st.floats(0.1, 2.0),
     )
     def test_gradient_matches_finite_differences(self, features, w0, w1):
-        """The analytic gradient is exact (DESIGN.md §2 substitution)."""
+        """The analytic gradient is exact (the PyTorch substitution)."""
         omegas = np.array([w0, w1])
         loss, grad = contrastive_loss_and_grad(features, omegas)
         eps = 1e-6
