@@ -10,8 +10,8 @@ interpreted:
   per-query ``weights`` (Fig. 4(g) Option 2), a structured ``filter``,
   and a per-query ``k`` override.
 * :class:`SearchOptions` — the execution plan shared by a wave of
-  queries (``k``, ``l``, ``exact``, ``refine``, ``early_termination``,
-  ``engine``, ``collection``, ``sparse_engine``), validated once at
+  queries (``k``, ``l``, ``exact``, ``refine``, ``engine``,
+  ``collection``, ``sparse_engine``), validated once at
   construction with errors that name the offending field; a misspelled
   field name is a ``TypeError`` from the dataclass constructor.  A plan
   carries no seed: an answer is a function of the index and the query.
@@ -339,8 +339,8 @@ class SearchOptions:
     """The validated execution plan for one search or one wave of them.
 
     Field errors name the field; an unknown field name is a
-    ``TypeError`` from the constructor, so a typo'd
-    ``early_terminatoin=`` fails loudly instead of being dropped.
+    ``TypeError`` from the constructor, so a typo'd ``refien=`` fails
+    loudly instead of being dropped.
 
     ``refine=r`` is the two-stage rerank for compressed stores: the top
     ``r·k`` hot-tier survivors are re-scored against the exact cold
@@ -368,7 +368,6 @@ class SearchOptions:
     l: int = 100
     exact: bool = False
     refine: "int | None" = None
-    early_termination: bool = False
     engine: str = "auto"
     collection: "str | None" = None
     sparse_engine: str = "auto"
@@ -396,11 +395,6 @@ class SearchOptions:
             or (type(self.refine) is int and self.refine >= 1),
             f"SearchOptions.refine must be an int >= 1 or None, got "
             f"{self.refine!r}",
-        )
-        require(
-            isinstance(self.early_termination, bool),
-            f"SearchOptions.early_termination must be a bool, got "
-            f"{self.early_termination!r}",
         )
         # A wrong engine name fails here with a did-you-mean instead of
         # deep inside a searcher.  Each field has two names, so the

@@ -17,7 +17,10 @@ class SearchStats:
     ``modality_evals`` counts per-modality vector similarity evaluations —
     the unit the multi-vector computation optimisation (Lemma 4) saves.
     A full joint similarity over ``m`` modalities costs ``m`` modality
-    evaluations; an early-terminated one costs fewer.
+    evaluations; an early-terminated one costs fewer.  No search plan
+    terminates early, so ``pruned_early`` is filled only by the Lemma-4
+    reference of Fig. 10(c) (:mod:`repro.bench.efficiency`) and reads 0
+    on every answer.
 
     ``segments_probed`` counts how many index segments contributed to the
     answer: 0 for a classic single-graph search, ≥1 when the query went

@@ -9,20 +9,22 @@ similarity kernel the indexes and searchers need:
 * query→corpus joint similarity in float64, over the whole corpus or an
   id subset: the exact plans' kernel and the ``refine=`` rerank.
 
-Frontier rows off the concat fast path — a compressed store, a
-zero-weight fallback, and the **incremental multi-vector computation**
-of §VII-B, where an object is discarded as soon as its partial-IP upper
-bound drops to the pruning threshold (lossless by Lemma 4) — are scored
-by :class:`~repro.index.scoring.StackedScorer` through each store's
-stacked kernel.
+Frontier rows off the concat fast path — a compressed store and a
+zero-weight fallback — are scored by
+:class:`~repro.index.scoring.StackedScorer` through each store's
+stacked kernel.  The **incremental multi-vector computation** of
+§VII-B, which discards an object as soon as its partial-IP upper bound
+drops to the pruning threshold, is no search plan; Fig. 10(c) counts it
+on the per-query reference :func:`repro.bench.efficiency.lemma4_scores`.
 
 All vectors are assumed L2-normalised, which gives the identity the paper
 uses in Eq. 8 (generalised to arbitrary weight totals ``S = Σ ω²``)::
 
     IP(q̂, û) = S − ½ · Σ_i ω_i² · ‖q_i − u_i‖²
 
-Scanning modalities in descending-weight order maximises early pruning and
-— by Lemma 4 — never changes any returned result.
+That reference scans modalities in descending-weight order, which
+maximises early pruning and — by Lemma 4 — never changes a returned
+result.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 * :class:`FusedIndexBuilder` — the paper's component-based pipeline
   (Algorithm 1), producing the re-assembled "Ours" index.
-* :func:`joint_search` — the merging-free joint search (Algorithm 2) with
-  the Lemma-4 multi-vector computation optimisation.
+* :func:`joint_search` — the merging-free joint search (Algorithm 2).
 * :mod:`repro.index.graphs` — KGraph / NSG / NSSG / HNSW / Vamana / HCNNG
   for the Fig. 10 ablation.
 * :class:`FlatIndex` — exact brute force (the MUST-- reference): the

@@ -145,7 +145,6 @@ class BatchExecutor:
         queries: Sequence[QueryLike],
         k: int,
         l: int,
-        early_termination: bool = False,
         refine: int | None = None,
     ) -> BatchResult:
         """Lockstep batched graph search — one stacked scoring call per
@@ -159,7 +158,6 @@ class BatchExecutor:
             queries,
             k=k,
             l=l,
-            early_termination=early_termination,
             refine=refine,
             filter_memo={},
         )
@@ -177,7 +175,6 @@ class BatchExecutor:
         queries: Sequence[QueryLike],
         k: int,
         l: int = 100,
-        early_termination: bool = False,
         refine: int | None = None,
     ) -> BatchResult:
         """Graph batch over a :class:`~repro.index.segments.SegmentView`
@@ -185,11 +182,7 @@ class BatchExecutor:
         the whole batch.  ``refine`` enables the two-stage
         full-precision rerank."""
         results, wave_stats = view.graph_wave(
-            list(queries),
-            k=k,
-            l=l,
-            early_termination=early_termination,
-            refine=refine,
+            list(queries), k=k, l=l, refine=refine
         )
         out = BatchResult(results, plan=f"graph/wave/{bookkeeping()}")
         out.stats.merge(wave_stats)
@@ -313,16 +306,10 @@ def execute(
                 queries[0],
                 k=opts.k,
                 l=opts.l,
-                early_termination=opts.early_termination,
                 refine=opts.refine,
             )
             return BatchResult([result], plan=f"graph/wave/{bookkeeping()}")
-    plan: dict[str, Any] = dict(
-        k=opts.k,
-        l=opts.l,
-        early_termination=opts.early_termination,
-        refine=opts.refine,
-    )
+    plan: dict[str, Any] = dict(k=opts.k, l=opts.l, refine=opts.refine)
     if isinstance(target, SegmentView):
         out = BatchExecutor.run_segmented(target, queries, **plan)
     else:

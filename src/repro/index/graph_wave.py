@@ -18,9 +18,9 @@ Each wave
    the ω-scaled concatenation, with each query's weights baked into its
    own concat column exactly as the exact wave does; every other row (a
    compressed store, a query that needs a modality the index weights
-   zeroed, a Lemma-4 plan) goes through one stacked kernel call per
-   modality (:class:`~repro.index.scoring.StackedScorer`, whose rows
-   carry the same bits in a stack of one, Lemma-4 pruning included),
+   zeroed) goes through one stacked kernel call per modality
+   (:class:`~repro.index.scoring.StackedScorer`, whose rows carry the
+   same bits in a stack of one),
 4. scatters the scores back into per-query result pools, visited
    bitsets, and routing pools.
 
@@ -49,8 +49,8 @@ A PQ store's rows are summed by the same library's ``adc_gather``, one
 call per modality, in the NumPy fallback's own order (sub-space by
 sub-space from a float32 zero), so they carry the same bits on both
 paths.  The other stacked-kernel rows (int8 stores, the zero-weight
-fallback, dense Lemma-4 steps), thresholds, rerank and fusion are NumPy
-on both paths, and bit-identical between them.
+fallback), thresholds, rerank and fusion are NumPy on both paths, and
+bit-identical between them.
 
 The engine is cut as *prepare → traverse → finalise* (:class:`_Wave`),
 and a scanned row skips the middle step: it is scored end to end by the
@@ -152,7 +152,6 @@ class _Wave:
         k: int,
         l: int,
         weights: Weights | None,
-        early_termination: bool,
         refine: int | None,
         filter_memo: FilterMemo | None,
         ks: Sequence[int] | None,
@@ -238,11 +237,10 @@ class _Wave:
             )
 
         self.stats_list = [SearchStats() for _ in range(b)]
-        # A row is fast when its query has a concat vector (Lemma 1) and
-        # no Lemma-4 scan is asked for; every other row is scored by one
-        # stacked kernel per modality.
+        # A row is fast when its query has a concat vector (Lemma 1);
+        # every other row is scored by one stacked kernel per modality.
         qcats = [
-            None if early_termination else space.concat_query(vec, w)
+            space.concat_query(vec, w)
             for vec, w in zip(self.vectors, self.per_weights)
         ]
         self.fast = np.array([q is not None for q in qcats], dtype=bool)
@@ -250,9 +248,7 @@ class _Wave:
         self.stack = (
             None
             if self.all_fast
-            else StackedScorer(
-                space, self.vectors, self.per_weights, early_termination
-            )
+            else StackedScorer(space, self.vectors, self.per_weights)
         )
         #: modalities a fast row's evaluation counts (the query's own).
         self.active_mods = np.array(
@@ -297,8 +293,7 @@ class _Wave:
         Two routes: one row-wise reduction covers every fast-path
         query's candidates (per-query weights already baked into its
         concat column, :meth:`dense`), and :class:`StackedScorer` covers
-        the rest with one stacked kernel call per modality (per modality
-        step under Lemma 4).
+        the rest with one stacked kernel call per modality.
         """
         if self.all_fast:
             return self.dense(owner, cand, thr)
@@ -452,13 +447,11 @@ class _Wave:
         taken = np.minimum(np.isfinite(res_sims).sum(axis=1), self.k_inner_arr)
         # A row is counted by the route that scored it, and only there.
         joint, modality = self.joint_acc, self.joint_acc * self.active_mods
-        pruned = np.zeros(self.b, dtype=np.int64)
         if self.stack is not None:
             joint = joint + self.stack.joint_evals
             modality = modality + self.stack.modality_evals
-            pruned = self.stack.pruned_early
         hops, evals = self.hops.tolist(), joint.tolist()
-        modality_evals, pruned_early = modality.tolist(), pruned.tolist()
+        modality_evals = modality.tolist()
         results: list[SearchResult] = []
         for i, take in enumerate(taken.tolist()):
             stats = self.stats_list[i]
@@ -466,7 +459,6 @@ class _Wave:
             stats.visited_vertices += hops[i]
             stats.joint_evals += evals[i]
             stats.modality_evals += modality_evals[i]
-            stats.pruned_early += pruned_early[i]
             top = order[i, :take]
             ids_o, sims_o = res_ids[i, top], res_sims[i, top]
             typed = self.hybrid[i]
@@ -810,7 +802,6 @@ def graph_wave_search(
     k: int,
     l: int,
     weights: Weights | None = None,
-    early_termination: bool = False,
     refine: int | None = None,
     filter_memo: FilterMemo | None = None,
     ks: Sequence[int] | None = None,
@@ -828,8 +819,6 @@ def graph_wave_search(
     Option 2); a typed :class:`~repro.core.query.Query` carries
     per-query weights, a ``k`` override and an attribute ``filter``,
     whose excluded vertices route but never report.
-    ``early_termination`` scores through the Lemma-4 incremental
-    computation — the same ids, fewer modality evaluations.
 
     ``ks``/``ls`` are per-query overrides used by the segmented layer,
     which sizes each segment probe individually.  ``scan`` is its other
@@ -867,8 +856,8 @@ def graph_wave_search(
     ``frontier_sizes`` — the observable amortisation.
     """
     return lockstep(
-        index, queries, k, l, weights, early_termination, refine,
-        filter_memo, ks, ls, expansions_per_wave, scan,
+        index, queries, k, l, weights, refine, filter_memo, ks, ls,
+        expansions_per_wave, scan,
     )
 
 
@@ -878,7 +867,6 @@ def lockstep(
     k: int,
     l: int,
     weights: Weights | None = None,
-    early_termination: bool = False,
     refine: int | None = None,
     filter_memo: FilterMemo | None = None,
     ks: Sequence[int] | None = None,
@@ -907,8 +895,7 @@ def lockstep(
     require(scanned.shape == (b,), "scan must flag every query")
 
     wave = _Wave(
-        index, queries, k, l, weights, early_termination, refine, filter_memo,
-        ks, ls, scanned,
+        index, queries, k, l, weights, refine, filter_memo, ks, ls, scanned,
     )
     wave.scan(np.flatnonzero(wave.alive & wave.scanned))
     wave.traverse(wave.alive & ~wave.scanned, expansions_per_wave, wave_stats)

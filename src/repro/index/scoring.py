@@ -8,20 +8,16 @@ the exact scan's prefilter, and the refine rerank.
   gather-dot or ``einsum``); :func:`batch_score_all` runs it as one GEMM
   for an exact scan.
 * :class:`StackedScorer` — **every other wave row**: a compressed store
-  (materialising the concatenation would undo the compression), a query
-  that needs a modality the index weights zeroed, and every row of a
-  Lemma-4 plan.  One :class:`~repro.store.ModalityKernel` per modality
-  (the store's one kernel) scores all of the batch's frontiers in one
-  store call, each row reduced on its own, so a row's score is the same
-  alone, in any frontier and in any batch — a lone query is a stack of
-  one.  With ``early_termination`` the same
-  kernels run the incremental multi-vector computation of §VII-B: each
-  query scans its modalities heaviest first and a row drops out once its
-  partial-IP upper bound cannot beat its query's pool threshold —
-  lossless by Lemma 4.  The kernels are the store's own: a PQ store's
-  sum their lookup-table entries in :mod:`repro.native`'s
-  ``adc_gather`` when the library loaded and in NumPy otherwise, to the
-  same bits; the int8 and dense kernels are NumPy on both paths.
+  (materialising the concatenation would undo the compression) and a
+  query that needs a modality the index weights zeroed.  One
+  :class:`~repro.store.ModalityKernel` per modality (the store's one
+  kernel) scores all of the batch's frontiers in one store call, each
+  row reduced on its own, so a row's score is the same alone, in any
+  frontier and in any batch — a lone query is a stack of one.  The
+  kernels are the store's own: a PQ store's sum their lookup-table
+  entries in :mod:`repro.native`'s ``adc_gather`` when the library
+  loaded and in NumPy otherwise, to the same bits; the int8 and dense
+  kernels are NumPy on both paths.
 * :func:`batch_score_all` — many queries × the whole corpus in float32,
   the exact plans' **prefilter**: it also says how far each of its
   scores can sit from the float64 kernel's, and
@@ -33,8 +29,10 @@ the exact scan's prefilter, and the refine rerank.
 
 The tests hold a :class:`StackedScorer` row to
 :meth:`~repro.core.space.JointSpace.query_ids_stable` (float64 over
-decoded rows) within the float32 dot-product bound, and its Lemma-4
-pass to a per-query scan, bit for bit and counter for counter.
+decoded rows) within the float32 dot-product bound.  The paper's
+Lemma-4 pruned evaluation (§VII-B) is not a plan here: it saves too few
+modality evaluations to pay for a per-step pass, so Fig. 10(c) counts
+it on the per-query reference in :mod:`repro.bench.efficiency`.
 """
 
 from __future__ import annotations
@@ -86,20 +84,12 @@ class StackedScorer:
     vectors of every batch member that carries the modality with a
     positive effective weight; ``score(owner, ids, thr)`` scores row
     ``ids[j]`` against query ``owner[j]`` with one store call per
-    modality (per modality *step* under Lemma 4).
+    modality, accumulating ``ω²·IP`` in float64 in modality order.  A
+    row's value depends on its own query and vertex alone, so a scorer
+    over a stack of one gives any row the bits it gets in a batch.
 
-    Full evaluation accumulates ``ω²·IP`` in float64 in modality order.
-    With ``early_termination`` each query scans its own modalities
-    heaviest ``ω²`` first (ties in modality order) from the bound
-    ``Σ ω²``, subtracting ``½·ω²·(2 − 2·IP)`` per step, and a row whose
-    bound is not above ``thr[owner]`` drops out between steps (Lemma 4).
-    Either way a row's value depends on its own query and vertex alone,
-    so a scorer over a stack of one gives any row the bits it gets in a
-    batch.
-
-    :attr:`joint_evals`, :attr:`modality_evals` and :attr:`pruned_early`
-    count per owner, as a query's
-    :class:`~repro.core.results.SearchStats` counts them.
+    :attr:`joint_evals` and :attr:`modality_evals` count per owner, as a
+    query's :class:`~repro.core.results.SearchStats` counts them.
     """
 
     def __init__(
@@ -107,7 +97,6 @@ class StackedScorer:
         space: JointSpace,
         queries: Sequence[MultiVector],
         weights: Sequence[Weights | None],
-        early_termination: bool = False,
     ) -> None:
         b = len(queries)
         self.b = b
@@ -129,25 +118,10 @@ class StackedScorer:
             self._kernels[i] = (
                 slot, space.store.stacked_kernel(i, stack.astype(np.float32))
             )
-        #: modalities each query scores (Lemma 4: at most).
+        #: modalities each query scores.
         self.num_kernels = carried.sum(axis=1).astype(np.int64)
         self.joint_evals = np.zeros(b, dtype=np.int64)
         self.modality_evals = np.zeros(b, dtype=np.int64)
-        self.pruned_early = np.zeros(b, dtype=np.int64)
-        #: Lemma 4's plan: per query its modalities heaviest first
-        #: (``-1`` past its last) and its starting bound ``Σ ω²``.
-        self._steps: np.ndarray | None = None
-        self._total = np.zeros(b, dtype=np.float64)
-        if early_termination:
-            self._steps = np.full(
-                (b, int(self.num_kernels.max())), -1, dtype=np.int64
-            )
-            for r in range(b):
-                order = sorted(
-                    np.flatnonzero(carried[r]).tolist(), key=lambda i: -w2[r, i]
-                )
-                self._steps[r, : len(order)] = order
-                self._total[r] = float(sum(w2[r, i] for i in order))
 
     def score(
         self, owner: np.ndarray, ids: np.ndarray, thr: np.ndarray
@@ -156,11 +130,8 @@ class StackedScorer:
         ``-inf`` where it is not above ``thr[owner[j]]``."""
         joint = np.bincount(owner, minlength=self.b)
         self.joint_evals += joint
-        if self._steps is None:
-            sims = self._full(owner, ids)
-            self.modality_evals += joint * self.num_kernels
-        else:
-            sims = self._pruned(owner, ids, thr, self._steps)
+        self.modality_evals += joint * self.num_kernels
+        sims = self._full(owner, ids)
         return np.where(sims > thr[owner], sims, -np.inf)
 
     def _full(self, owner: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -175,40 +146,6 @@ class StackedScorer:
                 part = kernel.ids(ids[carried], which[carried])
                 sims[carried] += w2_i[owner[carried]] * part.astype(np.float64)
         return sims
-
-    def _pruned(
-        self,
-        owner: np.ndarray,
-        ids: np.ndarray,
-        thr: np.ndarray,
-        steps: np.ndarray,
-    ) -> np.ndarray:
-        """Lemma 4 over a stacked frontier: the rows still alive after a
-        step are scored by the next step's kernels only.  A pruned row
-        keeps the bound it was dropped with, which is not above its
-        threshold."""
-        bound = self._total[owner]
-        last = self.num_kernels[owner] - 1
-        alive = np.flatnonzero(last >= 0)
-        for step in range(steps.shape[1]):
-            if alive.size == 0:
-                break
-            held = owner[alive]
-            modality = steps[held, step]
-            for i, (slot, kernel) in self._kernels.items():
-                sel = modality == i
-                if not sel.any():
-                    continue
-                rows, row_owner = alive[sel], held[sel]
-                ip = kernel.ids(ids[rows], slot[row_owner]).astype(np.float64)
-                # ‖q−u‖² = 2 − 2·(q·u) for unit vectors.
-                bound[rows] -= 0.5 * self._w2[row_owner, i] * (2.0 - 2.0 * ip)
-            self.modality_evals += np.bincount(held, minlength=self.b)
-            more = last[alive] > step
-            keep = more & (bound[alive] > thr[held])
-            self.pruned_early += np.bincount(held[more & ~keep], minlength=self.b)
-            alive = alive[keep]
-        return bound
 
 
 def batch_score_all(

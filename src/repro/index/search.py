@@ -39,7 +39,6 @@ def joint_search(
     k: int,
     l: int,
     weights: Weights | None = None,
-    early_termination: bool = False,
     refine: int | None = None,
     filter_memo: FilterMemo | None = None,
 ) -> SearchResult:
@@ -47,10 +46,6 @@ def joint_search(
 
     ``weights`` overrides the index weights at query time (user-defined
     weights, Fig. 4(g) Option 2); ``l`` trades accuracy for latency.
-    ``early_termination`` enables the Lemma-4 multi-vector optimisation;
-    it never changes the returned ids, only the modality evaluations
-    spent (see the ``fig10c_multivector`` entry of
-    ``benchmarks/bench_paper.py``).
 
     A typed :class:`Query` supplies per-query weights, a per-query ``k``
     override (which widens ``l`` as needed), an attribute ``filter``
@@ -76,8 +71,7 @@ def joint_search(
     across calls (:func:`~repro.core.query.compile_filter`).
     """
     (result,), wave_stats = lockstep(
-        index, [query], k=k, l=l, weights=weights,
-        early_termination=early_termination, refine=refine,
+        index, [query], k=k, l=l, weights=weights, refine=refine,
         filter_memo=filter_memo,
     )
     result.stats.merge(wave_stats)

@@ -571,7 +571,6 @@ class SegmentView:
         k: int = 10,
         l: int = 100,
         weights: Weights | None = None,
-        early_termination: bool = False,
         refine: int | None = None,
         filter_memo: dict | None = None,
     ) -> tuple[list[SearchResult], SearchStats]:
@@ -649,7 +648,6 @@ class SegmentView:
                 k=k,
                 l=l,
                 weights=weights,
-                early_termination=early_termination,
                 filter_memo=memo,
                 ks=[min(l_i, active) for l_i in ls],
                 ls=[min(l_i, seg.n) for l_i in ls],

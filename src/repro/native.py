@@ -18,8 +18,8 @@ those calls make.  A PQ store's rows
 (:mod:`repro.store.pq`: a whole wave's stacked frontier, or one query's
 rows) are summed by ``adc_gather`` in the NumPy fallback's own order —
 sub-space by sub-space from a float32 zero — so they carry the same
-bits on both paths.  int8 rows, dense Lemma-4 steps, thresholds,
-rerank and fusion are NumPy on both paths.
+bits on both paths.  int8 rows, thresholds, rerank and fusion are
+NumPy on both paths.
 
 The build (:mod:`repro.index.nndescent`, :mod:`repro.index.components`)
 keeps every float operation in NumPy and hands the library only its

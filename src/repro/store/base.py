@@ -171,7 +171,7 @@ class VectorStore(abc.ABC):
         against hot modality *i* — how the wave scores every row off
         the concat fast path (:class:`~repro.index.scoring.StackedScorer`):
         all rows of a compressed store, and on a dense one the rows of a
-        zero-weight fallback or a Lemma-4 plan."""
+        zero-weight fallback."""
 
     @abc.abstractmethod
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:

@@ -71,12 +71,12 @@ class ScalarQuantStore(VectorStore):
     ):
         self._codes = tuple(np.ascontiguousarray(c, dtype=np.uint8) for c in codes)
         self._lows = tuple(np.ascontiguousarray(v, dtype=np.float32) for v in lows)
-        self._steps = tuple(np.ascontiguousarray(v, dtype=np.float32) for v in steps)
-        require(len(self._codes) == len(self._lows) == len(self._steps),
+        self._scales = tuple(np.ascontiguousarray(v, dtype=np.float32) for v in steps)
+        require(len(self._codes) == len(self._lows) == len(self._scales),
                 "one (low, step) pair per modality required")
         n = self._codes[0].shape[0]
         for i, (c, lo, st) in enumerate(
-            zip(self._codes, self._lows, self._steps)
+            zip(self._codes, self._lows, self._scales)
         ):
             require(c.ndim == 2 and c.shape[0] == n,
                     f"modality {i} codes must be (n, d)")
@@ -98,12 +98,12 @@ class ScalarQuantStore(VectorStore):
     # -- decode / exact -------------------------------------------------
     def modality(self, i: int) -> np.ndarray:
         return (
-            self._codes[i].astype(np.float32) * self._steps[i] + self._lows[i]
+            self._codes[i].astype(np.float32) * self._scales[i] + self._lows[i]
         )
 
     def rows(self, i: int, ids: np.ndarray) -> np.ndarray:
         rows = self._codes[i][np.asarray(ids)].astype(np.float32)
-        return rows * self._steps[i] + self._lows[i]
+        return rows * self._scales[i] + self._lows[i]
 
     @property
     def has_exact(self) -> bool:
@@ -122,12 +122,12 @@ class ScalarQuantStore(VectorStore):
     # -- scoring --------------------------------------------------------
     def stacked_kernel(self, i: int, queries: np.ndarray) -> ModalityKernel:
         return _StackedSQKernel(
-            self._codes[i], self._lows[i], self._steps[i], queries
+            self._codes[i], self._lows[i], self._scales[i], queries
         )
 
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:
         q = np.ascontiguousarray(queries, dtype=np.float32)  # (b, d)
-        scaled = q * self._steps[i]
+        scaled = q * self._scales[i]
         offsets = q @ self._lows[i]  # (b,)
         scores: np.ndarray = self._codes[i] @ scaled.T + offsets[None, :]
         return scores
@@ -138,7 +138,7 @@ class ScalarQuantStore(VectorStore):
         # offset here, the two-op decode in the float64 reference), so
         # the dot bound applies to ‖code ⊙ step‖ + ‖low‖ — at most
         # 255·‖step‖ + ‖low‖, which needs no pass over the rows.
-        steps = self._steps[i].astype(np.float64)
+        steps = self._scales[i].astype(np.float64)
         lows = self._lows[i].astype(np.float64)
         reach = 255.0 * np.linalg.norm(steps) + np.linalg.norm(lows)
         q_norms = np.linalg.norm(np.asarray(queries, dtype=np.float64), axis=1)
@@ -150,14 +150,14 @@ class ScalarQuantStore(VectorStore):
         ids = np.asarray(ids)
         exact = None if self._exact is None else self._exact.subset(ids)
         return ScalarQuantStore(
-            [c[ids] for c in self._codes], self._lows, self._steps, exact
+            [c[ids] for c in self._codes], self._lows, self._scales, exact
         )
 
     def hot_bytes(self) -> int:
         return int(
             sum(c.nbytes for c in self._codes)
             + sum(v.nbytes for v in self._lows)
-            + sum(v.nbytes for v in self._steps)
+            + sum(v.nbytes for v in self._scales)
         )
 
     def cold_bytes(self) -> int:
@@ -172,7 +172,7 @@ class ScalarQuantStore(VectorStore):
         return self._exact
 
     def with_cold_plane(self, plane: ColdPlane | None) -> "ScalarQuantStore":
-        return ScalarQuantStore(self._codes, self._lows, self._steps, plane)
+        return ScalarQuantStore(self._codes, self._lows, self._scales, plane)
 
     # -- persistence ----------------------------------------------------
     def store_meta(self) -> dict[str, Any]:
@@ -185,7 +185,7 @@ class ScalarQuantStore(VectorStore):
         for i in range(self.num_modalities):
             out[f"codes_{i}"] = self._codes[i]
             out[f"qlow_{i}"] = self._lows[i]
-            out[f"qstep_{i}"] = self._steps[i]
+            out[f"qstep_{i}"] = self._scales[i]
             if self._exact is not None and self._exact.is_resident:
                 out[f"exact_{i}"] = self._exact.modality(i)
         return out

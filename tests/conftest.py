@@ -7,11 +7,11 @@ constructed once for the whole suite.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 
 import numpy as np
 import pytest
 
+from repro.bench.efficiency import heap_traverse, oracle_frontier
 from repro.core.multivector import MultiVector, MultiVectorSet, normalize_rows
 from repro.core.query import Query, as_query, unpack_query
 from repro.core.results import SearchResult, SearchStats
@@ -20,7 +20,7 @@ from repro.core.weights import Weights
 from repro.datasets import EncoderCombo, encode_dataset, make_mitstates
 from repro.index.base import GraphIndex
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.scoring import StackedScorer, rerank_exact
+from repro.index.scoring import rerank_exact
 from repro.sparse.hybrid import hybrid_union_rescore
 from repro.sparse.kernels import (
     BM25_B,
@@ -76,197 +76,12 @@ def stable_oracle(
     return SearchResult(reported[order], sims[order])
 
 
-def oracle_scores(
-    space: JointSpace,
-    query: MultiVector,
-    ids: np.ndarray,
-    weights: Weights | None,
-    stats: SearchStats,
-) -> np.ndarray:
-    """Joint similarities as the oracle scores them: one GEMV against
-    the ω-scaled concatenation where the query has a concat vector
-    (Lemma 1), a :class:`StackedScorer` over a stack of this one query
-    where it has none (a compressed store, a modality the index weights
-    zeroed), its work counters copied into *stats*."""
-    qcat = space.concat_query(query, weights)
-    if qcat is None:
-        scorer = StackedScorer(space, [query], [weights])
-        owner = np.zeros(ids.size, dtype=np.int64)
-        sims = scorer.score(owner, ids, np.full(1, -np.inf))
-        stats.joint_evals += int(scorer.joint_evals[0])
-        stats.modality_evals += int(scorer.modality_evals[0])
-        return sims
-    stats.joint_evals += int(ids.size)
-    stats.modality_evals += int(ids.size) * sum(
-        v is not None for v in query.vectors
-    )
-    return (space.concatenated[ids] @ qcat).astype(np.float64)
-
-
-def lemma4_scores(
-    space: JointSpace,
-    query: MultiVector,
-    ids: np.ndarray,
-    threshold: float,
-    weights: Weights | None = None,
-    stats: SearchStats | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lemma-4 pruned similarity evaluation of one query, modality by
-    modality: the reference of :class:`StackedScorer`'s pruned pass.
-
-    Returns ``(sims, exact)``: ``exact[j]`` is True when ``sims[j]`` is
-    the joint similarity of ``ids[j]``; when False the row was pruned
-    because its upper bound fell to ``threshold`` or below (so its
-    similarity is too), and ``sims[j]`` holds the bound it was pruned
-    with.  Modalities are scanned heaviest ``ω²`` first (ties in
-    modality order), each through the store's kernel over a stack of
-    this one query.
-    """
-    ids = np.asarray(ids)
-    w2 = space.effective_squared_weights(query, weights)
-    active = [
-        i for i, q in enumerate(query.vectors) if q is not None and w2[i] > 0.0
-    ]
-    active.sort(key=lambda i: -w2[i])
-    bound = np.full(ids.shape[0], float(sum(w2[i] for i in active)))
-    alive = np.arange(ids.shape[0])
-    if stats is not None:
-        stats.joint_evals += int(ids.shape[0])
-    for step, i in enumerate(active):
-        kernel = space.store.stacked_kernel(
-            i, query.vectors[i].astype(np.float32)[None]
-        )
-        owner = np.zeros(alive.shape[0], dtype=np.int64)
-        ip = kernel.ids(ids[alive], owner).astype(np.float64)
-        # ‖q−u‖² = 2 − 2·(q·u) for unit vectors.
-        bound[alive] -= 0.5 * w2[i] * (2.0 - 2.0 * ip)
-        if stats is not None:
-            stats.modality_evals += int(alive.shape[0])
-        if step < len(active) - 1:
-            survivors = bound[alive] > threshold
-            if stats is not None:
-                stats.pruned_early += int(alive.shape[0] - survivors.sum())
-            alive = alive[survivors]
-            if alive.size == 0:
-                break
-    exact = bound > threshold
-    # A row that survived every step holds its exact similarity even if
-    # it ended at or below the threshold (Lemma 4, second clause).
-    exact[alive] = True
-    return bound, exact
-
-
-def oracle_frontier(
-    space: JointSpace,
-    query: MultiVector,
-    ids: np.ndarray,
-    threshold: float,
-    weights: Weights | None,
-    early_termination: bool,
-    stats: SearchStats,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(sims, keep)`` of one frontier against a pruning *threshold*:
-    :func:`oracle_scores`, or under ``early_termination`` the Lemma-4
-    scan :func:`lemma4_scores` (a pruned row carries its bound, which is
-    not above the threshold)."""
-    if early_termination:
-        sims, exact = lemma4_scores(
-            space, query, ids, threshold, weights=weights, stats=stats
-        )
-        return sims, exact & (sims > threshold)
-    sims = oracle_scores(space, query, ids, weights, stats)
-    return sims, sims > threshold
-
-
-def heap_traverse(
-    index: GraphIndex,
-    query: MultiVector,
-    k: int,
-    l: int,
-    weights: Weights | None,
-    early_termination: bool,
-    excluded: np.ndarray | None,
-    reportable: int,
-) -> SearchResult:
-    """Algorithm 2 as the classic per-query two-heap loop: the oracle
-    the lockstep wave is held to.
-
-    One :func:`oracle_frontier` call per hop (the init's with a -inf
-    threshold), the threshold re-read from the result heap wherever it
-    is needed, an unbounded candidate heap — excluded vertices route but
-    never enter the results.  At ``expansions_per_wave=1`` a lone wave
-    query that excludes nothing expands what this expands, in the same
-    order.  Every replacement in a full result heap asserts Lemma 3.
-    """
-    space = index.space
-    stats = SearchStats()
-
-    def frontier(ids: np.ndarray, threshold: float):
-        return oracle_frontier(
-            space, query, ids, threshold, weights, early_termination, stats
-        )
-
-    r_ids = index.entry_points(l)
-    seen = np.zeros(space.n, dtype=bool)
-    seen[r_ids] = True
-    init_sims, _ = frontier(r_ids, -np.inf)
-    cap = min(l, reportable)
-    results = [
-        (float(s), int(v))
-        for s, v in zip(init_sims, r_ids)
-        if excluded is None or not excluded[v]
-    ]
-    heapq.heapify(results)
-    candidates = [(-float(s), int(v)) for s, v in zip(init_sims, r_ids)]
-    heapq.heapify(candidates)
-    total = float(sum(s for s, _ in results))
-
-    def threshold_now() -> float:
-        return results[0][0] if len(results) >= cap else -np.inf
-
-    while candidates:
-        neg_sim, v = heapq.heappop(candidates)
-        if -neg_sim < threshold_now():
-            break
-        stats.hops += 1
-        stats.visited_vertices += 1
-        adj = index.neighbors[v]
-        fresh = adj[~seen[adj]]
-        if fresh.size == 0:
-            continue
-        seen[fresh] = True
-        threshold = threshold_now()
-        sims, keep = frontier(fresh, threshold)
-        for j in np.flatnonzero(keep):
-            sim, u = float(sims[j]), int(fresh[j])
-            if sim <= threshold_now():
-                continue
-            heapq.heappush(candidates, (-sim, u))
-            if excluded is not None and excluded[u]:
-                continue
-            if len(results) < cap:
-                heapq.heappush(results, (sim, u))
-                total += sim
-                continue
-            dropped = heapq.heappushpop(results, (sim, u))
-            new_total = total + sim - dropped[0]
-            assert new_total >= total - 1e-9, "Lemma 3 violated"
-            total = new_total
-    ranked = sorted(results, key=lambda t: (-t[0], t[1]))[:k]
-    return SearchResult(
-        ids=np.asarray([v for _, v in ranked], dtype=np.int64),
-        similarities=np.asarray([s for s, _ in ranked]),
-        stats=stats,
-    )
-
-
 def heap_search(
     index: GraphIndex,
     query: MultiVector | Query,
     k: int,
     l: int,
     weights: Weights | None = None,
-    early_termination: bool = False,
     refine: int | None = None,
     scan: bool = False,
 ) -> SearchResult:
@@ -297,7 +112,7 @@ def heap_search(
         order = index.entry_points(index.n)
         sims = np.empty(index.n)
         sims[order], _ = oracle_frontier(
-            index.space, vec, order, -np.inf, w, early_termination, stats
+            index.space, vec, order, -np.inf, w, False, stats
         )
         if excluded is not None:
             sims[excluded] = -np.inf
@@ -305,8 +120,7 @@ def heap_search(
         res = SearchResult(top[:k_inner], sims[top[:k_inner]], stats)
     else:
         res = heap_traverse(
-            index, vec, k_inner, l_inner, w, early_termination, excluded,
-            reportable,
+            index, vec, k_inner, l_inner, w, False, excluded, reportable
         )
     if typed.sparse is not None:
         ids, sims = hybrid_union_rescore(

@@ -3,8 +3,8 @@
 The contract under test: a batch ``MUST.query`` through the
 :class:`~repro.index.executor.BatchExecutor` runners returns
 **bit-identical** ids and similarities to a hand-written sequential
-loop of lone queries — for every batch size, with and without Lemma-4
-early termination and query-time weight overrides.
+loop of lone queries — for every batch size, with and without
+query-time weight overrides.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench.efficiency import oracle_scores
 from repro.core.framework import MUST
 from repro.core.query import Query, SearchOptions
 from repro.core.results import SearchStats
@@ -22,12 +23,7 @@ from repro.index.graph_wave import bookkeeping, graph_wave_search
 from repro.index.scoring import StackedScorer, batch_score_all
 from repro.index.search import joint_search
 
-from tests.conftest import (
-    lemma4_scores,
-    oracle_scores,
-    random_multivector_set,
-    random_query,
-)
+from tests.conftest import random_multivector_set, random_query
 
 N = 350
 DIMS = (10, 6)
@@ -63,10 +59,11 @@ def wave_of_one_reference(must, queries, **kwargs):
 # The two one-query surfaces of the wave: ``joint_search``, which runs
 # the wave in its own frame, and ``graph_wave_search`` over one query.
 # The ids keep the names of the per-query engines whose loops these two
-# replaced, so each case keeps the name it has always had.
+# replaced, led by the value of the retired Lemma-4 flag they once ran
+# beside, so each case keeps the name it has always had.
 LONE_LOOPS = [
-    pytest.param(sequential_reference, id="heap"),
-    pytest.param(wave_of_one_reference, id="paper"),
+    pytest.param(sequential_reference, id="False-heap"),
+    pytest.param(wave_of_one_reference, id="False-paper"),
 ]
 
 
@@ -75,18 +72,12 @@ class TestGraphParity:
     # size of the batch must not change any one of them.
     @pytest.mark.parametrize("stop", [1, 2, 4, -1])
     @pytest.mark.parametrize("lone_loop", LONE_LOOPS)
-    @pytest.mark.parametrize("early_termination", [False, True])
     def test_bit_identical_to_sequential_loop(
-        self, must, queries, stop, lone_loop, early_termination
+        self, must, queries, stop, lone_loop
     ):
         queries = queries[:stop]
-        expected = lone_loop(
-            must, queries, early_termination=early_termination
-        )
-        got = must.query(
-            queries,
-            SearchOptions(k=K, l=L, early_termination=early_termination),
-        )
+        expected = lone_loop(must, queries)
+        got = must.query(queries, SearchOptions(k=K, l=L))
         assert got.plan == f"graph/wave/{bookkeeping()}"
         assert len(got) == len(expected)
         for res, ref in zip(got, expected):
@@ -172,8 +163,8 @@ class TestExactBatch:
 
 class TestScorerUnification:
     """The wave's two frontier routes — the concat fast path and the
-    stacked kernels — agree with each other, with the exact plans'
-    float64 kernel, and under Lemma 4 with the per-query oracle."""
+    stacked kernels — agree with each other and with the exact plans'
+    float64 kernel."""
 
     @staticmethod
     def _frontier(b):
@@ -199,46 +190,13 @@ class TestScorerUnification:
                 via_fast, got[rows], rtol=1e-5, atol=1e-6
             )
 
-    def test_pruned_frontier_mask_is_lossless(self, must, queries):
-        space, b = must.space, len(queries)
-        owner, ids = self._frontier(b)
-        thr = np.full(b, 0.4)
-        plain = StackedScorer(space, queries, [None] * b)
-        pruned = StackedScorer(
-            space, queries, [None] * b, early_termination=True
-        )
-        sims = plain.score(owner, ids, thr)
-        psims = pruned.score(owner, ids, thr)
-        keep = np.isfinite(sims)
-        assert keep.any() and not keep.all()
-        assert np.array_equal(keep, np.isfinite(psims))  # Lemma 4
-        np.testing.assert_allclose(
-            sims[keep], psims[keep], rtol=1e-5, atol=1e-6
-        )
-        for o, q in enumerate(queries):
-            rows = owner == o
-            ref, exact = lemma4_scores(space, q, ids[rows], 0.4)
-            ref = np.where(exact & (ref > 0.4), ref, -np.inf)
-            np.testing.assert_array_equal(psims[rows], ref)
-
     def test_stats_accounting_matches_scan(self, must, queries):
         space, b = must.space, len(queries)
         owner, ids = self._frontier(b)
-        thr = np.full(b, 0.4)
         plain = StackedScorer(space, queries, [None] * b)
-        pruned = StackedScorer(
-            space, queries, [None] * b, early_termination=True
-        )
-        plain.score(owner, ids, thr)
-        pruned.score(owner, ids, thr)
+        plain.score(owner, ids, np.full(b, 0.4))
+        assert (plain.joint_evals == N // 5).all()
         assert (plain.modality_evals == (N // 5) * len(DIMS)).all()
-        assert not plain.pruned_early.any()
-        assert pruned.pruned_early.sum() > 0
-        for o, q in enumerate(queries):
-            stats = SearchStats()
-            lemma4_scores(space, q, ids[owner == o], 0.4, stats=stats)
-            assert pruned.modality_evals[o] == stats.modality_evals
-            assert pruned.pruned_early[o] == stats.pruned_early
 
 
 class TestBaselineBatchPaths:

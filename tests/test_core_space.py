@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.efficiency import lemma4_scores
 from repro.core.multivector import MultiVector
 from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 
-from tests.conftest import lemma4_scores, random_multivector_set, random_query
+from tests.conftest import random_multivector_set, random_query
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +140,8 @@ class TestQueryKernels:
 class TestLemma4EarlyStop:
     """Pruned evaluation is lossless: every exact value matches, every
     pruned object's true similarity is at or below the threshold.  The
-    scan is the test suite's per-query Lemma-4 oracle, the reference of
-    ``StackedScorer``'s pruned pass."""
+    scan is Fig. 10(c)'s per-query Lemma-4 reference
+    (:func:`repro.bench.efficiency.lemma4_scores`)."""
 
     def _check(self, space, q, ids, threshold):
         sims, exact = lemma4_scores(space, q, ids, threshold)
@@ -177,9 +178,27 @@ class TestLemma4EarlyStop:
         stats = SearchStats()
         lemma4_scores(space, q, np.arange(40), 0.95, stats=stats)
         assert stats.joint_evals == 40
-        # Heavier modality scanned for all, lighter only for survivors.
-        assert stats.modality_evals <= 80
-        assert stats.pruned_early >= 0
+        # Heavier modality scanned for all, lighter only for survivors:
+        # after it every bound is at most 0.09 + 0.49, below 0.95.
+        assert stats.pruned_early == 40
+        assert stats.modality_evals + stats.pruned_early == 80
+
+    def test_three_modalities_spend_fewer_evaluations(self):
+        """At m = 3 a threshold inside the scores' range prunes rows
+        before their last modality, and every row it keeps is exact."""
+        dims = (8, 6, 4)
+        space = JointSpace(random_multivector_set(80, dims, seed=5),
+                           Weights([0.5, 0.3, 0.2]))
+        q = random_query(dims, seed=6)
+        ids = np.arange(80)
+        truth = space.query_ids_stable(q, ids)
+        threshold = float(np.quantile(truth, 0.75))
+        stats = SearchStats()
+        sims, exact = lemma4_scores(space, q, ids, threshold, stats=stats)
+        assert 0 < stats.pruned_early < 80
+        assert stats.modality_evals < 3 * stats.joint_evals
+        assert np.allclose(sims[exact], truth[exact], atol=1e-5)
+        assert np.all(truth[~exact] <= threshold + 1e-5)
 
     def test_missing_modality_early_stop(self, space):
         q = random_query((8, 5), seed=4).replace(1, None)

@@ -25,7 +25,7 @@ import pytest
 
 from repro import native
 from repro.core.framework import MUST
-from repro.core.multivector import MultiVector, MultiVectorSet, normalize_rows
+from repro.core.multivector import MultiVector, MultiVectorSet
 from repro.core.query import Eq, Query, SearchOptions
 from repro.core.results import SearchStats
 from repro.core.space import JointSpace
@@ -148,8 +148,8 @@ class TestCompressedParity:
 @pytest.mark.parametrize("kind", ["pq", "int8", "none"])
 class TestStackedKernels:
     """Every row off the concat fast path — all of a compressed store's,
-    a dense store's zero-weight-fallback and Lemma-4 rows — is scored by
-    one stacked kernel call per modality.  Every value must carry the
+    a dense store's zero-weight-fallback rows — is scored by one stacked
+    kernel call per modality.  Every value must carry the
     bits its query gets in a stack of one, and sit within the float32
     dot-product bound of the float64 product with the decoded row."""
 
@@ -238,7 +238,7 @@ class TestStackedKernels:
             )
             stable = space.query_ids_stable(q, ids[rows], weights=w)
             assert (np.abs(got[rows] - stable) <= eps).all()
-        assert stack.modality_evals[1] == 0 and not stack.pruned_early.any()
+        assert stack.modality_evals[1] == 0
 
     def test_compressed_wave_is_composition_independent(
         self, objects, stack_queries, kind
@@ -263,63 +263,15 @@ def _same(got, want):
     """Bit for bit: ids, similarity payloads and the work counters."""
     np.testing.assert_array_equal(got.ids, want.ids)
     assert got.similarities.tobytes() == want.similarities.tobytes()
-    for field in ("hops", "joint_evals", "modality_evals", "pruned_early"):
+    for field in ("hops", "joint_evals", "modality_evals"):
         assert getattr(got.stats, field) == getattr(want.stats, field), field
 
 
 class TestStackedRows:
     """The rows :class:`StackedScorer` owns beyond a compressed store's:
-    Lemma-4 rows, each scanning its own modalities heaviest first, and a
-    dense store's zero-weight-fallback rows beside fast rows in one
+    a dense store's zero-weight-fallback rows beside fast rows in one
     wave.  Every row answers as it does alone, and as the heap oracle
     does at ``expansions_per_wave=1``."""
-
-    DIMS = (16, 12, 8)
-
-    @pytest.fixture(scope="class")
-    def corpus(self):
-        rng = np.random.default_rng(4)
-        return MultiVectorSet(
-            [
-                normalize_rows(rng.standard_normal((N, d)).astype(np.float32))
-                for d in self.DIMS
-            ]
-        )
-
-    @pytest.fixture(scope="class")
-    def lemma4_batch(self):
-        rng = np.random.default_rng(8)
-        vecs = [
-            MultiVector(
-                [
-                    normalize_rows(rng.standard_normal((1, d)).astype(np.float32))[0]
-                    for d in self.DIMS
-                ]
-            )
-            for _ in range(6)
-        ]
-        return [
-            Query(vecs[0]),  # the index weights: modality 0, 1, 2
-            Query(vecs[1], weights=Weights([0.1, 0.3, 0.6])),  # 2, 1, 0
-            Query(vecs[2], weights=Weights([0.3, 0.6, 0.1])),  # 1, 0, 2
-            Query(vecs[3], weights=Weights([0.4, 0.2, 0.4])),  # a tie: 0, 2, 1
-            Query(vecs[4].replace(0, None)),  # lacks modality 0: 1, 2
-            Query(vecs[5], weights=Weights([0.2, 0.0, 0.8])),  # 2, 0
-        ]
-
-    @pytest.mark.parametrize("kind", ["none", "int8", "pq"])
-    def test_lemma4_rows_scan_their_own_order(self, corpus, lemma4_batch, kind):
-        must = MUST(
-            corpus, weights=Weights([0.5, 0.3, 0.2]), compression=kind
-        ).build()
-        plan = dict(k=K, l=L, expansions_per_wave=1, early_termination=True)
-        results, _ = graph_wave_search(must.index, lemma4_batch, **plan)
-        for q, got in zip(lemma4_batch, results):
-            (alone,), _ = graph_wave_search(must.index, [q], **plan)
-            _same(got, alone)
-            _same(got, heap_search(must.index, q, K, L, early_termination=True))
-        assert sum(r.stats.pruned_early for r in results) > 0
-        assert results[4].stats.modality_evals < 2 * results[4].stats.joint_evals
 
     def test_dense_batch_mixes_fast_and_fallback_rows(self, objects, queries):
         """``Weights([1, 0])`` on the index and an override needing

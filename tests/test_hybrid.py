@@ -527,21 +527,3 @@ def test_wave_hybrid_all_deleted_is_empty(dataset, hybrid_queries):
     results, _ = graph_wave_search(dead, hybrid_queries, k=K, l=L)
     assert all(len(r) == 0 for r in results)
     assert len(joint_search(dead, hybrid_queries[0], k=K, l=L)) == 0
-
-
-def test_wave_hybrid_early_termination_still_answers(dataset, hybrid_queries):
-    """An early-termination batch runs every row through
-    ``StackedScorer``'s pruned pass (Lemma 4, per query) — and still
-    fuses."""
-    must = wave_must(dataset, "flat", "pq")
-    truth = must.query(hybrid_queries, SearchOptions(k=K, exact=True))
-    run = must.query(
-        hybrid_queries,
-        SearchOptions(k=K, l=L, early_termination=True),
-    )
-    assert run.plan == f"graph/wave/{bookkeeping()}"
-    hits = sum(
-        len(set(r.ids) & set(t.ids)) for r, t in zip(run, truth)
-    )
-    assert all(len(r) == K for r in run)
-    assert hits / (K * len(truth)) >= 0.9

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.efficiency import heap_traverse
 from repro.core.framework import MUST
 from repro.core.multivector import MultiVector
 from repro.core.query import Eq, Query
@@ -187,35 +188,50 @@ class TestEntryOrder:
 
 
 class TestLemma4Equivalence:
+    """Lemma 4 on Fig. 10(c)'s per-query reference
+    (:func:`repro.bench.efficiency.heap_traverse`): pruning by the
+    partial-IP upper bound never changes an answer, and past two
+    modalities it saves modality evaluations."""
+
+    @staticmethod
+    def _reference(index, q, k, l, early_termination):
+        return heap_traverse(
+            index, q, k, l, None, early_termination, None, index.n
+        )
+
     def test_early_termination_identical_results(self, setup):
         """Lemma 4: the multi-vector optimisation never changes results."""
         _, index, _, queries = setup
         for q in queries:
-            fast = joint_search(index, q, k=10, l=50, early_termination=False)
-            pruned = joint_search(index, q, k=10, l=50, early_termination=True)
+            fast = self._reference(index, q, 10, 50, False)
+            pruned = self._reference(index, q, 10, 50, True)
             assert np.array_equal(fast.ids, pruned.ids)
             assert np.allclose(fast.similarities, pruned.similarities, atol=1e-5)
 
-    def test_early_termination_saves_modality_evals(self, setup):
-        _, index, _, queries = setup
-        base = sum(
-            joint_search(index, q, k=10, l=20).stats.modality_evals
-            for q in queries
-        )
-        pruned = sum(
-            joint_search(index, q, k=10, l=20,
-                         early_termination=True).stats.modality_evals
-            for q in queries
-        )
-        assert pruned <= base
+    def test_early_termination_saves_modality_evals(self):
+        dims = (10, 6, 4)
+        must = MUST(
+            random_multivector_set(400, dims, seed=21),
+            weights=Weights([0.6, 0.5, 0.4]),
+        ).build()
+        base = pruned = 0
+        for s in range(10):
+            q = random_query(dims, seed=300 + s)
+            plain = self._reference(must.index, q, 10, 20, False)
+            lemma4 = self._reference(must.index, q, 10, 20, True)
+            assert np.array_equal(plain.ids, lemma4.ids)
+            assert lemma4.stats.joint_evals == plain.stats.joint_evals
+            base += plain.stats.modality_evals
+            pruned += lemma4.stats.modality_evals
+        assert pruned < base
 
     @settings(deadline=None, max_examples=15)
     @given(st.integers(0, 10_000), st.sampled_from([10, 25, 60]))
     def test_lemma4_property(self, setup, qseed, l):
         _, index, _, _ = setup
         q = random_query((10, 6), seed=qseed)
-        fast = joint_search(index, q, k=5, l=l)
-        pruned = joint_search(index, q, k=5, l=l, early_termination=True)
+        fast = self._reference(index, q, 5, l, False)
+        pruned = self._reference(index, q, 5, l, True)
         assert np.array_equal(fast.ids, pruned.ids)
 
 
@@ -342,8 +358,9 @@ def _recall(found, truth) -> float:
 
 
 class TestHeapKernelParity:
-    """The wave against the heap kernel it replaced, kept in
-    ``tests/conftest.py`` as the oracle (:func:`heap_search`).
+    """The wave against the heap kernel it replaced, kept as the
+    oracle (``tests/conftest.py``'s :func:`heap_search` around
+    :func:`repro.bench.efficiency.heap_traverse`).
 
     The contract: at ``expansions_per_wave=1`` a lone query that
     excludes nothing is expanded exactly as the heap expands it — the
@@ -417,10 +434,8 @@ class TestHeapKernelParity:
         "plan",
         [
             dict(),
-            dict(early_termination=True),
             dict(refine=3),
             dict(weights=Weights([0.9, 0.1])),
-            dict(early_termination=True, weights=Weights([0.2, 0.8])),
             dict(k=1, l=1),
             dict(l=400),
             dict(l=1000),
@@ -444,29 +459,23 @@ class TestHeapKernelParity:
         filtered query is held to the recall gate; Lemma 3 holds on
         every merge."""
         dense, _, queries = world
-        for early in (False, True):
-            for q in queries[:10]:
-                for typed in (
-                    Query(q, k=17),
-                    Query(q, weights=Weights([0.7, 0.3])),
-                    Query(q.replace(0, None)),
-                    Query(q, weights=Weights([1.0, 0.0])),
-                ):
-                    lemma3_checked(
-                        lambda: self._check(
-                            dense, typed, k=5, l=30, early_termination=early
-                        ),
-                        monkeypatch,
-                    )
-            for flt, k in ((Eq("bucket", 1), 5), (Eq("bucket", 2), 3)):
-                typed = [Query(q, filter=flt, k=k) for q in queries]
-                for got in lemma3_checked(
-                    lambda: self._check_recall(
-                        dense, typed, k=5, l=30, early_termination=early
-                    ),
-                    monkeypatch,
-                ):
-                    assert (np.asarray(got.ids) % 4 == flt.value).all()
+        for q in queries[:10]:
+            for typed in (
+                Query(q, k=17),
+                Query(q, weights=Weights([0.7, 0.3])),
+                Query(q.replace(0, None)),
+                Query(q, weights=Weights([1.0, 0.0])),
+            ):
+                lemma3_checked(
+                    lambda: self._check(dense, typed, k=5, l=30), monkeypatch
+                )
+        for flt, k in ((Eq("bucket", 1), 5), (Eq("bucket", 2), 3)):
+            typed = [Query(q, filter=flt, k=k) for q in queries]
+            for got in lemma3_checked(
+                lambda: self._check_recall(dense, typed, k=5, l=30),
+                monkeypatch,
+            ):
+                assert (np.asarray(got.ids) % 4 == flt.value).all()
 
     def test_zero_index_weight_falls_back_per_modality(self, setup):
         """ω_i = 0 in the index but wanted by the query: no concat fast
@@ -500,11 +509,8 @@ class TestHeapKernelParity:
             seed_vertex=index.seed_vertex,
         )
         holed.mark_deleted(dead)
-        for early in (False, True):
-            for got in self._check_recall(
-                holed, queries, k=10, l=40, early_termination=early
-            ):
-                assert not np.isin(got.ids, dead).any()
+        for got in self._check_recall(holed, queries, k=10, l=40):
+            assert not np.isin(got.ids, dead).any()
         for got in lemma3_checked(
             lambda: self._check_recall(
                 holed, [Query(q, filter=Eq("init", False)) for q in queries],
@@ -518,12 +524,7 @@ class TestHeapKernelParity:
     def test_compressed_stores(self, world, kind, monkeypatch):
         _, stores, queries = world
         for q in queries[:12]:
-            for plan in (
-                dict(),
-                dict(early_termination=True),
-                dict(refine=4),
-                dict(early_termination=True, refine=2),
-            ):
+            for plan in (dict(), dict(refine=4)):
                 lemma3_checked(
                     lambda: self._check(stores[kind], q, k=8, l=40, **plan),
                     monkeypatch,
@@ -549,7 +550,7 @@ class TestHeapKernelParity:
         assert len(view.segments) == 4
         queries = [random_query(self.DIMS, seed=100 + s) for s in range(10)]
         truth = view.exact_wave(queries, 6)
-        for plan in (dict(), dict(early_termination=True), dict(refine=2)):
+        for plan in (dict(), dict(refine=2)):
             found = lemma3_checked(
                 lambda: [
                     view.graph_wave([q], k=6, l=24, **plan)[0][0] for q in queries

@@ -89,7 +89,7 @@ class TestSearchOptions:
             ("refine", {"refine": 0}),
             ("engine", {"engine": "warp"}),
             ("exact", {"exact": 1}),
-            ("early_termination", {"early_termination": "yes"}),
+            ("collection", {"collection": ""}),
             ("sparse_engine", {"sparse_engine": "invertd"}),
             # A bool is an int to isinstance, never a count here; nor is
             # a NumPy integer.
@@ -103,10 +103,15 @@ class TestSearchOptions:
             SearchOptions(**kwargs)
 
     def test_unknown_field_is_a_type_error(self):
-        with pytest.raises(TypeError, match="early_terminatoin"):
-            SearchOptions(early_terminatoin=True)
+        with pytest.raises(TypeError, match="refien"):
+            SearchOptions(refien=2)
         with pytest.raises(TypeError, match="n_jobs"):
             SearchOptions(n_jobs=4)
+
+    def test_the_retired_lemma4_field_is_a_type_error(self):
+        """No plan prunes by Lemma 4, so the flag is no field."""
+        with pytest.raises(TypeError, match="early_termination"):
+            SearchOptions(early_termination=True)
 
     def test_resolve_clamps_l_to_corpus(self):
         opts = SearchOptions(k=5, l=100)
@@ -345,7 +350,7 @@ class TestPlanPlumbing:
 
     def test_snapshot_query_forwards_every_option(self, built_must, queries):
         snap = built_must.snapshot()
-        opts = SearchOptions(k=5, l=64, early_termination=True, refine=2)
+        opts = SearchOptions(k=5, l=64, refine=2)
         ref = built_must.query(Query(queries[0]), opts)
         res = snap.query(Query(queries[0]), opts)
         assert np.array_equal(res.ids, ref.ids)

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.efficiency import oracle_scores
 from repro.core.framework import MUST
 from repro.core.multivector import MultiVector, MultiVectorSet, normalize_rows
 from repro.core.query import Eq, Query, Range, SearchOptions, compile_filter
@@ -52,7 +53,6 @@ from repro.store import ScalarQuantStore, VectorStore, make_store
 
 from tests.conftest import (
     heap_view_search,
-    oracle_scores,
     random_multivector_set,
     random_query,
     stable_oracle,
@@ -498,7 +498,6 @@ SCAN_CASES = {
     "hybrid": ("hybrid", False, None, {}),
     "filtered": ("dense", False, Eq("parity", 0), {}),
     "tombstoned": ("dense", True, None, {}),
-    "early_termination": ("dense", False, None, {"early_termination": True}),
     "refine": ("pq", True, None, {"refine": 4}),
 }
 
@@ -603,7 +602,7 @@ class TestScannedProbe:
                 continue
             reached += 1
             np.testing.assert_array_equal(got.ids, oracle.ids)
-            row_wise = engine == "wave" or "early_termination" in plan
+            row_wise = engine == "wave"
             if row_wise or n <= SCAN_L or "refine" in plan:
                 np.testing.assert_array_equal(
                     got.similarities, oracle.similarities
@@ -694,7 +693,6 @@ DELTA_CASES = {
     "hybrid": ("hybrid", 0.0, {}, {}),
     "filtered": ("dense", 0.0, {"filter": Eq("parity", 0)}, {}),
     "tombstoned": ("dense", 0.35, {}, {}),
-    "early_termination": ("dense", 0.0, {}, {"early_termination": True}),
     "k_override": ("dense", 0.0, {"k": 17}, {}),
 }
 

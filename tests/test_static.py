@@ -175,6 +175,31 @@ def test_lemma3_is_the_tests_job():
     assert not (PACKAGE / "utils" / "parallel.py").exists()
 
 
+def test_lemma4_is_counted_not_run():
+    """No search plan prunes by Lemma 4: no module of the search stack
+    names the flag or the pruned pass, ``StackedScorer`` scores one way,
+    and the plan runners take no such argument.  Fig. 10(c) counts
+    Lemma 4 on the reference in :mod:`repro.bench.efficiency`."""
+    from repro.index.executor import BatchExecutor
+    from repro.index.graph_wave import lockstep
+    from repro.index.scoring import StackedScorer
+
+    retired = re.compile(r"\b(early_termination|_pruned|_steps)\b")
+    found = [
+        f"{path.relative_to(PACKAGE)}:{number}"
+        for layer in ("core", "index", "service", "store")
+        for path in sorted((PACKAGE / layer).rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if retired.search(line)
+    ]
+    assert found == []
+    for entry in (
+        *SEARCH_ENTRY_POINTS, lockstep, StackedScorer.__init__,
+        BatchExecutor.run_graph_wave, BatchExecutor.run_segmented,
+    ):
+        assert "early_termination" not in inspect.signature(entry).parameters
+
+
 @pytest.mark.parametrize(
     "constructor", [SegmentedIndex.__init__, SegmentedIndex.from_graph]
 )
@@ -220,7 +245,7 @@ def test_exact_answers_have_no_knob():
                 ]
     assert found == []
     assert len(dataclasses.fields(ServiceConfig)) == 6
-    assert len(dataclasses.fields(SearchOptions)) == 8
+    assert len(dataclasses.fields(SearchOptions)) == 7
     assert "os" not in _imports(PACKAGE / "core" / "space.py")
     exact = [name for name in vars(SegmentView) if name.startswith("exact")]
     assert exact == ["exact_wave"]
@@ -247,7 +272,7 @@ def test_one_lexical_scorer_and_no_float16_store():
     """The posting-list scatter is the one lexical scorer and float16
     is no store kind: no signature under ``src/repro`` takes an engine
     choice, the brute-force scan and the float16 store live nowhere in
-    the source, and ``SearchOptions`` keeps its eight fields, with
+    the source, and ``SearchOptions`` keeps its seven fields, with
     ``sparse_engine="exact"`` refused."""
     from repro.store import STORE_KINDS
 
@@ -270,7 +295,7 @@ def test_one_lexical_scorer_and_no_float16_store():
                 ]
     assert found == []
     assert set(STORE_KINDS) == {"none", "int8", "pq"}
-    assert len(dataclasses.fields(SearchOptions)) == 8
+    assert len(dataclasses.fields(SearchOptions)) == 7
     with pytest.raises(ValueError, match="did you mean"):
         SearchOptions(sparse_engine="exact")
 

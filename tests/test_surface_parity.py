@@ -249,4 +249,4 @@ def test_answer_is_a_function_of_index_and_query(
 def test_a_plan_has_no_seed_field():
     with pytest.raises(TypeError, match="rng"):
         SearchOptions(rng=0)
-    assert len(dataclasses.fields(SearchOptions)) == 8
+    assert len(dataclasses.fields(SearchOptions)) == 7

@@ -11,8 +11,8 @@ init wave's included, in one ``wave_run`` call instead.  The pins:
 * **bit parity** where the two paths do the same arithmetic — the
   native and the NumPy wave return the same ids, similarities,
   per-query counters, ``waves`` and ``frontier_sizes`` on compressed
-  stores (PQ rows summed natively on one path, in NumPy on the other)
-  and Lemma-4 rows, over every kind of row (deletions, shared and
+  stores (PQ rows summed natively on one path, in NumPy on the other),
+  over every kind of row (deletions, shared and
   per-request filters, mixed ``ks`` / ``ls``, hybrid), one or eight
   expansions a wave, under the suite's Lemma 3 hook (which steps every
   traversal from Python); the two bookkeepings leave the same state
@@ -222,8 +222,8 @@ def _rows(kind, queries, index):
 @needs_native
 class TestBitParity:
     """Bit for bit where both paths do the same arithmetic (compressed
-    stores, Lemma-4 rows); within the float32 band on dense rows, whose
-    dot products the kernel sums in its own order."""
+    stores); within the float32 band on dense rows, whose dot products
+    the kernel sums in its own order."""
 
     @pytest.mark.parametrize("m", [1, 8])
     @pytest.mark.parametrize(
@@ -245,22 +245,6 @@ class TestBitParity:
             bands = dense_bands(graph.space, batch)
             report_swaps(*assert_within_band(got[0], want[0], bands))
         assert got[1].waves > 0
-
-    @pytest.mark.parametrize("m", [1, 8])
-    def test_lemma4_scorers(self, objects, queries, m, monkeypatch):
-        """Per-query scorers slice the frontier by row: the order inside
-        a row reaches their BLAS calls, so it must be the same too."""
-        graph = MUST(objects, weights=Weights([0.6, 0.4])).build().index
-        holed = list(queries)
-        holed[1] = MultiVector([None, queries[1].vectors[1]])
-        got, want = both_paths_checked(
-            lambda: graph_wave_search(
-                graph, holed, k=K, l=L, expansions_per_wave=m,
-                early_termination=True, refine=2,
-            ),
-            monkeypatch,
-        )
-        assert_same(got, want)
 
     @pytest.mark.parametrize("m", [1, 8])
     @pytest.mark.parametrize("compression", ["none", "pq"])
@@ -506,7 +490,7 @@ def test_wave_run_refuses_a_full_size_buffer(dense_index, queries, monkeypatch):
 def test_the_kernel_refuses_malformed_merges(index, queries, owner, cand):
     """Ids and rows reaching C are checked there, never trusted."""
     wave = gw._Wave(
-        index, queries, K, L, None, False, None, None, None, None,
+        index, queries, K, L, None, None, None, None, None,
         np.zeros(len(queries), dtype=bool),
     )
     book = NATIVE(wave, wave.alive.copy(), 8, native.lib)
@@ -709,7 +693,7 @@ def test_adc_gather_refuses_out_of_range_pairs(owner, cand):
 def test_the_wave_raises_on_a_refused_gather(objects, queries):
     graph = MUST(objects, weights=Weights([0.6, 0.4])).build().index
     wave = gw._Wave(
-        graph, queries, K, L, None, False, None, None, None, None,
+        graph, queries, K, L, None, None, None, None, None,
         np.zeros(len(queries), dtype=bool),
     )
     refused = re.escape(f"refused its input (status {INVALID})")
@@ -729,7 +713,7 @@ def _filled(graph, batch, scan, traverse):
     """A prepared wave whose alive rows are all *traverse*d or all
     scanned, whatever the engine would pick."""
     wave = gw._Wave(
-        graph, batch, K, L, None, False, None, {}, None, None,
+        graph, batch, K, L, None, None, {}, None, None,
         np.full(len(batch), scan),
     )
     if traverse:
@@ -890,7 +874,7 @@ def test_wave_run_refuses_an_init_out_of_range():
     ]
     for order, lengths in cases:
         wave = gw._Wave(
-            graph, batch, 3, 5, None, False, None, None, None, None,
+            graph, batch, 3, 5, None, None, None, None, None,
             np.zeros(len(batch), dtype=bool),
         )
         book = NATIVE(wave, wave.alive.copy(), 8, native.lib)
