@@ -11,6 +11,7 @@ and match them.
 from __future__ import annotations
 
 from collections import deque
+from typing import Any
 
 import numpy as np
 
@@ -52,6 +53,7 @@ def two_hop_candidates(
     block over unsorted, with duplicates and self masked to ``-inf``;
     the partial top-``max_candidates`` and the ranking happen here.
     """
+    require(block_size >= 1, f"block_size must be at least 1, got {block_size}")
     n, k = knn.shape
     concat = space.concatenated
     cand_out = np.full((n, max_candidates), -1, dtype=np.int32)
@@ -119,6 +121,10 @@ def mrng_select(
     than to every already-selected neighbour (``IP(ô,v̂) > IP(û,v̂)`` for
     all selected ``u``), which spreads neighbours at pairwise angles of
     at least 60° (Lemma 2).
+
+    A candidate pair's inner product is the search's (``native.c``'s
+    eight-lane float32 contract); ``prune_rows`` computes it only for
+    the pairs the greedy scan reads, all vertices in one call.
     """
     return _prune_select(space, cand, sims, gamma, alpha=1.0)
 
@@ -134,7 +140,8 @@ def rng_alpha_select(
 
     ``alpha > 1`` keeps more long-range edges than strict MRNG: a
     candidate is rejected only when some selected neighbour is *α times
-    closer* to it (in squared-distance terms) than the vertex is.
+    closer* to it (in squared-distance terms) than the vertex is.  Scored
+    and run as :func:`mrng_select`.
     """
     return _prune_select(space, cand, sims, gamma, alpha=alpha)
 
@@ -174,6 +181,27 @@ def _greedy_by_domination(dominated: np.ndarray, gamma: int) -> np.ndarray:
     return np.asarray(selected, dtype=np.int64)
 
 
+def _lane_gram(vecs: np.ndarray) -> np.ndarray:
+    """Every pair's inner product of the float32 rows *vecs*, ``(c, c)``
+    float64, under the search's float contract (``native.c``'s header):
+    eight float32 lanes from +0.0, ``a[d % 8] += x[d]·y[d]``, combined
+    pairwise and widened — ``lane_dot``'s bits, eight dimensions a
+    NumPy step."""
+    c, dim = vecs.shape
+    cols = np.ascontiguousarray(vecs.T)  # (dim, c)
+    lanes = np.zeros((8, c, c), dtype=np.float32)
+    prod = np.empty_like(lanes)
+    with np.errstate(all="ignore"):
+        for d in range(0, dim, 8):
+            block = cols[d : d + 8]  # dimension d + i feeds lane i
+            w = block.shape[0]
+            np.multiply(block[:, :, None], block[:, None, :], out=prod[:w])
+            lanes[:w] += prod[:w]
+        a = lanes
+        sums = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+    return sums.astype(np.float64)
+
+
 def prune_one(
     concat: np.ndarray,
     total: float,
@@ -184,14 +212,23 @@ def prune_one(
 ) -> np.ndarray:
     """α-RNG pruning of one vertex's candidate list (similarity-sorted).
 
-    Shared by the pipeline's MRNG stage (α=1), Vamana's α-pruning, and
-    HNSW's neighbour-selection heuristic.  ``ids``/``sims`` must be in
-    descending-similarity order.
+    Shared by Vamana's α-pruning, HNSW's neighbour-selection heuristic
+    and, one vertex at a time without a compiler, the pipeline's MRNG
+    and α-RNG stages.  ``ids``/``sims`` must be in descending-similarity
+    order.  With the native library this is one ``prune_rows`` call over
+    one row, which scores a candidate pair only when the greedy scan
+    asks for it; without it, :func:`_lane_gram` scores every pair with
+    the same bits and :func:`_greedy_by_domination` picks, so both paths
+    pick the same neighbours.
     """
     if ids.size == 0:
         return np.empty(0, dtype=np.int32)
-    vecs = concat[ids]
-    cc = (vecs @ vecs.T).astype(np.float64)  # candidate↔candidate IP
+    kernel = native.lib
+    if kernel is not None:
+        return _prune_rows(
+            kernel, concat, total, ids[None], sims[None], gamma, alpha
+        )[0]
+    cc = _lane_gram(concat[ids])  # candidate↔candidate IP
     # Squared distances via d² = 2S − 2·IP (all concatenated vectors
     # share the norm √S), so the α-pruning rule is expressible in IP.
     d_v = 2.0 * total - 2.0 * sims.astype(np.float64)  # vertex↔candidate
@@ -201,6 +238,36 @@ def prune_one(
     dominated = (alpha * alpha) * d_cc <= d_v[:, None]
     np.fill_diagonal(dominated, False)
     return ids[_greedy_by_domination(dominated, gamma)].astype(np.int32)
+
+
+def _prune_rows(
+    kernel: Any,
+    concat: np.ndarray,
+    total: float,
+    cand: np.ndarray,
+    sims: np.ndarray,
+    gamma: int,
+    alpha: float,
+) -> list[np.ndarray]:
+    """Every row of ``-1``-padded *cand* (each row similarity-sorted,
+    *sims* beside it) pruned in one ``prune_rows`` call: each row's
+    picks, int32, in candidate order."""
+    require(concat.dtype == np.float32, "selection: the matrix is not float32")
+    x = np.ascontiguousarray(concat)
+    ids = np.ascontiguousarray(cand, dtype=np.int64)
+    rows, c = ids.shape
+    sims64 = np.ascontiguousarray(sims, dtype=np.float64)
+    picked = np.empty((rows, c), dtype=np.int64)
+    counts = np.empty(rows, dtype=np.int64)
+    native.check(
+        kernel.prune_rows(
+            x.ctypes.data, x.shape[0], x.shape[1], ids.ctypes.data,
+            sims64.ctypes.data, rows, c, gamma, total, alpha,
+            picked.ctypes.data, counts.ctypes.data,
+        )
+    )
+    flat = picked[np.arange(c) < counts[:, None]].astype(np.int32)
+    return np.split(flat, np.cumsum(counts[:-1])) if rows else []
 
 
 def _prune_select(
@@ -213,6 +280,9 @@ def _prune_select(
     require(gamma >= 1, "gamma must be at least 1")
     concat = space.concatenated
     total = space.weights.total  # ‖x̂‖² for every fully-present object
+    kernel = native.lib
+    if kernel is not None:
+        return _prune_rows(kernel, concat, total, cand, sims, gamma, alpha)
     out: list[np.ndarray] = []
     for v in range(cand.shape[0]):
         row = cand[v]

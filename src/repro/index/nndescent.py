@@ -14,8 +14,10 @@ similarities and masking repeats — which :func:`block_candidate_sims`
 hands to ``native.c`` (NumPy scatters without a compiler, never a
 sort).  At 4 000 vertices the matmul is then about a third of a
 sweep's join, the C bookkeeping about two fifths, and NumPy's id
-gathers the rest.  The paper's Tab. XI shows three iterations reach ≥0.99 graph quality;
-:func:`graph_quality` reproduces that metric.
+gathers the rest; the ``argpartition`` that keeps each row's top k
+comes on top, about a sixth of the whole sweep.  The paper's Tab. XI
+shows three iterations reach ≥0.99 graph quality; :func:`graph_quality`
+reproduces that metric.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def block_candidate_sims(
     uniq = np.flatnonzero(mark)
     pos = np.empty(concat.shape[0], dtype=np.intp)
     pos[uniq] = np.arange(uniq.size)
-    sub = concat[block] @ concat[uniq].T  # (b, |uniq|) — single BLAS call
+    sub = concat[block] @ _union_rows(concat, uniq).T  # (b, |uniq|), one BLAS call
     # Flat index into ``sub`` of every candidate's similarity.
     flat = pos[cand] + (np.arange(len(block)) * uniq.size)[:, None]
     sims = sub.ravel()[flat]
@@ -148,8 +150,7 @@ def _native_sims(
         ids.ctypes.data, ids.size, n, pos.ctypes.data, uniq.ctypes.data
     )
     native.check(u)
-    uniq = uniq[:u]
-    sub = concat[block] @ concat[uniq].T  # (b, |uniq|) — the same BLAS call
+    sub = concat[block] @ _union_rows(concat, uniq[:u]).T  # the same BLAS call
     sims = np.empty(ids.shape, dtype=np.float32)
     native.check(
         kernel.join_fill(
@@ -158,6 +159,13 @@ def _native_sims(
         )
     )
     return sims
+
+
+def _union_rows(concat: np.ndarray, uniq: np.ndarray) -> np.ndarray:
+    """The rows a block is scored against: *concat* itself, uncopied, when
+    the union is every id (ascending, so the same rows in the same order
+    — the common case once n is a few thousand), else its gather."""
+    return concat if uniq.size == concat.shape[0] else concat[uniq]
 
 
 def _refine_block(
@@ -194,6 +202,7 @@ def nndescent(
     """
     n = space.n
     require(k < n, f"k={k} must be smaller than n={n}")
+    require(block_size >= 1, f"block_size must be at least 1, got {block_size}")
     concat = space.concatenated
     if init is None:
         neighbors = random_knn(n, k, make_rng(seed))

@@ -64,6 +64,10 @@ class FusedIndexBuilder:
     def __post_init__(self) -> None:
         require(self.gamma >= 1, "gamma must be positive")
         require(self.epsilon >= 0, "epsilon must be non-negative")
+        require(self.init_k is None or self.init_k >= 1,
+                f"init_k must be at least 1 (or None), got {self.init_k}")
+        require(self.max_candidates >= 1,
+                f"max_candidates must be at least 1, got {self.max_candidates}")
         require(self.selection in _SELECTIONS,
                 f"selection must be one of {_SELECTIONS}")
         require(self.candidate_source in _CANDIDATES,

@@ -2,7 +2,8 @@
  * The native kernels: the lockstep graph wave's bookkeeping and dense
  * arithmetic (repro.index.graph_wave), the table sums that score
  * product-quantised rows (repro.store.pq), and the index build's integer
- * bookkeeping (repro.index.nndescent and repro.index.components).
+ * bookkeeping and neighbour selection (repro.index.nndescent and
+ * repro.index.components).
  *
  * Per wave, wave_expand picks each active row's next route-pool columns,
  * gathers their CSR neighbours that the row has not seen yet (marking
@@ -22,14 +23,19 @@
  * make, until no row expands.  It leaves the same bits as those calls,
  * wave by wave.
  *
- * gather_dot and adc_gather are all the arithmetic there is.  The
- * build's kernels, join_number, join_fill and greedy_pick, do none: they
- * number ids, copy similarities a NumPy matmul computed and read a
- * boolean matrix NumPy compared, so a graph built on either path is the
- * same graph, bit for bit.
+ * gather_dot, adc_gather and prune_rows are all the arithmetic there is.
+ * The local join's kernels, join_number and join_fill, and the angle
+ * selection's greedy_pick do none: they number ids, copy similarities a
+ * NumPy matmul computed and read a boolean matrix NumPy compared.
+ * prune_rows, the MRNG / alpha-RNG selection, scores the candidate pairs
+ * its greedy scan reads under the contract below, as gather_dot does,
+ * and compares them in float64 as the NumPy fallback does, which scores
+ * every pair with a lane loop of the same bits.  So a graph built on
+ * either path is the same graph, bit for bit.
  *
- * gather_dot runs under this float contract.  A dense row's similarity
- * against a query row, both D float32 values long, is
+ * gather_dot and prune_rows run under this float contract.  A dense
+ * row's similarity against another (a query row, or a candidate), both D
+ * float32 values long, is
  *
  *     float a[8] = {+0.0f, ..., +0.0f};
  *     for d = 0 .. D-1 in order:  a[d % 8] += fl(x[d] * q[d]);
@@ -40,7 +46,8 @@
  * reassociation (no -ffast-math or kin).  Eight lanes rather than one
  * sequential sum so that the loop vectorises; the order is fixed, so the
  * bits do not depend on the SIMD width the compiler picks, and a NumPy
- * lane loop (the tests' oracle) reproduces them.
+ * lane loop (the tests' oracle, and the build's fallback) reproduces
+ * them.
  *
  * adc_gather needs no contract of its own.  A PQ row's score against a
  * query's M lookup tables is
@@ -649,7 +656,68 @@ int64_t join_fill(const int32_t *cand, int64_t b, int64_t c,
 }
 
 /*
- * The neighbour selections' greedy pick over a c x c domination matrix
+ * The alpha-RNG selection (MRNG at alpha = 1) of rows vertices at once.
+ * Row r of cand (rows x c) lists vertex r's candidates closest first, -1
+ * for padding anywhere in the row, and row r of sims their similarities
+ * to the vertex.  Per row, over its candidates in order: the first is
+ * picked; a later candidate j is picked unless a candidate u picked
+ * before it blocks it, until gamma are picked.  The scan asks the picked
+ * ones in pick order and stops at the first that blocks, and only then
+ * scores the pair: cc = lane_dot(x[j], x[u]), under the contract above.
+ * u blocks j when, in float64,
+ *
+ *     (alpha * alpha) * (2 total - 2 cc) <= 2 total - 2 sims[j],
+ *
+ * squared distances through d^2 = 2 S - 2 IP (every concatenated row has
+ * the squared norm total), evaluated in that order.  Row r's picks go to
+ * picked[r * c ...], in candidate order, and their number to counts[r].
+ * Returns rows, or INVALID (writing nothing) when an id is neither -1 nor
+ * in [0, n).
+ */
+int64_t prune_rows(const float *x, int64_t n, int64_t dim, const int64_t *cand,
+                   const double *sims, int64_t rows, int64_t c, int64_t gamma,
+                   double total, double alpha, int64_t *picked, int64_t *counts)
+{
+    for (int64_t j = 0; j < rows * c; j++)
+        if (cand[j] < -1 || cand[j] >= n)
+            return INVALID;
+    /* per row: its candidates' positions, padding dropped, then the
+     * positions picked so far */
+    int64_t *valid = malloc((size_t)(2 * c + 1) * sizeof *valid);
+    if (!valid)
+        return NO_MEMORY;
+    int64_t *sel = valid + c;
+    const double a2 = alpha * alpha, two_s = 2.0 * total;
+    for (int64_t r = 0; r < rows; r++) {
+        const int64_t *ids = cand + r * c;
+        const double *sim = sims + r * c;
+        int64_t m = 0, count = 0;
+        for (int64_t j = 0; j < c; j++)
+            if (ids[j] >= 0)
+                valid[m++] = j;
+        for (int64_t t = 0; t < m && (t == 0 || count < gamma); t++) {
+            const int64_t j = valid[t];
+            const float *xj = x + ids[j] * dim;
+            const double d_v = two_s - 2.0 * sim[j];
+            int64_t s = 0;
+            for (; s < count; s++) {
+                double cc = lane_dot(xj, x + ids[sel[s]] * dim, dim);
+                if (a2 * (two_s - 2.0 * cc) <= d_v)
+                    break;
+            }
+            if (s == count)
+                sel[count++] = j;
+        }
+        for (int64_t s = 0; s < count; s++)
+            picked[r * c + s] = ids[sel[s]];
+        counts[r] = count;
+    }
+    free(valid);
+    return rows;
+}
+
+/*
+ * The angle selection's greedy pick over a c x c domination matrix
  * (dominated[j * c + s] != 0: candidate s, once picked, blocks j), its
  * rows in candidate order, closest first.  Candidate 0 is always
  * picked; then, in order, each candidate no picked one blocks, until

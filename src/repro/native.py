@@ -22,13 +22,16 @@ bits on both paths.  int8 rows, thresholds, rerank and fusion are
 NumPy on both paths.
 
 The build (:mod:`repro.index.nndescent`, :mod:`repro.index.components`)
-keeps every float operation in NumPy and hands the library only its
-integer and boolean bookkeeping.  NNDescent's local join numbers a
-block's candidate union in ``join_number`` and, after the BLAS matmul
-against that union, lays the similarities out and masks repeats and
-self-references in ``join_fill``; the neighbour selections' greedy pick
-over a domination matrix is ``greedy_pick``.  A graph built on either
-path is the same graph, bit for bit.
+hands the library its bookkeeping and one selection.  NNDescent's local
+join numbers a block's candidate union in ``join_number`` and, after the
+BLAS matmul against that union, lays the similarities out and masks
+repeats and self-references in ``join_fill``; the angle selection's
+greedy pick over a domination matrix is ``greedy_pick``.  The MRNG and
+α-RNG selections are ``prune_rows``: every vertex's greedy pick in one
+call, scoring a candidate pair only when the scan asks whether one
+blocks the other, under the same eight-lane contract as ``gather_dot``.
+Without the library a NumPy lane loop scores every pair with those
+bits, so a graph built on either path is the same graph, bit for bit.
 
 This module imports nothing from :mod:`repro`, so the store layer and
 the index layer, which imports the store layer, can both call it.
@@ -46,9 +49,9 @@ dependency.
 Whichever path runs is logged once, as ``event=native_kernel
 status=native|numpy path=… reason=…``, and :data:`lib` is the handle
 every caller reads on every call (``None`` means NumPy everywhere: the
-wave's bookkeeping, ``einsum``, the PQ table sums and the build's
-bookkeeping).  No option, setting or environment variable picks between
-the two.
+wave's bookkeeping, ``einsum``, the PQ table sums, the build's
+bookkeeping and its lane loop).  No option, setting or environment
+variable picks between the two.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC", "-ffp-contract=off")
 COMPILERS = ("cc", "gcc", "clang")
 
 _i64 = ctypes.c_int64
+_f64 = ctypes.c_double
 _ptr = ctypes.c_void_p
 
 
@@ -132,6 +136,10 @@ SIGNATURES: dict[str, tuple[list[Any], Any]] = {
     "join_number": ([_ptr, _i64, _i64, _ptr, _ptr], _i64),
     "join_fill": ([_ptr, _i64, _i64, _ptr, _i64, _ptr, _i64, _ptr, _ptr], _i64),
     "greedy_pick": ([_ptr, _i64, _i64, _ptr], _i64),
+    "prune_rows": (
+        [_ptr, _i64, _i64, _ptr, _ptr, _i64, _i64, _i64, _f64, _f64, _ptr, _ptr],
+        _i64,
+    ),
 }
 
 #: ``native.c``'s status for a failed allocation.

@@ -26,6 +26,7 @@ from repro.core.weights import Weights
 from repro.index.base import GraphIndex
 from repro.index.components import (
     _greedy_by_domination,
+    _prune_rows,
     angle_select,
     centroid_seed,
     ensure_connectivity,
@@ -115,6 +116,13 @@ class TestNNDescent:
         base = nndescent(space, 8, iterations=1, seed=2)
         resumed = nndescent(space, 8, iterations=1, seed=2, init=base)
         assert graph_quality(space, resumed) >= graph_quality(space, base) - 0.02
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_block_size_must_be_positive(self, space, bad):
+        """Refused by name: unchecked, ``0`` fails inside ``range()`` and a
+        negative size returns the random init unrefined."""
+        with pytest.raises(ValueError, match="block_size must be at least 1"):
+            nndescent(space, 8, block_size=bad)
 
     def test_zero_iterations_is_init(self, space):
         knn = nndescent(space, 8, iterations=0, seed=2)
@@ -363,6 +371,82 @@ def test_native_greedy_pick_is_the_numpy_pick(seed, c, gamma, density):
     assert got[0] == 0 and len(got) <= gamma
 
 
+INVALID = -4  # native.c's status for an input out of range
+
+
+@needs_native
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    dim=st.integers(1, 20),
+    duplicated=st.booleans(),
+    rows=st.integers(1, 6),
+    c=st.integers(1, 16),
+    gamma=st.integers(1, 20),
+    alpha=st.sampled_from([1.0, 1.2, 2.0]),
+    padding=st.floats(0.0, 1.0),
+)
+@example(seed=0, n=1, dim=1, duplicated=False, rows=1, c=1, gamma=1,
+         alpha=1.0, padding=1.0)
+@example(seed=1, n=30, dim=17, duplicated=True, rows=3, c=16, gamma=16,
+         alpha=1.0, padding=0.0)
+def test_native_prune_is_the_numpy_prune(
+    seed, n, dim, duplicated, rows, c, gamma, alpha, padding
+):
+    """``prune_rows`` over a ``-1``-padded candidate matrix picks, row by
+    row, what the NumPy lane Gram and the bitmask pick do, ``prune_one``
+    through it as well: exact ties (a corpus of rows stored three times),
+    α ∈ {1, 1.2, 2}, γ at or past the candidate count, padding anywhere
+    and rows that are all padding."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((-(-n // 3) if duplicated else n, dim))
+    concat = np.ascontiguousarray(
+        (np.tile(base, (3, 1))[:n] if duplicated else base).astype(np.float32)
+    )
+    total = float(rng.uniform(0.5, 4.0))
+    cand = np.full((rows, c), -1, dtype=np.int32)
+    sims = np.full((rows, c), -np.inf, dtype=np.float32)
+    for r in range(rows):
+        ids = rng.permutation(n)[:c]
+        row_sims = concat[ids] @ concat[rng.integers(n)]
+        order = np.argsort(-row_sims, kind="stable")
+        cand[r, : ids.size], sims[r, : ids.size] = ids[order], row_sims[order]
+    cand[rng.random((rows, c)) < padding] = -1
+    got = _prune_rows(native.lib, concat, total, cand, sims, gamma, alpha)
+    assert len(got) == rows
+    for r in range(rows):
+        valid = cand[r] >= 0
+        args = (concat, total, cand[r][valid], sims[r][valid], gamma, alpha)
+        one = prune_one(*args)
+        with numpy_path():
+            want = prune_one(*args)
+        assert got[r].dtype == one.dtype == want.dtype == np.int32
+        assert got[r].tolist() == one.tolist() == want.tolist(), r
+        assert len(want) <= gamma and set(want) <= set(cand[r][valid])
+
+
+@needs_native
+@pytest.mark.parametrize("bad", [-2, 7, 2**40], ids=["below -1", "n", "far past n"])
+def test_prune_rows_refuses_ids_out_of_range(bad):
+    """An id neither ``-1`` (padding) nor in ``[0, n)`` is refused before
+    any row's picks or count is written — the bad id sits in the last
+    row, so a kernel that checked while it went would write the first."""
+    concat = np.eye(7, 4, dtype=np.float32)
+    cand = np.array([[1, 2, -1], [3, 4, bad]], dtype=np.int64)
+    sims = np.zeros(cand.shape)
+    picked = np.full(cand.shape, 99, dtype=np.int64)
+    counts = np.full(2, 99, dtype=np.int64)
+    status = native.lib.prune_rows(
+        concat.ctypes.data, 7, 4, cand.ctypes.data, sims.ctypes.data, 2, 3,
+        3, 1.0, 1.0, picked.ctypes.data, counts.ctypes.data,
+    )
+    assert status == INVALID
+    assert (picked == 99).all() and (counts == 99).all()
+    with pytest.raises(RuntimeError, match="refused"):
+        _prune_rows(native.lib, concat, 1.0, cand, sims, 3, 1.0)
+
+
 def _tripled_space(n: int, seed: int) -> JointSpace:
     base = random_multivector_set(n // 3, (12, 6), seed=seed)
     return JointSpace(
@@ -445,6 +529,14 @@ class TestCandidates:
             # Direct neighbours are candidates unless pushed out by closer
             # two-hop ones; require substantial overlap.
             assert len(row & direct) >= len(direct) // 2
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_two_hop_block_size_must_be_positive(self, space, bad):
+        """Unchecked, a negative size gives every vertex only ``-1``
+        candidates."""
+        knn = nndescent(space, 6, iterations=1, seed=3)
+        with pytest.raises(ValueError, match="block_size must be at least 1"):
+            two_hop_candidates(space, knn, block_size=bad)
 
     def test_two_hop_sorted_descending(self, space):
         knn = nndescent(space, 6, iterations=2, seed=3)
@@ -629,6 +721,17 @@ class TestFusedIndexBuilder:
             FusedIndexBuilder(selection="bogus")
         with pytest.raises(ValueError):
             FusedIndexBuilder(candidate_source="bogus")
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_max_candidates_must_be_positive(self, bad):
+        """Unchecked, ``0`` builds a graph of nothing but ⑤'s bridges."""
+        with pytest.raises(ValueError, match="max_candidates must be at least 1"):
+            FusedIndexBuilder(max_candidates=bad)
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_init_k_must_be_positive(self, bad):
+        with pytest.raises(ValueError, match="init_k must be at least 1"):
+            FusedIndexBuilder(init_k=bad)
 
     def test_gamma_bounds_degree_growth(self, space):
         small = FusedIndexBuilder(gamma=4, seed=1).build(space)

@@ -938,7 +938,7 @@ class TestLoader:
         """A build with AddressSanitizer and UBSan runs the tiny-graph
         (stepped and ``wave_run``), ``wave_run``'s init refusals,
         lane-contract and PQ-sum properties,
-        and the build's local-join and greedy-pick ones
+        and the build's local-join, greedy-pick and prune ones
         (``test_index_construction``), in a child with the runtimes
         preloaded; any out-of-bounds access or undefined behaviour kills
         it with a report instead of passing silently."""
@@ -978,6 +978,9 @@ class TestLoader:
             "import test_index_construction as c\n"
             "c.test_native_join_is_the_numpy_join()\n"
             "c.test_native_greedy_pick_is_the_numpy_pick()\n"
+            "c.test_native_prune_is_the_numpy_prune()\n"
+            "for bad in (-2, 7, 2**40):\n"
+            "    c.test_prune_rows_refuses_ids_out_of_range(bad)\n"
         )
         env = dict(
             os.environ,
