@@ -41,7 +41,6 @@ from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.datasets.largescale import exact_ground_truth
 from repro.index.base import GraphIndex
-from repro.index.graph_wave import bookkeeping
 from repro.index.scoring import StackedScorer
 from repro.metrics import mean_recall, measure_batch_qps, measure_qps
 
@@ -348,7 +347,7 @@ def fig10c_multivector() -> Table:
     host = (
         f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
         f"{platform.python_version()}, NumPy {np.__version__}, "
-        f"{bookkeeping()} wave"
+        "native wave"
     )
     return Table(
         "Fig. 10(c)",

@@ -11,7 +11,6 @@ and match them.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
 
 import numpy as np
 
@@ -154,52 +153,14 @@ def _greedy_by_domination(dominated: np.ndarray, gamma: int) -> np.ndarray:
     first); the first row is always taken, and at most *gamma* are.
     Returns the picked rows, ascending.
 
-    ``native.c``'s ``greedy_pick`` makes the pick in one call.  Without
-    it, the fallback here encodes each row as a bitmask, which turns the
-    inner "any selected dominates j?" check into one Python int AND.
+    ``native.c``'s ``greedy_pick`` makes the pick in one call.
     """
     c = dominated.shape[0]
-    kernel = native.lib
-    if kernel is not None:
-        dominated = np.ascontiguousarray(dominated, dtype=np.bool_)
-        picked = np.empty(c, dtype=np.int64)
-        count = kernel.greedy_pick(dominated.ctypes.data, c, gamma, picked.ctypes.data)
-        native.check(count)
-        return picked[:count]
-    packed = np.packbits(dominated, axis=1)  # big-endian bits within bytes
-    total_bits = packed.shape[1] * 8
-    blockers = [int.from_bytes(row.tobytes(), "big") for row in packed]
-    # Bit for candidate j sits at position total_bits − 1 − j.
-    selected = [0]
-    selected_mask = 1 << (total_bits - 1)
-    for j in range(1, c):
-        if len(selected) >= gamma:
-            break
-        if not (blockers[j] & selected_mask):
-            selected.append(j)
-            selected_mask |= 1 << (total_bits - 1 - j)
-    return np.asarray(selected, dtype=np.int64)
-
-
-def _lane_gram(vecs: np.ndarray) -> np.ndarray:
-    """Every pair's inner product of the float32 rows *vecs*, ``(c, c)``
-    float64, under the search's float contract (``native.c``'s header):
-    eight float32 lanes from +0.0, ``a[d % 8] += x[d]·y[d]``, combined
-    pairwise and widened — ``lane_dot``'s bits, eight dimensions a
-    NumPy step."""
-    c, dim = vecs.shape
-    cols = np.ascontiguousarray(vecs.T)  # (dim, c)
-    lanes = np.zeros((8, c, c), dtype=np.float32)
-    prod = np.empty_like(lanes)
-    with np.errstate(all="ignore"):
-        for d in range(0, dim, 8):
-            block = cols[d : d + 8]  # dimension d + i feeds lane i
-            w = block.shape[0]
-            np.multiply(block[:, :, None], block[:, None, :], out=prod[:w])
-            lanes[:w] += prod[:w]
-        a = lanes
-        sums = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
-    return sums.astype(np.float64)
+    dominated = np.ascontiguousarray(dominated, dtype=np.bool_)
+    picked = np.empty(c, dtype=np.int64)
+    count = native.lib.greedy_pick(dominated.ctypes.data, c, gamma, picked.ctypes.data)
+    native.check(count)
+    return picked[:count]
 
 
 def prune_one(
@@ -212,36 +173,17 @@ def prune_one(
 ) -> np.ndarray:
     """α-RNG pruning of one vertex's candidate list (similarity-sorted).
 
-    Shared by Vamana's α-pruning, HNSW's neighbour-selection heuristic
-    and, one vertex at a time without a compiler, the pipeline's MRNG
-    and α-RNG stages.  ``ids``/``sims`` must be in descending-similarity
-    order.  With the native library this is one ``prune_rows`` call over
-    one row, which scores a candidate pair only when the greedy scan
-    asks for it; without it, :func:`_lane_gram` scores every pair with
-    the same bits and :func:`_greedy_by_domination` picks, so both paths
-    pick the same neighbours.
+    Shared by Vamana's α-pruning and HNSW's neighbour-selection
+    heuristic.  ``ids``/``sims`` must be in descending-similarity order.
+    One ``prune_rows`` call over one row, which scores a candidate pair
+    only when the greedy scan asks for it.
     """
     if ids.size == 0:
         return np.empty(0, dtype=np.int32)
-    kernel = native.lib
-    if kernel is not None:
-        return _prune_rows(
-            kernel, concat, total, ids[None], sims[None], gamma, alpha
-        )[0]
-    cc = _lane_gram(concat[ids])  # candidate↔candidate IP
-    # Squared distances via d² = 2S − 2·IP (all concatenated vectors
-    # share the norm √S), so the α-pruning rule is expressible in IP.
-    d_v = 2.0 * total - 2.0 * sims.astype(np.float64)  # vertex↔candidate
-    d_cc = 2.0 * total - 2.0 * cc  # candidate ↔ candidate
-    # u blocks j when u is α× closer to j than the vertex is
-    # (α=1 is exactly MRNG / Algorithm 1 line 16).
-    dominated = (alpha * alpha) * d_cc <= d_v[:, None]
-    np.fill_diagonal(dominated, False)
-    return ids[_greedy_by_domination(dominated, gamma)].astype(np.int32)
+    return _prune_rows(concat, total, ids[None], sims[None], gamma, alpha)[0]
 
 
 def _prune_rows(
-    kernel: Any,
     concat: np.ndarray,
     total: float,
     cand: np.ndarray,
@@ -251,7 +193,13 @@ def _prune_rows(
 ) -> list[np.ndarray]:
     """Every row of ``-1``-padded *cand* (each row similarity-sorted,
     *sims* beside it) pruned in one ``prune_rows`` call: each row's
-    picks, int32, in candidate order."""
+    picks, int32, in candidate order.
+
+    Squared distances are ``d² = 2S − 2·IP`` (all concatenated vectors
+    share the norm √S, *total* being S), so the α-pruning rule is one in
+    inner products: a selected ``u`` blocks ``j`` when ``α²·d²(u, j) <=
+    d²(vertex, j)`` (α = 1 is exactly MRNG, Algorithm 1 line 16),
+    compared in float64.  ``-1`` ids pad a row."""
     require(concat.dtype == np.float32, "selection: the matrix is not float32")
     x = np.ascontiguousarray(concat)
     ids = np.ascontiguousarray(cand, dtype=np.int64)
@@ -260,7 +208,7 @@ def _prune_rows(
     picked = np.empty((rows, c), dtype=np.int64)
     counts = np.empty(rows, dtype=np.int64)
     native.check(
-        kernel.prune_rows(
+        native.lib.prune_rows(
             x.ctypes.data, x.shape[0], x.shape[1], ids.ctypes.data,
             sims64.ctypes.data, rows, c, gamma, total, alpha,
             picked.ctypes.data, counts.ctypes.data,
@@ -280,16 +228,7 @@ def _prune_select(
     require(gamma >= 1, "gamma must be at least 1")
     concat = space.concatenated
     total = space.weights.total  # ‖x̂‖² for every fully-present object
-    kernel = native.lib
-    if kernel is not None:
-        return _prune_rows(kernel, concat, total, cand, sims, gamma, alpha)
-    out: list[np.ndarray] = []
-    for v in range(cand.shape[0]):
-        row = cand[v]
-        valid = row >= 0
-        ids = row[valid]
-        out.append(prune_one(concat, total, ids, sims[v][valid], gamma, alpha))
-    return out
+    return _prune_rows(concat, total, cand, sims, gamma, alpha)
 
 
 def angle_select(

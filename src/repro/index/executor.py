@@ -59,7 +59,7 @@ from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex
 from repro.index.flat import FlatIndex
-from repro.index.graph_wave import bookkeeping, graph_wave_search
+from repro.index.graph_wave import graph_wave_search
 from repro.index.search import joint_search
 from repro.index.segments import SegmentView
 
@@ -79,11 +79,8 @@ class BatchResult:
     indexing), with the aggregated batch counters on :attr:`stats`
     (summed from the per-query stats on first read unless the producer
     supplied them).  :attr:`plan` names the execution strategy that
-    actually ran (``"graph/wave/native"`` or ``"graph/wave/numpy"`` —
-    the wave plus the bookkeeping it ran with,
-    :func:`~repro.index.graph_wave.bookkeeping` — or ``"exact/wave"``)
-    so callers and benchmarks can assert the chosen
-    path instead of inferring it.
+    actually ran (``"graph/wave"`` or ``"exact/wave"``) so callers and
+    benchmarks can assert the chosen path instead of inferring it.
     """
 
     def __init__(
@@ -161,7 +158,7 @@ class BatchExecutor:
             refine=refine,
             filter_memo={},
         )
-        out = BatchResult(results, plan=f"graph/wave/{bookkeeping()}")
+        out = BatchResult(results, plan="graph/wave")
         out.stats.merge(wave_stats)
         logger.debug(
             "batch plan: %s (%d queries, %d waves)",
@@ -184,7 +181,7 @@ class BatchExecutor:
         results, wave_stats = view.graph_wave(
             list(queries), k=k, l=l, refine=refine
         )
-        out = BatchResult(results, plan=f"graph/wave/{bookkeeping()}")
+        out = BatchResult(results, plan="graph/wave")
         out.stats.merge(wave_stats)
         logger.debug(
             "batch plan: %s (%d queries, %d segment waves)",
@@ -308,7 +305,7 @@ def execute(
                 l=opts.l,
                 refine=opts.refine,
             )
-            return BatchResult([result], plan=f"graph/wave/{bookkeeping()}")
+            return BatchResult([result], plan="graph/wave")
     plan: dict[str, Any] = dict(k=opts.k, l=opts.l, refine=opts.refine)
     if isinstance(target, SegmentView):
         out = BatchExecutor.run_segmented(target, queries, **plan)

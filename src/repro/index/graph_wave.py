@@ -26,31 +26,24 @@ Each wave
 
 Steps 1, 2 and 4 are bookkeeping — choosing columns, gathering ids,
 stable merges — and step 3 is all the arithmetic there is.  Both run in
-a small C library (:mod:`repro.native`) when it compiled and loaded,
-and in NumPy otherwise (:class:`_NumpyBookkeeping`, also the kernel's
-bookkeeping oracle, and ``einsum``); :func:`bookkeeping` says which
-runs.  On the kernel, a traversal whose rows are all fast-path ones
-makes one ctypes call, ``wave_run``, for its init and every wave: it
-runs the steps the init's and each wave's calls run, in their order,
-until no row expands.  Any other traversal steps from Python — the
-init, then three calls a wave on a dense store; that loop is the one
-``wave_run`` is pinned against.
-The two bookkeepings leave the same bits behind.  The dense arithmetic
-does not, so the kernel's comes with a float contract: a fast-path row's
-similarity is the float32 dot product of its ω-scaled concatenation
-with the query's, summed in eight lane accumulators that start at
-``+0.0f``, ``a[d mod 8] += fl(x[d]·q[d])`` for ``d = 0 … D−1`` in
-order, combined as ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))`` and widened
-to float64 — no FMA, no reassociation (``native.c``'s header).
+the C library :mod:`repro.native` builds at import
+(:class:`_Bookkeeping`; the test suite's NumPy bookkeeping is its
+oracle).  A traversal whose rows are all fast-path ones makes one ctypes
+call, ``wave_run``, for its init and every wave: it runs the steps the
+init's and each wave's calls run, in their order, until no row expands.
+Any other traversal steps from Python — the init, then three calls a
+wave on a dense store; that loop is the one ``wave_run`` is pinned
+against.  The dense arithmetic comes with a float contract: a fast-path
+row's similarity is the float32 dot product of its ω-scaled
+concatenation with the query's, summed in eight lane accumulators that
+start at ``+0.0f``, ``a[d mod 8] += fl(x[d]·q[d])`` for ``d = 0 … D−1``
+in order, combined as ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))`` and
+widened to float64 — no FMA, no reassociation (``native.c``'s header).
 The same call scores traversed and scanned rows, so a row carries the
-same bits either way; ``einsum`` on the fallback agrees with it within
-the float32 dot-product bound (:func:`~repro.store.dot_error`).
-A PQ store's rows are summed by the same library's ``adc_gather``, one
-call per modality, in the NumPy fallback's own order (sub-space by
-sub-space from a float32 zero), so they carry the same bits on both
-paths.  The other stacked-kernel rows (int8 stores, the zero-weight
-fallback), thresholds, rerank and fusion are NumPy on both paths, and
-bit-identical between them.
+same bits either way.  A PQ store's rows are summed by the same
+library's ``adc_gather``, one call per modality, sub-space by sub-space
+from a float32 zero.  The other stacked-kernel rows (int8 stores, the
+zero-weight fallback), thresholds, rerank and fusion are NumPy.
 
 The engine is cut as *prepare → traverse → finalise* (:class:`_Wave`),
 and a scanned row skips the middle step: it is scored end to end by the
@@ -100,35 +93,7 @@ from repro.sparse.hybrid import hybrid_union_rescore, sparse_plane
 from repro.utils.topk import rank_order, top_k_sorted
 from repro.utils.validation import require
 
-__all__ = ["bookkeeping", "graph_wave_search"]
-
-
-def _pad_by_owner(
-    owner: np.ndarray,
-    ids: np.ndarray,
-    *sim_columns: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Scatter owner-sorted flat candidates into per-row padded matrices.
-
-    Returns ``(rows, id_matrix, sim_matrices)`` where row ``r`` of each
-    matrix holds the candidates owned by query ``rows[r]``, padded with
-    ``-inf`` similarities (id padding is irrelevant once the sim is
-    ``-inf``).
-    """
-    rows, grp_start, grp_counts = np.unique(
-        owner, return_index=True, return_counts=True
-    )
-    width = int(grp_counts.max())
-    pos = np.arange(owner.size, dtype=np.int64) - np.repeat(grp_start, grp_counts)
-    ridx = np.repeat(np.arange(rows.size, dtype=np.int64), grp_counts)
-    id_mat = np.zeros((rows.size, width), dtype=np.int64)
-    id_mat[ridx, pos] = ids
-    sim_mats: list[np.ndarray] = []
-    for col in sim_columns:
-        mat = np.full((rows.size, width), -np.inf, dtype=np.float64)
-        mat[ridx, pos] = col
-        sim_mats.append(mat)
-    return rows, id_mat, sim_mats
+__all__ = ["graph_wave_search"]
 
 
 class _Wave:
@@ -260,9 +225,6 @@ class _Wave:
         self.hops = np.zeros(b, dtype=np.int64)
         self.concat_mat: np.ndarray | None = None
         self.qmat: np.ndarray | None = None
-        #: the C kernel the traversal runs on — its bookkeeping and the
-        #: fast rows' gather-dot — or None (NumPy and einsum).
-        self.kernel = native.lib
         if self.fast.any():
             self.concat_mat = space.concatenated
             self.qmat = np.zeros((b, self.concat_mat.shape[1]), dtype=np.float32)
@@ -271,11 +233,8 @@ class _Wave:
                     self.qmat[i] = qcat
             # The kernel reads the matrix in place, so it trusts its layout.
             require(
-                self.kernel is None
-                or (
-                    self.concat_mat.dtype == np.float32
-                    and self.concat_mat.flags.c_contiguous
-                ),
+                self.concat_mat.dtype == np.float32
+                and self.concat_mat.flags.c_contiguous,
                 "wave kernel: the concatenated matrix is not C-ordered float32",
             )
 
@@ -314,23 +273,16 @@ class _Wave:
         not above ``thr[owner]``; counted in :attr:`joint_acc`.
 
         The C gather-dot reads the concat rows and query rows in place
-        under the module's float contract; without the kernel, ``einsum``
-        reduces gathered copies of them.
+        under the module's float contract.
         """
         assert self.concat_mat is not None and self.qmat is not None
-        if self.kernel is None:
-            sims = np.einsum(
-                "ij,ij->i", self.concat_mat[cand], self.qmat[owner]
-            ).astype(np.float64)
-            self.joint_acc += np.bincount(owner, minlength=self.b)
-            return np.where(sims > thr[owner], sims, -np.inf)
         concat, qmat = self.concat_mat, self.qmat
         owner = np.ascontiguousarray(owner, dtype=np.int64)
         cand = np.ascontiguousarray(cand, dtype=np.int64)
         thr = np.ascontiguousarray(thr, dtype=np.float64)
         sims = np.empty(cand.size, dtype=np.float64)
         native.check(
-            self.kernel.gather_dot(
+            native.lib.gather_dot(
                 concat.ctypes.data, concat.shape[0], concat.shape[1],
                 qmat.ctypes.data, self.b, owner.ctypes.data, cand.ctypes.data,
                 cand.size, thr.ctypes.data, self.joint_acc.ctypes.data,
@@ -351,29 +303,15 @@ class _Wave:
         Every row goes through the traversal's own :meth:`score_stack`
         with the init's -inf threshold, so it carries the traversal's
         bits by construction — both routes reduce each row on its own.
-        The one exception is a fast-path row without the kernel: its
-        ``einsum`` runs over the concat matrix and the query rows as they
-        lie (a gathered copy of every row would cost ``n × D`` floats per
-        query), and its row-wise sums equal the traversal's ``einsum``
-        bits.
         """
         if rows.size == 0:
             return
         n = self.n
-        sims = np.empty((rows.size, n), dtype=np.float64)
-        in_place = self.fast[rows] & (self.kernel is None)
-        if in_place.any():
-            assert self.concat_mat is not None and self.qmat is not None
-            on = rows[in_place]
-            sims[in_place] = np.einsum("nd,bd->bn", self.concat_mat, self.qmat[on])
-            self.joint_acc[on] += n
-        if not in_place.all():
-            rest = rows[~in_place]
-            sims[~in_place] = self.score_stack(
-                np.repeat(rest, n),
-                np.tile(np.arange(n, dtype=np.int64), rest.size),
-                np.full(self.b, -np.inf),
-            ).reshape(rest.size, n)
+        sims = self.score_stack(
+            np.repeat(rows, n),
+            np.tile(np.arange(n, dtype=np.int64), rows.size),
+            np.full(self.b, -np.inf),
+        ).reshape(rows.size, n)
         for row_sims, i in zip(sims, rows.tolist()):
             excluded = self.excluded_by[i]
             if excluded is not None:
@@ -393,21 +331,15 @@ class _Wave:
         beam search, logging waves and frontier sizes to *wave_stats*.
 
         Each wave is bookkeeping (:meth:`~_Bookkeeping.expand`, then
-        :meth:`~_Bookkeeping.merge`) around one :meth:`score_stack`;
-        the bookkeeping runs in the C kernel when it loaded and in NumPy
-        otherwise, with the same bits either way.
-        :meth:`~_Bookkeeping.run` may take the init and every wave in
-        one call (the kernel's, when every row is fast); the init and
-        step loop here are the path it must equal.
+        :meth:`~_Bookkeeping.merge`) around one :meth:`score_stack`.
+        :meth:`~_Bookkeeping.run` takes the init and every wave in one
+        call when every row is fast; the init and step loop here are the
+        path it must equal.
         """
         if not active.any():
             return
-        b, kernel = self.b, self.kernel
-        book: _Bookkeeping = (
-            _NumpyBookkeeping(self, active, expansions_per_wave)
-            if kernel is None
-            else _NativeBookkeeping(self, active, expansions_per_wave, kernel)
-        )
+        b = self.b
+        book = _Bookkeeping(self, active, expansions_per_wave)
         # The init and every wave in one call, when the bookkeeping can.
         frontier_sizes = book.run()
         if frontier_sizes is None:
@@ -488,187 +420,31 @@ class _Wave:
 
 
 class _Bookkeeping:
-    """One traversal's routing state and the two steps of a wave.
+    """One traversal's routing state and the two steps of a wave, in
+    ``native.c``: one ctypes call each over arrays this traversal owns
+    (the CSR pair is only read).
 
     :meth:`expand` picks each active row's next expansions, gathers
     their unvisited neighbours into an owner-sorted frontier and marks
     them visited; :meth:`merge` folds a scored frontier into the route
     and result pools.  Neither does float arithmetic — the scores come
-    from :meth:`_Wave.score_stack` — so the two implementations leave
-    the same bits behind.
-    """
+    from :meth:`_Wave.score_stack`.  When every row is fast, :meth:`run`
+    takes the init and all the waves in one call, ``wave_run``, which
+    makes the step loop's calls in its order.
 
-    #: routing pools, each row best first and truncated to its own
-    #: width after every merge, so a query's state is exactly what a
-    #: batch of one would hold — composition independence — and the
-    #: rows' visited bitsets; each implementation allocates its own.
-    route_ids: np.ndarray  # (b, width) int64
-    route_sims: np.ndarray  # (b, width) float64, -inf padded
-    route_dead: np.ndarray  # (b, width) bool
-    seen: np.ndarray  # (b, n) bool
+    The routing pools are each row best first and truncated to its own
+    width after every merge, so a query's state is exactly what a batch
+    of one would hold — composition independence.  Every array the
+    kernel writes but the wave's own pools and counters is carved from
+    one allocation, 8-byte columns first, so a traversal's scratch costs
+    one allocation and one address read."""
 
     def __init__(self, wave: _Wave, active: np.ndarray, expansions_per_wave: int):
         self.wave = wave
-        self.active = active
         self.m_exp = int(expansions_per_wave)
         #: the graph's traversal constants, built once per graph.
-        self.graph = wave.index.traversal_constants()
-
-    def expand(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``(thr, owner, cand)`` of the next wave, or ``None`` when no
-        row has a candidate left; counts the expansions as hops."""
-        raise NotImplementedError
-
-    def merge(
-        self, owner: np.ndarray, cand: np.ndarray, sims: np.ndarray
-    ) -> np.ndarray:
-        """Fold owner-sorted scored candidates into both pools; returns
-        the rows touched (what the tests' Lemma 3 hook checks)."""
-        raise NotImplementedError
-
-    def run(self) -> list[int] | None:
-        """The init and every wave, scored and merged in one call, and
-        the waves' frontier sizes; ``None`` (nothing done) when this
-        bookkeeping can only step."""
-        return None
-
-
-class _NumpyBookkeeping(_Bookkeeping):
-    """The bookkeeping in NumPy: what runs without the C kernel, and the
-    oracle the kernel is pinned against."""
-
-    def __init__(self, wave: _Wave, active: np.ndarray, expansions_per_wave: int):
-        super().__init__(wave, active, expansions_per_wave)
-        b, width = wave.b, wave.width
-        self.route_ids = np.zeros((b, width), dtype=np.int64)
-        self.route_sims = np.full((b, width), -np.inf, dtype=np.float64)
-        self.route_dead = np.ones((b, width), dtype=bool)
-        self.seen = np.zeros((b, wave.n), dtype=bool)
-        self.rows_all = np.arange(b, dtype=np.int64)
-        self.cols = np.arange(width, dtype=np.int64)
-        # Group queries by the identity of their excluded-vertex bitset
-        # (shared filters compile to one mask, unfiltered queries share the
-        # deletion bitset) so admission is one vectorised lookup per group.
-        self.uniq_excluded: list[np.ndarray] = []
-        self.excl_group = np.full(b, -1, dtype=np.int64)
-        group_of: dict[int, int] = {}
-        for i, excl in enumerate(wave.excluded_by):
-            if excl is None:
-                continue
-            gid = group_of.setdefault(id(excl), len(self.uniq_excluded))
-            if gid == len(self.uniq_excluded):
-                self.uniq_excluded.append(excl)
-            self.excl_group[i] = gid
-
-    def admissible(self, owner: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        out = np.ones(cand.size, dtype=bool)
-        groups = self.excl_group[owner]
-        for gid, excl in enumerate(self.uniq_excluded):
-            sel = groups == gid
-            if sel.any():
-                out[sel] = ~excl[cand[sel]]
-        return out
-
-    def merge(
-        self, owner: np.ndarray, cand: np.ndarray, sims: np.ndarray
-    ) -> np.ndarray:
-        wave, width, cols = self.wave, self.wave.width, self.cols
-        route_ids, route_sims, route_dead = (
-            self.route_ids, self.route_sims, self.route_dead
-        )
-        res_ids, res_sims = wave.res_ids, wave.res_sims
-        rows, f_ids, (f_route_sims, f_res_sims) = _pad_by_owner(
-            owner, cand, sims, np.where(self.admissible(owner, cand), sims, -np.inf)
-        )
-        cat_ids = np.concatenate([route_ids[rows], f_ids], axis=1)
-        cat_sims = np.concatenate([route_sims[rows], f_route_sims], axis=1)
-        cat_dead = np.concatenate(
-            [route_dead[rows], ~np.isfinite(f_route_sims)], axis=1
-        )
-        order = np.argsort(-cat_sims, axis=1, kind="stable")[:, :width]
-        new_sims = np.take_along_axis(cat_sims, order, axis=1)
-        over = cols[None, :] >= wave.width_arr[rows][:, None]
-        route_ids[rows] = np.take_along_axis(cat_ids, order, axis=1)
-        route_sims[rows] = np.where(over, -np.inf, new_sims)
-        route_dead[rows] = np.take_along_axis(cat_dead, order, axis=1) | over
-
-        cat_ids = np.concatenate([res_ids[rows], f_ids], axis=1)
-        cat_sims = np.concatenate([res_sims[rows], f_res_sims], axis=1)
-        order = np.argsort(-cat_sims, axis=1, kind="stable")[:, :width]
-        new_sims = np.take_along_axis(cat_sims, order, axis=1)
-        over = cols[None, :] >= wave.cap_arr[rows][:, None]
-        res_ids[rows] = np.take_along_axis(cat_ids, order, axis=1)
-        res_sims[rows] = np.where(over, -np.inf, new_sims)
-        return rows
-
-    def expand(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        wave, m_exp = self.wave, self.m_exp
-        route_dead, route_sims, seen = self.route_dead, self.route_sims, self.seen
-        flat_adj, offsets = self.graph.flat, self.graph.offsets
-        thr = wave.res_sims[self.rows_all, np.maximum(wave.cap_arr - 1, 0)]
-        # Algorithm 2's termination rule, vectorised: a routed candidate
-        # strictly below the current result floor can never enter R.
-        route_dead |= route_sims < thr[:, None]
-        masked = np.where(route_dead, -np.inf, route_sims)
-        # Up to m best unexpanded candidates per row — each row reads
-        # only its own pool, so wave-mates stay invisible to it.
-        top_cols = np.argsort(-masked, axis=1, kind="stable")[:, :m_exp]
-        top_sims = np.take_along_axis(masked, top_cols, axis=1)
-        valid = np.isfinite(top_sims)
-        valid &= self.active[:, None]
-        if not valid.any():
-            return None
-        rsel, csel = np.nonzero(valid)
-        cols_sel = top_cols[rsel, csel]
-        expand = self.route_ids[rsel, cols_sel]
-        route_dead[rsel, cols_sel] = True
-        wave.hops += valid.sum(axis=1)
-
-        counts = offsets[expand + 1] - offsets[expand]
-        total_adj = int(counts.sum())
-        if total_adj == 0:
-            return thr, rsel[:0], expand[:0]
-        shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        gather = np.arange(total_adj, dtype=np.int64) + np.repeat(
-            offsets[expand] - shift, counts
-        )
-        cand = flat_adj[gather].astype(np.int64)
-        owner = np.repeat(rsel, counts)
-        fresh = ~seen[owner, cand]
-        cand, owner = cand[fresh], owner[fresh]
-        if cand.size and m_exp > 1:
-            # Two expanded vertices of one row may share a neighbour;
-            # keep each (row, candidate) pair once.  np.unique sorts the
-            # keys row-major, preserving the owner-sorted layout
-            # merge pads by.
-            key = owner * wave.n + cand
-            _, first = np.unique(key, return_index=True)
-            owner, cand = owner[first], cand[first]
-        seen[owner, cand] = True
-        return thr, owner, cand
-
-
-class _NativeBookkeeping(_Bookkeeping):
-    """The same two steps in ``native.c``: one ctypes call each
-    over arrays this traversal owns (the CSR pair is only read).  When
-    every row is fast, :meth:`run` takes the init and all the waves in
-    one call, ``wave_run``, which makes the step loop's calls in its
-    order.
-
-    Every array the kernel writes but the wave's own pools and counters
-    is carved from one allocation, 8-byte columns first, so a
-    traversal's scratch costs one allocation and one address read."""
-
-    def __init__(
-        self,
-        wave: _Wave,
-        active: np.ndarray,
-        expansions_per_wave: int,
-        kernel: ctypes.CDLL,
-    ):
-        super().__init__(wave, active, expansions_per_wave)
-        b, width, n, graph = wave.b, wave.width, wave.n, self.graph
-        self.kernel = kernel
+        self.graph = graph = wave.index.traversal_constants()
+        b, width, n = wave.b, wave.width, wave.n
         # A row gathers at most min(m, width) adjacency lists a wave,
         # and never a vertex twice.
         row_cap = min(n, min(self.m_exp, width) * graph.max_degree)
@@ -745,7 +521,9 @@ class _NativeBookkeeping(_Bookkeeping):
         )
 
     def expand(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        f = int(self.kernel.wave_expand(self.state))
+        """``(thr, owner, cand)`` of the next wave, or ``None`` when no
+        row has a candidate left; counts the expansions as hops."""
+        f = int(native.lib.wave_expand(self.state))
         if f == -1:
             return None
         native.check(f)
@@ -754,11 +532,13 @@ class _NativeBookkeeping(_Bookkeeping):
     def merge(
         self, owner: np.ndarray, cand: np.ndarray, sims: np.ndarray
     ) -> np.ndarray:
+        """Fold owner-sorted scored candidates into both pools; returns
+        the rows touched (what the tests' Lemma 3 hook checks)."""
         owner = np.ascontiguousarray(owner, dtype=np.int64)
         cand = np.ascontiguousarray(cand, dtype=np.int64)
         sims = np.ascontiguousarray(sims, dtype=np.float64)
         touched = int(
-            self.kernel.wave_merge(
+            native.lib.wave_merge(
                 self.state, owner.ctypes.data, cand.ctypes.data,
                 sims.ctypes.data, owner.size,
             )
@@ -767,6 +547,9 @@ class _NativeBookkeeping(_Bookkeeping):
         return self.rows[:touched]
 
     def run(self) -> list[int] | None:
+        """The init and every wave, scored and merged in one call, and
+        the waves' frontier sizes; ``None`` (nothing done) unless every
+        row is fast, when the caller steps instead."""
         wave = self.wave
         if not wave.all_fast:
             return None
@@ -779,7 +562,7 @@ class _NativeBookkeeping(_Bookkeeping):
         # No row expands a vertex twice, and a row that expands nothing
         # never expands again: at most n waves.
         waves = int(
-            self.kernel.wave_run(
+            native.lib.wave_run(
                 self.state, self.graph.entry_ptr, self.init_len_at,
                 concat.ctypes.data, concat.shape[0], concat.shape[1],
                 native.address(qmat), native.address(wave.joint_acc),
@@ -788,12 +571,6 @@ class _NativeBookkeeping(_Bookkeeping):
         )
         native.check(waves)
         return self.sizes[:waves].tolist()
-
-
-def bookkeeping() -> str:
-    """Which bookkeeping :func:`graph_wave_search` runs: ``"native"``
-    (the C kernel loaded) or ``"numpy"``."""
-    return "numpy" if native.lib is None else "native"
 
 
 def graph_wave_search(

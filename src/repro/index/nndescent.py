@@ -11,18 +11,15 @@ one BLAS matmul scores the block against the union, and a top-k keeps
 the best per vertex.  The matmul is the only similarity work.  Around it
 sits integer bookkeeping — numbering the union, laying out each row's
 similarities and masking repeats — which :func:`block_candidate_sims`
-hands to ``native.c`` (NumPy scatters without a compiler, never a
-sort).  At 4 000 vertices the matmul is then about a third of a
-sweep's join, the C bookkeeping about two fifths, and NumPy's id
-gathers the rest; the ``argpartition`` that keeps each row's top k
-comes on top, about a sixth of the whole sweep.  The paper's Tab. XI
+hands to ``native.c`` (never a sort).  At 4 000 vertices the matmul is
+then about a third of a sweep's join, the C bookkeeping about two
+fifths, and NumPy's id gathers the rest; the ``argpartition`` that keeps
+each row's top k comes on top, about a sixth of the whole sweep.  The paper's Tab. XI
 shows three iterations reach ≥0.99 graph quality; :func:`graph_quality`
 reproduces that metric.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 import numpy as np
 
@@ -94,14 +91,13 @@ def block_candidate_sims(
     computes every similarity; a similarity's bits therefore do not
     depend on where its candidate sits in the row.  The bookkeeping
     around the matmul — numbering the union, laying the similarities
-    out, masking repeats and self — runs in ``native.c``
-    (``join_number``, ``join_fill``) when :mod:`repro.native` loaded it,
-    and in the NumPy scatters below otherwise; both return the same
-    arrays, byte for byte.  Which of two candidates with *exactly equal*
-    similarity a caller's ``argpartition`` prefers does depend on column
-    order, so on corpora with tied similarities (duplicated objects) the
-    result is one valid top-k among several — deterministic, but not a
-    function of the candidate sets alone.
+    out, masking repeats and self — runs in ``native.c``:
+    ``join_number`` numbers the union in ascending id order and
+    ``join_fill`` lays the matmul's rows out.  Which of two candidates
+    with *exactly equal* similarity a caller's ``argpartition`` prefers
+    does depend on column order, so on corpora with tied similarities
+    (duplicated objects) the result is one valid top-k among several —
+    deterministic, but not a function of the candidate sets alone.
     """
     nb = neighbors[block]  # (b, k)
     parts = [nb, neighbors[nb].reshape(len(block), -1)]
@@ -109,56 +105,25 @@ def block_candidate_sims(
         rnb = reverse[block]
         parts.extend([rnb, neighbors[rnb].reshape(len(block), -1)])
     cand = np.concatenate(parts, axis=1)  # (b, c)
-    kernel = native.lib
-    if kernel is not None:
-        return cand, _native_sims(kernel, concat, cand, block)
-    # Block-wide candidate union without sorting: mark, then number the
-    # marked ids in ascending order.
-    mark = np.zeros(concat.shape[0], dtype=bool)
-    mark[cand.ravel()] = True
-    uniq = np.flatnonzero(mark)
-    pos = np.empty(concat.shape[0], dtype=np.intp)
-    pos[uniq] = np.arange(uniq.size)
-    sub = concat[block] @ _union_rows(concat, uniq).T  # (b, |uniq|), one BLAS call
-    # Flat index into ``sub`` of every candidate's similarity.
-    flat = pos[cand] + (np.arange(len(block)) * uniq.size)[:, None]
-    sims = sub.ravel()[flat]
-    # Within-row duplicates: every column writes its index into its
-    # candidate's slot; the last write per slot survives, the others lose.
-    cols = np.arange(cand.shape[1], dtype=np.int32)
-    slot = np.empty(sub.size, dtype=np.int32)
-    slot[flat] = cols
-    sims[slot[flat] != cols] = -np.inf
-    sims[cand == block[:, None]] = -np.inf
-    return cand, sims
-
-
-def _native_sims(
-    kernel: Any, concat: np.ndarray, cand: np.ndarray, block: np.ndarray
-) -> np.ndarray:
-    """:func:`block_candidate_sims`'s similarities through ``native.c``:
-    ``join_number`` numbers the union, the same matmul scores it, and
-    ``join_fill`` lays it out — the NumPy path's bits, without its
-    ``(b, |union|)`` slot table."""
     require(concat.dtype == np.float32, "local join: the matrix is not float32")
     n = concat.shape[0]
     ids = np.ascontiguousarray(cand, dtype=np.int32)
     rows = np.ascontiguousarray(block, dtype=np.int64)
     pos = np.empty(n, dtype=np.int32)
     uniq = np.empty(min(n, ids.size), dtype=np.int64)
-    u = kernel.join_number(
+    u = native.lib.join_number(
         ids.ctypes.data, ids.size, n, pos.ctypes.data, uniq.ctypes.data
     )
     native.check(u)
-    sub = concat[block] @ _union_rows(concat, uniq[:u]).T  # the same BLAS call
+    sub = concat[block] @ _union_rows(concat, uniq[:u]).T  # one BLAS call
     sims = np.empty(ids.shape, dtype=np.float32)
     native.check(
-        kernel.join_fill(
+        native.lib.join_fill(
             ids.ctypes.data, ids.shape[0], ids.shape[1], rows.ctypes.data, n,
             pos.ctypes.data, u, sub.ctypes.data, sims.ctypes.data,
         )
     )
-    return sims
+    return cand, sims
 
 
 def _union_rows(concat: np.ndarray, uniq: np.ndarray) -> np.ndarray:

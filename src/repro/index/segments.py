@@ -88,7 +88,7 @@ from repro.store import (
     store_from_arrays,
 )
 from repro.store.base import refuse_retired_kind
-from repro.utils.io import load_arrays, pack_adjacency, save_arrays
+from repro.utils.io import load_arrays, pack_adjacency, replace_text, save_arrays
 from repro.utils.topk import merge_candidates
 from repro.utils.validation import require
 
@@ -1221,9 +1221,9 @@ class SegmentedIndex:
         recorded with ``"storage": "mmap"``.  A corpus with a sparse
         lexical plane stores its per-segment CSR arrays (stamped stats
         included) inside the archives.  Whatever the index holds, the
-        manifest format is ``must-segments-v5``; ``segment_*.npz``
-        archives the manifest does not list are unlinked after it is
-        written."""
+        manifest format is ``must-segments-v5``, and it replaces the old
+        one whole (:func:`~repro.utils.io.replace_text`); ``segment_*.npz``
+        archives it does not list are unlinked only after that."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         entries = []
@@ -1273,10 +1273,8 @@ class SegmentedIndex:
             e.get("storage") == "mmap" for e in entries
         ):
             manifest["cold_storage"] = self.cold_storage
-        (path / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2) + "\n"
-        )
-        # Only once the manifest no longer lists them: archives a
+        replace_text(path / MANIFEST_NAME, json.dumps(manifest, indent=2) + "\n")
+        # Only once the new manifest is in place and durable: archives a
         # larger save left behind (sidecar .npy files stay — a snapshot
         # may still map them).
         listed = {entry["file"] for entry in entries}

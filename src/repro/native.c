@@ -12,8 +12,8 @@
  * scored frontier back into the route and result pools.  The two
  * bookkeeping calls do no floating-point arithmetic: they compare, copy
  * and move the similarities they are given, so they leave the pools, the
- * seen bitsets and the counters exactly as the NumPy bookkeeping in
- * graph_wave.py does.
+ * seen bitsets and the counters exactly as their NumPy oracle in the
+ * test suite (tests/oracles.py) does.
  *
  * When gather_dot scores every row of a traversal, wave_run takes the
  * whole traversal in one call: its init (each row's prefix of the
@@ -29,9 +29,9 @@
  * NumPy matmul computed and read a boolean matrix NumPy compared.
  * prune_rows, the MRNG / alpha-RNG selection, scores the candidate pairs
  * its greedy scan reads under the contract below, as gather_dot does,
- * and compares them in float64 as the NumPy fallback does, which scores
- * every pair with a lane loop of the same bits.  So a graph built on
- * either path is the same graph, bit for bit.
+ * and compares them in float64 as its NumPy oracle does, which scores
+ * every pair with a lane loop of the same bits.  So the oracle builds
+ * the same graph, bit for bit.
  *
  * gather_dot and prune_rows run under this float contract.  A dense
  * row's similarity against another (a query row, or a candidate), both D
@@ -46,8 +46,7 @@
  * reassociation (no -ffast-math or kin).  Eight lanes rather than one
  * sequential sum so that the loop vectorises; the order is fixed, so the
  * bits do not depend on the SIMD width the compiler picks, and a NumPy
- * lane loop (the tests' oracle, and the build's fallback) reproduces
- * them.
+ * lane loop (the tests' oracle) reproduces them.
  *
  * adc_gather needs no contract of its own.  A PQ row's score against a
  * query's M lookup tables is
@@ -55,9 +54,9 @@
  *     float s = +0.0f;
  *     for m = 0 .. M-1 in order:  s = fl(s + lut[m][code[m]]);
  *
- * which is the order and the rounding of the NumPy sum it replaces
- * (pq._adc_sum adds one float32 vector per sub-space into zeros), so
- * the two paths agree bit for bit, signed zeros, subnormals and
+ * which is the order and the rounding of the NumPy sum it replaced (the
+ * tests' oracle adc_sum adds one float32 vector per sub-space into
+ * zeros), so the two agree bit for bit, signed zeros, subnormals and
  * infinities included.  A NaN stays a NaN, but where two NaNs meet the
  * payload that survives is the hardware's pick of operand, which
  * NumPy's own loops do not fix either (its vector and scalar adds pick
@@ -73,7 +72,8 @@
  * NaN included, to -inf), so `>` is the order NumPy's stable argsort of
  * the negated values sorts by.
  *
- * Built by repro/native.py and called through ctypes.
+ * Built by repro/native.py at import, which fails without a C compiler,
+ * and called through ctypes.
  */
 #include <math.h>
 #include <stdint.h>
@@ -620,8 +620,8 @@ int64_t join_number(const int32_t *cand, int64_t count, int64_t n,
  * sims[r, j] = sub[r, pos[cand[r, j]]].  A row's self-references
  * (cand[r, j] == block[r]) and every repeat of a candidate but its last
  * column get -inf, so each distinct candidate keeps its similarity
- * once; the last column is the one NumPy's scatter, the fallback, lets
- * win.  Returns b * c, or INVALID (with part of sims written) for an id
+ * once; the last column is the one NumPy's scatter, the tests' oracle,
+ * lets win.  Returns b * c, or INVALID (with part of sims written) for an id
  * outside [0, n) or one pos numbers outside [0, u).
  */
 int64_t join_fill(const int32_t *cand, int64_t b, int64_t c,

@@ -1,25 +1,20 @@
 """Build and load the native kernels, ``native.c``.
 
-One C library serves the search and the build.
-:mod:`repro.index.graph_wave` splits a wave into arithmetic and
-bookkeeping.  The bookkeeping — which route columns a wave expands,
-which neighbours are fresh, the order of a row's frontier and the two
-stable pool merges — runs in ``wave_expand`` and ``wave_merge`` when
-this module could build and load the library, and in NumPy otherwise;
-both leave the same bits behind, since it only compares and moves
-similarities.  Of the arithmetic, the dense rows' inner products
-(traversed and scanned) run in ``gather_dot`` under the eight-lane
-float32 contract the source's header states, and in NumPy's ``einsum``
-otherwise, which agrees with it within the float32 dot-product bound (:func:`~repro.store.dot_error`).  ``wave_run``
-takes a whole traversal whose rows all score through ``gather_dot`` in
-one call: its init wave (each row's prefix of the graph's entry order,
-scored and merged) and every wave after it, each the same steps as
-those calls make.  A PQ store's rows
+One C library serves the search and the build, and :mod:`repro` does
+not run without it.  :mod:`repro.index.graph_wave` splits a wave into
+arithmetic and bookkeeping.  The bookkeeping — which route columns a
+wave expands, which neighbours are fresh, the order of a row's frontier
+and the two stable pool merges — runs in ``wave_expand`` and
+``wave_merge``; it only compares and moves similarities.  Of the
+arithmetic, the dense rows' inner products (traversed and scanned) run
+in ``gather_dot`` under the eight-lane float32 contract the source's
+header states.  ``wave_run`` takes a whole traversal whose rows all
+score through ``gather_dot`` in one call: its init wave (each row's
+prefix of the graph's entry order, scored and merged) and every wave
+after it, each the same steps as those calls make.  A PQ store's rows
 (:mod:`repro.store.pq`: a whole wave's stacked frontier, or one query's
-rows) are summed by ``adc_gather`` in the NumPy fallback's own order —
-sub-space by sub-space from a float32 zero — so they carry the same
-bits on both paths.  int8 rows, thresholds, rerank and fusion are
-NumPy on both paths.
+rows) are summed by ``adc_gather`` sub-space by sub-space from a float32
+zero.  int8 rows, thresholds, rerank and fusion are NumPy.
 
 The build (:mod:`repro.index.nndescent`, :mod:`repro.index.components`)
 hands the library its bookkeeping and one selection.  NNDescent's local
@@ -30,8 +25,9 @@ greedy pick over a domination matrix is ``greedy_pick``.  The MRNG and
 α-RNG selections are ``prune_rows``: every vertex's greedy pick in one
 call, scoring a candidate pair only when the scan asks whether one
 blocks the other, under the same eight-lane contract as ``gather_dot``.
-Without the library a NumPy lane loop scores every pair with those
-bits, so a graph built on either path is the same graph, bit for bit.
+
+Each kernel has a NumPy oracle in the test suite (``tests/oracles.py``)
+that it is compared with bit for bit; none of them runs here.
 
 This module imports nothing from :mod:`repro`, so the store layer and
 the index layer, which imports the store layer, can both call it.
@@ -44,14 +40,11 @@ build is written to a temporary name and moved into place with
 :func:`os.replace`, so processes importing side by side never load a
 half-written library.  Loading goes through :mod:`ctypes`
 (:func:`declare` types every exported function); NumPy stays the only
-dependency.
-
-Whichever path runs is logged once, as ``event=native_kernel
-status=native|numpy path=… reason=…``, and :data:`lib` is the handle
-every caller reads on every call (``None`` means NumPy everywhere: the
-wave's bookkeeping, ``einsum``, the PQ table sums, the build's
-bookkeeping and its lane loop).  No option, setting or environment
-variable picks between the two.
+dependency.  One ``event=native_kernel path=… reason=built|cached`` line
+is logged.  When no compiler is found, the build fails or the cache
+cannot be written, importing this module — hence :mod:`repro` — raises
+:class:`ImportError` saying which; :data:`lib` is always a loaded
+library.
 """
 
 from __future__ import annotations
@@ -173,7 +166,8 @@ def declare(kernel: ctypes.CDLL) -> ctypes.CDLL:
 
 
 def compiler() -> str | None:
-    """The C compiler the kernel is built with, or ``None``."""
+    """The C compiler the kernel is built with, or ``None`` when there
+    is none on ``PATH``."""
     for name in COMPILERS:
         found = shutil.which(name)
         if found is not None:
@@ -205,53 +199,57 @@ def _build(cc: str, source: Path, target: Path) -> None:
             os.unlink(tmp)
 
 
-def _open(cc: str) -> tuple[ctypes.CDLL, Path, str]:
-    """Build the library unless the cache holds it; load and declare it."""
+def _compiled(cc: str) -> tuple[Path, str]:
+    """The library's file, built unless the cache holds it, and how."""
     with resources.as_file(resources.files(PACKAGE) / SOURCE) as source:
         key = hashlib.sha256(source.read_bytes())
         compiled_by = (os.path.realpath(cc), *FLAGS)
         for part in (*compiled_by, sys.platform, platform.machine()):
             key.update(b"\0" + part.encode())
         target = _cache_dir() / f"native-{key.hexdigest()[:16]}.so"
-        how = "cached"
-        if not target.exists():
-            _build(cc, source, target)
-            how = "built"
-    return declare(ctypes.CDLL(str(target))), target, how
+        if target.exists():
+            return target, "cached"
+        _build(cc, source, target)
+    return target, "built"
 
 
-def load() -> tuple[ctypes.CDLL | None, str, str]:
-    """Build (or find) and load the kernel; log which path runs.
+def load() -> tuple[ctypes.CDLL, str, str]:
+    """Build (or find) and load the kernel, and log which file it is.
 
-    Returns ``(lib, path, reason)``: the loaded library or ``None``, the
-    library file (``""`` when there is none) and why — ``built`` /
-    ``cached`` on the native path, the failure on the NumPy one.
+    Returns ``(lib, path, reason)``: the loaded library, its file and
+    whether this call ``built`` it or found it ``cached``.  Raises
+    :class:`ImportError` naming what failed — no C compiler on ``PATH``,
+    the compiler's error output, a cache directory it cannot write (fix:
+    point ``XDG_CACHE_HOME`` at a writable one) or a library that would
+    not load — since nothing in :mod:`repro` runs without the kernel.
     """
     cc = compiler()
-    kernel: ctypes.CDLL | None = None
-    where, why = "", "no C compiler on PATH"
-    if cc is not None:
-        try:
-            kernel, target, why = _open(cc)
-            where = str(target)
-        except subprocess.CalledProcessError as exc:
-            why = "compile failed: " + " ".join((exc.stderr or "").split())[-300:]
-        except (
-            OSError, RuntimeError, subprocess.SubprocessError, AttributeError
-        ) as exc:
-            # RuntimeError: no home directory; AttributeError: a symbol
-            # the library lacks.
-            why = f"{type(exc).__name__}: {exc}"
-    if kernel is None:
-        logger.warning(
-            "event=native_kernel status=numpy path=%s reason=%s", where or "-", why
+    if cc is None:
+        raise ImportError(
+            f"repro needs a C compiler to build {SOURCE}: none of "
+            f"{', '.join(COMPILERS)} is on PATH"
         )
-    else:
-        logger.info(
-            "event=native_kernel status=native path=%s reason=%s", where, why
-        )
-    return kernel, where, why
+    try:
+        target, why = _compiled(cc)
+    except subprocess.CalledProcessError as exc:
+        tail = " ".join((exc.stderr or "").split())[-300:]
+        raise ImportError(f"compiling {SOURCE} with {cc} failed: {tail}") from exc
+    except subprocess.SubprocessError as exc:
+        raise ImportError(f"compiling {SOURCE} with {cc} failed: {exc}") from exc
+    except (OSError, RuntimeError) as exc:
+        # RuntimeError: no home directory to put the cache under.
+        raise ImportError(
+            f"cannot write the kernel cache ({type(exc).__name__}: {exc}); "
+            "set XDG_CACHE_HOME to a writable directory"
+        ) from exc
+    try:
+        kernel = declare(ctypes.CDLL(str(target)))
+    except (OSError, AttributeError) as exc:
+        # AttributeError: a symbol the library lacks.
+        raise ImportError(f"loading {target} failed: {exc}") from exc
+    logger.info("event=native_kernel path=%s reason=%s", target, why)
+    return kernel, str(target), why
 
 
-#: the loaded library, or ``None`` when NumPy runs in its place.
+#: the loaded library; every kernel call reads it at call time.
 lib, path, reason = load()

@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.index.segments import MANIFEST_NAME
 from repro.service.stats import ServiceStats
+from repro.utils.io import replace_text
 from repro.utils.validation import require
 
 if TYPE_CHECKING:
@@ -330,9 +331,9 @@ class CollectionManager:
             "format_version": _FORMAT_VERSION,
             "collections": entries,
         }
-        # Manifest last: a crash mid-save leaves a directory without a
-        # readable collections.json rather than one naming missing saves.
-        (root / _MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
+        # Manifest last, replaced whole: a crash mid-save leaves the old
+        # collections.json (or none) rather than one naming missing saves.
+        replace_text(root / _MANIFEST_NAME, json.dumps(manifest, indent=2))
 
     @classmethod
     def from_saved(

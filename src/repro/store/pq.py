@@ -11,9 +11,8 @@ precomputes one lookup table ``lut[m, c] = codebook[m][c] · q[m]`` per
 query, after which scoring any row is ``Σ_m lut[m, codes[row, m]]`` —
 pure table gathers, no decoding, exactly the inner product of the query
 with the row's reconstruction.  The sum runs in :mod:`repro.native`'s
-``adc_gather`` when the library loaded, reading codes and tables in
-place, and in NumPy otherwise; both add sub-space by sub-space from a
-float32 zero, so the two paths give the same bits.
+``adc_gather``, which reads codes and tables in place and adds
+sub-space by sub-space from a float32 zero.
 """
 
 from __future__ import annotations
@@ -66,19 +65,6 @@ def _pad(mat: np.ndarray, m_sub: int, ds: int) -> np.ndarray:
     return out
 
 
-def _adc_sum(gathered: np.ndarray) -> np.ndarray:
-    """Sum ``(M, rows)`` looked-up table entries over the sub-spaces.
-
-    Accumulates sub-space by sub-space from a float32 zero, so the sum
-    carries the same bits whether the rows belong to one query's kernel
-    or to a whole wave's stacked one.
-    """
-    out = np.zeros(gathered.shape[1], dtype=np.float32)
-    for part in gathered:
-        out += part
-    return out
-
-
 def _adc_gather(
     codes: np.ndarray, luts: np.ndarray, owner: np.ndarray, ids: np.ndarray
 ) -> np.ndarray:
@@ -87,18 +73,15 @@ def _adc_gather(
     *codes* is a store's C-ordered ``(n, M)`` uint8 matrix and *luts* a
     C-ordered ``(b, M, C)`` float32 table block.  The native
     ``adc_gather`` reads both in place (and refuses an ``owner`` or an
-    id out of range); without it one ``(M, rows)`` NumPy gather feeds
-    :func:`_adc_sum`.
+    id out of range), summing sub-space by sub-space from a float32
+    zero, so a row carries the same bits whether it belongs to one
+    query's kernel or to a whole wave's stacked one.
     """
-    kernel = native.lib
-    if kernel is None:
-        sub = np.arange(luts.shape[1])[:, None]
-        return _adc_sum(luts[owner, sub, codes[ids].T])
     owner = np.ascontiguousarray(owner, dtype=np.int64)
     ids = np.ascontiguousarray(ids, dtype=np.int64)
     out = np.empty(ids.shape[0], dtype=np.float32)
     native.check(
-        kernel.adc_gather(
+        native.lib.adc_gather(
             codes.ctypes.data, codes.shape[0], codes.shape[1],
             luts.ctypes.data, luts.shape[0], luts.shape[2],
             owner.ctypes.data, ids.ctypes.data, ids.shape[0], out.ctypes.data,

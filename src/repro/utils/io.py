@@ -3,12 +3,15 @@
 Uses ``numpy.savez`` archives with a JSON metadata blob — dependency-free,
 portable, and bit-exact for float32 payloads.  Variable-length structures
 (adjacency lists) are stored flattened with an offsets array, the standard
-CSR-style layout used by graph databases.
+CSR-style layout used by graph databases.  Manifests are replaced whole
+(:func:`replace_text`), so a crash leaves the old one or the new one.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ __all__ = [
     "unpack_adjacency",
     "save_arrays",
     "load_arrays",
+    "replace_text",
 ]
 
 
@@ -58,3 +62,33 @@ def load_arrays(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     meta_blob = payload.pop("__metadata__")
     metadata = json.loads(bytes(meta_blob.tobytes()).decode("utf-8"))
     return metadata, payload
+
+
+def replace_text(path: str | Path, text: str) -> None:
+    """Replace the file *path* with *text*, durably and whole.
+
+    The text goes to a temporary sibling, which is ``fsync``ed and moved
+    over *path* with :func:`os.replace`; then the directory is
+    ``fsync``ed, so the rename itself survives a power cut.  A reader or
+    a crash sees the old file or the new one, never a torn one.  If the
+    write fails the temporary is removed; one a killed process leaves
+    behind (``.<name>.*.tmp``) is never read.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as out:
+            out.write(text)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)

@@ -301,11 +301,12 @@ def assert_lemma3(book, rows: np.ndarray) -> None:
 
 def lemma3_checked(run, monkeypatch):
     """``run()`` with Lemma 3 asserted on every merge of every graph
-    traversal (:func:`assert_lemma3`): ``merge`` on both bookkeepings
-    checks the rows it returns, and the native bookkeeping's one-call
-    ``run`` is switched off, so every traversal, its init included,
-    steps from Python."""
+    traversal (:func:`assert_lemma3`): ``merge`` on the kernel's
+    bookkeeping and on its NumPy oracle checks the rows it returns, and
+    the kernel's one-call ``run`` is switched off, so every traversal,
+    its init included, steps from Python."""
     import repro.index.graph_wave as gw
+    from tests.oracles import NumpyBookkeeping
 
     def checked(merge):
         def merge_and_check(book, owner, cand, sims):
@@ -316,9 +317,11 @@ def lemma3_checked(run, monkeypatch):
         return merge_and_check
 
     with monkeypatch.context() as patch:
-        for book in (gw._NumpyBookkeeping, gw._NativeBookkeeping):
+        # One class once, when a test has put the oracle in the kernel's
+        # place.
+        for book in dict.fromkeys((NumpyBookkeeping, gw._Bookkeeping)):
             patch.setattr(book, "merge", checked(book.merge))
-        patch.setattr(gw._NativeBookkeeping, "run", lambda book: None)
+        patch.setattr(gw._Bookkeeping, "run", lambda book: None)
         return run()
 
 

@@ -14,8 +14,9 @@ lives in ``tests/test_index_search.py``); the pins here are:
 * **wave stats** — the batch-level ``waves``/``frontier_sizes`` trace
   surfaces through :class:`BatchResult` and the serving layer;
 * **the Lemma 3 hook** — ``conftest.lemma3_checked`` checks every merge
-  of a traversal on both bookkeepings, changes no answer, and raises on
-  a merge that lowers a full pool's sum.
+  of a traversal on the kernel's bookkeeping and on its NumPy oracle
+  (``tests/oracles.py``), changes no answer, and raises on a merge that
+  lowers a full pool's sum.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import native
 from repro.core.framework import MUST
 from repro.core.multivector import MultiVector, MultiVectorSet
 from repro.core.query import Eq, Query, SearchOptions
@@ -31,13 +31,14 @@ from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index import graph_wave as gw
-from repro.index.graph_wave import bookkeeping, graph_wave_search
+from repro.index.graph_wave import graph_wave_search
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.scoring import StackedScorer
 from repro.index.segments import Segment, SegmentView
 from repro.store import dot_error
 
 import tests.conftest as harness
+from tests.oracles import NumpyBookkeeping, adc_sum
 from tests.conftest import heap_search, heap_view_search
 
 N, M, D = 400, 2, 16
@@ -91,7 +92,7 @@ class TestFlatParity:
         truth = [must.query(q, SearchOptions(k=K, exact=True)) for q in queries]
         wave = must.query(queries, SearchOptions(k=K, l=L))
         oracle = [heap_search(must.index, q, K, L) for q in queries]
-        assert wave.plan == f"graph/wave/{bookkeeping()}"
+        assert wave.plan == "graph/wave"
         assert _recall(wave, truth) >= _recall(oracle, truth) - EPS
 
     def test_single_query_wave_engine(self, must, queries):
@@ -103,7 +104,7 @@ class TestFlatParity:
 
     def test_refine_reranks_exact(self, must, queries):
         run = must.query(queries, SearchOptions(k=K, l=L, refine=3))
-        assert run.plan == f"graph/wave/{bookkeeping()}"
+        assert run.plan == "graph/wave"
         assert run.stats.reranked > 0
         truth = [must.query(q, SearchOptions(k=K, exact=True)) for q in queries]
         assert _recall(run, truth) >= 1.0 - EPS
@@ -141,7 +142,7 @@ class TestCompressedParity:
         truth = [must.query(q, SearchOptions(k=K, exact=True)) for q in queries]
         wave = must.query(queries, SearchOptions(k=K, l=L))
         oracle = [heap_search(must.index, q, K, L) for q in queries]
-        assert wave.plan == f"graph/wave/{bookkeeping()}"
+        assert wave.plan == "graph/wave"
         assert _recall(wave, truth) >= _recall(oracle, truth) - EPS
 
 
@@ -177,29 +178,28 @@ class TestStackedKernels:
     def test_store_kernel_matches_per_query_kernels(
         self, space, queries, monkeypatch
     ):
-        """With the native library and without it (PQ sums its tables in
-        C on one path, in NumPy on the other): the same bits, in the
-        whole stack and in a stack of one."""
+        """The same bits in the whole stack and in a stack of one; a PQ
+        row's are its oracle sum's (``tests/oracles.py``) too."""
         store = space.store
         stack = np.stack([q.vectors[1] for q in queries]).astype(np.float32)
         owner, ids = self._frontier(len(queries), skip=3)
         decoded = store.rows(1, ids).astype(np.float64)
         exact = np.einsum("ij,ij->i", decoded, stack[owner].astype(np.float64))
         bound = store.batch_scores_bound(1, stack)[owner]
-        runs = []
-        for lib in (native.lib, None):
-            monkeypatch.setattr(native, "lib", lib)
-            got = store.stacked_kernel(1, stack).ids(ids, owner)
-            assert got.dtype == np.float32
-            for o in np.unique(owner):
-                rows = owner == o
-                solo = store.stacked_kernel(1, stack[o : o + 1])
-                np.testing.assert_array_equal(
-                    got[rows], solo.ids(ids[rows], np.zeros(rows.sum(), np.int64))
-                )
-            assert (np.abs(got - exact) <= bound).all()
-            runs.append(got)
-        assert runs[0].tobytes() == runs[1].tobytes()
+        kernel = store.stacked_kernel(1, stack)
+        got = kernel.ids(ids, owner)
+        assert got.dtype == np.float32
+        for o in np.unique(owner):
+            rows = owner == o
+            solo = store.stacked_kernel(1, stack[o : o + 1])
+            np.testing.assert_array_equal(
+                got[rows], solo.ids(ids[rows], np.zeros(rows.sum(), np.int64))
+            )
+        assert (np.abs(got - exact) <= bound).all()
+        if hasattr(kernel, "luts"):
+            sub = np.arange(kernel.luts.shape[1])[:, None]
+            want = adc_sum(kernel.luts[owner, sub, kernel.codes[ids].T])
+            assert got.tobytes() == want.tobytes()
 
     def test_kernel_rows_are_scored_independently(self, space, queries):
         """One row's score never depends on which rows share the call —
@@ -322,7 +322,7 @@ class TestSegmentedParity:
         wave = seg_must.query(queries, SearchOptions(k=K, l=L))
         view = seg_must.segments.view()
         oracle = [heap_view_search(view, q, K, L) for q in queries]
-        assert wave.plan == f"graph/wave/{bookkeeping()}"
+        assert wave.plan == "graph/wave"
         assert _recall(wave, truth) >= _recall(oracle, truth) - EPS
 
     def test_deleted_never_surface(self, seg_must, queries):
@@ -488,11 +488,11 @@ class TestCsrAdjacency:
 
 
 def _on_bookkeeping(path, monkeypatch):
-    """Run the rest of the test on the *path* bookkeeping."""
+    """Run the rest of the test on the *path* bookkeeping: the kernel's,
+    or its NumPy oracle in the traversal's place."""
     if path == "numpy":
-        monkeypatch.setattr(native, "lib", None)
-    elif native.lib is None:
-        pytest.skip("the C kernel did not load")
+        monkeypatch.setattr(gw, "_Bookkeeping", NumpyBookkeeping)
+    return gw._Bookkeeping
 
 
 @pytest.mark.parametrize("path", ["native", "numpy"])
@@ -532,8 +532,7 @@ class TestLemma3Hook:
     def test_a_merge_that_lowers_a_full_pool_raises(
         self, must, queries, path, monkeypatch
     ):
-        _on_bookkeeping(path, monkeypatch)
-        book = gw._NumpyBookkeeping if path == "numpy" else gw._NativeBookkeeping
+        book = _on_bookkeeping(path, monkeypatch)
         merge = book.merge
 
         def lowering(self, owner, cand, sims):

@@ -1,16 +1,15 @@
 """Tests for NNDescent, pipeline components, and the fused index builder.
 
 The build's integer bookkeeping — NNDescent's local join and the
-selections' greedy pick — runs in ``native.c`` when :mod:`repro.native`
-loaded it and in NumPy otherwise.  The two are one program: the kernels
-equal their fallbacks byte for byte (hypothesis properties, also run
-under the sanitizers by ``test_wave_kernel``), and every graph, tied
-rows included, is the same on both paths.
+selections' greedy pick — and the MRNG / α-RNG selection run in
+``native.c``.  Each kernel equals its NumPy oracle (``tests/oracles.py``)
+byte for byte (hypothesis properties, also run under the sanitizers by
+``test_wave_kernel``), and every graph, tied rows included, is the one
+the oracles build.
 """
 
 from __future__ import annotations
 
-import contextlib
 import importlib
 import logging
 
@@ -52,22 +51,8 @@ from repro.index.nndescent import (
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.segments import SegmentedIndex, SegmentPolicy
 
+from tests import oracles
 from tests.conftest import random_multivector_set
-
-needs_native = pytest.mark.skipif(
-    native.lib is None, reason=f"no native kernel: {native.reason}"
-)
-
-
-@contextlib.contextmanager
-def numpy_path():
-    """The NumPy fallback inside the block: the kernel handle set to
-    ``None``, the one switch there is."""
-    saved, native.lib = native.lib, None
-    try:
-        yield
-    finally:
-        native.lib = saved
 
 
 @pytest.fixture(scope="module")
@@ -294,15 +279,6 @@ class TestSortFreeKernelParity:
             assert np.array_equal(np.sort(a), np.sort(b))
 
 
-class TestSortFreeKernelParityOnNumpy(TestSortFreeKernelParity):
-    """The same pins on the NumPy fallback (the class above runs on
-    whichever path loaded: native with a compiler)."""
-
-    @pytest.fixture(autouse=True)
-    def on_numpy(self, monkeypatch):
-        monkeypatch.setattr(native, "lib", None)
-
-
 def _corpus(seed: int, n: int, triplicated: bool) -> np.ndarray:
     """A float32 matrix of *n* rows: independent ones, or a third as
     many rows each stored three times (every similarity tied)."""
@@ -312,7 +288,6 @@ def _corpus(seed: int, n: int, triplicated: bool) -> np.ndarray:
     return np.ascontiguousarray(np.tile(base, (3, 1))[:n] if triplicated else base)
 
 
-@needs_native
 @settings(deadline=None, max_examples=150)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -326,8 +301,8 @@ def _corpus(seed: int, n: int, triplicated: bool) -> np.ndarray:
 def test_native_join_is_the_numpy_join(
     seed, n, k, triplicated, with_reverse, start, size
 ):
-    """``join_number`` + ``join_fill`` around the matmul return NumPy's
-    ``(cand, sims)`` byte for byte: the same columns, each repeat's
+    """``join_number`` + ``join_fill`` around the matmul return the NumPy
+    oracle's ``(cand, sims)`` byte for byte: the same columns, each repeat's
     similarity on its last column, ``-inf`` on the others and on every
     self-reference.  Neighbour lists are drawn at random, so they name
     their own vertex and repeat ids; a triplicated corpus ties
@@ -338,15 +313,15 @@ def test_native_join_is_the_numpy_join(
     reverse = reverse_neighbors(neighbors, k) if with_reverse else None
     block = np.arange(start % n, min(start % n + size, n))
     cand, sims = block_candidate_sims(concat, neighbors, block, reverse)
-    with numpy_path():
-        want_cand, want_sims = block_candidate_sims(concat, neighbors, block, reverse)
+    want_cand, want_sims = oracles.block_candidate_sims(
+        concat, neighbors, block, reverse
+    )
     assert cand.dtype == want_cand.dtype and sims.dtype == want_sims.dtype
     assert cand.shape == want_cand.shape and sims.shape == want_sims.shape
     assert cand.tobytes() == want_cand.tobytes()
     assert sims.tobytes() == want_sims.tobytes()
 
 
-@needs_native
 @settings(deadline=None, max_examples=200)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -359,14 +334,13 @@ def test_native_join_is_the_numpy_join(
 @example(seed=2, c=20, gamma=40, density=0.0)
 @example(seed=3, c=64, gamma=64, density=0.1)
 def test_native_greedy_pick_is_the_numpy_pick(seed, c, gamma, density):
-    """``greedy_pick`` picks the rows the bitmask loop does, for any
+    """``greedy_pick`` picks the rows the oracle's bitmask loop does, for any
     domination matrix, one candidate, and γ at or past the candidate
     count."""
     rng = np.random.default_rng(seed)
     dominated = rng.random((c, c)) < density
     got = _greedy_by_domination(dominated, gamma)
-    with numpy_path():
-        want = _greedy_by_domination(dominated, gamma)
+    want = oracles.greedy_pick(dominated, gamma)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert got[0] == 0 and len(got) <= gamma
 
@@ -374,7 +348,6 @@ def test_native_greedy_pick_is_the_numpy_pick(seed, c, gamma, density):
 INVALID = -4  # native.c's status for an input out of range
 
 
-@needs_native
 @settings(deadline=None, max_examples=200)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -395,7 +368,7 @@ def test_native_prune_is_the_numpy_prune(
     seed, n, dim, duplicated, rows, c, gamma, alpha, padding
 ):
     """``prune_rows`` over a ``-1``-padded candidate matrix picks, row by
-    row, what the NumPy lane Gram and the bitmask pick do, ``prune_one``
+    row, what the oracle's lane Gram and bitmask pick do, ``prune_one``
     through it as well: exact ties (a corpus of rows stored three times),
     α ∈ {1, 1.2, 2}, γ at or past the candidate count, padding anywhere
     and rows that are all padding."""
@@ -413,20 +386,18 @@ def test_native_prune_is_the_numpy_prune(
         order = np.argsort(-row_sims, kind="stable")
         cand[r, : ids.size], sims[r, : ids.size] = ids[order], row_sims[order]
     cand[rng.random((rows, c)) < padding] = -1
-    got = _prune_rows(native.lib, concat, total, cand, sims, gamma, alpha)
+    got = _prune_rows(concat, total, cand, sims, gamma, alpha)
     assert len(got) == rows
     for r in range(rows):
         valid = cand[r] >= 0
         args = (concat, total, cand[r][valid], sims[r][valid], gamma, alpha)
         one = prune_one(*args)
-        with numpy_path():
-            want = prune_one(*args)
+        want = oracles.prune_one(*args)
         assert got[r].dtype == one.dtype == want.dtype == np.int32
         assert got[r].tolist() == one.tolist() == want.tolist(), r
         assert len(want) <= gamma and set(want) <= set(cand[r][valid])
 
 
-@needs_native
 @pytest.mark.parametrize("bad", [-2, 7, 2**40], ids=["below -1", "n", "far past n"])
 def test_prune_rows_refuses_ids_out_of_range(bad):
     """An id neither ``-1`` (padding) nor in ``[0, n)`` is refused before
@@ -444,7 +415,7 @@ def test_prune_rows_refuses_ids_out_of_range(bad):
     assert status == INVALID
     assert (picked == 99).all() and (counts == 99).all()
     with pytest.raises(RuntimeError, match="refused"):
-        _prune_rows(native.lib, concat, 1.0, cand, sims, 3, 1.0)
+        _prune_rows(concat, 1.0, cand, sims, 3, 1.0)
 
 
 def _tripled_space(n: int, seed: int) -> JointSpace:
@@ -455,10 +426,10 @@ def _tripled_space(n: int, seed: int) -> JointSpace:
     )
 
 
-@needs_native
 class TestNativeBuildIsTheNumpyBuild:
-    """One program on two paths: the same neighbour lists and seed,
-    every row, ties included."""
+    """The kernels' build and the NumPy oracles' (put in at every
+    binding site): the same neighbour lists and seed, every row, ties
+    included."""
 
     @pytest.fixture(scope="class", params=["random", "triplicated"])
     def corpus(self, request):
@@ -479,7 +450,14 @@ class TestNativeBuildIsTheNumpyBuild:
     )
     def test_same_graph(self, corpus, builder, monkeypatch):
         got = builder.build(corpus)
-        monkeypatch.setattr(native, "lib", None)
+        nndescent_module = importlib.import_module("repro.index.nndescent")
+        components = importlib.import_module("repro.index.components")
+        for module in (nndescent_module, components):
+            monkeypatch.setattr(
+                module, "block_candidate_sims", oracles.block_candidate_sims
+            )
+        monkeypatch.setattr(components, "_greedy_by_domination", oracles.greedy_pick)
+        monkeypatch.setattr(components, "_prune_rows", oracles.prune_rows)
         want = builder.build(corpus)
         assert got.seed_vertex == want.seed_vertex
         assert len(got.neighbors) == len(want.neighbors) == corpus.n

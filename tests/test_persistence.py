@@ -1,11 +1,15 @@
 """Save/load round-trip coverage: single-graph and segmented saves (one
 ``must-segments-v5`` directory shape for both), the single-read
-regression for stored weights, and the refusal of what earlier versions
-wrote."""
+regression for stored weights, the refusal of what earlier versions
+wrote, and manifests replaced whole — a re-save that fails before its
+manifest lands leaves the old state loadable."""
 
 from __future__ import annotations
 
 import json
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,8 @@ from repro.core.query import SearchOptions
 from repro.core.weights import Weights
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.segments import MANIFEST_NAME, SegmentPolicy
-from repro.utils.io import load_arrays, pack_adjacency, save_arrays
+from repro.service.collections import CollectionManager
+from repro.utils.io import load_arrays, pack_adjacency, replace_text, save_arrays
 
 from tests.conftest import random_multivector_set, random_query
 
@@ -290,3 +295,109 @@ class TestSegmentedRoundtrip:
         empty.mkdir()
         with pytest.raises(FileNotFoundError, match="manifest"):
             MUST(random_multivector_set(10, DIMS, seed=0)).load_index(empty)
+
+
+def _answers(must: MUST) -> list[tuple[list[int], bytes]]:
+    """Graph answers to a fixed query set: ids and similarity bytes."""
+    out = []
+    for seed in range(4):
+        got = must.query(random_query(DIMS, seed=seed), SearchOptions(k=10, l=40))
+        out.append((got.ids.tolist(), got.similarities.tobytes()))
+    return out
+
+
+def _refuse_replace(monkeypatch, name: str | None = None) -> None:
+    """``os.replace`` fails (onto a file called *name*, or onto any)."""
+    replace = os.replace
+
+    def refusing(src, dst):
+        if name is None or Path(dst).name == name:
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refusing)
+
+
+class TestCrashSafeManifests:
+    """Both manifests go through :func:`~repro.utils.io.replace_text`:
+    a temporary sibling, ``fsync``, ``os.replace``, the directory
+    ``fsync``ed."""
+
+    def test_replace_text_syncs_then_renames(self, tmp_path, monkeypatch):
+        calls: list[str] = []
+        fsync, replace = os.fsync, os.replace
+
+        def syncing(fd):
+            calls.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            fsync(fd)
+
+        def renaming(src, dst):
+            calls.append("replace")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", syncing)
+        monkeypatch.setattr(os, "replace", renaming)
+        target = tmp_path / "manifest.json"
+        target.write_text("old")
+        replace_text(target, "new")
+        assert target.read_text() == "new"
+        assert calls == ["file", "replace", "dir"]
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    def test_a_failed_resave_loads_as_the_old_state(self, tmp_path, monkeypatch):
+        must = _built_must(n=60)
+        must.insert(_extra(16, seed=5))  # seals: nothing left in the delta
+        assert must.segments.delta.n == 0
+        path = tmp_path / "segidx"
+        must.save_index(path)
+        manifest = (path / MANIFEST_NAME).read_bytes()
+        described, answers = must.segments.describe(), _answers(must)
+        must.insert(_extra(16, seed=6))  # one more sealed segment
+        with monkeypatch.context() as patch:
+            _refuse_replace(patch)
+            with pytest.raises(OSError, match="No space left"):
+                must.save_index(path)
+        assert (path / MANIFEST_NAME).read_bytes() == manifest
+        assert not list(path.glob(".*.tmp"))  # the failed write cleaned up
+        # What a writer killed mid-write leaves behind is never read.
+        (path / f".{MANIFEST_NAME}.k1ll3d.tmp").write_text('{"format": "must-seg')
+        fresh = MUST(must.objects).load_index(path)
+        assert fresh.segments.describe() == described
+        assert _answers(fresh) == answers
+
+    def test_unlisted_archives_go_only_once_the_manifest_landed(
+        self, tmp_path, monkeypatch
+    ):
+        must = _built_must(n=60)
+        must.insert(_extra(20, seed=5))
+        must.insert(_extra(7, seed=6))
+        path = tmp_path / "segidx"
+        must.save_index(path)
+        archives = sorted(p.name for p in path.glob("segment_*.npz"))
+        assert len(archives) == 3
+        must.compact()  # the next save lists one archive
+        with monkeypatch.context() as patch:
+            _refuse_replace(patch)
+            with pytest.raises(OSError, match="No space left"):
+                must.save_index(path)
+        assert sorted(p.name for p in path.glob("segment_*.npz")) == archives
+        must.save_index(path)
+        assert [p.name for p in path.glob("segment_*.npz")] == ["segment_000.npz"]
+
+    def test_a_failed_collections_resave_loads_the_old_list(
+        self, tmp_path, monkeypatch
+    ):
+        manager = CollectionManager()
+        manager.create("a", _built_must(seed=1, n=40))
+        manager.create("b", _built_must(seed=2, n=40))
+        path = tmp_path / "deployment"
+        manager.save(path)
+        manager.create("c", _built_must(seed=3, n=40))
+        with monkeypatch.context() as patch:
+            _refuse_replace(patch, name="collections.json")
+            with pytest.raises(OSError, match="No space left"):
+                manager.save(path)
+        assert (path / "c").is_dir()  # its own save landed; the list did not
+        restored = CollectionManager.from_saved(path)
+        assert restored.names() == ["a", "b"]
+        assert _answers(restored.get("b").must) == _answers(manager.get("b").must)

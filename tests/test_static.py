@@ -15,7 +15,8 @@ product), one frontier scorer for the rows off its concat fast path,
 and every name the benchmark's tracer binds still where it looks.  The
 C kernel gets the checks a compiler would not make: every exported
 function declared to ctypes as the source defines it, and build flags
-that keep its float contract.
+that keep its float contract.  It is also the one runtime path: no
+module keeps a NumPy twin of a kernel or asks whether it loaded.
 """
 
 from __future__ import annotations
@@ -563,9 +564,8 @@ def test_every_kernel_function_is_declared_to_ctypes():
         returns, arity = exported[name]
         assert len(argtypes) == arity, name
         assert restype is C_RESULTS[returns], name
-        if native.lib is not None:
-            function = getattr(native.lib, name)
-            assert function.argtypes == argtypes and function.restype is restype
+        function = getattr(native.lib, name)
+        assert function.argtypes == argtypes and function.restype is restype
 
 
 def test_the_kernel_flags_keep_the_float_contract():
@@ -575,6 +575,71 @@ def test_the_kernel_flags_keep_the_float_contract():
         "-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-march=native"
     }
     assert not banned & set(native.FLAGS)
+
+
+def identifiers(source: str) -> set[str]:
+    """Every name *source* binds or reads: variables, attributes,
+    functions, classes, parameters, keywords and imports."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            found.add(node.name)
+        elif isinstance(node, ast.arg):
+            found.add(node.arg)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            found.add(node.arg)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name.split(".")[-1])
+    return found
+
+
+#: how a module would ask whether the kernel loaded.
+KERNEL_CHECK = re.compile(r"\b(lib|kernel) is (not )?None\b")
+
+
+def test_the_identifier_scan_sees_what_it_should():
+    source = (
+        "from m import bookkeeping as b\n"
+        "class _NumpyBookkeeping:\n    pass\n"
+        "def f(_lane_gram, **kw):\n    return g(x=1).needs_native\n"
+    )
+    assert {
+        "b", "_NumpyBookkeeping", "f", "_lane_gram", "g", "x", "needs_native"
+    } <= identifiers(source)
+    assert "bookkeeping" not in identifiers("'''the bookkeeping'''\n")
+    assert KERNEL_CHECK.search("if native.lib is None:")
+    assert KERNEL_CHECK.search("if kernel is not None:")
+    assert not KERNEL_CHECK.search("if kernel_count is None:")
+
+
+def test_one_runtime_path():
+    """``native.c`` is required, so ``src/repro`` names no NumPy twin of
+    a kernel (the NumPy bookkeeping, its path query, the lane-loop Gram)
+    and no no-kernel plan, never compares the kernel handle with
+    ``None``, and the suite defines no skip marker for a missing kernel:
+    the twins are the tests' oracles, in ``tests/oracles.py``."""
+    retired = {"_NumpyBookkeeping", "bookkeeping", "_lane_gram"}
+    found = [
+        f"{path.relative_to(PACKAGE)}: {sorted(names)}"
+        for path in MODULES
+        if (names := retired & identifiers(path.read_text()))
+    ]
+    found += [
+        f"{path.relative_to(PACKAGE)}:{number}"
+        for path in MODULES
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "graph/wave/numpy" in line or KERNEL_CHECK.search(line)
+    ]
+    assert found == []
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert not [p.name for p in tests if "needs_native" in identifiers(p.read_text())]
+    assert isinstance(native.lib, ctypes.CDLL)
 
 
 def test_every_traced_name_resolves():

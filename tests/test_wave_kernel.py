@@ -1,23 +1,23 @@
-"""The lockstep wave in C against the same wave in NumPy.
+"""The lockstep wave's kernels in C against their NumPy oracles.
 
-:mod:`repro.native` builds ``native.c`` at import and
+:mod:`repro.native` builds ``native.c`` at import (``import repro``
+fails without a C compiler) and
 :func:`~repro.index.graph_wave.graph_wave_search` runs its calls per
-wave when it loaded: two of bookkeeping, a gather-dot scoring the
-frontier's dense rows, and on a PQ store one ``adc_gather`` per
-modality summing its rows' lookup tables.  A traversal whose rows all
-score through the concatenated matrix makes those calls' steps, its
-init wave's included, in one ``wave_run`` call instead.  The pins:
+wave: two of bookkeeping, a gather-dot scoring the frontier's dense
+rows, and on a PQ store one ``adc_gather`` per modality summing its
+rows' lookup tables.  A traversal whose rows all score through the
+concatenated matrix makes those calls' steps, its init wave's included,
+in one ``wave_run`` call instead.  The oracles live in
+``tests/oracles.py``.  The pins:
 
-* **bit parity** where the two paths do the same arithmetic — the
-  native and the NumPy wave return the same ids, similarities,
-  per-query counters, ``waves`` and ``frontier_sizes`` on compressed
-  stores (PQ rows summed natively on one path, in NumPy on the other),
-  over every kind of row (deletions, shared and
-  per-request filters, mixed ``ks`` / ``ls``, hybrid), one or eight
-  expansions a wave, under the suite's Lemma 3 hook (which steps every
-  traversal from Python); the two bookkeepings leave the same state
-  after every step, and whole answers agree on generated tiny graphs
-  whose dot products are exact in any order, Lemma 3 checked on both;
+* **bit parity** — the kernel's bookkeeping and its NumPy oracle put in
+  its place return the same ids, similarities, per-query counters,
+  ``waves`` and ``frontier_sizes`` on every store, over every kind of
+  row (deletions, shared and per-request filters, mixed ``ks`` /
+  ``ls``, hybrid), one or eight expansions a wave, under the suite's
+  Lemma 3 hook (which steps every traversal from Python); the two
+  bookkeepings leave the same state after every step, and whole answers
+  agree on generated tiny graphs, Lemma 3 checked on both;
 * **one call per traversal** — ``wave_run``, which runs the init wave
   too, leaves the native step loop's pools, bitsets, counters, answers
   and frontier sizes bit for bit, over every kind of row and on
@@ -27,29 +27,26 @@ init wave's included, in one ``wave_run`` call instead.  The pins:
 * **the float contract** — ``gather_dot`` equals a NumPy loop over the
   eight lanes bit for bit (signed zeros, subnormals, overflow, NaN,
   ``-inf`` thresholds, any width), refuses out-of-range rows, and
-  scores a scanned row with its traversal's bits; on dense rows the
-  ``einsum`` fallback lies within ``2·dot_error(D)·‖q̃‖·max‖x̃‖`` of it,
-  ids equal but for swaps inside that band, which are counted;
-* **the PQ sum** — ``adc_gather`` equals ``pq._adc_sum`` bit for bit
-  (signed zeros, subnormals, infinities, NaN, overflow, any sub-space
-  and centroid count) and refuses out-of-range rows;
+  scores a scanned row with its traversal's bits;
+* **the PQ sum** — ``adc_gather`` equals the oracle's sub-space sum bit
+  for bit (signed zeros, subnormals, infinities, NaN, overflow, any
+  sub-space and centroid count) and refuses out-of-range rows;
 * **the loader** — the source ships as package data and compiles
-  warning-free; a compiler on ``PATH`` means the native path ran; one
-  ``event=native_kernel`` line says which path runs and why; a failed
-  build falls back and leaves nothing behind; a build under
-  AddressSanitizer and UBSan runs the four properties, and the build
-  kernels' two, clean;
+  warning-free; the kernel loaded; one ``event=native_kernel`` line says
+  which file; no compiler, a failed build or an unwritable cache is an
+  :class:`ImportError` that says which and leaves nothing behind, and
+  ``import repro`` with no compiler on ``PATH`` fails naming it; a build
+  under AddressSanitizer and UBSan runs the four properties, and the
+  build kernels' two, clean;
 * **CSR safety** — a corrupt adjacency fails the first wave with the
-  bad vertex named, on both paths, instead of indexing out of bounds.
-
-The fallback is forced by setting the module's kernel handle to
-``None``, the one switch there is.
+  bad vertex named, instead of indexing out of bounds.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import ctypes
 import logging
 import os
 import re
@@ -74,20 +71,15 @@ from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.index import graph_wave as gw
 from repro.index.base import GraphIndex
-from repro.index.graph_wave import bookkeeping, graph_wave_search
+from repro.index.graph_wave import graph_wave_search
 from repro.sparse.synthetic import synthetic_hybrid
-from repro.store import dot_error
-from repro.store.pq import _adc_sum
 from repro.utils.io import load_arrays, save_arrays
+
+from tests.oracles import NumpyBookkeeping, adc_sum
 
 N, D = 400, 16
 K, L = 10, 48
 B = 12
-
-needs_native = pytest.mark.skipif(
-    native.lib is None, reason=f"no native kernel: {native.reason}"
-)
-
 
 def _corpus(n=N, seed=0):
     rng = np.random.default_rng(seed)
@@ -108,11 +100,12 @@ def _queries(b=B, seed=1):
     ]
 
 
-def both_paths(run, monkeypatch):
-    """``run()`` on the native wave, then on the NumPy one."""
+def kernel_and_oracle(run, monkeypatch):
+    """``run()`` on the kernel's bookkeeping, then with its NumPy oracle
+    in the traversal's place."""
     got = run()
     with monkeypatch.context() as patch:
-        patch.setattr(native, "lib", None)
+        patch.setattr(gw, "_Bookkeeping", NumpyBookkeeping)
         want = run()
     return got, want
 
@@ -126,9 +119,9 @@ def lemma3_checked(run, monkeypatch):
     return hook(run, monkeypatch)
 
 
-def both_paths_checked(run, monkeypatch):
-    """:func:`both_paths` with Lemma 3 asserted on every merge."""
-    return lemma3_checked(lambda: both_paths(run, monkeypatch), monkeypatch)
+def kernel_and_oracle_checked(run, monkeypatch):
+    """:func:`kernel_and_oracle` with Lemma 3 asserted on every merge."""
+    return lemma3_checked(lambda: kernel_and_oracle(run, monkeypatch), monkeypatch)
 
 
 def assert_same(got, want):
@@ -141,41 +134,6 @@ def assert_same(got, want):
         assert g.similarities.dtype == w.similarities.dtype
         assert g.similarities.tobytes() == w.similarities.tobytes()
         assert g.stats == w.stats
-
-
-def dense_bands(space, batch):
-    """Per query, ``2·dot_error(D)·‖q̃‖·max‖x̃‖``: how far apart two
-    float32 dot products of the query with one row may lie, whatever
-    order each sums in (each is within half of it of the exact value)."""
-    gamma = dot_error(space.concatenated.shape[1])
-    vectors = [q.vector if isinstance(q, Query) else q for q in batch]
-    return [
-        2 * gamma * float(np.linalg.norm(space.concat_query(v)))
-        * space.max_concat_norm
-        for v in vectors
-    ]
-
-
-def assert_within_band(got, want, bands):
-    """Dense answers on the two paths: same lengths; every similarity
-    within its row's band, rank by rank and id by id; ids equal except
-    swaps inside the band.  Returns ``(swaps, ranks)``."""
-    swaps = ranks = 0
-    for g, w, band in zip(got, want, bands, strict=True):
-        assert g.ids.size == w.ids.size
-        assert np.all(np.abs(g.similarities - w.similarities) <= band)
-        _, gi, wi = np.intersect1d(g.ids, w.ids, return_indices=True)
-        assert np.all(np.abs(g.similarities[gi] - w.similarities[wi]) <= band)
-        swaps += int((g.ids != w.ids).sum())
-        ranks += g.ids.size
-    return swaps, ranks
-
-
-def report_swaps(swaps, ranks):
-    """Swapped ranks are allowed, not expected: print them, and fail
-    when they stop being rare."""
-    print(f"native vs einsum: {swaps} of {ranks} ranks swapped inside the band")
-    assert swaps <= max(2, ranks // 50)
 
 
 @pytest.fixture(scope="module")
@@ -219,11 +177,9 @@ def _rows(kind, queries, index):
     return graph, queries, {}
 
 
-@needs_native
 class TestBitParity:
-    """Bit for bit where both paths do the same arithmetic (compressed
-    stores); within the float32 band on dense rows, whose dot products
-    the kernel sums in its own order."""
+    """The kernel's bookkeeping against its oracle's, whole answers bit
+    for bit: the scores are the same calls' on both."""
 
     @pytest.mark.parametrize("m", [1, 8])
     @pytest.mark.parametrize(
@@ -232,18 +188,14 @@ class TestBitParity:
     )
     def test_rows_on_every_store(self, index, queries, kind, m, monkeypatch):
         graph, batch, extra = _rows(kind, queries, index)
-        got, want = both_paths_checked(
+        got, want = kernel_and_oracle_checked(
             lambda: graph_wave_search(
                 graph, batch, k=K, l=L, expansions_per_wave=m,
                 filter_memo={}, **extra,
             ),
             monkeypatch,
         )
-        if graph.space.is_compressed:
-            assert_same(got, want)
-        else:
-            bands = dense_bands(graph.space, batch)
-            report_swaps(*assert_within_band(got[0], want[0], bands))
+        assert_same(got, want)
         assert got[1].waves > 0
 
     @pytest.mark.parametrize("m", [1, 8])
@@ -268,17 +220,13 @@ class TestBitParity:
             )
             for i in range(data.num_queries)
         ]
-        got, want = both_paths_checked(
+        got, want = kernel_and_oracle_checked(
             lambda: graph_wave_search(
                 graph, batch, k=K, l=30, expansions_per_wave=m
             ),
             monkeypatch,
         )
-        if compression == "pq":
-            assert_same(got, want)
-        else:
-            bands = dense_bands(graph.space, batch)
-            report_swaps(*assert_within_band(got[0], want[0], bands))
+        assert_same(got, want)
 
     def test_segmented_batch_and_plan(self, objects, queries, monkeypatch):
         must = MUST(objects, weights=Weights([0.6, 0.4])).build()
@@ -286,17 +234,11 @@ class TestBitParity:
         must.insert(inserted)
         must.mark_deleted(np.array([3, 5, 7, 11]))
         options = SearchOptions(k=K, l=L)
-        got, want = both_paths_checked(
+        got, want = kernel_and_oracle_checked(
             lambda: must.query(queries, options), monkeypatch
         )
-        assert got.plan == "graph/wave/native"
-        assert want.plan == "graph/wave/numpy"
-        # One band over every segment: the widest row of either corpus.
-        every = MultiVectorSet(
-            [np.vstack(m) for m in zip(objects.matrices, inserted.matrices)]
-        )
-        bands = dense_bands(JointSpace(every, Weights([0.6, 0.4])), queries)
-        report_swaps(*assert_within_band(got, want, bands))
+        assert got.plan == want.plan == "graph/wave"
+        assert_same((list(got), got.stats), (list(want), want.stats))
 
 
 class _Both:
@@ -311,18 +253,19 @@ class _Both:
 
 
 class _Lockstep:
-    """Both bookkeepings side by side, the NumPy one on the traversal's
-    own wave and the native one on a twin holding copies of the result
-    pools and hop counts; after every step every array the two write
-    must hold the same bits — ids under -inf columns and dead flags
-    included — and the traversal goes on with the NumPy outputs."""
+    """Both bookkeepings side by side, the NumPy oracle on the
+    traversal's own wave and the kernel's on a twin holding copies of
+    the result pools and hop counts; after every step every array the
+    two write must hold the same bits — ids under -inf columns and dead
+    flags included — and the traversal goes on with the oracle's
+    outputs."""
 
-    def __init__(self, wave, active, m, kernel):
+    def __init__(self, wave, active, m):
         twin = copy.copy(wave)
         twin.res_ids, twin.res_sims = wave.res_ids.copy(), wave.res_sims.copy()
         twin.hops = wave.hops.copy()
-        self.oracle = gw._NumpyBookkeeping(wave, active, m)
-        self.native = NATIVE(twin, active, m, kernel)
+        self.oracle = NumpyBookkeeping(wave, active, m)
+        self.native = NATIVE(twin, active, m)
         self.seen = _Both(self.oracle.seen, self.native.seen)
 
     def check(self):
@@ -354,20 +297,19 @@ class _Lockstep:
         return None
 
 
-NATIVE = gw._NativeBookkeeping
+NATIVE = gw._Bookkeeping
 
 
 @contextlib.contextmanager
 def lockstep():
-    """Run every native traversal through :class:`_Lockstep`."""
-    gw._NativeBookkeeping = _Lockstep
+    """Run every traversal through :class:`_Lockstep`."""
+    gw._Bookkeeping = _Lockstep
     try:
         yield
     finally:
-        gw._NativeBookkeeping = NATIVE
+        gw._Bookkeeping = NATIVE
 
 
-@needs_native
 @pytest.mark.parametrize("m", [1, 8])
 @pytest.mark.parametrize(
     "kind", ["plain", "deleted", "per_request_filters", "ks_ls"]
@@ -397,11 +339,11 @@ def native_traversals(whole):
             self.ran = super().run() if whole else None
             return self.ran
 
-    gw._NativeBookkeeping = Recorded
+    gw._Bookkeeping = Recorded
     try:
         yield books
     finally:
-        gw._NativeBookkeeping = NATIVE
+        gw._Bookkeeping = NATIVE
 
 
 def assert_wave_run_is_the_step_loop(search):
@@ -429,7 +371,6 @@ def dense_index(objects):
     return MUST(objects, weights=Weights([0.6, 0.4])).build().index
 
 
-@needs_native
 @pytest.mark.parametrize("m", [1, 8])
 @pytest.mark.parametrize(
     "kind",
@@ -450,14 +391,13 @@ OVERFLOW = -3  # native.c's status for a full output buffer
 
 
 def init_lengths(book):
-    """Each row's init length, as ``_NativeBookkeeping.run`` passes
+    """Each row's init length, as ``_Bookkeeping.run`` passes
     them: the first ``min(l, n)`` of the entry order for a traversed
     row, none for the others."""
     wave = book.wave
     return np.where(book.active, np.minimum(wave.l_inner_arr, wave.index.n), 0)
 
 
-@needs_native
 def test_wave_run_refuses_a_full_size_buffer(dense_index, queries, monkeypatch):
     """A traversal with waves left and no room to log them is refused,
     not written past the buffer's end."""
@@ -467,7 +407,7 @@ def test_wave_run_refuses_a_full_size_buffer(dense_index, queries, monkeypatch):
         def run(self):
             wave, sizes = self.wave, np.empty(0, dtype=np.int64)
             concat = wave.concat_mat
-            status = self.kernel.wave_run(
+            status = native.lib.wave_run(
                 self.state, self.graph.entry_ptr, init_lengths(self).ctypes.data,
                 concat.ctypes.data, *concat.shape, wave.qmat.ctypes.data,
                 wave.joint_acc.ctypes.data, sizes.ctypes.data, 0,
@@ -475,13 +415,12 @@ def test_wave_run_refuses_a_full_size_buffer(dense_index, queries, monkeypatch):
             statuses.append(status)
             native.check(status)
 
-    monkeypatch.setattr(gw, "_NativeBookkeeping", Full)
+    monkeypatch.setattr(gw, "_Bookkeeping", Full)
     with pytest.raises(RuntimeError, match="refused"):
         graph_wave_search(dense_index, queries, k=K, l=L)
     assert statuses == [OVERFLOW]
 
 
-@needs_native
 @pytest.mark.parametrize(
     "owner, cand",
     [([1, 0], [5, 6]), ([0, 1, 0], [5, 6, 7]), ([0, B], [5, 6]), ([0, 0], [5, N])],
@@ -493,7 +432,7 @@ def test_the_kernel_refuses_malformed_merges(index, queries, owner, cand):
         index, queries, K, L, None, None, None, None, None,
         np.zeros(len(queries), dtype=bool),
     )
-    book = NATIVE(wave, wave.alive.copy(), 8, native.lib)
+    book = NATIVE(wave, wave.alive.copy(), 8)
     owner, cand = np.array(owner), np.array(cand)
     with pytest.raises(RuntimeError, match="refused"):
         book.merge(owner, cand, np.zeros(owner.size))
@@ -555,7 +494,6 @@ def _rows_of(rng, kinds, dim):
     return np.asarray(rows, dtype=np.float32)
 
 
-@needs_native
 @settings(deadline=None, max_examples=150)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -591,7 +529,6 @@ def test_gather_dot_is_the_lane_contract(seed, dim, x_kinds, q_kinds, thr_kinds,
     np.testing.assert_array_equal(evals, np.bincount(owner, minlength=b))
 
 
-@needs_native
 @pytest.mark.parametrize(
     "owner, cand",
     [([0, 3], [1, 2]), ([-1], [1]), ([0, 1], [1, 9]), ([0], [-1])],
@@ -608,8 +545,7 @@ def test_gather_dot_refuses_out_of_range_pairs(owner, cand):
 
 
 # ----------------------------------------------------------------------
-# adc_gather: PQ rows, the sub-space sum of the NumPy path (native.c's
-# header), so no oracle beyond pq._adc_sum itself.
+# adc_gather: PQ rows, the oracle's sub-space sum (native.c's header).
 # ----------------------------------------------------------------------
 LUT_KINDS = ("normal", "signed zeros", "subnormal", "inf", "nan", "large")
 
@@ -640,7 +576,6 @@ def adc_gather(lib, codes, luts, owner, cand, out):
     )
 
 
-@needs_native
 @settings(deadline=None, max_examples=150)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -652,7 +587,7 @@ def adc_gather(lib, codes, luts, owner, cand, out):
     kinds=st.lists(st.sampled_from(LUT_KINDS), min_size=1, max_size=6, unique=True),
 )
 def test_adc_gather_is_the_subspace_sum(seed, m_sub, ncent, n, b, f, kinds):
-    """Native equals ``pq._adc_sum`` over the NumPy gather bit for bit —
+    """Native equals the oracle's ``adc_sum`` over a NumPy gather bit for bit —
     signed zeros (the sum starts at +0.0), subnormals (nothing flushed),
     infinities and overflow — for any sub-space and centroid count.  A
     NaN is a NaN on both paths, but not the same NaN: where two meet
@@ -668,13 +603,12 @@ def test_adc_gather_is_the_subspace_sum(seed, m_sub, ncent, n, b, f, kinds):
     out = np.empty(f, dtype=np.float32)
     assert adc_gather(native.lib, codes, luts, owner, cand, out) == f
     with np.errstate(all="ignore"):
-        want = _adc_sum(luts[owner, np.arange(m_sub)[:, None], codes[cand].T])
+        want = adc_sum(luts[owner, np.arange(m_sub)[:, None], codes[cand].T])
     nan = np.isnan(want)
     np.testing.assert_array_equal(np.isnan(out), nan)
     assert out[~nan].tobytes() == want[~nan].tobytes()
 
 
-@needs_native
 @pytest.mark.parametrize(
     "owner, cand",
     [([0, 3], [1, 2]), ([-1], [1]), ([0, 1], [1, 9]), ([0], [-1])],
@@ -689,7 +623,6 @@ def test_adc_gather_refuses_out_of_range_pairs(owner, cand):
     assert np.all(out == 7.0)
 
 
-@needs_native
 def test_the_wave_raises_on_a_refused_gather(objects, queries):
     graph = MUST(objects, weights=Weights([0.6, 0.4])).build().index
     wave = gw._Wave(
@@ -723,7 +656,6 @@ def _filled(graph, batch, scan, traverse):
     return wave
 
 
-@needs_native
 @pytest.mark.parametrize("case", ["covered segment", "l >= reportable"])
 def test_a_scanned_row_carries_its_traversals_bits(objects, queries, case):
     """"A scanned row equals its traversal" under the kernel: every
@@ -750,8 +682,8 @@ def test_a_scanned_row_carries_its_traversals_bits(objects, queries, case):
 
 
 def _small_ints(rng, shape):
-    """Integer-valued float32s: every dot product of two is exact, so
-    the kernel's lanes and ``einsum`` sum it to the same bits."""
+    """Integer-valued float32s: every dot product of two is exact, and
+    the similarities tie everywhere."""
     return rng.integers(-4, 5, shape).astype(np.float32)
 
 
@@ -779,7 +711,6 @@ def _tiny_graph(seed, n, distinct, max_degree, deletion):
     return graph, rng
 
 
-@needs_native
 @settings(deadline=None, max_examples=80)
 @given(
     seed=st.integers(0, 2**31),
@@ -795,33 +726,31 @@ def _tiny_graph(seed, n, distinct, max_degree, deletion):
 def test_tiny_graphs_agree(
     seed, n, distinct, max_degree, deletion, k, l_over, m, b
 ):
-    """k may exceed the admissible count and l the graph: both paths
-    answer short, identically, through identical states, and Lemma 3
-    holds on every merge of both bookkeepings."""
+    """k may exceed the admissible count and l the graph: the kernel's
+    bookkeeping and its oracle answer short, identically, through
+    identical states, and Lemma 3 holds on every merge of both."""
     graph, rng = _tiny_graph(seed, n, min(distinct, n), max_degree, deletion)
     batch = [MultiVector([_small_ints(rng, 4)]) for _ in range(b)]
 
-    def run():
-        # Entered before lockstep(), so the hook wraps both bookkeepings
+    def search():
+        return graph_wave_search(
+            graph, batch, k=k, l=k + l_over, expansions_per_wave=m
+        )
+
+    def in_lockstep():
+        # Entered after the hook, so the hook wraps both bookkeepings
         # that _Lockstep drives, not _Lockstep itself.
         with lockstep():
-            return graph_wave_search(
-                graph, batch, k=k, l=k + l_over, expansions_per_wave=m
-            )
+            return search()
 
-    runs = []
-    for lib in (native.lib, None):
-        saved, native.lib = native.lib, lib
-        try:
-            # A fresh MonkeyPatch: hypothesis reruns the body, which a
-            # function-scoped fixture would outlive.
-            runs.append(lemma3_checked(run, pytest.MonkeyPatch()))
-        finally:
-            native.lib = saved
-    assert_same(*runs)
+    # A fresh MonkeyPatch: hypothesis reruns the body, which a
+    # function-scoped fixture would outlive.
+    assert_same(
+        lemma3_checked(in_lockstep, pytest.MonkeyPatch()),
+        lemma3_checked(search, pytest.MonkeyPatch()),
+    )
 
 
-@needs_native
 @settings(deadline=None, max_examples=80)
 @given(
     seed=st.integers(0, 2**31),
@@ -855,7 +784,6 @@ def test_wave_run_is_the_step_loop_on_tiny_graphs(
     )
 
 
-@needs_native
 def test_wave_run_refuses_an_init_out_of_range():
     """An init length outside ``[0, n]`` or an entry id outside ``[0,
     n)`` is refused with INVALID before anything is written — pools,
@@ -877,7 +805,7 @@ def test_wave_run_refuses_an_init_out_of_range():
             graph, batch, 3, 5, None, None, None, None, None,
             np.zeros(len(batch), dtype=bool),
         )
-        book = NATIVE(wave, wave.alive.copy(), 8, native.lib)
+        book = NATIVE(wave, wave.alive.copy(), 8)
         written = [
             book.route_ids, book.route_sims, book.route_dead, book.seen,
             book.thr, book.owner, book.cand, book.rows, book.sizes,
@@ -922,8 +850,6 @@ class TestLoader:
 
     def test_source_compiles_warning_free(self, tmp_path):
         cc = native.compiler()
-        if cc is None:
-            pytest.skip("no C compiler on PATH")
         with resources.as_file(
             resources.files(native.PACKAGE) / native.SOURCE
         ) as source:
@@ -943,8 +869,6 @@ class TestLoader:
         preloaded; any out-of-bounds access or undefined behaviour kills
         it with a report instead of passing silently."""
         cc = native.compiler()
-        if cc is None:
-            pytest.skip("no C compiler on PATH")
         runtimes = [
             subprocess.run(
                 [cc, f"-print-file-name={name}"], capture_output=True, text=True
@@ -1005,54 +929,90 @@ class TestLoader:
         assert done.returncode == 0, done.stderr[-4000:]
 
     def test_a_compiler_on_path_means_the_native_path(self):
-        """So a run cannot silently measure the NumPy bookkeeping."""
-        if native.compiler() is None:
-            pytest.skip("no C compiler on PATH")
-        assert native.lib is not None, native.reason
-        assert bookkeeping() == "native"
+        """What importing :mod:`repro` guarantees: a loaded library, built
+        from the cache directory's file — there is no other path."""
+        assert isinstance(native.lib, ctypes.CDLL)
         assert Path(native.path).is_file()
+        assert native.reason in ("built", "cached")
 
     def test_logs_the_native_path(self, caplog):
-        if native.compiler() is None:
-            pytest.skip("no C compiler on PATH")
         with caplog.at_level(logging.INFO, logger=native.__name__):
             lib, path, reason = native.load()
-        assert lib is not None
+        assert isinstance(lib, ctypes.CDLL)
         assert caplog.messages == [
-            f"event=native_kernel status=native path={path} reason={reason}"
+            f"event=native_kernel path={path} reason={reason}"
         ]
         assert reason in ("built", "cached")
 
-    def test_logs_the_numpy_path(self, caplog, monkeypatch):
+    def test_no_compiler_is_refused(self, monkeypatch):
         monkeypatch.setattr(native, "compiler", lambda: None)
-        with caplog.at_level(logging.INFO, logger=native.__name__):
-            lib, path, reason = native.load()
-        assert (lib, path, reason) == (None, "", "no C compiler on PATH")
-        assert caplog.messages == [
-            "event=native_kernel status=numpy path=- reason=no C compiler on PATH"
-        ]
-        assert caplog.records[0].levelno == logging.WARNING
+        with pytest.raises(ImportError, match="none of cc, gcc, clang is on PATH"):
+            native.load()
 
-    def test_a_failed_build_falls_back_and_leaves_nothing(
-        self, caplog, monkeypatch, tmp_path
+    def test_a_failed_build_is_refused_and_leaves_nothing(
+        self, monkeypatch, tmp_path
     ):
-        if native.compiler() is None:
-            pytest.skip("no C compiler on PATH")
+        """The compiler's own complaint reaches the message, and the
+        cache holds no half-built file."""
         monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path)
-        monkeypatch.setattr(
-            native, "FLAGS", (*native.FLAGS, "-fno-such-option")
-        )
-        with caplog.at_level(logging.INFO, logger=native.__name__):
-            lib, _, reason = native.load()
-        assert lib is None and reason.startswith("compile failed")
-        assert "status=numpy" in caplog.text
+        monkeypatch.setattr(native, "FLAGS", (*native.FLAGS, "-fno-such-option"))
+        with pytest.raises(ImportError, match="failed: .*-fno-such-option"):
+            native.load()
         assert list(tmp_path.iterdir()) == []
+
+    def test_the_compilers_stderr_tail_is_named(self, monkeypatch, tmp_path):
+        def failing(cc, source, target):
+            raise subprocess.CalledProcessError(
+                1, [cc], stderr="x" * 400 + "\nnative.c:12: error: boom\n"
+            )
+
+        monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path)
+        monkeypatch.setattr(native, "_build", failing)
+        with pytest.raises(ImportError) as refused:
+            native.load()
+        message = str(refused.value)
+        assert message.startswith(f"compiling native.c with {native.compiler()}")
+        assert message.endswith("x native.c:12: error: boom")
+        assert len(message) < 400
+
+    def test_an_unwritable_cache_is_refused(self, monkeypatch, tmp_path):
+        """A cache directory that cannot be made — here its parent is a
+        file — names ``XDG_CACHE_HOME`` as the way out."""
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setattr(native, "_cache_dir", lambda: blocker / "must-repro")
+        with pytest.raises(ImportError, match="set XDG_CACHE_HOME to a writable"):
+            native.load()
+        assert [p.name for p in tmp_path.iterdir()] == ["not-a-directory"]
+
+    def test_import_without_a_compiler_fails_naming_it(self, tmp_path):
+        """``import repro`` with only the interpreter on ``PATH`` (a
+        directory holding nothing but a link to it, so a compiler that
+        shares the interpreter's own directory stays out) and an empty
+        cache: no fallback, a non-zero exit and a message naming the
+        compilers looked for."""
+        bin_dir, cache = tmp_path / "bin", tmp_path / "cache"
+        bin_dir.mkdir()
+        cache.mkdir()
+        (bin_dir / Path(sys.executable).name).symlink_to(sys.executable)
+        env = dict(
+            os.environ,
+            PATH=str(bin_dir),
+            XDG_CACHE_HOME=str(cache),
+            PYTHONPATH=str(Path(native.__file__).parents[1]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", "import repro"],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode != 0
+        assert "ImportError: repro needs a C compiler to build native.c" in done.stderr
+        assert "none of cc, gcc, clang is on PATH" in done.stderr
+        assert list(cache.iterdir()) == []
 
     def test_side_by_side_first_builds_both_load(self, monkeypatch, tmp_path):
         """Each build goes to its own temporary name and is moved into
         place whole, so concurrent first imports never load a torn file."""
-        if native.compiler() is None:
-            pytest.skip("no C compiler on PATH")
         monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path)
         loaded: list[object] = []
         threads = [
@@ -1063,17 +1023,15 @@ class TestLoader:
             t.start()
         for t in threads:
             t.join()
-        assert len(loaded) == 2 and None not in loaded
+        assert len(loaded) == 2
+        assert all(isinstance(kernel, ctypes.CDLL) for kernel in loaded)
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
 
 
 class TestCsrSafety:
-    @pytest.mark.parametrize("lib", ["native", "numpy"])
     def test_a_corrupt_archive_fails_the_first_wave(
-        self, objects, queries, tmp_path, monkeypatch, lib
+        self, objects, queries, tmp_path
     ):
-        if lib == "numpy":
-            monkeypatch.setattr(native, "lib", None)
         path = tmp_path / "index"
         MUST(objects, weights=Weights([0.6, 0.4])).build().save_index(path)
         archive = path / "segment_000.npz"
