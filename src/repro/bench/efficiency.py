@@ -41,7 +41,7 @@ from repro.core.space import JointSpace
 from repro.core.weights import Weights
 from repro.datasets.largescale import exact_ground_truth
 from repro.index.base import GraphIndex
-from repro.index.scoring import StackedScorer
+from repro.index.scoring import RowScorer
 from repro.metrics import mean_recall, measure_batch_qps, measure_qps
 
 __all__ = [
@@ -380,16 +380,16 @@ def oracle_scores(
 ) -> np.ndarray:
     """Joint similarities as the oracle scores them: one GEMV against
     the ω-scaled concatenation where the query has a concat vector
-    (Lemma 1), a :class:`StackedScorer` over a stack of this one query
+    (Lemma 1), the search's row scorer over a stack of this one query
     where it has none (a compressed store, a modality the index weights
     zeroed), its work counters copied into *stats*."""
     qcat = space.concat_query(query, weights)
     if qcat is None:
-        scorer = StackedScorer(space, [query], [weights])
+        scorer = RowScorer(space, [query], [weights])
         owner = np.zeros(ids.size, dtype=np.int64)
         sims = scorer.score(owner, ids, np.full(1, -np.inf))
-        stats.joint_evals += int(scorer.joint_evals[0])
-        stats.modality_evals += int(scorer.modality_evals[0])
+        stats.joint_evals += int(scorer.evals[0])
+        stats.modality_evals += int(scorer.evals[0] * scorer.mods[0])
         return sims
     stats.joint_evals += int(ids.size)
     stats.modality_evals += int(ids.size) * sum(
@@ -414,8 +414,8 @@ def lemma4_scores(
     because its upper bound fell to ``threshold`` or below (so its
     similarity is too), and ``sims[j]`` holds the bound it was pruned
     with.  Modalities are scanned heaviest ``ω²`` first (ties in
-    modality order), each through the store's kernel over a stack of
-    this one query.
+    modality order), each through the search's row scorer: a row of
+    weight one per modality, which carries that modality alone.
     """
     ids = np.asarray(ids)
     w2 = space.effective_squared_weights(query, weights)
@@ -427,12 +427,19 @@ def lemma4_scores(
     alive = np.arange(ids.shape[0])
     if stats is not None:
         stats.joint_evals += int(ids.shape[0])
+    alone = np.eye(space.num_modalities)
+    scorer = RowScorer(
+        space,
+        [
+            MultiVector([v if j == i else None for j, v in enumerate(query.vectors)])
+            for i in active
+        ],
+        [Weights(alone[i]) for i in active],
+        concat=False,
+    )
     for step, i in enumerate(active):
-        kernel = space.store.stacked_kernel(
-            i, query.vectors[i].astype(np.float32)[None]
-        )
-        owner = np.zeros(alive.shape[0], dtype=np.int64)
-        ip = kernel.ids(ids[alive], owner).astype(np.float64)
+        owner = np.full(alive.shape[0], step, dtype=np.int64)
+        ip = scorer.score(owner, ids[alive], np.full(len(active), -np.inf))
         # ‖q−u‖² = 2 − 2·(q·u) for unit vectors.
         bound[alive] -= 0.5 * w2[i] * (2.0 - 2.0 * ip)
         if stats is not None:

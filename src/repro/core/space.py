@@ -9,13 +9,13 @@ similarity kernel the indexes and searchers need:
 * query→corpus joint similarity in float64, over the whole corpus or an
   id subset: the exact plans' kernel and the ``refine=`` rerank.
 
-Frontier rows off the concat fast path — a compressed store and a
-zero-weight fallback — are scored by
-:class:`~repro.index.scoring.StackedScorer` through each store's
-stacked kernel.  The **incremental multi-vector computation** of
-§VII-B, which discards an object as soon as its partial-IP upper bound
-drops to the pruning threshold, is no search plan; Fig. 10(c) counts it
-on the per-query reference :func:`repro.bench.efficiency.lemma4_scores`.
+Frontier rows, on the concat fast path or off it (a compressed store, a
+zero-weight fallback, through each store's per-modality operand), are
+scored by the native row scorer, :class:`~repro.index.scoring.RowScorer`.
+The **incremental multi-vector computation** of §VII-B, which discards
+an object as soon as its partial-IP upper bound drops to the pruning
+threshold, is no search plan; Fig. 10(c) counts it on the per-query
+reference :func:`repro.bench.efficiency.lemma4_scores`.
 
 All vectors are assumed L2-normalised, which gives the identity the paper
 uses in Eq. 8 (generalised to arbitrary weight totals ``S = Σ ω²``)::
@@ -171,11 +171,6 @@ class JointSpace:
         """Joint-similarity matrix between two id lists, shape (|a|, |b|)."""
         c = self.concatenated
         return c[np.asarray(ids_a)] @ c[np.asarray(ids_b)].T
-
-    def rows_vs_one(self, ids: np.ndarray, j: int) -> np.ndarray:
-        """Joint similarity of each object in *ids* against object *j*."""
-        c = self.concatenated
-        return c[np.asarray(ids)] @ c[j]
 
     def centroid_id(self) -> int:
         """Vertex nearest the dataset centroid (seed preprocessing, ④)."""

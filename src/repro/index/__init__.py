@@ -10,7 +10,7 @@
   rerank inside a derived band; deletion- and filter-aware.
 * :func:`batch_score_all` — the float32 prefilter of every exact scan
   (the wave scores its frontiers through
-  :class:`~repro.index.scoring.StackedScorer` and the concat path).
+  :class:`~repro.index.scoring.RowScorer`, the native row scorer).
 * :func:`execute` — the one dispatcher that interprets a
   :class:`~repro.core.query.SearchOptions` plan, over the
   :class:`BatchExecutor` strategy runners (the exact kernel, lockstep

@@ -12,7 +12,7 @@ two steps so that an answer is a function of the index and the query:
 
 1. **Prefilter.**  :func:`~repro.index.scoring.batch_score_all` scores
    the whole batch against every row in float32 — the Lemma-1 concat
-   GEMM, or the store's stacked kernel on a compressed corpus.  Fast,
+   GEMM, or the store's full-scan kernel on a compressed corpus.  Fast,
    but a BLAS product rounds a row by the shape of the call, so these
    values only *order* candidates.
 2. **Rerank.**  Per query, the rows that could still be among its best

@@ -13,41 +13,37 @@ Each wave
    expansions amortises the per-wave interpreter overhead),
 2. gathers every query's unvisited neighbours into one stacked candidate
    matrix (CSR adjacency + one fancy-index),
-3. scores the whole stack at once, through one of two routes —
-   fast-path queries share a single batched row-wise reduction against
-   the ω-scaled concatenation, with each query's weights baked into its
-   own concat column exactly as the exact wave does; every other row (a
-   compressed store, a query that needs a modality the index weights
-   zeroed) goes through one stacked kernel call per modality
-   (:class:`~repro.index.scoring.StackedScorer`, whose rows carry the
-   same bits in a stack of one),
+3. scores the whole stack at once, each row on its own — a fast-path
+   query's row is one dot product with the ω-scaled concatenation, its
+   weights baked into its own concat vector exactly as the exact wave
+   does; every other row (a compressed store, a query that needs a
+   modality the index weights zeroed) sums ``ω²·IP`` over the store's
+   dense, int8 or PQ rows, modality by modality
+   (:class:`~repro.index.scoring.RowScorer`),
 4. scatters the scores back into per-query result pools, visited
    bitsets, and routing pools.
 
 Steps 1, 2 and 4 are bookkeeping — choosing columns, gathering ids,
-stable merges — and step 3 is all the arithmetic there is.  Both run in
-the C library :mod:`repro.native` builds at import
-(:class:`_Bookkeeping`; the test suite's NumPy bookkeeping is its
-oracle).  A traversal whose rows are all fast-path ones makes one ctypes
-call, ``wave_run``, for its init and every wave: it runs the steps the
-init's and each wave's calls run, in their order, until no row expands.
-Any other traversal steps from Python — the init, then three calls a
-wave on a dense store; that loop is the one ``wave_run`` is pinned
-against.  The dense arithmetic comes with a float contract: a fast-path
-row's similarity is the float32 dot product of its ω-scaled
-concatenation with the query's, summed in eight lane accumulators that
-start at ``+0.0f``, ``a[d mod 8] += fl(x[d]·q[d])`` for ``d = 0 … D−1``
-in order, combined as ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))`` and
-widened to float64 — no FMA, no reassociation (``native.c``'s header).
+stable merges — and step 3 is all the arithmetic there is.  All four
+run in the C library :mod:`repro.native` builds at import, and a
+traversal, whatever its rows, is one ctypes call, ``wave_run``, for its
+init and every wave (:class:`_Bookkeeping`).  The test suite steps the
+same kernels one call at a time, and pins ``wave_run`` against that
+loop and the bookkeeping against its NumPy oracle.  The arithmetic
+comes with a float contract (``native.c``'s header): a fast-path row's
+similarity is the float32 dot product of its ω-scaled concatenation
+with the query's, summed in eight lane accumulators that start at
+``+0.0f``, ``a[d mod 8] += fl(x[d]·q[d])`` for ``d = 0 … D−1`` in
+order, combined as ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))`` and widened
+to float64 — no FMA, no reassociation; a dense or int8 modality row
+runs the same lanes (an int8 row over its codes, plus its offset), and
+a PQ row sums its tables sub-space by sub-space from a float32 zero.
 The same call scores traversed and scanned rows, so a row carries the
-same bits either way.  A PQ store's rows are summed by the same
-library's ``adc_gather``, one call per modality, sub-space by sub-space
-from a float32 zero.  The other stacked-kernel rows (int8 stores, the
-zero-weight fallback), thresholds, rerank and fusion are NumPy.
+same bits either way.  Thresholds, rerank and fusion are NumPy.
 
 The engine is cut as *prepare → traverse → finalise* (:class:`_Wave`),
 and a scanned row skips the middle step: it is scored end to end by the
-same stacked call and selected directly (*prepare → scan → finalise*).
+same scorer and selected directly (*prepare → scan → finalise*).
 A row is scanned when the segmented layer says its beam covers the
 segment, or when its own route pool would span the graph (below).
 
@@ -88,7 +84,7 @@ from repro.core.query import FilterMemo, Query, unpack_query
 from repro.core.results import SearchResult, SearchStats
 from repro.core.weights import Weights
 from repro.index.base import GraphIndex
-from repro.index.scoring import StackedScorer, rerank_exact
+from repro.index.scoring import RowScorer, rerank_exact
 from repro.sparse.hybrid import hybrid_union_rescore, sparse_plane
 from repro.utils.topk import rank_order, top_k_sorted
 from repro.utils.validation import require
@@ -105,9 +101,9 @@ class _Wave:
     scorer its rows are scored with.  :meth:`traverse` (Algorithm 2 in
     lockstep) and :meth:`scan` (its init taken over every vertex, and no
     waves) then fill the same per-row result pools through the same
-    :meth:`score_stack`, and :meth:`finalise` turns the pools into
-    answers — so a row's similarities carry the same bits whichever of
-    the two filled its pool.
+    :class:`~repro.index.scoring.RowScorer`, and :meth:`finalise` turns
+    the pools into answers — so a row's similarities carry the same bits
+    whichever of the two filled its pool.
     """
 
     def __init__(
@@ -202,94 +198,15 @@ class _Wave:
             )
 
         self.stats_list = [SearchStats() for _ in range(b)]
-        # A row is fast when its query has a concat vector (Lemma 1);
-        # every other row is scored by one stacked kernel per modality.
-        qcats = [
-            space.concat_query(vec, w)
-            for vec, w in zip(self.vectors, self.per_weights)
-        ]
-        self.fast = np.array([q is not None for q in qcats], dtype=bool)
-        self.all_fast = bool(self.fast.all())
-        self.stack = (
-            None
-            if self.all_fast
-            else StackedScorer(space, self.vectors, self.per_weights)
-        )
-        #: modalities a fast row's evaluation counts (the query's own).
-        self.active_mods = np.array(
-            [sum(v is not None for v in vec.vectors) for vec in self.vectors],
-            dtype=np.int64,
-        )
-        #: the fast rows' joint evaluations (the stack counts its own).
-        self.joint_acc = np.zeros(b, dtype=np.int64)
+        #: scores every row, traversed or scanned, and counts its work.
+        self.scorer = RowScorer(space, self.vectors, self.per_weights)
         self.hops = np.zeros(b, dtype=np.int64)
-        self.concat_mat: np.ndarray | None = None
-        self.qmat: np.ndarray | None = None
-        if self.fast.any():
-            self.concat_mat = space.concatenated
-            self.qmat = np.zeros((b, self.concat_mat.shape[1]), dtype=np.float32)
-            for i, qcat in enumerate(qcats):
-                if qcat is not None:
-                    self.qmat[i] = qcat
-            # The kernel reads the matrix in place, so it trusts its layout.
-            require(
-                self.concat_mat.dtype == np.float32
-                and self.concat_mat.flags.c_contiguous,
-                "wave kernel: the concatenated matrix is not C-ordered float32",
-            )
 
         # Result pools: per-row descending, padded with -inf, each row
         # cut to its own cap — what a batch of one would hold.
         self.width = int(self.width_arr.max()) if self.alive.any() else 1
         self.res_ids = np.zeros((b, self.width), dtype=np.int64)
         self.res_sims = np.full((b, self.width), -np.inf, dtype=np.float64)
-
-    def score_stack(
-        self, owner: np.ndarray, cand: np.ndarray, thr: np.ndarray
-    ) -> np.ndarray:
-        """Score one stacked frontier; below-threshold rows come back -inf.
-
-        Two routes: one row-wise reduction covers every fast-path
-        query's candidates (per-query weights already baked into its
-        concat column, :meth:`dense`), and :class:`StackedScorer` covers
-        the rest with one stacked kernel call per modality.
-        """
-        if self.all_fast:
-            return self.dense(owner, cand, thr)
-        assert self.stack is not None
-        fast = self.fast[owner]
-        if not fast.any():
-            return self.stack.score(owner, cand, thr)
-        rest = ~fast
-        sims = np.empty(cand.size, dtype=np.float64)
-        sims[fast] = self.dense(owner[fast], cand[fast], thr)
-        sims[rest] = self.stack.score(owner[rest], cand[rest], thr)
-        return sims
-
-    def dense(
-        self, owner: np.ndarray, cand: np.ndarray, thr: np.ndarray
-    ) -> np.ndarray:
-        """Fast-path similarities of ``(owner, cand)`` pairs, -inf where
-        not above ``thr[owner]``; counted in :attr:`joint_acc`.
-
-        The C gather-dot reads the concat rows and query rows in place
-        under the module's float contract.
-        """
-        assert self.concat_mat is not None and self.qmat is not None
-        concat, qmat = self.concat_mat, self.qmat
-        owner = np.ascontiguousarray(owner, dtype=np.int64)
-        cand = np.ascontiguousarray(cand, dtype=np.int64)
-        thr = np.ascontiguousarray(thr, dtype=np.float64)
-        sims = np.empty(cand.size, dtype=np.float64)
-        native.check(
-            native.lib.gather_dot(
-                concat.ctypes.data, concat.shape[0], concat.shape[1],
-                qmat.ctypes.data, self.b, owner.ctypes.data, cand.ctypes.data,
-                cand.size, thr.ctypes.data, self.joint_acc.ctypes.data,
-                sims.ctypes.data,
-            )
-        )
-        return sims
 
     def scan(self, rows: np.ndarray) -> None:
         """Fill *rows*' pools from Algorithm 2's init over every vertex.
@@ -300,14 +217,14 @@ class _Wave:
         and the row's top ``cap`` selected directly — no routing pool,
         visited bitset or CSR adjacency is touched.
 
-        Every row goes through the traversal's own :meth:`score_stack`
-        with the init's -inf threshold, so it carries the traversal's
-        bits by construction — both routes reduce each row on its own.
+        Every row goes through the traversal's own scorer with the
+        init's -inf threshold, so it carries the traversal's bits by
+        construction — the scorer reduces each row on its own.
         """
         if rows.size == 0:
             return
         n = self.n
-        sims = self.score_stack(
+        sims = self.scorer.score(
             np.repeat(rows, n),
             np.tile(np.arange(n, dtype=np.int64), rows.size),
             np.full(self.b, -np.inf),
@@ -328,42 +245,12 @@ class _Wave:
         wave_stats: SearchStats,
     ) -> None:
         """Fill the pools of the rows flagged in *active* by lockstep
-        beam search, logging waves and frontier sizes to *wave_stats*.
-
-        Each wave is bookkeeping (:meth:`~_Bookkeeping.expand`, then
-        :meth:`~_Bookkeeping.merge`) around one :meth:`score_stack`.
-        :meth:`~_Bookkeeping.run` takes the init and every wave in one
-        call when every row is fast; the init and step loop here are the
-        path it must equal.
-        """
+        beam search — the init and every wave in one native call
+        (:meth:`_Bookkeeping.run`) — logging waves and frontier sizes to
+        *wave_stats*."""
         if not active.any():
             return
-        b = self.b
-        book = _Bookkeeping(self, active, expansions_per_wave)
-        # The init and every wave in one call, when the bookkeeping can.
-        frontier_sizes = book.run()
-        if frontier_sizes is None:
-            # Init: each query's prefix of the entry order, one stacked
-            # wave.
-            init_owner_parts: list[np.ndarray] = []
-            init_id_parts: list[np.ndarray] = []
-            for i in np.flatnonzero(active).tolist():
-                r_init = self.index.entry_points(int(self.l_inner_arr[i]))
-                book.seen[i, r_init] = True
-                init_id_parts.append(r_init)
-                init_owner_parts.append(np.full(r_init.size, i, dtype=np.int64))
-            owner = np.concatenate(init_owner_parts)
-            cand = np.concatenate(init_id_parts)
-            sims = self.score_stack(owner, cand, np.full(b, -np.inf))
-            book.merge(owner, cand, sims)
-            # Waves: up to m expansions per active query per wave.
-            frontier_sizes = []
-            while (step := book.expand()) is not None:
-                thr, owner, cand = step
-                frontier_sizes.append(int(cand.size))
-                if cand.size == 0:
-                    continue
-                book.merge(owner, cand, self.score_stack(owner, cand, thr))
+        frontier_sizes = _Bookkeeping(self, active, expansions_per_wave).run()
         wave_stats.waves += len(frontier_sizes)
         wave_stats.frontier_sizes += tuple(frontier_sizes)
 
@@ -377,13 +264,9 @@ class _Wave:
         # after its finite entries, which keep their per-row order.
         order = rank_order(res_ids, res_sims)
         taken = np.minimum(np.isfinite(res_sims).sum(axis=1), self.k_inner_arr)
-        # A row is counted by the route that scored it, and only there.
-        joint, modality = self.joint_acc, self.joint_acc * self.active_mods
-        if self.stack is not None:
-            joint = joint + self.stack.joint_evals
-            modality = modality + self.stack.modality_evals
-        hops, evals = self.hops.tolist(), joint.tolist()
-        modality_evals = modality.tolist()
+        scorer = self.scorer
+        hops, evals = self.hops.tolist(), scorer.evals.tolist()
+        modality_evals = (scorer.evals * scorer.mods).tolist()
         results: list[SearchResult] = []
         for i, take in enumerate(taken.tolist()):
             stats = self.stats_list[i]
@@ -420,17 +303,13 @@ class _Wave:
 
 
 class _Bookkeeping:
-    """One traversal's routing state and the two steps of a wave, in
-    ``native.c``: one ctypes call each over arrays this traversal owns
-    (the CSR pair is only read).
-
-    :meth:`expand` picks each active row's next expansions, gathers
-    their unvisited neighbours into an owner-sorted frontier and marks
-    them visited; :meth:`merge` folds a scored frontier into the route
-    and result pools.  Neither does float arithmetic — the scores come
-    from :meth:`_Wave.score_stack`.  When every row is fast, :meth:`run`
-    takes the init and all the waves in one call, ``wave_run``, which
-    makes the step loop's calls in its order.
+    """One traversal's routing state, over arrays it owns (the CSR pair
+    is only read), and :meth:`run`, which takes the init and every wave
+    in one ``native.c`` call, ``wave_run``: per wave, ``wave_expand``'s
+    steps pick each active row's next expansions and gather their
+    unvisited neighbours into an owner-sorted frontier, the wave's
+    :class:`~repro.index.scoring.RowScorer` scores it, and
+    ``wave_merge``'s steps fold it into the route and result pools.
 
     The routing pools are each row best first and truncated to its own
     width after every merge, so a query's state is exactly what a batch
@@ -520,41 +399,10 @@ class _Bookkeeping:
             )
         )
 
-    def expand(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``(thr, owner, cand)`` of the next wave, or ``None`` when no
-        row has a candidate left; counts the expansions as hops."""
-        f = int(native.lib.wave_expand(self.state))
-        if f == -1:
-            return None
-        native.check(f)
-        return self.thr, self.owner[:f], self.cand[:f]
-
-    def merge(
-        self, owner: np.ndarray, cand: np.ndarray, sims: np.ndarray
-    ) -> np.ndarray:
-        """Fold owner-sorted scored candidates into both pools; returns
-        the rows touched (what the tests' Lemma 3 hook checks)."""
-        owner = np.ascontiguousarray(owner, dtype=np.int64)
-        cand = np.ascontiguousarray(cand, dtype=np.int64)
-        sims = np.ascontiguousarray(sims, dtype=np.float64)
-        touched = int(
-            native.lib.wave_merge(
-                self.state, owner.ctypes.data, cand.ctypes.data,
-                sims.ctypes.data, owner.size,
-            )
-        )
-        native.check(touched)
-        return self.rows[:touched]
-
-    def run(self) -> list[int] | None:
-        """The init and every wave, scored and merged in one call, and
-        the waves' frontier sizes; ``None`` (nothing done) unless every
-        row is fast, when the caller steps instead."""
+    def run(self) -> list[int]:
+        """The init and every wave, scored and merged in one call; the
+        waves' frontier sizes."""
         wave = self.wave
-        if not wave.all_fast:
-            return None
-        concat, qmat = wave.concat_mat, wave.qmat
-        assert concat is not None and qmat is not None
         # Each traversed row's init is the first min(l, n) vertices of
         # the entry order; the rest take none.
         np.minimum(wave.l_inner_arr, wave.n, out=self.init_len)
@@ -564,9 +412,7 @@ class _Bookkeeping:
         waves = int(
             native.lib.wave_run(
                 self.state, self.graph.entry_ptr, self.init_len_at,
-                concat.ctypes.data, concat.shape[0], concat.shape[1],
-                native.address(qmat), native.address(wave.joint_acc),
-                self.sizes_at, self.sizes.size,
+                wave.scorer.state, self.sizes_at, self.sizes.size,
             )
         )
         native.check(waves)

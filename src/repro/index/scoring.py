@@ -1,23 +1,17 @@
-"""Similarity scoring for the search stack: the wave's frontier scorer,
-the exact scan's prefilter, and the refine rerank.
+"""Similarity scoring for the search stack: the wave's row scorer, the
+exact scan's prefilter, and the refine rerank.
 
-* **Concat fast path** — when :meth:`JointSpace.concat_query` can build a
-  rescaled query vector, a row's joint similarity is one inner product
-  against the ω-scaled concatenated matrix (Lemma 1).  The lockstep wave
-  runs it itself (:meth:`~repro.index.graph_wave._Wave.dense`, the C
-  gather-dot or ``einsum``); :func:`batch_score_all` runs it as one GEMM
-  for an exact scan.
-* :class:`StackedScorer` — **every other wave row**: a compressed store
-  (materialising the concatenation would undo the compression) and a
-  query that needs a modality the index weights zeroed.  One
-  :class:`~repro.store.ModalityKernel` per modality (the store's one
-  kernel) scores all of the batch's frontiers in one store call, each
-  row reduced on its own, so a row's score is the same alone, in any
-  frontier and in any batch — a lone query is a stack of one.  The
-  kernels are the store's own: a PQ store's sum their lookup-table
-  entries in :mod:`repro.native`'s ``adc_gather`` when the library
-  loaded and in NumPy otherwise, to the same bits; the int8 and dense
-  kernels are NumPy on both paths.
+* :class:`RowScorer` — **every wave row**, traversed or scanned: the
+  state of the native row scorer (``native.c``'s ``score_rows``), which
+  ``wave_run`` calls once a wave.  A row whose query has a concat
+  vector (Lemma 1) is one lane dot product with the ω-scaled
+  concatenation; any other row — a compressed store (materialising the
+  concatenation would undo the compression) or a query that needs a
+  modality the index weights zeroed — sums ``ω²·IP`` in float64 over
+  one :class:`~repro.store.ModalityKernel` per modality, the store's
+  dense, int8 or PQ operand.  Each row is reduced on its own, so its
+  score is the same alone, in any frontier and in any batch — a lone
+  query is a stack of one.
 * :func:`batch_score_all` — many queries × the whole corpus in float32,
   the exact plans' **prefilter**: it also says how far each of its
   scores can sit from the float64 kernel's, and
@@ -27,7 +21,7 @@ the exact scan's prefilter, and the refine rerank.
   full-precision re-scoring of a compressed search's top survivors
   against the store's cold exact tier.
 
-The tests hold a :class:`StackedScorer` row to
+The tests hold a :class:`RowScorer` row to
 :meth:`~repro.core.space.JointSpace.query_ids_stable` (float64 over
 decoded rows) within the float32 dot-product bound.  The paper's
 Lemma-4 pruned evaluation (§VII-B) is not a plan here: it saves too few
@@ -37,19 +31,22 @@ it on the per-query reference in :mod:`repro.bench.efficiency`.
 
 from __future__ import annotations
 
+import ctypes
 from typing import Sequence
 
 import numpy as np
 
+from repro import native
 from repro.core.multivector import MultiVector
 from repro.core.results import SearchStats
 from repro.core.space import JointSpace
 from repro.core.weights import Weights
-from repro.store import ModalityKernel, dot_error
+from repro.store import dot_error
 from repro.utils.topk import rank_order
+from repro.utils.validation import require
 
 __all__ = [
-    "StackedScorer",
+    "RowScorer",
     "batch_score_all",
     "rerank_exact",
 ]
@@ -77,19 +74,24 @@ def _per_query_weights(
     return per_query
 
 
-class StackedScorer:
-    """Frontier scorer for every wave row off the concat fast path.
+class RowScorer:
+    """The native row scorer over one batch of queries: the state
+    ``native.c``'s ``score_rows`` reads, which ``wave_run`` calls per
+    wave and :meth:`score` calls once for a scan.
 
-    Per modality, one :class:`~repro.store.ModalityKernel` holds the query
-    vectors of every batch member that carries the modality with a
-    positive effective weight; ``score(owner, ids, thr)`` scores row
-    ``ids[j]`` against query ``owner[j]`` with one store call per
-    modality, accumulating ``ω²·IP`` in float64 in modality order.  A
-    row's value depends on its own query and vertex alone, so a scorer
-    over a stack of one gives any row the bits it gets in a batch.
+    A row — one query of the batch — is *fast* when its query has a
+    concat vector (Lemma 1): its similarity is one lane dot product with
+    the ω-scaled concatenation.  Every other row (a compressed store, a
+    query that needs a modality the index weights zeroed, or any row
+    when ``concat=False``) sums ``ω²·IP`` in float64 in modality order,
+    each ``IP`` read from one :class:`~repro.store.ModalityKernel` per
+    modality holding the stack of the rows that carry it.  A row's value
+    depends on its own query and vertex alone, so a scorer over a stack
+    of one gives it the bits it gets in any batch.
 
-    :attr:`joint_evals` and :attr:`modality_evals` count per owner, as a
-    query's :class:`~repro.core.results.SearchStats` counts them.
+    :attr:`evals` counts each row's joint evaluations, and :attr:`mods`
+    the modality evaluations one stands for: a fast row's query
+    modalities, or the modalities another row scores.
     """
 
     def __init__(
@@ -97,55 +99,109 @@ class StackedScorer:
         space: JointSpace,
         queries: Sequence[MultiVector],
         weights: Sequence[Weights | None],
+        concat: bool = True,
     ) -> None:
         b = len(queries)
-        self.b = b
-        w2 = np.stack(
-            [
-                space.effective_squared_weights(q, w)
-                for q, w in zip(queries, weights)
-            ]
+        qcats = [
+            space.concat_query(q, w) if concat else None
+            for q, w in zip(queries, weights)
+        ]
+        fast = np.array([q is not None for q in qcats], dtype=bool)
+        self.evals = np.zeros(b, dtype=np.int64)
+        self.mods = np.array(
+            [sum(v is not None for v in q.vectors) for q in queries],
+            dtype=np.int64,
         )
-        carried = w2 > 0.0
-        self._w2 = w2
-        #: modality → (query → kernel row or -1, kernel), in modality order
-        self._kernels: dict[int, tuple[np.ndarray, ModalityKernel]] = {}
-        for i in np.flatnonzero(carried.any(axis=0)).tolist():
-            rows = np.flatnonzero(carried[:, i])
-            slot = np.full(b, -1, dtype=np.int64)
-            slot[rows] = np.arange(rows.size)
-            stack = np.stack([queries[r].vectors[i] for r in rows])
-            self._kernels[i] = (
-                slot, space.store.stacked_kernel(i, stack.astype(np.float32))
+        state = native.ScorerState(
+            b=b, n=space.n, evals=native.address(self.evals)
+        )
+        keep: list[object] = []
+        if fast.any():
+            concat_mat = space.concatenated
+            qmat = np.zeros((b, concat_mat.shape[1]), dtype=np.float32)
+            for i, qcat in enumerate(qcats):
+                if qcat is not None:
+                    qmat[i] = qcat
+            # The kernel reads the matrix in place, so it trusts its layout.
+            require(
+                concat_mat.dtype == np.float32 and concat_mat.flags.c_contiguous,
+                "row scorer: the concatenated matrix is not C-ordered float32",
             )
-        #: modalities each query scores.
-        self.num_kernels = carried.sum(axis=1).astype(np.int64)
-        self.joint_evals = np.zeros(b, dtype=np.int64)
-        self.modality_evals = np.zeros(b, dtype=np.int64)
+            state.concat, state.dim = concat_mat.ctypes.data, concat_mat.shape[1]
+            state.qmat = native.address(qmat)
+            keep += [concat_mat, qmat]
+        if not fast.all():
+            flags = fast.view(np.uint8)
+            state.fast = native.address(flags)
+            w2 = np.stack(
+                [
+                    space.effective_squared_weights(q, w)
+                    for q, w in zip(queries, weights)
+                ]
+            )
+            carried = (w2 > 0.0) & ~fast[:, None]
+            self.mods[~fast] = carried[~fast].sum(axis=1)
+            ops = [
+                _operand(space, queries, i, carried[:, i], w2[:, i], keep)
+                for i in np.flatnonzero(carried.any(axis=0)).tolist()
+            ]
+            state.m, state.mods = len(ops), (native.Operand * len(ops))(*ops)
+            keep.append(flags)
+        #: everything the state points into stays referenced here.
+        self._keep = keep
+        self.state = ctypes.pointer(state)
 
     def score(
-        self, owner: np.ndarray, ids: np.ndarray, thr: np.ndarray
+        self, owner: np.ndarray, cand: np.ndarray, thr: np.ndarray
     ) -> np.ndarray:
-        """Joint similarity of ``ids[j]`` to query ``owner[j]`` (float64),
-        ``-inf`` where it is not above ``thr[owner[j]]``."""
-        joint = np.bincount(owner, minlength=self.b)
-        self.joint_evals += joint
-        self.modality_evals += joint * self.num_kernels
-        sims = self._full(owner, ids)
-        return np.where(sims > thr[owner], sims, -np.inf)
-
-    def _full(self, owner: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        sims = np.zeros(ids.shape[0], dtype=np.float64)
-        for i, (slot, kernel) in self._kernels.items():
-            w2_i = self._w2[:, i]
-            which = slot[owner]
-            carried = which >= 0
-            if carried.all():
-                sims += w2_i[owner] * kernel.ids(ids, which).astype(np.float64)
-            elif carried.any():
-                part = kernel.ids(ids[carried], which[carried])
-                sims[carried] += w2_i[owner[carried]] * part.astype(np.float64)
+        """Similarity of vertex ``cand[j]`` to row ``owner[j]`` (float64),
+        ``-inf`` where it is not above ``thr[owner[j]]``; counted in
+        :attr:`evals`."""
+        owner = np.ascontiguousarray(owner, dtype=np.int64)
+        cand = np.ascontiguousarray(cand, dtype=np.int64)
+        thr = np.ascontiguousarray(thr, dtype=np.float64)
+        sims = np.empty(cand.size, dtype=np.float64)
+        native.check(
+            native.lib.score_rows(
+                self.state, owner.ctypes.data, cand.ctypes.data, cand.size,
+                thr.ctypes.data, sims.ctypes.data,
+            )
+        )
         return sims
+
+
+def _operand(
+    space: JointSpace,
+    queries: Sequence[MultiVector],
+    i: int,
+    carried: np.ndarray,
+    w2: np.ndarray,
+    keep: list[object],
+) -> native.Operand:
+    """Modality *i*'s operand: the store's kernel over the stack of the
+    rows that carry it, each row's slot in that stack and its ``ω²``;
+    what the operand points into is appended to *keep*."""
+    rows = np.flatnonzero(carried)
+    slot = np.full(carried.size, -1, dtype=np.int64)
+    slot[rows] = np.arange(rows.size)
+    stack = np.stack([queries[r].vectors[i] for r in rows]).astype(np.float32)
+    kernel = space.store.stacked_kernel(i, stack)
+    w2 = np.ascontiguousarray(w2, dtype=np.float64)
+    require(
+        kernel.rows.shape[0] == space.n
+        and kernel.rows.flags.c_contiguous
+        and kernel.queries.flags.c_contiguous
+        and kernel.queries.dtype == np.float32,
+        f"row scorer: modality {i}'s operand is malformed",
+    )
+    keep += [kernel, slot, w2]
+    return native.Operand(
+        kind=kernel.kind, width=kernel.rows.shape[1],
+        ncent=kernel.queries.shape[-1], rows=kernel.rows.ctypes.data,
+        queries=kernel.queries.ctypes.data,
+        offset=None if kernel.offset is None else kernel.offset.ctypes.data,
+        slot=slot.ctypes.data, w2=w2.ctypes.data,
+    )
 
 
 def batch_score_all(
@@ -161,7 +217,7 @@ def batch_score_all(
     ``b`` separate scans (Lemma 1).  A query without one — a compressed
     store, or an override that needs a modality the index weights
     zeroed — is scored modality by modality through the store's own
-    stacked kernel (:meth:`~repro.store.VectorStore.batch_scores`: one
+    full-scan kernel (:meth:`~repro.store.VectorStore.batch_scores`: one
     GEMM, or one ADC table block), weighted in float64.
 
     ``weights`` is either one override for the whole batch or a sequence

@@ -59,6 +59,7 @@ graph's own entry order (:meth:`GraphIndex.entry_points`).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 import shutil
@@ -1216,34 +1217,50 @@ class SegmentedIndex:
         bitset are all there is to resume from.
 
         Memory-mapped cold tiers ride as sidecar
-        ``segment_{i:03d}.cold_{m}.npy`` files next to the archives
+        ``segment_NNN.cold_{m}.npy`` files next to the archives
         (``.npz`` is a zip and cannot be mapped); their segments are
         recorded with ``"storage": "mmap"``.  A corpus with a sparse
         lexical plane stores its per-segment CSR arrays (stamped stats
         included) inside the archives.  Whatever the index holds, the
         manifest format is ``must-segments-v5``, and it replaces the old
-        one whole (:func:`~repro.utils.io.replace_text`); ``segment_*.npz``
-        archives it does not list are unlinked only after that."""
+        one whole (:func:`~repro.utils.io.replace_text`).  No file the
+        live manifest lists is written: every archive and sidecar copy
+        goes under a ``segment_NNN`` stem no file in *path* uses, and a
+        sidecar an earlier save wrote there is listed again as it is
+        (sidecars are never rewritten), so a save that fails before the
+        manifest lands leaves the old state loadable.  ``segment_*.npz``
+        archives the new manifest does not list are unlinked only after
+        it landed."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
+        here = path.resolve()
+        taken = {file.name.split(".")[0] for file in path.glob("segment_*")}
+        stems = (
+            stem
+            for stem in (f"segment_{j:03d}" for j in itertools.count())
+            if stem not in taken
+        )
         entries = []
-        for i, seg in enumerate(self.sealed):
-            fname = f"segment_{i:03d}.npz"
+        for seg in self.sealed:
+            stem = next(stems)
+            fname = f"{stem}.npz"
             self._save_segment(path / fname, seg.index, seg.ext_ids)
             entry: dict = {"file": fname, "kind": "sealed", "n": int(seg.n)}
             plane = seg.space.vectors.store.cold_plane
             if isinstance(plane, MmapPlane):
                 cold_files = []
                 for m, src in enumerate(plane.paths):
-                    dst = path / f"segment_{i:03d}.cold_{m}.npy"
-                    if src.resolve() != dst.resolve():
+                    dst = path / f"{stem}.cold_{m}.npy"
+                    if src.parent.resolve() == here and src.name.startswith("segment_"):
+                        dst = src
+                    else:
                         shutil.copyfile(src, dst)
                     cold_files.append(dst.name)
                 entry["storage"] = "mmap"
                 entry["cold_files"] = cold_files
             entries.append(entry)
         if self.delta.n:
-            fname = f"segment_{len(self.sealed):03d}.npz"
+            fname = f"{next(stems)}.npz"
             self._save_segment(
                 path / fname, self.delta.as_segment().index,
                 self.delta.ext_ids,

@@ -1,41 +1,56 @@
 /*
- * The native kernels: the lockstep graph wave's bookkeeping and dense
- * arithmetic (repro.index.graph_wave), the table sums that score
- * product-quantised rows (repro.store.pq), and the index build's integer
- * bookkeeping and neighbour selection (repro.index.nndescent and
- * repro.index.components).
+ * The native kernels: the lockstep graph wave (repro.index.graph_wave) —
+ * its bookkeeping, its one row scorer and the call that runs a whole
+ * traversal — and the index build's integer bookkeeping and neighbour
+ * selection (repro.index.nndescent and repro.index.components).
  *
  * Per wave, wave_expand picks each active row's next route-pool columns,
  * gathers their CSR neighbours that the row has not seen yet (marking
- * them seen) and lays the frontier out row by row; gather_dot scores the
- * frontier's dense rows and adc_gather its PQ rows; wave_merge folds the
- * scored frontier back into the route and result pools.  The two
- * bookkeeping calls do no floating-point arithmetic: they compare, copy
- * and move the similarities they are given, so they leave the pools, the
- * seen bitsets and the counters exactly as their NumPy oracle in the
- * test suite (tests/oracles.py) does.
+ * them seen) and lays the frontier out row by row; score_rows scores the
+ * frontier; wave_merge folds the scored frontier back into the route and
+ * result pools.  The two bookkeeping calls do no floating-point
+ * arithmetic: they compare, copy and move the similarities they are
+ * given, so they leave the pools, the seen bitsets and the counters
+ * exactly as their NumPy oracle in the test suite (tests/oracles.py) does.
  *
- * When gather_dot scores every row of a traversal, wave_run takes the
- * whole traversal in one call: its init (each row's prefix of the
- * graph's entry order, marked seen, scored by gather_dot and merged by
- * merge_rows) and then every wave, expand, gather-dot, merge, the same
- * functions in the same order as the calls the Python step loop would
- * make, until no row expands.  It leaves the same bits as those calls,
- * wave by wave.
+ * The search makes one traversal call, wave_run: its init (each row's
+ * prefix of the graph's entry order, marked seen, scored and merged) and
+ * then every wave, expand, score, merge, the same functions in the same
+ * order as the test suite's step loop calls them through wave_expand,
+ * score_rows and wave_merge, until no row expands.  It leaves the same
+ * bits as those calls, wave by wave.  A row whose beam would cover what
+ * it can report is scanned instead: one score_rows call over every vertex.
  *
- * gather_dot, adc_gather and prune_rows are all the arithmetic there is.
- * The local join's kernels, join_number and join_fill, and the angle
- * selection's greedy_pick do none: they number ids, copy similarities a
- * NumPy matmul computed and read a boolean matrix NumPy compared.
- * prune_rows, the MRNG / alpha-RNG selection, scores the candidate pairs
- * its greedy scan reads under the contract below, as gather_dot does,
- * and compares them in float64 as its NumPy oracle does, which scores
- * every pair with a lane loop of the same bits.  So the oracle builds
- * the same graph, bit for bit.
+ * score_rows is the one row scorer, for every kind of row.  A row whose
+ * query has a concat vector (Lemma 1) is one dot product with the
+ * omega-scaled concatenation.  Every other row (a compressed store's, or
+ * a query's that needs a modality the index weights zeroed) is
  *
- * gather_dot and prune_rows run under this float contract.  A dense
- * row's similarity against another (a query row, or a candidate), both D
- * float32 values long, is
+ *     double s = +0.0;
+ *     for each modality i the row carries, in order:
+ *         s += w2[r, i] * (double) dot_i;
+ *
+ * in float64, every operation rounded (no contraction), where dot_i is
+ * the float32 inner product of the stored row with the row's query:
+ *   - dense (the zero-weight fallback): the lane contract below over the
+ *     stored float32 row;
+ *   - int8: the lane contract over the codes, each product
+ *     fl((float)code[d] * q_scaled[d]), plus the query's offset in one
+ *     float32 add (q_scaled = step * q and offset = low . q, both float32,
+ *     come prepared with the query stack);
+ *   - PQ: the sequential table sum below.
+ *
+ * score_rows and prune_rows are all the arithmetic there is.  The local
+ * join's kernels, join_number and join_fill, and the angle selection's
+ * greedy_pick do none: they number ids, copy similarities a NumPy matmul
+ * computed and read a boolean matrix NumPy compared.  prune_rows, the
+ * MRNG / alpha-RNG selection, scores the candidate pairs its greedy scan
+ * reads under the lane contract, and compares them in float64 as its
+ * NumPy oracle does, which scores every pair with a lane loop of the same
+ * bits.  So the oracle builds the same graph, bit for bit.
+ *
+ * The lane contract.  A dense row's similarity against another (a query
+ * row, or a candidate), both D float32 values long, is
  *
  *     float a[8] = {+0.0f, ..., +0.0f};
  *     for d = 0 .. D-1 in order:  a[d % 8] += fl(x[d] * q[d]);
@@ -46,10 +61,10 @@
  * reassociation (no -ffast-math or kin).  Eight lanes rather than one
  * sequential sum so that the loop vectorises; the order is fixed, so the
  * bits do not depend on the SIMD width the compiler picks, and a NumPy
- * lane loop (the tests' oracle) reproduces them.
+ * lane loop (the tests' oracle) reproduces them.  An int8 row runs the
+ * same lanes over codes widened to float32, which is exact.
  *
- * adc_gather needs no contract of its own.  A PQ row's score against a
- * query's M lookup tables is
+ * The PQ sum.  A PQ row's score against a query's M lookup tables is
  *
  *     float s = +0.0f;
  *     for m = 0 .. M-1 in order:  s = fl(s + lut[m][code[m]]);
@@ -62,15 +77,14 @@
  * NumPy's own loops do not fix either (its vector and scalar adds pick
  * differently).  Finite tables, the only kind a finite query and
  * codebook make, never get there.  M is a handful to a few dozen
- * sub-spaces, so the sequential sum costs little; the time it saves is
- * NumPy's gathered copies of the codes and the table entries.
+ * sub-spaces, so the sequential sum costs little.
  *
- * Every array belongs to the caller except the CSR adjacency, the dense
- * matrix and the PQ codes, which frozen snapshots share and the kernels
- * only read.  Pool and frontier similarities are finite or -inf
- * (gather_dot and score_stack map whatever does not beat its threshold,
- * NaN included, to -inf), so `>` is the order NumPy's stable argsort of
- * the negated values sorts by.
+ * Every array belongs to the caller except the CSR adjacency and the
+ * stored rows (the concatenation, the dense rows, the int8 and PQ
+ * codes), which frozen snapshots share and the kernels only read.  Pool
+ * and frontier similarities are finite or -inf (score_rows maps whatever
+ * does not beat its threshold, NaN included, to -inf), so `>` is the
+ * order NumPy's stable argsort of the negated values sorts by.
  *
  * Built by repro/native.py at import, which fails without a C compiler,
  * and called through ctypes.
@@ -400,38 +414,111 @@ int64_t wave_merge(const wave_state *s, const int64_t *owner, const int64_t *can
     return rows;
 }
 
+/* The contract's eight-lane float32 sum of x[d] * q[d], d = 0 .. dim-1,
+ * over float32 rows (lane_sum) and over uint8 codes, each widened to
+ * float32 exactly before its product (lane_sum_u8). */
+#define LANE_SUM(name, type)                                                 \
+    static float name(const type *x, const float *q, int64_t dim)            \
+    {                                                                        \
+        float a[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};       \
+        int64_t d = 0;                                                       \
+        for (; d + 8 <= dim; d += 8)                                         \
+            for (int k = 0; k < 8; k++)                                      \
+                a[k] += (float)x[d + k] * q[d + k];                          \
+        for (int k = 0; d < dim; d++, k++) /* d is a multiple of 8 here */   \
+            a[k] += (float)x[d] * q[d];                                      \
+        return ((a[0] + a[1]) + (a[2] + a[3])) +                             \
+               ((a[4] + a[5]) + (a[6] + a[7]));                              \
+    }
+LANE_SUM(lane_sum, float)
+LANE_SUM(lane_sum_u8, uint8_t)
+
 /* The contract's dot product of two rows of dim float32 values. */
 static double lane_dot(const float *x, const float *q, int64_t dim)
 {
-    float a[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
-    int64_t d = 0;
-    for (; d + 8 <= dim; d += 8)
-        for (int k = 0; k < 8; k++)
-            a[k] += x[d + k] * q[d + k];
-    for (int k = 0; d < dim; d++, k++)  /* d is a multiple of 8 here */
-        a[k] += x[d] * q[d];
-    return (double)(((a[0] + a[1]) + (a[2] + a[3])) +
-                    ((a[4] + a[5]) + (a[6] + a[7])));
+    return (double)lane_sum(x, q, dim);
+}
+
+/* The kinds of stored rows an operand holds (native.py mirrors them). */
+enum { DENSE_ROWS = 0, INT8_ROWS = 1, PQ_ROWS = 2 };
+
+/* One modality of the row scorer (native.Operand): a store's hot rows and
+ * the stack of queries prepared for them. */
+typedef struct {
+    int64_t kind;          /* DENSE_ROWS, INT8_ROWS or PQ_ROWS */
+    int64_t width;         /* values a row: d, or PQ's M sub-spaces */
+    int64_t ncent;         /* PQ: entries per table */
+    const void *rows;      /* (n, width): float32, or uint8 codes */
+    const float *queries;  /* (stack, width): the queries, int8's step-scaled
+                            * ones, or PQ's (stack, width, ncent) tables */
+    const float *offset;   /* int8: (stack) each query's offset */
+    const int64_t *slot;   /* (b): a row's query in the stack, -1 for none */
+    const double *w2;      /* (b): a row's omega^2 of this modality */
+} operand;
+
+/* The row scorer (native.ScorerState). */
+typedef struct {
+    int64_t b;             /* rows: the batch's queries */
+    int64_t n;             /* vertices: the rows of every matrix below */
+    const uint8_t *fast;   /* (b): scored on the concatenation; NULL: all */
+    const float *concat;   /* (n, dim): the omega-scaled concatenation */
+    int64_t dim;
+    const float *qmat;     /* (b, dim): each fast row's query */
+    int64_t m;             /* operands, in modality order */
+    const operand *mods;
+    int64_t *evals;        /* (b): joint evaluations, one per entry */
+} row_scorer;
+
+/* A row off the concatenation: over its operands in modality order,
+ * s += w2 * (double) dot in float64, dot the row kind's float32 one. */
+static double modality_sum(const row_scorer *sc, int64_t r, int64_t v)
+{
+    double s = 0.0;
+    for (int64_t i = 0; i < sc->m; i++) {
+        const operand *o = sc->mods + i;
+        const int64_t k = o->slot[r], w = o->width;
+        if (k < 0)
+            continue;
+        float dot = 0.0f;
+        if (o->kind == PQ_ROWS) {
+            const uint8_t *code = (const uint8_t *)o->rows + v * w;
+            const float *lut = o->queries + k * w * o->ncent;
+            for (int64_t t = 0; t < w; t++, lut += o->ncent)
+                dot += lut[code[t]];
+        } else if (o->kind == INT8_ROWS) {
+            dot = lane_sum_u8((const uint8_t *)o->rows + v * w,
+                              o->queries + k * w, w) + o->offset[k];
+        } else {
+            dot = lane_sum((const float *)o->rows + v * w, o->queries + k * w, w);
+        }
+        s += o->w2[r] * (double)dot;
+    }
+    return s;
 }
 
 /*
- * Score f frontier entries: out[j] is the contract's dot product of
- * dense row cand[j] (of n rows, dim wide) with query row owner[j] (of
- * b), or -inf when that is not above thr[owner[j]] (NaN included).
- * Adds one to evals[owner[j]] per entry.  Both matrices are read in
- * place.  Returns f, or INVALID (writing nothing) when an owner or an
- * id is out of range.
+ * Score f frontier entries: out[j] is row owner[j]'s similarity to vertex
+ * cand[j], or -inf when that is not above thr[owner[j]] (NaN included).
+ * Adds one to evals[owner[j]] per entry.  Every matrix is read in place.
+ * Returns f, or INVALID (writing nothing) when an owner or an id is out
+ * of range.
  */
-int64_t gather_dot(const float *x, int64_t n, int64_t dim, const float *q,
-                   int64_t b, const int64_t *owner, const int64_t *cand,
-                   int64_t f, const double *thr, int64_t *evals, double *out)
+int64_t score_rows(const row_scorer *sc, const int64_t *owner,
+                   const int64_t *cand, int64_t f, const double *thr,
+                   double *out)
 {
     for (int64_t j = 0; j < f; j++)
-        if (owner[j] < 0 || owner[j] >= b || cand[j] < 0 || cand[j] >= n)
+        if (owner[j] < 0 || owner[j] >= sc->b || cand[j] < 0 || cand[j] >= sc->n)
             return INVALID;
+    const uint8_t *fast = sc->fast;
+    const float *concat = sc->concat, *qmat = sc->qmat;
+    const int64_t dim = sc->dim;
+    int64_t *evals = sc->evals;
     for (int64_t j = 0; j < f; j++) {
-        int64_t r = owner[j];
-        double sim = lane_dot(x + cand[j] * dim, q + r * dim, dim);
+        int64_t r = owner[j], v = cand[j];
+        double sim = !fast || fast[r]
+                         ? lane_dot(concat + v * dim, qmat + r * dim, dim)
+                         : modality_sum(sc, r, v);
         out[j] = sim > thr[r] ? sim : -INFINITY;
         evals[r]++;
     }
@@ -474,26 +561,25 @@ static void init_frontier(const wave_state *s, const int64_t *entry,
 }
 
 /*
- * A whole traversal whose rows gather_dot scores.  First its init: each
- * row r's first len[r] vertices of the entry order (n of them) are
- * marked seen and laid out as one frontier, row by row, which
- * gather_dot scores against a -inf threshold and merge_rows folds into
- * the pools, the calls the step loop's init makes in the same order.
- * Then every wave: expand_rows, then gather_dot against the query rows
- * q (b of them, dim wide) and the dense matrix x (rows of them), then
- * merge_rows, until no row expands.  evals is gather_dot's.  Each
- * wave's frontier size goes to sizes, which holds cap of them; n + 1
- * always suffice, since a row that expands nothing never expands again
- * and no row expands a vertex twice.  Returns the number of waves, or
- * INVALID (writing nothing) for an init length outside [0, n] or an
- * entry id outside [0, n); after that OVERFLOW when a wave finds sizes
- * full, INVALID where gather_dot or merge_rows refuse and NO_MEMORY,
- * each leaving the traversal part way through a wave.
+ * A whole traversal, scored by sc (b rows over n vertices, as s).  First
+ * its init: each row r's first len[r] vertices of the entry order (n of
+ * them) are marked seen and laid out as one frontier, row by row, which
+ * score_rows scores against a -inf threshold and merge_rows folds into
+ * the pools.  Then every wave: expand_rows, score_rows, merge_rows, until
+ * no row expands.  Each wave's frontier size goes to sizes, which holds
+ * cap of them; n + 1 always suffice, since a row that expands nothing
+ * never expands again and no row expands a vertex twice.  Returns the
+ * number of waves, or INVALID (writing nothing) for a scorer of another
+ * shape, an init length outside [0, n] or an entry id outside [0, n);
+ * after that OVERFLOW when a wave finds sizes full, INVALID where
+ * score_rows or merge_rows refuse and NO_MEMORY, each leaving the
+ * traversal part way through a wave.
  */
 int64_t wave_run(const wave_state *s, const int64_t *entry, const int64_t *len,
-                 const float *x, int64_t rows, int64_t dim, const float *q,
-                 int64_t *evals, int64_t *sizes, int64_t cap)
+                 const row_scorer *sc, int64_t *sizes, int64_t cap)
 {
+    if (sc->b != s->b || sc->n != s->n)
+        return INVALID;
     const int64_t f_init = init_size(s, entry, len);
     if (f_init < 0)
         return f_init;
@@ -515,8 +601,7 @@ int64_t wave_run(const wave_state *s, const int64_t *entry, const int64_t *len,
         init_frontier(s, entry, len, owner, cand);
         for (int64_t r = 0; r < s->b; r++)
             s->thr[r] = -INFINITY;
-        status = gather_dot(x, rows, dim, q, s->b, owner, cand, f_init,
-                            s->thr, evals, sims);
+        status = score_rows(sc, owner, cand, f_init, s->thr, sims);
         if (status >= 0)
             status = merge_rows(s, owner, cand, sims, f_init, order, o_sims,
                                 o_dead);
@@ -533,8 +618,7 @@ int64_t wave_run(const wave_state *s, const int64_t *entry, const int64_t *len,
             sizes[waves++] = f;
             if (f == 0)
                 continue;
-            status = gather_dot(x, rows, dim, q, s->b, s->owner, s->cand, f,
-                                s->thr, evals, sims);
+            status = score_rows(sc, s->owner, s->cand, f, s->thr, sims);
             if (status >= 0)
                 status = merge_rows(s, s->owner, s->cand, sims, f, order,
                                     o_sims, o_dead);
@@ -548,34 +632,6 @@ int64_t wave_run(const wave_state *s, const int64_t *entry, const int64_t *len,
     free(o_sims);
     free(o_dead);
     return status;
-}
-
-/*
- * Score f PQ rows: out[j] is the sequential float32 sum, from +0.0f and
- * in sub-space order, of luts[owner[j], m, codes[cand[j], m]] for m = 0
- * .. m_sub-1.  codes (n rows of m_sub uint8) and luts (b blocks of m_sub
- * tables of ncent float32) are read in place, and every code is trusted
- * to lie below ncent (PQStore checks its codes once, when it is built).
- * Returns f, or INVALID (writing nothing) when an owner or an id is out
- * of range.
- */
-int64_t adc_gather(const uint8_t *codes, int64_t n, int64_t m_sub,
-                   const float *luts, int64_t b, int64_t ncent,
-                   const int64_t *owner, const int64_t *cand, int64_t f,
-                   float *out)
-{
-    for (int64_t j = 0; j < f; j++)
-        if (owner[j] < 0 || owner[j] >= b || cand[j] < 0 || cand[j] >= n)
-            return INVALID;
-    for (int64_t j = 0; j < f; j++) {
-        const uint8_t *code = codes + cand[j] * m_sub;
-        const float *lut = luts + owner[j] * m_sub * ncent;
-        float s = 0.0f;
-        for (int64_t m = 0; m < m_sub; m++, lut += ncent)
-            s += lut[code[m]];
-        out[j] = s;
-    }
-    return f;
 }
 
 /*

@@ -1,20 +1,20 @@
 """Build and load the native kernels, ``native.c``.
 
 One C library serves the search and the build, and :mod:`repro` does
-not run without it.  :mod:`repro.index.graph_wave` splits a wave into
-arithmetic and bookkeeping.  The bookkeeping — which route columns a
-wave expands, which neighbours are fresh, the order of a row's frontier
-and the two stable pool merges — runs in ``wave_expand`` and
-``wave_merge``; it only compares and moves similarities.  Of the
-arithmetic, the dense rows' inner products (traversed and scanned) run
-in ``gather_dot`` under the eight-lane float32 contract the source's
-header states.  ``wave_run`` takes a whole traversal whose rows all
-score through ``gather_dot`` in one call: its init wave (each row's
-prefix of the graph's entry order, scored and merged) and every wave
-after it, each the same steps as those calls make.  A PQ store's rows
-(:mod:`repro.store.pq`: a whole wave's stacked frontier, or one query's
-rows) are summed by ``adc_gather`` sub-space by sub-space from a float32
-zero.  int8 rows, thresholds, rerank and fusion are NumPy.
+not run without it.  :mod:`repro.index.graph_wave` runs every traversal
+in one call, ``wave_run``: the init wave (each row's prefix of the
+graph's entry order, scored and merged) and every wave after it.  A
+wave is bookkeeping — which route columns it expands, which neighbours
+are fresh, the order of a row's frontier and the two stable pool
+merges, ``wave_expand`` and ``wave_merge``, which only compare and move
+similarities — around one call of the row scorer, ``score_rows``.  That
+scorer is all the search's arithmetic, for every kind of row
+(:class:`ScorerState`): a fast-path row's dot product with the
+ω-scaled concatenation, and any other row's float64 sum, modality by
+modality, of ``ω²`` times a dense, int8 or PQ row's float32 inner
+product (:class:`Operand`), each under the contract the source's header
+states.  A scanned row is one ``score_rows`` call; thresholds, rerank
+and fusion are NumPy.
 
 The build (:mod:`repro.index.nndescent`, :mod:`repro.index.components`)
 hands the library its bookkeeping and one selection.  NNDescent's local
@@ -24,7 +24,7 @@ repeats and self-references in ``join_fill``; the angle selection's
 greedy pick over a domination matrix is ``greedy_pick``.  The MRNG and
 α-RNG selections are ``prune_rows``: every vertex's greedy pick in one
 call, scoring a candidate pair only when the scan asks whether one
-blocks the other, under the same eight-lane contract as ``gather_dot``.
+blocks the other, under the same eight-lane contract as ``score_rows``.
 
 Each kernel has a NumPy oracle in the test suite (``tests/oracles.py``)
 that it is compared with bit for bit; none of them runs here.
@@ -63,8 +63,8 @@ from pathlib import Path
 from typing import Any
 
 __all__ = [
-    "WaveState", "address", "check", "compiler", "declare", "lib", "load",
-    "path", "reason",
+    "DENSE_ROWS", "INT8_ROWS", "Operand", "PQ_ROWS", "ScorerState", "WaveState",
+    "address", "check", "compiler", "declare", "lib", "load", "path", "reason",
 ]
 
 logger = logging.getLogger(__name__)
@@ -109,23 +109,50 @@ class WaveState(ctypes.Structure):
     ]
 
 
+#: the kinds of stored rows an :class:`Operand` holds, as in ``native.c``.
+DENSE_ROWS, INT8_ROWS, PQ_ROWS = 0, 1, 2
+
+
+class Operand(ctypes.Structure):
+    """One modality of the row scorer, as ``operand`` in ``native.c``."""
+
+    _fields_ = [
+        ("kind", _i64),
+        ("width", _i64),
+        ("ncent", _i64),
+        ("rows", _ptr),
+        ("queries", _ptr),
+        ("offset", _ptr),
+        ("slot", _ptr),
+        ("w2", _ptr),
+    ]
+
+
+class ScorerState(ctypes.Structure):
+    """The row scorer, as ``row_scorer`` in ``native.c``."""
+
+    _fields_ = [
+        ("b", _i64),
+        ("n", _i64),
+        ("fast", _ptr),
+        ("concat", _ptr),
+        ("dim", _i64),
+        ("qmat", _ptr),
+        ("m", _i64),
+        ("mods", ctypes.POINTER(Operand)),
+        ("evals", _ptr),
+    ]
+
+
 _state = ctypes.POINTER(WaveState)
+_scorer = ctypes.POINTER(ScorerState)
 #: ``(argtypes, restype)`` of every function ``native.c`` exports;
 #: ctypes would otherwise read each ``int64_t`` status as a C ``int``.
 SIGNATURES: dict[str, tuple[list[Any], Any]] = {
     "wave_expand": ([_state], _i64),
     "wave_merge": ([_state, _ptr, _ptr, _ptr, _i64], _i64),
-    "wave_run": (
-        [_state, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64], _i64
-    ),
-    "gather_dot": (
-        [_ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr],
-        _i64,
-    ),
-    "adc_gather": (
-        [_ptr, _i64, _i64, _ptr, _i64, _i64, _ptr, _ptr, _i64, _ptr],
-        _i64,
-    ),
+    "wave_run": ([_state, _ptr, _ptr, _scorer, _ptr, _i64], _i64),
+    "score_rows": ([_scorer, _ptr, _ptr, _i64, _ptr, _ptr], _i64),
     "join_number": ([_ptr, _i64, _i64, _ptr, _ptr], _i64),
     "join_fill": ([_ptr, _i64, _i64, _ptr, _i64, _ptr, _i64, _ptr, _ptr], _i64),
     "greedy_pick": ([_ptr, _i64, _i64, _ptr], _i64),

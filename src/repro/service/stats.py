@@ -116,13 +116,6 @@ class ServiceStats:
         with self._lock:
             return self.submitted - self.completed - self.failed
 
-    @property
-    def mean_batch_size(self) -> float:
-        with self._lock:
-            total = sum(s * c for s, c in self.batch_sizes.items())
-            count = sum(self.batch_sizes.values())
-        return total / count if count else float("nan")
-
     def summary(self) -> dict[str, Any]:
         """JSON-ready snapshot of every counter (latencies in ms)."""
         with self._lock:

@@ -64,10 +64,6 @@ class SparseQuery:
     indices: np.ndarray
     values: np.ndarray
 
-    @property
-    def num_terms(self) -> int:
-        return int(self.indices.shape[0])
-
 
 SparseQueryLike = Union[
     SparseQuery,

@@ -27,6 +27,7 @@ instead of failing deep inside ``.npz`` parsing.
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -75,24 +76,26 @@ def max_row_norm(mat: np.ndarray) -> float:
     )
 
 
-class ModalityKernel(abc.ABC):
-    """Frontier kernel: a *stack* of float32 queries vs one hot modality.
+@dataclass(frozen=True, eq=False)
+class ModalityKernel:
+    """One hot modality against a *stack* of float32 queries: the operand
+    the native row scorer (``native.c``'s ``score_rows``) reads for it.
 
     Built once per (batch, modality) by :meth:`VectorStore.stacked_kernel`,
     so per-query preprocessing (the PQ ADC lookup tables, the
-    scalar-quant affine rescale) is paid once per stack.
-    ``ids(ids, owner)`` scores row ``ids[j]`` against query ``owner[j]``,
-    so one call covers every query's frontier.  Each row is reduced on
-    its own, so its value is the same alone, in any frontier and in a
-    stack of any size — what lets the wave score a batch's frontiers
-    in one call without changing an answer.  A lone query is a stack
-    of one.  Full scans go through :meth:`VectorStore.batch_scores`.
+    scalar-quant affine rescale) is paid once per stack.  *rows* is the
+    store's hot ``(n, width)`` array, read in place; *queries* holds the
+    stack as the row kind needs it — the float32 queries (dense), their
+    step-scaled copies with one float32 *offset* each (int8), or a
+    ``(b, M, C)`` table block (PQ).  Full scans go through
+    :meth:`VectorStore.batch_scores`.
     """
 
-    @abc.abstractmethod
-    def ids(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Float32 inner product of row ``ids[j]`` with query
-        ``owner[j]``."""
+    #: ``native.DENSE_ROWS``, ``INT8_ROWS`` or ``PQ_ROWS``.
+    kind: int
+    rows: np.ndarray
+    queries: np.ndarray
+    offset: np.ndarray | None = None
 
 
 class VectorStore(abc.ABC):
@@ -167,9 +170,9 @@ class VectorStore(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def stacked_kernel(self, i: int, queries: np.ndarray) -> ModalityKernel:
-        """Frontier kernel scoring a ``(b, d_i)`` float32 query stack
-        against hot modality *i* — how the wave scores every row off
-        the concat fast path (:class:`~repro.index.scoring.StackedScorer`):
+        """The row scorer's operand for a ``(b, d_i)`` float32 query
+        stack against hot modality *i* — how the wave scores every row
+        off the concat fast path (:class:`~repro.index.scoring.RowScorer`):
         all rows of a compressed store, and on a dense one the rows of a
         zero-weight fallback."""
 

@@ -2,7 +2,8 @@
 
 :class:`DenseStore` is today's behaviour made explicit: the hot tier *is*
 the float32 corpus, full scans are plain BLAS products, and frontier rows
-are reduced one by one, so a row's score never depends on its company.
+are the row scorer's lane dot products, each reduced on its own, so a
+row's score never depends on its company.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.store.base import (
     ModalityKernel,
     VectorStore,
@@ -21,23 +23,6 @@ from repro.store.base import (
 from repro.utils.validation import require
 
 __all__ = ["DenseStore"]
-
-
-class _StackedMatKernel(ModalityKernel):
-    """Stored float32 rows against a query stack: row ``j`` is reduced
-    on its own against query ``owner[j]`` (a GEMV's bits depend on how
-    many rows share the call; this reduction's do not)."""
-
-    __slots__ = ("mat", "queries")
-
-    def __init__(self, mat: np.ndarray, queries: np.ndarray) -> None:
-        self.mat = mat
-        self.queries = np.ascontiguousarray(queries, dtype=np.float32)
-
-    def ids(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        rows = self.mat[ids]
-        sims: np.ndarray = np.einsum("ij,ij->i", rows, self.queries[owner])
-        return sims
 
 
 def _check_matrices(matrices: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -80,7 +65,10 @@ class DenseStore(VectorStore):
 
     # -- scoring --------------------------------------------------------
     def stacked_kernel(self, i: int, queries: np.ndarray) -> ModalityKernel:
-        return _StackedMatKernel(self._mats[i], queries)
+        return ModalityKernel(
+            native.DENSE_ROWS, self._mats[i],
+            np.ascontiguousarray(queries, dtype=np.float32),
+        )
 
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:
         q = np.ascontiguousarray(queries, dtype=np.float32)

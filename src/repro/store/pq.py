@@ -10,9 +10,9 @@ Scoring is **asymmetric distance computation** (ADC): the kernel
 precomputes one lookup table ``lut[m, c] = codebook[m][c] · q[m]`` per
 query, after which scoring any row is ``Σ_m lut[m, codes[row, m]]`` —
 pure table gathers, no decoding, exactly the inner product of the query
-with the row's reconstruction.  The sum runs in :mod:`repro.native`'s
-``adc_gather``, which reads codes and tables in place and adds
-sub-space by sub-space from a float32 zero.
+with the row's reconstruction.  A frontier row's sum runs in the native
+row scorer (:mod:`repro.native`), which reads codes and tables in place
+and adds sub-space by sub-space from a float32 zero.
 """
 
 from __future__ import annotations
@@ -63,45 +63,6 @@ def _pad(mat: np.ndarray, m_sub: int, ds: int) -> np.ndarray:
     out = np.zeros((n, padded), dtype=np.float32)
     out[:, :d] = mat
     return out
-
-
-def _adc_gather(
-    codes: np.ndarray, luts: np.ndarray, owner: np.ndarray, ids: np.ndarray
-) -> np.ndarray:
-    """``Σ_m luts[owner[j], m, codes[ids[j], m]]`` for every row ``j``.
-
-    *codes* is a store's C-ordered ``(n, M)`` uint8 matrix and *luts* a
-    C-ordered ``(b, M, C)`` float32 table block.  The native
-    ``adc_gather`` reads both in place (and refuses an ``owner`` or an
-    id out of range), summing sub-space by sub-space from a float32
-    zero, so a row carries the same bits whether it belongs to one
-    query's kernel or to a whole wave's stacked one.
-    """
-    owner = np.ascontiguousarray(owner, dtype=np.int64)
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    out = np.empty(ids.shape[0], dtype=np.float32)
-    native.check(
-        native.lib.adc_gather(
-            codes.ctypes.data, codes.shape[0], codes.shape[1],
-            luts.ctypes.data, luts.shape[0], luts.shape[2],
-            owner.ctypes.data, ids.ctypes.data, ids.shape[0], out.ctypes.data,
-        )
-    )
-    return out
-
-
-class _StackedADCKernel(ModalityKernel):
-    """ADC over a query stack: one ``(b, M, C)`` table block, one gather
-    per frontier — row ``j`` reads query ``owner[j]``'s tables."""
-
-    __slots__ = ("codes", "luts")
-
-    def __init__(self, codes: np.ndarray, codebook: np.ndarray, queries: np.ndarray):
-        self.codes = codes  # (n, M) uint8, C-ordered (PQStore's own)
-        self.luts = np.ascontiguousarray(_adc_tables(codebook, queries))
-
-    def ids(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return _adc_gather(self.codes, self.luts, owner, ids)
 
 
 def _adc_tables(codebook: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -191,7 +152,10 @@ class PQStore(VectorStore):
 
     # -- scoring --------------------------------------------------------
     def stacked_kernel(self, i: int, queries: np.ndarray) -> ModalityKernel:
-        return _StackedADCKernel(self._codes[i], self._books[i], queries)
+        tables = _adc_tables(self._books[i], queries)
+        return ModalityKernel(
+            native.PQ_ROWS, self._codes[i], np.ascontiguousarray(tables)
+        )
 
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:
         luts = _adc_tables(self._books[i], queries)

@@ -10,8 +10,12 @@ The asymmetric kernel never decodes: because reconstruction is affine,
 
     IP(decode(row), q) = codes_row · (step ⊙ q) + min · q
 
-— one integer-matrix GEMV against a pre-scaled query plus a scalar
-offset, computed once per (query, modality) by the kernel constructor.
+— one dot product of the codes with a pre-scaled query plus a scalar
+offset, both prepared once per (query, modality) by
+:meth:`ScalarQuantStore.stacked_kernel`.  A frontier row runs that dot
+in the native row scorer: the eight-lane float32 contract over the
+codes widened to float32, then the offset in one float32 add
+(``native.c``'s header).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.store.base import (
     ModalityKernel,
     VectorStore,
@@ -30,29 +35,6 @@ from repro.store.mmap import ColdPlane, as_cold_plane
 from repro.utils.validation import require
 
 __all__ = ["ScalarQuantStore"]
-
-
-class _StackedSQKernel(ModalityKernel):
-    """The affine kernel over a query stack: row ``j`` is reduced on its
-    own against query ``owner[j]``'s pre-scaled vector, plus its
-    offset."""
-
-    __slots__ = ("codes", "q_scaled", "offset")
-
-    def __init__(
-        self, codes: np.ndarray, lo: np.ndarray, step: np.ndarray, queries: np.ndarray
-    ) -> None:
-        q = np.ascontiguousarray(queries, dtype=np.float32)
-        self.codes = codes
-        self.q_scaled = (step * q).astype(np.float32)
-        # One dot per query, not one (b, d) @ (d,) GEMV: a GEMV may
-        # round differently, and the offset's bits are the answer's.
-        self.offset = np.asarray([lo @ row for row in q], dtype=np.float32)
-
-    def ids(self, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        rows = self.codes[ids].astype(np.float32)
-        scores: np.ndarray = np.einsum("ij,ij->i", rows, self.q_scaled[owner])
-        return scores + self.offset[owner]
 
 
 @register_store
@@ -121,8 +103,13 @@ class ScalarQuantStore(VectorStore):
 
     # -- scoring --------------------------------------------------------
     def stacked_kernel(self, i: int, queries: np.ndarray) -> ModalityKernel:
-        return _StackedSQKernel(
-            self._codes[i], self._lows[i], self._scales[i], queries
+        q = np.ascontiguousarray(queries, dtype=np.float32)
+        # One dot per query, not one (b, d) @ (d,) GEMV: a GEMV may
+        # round differently, and the offset's bits are the answer's.
+        offset = np.asarray([self._lows[i] @ row for row in q], dtype=np.float32)
+        return ModalityKernel(
+            native.INT8_ROWS, self._codes[i],
+            np.ascontiguousarray(self._scales[i] * q, dtype=np.float32), offset,
         )
 
     def batch_scores(self, i: int, queries: np.ndarray) -> np.ndarray:

@@ -7,9 +7,12 @@ constructed once for the whole suite.
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from repro.bench.efficiency import heap_traverse, oracle_frontier
 from repro.core.multivector import MultiVector, MultiVectorSet, normalize_rows
@@ -31,6 +34,27 @@ from repro.sparse.kernels import (
 )
 from repro.sparse.store import SparseStore
 from repro.utils.rng import make_rng
+
+# Every phase but ``explain``, which re-runs a failing property under a
+# tracer to say which lines it hit.
+settings.register_profile(
+    "suite", phases=[phase for phase in Phase if phase is not Phase.explain]
+)
+settings.load_profile("suite")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Once a property failed, hypothesis's pytest plugin writes a patch
+    of its falsifying examples and imports libcst for it, whose
+    DeprecationWarning the suite's ``error::DeprecationWarning`` filter
+    turns into an INTERNALERROR that hides the example.  Import it
+    first, with that one warning ignored."""
+    if getattr(item, "_hypothesis_failing_examples", None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            importlib.import_module("hypothesis.extra._patching")
+    yield
 
 
 def random_multivector_set(
@@ -301,12 +325,12 @@ def assert_lemma3(book, rows: np.ndarray) -> None:
 
 def lemma3_checked(run, monkeypatch):
     """``run()`` with Lemma 3 asserted on every merge of every graph
-    traversal (:func:`assert_lemma3`): ``merge`` on the kernel's
-    bookkeeping and on its NumPy oracle checks the rows it returns, and
-    the kernel's one-call ``run`` is switched off, so every traversal,
-    its init included, steps from Python."""
+    traversal (:func:`assert_lemma3`): every traversal, its init
+    included, runs the oracle step loop (``tests/oracles.py``) on the
+    kernel's bookkeeping — or on the one a test already stepped it on —
+    and ``merge`` on both bookkeepings checks the rows it returns."""
     import repro.index.graph_wave as gw
-    from tests.oracles import NumpyBookkeeping
+    from tests.oracles import NativeBookkeeping, NumpyBookkeeping, stepping
 
     def checked(merge):
         def merge_and_check(book, owner, cand, sims):
@@ -317,11 +341,10 @@ def lemma3_checked(run, monkeypatch):
         return merge_and_check
 
     with monkeypatch.context() as patch:
-        # One class once, when a test has put the oracle in the kernel's
-        # place.
-        for book in dict.fromkeys((NumpyBookkeeping, gw._Bookkeeping)):
+        for book in (NativeBookkeeping, NumpyBookkeeping):
             patch.setattr(book, "merge", checked(book.merge))
-        patch.setattr(gw._Bookkeeping, "run", lambda book: None)
+        if not hasattr(gw._Wave.traverse, "bookkeeping"):
+            patch.setattr(gw._Wave, "traverse", stepping())
         return run()
 
 

@@ -1,18 +1,25 @@
-"""NumPy oracles of the native kernels (``repro/native.c``).
+"""NumPy oracles of the native kernels (``repro/native.c``), and the
+step loop ``wave_run`` is pinned against.
 
-Each is the NumPy code that ran in the kernel's place before the C
+Most are the NumPy code that ran in the kernel's place before the C
 compiler became a requirement, moved here unchanged but for its name and
 its entry: the tests compare each kernel with its oracle bit for bit,
 and the sanitizer child runs those comparisons too.
 
-* :class:`NumpyBookkeeping` — ``wave_expand`` / ``wave_merge`` (and,
-  through the step loop, ``wave_run``);
-* :func:`adc_sum` — ``adc_gather``'s sub-space sum;
+* :func:`step_loop` — ``wave_run`` one call at a time: the init, then
+  ``wave_expand`` → ``score_rows`` → ``wave_merge`` a wave, on the
+  kernel's bookkeeping (:class:`NativeBookkeeping`) or its NumPy oracle;
+  :func:`stepping` puts it in the traversal's place;
+* :class:`NumpyBookkeeping` — ``wave_expand`` / ``wave_merge``;
+* :func:`row_scores` — ``score_rows``, from the queries up: the lane
+  contract over the concatenation (:func:`lane_sum`), or per modality
+  the three row kernels (:func:`kernel_ids`: dense and int8 lanes, the
+  PQ sum :func:`adc_sum`) weighted in float64;
 * :func:`block_candidate_sims` — ``join_number`` / ``join_fill`` around
   the local join's matmul;
 * :func:`greedy_pick` — ``greedy_pick``, as a bitmask loop;
 * :func:`lane_gram`, :func:`prune_one` and :func:`prune_rows` —
-  ``prune_rows``: every candidate pair scored under ``gather_dot``'s
+  ``prune_rows``: every candidate pair scored under the search's
   lane contract, then the domination test and the bitmask pick.
 """
 
@@ -22,9 +29,82 @@ import importlib
 
 import numpy as np
 
+from repro import native
+from repro.index import graph_wave as gw
+
 # ``repro.index`` re-exports the *function* nndescent under the
 # submodule's name, so the module is asked for by path.
 _union_rows = importlib.import_module("repro.index.nndescent")._union_rows
+
+
+class NativeBookkeeping(gw._Bookkeeping):
+    """The traversal's own bookkeeping, its two steps one ctypes call
+    each: ``wave_expand`` and ``wave_merge`` on the state ``wave_run``
+    runs."""
+
+    def expand(self):
+        """``(thr, owner, cand)`` of the next wave, or ``None`` when no
+        row has a candidate left; counts the expansions as hops."""
+        f = int(native.lib.wave_expand(self.state))
+        if f == -1:
+            return None
+        native.check(f)
+        return self.thr, self.owner[:f], self.cand[:f]
+
+    def merge(self, owner, cand, sims):
+        """Fold owner-sorted scored candidates into both pools; returns
+        the rows touched (what the tests' Lemma 3 hook checks)."""
+        owner = np.ascontiguousarray(owner, dtype=np.int64)
+        cand = np.ascontiguousarray(cand, dtype=np.int64)
+        sims = np.ascontiguousarray(sims, dtype=np.float64)
+        touched = int(
+            native.lib.wave_merge(
+                self.state, owner.ctypes.data, cand.ctypes.data,
+                sims.ctypes.data, owner.size,
+            )
+        )
+        native.check(touched)
+        return self.rows[:touched]
+
+
+def step_loop(wave, active, m, wave_stats, bookkeeping=NativeBookkeeping):
+    """``_Wave.traverse`` one kernel call at a time, on *bookkeeping*:
+    the init (each active row's prefix of the entry order, marked seen,
+    scored against -inf and merged), then per wave ``expand``, the
+    wave's row scorer and ``merge`` until no row expands — the calls
+    ``wave_run`` makes, in its order."""
+    if not active.any():
+        return None
+    book = bookkeeping(wave, active, m)
+    score = wave.scorer.score
+    owners, ids = [], []
+    for i in np.flatnonzero(active).tolist():
+        init = wave.index.entry_points(int(wave.l_inner_arr[i]))
+        book.seen[i, init] = True
+        ids.append(init)
+        owners.append(np.full(init.size, i, dtype=np.int64))
+    owner, cand = np.concatenate(owners), np.concatenate(ids)
+    book.merge(owner, cand, score(owner, cand, np.full(wave.b, -np.inf)))
+    sizes = []
+    while (step := book.expand()) is not None:
+        thr, owner, cand = step
+        sizes.append(int(cand.size))
+        if cand.size:
+            book.merge(owner, cand, score(owner, cand, thr))
+    wave_stats.waves += len(sizes)
+    wave_stats.frontier_sizes += tuple(sizes)
+    return book
+
+
+def stepping(bookkeeping=NativeBookkeeping):
+    """A ``_Wave.traverse`` that runs :func:`step_loop` on
+    *bookkeeping*; its ``bookkeeping`` attribute names which."""
+
+    def traverse(wave, active, m, wave_stats):
+        step_loop(wave, active, m, wave_stats, bookkeeping)
+
+    traverse.bookkeeping = bookkeeping
+    return traverse
 
 
 def pad_by_owner(
@@ -57,9 +137,9 @@ def pad_by_owner(
 
 class NumpyBookkeeping:
     """The wave's bookkeeping in NumPy, the oracle ``wave_expand`` and
-    ``wave_merge`` are pinned against: ``graph_wave._Bookkeeping``'s
-    constructor, ``expand``, ``merge`` and a ``run`` that never runs, so
-    a test can put it in the traversal's place."""
+    ``wave_merge`` are pinned against: :class:`NativeBookkeeping`'s
+    constructor, ``expand`` and ``merge``, so :func:`step_loop` can run
+    on it."""
 
     def __init__(self, wave, active: np.ndarray, expansions_per_wave: int):
         self.wave = wave
@@ -174,10 +254,6 @@ class NumpyBookkeeping:
         seen[owner, cand] = True
         return thr, owner, cand
 
-    def run(self) -> None:
-        """Never the whole traversal: the caller steps."""
-        return None
-
 
 def adc_sum(gathered: np.ndarray) -> np.ndarray:
     """Sum ``(M, rows)`` looked-up table entries over the sub-spaces.
@@ -190,6 +266,69 @@ def adc_sum(gathered: np.ndarray) -> np.ndarray:
     for part in gathered:
         out += part
     return out
+
+
+def lane_sum(xs: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Per row, the lane contract's float32 sum of ``xs[j, d]·qs[j, d]``
+    (``native.c``'s header): eight float32 lanes from +0.0, ``a[d % 8]
+    += x[d]·q[d]``, combined pairwise; *xs* widens to float32 first, so
+    int8 codes run the same lanes."""
+    xs = np.asarray(xs).astype(np.float32)
+    lanes = np.zeros((xs.shape[0], 8), dtype=np.float32)
+    with np.errstate(all="ignore"):
+        for d in range(xs.shape[1]):
+            lanes[:, d % 8] += xs[:, d] * qs[:, d]
+        a = lanes.T
+        return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+
+
+def kernel_ids(kernel, ids: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The float32 inner product of stored row ``ids[j]`` with query
+    ``owner[j]`` of a :class:`~repro.store.ModalityKernel`, as the row
+    scorer reads it: the dense rows' lanes, the int8 codes' lanes plus
+    the offset in one float32 add, or the PQ tables' :func:`adc_sum`."""
+    ids, owner = np.asarray(ids), np.asarray(owner)
+    if kernel.kind == native.PQ_ROWS:
+        sub = np.arange(kernel.queries.shape[1])[:, None]
+        with np.errstate(all="ignore"):
+            return adc_sum(kernel.queries[owner, sub, kernel.rows[ids].T])
+    dots = lane_sum(kernel.rows[ids], kernel.queries[owner])
+    if kernel.kind == native.INT8_ROWS:
+        with np.errstate(all="ignore"):
+            dots = dots + kernel.offset[owner]
+    return dots
+
+
+def row_scores(space, queries, weights, owner, cand, thr, concat=True):
+    """``RowScorer(space, queries, weights, concat).score(owner, cand,
+    thr)`` from the queries up, one row at a time: a query with a concat
+    vector scores the lane contract over the ω-scaled concatenation;
+    any other sums ``ω²·(float64) IP`` in modality order over the
+    store's kernel for a stack of that one query (:func:`kernel_ids`).
+    Returns ``(sims, evals, modality_evals)`` per row."""
+    b = len(queries)
+    sims = np.empty(len(cand))
+    evals, modality_evals = np.zeros(b, np.int64), np.zeros(b, np.int64)
+    for r, (q, w) in enumerate(zip(queries, weights)):
+        rows = np.flatnonzero(owner == r)
+        qcat = space.concat_query(q, w) if concat else None
+        if qcat is not None:
+            mine = lane_sum(space.concatenated[cand[rows]], qcat[None]).astype(float)
+            mods = sum(v is not None for v in q.vectors)
+        else:
+            w2 = space.effective_squared_weights(q, w)
+            mine, mods = np.zeros(rows.size), 0
+            for i, v in enumerate(q.vectors):
+                if v is None or w2[i] <= 0.0:
+                    continue
+                kernel = space.store.stacked_kernel(i, v.astype(np.float32)[None])
+                dots = kernel_ids(kernel, cand[rows], np.zeros(rows.size, np.int64))
+                mine = mine + w2[i] * dots.astype(np.float64)
+                mods += 1
+        sims[rows] = np.where(mine > thr[r], mine, -np.inf)
+        evals[r] = rows.size
+        modality_evals[r] = rows.size * mods
+    return sims, evals, modality_evals
 
 
 def block_candidate_sims(concat, neighbors, block, reverse=None):

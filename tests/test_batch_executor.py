@@ -20,7 +20,7 @@ from repro.core.weights import Weights
 from repro.index.executor import BatchExecutor, BatchResult
 from repro.index.flat import FlatIndex
 from repro.index.graph_wave import graph_wave_search
-from repro.index.scoring import StackedScorer, batch_score_all
+from repro.index.scoring import RowScorer, batch_score_all
 from repro.index.search import joint_search
 
 from tests.conftest import random_multivector_set, random_query
@@ -162,9 +162,9 @@ class TestExactBatch:
 
 
 class TestScorerUnification:
-    """The wave's two frontier routes — the concat fast path and the
-    stacked kernels — agree with each other and with the exact plans'
-    float64 kernel."""
+    """The row scorer's two kinds of row — the concat fast path and the
+    modality-by-modality sum — agree with each other and with the exact
+    plans' float64 kernel."""
 
     @staticmethod
     def _frontier(b):
@@ -176,7 +176,7 @@ class TestScorerUnification:
     def test_fast_path_matches_fallback(self, must, queries):
         space = must.space
         owner, ids = self._frontier(len(queries))
-        stack = StackedScorer(space, queries, [None] * len(queries))
+        stack = RowScorer(space, queries, [None] * len(queries), concat=False)
         got = stack.score(owner, ids, np.full(len(queries), -np.inf))
         for o, q in enumerate(queries):
             rows = owner == o
@@ -193,10 +193,10 @@ class TestScorerUnification:
     def test_stats_accounting_matches_scan(self, must, queries):
         space, b = must.space, len(queries)
         owner, ids = self._frontier(b)
-        plain = StackedScorer(space, queries, [None] * b)
+        plain = RowScorer(space, queries, [None] * b, concat=False)
         plain.score(owner, ids, np.full(b, 0.4))
-        assert (plain.joint_evals == N // 5).all()
-        assert (plain.modality_evals == (N // 5) * len(DIMS)).all()
+        assert (plain.evals == N // 5).all()
+        assert (plain.evals * plain.mods == (N // 5) * len(DIMS)).all()
 
 
 class TestBaselineBatchPaths:

@@ -14,9 +14,9 @@ lives in ``tests/test_index_search.py``); the pins here are:
 * **wave stats** — the batch-level ``waves``/``frontier_sizes`` trace
   surfaces through :class:`BatchResult` and the serving layer;
 * **the Lemma 3 hook** — ``conftest.lemma3_checked`` checks every merge
-  of a traversal on the kernel's bookkeeping and on its NumPy oracle
-  (``tests/oracles.py``), changes no answer, and raises on a merge that
-  lowers a full pool's sum.
+  of a traversal stepped on the kernel's bookkeeping or on its NumPy
+  oracle (``tests/oracles.py``), changes no answer, and raises on a
+  merge that lowers a full pool's sum.
 """
 
 from __future__ import annotations
@@ -33,12 +33,17 @@ from repro.core.weights import Weights
 from repro.index import graph_wave as gw
 from repro.index.graph_wave import graph_wave_search
 from repro.index.pipeline import FusedIndexBuilder
-from repro.index.scoring import StackedScorer
+from repro.index.scoring import RowScorer
 from repro.index.segments import Segment, SegmentView
 from repro.store import dot_error
 
 import tests.conftest as harness
-from tests.oracles import NumpyBookkeeping, adc_sum
+from tests.oracles import (
+    NativeBookkeeping,
+    NumpyBookkeeping,
+    kernel_ids,
+    stepping,
+)
 from tests.conftest import heap_search, heap_view_search
 
 N, M, D = 400, 2, 16
@@ -149,10 +154,11 @@ class TestCompressedParity:
 @pytest.mark.parametrize("kind", ["pq", "int8", "none"])
 class TestStackedKernels:
     """Every row off the concat fast path — all of a compressed store's,
-    a dense store's zero-weight-fallback rows — is scored by one stacked
-    kernel call per modality.  Every value must carry the
-    bits its query gets in a stack of one, and sit within the float32
-    dot-product bound of the float64 product with the decoded row."""
+    a dense store's zero-weight-fallback rows — is scored modality by
+    modality over the store's operand for a stack of queries.  Every
+    value must carry the bits its query gets in a stack of one, and sit
+    within the float32 dot-product bound of the float64 product with
+    the decoded row."""
 
     @pytest.fixture
     def space(self, objects, kind):
@@ -175,40 +181,51 @@ class TestStackedKernels:
         owner = np.sort(rng.choice([o for o in range(b) if o != skip], 90))
         return owner, rng.integers(0, N, owner.size)
 
+    @staticmethod
+    def _modality_ids(space, stack, owner, ids):
+        """Modality 1 of the stacked queries through the native row
+        scorer, one row a query at ``ω² = 1``, narrowed back to the
+        float32 inner product (exact: the scorer widened it)."""
+        one = JointSpace(space.vectors, Weights([0.0, 1.0]))
+        rows = [MultiVector([None, q]) for q in stack]
+        scorer = RowScorer(one, rows, [None] * len(rows), concat=False)
+        return scorer.score(owner, ids, np.full(len(rows), -np.inf)).astype(
+            np.float32
+        )
+
     def test_store_kernel_matches_per_query_kernels(
         self, space, queries, monkeypatch
     ):
-        """The same bits in the whole stack and in a stack of one; a PQ
-        row's are its oracle sum's (``tests/oracles.py``) too."""
+        """The same bits in the whole stack and in a stack of one, and
+        the NumPy row kernel's (``tests/oracles.py``) too."""
         store = space.store
         stack = np.stack([q.vectors[1] for q in queries]).astype(np.float32)
         owner, ids = self._frontier(len(queries), skip=3)
         decoded = store.rows(1, ids).astype(np.float64)
         exact = np.einsum("ij,ij->i", decoded, stack[owner].astype(np.float64))
         bound = store.batch_scores_bound(1, stack)[owner]
-        kernel = store.stacked_kernel(1, stack)
-        got = kernel.ids(ids, owner)
-        assert got.dtype == np.float32
+        got = self._modality_ids(space, stack, owner, ids)
         for o in np.unique(owner):
             rows = owner == o
-            solo = store.stacked_kernel(1, stack[o : o + 1])
-            np.testing.assert_array_equal(
-                got[rows], solo.ids(ids[rows], np.zeros(rows.sum(), np.int64))
+            solo = self._modality_ids(
+                space, stack[o : o + 1], np.zeros(rows.sum(), np.int64), ids[rows]
             )
+            np.testing.assert_array_equal(got[rows], solo)
         assert (np.abs(got - exact) <= bound).all()
-        if hasattr(kernel, "luts"):
-            sub = np.arange(kernel.luts.shape[1])[:, None]
-            want = adc_sum(kernel.luts[owner, sub, kernel.codes[ids].T])
-            assert got.tobytes() == want.tobytes()
+        want = kernel_ids(store.stacked_kernel(1, stack), ids, owner)
+        assert got.tobytes() == want.tobytes()
 
     def test_kernel_rows_are_scored_independently(self, space, queries):
         """One row's score never depends on which rows share the call —
         what lets a frontier be stacked (a GEMV's bits do depend on it)."""
-        kernel = space.store.stacked_kernel(0, queries[0].vectors[0][None])
+        stack = queries[0].vectors[1][None].astype(np.float32)
         ids = np.arange(0, N, 7)
-        together = kernel.ids(ids, np.zeros_like(ids))
+        together = self._modality_ids(space, stack, np.zeros_like(ids), ids)
         for j, i in enumerate(ids):
-            assert kernel.ids(np.array([i]), np.zeros(1, np.int64))[0] == together[j]
+            alone = self._modality_ids(
+                space, stack, np.zeros(1, np.int64), ids[j : j + 1]
+            )
+            assert alone[0] == together[j]
 
     def test_stacked_scorer_matches_per_query_scorers(
         self, space, stack_queries
@@ -220,16 +237,16 @@ class TestStackedKernels:
         b = len(stack_queries)
         per_weights = [None, Weights([0.9, 0.1])] * (b // 2)
         owner, ids = self._frontier(b, skip=1)
-        stack = StackedScorer(space, stack_queries, per_weights)
+        stack = RowScorer(space, stack_queries, per_weights, concat=False)
         got = stack.score(owner, ids, np.full(b, -np.inf))
         for o, (q, w) in enumerate(zip(stack_queries, per_weights)):
             rows = owner == o
-            solo = StackedScorer(space, [q], [w])
+            solo = RowScorer(space, [q], [w], concat=False)
             want = solo.score(
                 np.zeros(rows.sum(), np.int64), ids[rows], np.full(1, -np.inf)
             )
             np.testing.assert_array_equal(got[rows], want)
-            assert stack.modality_evals[o] == solo.modality_evals[0]
+            assert stack.evals[o] * stack.mods[o] == solo.evals[0] * solo.mods[0]
             w2 = space.effective_squared_weights(q, w)
             eps = sum(
                 w2[i] * space.store.batch_scores_bound(i, v[None])[0]
@@ -238,7 +255,7 @@ class TestStackedKernels:
             )
             stable = space.query_ids_stable(q, ids[rows], weights=w)
             assert (np.abs(got[rows] - stable) <= eps).all()
-        assert stack.modality_evals[1] == 0
+        assert stack.evals[1] == 0
 
     def test_compressed_wave_is_composition_independent(
         self, objects, stack_queries, kind
@@ -268,7 +285,7 @@ def _same(got, want):
 
 
 class TestStackedRows:
-    """The rows :class:`StackedScorer` owns beyond a compressed store's:
+    """The modality-by-modality rows beyond a compressed store's:
     a dense store's zero-weight-fallback rows beside fast rows in one
     wave.  Every row answers as it does alone, and as the heap oracle
     does at ``expansions_per_wave=1``."""
@@ -488,11 +505,11 @@ class TestCsrAdjacency:
 
 
 def _on_bookkeeping(path, monkeypatch):
-    """Run the rest of the test on the *path* bookkeeping: the kernel's,
-    or its NumPy oracle in the traversal's place."""
-    if path == "numpy":
-        monkeypatch.setattr(gw, "_Bookkeeping", NumpyBookkeeping)
-    return gw._Bookkeeping
+    """Step the rest of the test's traversals on the *path* bookkeeping:
+    the kernel's, or its NumPy oracle."""
+    book = NumpyBookkeeping if path == "numpy" else NativeBookkeeping
+    monkeypatch.setattr(gw._Wave, "traverse", stepping(book))
+    return book
 
 
 @pytest.mark.parametrize("path", ["native", "numpy"])

@@ -479,8 +479,8 @@ class TestHeapKernelParity:
 
     def test_zero_index_weight_falls_back_per_modality(self, setup):
         """ω_i = 0 in the index but wanted by the query: no concat fast
-        path, so every frontier is scored by ``StackedScorer``'s
-        per-modality stacked kernels."""
+        path, so every frontier is scored by the row scorer's
+        per-modality operands."""
         space, index, _, queries = setup
         zeroed = GraphIndex(
             space=space.with_weights(Weights([1.0, 0.0])),

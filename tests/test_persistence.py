@@ -273,9 +273,9 @@ class TestSegmentedRoundtrip:
         must.compact()
         must.save_index(path)
         manifest = json.loads((path / MANIFEST_NAME).read_text())
-        assert sorted(p.name for p in path.glob("segment_*.npz")) == [
-            entry["file"] for entry in manifest["segments"]
-        ] == ["segment_000.npz"]
+        listed = [entry["file"] for entry in manifest["segments"]]
+        assert sorted(p.name for p in path.glob("segment_*.npz")) == listed
+        assert len(listed) == 1
         assert sidecar.read_bytes() == b"left alone"
         fresh = MUST(must.objects).load_index(path)
         assert fresh.segments.describe() == must.segments.describe()
@@ -368,21 +368,35 @@ class TestCrashSafeManifests:
     def test_unlisted_archives_go_only_once_the_manifest_landed(
         self, tmp_path, monkeypatch
     ):
+        """60 objects, 20 sealed and 7 in the delta, then a compaction
+        whose re-save never lands its manifest: that save wrote under
+        names no listed file uses, so every listed archive keeps its
+        bytes and the directory loads as the old 87 objects, answers
+        included; the next good save leaves only the archives it lists."""
         must = _built_must(n=60)
         must.insert(_extra(20, seed=5))
         must.insert(_extra(7, seed=6))
         path = tmp_path / "segidx"
         must.save_index(path)
-        archives = sorted(p.name for p in path.glob("segment_*.npz"))
+        archives = {p.name: p.read_bytes() for p in path.glob("segment_*.npz")}
         assert len(archives) == 3
+        described, answers = must.segments.describe(), _answers(must)
+        assert described["total"] == 87
         must.compact()  # the next save lists one archive
         with monkeypatch.context() as patch:
             _refuse_replace(patch)
             with pytest.raises(OSError, match="No space left"):
                 must.save_index(path)
-        assert sorted(p.name for p in path.glob("segment_*.npz")) == archives
+        for name, data in archives.items():
+            assert (path / name).read_bytes() == data
+        fresh = MUST.from_saved(path)
+        assert fresh.segments.describe() == described
+        assert _answers(fresh) == answers
         must.save_index(path)
-        assert [p.name for p in path.glob("segment_*.npz")] == ["segment_000.npz"]
+        listed = json.loads((path / MANIFEST_NAME).read_text())["segments"]
+        assert len(listed) == 1
+        assert [p.name for p in path.glob("segment_*.npz")] == [listed[0]["file"]]
+        assert MUST.from_saved(path).segments.describe() == must.segments.describe()
 
     def test_a_failed_collections_resave_loads_the_old_list(
         self, tmp_path, monkeypatch

@@ -178,12 +178,12 @@ def test_lemma3_is_the_tests_job():
 
 def test_lemma4_is_counted_not_run():
     """No search plan prunes by Lemma 4: no module of the search stack
-    names the flag or the pruned pass, ``StackedScorer`` scores one way,
+    names the flag or the pruned pass, ``RowScorer`` scores one way,
     and the plan runners take no such argument.  Fig. 10(c) counts
     Lemma 4 on the reference in :mod:`repro.bench.efficiency`."""
     from repro.index.executor import BatchExecutor
     from repro.index.graph_wave import lockstep
-    from repro.index.scoring import StackedScorer
+    from repro.index.scoring import RowScorer
 
     retired = re.compile(r"\b(early_termination|_pruned|_steps)\b")
     found = [
@@ -195,7 +195,7 @@ def test_lemma4_is_counted_not_run():
     ]
     assert found == []
     for entry in (
-        *SEARCH_ENTRY_POINTS, lockstep, StackedScorer.__init__,
+        *SEARCH_ENTRY_POINTS, lockstep, RowScorer.__init__,
         BatchExecutor.run_graph_wave, BatchExecutor.run_segmented,
     ):
         assert "early_termination" not in inspect.signature(entry).parameters
@@ -348,23 +348,30 @@ def test_one_dense_metric():
 
 
 def test_one_frontier_scorer():
-    """Every wave row off the concat fast path scores through
-    ``StackedScorer``: the per-query scorers and kernels are gone from
-    the source, every registered store hands out one kernel — the
-    stacked one, whose class defines ``ids`` itself (what the tracer
-    wraps) — and full scans go through ``batch_scores``; ``score_stack``
-    is two routes with no per-query loop; NNDescent has one sweep, and
-    neither it nor the MR baseline's batch takes ``n_jobs``."""
+    """Every wave row scores through the one native row scorer: the
+    per-query scorers and kernels, ``StackedScorer`` and the Python step
+    loop are gone from the source — no module names them, and none but
+    :mod:`repro.native` calls ``wave_expand`` / ``wave_merge`` (the test
+    suite's step loop does) — every registered store hands out one
+    kernel, a plain :class:`~repro.store.ModalityKernel` operand the
+    scorer reads, and full scans go through ``batch_scores``; a
+    traversal and a scan are each one native call, with no loop in
+    Python; the kernel exports ``score_rows`` and no per-kind scorer;
+    NNDescent has one sweep, and neither it nor the MR baseline's batch
+    takes ``n_jobs``."""
     from repro.baselines import MultiStreamedRetrieval
     from repro.index.graph_wave import _Wave
     from repro.index.nndescent import nndescent
     from repro.index.pipeline import FusedIndexBuilder
-    from repro.store import STORE_KINDS, VectorStore, make_store
+    from repro.index.scoring import RowScorer
+    from repro.store import STORE_KINDS, ModalityKernel, VectorStore, make_store
 
     retired = re.compile(
         r"\b(Scorer|MatrixScorer|_HalfKernel|_MatKernel|_SQKernel|_ADCKernel"
         r"|StackedKernel|query_kernels?|query_all|query_ids"
-        r"|query_ids_early_stop)\b"
+        r"|query_ids_early_stop|StackedScorer|score_stack|_StackedMatKernel"
+        r"|_StackedSQKernel|_StackedADCKernel|_adc_gather|gather_dot"
+        r"|adc_gather|all_fast)\b"
     )
     found = [
         f"{path.relative_to(PACKAGE)}:{number}"
@@ -373,22 +380,37 @@ def test_one_frontier_scorer():
         if retired.search(line)
     ]
     assert found == []
+    stepping = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in MODULES
+        if path.name != "native.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("wave_expand", "wave_merge")
+    ]
+    assert stepping == []
     assert {"stacked_kernel", "batch_scores"} <= VectorStore.__abstractmethods__
     assert not hasattr(VectorStore, "query_kernel")
+    assert not ModalityKernel.__subclasses__()
     mat = np.eye(20, 8, dtype=np.float32)
     for kind, cls in STORE_KINDS.items():
         assert not cls.__abstractmethods__, cls
         assert not hasattr(cls, "query_kernel"), cls
         kernel = make_store(kind, [mat]).stacked_kernel(0, mat[:2])
-        assert "ids" in vars(type(kernel)), type(kernel)
+        assert type(kernel) is ModalityKernel, kind
+        assert kernel.kind in (native.DENSE_ROWS, native.INT8_ROWS, native.PQ_ROWS)
     assert "n_jobs" not in inspect.signature(nndescent).parameters
     assert "n_jobs" not in {f.name for f in dataclasses.fields(FusedIndexBuilder)}
     assert "n_jobs" not in inspect.signature(
         MultiStreamedRetrieval.batch_search
     ).parameters
-    tree = ast.parse(textwrap.dedent(inspect.getsource(_Wave.score_stack)))
     loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
-    assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
+    for method in (_Wave.traverse, RowScorer.score):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+        assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
+    assert len(native.SIGNATURES) == 8
+    assert "score_rows" in native.SIGNATURES
+    assert not {"gather_dot", "adc_gather"} & native.SIGNATURES.keys()
 
 
 def _options_fields_read(path: Path) -> set[str]:

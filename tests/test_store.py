@@ -10,7 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.multivector import normalize_rows
+from repro.core.multivector import MultiVector, MultiVectorSet, normalize_rows
+from repro.core.space import JointSpace
+from repro.core.weights import Weights
+from repro.index.scoring import RowScorer
 from repro.store import (
     STORE_KINDS,
     DenseStore,
@@ -44,9 +47,18 @@ def _query(seed: int = 11) -> np.ndarray:
 
 
 def _kernel_ids(store, i: int, q: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Rows *ids* of modality *i* through the store's frontier kernel,
-    over a stack of the one query *q*."""
-    return store.stacked_kernel(i, q[None]).ids(ids, np.zeros_like(ids))
+    """Rows *ids* of modality *i* through the native row scorer, over
+    the store's operand for a stack of the one query *q* at ``ω² = 1``,
+    narrowed back to the float32 inner product (exact: it was
+    widened)."""
+    alone = np.zeros(store.num_modalities)
+    alone[i] = 1.0
+    space = JointSpace(MultiVectorSet.from_store(store), Weights(alone))
+    vectors = [None] * store.num_modalities
+    vectors[i] = q
+    scorer = RowScorer(space, [MultiVector(vectors)], [None], concat=False)
+    owner = np.zeros(len(ids), dtype=np.int64)
+    return scorer.score(owner, ids, np.full(1, -np.inf)).astype(np.float32)
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +234,7 @@ class TestQuantisationQuality:
         def loop_gather(rows):
             out = np.zeros(rows.shape[0], dtype=np.float32)
             for m in range(m_sub):
-                out += kernel.luts[0, m, rows[:, m]]
+                out += kernel.queries[0, m, rows[:, m]]
             return out
 
         def loop_decode(rows):
@@ -233,7 +245,7 @@ class TestQuantisationQuality:
 
         for ids in (np.arange(N), np.asarray([5]), np.asarray([7, 7, 250, 0])):
             np.testing.assert_array_equal(
-                kernel.ids(ids, np.zeros_like(ids)), loop_gather(codes[ids])
+                _kernel_ids(store, 0, _query(), ids), loop_gather(codes[ids])
             )
             np.testing.assert_array_equal(
                 store.rows(0, ids), loop_decode(codes[ids])
@@ -243,7 +255,7 @@ class TestQuantisationQuality:
         )
         np.testing.assert_array_equal(store.modality(0), loop_decode(codes))
         empty = np.zeros(0, dtype=np.int64)
-        assert kernel.ids(empty, empty).shape == (0,)
+        assert _kernel_ids(store, 0, _query(), empty).shape == (0,)
 
     def test_pq_small_corpus_caps_centroids(self):
         rng = make_rng(9)

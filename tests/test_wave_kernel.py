@@ -2,42 +2,43 @@
 
 :mod:`repro.native` builds ``native.c`` at import (``import repro``
 fails without a C compiler) and
-:func:`~repro.index.graph_wave.graph_wave_search` runs its calls per
-wave: two of bookkeeping, a gather-dot scoring the frontier's dense
-rows, and on a PQ store one ``adc_gather`` per modality summing its
-rows' lookup tables.  A traversal whose rows all score through the
-concatenated matrix makes those calls' steps, its init wave's included,
-in one ``wave_run`` call instead.  The oracles live in
-``tests/oracles.py``.  The pins:
+:func:`~repro.index.graph_wave.graph_wave_search` runs every traversal
+in one ``wave_run`` call: its init and every wave, each two steps of
+bookkeeping around one call of the row scorer, ``score_rows``, which
+scores every kind of row — the concatenation's, and a dense, int8 or PQ
+store's modality by modality.  The oracles, and the step loop that makes
+those calls one at a time, live in ``tests/oracles.py``.  The pins:
 
-* **bit parity** — the kernel's bookkeeping and its NumPy oracle put in
-  its place return the same ids, similarities, per-query counters,
+* **bit parity** — the step loop on the kernel's bookkeeping and on its
+  NumPy oracle return the same ids, similarities, per-query counters,
   ``waves`` and ``frontier_sizes`` on every store, over every kind of
   row (deletions, shared and per-request filters, mixed ``ks`` /
   ``ls``, hybrid), one or eight expansions a wave, under the suite's
-  Lemma 3 hook (which steps every traversal from Python); the two
-  bookkeepings leave the same state after every step, and whole answers
-  agree on generated tiny graphs, Lemma 3 checked on both;
+  Lemma 3 hook; the two bookkeepings leave the same state after every
+  step, and whole answers agree on generated tiny graphs of every row
+  kind, Lemma 3 checked on both; a pool entry stays ahead of an equal
+  entrant;
 * **one call per traversal** — ``wave_run``, which runs the init wave
   too, leaves the native step loop's pools, bitsets, counters, answers
-  and frontier sizes bit for bit, over every kind of row and on
-  generated tiny graphs (rows with init lengths of their own included),
-  refuses a frontier-size buffer it would overflow, and refuses an init
-  length or entry id out of range before writing anything;
-* **the float contract** — ``gather_dot`` equals a NumPy loop over the
-  eight lanes bit for bit (signed zeros, subnormals, overflow, NaN,
-  ``-inf`` thresholds, any width), refuses out-of-range rows, and
-  scores a scanned row with its traversal's bits;
-* **the PQ sum** — ``adc_gather`` equals the oracle's sub-space sum bit
-  for bit (signed zeros, subnormals, infinities, NaN, overflow, any
-  sub-space and centroid count) and refuses out-of-range rows;
+  and frontier sizes bit for bit, over every kind of row, every store
+  and mixed batches, and on generated tiny graphs (rows with init
+  lengths of their own included), refuses a frontier-size buffer it
+  would overflow, and refuses an init length or entry id out of range
+  before writing anything;
+* **the row contracts** — ``score_rows`` equals the lane oracle bit for
+  bit on concatenation rows and int8 rows (signed zeros, subnormals,
+  overflow, NaN, ``-inf`` thresholds, any width), the PQ sum on PQ rows
+  (signed zeros, subnormals, infinities, any sub-space and centroid
+  count), the NumPy row scorer on generated batches mixing every row
+  kind, refuses out-of-range rows, and scores a scanned row with its
+  traversal's bits;
 * **the loader** — the source ships as package data and compiles
   warning-free; the kernel loaded; one ``event=native_kernel`` line says
   which file; no compiler, a failed build or an unwritable cache is an
   :class:`ImportError` that says which and leaves nothing behind, and
   ``import repro`` with no compiler on ``PATH`` fails naming it; a build
-  under AddressSanitizer and UBSan runs the four properties, and the
-  build kernels' two, clean;
+  under AddressSanitizer and UBSan runs the properties, and the build
+  kernels' two, clean;
 * **CSR safety** — a corrupt adjacency fails the first wave with the
   bad vertex named, instead of indexing out of bounds.
 """
@@ -72,10 +73,20 @@ from repro.core.weights import Weights
 from repro.index import graph_wave as gw
 from repro.index.base import GraphIndex
 from repro.index.graph_wave import graph_wave_search
+from repro.index.scoring import RowScorer
 from repro.sparse.synthetic import synthetic_hybrid
+from repro.store import ModalityKernel, make_store
 from repro.utils.io import load_arrays, save_arrays
 
-from tests.oracles import NumpyBookkeeping, adc_sum
+from tests.oracles import (
+    NativeBookkeeping,
+    NumpyBookkeeping,
+    adc_sum,
+    kernel_ids,
+    lane_sum,
+    row_scores,
+    stepping,
+)
 
 N, D = 400, 16
 K, L = 10, 48
@@ -101,11 +112,11 @@ def _queries(b=B, seed=1):
 
 
 def kernel_and_oracle(run, monkeypatch):
-    """``run()`` on the kernel's bookkeeping, then with its NumPy oracle
-    in the traversal's place."""
+    """``run()`` on the kernel's bookkeeping, then with the step loop on
+    its NumPy oracle in the traversal's place."""
     got = run()
     with monkeypatch.context() as patch:
-        patch.setattr(gw, "_Bookkeeping", NumpyBookkeeping)
+        patch.setattr(gw._Wave, "traverse", stepping(NumpyBookkeeping))
         want = run()
     return got, want
 
@@ -179,7 +190,8 @@ def _rows(kind, queries, index):
 
 class TestBitParity:
     """The kernel's bookkeeping against its oracle's, whole answers bit
-    for bit: the scores are the same calls' on both."""
+    for bit: the scores are the same calls' on both (under the Lemma 3
+    hook, both step)."""
 
     @pytest.mark.parametrize("m", [1, 8])
     @pytest.mark.parametrize(
@@ -292,22 +304,19 @@ class _Lockstep:
         self.check()
         return want
 
-    def run(self):
-        """Never all the waves at once: every step is compared."""
-        return None
 
-
-NATIVE = gw._Bookkeeping
+NATIVE = NativeBookkeeping
+BOOKKEEPING, TRAVERSE = gw._Bookkeeping, gw._Wave.traverse
 
 
 @contextlib.contextmanager
 def lockstep():
-    """Run every traversal through :class:`_Lockstep`."""
-    gw._Bookkeeping = _Lockstep
+    """Step every traversal on :class:`_Lockstep`."""
+    gw._Wave.traverse = stepping(_Lockstep)
     try:
         yield
     finally:
-        gw._Bookkeeping = NATIVE
+        gw._Wave.traverse = TRAVERSE
 
 
 @pytest.mark.parametrize("m", [1, 8])
@@ -324,9 +333,9 @@ def test_every_step_leaves_the_same_state(index, queries, kind, m):
 
 @contextlib.contextmanager
 def native_traversals(whole):
-    """Run every native traversal with its waves in one ``wave_run``
-    call (*whole*) or through the step loop, and yield the list its
-    bookkeepings are appended to."""
+    """Run every traversal in one ``wave_run`` call (*whole*) or
+    through the oracle step loop on the kernel's bookkeeping, and yield
+    the list its bookkeepings are appended to."""
     books = []
 
     class Recorded(NATIVE):
@@ -336,14 +345,17 @@ def native_traversals(whole):
             books.append(self)
 
         def run(self):
-            self.ran = super().run() if whole else None
+            self.ran = super().run()
             return self.ran
 
-    gw._Bookkeeping = Recorded
+    if whole:
+        gw._Bookkeeping = Recorded
+    else:
+        gw._Wave.traverse = stepping(Recorded)
     try:
         yield books
     finally:
-        gw._Bookkeeping = NATIVE
+        gw._Bookkeeping, gw._Wave.traverse = BOOKKEEPING, TRAVERSE
 
 
 def assert_wave_run_is_the_step_loop(search):
@@ -361,8 +373,9 @@ def assert_wave_run_is_the_step_loop(search):
         assert a.ran is not None and b.ran is None
         for name in ("route_ids", "route_sims", "route_dead", "seen"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-        for name in ("res_ids", "res_sims", "hops", "joint_acc"):
+        for name in ("res_ids", "res_sims", "hops"):
             assert getattr(a.wave, name).tobytes() == getattr(b.wave, name).tobytes()
+        assert a.wave.scorer.evals.tobytes() == b.wave.scorer.evals.tobytes()
     return got
 
 
@@ -387,6 +400,45 @@ def test_wave_run_is_the_step_loop(dense_index, queries, kind, m):
     assert wave_stats.waves > 0
 
 
+@pytest.mark.parametrize("m", [1, 8])
+@pytest.mark.parametrize("kind", ["plain", "per_request_filters", "ks_ls"])
+def test_wave_run_is_the_step_loop_on_every_store(index, queries, kind, m):
+    """int8 and PQ rows, and a dense store's, in the same one call."""
+    graph, batch, extra = _rows(kind, queries, index)
+    _, wave_stats = assert_wave_run_is_the_step_loop(
+        lambda: graph_wave_search(
+            graph, batch, k=K, l=L, expansions_per_wave=m, filter_memo={},
+            **extra,
+        )
+    )
+    assert wave_stats.waves > 0
+
+
+def _mixed_rows(objects, queries):
+    """A dense index whose weights zero modality 1, and a batch whose
+    odd rows override the weights to need it: those rows have no concat
+    vector and score modality by modality, beside concat rows."""
+    graph = MUST(objects, weights=Weights([1.0, 0.0])).build().index
+    override = Weights([0.5, 0.5])
+    batch = [
+        Query(q, weights=override) if i % 2 else Query(q)
+        for i, q in enumerate(queries)
+    ]
+    assert [graph.space.concat_query(q.vector, q.weights) is None for q in batch] == [
+        bool(i % 2) for i in range(len(batch))
+    ]
+    return graph, batch
+
+
+@pytest.mark.parametrize("m", [1, 8])
+def test_wave_run_is_the_step_loop_on_mixed_rows(objects, queries, m):
+    graph, batch = _mixed_rows(objects, queries)
+    _, wave_stats = assert_wave_run_is_the_step_loop(
+        lambda: graph_wave_search(graph, batch, k=K, l=L, expansions_per_wave=m)
+    )
+    assert wave_stats.waves > 0
+
+
 OVERFLOW = -3  # native.c's status for a full output buffer
 
 
@@ -405,12 +457,10 @@ def test_wave_run_refuses_a_full_size_buffer(dense_index, queries, monkeypatch):
 
     class Full(NATIVE):
         def run(self):
-            wave, sizes = self.wave, np.empty(0, dtype=np.int64)
-            concat = wave.concat_mat
+            sizes = np.empty(0, dtype=np.int64)
             status = native.lib.wave_run(
                 self.state, self.graph.entry_ptr, init_lengths(self).ctypes.data,
-                concat.ctypes.data, *concat.shape, wave.qmat.ctypes.data,
-                wave.joint_acc.ctypes.data, sizes.ctypes.data, 0,
+                self.wave.scorer.state, sizes.ctypes.data, 0,
             )
             statuses.append(status)
             native.check(status)
@@ -438,34 +488,98 @@ def test_the_kernel_refuses_malformed_merges(index, queries, owner, cand):
         book.merge(owner, cand, np.zeros(owner.size))
 
 
+def test_a_pool_entry_stays_ahead_of_an_equal_entrant():
+    """``merge_row``'s tie rule, on an entrant below the best one: the
+    frontier (0.7 at 20, 0.5 at 21) enters a pool holding 0.9, 0.5 and
+    0.3 at 10, 11 and 12, and the pool's 0.5 keeps its place ahead of
+    the frontier's, in both pools, as in the NumPy oracle."""
+    graph, rng = _tiny_graph(3, 30, 30, 4, "none", "dense")
+    batch = [MultiVector([_small_ints(rng, 4)])]
+    waves = [
+        gw._Wave(graph, batch, 4, 4, None, None, None, None, None, np.zeros(1, bool))
+        for _ in range(2)
+    ]
+    books = [
+        NATIVE(waves[0], np.ones(1, bool), 8),
+        NumpyBookkeeping(waves[1], np.ones(1, bool), 8),
+    ]
+    for book in books:
+        book.route_ids[0] = book.wave.res_ids[0] = [10, 11, 12, 13]
+        book.route_sims[0] = book.wave.res_sims[0] = [0.9, 0.5, 0.3, -np.inf]
+        book.route_dead[0] = [False, False, False, True]
+        book.merge(np.zeros(2, np.int64), np.array([20, 21]), np.array([0.7, 0.5]))
+    for book in books:
+        assert book.route_ids[0].tolist() == [10, 20, 11, 21]
+        assert book.wave.res_ids[0].tolist() == [10, 20, 11, 21]
+        assert book.route_sims[0].tolist() == [0.9, 0.7, 0.5, 0.5]
+    native_book, oracle = books
+    for name in ("route_ids", "route_sims", "route_dead"):
+        assert getattr(native_book, name).tobytes() == getattr(oracle, name).tobytes()
+    for name in ("res_ids", "res_sims"):
+        assert getattr(waves[0], name).tobytes() == getattr(waves[1], name).tobytes()
+
+
 # ----------------------------------------------------------------------
-# The float contract of gather_dot (native.c's header).
+# The row contracts of score_rows (native.c's header).
 # ----------------------------------------------------------------------
 INVALID = -4  # native.c's status for an input out of range
 
 
 def lane_oracle(x, q, owner, cand, thr):
-    """The contract in NumPy, one column at a time: eight float32 lanes
-    from +0.0, ``a[d % 8] += x[d]·q[d]``, combined pairwise, widened and
-    cut at the row's threshold.  Slow, so it lives here only."""
-    xs, qs = x[cand], q[owner]
-    lanes = np.zeros((cand.size, 8), dtype=np.float32)
-    with np.errstate(all="ignore"):
-        for d in range(x.shape[1]):
-            lanes[:, d % 8] += xs[:, d] * qs[:, d]
-        a = lanes.T
-        sims = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
-        sims = sims.astype(np.float64)
+    """The lane contract in NumPy (``oracles.lane_sum``), widened and
+    cut at the row's threshold.  Slow, so it lives in the tests only."""
+    sims = lane_sum(x[cand], q[owner]).astype(np.float64)
+    with np.errstate(invalid="ignore"):
         return np.where(sims > thr[owner], sims, -np.inf)
 
 
-def gather_dot(lib, x, q, owner, cand, thr, evals, out):
-    """One ``gather_dot`` call over contiguous arrays; its status."""
-    return lib.gather_dot(
-        x.ctypes.data, x.shape[0], x.shape[1], q.ctypes.data, q.shape[0],
-        owner.ctypes.data, cand.ctypes.data, cand.size, thr.ctypes.data,
-        evals.ctypes.data, out.ctypes.data,
+def concat_scorer(x, q, evals):
+    """A scorer whose rows are all concatenation rows: query row ``r``
+    of *q* against the rows of *x*."""
+    return native.ScorerState(
+        b=q.shape[0], n=x.shape[0], concat=x.ctypes.data, dim=x.shape[1],
+        qmat=q.ctypes.data, evals=evals.ctypes.data,
     )
+
+
+def operand_scorer(kernel, evals):
+    """A scorer over one :class:`~repro.store.ModalityKernel`: row ``r``
+    is stack query ``r`` at ``ω² = 1``, so its score is its float32
+    inner product, widened.  Returns the state and what it points
+    into."""
+    b = kernel.queries.shape[0]
+    slot, w2, fast = np.arange(b), np.ones(b), np.zeros(b, np.uint8)
+    offset = kernel.offset
+    mods = (native.Operand * 1)(
+        native.Operand(
+            kind=kernel.kind, width=kernel.rows.shape[1],
+            ncent=kernel.queries.shape[-1], rows=kernel.rows.ctypes.data,
+            queries=kernel.queries.ctypes.data,
+            offset=None if offset is None else offset.ctypes.data,
+            slot=slot.ctypes.data, w2=w2.ctypes.data,
+        )
+    )
+    state = native.ScorerState(
+        b=b, n=kernel.rows.shape[0], fast=fast.ctypes.data, m=1, mods=mods,
+        evals=evals.ctypes.data,
+    )
+    return state, (slot, w2, fast, kernel)
+
+
+def score_rows(lib, state, owner, cand, thr, out):
+    """One ``score_rows`` call over contiguous arrays; its status."""
+    return lib.score_rows(
+        ctypes.pointer(state), owner.ctypes.data, cand.ctypes.data, cand.size,
+        thr.ctypes.data, out.ctypes.data,
+    )
+
+
+def widened(dots, owner, thr):
+    """A one-operand row at ``ω² = 1``: ``+0.0 + 1.0·(double) dot``, cut
+    at the row's threshold."""
+    with np.errstate(invalid="ignore"):
+        sims = 0.0 + 1.0 * dots.astype(np.float64)
+        return np.where(sims > thr[owner], sims, -np.inf)
 
 
 ROW_KINDS = ("normal", "signed zeros", "subnormal", "large", "nan", "mixed")
@@ -494,37 +608,79 @@ def _rows_of(rng, kinds, dim):
     return np.asarray(rows, dtype=np.float32)
 
 
+def _thresholds(rng, kinds, b):
+    return np.array(
+        [
+            {"-inf": -np.inf, "nan": np.nan}.get(kind, rng.standard_normal())
+            for kind in kinds[:b]
+        ]
+    )
+
+
+THR_KINDS = st.lists(
+    st.sampled_from(["-inf", "finite", "nan"]), min_size=4, max_size=4
+)
+
+
 @settings(deadline=None, max_examples=150)
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim=st.one_of(st.integers(1, 17), st.integers(1, 300)),
     x_kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=10),
     q_kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=4),
-    thr_kinds=st.lists(
-        st.sampled_from(["-inf", "finite", "nan"]), min_size=4, max_size=4
-    ),
+    thr_kinds=THR_KINDS,
     f=st.integers(0, 40),
 )
 def test_gather_dot_is_the_lane_contract(seed, dim, x_kinds, q_kinds, thr_kinds, f):
-    """Native equals the lane oracle bit for bit — signed zeros (a lane
-    starts at +0.0), subnormals (nothing flushed), overflow and NaN (cut
-    to -inf), widths below and off a multiple of eight — and counts each
-    entry against its row."""
+    """A concatenation row equals the lane oracle bit for bit — signed
+    zeros (a lane starts at +0.0), subnormals (nothing flushed),
+    overflow and NaN (cut to -inf), widths below and off a multiple of
+    eight — and counts each entry against its row."""
     rng = np.random.default_rng(seed)
     x, q = _rows_of(rng, x_kinds, dim), _rows_of(rng, q_kinds, dim)
     b = q.shape[0]
-    thr = np.array(
-        [
-            {"-inf": -np.inf, "nan": np.nan}.get(kind, rng.standard_normal())
-            for kind in thr_kinds[:b]
-        ]
-    )
+    thr = _thresholds(rng, thr_kinds, b)
     owner = rng.integers(0, b, f).astype(np.int64)
     cand = rng.integers(0, x.shape[0], f).astype(np.int64)
     evals = np.zeros(b, dtype=np.int64)
     out = np.empty(f)
-    assert gather_dot(native.lib, x, q, owner, cand, thr, evals, out) == f
+    state = concat_scorer(x, q, evals)
+    assert score_rows(native.lib, state, owner, cand, thr, out) == f
     want = lane_oracle(x, q, owner, cand, thr)
+    assert out.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(evals, np.bincount(owner, minlength=b))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.one_of(st.integers(1, 17), st.integers(1, 300)),
+    n=st.integers(1, 10),
+    q_kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=4),
+    offset_kind=st.sampled_from(ROW_KINDS),
+    thr_kinds=THR_KINDS,
+    f=st.integers(0, 40),
+)
+def test_int8_rows_are_the_lane_contract(
+    seed, dim, n, q_kinds, offset_kind, thr_kinds, f
+):
+    """An int8 row is the lane contract over its codes widened to
+    float32 (``fl((float)code·q_scaled)``), plus the query's offset in
+    one float32 add — the oracle's ``kernel_ids`` bit for bit, whatever
+    the step-scaled query and the offset hold."""
+    rng = np.random.default_rng(seed)
+    q = _rows_of(rng, q_kinds, dim)
+    b = q.shape[0]
+    offset = _rows_of(rng, [offset_kind], b)[0]
+    codes = rng.integers(0, 256, (n, dim)).astype(np.uint8)
+    kernel = ModalityKernel(native.INT8_ROWS, codes, q, offset)
+    thr = _thresholds(rng, thr_kinds, b)
+    owner = rng.integers(0, b, f).astype(np.int64)
+    cand = rng.integers(0, n, f).astype(np.int64)
+    evals, out = np.zeros(b, dtype=np.int64), np.empty(f)
+    state, _ = operand_scorer(kernel, evals)
+    assert score_rows(native.lib, state, owner, cand, thr, out) == f
+    want = widened(kernel_ids(kernel, cand, owner), owner, thr)
     assert out.tobytes() == want.tobytes()
     np.testing.assert_array_equal(evals, np.bincount(owner, minlength=b))
 
@@ -540,12 +696,13 @@ def test_gather_dot_refuses_out_of_range_pairs(owner, cand):
     owner, cand = np.array(owner, np.int64), np.array(cand, np.int64)
     evals, out = np.zeros(3, np.int64), np.full(owner.size, 7.0)
     thr = np.full(3, -np.inf)
-    assert gather_dot(native.lib, x, q, owner, cand, thr, evals, out) == INVALID
+    state = concat_scorer(x, q, evals)
+    assert score_rows(native.lib, state, owner, cand, thr, out) == INVALID
     assert not evals.any() and np.all(out == 7.0)
 
 
 # ----------------------------------------------------------------------
-# adc_gather: PQ rows, the oracle's sub-space sum (native.c's header).
+# PQ rows: the oracle's sub-space sum (native.c's header).
 # ----------------------------------------------------------------------
 LUT_KINDS = ("normal", "signed zeros", "subnormal", "inf", "nan", "large")
 
@@ -567,15 +724,6 @@ def _lut_values(rng, kinds, shape):
     return np.take_along_axis(stack, pick[None], axis=0)[0].astype(np.float32)
 
 
-def adc_gather(lib, codes, luts, owner, cand, out):
-    """One ``adc_gather`` call over contiguous arrays; its status."""
-    return lib.adc_gather(
-        codes.ctypes.data, codes.shape[0], codes.shape[1], luts.ctypes.data,
-        luts.shape[0], luts.shape[2], owner.ctypes.data, cand.ctypes.data,
-        cand.size, out.ctypes.data,
-    )
-
-
 @settings(deadline=None, max_examples=150)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -587,26 +735,24 @@ def adc_gather(lib, codes, luts, owner, cand, out):
     kinds=st.lists(st.sampled_from(LUT_KINDS), min_size=1, max_size=6, unique=True),
 )
 def test_adc_gather_is_the_subspace_sum(seed, m_sub, ncent, n, b, f, kinds):
-    """Native equals the oracle's ``adc_sum`` over a NumPy gather bit for bit —
-    signed zeros (the sum starts at +0.0), subnormals (nothing flushed),
-    infinities and overflow — for any sub-space and centroid count.  A
-    NaN is a NaN on both paths, but not the same NaN: where two meet
-    (``inf - inf`` is the negative default NaN), which payload survives
-    is the hardware's pick of operand, and NumPy's own loops differ in
-    it (a one-row array keeps the other payload than a sixteen-row
-    one), so NaN payloads are compared as NaN only."""
+    """A PQ row is the oracle's ``adc_sum`` over a NumPy gather bit for
+    bit — signed zeros (the sum starts at +0.0), subnormals (nothing
+    flushed), infinities and overflow — for any sub-space and centroid
+    count, widened and cut as every row is (a NaN sum, whatever its
+    payload, is cut to -inf)."""
     rng = np.random.default_rng(seed)
     luts = _lut_values(rng, kinds, (b, m_sub, ncent))
     codes = rng.integers(0, ncent, (n, m_sub)).astype(np.uint8)
     owner = rng.integers(0, b, f).astype(np.int64)
     cand = rng.integers(0, n, f).astype(np.int64)
-    out = np.empty(f, dtype=np.float32)
-    assert adc_gather(native.lib, codes, luts, owner, cand, out) == f
+    evals, out = np.zeros(b, dtype=np.int64), np.empty(f)
+    kernel = ModalityKernel(native.PQ_ROWS, codes, luts)
+    state, _ = operand_scorer(kernel, evals)
+    thr = np.full(b, -np.inf)
+    assert score_rows(native.lib, state, owner, cand, thr, out) == f
     with np.errstate(all="ignore"):
-        want = adc_sum(luts[owner, np.arange(m_sub)[:, None], codes[cand].T])
-    nan = np.isnan(want)
-    np.testing.assert_array_equal(np.isnan(out), nan)
-    assert out[~nan].tobytes() == want[~nan].tobytes()
+        sums = adc_sum(luts[owner, np.arange(m_sub)[:, None], codes[cand].T])
+    assert out.tobytes() == widened(sums, owner, thr).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -618,9 +764,56 @@ def test_adc_gather_refuses_out_of_range_pairs(owner, cand):
     """Refused with INVALID before anything is read or written."""
     codes, luts = np.zeros((9, 5), np.uint8), np.ones((3, 5, 4), np.float32)
     owner, cand = np.array(owner, np.int64), np.array(cand, np.int64)
-    out = np.full(owner.size, 7.0, np.float32)
-    assert adc_gather(native.lib, codes, luts, owner, cand, out) == INVALID
-    assert np.all(out == 7.0)
+    evals, out = np.zeros(3, np.int64), np.full(owner.size, 7.0)
+    state, _ = operand_scorer(ModalityKernel(native.PQ_ROWS, codes, luts), evals)
+    thr = np.full(3, -np.inf)
+    assert score_rows(native.lib, state, owner, cand, thr, out) == INVALID
+    assert not evals.any() and np.all(out == 7.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["none", "int8", "pq"]),
+    fallback=st.booleans(),
+    concat=st.booleans(),
+    b=st.integers(1, 5),
+    f=st.integers(0, 60),
+    thr_kinds=THR_KINDS,
+)
+def test_score_rows_is_the_row_oracle(
+    seed, kind, fallback, concat, b, f, thr_kinds
+):
+    """A whole batch through ``RowScorer``: concatenation rows, and
+    dense (zero-weight fallback), int8 and PQ rows with holes and weight
+    overrides, summed in float64 modality by modality — the oracle's
+    ``row_scores`` bit for bit, and the same work counts."""
+    rng = np.random.default_rng(seed)
+    dims, n = (5, 11), 24
+    mats = [rng.standard_normal((n, d)).astype(np.float32) for d in dims]
+    store = make_store(kind, mats, **({"pq_dims": 2} if kind == "pq" else {}))
+    index_weights = Weights([1.0, 0.0] if fallback else [0.7, 0.3])
+    space = JointSpace(MultiVectorSet.from_store(store), index_weights)
+    queries, weights = [], []
+    for _ in range(b):
+        vecs = [rng.standard_normal(d).astype(np.float32) for d in dims]
+        hole = int(rng.integers(0, 3))  # 2: no hole
+        if hole < 2:
+            vecs[hole] = None
+        override = rng.random() < 0.5 or (fallback and hole == 0)
+        queries.append(MultiVector(vecs))
+        weights.append(Weights(rng.uniform(0.1, 1.0, 2)) if override else None)
+    owner = rng.integers(0, b, f).astype(np.int64)
+    cand = rng.integers(0, n, f).astype(np.int64)
+    thr = _thresholds(rng, thr_kinds * 2, b)
+    scorer = RowScorer(space, queries, weights, concat=concat)
+    got = scorer.score(owner, cand, thr)
+    want, evals, modality_evals = row_scores(
+        space, queries, weights, owner, cand, thr, concat=concat
+    )
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(scorer.evals, evals)
+    np.testing.assert_array_equal(scorer.evals * scorer.mods, modality_evals)
 
 
 def test_the_wave_raises_on_a_refused_gather(objects, queries):
@@ -631,8 +824,8 @@ def test_the_wave_raises_on_a_refused_gather(objects, queries):
     )
     refused = re.escape(f"refused its input (status {INVALID})")
     with pytest.raises(RuntimeError, match=refused):
-        wave.dense(np.array([0, B]), np.array([5, 6]), np.full(B, -np.inf))
-    assert not wave.joint_acc.any()
+        wave.scorer.score(np.array([0, B]), np.array([5, 6]), np.full(B, -np.inf))
+    assert not wave.scorer.evals.any()
 
 
 def _pool_bits(wave, row):
@@ -660,7 +853,7 @@ def _filled(graph, batch, scan, traverse):
 def test_a_scanned_row_carries_its_traversals_bits(objects, queries, case):
     """"A scanned row equals its traversal" under the kernel: every
     vertex both fills hold the same similarity bits, since one
-    gather-dot scores both."""
+    scorer scores both."""
     graph = MUST(objects, weights=Weights([0.6, 0.4])).build().index
     batch, scan = queries, True
     if case == "l >= reportable":
@@ -687,21 +880,37 @@ def _small_ints(rng, shape):
     return rng.integers(-4, 5, shape).astype(np.float32)
 
 
-def _tiny_graph(seed, n, distinct, max_degree, deletion):
+#: the tiny graphs' row kinds: a dense store's concatenation rows, an
+#: int8 or a PQ store's rows, and a dense batch mixing concatenation
+#: rows with zero-weight-fallback rows.
+TINY_KINDS = ("dense", "int8", "pq", "mixed")
+
+
+def _tiny_graph(seed, n, distinct, max_degree, deletion, kind="dense"):
     """A random graph over n vertices with isolated vertices and
     self-loops allowed, whose vectors repeat *distinct* rows of small
     integers — equal vectors score equal bits, and so do distinct ones
-    with equal products, so ties are everywhere."""
+    with equal products, so ties are everywhere — stored as *kind*
+    says.  A ``"mixed"`` graph has a second modality, which the index
+    weights zero."""
     rng = np.random.default_rng(seed)
-    vecs = _small_ints(rng, (distinct, 4))[rng.integers(0, distinct, n)]
+    pick = rng.integers(0, distinct, n)
+    mats = [_small_ints(rng, (distinct, 4))[pick]]
+    weights = Weights([1.0])
+    if kind == "mixed":
+        mats.append(_small_ints(rng, (distinct, 3))[pick])
+        weights = Weights([1.0, 0.0])
+    if kind in ("int8", "pq"):
+        options = {"pq_dims": 2, "pq_iters": 2} if kind == "pq" else {}
+        objects = MultiVectorSet.from_store(make_store(kind, mats, **options))
+    else:
+        objects = MultiVectorSet(mats)
     neighbors = [
         rng.choice(n, size=int(rng.integers(0, min(n, max_degree) + 1)), replace=False)
         for _ in range(n)
     ]
     graph = GraphIndex(
-        JointSpace(MultiVectorSet([vecs]), Weights([1.0])),
-        neighbors,
-        seed_vertex=int(rng.integers(n)),
+        JointSpace(objects, weights), neighbors, seed_vertex=int(rng.integers(n))
     )
     if deletion == "all but one" and n > 1:
         keep = int(rng.integers(n))
@@ -709,6 +918,19 @@ def _tiny_graph(seed, n, distinct, max_degree, deletion):
     elif deletion == "some" and n > 2:
         graph.mark_deleted(rng.choice(n, size=n // 3, replace=False))
     return graph, rng
+
+
+def _tiny_batch(rng, b, kind):
+    """*b* queries of small integers; in a ``"mixed"`` batch every other
+    one overrides the weights to need the zeroed modality."""
+    if kind != "mixed":
+        return [MultiVector([_small_ints(rng, 4)]) for _ in range(b)]
+    both = Weights([1.0, 1.0])
+    return [
+        Query(MultiVector([_small_ints(rng, 4), _small_ints(rng, 3)]),
+              weights=both if i % 2 else None)
+        for i in range(b)
+    ]
 
 
 @settings(deadline=None, max_examples=80)
@@ -722,15 +944,16 @@ def _tiny_graph(seed, n, distinct, max_degree, deletion):
     l_over=st.integers(0, 40),
     m=st.sampled_from([1, 2, 8]),
     b=st.integers(1, 4),
+    kind=st.sampled_from(TINY_KINDS),
 )
 def test_tiny_graphs_agree(
-    seed, n, distinct, max_degree, deletion, k, l_over, m, b
+    seed, n, distinct, max_degree, deletion, k, l_over, m, b, kind
 ):
     """k may exceed the admissible count and l the graph: the kernel's
     bookkeeping and its oracle answer short, identically, through
     identical states, and Lemma 3 holds on every merge of both."""
-    graph, rng = _tiny_graph(seed, n, min(distinct, n), max_degree, deletion)
-    batch = [MultiVector([_small_ints(rng, 4)]) for _ in range(b)]
+    graph, rng = _tiny_graph(seed, n, min(distinct, n), max_degree, deletion, kind)
+    batch = _tiny_batch(rng, b, kind)
 
     def search():
         return graph_wave_search(
@@ -763,16 +986,18 @@ def test_tiny_graphs_agree(
     m=st.sampled_from([1, 2, 8]),
     b=st.integers(1, 4),
     per_row=st.booleans(),
+    kind=st.sampled_from(TINY_KINDS),
 )
 def test_wave_run_is_the_step_loop_on_tiny_graphs(
-    seed, n, distinct, max_degree, deletion, k, l_over, m, b, per_row
+    seed, n, distinct, max_degree, deletion, k, l_over, m, b, per_row, kind
 ):
     """Isolated vertices, self-loops, ties everywhere, rows that answer
-    short, and with *per_row* each row its own ``k`` and ``l`` (``l``
-    often past ``n``), so init lengths differ row by row: ``wave_run``,
-    init included, still leaves the step loop's bits."""
-    graph, rng = _tiny_graph(seed, n, min(distinct, n), max_degree, deletion)
-    batch = [MultiVector([_small_ints(rng, 4)]) for _ in range(b)]
+    short, every row kind and mixed batches, and with *per_row* each row
+    its own ``k`` and ``l`` (``l`` often past ``n``), so init lengths
+    differ row by row: ``wave_run``, init included, still leaves the
+    step loop's bits."""
+    graph, rng = _tiny_graph(seed, n, min(distinct, n), max_degree, deletion, kind)
+    batch = _tiny_batch(rng, b, kind)
     rows = {}
     if per_row:
         ks = rng.integers(1, 44, b)
@@ -785,41 +1010,41 @@ def test_wave_run_is_the_step_loop_on_tiny_graphs(
 
 
 def test_wave_run_refuses_an_init_out_of_range():
-    """An init length outside ``[0, n]`` or an entry id outside ``[0,
-    n)`` is refused with INVALID before anything is written — pools,
-    bitsets, scratch and counters keep their bytes — and no read goes
-    past the entry order's n ids (the sanitizer child runs this too)."""
+    """An init length outside ``[0, n]``, an entry id outside ``[0,
+    n)`` or a scorer of another batch is refused with INVALID before
+    anything is written — pools, bitsets, scratch and counters keep
+    their bytes — and no read goes past the entry order's n ids (the
+    sanitizer child runs this too)."""
     graph, rng = _tiny_graph(7, 12, 12, 4, "none")
     n = graph.n
     batch = [MultiVector([_small_ints(rng, 4)]) for _ in range(3)]
     entry = graph.entry_points(n)
     at = np.arange(n)
     cases = [
-        (entry, [2, -1, 3]),
-        (entry, [2, n + 1, 3]),
-        (np.where(at == 4, n, entry), [2, 5, 3]),
-        (np.where(at == 4, -1, entry), [2, 5, 3]),
+        (entry, [2, -1, 3], 3),
+        (entry, [2, n + 1, 3], 3),
+        (np.where(at == 4, n, entry), [2, 5, 3], 3),
+        (np.where(at == 4, -1, entry), [2, 5, 3], 3),
+        (entry, [2, 5, 3], 2),
     ]
-    for order, lengths in cases:
+    for order, lengths, scored in cases:
         wave = gw._Wave(
             graph, batch, 3, 5, None, None, None, None, None,
             np.zeros(len(batch), dtype=bool),
         )
         book = NATIVE(wave, wave.alive.copy(), 8)
+        scorer = RowScorer(graph.space, batch[:scored], [None] * scored)
         written = [
             book.route_ids, book.route_sims, book.route_dead, book.seen,
             book.thr, book.owner, book.cand, book.rows, book.sizes,
-            wave.res_ids, wave.res_sims, wave.hops, wave.joint_acc,
+            wave.res_ids, wave.res_sims, wave.hops, scorer.evals,
         ]
         before = [a.tobytes() for a in written]
         order = np.array(order, dtype=np.int64)  # exactly n ids
         lengths = np.array(lengths, dtype=np.int64)
-        concat, qmat = wave.concat_mat, wave.qmat
         status = native.lib.wave_run(
-            book.state, order.ctypes.data, lengths.ctypes.data,
-            concat.ctypes.data, *concat.shape, qmat.ctypes.data,
-            wave.joint_acc.ctypes.data, book.sizes.ctypes.data,
-            book.sizes.size,
+            book.state, order.ctypes.data, lengths.ctypes.data, scorer.state,
+            book.sizes.ctypes.data, book.sizes.size,
         )
         assert status == INVALID
         assert [a.tobytes() for a in written] == before
@@ -862,8 +1087,10 @@ class TestLoader:
 
     def test_the_properties_run_clean_under_sanitizers(self, tmp_path):
         """A build with AddressSanitizer and UBSan runs the tiny-graph
-        (stepped and ``wave_run``), ``wave_run``'s init refusals,
-        lane-contract and PQ-sum properties,
+        properties (stepped and ``wave_run``, every row kind),
+        ``wave_run``'s init refusals, the merge's tie rule, the row
+        contracts (concatenation and int8 lanes, PQ sum, mixed
+        batches),
         and the build's local-join, greedy-pick and prune ones
         (``test_index_construction``), in a child with the runtimes
         preloaded; any out-of-bounds access or undefined behaviour kills
@@ -897,8 +1124,11 @@ class TestLoader:
             "t.test_tiny_graphs_agree()\n"
             "t.test_wave_run_is_the_step_loop_on_tiny_graphs()\n"
             "t.test_wave_run_refuses_an_init_out_of_range()\n"
+            "t.test_a_pool_entry_stays_ahead_of_an_equal_entrant()\n"
             "t.test_gather_dot_is_the_lane_contract()\n"
+            "t.test_int8_rows_are_the_lane_contract()\n"
             "t.test_adc_gather_is_the_subspace_sum()\n"
+            "t.test_score_rows_is_the_row_oracle()\n"
             "import test_index_construction as c\n"
             "c.test_native_join_is_the_numpy_join()\n"
             "c.test_native_greedy_pick_is_the_numpy_pick()\n"
