@@ -57,6 +57,9 @@ class JointSpace:
         self._vectors = vectors
         self._weights = weights
         self._omegas = weights.omegas  # weights are immutable
+        self._dims = vectors.dims
+        #: the ω-scaled concatenation's width, ``Σ d_i``.
+        self.concat_width = sum(self._dims)
         self._concat: np.ndarray | None = None  # lazy ω-scaled concatenation
         self._concat_norm: float | None = None  # its largest row norm
 
@@ -189,7 +192,10 @@ class JointSpace:
         return w.masked(query).squared
 
     def concat_query(
-        self, query: MultiVector, weights: Weights | None = None
+        self,
+        query: MultiVector,
+        weights: Weights | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray | None:
         """Query vector against :attr:`concatenated`, or None if impossible.
 
@@ -202,23 +208,29 @@ class JointSpace:
         on compressed stores, where materialising (and caching) a float32
         concatenation would silently undo the compression; scoring then
         runs through the store's asymmetric per-modality kernels.
+
+        *out*, a float32 vector of the concatenation's width, receives
+        the query in place of a fresh array (the row scorer's kept query
+        matrix); where ``None`` is returned its contents mean nothing.
         """
         if self.is_compressed:
             return None
         w2 = self.effective_squared_weights(query, weights)
-        dims = self._vectors.dims
-        out = np.zeros(sum(dims), dtype=np.float32)
+        dims = self._dims
+        if out is None:
+            out = np.empty(self.concat_width, dtype=np.float32)
         lo = 0
         for q, dim, w2_i, omega in zip(query.vectors, dims, w2, self._omegas):
             if q is not None and w2_i != 0.0:
                 if omega == 0.0:
                     return None
+                if q.dtype != np.float32:
+                    q = q.astype(np.float32)
                 # The product in float64 (a float64 scalar), rounded once
                 # to float32 as it is stored.
-                np.multiply(
-                    q.astype(np.float32, copy=False), w2_i / omega,
-                    out=out[lo : lo + dim],
-                )
+                out[lo : lo + dim] = q * (w2_i / omega)
+            else:
+                out[lo : lo + dim] = 0.0
             lo += dim
         return out
 

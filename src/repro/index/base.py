@@ -70,6 +70,11 @@ class TraversalConstants(NamedTuple):
     offsets_ptr: int
     entry_ptr: int
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the three arrays."""
+        return self.flat.nbytes + self.offsets.nbytes + self.entry.nbytes
+
 
 def reseat_on_store(
     index: "GraphIndex", compression: str, store_options: dict | None = None
@@ -130,6 +135,12 @@ class GraphIndex:
     _csr: list[TraversalConstants] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
+    #: free list of kept traversal scratch (:mod:`repro.index.graph_wave`):
+    #: a traversal pops one, or builds one when the list is empty, and
+    #: appends it back once its answers are copied out, so each concurrent
+    #: traversal works in its own.  :meth:`frozen` copies share the list
+    #: itself, as they share the box above; never persisted.
+    spare: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require(
@@ -246,7 +257,8 @@ class GraphIndex:
         largest row, entry order, their addresses — are built here if
         they were not yet, once per graph, under the caller's write
         serialisation, so every copy shares one set and threads reading
-        a copy never race to build it.
+        a copy never race to build it; the free list of traversal
+        scratch (:attr:`spare`) is shared the same way.
         """
         self.traversal_constants()
         clone = copy.copy(self)

@@ -47,6 +47,20 @@ same scorer and selected directly (*prepare → scan → finalise*).
 A row is scanned when the segmented layer says its beam covers the
 segment, or when its own route pool would span the graph (below).
 
+What a traversal works in — per-row arrays, result and route pools,
+seen bitsets, the native ``wave_state`` and the row scorer's query
+matrix — is kept per graph and taken per call (:class:`_Scratch`), not
+allocated per call: *prepare* pops a scratch from the graph's free list
+(:attr:`GraphIndex.spare`, which :meth:`GraphIndex.frozen` copies
+share), grows it if the batch does not fit, re-stamps the native state
+and resets what the kernel reads before it writes; *finalise* copies
+the answers out and appends it back, unless the scratch has grown
+larger than the graph's traversal constants (its CSR pair and entry
+order).  A lone query is a batch of one on the same path, and
+concurrent traversals each hold their own scratch.  The result pools
+``wave_run`` leaves are sorted, so *finalise* slices each row's top
+``k`` and ranks only a row whose head ties.
+
 Queries finish independently: a query whose best unexpanded candidate
 can no longer enter its result set leaves the wave, while stragglers
 keep iterating.  Per-query :class:`~repro.core.query.Query` filters,
@@ -73,7 +87,8 @@ query that excludes nothing expands what it expands, in the same order
 from __future__ import annotations
 
 import ctypes
-from itertools import accumulate
+import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -83,8 +98,8 @@ from repro.core.multivector import MultiVector
 from repro.core.query import FilterMemo, Query, unpack_query
 from repro.core.results import SearchResult, SearchStats
 from repro.core.weights import Weights
-from repro.index.base import GraphIndex
-from repro.index.scoring import RowScorer, rerank_exact
+from repro.index.base import GraphIndex, TraversalConstants
+from repro.index.scoring import RowScorer, ScorerScratch, rerank_exact
 from repro.sparse.hybrid import hybrid_union_rescore, sparse_plane
 from repro.utils.topk import rank_order, top_k_sorted
 from repro.utils.validation import require
@@ -95,8 +110,9 @@ __all__ = ["graph_wave_search"]
 class _Wave:
     """One batch prepared against one graph: *prepare* → fill → *finalise*.
 
-    The constructor is *prepare*: it unpacks every query, sizes its
-    pools from its own ``k``/``l`` and admissible count, compiles its
+    The constructor is *prepare*: it takes a scratch from the graph's
+    free list (:class:`_Scratch`), unpacks every query, sizes its pools
+    from its own ``k``/``l`` and admissible count, compiles its
     admission bitset, decides whether it is scanned and binds the
     scorer its rows are scored with.  :meth:`traverse` (Algorithm 2 in
     lockstep) and :meth:`scan` (its init taken over every vertex, and no
@@ -117,7 +133,7 @@ class _Wave:
         filter_memo: FilterMemo | None,
         ks: Sequence[int] | None,
         ls: Sequence[int] | None,
-        scan: np.ndarray,
+        scan: Sequence[bool] | None,
     ) -> None:
         b = len(queries)
         space = index.space
@@ -129,21 +145,34 @@ class _Wave:
         self.b = b
         self.n = n
         self.refine = refine
+        #: the scratch this wave took from the graph's free list;
+        #: :meth:`finalise` gives it back.
+        try:
+            self.scratch = kept = index.spare.pop()
+        except IndexError:
+            self.scratch = kept = _Scratch(n)
+        kept.size_rows(b)
 
         self.vectors: list[MultiVector] = []
         self.hybrid: list[Query | None] = []
         self.per_weights: list[Weights | None] = []
         self.excluded_by: list[np.ndarray | None] = []
         excl_cache: dict[int | None, np.ndarray | None] = {}
-        self.k_arr = np.zeros(b, dtype=np.int64)
-        self.k_inner_arr = np.zeros(b, dtype=np.int64)
-        self.cap_arr = np.zeros(b, dtype=np.int64)
-        self.width_arr = np.zeros(b, dtype=np.int64)
-        self.l_inner_arr = np.zeros(b, dtype=np.int64)
+        self.k_arr = kept.k_arr
+        self.k_inner_arr = kept.k_inner_arr
+        self.cap_arr = kept.cap_arr
+        self.width_arr = kept.width_arr
+        self.l_inner_arr = kept.l_inner_arr
         #: rows with at least one reportable vertex; the rest answer empty.
-        self.alive = np.zeros(b, dtype=bool)
+        self.alive = kept.alive
         #: rows filled by :meth:`scan`; the others traverse.
-        self.scanned = scan.copy()
+        self.scanned = kept.scanned
+        #: the alive ones among them, and the alive rows that traverse.
+        self.to_scan: list[int] = []
+        self.traversing = kept.traversing
+        self.traversed = 0
+        # The widest row's route pool is the pools' column count.
+        width, alive = 1, False
 
         for i, q in enumerate(queries):
             vec, k_q, w_q, mask = unpack_query(q, k, weights, attributes, memo=memo)
@@ -181,32 +210,47 @@ class _Wave:
             else:
                 k_inner = k_q * refine if refine is not None else k_q
                 l_inner = max(l_q, k_inner)
+            # Excluded vertices route, so they take route-pool slots: a
+            # pool of ⌈l·n / reportable⌉ holds about l admissible ones.
+            # Where that reaches n the row's beam covers what it can
+            # report, and the row is scanned instead.
+            scanned = (scan is not None and bool(scan[i])) or (
+                reportable < n and l_inner >= reportable
+            )
+            row_width = (
+                min(n, -(-l_inner * n // reportable))
+                if reportable and not scanned
+                else min(l_inner, n)
+            )
             self.k_arr[i] = k_q
             self.k_inner_arr[i] = k_inner
             self.l_inner_arr[i] = l_inner
             self.cap_arr[i] = min(l_inner, reportable)
             self.alive[i] = reportable > 0
-            # Excluded vertices route, so they take route-pool slots: a
-            # pool of ⌈l·n / reportable⌉ holds about l admissible ones.
-            # Where that reaches n the row's beam covers what it can
-            # report, and the row is scanned instead.
-            self.scanned[i] |= reportable < n and l_inner >= reportable
-            self.width_arr[i] = (
-                min(n, -(-l_inner * n // reportable))
-                if reportable and not self.scanned[i]
-                else min(l_inner, n)
-            )
+            self.scanned[i] = scanned
+            self.width_arr[i] = row_width
+            width = max(width, row_width)
+            alive = alive or reportable > 0
+            self.traversing[i] = traverses = reportable > 0 and not scanned
+            self.traversed += traverses
+            if scanned and reportable:
+                self.to_scan.append(i)
 
         self.stats_list = [SearchStats() for _ in range(b)]
         #: scores every row, traversed or scanned, and counts its work.
-        self.scorer = RowScorer(space, self.vectors, self.per_weights)
-        self.hops = np.zeros(b, dtype=np.int64)
+        self.scorer = RowScorer(
+            space, self.vectors, self.per_weights, scratch=kept.scorer
+        )
+        self.hops = kept.hops
+        self.hops.fill(0)
 
         # Result pools: per-row descending, padded with -inf, each row
         # cut to its own cap — what a batch of one would hold.
-        self.width = int(self.width_arr.max()) if self.alive.any() else 1
-        self.res_ids = np.zeros((b, self.width), dtype=np.int64)
-        self.res_sims = np.full((b, self.width), -np.inf, dtype=np.float64)
+        self.width = width if alive else 1
+        kept.size_pools(self.width)
+        self.res_ids, self.res_sims = kept.res_ids, kept.res_sims
+        self.res_ids.fill(0)
+        self.res_sims.fill(-np.inf)
 
     def scan(self, rows: np.ndarray) -> None:
         """Fill *rows*' pools from Algorithm 2's init over every vertex.
@@ -248,34 +292,43 @@ class _Wave:
         beam search — the init and every wave in one native call
         (:meth:`_Bookkeeping.run`) — logging waves and frontier sizes to
         *wave_stats*."""
-        if not active.any():
-            return
         frontier_sizes = _Bookkeeping(self, active, expansions_per_wave).run()
         wave_stats.waves += len(frontier_sizes)
         wave_stats.frontier_sizes += tuple(frontier_sizes)
 
     def finalise(self) -> list[SearchResult]:
-        """Per query: top-k by (-sim, id) — one row-wise rank for the
-        batch — then lexical fusion for a hybrid row or the optional
-        exact rerank for a plain one."""
+        """Per query: top-k by (-sim, id), then lexical fusion for a
+        hybrid row or the optional exact rerank for a plain one; then the
+        scratch goes back to the graph's free list if it is within its
+        :attr:`_Scratch.limit`.
+
+        A pool is kept best first — every merge is stable and a scan
+        selects by (-sim, id) — so a row's top k is its first k columns.
+        Only where the similarities tie among them or with the next
+        column can the two orders part, since a merge keeps an older
+        entry ahead of an equal newcomer: such a row is ranked."""
         index, space = self.index, self.index.space
         res_ids, res_sims = self.res_ids, self.res_sims
-        # One row-wise rank for the batch: a row's -inf padding sorts
-        # after its finite entries, which keep their per-row order.
-        order = rank_order(res_ids, res_sims)
-        taken = np.minimum(np.isfinite(res_sims).sum(axis=1), self.k_inner_arr)
+        k_inner = self.k_inner_arr.tolist()
+        heads = res_sims[:, : max(k_inner) + 1].tolist()
         scorer = self.scorer
         hops, evals = self.hops.tolist(), scorer.evals.tolist()
-        modality_evals = (scorer.evals * scorer.mods).tolist()
         results: list[SearchResult] = []
-        for i, take in enumerate(taken.tolist()):
+        for i, head in enumerate(heads):
             stats = self.stats_list[i]
             stats.hops += hops[i]
             stats.visited_vertices += hops[i]
             stats.joint_evals += evals[i]
-            stats.modality_evals += modality_evals[i]
-            top = order[i, :take]
-            ids_o, sims_o = res_ids[i, top], res_sims[i, top]
+            stats.modality_evals += evals[i] * scorer.mods[i]
+            # The row's finite columns, cut to k_inner: padding is -inf.
+            take = min(k_inner[i], len(head))
+            while take and head[take - 1] == -np.inf:
+                take -= 1
+            if any(map(operator.eq, head[:take], head[1 : take + 1])):
+                top = rank_order(res_ids[i], res_sims[i], take)
+                ids_o, sims_o = res_ids[i, top], res_sims[i, top]
+            else:  # copies: the pools are the next traversal's scratch
+                ids_o, sims_o = res_ids[i, :take].copy(), np.array(head[:take])
             typed = self.hybrid[i]
             if typed is not None:
                 if self.alive[i]:
@@ -299,105 +352,70 @@ class _Wave:
                     stats=stats,
                 )
             results.append(SearchResult(ids=ids_o, similarities=sims_o, stats=stats))
+        if self.scratch.nbytes <= self.scratch.limit:
+            index.spare.append(self.scratch)
         return results
 
 
 class _Bookkeeping:
-    """One traversal's routing state, over arrays it owns (the CSR pair
-    is only read), and :meth:`run`, which takes the init and every wave
-    in one ``native.c`` call, ``wave_run``: per wave, ``wave_expand``'s
-    steps pick each active row's next expansions and gather their
-    unvisited neighbours into an owner-sorted frontier, the wave's
-    :class:`~repro.index.scoring.RowScorer` scores it, and
+    """One traversal's routing state, over arrays of the wave's scratch
+    (the CSR pair is only read), and :meth:`run`, which takes the init
+    and every wave in one ``native.c`` call, ``wave_run``: per wave,
+    ``wave_expand``'s steps pick each active row's next expansions and
+    gather their unvisited neighbours into an owner-sorted frontier, the
+    wave's :class:`~repro.index.scoring.RowScorer` scores it, and
     ``wave_merge``'s steps fold it into the route and result pools.
 
     The routing pools are each row best first and truncated to its own
     width after every merge, so a query's state is exactly what a batch
-    of one would hold — composition independence.  Every array the
-    kernel writes but the wave's own pools and counters is carved from
-    one allocation, 8-byte columns first, so a traversal's scratch costs
-    one allocation and one address read."""
+    of one would hold — composition independence.  The arrays and the
+    native state are kept per graph and taken per traversal, not
+    allocated per traversal (:class:`_Scratch`): the constructor
+    re-stamps the state, sets the active flags and the excluded bitsets'
+    addresses and records the traversal constants' size as the scratch's
+    keep limit, and ``wave_run`` empties the route pools and seen bitsets
+    before its init."""
 
     def __init__(self, wave: _Wave, active: np.ndarray, expansions_per_wave: int):
         self.wave = wave
         self.m_exp = int(expansions_per_wave)
         #: the graph's traversal constants, built once per graph.
         self.graph = graph = wave.index.traversal_constants()
-        b, width, n = wave.b, wave.width, wave.n
+        kept = wave.scratch
         # A row gathers at most min(m, width) adjacency lists a wave,
         # and never a vertex twice.
-        row_cap = min(n, min(self.m_exp, width) * graph.max_degree)
-        pool, fronts = b * width, b * row_cap
-        # One allocation: the 8-byte columns — route ids, excluded
-        # addresses, route sims, owner, cand, thr, rows, init lengths,
-        # wave sizes — then the byte ones: dead route columns, active
-        # flags, seen bitsets.  Only what the kernel reads before
-        # writing is initialised.
-        ends = list(accumulate((pool, b, pool, fronts, fronts, b, b, b, n + 1)))
-        starts = [0, *ends[:-1]]
-        flags = 8 * ends[-1]
-        block = np.empty(flags + pool + b + b * n, dtype=np.uint8)
-        ints = block[:flags].view(np.int64)
-        ints[: pool + b] = 0  # route ids, excluded (NULL)
-        (
-            route_ids, excluded, route_sims, self.owner, self.cand, thr,
-            self.rows, self.init_len, self.sizes,
-        ) = [ints[lo:hi] for lo, hi in zip(starts, ends)]
-        base = native.address(block)
-        (
-            route_ids_at, excluded_at, route_sims_at, owner_at, cand_at,
-            thr_at, rows_at, self.init_len_at, self.sizes_at,
-        ) = [base + 8 * lo for lo in starts]
-        dead_at = base + flags
-        active_at, seen_at = dead_at + pool, dead_at + pool + b
-        self.route_ids = route_ids.reshape(b, width)
-        self.route_sims = route_sims.view(np.float64).reshape(b, width)
-        self.route_sims.fill(-np.inf)
-        self.thr = thr.view(np.float64)
-        self.route_dead = block[flags : flags + pool].view(bool).reshape(b, width)
-        self.route_dead.fill(True)
-        self.active = block[flags + pool : flags + pool + b].view(bool)
+        row_cap = min(wave.n, min(self.m_exp, wave.width) * graph.max_degree)
+        kept.size_fronts(row_cap)
+        kept.bind(wave, graph)
+        kept.limit = graph.nbytes
+        self.state = kept.pointer
+        kept.state.m = self.m_exp
+        self.route_ids, self.route_sims = kept.route_ids, kept.route_sims
+        self.route_dead, self.seen = kept.route_dead, kept.seen
+        self.active, self.thr, self.rows = kept.active, kept.thr, kept.rows
+        self.owner, self.cand = kept.owner, kept.cand
+        self.init_len, self.sizes = kept.init_len, kept.sizes
+        # The route pools and seen bitsets hold the last traversal's
+        # state: ``wave_run`` empties them itself.
         self.active[:] = active
-        self.seen = block[flags + pool + b :].view(bool).reshape(b, n)
-        self.seen.fill(False)
         # Rows sharing a bitset (a filter, the deletion bitset) share
         # its address.
+        excluded = kept.excluded
+        excluded.fill(0)
         bitsets: dict[int, np.ndarray] = {}
         for i, e in enumerate(wave.excluded_by):
             if e is not None:
                 e = bitsets.setdefault(id(e), np.ascontiguousarray(e, dtype=bool))
                 excluded[i] = e.ctypes.data
         # Everything the state points into stays referenced by self.
-        self._keep = (block, bitsets)
-        # The kernel trusts these: shapes and layout are checked here,
+        self._keep = bitsets
+        # The kernel trusts these: the bitsets' shapes are checked here,
         # once a traversal, and ids arriving per call are checked in C.
-        require(
-            all(
-                arr.flags.c_contiguous
-                for arr in (
-                    wave.width_arr, wave.cap_arr, wave.res_ids, wave.res_sims,
-                    wave.hops,
-                )
+        if bitsets:
+            require(
+                all(e.shape == (wave.n,) for e in bitsets.values()),
+                "wave kernel: malformed traversal state",
             )
-            and wave.res_sims.shape == (b, width)
-            and all(e.shape == (n,) for e in bitsets.values())
-            and graph.flat.dtype == np.int32,
-            "wave kernel: malformed traversal state",
-        )
-        self.state = ctypes.pointer(
-            native.WaveState(
-                b=b, width=width, n=n, m=self.m_exp, row_cap=row_cap,
-                flat=graph.flat_ptr, offsets=graph.offsets_ptr,
-                width_arr=native.address(wave.width_arr),
-                cap_arr=native.address(wave.cap_arr),
-                active=active_at, excluded=excluded_at, route_ids=route_ids_at,
-                route_sims=route_sims_at, route_dead=dead_at,
-                res_ids=native.address(wave.res_ids),
-                res_sims=native.address(wave.res_sims),
-                seen=seen_at, hops=native.address(wave.hops), thr=thr_at,
-                owner=owner_at, cand=cand_at, rows=rows_at,
-            )
-        )
 
     def run(self) -> list[int]:
         """The init and every wave, scored and merged in one call; the
@@ -409,14 +427,133 @@ class _Bookkeeping:
         self.init_len *= self.active
         # No row expands a vertex twice, and a row that expands nothing
         # never expands again: at most n waves.
+        kept = wave.scratch
         waves = int(
             native.lib.wave_run(
-                self.state, self.graph.entry_ptr, self.init_len_at,
-                wave.scorer.state, self.sizes_at, self.sizes.size,
+                self.state, self.graph.entry_ptr, kept.at["init_len"],
+                wave.scorer.state, kept.at["sizes"], self.sizes.size,
             )
         )
         native.check(waves)
         return self.sizes[:waves].tolist()
+
+
+class _Scratch:
+    """The arrays one traversal of one graph works in, kept between
+    traversals: the wave's per-row arrays and result pools
+    (:class:`_Wave`), the routing state and the native ``wave_state``
+    over it (:class:`_Bookkeeping`) and the row scorer's
+    (:class:`~repro.index.scoring.ScorerScratch`).
+
+    A graph's free list (:attr:`GraphIndex.spare`) holds them: a
+    traversal pops one or builds one, and :meth:`_Wave.finalise` appends
+    it back, so every thread traversing a graph or its frozen copies
+    works in its own.  Each array lives in a buffer grown to the largest
+    batch met; :meth:`size_rows`, :meth:`size_pools` and
+    :meth:`size_fronts` carve this batch's views from them, and
+    :meth:`bind` stamps the native state's fields every traversal.
+
+    A scratch goes back to the free list only while it is no larger
+    than :attr:`limit`: the bytes of the traversal constants the graph
+    keeps beside it (CSR pair and entry order,
+    :meth:`GraphIndex.traversal_constants`), which each traversal on it
+    records.  What a graph keeps for one traversal is then bounded by
+    what it already keeps for all of them, not by the largest batch it
+    met, and a graph that is only ever scanned keeps none, as it builds
+    no constants."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.scorer = ScorerScratch()
+        self.state = native.WaveState(n=n)
+        self.pointer = ctypes.pointer(self.state)
+        self._bufs: dict[str, np.ndarray] = {}
+        #: each buffer's address, read when it was allocated.
+        self.at: dict[str, int] = {}
+        self._nbytes = 0
+        #: the most bytes this scratch may hold and still be kept.
+        self.limit = 0
+        self.b = self.width = self.row_cap = -1
+        self.sizes = self._view("sizes", np.int64, (n + 1,))
+
+    @property
+    def nbytes(self) -> int:
+        return self._nbytes + self.scorer.nbytes
+
+    def _view(self, name: str, dtype: type, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            self._nbytes -= 0 if buf is None else buf.nbytes
+            buf = self._bufs[name] = np.empty(max(size, 1), dtype=dtype)
+            self._nbytes += buf.nbytes
+            self.at[name] = native.address(buf)
+        return buf[:size].reshape(shape)
+
+    def size_rows(self, b: int) -> None:
+        """Per-row arrays and seen bitsets for *b* rows."""
+        if b == self.b:
+            return
+        view = self._view
+        for name in (
+            "k_arr", "k_inner_arr", "cap_arr", "width_arr", "l_inner_arr",
+            "hops", "excluded", "rows", "init_len",
+        ):
+            setattr(self, name, view(name, np.int64, (b,)))
+        self.thr = view("thr", np.float64, (b,))
+        self.alive = view("alive", np.bool_, (b,))
+        self.scanned = view("scanned", np.bool_, (b,))
+        self.traversing = view("traversing", np.bool_, (b,))
+        self.active = view("active", np.bool_, (b,))
+        self.seen = view("seen", np.bool_, (b, self.n))
+        self.b, self.width, self.row_cap = b, -1, -1
+
+    def size_pools(self, width: int) -> None:
+        """The result and route pools, ``(b, width)`` each."""
+        if width == self.width:
+            return
+        shape = (self.b, width)
+        self.res_ids = self._view("res_ids", np.int64, shape)
+        self.res_sims = self._view("res_sims", np.float64, shape)
+        self.route_ids = self._view("route_ids", np.int64, shape)
+        self.route_sims = self._view("route_sims", np.float64, shape)
+        self.route_dead = self._view("route_dead", np.bool_, shape)
+        self.width = width
+
+    def size_fronts(self, row_cap: int) -> None:
+        """The frontier's rows and ids: *row_cap* entries a row."""
+        if row_cap == self.row_cap:
+            return
+        self.owner = self._view("owner", np.int64, (self.b * row_cap,))
+        self.cand = self._view("cand", np.int64, (self.b * row_cap,))
+        self.row_cap = row_cap
+
+    def bind(self, wave: _Wave, graph: TraversalConstants) -> None:
+        """Stamp the native state with this batch's shape, the graph's
+        CSR pair, the scratch's addresses and those of the arrays *wave*
+        holds (its own, unless a caller swapped them)."""
+        b, width = self.b, self.width
+        owned = (wave.width_arr, wave.cap_arr, wave.res_ids, wave.res_sims, wave.hops)
+        # The kernel trusts these: shapes and layout are checked here.
+        require(
+            all(arr.flags.c_contiguous and arr.flags.writeable for arr in owned)
+            and wave.res_ids.shape == wave.res_sims.shape == (b, width)
+            and all(arr.shape == (b,) for arr in owned[:2] + owned[4:])
+            and graph.flat.dtype == np.int32,
+            "wave kernel: malformed traversal state",
+        )
+        at, state = self.at, self.state
+        state.b, state.width, state.row_cap = b, width, self.row_cap
+        state.flat, state.offsets = graph.flat_ptr, graph.offsets_ptr
+        for name in (
+            "active", "excluded", "route_ids", "route_sims", "route_dead",
+            "seen", "thr", "owner", "cand", "rows",
+        ):
+            setattr(state, name, at[name])
+        for name, arr in zip(
+            ("width_arr", "cap_arr", "res_ids", "res_sims", "hops"), owned
+        ):
+            setattr(state, name, native.address(arr))
 
 
 def graph_wave_search(
@@ -514,12 +651,11 @@ def lockstep(
             ks is not None and ls is not None and len(ks) == b and len(ls) == b,
             "ks and ls overrides must both cover every query",
         )
-    scanned = np.zeros(b, dtype=bool) if scan is None else np.asarray(scan, dtype=bool)
-    require(scanned.shape == (b,), "scan must flag every query")
+    require(scan is None or len(scan) == b, "scan must flag every query")
 
-    wave = _Wave(
-        index, queries, k, l, weights, refine, filter_memo, ks, ls, scanned,
-    )
-    wave.scan(np.flatnonzero(wave.alive & wave.scanned))
-    wave.traverse(wave.alive & ~wave.scanned, expansions_per_wave, wave_stats)
+    wave = _Wave(index, queries, k, l, weights, refine, filter_memo, ks, ls, scan)
+    if wave.to_scan:
+        wave.scan(np.array(wave.to_scan, dtype=np.int64))
+    if wave.traversed:
+        wave.traverse(wave.traversing, expansions_per_wave, wave_stats)
     return wave.finalise(), wave_stats

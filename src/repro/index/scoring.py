@@ -47,6 +47,7 @@ from repro.utils.validation import require
 
 __all__ = [
     "RowScorer",
+    "ScorerScratch",
     "batch_score_all",
     "rerank_exact",
 ]
@@ -74,6 +75,41 @@ def _per_query_weights(
     return per_query
 
 
+class ScorerScratch:
+    """What a :class:`RowScorer` keeps from one batch to the next: the
+    native state and the buffers of the fast rows' query matrix and the
+    evaluation counters, grown to the largest batch met.  A graph's
+    traversal scratch holds one (:mod:`repro.index.graph_wave`); a
+    scorer built without one gets its own."""
+
+    def __init__(self) -> None:
+        self.state = native.ScorerState()
+        self.pointer = ctypes.pointer(self.state)
+        self._qbuf = np.empty(1, dtype=np.float32)
+        self._ebuf = np.empty(1, dtype=np.int64)
+
+    @property
+    def nbytes(self) -> int:
+        return self._qbuf.nbytes + self._ebuf.nbytes
+
+    def bind(self, b: int, n: int, dim: int) -> None:
+        """Shape :attr:`qmat` ``(b, dim)`` and :attr:`evals` ``(b,)`` for a
+        batch of *b* rows over *n* vertices, zero the counters and stamp
+        the state with them, no row operand and no concatenation."""
+        if self._qbuf.size < b * dim:
+            self._qbuf = np.empty(b * dim, dtype=np.float32)
+        if self._ebuf.size < b:
+            self._ebuf = np.empty(b, dtype=np.int64)
+        self.qmat = self._qbuf[: b * dim].reshape(b, dim)
+        self.evals = self._ebuf[:b]
+        self.evals.fill(0)
+        state = self.state
+        state.b, state.n, state.dim = b, n, dim
+        state.qmat = native.address(self._qbuf)
+        state.evals = native.address(self._ebuf)
+        state.concat, state.fast, state.m, state.mods = None, None, 0, None
+
+
 class RowScorer:
     """The native row scorer over one batch of queries: the state
     ``native.c``'s ``score_rows`` reads, which ``wave_run`` calls per
@@ -81,17 +117,21 @@ class RowScorer:
 
     A row — one query of the batch — is *fast* when its query has a
     concat vector (Lemma 1): its similarity is one lane dot product with
-    the ω-scaled concatenation.  Every other row (a compressed store, a
-    query that needs a modality the index weights zeroed, or any row
-    when ``concat=False``) sums ``ω²·IP`` in float64 in modality order,
-    each ``IP`` read from one :class:`~repro.store.ModalityKernel` per
-    modality holding the stack of the rows that carry it.  A row's value
-    depends on its own query and vertex alone, so a scorer over a stack
-    of one gives it the bits it gets in any batch.
+    the ω-scaled concatenation, the query written straight into its row
+    of the kept query matrix (:meth:`JointSpace.concat_query`).  Every
+    other row (a compressed store, a query that needs a modality the
+    index weights zeroed, or any row when ``concat=False``) sums
+    ``ω²·IP`` in float64 in modality order, each ``IP`` read from one
+    :class:`~repro.store.ModalityKernel` per modality holding the stack
+    of the rows that carry it.  A row's value depends on its own query
+    and vertex alone, so a scorer over a stack of one gives it the bits
+    it gets in any batch.
 
-    :attr:`evals` counts each row's joint evaluations, and :attr:`mods`
-    the modality evaluations one stands for: a fast row's query
-    modalities, or the modalities another row scores.
+    *scratch* is the :class:`ScorerScratch` the state and arrays live
+    in; a fresh one when none is given.  :attr:`evals` counts each row's
+    joint evaluations, and :attr:`mods` (a list) the modality
+    evaluations one stands for: a fast row's query modalities, or the
+    modalities another row scores.
     """
 
     def __init__(
@@ -100,37 +140,33 @@ class RowScorer:
         queries: Sequence[MultiVector],
         weights: Sequence[Weights | None],
         concat: bool = True,
+        scratch: ScorerScratch | None = None,
     ) -> None:
         b = len(queries)
-        qcats = [
-            space.concat_query(q, w) if concat else None
-            for q, w in zip(queries, weights)
+        kept = ScorerScratch() if scratch is None else scratch
+        kept.bind(b, space.n, space.concat_width)
+        qmat = kept.qmat
+        fast = [
+            concat and space.concat_query(q, w, out=qmat[i]) is not None
+            for i, (q, w) in enumerate(zip(queries, weights))
         ]
-        fast = np.array([q is not None for q in qcats], dtype=bool)
-        self.evals = np.zeros(b, dtype=np.int64)
-        self.mods = np.array(
-            [sum(v is not None for v in q.vectors) for q in queries],
-            dtype=np.int64,
-        )
-        state = native.ScorerState(
-            b=b, n=space.n, evals=native.address(self.evals)
-        )
-        keep: list[object] = []
-        if fast.any():
+        self.evals = kept.evals
+        self.mods = [sum(v is not None for v in q.vectors) for q in queries]
+        state = kept.state
+        keep: list[object] = [kept]
+        if any(fast):
+            # Held for the scorer's life: a concurrent drop_caches may
+            # release the space's own reference.
             concat_mat = space.concatenated
-            qmat = np.zeros((b, concat_mat.shape[1]), dtype=np.float32)
-            for i, qcat in enumerate(qcats):
-                if qcat is not None:
-                    qmat[i] = qcat
             # The kernel reads the matrix in place, so it trusts its layout.
             require(
                 concat_mat.dtype == np.float32 and concat_mat.flags.c_contiguous,
                 "row scorer: the concatenated matrix is not C-ordered float32",
             )
-            state.concat, state.dim = concat_mat.ctypes.data, concat_mat.shape[1]
-            state.qmat = native.address(qmat)
-            keep += [concat_mat, qmat]
-        if not fast.all():
+            state.concat = concat_mat.ctypes.data
+            keep.append(concat_mat)
+        if not all(fast):
+            fast = np.array(fast, dtype=bool)
             flags = fast.view(np.uint8)
             state.fast = native.address(flags)
             w2 = np.stack(
@@ -140,16 +176,17 @@ class RowScorer:
                 ]
             )
             carried = (w2 > 0.0) & ~fast[:, None]
-            self.mods[~fast] = carried[~fast].sum(axis=1)
+            self.mods = np.where(fast, self.mods, carried.sum(axis=1)).tolist()
             ops = [
                 _operand(space, queries, i, carried[:, i], w2[:, i], keep)
                 for i in np.flatnonzero(carried.any(axis=0)).tolist()
             ]
-            state.m, state.mods = len(ops), (native.Operand * len(ops))(*ops)
-            keep.append(flags)
+            mods = (native.Operand * len(ops))(*ops)
+            state.m, state.mods = len(ops), mods
+            keep += [flags, mods]
         #: everything the state points into stays referenced here.
         self._keep = keep
-        self.state = ctypes.pointer(state)
+        self.state = kept.pointer
 
     def score(
         self, owner: np.ndarray, cand: np.ndarray, thr: np.ndarray

@@ -396,20 +396,43 @@ def seal_index(
     return index
 
 
+def _listed_cold_files(directory: Path) -> frozenset[str] | None:
+    """The sidecar names the manifest in *directory* lists: the empty
+    set when there is no manifest, and ``None`` — read as "every file
+    may be listed" — when there is one that cannot be read."""
+    manifest = directory / MANIFEST_NAME
+    if not manifest.exists():
+        return frozenset()
+    try:
+        entries = json.loads(manifest.read_text())["segments"]
+        return frozenset(
+            name for entry in entries for name in entry.get("cold_files", ())
+        )
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
 def retire_cold_files(
     planes: list[ColdPlane | None], keep: frozenset[Path] = frozenset()
 ) -> None:
-    """Unlink the sidecar files of replaced indexes (all but *keep*).
+    """Unlink the sidecar files of replaced indexes (all but *keep*, and
+    all but those a manifest next to them lists: an index served from
+    its own save directory by :meth:`SegmentedIndex.load` reads the
+    save's sidecars, which that save still needs).
 
     Frozen snapshots and the replaced instance itself may still hold
     these planes; mapping every modality first pins the inodes, so their
     reads keep working after the unlink (POSIX semantics).
     """
+    listed: dict[Path, frozenset[str] | None] = {}
     for plane in planes:
         if not isinstance(plane, MmapPlane):
             continue
         for i, path in enumerate(plane.paths):
-            if path in keep:
+            if path.parent not in listed:
+                listed[path.parent] = _listed_cold_files(path.parent)
+            names = listed[path.parent]
+            if path in keep or names is None or path.name in names:
                 continue
             plane.modality(i)
             path.unlink(missing_ok=True)

@@ -13,13 +13,16 @@
  * given, so they leave the pools, the seen bitsets and the counters
  * exactly as their NumPy oracle in the test suite (tests/oracles.py) does.
  *
- * The search makes one traversal call, wave_run: its init (each row's
- * prefix of the graph's entry order, marked seen, scored and merged) and
- * then every wave, expand, score, merge, the same functions in the same
- * order as the test suite's step loop calls them through wave_expand,
- * score_rows and wave_merge, until no row expands.  It leaves the same
- * bits as those calls, wave by wave.  A row whose beam would cover what
- * it can report is scanned instead: one score_rows call over every vertex.
+ * The search makes one traversal call, wave_run: it empties every row's
+ * routing state (the arrays are kept per graph and reused, so it finds
+ * the last traversal's there), then takes its init (each row's prefix of
+ * the graph's entry order, marked seen, scored and merged) and every
+ * wave, expand, score, merge, the same functions in the same order as
+ * the test suite's step loop calls them through wave_expand, score_rows
+ * and wave_merge, until no row expands.  It leaves the same bits as
+ * those calls, wave by wave, on routing state the step loop empties the
+ * same way.  A row whose beam would cover what it can report is scanned
+ * instead: one score_rows call over every vertex.
  *
  * score_rows is the one row scorer, for every kind of row.  A row whose
  * query has a concat vector (Lemma 1) is one dot product with the
@@ -401,10 +404,12 @@ static int64_t merge_rows(const wave_state *s, const int64_t *owner,
 int64_t wave_merge(const wave_state *s, const int64_t *owner, const int64_t *cand,
                    const double *sims, int64_t f)
 {
+    /* Sized exactly (a pool is never 0 wide), so a column written past
+     * the pool's width is an out-of-bounds write the sanitizers report. */
     const int64_t width = s->width;
-    int64_t *order = malloc((size_t)(3 * f + width + 1) * sizeof *order);
-    double *o_sims = malloc((size_t)(width + 1) * sizeof *o_sims);
-    uint8_t *o_dead = malloc((size_t)width + 1);
+    int64_t *order = malloc((size_t)(3 * f + width) * sizeof *order);
+    double *o_sims = malloc((size_t)width * sizeof *o_sims);
+    uint8_t *o_dead = malloc((size_t)width);
     int64_t rows = NO_MEMORY;
     if (order && o_sims && o_dead)
         rows = merge_rows(s, owner, cand, sims, f, order, o_sims, o_dead);
@@ -560,8 +565,23 @@ static void init_frontier(const wave_state *s, const int64_t *entry,
     }
 }
 
+/* Every row's routing state empty: route pools at -inf, dead, their ids
+ * 0, seen bitsets clear. */
+static void clear_routes(const wave_state *s)
+{
+    const int64_t cells = s->b * s->width;
+    memset(s->route_ids, 0, (size_t)cells * sizeof *s->route_ids);
+    for (int64_t c = 0; c < cells; c++)
+        s->route_sims[c] = -INFINITY;
+    memset(s->route_dead, 1, (size_t)cells);
+    memset(s->seen, 0, (size_t)(s->b * s->n));
+}
+
 /*
- * A whole traversal, scored by sc (b rows over n vertices, as s).  First
+ * A whole traversal, scored by sc (b rows over n vertices, as s).  It
+ * starts every row's routing state empty (clear_routes), whatever the
+ * arrays held: the caller keeps them from one traversal to the next.
+ * The result pools and hop counts are the caller's to start.  First
  * its init: each row r's first len[r] vertices of the entry order (n of
  * them) are marked seen and laid out as one frontier, row by row, which
  * score_rows scores against a -inf threshold and merge_rows folds into
@@ -591,13 +611,14 @@ int64_t wave_run(const wave_state *s, const int64_t *entry, const int64_t *len,
     int64_t *tmp = malloc((size_t)(s->row_cap + 1) * sizeof *tmp);
     int64_t *init = malloc((size_t)(2 * f_init + 1) * sizeof *init);
     double *sims = malloc((size_t)(f_max + 1) * sizeof *sims);
-    int64_t *order =
-        malloc((size_t)(3 * f_max + s->width + 1) * sizeof *order);
-    double *o_sims = malloc((size_t)(s->width + 1) * sizeof *o_sims);
-    uint8_t *o_dead = malloc((size_t)s->width + 1);
+    /* The merge's scratch sized exactly, as in wave_merge. */
+    int64_t *order = malloc((size_t)(3 * f_max + s->width) * sizeof *order);
+    double *o_sims = malloc((size_t)s->width * sizeof *o_sims);
+    uint8_t *o_dead = malloc((size_t)s->width);
     int64_t waves = 0, status = NO_MEMORY;
     if (bits && tmp && init && sims && order && o_sims && o_dead) {
         int64_t *owner = init, *cand = init + f_init;
+        clear_routes(s);
         init_frontier(s, entry, len, owner, cand);
         for (int64_t r = 0; r < s->b; r++)
             s->thr[r] = -INFINITY;

@@ -40,7 +40,15 @@ _union_rows = importlib.import_module("repro.index.nndescent")._union_rows
 class NativeBookkeeping(gw._Bookkeeping):
     """The traversal's own bookkeeping, its two steps one ctypes call
     each: ``wave_expand`` and ``wave_merge`` on the state ``wave_run``
-    runs."""
+    runs, whose routing state it empties as ``wave_run`` does first (the
+    arrays are the graph's kept scratch)."""
+
+    def __init__(self, wave, active, expansions_per_wave):
+        super().__init__(wave, active, expansions_per_wave)
+        self.route_ids.fill(0)
+        self.route_sims.fill(-np.inf)
+        self.route_dead.fill(True)
+        self.seen.fill(False)
 
     def expand(self):
         """``(thr, owner, cand)`` of the next wave, or ``None`` when no

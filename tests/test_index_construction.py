@@ -398,6 +398,22 @@ def test_native_prune_is_the_numpy_prune(
         assert len(want) <= gamma and set(want) <= set(cand[r][valid])
 
 
+@pytest.mark.parametrize("bad", [-1, 64, 65], ids=["below 0", "n", "past n"])
+def test_join_number_refuses_ids_out_of_range(bad):
+    """An id outside ``[0, n)`` is refused, ``n`` itself included, before
+    ``pos`` or ``uniq`` is written: both carry a spare slot, so a kernel
+    that took id ``n`` would write one and answer."""
+    n = 64
+    cand = np.array([3, 9, bad, 9], dtype=np.int32)
+    pos = np.full(n + 1, -7, dtype=np.int32)
+    uniq = np.full(cand.size + 1, -7, dtype=np.int64)
+    status = native.lib.join_number(
+        cand.ctypes.data, cand.size, n, pos.ctypes.data, uniq.ctypes.data
+    )
+    assert status == INVALID
+    assert (pos == -7).all() and (uniq == -7).all()
+
+
 @pytest.mark.parametrize("bad", [-2, 7, 2**40], ids=["below -1", "n", "far past n"])
 def test_prune_rows_refuses_ids_out_of_range(bad):
     """An id neither ``-1`` (padding) nor in ``[0, n)`` is refused before

@@ -415,3 +415,35 @@ class TestCrashSafeManifests:
         restored = CollectionManager.from_saved(path)
         assert restored.names() == ["a", "b"]
         assert _answers(restored.get("b").must) == _answers(manager.get("b").must)
+
+
+class TestMmapSaveSurvivesCompaction:
+    def test_load_then_compact_keeps_the_save_loadable(self, tmp_path):
+        """An mmap save served by ``from_saved`` keeps its cold tier in
+        the save directory; compacting it must not unlink the sidecars
+        that directory's manifest still lists."""
+        must = MUST(
+            random_multivector_set(60, DIMS, seed=4),
+            weights=Weights([0.4, 0.6]),
+            builder=FusedIndexBuilder(gamma=8, seed=2),
+            segment_policy=SegmentPolicy(seal_size=16, max_segments=4),
+            compression="pq",
+            store_options={"pq_dims": 2},
+            cold_storage="mmap",
+            data_dir=tmp_path / "data",
+        ).build()
+        must.insert(_extra(20, seed=5))
+        path = tmp_path / "index"
+        must.save_index(path)
+        before = _answers(must)
+
+        served = MUST.from_saved(path)
+        assert _answers(served) == before
+        served.compact()
+        listed = [
+            name
+            for entry in json.loads((path / MANIFEST_NAME).read_text())["segments"]
+            for name in entry.get("cold_files", [])
+        ]
+        assert listed and all((path / name).exists() for name in listed)
+        assert _answers(MUST.from_saved(path)) == before

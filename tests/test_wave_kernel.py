@@ -48,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import ctypes
+import itertools
 import logging
 import os
 import re
@@ -85,6 +86,7 @@ from tests.oracles import (
     kernel_ids,
     lane_sum,
     row_scores,
+    step_loop,
     stepping,
 )
 
@@ -335,7 +337,9 @@ def test_every_step_leaves_the_same_state(index, queries, kind, m):
 def native_traversals(whole):
     """Run every traversal in one ``wave_run`` call (*whole*) or
     through the oracle step loop on the kernel's bookkeeping, and yield
-    the list its bookkeepings are appended to."""
+    the list its bookkeepings are appended to, each holding the bytes it
+    left (:attr:`left`) — taken as its traversal ends, since the arrays
+    are the graph's kept scratch and the next traversal reuses them."""
     books = []
 
     class Recorded(NATIVE):
@@ -348,10 +352,23 @@ def native_traversals(whole):
             self.ran = super().run()
             return self.ran
 
+    inner = TRAVERSE if whole else stepping(Recorded)
+
+    def traverse(wave, active, m, wave_stats):
+        begun = len(books)
+        inner(wave, active, m, wave_stats)
+        for book in books[begun:]:
+            book.left = {
+                name: getattr(book, name).tobytes()
+                for name in ("route_ids", "route_sims", "route_dead", "seen")
+            } | {
+                name: getattr(wave, name).tobytes()
+                for name in ("res_ids", "res_sims", "hops")
+            } | {"evals": wave.scorer.evals.tobytes()}
+
     if whole:
         gw._Bookkeeping = Recorded
-    else:
-        gw._Wave.traverse = stepping(Recorded)
+    gw._Wave.traverse = traverse
     try:
         yield books
     finally:
@@ -371,11 +388,9 @@ def assert_wave_run_is_the_step_loop(search):
     assert len(whole) == len(stepped)
     for a, b in zip(whole, stepped):
         assert a.ran is not None and b.ran is None
-        for name in ("route_ids", "route_sims", "route_dead", "seen"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-        for name in ("res_ids", "res_sims", "hops"):
-            assert getattr(a.wave, name).tobytes() == getattr(b.wave, name).tobytes()
-        assert a.wave.scorer.evals.tobytes() == b.wave.scorer.evals.tobytes()
+        assert a.left.keys() == b.left.keys()
+        for name in a.left:
+            assert a.left[name] == b.left[name], name
     return got
 
 
@@ -469,6 +484,74 @@ def test_wave_run_refuses_a_full_size_buffer(dense_index, queries, monkeypatch):
     with pytest.raises(RuntimeError, match="refused"):
         graph_wave_search(dense_index, queries, k=K, l=L)
     assert statuses == [OVERFLOW]
+
+
+def test_wave_run_refuses_a_full_buffer_on_an_empty_wave(
+    dense_index, queries, monkeypatch
+):
+    """A wave that expands but finds every neighbour seen (a frontier of
+    0) still takes a slot in the sizes buffer: met with the buffer full
+    it is refused as OVERFLOW, not ended as a traversal of the waves
+    logged so far."""
+    for m, q in itertools.product((1, 8), queries):
+        _, wave_stats = graph_wave_search(
+            dense_index, [q], k=K, l=L, expansions_per_wave=m
+        )
+        if 0 in wave_stats.frontier_sizes:
+            break
+    else:
+        pytest.fail("no lone query of the fixture has an empty wave")
+    cap = wave_stats.frontier_sizes.index(0)
+    statuses = []
+
+    class Capped(NATIVE):
+        def run(self):
+            sizes = np.empty(cap + 1, dtype=np.int64)
+            status = native.lib.wave_run(
+                self.state, self.graph.entry_ptr, init_lengths(self).ctypes.data,
+                self.wave.scorer.state, sizes.ctypes.data, cap,
+            )
+            statuses.append(status)
+            native.check(status)
+
+    monkeypatch.setattr(gw, "_Bookkeeping", Capped)
+    with pytest.raises(RuntimeError, match="refused"):
+        graph_wave_search(dense_index, [q], k=K, l=L, expansions_per_wave=m)
+    assert statuses == [OVERFLOW]
+
+
+def test_a_merge_writes_nothing_past_its_pools():
+    """The kept scratch only grows, so a lone query's pools are the head
+    of buffers a wider batch sized: ``wave_run`` and ``wave_merge`` write
+    nothing past ``b * width`` in any of them.  The merge's own scratch
+    is sized to the pool's width exactly, so a column loop that ran one
+    past it is an out-of-bounds write the sanitizer child reports."""
+    graph, rng = _tiny_graph(5, 40, 40, 6, "none")
+    wide = _tiny_batch(rng, 4, "dense")
+    wide = gw._Wave(graph, wide, 8, 30, None, None, None, None, None, None)
+    # On the free list whatever its size: the buffers a wider batch grew.
+    graph.spare[:] = [wide.scratch]
+    batch = _tiny_batch(rng, 1, "dense")
+    names = ("route_ids", "route_sims", "route_dead", "res_ids", "res_sims")
+    for step in (False, True):
+        wave = gw._Wave(graph, batch, 3, 5, None, None, None, None, None, None)
+        book = NATIVE(wave, wave.alive.copy(), 2)
+        kept = wave.scratch
+        used = wave.b * wave.width
+        tails = {}
+        for name in names:
+            buf = kept._bufs[name]
+            assert buf.size > used, name  # the wide batch left room
+            buf.view(np.uint8)[used * buf.itemsize :] = 0xA5
+            tails[name] = buf[used:].tobytes()
+        if step:
+            step_loop(wave, book.active.copy(), 2, SearchStats(), lambda *a: book)
+        else:
+            book.run()
+        for name in names:
+            assert kept._bufs[name][used:].tobytes() == tails[name], name
+        assert np.isfinite(wave.res_sims[0, :3]).all()
+        graph.spare[:] = [kept]  # the same scratch for the next pass
 
 
 @pytest.mark.parametrize(
@@ -1088,7 +1171,8 @@ class TestLoader:
     def test_the_properties_run_clean_under_sanitizers(self, tmp_path):
         """A build with AddressSanitizer and UBSan runs the tiny-graph
         properties (stepped and ``wave_run``, every row kind),
-        ``wave_run``'s init refusals, the merge's tie rule, the row
+        ``wave_run``'s init refusals, the merge's tie rule and its
+        bounds on a pool cut from a wider buffer, the row
         contracts (concatenation and int8 lanes, PQ sum, mixed
         batches),
         and the build's local-join, greedy-pick and prune ones
@@ -1125,6 +1209,7 @@ class TestLoader:
             "t.test_wave_run_is_the_step_loop_on_tiny_graphs()\n"
             "t.test_wave_run_refuses_an_init_out_of_range()\n"
             "t.test_a_pool_entry_stays_ahead_of_an_equal_entrant()\n"
+            "t.test_a_merge_writes_nothing_past_its_pools()\n"
             "t.test_gather_dot_is_the_lane_contract()\n"
             "t.test_int8_rows_are_the_lane_contract()\n"
             "t.test_adc_gather_is_the_subspace_sum()\n"
@@ -1135,6 +1220,8 @@ class TestLoader:
             "c.test_native_prune_is_the_numpy_prune()\n"
             "for bad in (-2, 7, 2**40):\n"
             "    c.test_prune_rows_refuses_ids_out_of_range(bad)\n"
+            "for bad in (-1, 64, 65):\n"
+            "    c.test_join_number_refuses_ids_out_of_range(bad)\n"
         )
         env = dict(
             os.environ,
