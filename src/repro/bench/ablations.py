@@ -1,5 +1,10 @@
 """Ablations: Fig. 9/13 (weight learning), Fig. 10(a,b) (graph zoo),
-Tab. XI (NNDescent iterations), Fig. 14/15 (γ sweep)."""
+Tab. XI (NNDescent iterations), Fig. 14/15 (γ sweep).
+
+Fig. 10(a,b) builds every graph of ``repro.index.BUILDERS``: "ours",
+the KGraph / NSG / NSSG recipes (other component choices of the same
+:class:`~repro.index.pipeline.FusedIndexBuilder`) and the HNSW / Vamana /
+HCNNG builders."""
 
 from __future__ import annotations
 

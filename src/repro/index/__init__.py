@@ -2,9 +2,10 @@
 
 * :class:`FusedIndexBuilder` — the paper's component-based pipeline
   (Algorithm 1), producing the re-assembled "Ours" index.
+* :data:`BUILDERS` — the Fig. 10 graph zoo by name: "ours", and KGraph,
+  NSG and NSSG as :class:`FusedIndexBuilder` recipes (one choice per
+  component), beside :mod:`repro.index.graphs`' HNSW / Vamana / HCNNG.
 * :func:`joint_search` — the merging-free joint search (Algorithm 2).
-* :mod:`repro.index.graphs` — KGraph / NSG / NSSG / HNSW / Vamana / HCNNG
-  for the Fig. 10 ablation.
 * :class:`FlatIndex` — exact brute force (the MUST-- reference): the
   one exact kernel, a float32 GEMM prefilter for the batch and a float64
   rerank inside a derived band; deletion- and filter-aware.
@@ -24,6 +25,8 @@
   automatic compaction under a :class:`SegmentPolicy`.
 """
 
+from functools import partial
+
 from repro.index.base import GraphIndex
 from repro.index.executor import (
     BatchExecutor,
@@ -32,14 +35,7 @@ from repro.index.executor import (
     execute,
 )
 from repro.index.flat import FlatIndex
-from repro.index.graphs import (
-    HCNNGBuilder,
-    HNSWBuilder,
-    KGraphBuilder,
-    NSGBuilder,
-    NSSGBuilder,
-    VamanaBuilder,
-)
+from repro.index.graphs import HCNNGBuilder, HNSWBuilder, VamanaBuilder
 from repro.index.nndescent import graph_quality, nndescent, random_knn
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.scoring import batch_score_all
@@ -48,9 +44,19 @@ from repro.index.segments import Segment, SegmentedIndex, SegmentPolicy
 
 BUILDERS = {
     "ours": FusedIndexBuilder,
-    "kgraph": KGraphBuilder,
-    "nsg": NSGBuilder,
-    "nssg": NSSGBuilder,
+    "kgraph": partial(
+        FusedIndexBuilder,
+        name="kgraph",
+        candidate_source="knn",
+        selection="top",
+        connect=False,
+    ),
+    "nsg": partial(
+        FusedIndexBuilder, name="nsg", init_k=20, candidate_source="search"
+    ),
+    "nssg": partial(
+        FusedIndexBuilder, name="nssg", init_k=20, max_candidates=96, selection="angle"
+    ),
     "hnsw": HNSWBuilder,
     "vamana": VamanaBuilder,
     "hcnng": HCNNGBuilder,
@@ -68,9 +74,6 @@ __all__ = [
     "execute",
     "batch_score_all",
     "FusedIndexBuilder",
-    "KGraphBuilder",
-    "NSGBuilder",
-    "NSSGBuilder",
     "HNSWBuilder",
     "VamanaBuilder",
     "HCNNGBuilder",

@@ -3,9 +3,10 @@
 The pipeline decomposes proximity-graph construction into five pluggable
 stages; re-assembling stages from different published algorithms is the
 paper's component-based construction idea (Fig. 10 shows the re-assembled
-"Ours" variant beating each original).  Each component here is a small
-strategy object so alternative graphs (:mod:`repro.index.graphs`) can mix
-and match them.
+"Ours" variant beating each original).  Each component here is a plain
+function; :class:`~repro.index.pipeline.FusedIndexBuilder` takes one per
+stage, which is all the KGraph, NSG and NSSG recipes are, and the graphs
+of :mod:`repro.index.graphs` reuse the α-pruning rule (:func:`prune_one`).
 """
 
 from __future__ import annotations
@@ -23,13 +24,17 @@ __all__ = [
     "two_hop_candidates",
     "search_based_candidates",
     "mrng_select",
-    "rng_alpha_select",
     "angle_select",
     "top_gamma_select",
     "prune_one",
     "centroid_seed",
     "ensure_connectivity",
 ]
+
+#: NSG's search beam for :func:`search_based_candidates`.
+_NSG_BEAM = 48
+#: cos 60°, NSSG's minimum angle between two selected edges.
+_COS_60 = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -76,10 +81,10 @@ def search_based_candidates(
     knn: np.ndarray,
     entry: int,
     max_candidates: int = 64,
-    beam: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
     """NSG-style candidates: vertices visited while greedily searching for
-    each vertex from a fixed entry point on the current KNN graph.
+    each vertex from a fixed entry point on the current KNN graph, with
+    NSG's beam of 48.
 
     Slower than :func:`two_hop_candidates` but yields candidates spread
     along the search path, which is what NSG's selection expects.
@@ -93,7 +98,7 @@ def search_based_candidates(
     neighbors = [knn[v] for v in range(n)]
     for v in range(n):
         visited_ids, visited_sims = greedy_search_graph(
-            concat, neighbors, entry, concat[v], beam
+            concat, neighbors, entry, concat[v], _NSG_BEAM
         )
         keep = visited_ids != v
         visited_ids, visited_sims = visited_ids[keep], visited_sims[keep]
@@ -125,24 +130,11 @@ def mrng_select(
     eight-lane float32 contract); ``prune_rows`` computes it only for
     the pairs the greedy scan reads, all vertices in one call.
     """
-    return _prune_select(space, cand, sims, gamma, alpha=1.0)
-
-
-def rng_alpha_select(
-    space: JointSpace,
-    cand: np.ndarray,
-    sims: np.ndarray,
-    gamma: int,
-    alpha: float = 1.2,
-) -> list[np.ndarray]:
-    """Vamana's α-relaxed RNG pruning (DiskANN).
-
-    ``alpha > 1`` keeps more long-range edges than strict MRNG: a
-    candidate is rejected only when some selected neighbour is *α times
-    closer* to it (in squared-distance terms) than the vertex is.  Scored
-    and run as :func:`mrng_select`.
-    """
-    return _prune_select(space, cand, sims, gamma, alpha=alpha)
+    require(gamma >= 1, "gamma must be at least 1")
+    # ‖x̂‖² is the weights' total for every fully-present object.
+    return _prune_rows(
+        space.concatenated, space.weights.total, cand, sims, gamma, alpha=1.0
+    )
 
 
 def _greedy_by_domination(dominated: np.ndarray, gamma: int) -> np.ndarray:
@@ -218,31 +210,16 @@ def _prune_rows(
     return np.split(flat, np.cumsum(counts[:-1])) if rows else []
 
 
-def _prune_select(
-    space: JointSpace,
-    cand: np.ndarray,
-    sims: np.ndarray,
-    gamma: int,
-    alpha: float,
-) -> list[np.ndarray]:
-    require(gamma >= 1, "gamma must be at least 1")
-    concat = space.concatenated
-    total = space.weights.total  # ‖x̂‖² for every fully-present object
-    return _prune_rows(concat, total, cand, sims, gamma, alpha)
-
-
 def angle_select(
     space: JointSpace,
     cand: np.ndarray,
-    sims: np.ndarray,
     gamma: int,
-    min_angle_deg: float = 60.0,
 ) -> list[np.ndarray]:
-    """NSSG-style selection: enforce a minimum *angle* between the edges
-    ``(o→u)`` and ``(o→v)`` of any two selected neighbours.
+    """NSSG-style selection: enforce a minimum *angle* of 60° between the
+    edges ``(o→u)`` and ``(o→v)`` of any two selected neighbours, taking
+    the ranked candidates closest first.
     """
     concat = space.concatenated
-    cos_threshold = float(np.cos(np.deg2rad(min_angle_deg)))
     out: list[np.ndarray] = []
     for v in range(cand.shape[0]):
         row = cand[v]
@@ -254,16 +231,15 @@ def angle_select(
         norms = np.linalg.norm(edges, axis=1)
         norms[norms == 0.0] = 1.0
         edges = edges / norms[:, None]
-        dominated = (edges @ edges.T) >= cos_threshold
+        dominated = (edges @ edges.T) >= _COS_60
         np.fill_diagonal(dominated, False)
         out.append(ids[_greedy_by_domination(dominated, gamma)].astype(np.int32))
     return out
 
 
-def top_gamma_select(
-    cand: np.ndarray, sims: np.ndarray, gamma: int
-) -> list[np.ndarray]:
-    """No diversification: simply the γ most similar candidates (KGraph)."""
+def top_gamma_select(cand: np.ndarray, gamma: int) -> list[np.ndarray]:
+    """No diversification: each row's first γ candidates — the γ most
+    similar of ranked rows, or KGraph's NNDescent rows as they stand."""
     out: list[np.ndarray] = []
     for v in range(cand.shape[0]):
         row = cand[v]

@@ -1,17 +1,15 @@
-"""Alternative proximity-graph builders for the Fig. 10 ablation."""
+"""The Fig. 10 ablation's graphs that are their own algorithms: HNSW
+(layered insertion), Vamana (α-passes from a random graph) and HCNNG
+(clustering-tree MSTs).  KGraph, NSG and NSSG are
+:class:`~repro.index.pipeline.FusedIndexBuilder` recipes
+(``repro.index.BUILDERS``)."""
 
 from repro.index.graphs.hcnng import HCNNGBuilder
 from repro.index.graphs.hnsw import HNSWBuilder
-from repro.index.graphs.kgraph import KGraphBuilder
-from repro.index.graphs.nsg import NSGBuilder
-from repro.index.graphs.nssg import NSSGBuilder
 from repro.index.graphs.vamana import VamanaBuilder
 
 __all__ = [
     "HCNNGBuilder",
     "HNSWBuilder",
-    "KGraphBuilder",
-    "NSGBuilder",
-    "NSSGBuilder",
     "VamanaBuilder",
 ]

@@ -3,15 +3,24 @@
 :class:`FusedIndexBuilder` assembles the five components —
 ① NNDescent initialisation, ② candidate acquisition, ③ neighbour
 selection, ④ seed preprocessing, ⑤ connectivity — into the paper's
-re-assembled "Ours" index.  Every stage is parameterised so the graph
-ablation (Fig. 10) can swap strategies without new code.
+re-assembled "Ours" index.  A graph of the Fig. 10 ablation that is
+only another choice per component is a recipe — settings of this one
+builder (``repro.index.BUILDERS``), not a class of its own:
+
+* KGraph — ② the NNDescent rows themselves, ③ ``"top"``, no ⑤;
+* NSG — ① ``init_k=20``, ② search-based (NSG's beam of 48), ③ MRNG;
+* NSSG — ① ``init_k=20``, ② two-hop capped at 96, ③ angle (60°).
+
+HNSW, Vamana and HCNNG build differently (layered insertion, α-passes
+from a random graph, clustering-tree MSTs) and keep their own classes
+in :mod:`repro.index.graphs`.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -23,7 +32,6 @@ from repro.index.components import (
     centroid_seed,
     ensure_connectivity,
     mrng_select,
-    rng_alpha_select,
     search_based_candidates,
     top_gamma_select,
     two_hop_candidates,
@@ -35,8 +43,8 @@ __all__ = ["FusedIndexBuilder"]
 
 logger = logging.getLogger(__name__)
 
-_SELECTIONS = ("mrng", "angle", "alpha", "top")
-_CANDIDATES = ("two-hop", "search")
+_SELECTIONS = ("mrng", "angle", "top")
+_CANDIDATES = ("two-hop", "search", "knn")
 
 
 @dataclass
@@ -45,7 +53,13 @@ class FusedIndexBuilder:
 
     Parameters mirror the paper: ``gamma`` is the maximum out-degree
     (Appendix H recommends 30), ``epsilon`` the NNDescent iteration count
-    (3 reaches ≥0.99 graph quality, Tab. XI).
+    (3 reaches ≥0.99 graph quality, Tab. XI).  One setting per
+    component: ``init_k`` (①, ``gamma`` when ``None``),
+    ``candidate_source`` and ``max_candidates`` (②: two-hop, NSG's
+    search-based, or ``"knn"``, the NNDescent rows unranked, which only
+    ``"top"`` takes, and only whole), ``selection`` (③: MRNG, NSSG's angle, or the
+    first ``gamma``) and ``connect`` (⑤); the seed (④) is the vertex
+    nearest the centroid.
     """
 
     gamma: int = 30
@@ -54,12 +68,9 @@ class FusedIndexBuilder:
     max_candidates: int = 64
     selection: str = "mrng"
     candidate_source: str = "two-hop"
-    alpha: float = 1.2
-    min_angle_deg: float = 60.0
     seed: int = 0
     connect: bool = True
     name: str = "ours"
-    extra_meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         require(self.gamma >= 1, "gamma must be positive")
@@ -72,6 +83,11 @@ class FusedIndexBuilder:
                 f"selection must be one of {_SELECTIONS}")
         require(self.candidate_source in _CANDIDATES,
                 f"candidate_source must be one of {_CANDIDATES}")
+        ranked = self.candidate_source != "knn"
+        whole_rows = self.init_k is None or self.init_k <= self.gamma
+        require(ranked or (self.selection == "top" and whole_rows),
+                "candidate_source 'knn' leaves the rows unranked: only "
+                "selection 'top' takes them, and only whole (init_k <= gamma)")
 
     def build(self, space: JointSpace) -> GraphIndex:
         """Run the five-component pipeline over *space*."""
@@ -89,7 +105,10 @@ class FusedIndexBuilder:
         seed_vertex = centroid_seed(space)
 
         # ② Candidate acquisition.
-        if self.candidate_source == "two-hop":
+        sims: np.ndarray | None = None
+        if self.candidate_source == "knn":
+            cand = knn
+        elif self.candidate_source == "two-hop":
             cand, sims = two_hop_candidates(
                 space, knn, max_candidates=self.max_candidates
             )
@@ -101,18 +120,13 @@ class FusedIndexBuilder:
         t_cand = time.perf_counter()
 
         # ③ Neighbour selection.
-        if self.selection == "mrng":
-            neighbors = mrng_select(space, cand, sims, self.gamma)
-        elif self.selection == "alpha":
-            neighbors = rng_alpha_select(
-                space, cand, sims, self.gamma, alpha=self.alpha
-            )
+        if self.selection == "top":
+            neighbors = top_gamma_select(cand, self.gamma)
         elif self.selection == "angle":
-            neighbors = angle_select(
-                space, cand, sims, self.gamma, min_angle_deg=self.min_angle_deg
-            )
+            neighbors = angle_select(space, cand, self.gamma)
         else:
-            neighbors = top_gamma_select(cand, sims, self.gamma)
+            assert sims is not None  # __post_init__: "knn" takes "top" only
+            neighbors = mrng_select(space, cand, sims, self.gamma)
         t_select = time.perf_counter()
 
         # ⑤ Connectivity.
@@ -143,7 +157,6 @@ class FusedIndexBuilder:
             "epsilon": self.epsilon,
             "selection": self.selection,
             "candidate_source": self.candidate_source,
-            **self.extra_meta,
         }
 
     def _trivial(self, space: JointSpace, start: float) -> GraphIndex:

@@ -21,10 +21,11 @@ hands the library its bookkeeping and one selection.  NNDescent's local
 join numbers a block's candidate union in ``join_number`` and, after the
 BLAS matmul against that union, lays the similarities out and masks
 repeats and self-references in ``join_fill``; the angle selection's
-greedy pick over a domination matrix is ``greedy_pick``.  The MRNG and
-α-RNG selections are ``prune_rows``: every vertex's greedy pick in one
-call, scoring a candidate pair only when the scan asks whether one
-blocks the other, under the same eight-lane contract as ``score_rows``.
+greedy pick over a domination matrix is ``greedy_pick``.  The MRNG
+selection and HNSW / Vamana's α-pruning are ``prune_rows``: every
+vertex's greedy pick in one call, scoring a candidate pair only when
+the scan asks whether one blocks the other, under the same eight-lane
+contract as ``score_rows``.
 
 Each kernel has a NumPy oracle in the test suite (``tests/oracles.py``)
 that it is compared with bit for bit; none of them runs here.

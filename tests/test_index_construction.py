@@ -31,15 +31,12 @@ from repro.index.components import (
     ensure_connectivity,
     mrng_select,
     prune_one,
-    rng_alpha_select,
     search_based_candidates,
     top_gamma_select,
     two_hop_candidates,
 )
+from repro.index import BUILDERS
 from repro.index.graphs.hnsw import HNSWBuilder
-from repro.index.graphs.kgraph import KGraphBuilder
-from repro.index.graphs.nsg import NSGBuilder
-from repro.index.graphs.nssg import NSSGBuilder
 from repro.index.graphs.vamana import VamanaBuilder
 from repro.index.nndescent import (
     block_candidate_sims,
@@ -259,7 +256,7 @@ class TestSortFreeKernelParity:
     def test_nssg_identical(self, request):
         space = _two_modality_space(192)
         _assert_same_build(
-            NSSGBuilder(gamma=10), space, request,
+            BUILDERS["nssg"](gamma=10), space, request,
             tied=_tied_rows(space, 20, max_candidates=96),
         )
 
@@ -267,14 +264,14 @@ class TestSortFreeKernelParity:
         # NSG's candidates come from greedy search over the KNN graph;
         # the kernel reaches it only through nndescent's neighbour sets.
         _assert_same_build(
-            NSGBuilder(gamma=10, beam=16), _two_modality_space(192), request
+            BUILDERS["nsg"](gamma=10), _two_modality_space(192), request
         )
 
     def test_kgraph_same_neighbour_sets(self, request):
         space = _two_modality_space(192)
-        got = KGraphBuilder(k=10).build(space)
+        got = BUILDERS["kgraph"](gamma=10).build(space)
         request.getfixturevalue("reference_kernel")
-        want = KGraphBuilder(k=10).build(space)
+        want = BUILDERS["kgraph"](gamma=10).build(space)
         for a, b in zip(got.neighbors, want.neighbors):
             assert np.array_equal(np.sort(a), np.sort(b))
 
@@ -457,12 +454,11 @@ class TestNativeBuildIsTheNumpyBuild:
         "builder",
         [
             FusedIndexBuilder(gamma=12, selection="mrng"),
-            FusedIndexBuilder(gamma=12, selection="alpha"),
             FusedIndexBuilder(gamma=12, selection="angle"),
             HNSWBuilder(m=6, ef_construction=24),
             VamanaBuilder(r=12, beam=24),
         ],
-        ids=["mrng", "alpha", "angle", "hnsw", "vamana"],
+        ids=["mrng", "angle", "hnsw", "vamana"],
     )
     def test_same_graph(self, corpus, builder, monkeypatch):
         got = builder.build(corpus)
@@ -548,9 +544,7 @@ class TestCandidates:
     def test_search_based_candidates(self, space):
         knn = nndescent(space, 6, iterations=2, seed=3)
         entry = centroid_seed(space)
-        cand, sims = search_based_candidates(
-            space, knn, entry, max_candidates=20, beam=16
-        )
+        cand, sims = search_based_candidates(space, knn, entry, max_candidates=20)
         assert cand.shape == (space.n, 20)
         for v in (0, 10):
             assert v not in cand[v]
@@ -598,19 +592,30 @@ class TestSelection:
         assert checked > 50
         assert violations == 0
 
+    @staticmethod
+    def _alpha_pruned(space, cand, sims, gamma, alpha):
+        """Every row α-pruned one at a time, as Vamana and HNSW call
+        :func:`prune_one`."""
+        out = []
+        for ids, row_sims in zip(cand, sims):
+            valid = ids >= 0
+            out.append(prune_one(space.concatenated, space.weights.total,
+                                 ids[valid], row_sims[valid], gamma, alpha))
+        return out
+
     def test_alpha_keeps_more_than_mrng(self, space, cand_sims):
         strict = mrng_select(space, *cand_sims, gamma=16)
-        relaxed = rng_alpha_select(space, *cand_sims, gamma=16, alpha=1.4)
-        assert sum(map(len, relaxed)) >= sum(map(len, strict))
+        relaxed = self._alpha_pruned(space, *cand_sims, gamma=16, alpha=1.4)
+        assert sum(map(len, relaxed)) > sum(map(len, strict))
 
     def test_alpha_one_equals_mrng(self, space, cand_sims):
         strict = mrng_select(space, *cand_sims, gamma=10)
-        alpha1 = rng_alpha_select(space, *cand_sims, gamma=10, alpha=1.0)
+        alpha1 = self._alpha_pruned(space, *cand_sims, gamma=10, alpha=1.0)
         for a, b in zip(strict, alpha1):
-            assert np.array_equal(a, b)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_angle_select_respects_threshold(self, space, cand_sims):
-        neighbors = angle_select(space, *cand_sims, gamma=8, min_angle_deg=60)
+        neighbors = angle_select(space, cand_sims[0], gamma=8)
         concat = space.concatenated.astype(np.float64)
         for v in range(0, space.n, 11):
             adj = neighbors[v]
@@ -622,8 +627,8 @@ class TestSelection:
                     assert cos <= 0.5 + 1e-6
 
     def test_top_gamma_takes_prefix(self, cand_sims):
-        cand, sims = cand_sims
-        neighbors = top_gamma_select(cand, sims, gamma=4)
+        cand, _ = cand_sims
+        neighbors = top_gamma_select(cand, gamma=4)
         for v in (0, 5):
             expected = cand[v][cand[v] >= 0][:4]
             assert np.array_equal(neighbors[v], expected)
@@ -702,7 +707,7 @@ class TestFusedIndexBuilder:
         assert idx.build_seconds > 0
 
     def test_selection_variants_build(self, space):
-        for selection in ("mrng", "angle", "alpha", "top"):
+        for selection in ("mrng", "angle", "top"):
             idx = FusedIndexBuilder(
                 gamma=6, selection=selection, seed=1
             ).build(space)
@@ -715,6 +720,10 @@ class TestFusedIndexBuilder:
             FusedIndexBuilder(selection="bogus")
         with pytest.raises(ValueError):
             FusedIndexBuilder(candidate_source="bogus")
+        with pytest.raises(ValueError, match="only selection 'top' takes them"):
+            FusedIndexBuilder(candidate_source="knn")
+        with pytest.raises(ValueError, match="only whole"):
+            FusedIndexBuilder(candidate_source="knn", selection="top", init_k=31)
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_max_candidates_must_be_positive(self, bad):

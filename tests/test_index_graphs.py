@@ -1,6 +1,9 @@
-"""Tests for the six alternative proximity graphs (Fig. 10 zoo)."""
+"""Tests for the Fig. 10 graph zoo: "ours", the KGraph / NSG / NSSG
+recipes of the fused pipeline, HNSW, Vamana and HCNNG."""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -75,6 +78,63 @@ def _build(space, name):
         builder_cls = BUILDERS[name]
         _CACHE[name] = builder_cls(seed=2).build(space)
     return _CACHE[name]
+
+
+#: Two base vectors of integers whose squares sum to 2**20: a row of the
+#: pin corpus is a signed permutation of one over 1024, so every row is a
+#: unit vector and every product and sum a build takes of two rows is an
+#: exact float32, whatever the BLAS.
+PIN_BASES = (
+    [-222, -67, 0, 58, 105, 8, -271, 117, 263, 92, 216, 218, 63, 54, -218,
+     17, 170, 163, 184, -174, 739, 31, 5, 1],
+    [186, -237, -80, -249, -78, -15, -278, -74, 272, -193, 174, -91, 806, 29,
+     7, 5],
+)
+
+#: sha256 (first 16 hex digits) of each recipe's seed vertex and
+#: neighbour lists (dtype, length, bytes) on the pin corpus, taken from
+#: the hand-written KGraphBuilder / NSGBuilder / NSSGBuilder classes the
+#: recipes replaced, and from FusedIndexBuilder() before them.
+PINNED = {
+    ("ours", 0): "e5a1845868ab53e0",
+    ("ours", 1): "9ada488d2f42f742",
+    ("kgraph", 0): "df8b4d148d74112c",
+    ("kgraph", 1): "a21e34139a405056",
+    ("nsg", 0): "696a20f0d1bd41ca",
+    ("nsg", 1): "aa973c6ac85352e0",
+    ("nssg", 0): "27ae0b6d2fffe749",
+    ("nssg", 1): "0909afa557262818",
+}
+
+
+@pytest.fixture(scope="module")
+def pin_space():
+    rng = np.random.default_rng(48)
+    mats = []
+    for base in PIN_BASES:
+        base = np.asarray(base, dtype=np.float32)
+        assert (base.astype(np.int64) ** 2).sum() == 2**20
+        perms = np.argsort(rng.random((480, base.size)), axis=1)
+        signs = rng.choice(np.float32([-1, 1]), (480, base.size))
+        mats.append(signs * base[perms] / np.float32(1024))
+    return JointSpace(MultiVectorSet(mats), Weights([1.0, 1.0]))
+
+
+def _graph_digest(index) -> str:
+    digest = hashlib.sha256(np.int64(index.seed_vertex).tobytes())
+    for adj in index.neighbors:
+        digest.update(f"{adj.dtype.str}:{adj.size};".encode())
+        digest.update(adj.tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED))
+def test_recipes_build_the_pinned_graphs(pin_space, name, seed):
+    """Each recipe builds, bit for bit, the graph its hand-written class
+    built, and "ours" keeps its bytes."""
+    index = BUILDERS[name](seed=seed).build(pin_space)
+    assert index.name == name
+    assert _graph_digest(index) == PINNED[name, seed]
 
 
 @pytest.mark.parametrize("name", ["nsg", "hnsw", "vamana"])

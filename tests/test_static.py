@@ -12,7 +12,9 @@ second-kernel parameter, no environment read in ``repro.core.space``,
 one ``exact*`` method on a view, one graph engine, one lexical scorer,
 one writer of index archives, no float16 store, one dense metric (inner
 product), one frontier scorer for the rows off its concat fast path,
-and every name the benchmark's tracer binds still where it looks.  The
+one graph pipeline (KGraph, NSG and NSSG are its recipes), CI's
+``mypy --strict`` file list in step with ``pyproject.toml``'s, and every
+name the benchmark's tracer binds still where it looks.  The
 C kernel gets the checks a compiler would not make: every exported
 function declared to ctypes as the source defines it, and build flags
 that keep its float contract.  It is also the one runtime path: no
@@ -123,7 +125,7 @@ def test_no_unused_imports():
         for path in MODULES
         if (unused := unused_imports(path))
     }
-    assert len(MODULES) > 80 and found == {}
+    assert len(MODULES) >= 80 and found == {}
 
 
 def test_the_scan_sees_what_it_should(tmp_path):
@@ -664,6 +666,23 @@ def test_one_runtime_path():
     assert isinstance(native.lib, ctypes.CDLL)
 
 
+def test_one_graph_pipeline():
+    """KGraph, NSG and NSSG are :class:`FusedIndexBuilder` recipes
+    (``repro.index.BUILDERS``), not classes; α-pruning lives only in
+    ``prune_one`` (Vamana and HNSW), and the pipeline keeps no setting
+    that no caller sets: no α selection, angle parameter or extra meta."""
+    retired = {
+        "KGraphBuilder", "NSGBuilder", "NSSGBuilder", "rng_alpha_select",
+        "extra_meta", "min_angle_deg",
+    }
+    found = [
+        f"{path.relative_to(PACKAGE)}: {sorted(names)}"
+        for path in MODULES
+        if (names := retired & identifiers(path.read_text()))
+    ]
+    assert found == []
+
+
 def test_every_traced_name_resolves():
     """``perfbench.trace`` wraps public callables by ``vars()`` lookup
     and raises on the first one missing — in the benchmark driver; a
@@ -696,6 +715,33 @@ def strict_modules() -> list[Path]:
             else:
                 files.add(stem.with_suffix(".py"))
     return sorted(files)
+
+
+def ci_strict_files() -> list[Path]:
+    """The files CI's ``mypy --strict`` step names: the ``.py`` words of
+    the step, from its ``- name: mypy --strict`` line to the next line
+    indented no deeper."""
+    root = PACKAGE.parents[1]
+    lines = (root / ".github" / "workflows" / "ci.yml").read_text().splitlines()
+    start = next(
+        i for i, line in enumerate(lines)
+        if line.strip().startswith("- name: mypy --strict")
+    )
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    words: list[str] = []
+    for line in lines[start + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        words += line.split()
+    return sorted(root / word for word in words if word.endswith(".py"))
+
+
+def test_ci_checks_the_strict_modules():
+    """CI's ``mypy --strict`` step names exactly the files
+    ``pyproject.toml`` holds to ``disallow_untyped_defs``: a module added
+    to one list and not the other is either never strict-checked in CI
+    or fails it locally first."""
+    assert ci_strict_files() == strict_modules()
 
 
 def untyped_defs(path: Path) -> list[str]:

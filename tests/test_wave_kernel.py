@@ -312,9 +312,9 @@ BOOKKEEPING, TRAVERSE = gw._Bookkeeping, gw._Wave.traverse
 
 
 @contextlib.contextmanager
-def lockstep():
-    """Step every traversal on :class:`_Lockstep`."""
-    gw._Wave.traverse = stepping(_Lockstep)
+def lockstep(book=_Lockstep):
+    """Step every traversal on *book*, a :class:`_Lockstep`."""
+    gw._Wave.traverse = stepping(book)
     try:
         yield
     finally:
@@ -1090,6 +1090,68 @@ def test_wave_run_is_the_step_loop_on_tiny_graphs(
             graph, batch, k=k, l=k + l_over, expansions_per_wave=m, **rows
         )
     )
+
+
+#: ``native.c``'s insertion-sort run: ``order_ids`` merge-sorts a row's
+#: share of a wave's frontier (``sort_ids``) when it holds more than RUN
+#: ids spread over at least 8 64-bit words per id, and walks a bitset
+#: otherwise.
+RUN = 8
+
+
+def _banded_graph(n, degree, seed=22):
+    """*n* vertices whose *degree* neighbours all lie among the 256
+    lowest and the 256 highest ids, so a frontier share of more than RUN
+    ids spans nearly the whole id range."""
+    rng = np.random.default_rng(seed)
+    objects = MultiVectorSet(
+        [rng.standard_normal((n, 8)).astype(np.float32)], normalize=True
+    )
+    band = np.concatenate([np.arange(256), np.arange(n - 256, n)])
+    neighbors = [rng.choice(band, size=degree, replace=False) for _ in range(n)]
+    graph = GraphIndex(JointSpace(objects, Weights([1.0])), neighbors, seed_vertex=0)
+    return graph, rng
+
+
+@pytest.mark.parametrize(
+    "n, degree, m, levels",
+    [(6_000, 5, 2, 1), (13_000, 8, 3, 2)],
+    ids=["one-merge", "two-merges"],
+)
+def test_a_spread_frontier_is_merge_sorted(n, degree, m, levels):
+    """Frontier shares too spread for the bitset reach ``sort_ids``'
+    merge half (more than ``RUN * 2**(levels - 1)`` ids take *levels*
+    merges): at every step the kernel's frontier, each row's ids
+    ascending, is the oracle's bit for bit, and ``wave_run`` answers as
+    the step loop does.
+
+    Two mutants of ``sort_ids`` change no output, so no test kills them:
+    ``n <= RUN`` → ``n < RUN`` merge-sorts a run of exactly RUN ids from
+    two insertion-sorted halves, which is the same ascending order; and
+    ``y < x`` → ``y <= x`` changes nothing because a share's ids are
+    distinct (each is marked seen as the share takes it)."""
+    graph, rng = _banded_graph(n, degree)
+    batch = [MultiVector([rng.standard_normal(8).astype(np.float32)]) for _ in range(8)]
+    shares = []
+
+    class Recorded(_Lockstep):
+        def expand(self):
+            step = super().expand()
+            if step is not None:
+                _, owner, cand = step
+                for row in np.unique(owner):
+                    ids = cand[owner == row]
+                    shares.append((ids.size, (ids.max() >> 6) - (ids.min() >> 6)))
+            return step
+
+    def search():
+        return graph_wave_search(graph, batch, k=K, l=L, expansions_per_wave=m)
+
+    with lockstep(Recorded):
+        stepped = search()
+    assert_same(search(), stepped)
+    merged = [size for size, words in shares if size > RUN and words >= 8 * size]
+    assert len(merged) >= 20 and max(merged) > RUN * 2 ** (levels - 1)
 
 
 def test_wave_run_refuses_an_init_out_of_range():
