@@ -29,7 +29,7 @@ result.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -318,4 +318,54 @@ class JointSpace:
         if stats is not None:
             stats.joint_evals += count
             stats.modality_evals += count * active
+        return out
+
+    def pairs_stable(
+        self,
+        queries: Sequence[MultiVector],
+        owner: np.ndarray,
+        ids: np.ndarray,
+        weights: Sequence[Weights | None],
+        stats: Sequence[SearchStats | None],
+    ) -> np.ndarray:
+        """:meth:`query_ids_stable` over ``(row, id)`` pairs of a batch.
+
+        ``out[j]`` is ``queries[owner[j]]``'s similarity to row
+        ``ids[j]`` under ``weights[owner[j]]``, with the bits
+        :meth:`query_ids_stable` gives it: the same float64 products,
+        each pair reduced on its own, added modality by modality in
+        order.  A modality's rows are decoded once and reduced in one
+        call for every pair whose query uses it.  ``stats[r]`` counts row
+        ``r``'s pairs as :meth:`query_ids_stable` would.
+        """
+        w2 = np.array(
+            [self.effective_squared_weights(q, w) for q, w in zip(queries, weights)]
+        )
+        store = self._vectors.store
+        out = np.zeros(ids.shape[0], dtype=np.float64)
+        active = np.zeros(len(queries), dtype=np.int64)
+        for i, dim in enumerate(self._dims):
+            present = np.array([q.vectors[i] is not None for q in queries])
+            used = present & (w2[:, i] != 0.0)
+            if not used.any():
+                continue
+            active += used
+            stack = np.zeros((len(queries), dim), dtype=np.float64)
+            for r in np.flatnonzero(used).tolist():
+                stack[r] = queries[r].vectors[i]
+            keep = used[owner]
+            every = bool(keep.all())
+            rows_of, ids_of = (owner, ids) if every else (owner[keep], ids[keep])
+            prod = store.rows(i, ids_of).astype(np.float64)
+            prod *= stack[rows_of]
+            term = w2[rows_of, i] * np.add.reduce(prod, axis=1)
+            if every:
+                out += term
+            else:
+                out[keep] += term
+        counts = np.bincount(owner, minlength=len(queries)).tolist()
+        for row_stats, count, act in zip(stats, counts, active.tolist()):
+            if row_stats is not None:
+                row_stats.joint_evals += count
+                row_stats.modality_evals += count * act
         return out

@@ -297,8 +297,9 @@ class _Wave:
         wave_stats.frontier_sizes += tuple(frontier_sizes)
 
     def finalise(self) -> list[SearchResult]:
-        """Per query: top-k by (-sim, id), then lexical fusion for a
-        hybrid row or the optional exact rerank for a plain one; then the
+        """Per query: top-k by (-sim, id), then the optional exact rerank
+        for a plain row; then one lexical fusion of every alive hybrid
+        row (:func:`~repro.sparse.hybrid.hybrid_union_rescore`); then the
         scratch goes back to the graph's free list if it is within its
         :attr:`_Scratch.limit`.
 
@@ -314,6 +315,8 @@ class _Wave:
         scorer = self.scorer
         hops, evals = self.hops.tolist(), scorer.evals.tolist()
         results: list[SearchResult] = []
+        fused: list[int] = []  # the alive hybrid rows, in row order
+        pools: list[np.ndarray] = []
         for i, head in enumerate(heads):
             stats = self.stats_list[i]
             stats.hops += hops[i]
@@ -329,19 +332,10 @@ class _Wave:
                 ids_o, sims_o = res_ids[i, top], res_sims[i, top]
             else:  # copies: the pools are the next traversal's scratch
                 ids_o, sims_o = res_ids[i, :take].copy(), np.array(head[:take])
-            typed = self.hybrid[i]
-            if typed is not None:
+            if self.hybrid[i] is not None:
                 if self.alive[i]:
-                    excluded = self.excluded_by[i]
-                    ids_o, sims_o = hybrid_union_rescore(
-                        space,
-                        typed,
-                        ids_o,
-                        min(int(self.k_arr[i]), index.num_active),
-                        admissible=None if excluded is None else ~excluded,
-                        weights=self.per_weights[i],
-                        stats=stats,
-                    )
+                    fused.append(i)
+                    pools.append(ids_o)
             elif self.refine is not None:
                 ids_o, sims_o = rerank_exact(
                     space,
@@ -352,6 +346,23 @@ class _Wave:
                     stats=stats,
                 )
             results.append(SearchResult(ids=ids_o, similarities=sims_o, stats=stats))
+        if fused:
+            answers = hybrid_union_rescore(
+                space,
+                [self.hybrid[i] for i in fused],
+                pools,
+                [min(int(self.k_arr[i]), index.num_active) for i in fused],
+                [
+                    None if self.excluded_by[i] is None else ~self.excluded_by[i]
+                    for i in fused
+                ],
+                [self.per_weights[i] for i in fused],
+                [self.stats_list[i] for i in fused],
+            )
+            for i, (ids_o, sims_o) in zip(fused, answers):
+                results[i] = SearchResult(
+                    ids=ids_o, similarities=sims_o, stats=self.stats_list[i]
+                )
         if self.scratch.nbytes <= self.scratch.limit:
             index.spare.append(self.scratch)
         return results
@@ -593,12 +604,13 @@ def graph_wave_search(
     A hybrid query (``Query.sparse``) is a row of the wave like any
     other: its dense traversal fills a result pool of ``min(l,
     reportable)`` candidates, and *finalise* fuses them with the sparse
-    scorer's own top admissible rows through
-    :func:`~repro.sparse.hybrid.hybrid_union_rescore` (cut to the
-    query's ``k``) under the same deleted/filter admissibility the
-    traversal enforced.  The union rescore takes the place of
-    ``refine=`` for such a row; plain rows in the same batch keep their
-    arithmetic bit for bit.
+    scorer's own top admissible rows (cut to the query's ``k``) under
+    the same deleted/filter admissibility the traversal enforced — one
+    :func:`~repro.sparse.hybrid.hybrid_union_rescore` call for every
+    alive hybrid row of the wave, whose dense rescore is one pass over
+    all their candidates and answers each row as a wave of one would.
+    The union rescore takes the place of ``refine=`` for such a row;
+    plain rows in the same batch keep their arithmetic bit for bit.
 
     ``expansions_per_wave`` widens each wave: every active query
     expands up to that many of its best unexpanded candidates per wave

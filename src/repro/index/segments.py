@@ -422,7 +422,8 @@ def retire_cold_files(
 
     Frozen snapshots and the replaced instance itself may still hold
     these planes; mapping every modality first pins the inodes, so their
-    reads keep working after the unlink (POSIX semantics).
+    reads keep working after the unlink (POSIX semantics) — a spared
+    one's too, which the next :meth:`SegmentedIndex.save` there unlinks.
     """
     listed: dict[Path, frozenset[str] | None] = {}
     for plane in planes:
@@ -432,9 +433,11 @@ def retire_cold_files(
             if path.parent not in listed:
                 listed[path.parent] = _listed_cold_files(path.parent)
             names = listed[path.parent]
-            if path in keep or names is None or path.name in names:
+            if path in keep:
                 continue
             plane.modality(i)
+            if names is None or path.name in names:
+                continue
             path.unlink(missing_ok=True)
 
 
@@ -1249,11 +1252,14 @@ class SegmentedIndex:
         one whole (:func:`~repro.utils.io.replace_text`).  No file the
         live manifest lists is written: every archive and sidecar copy
         goes under a ``segment_NNN`` stem no file in *path* uses, and a
-        sidecar an earlier save wrote there is listed again as it is
-        (sidecars are never rewritten), so a save that fails before the
-        manifest lands leaves the old state loadable.  ``segment_*.npz``
-        archives the new manifest does not list are unlinked only after
-        it landed."""
+        sidecar already in *path* (an earlier save's, or one compaction
+        streamed there when *path* is the data directory) is listed as
+        it is (sidecars are never rewritten), so a save that fails
+        before the manifest lands leaves the old state loadable.
+        ``segment_*.npz`` archives and ``*.cold_*.npy`` sidecars the new
+        manifest does not list are unlinked only after it landed; a
+        replaced index that may still read one mapped it when it was
+        retired (:func:`retire_cold_files`)."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         here = path.resolve()
@@ -1274,7 +1280,7 @@ class SegmentedIndex:
                 cold_files = []
                 for m, src in enumerate(plane.paths):
                     dst = path / f"{stem}.cold_{m}.npy"
-                    if src.parent.resolve() == here and src.name.startswith("segment_"):
+                    if src.parent.resolve() == here:
                         dst = src
                     else:
                         shutil.copyfile(src, dst)
@@ -1314,11 +1320,13 @@ class SegmentedIndex:
         ):
             manifest["cold_storage"] = self.cold_storage
         replace_text(path / MANIFEST_NAME, json.dumps(manifest, indent=2) + "\n")
-        # Only once the new manifest is in place and durable: archives a
-        # larger save left behind (sidecar .npy files stay — a snapshot
-        # may still map them).
-        listed = {entry["file"] for entry in entries}
-        for stale in path.glob("segment_*.npz"):
+        # Only once the new manifest is in place and durable.
+        listed = {
+            name
+            for entry in entries
+            for name in (entry["file"], *entry.get("cold_files", ()))
+        }
+        for stale in [*path.glob("segment_*.npz"), *path.glob("*.cold_*.npy")]:
             if stale.name not in listed:
                 stale.unlink()
 

@@ -1,8 +1,9 @@
 /*
  * The native kernels: the lockstep graph wave (repro.index.graph_wave) —
  * its bookkeeping, its one row scorer and the call that runs a whole
- * traversal — and the index build's integer bookkeeping and neighbour
- * selection (repro.index.nndescent and repro.index.components).
+ * traversal — the lexical scorer's posting-list scatter
+ * (repro.sparse.inverted), and the index build's integer bookkeeping and
+ * neighbour selection (repro.index.nndescent and repro.index.components).
  *
  * Per wave, wave_expand picks each active row's next route-pool columns,
  * gathers their CSR neighbours that the row has not seen yet (marking
@@ -43,7 +44,11 @@
  *     come prepared with the query stack);
  *   - PQ: the sequential table sum below.
  *
- * score_rows and prune_rows are all the arithmetic there is.  The local
+ * score_rows, prune_rows and lex_scatter are all the arithmetic there
+ * is.  lex_scatter adds a query's BM25 or TF-IDF term contributions at
+ * their posting rows in float64, term by term in ascending order, each
+ * in the operation order of the NumPy loop it replaced (stated above
+ * it), so that loop, the tests' oracle, gives the same bits.  The local
  * join's kernels, join_number and join_fill, and the angle selection's
  * greedy_pick do none: they number ids, copy similarities a NumPy matmul
  * computed and read a boolean matrix NumPy compared.  prune_rows, the
@@ -652,6 +657,76 @@ int64_t wave_run(const wave_state *s, const int64_t *entry, const int64_t *len,
     free(order);
     free(o_sims);
     free(o_dead);
+    return status;
+}
+
+/*
+ * The lexical scatter (repro.sparse.inverted.sparse_scores_inverted):
+ * a query's BM25 or TF-IDF score on every row of a sparse plane, through
+ * the plane's postings (CSC: term t's rows indices[indptr[t] ..
+ * indptr[t + 1]), distinct, with their term frequencies tf).  The count
+ * query terms are taken in the order given, ascending in the query's
+ * canonical form; a term outside [0, vocab) has no postings.  At each of
+ * term t's rows r it adds, in float64, every operation rounded,
+ *
+ *     bm25:   norm = k1 * ((1 - b) + b * (dl[r] / avgdl));
+ *             out[r] += w[t] * ((tf * (k1 + 1)) / (tf + norm));
+ *     tfidf:  out[r] += w[t] * tf;
+ *
+ * which are the operations, in their order, of the per-term NumPy loop
+ * it replaced (the tests' oracle), so the two agree bit for bit.  bm25
+ * holds {k1, b, avgdl}, or is NULL for TF-IDF.  out (n values) comes
+ * zeroed; touched (n entries suffice) receives the rows any term
+ * reached, ascending, each once.  Returns their number, or INVALID (with
+ * out part written) for a posting row outside [0, n).
+ */
+int64_t lex_scatter(const int64_t *indptr, const int64_t *indices,
+                    const double *tf, int64_t vocab, const double *dl,
+                    int64_t n, const int64_t *terms, const double *w,
+                    int64_t count, const double *bm25, double *out,
+                    int64_t *touched)
+{
+    uint64_t *bits = calloc((size_t)(n >> 6) + 1, sizeof *bits);
+    if (!bits)
+        return NO_MEMORY;
+    const double k1 = bm25 ? bm25[0] : 0.0, b = bm25 ? bm25[1] : 0.0;
+    const double avgdl = bm25 ? bm25[2] : 1.0;
+    const double keep = 1.0 - b, scale = k1 + 1.0;
+    int64_t g = 0, lo = n, hi = -1;
+    for (int64_t q = 0; q < count; q++) {
+        const int64_t t = terms[q];
+        if (t < 0 || t >= vocab)
+            continue;
+        const double wt = w[q];
+        for (int64_t e = indptr[t]; e < indptr[t + 1]; e++) {
+            const int64_t r = indices[e];
+            if (r < 0 || r >= n) {
+                free(bits);
+                return INVALID;
+            }
+            const double f = tf[e];
+            out[r] += bm25 ? wt * ((f * scale) /
+                                   (f + k1 * (keep + b * (dl[r] / avgdl))))
+                           : wt * f;
+            const uint64_t bit = (uint64_t)1 << (r & 63);
+            if (!(bits[r >> 6] & bit)) {
+                bits[r >> 6] |= bit;
+                touched[g++] = r;
+                lo = r < lo ? r : lo;
+                hi = r > hi ? r : hi;
+            }
+        }
+    }
+    /* bits holds exactly the touched rows, which order_ids reads as its
+     * zeroed bitset with them marked */
+    int64_t status = g;
+    int64_t *tmp = malloc((size_t)(g + 1) * sizeof *tmp);
+    if (tmp)
+        order_ids(touched, g, lo, hi, bits, tmp);
+    else
+        status = NO_MEMORY;
+    free(tmp);
+    free(bits);
     return status;
 }
 

@@ -16,6 +16,15 @@ product (:class:`Operand`), each under the contract the source's header
 states.  A scanned row is one ``score_rows`` call; thresholds, rerank
 and fusion are NumPy.
 
+The lexical scorer (:mod:`repro.sparse.inverted`) is one call too,
+``lex_scatter``: a query's BM25 or TF-IDF score on every row of a sparse
+plane, each query term's contribution added at its posting rows in
+float64, terms in ascending order, every contribution in the float64
+operation order of the NumPy loop it replaced — ``(1 - b) + b·(dl /
+avgdl)``, then ``k1·``, then ``w·((tf·(k1 + 1)) / (tf + norm))`` for
+BM25, ``w·tf`` for TF-IDF — with ``avgdl`` passed per call from the
+plane's stamped statistics.  It returns the touched rows ascending.
+
 The build (:mod:`repro.index.nndescent`, :mod:`repro.index.components`)
 hands the library its bookkeeping and one selection.  NNDescent's local
 join numbers a block's candidate union in ``join_number`` and, after the
@@ -154,6 +163,10 @@ SIGNATURES: dict[str, tuple[list[Any], Any]] = {
     "wave_merge": ([_state, _ptr, _ptr, _ptr, _i64], _i64),
     "wave_run": ([_state, _ptr, _ptr, _scorer, _ptr, _i64], _i64),
     "score_rows": ([_scorer, _ptr, _ptr, _i64, _ptr, _ptr], _i64),
+    "lex_scatter": (
+        [_ptr, _ptr, _ptr, _i64, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr],
+        _i64,
+    ),
     "join_number": ([_ptr, _i64, _i64, _ptr, _ptr], _i64),
     "join_fill": ([_ptr, _i64, _i64, _ptr, _i64, _ptr, _i64, _ptr, _ptr], _i64),
     "greedy_pick": ([_ptr, _i64, _i64, _ptr], _i64),

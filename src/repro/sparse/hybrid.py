@@ -12,15 +12,20 @@ modality in the weighted aggregation.
 
 Everything here is a composition of already-bit-pinned pieces: the
 sparse score array follows a fixed addition order
-(:mod:`repro.sparse.inverted`), the dense exact kernels are
-layout-independent (:meth:`~repro.core.space.JointSpace.query_ids_stable`),
-and the combination is per-row independent float64 arithmetic — so the
-hybrid exact answer inherits every parity property of its parts.
+(:mod:`repro.sparse.inverted`, one native call), the dense exact
+kernels are layout-independent
+(:meth:`~repro.core.space.JointSpace.query_ids_stable`, and its pairs
+form :meth:`~repro.core.space.JointSpace.pairs_stable`, which reduces
+each ``(row, id)`` pair on its own), and the combination is per-row
+independent float64 arithmetic — so the hybrid exact answer inherits
+every parity property of its parts, and the graph path's fusion, which
+takes a wave's hybrid rows together (:func:`hybrid_union_rescore`),
+answers each row as it would alone.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -102,41 +107,67 @@ def sparse_candidates(
 
 def hybrid_union_rescore(
     space: "JointSpace",
-    typed: Any,
-    dense_ids: np.ndarray,
-    k: int,
-    admissible: np.ndarray | None = None,
-    weights: "Weights | None" = None,
-    stats: "SearchStats | None" = None,
+    typed: Sequence[Any],
+    dense_ids: Sequence[np.ndarray],
+    ks: Sequence[int],
+    admissible: Sequence[np.ndarray | None],
+    weights: Sequence["Weights | None"],
+    stats: Sequence["SearchStats | None"],
     context: str = "corpus",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Graph-path fusion: sparse top-*k* ∪ dense candidates, rescored.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Graph-path fusion of a wave's hybrid rows: per row, sparse top-*k*
+    ∪ dense candidates, rescored.
 
     The finalise stage of the graph engine's hybrid rows
-    (:func:`~repro.index.graph_wave.graph_wave_search`).
-    The dense traversal proposes *dense_ids* (local rows, already
-    admissibility-checked by the searcher); the sparse scorer proposes
-    its own top-*k* admissible rows.  The union is rescored under the
-    combined metric (row-stable dense kernel + the sparse array) and
-    cut to *k* by the canonical ``(-similarity, id)`` order.  The dense term reads the store's
-    *hot* tier through
-    :meth:`~repro.core.space.JointSpace.query_ids_stable`: exact on a
-    dense store, the decoded PQ/int8 reconstruction on a
-    compressed one — the cold exact plane is never touched.  The
-    rescore takes the place of ``refine=`` for a hybrid query.
+    (:func:`~repro.index.graph_wave.graph_wave_search`), called once per
+    wave with every alive hybrid row; a batch of one is one query's
+    fusion.  Row ``r``'s dense traversal proposes ``dense_ids[r]``
+    (local rows, already admissibility-checked by the searcher); the
+    sparse scorer proposes its own top-``ks[r]`` rows admissible under
+    ``admissible[r]`` (:func:`sparse_candidates`, one call a row).  Each
+    union is rescored under the combined metric (row-stable dense kernel
+    + the sparse array) and cut to ``ks[r]`` by the canonical
+    ``(-similarity, id)`` order; ``[(ids, sims)]`` come back in row
+    order.  The dense term of every row's union is one pass over the
+    concatenated ``(row, id)`` pairs,
+    :meth:`~repro.core.space.JointSpace.pairs_stable`, which gives each
+    pair the bits a per-row
+    :meth:`~repro.core.space.JointSpace.query_ids_stable` call would.
+    It reads the store's *hot* tier: exact on a dense store, the decoded
+    PQ/int8 reconstruction on a compressed one — the cold exact plane is
+    never touched.  The rescore takes the place of ``refine=`` for a
+    hybrid query.
     """
+    if not typed:
+        return []
     plane = sparse_plane(space, context)
-    lex_ids, lex_scores = sparse_candidates(plane, typed, k, admissible)
-    cand = np.union1d(np.asarray(dense_ids, dtype=np.int64), lex_ids)
-    if cand.size == 0:
-        return cand, np.zeros(0, dtype=np.float64)
-    dense = space.query_ids_stable(
-        typed.vector, cand, weights=weights, stats=stats
+    n = plane.n
+    # Row r's union is its keys r·n + id, so the distinct keys, sorted,
+    # are every row's union, ascending, row after row; each key carries
+    # its row's ω_s²-weighted lexical score.
+    keys: list[np.ndarray] = []
+    lexical: list[np.ndarray] = []
+    for r, (query, ids, k, allowed) in enumerate(zip(typed, dense_ids, ks, admissible)):
+        lex_ids, scores = sparse_candidates(plane, query, k, allowed)
+        row = np.concatenate((np.asarray(ids, dtype=np.int64), lex_ids))
+        keys.append(row + r * n)
+        lexical.append(float(query.sparse_weight) ** 2 * scores[row])
+    key = np.concatenate(keys)
+    order = np.argsort(key)
+    key = key[order]
+    fresh = np.ones(key.shape, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    owner, cand = np.divmod(key[fresh], n)
+    dense = space.pairs_stable(
+        [query.vector for query in typed], owner, cand, weights, stats
     )
-    w2 = float(typed.sparse_weight) ** 2
-    sims = dense + w2 * lex_scores[cand]
-    order = rank_order(cand, sims, k)
-    return cand[order], sims[order]
+    sims = dense + np.concatenate(lexical)[order[fresh]]
+    bounds = np.searchsorted(owner, np.arange(len(typed) + 1)).tolist()
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    for lo, hi, k in zip(bounds, bounds[1:], ks):
+        top = lo + rank_order(cand[lo:hi], sims[lo:hi], k)
+        out.append((cand[top], sims[top]))
+    return out
 
 
 def hybrid_rerank(

@@ -1,13 +1,19 @@
 """The lexical scorer: sparse top-k that only touches query-term rows.
 
-:func:`sparse_scores_inverted` scatter-adds each query term's
-contribution at its posting rows (the CSC column), in ascending term
-order — the additions of :mod:`repro.sparse.kernels`' contract.  A
-brute-force scan that adds every term's full ``(n,)`` contribution
-array differs only by explicit ``+0.0`` terms at untouched rows, which
-cannot change a non-negative float64 accumulator, so the two score
-arrays are bit-identical while the work is ``O(postings of the query
-terms)`` instead of ``O(n · query terms)``.
+:func:`sparse_scores_inverted` is one native call, ``lex_scatter``
+(``repro/native.c``): it scatter-adds each query term's contribution at
+its posting rows (the CSC column), in ascending term order — the
+additions of :mod:`repro.sparse.kernels`' contract, each in the float64
+operation order of the NumPy loop it replaced, which the test suite
+keeps as its oracle (``tests/oracles.py``).  The postings are read in
+the kernel's dtypes, converted once per plane and cached
+(:meth:`~repro.sparse.store.SparseStore.posting_arrays`); ``avgdl`` is
+read per call from the plane's stamped statistics.  A brute-force scan
+that adds every term's full ``(n,)`` contribution array differs only by
+explicit ``+0.0`` terms at untouched rows, which cannot change a
+non-negative float64 accumulator, so the two score arrays are
+bit-identical while the work is ``O(postings of the query terms)``
+instead of ``O(n · query terms)``.
 
 :func:`sparse_topk` turns a score array into the canonical top-k: the
 same :func:`~repro.utils.topk.rank_order` the dense exact paths use
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import native
 from repro.sparse.kernels import (
     BM25_B,
     BM25_K1,
@@ -29,10 +36,10 @@ from repro.sparse.kernels import (
     as_sparse_query,
     term_weights,
 )
-from repro.sparse.store import SparseStore
+from repro.sparse.store import PostingArrays, SparseStore
 from repro.utils.topk import rank_order
 
-__all__ = ["sparse_scores_inverted", "sparse_topk"]
+__all__ = ["lex_scatter", "sparse_scores_inverted", "sparse_topk"]
 
 
 def sparse_scores_inverted(
@@ -46,38 +53,50 @@ def sparse_scores_inverted(
     positive, which :func:`sparse_topk` exploits.
     """
     query = as_sparse_query(query)
-    out = np.zeros(store.n, dtype=np.float64)
     terms, weights = term_weights(store, query)
-    if terms.size == 0 or store.n == 0:
+    avgdl = store.stats.avgdl if store.metric == "bm25" else None
+    return lex_scatter(
+        store.posting_arrays(), store.row_lengths(), terms, weights, avgdl
+    )
+
+
+def lex_scatter(
+    postings: PostingArrays,
+    dl: np.ndarray,
+    terms: np.ndarray,
+    weights: np.ndarray,
+    avgdl: float | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(scores, touched_rows)`` of the query terms *terms* (their
+    ``qv·idf`` in *weights*) over *postings*: BM25 with the row lengths
+    *dl* and *avgdl*, TF-IDF when *avgdl* is ``None``.  One call of
+    ``native.c``'s ``lex_scatter``; a term outside the vocabulary has no
+    postings, and a repeated one adds twice."""
+    n = int(dl.shape[0])
+    out = np.zeros(n, dtype=np.float64)
+    if n == 0 or terms.size == 0 or postings.tf.size == 0:
         return out, np.empty(0, dtype=np.int64)
-    csc = store.postings()
-    dl = store.row_lengths()
-    bm25 = store.metric == "bm25"
-    # Hoisted out of the per-term loop (this is the scorer's hot path —
-    # per-query cost must stay O(postings), not O(n), with minimal
-    # Python overhead).
-    avgdl = store.stats.avgdl if bm25 else 1.0
-    indptr, indices, data = csc.indptr, csc.indices, csc.data
-    touched: list[np.ndarray] = []
-    for t, w_t in zip(terms, weights):
-        start, end = indptr[t], indptr[t + 1]
-        rows = indices[start:end]
-        if rows.size == 0:
-            continue
-        tf = data[start:end].astype(np.float64)
-        # Row indices within a CSC column are unique, so a plain fancy
-        # add applies each contribution exactly once, and each row
-        # accumulates its terms in ascending order.
-        if bm25:
-            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * (dl[rows] / avgdl))
-            contrib = w_t * ((tf * (BM25_K1 + 1.0)) / (tf + norm))
-        else:
-            contrib = w_t * tf
-        out[rows] += contrib
-        touched.append(rows)
-    if not touched:
-        return out, np.empty(0, dtype=np.int64)
-    return out, np.unique(np.concatenate(touched)).astype(np.int64)
+    touched = np.empty(n, dtype=np.int64)
+    terms = np.ascontiguousarray(terms, dtype=np.int64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    bm25 = None if avgdl is None else np.array([BM25_K1, BM25_B, avgdl])
+    address = native.address
+    count = native.lib.lex_scatter(
+        address(postings.indptr),
+        address(postings.indices),
+        address(postings.tf),
+        postings.indptr.shape[0] - 1,
+        address(dl),
+        n,
+        address(terms),
+        address(weights),
+        terms.shape[0],
+        None if bm25 is None else address(bm25),
+        address(out),
+        address(touched),
+    )
+    native.check(count)
+    return out, touched[:count]
 
 
 def sparse_topk(

@@ -39,7 +39,7 @@ for the inverted engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,6 +53,7 @@ except ImportError:  # pragma: no cover - exercised only without scipy
 
 __all__ = [
     "SPARSE_PREFIX",
+    "PostingArrays",
     "SparseStats",
     "SparseStore",
     "require_scipy",
@@ -106,6 +107,17 @@ class SparseStats:
         )
 
 
+class PostingArrays(NamedTuple):
+    """A plane's postings in the lexical scatter's dtypes (``native.c``'s
+    ``lex_scatter``): term ``t``'s rows are
+    ``indices[indptr[t]:indptr[t + 1]]``, ascending, with their term
+    frequencies ``tf`` — the CSC triplet widened exactly."""
+
+    indptr: np.ndarray  # (vocab + 1,) int64
+    indices: np.ndarray  # (nnz,) int64
+    tf: np.ndarray  # (nnz,) float64
+
+
 class SparseStore:
     """One CSR term-frequency plane plus its scoring statistics.
 
@@ -149,6 +161,7 @@ class SparseStore:
         self.metric = str(metric)
         self._stats = stats
         self._csc = None  # lazy postings (CSC) for the inverted engine
+        self._arrays: PostingArrays | None = None  # lazy, the scatter's dtypes
         self._row_len: np.ndarray | None = None  # lazy f64 row sums
         self._local: SparseStats | None = None  # lazy local_stats cache
 
@@ -272,6 +285,20 @@ class SparseStore:
             self._csc = cached
         return cached
 
+    def posting_arrays(self) -> PostingArrays:
+        """:meth:`postings` in the scatter kernel's dtypes, converted once
+        and cached as the CSC view is."""
+        cached = self._arrays
+        if cached is None:
+            csc = self.postings()
+            cached = PostingArrays(
+                indptr=np.ascontiguousarray(csc.indptr, dtype=np.int64),
+                indices=np.ascontiguousarray(csc.indices, dtype=np.int64),
+                tf=np.ascontiguousarray(csc.data, dtype=np.float64),
+            )
+            self._arrays = cached
+        return cached
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -282,6 +309,7 @@ class SparseStore:
         out.metric = self.metric
         out._stats = stats
         out._csc = self._csc
+        out._arrays = self._arrays
         out._row_len = self._row_len
         out._local = self._local
         return out
@@ -301,6 +329,7 @@ class SparseStore:
         out.metric = self.metric
         out._stats = self._stats
         out._csc = None
+        out._arrays = None
         out._row_len = None
         out._local = None
         return out

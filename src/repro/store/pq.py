@@ -125,10 +125,13 @@ class PQStore(VectorStore):
     # -- decode / exact -------------------------------------------------
     def _decode(self, i: int, codes: np.ndarray) -> np.ndarray:
         book = self._books[i]
-        m_sub, _, ds = book.shape
-        # One (rows, M, ds) gather: block [r, m] = book[m, codes[r, m]].
-        out = book[np.arange(m_sub), codes].reshape(codes.shape[0], m_sub * ds)
-        return out[:, : self._dims[i]]
+        m_sub, ncent, ds = book.shape
+        # One (rows, M, ds) gather: block [r, m] = book[m, codes[r, m]],
+        # taken from the book's (M·ncent, ds) rows, which ``take`` copies
+        # several times faster than a two-array fancy index does.
+        starts = np.arange(0, m_sub * ncent, ncent)
+        out = book.reshape(m_sub * ncent, ds).take(codes + starts, axis=0)
+        return out.reshape(codes.shape[0], m_sub * ds)[:, : self._dims[i]]
 
     def modality(self, i: int) -> np.ndarray:
         return self._decode(i, self._codes[i])

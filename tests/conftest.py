@@ -147,10 +147,9 @@ def heap_search(
             index, vec, k_inner, l_inner, w, False, excluded, reportable
         )
     if typed.sparse is not None:
-        ids, sims = hybrid_union_rescore(
-            index.space, typed, res.ids, min(k_q, index.num_active),
-            admissible=None if excluded is None else ~excluded,
-            weights=w, stats=res.stats,
+        [(ids, sims)] = hybrid_union_rescore(
+            index.space, [typed], [res.ids], [min(k_q, index.num_active)],
+            [None if excluded is None else ~excluded], [w], [res.stats],
         )
     elif refine is not None:
         ids, sims = rerank_exact(index.space, vec, res.ids, k_q, weights=w,

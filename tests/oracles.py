@@ -20,7 +20,9 @@ and the sanitizer child runs those comparisons too.
 * :func:`greedy_pick` — ``greedy_pick``, as a bitmask loop;
 * :func:`lane_gram`, :func:`prune_one` and :func:`prune_rows` —
   ``prune_rows``: every candidate pair scored under the search's
-  lane contract, then the domination test and the bitmask pick.
+  lane contract, then the domination test and the bitmask pick;
+* :func:`lex_scatter` — ``lex_scatter``, the per-term loop of the
+  lexical scorer (``repro.sparse.inverted``).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 
 from repro import native
 from repro.index import graph_wave as gw
+from repro.sparse.kernels import BM25_B, BM25_K1
 
 # ``repro.index`` re-exports the *function* nndescent under the
 # submodule's name, so the module is asked for by path.
@@ -451,3 +454,37 @@ def prune_rows(concat, total, cand, sims, gamma, alpha):
         ids = row[valid]
         out.append(prune_one(concat, total, ids, sims[v][valid], gamma, alpha))
     return out
+
+
+def lex_scatter(postings, dl, terms, weights, avgdl):
+    """``lex_scatter``: the per-term NumPy loop ``sparse_scores_inverted``
+    ran before the kernel.  *postings* is a CSC triplet ``(indptr,
+    indices, tf)`` of any float ``tf`` dtype; each term in order (one
+    outside ``[0, vocab)`` has no postings) adds its BM25 contribution
+    (TF-IDF when *avgdl* is ``None``) at its rows.  Returns ``(scores,
+    touched rows ascending)``."""
+    indptr, indices, tf_all = postings
+    vocab = indptr.shape[0] - 1
+    out = np.zeros(dl.shape[0], dtype=np.float64)
+    touched: list[np.ndarray] = []
+    for t, w_t in zip(terms, weights):
+        if not 0 <= t < vocab:
+            continue
+        start, end = indptr[t], indptr[t + 1]
+        rows = indices[start:end]
+        if rows.size == 0:
+            continue
+        tf = tf_all[start:end].astype(np.float64)
+        # Row indices within a CSC column are unique, so a plain fancy
+        # add applies each contribution exactly once, and each row
+        # accumulates its terms in order.
+        if avgdl is not None:
+            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * (dl[rows] / avgdl))
+            contrib = w_t * ((tf * (BM25_K1 + 1.0)) / (tf + norm))
+        else:
+            contrib = w_t * tf
+        out[rows] += contrib
+        touched.append(rows)
+    if not touched:
+        return out, np.empty(0, dtype=np.int64)
+    return out, np.unique(np.concatenate(touched)).astype(np.int64)

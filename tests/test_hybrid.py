@@ -41,11 +41,13 @@ from repro.core.multivector import (
 )
 from repro.core.query import Eq, Query, SearchOptions
 from repro.core.weights import Weights
+from repro.index import graph_wave
 from repro.index.graph_wave import graph_wave_search
 from repro.index.pipeline import FusedIndexBuilder
 from repro.index.search import joint_search
 from repro.index.segments import MANIFEST_NAME, SegmentPolicy
 from repro.service import MustService, ServiceConfig
+from repro.sparse.hybrid import hybrid_union_rescore
 from repro.sparse.synthetic import synthetic_hybrid
 
 from tests.conftest import heap_search, heap_view_search, on_sparse_oracle
@@ -527,3 +529,63 @@ def test_wave_hybrid_all_deleted_is_empty(dataset, hybrid_queries):
     results, _ = graph_wave_search(dead, hybrid_queries, k=K, l=L)
     assert all(len(r) == 0 for r in results)
     assert len(joint_search(dead, hybrid_queries[0], k=K, l=L)) == 0
+
+
+def _fused_row_by_row(space, typed, dense_ids, ks, admissible, weights, stats,
+                      context="corpus"):
+    """``hybrid_union_rescore`` called once a row: a batch of one each."""
+    return [
+        hybrid_union_rescore(space, [q], [d], [k], [a], [w], [s], context)[0]
+        for q, d, k, a, w, s in zip(typed, dense_ids, ks, admissible, weights,
+                                    stats)
+    ]
+
+
+@pytest.mark.parametrize("layout", ["flat", "segmented"])
+@pytest.mark.parametrize("surface", ["query", "served"])
+def test_one_fusion_pass_is_the_per_row_fusion(
+    dataset, hybrid_queries, layout, surface, monkeypatch
+):
+    """A wave fuses all its hybrid rows in one pass, and a mixed wave
+    answers — ids, similarities and every work counter — as it does
+    with each hybrid row fused on its own: rows with and without a
+    filter, one with nothing admissible, one with no term in the
+    vocabulary, one whose k exceeds the rows its terms touch, one with
+    its own weights, over deleted rows, beside plain rows that take
+    ``refine``."""
+    must = wave_must(dataset, layout, "pq")
+    must.mark_deleted(np.arange(1, 60, 7))
+    vocab = must.objects.sparse.vocab
+    h = hybrid_queries
+    requests = [
+        h[0],
+        dataclasses.replace(h[1], filter=Eq("parity", 0)),
+        Query(h[2].vector),
+        dataclasses.replace(h[3], filter=Eq("parity", 7)),
+        dataclasses.replace(h[4], sparse={vocab + 5: 1.0}),
+        dataclasses.replace(h[5], k=40),
+        dataclasses.replace(h[6], weights=Weights([0.6])),
+        Query(h[7].vector, filter=Eq("parity", 1)),
+        h[8],
+    ]
+    opts = SearchOptions(k=K, l=L, engine="wave", refine=3)
+
+    def answer():
+        if surface == "query":
+            return list(must.query(requests, opts))
+        with must.serve(max_batch=16, max_wait_ms=20.0) as svc:
+            futures = [svc.submit(q, opts) for q in requests]
+            return [f.result(60) for f in futures]
+
+    one_pass = answer()
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_wave, "hybrid_union_rescore", _fused_row_by_row)
+        by_row = answer()
+    assert len(one_pass[5]) == 40 and len(one_pass[3]) == 0
+    for got, ref in zip(one_pass, by_row):
+        assert_same(got, ref)
+        assert got.similarities.tobytes() == ref.similarities.tobytes()
+        counters = [dataclasses.asdict(r.stats) for r in (got, ref)]
+        for stats in counters:
+            del stats["waves"], stats["frontier_sizes"]
+        assert counters[0] == counters[1]

@@ -365,6 +365,63 @@ class TestPersistence:
         )
         assert result.ids.size == 5
 
+    def test_resaving_the_served_directory_keeps_only_listed_files(
+        self, tmp_path, queries
+    ):
+        """A save served with ``from_saved``, then compacted, grown and
+        saved again into the same directory, three times over: after
+        each lap the directory holds exactly the files its manifest
+        lists, and a fresh load answers as the live instance does.
+        Snapshots taken before the save, and before the compaction,
+        still answer after it."""
+        out = tmp_path / "saved"
+        must = MUST(
+            _attributed_set(60, 3),
+            weights=WEIGHTS,
+            builder=CHEAP_BUILDER,
+            compression="pq",
+            store_options={"pq_dims": 4},
+            cold_storage="mmap",
+            data_dir=tmp_path / "cold",
+            segment_policy=SegmentPolicy(seal_size=20, max_segments=8),
+        ).build()
+        must.insert(_attributed_set(20, 4))
+        must.save_index(out)
+        served = MUST.from_saved(out)
+        plans = [
+            SearchOptions(k=10, exact=True, refine=24),
+            SearchOptions(k=10, l=32, refine=4),
+        ]
+        for lap in range(3):
+            older = served.snapshot()
+            older_answers = [older.query(q, p) for p in plans for q in queries]
+            served.compact()
+            served.insert(_attributed_set(20, 10 + lap))
+            before = served.snapshot()
+            answers = [before.query(q, p) for p in plans for q in queries]
+            served.save_index(out)
+            manifest = json.loads((out / MANIFEST_NAME).read_text())
+            listed = {MANIFEST_NAME} | {
+                name
+                for entry in manifest["segments"]
+                for name in (entry["file"], *entry.get("cold_files", ()))
+            }
+            assert {f.name for f in out.iterdir()} == listed, lap
+            fresh = MUST.from_saved(out)
+            again = [before.query(q, p) for p in plans for q in queries]
+            for got, old, ref in zip(
+                (fresh.query(q, p) for p in plans for q in queries),
+                again,
+                answers,
+            ):
+                assert_same_result(got, ref)
+                assert_same_result(old, ref)
+            for got, ref in zip(
+                (older.query(q, p) for p in plans for q in queries),
+                older_answers,
+            ):
+                assert_same_result(got, ref)
+
 
 # ----------------------------------------------------------------------
 # Corruption and atomicity

@@ -263,20 +263,21 @@ class TestSegmentedRoundtrip:
         self, tmp_path
     ):
         """Re-saving after a compaction leaves exactly the listed
-        archives; the mapped cold-tier sidecars are not touched."""
+        archives, and a cold-tier sidecar the new manifest does not list
+        is unlinked too."""
         must = self._streamed()
         path = tmp_path / "segidx"
         must.save_index(path)
         assert len(list(path.glob("segment_*.npz"))) == 3
         sidecar = path / "segment_007.cold_0.npy"
-        sidecar.write_bytes(b"left alone")
+        sidecar.write_bytes(b"not listed")
         must.compact()
         must.save_index(path)
         manifest = json.loads((path / MANIFEST_NAME).read_text())
         listed = [entry["file"] for entry in manifest["segments"]]
         assert sorted(p.name for p in path.glob("segment_*.npz")) == listed
         assert len(listed) == 1
-        assert sidecar.read_bytes() == b"left alone"
+        assert not sidecar.exists()
         fresh = MUST(must.objects).load_index(path)
         assert fresh.segments.describe() == must.segments.describe()
 

@@ -529,9 +529,9 @@ def _brute_force(
     sims = oracle_scores(space, query.vector, np.arange(n), None, SearchStats())
     pool = cand[np.lexsort((cand, -sims[cand]))][:l]
     if query.sparse is not None and pool.size:
-        ids, out = hybrid_union_rescore(
-            space, query, pool, min(l, seg.num_active),
-            admissible=admissible,
+        [(ids, out)] = hybrid_union_rescore(
+            space, [query], [pool], [min(l, seg.num_active)], [admissible],
+            [None], [None],
         )
     elif refine is not None:
         keep = min(refine * k, pool.size)

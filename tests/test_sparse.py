@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.framework import MUST
 from repro.core.multivector import (
@@ -33,10 +35,11 @@ from repro.core.multivector import (
 )
 from repro.core.query import Eq, Query, SearchOptions
 from repro.core.weights import Weights
-from repro.sparse.inverted import sparse_scores_inverted, sparse_topk
+from repro.sparse.inverted import lex_scatter, sparse_scores_inverted, sparse_topk
 from repro.sparse.kernels import SparseQuery, as_sparse_query
-from repro.sparse.store import SparseStats, SparseStore, sum_stats
+from repro.sparse.store import PostingArrays, SparseStats, SparseStore, sum_stats
 
+from tests import oracles
 from tests.conftest import (
     on_sparse_oracle,
     oracle_scores_inverted,
@@ -192,6 +195,82 @@ class TestKernelParity:
         fast_ids, _ = sparse_topk(scores, 8, admissible, touched)
         np.testing.assert_array_equal(full_ids, fast_ids)
         assert np.all(full_ids % 2 == 0)
+
+
+def _postings(rng, n, vocab, density, tf_dtype):
+    """A random CSC triplet: column t's rows ascending, positive
+    fractional term frequencies of *tf_dtype*."""
+    present = rng.random((vocab, n)) < density
+    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1)))).astype(np.int64)
+    indices = np.flatnonzero(present.ravel()) % max(n, 1)
+    tf = (rng.random(indices.size) * 20.0 + 1e-3).astype(tf_dtype)
+    return indptr, indices.astype(np.int64), tf
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 40),
+    vocab=st.integers(1, 12),
+    density=st.floats(0.0, 1.0),
+    tf_dtype=st.sampled_from([np.float32, np.float64]),
+    bm25=st.booleans(),
+    terms=st.lists(st.integers(-2, 15), max_size=10),
+)
+@example(seed=0, n=0, vocab=3, density=0.5, tf_dtype=np.float32, bm25=True,
+         terms=[0, 1])
+@example(seed=1, n=9, vocab=4, density=0.0, tf_dtype=np.float64, bm25=False,
+         terms=[0, 2])
+@example(seed=2, n=9, vocab=4, density=0.7, tf_dtype=np.float32, bm25=True,
+         terms=[1, 1, 3, 3, 3])
+@example(seed=3, n=9, vocab=4, density=0.7, tf_dtype=np.float64, bm25=True,
+         terms=[-1, 4, 9])
+def test_lex_scatter_is_the_numpy_loop(
+    seed, n, vocab, density, tf_dtype, bm25, terms
+):
+    """``lex_scatter`` gives the per-term NumPy loop's scores and touched
+    rows bit for bit: BM25 and TF-IDF, float32 and float64 term
+    frequencies, empty postings, terms outside the vocabulary, repeated
+    terms (each adds again) and an empty plane."""
+    rng = np.random.default_rng(seed)
+    indptr, indices, tf = _postings(rng, n, vocab, density, tf_dtype)
+    dl = rng.random(n) * 50.0
+    avgdl = float(rng.random() * 30.0 + 0.5) if bm25 else None
+    query = np.sort(np.array(terms, dtype=np.int64))
+    weights = rng.random(query.size) * 5.0
+    got = lex_scatter(
+        PostingArrays(indptr, indices, tf.astype(np.float64)),
+        dl, query, weights, avgdl,
+    )
+    want = oracles.lex_scatter((indptr, indices, tf), dl, query, weights, avgdl)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].dtype == np.int64 and got[1].tolist() == want[1].tolist()
+
+
+def test_lex_scatter_refuses_a_posting_row_out_of_range():
+    """A posting row outside ``[0, n)`` is refused with an error."""
+    indptr = np.array([0, 2], dtype=np.int64)
+    for bad in (-1, 3):
+        postings = PostingArrays(
+            indptr, np.array([0, bad], dtype=np.int64), np.ones(2)
+        )
+        with pytest.raises(RuntimeError, match="refused"):
+            lex_scatter(postings, np.ones(3), np.array([0]), np.ones(1), 1.0)
+
+
+def test_posting_arrays_are_cached_like_the_postings():
+    """The scatter's copy of the postings is converted once per plane:
+    a re-stamped plane shares it, a subset builds its own."""
+    store = random_store(seed=12)
+    arrays = store.posting_arrays()
+    assert store.posting_arrays() is arrays
+    assert store.with_stats(store.local_stats()).posting_arrays() is arrays
+    sub = store.subset(np.arange(10))
+    assert sub.posting_arrays() is not arrays
+    csc = store.postings()
+    assert arrays.indptr.tolist() == csc.indptr.tolist()
+    assert arrays.indices.tolist() == csc.indices.tolist()
+    assert arrays.tf.tobytes() == csc.data.astype(np.float64).tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -410,7 +410,7 @@ def test_one_frontier_scorer():
     for method in (_Wave.traverse, RowScorer.score):
         tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
         assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
-    assert len(native.SIGNATURES) == 8
+    assert len(native.SIGNATURES) == 9
     assert "score_rows" in native.SIGNATURES
     assert not {"gather_dot", "adc_gather"} & native.SIGNATURES.keys()
 
@@ -590,6 +590,45 @@ def test_every_kernel_function_is_declared_to_ctypes():
         assert restype is C_RESULTS[returns], name
         function = getattr(native.lib, name)
         assert function.argtypes == argtypes and function.restype is restype
+
+
+def c_function_body(source: str, name: str) -> str:
+    """The text of file-scope function *name* in *source*, from its
+    signature to its closing brace, whitespace runs read as one space."""
+    start = re.search(rf"^[A-Za-z_][\w \t*]*\b{name}\s*\(", source, flags=re.M)
+    assert start is not None, name
+    end = re.compile(r"^}", flags=re.M).search(source, start.end())
+    assert end is not None, name
+    return " ".join(source[start.start() : end.end()].split())
+
+
+def test_the_c_body_scan_sees_what_it_should():
+    source = (
+        "static int helper(int a)\n{\n    if (a) {\n        a++;\n    }\n"
+        "    return a;\n}\n"
+        "int64_t two(int b)\n{\n    return  b;\n}\n"
+    )
+    assert c_function_body(source, "helper").endswith("return a; }")
+    assert c_function_body(source, "two") == "int64_t two(int b) { return b; }"
+
+
+def test_the_equivalent_mutants_are_in_step_with_the_kernel():
+    """Every mutant ``tests/equivalent_mutants.toml`` argues to be
+    equivalent still names source text that occurs exactly once in its
+    function of ``native.c``, and its mutated text occurs nowhere there:
+    an edit that rewrites a listed site fails here, keyed by text, not by
+    line number."""
+    listed = tomllib.loads(
+        (Path(__file__).parent / "equivalent_mutants.toml").read_text()
+    )["mutant"]
+    source = (PACKAGE / native.SOURCE).read_text()
+    assert len(listed) == 4
+    for entry in listed:
+        body = c_function_body(source, entry["function"])
+        site, mutant = (" ".join(entry[k].split()) for k in ("site", "mutant"))
+        assert body.count(site) == 1, entry["site"]
+        assert site != mutant and mutant not in body, entry["mutant"]
+        assert entry["argument"].strip(), entry["site"]
 
 
 def test_the_kernel_flags_keep_the_float_contract():

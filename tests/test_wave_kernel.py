@@ -1237,8 +1237,9 @@ class TestLoader:
         bounds on a pool cut from a wider buffer, the row
         contracts (concatenation and int8 lanes, PQ sum, mixed
         batches),
-        and the build's local-join, greedy-pick and prune ones
-        (``test_index_construction``), in a child with the runtimes
+        the build's local-join, greedy-pick and prune ones
+        (``test_index_construction``) and the lexical scatter's
+        (``test_sparse``), in a child with the runtimes
         preloaded; any out-of-bounds access or undefined behaviour kills
         it with a report instead of passing silently."""
         cc = native.compiler()
@@ -1284,6 +1285,9 @@ class TestLoader:
             "    c.test_prune_rows_refuses_ids_out_of_range(bad)\n"
             "for bad in (-1, 64, 65):\n"
             "    c.test_join_number_refuses_ids_out_of_range(bad)\n"
+            "import test_sparse as s\n"
+            "s.test_lex_scatter_is_the_numpy_loop()\n"
+            "s.test_lex_scatter_refuses_a_posting_row_out_of_range()\n"
         )
         env = dict(
             os.environ,
